@@ -21,25 +21,13 @@ ESTI_DISABLE_SIMD=1 cargo test -q --release -p esti-tensor --test kernels
 echo "== thread conformance: intra-chip worker count invisible in logits and tokens =="
 cargo test -q --release -p esti-runtime --test threads
 
-echo "== overlap conformance: chunked executor bit-identical to monolithic =="
-cargo test -q --release -p esti-runtime --test overlap
-
-echo "== planner conformance: planned execution bit-identical, ledger well-formed =="
-# The execution planner may pick any candidate mode per (layout, phase,
-# dtype); whatever it picks must be bit-identical to monolithic and every
-# planner-emittable schedule must pass the static analyzer.
-cargo test -q --release -p esti-runtime --test planner
-cargo test -q --release -p esti-verify --test planner_schedules
-
 echo "== serving conformance: scheduler token streams identical to isolated generate =="
 # Covers every built-in decode layout plus the ragged-workload proptest.
 cargo test -q --release -p esti-runtime --test serving
 
-echo "== int8 conformance: quantized wire volume and chunk-count bit-identity =="
-# The int8 data path: chunked quantized all-gathers reassemble exactly,
-# the ledger charges quantized (not dense f32) bytes, and int8 overlapped
-# execution is bit-identical to monolithic for arbitrary chunk counts.
-cargo test -q --release -p esti-collectives --test chunked
+echo "== int8 conformance: quantized wire volume =="
+# The int8 data path: the ledger charges quantized (not dense f32) bytes
+# on every weight gather.
 cargo test -q --release -p esti-runtime --test int8
 
 echo "== paged-KV conformance: paged streams bit-identical to slab, capacity gated =="
@@ -77,10 +65,11 @@ echo "== clippy (workspace lints, -D warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== esti-lint: static partition-plan, SPMD, liveness & quant-dataflow analysis =="
-# check_combo runs every schedule twice — monolithic and with the
-# runtime's overlap chunking — and run_scenario upgrades any skip on a
-# planner-chosen layout to a failure, so a planner-chosen chunked
-# schedule that fails to verify (or is skipped) fails this gate.
+# check_combo verifies each (scenario, layout) schedule once, and
+# run_scenario upgrades any skip on the layout the *layout* planner
+# (esti_core::planner) chose for that scenario to a failure, so a
+# planner-chosen layout that fails to verify (or is skipped) fails this
+# gate.
 # --strict also fails the run on warnings (weight-gathered working-set
 # margins), and --json writes the full row-by-row report as a CI
 # artifact for dashboards (results/esti_lint.json).
@@ -94,11 +83,10 @@ fi
 echo "esti-lint JSON report: results/esti_lint.json ($(wc -c < results/esti_lint.json) bytes)"
 
 echo "== bench report: no untracked regressions =="
-# Every flagged row — a decode row whose planner pick lost to monolithic
-# or to the pre-PR baseline ("regression": true, which also covers
-# speedup < 1.0), and the int8 wire row if its step time regressed — must
-# carry a "tracking" reference (issue link or note); silent regressions
-# fail CI. A row that flags regression without computing it from its own
+# Every flagged row — a decode row that lost to its naive-kernel baseline
+# ("regression": true, i.e. speedup < 1.0), and the int8 wire row if its
+# step time regressed — must carry a "tracking" reference (issue link or
+# note); silent regressions fail CI. A row that flags regression without computing it from its own
 # ratios would also be caught here: the flag is cross-checked against the
 # published numbers.
 python3 - <<'EOF'
@@ -107,7 +95,7 @@ report = json.load(open("BENCH_runtime.json"))
 rows = report.get("decode", [])
 bad = [r["layout"] for r in rows if r.get("regression") and not r.get("tracking")]
 for r in rows:
-    slow = r.get("planned_vs_mono", 1.0) < 1.0 or r.get("speedup", 1.0) < 1.0
+    slow = r.get("speedup", 1.0) < 1.0
     if slow and not r.get("regression"):
         bad.append(f"{r['layout']} (unflagged slowdown)")
 wire = report.get("int8_wire", {})

@@ -83,42 +83,11 @@ fn bench_all_to_all(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_chunked(c: &mut Criterion) {
-    // The chunked ring forms at the granularities the overlapped executor
-    // uses; same payload, `chunks` sub-transfers.
-    let mut group = c.benchmark_group("all_reduce_64k_chunked_n4");
-    for &chunks in &[1usize, 2, 4, 8] {
-        group.throughput(Throughput::Bytes((64 * 1024 * 4) as u64));
-        group.bench_with_input(BenchmarkId::from_parameter(chunks), &chunks, |bench, &chunks| {
-            bench.iter(|| {
-                run_group(4, |r, g| {
-                    let t = Tensor::full(vec![64 * 1024], r as f32);
-                    g.all_reduce_chunked(&t, 0, chunks)
-                })
-            });
-        });
-    }
-    group.finish();
-    let mut group = c.benchmark_group("all_gather_16k_chunked_n4");
-    for &chunks in &[1usize, 2, 4, 8] {
-        group.bench_with_input(BenchmarkId::from_parameter(chunks), &chunks, |bench, &chunks| {
-            bench.iter(|| {
-                run_group(4, |r, g| {
-                    let shard = Tensor::full(vec![16 * 1024], r as f32);
-                    g.all_gather_chunked(&shard, 0, chunks)
-                })
-            });
-        });
-    }
-    group.finish();
-}
-
 criterion_group!(
     benches,
     bench_all_reduce,
     bench_all_gather,
     bench_reduce_scatter,
-    bench_all_to_all,
-    bench_chunked
+    bench_all_to_all
 );
 criterion_main!(benches);

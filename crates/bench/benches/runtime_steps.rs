@@ -6,7 +6,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 
 use esti_core::layout::{AttnSharding, FfnLayout, GatherExtent, Layout, MeshFactors};
 use esti_model::{KvCache, ModelConfig, ReferenceModel};
-use esti_runtime::{ExecMode, PartitionedEngine, WeightFormat};
+use esti_runtime::{PartitionedEngine, WeightFormat};
 
 fn prompts() -> Vec<Vec<usize>> {
     (0..4).map(|b| vec![b + 1, b + 2, b + 3, b + 4]).collect()
@@ -61,34 +61,5 @@ fn bench_partitioned(c: &mut Criterion) {
     }
 }
 
-fn bench_exec_modes(c: &mut Criterion) {
-    // Monolithic vs overlapped executor on the 1D layout; the wall-clock
-    // acceptance numbers live in `bench-runtime` (BENCH_runtime.json),
-    // this group keeps the mode API covered by `cargo bench`.
-    let model = ReferenceModel::init_random(ModelConfig::tiny(), 0);
-    let layout = Layout {
-        ffn: FfnLayout::WeightStationary1D,
-        attn: AttnSharding::Batch,
-        mesh: MeshFactors::new(1, 4, 1),
-    };
-    for (name, exec) in [
-        ("monolithic", ExecMode::Monolithic),
-        ("overlapped_c4", ExecMode::Overlapped { chunks: 4 }),
-    ] {
-        c.bench_function(&format!("decode_step_ws1d_{name}"), |bench| {
-            bench.iter_batched(
-                || {
-                    let mut engine =
-                        PartitionedEngine::new_with_exec(&model, layout, WeightFormat::Exact, exec);
-                    let _ = engine.prefill(&prompts());
-                    engine
-                },
-                |mut engine| engine.decode_step(&[1, 2, 3, 4]),
-                criterion::BatchSize::SmallInput,
-            );
-        });
-    }
-}
-
-criterion_group!(benches, bench_reference, bench_partitioned, bench_exec_modes);
+criterion_group!(benches, bench_reference, bench_partitioned);
 criterion_main!(benches);

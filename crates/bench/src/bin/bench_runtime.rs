@@ -1,17 +1,13 @@
 //! `bench-runtime` — wall-clock benchmarks of the kernel core (AVX2 SIMD
-//! GEMM with the scalar tiers as oracles) and the overlapped
-//! (chunked-collective) executor. Written with plain
-//! [`std::time::Instant`] so the numbers are real elapsed time, and dumped
-//! to `BENCH_runtime.json` at the workspace root for the acceptance gate:
+//! GEMM with the scalar tiers as oracles) and the partitioned engine.
+//! Written with plain [`std::time::Instant`] so the numbers are real
+//! elapsed time, and dumped to `BENCH_runtime.json` at the workspace root
+//! for the acceptance gate:
 //!
 //! * SIMD matmul >= 1.8x over the naive kernel at 256^3 and up;
-//! * planner-chosen decode >= 1.2x over the pre-PR configuration
-//!   (monolithic collectives + naive kernel) on the 8-chip 1D
-//!   weight-stationary layout;
-//! * the planner's chosen mode is never slower than monolithic on any
-//!   decode layout (planned/mono >= 1.0x, chunk sweep k in {1,2,4,8,16});
-//! * the measured hidden-communication fraction realizes >= 0.7x of what
-//!   the probe-calibrated planner model predicts for k = 4 on ws1d;
+//! * decode >= 1.2x over the naive-kernel baseline on the 8-chip 1D
+//!   weight-stationary layout (every decode row reports `baseline_us` vs
+//!   the shipped kernel and flags a regression);
 //! * SIMD int8 GEMM >= 2.1x over the scalar oracle kernel at 256^3;
 //! * int8 weight-gathered decode moves <= 0.55x the all-gather bytes of
 //!   the f32 path (quantized wire format vs bf16-accounted dense) **and**
@@ -23,30 +19,21 @@
 //!   cache at an equal KV position budget on a shared-prefix workload,
 //!   with bit-identical token streams (per-step paged-vs-slab overhead is
 //!   reported and regression-flagged, not gated).
-//!
-//! The measured hiding fraction is additionally cross-checked against the
-//! *datasheet-ideal* `esti_netsim::overlap` model, reported but not gated:
-//! on a single-core host the thread-per-chip simulation cannot reach
-//! disjoint-hardware overlap (every barrier is a context switch), which is
-//! exactly why the hard gate compares against the calibrated model instead.
 
 use std::time::Instant;
 
 use esti_bench::{banner, results_dir};
 use esti_core::layout::{AttnSharding, FfnLayout, GatherExtent, Layout, MeshFactors};
-use esti_core::perf::Phase;
 use esti_core::serving::{
     simulate_trace, ArrivalProcess, ArrivalTrace, LengthDist, OverloadPolicy, Priority,
     ServingConfig, TraceSpec,
 };
 use esti_core::Machine;
-use esti_hal::{ChipSpec, DType};
+use esti_hal::DType;
 use esti_model::{AttentionKind, BlockKind, MlpKind, ModelConfig, PositionKind, ReferenceModel};
-use esti_netsim::{looped_einsum_time, unfused_einsum_time, EinsumSpec};
-use esti_runtime::planner::CANDIDATE_CHUNKS;
 use esti_runtime::{
-    planner_dtype, ContinuousBatcher, ExecMode, ExecPlanner, KvBackend, PartitionedEngine,
-    ReplicaRouter, ServingOptions, ServingRequest, WeightFormat,
+    ContinuousBatcher, KvBackend, PartitionedEngine, ReplicaRouter, ServingOptions,
+    ServingRequest, WeightFormat,
 };
 use esti_tensor::ops::{self, MatmulKernel};
 use esti_tensor::{QuantizedMatrix, Tensor};
@@ -92,16 +79,15 @@ fn prompts(vocab: usize) -> Vec<Vec<usize>> {
     (0..BATCH).map(|b| (0..PREFILL_LEN).map(|t| (b * 7 + t * 3 + 1) % vocab).collect()).collect()
 }
 
-/// Wall-clock seconds per decode step under one (exec, kernel) setting.
-/// Each rep builds a fresh engine, prefills, then times `DECODE_STEPS`
-/// decode steps.
-fn decode_seconds(model: &ReferenceModel, layout: Layout, exec: ExecMode, kernel: MatmulKernel) -> f64 {
+/// Wall-clock seconds per decode step under one kernel setting. Each rep
+/// builds a fresh engine, prefills, then times `DECODE_STEPS` decode steps.
+fn decode_seconds(model: &ReferenceModel, layout: Layout, kernel: MatmulKernel) -> f64 {
     ops::set_matmul_kernel(kernel);
     let vocab = model.config().vocab;
     let toks = prompts(vocab);
     let mut best = f64::INFINITY;
     for rep in 0..3 {
-        let mut engine = PartitionedEngine::new_with_exec(model, layout, WeightFormat::Exact, exec);
+        let mut engine = PartitionedEngine::new(model, layout, WeightFormat::Exact);
         let _ = engine.prefill(&toks);
         let mut next: Vec<usize> = (0..BATCH).map(|b| (b + rep) % vocab).collect();
         let t = Instant::now();
@@ -113,53 +99,6 @@ fn decode_seconds(model: &ReferenceModel, layout: Layout, exec: ExecMode, kernel
     }
     ops::set_matmul_kernel(MatmulKernel::Simd);
     best
-}
-
-/// Total nanoseconds chips spent blocked inside **all-reduce** collectives
-/// over `DECODE_STEPS` decode steps (untimed run, blocked kernel). The
-/// all-reduces are the chunkable sites of the ws1d schedule — the ops the
-/// planner's hidden-fraction prediction covers — so restricting the ledger
-/// to them compares like for like (the attention all-to-alls are never
-/// chunked; their blocked time is identical noise in both variants).
-fn decode_ar_nanos(engine: &mut PartitionedEngine, vocab: usize) -> u64 {
-    engine.reset_comm_times();
-    let next: Vec<usize> = (0..BATCH).map(|b| b % vocab).collect();
-    for _ in 0..DECODE_STEPS {
-        let _ = engine.decode_step(&next);
-    }
-    engine
-        .comm_times()
-        .iter()
-        .map(|t| t.nanos(esti_collectives::CollectiveOp::AllReduce))
-        .sum()
-}
-
-/// Hidden-communication fraction `1 - blocked_overlapped /
-/// blocked_monolithic` from the least-noise (minimum) blocked measurement
-/// of each variant over `reps` interleaved runs, plus those blocked nanos.
-/// The minimum is the stable estimator for a timing whose noise is purely
-/// additive (scheduler preemption only ever *adds* blocked wait);
-/// interleaving keeps slow machine-load drift from biasing one variant.
-fn measured_hidden(model: &ReferenceModel, layout: Layout, chunks: usize, reps: usize) -> (f64, u64, u64) {
-    let vocab = model.config().vocab;
-    let toks = prompts(vocab);
-    let mut eng_mono =
-        PartitionedEngine::new_with_exec(model, layout, WeightFormat::Exact, ExecMode::Monolithic);
-    let _ = eng_mono.prefill(&toks);
-    let mut eng_over = PartitionedEngine::new_with_exec(
-        model,
-        layout,
-        WeightFormat::Exact,
-        ExecMode::Overlapped { chunks },
-    );
-    let _ = eng_over.prefill(&toks);
-    let (mut mono, mut over) = (u64::MAX, u64::MAX);
-    for _ in 0..reps {
-        mono = mono.min(decode_ar_nanos(&mut eng_mono, vocab));
-        over = over.min(decode_ar_nanos(&mut eng_over, vocab));
-    }
-    #[allow(clippy::cast_precision_loss)]
-    (1.0 - over as f64 / mono as f64, mono, over)
 }
 
 #[allow(clippy::too_many_lines, clippy::cast_precision_loss)]
@@ -251,8 +190,9 @@ fn main() {
     }
     json.push_str("  ],\n");
 
-    banner("Decode step: tiny8x, batch 64, 8 chips — chunk sweep + planner");
+    banner("Decode step: tiny8x, batch 64, 8 chips — shipped kernel vs naive baseline");
     let model = ReferenceModel::init_random(tiny8x(), 11);
+    let cfg = model.config();
     let ws1d = Layout {
         ffn: FfnLayout::WeightStationary1D,
         attn: AttnSharding::Batch,
@@ -268,155 +208,38 @@ fn main() {
         attn: AttnSharding::Batch,
         mesh: MeshFactors::new(8, 1, 1),
     };
-    println!(
-        "{:<16} {:>11} {:>9} {:>9} {:>9} {:>9} {:>9} {:>10} {:>8}",
-        "layout", "pre-PR us", "k=1 us", "k=2 us", "k=4 us", "k=8 us", "k=16 us", "planned", "speedup"
-    );
+    println!("{:<16} {:>12} {:>12} {:>8}", "layout", "baseline us", "current us", "speedup");
     json.push_str("  \"decode\": [\n");
     let mut gate_1d = 0.0f64;
-    // Worst planned-vs-monolithic ratio over the decode layouts: the
-    // planner must never pick a mode that loses to monolithic.
-    let mut gate_planned = f64::INFINITY;
     for (i, (name, layout)) in
         [("ws1d_8chips", ws1d), ("ws2d_2x2x2", ws2d), ("wg_xyz_8chips", wg)].into_iter().enumerate()
     {
-        // Pre-PR configuration: monolithic collectives, naive kernel.
-        let base = decode_seconds(&model, layout, ExecMode::Monolithic, MatmulKernel::Naive);
-        // Chunk-size sweep with the shipped SIMD kernel: k = 1 is the
-        // monolithic schedule (same looped code path, one chunk), larger k
-        // buys overlap on parallel hosts at k extra barriers per
-        // collective.
-        let sweep: Vec<(usize, f64)> = CANDIDATE_CHUNKS
-            .iter()
-            .map(|&k| {
-                let exec = if k == 1 {
-                    ExecMode::Monolithic
-                } else {
-                    ExecMode::Overlapped { chunks: k }
-                };
-                (k, decode_seconds(&model, layout, exec, MatmulKernel::Simd))
-            })
-            .collect();
-        let mono = sweep[0].1;
-        // The planner's pick for this layout's decode shape, priced with
-        // the *same* dtype the engine executes (f32 weights here) and the
-        // same probe-calibrated cost model `PartitionedEngine::new`
-        // applies. `planned_us` is the sweep row of the chosen chunk
-        // count — a measurement, not a prediction.
-        let dtype = planner_dtype(WeightFormat::Exact);
-        let decision =
-            ExecPlanner::new(model.config(), layout, dtype).decide(Phase::Decode, BATCH, 1);
-        assert_eq!(
-            decision.dtype, dtype,
-            "planner ledger must record the dtype the decision was priced with"
-        );
-        let planned_k = match decision.chosen {
-            ExecMode::Monolithic => 1,
-            ExecMode::Overlapped { chunks } => chunks,
-        };
-        let planned = sweep.iter().find(|&&(k, _)| k == planned_k).map_or(mono, |&(_, t)| t);
-        let speedup = base / planned;
-        let planned_vs_mono = mono / planned;
-        gate_planned = gate_planned.min(planned_vs_mono);
+        // Baseline: the naive scalar kernel; current: the shipped SIMD tier.
+        let base = decode_seconds(&model, layout, MatmulKernel::Naive);
+        let current = decode_seconds(&model, layout, MatmulKernel::Simd);
+        let speedup = base / current;
         if i == 0 {
             gate_1d = speedup;
         }
-        print!("{name:<16} {:>11.0}", base * 1e6);
-        for &(_, t) in &sweep {
-            print!(" {:>9.0}", t * 1e6);
-        }
-        println!(" {:>8}k={planned_k} {speedup:>8.2}", "");
-        let sweep_json = sweep
-            .iter()
-            .map(|&(k, t)| format!("{{\"chunks\": {k}, \"us\": {:.1}}}", t * 1e6))
-            .collect::<Vec<_>>()
-            .join(", ");
-        // A decode row regresses if the planner's pick loses to monolithic
-        // *or* the planned configuration loses to the pre-PR baseline
-        // outright; flagged rows must carry a tracking pointer (ci.sh
+        println!("{name:<16} {:>12.0} {:>12.0} {speedup:>8.2}", base * 1e6, current * 1e6);
+        // A decode row regresses if the shipped configuration loses to the
+        // baseline; flagged rows must carry a tracking pointer (ci.sh
         // rejects untracked regressions).
-        let regression = planned_vs_mono < 1.0 || speedup < 1.0;
+        let regression = speedup < 1.0;
         let tracking = if regression {
-            ", \"tracking\": \"ROADMAP item 1: single-core host serializes the chip \
-             threads; re-run the sweep on a multicore runner\""
+            ", \"tracking\": \"ROADMAP item 2: per-step decomposition of the decode step\""
         } else {
             ""
         };
         json.push_str(&format!(
-            "    {{\"layout\": \"{name}\", \"baseline_us\": {:.1}, \"mono_simd_us\": {:.1}, \
-             \"sweep\": [{sweep_json}], \"planned_chunks\": {planned_k}, \"planned_us\": {:.1}, \
-             \"planner_dtype\": \"f32\", \
-             \"planned_vs_mono\": {planned_vs_mono:.4}, \"speedup\": {speedup:.4}, \
-             \"regression\": {regression}{tracking}}}{}\n",
+            "    {{\"layout\": \"{name}\", \"baseline_us\": {:.1}, \"current_us\": {:.1}, \
+             \"speedup\": {speedup:.4}, \"regression\": {regression}{tracking}}}{}\n",
             base * 1e6,
-            mono * 1e6,
-            planned * 1e6,
+            current * 1e6,
             if i == 2 { "" } else { "," }
         ));
     }
     json.push_str("  ],\n");
-
-    banner("Communication blocking time and overlap cross-check (ws1d)");
-    let ws1d = Layout {
-        ffn: FfnLayout::WeightStationary1D,
-        attn: AttnSharding::Batch,
-        mesh: MeshFactors::new(1, 8, 1),
-    };
-    let (measured_hidden, comm_mono, comm_over) = measured_hidden(&model, ws1d, 4, 5);
-    // Analytic counterpart #1 (reference only): the netsim Looped
-    // CollectiveEinsum model at TPU v4 datasheet rates — what the overlap
-    // would hide on real accelerator links, where transport and compute
-    // run on disjoint hardware.
-    let chip = ChipSpec::tpu_v4();
-    let cfg = model.config();
-    let rows = BATCH as f64;
-    let bytes_per_shard = rows * cfg.d_model as f64 * 2.0 / 8.0;
-    let flops_per_shard =
-        2.0 * rows * (cfg.d_model as f64 / 8.0) * (cfg.d_ff + cfg.n_heads * cfg.d_head) as f64;
-    let spec = EinsumSpec::new(8, bytes_per_shard, flops_per_shard);
-    let unfused = unfused_einsum_time(&chip, &spec);
-    let fused = looped_einsum_time(&chip, &spec);
-    let ideal_hidden = 1.0 - fused / unfused;
-    // Analytic counterpart #2 (the gate): the planner's calibrated model —
-    // the same `chunked_blocked_time` closed form, fed the probe's measured
-    // host constants (transport rate, fold overhead, realized hiding
-    // efficiency). This is the prediction the planner stakes its decisions
-    // on, so the measured pipeline must realize at least 70% of it.
-    let analytic_hidden = ExecPlanner::new(model.config(), ws1d, planner_dtype(WeightFormat::Exact))
-        .decide(Phase::Decode, BATCH, 1)
-        .candidates
-        .iter()
-        .find(|c| c.chunks == 4)
-        .map_or(0.0, |c| c.hidden_fraction);
-    // The measured fraction must reach the analytic prediction from below,
-    // up to 30% relative model slack (the >= 0.7x-analytic criterion) plus
-    // a five-point absolute jitter allowance: the AR blocked-time ledger
-    // swings a few points run to run even with the min-of-reps estimator,
-    // and around zero (a serialized host hides nothing, and the calibrated
-    // model honestly predicts *negative* hiding there — the chunk barriers
-    // it exists to cost) relative slack alone would gate on pure scheduler
-    // noise. For positive analytic this reads `0.7x analytic − 0.05`.
-    let gate_hidden_floor = analytic_hidden - 0.3 * analytic_hidden.abs() - 0.05;
-    println!(
-        "measured: blocked {:.0} us monolithic vs {:.0} us overlapped (hidden fraction {measured_hidden:.2})",
-        comm_mono as f64 / 1e3,
-        comm_over as f64 / 1e3,
-    );
-    println!(
-        "analytic (calibrated planner model, k=4): hidden fraction {analytic_hidden:.2} \
-         (gate: measured >= floor {gate_hidden_floor:.3})"
-    );
-    println!(
-        "analytic (netsim, TPU v4 datasheet): fused {:.2} us vs unfused {:.2} us (hidden fraction {ideal_hidden:.2}; reference only —",
-        fused * 1e6,
-        unfused * 1e6,
-    );
-    println!("single-core hosts serialize the chip threads, so measured cannot reach datasheet overlap)");
-    json.push_str(&format!(
-        "  \"overlap_crosscheck\": {{\"comm_blocked_monolithic_us\": {:.1}, \"comm_blocked_overlapped_us\": {:.1}, \"measured_hidden_fraction\": {measured_hidden:.4}, \"analytic_hidden_fraction\": {analytic_hidden:.4}, \"ideal_hidden_fraction\": {ideal_hidden:.4}}},\n",
-        comm_mono as f64 / 1e3,
-        comm_over as f64 / 1e3,
-    ));
 
     banner("Int8 on the wire: weight-gathered decode bytes vs f32 (wg_xyz, 8 chips)");
     // One decode step under the fully weight-gathered dataflow moves every
@@ -425,8 +248,7 @@ fn main() {
     // scale), so the all-gather byte volume must drop to roughly half of
     // the bf16-accounted dense volume.
     let decode_ag_bytes = |fmt: WeightFormat| {
-        let mut engine =
-            PartitionedEngine::new_with_exec(&model, wg, fmt, ExecMode::Overlapped { chunks: 4 });
+        let mut engine = PartitionedEngine::new(&model, wg, fmt);
         let _ = engine.prefill(&prompts(cfg.vocab));
         engine.traffic().reset();
         let next: Vec<usize> = (0..BATCH).map(|b| b % cfg.vocab).collect();
@@ -445,8 +267,7 @@ fn main() {
     // shared-memory mailboxes move pointers, so the wire win itself shows
     // up in the byte ratio above, not in a link's transfer time).
     let step_time = |fmt: WeightFormat| {
-        let mut engine =
-            PartitionedEngine::new_with_exec(&model, wg, fmt, ExecMode::Overlapped { chunks: 4 });
+        let mut engine = PartitionedEngine::new(&model, wg, fmt);
         let _ = engine.prefill(&prompts(cfg.vocab));
         let next: Vec<usize> = (0..BATCH).map(|b| b % cfg.vocab).collect();
         time_best(3, || {
@@ -699,12 +520,7 @@ fn main() {
         let toks = prompts(cfg.vocab);
         let mut best = f64::INFINITY;
         for rep in 0..3 {
-            let mut engine = PartitionedEngine::new_with_exec(
-                &model,
-                ws1d,
-                WeightFormat::Exact,
-                ExecMode::Monolithic,
-            );
+            let mut engine = PartitionedEngine::new(&model, ws1d, WeightFormat::Exact);
             engine.set_kv_backend(backend);
             let _ = engine.prefill(&toks);
             let mut next: Vec<usize> = (0..BATCH).map(|b| (b + rep) % cfg.vocab).collect();
@@ -753,12 +569,7 @@ fn main() {
     // default deadline armed vs explicitly disarmed (the pre-PR blocking
     // barrier) and gates the ratio at 1.05x.
     let build_engine = |deadline: Option<std::time::Duration>| {
-        let mut engine = PartitionedEngine::new_with_exec(
-            &model,
-            ws1d,
-            WeightFormat::Exact,
-            ExecMode::Overlapped { chunks: 4 },
-        );
+        let mut engine = PartitionedEngine::new(&model, ws1d, WeightFormat::Exact);
         engine.set_collective_deadline(deadline);
         let _ = engine.prefill(&prompts(cfg.vocab));
         engine
@@ -796,9 +607,8 @@ fn main() {
         t_deadline * 1e6
     ));
 
-    banner("Per-chip communication summary (ws1d overlapped, 4 decode steps)");
-    let mut engine =
-        PartitionedEngine::new_with_exec(&model, ws1d, WeightFormat::Exact, ExecMode::Overlapped { chunks: 4 });
+    banner("Per-chip communication summary (ws1d, 4 decode steps)");
+    let mut engine = PartitionedEngine::new(&model, ws1d, WeightFormat::Exact);
     let _ = engine.prefill(&prompts(cfg.vocab));
     engine.reset_comm_times();
     let next: Vec<usize> = (0..BATCH).map(|b| b % cfg.vocab).collect();
@@ -808,7 +618,7 @@ fn main() {
     print!("{}", engine.comm_time_summary());
 
     json.push_str(&format!(
-        "  \"gates\": {{\"matmul_256_speedup\": {gate_256:.4}, \"matmul_256_required\": 1.8, \"decode_ws1d_speedup\": {gate_1d:.4}, \"decode_ws1d_required\": 1.2, \"planned_vs_mono_min\": {gate_planned:.4}, \"planned_vs_mono_required\": 1.0, \"overlap_hidden_measured\": {measured_hidden:.4}, \"overlap_hidden_required\": {gate_hidden_floor:.4}, \"serving_batching_speedup\": {gate_serving:.4}, \"serving_batching_required\": 1.1, \"int8_matmul_256_speedup\": {gate_q256:.4}, \"int8_matmul_256_required\": 2.1, \"int8_wg_decode_byte_ratio\": {gate_wire:.4}, \"int8_wg_decode_byte_ratio_max\": 0.55, \"int8_wg_decode_step_ratio\": {gate_step:.4}, \"int8_wg_decode_step_ratio_max\": 1.0, \"paged_capacity_ratio\": {gate_paged:.4}, \"paged_capacity_required\": 2.0, \"deadline_overhead_ratio\": {gate_deadline:.4}, \"deadline_overhead_max\": 1.05, \"overload_goodput_ratio\": {gate_goodput:.4}, \"overload_goodput_required\": 0.7, \"overload_high_p99_ttft_s\": {gate_high_p99:.4}, \"overload_high_p99_ttft_max_s\": 1.0, \"router_failover_lost\": {gate_lost}, \"router_failover_lost_max\": 0, \"router_failover_streams_identical\": {rt_identical}}}\n}}\n"
+        "  \"gates\": {{\"matmul_256_speedup\": {gate_256:.4}, \"matmul_256_required\": 1.8, \"decode_ws1d_speedup\": {gate_1d:.4}, \"decode_ws1d_required\": 1.2, \"serving_batching_speedup\": {gate_serving:.4}, \"serving_batching_required\": 1.1, \"int8_matmul_256_speedup\": {gate_q256:.4}, \"int8_matmul_256_required\": 2.1, \"int8_wg_decode_byte_ratio\": {gate_wire:.4}, \"int8_wg_decode_byte_ratio_max\": 0.55, \"int8_wg_decode_step_ratio\": {gate_step:.4}, \"int8_wg_decode_step_ratio_max\": 1.0, \"paged_capacity_ratio\": {gate_paged:.4}, \"paged_capacity_required\": 2.0, \"deadline_overhead_ratio\": {gate_deadline:.4}, \"deadline_overhead_max\": 1.05, \"overload_goodput_ratio\": {gate_goodput:.4}, \"overload_goodput_required\": 0.7, \"overload_high_p99_ttft_s\": {gate_high_p99:.4}, \"overload_high_p99_ttft_max_s\": 1.0, \"router_failover_lost\": {gate_lost}, \"router_failover_lost_max\": 0, \"router_failover_streams_identical\": {rt_identical}}}\n}}\n"
     ));
 
     let root = results_dir().parent().map_or_else(|| std::path::PathBuf::from("."), std::path::Path::to_path_buf);
@@ -820,11 +630,7 @@ fn main() {
 
     banner("Acceptance gates");
     println!("matmul 256^3 simd/naive: {gate_256:.2}x (require >= 1.8x)");
-    println!("decode ws1d planned vs pre-PR: {gate_1d:.2}x (require >= 1.2x)");
-    println!("planned vs monolithic, worst decode layout: {gate_planned:.2}x (require >= 1.0x)");
-    println!(
-        "measured hidden-comm fraction: {measured_hidden:.3} (require >= calibrated-analytic floor {gate_hidden_floor:.3})"
-    );
+    println!("decode ws1d vs naive-kernel baseline: {gate_1d:.2}x (require >= 1.2x)");
     println!("serving continuous batching vs serial: {gate_serving:.2}x (require >= 1.1x)");
     println!("int8 GEMM 256^3 simd/scalar: {gate_q256:.2}x (require >= 2.1x)");
     println!("int8 WG decode all-gather bytes vs f32: {gate_wire:.3} (require <= 0.55)");
@@ -838,14 +644,6 @@ fn main() {
     );
     assert!(gate_256 >= 1.8, "matmul gate failed: {gate_256:.2}x < 1.8x");
     assert!(gate_1d >= 1.2, "decode gate failed: {gate_1d:.2}x < 1.2x");
-    assert!(
-        gate_planned >= 1.0,
-        "planner regression gate failed: planned/mono {gate_planned:.3}x < 1.0x"
-    );
-    assert!(
-        measured_hidden >= gate_hidden_floor,
-        "overlap gate failed: measured hidden {measured_hidden:.3} < floor {gate_hidden_floor:.3}"
-    );
     assert!(gate_serving >= 1.1, "serving gate failed: {gate_serving:.2}x < 1.1x");
     assert!(gate_q256 >= 2.1, "int8 GEMM gate failed: {gate_q256:.2}x < 2.1x");
     assert!(gate_wire <= 0.55, "int8 wire gate failed: ratio {gate_wire:.3} > 0.55");

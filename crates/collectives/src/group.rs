@@ -4,7 +4,7 @@ use std::cell::{Cell, RefCell};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use esti_tensor::{QuantizedMatrix, Tensor};
+use esti_tensor::{ops, QuantizedMatrix, Tensor};
 
 use crate::fault::{FaultKind, FaultState, InjectedCrash};
 use crate::stats::{CollectiveOp, CommTimes, TrafficStats, ACT_BYTES};
@@ -47,12 +47,9 @@ struct CallMeta {
     seq: u64,
     op: CollectiveOp,
     shape: Vec<usize>,
-    /// Operative dimensions plus chunk count: `[dim, dim, chunks]` for
-    /// gather/scatter/reduce, `[split_dim, concat_dim, chunks]` for
-    /// all-to-all. Monolithic calls use `chunks == 1`; a chunked call whose
-    /// peers disagree on the chunk count would desynchronize the mailbox
-    /// protocol, so the count is part of the agreement check.
-    dims: [usize; 3],
+    /// Operative dimensions: `[dim, dim]` for gather/scatter/reduce,
+    /// `[split_dim, concat_dim]` for all-to-all.
+    dims: [usize; 2],
     /// Whether the payload moves in the quantized wire format. A member
     /// posting a dense tensor while a peer posts int8 values would corrupt
     /// the exchange, so the payload form is part of the agreement check.
@@ -91,14 +88,6 @@ pub struct CommGroup {
     rank: usize,
     /// Per-member wall-clock nanoseconds blocked in each collective kind.
     times: [Cell<u64>; 4],
-    /// Per-member nanoseconds spent *launching* chunked sub-transfers (the
-    /// non-blocking `post` deposits) — the per-chunk overhead the execution
-    /// planner's cost model charges per pipeline slot.
-    post_nanos: Cell<u64>,
-    /// Per-member nanoseconds the overlap loops spend folding collected
-    /// partials (reported by the runtime via
-    /// [`note_fold_nanos`](CommGroup::note_fold_nanos)).
-    fold_nanos: Cell<u64>,
     /// Deadline applied to every barrier wait this member performs. `None`
     /// (the default for raw groups) blocks forever like the pre-fault
     /// protocol; the engine arms a finite deadline so a stalled peer
@@ -161,8 +150,6 @@ impl CommGroup {
                 shared: Arc::clone(&shared),
                 rank,
                 times: Default::default(),
-                post_nanos: Cell::new(0),
-                fold_nanos: Cell::new(0),
                 deadline: Cell::new(None),
                 fault: RefCell::new(None),
                 #[cfg(all(debug_assertions, not(loom)))]
@@ -333,7 +320,7 @@ impl CommGroup {
     // (every member deposits before any reads); its violation is a bug in
     // this file, not a runtime fault. Faults surface via barrier_wait.
     #[allow(clippy::expect_used)]
-    fn debug_check_agreement(&self, op: CollectiveOp, shape: &[usize], dims: [usize; 3], quant: bool) {
+    fn debug_check_agreement(&self, op: CollectiveOp, shape: &[usize], dims: [usize; 2], quant: bool) {
         if self.size() == 1 {
             return;
         }
@@ -364,7 +351,7 @@ impl CommGroup {
         &self,
         _op: CollectiveOp,
         _shape: &[usize],
-        _dims: [usize; 3],
+        _dims: [usize; 2],
         _quant: bool,
     ) {
     }
@@ -399,10 +386,7 @@ impl CommGroup {
     }
 
     /// This member's accumulated wall-clock time blocked per collective
-    /// kind. For chunked collectives only the blocking `collect` phase
-    /// counts — compute slotted between `post` and `collect` is excluded —
-    /// so comparing this against a monolithic run shows how much
-    /// communication the overlap actually hid.
+    /// kind.
     #[must_use]
     pub fn times(&self) -> CommTimes {
         CommTimes::from_nanos([
@@ -413,50 +397,10 @@ impl CommGroup {
         ])
     }
 
-    /// Clears this member's accumulated collective times (including the
-    /// per-chunk launch and fold overhead counters).
+    /// Clears this member's accumulated collective times.
     pub fn reset_times(&self) {
         for t in &self.times {
             t.set(0);
-        }
-        self.post_nanos.set(0);
-        self.fold_nanos.set(0);
-    }
-
-    /// Nanoseconds this member has spent in the non-blocking `post` phase
-    /// of chunked collectives — per-chunk launch overhead (slot locking and
-    /// payload deposit) that monolithic execution pays only once per
-    /// collective. One of the two overhead terms the execution planner's
-    /// calibrated cost model charges per pipeline slot.
-    #[must_use]
-    pub fn post_nanos(&self) -> u64 {
-        self.post_nanos.get()
-    }
-
-    /// Nanoseconds the overlap loops reported spending in per-chunk partial
-    /// folds on this member (see [`note_fold_nanos`](Self::note_fold_nanos)).
-    #[must_use]
-    pub fn fold_nanos(&self) -> u64 {
-        self.fold_nanos.get()
-    }
-
-    /// Adds `nanos` of per-chunk fold time (accumulating collected partials
-    /// into the preallocated output). Called by the runtime's overlap loops
-    /// so chunk-granularity bookkeeping lives next to the transport it
-    /// belongs to.
-    pub fn note_fold_nanos(&self, nanos: u64) {
-        self.fold_nanos.set(self.fold_nanos.get().wrapping_add(nanos));
-    }
-
-    /// Accumulates `start.elapsed()` into the chunk-launch counter and, on
-    /// rank 0, records one posted chunk of `op` in the shared ledger.
-    fn note_post(&self, op: CollectiveOp, start: Instant) {
-        let d = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        self.post_nanos.set(self.post_nanos.get().wrapping_add(d));
-        if self.rank == 0 {
-            if let Some(stats) = &self.shared.stats {
-                stats.record_chunk_post(op);
-            }
         }
     }
 
@@ -470,15 +414,28 @@ impl CommGroup {
     /// Panics if members pass incompatible shapes.
     #[must_use]
     pub fn all_gather(&self, shard: &Tensor, dim: usize) -> Tensor {
+        let parts = self.all_gather_parts(shard, dim);
+        let refs: Vec<&Tensor> = parts.iter().collect();
+        Tensor::concat(&refs, dim)
+    }
+
+    /// [`all_gather`](Self::all_gather) without the concatenation: every
+    /// rank's `shard`, in rank order — the dense counterpart of
+    /// [`all_gather_quant`](Self::all_gather_quant), for callers that
+    /// contract each source rank's shard separately. `dim` is the logical
+    /// concatenation dimension; here it only participates in the SPMD
+    /// agreement check.
+    ///
+    /// Traffic ledger: per-chip *output* bytes (Appendix A.1).
+    #[must_use]
+    pub fn all_gather_parts(&self, shard: &Tensor, dim: usize) -> Vec<Tensor> {
         let t0 = Instant::now();
         self.fault_point();
-        self.debug_check_agreement(CollectiveOp::AllGather, shard.shape(), [dim, dim, 1], false);
+        self.debug_check_agreement(CollectiveOp::AllGather, shard.shape(), [dim, dim], false);
+        self.record(CollectiveOp::AllGather, shard.numel() * self.size());
         let parts = self.exchange(shard.clone());
-        let refs: Vec<&Tensor> = parts.iter().collect();
-        let out = Tensor::concat(&refs, dim);
-        self.record(CollectiveOp::AllGather, out.numel());
         self.note_time(CollectiveOp::AllGather, t0);
-        out
+        parts
     }
 
     /// reduce-scatter(`dim`): sums every member's `input` element-wise, then
@@ -493,16 +450,12 @@ impl CommGroup {
     pub fn reduce_scatter(&self, input: &Tensor, dim: usize) -> Tensor {
         let t0 = Instant::now();
         self.fault_point();
-        self.debug_check_agreement(CollectiveOp::ReduceScatter, input.shape(), [dim, dim, 1], false);
+        self.debug_check_agreement(CollectiveOp::ReduceScatter, input.shape(), [dim, dim], false);
         self.record(CollectiveOp::ReduceScatter, input.numel());
         if self.size() == 1 {
             return input.clone();
         }
-        let parts = self.exchange(input.clone());
-        let mut sum = parts[0].clone();
-        for p in &parts[1..] {
-            sum = &sum + p;
-        }
+        let sum = rank_sum(self.exchange(input.clone()));
         let k = self.size();
         assert!(
             sum.dim(dim).is_multiple_of(k),
@@ -522,16 +475,12 @@ impl CommGroup {
     pub fn all_reduce(&self, input: &Tensor) -> Tensor {
         let t0 = Instant::now();
         self.fault_point();
-        self.debug_check_agreement(CollectiveOp::AllReduce, input.shape(), [0, 0, 1], false);
+        self.debug_check_agreement(CollectiveOp::AllReduce, input.shape(), [0, 0], false);
         self.record(CollectiveOp::AllReduce, input.numel() * 2);
         if self.size() == 1 {
             return input.clone();
         }
-        let parts = self.exchange(input.clone());
-        let mut sum = parts[0].clone();
-        for p in &parts[1..] {
-            sum = &sum + p;
-        }
+        let sum = rank_sum(self.exchange(input.clone()));
         self.note_time(CollectiveOp::AllReduce, t0);
         sum
     }
@@ -552,7 +501,7 @@ impl CommGroup {
     pub fn all_to_all(&self, input: &Tensor, split_dim: usize, concat_dim: usize) -> Tensor {
         let t0 = Instant::now();
         self.fault_point();
-        self.debug_check_agreement(CollectiveOp::AllToAll, input.shape(), [split_dim, concat_dim, 1], false);
+        self.debug_check_agreement(CollectiveOp::AllToAll, input.shape(), [split_dim, concat_dim], false);
         self.record(CollectiveOp::AllToAll, input.numel());
         if self.size() == 1 {
             return input.clone();
@@ -598,7 +547,7 @@ impl CommGroup {
         let t0 = Instant::now();
         self.fault_point();
         let shape = [shard.rows(), shard.cols()];
-        self.debug_check_agreement(CollectiveOp::AllGather, &shape, [dim, dim, 1], true);
+        self.debug_check_agreement(CollectiveOp::AllGather, &shape, [dim, dim], true);
         self.record_raw(
             CollectiveOp::AllGather,
             crate::stats::quant_wire_bytes(self.size(), shard.rows(), shard.cols()) as u64,
@@ -607,566 +556,22 @@ impl CommGroup {
         self.note_time(CollectiveOp::AllGather, t0);
         parts
     }
+}
 
-    /// Chunked quantized all-gather: identical result to
-    /// [`all_gather_quant`](Self::all_gather_quant), moved as `chunks`
-    /// slices of the shard along `dim` (row slices for `dim == 0`, column
-    /// slices for `dim == 1`). Like the dense chunked wrappers this does no
-    /// compute; the overlap loops use [`begin_chunked_quant`] directly.
-    ///
-    /// [`begin_chunked_quant`]: Self::begin_chunked_quant
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dim` is not 0 or 1, or the shard extent along `dim` is
-    /// not divisible by `chunks`.
-    #[must_use]
-    pub fn all_gather_quant_chunked(
-        &self,
-        shard: &QuantizedMatrix,
-        dim: usize,
-        chunks: usize,
-    ) -> Vec<QuantizedMatrix> {
-        if chunks == 1 {
-            return self.all_gather_quant(shard, dim);
-        }
-        assert!(dim < 2, "quantized shards are rank-2; dim must be 0 or 1");
-        let extent = if dim == 0 { shard.rows() } else { shard.cols() };
-        assert!(
-            extent.is_multiple_of(chunks),
-            "quantized all-gather dim {dim} of size {extent} not divisible by {chunks} chunks"
-        );
-        let step = extent / chunks;
-        let shape = [shard.rows(), shard.cols()];
-        let wire = crate::stats::quant_wire_bytes(self.size(), shard.rows(), shard.cols());
-        let mut ex = self.begin_chunked_quant(
-            CollectiveOp::AllGather,
-            &shape,
-            [dim, dim],
-            chunks,
-            wire,
-        );
-        let slice = |c: usize| -> QuantizedMatrix {
-            if dim == 0 {
-                shard.slice_rows(c * step, step)
-            } else {
-                shard.slice_cols(c * step, step)
-            }
-        };
-        let mut per_chunk: Vec<Vec<QuantizedMatrix>> = Vec::with_capacity(chunks);
-        ex.post(slice(0));
-        for c in 1..chunks {
-            per_chunk.push(ex.collect());
-            ex.post(slice(c));
-        }
-        per_chunk.push(ex.collect());
-        // Reassemble each rank's shard from its chunks in ascending order:
-        // values and scales land exactly where the monolithic gather put
-        // them (row chunks share one scale vector; column chunks partition
-        // it).
-        (0..self.size())
-            .map(|r| {
-                let parts: Vec<&QuantizedMatrix> = per_chunk.iter().map(|c| &c[r]).collect();
-                if dim == 0 {
-                    QuantizedMatrix::concat_rows(&parts)
-                } else {
-                    QuantizedMatrix::concat_cols(&parts)
-                }
-            })
-            .collect()
-    }
-
-    /// Opens a chunked collective over quantized payloads — the quantized
-    /// twin of [`begin_chunked`](Self::begin_chunked), used by the
-    /// weight-gathered overlap loops to stream int8 shard slices while the
-    /// previous slice's fused dequant-einsum runs.
-    ///
-    /// `wire_bytes` is the exact byte volume the monolithic quantized
-    /// collective would charge (values + scales), recorded once regardless
-    /// of chunking. Row-chunked streams resend the full scale vector with
-    /// every chunk; that duplication is a simulation artifact (a real
-    /// implementation ships the scales once) and is deliberately not
-    /// charged.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chunks` is zero, or (debug builds) if members disagree.
-    #[must_use]
-    pub fn begin_chunked_quant(
-        &self,
-        op: CollectiveOp,
-        shape: &[usize],
-        dims: [usize; 2],
-        chunks: usize,
-        wire_bytes: usize,
-    ) -> ChunkedQuantExchange<'_> {
-        self.fault_point();
-        assert!(chunks > 0, "chunked collective requires at least one chunk");
-        self.debug_check_agreement(op, shape, [dims[0], dims[1], chunks], true);
-        self.record_raw(op, wire_bytes as u64);
-        ChunkedQuantExchange { group: self, op, chunks, posted: 0, collected: 0, solo: None }
-    }
-
-    /// Opens a chunked collective: the member will [`post`] `chunks` chunks
-    /// and [`collect`] each one, interleaving its own compute between the
-    /// two — the Looped CollectiveEinsum step API (Section 3.5). All
-    /// members must open the same op with the same shape, dims and chunk
-    /// count (checked in debug builds like any other collective).
-    ///
-    /// `shape`/`dims` describe the *whole* logical collective (as the
-    /// monolithic call would), and `elems` is the volume the monolithic
-    /// call would record, so the traffic ledger sees one call of identical
-    /// byte volume regardless of chunking.
-    ///
-    /// [`post`]: ChunkedExchange::post
-    /// [`collect`]: ChunkedExchange::collect
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chunks` is zero, or (debug builds) if members disagree.
-    #[must_use]
-    pub fn begin_chunked(
-        &self,
-        op: CollectiveOp,
-        shape: &[usize],
-        dims: [usize; 2],
-        chunks: usize,
-        elems: usize,
-    ) -> ChunkedExchange<'_> {
-        self.fault_point();
-        assert!(chunks > 0, "chunked collective requires at least one chunk");
-        self.debug_check_agreement(op, shape, [dims[0], dims[1], chunks], false);
-        self.record(op, elems);
-        ChunkedExchange { group: self, op, chunks, posted: 0, collected: 0, solo: None }
-    }
-
-    /// Chunked all-gather: identical result to [`all_gather`], moved as
-    /// `chunks` slices of `shard` along `dim` so a caller using
-    /// [`begin_chunked`] directly can compute on chunk `i-1` while chunk `i`
-    /// is in flight. This convenience wrapper does no compute; it exists for
-    /// conformance tests and as the reassembly reference.
-    ///
-    /// [`all_gather`]: CommGroup::all_gather
-    /// [`begin_chunked`]: CommGroup::begin_chunked
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shard.dim(dim)` is not divisible by `chunks`.
-    #[must_use]
-    pub fn all_gather_chunked(&self, shard: &Tensor, dim: usize, chunks: usize) -> Tensor {
-        if chunks == 1 {
-            return self.all_gather(shard, dim);
-        }
-        let extent = shard.dim(dim);
-        assert!(
-            extent.is_multiple_of(chunks),
-            "all-gather dim {dim} of size {extent} not divisible by {chunks} chunks"
-        );
-        let step = extent / chunks;
-        let out_elems = shard.numel() * self.size();
-        let mut ex =
-            self.begin_chunked(CollectiveOp::AllGather, shard.shape(), [dim, dim], chunks, out_elems);
-        let mut per_chunk: Vec<Vec<Tensor>> = Vec::with_capacity(chunks);
-        ex.post(shard.slice(dim, 0, step));
-        for c in 1..chunks {
-            per_chunk.push(ex.collect());
-            ex.post(shard.slice(dim, c * step, step));
-        }
-        per_chunk.push(ex.collect());
-        // Reassemble rank-major, chunk-inner: rank r's full shard is its
-        // chunks in ascending order, exactly as the monolithic concat sees it.
-        let mut pieces: Vec<&Tensor> = Vec::with_capacity(self.size() * chunks);
-        for r in 0..self.size() {
-            for chunk in &per_chunk {
-                pieces.push(&chunk[r]);
-            }
-        }
-        Tensor::concat(&pieces, dim)
-    }
-
-    /// Chunked reduce-scatter: identical result to [`reduce_scatter`],
-    /// exchanged as `chunks` pieces. Chunk `c` carries slice `c` of every
-    /// destination's scatter part (not a contiguous run of `dim`), so each
-    /// collected chunk is immediately reducible to a piece of this member's
-    /// output.
-    ///
-    /// [`reduce_scatter`]: CommGroup::reduce_scatter
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dim` is not divisible by `size() * chunks`.
-    #[must_use]
-    pub fn reduce_scatter_chunked(&self, input: &Tensor, dim: usize, chunks: usize) -> Tensor {
-        if chunks == 1 {
-            return self.reduce_scatter(input, dim);
-        }
-        let k = self.size();
-        let extent = input.dim(dim);
-        assert!(
-            extent.is_multiple_of(k),
-            "reduce-scatter dim {dim} of size {extent} not divisible by group size {k}"
-        );
-        let part = extent / k;
-        assert!(
-            part.is_multiple_of(chunks),
-            "reduce-scatter part of size {part} not divisible by {chunks} chunks"
-        );
-        let step = part / chunks;
-        let mut ex = self.begin_chunked(
-            CollectiveOp::ReduceScatter,
-            input.shape(),
-            [dim, dim],
-            chunks,
-            input.numel(),
-        );
-        let post_chunk = |c: usize| -> Tensor {
-            let slices: Vec<Tensor> =
-                (0..k).map(|j| input.slice(dim, j * part + c * step, step)).collect();
-            let refs: Vec<&Tensor> = slices.iter().collect();
-            Tensor::concat(&refs, dim)
-        };
-        // Summing rank-ascending keeps the per-element accumulation chain
-        // identical to the monolithic reduce, hence bit-identical results.
-        let reduce_mine = |parts: Vec<Tensor>| -> Tensor {
-            let mut sum = parts[0].slice(dim, self.rank * step, step);
-            for p in &parts[1..] {
-                sum = &sum + &p.slice(dim, self.rank * step, step);
-            }
+/// Sums the rank-ordered deposits of a reduction in ascending rank order, in
+/// place in rank 0's buffer: each element sees the serial add chain
+/// `p₀ += p₁; p₀ += p₂; …`, which fixes the result's bits.
+// Vetted expect: groups have at least one member (asserted at creation), so
+// an exchange always returns at least one deposit.
+#[allow(clippy::expect_used)]
+fn rank_sum(parts: Vec<Tensor>) -> Tensor {
+    parts
+        .into_iter()
+        .reduce(|mut sum, p| {
+            ops::add_assign(&mut sum, &p);
             sum
-        };
-        let mut mine: Vec<Tensor> = Vec::with_capacity(chunks);
-        ex.post(post_chunk(0));
-        for c in 1..chunks {
-            mine.push(reduce_mine(ex.collect()));
-            ex.post(post_chunk(c));
-        }
-        mine.push(reduce_mine(ex.collect()));
-        let refs: Vec<&Tensor> = mine.iter().collect();
-        Tensor::concat(&refs, dim)
-    }
-
-    /// Chunked all-reduce: identical result to [`all_reduce`], exchanged as
-    /// `chunks` contiguous slices along `chunk_dim`.
-    ///
-    /// [`all_reduce`]: CommGroup::all_reduce
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chunk_dim` is not divisible by `chunks`.
-    #[must_use]
-    pub fn all_reduce_chunked(&self, input: &Tensor, chunk_dim: usize, chunks: usize) -> Tensor {
-        if chunks == 1 {
-            return self.all_reduce(input);
-        }
-        let extent = input.dim(chunk_dim);
-        assert!(
-            extent.is_multiple_of(chunks),
-            "all-reduce chunk dim {chunk_dim} of size {extent} not divisible by {chunks} chunks"
-        );
-        let step = extent / chunks;
-        let mut ex = self.begin_chunked(
-            CollectiveOp::AllReduce,
-            input.shape(),
-            [chunk_dim, chunk_dim],
-            chunks,
-            input.numel() * 2,
-        );
-        let reduce = |parts: Vec<Tensor>| -> Tensor {
-            let mut sum = parts[0].clone();
-            for p in &parts[1..] {
-                sum = &sum + p;
-            }
-            sum
-        };
-        let mut out: Vec<Tensor> = Vec::with_capacity(chunks);
-        ex.post(input.slice(chunk_dim, 0, step));
-        for c in 1..chunks {
-            out.push(reduce(ex.collect()));
-            ex.post(input.slice(chunk_dim, c * step, step));
-        }
-        out.push(reduce(ex.collect()));
-        let refs: Vec<&Tensor> = out.iter().collect();
-        Tensor::concat(&refs, chunk_dim)
-    }
-
-    /// Chunked all-to-all: identical result to [`all_to_all`], exchanged as
-    /// `chunks` slices along `concat_dim` (which must differ from
-    /// `split_dim`, as it does in the multiquery-attention reshard this
-    /// primitive exists for).
-    ///
-    /// [`all_to_all`]: CommGroup::all_to_all
-    ///
-    /// # Panics
-    ///
-    /// Panics if the dims coincide or either divisibility fails.
-    #[must_use]
-    pub fn all_to_all_chunked(
-        &self,
-        input: &Tensor,
-        split_dim: usize,
-        concat_dim: usize,
-        chunks: usize,
-    ) -> Tensor {
-        if chunks == 1 {
-            return self.all_to_all(input, split_dim, concat_dim);
-        }
-        assert_ne!(split_dim, concat_dim, "chunked all-to-all needs distinct dims");
-        let k = self.size();
-        assert!(
-            input.dim(split_dim).is_multiple_of(k),
-            "all-to-all split dim {split_dim} of size {} not divisible by group size {k}",
-            input.dim(split_dim)
-        );
-        let extent = input.dim(concat_dim);
-        assert!(
-            extent.is_multiple_of(chunks),
-            "all-to-all concat dim {concat_dim} of size {extent} not divisible by {chunks} chunks"
-        );
-        let step = extent / chunks;
-        let part = input.dim(split_dim) / k;
-        let mut ex = self.begin_chunked(
-            CollectiveOp::AllToAll,
-            input.shape(),
-            [split_dim, concat_dim],
-            chunks,
-            input.numel(),
-        );
-        let mut per_chunk: Vec<Vec<Tensor>> = Vec::with_capacity(chunks);
-        let slice_mine = |parts: Vec<Tensor>| -> Vec<Tensor> {
-            parts.iter().map(|p| p.slice(split_dim, self.rank * part, part)).collect()
-        };
-        ex.post(input.slice(concat_dim, 0, step));
-        for c in 1..chunks {
-            per_chunk.push(slice_mine(ex.collect()));
-            ex.post(input.slice(concat_dim, c * step, step));
-        }
-        per_chunk.push(slice_mine(ex.collect()));
-        // Rank-major, chunk-inner: rank r's full contribution is its chunks
-        // in ascending order, matching the monolithic rank-order concat.
-        let mut pieces: Vec<&Tensor> = Vec::with_capacity(k * chunks);
-        for r in 0..k {
-            for chunk in &per_chunk {
-                pieces.push(&chunk[r]);
-            }
-        }
-        Tensor::concat(&pieces, concat_dim)
-    }
-}
-
-/// An in-flight chunked collective opened by [`CommGroup::begin_chunked`]:
-/// the async step API of the Looped CollectiveEinsum. The caller alternates
-/// [`post`](ChunkedExchange::post) (non-blocking deposit of chunk `i`) with
-/// its own compute on chunk `i-1`, then [`collect`](ChunkedExchange::collect)
-/// (blocking receipt) — hiding communication behind the einsum it feeds:
-///
-/// ```text
-/// post(0); for c in 1..C { compute(c-1); collect(c-1) -> post(c) } ...
-/// ```
-///
-/// Slot discipline: the mailbox holds one chunk per member, so every chunk
-/// must be collected before the next is posted (asserted). The two-phase
-/// barrier inside `collect` guarantees no member can race ahead and
-/// overwrite a slot a peer is still reading.
-///
-/// # Examples
-///
-/// ```
-/// use esti_collectives::{CollectiveOp, CommGroup};
-/// use esti_tensor::Tensor;
-///
-/// let mut solo = CommGroup::create(1);
-/// let g = solo.remove(0);
-/// let t = Tensor::ones(vec![2]);
-/// let mut ex = g.begin_chunked(CollectiveOp::AllGather, t.shape(), [0, 0], 2, 4);
-/// ex.post(t.slice(0, 0, 1));
-/// // ... compute on the previous chunk here ...
-/// let first = ex.collect();
-/// assert_eq!(first[0].data(), &[1.0]);
-/// ex.post(t.slice(0, 1, 1));
-/// let _ = ex.collect();
-/// ```
-pub struct ChunkedExchange<'g> {
-    group: &'g CommGroup,
-    op: CollectiveOp,
-    chunks: usize,
-    posted: usize,
-    collected: usize,
-    /// Size-1 groups have no peers to exchange with; the posted chunk
-    /// parks here until collected.
-    solo: Option<Tensor>,
-}
-
-impl ChunkedExchange<'_> {
-    /// Deposits the next chunk without blocking.
-    ///
-    /// # Panics
-    ///
-    /// Panics if all chunks were already posted or the previous chunk has
-    /// not been collected yet.
-    pub fn post(&mut self, chunk: Tensor) {
-        assert!(self.posted < self.chunks, "all {} chunks already posted", self.chunks);
-        assert_eq!(
-            self.posted, self.collected,
-            "collect the in-flight chunk before posting the next (one mailbox slot per member)"
-        );
-        let t0 = Instant::now();
-        if self.group.size() == 1 {
-            self.solo = Some(chunk);
-        } else {
-            *self.group.shared.slots[self.group.rank]
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner) =
-                Some(Payload::Dense(chunk));
-        }
-        self.group.note_post(self.op, t0);
-        self.posted += 1;
-    }
-
-    /// Blocks until every member has posted its current chunk and returns
-    /// the deposits in rank order. The blocking time is what the collective
-    /// time ledger charges — compute done between `post` and `collect` is
-    /// exactly the hidden communication.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no chunk is in flight.
-    // Vetted: "posted chunk present"/"peer deposited" are slot-discipline
-    // invariants of the post/collect protocol, asserted above; violation is
-    // a caller bug, not a runtime fault. Faults surface via barrier_wait.
-    #[allow(clippy::expect_used)]
-    pub fn collect(&mut self) -> Vec<Tensor> {
-        assert_eq!(self.posted, self.collected + 1, "no posted chunk to collect");
-        self.collected += 1;
-        let t0 = Instant::now();
-        let parts = if self.group.size() == 1 {
-            vec![self.solo.take().expect("posted chunk present")]
-        } else {
-            self.group.barrier_wait();
-            let all: Vec<Tensor> = self
-                .group
-                .shared
-                .slots
-                .iter()
-                .map(|s| {
-                    s.lock()
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .clone()
-                        .expect("peer deposited")
-                        .into_dense()
-                })
-                .collect();
-            self.group.barrier_wait();
-            all
-        };
-        self.group.note_time(self.op, t0);
-        parts
-    }
-
-    /// Total number of chunks in this collective.
-    #[must_use]
-    pub fn chunks(&self) -> usize {
-        self.chunks
-    }
-
-    /// Chunks not yet collected.
-    #[must_use]
-    pub fn remaining(&self) -> usize {
-        self.chunks - self.collected
-    }
-}
-
-/// An in-flight chunked collective over quantized payloads, opened by
-/// [`CommGroup::begin_chunked_quant`]: identical post/collect protocol and
-/// slot discipline to [`ChunkedExchange`], but each chunk is an int8 shard
-/// slice in wire format (values + scales) rather than a dense tensor —
-/// the transport the weight-gathered overlap loops stream while running
-/// the fused scale-on-arrival einsum on the previous slice.
-pub struct ChunkedQuantExchange<'g> {
-    group: &'g CommGroup,
-    op: CollectiveOp,
-    chunks: usize,
-    posted: usize,
-    collected: usize,
-    /// Size-1 groups have no peers to exchange with; the posted chunk
-    /// parks here until collected.
-    solo: Option<QuantizedMatrix>,
-}
-
-impl ChunkedQuantExchange<'_> {
-    /// Deposits the next quantized chunk without blocking.
-    ///
-    /// # Panics
-    ///
-    /// Panics if all chunks were already posted or the previous chunk has
-    /// not been collected yet.
-    pub fn post(&mut self, chunk: QuantizedMatrix) {
-        assert!(self.posted < self.chunks, "all {} chunks already posted", self.chunks);
-        assert_eq!(
-            self.posted, self.collected,
-            "collect the in-flight chunk before posting the next (one mailbox slot per member)"
-        );
-        let t0 = Instant::now();
-        if self.group.size() == 1 {
-            self.solo = Some(chunk);
-        } else {
-            *self.group.shared.slots[self.group.rank]
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner) =
-                Some(Payload::Quant(chunk));
-        }
-        self.group.note_post(self.op, t0);
-        self.posted += 1;
-    }
-
-    /// Blocks until every member has posted its current chunk and returns
-    /// the deposits in rank order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no chunk is in flight.
-    // Vetted: "posted chunk present"/"peer deposited" are slot-discipline
-    // invariants of the post/collect protocol, asserted above; violation is
-    // a caller bug, not a runtime fault. Faults surface via barrier_wait.
-    #[allow(clippy::expect_used)]
-    pub fn collect(&mut self) -> Vec<QuantizedMatrix> {
-        assert_eq!(self.posted, self.collected + 1, "no posted chunk to collect");
-        self.collected += 1;
-        let t0 = Instant::now();
-        let parts = if self.group.size() == 1 {
-            vec![self.solo.take().expect("posted chunk present")]
-        } else {
-            self.group.barrier_wait();
-            let all: Vec<QuantizedMatrix> = self
-                .group
-                .shared
-                .slots
-                .iter()
-                .map(|s| {
-                    s.lock()
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .clone()
-                        .expect("peer deposited")
-                        .into_quant()
-                })
-                .collect();
-            self.group.barrier_wait();
-            all
-        };
-        self.group.note_time(self.op, t0);
-        parts
-    }
-
-    /// Total number of chunks in this collective.
-    #[must_use]
-    pub fn chunks(&self) -> usize {
-        self.chunks
-    }
-
-    /// Chunks not yet collected.
-    #[must_use]
-    pub fn remaining(&self) -> usize {
-        self.chunks - self.collected
-    }
+        })
+        .expect("group has at least one member")
 }
 
 #[cfg(test)]
@@ -1373,74 +778,54 @@ mod tests {
     }
 
     #[test]
-    fn chunked_collectives_match_monolithic() {
+    fn all_gather_parts_and_quant_hand_back_every_shard_in_rank_order() {
+        // Every rank must receive every peer's shard unconcatenated, in rank
+        // order — dense shards bit-exact, quantized shards with values AND
+        // scales identical to the sender's local quantization.
         for size in [1usize, 2, 4] {
-            for chunks in [1usize, 2, 4] {
-                let outs = run_group(size, |r, g| {
-                    let input = Tensor::from_vec(
-                        vec![4, 16],
-                        (0..64).map(|i| (r * 100 + i) as f32 * 0.25).collect(),
-                    );
-                    let ag = g.all_gather_chunked(&input, 0, chunks);
-                    let ag_ref = g.all_gather(&input, 0);
-                    let rs = g.reduce_scatter_chunked(&input, 1, chunks);
-                    let rs_ref = g.reduce_scatter(&input, 1);
-                    let ar = g.all_reduce_chunked(&input, 1, chunks);
-                    let ar_ref = g.all_reduce(&input);
-                    let a2a = g.all_to_all_chunked(&input, 0, 1, chunks);
-                    let a2a_ref = g.all_to_all(&input, 0, 1);
-                    [(ag, ag_ref), (rs, rs_ref), (ar, ar_ref), (a2a, a2a_ref)]
-                });
-                for pairs in outs {
-                    for (chunked, monolithic) in pairs {
-                        assert_eq!(
-                            chunked.max_abs_diff(&monolithic),
-                            0.0,
-                            "size {size} chunks {chunks}"
-                        );
-                    }
+            let shard = |r: usize| {
+                Tensor::from_vec(vec![3, 5], (0..15).map(|i| (r * 31 + i * 7) as f32 * 0.25 - 9.0).collect())
+            };
+            let outs = run_group(size, |r, g| {
+                let q = QuantizedMatrix::quantize(&shard(r));
+                (g.all_gather_parts(&shard(r), 0), g.all_gather(&shard(r), 0), g.all_gather_quant(&q, 0))
+            });
+            for (parts, gathered, quant) in outs {
+                assert_eq!(parts.len(), size);
+                assert_eq!(quant.len(), size);
+                let refs: Vec<&Tensor> = parts.iter().collect();
+                assert_eq!(Tensor::concat(&refs, 0), gathered);
+                for r in 0..size {
+                    assert_eq!(parts[r], shard(r));
+                    let want = QuantizedMatrix::quantize(&shard(r));
+                    assert_eq!(quant[r].values(), want.values());
+                    assert_eq!(quant[r].scales(), want.scales());
                 }
             }
         }
     }
 
     #[test]
-    fn chunked_exchange_pipelines_compute_between_post_and_collect() {
-        // The step API: post chunk c, compute on chunk c-1, collect chunk
-        // c-1 — an all-gather-fed accumulation done chunk by chunk.
-        let chunks = 4;
-        let outs = run_group(3, |r, g| {
-            let shard = Tensor::from_vec(vec![8], (0..8).map(|i| (r * 8 + i) as f32).collect());
-            let reference = g.all_gather(&shard, 0);
-            let mut ex =
-                g.begin_chunked(CollectiveOp::AllGather, shard.shape(), [0, 0], chunks, 24);
-            let mut acc = 0.0f32;
-            let mut gathered: Vec<Vec<Tensor>> = Vec::new();
-            ex.post(shard.slice(0, 0, 2));
-            for c in 1..chunks {
-                // "compute" on the previous chunk while this one is in flight
-                if let Some(prev) = gathered.last() {
-                    acc += prev.iter().map(|t| t.data().iter().sum::<f32>()).sum::<f32>();
-                }
-                gathered.push(ex.collect());
-                ex.post(shard.slice(0, c * 2, 2));
+    fn gather_ledger_charges_dense_and_quantized_volumes() {
+        // Dense gathers charge output elements x ACT_BYTES whether or not
+        // the caller wants the concatenation; the quantized gather charges
+        // 1 byte per int8 value + 4 per f32 scale from each rank.
+        let stats = TrafficStats::new();
+        let members = CommGroup::create_with_stats(4, Arc::clone(&stats));
+        std::thread::scope(|s| {
+            for m in members {
+                s.spawn(move || {
+                    let t = Tensor::ones(vec![8, 6]);
+                    let _ = m.all_gather(&t, 1);
+                    let _ = m.all_gather_parts(&t, 1);
+                    let _ = m.all_gather_quant(&QuantizedMatrix::quantize(&t), 1);
+                });
             }
-            acc += gathered.last().expect("chunk").iter()
-                .map(|t| t.data().iter().sum::<f32>()).sum::<f32>();
-            gathered.push(ex.collect());
-            assert_eq!(ex.remaining(), 0);
-            (reference, gathered, acc)
         });
-        for (reference, gathered, _) in outs {
-            let mut pieces = Vec::new();
-            for r in 0..3 {
-                for chunk in &gathered {
-                    pieces.push(chunk[r].clone());
-                }
-            }
-            let refs: Vec<&Tensor> = pieces.iter().collect();
-            assert_eq!(Tensor::concat(&refs, 0).max_abs_diff(&reference), 0.0);
-        }
+        let dense = 4 * 8 * 6 * ACT_BYTES;
+        let quant = 4 * (8 * 6 + 6 * 4);
+        assert_eq!(stats.bytes(CollectiveOp::AllGather), 2 * dense + quant);
+        assert_eq!(stats.calls(CollectiveOp::AllGather), 3);
     }
 
     #[test]
@@ -1478,98 +863,6 @@ mod tests {
             merged.total_nanos(),
             times[0].total_nanos() + times[1].total_nanos()
         );
-    }
-
-    #[test]
-    fn chunked_traffic_recorded_once_with_monolithic_volume() {
-        let stats = TrafficStats::new();
-        let members = CommGroup::create_with_stats(2, Arc::clone(&stats));
-        std::thread::scope(|s| {
-            for m in members {
-                s.spawn(move || {
-                    let t = Tensor::ones(vec![4]);
-                    let _ = m.all_gather_chunked(&t, 0, 2);
-                    let _ = m.reduce_scatter_chunked(&Tensor::ones(vec![8]), 0, 4);
-                });
-            }
-        });
-        // Identical to the monolithic ledger: AG output 8 elems * 2 bytes,
-        // RS input 8 elems * 2 bytes, one call each.
-        assert_eq!(stats.bytes(CollectiveOp::AllGather), 16);
-        assert_eq!(stats.bytes(CollectiveOp::ReduceScatter), 16);
-        assert_eq!(stats.calls(CollectiveOp::AllGather), 1);
-        assert_eq!(stats.calls(CollectiveOp::ReduceScatter), 1);
-    }
-
-    #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "SPMD violation")]
-    fn mismatched_chunk_counts_fail_fast() {
-        // Same op, shape and dims but different chunk counts: the mailbox
-        // protocols would desynchronize, so the agreement check must fire.
-        let mut g = CommGroup::create(2);
-        let g1 = g.remove(1);
-        let g0 = g.remove(0);
-        std::thread::scope(|s| {
-            s.spawn(move || {
-                let _ = g1.all_reduce_chunked(&Tensor::ones(vec![4]), 0, 4);
-            });
-            let _ = g0.all_reduce_chunked(&Tensor::ones(vec![4]), 0, 2);
-        });
-    }
-
-    #[test]
-    fn chunk_posts_and_overhead_counters_tracked() {
-        let stats = TrafficStats::new();
-        let members = CommGroup::create_with_stats(2, Arc::clone(&stats));
-        let groups: Vec<_> = run_group_members(members, |_, g| {
-            let t = Tensor::ones(vec![8]);
-            let _ = g.all_reduce_chunked(&t, 0, 4);
-            g
-        });
-        // One 4-chunk call: four posts in the shared ledger (rank 0 only),
-        // and every member accumulated nonzero launch time.
-        assert_eq!(stats.calls(CollectiveOp::AllReduce), 1);
-        assert_eq!(stats.chunk_posts(CollectiveOp::AllReduce), 4);
-        for g in &groups {
-            assert!(g.post_nanos() > 0, "post overhead accounted");
-            g.note_fold_nanos(7);
-            assert_eq!(g.fold_nanos(), 7);
-            g.reset_times();
-            assert_eq!(g.post_nanos(), 0);
-            assert_eq!(g.fold_nanos(), 0);
-        }
-    }
-
-    /// Like `run_group` but takes ownership of pre-built members (so tests
-    /// can share a stats ledger) and returns them in rank order.
-    fn run_group_members<T: Send>(
-        members: Vec<CommGroup>,
-        f: impl Fn(usize, CommGroup) -> T + Sync,
-    ) -> Vec<T> {
-        let f = &f;
-        std::thread::scope(|s| {
-            let handles: Vec<_> = members
-                .into_iter()
-                .enumerate()
-                .map(|(r, m)| s.spawn(move || f(r, m)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("member thread"))
-                .collect()
-        })
-    }
-
-    #[test]
-    #[should_panic(expected = "collect the in-flight chunk")]
-    fn chunked_exchange_enforces_slot_discipline() {
-        let mut solo = CommGroup::create(1);
-        let g = solo.remove(0);
-        let t = Tensor::ones(vec![4]);
-        let mut ex = g.begin_chunked(CollectiveOp::AllGather, t.shape(), [0, 0], 2, 8);
-        ex.post(t.slice(0, 0, 2));
-        ex.post(t.slice(0, 2, 2)); // must collect first
     }
 
     #[test]

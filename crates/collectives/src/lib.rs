@@ -55,7 +55,7 @@ pub mod stats;
 pub mod sync;
 
 pub use fault::{CollectiveError, FaultKind, FaultPlan, FaultState, InjectedCrash, Trigger};
-pub use group::{ChunkedExchange, ChunkedQuantExchange, CommGroup};
+pub use group::CommGroup;
 pub use protocol::{ProtocolEdge, ProtocolModel};
 pub use stats::{quant_wire_bytes, CollectiveOp, CommTimes, TrafficStats, ACT_BYTES};
 pub use sync::BarrierFate;

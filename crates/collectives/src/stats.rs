@@ -87,7 +87,6 @@ pub struct TrafficStats {
     bytes: [AtomicU64; 4],
     calls: [AtomicU64; 4],
     nanos: [AtomicU64; 4],
-    chunk_posts: [AtomicU64; 4],
 }
 
 impl TrafficStats {
@@ -123,8 +122,7 @@ impl TrafficStats {
 
     /// Adds `nanos` of wall-clock time blocked in a collective of kind `op`.
     /// Like byte volumes, time is recorded once per call (on rank 0), so the
-    /// ledger reports one representative chip's blocking time — the quantity
-    /// the overlapped executor is trying to hide.
+    /// ledger reports one representative chip's blocking time.
     pub fn record_nanos(&self, op: CollectiveOp, nanos: u64) {
         self.nanos[op.slot()].fetch_add(nanos, Ordering::Relaxed);
     }
@@ -141,28 +139,12 @@ impl TrafficStats {
         CollectiveOp::ALL.iter().map(|&op| self.nanos(op)).sum()
     }
 
-    /// Records one posted chunk of a chunked collective of kind `op`.
-    /// Recorded once per call (on rank 0) like byte volumes, so
-    /// `chunk_posts / calls` is the average pipeline depth actually used —
-    /// the quantity the execution planner's per-chunk overhead term
-    /// multiplies.
-    pub fn record_chunk_post(&self, op: CollectiveOp) {
-        self.chunk_posts[op.slot()].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Total chunks posted for chunked collectives of `op`.
-    #[must_use]
-    pub fn chunk_posts(&self, op: CollectiveOp) -> u64 {
-        self.chunk_posts[op.slot()].load(Ordering::Relaxed)
-    }
-
     /// Resets all counters to zero.
     pub fn reset(&self) {
         for i in 0..4 {
             self.bytes[i].store(0, Ordering::Relaxed);
             self.calls[i].store(0, Ordering::Relaxed);
             self.nanos[i].store(0, Ordering::Relaxed);
-            self.chunk_posts[i].store(0, Ordering::Relaxed);
         }
     }
 }
@@ -171,8 +153,7 @@ impl TrafficStats {
 /// from [`CommGroup::times`](crate::CommGroup::times). Unlike
 /// [`TrafficStats`] (one shared ledger, recorded once per call), this is
 /// per-chip: the engine collects one `CommTimes` from every chip thread and
-/// can dump a per-chip summary to show whether overlap actually hid the
-/// communication time.
+/// can dump a per-chip summary of where each chip waited.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct CommTimes {
     nanos: [u64; 4],

@@ -17,7 +17,7 @@
 use std::time::Duration;
 
 use esti_collectives::sync::Barrier;
-use esti_collectives::{CollectiveError, CollectiveOp, CommGroup};
+use esti_collectives::{CollectiveError, CommGroup};
 use esti_tensor::Tensor;
 use loom::sync::Arc;
 
@@ -158,40 +158,5 @@ fn cancel_wakes_blocked_waiter_with_peer_crashed() {
         let res = h.join().expect("waiter thread returns, not hangs");
         assert_eq!(res, Err(CollectiveError::PeerCrashed { rank: 7 }));
         assert_eq!(b.wait_deadline(None), Err(CollectiveError::PeerCrashed { rank: 7 }));
-    });
-}
-
-/// Drive one member's side of a 2-chunk chunked all-gather through the raw
-/// post/collect step API, asserting the rank-ordered contents of each
-/// collected chunk. `lo`/`hi` are this member's two chunk values.
-fn chunked_member(g: &CommGroup, lo: f32, hi: f32) {
-    let mut ex = g.begin_chunked(CollectiveOp::AllGather, &[2], [0, 0], 2, 4);
-    ex.post(Tensor::full(vec![1], lo));
-    let first = ex.collect();
-    // Rank order must hold for every chunk, no matter who deposited first.
-    assert_eq!(first[0].data(), &[0.0]);
-    assert_eq!(first[1].data(), &[10.0]);
-    ex.post(Tensor::full(vec![1], hi));
-    let second = ex.collect();
-    assert_eq!(second[0].data(), &[1.0]);
-    assert_eq!(second[1].data(), &[11.0]);
-    assert_eq!(ex.remaining(), 0);
-}
-
-#[test]
-fn chunked_exchange_post_collect_all_interleavings() {
-    // The double-buffer hazard of the Looped CollectiveEinsum step API: a
-    // fast member that finishes `collect` for chunk 0 immediately posts
-    // chunk 1 into its *same* mailbox slot. Only the second barrier phase
-    // inside `collect` keeps that overwrite from racing a slow peer that is
-    // still reading chunk 0. Model-check the full post/collect/post/collect
-    // cycle: every interleaving must deliver both chunks of both members in
-    // rank order — any slot overwrite would surface as a wrong value, any
-    // lost wakeup as a deadlock.
-    loom::model(|| {
-        let (g0, g1) = pair();
-        let h = loom::thread::spawn(move || chunked_member(&g1, 10.0, 11.0));
-        chunked_member(&g0, 0.0, 1.0);
-        h.join().expect("member thread");
     });
 }

@@ -392,10 +392,10 @@ pub fn expected_einsum(
 /// Dense payloads are charged at the runtime's dense activation accounting;
 /// [`WireFormat::Int8`] marks the quantized weight gathers of Section 3.6,
 /// whose wire volume is int8 values plus one f32 scale per column
-/// (`esti-collectives`' `quant_wire_bytes`). Like [`Step::Collective`]'s
-/// `chunks`, this is an execution annotation: sharding semantics are
-/// identical for both formats, but the quant-dataflow pass in `esti-verify`
-/// checks byte accounting and scale provenance against it.
+/// (`esti-collectives`' `quant_wire_bytes`). This is an execution
+/// annotation: sharding semantics are identical for both formats, but the
+/// quant-dataflow pass in `esti-verify` checks byte accounting and scale
+/// provenance against it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WireFormat {
     /// Dense activation/weight payload.
@@ -419,12 +419,6 @@ pub enum Step {
         input: SymTensor,
         /// Declared sharding after the collective (checked against the rule).
         output: SymTensor,
-        /// Number of chunks the runtime moves this collective in
-        /// (Section 3.4 overlap): 1 means monolithic; `N > 1` means the
-        /// runtime pipelines N sub-transfers, computing on chunk `i-1`
-        /// while chunk `i` is in flight. Purely a runtime execution hint —
-        /// the sharding-algebra semantics are identical for every value.
-        chunks: usize,
         /// Payload wire format (see [`WireFormat`]).
         wire: WireFormat,
     },
@@ -547,55 +541,11 @@ impl Schedule {
             .collect()
     }
 
-    /// Annotate the collectives the overlapped runtime pipelines with their
-    /// chunk counts: each marked step gets `chunks =
-    /// effective_chunks(extent, want)` where `extent` is the chunkable
-    /// extent of the transfer (see [`effective_chunks`]), and every other
-    /// collective stays monolithic. The marked set per dataflow mirrors
-    /// exactly what `esti-runtime`'s overlapped executor chunks, so the
-    /// static analyzer sees the same sub-op streams the engine issues.
-    ///
-    /// Chunking never changes sharding semantics, so the annotated
-    /// schedule verifies iff the original does.
-    #[must_use]
-    pub fn with_overlap_chunks(mut self, want: usize) -> Self {
-        if want <= 1 {
-            return self;
-        }
-        let flow = flow_of(&self.layout);
-        let torus = self.torus;
-        for step in self.layer.iter_mut().chain(&mut self.final_steps) {
-            let Step::Collective { label, op, axes, input, chunks, .. } = step else {
-                continue;
-            };
-            if !overlap_chunkable(flow, label) {
-                continue;
-            }
-            let Ok(shape) = input.local_shape(torus) else { continue };
-            let extent = match op {
-                SymOp::AllGather { dim } => input.dim_index(*dim).map(|i| shape[i]),
-                SymOp::ReduceScatter { dim } => input
-                    .dim_index(*dim)
-                    .map(|i| shape[i] / torus.group_size(*axes)),
-                // The runtime chunks an all-reduce along the last (feature)
-                // dimension of the partial-sum tensor.
-                SymOp::AllReduce => shape.last().copied(),
-                // Attention all-to-alls stay monolithic: they sit between
-                // two local ops with nothing to overlap against.
-                SymOp::AllToAll { .. } => None,
-            };
-            if let Some(extent) = extent {
-                *chunks = effective_chunks(extent, want);
-            }
-        }
-        self
-    }
-
     /// Annotate the wire format the runtime uses for this weight storage
     /// dtype: with [`DType::Int8`], every per-layer weight all-gather moves
     /// quantized (int8 values + per-column f32 scales, Section 3.6) —
     /// exactly the steps the engine's weight gathers quantize, in both the
-    /// fully weight-gathered and hybrid dataflows, monolithic or chunked.
+    /// fully weight-gathered and hybrid dataflows.
     /// All other dtypes leave the schedule dense.
     #[must_use]
     pub fn with_weight_dtype(mut self, dtype: DType) -> Self {
@@ -611,198 +561,6 @@ impl Schedule {
         }
         self
     }
-
-    /// The collectives the overlapped executor pipelines, quantified for
-    /// the execution planner: per site, the per-chip wire volume, the
-    /// extent chunking divides, and the per-chip FLOPs of the einsums the
-    /// runtime fuses into the loop. The marked set is exactly the one
-    /// [`Schedule::with_overlap_chunks`] annotates, so the planner costs
-    /// the same streams the engine issues and the verifier checks.
-    #[must_use]
-    pub fn overlap_sites(&self) -> Vec<OverlapSite> {
-        let flow = flow_of(&self.layout);
-        let torus = self.torus;
-        let mut sites = Vec::new();
-        for (steps, per_layer) in [(&self.layer, true), (&self.final_steps, false)] {
-            for (i, step) in steps.iter().enumerate() {
-                let Step::Collective { label, op, axes, input, wire, .. } = step else {
-                    continue;
-                };
-                if !overlap_chunkable(flow, label) {
-                    continue;
-                }
-                let Ok(shape) = input.local_shape(torus) else { continue };
-                let extent = match op {
-                    SymOp::AllGather { dim } => input.dim_index(*dim).map(|ix| shape[ix]),
-                    SymOp::ReduceScatter { dim } => {
-                        input.dim_index(*dim).map(|ix| shape[ix] / torus.group_size(*axes))
-                    }
-                    SymOp::AllReduce => shape.last().copied(),
-                    SymOp::AllToAll { .. } => None,
-                };
-                let Some(extent) = extent else { continue };
-                let group = torus.group_size(*axes);
-                let local: usize = shape.iter().product();
-                // Appendix A.1 byte conventions, matching the runtime's
-                // traffic ledger: all-gather charges per-chip output bytes,
-                // reduce-scatter input bytes, all-reduce both phases; dense
-                // payloads cost 2 B/element, quantized weight gathers the
-                // int8 closed form (1 B/value + one f32 scale per column,
-                // from each rank).
-                let bytes = match (*op, *wire) {
-                    (SymOp::AllGather { .. }, WireFormat::Int8) => {
-                        (group * (shape[0] * shape[1] + 4 * shape[1])) as f64
-                    }
-                    (SymOp::AllGather { .. }, WireFormat::Dense) => (local * group * 2) as f64,
-                    (SymOp::AllReduce, _) => (local * 4) as f64,
-                    (SymOp::ReduceScatter { .. } | SymOp::AllToAll { .. }, _) => {
-                        (local * 2) as f64
-                    }
-                };
-                sites.push(OverlapSite {
-                    label,
-                    op: *op,
-                    group,
-                    bytes,
-                    extent,
-                    fused_flops: fused_flops_at(steps, i, torus),
-                    per_layer,
-                });
-            }
-        }
-        sites
-    }
-}
-
-/// One collective the overlapped executor pipelines, quantified for the
-/// execution planner (see [`Schedule::overlap_sites`]). These are the
-/// analytic cost-model inputs `esti-runtime`'s planner feeds the
-/// `esti-netsim` pipeline formulas; deriving them from the symbolic
-/// schedule keeps the planner and the static analyzer reading one shared
-/// description of what the engine does.
-#[derive(Debug, Clone, Copy)]
-pub struct OverlapSite {
-    /// Schedule step label.
-    pub label: &'static str,
-    /// The collective's algebra rewrite.
-    pub op: SymOp,
-    /// Size of the mesh-axis group the collective spans.
-    pub group: usize,
-    /// Per-chip wire bytes (Appendix A.1 conventions; 2 B/element dense,
-    /// quantized closed form for int8 weight gathers).
-    pub bytes: f64,
-    /// The extent [`Schedule::with_overlap_chunks`] divides — candidate
-    /// chunk counts are its divisors (see [`effective_chunks`]).
-    pub extent: usize,
-    /// Per-chip FLOPs of the einsums the runtime fuses into this loop
-    /// (producers of a reduction's partial sums; consumers of a gather's
-    /// output).
-    pub fused_flops: f64,
-    /// True for per-layer steps (executed `n_layers` times), false for the
-    /// post-stack final steps.
-    pub per_layer: bool,
-}
-
-/// Per-chip FLOPs of one einsum step: `2 · |local output| · |local
-/// contracted extent|`. Zero for non-einsum steps or indivisible shards.
-fn einsum_flops(step: &Step, torus: TorusShape) -> f64 {
-    let Step::Einsum { x, contract, output, .. } = step else { return 0.0 };
-    let Ok(out) = output.local_elements(torus) else { return 0.0 };
-    let Ok(xs) = x.local_shape(torus) else { return 0.0 };
-    let mut k = 1.0;
-    for c in contract {
-        if let Some(ix) = x.dim_index(*c) {
-            k *= xs[ix] as f64;
-        }
-    }
-    2.0 * out as f64 * k
-}
-
-/// FLOPs of the einsums the runtime fuses into the collective at index
-/// `at` of `steps`: for a reduction (all-reduce / reduce-scatter), the
-/// partial-sum producers since the previous collective — the runtime
-/// computes those products chunk by chunk to feed the pipeline; for an
-/// all-gather, the consumers of the gathered tensor before the next
-/// collective — the runtime contracts each arriving slice on the spot.
-/// Consumers are matched structurally (equal sharding and global shape),
-/// which deliberately sees through shape-preserving local ops like the
-/// layernorm between a gather and its projections.
-fn fused_flops_at(steps: &[Step], at: usize, torus: TorusShape) -> f64 {
-    let Step::Collective { op, output: gathered, .. } = &steps[at] else {
-        return 0.0;
-    };
-    match op {
-        SymOp::AllReduce | SymOp::ReduceScatter { .. } => steps[..at]
-            .iter()
-            .rev()
-            .take_while(|s| !matches!(s, Step::Collective { .. }))
-            .filter(|s| {
-                matches!(s, Step::Einsum { output, .. } if !output.spec.partial_sum().is_empty())
-            })
-            .map(|s| einsum_flops(s, torus))
-            .sum(),
-        SymOp::AllGather { .. } => steps[at + 1..]
-            .iter()
-            .take_while(|s| !matches!(s, Step::Collective { .. }))
-            .filter(|s| matches!(s, Step::Einsum { x, w, .. } if x == gathered || w == gathered))
-            .map(|s| einsum_flops(s, torus))
-            .sum(),
-        SymOp::AllToAll { .. } => 0.0,
-    }
-}
-
-/// Labels of the collectives the overlapped executor pipelines, per
-/// dataflow. Must stay in lockstep with `esti-runtime`'s engine: a label
-/// listed here is chunked by the runtime whenever its extent divides, and
-/// nothing else is.
-fn overlap_chunkable(flow: Flow, label: &str) -> bool {
-    // 1D weight-stationary: the output-side all-reduces around the
-    // attention and FFN blocks (Section 3.4's weight-stationary overlap).
-    const ONE_D: [&str; 3] = ["attn all-reduce", "mlp all-reduce", "block all-reduce"];
-    // 2D weight-stationary: the activation all-gathers feeding the
-    // projections and the reduce-scatters draining them (yz axis, where
-    // the big volumes move).
-    const TWO_D: [&str; 5] = [
-        "acts all-gather (yz)",
-        "mlp acts all-gather (yz)",
-        "attn reduce-scatter (yz)",
-        "mlp reduce-scatter (yz)",
-        "block reduce-scatter (yz)",
-    ];
-    // Fully weight-gathered: the per-layer weight all-gathers overlap with
-    // the matmuls that consume them (Section 3.2.3).
-    const WG: [&str; 7] = [
-        "wq weight all-gather",
-        "wk weight all-gather",
-        "wv weight all-gather",
-        "wo weight all-gather",
-        "w_in weight all-gather",
-        "w_gate weight all-gather",
-        "w_out weight all-gather",
-    ];
-    match flow {
-        Flow::OneD => ONE_D.contains(&label),
-        Flow::TwoD => TWO_D.contains(&label),
-        Flow::WgFull => WG.contains(&label),
-        // Hybrid keeps its weight gathers monolithic (they span only the
-        // small gather axes) and overlaps the 1D-style all-reduces.
-        Flow::WgHybrid { .. } => ONE_D.contains(&label),
-    }
-}
-
-/// Largest divisor of `extent` that is at most `want` — the chunk count the
-/// runtime actually uses when asked to pipeline a collective of the given
-/// chunkable extent in `want` chunks. Degenerate extents (0 or 1) and
-/// `want <= 1` give 1 (monolithic).
-#[must_use]
-pub fn effective_chunks(extent: usize, want: usize) -> usize {
-    if extent <= 1 || want <= 1 {
-        return 1;
-    }
-    (1..=want.min(extent))
-        .rev()
-        .find(|&c| extent.is_multiple_of(c))
-        .unwrap_or(1)
 }
 
 /// Walk a step list, verifying each step against the available tensors and
@@ -944,7 +702,6 @@ impl Plan {
             axes,
             input: input.clone(),
             output: output.clone(),
-            chunks: 1,
             wire: WireFormat::Dense,
         });
         Ok(output)
@@ -1843,66 +1600,10 @@ mod tests {
     }
 
     #[test]
-    fn effective_chunks_largest_divisor() {
-        assert_eq!(effective_chunks(16, 4), 4);
-        assert_eq!(effective_chunks(6, 4), 3);
-        assert_eq!(effective_chunks(7, 4), 1);
-        assert_eq!(effective_chunks(8, 3), 2);
-        assert_eq!(effective_chunks(12, 5), 4);
-        assert_eq!(effective_chunks(1, 4), 1);
-        assert_eq!(effective_chunks(0, 4), 1);
-        assert_eq!(effective_chunks(16, 1), 1);
-        assert_eq!(effective_chunks(16, 0), 1);
-        assert_eq!(effective_chunks(3, 8), 3);
-    }
-
-    #[test]
-    fn overlap_chunks_marked_per_flow_and_schedule_still_verifies() {
-        let cfg = ModelConfig::tiny();
-        for layout in layouts_for(MeshFactors::new(2, 2, 1)) {
-            let s = build_schedule(&cfg, &layout, 16, 4).unwrap().with_overlap_chunks(4);
-            s.verify()
-                .unwrap_or_else(|e| panic!("{}: verify after chunking: {e}", layout.describe()));
-            let flow = flow_of(&layout);
-            let mut chunked = 0usize;
-            for step in s.layer.iter().chain(&s.final_steps) {
-                let Step::Collective { label, op, axes, input, chunks, .. } = step else {
-                    continue;
-                };
-                if !overlap_chunkable(flow, label) {
-                    assert_eq!(*chunks, 1, "{label}: unmarked collective must stay monolithic");
-                    continue;
-                }
-                let shape = input.local_shape(s.torus).unwrap();
-                let extent = match op {
-                    SymOp::AllGather { dim } => shape[input.dim_index(*dim).unwrap()],
-                    SymOp::ReduceScatter { dim } => {
-                        shape[input.dim_index(*dim).unwrap()] / s.torus.group_size(*axes)
-                    }
-                    SymOp::AllReduce => *shape.last().unwrap(),
-                    SymOp::AllToAll { .. } => unreachable!("all-to-all is never chunkable"),
-                };
-                assert_eq!(*chunks, effective_chunks(extent, 4), "{label}");
-                if *chunks > 1 {
-                    chunked += 1;
-                }
-            }
-            assert!(
-                chunked > 0,
-                "{}: expected at least one pipelined collective",
-                layout.describe()
-            );
-        }
-    }
-
-    #[test]
     fn weight_dtype_marks_exactly_the_weight_gathers() {
         let cfg = ModelConfig::tiny();
         for layout in layouts_for(MeshFactors::new(2, 2, 1)) {
-            let s = build_schedule(&cfg, &layout, 16, 4)
-                .unwrap()
-                .with_overlap_chunks(4)
-                .with_weight_dtype(DType::Int8);
+            let s = build_schedule(&cfg, &layout, 16, 4).unwrap().with_weight_dtype(DType::Int8);
             s.verify()
                 .unwrap_or_else(|e| panic!("{}: verify after wire marking: {e}", layout.describe()));
             for step in s.layer.iter().chain(&s.final_steps) {
@@ -1925,22 +1626,6 @@ mod tests {
         for step in s.collectives() {
             if let Step::Collective { wire, .. } = step {
                 assert_eq!(*wire, WireFormat::Dense);
-            }
-        }
-    }
-
-    #[test]
-    fn overlap_chunks_want_one_is_identity() {
-        let cfg = ModelConfig::tiny();
-        let layout = Layout {
-            ffn: FfnLayout::WeightStationary1D,
-            attn: AttnSharding::Head,
-            mesh: MeshFactors::new(2, 2, 1),
-        };
-        let s = build_schedule(&cfg, &layout, 16, 4).unwrap().with_overlap_chunks(1);
-        for step in s.collectives() {
-            if let Step::Collective { chunks, .. } = step {
-                assert_eq!(*chunks, 1);
             }
         }
     }

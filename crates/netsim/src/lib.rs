@@ -42,10 +42,7 @@ pub mod schedule;
 
 pub use dag::{DagSim, LinkId, TransferId};
 pub use fault::{crash_recovery_cost, LiveRequest, RecoveryCost, RecoveryModel};
-pub use overlap::{
-    chunked_blocked_time, chunked_pipeline_time, looped_einsum_time, overlap_speedup,
-    unfused_einsum_time, EinsumSpec,
-};
+pub use overlap::{looped_einsum_time, overlap_speedup, unfused_einsum_time, EinsumSpec};
 pub use schedule::{
     analytic_time, simulate_collective, simulate_collective_with_straggler, CollectiveKind,
 };

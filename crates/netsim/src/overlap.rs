@@ -102,61 +102,6 @@ pub fn overlap_speedup(chip: &ChipSpec, spec: &EinsumSpec) -> f64 {
     unfused_einsum_time(chip, spec) / looped_einsum_time(chip, spec)
 }
 
-/// Closed-form wall-clock of a fused collective + einsum moved as `chunks`
-/// pipelined sub-transfers, with a per-chunk launch cost (barrier round,
-/// buffer management, partial fold) that the [`DagSim`] schedules above
-/// idealize away.
-///
-/// The pipeline computes on chunk `i-1` while chunk `i` is in flight: one
-/// fill chunk runs unoverlapped, the remaining `k-1` slots advance at the
-/// rate of the slower leg, and every chunk pays `overhead` once:
-///
-/// ```text
-/// t(k) = (t_comm + t_comp)/k + (k-1)/k · max(t_comm, t_comp) + k · overhead
-/// ```
-///
-/// `k = 1` degenerates to the monolithic schedule plus one launch
-/// (`t_comm + t_comp + overhead`); as `k → ∞` with zero overhead the time
-/// approaches `max(t_comm, t_comp)` — full overlap. The `k · overhead`
-/// term is what makes over-chunking lose: it grows linearly while the
-/// pipeline win saturates, which is exactly the regression the execution
-/// planner exists to avoid.
-#[must_use]
-pub fn chunked_pipeline_time(
-    t_comm: Seconds,
-    t_comp: Seconds,
-    chunks: usize,
-    overhead: Seconds,
-) -> Seconds {
-    let k = chunks.max(1) as f64;
-    (t_comm + t_comp) / k + (k - 1.0) / k * t_comm.max(t_comp) + k * overhead
-}
-
-/// Closed-form time the executing thread spends *blocked* on transport in
-/// the chunked pipeline — the quantity the runtime's collective-time
-/// ledger measures (only the `collect` phase counts; compute slotted
-/// between `post` and `collect` is hidden). The fill chunk blocks for its
-/// full transfer; each later chunk blocks only for the transport not
-/// covered by the compute running behind it; every chunk pays `overhead`:
-///
-/// ```text
-/// blocked(k) = t_comm/k + (k-1) · max(0, (t_comm - t_comp)/k) + k · overhead
-/// ```
-///
-/// `k = 1` gives the monolithic blocked time `t_comm + overhead`, so
-/// `1 - blocked(k)/blocked(1)` is the model's predicted hidden-comm
-/// fraction — the analytic counterpart of the benchmark's measured one.
-#[must_use]
-pub fn chunked_blocked_time(
-    t_comm: Seconds,
-    t_comp: Seconds,
-    chunks: usize,
-    overhead: Seconds,
-) -> Seconds {
-    let k = chunks.max(1) as f64;
-    t_comm / k + (k - 1.0) * ((t_comm - t_comp) / k).max(0.0) + k * overhead
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -220,27 +165,6 @@ mod tests {
         let comm_heavy = EinsumSpec::new(8, 1e8, 1e3);
         assert!(overlap_speedup(&chip, &compute_heavy) < 1.05);
         assert!(overlap_speedup(&chip, &comm_heavy) < 1.05);
-    }
-
-    #[test]
-    fn chunked_pipeline_endpoints_and_overhead() {
-        let (c, p) = (1e-3, 1e-3);
-        // k = 1 is the monolithic schedule plus one launch.
-        assert!((chunked_pipeline_time(c, p, 1, 1e-5) - (c + p + 1e-5)).abs() < 1e-12);
-        assert!((chunked_blocked_time(c, p, 1, 1e-5) - (c + 1e-5)).abs() < 1e-12);
-        // Zero-overhead pipelining approaches max(comm, comp) from above.
-        let t64 = chunked_pipeline_time(c, p, 64, 0.0);
-        assert!(t64 > c && t64 < 1.1 * c, "t64 {t64}");
-        // With overhead, time is eventually increasing in k: over-chunking
-        // loses (the planner's reason to exist).
-        let ovh = 2e-4;
-        assert!(chunked_pipeline_time(c, p, 16, ovh) > chunked_pipeline_time(c, p, 4, ovh));
-        // Balanced legs with no overhead hide all but the fill chunk.
-        let hidden = 1.0 - chunked_blocked_time(c, p, 4, 0.0) / chunked_blocked_time(c, p, 1, 0.0);
-        assert!((hidden - 0.75).abs() < 1e-9, "hidden {hidden}");
-        // Compute-starved pipelines (no einsum to hide behind) hide nothing.
-        let none = 1.0 - chunked_blocked_time(c, 0.0, 4, 0.0) / chunked_blocked_time(c, 0.0, 1, 0.0);
-        assert!(none.abs() < 1e-9, "none {none}");
     }
 
     #[test]

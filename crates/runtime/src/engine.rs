@@ -15,34 +15,12 @@ use esti_collectives::{
     CollectiveError, CommGroup, CommTimes, FaultPlan, FaultState, InjectedCrash, TrafficStats,
 };
 use esti_core::layout::{AttnSharding, FfnLayout, Layout};
-use esti_core::perf::Phase;
-use esti_core::schedule::effective_chunks;
-use esti_hal::DType;
 use esti_model::reference::{attention_over_cache, gelu, mm3};
 use esti_model::{KvCache, MlpKind, ModelConfig, PageStats, PositionKind, ReferenceModel};
 use esti_tensor::pool::{with_worker_pool, ChipPool};
 use esti_tensor::{ops, Tensor};
 
-use crate::overlap::{
-    looped_ag_einsums, looped_ar_cols, looped_rs_cols, looped_wg_cols, looped_wg_rows,
-};
-use crate::planner::{ExecPlan, ExecPlanner};
 use crate::shard::{shard_1d, shard_2d, shard_wg, shard_wg_hybrid, LayerShard, ShardMat};
-
-/// The weight dtype the planner's schedule model prices for a storage
-/// format: int8 storage moves weight gathers quantized (Section 3.6);
-/// `Bf16` emulation gathers bf16-width payloads; `Exact` executes plain
-/// f32. Benchmarks pricing a planner decision against a measured sweep
-/// must pass the dtype of the format they actually execute — the
-/// [`crate::PlanDecision::dtype`] ledger field records what was priced.
-#[must_use]
-pub fn planner_dtype(fmt: WeightFormat) -> DType {
-    match fmt {
-        WeightFormat::Int8 => DType::Int8,
-        WeightFormat::Bf16 => DType::Bf16,
-        WeightFormat::Exact => DType::F32,
-    }
-}
 
 pub use crate::shard::WeightFormat;
 
@@ -99,58 +77,6 @@ fn default_kv_backend() -> KvBackend {
         Some(s) => KvBackend::Paged { page_size: s },
         None => KvBackend::default(),
     }
-}
-
-/// How the engine moves each overlappable collective (Section 3.5).
-///
-/// Both modes run the *same* looped code path — monolithic execution is
-/// the one-chunk case — so for float-stored weights the two produce
-/// bit-identical logits for every chunk count. What changes is transport
-/// granularity: overlapped execution pipelines each marked collective as
-/// `chunks` sub-transfers, computing on chunk `i-1` while chunk `i` is in
-/// flight (the Looped CollectiveEinsum).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExecMode {
-    /// Every collective moves as one transfer; einsums run whole.
-    Monolithic,
-    /// Looped CollectiveEinsum with the given chunk-count target. Each
-    /// collective actually uses the largest divisor of its chunked extent
-    /// that is `<= chunks` (see [`effective_chunks`]), so awkward shapes
-    /// degrade gracefully toward monolithic instead of panicking.
-    Overlapped {
-        /// Requested chunks per collective (`1` behaves like monolithic).
-        chunks: usize,
-    },
-}
-
-impl Default for ExecMode {
-    /// Overlapped with four chunks: enough pipelining to hide most of a
-    /// collective behind its einsum without shrinking chunk matmuls into
-    /// launch-overhead territory.
-    fn default() -> Self {
-        ExecMode::Overlapped { chunks: 4 }
-    }
-}
-
-impl ExecMode {
-    /// The chunk-count target this mode asks of each collective.
-    fn want(self) -> usize {
-        match self {
-            ExecMode::Monolithic => 1,
-            ExecMode::Overlapped { chunks } => chunks.max(1),
-        }
-    }
-}
-
-/// How the engine decides its [`ExecMode`]: pinned at construction, or
-/// chosen per forward shape by the analytic [`ExecPlanner`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ExecPolicy {
-    /// Run every forward with this mode (explicit baselines and tests).
-    Fixed(ExecMode),
-    /// Plan per (phase, batch, tokens) at first use; decisions accumulate
-    /// in the engine's [`ExecPlan`] ledger.
-    Planned,
 }
 
 /// Deadline applied to every collective of a fresh engine: generous enough
@@ -255,11 +181,6 @@ pub struct PartitionedEngine {
     cfg: ModelConfig,
     layout: Layout,
     dataflow: Dataflow,
-    exec: ExecPolicy,
-    /// Weight storage format, kept for the planner's wire-format input.
-    fmt: WeightFormat,
-    /// Accumulated planner decisions (empty under a fixed mode).
-    plan: ExecPlan,
     chips: Vec<ChipState>,
     stats: Arc<TrafficStats>,
     /// Full embedding table, used host-side for the input lookup.
@@ -319,43 +240,8 @@ impl PartitionedEngine {
     /// Panics if the model dimensions do not divide the mesh (each dataflow
     /// documents its divisibility requirements in [`crate::shard`]), or if
     /// batch-sharded attention is requested for a multihead model.
-    ///
-    /// The engine's execution mode is chosen by the analytic
-    /// [`ExecPlanner`] per (phase, batch) shape at first use: the planner
-    /// costs every candidate chunk count with the calibrated cost model
-    /// and keeps monolithic execution wherever pipelining does not
-    /// clearly win. Inspect the decisions via
-    /// [`PartitionedEngine::exec_plan`]; pin a mode explicitly with
-    /// [`PartitionedEngine::new_with_exec`].
     #[must_use]
     pub fn new(model: &ReferenceModel, layout: Layout, fmt: WeightFormat) -> Self {
-        PartitionedEngine::new_impl(model, layout, fmt, ExecPolicy::Planned)
-    }
-
-    /// Like [`PartitionedEngine::new`], with an explicit execution mode —
-    /// [`ExecMode::Monolithic`] for the unpipelined baseline, or
-    /// [`ExecMode::Overlapped`] with a chosen chunk count — bypassing the
-    /// planner entirely.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as [`PartitionedEngine::new`].
-    #[must_use]
-    pub fn new_with_exec(
-        model: &ReferenceModel,
-        layout: Layout,
-        fmt: WeightFormat,
-        exec: ExecMode,
-    ) -> Self {
-        PartitionedEngine::new_impl(model, layout, fmt, ExecPolicy::Fixed(exec))
-    }
-
-    fn new_impl(
-        model: &ReferenceModel,
-        layout: Layout,
-        fmt: WeightFormat,
-        exec: ExecPolicy,
-    ) -> Self {
         let cfg = model.config().clone();
         let n = layout.mesh.n_chips();
         let dataflow = match layout.ffn {
@@ -462,9 +348,6 @@ impl PartitionedEngine {
             cfg,
             layout,
             dataflow,
-            exec,
-            fmt,
-            plan: ExecPlan::default(),
             chips,
             stats,
             batch: None,
@@ -608,52 +491,6 @@ impl PartitionedEngine {
         self.poisoned
     }
 
-    /// The execution mode this engine runs decode steps with: the pinned
-    /// mode for [`PartitionedEngine::new_with_exec`] engines, or the
-    /// planner's decode decision once one has been made (before the first
-    /// decode forward, the regression-proof [`ExecMode::Monolithic`]).
-    #[must_use]
-    pub fn exec_mode(&self) -> ExecMode {
-        match self.exec {
-            ExecPolicy::Fixed(mode) => mode,
-            ExecPolicy::Planned => self
-                .plan
-                .decisions
-                .iter()
-                .find(|d| d.phase == Phase::Decode)
-                .map_or(ExecMode::Monolithic, |d| d.chosen),
-        }
-    }
-
-    /// The planner's accumulated decision ledger: one entry per forward
-    /// shape planned so far (always empty for engines built with
-    /// [`PartitionedEngine::new_with_exec`]). Render it with
-    /// [`crate::introspect::plan_ledger_json`].
-    #[must_use]
-    pub fn exec_plan(&self) -> &ExecPlan {
-        &self.plan
-    }
-
-    /// The chunk-count target for a `[b, l, _]` forward, planning it first
-    /// if this engine plans and has not seen the shape yet.
-    fn resolve_want(&mut self, b: usize, l: usize) -> usize {
-        match self.exec {
-            ExecPolicy::Fixed(mode) => mode.want(),
-            ExecPolicy::Planned => {
-                let phase = if l == 1 { Phase::Decode } else { Phase::Prefill };
-                if let Some(d) = self.plan.decision_for(phase, b, l) {
-                    return d.chosen.want();
-                }
-                let planner = ExecPlanner::new(&self.cfg, self.layout, planner_dtype(self.fmt))
-                    .with_workers(self.chip_workers);
-                let d = planner.decide(phase, b, l);
-                let want = d.chosen.want();
-                self.plan.decisions.push(d);
-                want
-            }
-        }
-    }
-
     /// The model configuration.
     #[must_use]
     pub fn config(&self) -> &ModelConfig {
@@ -679,10 +516,7 @@ impl PartitionedEngine {
     }
 
     /// Per-chip wall-clock time blocked in collectives, merged across each
-    /// chip's groups, in rank order. For chunked collectives only the
-    /// blocking `collect` phase counts, so comparing a monolithic run
-    /// against an overlapped one shows how much communication the overlap
-    /// actually hid.
+    /// chip's groups, in rank order.
     #[must_use]
     pub fn comm_times(&self) -> Vec<CommTimes> {
         self.chips
@@ -1159,7 +993,6 @@ impl PartitionedEngine {
         };
         let n = self.chips.len();
         let (b, l) = (x.dim(0), x.dim(1));
-        let want = self.resolve_want(b, l);
         let bases = self.row_bases(b);
         let pools: Vec<Option<Arc<ChipPool>>> = if self.pools.is_empty() {
             (0..n).map(|_| None).collect()
@@ -1183,15 +1016,13 @@ impl PartitionedEngine {
                             let result = {
                                 let chip = &mut *chip;
                                 catch_unwind(AssertUnwindSafe(move || match dataflow {
-                                    Dataflow::OneD => forward_1d(cfg, chip, x, bases, attn, n, want),
+                                    Dataflow::OneD => forward_1d(cfg, chip, x, bases, attn, n),
                                     Dataflow::TwoD => {
-                                        forward_2d(cfg, chip, x, bases, attn, x_parts, yz_parts, want)
+                                        forward_2d(cfg, chip, x, bases, attn, x_parts, yz_parts)
                                     }
-                                    Dataflow::WeightGathered => forward_wg(cfg, chip, x, bases, n, want),
-                                    Dataflow::WeightGatheredHybrid { n_gather, n_local } => {
-                                        forward_wg_hybrid(
-                                            cfg, chip, x, bases, attn, n_gather, n_local, want,
-                                        )
+                                    Dataflow::WeightGathered => forward_wg(cfg, chip, x, bases, n),
+                                    Dataflow::WeightGatheredHybrid { n_gather, .. } => {
+                                        forward_wg_hybrid(cfg, chip, x, bases, attn, n_gather)
                                     }
                                 }))
                             };
@@ -1360,6 +1191,155 @@ fn mlp_hidden(cfg: &ModelConfig, gate: Option<Tensor>, up: Tensor) -> Tensor {
 }
 
 // ---------------------------------------------------------------------------
+// einsums fused with a collective
+//
+// Two rules fix the bits of every gathered contraction below, so they hold
+// wherever a weight or activation arrives from peers:
+//
+// 1. the matmul kernels accumulate each output element by one serial chain
+//    of adds in ascending `k` order;
+// 2. a contraction over a *gathered* `k` keeps one accumulator per source
+//    rank — each a pure ascending-`k` chain over that rank's shard — and
+//    folds them in ascending rank order. Int8 partial products accumulate
+//    unscaled and each scale vector is applied exactly once: a gathered
+//    weight's per-rank scales to that rank's accumulator before the fold,
+//    a local weight's scales to the folded sum.
+// ---------------------------------------------------------------------------
+
+/// Flattens `[B, L, D]` activations to `[B·L, D]` for the rank-2 kernels.
+fn flat2(x: &Tensor) -> Tensor {
+    let (b, l, d) = (x.dim(0), x.dim(1), x.dim(2));
+    x.reshape(vec![b * l, d])
+}
+
+/// Folds per-source-rank accumulators in ascending rank order, in place in
+/// rank 0's buffer — the reduction order the collectives use.
+fn fold_ranks(accs: Vec<Tensor>) -> Tensor {
+    accs.into_iter()
+        .reduce(|mut out, p| {
+            ops::add_assign(&mut out, &p);
+            out
+        })
+        .expect("groups have at least one member")
+}
+
+/// `Σ_t xₜ × wₜ`: the local partial sum a weight-stationary block epilogue
+/// hands to its all-reduce (1D) or reduce-scatter (2D).
+fn partial_sum(terms: &[(&Tensor, &ShardMat)]) -> Tensor {
+    let mut part = terms[0].1.mm3(terms[0].0);
+    for (x, w) in &terms[1..] {
+        ops::add_assign(&mut part, &w.mm3(x));
+    }
+    part
+}
+
+/// The 2D weight-stationary block prologue: `x_i = all_gather(xn, dim 2)`
+/// contracted with each of `weights`, with one accumulator per source rank
+/// (rule 2 above). Int8 weights accumulate raw integer partial products;
+/// their scales are applied once, after the rank fold.
+fn ag_einsums(group: &CommGroup, xn: &Tensor, weights: &[&ShardMat]) -> Vec<Tensor> {
+    let (b, l, e_loc) = (xn.dim(0), xn.dim(1), xn.dim(2));
+    let parts = group.all_gather_parts(&flat2(xn), 1);
+    weights
+        .iter()
+        .map(|w| {
+            let n_w = w.cols();
+            let accs = parts
+                .iter()
+                .enumerate()
+                .map(|(r, part)| {
+                    let mut acc = Tensor::zeros(vec![b * l, n_w]);
+                    match w {
+                        ShardMat::Dense(w) => ops::matmul_acc_rows(part, w, r * e_loc, &mut acc),
+                        ShardMat::Int8(q) => q.matmul_acc_rows(part, r * e_loc, &mut acc),
+                        ShardMat::Int8Cat(_) => {
+                            unreachable!("2D blocks are stored shards, never gathered concatenations")
+                        }
+                    }
+                    acc
+                })
+                .collect();
+            let mut out = fold_ranks(accs);
+            if let ShardMat::Int8(q) = w {
+                q.apply_scales(&mut out);
+            }
+            out.into_reshape(vec![b, l, n_w])
+        })
+        .collect()
+}
+
+/// `x × all_gather(shard, dim 1)` for a column-sharded weight
+/// (`wq`/`wk`/`wv`/`w_in`/`w_gate` of the weight-gathered dataflow): each
+/// rank's shard writes its own column block of the output. Int8 shards move
+/// in their wire format and scale on arrival, so no dense f32 view ever
+/// touches the interconnect and the ledger charges the quantized volume.
+fn wg_cols(group: &CommGroup, x: &Tensor, shard: &ShardMat) -> Tensor {
+    let (b, l) = (x.dim(0), x.dim(1));
+    let flat = flat2(x);
+    let w_loc = shard.cols();
+    let mut out = Tensor::zeros(vec![b * l, w_loc * group.size()]);
+    match shard {
+        ShardMat::Dense(w) => {
+            for (r, part) in group.all_gather_parts(w, 1).iter().enumerate() {
+                ops::matmul_into_cols(&flat, part, &mut out, r * w_loc);
+            }
+        }
+        ShardMat::Int8(q) => {
+            for (r, part) in group.all_gather_quant(q, 1).iter().enumerate() {
+                part.matmul_into_cols(&flat, &mut out, r * w_loc);
+            }
+        }
+        ShardMat::Int8Cat(_) => {
+            unreachable!("stored weight-gathered shards are never gathered concatenations")
+        }
+    }
+    out.into_reshape(vec![b, l, w_loc * group.size()])
+}
+
+/// `x × all_gather(shard, dim 0)` for a row-sharded weight (`wo`/`w_out` of
+/// the weight-gathered dataflow), with one accumulator per source rank
+/// (rule 2 above); each rank's int8 scales land on its accumulator before
+/// the fold.
+fn wg_rows(group: &CommGroup, x: &Tensor, shard: &ShardMat) -> Tensor {
+    let (b, l, d) = (x.dim(0), x.dim(1), x.dim(2));
+    let flat = flat2(x);
+    let n_out = shard.cols();
+    // Rank `r`'s `rows`-high shard contracts with its own window of `x`'s
+    // columns, into its own zeroed accumulator.
+    let operands = |r: usize, rows: usize| {
+        assert_eq!(d, rows * group.size(), "row-gather contraction width mismatch");
+        (flat.slice(1, r * rows, rows), Tensor::zeros(vec![b * l, n_out]))
+    };
+    let accs = match shard {
+        ShardMat::Dense(w) => group
+            .all_gather_parts(w, 0)
+            .iter()
+            .enumerate()
+            .map(|(r, part)| {
+                let (a, mut acc) = operands(r, part.dim(0));
+                ops::matmul_acc_rows(&a, part, 0, &mut acc);
+                acc
+            })
+            .collect(),
+        ShardMat::Int8(q) => group
+            .all_gather_quant(q, 0)
+            .iter()
+            .enumerate()
+            .map(|(r, part)| {
+                let (a, mut acc) = operands(r, part.rows());
+                part.matmul_acc_rows(&a, 0, &mut acc);
+                part.apply_scales(&mut acc);
+                acc
+            })
+            .collect(),
+        ShardMat::Int8Cat(_) => {
+            unreachable!("stored weight-gathered shards are never gathered concatenations")
+        }
+    };
+    fold_ranks(accs).into_reshape(vec![b, l, n_out])
+}
+
+// ---------------------------------------------------------------------------
 // 1D weight-stationary dataflow (Section 3.2.1)
 // ---------------------------------------------------------------------------
 
@@ -1370,12 +1350,11 @@ fn forward_1d(
     bases: &[usize],
     attn: AttnSharding,
     n: usize,
-    want: usize,
 ) -> Option<Tensor> {
     let ChipState { rank, layers, cache, g_all, ln_final, embed_t, .. } = chip;
     let rank = *rank;
     for (li, shard) in layers.iter().enumerate() {
-        x = layer_1d(cfg, shard, x, bases, attn, g_all, cache, li, rank, n, want);
+        x = layer_1d(cfg, shard, x, bases, attn, g_all, cache, li, rank, n);
     }
     if rank == 0 {
         let h = ln3(&x, ln_final);
@@ -1387,10 +1366,8 @@ fn forward_1d(
 
 /// One 1D weight-stationary Transformer layer: the Megatron dataflow with
 /// a parallel or serialized block, shared by the pure 1D and the hybrid
-/// weight-gathered forwards. The block's output projections are fused into
-/// the all-reduce as a looped collective einsum chunked over `d_model`
-/// (column chunks of `wo`/`w_out` are produced just in time to feed the
-/// chunk pipeline).
+/// weight-gathered forwards. Each block's output projections are summed
+/// locally and leave through one all-reduce.
 #[allow(clippy::too_many_arguments)]
 fn layer_1d(
     cfg: &ModelConfig,
@@ -1403,22 +1380,20 @@ fn layer_1d(
     li: usize,
     rank: usize,
     n: usize,
-    want: usize,
 ) -> Tensor {
-    let c = effective_chunks(cfg.d_model, want);
     let serial = cfg.block == esti_model::BlockKind::Serial;
     if serial {
         let ctx =
             attn_ctx_1d(cfg, shard, &ln3(&x, &shard.ln1), bases, attn, group, cache, li, rank, n);
-        let x1 = &x + &looped_ar_cols(group, &[(&ctx, &shard.wo)], c);
+        let x1 = &x + &group.all_reduce(&partial_sum(&[(&ctx, &shard.wo)]));
         let ln2 = shard.ln2.as_ref().expect("serial block requires ln2");
         let h = mlp_hidden_1d(cfg, shard, &ln3(&x1, ln2));
-        &x1 + &looped_ar_cols(group, &[(&h, &shard.w_out)], c)
+        &x1 + &group.all_reduce(&partial_sum(&[(&h, &shard.w_out)]))
     } else {
         let ln = ln3(&x, &shard.ln1);
         let ctx = attn_ctx_1d(cfg, shard, &ln, bases, attn, group, cache, li, rank, n);
         let h = mlp_hidden_1d(cfg, shard, &ln);
-        &x + &looped_ar_cols(group, &[(&ctx, &shard.wo), (&h, &shard.w_out)], c)
+        &x + &group.all_reduce(&partial_sum(&[(&ctx, &shard.wo), (&h, &shard.w_out)]))
     }
 }
 
@@ -1434,8 +1409,6 @@ fn forward_wg_hybrid(
     bases: &[usize],
     attn: AttnSharding,
     n_gather: usize,
-    n_local: usize,
-    want: usize,
 ) -> Option<Tensor> {
     let ChipState { i, j, layers, cache, g_x, g_yz, ln_final, embed_t, .. } = chip;
     let (g, b) = (*i, *j);
@@ -1445,12 +1418,9 @@ fn forward_wg_hybrid(
     let slice = batch / n_gather;
     let mut x = x_full.slice(0, g * slice, slice);
     let bases = &bases[g * slice..(g + 1) * slice];
-    let _ = n_local;
     for (li, shard) in layers.iter().enumerate() {
-        // Weight gathers over the small gather groups stay monolithic (the
-        // planner marks only the 1D all-reduces as overlap-chunkable here).
         let w = gather_layer(cfg, g_gather, shard);
-        x = layer_1d(cfg, &w, x, bases, attn, g_local, cache, li, b, g_local.size(), want);
+        x = layer_1d(cfg, &w, x, bases, attn, g_local, cache, li, b, g_local.size());
     }
     if b == 0 {
         // x is replicated within the local group; the b = 0 member of each
@@ -1464,7 +1434,7 @@ fn forward_wg_hybrid(
 
 /// 1D attention up to (but not including) the output projection: returns
 /// the per-chip context `[B, l, h_loc*dh]`, which the caller contracts
-/// with `wo` inside the looped all-reduce.
+/// with `wo` ahead of the block's all-reduce.
 #[allow(clippy::too_many_arguments)]
 fn attn_ctx_1d(
     cfg: &ModelConfig,
@@ -1511,7 +1481,7 @@ fn attn_ctx_1d(
 
 /// 1D MLP up to (but not including) the output projection: returns the
 /// hidden activations `[B, l, f_loc]`, which the caller contracts with
-/// `w_out` inside the looped all-reduce.
+/// `w_out` ahead of the block's all-reduce.
 fn mlp_hidden_1d(cfg: &ModelConfig, shard: &LayerShard, ln: &Tensor) -> Tensor {
     let gate = shard.w_gate.as_ref().map(|g| g.mm3(ln));
     let up = shard.w_in.mm3(ln);
@@ -1531,7 +1501,6 @@ fn forward_2d(
     attn: AttnSharding,
     x_parts: usize,
     yz_parts: usize,
-    want: usize,
 ) -> Option<Tensor> {
     let ChipState { rank, i, j, layers, cache, g_all, g_x, g_yz, ln_final, embed_t } = chip;
     let (rank, i, j) = (*rank, *i, *j);
@@ -1541,19 +1510,13 @@ fn forward_2d(
     let e = cfg.d_model;
     let e_n = e / n;
     let off = i * (e / x_parts) + j * e_n;
-    // Both yz collectives chunk over the boundary-sharded width E/n: the
-    // all-gather streams `E/n`-wide activation chunks into the projection
-    // einsums, the reduce-scatter emits each destination's `E/n` slice
-    // chunk by chunk.
-    let c_yz = effective_chunks(e_n, want);
     // Boundary state: x sharded E_xyz.
     let mut x_loc = x_full.slice(2, off, e_n);
     for (li, shard) in layers.iter().enumerate() {
         let serial = cfg.block == esti_model::BlockKind::Serial;
         if serial {
             let xn = sharded_layernorm(g_all, &x_loc, &shard.ln1, e);
-            let mut proj =
-                looped_ag_einsums(g_yz, &xn, &[&shard.wq, &shard.wk, &shard.wv], c_yz);
+            let mut proj = ag_einsums(g_yz, &xn, &[&shard.wq, &shard.wk, &shard.wv]);
             let v_part = proj.pop().expect("three projections");
             let k_part = proj.pop().expect("three projections");
             let q_part = proj.pop().expect("three projections");
@@ -1561,28 +1524,29 @@ fn forward_2d(
                 cfg, cache, li, q_part, k_part, v_part, bases, attn, g_x, g_yz, i, j, x_parts,
                 yz_parts,
             );
-            let x1_loc = &x_loc + &looped_rs_cols(g_yz, &[(&attn_j, &shard.wo)], c_yz);
+            let x1_loc =
+                &x_loc + &g_yz.reduce_scatter(&partial_sum(&[(&attn_j, &shard.wo)]), 2);
             let ln2 = shard.ln2.as_ref().expect("serial block requires ln2");
             let x1n = sharded_layernorm(g_all, &x1_loc, ln2, e);
             let mlp_w: Vec<&ShardMat> = match &shard.w_gate {
                 Some(g) => vec![g, &shard.w_in],
                 None => vec![&shard.w_in],
             };
-            let mut proj = looped_ag_einsums(g_yz, &x1n, &mlp_w, c_yz);
+            let mut proj = ag_einsums(g_yz, &x1n, &mlp_w);
             let up_part = proj.pop().expect("mlp input projection");
             let gate_part = proj.pop();
             let h_j = mlp_2d_hidden(cfg, g_x, gate_part, up_part);
-            x_loc = &x1_loc + &looped_rs_cols(g_yz, &[(&h_j, &shard.w_out)], c_yz);
+            x_loc = &x1_loc + &g_yz.reduce_scatter(&partial_sum(&[(&h_j, &shard.w_out)]), 2);
         } else {
             let xn = sharded_layernorm(g_all, &x_loc, &shard.ln1, e);
-            // One streamed all-gather feeds every projection of the
-            // parallel block (attention and MLP share the layernormed x_i).
+            // One all-gather feeds every projection of the parallel block
+            // (attention and MLP share the layernormed x_i).
             let mut weights: Vec<&ShardMat> = vec![&shard.wq, &shard.wk, &shard.wv];
             if let Some(g) = &shard.w_gate {
                 weights.push(g);
             }
             weights.push(&shard.w_in);
-            let mut proj = looped_ag_einsums(g_yz, &xn, &weights, c_yz);
+            let mut proj = ag_einsums(g_yz, &xn, &weights);
             let up_part = proj.pop().expect("mlp input projection");
             let gate_part = if shard.w_gate.is_some() { proj.pop() } else { None };
             let v_part = proj.pop().expect("three projections");
@@ -1593,10 +1557,9 @@ fn forward_2d(
                 yz_parts,
             );
             let h_j = mlp_2d_hidden(cfg, g_x, gate_part, up_part);
-            // One chunked reduce-scatter carries both partials: chunk `c`
-            // of `wo`'s and `w_out`'s columns is computed just in time.
-            x_loc = &x_loc
-                + &looped_rs_cols(g_yz, &[(&attn_j, &shard.wo), (&h_j, &shard.w_out)], c_yz);
+            // One reduce-scatter carries both partials.
+            let part = partial_sum(&[(&attn_j, &shard.wo), (&h_j, &shard.w_out)]);
+            x_loc = &x_loc + &g_yz.reduce_scatter(&part, 2);
         }
     }
     // Final layernorm + logit projection: partial over all chips.
@@ -1614,7 +1577,7 @@ fn forward_2d(
 /// partial gate/up along the hidden dimension (the paper's choice, Section
 /// 3.5), apply the nonlinearity on `[B, l, F/n]` shards, all-gather(x)
 /// back to `[B, l, F/YZ]`. The caller contracts the result with `w_out`
-/// inside the looped yz reduce-scatter.
+/// ahead of the yz reduce-scatter.
 fn mlp_2d_hidden(
     cfg: &ModelConfig,
     g_x: &CommGroup,
@@ -1629,8 +1592,8 @@ fn mlp_2d_hidden(
 
 /// 2D attention from the partial (over `i`) Q/K/V projections up to (but
 /// not including) the output projection: returns the head-sharded context
-/// `[B, l, H_yz*dh]`, which the caller contracts with `wo` inside the
-/// looped yz reduce-scatter. The small x-axis collectives stay monolithic.
+/// `[B, l, H_yz*dh]`, which the caller contracts with `wo` ahead of the yz
+/// reduce-scatter.
 #[allow(clippy::too_many_arguments)]
 fn attn_2d_ctx(
     cfg: &ModelConfig,
@@ -1697,34 +1660,27 @@ fn forward_wg(
     x_full: Tensor,
     bases: &[usize],
     n: usize,
-    want: usize,
 ) -> Option<Tensor> {
     let ChipState { rank, layers, cache, g_all, ln_final, embed_t, .. } = chip;
     let rank = *rank;
     let b = x_full.dim(0);
     let b_loc = b / n;
-    // Weight gathers chunk over the *sharded* extent each chip owns: heads
-    // for the attention projections, hidden width for the MLP — matching
-    // the symbolic schedule's chunk marks.
-    let c_h = effective_chunks(cfg.n_heads / n, want);
-    let c_f = effective_chunks(cfg.d_ff / n, want);
-    // Activations stay batch-sharded and fully stationary; weight shards
-    // are streamed through their einsums chunk by chunk, each layer's
-    // matmul consuming chunk `i-1` while chunk `i` is in flight.
+    // Activations stay batch-sharded and fully stationary; each weight is
+    // gathered just before the einsum that consumes it.
     let mut x = x_full.slice(0, rank * b_loc, b_loc);
     let bases = &bases[rank * b_loc..(rank + 1) * b_loc];
     for (li, shard) in layers.iter().enumerate() {
         let serial = cfg.block == esti_model::BlockKind::Serial;
         if serial {
-            let a = attn_wg(cfg, cache, li, &ln3(&x, &shard.ln1), bases, shard, g_all, c_h);
+            let a = attn_wg(cfg, cache, li, &ln3(&x, &shard.ln1), bases, shard, g_all);
             let x1 = &x + &a;
             let ln2 = shard.ln2.as_ref().expect("serial block requires ln2");
-            let m = mlp_wg(cfg, &ln3(&x1, ln2), shard, g_all, c_f);
+            let m = mlp_wg(cfg, &ln3(&x1, ln2), shard, g_all);
             x = &x1 + &m;
         } else {
             let ln = ln3(&x, &shard.ln1);
-            let a = attn_wg(cfg, cache, li, &ln, bases, shard, g_all, c_h);
-            let m = mlp_wg(cfg, &ln, shard, g_all, c_f);
+            let a = attn_wg(cfg, cache, li, &ln, bases, shard, g_all);
+            let m = mlp_wg(cfg, &ln, shard, g_all);
             x = &(&x + &a) + &m;
         }
     }
@@ -1738,9 +1694,8 @@ fn forward_wg(
     }
 }
 
-/// All-gathers one layer's weight shards into full matrices — the
-/// *monolithic* weight-gather, still used by the hybrid dataflow whose
-/// planner keeps weight gathers unchunked. Quantized shards travel in
+/// All-gathers one layer's weight shards into full matrices, for the hybrid
+/// dataflow's 1D layer to run on. Quantized shards travel in
 /// their wire format (int8 values + per-column f32 scales) and stay
 /// quantized after the gather: column shards reassemble into one
 /// [`ShardMat::Int8`] (every output column's scale lives wholly in one
@@ -1777,11 +1732,10 @@ fn gather_layer(cfg: &ModelConfig, g: &CommGroup, s: &LayerShard) -> LayerShard 
     }
 }
 
-/// Weight-gathered attention: every projection streams its weight gather
-/// through the einsum ([`looped_wg_cols`] for the head-sharded Q/K/V,
-/// [`looped_wg_rows`] for the row-sharded output projection). Multiquery
-/// K/V shards are replicated — nothing to gather, plain local matmuls.
-#[allow(clippy::too_many_arguments)]
+/// Weight-gathered attention: every projection gathers its weight into the
+/// einsum ([`wg_cols`] for the head-sharded Q/K/V, [`wg_rows`] for the
+/// row-sharded output projection). Multiquery K/V shards are replicated —
+/// nothing to gather, plain local matmuls.
 fn attn_wg(
     cfg: &ModelConfig,
     cache: &mut KvCache,
@@ -1790,16 +1744,12 @@ fn attn_wg(
     bases: &[usize],
     shard: &LayerShard,
     g: &CommGroup,
-    chunks: usize,
 ) -> Tensor {
-    let mut q = looped_wg_cols(g, ln, &shard.wq, chunks);
+    let mut q = wg_cols(g, ln, &shard.wq);
     let (mut k, v) = if cfg.n_kv_heads() == 1 {
         (shard.wk.mm3(ln), shard.wv.mm3(ln))
     } else {
-        (
-            looped_wg_cols(g, ln, &shard.wk, chunks),
-            looped_wg_cols(g, ln, &shard.wv, chunks),
-        )
+        (wg_cols(g, ln, &shard.wk), wg_cols(g, ln, &shard.wv))
     };
     if cfg.position == PositionKind::Rope {
         q = ops::rope_rows(&q, cfg.d_head, bases);
@@ -1807,19 +1757,13 @@ fn attn_wg(
     }
     cache.append(li, &k, &v);
     let attn = attention_over_cache(&q, cache, li, cfg.d_head);
-    looped_wg_rows(g, &attn, &shard.wo, chunks)
+    wg_rows(g, &attn, &shard.wo)
 }
 
-/// Weight-gathered MLP: streamed column gathers for the input (and gate)
-/// projections, a streamed row gather for the output projection.
-fn mlp_wg(
-    cfg: &ModelConfig,
-    ln: &Tensor,
-    shard: &LayerShard,
-    g: &CommGroup,
-    chunks: usize,
-) -> Tensor {
-    let gate = shard.w_gate.as_ref().map(|w| looped_wg_cols(g, ln, w, chunks));
-    let up = looped_wg_cols(g, ln, &shard.w_in, chunks);
-    looped_wg_rows(g, &mlp_hidden(cfg, gate, up), &shard.w_out, chunks)
+/// Weight-gathered MLP: column gathers for the input (and gate)
+/// projections, a row gather for the output projection.
+fn mlp_wg(cfg: &ModelConfig, ln: &Tensor, shard: &LayerShard, g: &CommGroup) -> Tensor {
+    let gate = shard.w_gate.as_ref().map(|w| wg_cols(g, ln, w));
+    let up = wg_cols(g, ln, &shard.w_in);
+    wg_rows(g, &mlp_hidden(cfg, gate, up), &shard.w_out)
 }

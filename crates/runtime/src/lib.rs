@@ -54,23 +54,17 @@
 
 pub mod engine;
 pub mod generate;
-mod overlap;
 pub mod introspect;
-pub mod planner;
 pub mod router;
 pub mod serving;
 pub mod shard;
 
 pub use engine::{
-    planner_dtype, EngineError, ExecMode, KvBackend, PartitionedEngine, RequestKv, WeightFormat,
+    EngineError, KvBackend, PartitionedEngine, RequestKv, WeightFormat,
     DEFAULT_COLLECTIVE_DEADLINE, DEFAULT_KV_PAGE_SIZE,
 };
 pub use generate::GenerateOptions;
-pub use introspect::{
-    kv_cache_json, plan_ledger_json, weight_wire_format, wg_stream_plan, ScaleDiscipline,
-    WgStream,
-};
-pub use planner::{Calibration, CandidateCost, ExecPlan, ExecPlanner, PlanDecision};
+pub use introspect::{kv_cache_json, weight_wire_format, wg_stream_plan, WgStream};
 pub use router::{ReplicaRouter, RouterError, RouterOutcome};
 pub use serving::{
     BatcherSpec, ContinuousBatcher, OverloadShed, ServeError, ServingOptions, ServingOutcome,

@@ -46,7 +46,7 @@ use esti_core::serving::{Priority, RecoveryStats, RequestStats, ServingReport};
 use esti_model::{PositionKind, ReferenceModel};
 use esti_tensor::sample::{sample_row, Sampling};
 
-use crate::engine::{EngineError, ExecMode, KvBackend, PartitionedEngine, WeightFormat};
+use crate::engine::{EngineError, KvBackend, PartitionedEngine, WeightFormat};
 
 /// One queued generation request.
 #[derive(Debug, Clone)]
@@ -413,8 +413,6 @@ pub struct ContinuousBatcher {
     model: ReferenceModel,
     layout: Layout,
     fmt: WeightFormat,
-    /// Pinned execution mode; `None` lets each engine's planner choose.
-    exec: Option<ExecMode>,
     /// Deadline re-applied to rebuilt engines.
     deadline: Option<Duration>,
     /// A fault plan armed into the decode tier just before the given
@@ -427,21 +425,17 @@ pub struct ContinuousBatcher {
     max_recoveries: usize,
 }
 
-/// Builds a tier engine: planner-driven when no mode is pinned. `workers`
-/// is [`ServingOptions::intra_chip_threads`]; `0` keeps the engine default.
+/// Builds a tier engine. `workers` is
+/// [`ServingOptions::intra_chip_threads`]; `0` keeps the engine default.
 /// `kv` is [`ServingOptions::kv_backend`]; `None` keeps the engine default.
 fn build_engine(
     model: &ReferenceModel,
     layout: Layout,
     fmt: WeightFormat,
-    exec: Option<ExecMode>,
     workers: usize,
     kv: Option<KvBackend>,
 ) -> PartitionedEngine {
-    let mut engine = match exec {
-        Some(mode) => PartitionedEngine::new_with_exec(model, layout, fmt, mode),
-        None => PartitionedEngine::new(model, layout, fmt),
-    };
+    let mut engine = PartitionedEngine::new(model, layout, fmt);
     if workers > 0 {
         engine.set_intra_chip_threads(workers);
     }
@@ -655,39 +649,11 @@ impl ContinuousBatcher {
         fmt: WeightFormat,
         opts: ServingOptions,
     ) -> Self {
-        ContinuousBatcher::new_impl(model, layout, fmt, None, opts)
-    }
-
-    /// Like [`ContinuousBatcher::new`] with an explicit execution mode
-    /// pinned into both tiers (and any engine rebuilt during fault
-    /// recovery), bypassing the per-engine execution planner.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as [`ContinuousBatcher::new`].
-    #[must_use]
-    pub fn new_with_exec(
-        model: &ReferenceModel,
-        layout: Layout,
-        fmt: WeightFormat,
-        exec: ExecMode,
-        opts: ServingOptions,
-    ) -> Self {
-        ContinuousBatcher::new_impl(model, layout, fmt, Some(exec), opts)
-    }
-
-    fn new_impl(
-        model: &ReferenceModel,
-        layout: Layout,
-        fmt: WeightFormat,
-        exec: Option<ExecMode>,
-        opts: ServingOptions,
-    ) -> Self {
         assert!(opts.max_decode_batch > 0, "decode batch cap must be positive");
         let prefill =
-            build_engine(model, layout, fmt, exec, opts.intra_chip_threads, opts.kv_backend);
+            build_engine(model, layout, fmt, opts.intra_chip_threads, opts.kv_backend);
         let decode =
-            build_engine(model, layout, fmt, exec, opts.intra_chip_threads, opts.kv_backend);
+            build_engine(model, layout, fmt, opts.intra_chip_threads, opts.kv_backend);
         let deadline = decode.collective_deadline();
         ContinuousBatcher {
             prefill,
@@ -696,7 +662,6 @@ impl ContinuousBatcher {
             model: model.clone(),
             layout,
             fmt,
-            exec,
             deadline,
             decode_fault: None,
             preempt_plan: Vec::new(),
@@ -1212,7 +1177,6 @@ impl ContinuousBatcher {
             &self.model,
             self.layout,
             self.fmt,
-            self.exec,
             self.opts.intra_chip_threads,
             self.opts.kv_backend,
         );
@@ -1276,7 +1240,6 @@ impl ContinuousBatcher {
                     &self.model,
                     self.layout,
                     self.fmt,
-                    self.exec,
                     self.opts.intra_chip_threads,
                     self.opts.kv_backend,
                 );

@@ -43,7 +43,7 @@ pub enum ShardMat {
     /// (each source rank quantized its block independently, so the blocks
     /// cannot merge into one `QuantizedMatrix` without re-quantizing).
     /// Contracting against it folds the blocks' scaled partial products in
-    /// ascending rank order, matching the looped weight-gather exactly.
+    /// ascending rank order, as the fully weight-gathered `wg_rows` does.
     Int8Cat(Vec<QuantizedMatrix>),
 }
 
@@ -88,40 +88,6 @@ impl ShardMat {
             ShardMat::Dense(w) => w.dim(1),
             ShardMat::Int8(q) => q.cols(),
             ShardMat::Int8Cat(blocks) => blocks[0].cols(),
-        }
-    }
-
-    /// `flat [m, d] × shard[:, c0..c0+cn]` without materializing the column
-    /// slice — the chunked-output primitive the looped all-reduce /
-    /// reduce-scatter epilogues use. Bit-identical to the corresponding
-    /// columns of the full product for every chunking (columns are
-    /// independent accumulation chains; int8 scales are per-column).
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatch or if the column range exceeds the shard.
-    #[must_use]
-    // Vetted expect: Int8Cat is built from >= 1 source shards.
-    #[allow(clippy::expect_used)]
-    pub fn matmul_cols(&self, flat: &Tensor, c0: usize, cn: usize) -> Tensor {
-        match self {
-            ShardMat::Dense(w) => ops::matmul_cols(flat, w, c0, cn),
-            ShardMat::Int8(q) => q.matmul_cols(flat, c0, cn),
-            ShardMat::Int8Cat(blocks) => {
-                // Ascending block (= source rank) order, each block a scaled
-                // product over its own row range of the contraction.
-                let mut off = 0;
-                let mut sum: Option<Tensor> = None;
-                for q in blocks {
-                    let part = q.matmul_cols(&flat.slice(1, off, q.rows()), c0, cn);
-                    off += q.rows();
-                    sum = Some(match sum {
-                        None => part,
-                        Some(s) => &s + &part,
-                    });
-                }
-                sum.expect("Int8Cat has at least one block")
-            }
         }
     }
 

@@ -450,3 +450,26 @@ fn n_samples_generation_diversifies_and_stays_consistent() {
         "top-k samples should diversify: {first_prompt:?}"
     );
 }
+
+#[test]
+fn comm_times_are_recorded_per_chip() {
+    let model = ReferenceModel::init_random(ModelConfig::tiny(), 65);
+    let tokens: Vec<Vec<usize>> = (0..4).map(|b| vec![b + 1, b + 4]).collect();
+    let layout = Layout {
+        ffn: FfnLayout::WeightStationary1D,
+        attn: AttnSharding::Head,
+        mesh: MeshFactors::new(1, 4, 1),
+    };
+    let mut engine = PartitionedEngine::new(&model, layout, WeightFormat::Exact);
+    let _ = engine.prefill(&tokens);
+    let times = engine.comm_times();
+    assert_eq!(times.len(), 4);
+    assert!(
+        times.iter().any(|t| t.total_nanos() > 0),
+        "collectives must record blocking time"
+    );
+    let summary = engine.comm_time_summary();
+    assert!(summary.lines().count() == 4 && summary.contains("chip 0"), "{summary}");
+    engine.reset_comm_times();
+    assert!(engine.comm_times().iter().all(|t| t.total_nanos() == 0));
+}

@@ -1,82 +1,14 @@
-//! Int8-specific conformance: the quantized data path must be (a)
-//! bit-identical between overlapped and monolithic execution for arbitrary
-//! chunk counts, and (b) charged on the wire at its *quantized* volume —
-//! int8 values plus per-column f32 scales — never at dense f32/bf16 volume.
+//! Int8-specific conformance: the quantized data path must be charged on
+//! the wire at its *quantized* volume — int8 values plus per-column f32
+//! scales — never at dense f32/bf16 volume.
 
 use esti_collectives::CollectiveOp;
 use esti_core::layout::{AttnSharding, FfnLayout, GatherExtent, Layout, MeshFactors};
 use esti_model::{ModelConfig, ReferenceModel};
-use esti_runtime::{ExecMode, PartitionedEngine, WeightFormat};
-use esti_tensor::Tensor;
-use proptest::prelude::*;
+use esti_runtime::{PartitionedEngine, WeightFormat};
 
 fn prompts(b: usize, l: usize) -> Vec<Vec<usize>> {
     (0..b).map(|i| (0..l).map(|j| (i * l + j) % 40).collect()).collect()
-}
-
-/// The layouts whose weight matrices actually move over the interconnect
-/// quantized: fully weight-gathered, hybrid weight-gathered (monolithic
-/// quantized gather + 1D compute), and the 2D blocks whose int8 shards run
-/// the streamed activation-gather contraction.
-fn quant_layouts() -> Vec<Layout> {
-    vec![
-        Layout {
-            ffn: FfnLayout::WeightGathered(GatherExtent::Xyz),
-            attn: AttnSharding::Head,
-            mesh: MeshFactors::new(4, 1, 1),
-        },
-        Layout {
-            ffn: FfnLayout::WeightGathered(GatherExtent::X),
-            attn: AttnSharding::Head,
-            mesh: MeshFactors::new(2, 2, 1),
-        },
-        Layout {
-            ffn: FfnLayout::WeightStationary2D,
-            attn: AttnSharding::Head,
-            mesh: MeshFactors::new(2, 2, 1),
-        },
-    ]
-}
-
-fn run(model: &ReferenceModel, layout: Layout, exec: ExecMode) -> Vec<Tensor> {
-    let mut engine = PartitionedEngine::new_with_exec(model, layout, WeightFormat::Int8, exec);
-    let tokens: Vec<Vec<usize>> = (0..4).map(|b| vec![b + 1, b + 5, b + 9, b + 2]).collect();
-    let mut out = vec![engine.prefill(&tokens)];
-    let mut next: Vec<usize> = (0..tokens.len()).map(|b| (b + 3) % model.config().vocab).collect();
-    for _ in 0..2 {
-        out.push(engine.decode_step(&next));
-        next = next.iter().map(|&t| (t * 5 + 1) % model.config().vocab).collect();
-    }
-    out
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(6))]
-
-    #[test]
-    fn int8_overlapped_bit_identical_for_any_chunk_count(
-        li in 0usize..3,
-        chunks in 1usize..7,
-        seed in 0u64..100,
-    ) {
-        // Streaming quantized slices through the fused dequant-GEMM must
-        // reproduce the monolithic quantized result exactly — any drift
-        // means a scale was applied in a chunk-count-dependent place.
-        let model = ReferenceModel::init_random(ModelConfig::tiny(), 70 + seed);
-        let layout = quant_layouts()[li];
-        let mono = run(&model, layout, ExecMode::Monolithic);
-        let over = run(&model, layout, ExecMode::Overlapped { chunks });
-        for (step, (m, o)) in mono.iter().zip(&over).enumerate() {
-            prop_assert_eq!(
-                o.max_abs_diff(m),
-                0.0,
-                "{} chunks={} step {}",
-                layout.describe(),
-                chunks,
-                step
-            );
-        }
-    }
 }
 
 #[test]
@@ -106,19 +38,14 @@ fn int8_weight_gathered_traffic_is_quantized_volume() {
     let expected =
         ((values_per_layer + scales_per_layer) * cfg.n_layers + logit_bytes) as u64;
 
-    for exec in [ExecMode::Monolithic, ExecMode::Overlapped { chunks: 4 }] {
-        let mut engine = PartitionedEngine::new_with_exec(&model, layout, WeightFormat::Int8, exec);
-        let _ = engine.prefill(&prompts(b, l));
-        assert_eq!(
-            engine.traffic().bytes(CollectiveOp::AllGather),
-            expected,
-            "{exec:?}: int8 WG bytes must equal quantized wire volume"
-        );
-        assert_eq!(
-            engine.traffic().calls(CollectiveOp::AllGather) as usize,
-            5 * cfg.n_layers + 1
-        );
-    }
+    let mut engine = PartitionedEngine::new(&model, layout, WeightFormat::Int8);
+    let _ = engine.prefill(&prompts(b, l));
+    assert_eq!(
+        engine.traffic().bytes(CollectiveOp::AllGather),
+        expected,
+        "int8 WG bytes must equal quantized wire volume"
+    );
+    assert_eq!(engine.traffic().calls(CollectiveOp::AllGather) as usize, 5 * cfg.n_layers + 1);
 
     // Cross-check against the analytic model, which charges the gathered
     // weights at 1 byte/element for int8 storage. It counts the replicated
@@ -151,8 +78,7 @@ fn int8_halves_weight_gather_bytes_vs_bf16() {
         mesh: MeshFactors::new(4, 1, 1),
     };
     let bytes = |fmt: WeightFormat| {
-        let mut engine =
-            PartitionedEngine::new_with_exec(&model, layout, fmt, ExecMode::Overlapped { chunks: 4 });
+        let mut engine = PartitionedEngine::new(&model, layout, fmt);
         let _ = engine.prefill(&prompts(4, 2));
         engine.traffic().reset();
         let _ = engine.decode_step(&[1, 2, 3, 4]);

@@ -483,14 +483,6 @@ mod tests {
     }
 
     #[test]
-    fn chunked_schedules_also_survive() {
-        let s = two_d().with_overlap_chunks(4);
-        let report = check_schedule_liveness(&s).unwrap();
-        assert!(report.call_sites > 0);
-        assert_eq!(report.injections, report.call_sites * 2);
-    }
-
-    #[test]
     fn dropped_unwind_cascade_hangs_on_crash() {
         // The seeded "dropped cancel edge" mutation of the ISSUE: without
         // the engine's unwind handler cancelling all of the dead chip's

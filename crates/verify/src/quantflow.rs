@@ -4,10 +4,9 @@
 //! plus one f32 scale per output column, dequantized only at the point of
 //! use. That discipline has two failure modes the type system cannot see:
 //!
-//! * **scale misapplication** — a per-column scale folded into the result
-//!   more than once (e.g. scaling a shared accumulator once per pipeline
-//!   chunk of a row-gathered stream) or not at all (a quantized stream the
-//!   executor has no scale-application plan for);
+//! * **dropped scales** — a quantized stream the executor has no
+//!   scale-application plan for, or one gathered along a dimension the
+//!   executor's scale axis does not follow;
 //! * **wire-volume drift** — the schedule's implied quantized byte count
 //!   disagreeing with the closed form the traffic ledger charges
 //!   ([`esti_collectives::quant_wire_bytes`]), e.g. an "int8" stream that
@@ -17,16 +16,14 @@
 //! schedule (see `Plan::with_weight_dtype`) and checks it against the
 //! runtime's stream table ([`esti_runtime::wg_stream_plan`]): the step must
 //! be a weight all-gather the executor knows, gathered along the dimension
-//! the stream's shards are sharded on, with a scale discipline that applies
-//! each per-column scale exactly once; and its chunked wire volume must
-//! match the ledger's closed form while staying strictly below the dense
-//! volume it replaces.
+//! the stream's shards are sharded on; and its wire volume, by the ledger's
+//! closed form, must stay strictly below the dense volume it replaces.
 
 use std::fmt;
 
 use esti_collectives::{quant_wire_bytes, ACT_BYTES};
 use esti_core::schedule::{Schedule, Step, SymOp, WireFormat};
-use esti_runtime::{wg_stream_plan, ScaleDiscipline, WgStream};
+use esti_runtime::{wg_stream_plan, WgStream};
 
 /// Successful quant-dataflow check of one schedule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -37,7 +34,7 @@ pub struct QuantflowReport {
     /// Distinct executor streams those steps covered.
     pub streams_covered: usize,
     /// Total per-chip quantized wire bytes implied by the schedule
-    /// (ledger closed form, summed over chunks and steps).
+    /// (ledger closed form, summed over steps).
     pub quant_bytes: usize,
     /// Dense bf16 bytes the same gathers would move unquantized.
     pub dense_bytes: usize,
@@ -93,25 +90,6 @@ pub enum QuantflowError {
         /// Dimension the schedule gathers.
         schedule_dim: usize,
     },
-    /// A per-column scale would be folded in `applications` times instead
-    /// of exactly once (the double-applied-scale defect: per-slice scaling
-    /// of a row-gathered stream multiplies the shared accumulator once per
-    /// chunk).
-    ScaleMisapplied {
-        /// Offending step label.
-        label: &'static str,
-        /// How many times each scale would be applied.
-        applications: usize,
-    },
-    /// The pipeline chunk count does not divide the chunked dimension.
-    ChunkIndivisible {
-        /// Offending step label.
-        label: &'static str,
-        /// Chunk count.
-        chunks: usize,
-        /// Extent being divided.
-        extent: usize,
-    },
     /// The quantized wire volume is not strictly below the dense volume it
     /// replaces — the int8 annotation is an accounting lie.
     WireVolumeMismatch {
@@ -146,15 +124,6 @@ impl fmt::Display for QuantflowError {
                 "quantflow: \"{label}\" gathers dim {schedule_dim} but the executor stream \
                  is sharded along dim {stream_dim}"
             ),
-            QuantflowError::ScaleMisapplied { label, applications } => write!(
-                f,
-                "quantflow: \"{label}\" would apply each per-column scale {applications} \
-                 times (must be exactly once)"
-            ),
-            QuantflowError::ChunkIndivisible { label, chunks, extent } => write!(
-                f,
-                "quantflow: \"{label}\" splits extent {extent} into {chunks} chunks"
-            ),
             QuantflowError::WireVolumeMismatch { label, quant, dense } => write!(
                 f,
                 "quantflow: \"{label}\" quantized wire ({quant} B) is not below the dense \
@@ -162,20 +131,6 @@ impl fmt::Display for QuantflowError {
             ),
             QuantflowError::Extraction(e) => write!(f, "quantflow: {e}"),
         }
-    }
-}
-
-/// How many times one output column's scale is folded into the result
-/// under `discipline` for a stream gathered along `dim` in `chunks` chunks.
-///
-/// Column-gathered slices own their output columns, so per-slice scaling is
-/// exact. Row-gathered slices contribute partial sums to *every* column;
-/// per-slice scaling there multiplies the shared accumulator once per
-/// chunk, while after-fold scaling touches it exactly once.
-fn scale_applications(discipline: ScaleDiscipline, dim: usize, chunks: usize) -> usize {
-    match (discipline, dim) {
-        (ScaleDiscipline::PerSlice, 0) => chunks,
-        (ScaleDiscipline::PerSlice | ScaleDiscipline::AfterFold, _) => 1,
     }
 }
 
@@ -196,7 +151,7 @@ pub fn check_quantflow(
     let mut dense_bytes = 0usize;
 
     for step in schedule.layer.iter().chain(&schedule.final_steps) {
-        let Step::Collective { label, op, axes, input, chunks, wire, .. } = step else {
+        let Step::Collective { label, op, axes, input, wire, .. } = step else {
             continue;
         };
         if *wire != WireFormat::Int8 {
@@ -236,31 +191,13 @@ pub fn check_quantflow(
                 schedule_dim: matrix_dim,
             });
         }
-        let applications = scale_applications(stream.discipline, stream.dim, *chunks);
-        if applications != 1 {
-            return Err(QuantflowError::ScaleMisapplied { label, applications });
-        }
-        // Wire volume: the runtime charges the ledger per chunk, each chunk
-        // sliced along the gathered dimension and carrying its own scales.
         let (rows, cols) = if matrix_dim == 0 {
             (shape[..shape.len() - 1].iter().product::<usize>(), shape[shape.len() - 1])
         } else {
             (shape[0], shape[1..].iter().product::<usize>())
         };
-        if shape[schedule_dim] % chunks != 0 {
-            return Err(QuantflowError::ChunkIndivisible {
-                label,
-                chunks: *chunks,
-                extent: shape[schedule_dim],
-            });
-        }
-        let (chunk_rows, chunk_cols) = if matrix_dim == 0 {
-            (rows / chunks, cols)
-        } else {
-            (rows, cols / chunks)
-        };
         let g = torus.group_size(*axes);
-        let quant = chunks * quant_wire_bytes(g, chunk_rows, chunk_cols);
+        let quant = quant_wire_bytes(g, rows, cols);
         let dense = g * rows * cols * usize::try_from(ACT_BYTES).unwrap_or(2);
         if quant >= dense {
             return Err(QuantflowError::WireVolumeMismatch { label, quant, dense });
@@ -294,10 +231,10 @@ mod tests {
     use esti_core::{AttnSharding, FfnLayout, GatherExtent, Layout};
     use esti_hal::DType;
 
-    fn wg_int8(chunks: usize) -> Schedule {
-        // `tiny()` scaled up: a 4-way shard chunked 4 ways needs > 4·chunks
-        // local rows for the per-chunk scale resend of row-gathered streams
-        // (`wo`, `w_out`) to stay below the dense fp16 volume it replaces.
+    fn wg_int8() -> Schedule {
+        // `tiny()` scaled up: a 4-way row shard needs more than 4 local rows
+        // for its per-column scales to stay below the dense fp16 volume the
+        // int8 values replace.
         let mut cfg = esti_model::ModelConfig::tiny();
         cfg.n_heads = 16;
         cfg.d_head = 32;
@@ -308,24 +245,15 @@ mod tests {
             attn: AttnSharding::Head,
             mesh: MeshFactors::new(2, 2, 1),
         };
-        let s = build_schedule(&cfg, &layout, 8, 1).unwrap();
-        let s = if chunks > 1 { s.with_overlap_chunks(chunks) } else { s };
-        s.with_weight_dtype(DType::Int8)
+        build_schedule(&cfg, &layout, 8, 1).unwrap().with_weight_dtype(DType::Int8)
     }
 
     #[test]
     fn weight_gathered_int8_schedule_passes_with_savings() {
-        for chunks in [1, 4] {
-            let s = wg_int8(chunks);
-            let report = check_schedule_quantflow(&s).unwrap();
-            assert!(report.quant_steps > 0, "chunks={chunks}");
-            assert!(report.streams_covered >= 5, "chunks={chunks}");
-            assert!(
-                report.wire_ratio() < 1.0,
-                "int8 wire must beat dense, got {}",
-                report.wire_ratio()
-            );
-        }
+        let report = check_schedule_quantflow(&wg_int8()).unwrap();
+        assert!(report.quant_steps > 0);
+        assert!(report.streams_covered >= 5);
+        assert!(report.wire_ratio() < 1.0, "int8 wire must beat dense, got {}", report.wire_ratio());
     }
 
     #[test]
@@ -343,32 +271,10 @@ mod tests {
     }
 
     #[test]
-    fn double_applied_scale_rejected() {
-        // The ISSUE's seeded mutation: flip a row-gathered stream's
-        // discipline to per-slice. Under chunked overlap the shared
-        // accumulator would absorb each column's scale once per chunk.
-        let s = wg_int8(4);
-        let mut plan = wg_stream_plan();
-        let wo = plan
-            .iter_mut()
-            .find(|st| st.label == "wo weight all-gather")
-            .unwrap();
-        wo.discipline = ScaleDiscipline::PerSlice;
-        let err = check_quantflow(&s, &plan).unwrap_err();
-        match err {
-            QuantflowError::ScaleMisapplied { label, applications } => {
-                assert_eq!(label, "wo weight all-gather");
-                assert_eq!(applications, 4, "once per chunk");
-            }
-            other => panic!("expected ScaleMisapplied, got {other}"),
-        }
-    }
-
-    #[test]
     fn dropped_scale_rejected() {
         // Remove a stream from the executor table: the quantized gather
         // would arrive with scales nobody applies.
-        let s = wg_int8(1);
+        let s = wg_int8();
         let plan: Vec<WgStream> = wg_stream_plan()
             .into_iter()
             .filter(|st| st.label != "wq weight all-gather")
@@ -382,7 +288,7 @@ mod tests {
 
     #[test]
     fn wrong_gather_dim_rejected() {
-        let s = wg_int8(1);
+        let s = wg_int8();
         let mut plan = wg_stream_plan();
         // Claim wq is row-sharded: the schedule's column gather no longer
         // lines up with where the executor expects the scale axis.
@@ -391,7 +297,6 @@ mod tests {
             .find(|st| st.label == "wq weight all-gather")
             .unwrap();
         wq.dim = 0;
-        wq.discipline = ScaleDiscipline::AfterFold;
         let err = check_quantflow(&s, &plan).unwrap_err();
         assert!(matches!(err, QuantflowError::GatherDimMismatch { .. }), "got {err}");
     }
@@ -420,19 +325,5 @@ mod tests {
         *step = WireFormat::Int8;
         let err = check_schedule_quantflow(&s).unwrap_err();
         assert!(err.contains("not an all-gather"), "got {err}");
-    }
-
-    #[test]
-    fn chunked_wire_accounting_matches_the_ledger_per_chunk() {
-        // Column chunks re-slice the scales with the values, telescoping
-        // back to the monolithic closed form; row chunks must each carry
-        // the full per-column scale vector (exactly what the runtime's
-        // chunked quantized exchange posts), so chunking never *under*-
-        // counts and only row-gathered streams pay a scale resend.
-        let mono = check_schedule_quantflow(&wg_int8(1)).unwrap();
-        let chunked = check_schedule_quantflow(&wg_int8(4)).unwrap();
-        assert_eq!(mono.dense_bytes, chunked.dense_bytes);
-        assert!(chunked.quant_bytes >= mono.quant_bytes);
-        assert!(chunked.wire_ratio() < 1.0);
     }
 }

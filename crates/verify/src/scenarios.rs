@@ -40,8 +40,7 @@ pub enum Outcome {
         spmd: SpmdReport,
         /// Memory report (may carry a weight-gathered warning).
         mem: MemReport,
-        /// Fault-path liveness, merged over the monolithic and chunked
-        /// schedules (ranks are shared; sites and injections sum).
+        /// Fault-path liveness over the schedule's collective call sites.
         liveness: LivenessReport,
         /// Quant-dataflow report for int8-weight scenarios (`None` when
         /// weights stay dense — nothing to check).
@@ -103,7 +102,6 @@ pub fn sweep_layouts(model: &ModelConfig, n_chips: usize) -> Vec<Layout> {
 
 /// Run every pass on one (scenario, layout) combination.
 #[must_use]
-#[allow(clippy::too_many_lines)] // one function = the whole pass pipeline.
 pub fn check_combo(s: &Scenario, layout: &Layout) -> Outcome {
     // Pass 1: sharding algebra over the analytic comm model.
     if let Err(e) = check_layout_algebra(&s.model, layout, s.batch) {
@@ -121,24 +119,6 @@ pub fn check_combo(s: &Scenario, layout: &Layout) -> Outcome {
         Ok(r) => r,
         Err(e) => return classify(format!("spmd: {e}")),
     };
-    // Pass 2b: the overlapped runtime's chunked schedule. Chunking splits
-    // each marked collective into sub-ops but must not change sharding
-    // semantics or deadlock-freedom — so the annotated schedule has to
-    // verify too, with at least as many group firings.
-    let chunked = schedule.clone().with_overlap_chunks(4);
-    if let Err(e) = chunked.verify() {
-        return classify(format!("chunked schedule: {e}"));
-    }
-    let chunked_spmd = match check_schedule_spmd(&chunked) {
-        Ok(r) => r,
-        Err(e) => return classify(format!("chunked spmd: {e}")),
-    };
-    if chunked_spmd.firings < spmd.firings {
-        return Outcome::Fail(format!(
-            "chunked spmd: firings dropped {} -> {}",
-            spmd.firings, chunked_spmd.firings
-        ));
-    }
     // Pass 3: memory fit.
     let mem = check_memory_fit(
         &s.machine,
@@ -152,34 +132,21 @@ pub fn check_combo(s: &Scenario, layout: &Layout) -> Outcome {
     if !mem.fits {
         return Outcome::Fail(format!("memory: over HBM — {}", mem.summary()));
     }
-    // Pass 4: fault-path liveness, for both execution modes (monolithic and
-    // chunked overlap): every rank × collective call site × {crash, stall}.
-    let live_mono = match check_schedule_liveness(&schedule) {
+    // Pass 4: fault-path liveness: every rank × collective call site ×
+    // {crash, stall}.
+    let liveness = match check_schedule_liveness(&schedule) {
         Ok(r) => r,
         Err(e) => return Outcome::Fail(format!("liveness: {e}")),
     };
-    let live_chunked = match check_schedule_liveness(&chunked) {
-        Ok(r) => r,
-        Err(e) => return Outcome::Fail(format!("chunked liveness: {e}")),
-    };
-    let liveness = LivenessReport {
-        ranks: live_mono.ranks,
-        call_sites: live_mono.call_sites + live_chunked.call_sites,
-        injections: live_mono.injections + live_chunked.injections,
-    };
     // Pass 5: quant dataflow, when this scenario stores int8 weights. The
-    // annotated schedules must stay SPMD-clean (wire agreement) and every
-    // quantized stream must line up with the executor's scale plan.
+    // annotated schedule must stay SPMD-clean (wire agreement) and every
+    // quantized stream must line up with the executor's stream table.
     let quant = if s.weight_dtype == DType::Int8 {
-        let q_mono = schedule.clone().with_weight_dtype(DType::Int8);
-        let q_chunked = chunked.clone().with_weight_dtype(DType::Int8);
-        if let Err(e) = check_schedule_spmd(&q_chunked) {
+        let q = schedule.with_weight_dtype(DType::Int8);
+        if let Err(e) = check_schedule_spmd(&q) {
             return Outcome::Fail(format!("int8 spmd: {e}"));
         }
-        if let Err(e) = check_schedule_quantflow(&q_mono) {
-            return Outcome::Fail(e);
-        }
-        match check_schedule_quantflow(&q_chunked) {
+        match check_schedule_quantflow(&q) {
             Ok(r) => Some(r),
             Err(e) => return Outcome::Fail(e),
         }

@@ -48,28 +48,17 @@ impl fmt::Display for GroupId {
     }
 }
 
-/// One collective issued by one chip. A schedule step pipelined in `N`
-/// chunks expands into `N` consecutive `ChipOp`s sharing the step's label
-/// as a prefix, each carrying its chunk index and the per-chunk shape —
-/// so the SPMD check proves every member posts the same number of chunks
-/// in the same order, exactly the agreement the runtime's chunked
-/// exchange protocol asserts dynamically.
+/// One collective issued by one chip.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChipOp {
-    /// Diagnostic label of the originating schedule step (shared by all
-    /// chunks of one pipelined collective).
+    /// Diagnostic label of the originating schedule step.
     pub label: &'static str,
     /// The collective operation.
     pub op: SymOp,
     /// The group this chip communicates with.
     pub group: GroupId,
-    /// The chip-local input shape handed to this sub-transfer (the full
-    /// input for a monolithic collective, one chunk's slice otherwise).
+    /// The chip-local input shape handed to the collective.
     pub shape: Vec<usize>,
-    /// Zero-based chunk index within the originating step.
-    pub chunk: usize,
-    /// Total chunk count of the originating step (1 = monolithic).
-    pub chunks: usize,
     /// Payload wire format. Members must agree: a rank posting a dense
     /// tensor into a quantized exchange (or vice versa) is exactly the
     /// disagreement the runtime's `debug_check_agreement` catches
@@ -127,30 +116,7 @@ fn describe(op: &ChipOp) -> String {
         WireFormat::Dense => "",
         WireFormat::Int8 => " (int8 wire)",
     };
-    if op.chunks > 1 {
-        format!(
-            "{} [chunk {}/{}] {} over {} shape {:?}{wire}",
-            op.label,
-            op.chunk + 1,
-            op.chunks,
-            op.op,
-            op.group,
-            op.shape
-        )
-    } else {
-        format!("{} {} over {} shape {:?}{wire}", op.label, op.op, op.group, op.shape)
-    }
-}
-
-/// The dimension a chunked collective slices: the gathered/scattered dim
-/// for all-gather and reduce-scatter, the concatenated dim for all-to-all,
-/// and the trailing dimension for all-reduce (matching the runtime).
-fn chunk_dim(op: SymOp, input: &esti_core::schedule::SymTensor) -> Option<usize> {
-    match op {
-        SymOp::AllGather { dim } | SymOp::ReduceScatter { dim } => input.dim_index(dim),
-        SymOp::AllReduce => Some(input.global.len().saturating_sub(1)),
-        SymOp::AllToAll { concat, .. } => input.dim_index(concat),
-    }
+    format!("{} {} over {} shape {:?}{wire}", op.label, op.op, op.group, op.shape)
 }
 
 /// Extract the per-chip collective program for `n_layers` layer iterations
@@ -167,9 +133,7 @@ pub fn per_chip_program(
 ) -> Result<Vec<Vec<ChipOp>>, String> {
     let torus = schedule.torus;
     // Collect the collective template once; it is identical across layers.
-    // A step pipelined in N chunks contributes N template entries, each
-    // with the per-chunk slice shape.
-    type Proto = (&'static str, SymOp, AxisSet, Vec<usize>, usize, usize, WireFormat);
+    type Proto = (&'static str, SymOp, AxisSet, Vec<usize>, WireFormat);
     let mut layer_ops: Vec<Proto> = Vec::new();
     let mut final_ops: Vec<Proto> = Vec::new();
     for (steps, out) in [
@@ -177,26 +141,11 @@ pub fn per_chip_program(
         (&schedule.final_steps, &mut final_ops),
     ] {
         for step in steps {
-            if let Step::Collective { label, op, axes, input, chunks, wire, .. } = step {
-                let mut shape = input
+            if let Step::Collective { label, op, axes, input, wire, .. } = step {
+                let shape = input
                     .local_shape(torus)
                     .map_err(|e| format!("step \"{label}\": {e}"))?;
-                if *chunks > 1 {
-                    let dim = chunk_dim(*op, input).ok_or_else(|| {
-                        format!("step \"{label}\": chunked collective has no chunkable dimension")
-                    })?;
-                    if shape[dim] % chunks != 0 {
-                        return Err(format!(
-                            "step \"{label}\": {chunks} chunks do not divide local \
-                             dimension extent {}",
-                            shape[dim]
-                        ));
-                    }
-                    shape[dim] /= chunks;
-                }
-                for chunk in 0..*chunks {
-                    out.push((*label, *op, *axes, shape.clone(), chunk, *chunks, *wire));
-                }
+                out.push((*label, *op, *axes, shape, *wire));
             }
         }
     }
@@ -204,27 +153,13 @@ pub fn per_chip_program(
     let mut programs = vec![Vec::new(); torus.chip_count()];
     for coord in torus.chips() {
         let program = &mut programs[torus.chip_id(coord)];
-        for _ in 0..n_layers {
-            for &(label, op, axes, ref shape, chunk, chunks, wire) in &layer_ops {
-                program.push(ChipOp {
-                    label,
-                    op,
-                    group: GroupId::of(coord, axes),
-                    shape: shape.clone(),
-                    chunk,
-                    chunks,
-                    wire,
-                });
-            }
-        }
-        for &(label, op, axes, ref shape, chunk, chunks, wire) in &final_ops {
+        let ops = (0..n_layers).flat_map(|_| &layer_ops).chain(&final_ops);
+        for &(label, op, axes, ref shape, wire) in ops {
             program.push(ChipOp {
                 label,
                 op,
                 group: GroupId::of(coord, axes),
                 shape: shape.clone(),
-                chunk,
-                chunks,
                 wire,
             });
         }
@@ -281,8 +216,6 @@ pub fn check_spmd(torus: TorusShape, programs: &[Vec<ChipOp>]) -> Result<SpmdRep
                     Some(other) if other.group == op.group => {
                         if other.op != op.op
                             || other.label != op.label
-                            || other.chunk != op.chunk
-                            || other.chunks != op.chunks
                             || other.wire != op.wire
                         {
                             return Err(SpmdError::Mismatch {
@@ -362,8 +295,6 @@ mod tests {
             op,
             group: GroupId::of(coord, axes),
             shape: vec![2, 2],
-            chunk: 0,
-            chunks: 1,
             wire: WireFormat::Dense,
         }
     }
@@ -451,62 +382,6 @@ mod tests {
         match err {
             SpmdError::Deadlock { ref stuck } => assert_eq!(stuck.len(), 4, "{err}"),
             other => panic!("expected deadlock, got {other}"),
-        }
-    }
-
-    #[test]
-    fn chunked_step_expands_to_sub_ops_and_stays_clean() {
-        use esti_core::layout::MeshFactors;
-        use esti_core::schedule::build_schedule;
-        use esti_core::{AttnSharding, FfnLayout, Layout};
-        let cfg = esti_model::ModelConfig::tiny();
-        let layout = Layout {
-            ffn: FfnLayout::WeightStationary1D,
-            attn: AttnSharding::Head,
-            mesh: MeshFactors::new(2, 2, 1),
-        };
-        let mono = build_schedule(&cfg, &layout, 8, 1).unwrap();
-        let chunked = mono.clone().with_overlap_chunks(4);
-        let mono_prog = per_chip_program(&mono, 1).unwrap();
-        let prog = per_chip_program(&chunked, 1).unwrap();
-        // d_model = 16, want 4 -> every marked all-reduce becomes 4 sub-ops.
-        assert!(
-            prog[0].len() > mono_prog[0].len(),
-            "chunking must expand the per-chip program ({} vs {})",
-            prog[0].len(),
-            mono_prog[0].len()
-        );
-        let sub: Vec<_> = prog[0]
-            .iter()
-            .filter(|o| o.label == "block all-reduce" || o.label == "mlp all-reduce")
-            .collect();
-        assert_eq!(sub.len(), 4, "one marked all-reduce expands to 4 chunks");
-        for (i, o) in sub.iter().enumerate() {
-            assert_eq!(o.chunk, i);
-            assert_eq!(o.chunks, 4);
-            assert_eq!(*o.shape.last().unwrap(), cfg.d_model / 4);
-            assert!(describe(o).contains(&format!("[chunk {}/4]", i + 1)), "{}", describe(o));
-        }
-        let report = check_spmd(chunked.torus, &prog).unwrap();
-        assert!(report.firings > mono_prog[0].len());
-    }
-
-    #[test]
-    fn mismatched_chunk_counts_reported() {
-        let torus = two_chip_torus();
-        let z = AxisSet::single(Axis::Z);
-        let c0 = ChipCoord::new(0, 0, 0);
-        let c1 = ChipCoord::new(0, 0, 1);
-        let mut a = op("ar", SymOp::AllReduce, c0, z);
-        a.chunks = 2;
-        let mut b = op("ar", SymOp::AllReduce, c1, z);
-        b.chunks = 4;
-        let err = check_spmd(torus, &[vec![a], vec![b]]).unwrap_err();
-        match err {
-            SpmdError::Mismatch { detail, .. } => {
-                assert!(detail.contains("chunk"), "got {detail}");
-            }
-            other => panic!("expected mismatch, got {other}"),
         }
     }
 

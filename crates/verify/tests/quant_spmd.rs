@@ -1,19 +1,15 @@
-//! Property tests for the SPMD pass over the chunked × int8 schedule
-//! surface.
+//! Property tests for the SPMD pass over the int8 schedule surface.
 //!
 //! Two properties:
 //!
 //! * **Acceptance**: every schedule the runtime can emit — any built-in
-//!   layout, any overlap chunk count, with or without int8 weight
-//!   annotation — extracts to per-chip programs that pass
-//!   [`check_schedule_spmd`]. The chunked wire format and the chunk
-//!   sub-transfers are part of the checked protocol, so this covers the
-//!   full `with_overlap_chunks` × `with_weight_dtype` product.
-//! * **Rejection**: corrupting a single chip's program — bumping one op's
-//!   chunk count or flipping its wire dtype, the two disagreements the
-//!   runtime's `debug_check_agreement` catches dynamically — must be
-//!   rejected by [`check_spmd`]. A lint that cannot see a divergent rank
-//!   would prove nothing about the fleet.
+//!   layout, with or without int8 weight annotation — extracts to per-chip
+//!   programs that pass [`check_schedule_spmd`]. The wire format is part of
+//!   the checked protocol.
+//! * **Rejection**: corrupting a single chip's program by flipping one op's
+//!   wire dtype — a disagreement the runtime's `debug_check_agreement`
+//!   catches dynamically — must be rejected by [`check_spmd`]. A lint that
+//!   cannot see a divergent rank would prove nothing about the fleet.
 
 use esti_core::layout::MeshFactors;
 use esti_core::schedule::{build_schedule, Schedule, WireFormat};
@@ -55,10 +51,9 @@ fn layout_points() -> Vec<Layout> {
     ]
 }
 
-fn build(layout: &Layout, batch: usize, chunks: usize, int8: bool) -> Schedule {
+fn build(layout: &Layout, batch: usize, int8: bool) -> Schedule {
     let cfg = esti_model::ModelConfig::tiny();
     let s = build_schedule(&cfg, layout, batch, 1).expect("built-in layout must build");
-    let s = if chunks > 1 { s.with_overlap_chunks(chunks) } else { s };
     if int8 {
         s.with_weight_dtype(DType::Int8)
     } else {
@@ -83,10 +78,9 @@ proptest! {
     fn runtime_emittable_schedules_are_spmd_clean(
         layout in prop::sample::select(layout_points()),
         batch in prop::sample::select(vec![4usize, 8]),
-        chunks in prop::sample::select(vec![1usize, 2, 4]),
         int8 in prop::sample::select(vec![false, true]),
     ) {
-        let s = build(&layout, batch, chunks, int8);
+        let s = build(&layout, batch, int8);
         let report = check_schedule_spmd(&s).expect("emittable schedule must pass");
         prop_assert!(report.chips == 4);
         prop_assert!(report.ops > 0);
@@ -100,31 +94,11 @@ proptest! {
     }
 
     #[test]
-    fn single_rank_chunk_count_divergence_is_rejected(
-        layout in prop::sample::select(layout_points()),
-        chunks in prop::sample::select(vec![2usize, 4]),
-        victim in 0usize..4,
-    ) {
-        let s = build(&layout, 8, chunks, false);
-        let mut programs = per_chip_program(&s, 1).expect("programs extract");
-        let Some(i) = shared_op_index(&s, &programs[victim]) else {
-            prop_assert!(false, "every built-in layout has a shared collective");
-            continue;
-        };
-        programs[victim][i].chunks += 1;
-        prop_assert!(
-            check_spmd(s.torus, &programs).is_err(),
-            "a rank disagreeing on chunk count must be flagged"
-        );
-    }
-
-    #[test]
     fn single_rank_wire_dtype_divergence_is_rejected(
         layout in prop::sample::select(layout_points()),
-        chunks in prop::sample::select(vec![1usize, 4]),
         victim in 0usize..4,
     ) {
-        let s = build(&layout, 8, chunks, true);
+        let s = build(&layout, 8, true);
         let mut programs = per_chip_program(&s, 1).expect("programs extract");
         let Some(i) = shared_op_index(&s, &programs[victim]) else {
             prop_assert!(false, "every built-in layout has a shared collective");

@@ -3,7 +3,7 @@
 //! and the memory model must agree with each other, not just each pass
 //! their own unit tests.
 
-use esti::core::layout::{AttnSharding, FfnLayout, Layout, MeshFactors, PieceKind};
+use esti::core::layout::{AttnSharding, FfnLayout, GatherExtent, Layout, MeshFactors, PieceKind};
 use esti::core::memory;
 use esti::core::pareto::{decode_sweep, pareto_frontier};
 use esti::core::planner::{decode_layout_for_batch, plan_inference};
@@ -116,33 +116,35 @@ fn comm_pieces_follow_the_paper_axis_assignment() {
 #[test]
 fn generation_is_deterministic_across_layouts() {
     // Greedy generation must produce identical tokens whichever layout
-    // executes it — partitioning is an implementation detail.
+    // executes it — partitioning is an implementation detail. The five
+    // layouts cover all four dataflows and both attention shardings; the
+    // int8 pass sends quantized weights through every weight gather.
     let model = ReferenceModel::init_random(ModelConfig::tiny(), 102);
     let prompts: Vec<Vec<usize>> = (0..4).map(|b| vec![b + 2, b + 4, b + 6, b + 8]).collect();
     let opts = GenerateOptions { max_new_tokens: 6, ..GenerateOptions::default() };
-    let mut outputs = Vec::new();
-    for layout in [
-        Layout {
-            ffn: FfnLayout::WeightStationary1D,
-            attn: AttnSharding::Head,
-            mesh: MeshFactors::new(1, 4, 1),
-        },
-        Layout {
-            ffn: FfnLayout::WeightStationary2D,
-            attn: AttnSharding::Batch,
-            mesh: MeshFactors::new(2, 2, 1),
-        },
-        Layout {
-            ffn: FfnLayout::WeightGathered(esti::core::layout::GatherExtent::Xyz),
-            attn: AttnSharding::Batch,
-            mesh: MeshFactors::new(4, 1, 1),
-        },
-    ] {
-        let mut engine = PartitionedEngine::new(&model, layout, WeightFormat::Exact);
-        outputs.push(engine.generate(&prompts, &opts));
+    let layouts = [
+        (FfnLayout::WeightStationary1D, AttnSharding::Head, MeshFactors::new(1, 4, 1)),
+        (FfnLayout::WeightStationary1D, AttnSharding::Batch, MeshFactors::new(1, 4, 1)),
+        (FfnLayout::WeightStationary2D, AttnSharding::Batch, MeshFactors::new(2, 2, 1)),
+        (FfnLayout::WeightGathered(GatherExtent::Xyz), AttnSharding::Batch, MeshFactors::new(4, 1, 1)),
+        (FfnLayout::WeightGathered(GatherExtent::X), AttnSharding::Head, MeshFactors::new(2, 2, 1)),
+    ]
+    .map(|(ffn, attn, mesh)| Layout { ffn, attn, mesh });
+    for fmt in [WeightFormat::Exact, WeightFormat::Int8] {
+        let outputs: Vec<_> = layouts
+            .iter()
+            .map(|&layout| PartitionedEngine::new(&model, layout, fmt).generate(&prompts, &opts))
+            .collect();
+        for (layout, out) in layouts.iter().zip(&outputs).skip(1) {
+            assert_eq!(
+                outputs[0],
+                *out,
+                "{fmt:?}: {} diverged from {}",
+                layout.describe(),
+                layouts[0].describe()
+            );
+        }
     }
-    assert_eq!(outputs[0], outputs[1], "1D vs 2D generation diverged");
-    assert_eq!(outputs[0], outputs[2], "1D vs WG generation diverged");
 }
 
 #[test]
