@@ -17,6 +17,10 @@ echo "== kernel conformance: SIMD and worker-pool paths bit-identical to the sca
 # oracle on every CI run.
 cargo test -q --release -p esti-tensor --test kernels
 ESTI_DISABLE_SIMD=1 cargo test -q --release -p esti-tensor --test kernels
+# The fused attention kernel against the unfused matmul/softmax composition,
+# bit for bit; the oracle side goes through ops::matmul, so both tiers.
+cargo test -q --release -p esti-model fused_attention
+ESTI_DISABLE_SIMD=1 cargo test -q --release -p esti-model fused_attention
 
 echo "== thread conformance: intra-chip worker count invisible in logits and tokens =="
 cargo test -q --release -p esti-runtime --test threads
@@ -57,6 +61,14 @@ echo "== fault conformance: crash any rank, recovered streams bit-identical =="
 # a hang — and (b) post-recovery token streams bit-identical to a
 # fault-free run, with the replay cost matching esti-netsim's model.
 cargo test -q --release -p esti-runtime --test faults
+
+echo "== frozen benchmark: builds against the workspace crates, oracle passes =="
+# benchmark/ is its own [workspace], so nothing above compiles it: a pub its
+# probes use (KvCache::read_slot, attention_over_cache, ops::softmax_base2,
+# insert_row_shared, ...) going away would otherwise first fail in the
+# acceptance pipeline. --check-only runs one short rep per workload and the
+# single-chip oracle, no timing.
+cargo run --release --quiet --manifest-path benchmark/Cargo.toml -- --check-only
 
 echo "== benches compile =="
 cargo bench --no-run -q

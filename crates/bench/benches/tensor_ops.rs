@@ -1,11 +1,13 @@
 //! Microbenchmarks of the numeric substrate: matmul, the log-base-2
-//! softmax/swish fast paths (Section 3.5), int8 weight matmul
-//! (Section 3.6), and the partial-selection top-k sampler.
+//! softmax/swish fast paths (Section 3.5), the fused attention kernel at a
+//! long-context decode shape, int8 weight matmul (Section 3.6), and the
+//! partial-selection top-k sampler.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use esti_model::{attention_over_cache, KvCache};
 use esti_tensor::sample::top_k_indices;
 use esti_tensor::{ops, QuantizedMatrix, Tensor};
 
@@ -48,6 +50,24 @@ fn bench_softmax(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_attention(c: &mut Criterion) {
+    // One chip's share of a batch-sharded multiquery decode step: 2 rows ×
+    // 2048 cached positions × 8 query heads of 32 over one KV head, read
+    // through the default 16-position pages.
+    let (rows, context, heads, d_head) = (2, 2048, 8, 32);
+    let mut group = c.benchmark_group("attention_over_cache");
+    let mut rng = StdRng::seed_from_u64(5);
+    let mut cache = KvCache::paged(1, 16);
+    let kv = |rng: &mut StdRng| Tensor::randn(rng, vec![rows, context, d_head], 1.0);
+    cache.append(0, &kv(&mut rng), &kv(&mut rng));
+    let q = Tensor::randn(&mut rng, vec![rows, 1, heads * d_head], 1.0);
+    group.throughput(Throughput::Elements((rows * context * heads) as u64));
+    group.bench_function("decode_2x2048x8x32", |bench| {
+        bench.iter(|| attention_over_cache(&q, &cache, 0, d_head));
+    });
+    group.finish();
+}
+
 fn bench_swish(c: &mut Criterion) {
     let mut group = c.benchmark_group("swish");
     let mut rng = StdRng::seed_from_u64(3);
@@ -75,6 +95,7 @@ criterion_group!(
     bench_matmul,
     bench_quantized_matmul,
     bench_softmax,
+    bench_attention,
     bench_swish,
     bench_top_k
 );

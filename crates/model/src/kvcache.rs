@@ -19,6 +19,11 @@
 //!   page-granular: a shared page returns to the free list only when its
 //!   last reference drops.
 //!
+//! Both backends are read through one accessor, [`KvCache::row_runs`]: a
+//! row's valid positions as borrowed contiguous `(k, v)` runs in ascending
+//! order (the slab is "one run"). The attention kernel walks the runs in
+//! place, so which backend holds the bytes cannot change a result.
+//!
 //! Determinism makes prefix sharing exact rather than approximate: causal
 //! attention means K/V at position `p` depend only on tokens `0..=p`, and
 //! every kernel in this workspace is bit-deterministic, so a page keyed by
@@ -575,49 +580,72 @@ impl KvCache {
         }
     }
 
+    /// Feature width `Hkv·d_head` of the cached rows (0 before the first
+    /// write).
+    #[must_use]
+    pub fn width(&self) -> usize {
+        match &self.backend {
+            Backend::Slab(layers) => layers.iter().flatten().next().map_or(0, Entry::width),
+            Backend::Paged(p) => p.width.unwrap_or(0),
+        }
+    }
+
+    /// Row `row`'s valid positions of `layer` as borrowed contiguous
+    /// `(k, v)` runs in ascending position order, each a whole number of
+    /// `width`-float positions — the one block-table traversal every read
+    /// goes through. The slab yields one run; the paged backend one run per
+    /// block-table entry, the last possibly partial. A page shared with
+    /// other rows (or copied out of one) reads like any other. An empty row,
+    /// or a layer nothing was written to, yields no run.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `layer` is out of range, or `row` is out of range for a
+    /// cache that holds contents.
+    pub fn row_runs(&self, layer: usize, row: usize) -> impl Iterator<Item = (&[f32], &[f32])> {
+        let (slab, paged) = match &self.backend {
+            Backend::Slab(layers) => {
+                let run = layers[layer].as_ref().filter(|e| e.lens[row] > 0).map(|e| {
+                    let d = e.width();
+                    let span = row * e.capacity() * d..(row * e.capacity() + e.lens[row]) * d;
+                    (&e.k.data()[span.clone()], &e.v.data()[span])
+                });
+                (run, None)
+            }
+            Backend::Paged(p) => {
+                let runs = p.width.map(|d| {
+                    let (s, len) = (p.page_size, p.lens[layer][row]);
+                    p.tables[row].iter().take(len.div_ceil(s)).enumerate().map(
+                        move |(pi, &pid)| {
+                            let n = (len - pi * s).min(s) * d;
+                            (&p.pages[pid].k[layer][..n], &p.pages[pid].v[layer][..n])
+                        },
+                    )
+                });
+                (None, runs)
+            }
+        };
+        slab.into_iter().chain(paged.into_iter().flatten())
+    }
+
     /// Reads one batch row of `layer` back as `([l, D], [l, D])` tensors —
-    /// the extraction half of slot management. Both backends materialize
-    /// exactly the row's valid positions in order, so the bytes are
-    /// identical regardless of backing layout.
+    /// the extraction half of slot management: the concatenation of
+    /// [`KvCache::row_runs`], so the bytes are identical regardless of
+    /// backing layout.
     ///
     /// # Panics
     ///
     /// Panics if `layer` has no contents or `row` is out of range.
     #[must_use]
     pub fn read_slot(&self, layer: usize, row: usize) -> (Tensor, Tensor) {
-        match &self.backend {
-            Backend::Slab(layers) => {
-                // Vetted: the documented usage-contract panic (read before any
-                // append) — an assert with a message, not a swallowed runtime fault.
-                #[allow(clippy::expect_used)]
-                let entry = layers[layer].as_ref().expect("layer has no cached contents");
-                let (cap, d) = (entry.capacity(), entry.width());
-                let len = entry.lens[row];
-                let off = row * cap * d;
-                let k = Tensor::from_vec(vec![len, d], entry.k.data()[off..off + len * d].to_vec());
-                let v = Tensor::from_vec(vec![len, d], entry.v.data()[off..off + len * d].to_vec());
-                (k, v)
-            }
-            Backend::Paged(p) => {
-                // Vetted: same usage contract as the slab arm.
-                #[allow(clippy::expect_used)]
-                let d = p.width.expect("layer has no cached contents");
-                let len = p.lens[layer][row];
-                let s = p.page_size;
-                let mut kd = Vec::with_capacity(len * d);
-                let mut vd = Vec::with_capacity(len * d);
-                let mut pos = 0;
-                while pos < len {
-                    let (pi, off) = (pos / s, pos % s);
-                    let run = (s - off).min(len - pos);
-                    let pid = p.tables[row][pi];
-                    kd.extend_from_slice(&p.pages[pid].k[layer][off * d..(off + run) * d]);
-                    vd.extend_from_slice(&p.pages[pid].v[layer][off * d..(off + run) * d]);
-                    pos += run;
-                }
-                (Tensor::from_vec(vec![len, d], kd), Tensor::from_vec(vec![len, d], vd))
-            }
+        let (len, d) = (self.row_lens(layer)[row], self.width());
+        let mut kd = Vec::with_capacity(len * d);
+        let mut vd = Vec::with_capacity(len * d);
+        for (k, v) in self.row_runs(layer, row) {
+            kd.extend_from_slice(k);
+            vd.extend_from_slice(v);
         }
+        (Tensor::from_vec(vec![len, d], kd), Tensor::from_vec(vec![len, d], vd))
     }
 
     /// Marks one batch row empty in every layer (eviction). The slab keeps
@@ -647,7 +675,7 @@ impl KvCache {
 
     /// The raw cached `(K, V)` slabs for `layer` (`[B, capacity, Hkv·dh]`),
     /// if any rows exist — slab backend only (the paged backend has no
-    /// dense per-layer view; read rows via [`KvCache::read_slot`] or a
+    /// dense per-layer view; walk rows via [`KvCache::row_runs`] or take a
     /// trimmed copy via [`KvCache::contents`]).
     #[must_use]
     pub fn get(&self, layer: usize) -> Option<(&Tensor, &Tensor)> {
@@ -682,8 +710,8 @@ impl KvCache {
         let mut vs = Vec::with_capacity(b);
         for r in 0..b {
             let (k, v) = self.read_slot(layer, r);
-            ks.push(k.into_reshape(vec![1, len, k_width(&self.backend)]));
-            vs.push(v.into_reshape(vec![1, len, k_width(&self.backend)]));
+            ks.push(k.into_reshape(vec![1, len, self.width()]));
+            vs.push(v.into_reshape(vec![1, len, self.width()]));
         }
         let kr: Vec<&Tensor> = ks.iter().collect();
         let vr: Vec<&Tensor> = vs.iter().collect();
@@ -782,15 +810,6 @@ impl KvCache {
                 **p = Paged::new(p.n_layers, p.page_size);
             }
         }
-    }
-}
-
-fn k_width(backend: &Backend) -> usize {
-    match backend {
-        Backend::Slab(layers) => {
-            layers.iter().flatten().next().map_or(0, Entry::width)
-        }
-        Backend::Paged(p) => p.width.unwrap_or(0),
     }
 }
 
@@ -974,6 +993,46 @@ mod tests {
                     assert_eq!(vs.data(), vp.data(), "S={page_size} layer={layer} row={row}");
                 }
                 assert_eq!(slab.row_lens(layer), paged.row_lens(layer));
+            }
+        }
+    }
+
+    #[test]
+    fn row_runs_concatenate_to_the_row_on_both_backends() {
+        let (d, l) = (4, 7);
+        for page in [None, Some(1), Some(3), Some(16)] {
+            let mut c = page.map_or_else(|| KvCache::new(2), |s| KvCache::paged(2, s));
+            // Rows 0 and 1 admit the same prompt (shared pages when paged),
+            // row 2 stays empty; then every row appends two positions, rows
+            // 0/1 into what was their shared tail page.
+            let kv = layer_kv(2, 1.0, l, d);
+            let tokens: Vec<usize> = (0..l).collect();
+            c.insert_row_shared(0, 3, &kv, &tokens);
+            c.insert_row_shared(1, 3, &kv, &tokens);
+            let step = seq(50.0, 3 * 2, d).into_reshape(vec![3, 2, d]);
+            c.append(0, &step, &step.scale(-1.0));
+            // Mid-forward: layer 1 has not appended yet, so its runs stop at
+            // its own length though the block table already covers more.
+            assert_eq!(c.row_runs(1, 0).map(|(k, _)| k.len()).sum::<usize>(), l * d);
+            assert_eq!(c.row_runs(1, 2).count(), 0, "empty row yields no run");
+            c.append(1, &step, &step.scale(-1.0));
+            for (li, (prompt_k, _)) in kv.iter().enumerate() {
+                assert_eq!(c.row_lens(li), &[l + 2, l + 2, 2]);
+                for row in 0..3 {
+                    let prompt = if row < 2 { prompt_k.data() } else { &[] };
+                    let want_k = [prompt, &step.data()[row * 2 * d..(row + 1) * 2 * d]].concat();
+                    let want_v: Vec<f32> = want_k.iter().map(|x| -x).collect();
+                    let runs: Vec<_> = c.row_runs(li, row).collect();
+                    assert_eq!(runs.iter().flat_map(|r| r.0).copied().collect::<Vec<_>>(), want_k);
+                    assert_eq!(runs.iter().flat_map(|r| r.1).copied().collect::<Vec<_>>(), want_v);
+                    let (k, v) = c.read_slot(li, row);
+                    assert_eq!((k.shape(), k.data()), (&[want_k.len() / d, d][..], &want_k[..]));
+                    assert_eq!(v.data(), want_v);
+                    // Slab: one run. Paged: whole pages, then the partial tail.
+                    let s = page.unwrap_or(usize::MAX);
+                    assert_eq!(runs.len(), (want_k.len() / d).div_ceil(s), "page={page:?}");
+                    assert!(runs.iter().rev().skip(1).all(|r| r.0.len() == s * d));
+                }
             }
         }
     }

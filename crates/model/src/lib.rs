@@ -41,5 +41,5 @@ pub mod weights;
 
 pub use config::{AttentionKind, BlockKind, MlpKind, ModelConfig, PositionKind};
 pub use kvcache::{KvCache, PageStats};
-pub use reference::{attention_core, attention_core_ragged, attention_over_cache, ReferenceModel};
+pub use reference::{attention_over_cache, ReferenceModel};
 pub use weights::{LayerWeights, Weights};

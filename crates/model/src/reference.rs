@@ -228,111 +228,228 @@ impl ReferenceModel {
     }
 }
 
-/// Scaled-dot-product causal attention over whatever heads are present
-/// locally: `q` is `[B, Lq, Hq·dh]`, `k`/`v` are `[B, Lk, Hkv·dh]`, and
-/// query head `h` attends to key/value head `h % Hkv` (so `Hkv = 1` is
-/// multiquery and `Hkv = Hq` multihead). Returns `[B, Lq, Hq·dh]`.
-///
-/// Shared with the partitioned runtime so that head-sharded and
-/// batch-sharded executions use byte-identical attention semantics.
-///
-/// # Panics
-///
-/// Panics if head widths are not multiples of `d_head` or batch/context
-/// dims disagree.
-#[must_use]
-pub fn attention_core(q: &Tensor, k: &Tensor, v: &Tensor, d_head: usize) -> Tensor {
-    let lens = vec![k.dim(1); q.dim(0)];
-    attention_core_ragged(q, k, v, d_head, &lens)
-}
+/// Query positions scored against one pass over a row's keys: K and V are
+/// each streamed once per block, and the score scratch holds
+/// `context × heads·QB` floats.
+const QB: usize = 8;
+/// Positions per kernel step: longer cache runs are cut to this, so the
+/// slab's single run and a paged block table walk the same loop nest.
+const RUN: usize = 16;
+/// QK register tile: `KT` keys × `LT` lanes (a lane is one query head at
+/// one query position), resident across the `d_head` loop.
+const KT: usize = 8;
+const LT: usize = 8;
+/// PV register tile: `MR` lanes × `NR` head-dim columns, resident across
+/// one run's keys.
+const MR: usize = 4;
+const NR: usize = 32;
 
-/// Length-masked variant of [`attention_core`] for ragged batches: `k`/`v`
-/// are `[B, capacity, Hkv·dh]` slabs (as stored by the slot-based
-/// [`KvCache`]) of which row `bi` holds `lens[bi]` valid positions; row
-/// `bi`'s queries occupy absolute positions `lens[bi] - Lq .. lens[bi]`.
-/// With uniform `lens` equal to the capacity this is exactly
-/// [`attention_core`] — each batch row was already computed independently,
-/// so trimming per row changes nothing for dense inputs.
+/// Scaled-dot-product causal attention of `q` (`[B, Lq, Hq·dh]`, whatever
+/// heads are present locally) over `layer` of `cache`, whose rows hold
+/// `[len, Hkv·dh]` keys and values of ragged per-row lengths; row `bi`'s
+/// queries occupy the last `Lq` of its positions and query head `h` attends
+/// key/value head `h % Hkv` (so `Hkv = 1` is multiquery, `Hkv = Hq`
+/// multihead, and a head-sharded subset is just fewer heads). Returns
+/// `[B, Lq, Hq·dh]`.
+///
+/// One fused kernel shared by the reference model and every partitioned
+/// layout: it walks each row's [`KvCache::row_runs`] in place — no page
+/// gather, no per-head K/V copies, no per-head score tensors. Per row, KV
+/// head and block of [`QB`] query positions it (1) streams the key runs
+/// once, scoring every head of the block against each key into one reused
+/// `[key, lane]` scratch, (2) turns each lane's column into probabilities,
+/// (3) streams the value runs once, accumulating every head's context
+/// straight into the output.
+///
+/// Accumulation contract (what keeps every layout and both cache backends
+/// bit-identical, and identical to the unfused `matmul → scale →
+/// causal_mask → softmax_base2 → matmul` composition): a score is one
+/// serial chain `s = 0; s += q[d]·k[j][d]` in ascending `d`, then
+/// `s · 1/√dh`; a probability is `e_j / Σe` with `e_j = exp2((s_j − max)·
+/// log2 e)`, `max` folded and `Σe` summed from `0` in ascending `j`; an
+/// output is one chain `o = 0; o += p_j·v[j][d]` in ascending `j`. Never a
+/// fused multiply-add, never a rescaled partial sum. Keys past a block's
+/// last query are skipped; the few its earlier queries must not see are
+/// scored `-inf`, so they leave `max` alone and add `+0` to `Σe` and `±0`
+/// to `o` — after every visible term of chains that are never `-0`.
 ///
 /// # Panics
 ///
-/// Panics if `lens` disagrees with the batch dim, any `lens[bi]` exceeds
-/// the slab capacity or is shorter than `Lq`, or head widths are not
-/// multiples of `d_head`.
-#[must_use]
-pub fn attention_core_ragged(
-    q: &Tensor,
-    k: &Tensor,
-    v: &Tensor,
-    d_head: usize,
-    lens: &[usize],
-) -> Tensor {
-    let b = q.dim(0);
-    assert_eq!(k.dim(0), b, "batch mismatch between Q and K");
-    assert_eq!(k.shape(), v.shape(), "K and V must have matching shapes");
-    let cap = k.dim(1);
-    assert!(k.dim(2).is_multiple_of(d_head), "head width mismatch");
-    let kd = k.dim(2);
-    attention_rows(q, d_head, lens, |bi, l_k| {
-        assert!(l_k <= cap, "row {bi} length {l_k} exceeds slab capacity {cap}");
-        let row = bi * cap * kd;
-        let k_b = Tensor::from_vec(vec![l_k, kd], k.data()[row..row + l_k * kd].to_vec());
-        let v_b = Tensor::from_vec(vec![l_k, kd], v.data()[row..row + l_k * kd].to_vec());
-        (k_b, v_b)
-    })
-}
-
-/// [`attention_core_ragged`] reading K/V for `layer` directly out of a
-/// [`KvCache`] row by row ([`KvCache::read_slot`]), so the same attention
-/// math runs over either cache backend — the slab's contiguous row copy
-/// and the paged backend's block-table gather materialize byte-identical
-/// `[Lk, Hkv·dh]` buffers, which is what makes paged decode bit-identical
-/// to slab decode by construction.
-///
-/// # Panics
-///
-/// Panics as [`attention_core_ragged`] does, or if `layer` holds nothing.
+/// Panics if head widths are not multiples of `d_head`, `layer` does not
+/// hold one row per row of `q`, or a row is shorter than `Lq`.
 #[must_use]
 pub fn attention_over_cache(q: &Tensor, cache: &KvCache, layer: usize, d_head: usize) -> Tensor {
-    attention_rows(q, d_head, cache.row_lens(layer), |bi, _| cache.read_slot(layer, bi))
-}
-
-/// The shared per-row, per-head attention loop: `row_kv(bi, lens[bi])`
-/// materializes row `bi`'s valid `([Lk, Hkv·dh], [Lk, Hkv·dh])` K/V pair.
-fn attention_rows(
-    q: &Tensor,
-    d_head: usize,
-    lens: &[usize],
-    row_kv: impl Fn(usize, usize) -> (Tensor, Tensor),
-) -> Tensor {
-    let (b, l_q) = (q.dim(0), q.dim(1));
+    let (b, l_q, qw) = (q.dim(0), q.dim(1), q.dim(2));
+    let lens = cache.row_lens(layer);
     assert_eq!(lens.len(), b, "one valid length per batch row");
-    assert!(q.dim(2).is_multiple_of(d_head), "head width mismatch");
-    let hq = q.dim(2) / d_head;
+    let kw = cache.width();
+    assert!(qw.is_multiple_of(d_head) && kw.is_multiple_of(d_head), "head width mismatch");
+    let (hq, hkv) = (qw / d_head, kw / d_head);
     let scale = 1.0 / (d_head as f32).sqrt();
-    let mut per_batch = Vec::with_capacity(b);
+    let mut out = vec![0.0f32; b * l_q * qw];
+    let (mut qt, mut scores, mut max, mut sum) = (Vec::new(), Vec::new(), Vec::new(), Vec::new());
     for (bi, &l_k) in lens.iter().enumerate() {
         assert!(l_k >= l_q, "row {bi} length {l_k} shorter than query length {l_q}");
-        let q_b = q.slice(0, bi, 1).into_reshape(vec![l_q, hq * d_head]);
-        let (k_b, v_b) = row_kv(bi, l_k);
-        assert_eq!(k_b.shape(), v_b.shape(), "K and V must have matching shapes");
-        assert!(k_b.dim(1).is_multiple_of(d_head), "head width mismatch");
-        let hkv = k_b.dim(1) / d_head;
-        let mut heads = Vec::with_capacity(hq);
-        for hi in 0..hq {
-            let kv_i = hi % hkv;
-            let q_h = q_b.slice(1, hi * d_head, d_head); // [Lq, dh]
-            let k_h = k_b.slice(1, kv_i * d_head, d_head); // [Lk, dh]
-            let v_h = v_b.slice(1, kv_i * d_head, d_head);
-            let scores = ops::matmul(&q_h, &k_h.transpose()).scale(scale);
-            let probs = ops::softmax_base2(&ops::causal_mask(&scores));
-            heads.push(ops::matmul(&probs, &v_h)); // [Lq, dh]
+        let runs = || {
+            cache.row_runs(layer, bi).flat_map(|(k, v)| k.chunks(RUN * kw).zip(v.chunks(RUN * kw)))
+        };
+        for g in 0..hkv.min(hq) {
+            let n_h = (hq - g).div_ceil(hkv); // query heads g, g + Hkv, … share KV head g
+            for i0 in (0..l_q).step_by(QB) {
+                // Lane `l` is head `g + (l % n_h)·Hkv` of query `i0 + l / n_h`:
+                // it sees `seen(l)` keys and lives at `at(l)` in `q` and `out`.
+                let lanes = QB.min(l_q - i0) * n_h;
+                let seen = |l: usize| l_k - l_q + i0 + l / n_h + 1;
+                let at = |l: usize| ((bi * l_q + i0 + l / n_h) * hq + g + (l % n_h) * hkv) * d_head;
+                let ctx = seen(lanes - 1);
+
+                // q transposed once to `[dh, lanes]`, zero-padded to whole tiles.
+                let lp = lanes.next_multiple_of(LT);
+                qt.clear();
+                qt.resize(d_head * lp, 0.0);
+                for l in 0..lanes {
+                    for (d, &x) in q.data()[at(l)..][..d_head].iter().enumerate() {
+                        qt[d * lp + l] = x;
+                    }
+                }
+                if scores.len() < ctx * lp {
+                    scores.resize(ctx * lp, 0.0);
+                }
+                let scores = &mut scores[..ctx * lp];
+
+                // (1) scores[j][lane] for the block's `ctx` keys, K read once.
+                let mut rest = &mut scores[..];
+                for (k_run, _) in runs() {
+                    if rest.is_empty() {
+                        break;
+                    }
+                    let n = (k_run.len() / kw * lp).min(rest.len());
+                    let (rows, tail) = std::mem::take(&mut rest).split_at_mut(n);
+                    for (k_tile, rows) in k_run.chunks(KT * kw).zip(rows.chunks_mut(KT * lp)) {
+                        let k_g = &k_tile[g * d_head..];
+                        for l0 in (0..lp).step_by(LT) {
+                            qk_tile(&qt[l0..], &mut rows[l0..], lp, k_g, kw, d_head, scale);
+                        }
+                    }
+                    rest = tail;
+                }
+                for l in 0..lanes {
+                    for j in seen(l)..ctx {
+                        scores[j * lp + l] = f32::NEG_INFINITY;
+                    }
+                }
+
+                // (2) `softmax_base2` down each lane's column, all lanes abreast.
+                max.clear();
+                max.resize(lp, f32::NEG_INFINITY);
+                sum.clear();
+                sum.resize(lp, 0.0);
+                for row in scores.chunks_exact(lp) {
+                    for (m, &s) in max.iter_mut().zip(row) {
+                        *m = m.max(s);
+                    }
+                }
+                for row in scores.chunks_exact_mut(lp) {
+                    for ((s, &m), sum) in row.iter_mut().zip(&max).zip(&mut sum).take(lanes) {
+                        *s = ((*s - m) * std::f32::consts::LOG2_E).exp2();
+                        *sum += *s;
+                    }
+                }
+                for row in scores.chunks_exact_mut(lp) {
+                    for (s, &sum) in row.iter_mut().zip(&sum) {
+                        *s /= sum;
+                    }
+                }
+
+                // (3) out[lane] += p[j][lane] · v[j], V read once.
+                let mut rest = &scores[..];
+                for (_, v_run) in runs() {
+                    if rest.is_empty() {
+                        break;
+                    }
+                    let (p_run, tail) = rest.split_at((v_run.len() / kw * lp).min(rest.len()));
+                    for l0 in (0..lanes).step_by(MR) {
+                        let mr = MR.min(lanes - l0);
+                        for c0 in (0..d_head).step_by(NR) {
+                            let (p, v) = (&p_run[l0..], &v_run[g * d_head + c0..]);
+                            let offs = std::array::from_fn(|r| at(l0 + r.min(mr - 1)) + c0);
+                            if d_head - c0 >= NR {
+                                pv_tile(p, lp, v, kw, NR, &mut out, &offs, mr);
+                            } else {
+                                pv_tile(p, lp, v, kw, d_head - c0, &mut out, &offs, mr);
+                            }
+                        }
+                    }
+                    rest = tail;
+                }
+            }
         }
-        let hs: Vec<&Tensor> = heads.iter().collect();
-        per_batch.push(Tensor::concat(&hs, 1).into_reshape(vec![1, l_q, hq * d_head]));
     }
-    let refs: Vec<&Tensor> = per_batch.iter().collect();
-    Tensor::concat(&refs, 0)
+    Tensor::from_vec(vec![b, l_q, qw], out)
+}
+
+/// `scores[jj][l] = (Σ_d qt[d][l] · k[jj][d]) · scale` for up to `KT` keys ×
+/// `LT` lanes: `qt` and `scores` start at the tile's first lane (row stride
+/// `lp`), `k` at the first key's head column (`kw` floats per key); the
+/// shorter of `k` and `scores` says how many keys there are. Missing keys
+/// alias the last one — scored and dropped — so every loop bound is a
+/// compile-time constant and the accumulators stay in registers.
+#[inline(always)]
+fn qk_tile(qt: &[f32], scores: &mut [f32], lp: usize, k: &[f32], kw: usize, dh: usize, scale: f32) {
+    let kt = k.len().div_ceil(kw).min(scores.len().div_ceil(lp));
+    let keys: [&[f32]; KT] = std::array::from_fn(|jj| &k[jj.min(kt - 1) * kw..][..dh]);
+    let mut acc = [[0.0f32; LT]; KT];
+    for (d, q_d) in qt.chunks(lp).enumerate() {
+        for (row, key) in acc.iter_mut().zip(&keys) {
+            // One separate add per d step — the serial ascending chain of
+            // the accumulation contract, LT of them side by side.
+            for (x, &qx) in row.iter_mut().zip(&q_d[..LT]) {
+                *x += qx * key[d];
+            }
+        }
+    }
+    for (row, dst) in acc.iter().zip(scores.chunks_mut(lp)) {
+        for (s, &x) in dst[..LT].iter_mut().zip(row) {
+            *s = x * scale;
+        }
+    }
+}
+
+/// `out[offs[r]..][..nr] += Σ_j p[j][r] · v[j][..nr]` in ascending `j`
+/// for the first `mr` of `MR` lanes (the rest are computed and dropped):
+/// `p` starts at the first key's first lane (row stride `lp`), `v` at the
+/// first key's column (`kw` floats per key); the shorter of the two says
+/// how many keys there are. Inlined so a call with constant `nr` keeps the
+/// whole tile in registers.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+fn pv_tile(
+    p: &[f32],
+    lp: usize,
+    v: &[f32],
+    kw: usize,
+    nr: usize,
+    out: &mut [f32],
+    offs: &[usize; MR],
+    mr: usize,
+) {
+    let n = p.len().div_ceil(lp).min(v.len().div_ceil(kw));
+    let mut acc = [[0.0f32; NR]; MR];
+    for (row, &o) in acc.iter_mut().zip(offs).take(mr) {
+        row[..nr].copy_from_slice(&out[o..][..nr]);
+    }
+    for j in 0..n {
+        let v_j = &v[j * kw..][..nr];
+        for (r, row) in acc.iter_mut().enumerate() {
+            let pv = p[j * lp + r];
+            for (x, &vv) in row[..nr].iter_mut().zip(v_j) {
+                *x += pv * vv;
+            }
+        }
+    }
+    for (row, &o) in acc.iter().zip(offs).take(mr) {
+        out[o..][..nr].copy_from_slice(&row[..nr]);
+    }
 }
 
 /// Layernorm over the last dim of a rank-3 tensor.
@@ -364,7 +481,91 @@ pub fn gelu(t: &Tensor) -> Tensor {
 
 #[cfg(test)]
 mod tests {
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
     use super::*;
+
+    /// The unfused composition `attention_over_cache` replaced, kept as its
+    /// bitwise oracle: gather each row dense, then per head `slice →
+    /// transpose → matmul → scale → causal_mask → softmax_base2 → matmul`,
+    /// stitched back with `concat`.
+    fn attention_unfused(q: &Tensor, cache: &KvCache, layer: usize, d_head: usize) -> Tensor {
+        let (l_q, hq) = (q.dim(1), q.dim(2) / d_head);
+        let scale = 1.0 / (d_head as f32).sqrt();
+        let mut per_batch = Vec::new();
+        for bi in 0..q.dim(0) {
+            let q_b = q.slice(0, bi, 1).into_reshape(vec![l_q, hq * d_head]);
+            let (k_b, v_b) = cache.read_slot(layer, bi);
+            let hkv = k_b.dim(1) / d_head;
+            let heads: Vec<Tensor> = (0..hq)
+                .map(|hi| {
+                    let q_h = q_b.slice(1, hi * d_head, d_head);
+                    let k_h = k_b.slice(1, (hi % hkv) * d_head, d_head);
+                    let v_h = v_b.slice(1, (hi % hkv) * d_head, d_head);
+                    let scores = ops::matmul(&q_h, &k_h.transpose()).scale(scale);
+                    ops::matmul(&ops::softmax_base2(&ops::causal_mask(&scores)), &v_h)
+                })
+                .collect();
+            let hs: Vec<&Tensor> = heads.iter().collect();
+            per_batch.push(Tensor::concat(&hs, 1).into_reshape(vec![1, l_q, hq * d_head]));
+        }
+        let refs: Vec<&Tensor> = per_batch.iter().collect();
+        Tensor::concat(&refs, 0)
+    }
+
+    fn noise(shape: Vec<usize>, seed: usize) -> Tensor {
+        Tensor::randn(&mut StdRng::seed_from_u64(seed as u64), shape, 1.0)
+    }
+
+    #[test]
+    fn fused_attention_is_bitwise_the_unfused_composition() {
+        // (Hq, Hkv): multiquery with a full lane tile, a head-sharded
+        // multiquery subset, multihead, and grouped heads.
+        let heads = [(8, 1), (3, 1), (4, 4), (6, 2)];
+        let backends = [None, Some(1), Some(8), Some(16)];
+        for ((hq, hkv), page, dh, l_q) in heads.iter().flat_map(|&h| {
+            backends.iter().flat_map(move |&p| {
+                [8, 32].into_iter().flat_map(move |dh| [1, 3, 32].map(|l_q| (h, p, dh, l_q)))
+            })
+        }) {
+            let kw = hkv * dh;
+            let mut cache = page.map_or_else(|| KvCache::new(2), |s| KvCache::paged(2, s));
+            // Rows 0 and 1 admit the same 21-token prompt (on the paged
+            // backend they map the same pages), row 3 a 37-token one, row 2
+            // starts empty; then every row appends the `l_q` query
+            // positions — row 0 copies the shared tail page out to do so.
+            // Lengths: 21 + l_q (twice), l_q (so `l_k == l_q`, and a
+            // length-1 row at `l_q = 1`), 37 + l_q.
+            let prompt = |n: usize, seed: usize| -> Vec<(Tensor, Tensor)> {
+                let kv = |li| (noise(vec![n, kw], seed + li), noise(vec![n, kw], seed + 7 + li));
+                (0..2).map(kv).collect()
+            };
+            let shared: Vec<usize> = (0..21).collect();
+            cache.insert_row_shared(0, 4, &prompt(21, 1), &shared);
+            cache.insert_row_shared(1, 4, &prompt(21, 1), &shared);
+            cache.insert_row_shared(3, 4, &prompt(37, 2), &(100..137).collect::<Vec<_>>());
+            for li in 0..2 {
+                let step = |seed| noise(vec![4, l_q, kw], seed + li);
+                cache.append(li, &step(3), &step(5));
+            }
+            if let Some(stats) = cache.page_stats() {
+                assert!(stats.pages_shared > 0, "rows 0/1 walk the same physical pages");
+            }
+            assert_eq!(cache.row_lens(1), &[21 + l_q, 21 + l_q, l_q, 37 + l_q]);
+            let q = noise(vec![4, l_q, hq * dh], 11);
+            let fused = attention_over_cache(&q, &cache, 1, dh);
+            let oracle = attention_unfused(&q, &cache, 1, dh);
+            assert_eq!(fused.shape(), oracle.shape());
+            for (i, (a, b)) in fused.data().iter().zip(oracle.data()).enumerate() {
+                assert_eq!(
+                    a.to_bits(),
+                    b.to_bits(),
+                    "Hq={hq} Hkv={hkv} dh={dh} l_q={l_q} page={page:?} element {i}: {a} vs {b}"
+                );
+            }
+        }
+    }
 
     fn models() -> Vec<ReferenceModel> {
         vec![

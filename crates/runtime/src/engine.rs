@@ -747,17 +747,20 @@ impl PartitionedEngine {
                     if row < r0 || row >= r0 + rc {
                         continue;
                     }
-                    let (tk, tv) = chip.cache.read_slot(li, row - r0);
-                    let l = tk.dim(0);
+                    let l = chip.cache.row_lens(li)[row - r0];
                     assert!(*len.get_or_insert(l) == l, "chips disagree on row length");
                     let k = k.get_or_insert_with(|| Tensor::zeros(vec![l, d]));
                     let v = v.get_or_insert_with(|| Tensor::zeros(vec![l, d]));
                     let (h0, hc) = self.chip_kv_heads(chip);
                     let w = hc * dh;
-                    for r in 0..l {
+                    // The chip's `[l, w]` head shard, run by run, straight
+                    // into columns `h0·dh ..` of the canonical `[l, d]` rows.
+                    let shard = chip.cache.row_runs(li, row - r0);
+                    let rows = shard.flat_map(|(rk, rv)| rk.chunks(w).zip(rv.chunks(w)));
+                    for (r, (rk, rv)) in rows.enumerate() {
                         let dst = r * d + h0 * dh;
-                        k.data_mut()[dst..dst + w].copy_from_slice(&tk.data()[r * w..(r + 1) * w]);
-                        v.data_mut()[dst..dst + w].copy_from_slice(&tv.data()[r * w..(r + 1) * w]);
+                        k.data_mut()[dst..dst + w].copy_from_slice(rk);
+                        v.data_mut()[dst..dst + w].copy_from_slice(rv);
                     }
                 }
                 (k.expect("some chip covers every row"), v.expect("some chip covers every row"))

@@ -12,6 +12,7 @@ use esti::hal::{ChipSpec, DType};
 use esti::model::{KvCache, ModelConfig, ReferenceModel};
 use esti::netsim::{analytic_time, simulate_collective, CollectiveKind};
 use esti::runtime::{GenerateOptions, PartitionedEngine, WeightFormat};
+use esti::tensor::sample::argmax;
 use esti::topology::{Axis, AxisSet, TorusShape};
 
 #[test]
@@ -113,15 +114,38 @@ fn comm_pieces_follow_the_paper_axis_assignment() {
     assert!(pieces.iter().all(|p| p.kind == PieceKind::GatherScatter || p.kind == PieceKind::AllToAll));
 }
 
+/// The single-chip oracle: greedy picks of the unpartitioned reference
+/// model over a slab KV cache.
+fn reference_greedy(model: &ReferenceModel, prompts: &[Vec<usize>], n: usize) -> Vec<Vec<usize>> {
+    let vocab = model.config().vocab;
+    let mut cache = KvCache::new(model.config().n_layers);
+    let prefill = model.prefill(prompts, &mut cache);
+    let last = prefill.slice(1, prompts[0].len() - 1, 1);
+    let mut logits = last.into_reshape(vec![prompts.len(), vocab]);
+    let mut outputs = vec![Vec::new(); prompts.len()];
+    for _ in 0..n {
+        let next: Vec<usize> = logits.data().chunks(vocab).map(argmax).collect();
+        for (out, &t) in outputs.iter_mut().zip(&next) {
+            out.push(t);
+        }
+        logits = model.decode_step(&next, &mut cache);
+    }
+    outputs
+}
+
 #[test]
 fn generation_is_deterministic_across_layouts() {
     // Greedy generation must produce identical tokens whichever layout
     // executes it — partitioning is an implementation detail. The five
     // layouts cover all four dataflows and both attention shardings; the
     // int8 pass sends quantized weights through every weight gather.
+    // 13 prompt tokens + 8 decode steps reach 21 positions: the default
+    // 16-position KV page fills mid-decode, so attention walks a full page
+    // and a partial one.
     let model = ReferenceModel::init_random(ModelConfig::tiny(), 102);
-    let prompts: Vec<Vec<usize>> = (0..4).map(|b| vec![b + 2, b + 4, b + 6, b + 8]).collect();
-    let opts = GenerateOptions { max_new_tokens: 6, ..GenerateOptions::default() };
+    let prompts: Vec<Vec<usize>> =
+        (0..4).map(|b| (0..13).map(|i| (b * 5 + i * 3 + 2) % 40).collect()).collect();
+    let opts = GenerateOptions { max_new_tokens: 8, ..GenerateOptions::default() };
     let layouts = [
         (FfnLayout::WeightStationary1D, AttnSharding::Head, MeshFactors::new(1, 4, 1)),
         (FfnLayout::WeightStationary1D, AttnSharding::Batch, MeshFactors::new(1, 4, 1)),
@@ -135,6 +159,9 @@ fn generation_is_deterministic_across_layouts() {
             .iter()
             .map(|&layout| PartitionedEngine::new(&model, layout, fmt).generate(&prompts, &opts))
             .collect();
+        if fmt == WeightFormat::Exact {
+            assert_eq!(outputs[0], reference_greedy(&model, &prompts, opts.max_new_tokens));
+        }
         for (layout, out) in layouts.iter().zip(&outputs).skip(1) {
             assert_eq!(
                 outputs[0],
