@@ -42,6 +42,26 @@ echo "== paged-KV conformance: paged streams bit-identical to slab, capacity gat
 # KV position budget.
 cargo test -q --release -p esti-runtime --test paged
 
+echo "== prefix-prefill conformance: seeded and packed prefill rows bit-identical to batch-1 =="
+# The group prefill: a row seeded with a donor's whole pages and running
+# only its suffix, next to other requests' rows, against a full batch-1
+# prefill (logits and KV to_bits, every decode layout, both GEMM tiers),
+# streams against isolated generate under preemption / decode crash /
+# prefill-tier fault, and the work counts on ServingOutcome.
+cargo test -q --release -p esti-runtime --test prefix_prefill
+ESTI_DISABLE_SIMD=1 cargo test -q --release -p esti-runtime --test prefix_prefill
+# One prefill path: everything the scheduler prefills goes through
+# prefill_group -> prefill_rows, the only try_prefill call in serving.rs.
+if grep -n "try_prefill_padded" crates/runtime/src/serving.rs; then
+  echo "FAIL: the replicated batch-1 prefill path is back in serving.rs" >&2
+  exit 1
+fi
+calls=$(grep -c "\.try_prefill(" crates/runtime/src/serving.rs)
+if [ "$calls" -ne 1 ]; then
+  echo "FAIL: serving.rs calls try_prefill at $calls sites; the group path is the only one" >&2
+  exit 1
+fi
+
 echo "== overload conformance: preemption stream-transparent, shedding typed =="
 # PR 10's SLO scheduler: any forced preemption schedule must leave token
 # streams bit-identical to isolated generate, priority classes must admit

@@ -222,6 +222,34 @@ pub struct RequestKv {
     layers: Vec<(Tensor, Tensor)>,
 }
 
+impl RequestKv {
+    /// Per-layer canonical `(K, V)`, each `[len, Hkv·d_head]`.
+    #[must_use]
+    pub fn layers(&self) -> &[(Tensor, Tensor)] {
+        &self.layers
+    }
+
+    /// Keeps only the first `len` cached positions. Causal attention makes
+    /// K/V at a position a function of the tokens up to it alone, so the
+    /// result is exactly the KV of the first `len` tokens: the prefix a
+    /// longer-lived request can lend to one sharing it, or a prompt's own KV
+    /// cut free of the padding positions appended after it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `len` exceeds the cached length.
+    pub fn truncate(&mut self, len: usize) {
+        assert!(len <= self.len, "cannot truncate {} cached positions to {len}", self.len);
+        if len < self.len {
+            for (k, v) in &mut self.layers {
+                *k = k.slice(0, 0, len);
+                *v = v.slice(0, 0, len);
+            }
+            self.len = len;
+        }
+    }
+}
+
 impl std::fmt::Debug for PartitionedEngine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PartitionedEngine")
@@ -654,9 +682,10 @@ impl PartitionedEngine {
         self.row_lens.as_deref().expect("engine not in slot mode; call begin_slots")
     }
 
-    /// The smallest batch size this engine's layout accepts — the padding
-    /// factor a batch-1 prefill needs on batch-sharded layouts (replicating
-    /// a prompt changes nothing row-wise; row 0 stays bit-identical).
+    /// The smallest batch size this engine's layout accepts — the rows one
+    /// prefill call carries on batch-sharded layouts whether or not it has
+    /// requests for all of them (rows are independent, so what fills the
+    /// others changes no bit of a request's row).
     #[must_use]
     pub fn min_batch(&self) -> usize {
         let n = self.chips.len();
@@ -925,16 +954,18 @@ impl PartitionedEngine {
         // chunk; in slot mode each row carries its own age.
         let bases = self.row_bases(b);
         let mut x = Tensor::zeros(vec![b, l, e]);
-        for (bi, seq) in tokens.iter().enumerate() {
+        let table = self.embed.data();
+        let positions = self.pos_embed.as_ref().map(Tensor::data);
+        for ((seq, &base), rows) in tokens.iter().zip(&bases).zip(x.data_mut().chunks_mut(l * e)) {
             assert_eq!(seq.len(), l, "ragged batch: all sequences must have equal length");
-            for (li, &tok) in seq.iter().enumerate() {
+            for (li, (&tok, row)) in seq.iter().zip(rows.chunks_mut(e)).enumerate() {
                 assert!(tok < self.cfg.vocab, "token id {tok} out of vocabulary");
-                for ei in 0..e {
-                    let mut v = self.embed.at(&[tok, ei]);
-                    if let Some(pos) = &self.pos_embed {
-                        v += pos.at(&[bases[bi] + li, ei]);
+                row.copy_from_slice(&table[tok * e..(tok + 1) * e]);
+                if let Some(pos) = positions {
+                    let at = (base + li) * e;
+                    for (v, &p) in row.iter_mut().zip(&pos[at..at + e]) {
+                        *v += p;
                     }
-                    x.set(&[bi, li, ei], v);
                 }
             }
         }

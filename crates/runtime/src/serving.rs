@@ -1,12 +1,18 @@
 //! Continuous-batching serving over the partitioned engine (Section 4.4).
 //!
 //! Where [`esti_core::serving`] *models* the paper's two-tier arrangement
-//! analytically, this module *runs* it: a batch-1 prefill tier
-//! ([`PartitionedEngine`] at the layout's minimum batch) pipelines into a
-//! fixed-capacity decode tier running in slot mode
+//! analytically, this module *runs* it: a prefill tier
+//! ([`PartitionedEngine`] in slot mode at the layout's minimum batch)
+//! pipelines into a fixed-capacity decode tier, also in slot mode
 //! ([`PartitionedEngine::begin_slots`]). Variable-length prompts arrive in
 //! a queue, are prefilled (optionally chunked), admitted into free decode
 //! slots at step boundaries up to the cap, and evicted on completion.
+//!
+//! Prefill does only the work that is needed. Up to a minimum batch of
+//! consecutive admissions share one *group* prefill, each in its own row,
+//! and a row whose prompt opens with whole KV pages a live decode slot
+//! already holds is seeded with those pages and runs only the rest of its
+//! prompt (see [`PrefillWork`] for what a serve call ended up computing).
 //!
 //! Correctness rests on two properties proved elsewhere in the workspace:
 //! every op treats batch rows independently (so a request's row in a
@@ -46,7 +52,7 @@ use esti_core::serving::{Priority, RecoveryStats, RequestStats, ServingReport};
 use esti_model::{PositionKind, ReferenceModel};
 use esti_tensor::sample::{sample_row, Sampling};
 
-use crate::engine::{EngineError, KvBackend, PartitionedEngine, WeightFormat};
+use crate::engine::{EngineError, KvBackend, PartitionedEngine, RequestKv, WeightFormat};
 
 /// One queued generation request.
 #[derive(Debug, Clone)]
@@ -291,6 +297,24 @@ impl From<EngineError> for ServeError {
     }
 }
 
+/// What the prefill tier executed during one serve call. With every arrival
+/// at `0` and no injected fault these counts repeat exactly from run to run.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PrefillWork {
+    /// Engine prefill calls (one per chunk of each group).
+    pub calls: usize,
+    /// Prompt tokens the tier ran: each admitted prompt's unseeded suffix.
+    /// Padding tokens and filler rows are not counted.
+    pub tokens_computed: usize,
+    /// Prompt tokens whose KV was copied from a donor instead of computed.
+    pub tokens_reused: usize,
+    /// Batch rows over all groups (each group is a minimum batch of rows).
+    pub rows: usize,
+    /// Of [`PrefillWork::rows`], rows that carried no request: dummy tokens
+    /// filling the layout's minimum batch when nobody else was admissible.
+    pub filler_rows: usize,
+}
+
 /// Everything a serving run produces.
 #[derive(Debug, Clone)]
 pub struct ServingOutcome {
@@ -317,6 +341,9 @@ pub struct ServingOutcome {
     /// Recorded tokens re-derived during preemption replays — pure
     /// overhead the preemption policy paid for priority inversion relief.
     pub preempted_tokens_replayed: usize,
+    /// What the prefill tier computed, reused and padded (admissions,
+    /// preemption replays and fault replays alike).
+    pub prefill: PrefillWork,
 }
 
 impl ServingOutcome {
@@ -337,6 +364,39 @@ struct Active {
     /// the cursor catches up, each sample is asserted equal to its
     /// recording instead of being appended.
     consumed: usize,
+}
+
+/// One request's row in a prefill call.
+struct PrefillRow<'a> {
+    prompt: &'a [usize],
+    /// Leading positions seeded from a donor instead of computed: whole
+    /// pages, and fewer than the prompt so its last token always runs.
+    hit: usize,
+    /// The donor's first `hit` positions (`None` when `hit` is 0).
+    seed: Option<RequestKv>,
+}
+
+/// Leading tokens of `prompt` a prefill can skip given a cache that already
+/// holds `cached`'s KV: their common prefix floored to whole pages, capped so
+/// the prompt's last token is still computed (its logits pick token 0).
+/// Always 0 without pages (slab backend).
+fn prefix_hit(prompt: &[usize], cached: &[usize], page: Option<usize>) -> usize {
+    let Some(page) = page else { return 0 };
+    let common = prompt.iter().zip(cached).take_while(|(a, b)| a == b).count();
+    common.min(prompt.len() - 1) / page * page
+}
+
+/// The occupied decode slots and the prompts whose KV they hold — the
+/// donors a prefill group may seed from.
+fn live_prompts<'a>(
+    active: &[Option<Active>],
+    requests: &'a [ServingRequest],
+) -> Vec<(usize, &'a [usize])> {
+    active
+        .iter()
+        .enumerate()
+        .filter_map(|(s, a)| a.as_ref().map(|a| (s, requests[a.idx].prompt.as_slice())))
+        .collect()
 }
 
 /// The slot-machine parameters of a [`ContinuousBatcher`], exported for
@@ -423,6 +483,8 @@ pub struct ContinuousBatcher {
     preempt_plan: Vec<(usize, usize)>,
     /// Recovery budget per [`ContinuousBatcher::try_serve`] call.
     max_recoveries: usize,
+    /// Prefill-tier work of the serve call in progress.
+    work: PrefillWork,
 }
 
 /// Builds a tier engine. `workers` is
@@ -666,6 +728,7 @@ impl ContinuousBatcher {
             decode_fault: None,
             preempt_plan: Vec::new(),
             max_recoveries: 3,
+            work: PrefillWork::default(),
         }
     }
 
@@ -673,6 +736,12 @@ impl ContinuousBatcher {
     #[must_use]
     pub fn decode_engine(&self) -> &PartitionedEngine {
         &self.decode
+    }
+
+    /// The prefill-tier engine (for inspecting its page pool or traffic).
+    #[must_use]
+    pub fn prefill_engine(&self) -> &PartitionedEngine {
+        &self.prefill
     }
 
     /// The slot-machine parameters the lifecycle analyzer models (see
@@ -756,9 +825,12 @@ impl ContinuousBatcher {
     ///
     /// Admission policy: priority-first, FIFO within a class. At every
     /// step boundary, arrived requests join their class queue; the
-    /// highest waiting class is prefilled first (batch-1, padded to the
-    /// layout's minimum batch by prompt replication) and takes the lowest
-    /// free slot, until slots or arrived requests run out. With
+    /// highest waiting class is admitted first and takes the lowest free
+    /// slot, until slots or arrived requests run out. Every admission is
+    /// decided on its own, in that order; only the prefill work is
+    /// batched — up to a minimum batch of consecutive admissions run as
+    /// one group, each prompt in its own row and computing only the suffix
+    /// no live slot's pages already cover. With
     /// [`ServingOptions::preemption`], a waiting request whose class
     /// strictly exceeds the lowest in-flight class evicts that slot's
     /// request (least progress first, so the least replay is wasted); the
@@ -835,7 +907,11 @@ impl ContinuousBatcher {
             }
         };
         self.decode.begin_slots(cap, reserve);
+        // Prefill rows are recycled through `evict_slot` from here on, so
+        // the tier's page pool is allocated by the first group and reused.
         let pad = self.prefill.min_batch();
+        self.prefill.begin_slots(pad, 0);
+        self.work = PrefillWork::default();
 
         let t0 = Instant::now();
         let now = || t0.elapsed().as_secs_f64();
@@ -929,49 +1005,67 @@ impl ContinuousBatcher {
                 }
             }
 
-            // Admission at the step boundary, highest class first.
-            'admit: while let Some(class) = Priority::ALL
-                .into_iter()
-                .rev()
-                .find(|c| !waiting[c.index()].is_empty())
-            {
-                let slot = match active.iter().position(Option::is_none) {
-                    Some(s) => s,
-                    None if self.opts.preemption => {
-                        // Policy preemption: evict the lowest class below
-                        // the admitted one; among equals the least
-                        // progress, so the least replay is wasted.
-                        let victim = active
-                            .iter()
-                            .enumerate()
-                            .filter_map(|(s, o)| o.as_ref().map(|a| (s, a.idx)))
-                            .filter(|&(_, v)| requests[v].priority < class)
-                            .min_by_key(|&(s, v)| {
-                                (requests[v].priority, outputs[v].len(), s)
-                            });
-                        let Some((s, v)) = victim else { break };
-                        waiting[requests[v].priority.index()].push_front(v);
-                        active[s] = None;
-                        self.decode.evict_slot(s);
-                        if let Some(led) = &mut ledger {
-                            led.release(s);
+            // Admission at the step boundary, highest class first. Each
+            // request is decided on its own (slot, preemption victim, page
+            // ledger) against everything decided before it; the prefill
+            // work of up to `pad` consecutive admissions runs as one group.
+            let mut group: Vec<(usize, Option<usize>)> = Vec::new();
+            let mut admitting = true;
+            while admitting {
+                let admitted = 'decide: {
+                    let Some(class) = Priority::ALL
+                        .into_iter()
+                        .rev()
+                        .find(|c| !waiting[c.index()].is_empty())
+                    else {
+                        break 'decide None;
+                    };
+                    let free = (0..cap).find(|&s| {
+                        active[s].is_none() && !group.iter().any(|&(_, held)| held == Some(s))
+                    });
+                    let slot = match free {
+                        Some(s) => s,
+                        None if self.opts.preemption => {
+                            // Policy preemption: evict the lowest class below
+                            // the admitted one; among equals the least
+                            // progress, so the least replay is wasted.
+                            let victim = active
+                                .iter()
+                                .enumerate()
+                                .filter_map(|(s, o)| o.as_ref().map(|a| (s, a.idx)))
+                                .filter(|&(_, v)| requests[v].priority < class)
+                                .min_by_key(|&(s, v)| {
+                                    (requests[v].priority, outputs[v].len(), s)
+                                });
+                            let Some((s, v)) = victim else { break 'decide None };
+                            waiting[requests[v].priority.index()].push_front(v);
+                            active[s] = None;
+                            self.decode.evict_slot(s);
+                            if let Some(led) = &mut ledger {
+                                led.release(s);
+                            }
+                            preemptions += 1;
+                            s
                         }
-                        preemptions += 1;
-                        s
-                    }
-                    None => break,
-                };
-                let Some(&idx) = waiting[class.index()].front() else { break };
-                // Page-pool admission gate (paged decode tier). The charge
-                // covers this request's unshared prompt pages plus growth
-                // reservations; the idle allowance covers the one dummy
-                // page each still-empty slot transiently holds per step, so
-                // the physical pool never outgrows the budget.
-                if requests[idx].max_new_tokens > 1 {
-                    if let Some(led) = &ledger {
-                        let req = &requests[idx];
+                        None => break 'decide None,
+                    };
+                    let Some(&idx) = waiting[class.index()].front() else {
+                        break 'decide None;
+                    };
+                    let req = &requests[idx];
+                    // A request that ends at its first token never holds
+                    // the slot it was offered.
+                    let slot = (req.max_new_tokens > 1).then_some(slot);
+                    // Page-pool admission gate (paged decode tier). The
+                    // charge covers this request's unshared prompt pages
+                    // plus growth reservations; the idle allowance covers
+                    // the one dummy page each still-empty slot transiently
+                    // holds per step, so the physical pool never outgrows
+                    // the budget.
+                    if let (Some(slot), Some(led)) = (slot, &mut ledger) {
                         let charge = led.plan(&req.prompt, req.max_new_tokens);
-                        let live_now = active.iter().flatten().count();
+                        let live_now = active.iter().flatten().count()
+                            + group.iter().filter(|(_, held)| held.is_some()).count();
                         let idle_after = cap - (live_now + 1);
                         if !led.fits(charge + idle_after) {
                             if live_now == 0 {
@@ -985,44 +1079,62 @@ impl ContinuousBatcher {
                                     budget,
                                 });
                             }
-                            break 'admit; // Defer until eviction frees pages.
+                            break 'decide None; // Defer until eviction frees pages.
+                        }
+                        led.commit(slot, &req.prompt, req.max_new_tokens);
+                    }
+                    waiting[class.index()].pop_front();
+                    Some((idx, slot))
+                };
+                match admitted {
+                    Some(admission) => group.push(admission),
+                    None => admitting = false,
+                }
+                // A group runs when it is full, or when nobody else is
+                // admissible and it holds anyone at all.
+                let run = group.len() == pad || (!admitting && !group.is_empty());
+                if !run {
+                    continue;
+                }
+
+                let prompts: Vec<&[usize]> =
+                    group.iter().map(|&(idx, _)| requests[idx].prompt.as_slice()).collect();
+                let donors = live_prompts(&active, requests);
+                let prefilled = self.prefill_group(&prompts, &donors, &mut recovery)?;
+                for ((idx, slot), (last_logits, kv)) in group.drain(..).zip(prefilled) {
+                    let req = &requests[idx];
+                    let replaying = !outputs[idx].is_empty();
+                    let mut rng = StdRng::seed_from_u64(req.seed);
+                    if !replaying {
+                        prefilled_at[idx] = now();
+                        if req.max_new_tokens == 0 {
+                            finished_at[idx] = prefilled_at[idx];
+                            continue;
                         }
                     }
-                }
-                waiting[class.index()].pop_front();
-                let req = &requests[idx];
-                let replaying = !outputs[idx].is_empty();
-                let last_logits = self.prefill_with_retry(&req.prompt, pad, &mut recovery)?;
-                let mut rng = StdRng::seed_from_u64(req.seed);
-                if !replaying {
-                    prefilled_at[idx] = now();
-                    if req.max_new_tokens == 0 {
-                        finished_at[idx] = prefilled_at[idx];
-                        continue;
+                    // The first generated token comes from the prefill
+                    // logits — its sampling time is the TTFT recorded
+                    // above. On a post-preemption re-admission the
+                    // re-derived token is asserted against the recording
+                    // instead (the replay cursor then walks the emitted
+                    // decode suffix).
+                    let tok = sample_row(&mut rng, &last_logits, self.opts.sampling);
+                    if replaying {
+                        assert_eq!(
+                            tok, outputs[idx][0],
+                            "request {idx} diverged at replayed token 0"
+                        );
+                        preempted_replayed += outputs[idx].len() - 1;
+                    } else {
+                        outputs[idx].push(tok);
                     }
-                }
-                // The first generated token comes from the prefill logits —
-                // its sampling time is the TTFT recorded above. On a
-                // post-preemption re-admission the re-derived token is
-                // asserted against the recording instead (the replay
-                // cursor then walks the emitted decode suffix).
-                let tok = sample_row(&mut rng, &last_logits, self.opts.sampling);
-                if replaying {
-                    assert_eq!(tok, outputs[idx][0], "request {idx} diverged at replayed token 0");
-                    preempted_replayed += outputs[idx].len() - 1;
-                } else {
-                    outputs[idx].push(tok);
-                    if req.max_new_tokens == 1 {
+                    let Some(slot) = slot else {
                         finished_at[idx] = now();
                         continue;
-                    }
+                    };
+                    self.decode.insert_kv_shared(slot, &kv, &req.prompt);
+                    active[slot] = Some(Active { idx, rng, next_tok: tok, consumed: 1 });
                 }
-                let kv = self.prefill.extract_kv(0);
-                self.decode.insert_kv_shared(slot, &kv, &req.prompt);
-                if let Some(led) = &mut ledger {
-                    led.commit(slot, &req.prompt, req.max_new_tokens);
-                }
-                active[slot] = Some(Active { idx, rng, next_tok: tok, consumed: 1 });
             }
 
             let live = active.iter().flatten().count();
@@ -1070,7 +1182,6 @@ impl ContinuousBatcher {
                         &mut active,
                         cap,
                         reserve,
-                        pad,
                         &mut recovery,
                         &mut ledger,
                         err,
@@ -1145,16 +1256,32 @@ impl ContinuousBatcher {
             shed,
             preemptions,
             preempted_tokens_replayed: preempted_replayed,
+            prefill: self.work,
         })
+    }
+
+    /// A fault-free replacement for a failed tier, under the deadline the
+    /// batcher runs both tiers with.
+    fn fresh_engine(&self) -> PartitionedEngine {
+        let mut engine = build_engine(
+            &self.model,
+            self.layout,
+            self.fmt,
+            self.opts.intra_chip_threads,
+            self.opts.kv_backend,
+        );
+        engine.set_collective_deadline(self.deadline);
+        engine
     }
 
     /// Rebuilds the decode tier after a failed step and replays every
     /// in-flight request up to its recorded stream: prompt re-prefilled
-    /// (original chunking), RNG re-seeded, first token re-derived from the
-    /// prefill logits, KV re-inserted into the same slot. The emitted
-    /// decode suffix is then re-derived by the ordinary step loop, which
-    /// asserts each replayed sample equals its recording — so a successful
-    /// recovery is bit-identical by construction, not by luck.
+    /// (original chunking, through the same group path admissions take),
+    /// RNG re-seeded, first token re-derived from the prefill logits, KV
+    /// re-inserted into the same slot. The emitted decode suffix is then
+    /// re-derived by the ordinary step loop, which asserts each replayed
+    /// sample equals its recording — so a successful recovery is
+    /// bit-identical by construction, not by luck.
     #[allow(clippy::too_many_arguments)] // private: the serve loop's locals.
     fn recover_decode(
         &mut self,
@@ -1163,7 +1290,6 @@ impl ContinuousBatcher {
         active: &mut [Option<Active>],
         cap: usize,
         reserve: usize,
-        pad: usize,
         recovery: &mut RecoveryStats,
         ledger: &mut Option<PageLedger>,
         err: EngineError,
@@ -1173,14 +1299,7 @@ impl ContinuousBatcher {
             return Err(ServeError::RecoveryLimit { faults: recovery.faults, last: err });
         }
         let t = Instant::now();
-        self.decode = build_engine(
-            &self.model,
-            self.layout,
-            self.fmt,
-            self.opts.intra_chip_threads,
-            self.opts.kv_backend,
-        );
-        self.decode.set_collective_deadline(self.deadline);
+        self.decode = self.fresh_engine();
         self.decode.begin_slots(cap, reserve);
         // The rebuilt cache starts empty, so the ledger restarts too: each
         // replayed request re-admits (re-sharing prompt prefixes exactly as
@@ -1193,92 +1312,190 @@ impl ContinuousBatcher {
                 ..PageLedger::new(led.page_size, led.budget)
             };
         }
+        // Slots come back in slot order, a group at a time; a slot is a
+        // donor again once its KV is back in the rebuilt tier.
+        let replay: Vec<(usize, usize)> = active
+            .iter_mut()
+            .enumerate()
+            .filter_map(|(slot, entry)| entry.take().map(|a| (slot, a.idx)))
+            .collect();
         let mut steps_lost = 0usize;
-        for (slot, entry) in active.iter_mut().enumerate() {
-            let Some(idx) = entry.as_ref().map(|a| a.idx) else { continue };
-            let req = &requests[idx];
-            let emitted = &outputs[idx];
-            let last_logits = self.prefill_with_retry(&req.prompt, pad, recovery)?;
-            let mut rng = StdRng::seed_from_u64(req.seed);
-            let tok0 = sample_row(&mut rng, &last_logits, self.opts.sampling);
-            assert_eq!(tok0, emitted[0], "request {idx} diverged at replayed token 0");
-            let kv = self.prefill.extract_kv(0);
-            self.decode.insert_kv_shared(slot, &kv, &req.prompt);
-            if let Some(led) = ledger {
-                led.commit(slot, &req.prompt, req.max_new_tokens);
+        for group in replay.chunks(self.prefill.min_batch()) {
+            let prompts: Vec<&[usize]> =
+                group.iter().map(|&(_, idx)| requests[idx].prompt.as_slice()).collect();
+            let donors = live_prompts(active, requests);
+            let prefilled = self.prefill_group(&prompts, &donors, recovery)?;
+            for (&(slot, idx), (last_logits, kv)) in group.iter().zip(prefilled) {
+                let req = &requests[idx];
+                let emitted = &outputs[idx];
+                let mut rng = StdRng::seed_from_u64(req.seed);
+                let tok0 = sample_row(&mut rng, &last_logits, self.opts.sampling);
+                assert_eq!(tok0, emitted[0], "request {idx} diverged at replayed token 0");
+                self.decode.insert_kv_shared(slot, &kv, &req.prompt);
+                if let Some(led) = ledger {
+                    led.commit(slot, &req.prompt, req.max_new_tokens);
+                }
+                active[slot] = Some(Active { idx, rng, next_tok: tok0, consumed: 1 });
+                recovery.requests_replayed += 1;
+                recovery.prefill_tokens_replayed += req.prompt.len();
+                recovery.decode_tokens_replayed += emitted.len() - 1;
+                steps_lost = steps_lost.max(emitted.len() - 1);
             }
-            *entry = Some(Active { idx, rng, next_tok: tok0, consumed: 1 });
-            recovery.requests_replayed += 1;
-            recovery.prefill_tokens_replayed += req.prompt.len();
-            recovery.decode_tokens_replayed += emitted.len() - 1;
-            steps_lost = steps_lost.max(emitted.len() - 1);
         }
         recovery.steps_lost += steps_lost;
         recovery.recovery_seconds += t.elapsed().as_secs_f64();
         Ok(())
     }
 
-    /// [`ContinuousBatcher::try_prefill_padded`] with one recovery: if the
-    /// prefill tier fails (it holds no cross-request state), it is rebuilt
-    /// fault-free and the prompt retried once, charging the retry to the
-    /// recovery ledger. A second failure is unrecoverable.
-    fn prefill_with_retry(
+    /// Prefills `prompts` — up to a minimum batch of consecutive admissions,
+    /// in admission order — and returns each one's last-position logits and
+    /// canonical KV. This is the only way the scheduler runs the prefill
+    /// tier: admissions, preemption replays and fault replays all come
+    /// through here.
+    ///
+    /// Each prompt gets its own batch row. A row starts from its *donor*:
+    /// the slot of `live` (decode slots, by the prompt whose KV they hold)
+    /// sharing the longest whole-page prefix with the prompt, lowest slot
+    /// among equals. The donor's first `hit` positions seed the row and only
+    /// `prompt[hit..]` runs. Rows of one call are independent and a seeded
+    /// position holds the bits the row would have computed itself (the
+    /// invariant prefix sharing already rests on), so logits and KV equal a
+    /// full batch-1 prefill's bit for bit. Shorter suffixes are right-padded
+    /// with a dummy token — causal attention keeps padding from reaching the
+    /// positions before it, and each row's KV is cut back to its prompt
+    /// afterwards — and rows left over when nobody else is admissible carry
+    /// dummy tokens only.
+    ///
+    /// The group is one engine call per chunk, except under learned
+    /// positions when padding a short row to the longest suffix would run
+    /// past the position table: that prompt starts the next call.
+    fn prefill_group(
         &mut self,
-        prompt: &[usize],
-        pad: usize,
+        prompts: &[&[usize]],
+        live: &[(usize, &[usize])],
         recovery: &mut RecoveryStats,
-    ) -> Result<Vec<f32>, ServeError> {
-        match self.try_prefill_padded(prompt, pad) {
-            Ok(logits) => Ok(logits),
-            Err(err) => {
-                recovery.faults += 1;
-                if recovery.faults > self.max_recoveries {
-                    return Err(ServeError::RecoveryLimit { faults: recovery.faults, last: err });
+    ) -> Result<Vec<(Vec<f32>, RequestKv)>, ServeError> {
+        let pad = self.prefill.min_batch();
+        let page = match self.decode.kv_backend() {
+            KvBackend::Paged { page_size } => Some(page_size),
+            KvBackend::Slab => None,
+        };
+        let cfg = self.decode.config();
+        let max_positions =
+            if cfg.position == PositionKind::Learned { cfg.max_seq } else { usize::MAX };
+        let mut done: Vec<(Vec<f32>, RequestKv)> = Vec::with_capacity(prompts.len());
+        while done.len() < prompts.len() {
+            let mut rows: Vec<PrefillRow> = Vec::with_capacity(pad);
+            let mut longest = 0usize;
+            for &prompt in prompts[done.len()..].iter().take(pad) {
+                let (hit, donor) = live
+                    .iter()
+                    .map(|&(slot, cached)| (prefix_hit(prompt, cached, page), slot))
+                    .max_by_key(|&(hit, slot)| (hit, std::cmp::Reverse(slot)))
+                    .unwrap_or((0, 0));
+                let padded = longest.max(prompt.len() - hit);
+                let fits = hit + padded <= max_positions
+                    && rows.iter().all(|r| r.hit + padded <= max_positions);
+                if !fits && !rows.is_empty() {
+                    break;
                 }
-                let t = Instant::now();
-                self.prefill = build_engine(
-                    &self.model,
-                    self.layout,
-                    self.fmt,
-                    self.opts.intra_chip_threads,
-                    self.opts.kv_backend,
-                );
-                self.prefill.set_collective_deadline(self.deadline);
-                let logits = self.try_prefill_padded(prompt, pad).map_err(ServeError::Engine)?;
-                recovery.prefill_tokens_replayed += prompt.len();
-                recovery.recovery_seconds += t.elapsed().as_secs_f64();
-                Ok(logits)
+                let seed = (hit > 0).then(|| {
+                    let mut kv = self.decode.extract_kv(donor);
+                    kv.truncate(hit);
+                    kv
+                });
+                longest = padded;
+                rows.push(PrefillRow { prompt, hit, seed });
             }
+
+            let out = match self.prefill_rows(&rows) {
+                Ok(out) => out,
+                Err(err) => {
+                    // The prefill tier holds nothing the call did not put
+                    // there: rebuild it fault-free, re-seed the rows and
+                    // retry once, charging the retry to the recovery
+                    // ledger. A second failure is unrecoverable.
+                    recovery.faults += 1;
+                    if recovery.faults > self.max_recoveries {
+                        return Err(ServeError::RecoveryLimit {
+                            faults: recovery.faults,
+                            last: err,
+                        });
+                    }
+                    let t = Instant::now();
+                    self.prefill = self.fresh_engine();
+                    self.prefill.begin_slots(pad, 0);
+                    let out = self.prefill_rows(&rows).map_err(ServeError::Engine)?;
+                    recovery.prefill_tokens_replayed +=
+                        rows.iter().map(|r| r.prompt.len()).sum::<usize>();
+                    recovery.recovery_seconds += t.elapsed().as_secs_f64();
+                    out
+                }
+            };
+            self.work.rows += pad;
+            self.work.filler_rows += pad - rows.len();
+            self.work.tokens_reused += rows.iter().map(|r| r.hit).sum::<usize>();
+            self.work.tokens_computed +=
+                rows.iter().map(|r| r.prompt.len() - r.hit).sum::<usize>();
+            done.extend(out);
         }
+        Ok(done)
     }
 
-    /// Prefills one prompt on the prefill tier, padded to batch `pad` by
-    /// replication (row 0 is bit-unaffected — batch rows are independent
-    /// everywhere), honoring the chunked-prefill option. Returns row 0's
-    /// last-position logits; the tier's cache then holds the prompt's KV
-    /// for [`PartitionedEngine::extract_kv`].
-    fn try_prefill_padded(
+    /// One prefill-tier pass over `rows` (at most a minimum batch; the rest
+    /// of the batch is filler), honoring the chunked-prefill option: every
+    /// row is recycled, seeded, and runs its suffix right-padded to the
+    /// longest. Returns each row's logits at its own last prompt position
+    /// and its KV cut back to its prompt.
+    fn prefill_rows(
         &mut self,
-        prompt: &[usize],
-        pad: usize,
-    ) -> Result<Vec<f32>, EngineError> {
-        self.prefill.reset();
-        let len = prompt.len();
-        let chunk = self.opts.prefill_chunk.unwrap_or(len).max(1);
+        rows: &[PrefillRow],
+    ) -> Result<Vec<(Vec<f32>, RequestKv)>, EngineError> {
+        let pad = self.prefill.min_batch();
         let v = self.prefill.config().vocab;
-        // Admission rejects empty prompts, so the loop runs ≥ once and
-        // `last` is always set on the Ok path.
-        let mut last = Vec::new();
-        let mut start = 0;
-        while start < len {
-            let end = (start + chunk).min(len);
-            let chunk_tokens: Vec<Vec<usize>> =
-                (0..pad).map(|_| prompt[start..end].to_vec()).collect();
-            let logits = self.prefill.try_prefill(&chunk_tokens)?; // [pad, l, V]
-            let l = end - start;
-            last = logits.slice(1, l - 1, 1).data()[..v].to_vec();
-            start = end;
+        for r in 0..pad {
+            self.prefill.evict_slot(r);
         }
-        Ok(last)
+        for (r, row) in rows.iter().enumerate() {
+            if let Some(seed) = &row.seed {
+                self.prefill.insert_kv(r, seed);
+            }
+        }
+        // Admission rejects empty prompts and a hit stops short of the last
+        // token, so every suffix is non-empty and `last` is set for every
+        // row on the Ok path.
+        let longest = rows.iter().map(|r| r.prompt.len() - r.hit).max().unwrap_or(0);
+        let chunk = self.opts.prefill_chunk.unwrap_or(longest).max(1);
+        let mut last: Vec<Vec<f32>> = vec![Vec::new(); rows.len()];
+        let mut start = 0;
+        while start < longest {
+            let l = chunk.min(longest - start);
+            let tokens: Vec<Vec<usize>> = (0..pad)
+                .map(|r| {
+                    let suffix = rows.get(r).map_or(&[][..], |row| &row.prompt[row.hit..]);
+                    (start..start + l).map(|p| suffix.get(p).copied().unwrap_or(0)).collect()
+                })
+                .collect();
+            let logits = self.prefill.try_prefill(&tokens)?; // [pad, l, V]
+            self.work.calls += 1;
+            for (r, row) in rows.iter().enumerate() {
+                let end = row.prompt.len() - row.hit - 1;
+                if (start..start + l).contains(&end) {
+                    let at = (r * l + end - start) * v;
+                    last[r] = logits.data()[at..at + v].to_vec();
+                }
+            }
+            start += l;
+        }
+        Ok(rows
+            .iter()
+            .zip(last)
+            .enumerate()
+            .map(|(r, (row, logits))| {
+                let mut kv = self.prefill.extract_kv(r);
+                kv.truncate(row.prompt.len());
+                (logits, kv)
+            })
+            .collect())
     }
 }

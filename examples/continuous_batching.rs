@@ -1,5 +1,5 @@
 //! Continuous batching, end to end (Section 4.4): variable-length requests
-//! stream through the two-tier scheduler — batch-1 prefill pipelined into a
+//! stream through the two-tier scheduler — group prefill pipelined into a
 //! fixed-capacity decode batch — and every request's tokens come out
 //! exactly as if it had the machine to itself.
 //!
@@ -54,6 +54,11 @@ fn main() {
         outcome.report.decode_steps,
         outcome.report.mean_decode_batch,
         outcome.throughput_tokens_per_sec(),
+    );
+    let work = outcome.prefill;
+    println!(
+        "prefill: {} calls, {} prompt tokens computed, {} reused from a live slot, {} of {} rows filler",
+        work.calls, work.tokens_computed, work.tokens_reused, work.filler_rows, work.rows,
     );
 
     // The conformance claim, demonstrated: rerun request 5 alone.

@@ -11,7 +11,10 @@ use esti::core::Machine;
 use esti::hal::{ChipSpec, DType};
 use esti::model::{KvCache, ModelConfig, ReferenceModel};
 use esti::netsim::{analytic_time, simulate_collective, CollectiveKind};
-use esti::runtime::{GenerateOptions, PartitionedEngine, WeightFormat};
+use esti::runtime::{
+    ContinuousBatcher, GenerateOptions, PartitionedEngine, ServingOptions, ServingRequest,
+    WeightFormat,
+};
 use esti::tensor::sample::argmax;
 use esti::topology::{Axis, AxisSet, TorusShape};
 
@@ -172,6 +175,36 @@ fn generation_is_deterministic_across_layouts() {
             );
         }
     }
+}
+
+#[test]
+fn shared_prefix_requests_prefill_only_their_suffixes() {
+    // Six requests behind a 20-token prefix on ws2d × batch (four rows per
+    // prefill call, default 16-position pages): the first group of four is
+    // cold, the last two are seeded with the prefix's one whole page from a
+    // live slot and run only the rest — to the single chip's tokens.
+    let model = ReferenceModel::init_random(ModelConfig::tiny(), 103);
+    let layout = Layout {
+        ffn: FfnLayout::WeightStationary2D,
+        attn: AttnSharding::Batch,
+        mesh: MeshFactors::new(2, 2, 1),
+    };
+    let requests: Vec<ServingRequest> = (0..6)
+        .map(|i| {
+            let mut prompt: Vec<usize> = (0..20).map(|t| (4 + 9 * t) % 40).collect();
+            prompt.extend((0..2 + i).map(|t| (1 + 7 * i + 3 * t) % 40));
+            ServingRequest::immediate(prompt, 6)
+        })
+        .collect();
+    let opts = ServingOptions { max_decode_batch: 8, ..ServingOptions::default() };
+    let mut batcher = ContinuousBatcher::new(&model, layout, WeightFormat::Exact, opts);
+    let outcome = batcher.try_serve(&requests).expect("serves");
+    for (req, out) in requests.iter().zip(&outcome.outputs) {
+        let expect = reference_greedy(&model, std::slice::from_ref(&req.prompt), 6);
+        assert_eq!(*out, expect[0]);
+    }
+    assert_eq!(outcome.prefill.tokens_reused, 2 * 16, "{:?}", outcome.prefill);
+    assert_eq!((outcome.prefill.rows, outcome.prefill.filler_rows), (8, 2));
 }
 
 #[test]
