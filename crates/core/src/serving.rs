@@ -191,11 +191,10 @@ pub struct ServingReport {
     pub peak_decode_batch: usize,
     /// Minimum free pages the decode tier's KV admission ledger observed
     /// (headroom at peak occupancy). `0` when no page budget applies
-    /// (slab-backed decode, or a paged tier with no
-    /// `kv_position_budget`).
+    /// (no `kv_position_budget`, or the analytical simulator).
     pub kv_pages_free: usize,
     /// Peak count of KV pages mapped by more than one live request
-    /// (copy-on-write prompt-prefix sharing). `0` on a slab-backed tier.
+    /// (copy-on-write prompt-prefix sharing).
     pub kv_pages_shared: usize,
     /// Fault/recovery accounting (all-zero on a fault-free run).
     pub recovery: RecoveryStats,

@@ -40,6 +40,6 @@ pub mod reference;
 pub mod weights;
 
 pub use config::{AttentionKind, BlockKind, MlpKind, ModelConfig, PositionKind};
-pub use kvcache::{KvCache, PageStats};
+pub use kvcache::{KvCache, PageStats, DEFAULT_KV_PAGE_SIZE};
 pub use reference::{attention_over_cache, ReferenceModel};
 pub use weights::{LayerWeights, Weights};

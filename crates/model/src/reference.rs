@@ -232,8 +232,9 @@ impl ReferenceModel {
 /// each streamed once per block, and the score scratch holds
 /// `context × heads·QB` floats.
 const QB: usize = 8;
-/// Positions per kernel step: longer cache runs are cut to this, so the
-/// slab's single run and a paged block table walk the same loop nest.
+/// Positions per kernel step: longer cache runs are cut to this, so a row
+/// held in one page and one spread over a block table walk the same loop
+/// nest.
 const RUN: usize = 16;
 /// QK register tile: `KT` keys × `LT` lanes (a lane is one query head at
 /// one query position), resident across the `d_head` loop.
@@ -261,7 +262,7 @@ const NR: usize = 32;
 /// (3) streams the value runs once, accumulating every head's context
 /// straight into the output.
 ///
-/// Accumulation contract (what keeps every layout and both cache backends
+/// Accumulation contract (what keeps every layout and every page size
 /// bit-identical, and identical to the unfused `matmul → scale →
 /// causal_mask → softmax_base2 → matmul` composition): a score is one
 /// serial chain `s = 0; s += q[d]·k[j][d]` in ascending `d`, then
@@ -523,16 +524,17 @@ mod tests {
         // (Hq, Hkv): multiquery with a full lane tile, a head-sharded
         // multiquery subset, multihead, and grouped heads.
         let heads = [(8, 1), (3, 1), (4, 4), (6, 2)];
-        let backends = [None, Some(1), Some(8), Some(16)];
+        // Page 128 ≥ the longest row (37 + 32): one run per row.
+        let pages = [1, 8, 16, 128];
         for ((hq, hkv), page, dh, l_q) in heads.iter().flat_map(|&h| {
-            backends.iter().flat_map(move |&p| {
+            pages.iter().flat_map(move |&p| {
                 [8, 32].into_iter().flat_map(move |dh| [1, 3, 32].map(|l_q| (h, p, dh, l_q)))
             })
         }) {
             let kw = hkv * dh;
-            let mut cache = page.map_or_else(|| KvCache::new(2), |s| KvCache::paged(2, s));
-            // Rows 0 and 1 admit the same 21-token prompt (on the paged
-            // backend they map the same pages), row 3 a 37-token one, row 2
+            let mut cache = KvCache::paged(2, page);
+            // Rows 0 and 1 admit the same 21-token prompt (they map the
+            // same pages), row 3 a 37-token one, row 2
             // starts empty; then every row appends the `l_q` query
             // positions — row 0 copies the shared tail page out to do so.
             // Lengths: 21 + l_q (twice), l_q (so `l_k == l_q`, and a
@@ -545,12 +547,10 @@ mod tests {
             cache.insert_row_shared(0, 4, &prompt(21, 1), &shared);
             cache.insert_row_shared(1, 4, &prompt(21, 1), &shared);
             cache.insert_row_shared(3, 4, &prompt(37, 2), &(100..137).collect::<Vec<_>>());
+            assert!(cache.page_stats().pages_shared > 0, "rows 0/1 map the same physical pages");
             for li in 0..2 {
                 let step = |seed| noise(vec![4, l_q, kw], seed + li);
                 cache.append(li, &step(3), &step(5));
-            }
-            if let Some(stats) = cache.page_stats() {
-                assert!(stats.pages_shared > 0, "rows 0/1 walk the same physical pages");
             }
             assert_eq!(cache.row_lens(1), &[21 + l_q, 21 + l_q, l_q, 37 + l_q]);
             let q = noise(vec![4, l_q, hq * dh], 11);
@@ -561,7 +561,7 @@ mod tests {
                 assert_eq!(
                     a.to_bits(),
                     b.to_bits(),
-                    "Hq={hq} Hkv={hkv} dh={dh} l_q={l_q} page={page:?} element {i}: {a} vs {b}"
+                    "Hq={hq} Hkv={hkv} dh={dh} l_q={l_q} page={page} element {i}: {a} vs {b}"
                 );
             }
         }

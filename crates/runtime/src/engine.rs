@@ -34,51 +34,6 @@ fn default_chip_workers() -> usize {
         .unwrap_or(1)
 }
 
-/// Which [`KvCache`] backend an engine's chips store their KV shards in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum KvBackend {
-    /// Per-row preallocated slabs (the PR 3 design; reference baseline).
-    Slab,
-    /// Refcounted fixed-size pages behind a block table, with
-    /// copy-on-write prompt-prefix sharing (ROADMAP item 2).
-    Paged {
-        /// Positions per page.
-        page_size: usize,
-    },
-}
-
-/// Positions per page when nothing chooses otherwise: small enough that a
-/// short shared system prompt still spans whole pages, large enough that
-/// block tables stay short at this workspace's context lengths.
-pub const DEFAULT_KV_PAGE_SIZE: usize = 16;
-
-impl Default for KvBackend {
-    fn default() -> Self {
-        KvBackend::Paged { page_size: DEFAULT_KV_PAGE_SIZE }
-    }
-}
-
-impl KvBackend {
-    fn make_cache(self, n_layers: usize) -> KvCache {
-        match self {
-            KvBackend::Slab => KvCache::new(n_layers),
-            KvBackend::Paged { page_size } => KvCache::paged(n_layers, page_size),
-        }
-    }
-}
-
-/// The `ESTI_KV_PAGE_SIZE` environment default for
-/// [`PartitionedEngine::set_kv_backend`]: unset/invalid picks the paged
-/// backend at [`DEFAULT_KV_PAGE_SIZE`], `0` forces the slab backend, any
-/// positive value picks that page size.
-fn default_kv_backend() -> KvBackend {
-    match std::env::var("ESTI_KV_PAGE_SIZE").ok().and_then(|v| v.parse::<usize>().ok()) {
-        Some(0) => KvBackend::Slab,
-        Some(s) => KvBackend::Paged { page_size: s },
-        None => KvBackend::default(),
-    }
-}
-
 /// Deadline applied to every collective of a fresh engine: generous enough
 /// that no healthy run ever trips it, but a stalled or dead chip surfaces as
 /// a structured [`EngineError`] instead of hanging the process forever.
@@ -205,8 +160,6 @@ pub struct PartitionedEngine {
     /// longer trustworthy and every further `try_*` call reports
     /// [`EngineError::Poisoned`] until the engine is rebuilt.
     poisoned: bool,
-    /// The cache backend every chip's KV shard uses.
-    kv_backend: KvBackend,
 }
 
 /// One request's KV cache in canonical (layout-independent) form, as
@@ -329,7 +282,6 @@ impl PartitionedEngine {
         let e = cfg.d_model;
         let e_n = e / n.max(1);
         let embed_t = weights.embed.transpose();
-        let kv_backend = default_kv_backend();
         let chips = (0..n)
             .map(|rank| {
                 let (i, j) = (rank / yz_parts, rank % yz_parts);
@@ -361,7 +313,7 @@ impl PartitionedEngine {
                     i,
                     j,
                     layers,
-                    cache: kv_backend.make_cache(cfg.n_layers),
+                    cache: KvCache::new(cfg.n_layers),
                     g_all: g_all[rank].take().expect("one handle per rank"),
                     g_x: g_x[rank].take(),
                     g_yz: g_yz[rank].take(),
@@ -384,7 +336,6 @@ impl PartitionedEngine {
             chip_workers: 1,
             pools: Vec::new(),
             poisoned: false,
-            kv_backend,
         };
         engine.set_collective_deadline(Some(DEFAULT_COLLECTIVE_DEADLINE));
         engine.set_intra_chip_threads(default_chip_workers());
@@ -447,46 +398,42 @@ impl PartitionedEngine {
         self.chip_workers
     }
 
-    /// Rebuilds every chip's (necessarily empty) KV cache on `backend`.
-    /// Fresh engines start on the `ESTI_KV_PAGE_SIZE` environment default
-    /// — paged at [`DEFAULT_KV_PAGE_SIZE`] when unset, slab for `0`.
+    /// Rebuilds every chip's (necessarily empty) KV cache with `page_size`
+    /// positions per page. Fresh engines start at
+    /// [`crate::DEFAULT_KV_PAGE_SIZE`]. The page size decides how much of a
+    /// prompt requests can share and how finely memory is charged, never a
+    /// token.
     ///
     /// # Panics
     ///
-    /// Panics if the engine already holds cached tokens (switch backends
-    /// before the first prefill, or after [`PartitionedEngine::reset`] /
-    /// before [`PartitionedEngine::begin_slots`]).
-    pub fn set_kv_backend(&mut self, backend: KvBackend) {
-        assert!(
-            self.batch.is_none(),
-            "set_kv_backend requires an empty engine (reset() first)"
-        );
-        if backend == self.kv_backend {
-            return;
-        }
-        self.kv_backend = backend;
+    /// Panics if `page_size` is zero, or if the engine already holds cached
+    /// tokens (set it before the first prefill, or after
+    /// [`PartitionedEngine::reset`] / before
+    /// [`PartitionedEngine::begin_slots`]).
+    pub fn set_kv_page_size(&mut self, page_size: usize) {
+        assert!(self.batch.is_none(), "set_kv_page_size requires an empty engine (reset() first)");
         for c in &mut self.chips {
-            c.cache = backend.make_cache(self.cfg.n_layers);
+            c.cache = KvCache::paged(self.cfg.n_layers, page_size);
         }
     }
 
-    /// The cache backend this engine's chips store KV in.
+    /// Positions per page of this engine's KV caches.
     #[must_use]
-    pub fn kv_backend(&self) -> KvBackend {
-        self.kv_backend
+    pub fn kv_page_size(&self) -> usize {
+        self.chips[0].cache.page_size()
     }
 
     /// Page-pool occupancy of the busiest chip (the chip holding the most
-    /// live pages — the one the per-chip memory bound cares about), or
-    /// `None` on the slab backend. Under head-sharded attention every chip
-    /// holds the same rows and block-table structure, so any chip is
-    /// representative; under batch sharding chips hold disjoint row sets
-    /// and the max is the binding one.
+    /// live pages — the one the per-chip memory bound cares about). Under
+    /// head-sharded attention every chip holds the same rows and
+    /// block-table structure, so any chip is representative; under batch
+    /// sharding chips hold disjoint row sets and the max is the binding
+    /// one. Always `Some` (an engine has at least one chip).
     #[must_use]
     pub fn kv_page_stats(&self) -> Option<PageStats> {
         self.chips
             .iter()
-            .filter_map(|c| c.cache.page_stats())
+            .map(|c| c.cache.page_stats())
             .max_by_key(|s| (s.pages_live, s.pages_allocated))
     }
 
@@ -651,8 +598,8 @@ impl PartitionedEngine {
 
     /// Switches the engine into slot mode with a fixed decode batch of
     /// `slots` rows, each an independent sequence of its own age (or idle).
-    /// Caches are cleared and pre-sized to `reserve` positions per row so
-    /// steady-state decode never reallocates. Subsequent
+    /// Caches are cleared; `reserve` is ignored (pages allocate on demand)
+    /// and stays only because the frozen benchmark passes it. Subsequent
     /// [`PartitionedEngine::decode_step`] calls must pass exactly `slots`
     /// tokens (idle rows carry a dummy token; every op treats batch rows
     /// independently, so idle rows cannot perturb live ones).
@@ -661,12 +608,11 @@ impl PartitionedEngine {
     ///
     /// Panics if `slots` is zero or violates the layout's batch
     /// divisibility requirements.
-    pub fn begin_slots(&mut self, slots: usize, reserve: usize) {
+    pub fn begin_slots(&mut self, slots: usize, _reserve: usize) {
         assert!(slots > 0, "slot count must be positive");
         self.validate_batch(slots);
         for c in &mut self.chips {
             c.cache.clear();
-            c.cache.reserve(reserve);
         }
         self.batch = Some(slots);
         self.row_lens = Some(vec![0; slots]);
@@ -831,10 +777,9 @@ impl PartitionedEngine {
 
     /// [`PartitionedEngine::insert_kv`] with prompt-prefix sharing: each
     /// covering chip inserts its head shard of the request through the
-    /// paged backend's prefix registry ([`KvCache::insert_row_shared`]),
-    /// mapping pages already cached for `tokens`' page-aligned prefixes by
-    /// refcount instead of rewriting them. On the slab backend this is
-    /// exactly `insert_kv`. Slot mode only.
+    /// cache's prefix registry ([`KvCache::insert_row_shared`]), mapping
+    /// pages already cached for `tokens`' page-aligned prefixes by refcount
+    /// instead of rewriting them. Slot mode only.
     ///
     /// # Panics
     ///

@@ -58,10 +58,10 @@ pub fn weight_wire_format(fmt: WeightFormat) -> WireFormat {
     }
 }
 
-/// One JSON object describing the engine's KV cache backend and, for a
-/// paged backend, the busiest chip shard's page pool: allocation
-/// high-water mark, live/free split, and how many live pages are mapped
-/// by more than one slot (copy-on-write prompt sharing).
+/// One JSON object describing the busiest chip shard's KV page pool:
+/// page size, allocation high-water mark, live/free split, and how many
+/// live pages are mapped by more than one slot (copy-on-write prompt
+/// sharing).
 ///
 /// # Examples
 ///
@@ -69,25 +69,23 @@ pub fn weight_wire_format(fmt: WeightFormat) -> WireFormat {
 /// use esti_core::planner::decode_layout;
 /// use esti_core::Machine;
 /// use esti_model::{ModelConfig, ReferenceModel};
-/// use esti_runtime::{kv_cache_json, KvBackend, PartitionedEngine, WeightFormat};
+/// use esti_runtime::{kv_cache_json, PartitionedEngine, WeightFormat};
 ///
 /// let model = ReferenceModel::init_random(ModelConfig::tiny(), 0);
 /// let machine = Machine::tpu_v4_slice(4).unwrap();
 /// let layout = decode_layout(model.config(), &machine);
 /// let mut engine = PartitionedEngine::new(&model, layout, WeightFormat::Exact);
-/// engine.set_kv_backend(KvBackend::Paged { page_size: 8 });
-/// assert!(kv_cache_json(&engine).contains("\"backend\": \"paged\""));
+/// engine.set_kv_page_size(8);
+/// assert!(kv_cache_json(&engine).contains("\"page_size\": 8"));
 /// ```
 #[must_use]
 pub fn kv_cache_json(engine: &PartitionedEngine) -> String {
-    match engine.kv_page_stats() {
-        Some(s) => format!(
-            "{{\"backend\": \"paged\", \"page_size\": {}, \"pages_allocated\": {}, \
-             \"pages_live\": {}, \"pages_free\": {}, \"pages_shared\": {}}}",
-            s.page_size, s.pages_allocated, s.pages_live, s.pages_free, s.pages_shared
-        ),
-        None => String::from("{\"backend\": \"slab\"}"),
-    }
+    let s = engine.kv_page_stats().unwrap_or_default();
+    format!(
+        "{{\"page_size\": {}, \"pages_allocated\": {}, \"pages_live\": {}, \
+         \"pages_free\": {}, \"pages_shared\": {}}}",
+        s.page_size, s.pages_allocated, s.pages_live, s.pages_free, s.pages_shared
+    )
 }
 
 #[cfg(test)]

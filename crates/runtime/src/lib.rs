@@ -60,9 +60,9 @@ pub mod serving;
 pub mod shard;
 
 pub use engine::{
-    EngineError, KvBackend, PartitionedEngine, RequestKv, WeightFormat,
-    DEFAULT_COLLECTIVE_DEADLINE, DEFAULT_KV_PAGE_SIZE,
+    EngineError, PartitionedEngine, RequestKv, WeightFormat, DEFAULT_COLLECTIVE_DEADLINE,
 };
+pub use esti_model::DEFAULT_KV_PAGE_SIZE;
 pub use generate::GenerateOptions;
 pub use introspect::{kv_cache_json, weight_wire_format, wg_stream_plan, WgStream};
 pub use router::{ReplicaRouter, RouterError, RouterOutcome};

@@ -52,7 +52,7 @@ use esti_core::serving::{Priority, RecoveryStats, RequestStats, ServingReport};
 use esti_model::{PositionKind, ReferenceModel};
 use esti_tensor::sample::{sample_row, Sampling};
 
-use crate::engine::{EngineError, KvBackend, PartitionedEngine, RequestKv, WeightFormat};
+use crate::engine::{EngineError, PartitionedEngine, RequestKv, WeightFormat};
 
 /// One queued generation request.
 #[derive(Debug, Clone)]
@@ -112,20 +112,19 @@ pub struct ServingOptions {
     /// knob). Thread count never changes results — the banded kernels are
     /// bit-identical at any worker count.
     pub intra_chip_threads: usize,
-    /// KV-cache backend applied to both tiers (and every engine rebuilt
-    /// during fault recovery). `None` keeps each engine's own default (the
-    /// `ESTI_KV_PAGE_SIZE` environment knob, defaulting to paged). Backend
-    /// choice never changes results — token streams are bit-identical
-    /// between slab and paged caches.
-    pub kv_backend: Option<KvBackend>,
+    /// KV-cache page size applied to both tiers (and every engine rebuilt
+    /// during fault recovery). `None` keeps the engine default
+    /// ([`crate::DEFAULT_KV_PAGE_SIZE`]). The page size never changes
+    /// results — token streams are bit-identical at every size, down to a
+    /// page longer than any sequence (one dense run per row).
+    pub kv_page_size: Option<usize>,
     /// Decode-tier KV memory budget in canonical cache positions (one
     /// position = one token's K and V across all layers and heads).
-    /// `None` is unlimited. With a paged backend, admission charges the
-    /// page ledger (shared prompt-prefix pages charged once) and defers
-    /// requests that would overflow; with a slab backend the budget caps
-    /// the slot count at `budget / reserve`, every slot pre-charged its
-    /// worst-case length — the paper-baseline policy paged serving is
-    /// benchmarked against at equal memory.
+    /// `None` is unlimited. Admission charges the page ledger (shared
+    /// prompt-prefix pages charged once) and defers requests that would
+    /// overflow. The dense baseline at equal memory — every slot
+    /// pre-charged its worst-case length — fits `budget / longest request`
+    /// slots.
     pub kv_position_budget: Option<usize>,
     /// Arrived-but-unadmitted requests the scheduler tolerates before
     /// shedding; `None` queues without bound. Shedding removes the
@@ -156,7 +155,7 @@ impl Default for ServingOptions {
             sampling: Sampling::Greedy,
             prefill_chunk: None,
             intra_chip_threads: 0,
-            kv_backend: None,
+            kv_page_size: None,
             kv_position_budget: None,
             queue_limit: None,
             ttft_deadline: [None; 3],
@@ -379,9 +378,7 @@ struct PrefillRow<'a> {
 /// Leading tokens of `prompt` a prefill can skip given a cache that already
 /// holds `cached`'s KV: their common prefix floored to whole pages, capped so
 /// the prompt's last token is still computed (its logits pick token 0).
-/// Always 0 without pages (slab backend).
-fn prefix_hit(prompt: &[usize], cached: &[usize], page: Option<usize>) -> usize {
-    let Some(page) = page else { return 0 };
+fn prefix_hit(prompt: &[usize], cached: &[usize], page: usize) -> usize {
     let common = prompt.iter().zip(cached).take_while(|(a, b)| a == b).count();
     common.min(prompt.len() - 1) / page * page
 }
@@ -422,12 +419,11 @@ pub struct BatcherSpec {
     /// re-derives token 0 (asserted against the recording), so replay of
     /// the remaining recorded tokens restarts at index 1.
     pub replay_restarts_at: usize,
-    /// KV page size of the decode tier's cache; `None` on a slab backend
-    /// (the pool model below does not apply).
-    pub page_size: Option<usize>,
+    /// KV page size of the decode tier's cache.
+    pub page_size: usize,
     /// Page-pool admission budget
     /// ([`ServingOptions::kv_position_budget`] `/ page_size`); `None` when
-    /// unbudgeted or slab-backed. When set, admission charges new pages
+    /// unbudgeted. When set, admission charges new pages
     /// (shared prefix pages charged once), growth reservations, and one
     /// idle-slot dummy page per empty slot, and defers requests that would
     /// overflow; eviction refunds a page exactly when its last reference
@@ -489,28 +485,29 @@ pub struct ContinuousBatcher {
 
 /// Builds a tier engine. `workers` is
 /// [`ServingOptions::intra_chip_threads`]; `0` keeps the engine default.
-/// `kv` is [`ServingOptions::kv_backend`]; `None` keeps the engine default.
+/// `page_size` is [`ServingOptions::kv_page_size`]; `None` keeps the engine
+/// default.
 fn build_engine(
     model: &ReferenceModel,
     layout: Layout,
     fmt: WeightFormat,
     workers: usize,
-    kv: Option<KvBackend>,
+    page_size: Option<usize>,
 ) -> PartitionedEngine {
     let mut engine = PartitionedEngine::new(model, layout, fmt);
     if workers > 0 {
         engine.set_intra_chip_threads(workers);
     }
-    if let Some(backend) = kv {
-        engine.set_kv_backend(backend);
+    if let Some(page_size) = page_size {
+        engine.set_kv_page_size(page_size);
     }
     engine
 }
 
-/// Virtual page-pool ledger the admission policy charges (paged decode
-/// tier only). It mirrors the physical [`esti_model::KvCache`] paged
-/// backend in *canonical* units — whole heads, undivided by the layout —
-/// so one ledger governs admission identically across shardings.
+/// Virtual page-pool ledger the admission policy charges. It mirrors the
+/// physical [`esti_model::KvCache`] page pool in *canonical* units — whole
+/// heads, undivided by the layout — so one ledger governs admission
+/// identically across shardings.
 ///
 /// Accounting invariants (each mirrors a physical transition):
 ///
@@ -633,7 +630,7 @@ impl PageLedger {
     fn advance(&mut self, slot: usize) {
         let s = self.page_size;
         let Some(rec) = self.slots.get_mut(&slot) else {
-            return; // Slot not ledger-tracked (slab tier never calls this).
+            unreachable!("slot {slot} stepped without an admission");
         };
         let pos = rec.len;
         rec.len += 1;
@@ -713,9 +710,9 @@ impl ContinuousBatcher {
     ) -> Self {
         assert!(opts.max_decode_batch > 0, "decode batch cap must be positive");
         let prefill =
-            build_engine(model, layout, fmt, opts.intra_chip_threads, opts.kv_backend);
+            build_engine(model, layout, fmt, opts.intra_chip_threads, opts.kv_page_size);
         let decode =
-            build_engine(model, layout, fmt, opts.intra_chip_threads, opts.kv_backend);
+            build_engine(model, layout, fmt, opts.intra_chip_threads, opts.kv_page_size);
         let deadline = decode.collective_deadline();
         ContinuousBatcher {
             prefill,
@@ -748,20 +745,14 @@ impl ContinuousBatcher {
     /// [`BatcherSpec`]).
     #[must_use]
     pub fn spec(&self) -> BatcherSpec {
-        let (page_size, pool_pages) = match self.decode.kv_backend() {
-            KvBackend::Slab => (None, None),
-            KvBackend::Paged { page_size } => (
-                Some(page_size),
-                self.opts.kv_position_budget.map(|b| b / page_size),
-            ),
-        };
+        let page_size = self.decode.kv_page_size();
         BatcherSpec {
             slots: self.opts.max_decode_batch,
             max_recoveries: self.max_recoveries,
             prefill_emits_first_token: true,
             replay_restarts_at: 1,
             page_size,
-            pool_pages,
+            pool_pages: self.opts.kv_position_budget.map(|b| b / page_size),
             preemption: self.opts.preemption,
         }
     }
@@ -876,37 +867,11 @@ impl ContinuousBatcher {
                 return Err(ServeError::PromptTooLong { index, needed, max_seq: cfg.max_seq });
             }
         }
-        let mut cap = self.opts.max_decode_batch;
-        let reserve =
-            requests.iter().map(|r| r.prompt.len() + r.max_new_tokens).max().unwrap_or(0);
-        let mut ledger = match self.decode.kv_backend() {
-            KvBackend::Paged { page_size } => Some(PageLedger::new(
-                page_size,
-                self.opts.kv_position_budget.map(|b| b / page_size),
-            )),
-            KvBackend::Slab => {
-                // Slab budgeting: every slot pre-charges the worst-case
-                // request length, so the budget simply caps the slot count.
-                if let Some(budget) = self.opts.kv_position_budget {
-                    let fit = budget / reserve.max(1);
-                    if fit == 0 {
-                        let index = requests
-                            .iter()
-                            .enumerate()
-                            .max_by_key(|(_, r)| r.prompt.len() + r.max_new_tokens)
-                            .map_or(0, |(i, _)| i);
-                        return Err(ServeError::KvBudgetExceeded {
-                            index,
-                            needed: reserve,
-                            budget,
-                        });
-                    }
-                    cap = cap.min(fit);
-                }
-                None
-            }
-        };
-        self.decode.begin_slots(cap, reserve);
+        let cap = self.opts.max_decode_batch;
+        let page_size = self.decode.kv_page_size();
+        let mut ledger =
+            PageLedger::new(page_size, self.opts.kv_position_budget.map(|b| b / page_size));
+        self.decode.begin_slots(cap, 0);
         // Prefill rows are recycled through `evict_slot` from here on, so
         // the tier's page pool is allocated by the first group and reused.
         let pad = self.prefill.min_batch();
@@ -953,9 +918,7 @@ impl ContinuousBatcher {
                 if let Some(a) = active[slot].take() {
                     waiting[requests[a.idx].priority.index()].push_front(a.idx);
                     self.decode.evict_slot(slot);
-                    if let Some(led) = &mut ledger {
-                        led.release(slot);
-                    }
+                    ledger.release(slot);
                     preemptions += 1;
                 }
             }
@@ -1041,9 +1004,7 @@ impl ContinuousBatcher {
                             waiting[requests[v].priority.index()].push_front(v);
                             active[s] = None;
                             self.decode.evict_slot(s);
-                            if let Some(led) = &mut ledger {
-                                led.release(s);
-                            }
+                            ledger.release(s);
                             preemptions += 1;
                             s
                         }
@@ -1056,18 +1017,18 @@ impl ContinuousBatcher {
                     // A request that ends at its first token never holds
                     // the slot it was offered.
                     let slot = (req.max_new_tokens > 1).then_some(slot);
-                    // Page-pool admission gate (paged decode tier). The
-                    // charge covers this request's unshared prompt pages
-                    // plus growth reservations; the idle allowance covers
+                    // Page-pool admission gate. The charge covers this
+                    // request's unshared prompt pages plus growth
+                    // reservations; the idle allowance covers
                     // the one dummy page each still-empty slot transiently
                     // holds per step, so the physical pool never outgrows
                     // the budget.
-                    if let (Some(slot), Some(led)) = (slot, &mut ledger) {
-                        let charge = led.plan(&req.prompt, req.max_new_tokens);
+                    if let Some(slot) = slot {
+                        let charge = ledger.plan(&req.prompt, req.max_new_tokens);
                         let live_now = active.iter().flatten().count()
                             + group.iter().filter(|(_, held)| held.is_some()).count();
                         let idle_after = cap - (live_now + 1);
-                        if !led.fits(charge + idle_after) {
+                        if !ledger.fits(charge + idle_after) {
                             if live_now == 0 {
                                 // Nothing to evict will ever free enough:
                                 // the request cannot fit even alone.
@@ -1075,13 +1036,13 @@ impl ContinuousBatcher {
                                     self.opts.kv_position_budget.unwrap_or(usize::MAX);
                                 return Err(ServeError::KvBudgetExceeded {
                                     index: idx,
-                                    needed: (led.used + charge + idle_after) * led.page_size,
+                                    needed: (ledger.used + charge + idle_after) * ledger.page_size,
                                     budget,
                                 });
                             }
                             break 'decide None; // Defer until eviction frees pages.
                         }
-                        led.commit(slot, &req.prompt, req.max_new_tokens);
+                        ledger.commit(slot, &req.prompt, req.max_new_tokens);
                     }
                     waiting[class.index()].pop_front();
                     Some((idx, slot))
@@ -1155,7 +1116,7 @@ impl ContinuousBatcher {
             }
 
             // Idle slots are re-evicted so their dummy appends neither age
-            // their positions nor grow their slabs.
+            // their positions nor hold pages.
             for (s, slot) in active.iter().enumerate() {
                 if slot.is_none() {
                     self.decode.evict_slot(s);
@@ -1181,7 +1142,6 @@ impl ContinuousBatcher {
                         &outputs,
                         &mut active,
                         cap,
-                        reserve,
                         &mut recovery,
                         &mut ledger,
                         err,
@@ -1197,9 +1157,7 @@ impl ContinuousBatcher {
             for (s, slot) in active.iter_mut().enumerate() {
                 let Some(a) = slot else { continue };
                 // The step appended this row's input token to its cache.
-                if let Some(led) = &mut ledger {
-                    led.advance(s);
-                }
+                ledger.advance(s);
                 let row = &logits.data()[s * v..(s + 1) * v];
                 let tok = sample_row(&mut a.rng, row, self.opts.sampling);
                 if a.consumed < outputs[a.idx].len() {
@@ -1220,9 +1178,7 @@ impl ContinuousBatcher {
                     finished_at[a.idx] = now();
                     *slot = None;
                     self.decode.evict_slot(s);
-                    if let Some(led) = &mut ledger {
-                        led.release(s);
-                    }
+                    ledger.release(s);
                 } else {
                     a.next_tok = tok;
                 }
@@ -1242,12 +1198,10 @@ impl ContinuousBatcher {
             })
             .collect();
         let total_generated = outputs.iter().map(Vec::len).sum();
-        let mut report = ServingReport::new(stats, step_log.len(), occupancy_sum)
+        let report = ServingReport::new(stats, step_log.len(), occupancy_sum)
             .with_recovery(recovery)
-            .with_peak_batch(peak_live);
-        if let Some(led) = &ledger {
-            report = report.with_kv_pages(led.min_free(), led.peak_shared);
-        }
+            .with_peak_batch(peak_live)
+            .with_kv_pages(ledger.min_free(), ledger.peak_shared);
         Ok(ServingOutcome {
             report,
             step_log,
@@ -1268,7 +1222,7 @@ impl ContinuousBatcher {
             self.layout,
             self.fmt,
             self.opts.intra_chip_threads,
-            self.opts.kv_backend,
+            self.opts.kv_page_size,
         );
         engine.set_collective_deadline(self.deadline);
         engine
@@ -1289,9 +1243,8 @@ impl ContinuousBatcher {
         outputs: &[Vec<usize>],
         active: &mut [Option<Active>],
         cap: usize,
-        reserve: usize,
         recovery: &mut RecoveryStats,
-        ledger: &mut Option<PageLedger>,
+        ledger: &mut PageLedger,
         err: EngineError,
     ) -> Result<(), ServeError> {
         recovery.faults += 1;
@@ -1300,18 +1253,16 @@ impl ContinuousBatcher {
         }
         let t = Instant::now();
         self.decode = self.fresh_engine();
-        self.decode.begin_slots(cap, reserve);
+        self.decode.begin_slots(cap, 0);
         // The rebuilt cache starts empty, so the ledger restarts too: each
         // replayed request re-admits (re-sharing prompt prefixes exactly as
         // the fresh block tables do) and the replay steps re-advance it.
         // Peaks carry over — they describe the whole serve call.
-        if let Some(led) = ledger {
-            *led = PageLedger {
-                peak_used: led.peak_used,
-                peak_shared: led.peak_shared,
-                ..PageLedger::new(led.page_size, led.budget)
-            };
-        }
+        *ledger = PageLedger {
+            peak_used: ledger.peak_used,
+            peak_shared: ledger.peak_shared,
+            ..PageLedger::new(ledger.page_size, ledger.budget)
+        };
         // Slots come back in slot order, a group at a time; a slot is a
         // donor again once its KV is back in the rebuilt tier.
         let replay: Vec<(usize, usize)> = active
@@ -1332,9 +1283,7 @@ impl ContinuousBatcher {
                 let tok0 = sample_row(&mut rng, &last_logits, self.opts.sampling);
                 assert_eq!(tok0, emitted[0], "request {idx} diverged at replayed token 0");
                 self.decode.insert_kv_shared(slot, &kv, &req.prompt);
-                if let Some(led) = ledger {
-                    led.commit(slot, &req.prompt, req.max_new_tokens);
-                }
+                ledger.commit(slot, &req.prompt, req.max_new_tokens);
                 active[slot] = Some(Active { idx, rng, next_tok: tok0, consumed: 1 });
                 recovery.requests_replayed += 1;
                 recovery.prefill_tokens_replayed += req.prompt.len();
@@ -1376,10 +1325,7 @@ impl ContinuousBatcher {
         recovery: &mut RecoveryStats,
     ) -> Result<Vec<(Vec<f32>, RequestKv)>, ServeError> {
         let pad = self.prefill.min_batch();
-        let page = match self.decode.kv_backend() {
-            KvBackend::Paged { page_size } => Some(page_size),
-            KvBackend::Slab => None,
-        };
+        let page = self.decode.kv_page_size();
         let cfg = self.decode.config();
         let max_positions =
             if cfg.position == PositionKind::Learned { cfg.max_seq } else { usize::MAX };

@@ -1,16 +1,18 @@
 //! Conformance tests for the paged KV cache (copy-on-write prefix
-//! sharing): backed by pages or slabs, the engine must emit bit-identical
-//! token streams — across every decode layout, under randomized ragged
-//! shared-prefix workloads, and through mid-decode faults — while paged
-//! admission fits strictly more concurrent requests into the same KV
-//! position budget on shared-prefix fleets.
+//! sharing): at every page size — one position, sizes that straddle the
+//! prompts, and a page longer than any sequence (one dense run per row) —
+//! the scheduler must emit token streams bit-identical to each request's
+//! isolated `generate()` run — across every decode layout, under randomized
+//! ragged shared-prefix workloads, and through mid-decode faults — while
+//! page-granular admission fits strictly more concurrent requests into a KV
+//! position budget than a dense reservation per slot would.
 
 use esti_core::layout::{AttnSharding, FfnLayout, GatherExtent, Layout, MeshFactors};
 use esti_core::serving::Priority;
 use esti_model::{ModelConfig, ReferenceModel};
 use esti_runtime::{
-    ContinuousBatcher, KvBackend, ServeError, ServingOptions, ServingOutcome, ServingRequest,
-    WeightFormat,
+    ContinuousBatcher, GenerateOptions, PartitionedEngine, ServeError, ServingOptions,
+    ServingOutcome, ServingRequest, WeightFormat,
 };
 use esti_tensor::sample::Sampling;
 use proptest::prelude::*;
@@ -57,12 +59,41 @@ fn shared_prefix_workload(
         .collect()
 }
 
-/// Serve `requests` with an explicit KV backend (and optional position
+/// A page no sequence in this file outgrows (`ModelConfig::tiny`'s
+/// `max_seq`): every row is one run, the dense layout.
+const ONE_RUN: usize = 64;
+
+/// The oracle: each request's tokens when it runs alone through `generate`
+/// (replicated to the layout's minimum batch, which leaves row 0 bitwise
+/// unchanged) on a one-run-per-row cache — no scheduler, no block-table
+/// walk, nothing shared or copied.
+fn isolated_streams(
+    model: &ReferenceModel,
+    layout: Layout,
+    requests: &[ServingRequest],
+) -> Vec<Vec<usize>> {
+    let mut engine = PartitionedEngine::new(model, layout, WeightFormat::Exact);
+    engine.set_kv_page_size(ONE_RUN);
+    let pad = engine.min_batch();
+    requests
+        .iter()
+        .map(|req| {
+            let opts = GenerateOptions {
+                max_new_tokens: req.max_new_tokens,
+                seed: req.seed,
+                ..GenerateOptions::default()
+            };
+            engine.generate(&vec![req.prompt.clone(); pad], &opts).swap_remove(0)
+        })
+        .collect()
+}
+
+/// Serve `requests` with an explicit KV page size (and optional position
 /// budget) pinned into the scheduler.
 fn serve_with(
     model: &ReferenceModel,
     layout: Layout,
-    backend: KvBackend,
+    page_size: usize,
     budget: Option<usize>,
     cap: usize,
     requests: &[ServingRequest],
@@ -70,7 +101,7 @@ fn serve_with(
     let opts = ServingOptions {
         max_decode_batch: cap,
         sampling: Sampling::Greedy,
-        kv_backend: Some(backend),
+        kv_page_size: Some(page_size),
         kv_position_budget: budget,
         ..ServingOptions::default()
     };
@@ -78,9 +109,9 @@ fn serve_with(
     batcher.serve(requests)
 }
 
-/// The bit-identity check: the same workload served slab-backed and
-/// paged-backed (at an awkward page size) must produce identical streams.
-fn check_paged_matches_slab(model: &ReferenceModel, layout: Layout, page_size: usize) {
+/// The bit-identity check: a shared-prefix workload served at `page_size`
+/// must stream exactly what each request generates alone.
+fn check_paged_matches_isolated(model: &ReferenceModel, layout: Layout, page_size: usize) {
     let requests = shared_prefix_workload(6, model.config().vocab, 9, 3, 5);
     let cap = {
         let probe = ContinuousBatcher::new(
@@ -91,13 +122,11 @@ fn check_paged_matches_slab(model: &ReferenceModel, layout: Layout, page_size: u
         );
         probe.decode_engine().min_batch().max(2)
     };
-    let slab = serve_with(model, layout, KvBackend::Slab, None, cap, &requests);
-    let paged =
-        serve_with(model, layout, KvBackend::Paged { page_size }, None, cap, &requests);
+    let paged = serve_with(model, layout, page_size, None, cap, &requests);
     assert_eq!(
         paged.outputs,
-        slab.outputs,
-        "{} page_size={page_size}: paged streams diverged from slab",
+        isolated_streams(model, layout, &requests),
+        "{} page_size={page_size}: streams diverged from isolated generate",
         layout.describe()
     );
     // Sharing happens at page granularity: only prefixes spanning at least
@@ -105,41 +134,41 @@ fn check_paged_matches_slab(model: &ReferenceModel, layout: Layout, page_size: u
     if page_size <= 9 {
         assert!(paged.report.kv_pages_shared >= 1, "shared prefixes must map shared pages");
     }
-    assert_eq!(slab.report.kv_pages_shared, 0, "slab runs report no page sharing");
 }
 
 #[test]
-fn paged_matches_slab_on_all_layouts_multiquery() {
+fn paged_matches_isolated_on_all_layouts_multiquery() {
     let model = ReferenceModel::init_random(ModelConfig::tiny(), 21);
     for attn in [AttnSharding::Head, AttnSharding::Batch] {
         for layout in decode_layouts(attn) {
-            check_paged_matches_slab(&model, layout, 4);
+            check_paged_matches_isolated(&model, layout, 4);
         }
     }
 }
 
 #[test]
-fn paged_matches_slab_on_all_layouts_multihead() {
+fn paged_matches_isolated_on_all_layouts_multihead() {
     // Batch-sharded attention requires multiquery; multihead covers the
     // head-sharded half of the matrix.
     let model = ReferenceModel::init_random(ModelConfig::tiny_multihead(), 22);
     for layout in decode_layouts(AttnSharding::Head) {
-        check_paged_matches_slab(&model, layout, 4);
+        check_paged_matches_isolated(&model, layout, 4);
     }
 }
 
 #[test]
 fn page_size_never_changes_streams() {
     // Page-boundary stress: sizes that divide, straddle, and dwarf every
-    // prompt in the workload, all bit-identical to the slab run.
+    // prompt in the workload — the last one run per row, the dense layout
+    // reached through the only code path.
     let model = ReferenceModel::init_random(ModelConfig::tiny(), 23);
     let layout = Layout {
         ffn: FfnLayout::WeightStationary1D,
         attn: AttnSharding::Head,
         mesh: MeshFactors::new(1, 4, 1),
     };
-    for page_size in [1, 2, 3, 8, 64] {
-        check_paged_matches_slab(&model, layout, page_size);
+    for page_size in [1, 2, 3, 8, ONE_RUN] {
+        check_paged_matches_isolated(&model, layout, page_size);
     }
 }
 
@@ -160,7 +189,7 @@ fn mid_decode_fault_replays_paged_state() {
     let opts = ServingOptions {
         max_decode_batch: 4,
         sampling: Sampling::Greedy,
-        kv_backend: Some(KvBackend::Paged { page_size: 4 }),
+        kv_page_size: Some(4),
         kv_position_budget: Some(80),
         ..ServingOptions::default()
     };
@@ -186,9 +215,9 @@ fn paged_fits_over_twice_the_concurrency_at_equal_kv_budget() {
     // The headline capacity claim, in miniature. 16 requests share a
     // 48-token prefix (6 eight-token pages) with 8 unique prompt tokens
     // and 8 generated; each needs 64 positions at worst case. Budget: 256
-    // positions. Slab pre-charges 64 per slot -> 4 concurrent. Paged
-    // charges the shared pages once -> first request 8 pages, each
-    // subsequent 2, so 13 fit in the same 32-page budget.
+    // positions. A dense cache pre-charges 64 per slot -> 256 / 64 = 4
+    // concurrent. Pages charge the shared prefix once -> first request 8
+    // pages, each subsequent 2, so 13 fit in the same 32-page budget.
     let model = ReferenceModel::init_random(ModelConfig::tiny(), 25);
     let layout = Layout {
         ffn: FfnLayout::WeightStationary1D,
@@ -196,18 +225,19 @@ fn paged_fits_over_twice_the_concurrency_at_equal_kv_budget() {
         mesh: MeshFactors::new(1, 4, 1),
     };
     let requests = shared_prefix_workload(16, model.config().vocab, 48, 8, 8);
-    let budget = Some(256);
-    let slab = serve_with(&model, layout, KvBackend::Slab, budget, 13, &requests);
-    let paged =
-        serve_with(&model, layout, KvBackend::Paged { page_size: 8 }, budget, 13, &requests);
-    assert_eq!(paged.outputs, slab.outputs, "budgeted runs must still stream identically");
-    assert_eq!(slab.report.peak_decode_batch, 4, "slab fits budget/reserve slots");
+    let (budget, reserve) = (256, 48 + 8 + 8);
+    let paged = serve_with(&model, layout, 8, Some(budget), 13, &requests);
+    assert_eq!(
+        paged.outputs,
+        isolated_streams(&model, layout, &requests),
+        "budgeted runs must still stream identically"
+    );
     assert_eq!(paged.report.peak_decode_batch, 13, "paged fits the whole admissible fleet");
     assert!(
-        paged.report.peak_decode_batch >= 2 * slab.report.peak_decode_batch,
-        "capacity gate: paged {} vs slab {}",
+        paged.report.peak_decode_batch >= 2 * (budget / reserve),
+        "capacity gate: paged {} vs dense {}",
         paged.report.peak_decode_batch,
-        slab.report.peak_decode_batch
+        budget / reserve
     );
     assert_eq!(paged.report.kv_pages_shared, 6, "the six shared prefix pages");
     assert_eq!(paged.report.kv_pages_free, 0, "the fleet fills the budget exactly");
@@ -222,20 +252,18 @@ fn oversized_request_is_rejected_not_livelocked() {
         mesh: MeshFactors::new(1, 4, 1),
     };
     let requests = vec![ServingRequest::immediate((0..40).collect(), 8)];
-    for backend in [KvBackend::Slab, KvBackend::Paged { page_size: 8 }] {
-        let opts = ServingOptions {
-            max_decode_batch: 2,
-            kv_backend: Some(backend),
-            kv_position_budget: Some(16),
-            ..ServingOptions::default()
-        };
-        let mut batcher = ContinuousBatcher::new(&model, layout, WeightFormat::Exact, opts);
-        match batcher.try_serve(&requests) {
-            Err(ServeError::KvBudgetExceeded { index: 0, needed, budget }) => {
-                assert!(needed > budget, "{needed} must exceed {budget}");
-            }
-            other => panic!("{backend:?}: expected KvBudgetExceeded, got {other:?}"),
+    let opts = ServingOptions {
+        max_decode_batch: 2,
+        kv_page_size: Some(8),
+        kv_position_budget: Some(16),
+        ..ServingOptions::default()
+    };
+    let mut batcher = ContinuousBatcher::new(&model, layout, WeightFormat::Exact, opts);
+    match batcher.try_serve(&requests) {
+        Err(ServeError::KvBudgetExceeded { index: 0, needed, budget }) => {
+            assert!(needed > budget, "{needed} must exceed {budget}");
         }
+        other => panic!("expected KvBudgetExceeded, got {other:?}"),
     }
 }
 
@@ -244,10 +272,10 @@ proptest! {
 
     /// Randomized ragged shared-prefix workloads: arbitrary page size,
     /// shared-prefix length (page-aligned or not), ragged unique tails and
-    /// generation lengths — paged streams always match slab streams, with
+    /// generation lengths — streams always match isolated generate, with
     /// copy-on-write exercised whenever the prefix straddles a page.
     #[test]
-    fn cow_streams_match_slab_under_random_ragged_workloads(
+    fn cow_streams_match_isolated_under_random_ragged_workloads(
         page_size in 1usize..10,
         shared in 0usize..13,
         seed in 0u64..200,
@@ -278,12 +306,10 @@ proptest! {
                 }
             })
             .collect();
-        let slab = serve_with(&model, layout, KvBackend::Slab, None, 3, &requests);
-        let paged =
-            serve_with(&model, layout, KvBackend::Paged { page_size }, None, 3, &requests);
+        let paged = serve_with(&model, layout, page_size, None, 3, &requests);
         prop_assert_eq!(
             paged.outputs,
-            slab.outputs,
+            isolated_streams(&model, layout, &requests),
             "page_size {} shared {} diverged",
             page_size,
             shared

@@ -10,7 +10,7 @@ use esti_collectives::FaultPlan;
 use esti_core::layout::{AttnSharding, FfnLayout, GatherExtent, Layout, MeshFactors};
 use esti_model::{ModelConfig, ReferenceModel};
 use esti_runtime::{
-    ContinuousBatcher, GenerateOptions, KvBackend, PartitionedEngine, RequestKv, ServingOptions,
+    ContinuousBatcher, GenerateOptions, PartitionedEngine, RequestKv, ServingOptions,
     ServingOutcome, ServingRequest, WeightFormat,
 };
 use proptest::prelude::*;
@@ -85,7 +85,7 @@ fn paged_opts(cap: usize, prefill_chunk: Option<usize>) -> ServingOptions {
     ServingOptions {
         max_decode_batch: cap,
         prefill_chunk,
-        kv_backend: Some(KvBackend::Paged { page_size: PAGE }),
+        kv_page_size: Some(PAGE),
         ..ServingOptions::default()
     }
 }
@@ -216,11 +216,10 @@ fn seeded_and_packed_rows_are_bit_identical_to_a_full_prefill() {
             .collect();
         for layout in decode_layouts(attn) {
             for fmt in [WeightFormat::Exact, WeightFormat::Int8] {
-                let backend = KvBackend::Paged { page_size: PAGE };
                 let mut oracle = PartitionedEngine::new(&model, layout, fmt);
-                oracle.set_kv_backend(backend);
+                oracle.set_kv_page_size(PAGE);
                 let mut slotted = PartitionedEngine::new(&model, layout, fmt);
-                slotted.set_kv_backend(backend);
+                slotted.set_kv_page_size(PAGE);
                 slotted.begin_slots(ROWS, 0);
                 for chunk in [None, Some(3)] {
                     let full: Vec<(Vec<f32>, RequestKv)> =
@@ -469,16 +468,6 @@ fn unshared_prompts_run_exactly_the_parents_calls() {
         assert_eq!(work.tokens_computed, total_prompt_tokens(&requests));
         assert_eq!((work.tokens_reused, work.rows, work.filler_rows), (0, 6, 0));
     }
-}
-
-#[test]
-fn the_slab_backend_never_hits() {
-    let model = ReferenceModel::init_random(ModelConfig::tiny(), 39);
-    let requests = shared_prefix_workload(model.config().vocab, 3 * PAGE, &[3, 1, 2, 5, 4], 3);
-    let opts = ServingOptions { kv_backend: Some(KvBackend::Slab), ..paged_opts(8, None) };
-    let work = serve_and_check(&model, ws2d_batch(), opts, &requests, |_| {}).prefill;
-    assert_eq!(work.tokens_reused, 0);
-    assert_eq!(work.tokens_computed, total_prompt_tokens(&requests));
 }
 
 #[test]

@@ -324,26 +324,6 @@ pub fn matmul_naive(a: &Tensor, b: &Tensor) -> Tensor {
     Tensor::from_vec(vec![m, n], out)
 }
 
-/// `a × b[:, c0..c0+cn]` without materializing the column slice of `b`:
-/// the looped-collective building block for output-dim chunked einsums.
-/// Equals `matmul(a, b)` restricted to those columns, bit-for-bit.
-///
-/// # Panics
-///
-/// Panics on rank/shape mismatch or if the column range exceeds `b`.
-#[must_use]
-pub fn matmul_cols(a: &Tensor, b: &Tensor, c0: usize, cn: usize) -> Tensor {
-    assert_eq!(a.rank(), 2, "matmul_cols lhs must be rank-2");
-    assert_eq!(b.rank(), 2, "matmul_cols rhs must be rank-2");
-    let (m, k) = (a.dim(0), a.dim(1));
-    let (k2, n_full) = (b.dim(0), b.dim(1));
-    assert_eq!(k, k2, "matmul_cols inner dimension mismatch: {k} vs {k2}");
-    assert!(c0 + cn <= n_full, "column range {c0}+{cn} exceeds {n_full}");
-    let mut out = vec![0.0f32; m * cn];
-    mm_dispatch(a.data(), k, &b.data()[c0..], n_full, &mut out, cn, m, k, cn);
-    Tensor::from_vec(vec![m, cn], out)
-}
-
 /// Accumulates `out += a × b[r0..r0+a.dim(1), :]` — a contraction-chunk
 /// update against a row range of `b`, used to stream all-gathered chunks
 /// through an einsum. Accumulation stays in ascending `k` order within the
@@ -383,57 +363,6 @@ pub fn matmul_into_cols(a: &Tensor, b: &Tensor, out: &mut Tensor, c0: usize) {
     let n_out = out.dim(1);
     assert!(c0 + cn <= n_out, "column range {c0}+{cn} exceeds {n_out}");
     mm_dispatch(a.data(), k, b.data(), cn, &mut out.data_mut()[c0..], n_out, m, k, cn);
-}
-
-/// Copies a `w`-column window of rank-2 `src` starting at column `sc0`
-/// into `out` starting at column `dc0`. Lets chunked collective loops
-/// assemble a gathered matrix in a preallocated output instead of
-/// `concat`-ing per-chunk allocations.
-///
-/// # Panics
-///
-/// Panics on rank mismatch, row-count mismatch, or out-of-range windows.
-pub fn copy_cols(src: &Tensor, sc0: usize, w: usize, out: &mut Tensor, dc0: usize) {
-    let (rows, sn, dn) = col_window_dims(src, sc0, w, out, dc0);
-    let (sd, dd) = (src.data(), out.data_mut());
-    for r in 0..rows {
-        dd[r * dn + dc0..r * dn + dc0 + w].copy_from_slice(&sd[r * sn + sc0..r * sn + sc0 + w]);
-    }
-}
-
-/// Adds a `w`-column window of rank-2 `src` starting at column `sc0` into
-/// `out` starting at column `dc0`, element by element in row-major order.
-/// Used by the overlap loops to fold collected partials in place; the add
-/// order per element is identical to the allocating `&a + &b` path, so
-/// chunk-by-chunk folding stays bit-identical to the monolithic reduction.
-///
-/// # Panics
-///
-/// Panics on rank mismatch, row-count mismatch, or out-of-range windows.
-pub fn add_cols(src: &Tensor, sc0: usize, w: usize, out: &mut Tensor, dc0: usize) {
-    let (rows, sn, dn) = col_window_dims(src, sc0, w, out, dc0);
-    let (sd, dd) = (src.data(), out.data_mut());
-    for r in 0..rows {
-        for c in 0..w {
-            dd[r * dn + dc0 + c] += sd[r * sn + sc0 + c];
-        }
-    }
-}
-
-fn col_window_dims(
-    src: &Tensor,
-    sc0: usize,
-    w: usize,
-    out: &Tensor,
-    dc0: usize,
-) -> (usize, usize, usize) {
-    assert_eq!(src.rank(), 2, "column window src must be rank-2");
-    assert_eq!(out.rank(), 2, "column window out must be rank-2");
-    assert_eq!(src.dim(0), out.dim(0), "column window row count mismatch");
-    let (sn, dn) = (src.dim(1), out.dim(1));
-    assert!(sc0 + w <= sn, "source window {sc0}+{w} exceeds {sn}");
-    assert!(dc0 + w <= dn, "dest window {dc0}+{w} exceeds {dn}");
-    (src.dim(0), sn, dn)
 }
 
 /// In-place elementwise `out += src` in flat index order — the same serial
@@ -734,28 +663,13 @@ mod tests {
     }
 
     #[test]
-    fn column_windows_copy_add_and_fold_bit_identical() {
+    fn add_assign_is_bit_identical_to_the_allocating_add() {
         let mut rng = StdRng::seed_from_u64(7);
         let a = Tensor::randn(&mut rng, vec![3, 4], 1.0);
         let b = Tensor::randn(&mut rng, vec![3, 4], 1.0);
-        // copy_cols then add_cols into a window equals slice arithmetic.
-        let mut out = Tensor::zeros(vec![3, 6]);
-        copy_cols(&a, 1, 2, &mut out, 3);
-        add_cols(&b, 1, 2, &mut out, 3);
-        let expect = &a.slice(1, 1, 2) + &b.slice(1, 1, 2);
-        assert_eq!(out.slice(1, 3, 2).data(), expect.data());
-        // add_assign is bit-identical to the allocating elementwise add.
         let mut acc = a.clone();
         add_assign(&mut acc, &b);
         assert_eq!(acc.data(), (&a + &b).data());
-    }
-
-    #[test]
-    #[should_panic(expected = "dest window")]
-    fn add_cols_checks_window() {
-        let src = Tensor::zeros(vec![2, 4]);
-        let mut out = Tensor::zeros(vec![2, 3]);
-        add_cols(&src, 0, 3, &mut out, 2);
     }
 
     #[test]
@@ -970,18 +884,6 @@ mod tests {
             let blocked = matmul(&a, &b);
             let naive = matmul_naive(&a, &b);
             assert_eq!(blocked.max_abs_diff(&naive), 0.0, "({m},{k},{n})");
-        }
-    }
-
-    #[test]
-    fn matmul_cols_matches_full_product() {
-        let mut rng = StdRng::seed_from_u64(12);
-        let a = Tensor::randn(&mut rng, vec![6, 10], 1.0);
-        let b = Tensor::randn(&mut rng, vec![10, 12], 1.0);
-        let full = matmul(&a, &b);
-        for (c0, cn) in [(0, 12), (0, 3), (5, 7), (11, 1)] {
-            let cols = matmul_cols(&a, &b, c0, cn);
-            assert_eq!(cols.max_abs_diff(&full.slice(1, c0, cn)), 0.0, "cols {c0}+{cn}");
         }
     }
 

@@ -12,8 +12,8 @@
 //! with f32 accumulators (int8 values widened to f32 one rhs panel at a
 //! time), a scalar oracle kernel — all selectable through the same
 //! [`crate::ops::set_matmul_kernel`] knob — and chunk-safe
-//! `matmul_cols` / `matmul_acc_rows` / `matmul_into_cols` variants so
-//! quantized weights compose with the looped-collective overlap paths.
+//! `matmul_acc_rows` / `matmul_into_cols` variants so quantized weights
+//! compose with the streamed weight-gather paths.
 //! Every kernel accumulates each output element by one serial chain of adds
 //! in strictly ascending `k` order, and the per-column scale is applied
 //! exactly once after the full contraction (folding it at tile store over a
@@ -280,19 +280,6 @@ impl QuantizedMatrix {
         QuantizedMatrix { rows, cols, values, scales }
     }
 
-    /// Reassembles a matrix from raw parts — the receive side of the
-    /// quantized wire format (int8 values + per-column f32 scales).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `values.len() != rows * cols` or `scales.len() != cols`.
-    #[must_use]
-    pub fn from_parts(rows: usize, cols: usize, values: Vec<i8>, scales: Vec<f32>) -> Self {
-        assert_eq!(values.len(), rows * cols, "values length mismatch");
-        assert_eq!(scales.len(), cols, "scales length mismatch");
-        QuantizedMatrix { rows, cols, values, scales }
-    }
-
     /// Number of rows (input channels).
     #[must_use]
     pub fn rows(&self) -> usize {
@@ -423,35 +410,6 @@ impl QuantizedMatrix {
         out
     }
 
-    /// `x × self[:, c0..c0+cn]` without materializing the column slice:
-    /// equals [`Self::matmul`] restricted to those columns, bit-for-bit
-    /// (scales are per-column, so a column chunk is self-contained).
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatch or if the column range exceeds `cols`.
-    #[must_use]
-    pub fn matmul_cols(&self, x: &Tensor, c0: usize, cn: usize) -> Tensor {
-        assert_eq!(x.rank(), 2, "matmul_cols lhs must be rank-2");
-        assert_eq!(x.dim(1), self.rows, "matmul_cols inner dimension mismatch");
-        assert!(c0 + cn <= self.cols, "column range {c0}+{cn} exceeds {}", self.cols);
-        let m = x.dim(0);
-        let mut out = vec![0.0f32; m * cn];
-        qmm_dispatch(
-            x.data(),
-            self.rows,
-            &self.values[c0..],
-            self.cols,
-            &mut out,
-            cn,
-            m,
-            self.rows,
-            cn,
-            Some(&self.scales[c0..c0 + cn]),
-        );
-        Tensor::from_vec(vec![m, cn], out)
-    }
-
     /// Writes the *scaled* product `x × self` into columns
     /// `[c0, c0 + cols)` of a wider output, in place — the fused
     /// scale-on-arrival step of the weight-gathered overlap loop. The target
@@ -531,40 +489,6 @@ impl QuantizedMatrix {
         }
     }
 
-    /// The column block `self[:, c0..c0+cn]` as a standalone quantized
-    /// matrix (values and the matching scale slice) — the chunked wire unit
-    /// for column-streamed weight gathers.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the column range exceeds `cols`.
-    #[must_use]
-    pub fn slice_cols(&self, c0: usize, cn: usize) -> Self {
-        assert!(c0 + cn <= self.cols, "column range {c0}+{cn} exceeds {}", self.cols);
-        let mut values = Vec::with_capacity(self.rows * cn);
-        for i in 0..self.rows {
-            values.extend_from_slice(&self.values[i * self.cols + c0..i * self.cols + c0 + cn]);
-        }
-        QuantizedMatrix { rows: self.rows, cols: cn, values, scales: self.scales[c0..c0 + cn].to_vec() }
-    }
-
-    /// The row block `self[r0..r0+rn, :]` as a standalone quantized matrix.
-    /// All row blocks share the full per-column scale vector.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the row range exceeds `rows`.
-    #[must_use]
-    pub fn slice_rows(&self, r0: usize, rn: usize) -> Self {
-        assert!(r0 + rn <= self.rows, "row range {r0}+{rn} exceeds {}", self.rows);
-        QuantizedMatrix {
-            rows: rn,
-            cols: self.cols,
-            values: self.values[r0 * self.cols..(r0 + rn) * self.cols].to_vec(),
-            scales: self.scales.clone(),
-        }
-    }
-
     /// Concatenates column blocks (same row count) back into one matrix —
     /// the inverse of slicing a column-sharded weight, values and scales
     /// both exact.
@@ -589,31 +513,6 @@ impl QuantizedMatrix {
             scales.extend_from_slice(&p.scales);
         }
         QuantizedMatrix { rows, cols, values, scales }
-    }
-
-    /// Concatenates row blocks that share one per-column scale vector —
-    /// the inverse of [`Self::slice_rows`], used to reassemble a rank's
-    /// shard from row-streamed chunks.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `parts` is empty, column counts disagree, or the parts do
-    /// not carry bit-identical scales (row blocks of one matrix always do).
-    #[must_use]
-    pub fn concat_rows(parts: &[&Self]) -> Self {
-        assert!(!parts.is_empty(), "concat_rows needs at least one part");
-        let cols = parts[0].cols;
-        assert!(parts.iter().all(|p| p.cols == cols), "concat_rows col mismatch");
-        assert!(
-            parts.iter().all(|p| p.scales == parts[0].scales),
-            "concat_rows requires identical per-column scales"
-        );
-        let rows: usize = parts.iter().map(|p| p.rows).sum();
-        let mut values = Vec::with_capacity(rows * cols);
-        for p in parts {
-            values.extend_from_slice(&p.values);
-        }
-        QuantizedMatrix { rows, cols, values, scales: parts[0].scales.clone() }
     }
 
     /// Bytes occupied by the quantized representation (int8 values plus
@@ -767,20 +666,6 @@ mod tests {
     }
 
     #[test]
-    fn matmul_cols_is_bitwise_slice_of_matmul() {
-        let mut rng = StdRng::seed_from_u64(24);
-        let w = Tensor::randn(&mut rng, vec![19, 70], 0.8);
-        let x = Tensor::randn(&mut rng, vec![5, 19], 1.0);
-        let q = QuantizedMatrix::quantize(&w);
-        let full = q.matmul(&x);
-        for (c0, cn) in [(0, 70), (0, 35), (35, 35), (3, 64), (69, 1)] {
-            let part = q.matmul_cols(&x, c0, cn);
-            let reference = full.slice(1, c0, cn);
-            assert_eq!(part.data(), reference.data(), "cols {c0}+{cn}");
-        }
-    }
-
-    #[test]
     fn matmul_into_cols_assembles_full_product() {
         let mut rng = StdRng::seed_from_u64(25);
         let wa = Tensor::randn(&mut rng, vec![16, 33], 0.5);
@@ -816,27 +701,15 @@ mod tests {
     }
 
     #[test]
-    fn slice_and_concat_round_trip_exactly() {
+    fn concat_cols_of_column_blocks_is_the_whole_matrix() {
+        // Scales are per column, so quantizing column blocks apart and
+        // concatenating equals quantizing the whole matrix.
         let mut rng = StdRng::seed_from_u64(27);
         let w = Tensor::randn(&mut rng, vec![10, 12], 1.0);
-        let q = QuantizedMatrix::quantize(&w);
-        let (ca, cb) = (q.slice_cols(0, 5), q.slice_cols(5, 7));
-        let back = QuantizedMatrix::concat_cols(&[&ca, &cb]);
-        assert_eq!(back, q);
-        let (ra, rb) = (q.slice_rows(0, 4), q.slice_rows(4, 6));
-        let rback = QuantizedMatrix::concat_rows(&[&ra, &rb]);
-        assert_eq!(rback, q);
-    }
-
-    #[test]
-    fn sliced_matmul_matches_sliced_dense() {
-        // A column block behaves exactly like quantizing that block alone.
-        let mut rng = StdRng::seed_from_u64(28);
-        let w = Tensor::randn(&mut rng, vec![20, 44], 0.4);
-        let x = Tensor::randn(&mut rng, vec![2, 20], 1.0);
-        let q = QuantizedMatrix::quantize(&w);
-        let block = q.slice_cols(8, 20);
-        assert_eq!(block.matmul(&x).data(), q.matmul_cols(&x, 8, 20).data());
+        let (ca, cb) = (w.slice(1, 0, 5), w.slice(1, 5, 7));
+        let parts = [QuantizedMatrix::quantize(&ca), QuantizedMatrix::quantize(&cb)];
+        let back = QuantizedMatrix::concat_cols(&[&parts[0], &parts[1]]);
+        assert_eq!(back, QuantizedMatrix::quantize(&w));
     }
 
     proptest! {

@@ -68,9 +68,9 @@ proptest! {
         prop_assert_eq!(got.data(), oracle.data());
     }
 
-    /// The chunked f32 entry points (`matmul_cols` column windows,
-    /// `matmul_acc_rows` contraction chunks) stay bitwise equal to the
-    /// monolithic naive product under the SIMD tier.
+    /// The chunked f32 entry point (`matmul_acc_rows` contraction chunks)
+    /// stays bitwise equal to the monolithic naive product under the SIMD
+    /// tier.
     #[test]
     fn simd_chunked_f32_entry_points_match_monolithic(
         m in 1usize..14,
@@ -84,17 +84,6 @@ proptest! {
         let b = tensor(k, n, seed ^ 0x5EED);
         let oracle = ops::matmul_naive(&a, &b);
         with_kernel(MatmulKernel::Simd, || {
-            // Column chunking: two windows split at an arbitrary column.
-            let c = 1 + ((split * (n - 1) as f64) as usize).min(n - 1);
-            let lo = ops::matmul_cols(&a, &b, 0, c);
-            let hi = ops::matmul_cols(&a, &b, c, n - c);
-            for r in 0..m {
-                prop_assert_eq!(&lo.data()[r * c..(r + 1) * c], &oracle.data()[r * n..r * n + c]);
-                prop_assert_eq!(
-                    &hi.data()[r * (n - c)..(r + 1) * (n - c)],
-                    &oracle.data()[r * n + c..(r + 1) * n]
-                );
-            }
             // Contraction chunking: ascending row chunks of b accumulate
             // to the monolithic result bit-for-bit.
             let kc = 1 + ((split * (k - 1) as f64) as usize).min(k - 1);
@@ -108,7 +97,7 @@ proptest! {
     }
 
     /// Int8 entry points under the SIMD tier equal the scalar oracle
-    /// (knob = `Naive`) bitwise: monolithic, column-window, into-cols, and
+    /// (knob = `Naive`) bitwise: monolithic, into-cols, and
     /// the unscaled row-accumulate + deferred `apply_scales` path.
     #[test]
     fn simd_int8_entry_points_equal_scalar_oracle_bitwise(
@@ -122,17 +111,8 @@ proptest! {
         let x = tensor(m, k, seed);
         let q = QuantizedMatrix::quantize(&tensor(k, n, seed ^ 0xFACE));
         let oracle = with_kernel(MatmulKernel::Naive, || q.matmul(&x));
-        let c = 1 + ((split * (n - 1) as f64) as usize).min(n - 1);
         with_kernel(MatmulKernel::Simd, || {
             prop_assert_eq!(q.matmul(&x).data(), oracle.data());
-            // Column window.
-            let win = q.matmul_cols(&x, c, n - c);
-            for r in 0..m {
-                prop_assert_eq!(
-                    &win.data()[r * (n - c)..(r + 1) * (n - c)],
-                    &oracle.data()[r * n + c..(r + 1) * n]
-                );
-            }
             // Scale-on-arrival into a wider zeroed target.
             let mut wide = Tensor::zeros(vec![m, n + 5]);
             q.matmul_into_cols(&x, &mut wide, 3);

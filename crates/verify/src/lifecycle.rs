@@ -322,7 +322,7 @@ pub struct LifecycleReport {
 }
 
 /// A request's slot, mirroring the scheduler's `Active` plus its page
-/// claim (zeroes when the spec is slab-backed).
+/// claim.
 #[derive(Debug, Clone, Copy)]
 struct Slot {
     idx: usize,
@@ -335,8 +335,8 @@ struct Slot {
     private_pages: usize,
 }
 
-/// The refcounted page pool the machine models when
-/// [`BatcherSpec::page_size`] is set: per-shared-page reference counts
+/// The refcounted page pool the machine models at
+/// [`BatcherSpec::page_size`]: per-shared-page reference counts
 /// (page `i` covers shared tokens `[i*S, (i+1)*S)`) plus a total-usage
 /// counter gated by [`BatcherSpec::pool_pages`].
 #[derive(Debug, Default)]
@@ -517,8 +517,8 @@ pub fn run_trace(
             // (worst case, prompt plus full generation) and defer when the
             // budget cannot cover them.
             let mut claim = (0usize, 0usize);
-            if let (Some(page_size), true) = (spec.page_size, occupies) {
-                let (shared, private, charge) = pool.plan(&trace.requests[idx], page_size);
+            if occupies {
+                let (shared, private, charge) = pool.plan(&trace.requests[idx], spec.page_size);
                 if let Some(budget) = spec.pool_pages {
                     if pool.used + charge > budget {
                         if active.iter().all(Option::is_none) {
@@ -550,12 +550,10 @@ pub fn run_trace(
                     admitted: idx,
                 });
             }
-            if spec.page_size.is_some() {
-                pool.admit(claim.0, claim.1);
-                if let Some(budget) = spec.pool_pages {
-                    if pool.used > budget {
-                        return Err(LifecycleError::PoolOverflow { used: pool.used, budget });
-                    }
+            pool.admit(claim.0, claim.1);
+            if let Some(budget) = spec.pool_pages {
+                if pool.used > budget {
+                    return Err(LifecycleError::PoolOverflow { used: pool.used, budget });
                 }
             }
             let cursor = if resumed {
@@ -774,30 +772,29 @@ fn builtin_traces(spec: &BatcherSpec) -> Vec<Trace> {
     // with a mid-run fault (so replay re-admits against the pool), with a
     // drain (so the whole fleet releases and re-charges), and with a
     // high-priority preemptor (victim pages release and re-charge).
-    if let Some(page_size) = spec.page_size {
-        let shared = 2 * page_size;
-        let fleet = |lens: &[usize]| -> Vec<AbstractRequest> {
-            lens.iter()
-                .map(|&l| AbstractRequest::with_prompt(l, shared + page_size / 2 + 1, shared))
-                .collect()
-        };
-        let staggered: Vec<usize> = (2..2 + s + 2).collect();
-        let uniform = vec![3; s + 2];
-        traces.push(Trace { requests: fleet(&staggered), faults_at: vec![], drains_at: vec![] });
-        traces.push(Trace { requests: fleet(&staggered), faults_at: vec![1], drains_at: vec![] });
-        traces.push(Trace { requests: fleet(&uniform), faults_at: vec![], drains_at: vec![] });
-        traces.push(Trace { requests: fleet(&staggered), faults_at: vec![], drains_at: vec![2] });
-        let mut pooled_preempt: Vec<AbstractRequest> = fleet(&vec![5; s])
-            .into_iter()
-            .map(|r| r.with_priority(Priority::Low))
-            .collect();
-        pooled_preempt.push(
-            AbstractRequest::with_prompt(3, shared + page_size / 2 + 1, shared)
-                .with_priority(Priority::High)
-                .arriving_at(1),
-        );
-        traces.push(Trace { requests: pooled_preempt, faults_at: vec![], drains_at: vec![] });
-    }
+    let page_size = spec.page_size;
+    let shared = 2 * page_size;
+    let fleet = |lens: &[usize]| -> Vec<AbstractRequest> {
+        lens.iter()
+            .map(|&l| AbstractRequest::with_prompt(l, shared + page_size / 2 + 1, shared))
+            .collect()
+    };
+    let staggered: Vec<usize> = (2..2 + s + 2).collect();
+    let uniform = vec![3; s + 2];
+    traces.push(Trace { requests: fleet(&staggered), faults_at: vec![], drains_at: vec![] });
+    traces.push(Trace { requests: fleet(&staggered), faults_at: vec![1], drains_at: vec![] });
+    traces.push(Trace { requests: fleet(&uniform), faults_at: vec![], drains_at: vec![] });
+    traces.push(Trace { requests: fleet(&staggered), faults_at: vec![], drains_at: vec![2] });
+    let mut pooled_preempt: Vec<AbstractRequest> = fleet(&vec![5; s])
+        .into_iter()
+        .map(|r| r.with_priority(Priority::Low))
+        .collect();
+    pooled_preempt.push(
+        AbstractRequest::with_prompt(3, shared + page_size / 2 + 1, shared)
+            .with_priority(Priority::High)
+            .arriving_at(1),
+    );
+    traces.push(Trace { requests: pooled_preempt, faults_at: vec![], drains_at: vec![] });
     traces
 }
 
@@ -839,7 +836,7 @@ mod tests {
             max_recoveries: 3,
             prefill_emits_first_token: true,
             replay_restarts_at: 1,
-            page_size: Some(esti_runtime::DEFAULT_KV_PAGE_SIZE),
+            page_size: esti_runtime::DEFAULT_KV_PAGE_SIZE,
             pool_pages: None,
             preemption: true,
         }
@@ -1044,7 +1041,7 @@ mod tests {
         // the third must wait for both to finish (its charge re-counts the
         // then-freed shared pages). Deferral serializes: ≥ 4 steps instead
         // of the 2 a parallel run would take.
-        let s = BatcherSpec { page_size: Some(4), pool_pages: Some(4), ..spec() };
+        let s = BatcherSpec { page_size: 4, pool_pages: Some(4), ..spec() };
         let reqs = vec![AbstractRequest::with_prompt(3, 8, 8); 3];
         let t = Trace { requests: reqs, faults_at: vec![], drains_at: vec![] };
         match run_trace(&s, &t, None).unwrap() {
@@ -1057,7 +1054,7 @@ mod tests {
 
     #[test]
     fn oversized_request_starves_instead_of_overflowing() {
-        let s = BatcherSpec { page_size: Some(4), pool_pages: Some(2), ..spec() };
+        let s = BatcherSpec { page_size: 4, pool_pages: Some(2), ..spec() };
         let t = Trace {
             requests: vec![AbstractRequest::with_prompt(4, 12, 0)],
             faults_at: vec![],
@@ -1072,7 +1069,7 @@ mod tests {
         // full prefix pages; the short one completes first, and the
         // defective machine frees the shared pages outright while the long
         // one still references them.
-        let s = BatcherSpec { page_size: Some(4), ..spec() };
+        let s = BatcherSpec { page_size: 4, ..spec() };
         let t = Trace {
             requests: vec![
                 AbstractRequest::with_prompt(2, 8, 8),
@@ -1093,7 +1090,7 @@ mod tests {
 
     #[test]
     fn correct_refcounting_passes_where_the_defect_fails() {
-        let s = BatcherSpec { page_size: Some(4), ..spec() };
+        let s = BatcherSpec { page_size: 4, ..spec() };
         let t = Trace {
             requests: vec![
                 AbstractRequest::with_prompt(2, 8, 8),

@@ -8,7 +8,7 @@
 //! overflows (Section 3.5) is reported as a warning, since the runtime can
 //! trade it off by gathering in chunks.
 //!
-//! [`check_memory_fit`] charges the slab (dense) KV policy: `batch ×
+//! [`check_memory_fit`] charges the dense KV policy: `batch ×
 //! context` positions regardless of actual lengths.
 //! [`check_memory_fit_paged`] charges a paged pool instead: each request
 //! holds `ceil(len / page_size)` pages at its worst-case length, full
@@ -45,7 +45,7 @@ pub struct MemReport {
     /// exceed the remaining capacity.
     pub wg_warning: Option<String>,
     /// Paged-KV pool size backing `kv_bytes`, when the paged policy was
-    /// accounted ([`check_memory_fit_paged`]); `None` under the slab
+    /// accounted ([`check_memory_fit_paged`]); `None` under the dense
     /// policy.
     pub kv_pages: Option<usize>,
 }
@@ -163,7 +163,7 @@ pub fn paged_pool_pages(page_size: usize, requests: &[PagedRequest]) -> usize {
 /// [`check_memory_fit`] under the paged KV policy: the KV term charges the
 /// pool [`paged_pool_pages`] sizes for this workload — shared prefix pages
 /// once, every other page at worst-case request length — instead of the
-/// slab's dense `batch × context`. Per chip, head sharding keeps every
+/// dense `batch × context`. Per chip, head sharding keeps every
 /// page resident at `1/n` of the head width, while batch sharding spreads
 /// rows (hence private pages) over chips with each chip sharing the prefix
 /// among its own rows.
@@ -193,7 +193,7 @@ pub fn check_memory_fit_paged(
         kv_dtype,
     );
     // Weights, activations, capacity, and the weight-gathered transient
-    // warning from the slab pass with the KV term zeroed out, re-derived
+    // warning from the dense pass with the KV term zeroed out, re-derived
     // against the paged KV bytes.
     let base = check_memory_fit(machine, model, layout, requests.len(), 0, weight_dtype, kv_dtype);
     let resident = base.weight_bytes + kv_bytes + base.act_bytes;

@@ -166,7 +166,7 @@ pub fn default_batcher_spec() -> BatcherSpec {
         max_recoveries: 3,
         prefill_emits_first_token: true,
         replay_restarts_at: 1,
-        page_size: Some(esti_runtime::DEFAULT_KV_PAGE_SIZE),
+        page_size: esti_runtime::DEFAULT_KV_PAGE_SIZE,
         pool_pages: None,
         preemption: true,
     }

@@ -2,7 +2,7 @@
 //! print the Pareto frontier of latency vs cost (Figure 1's machinery),
 //! then recommend a configuration for a latency target.
 //!
-//! Run with: `cargo run --example planner [-- <model> <latency_ms>]`
+//! Run with: `cargo run --example pareto_advisor [-- <model> <latency_ms>]`
 //! where `<model>` is one of `8b`, `62b`, `540b`, `mtnlg` (default `540b`)
 //! and `<latency_ms>` is the decode per-token latency target (default 40).
 

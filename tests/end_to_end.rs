@@ -118,7 +118,7 @@ fn comm_pieces_follow_the_paper_axis_assignment() {
 }
 
 /// The single-chip oracle: greedy picks of the unpartitioned reference
-/// model over a slab KV cache.
+/// model.
 fn reference_greedy(model: &ReferenceModel, prompts: &[Vec<usize>], n: usize) -> Vec<Vec<usize>> {
     let vocab = model.config().vocab;
     let mut cache = KvCache::new(model.config().n_layers);
@@ -180,9 +180,11 @@ fn generation_is_deterministic_across_layouts() {
 #[test]
 fn shared_prefix_requests_prefill_only_their_suffixes() {
     // Six requests behind a 20-token prefix on ws2d × batch (four rows per
-    // prefill call, default 16-position pages): the first group of four is
-    // cold, the last two are seeded with the prefix's one whole page from a
-    // live slot and run only the rest — to the single chip's tokens.
+    // prefill call): the first group of four is cold, the last two are
+    // seeded with the prefix's whole pages from a live slot and run only the
+    // rest — to the single chip's tokens at every page size: one position,
+    // the default 16, and 64 ≥ the longest sequence (33), where each row is
+    // one dense run and no whole page fits under a prompt.
     let model = ReferenceModel::init_random(ModelConfig::tiny(), 103);
     let layout = Layout {
         ffn: FfnLayout::WeightStationary2D,
@@ -196,15 +198,23 @@ fn shared_prefix_requests_prefill_only_their_suffixes() {
             ServingRequest::immediate(prompt, 6)
         })
         .collect();
-    let opts = ServingOptions { max_decode_batch: 8, ..ServingOptions::default() };
-    let mut batcher = ContinuousBatcher::new(&model, layout, WeightFormat::Exact, opts);
-    let outcome = batcher.try_serve(&requests).expect("serves");
-    for (req, out) in requests.iter().zip(&outcome.outputs) {
-        let expect = reference_greedy(&model, std::slice::from_ref(&req.prompt), 6);
-        assert_eq!(*out, expect[0]);
+    let expect: Vec<Vec<usize>> = requests
+        .iter()
+        .map(|req| reference_greedy(&model, std::slice::from_ref(&req.prompt), 6).swap_remove(0))
+        .collect();
+    for page in [1, 16, 64] {
+        let opts = ServingOptions {
+            max_decode_batch: 8,
+            kv_page_size: Some(page),
+            ..ServingOptions::default()
+        };
+        let mut batcher = ContinuousBatcher::new(&model, layout, WeightFormat::Exact, opts);
+        let outcome = batcher.try_serve(&requests).expect("serves");
+        assert_eq!(outcome.outputs, expect, "page {page}");
+        let work = outcome.prefill;
+        assert_eq!(work.tokens_reused, 2 * (20 / page * page), "page {page}: {work:?}");
+        assert_eq!((work.rows, work.filler_rows), (8, 2), "page {page}");
     }
-    assert_eq!(outcome.prefill.tokens_reused, 2 * 16, "{:?}", outcome.prefill);
-    assert_eq!((outcome.prefill.rows, outcome.prefill.filler_rows), (8, 2));
 }
 
 #[test]
