@@ -28,6 +28,13 @@ cargo test -q --release -p esti-runtime --test threads
 echo "== serving conformance: scheduler token streams identical to isolated generate =="
 # Covers every built-in decode layout plus the ragged-workload proptest.
 cargo test -q --release -p esti-runtime --test serving
+# The live-row decode step: a step over any subset of the slots gives each
+# stepped row the all-slots step's bits (logits and KV, every decode layout,
+# multiquery / multihead, f32 / int8, both GEMM tiers — small steps run the
+# streaming f32 schedule), leaves every other slot untouched and returns its
+# padding slots empty; DecodeWork counts repeat exactly.
+cargo test -q --release -p esti-runtime --test live_rows
+ESTI_DISABLE_SIMD=1 cargo test -q --release -p esti-runtime --test live_rows
 
 echo "== int8 conformance: quantized wire volume =="
 # The int8 data path: the ledger charges quantized (not dense f32) bytes
@@ -66,6 +73,13 @@ fi
 calls=$(grep -c "\.try_prefill(" crates/runtime/src/serving.rs)
 if [ "$calls" -ne 1 ]; then
   echo "FAIL: serving.rs calls try_prefill at $calls sites; the group path is the only one" >&2
+  exit 1
+fi
+# One decode step: the batcher hands the engine its occupied slots
+# (try_decode_rows); the all-slots step and the dummy token it fed idle
+# slots stay out of serving.rs.
+if grep -nE "try_decode_step\(|dummy decode token|[Ii]dle (slots|rows) carry a dummy" crates/runtime/src/serving.rs; then
+  echo "FAIL: serving.rs steps idle slots again (all-slots try_decode_step or a dummy decode token)" >&2
   exit 1
 fi
 

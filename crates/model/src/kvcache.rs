@@ -313,24 +313,43 @@ impl KvCache {
         &self.lens[layer]
     }
 
-    /// Appends new key/value tensors (`[B, L_new, Hkv·dh]`) for `layer`,
-    /// writing in place at each row's current length. A write into a shared
-    /// page copies it out first (copy-on-write), so appending never
-    /// perturbs other rows mapping the same prefix.
+    /// Appends new key/value tensors (`[B, L_new, Hkv·dh]`) for `layer` to
+    /// every row: [`KvCache::append_rows`] with tensor row `r` going to cache
+    /// row `r` of `B`.
     ///
     /// # Panics
     ///
     /// Panics if `layer` is out of range or batch/feature dims disagree
     /// with existing contents.
     pub fn append(&mut self, layer: usize, k: &Tensor, v: &Tensor) {
+        let rows: Vec<usize> = (0..k.dim(0)).collect();
+        self.append_rows(layer, &rows, rows.len(), k, v);
+    }
+
+    /// Appends new key/value tensors (`[R, L_new, Hkv·dh]`) for `layer` to
+    /// the cache rows a step runs — tensor row `r` goes to cache row
+    /// `rows[r]` of `batch` — writing in place at each of those rows' current
+    /// length and leaving every other row as it is. Which rows a step runs is
+    /// the caller's to say, call by call; the cache keeps no notion of it. A
+    /// write into a shared page copies it out first (copy-on-write), so
+    /// appending never perturbs other rows mapping the same prefix. Creates
+    /// storage for `batch` rows if none exists yet.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `layer` is out of range, `rows` is not one row below `batch`
+    /// per tensor row, or batch/feature dims disagree with existing contents.
+    pub fn append_rows(&mut self, layer: usize, rows: &[usize], batch: usize, k: &Tensor, v: &Tensor) {
         assert_eq!(k.shape(), v.shape(), "K and V must have matching shapes");
         assert_eq!(k.rank(), 3, "KV tensors must be [B, L, Hkv*dh]");
-        let (b, l, d) = (k.dim(0), k.dim(1), k.dim(2));
-        self.ensure_shape(b, d);
-        for r in 0..b {
+        let (l, d) = (k.dim(1), k.dim(2));
+        assert_eq!(rows.len(), k.dim(0), "one cache row per KV tensor row");
+        self.ensure_shape(batch, d);
+        for (src, &r) in rows.iter().enumerate() {
+            assert!(r < batch, "row {r} out of range for batch {batch}");
             let at = self.lens[layer][r];
-            let src = r * l * d;
-            self.write_span(layer, r, at, &k.data()[src..src + l * d], &v.data()[src..src + l * d]);
+            let src = src * l * d..(src + 1) * l * d;
+            self.write_span(layer, r, at, &k.data()[src.clone()], &v.data()[src]);
             self.lens[layer][r] = at + l;
         }
     }
@@ -639,6 +658,27 @@ mod tests {
         assert_eq!(c.row_lens(0), &[3, 1]);
         assert_eq!(c.read_slot(0, 0).0.data(), &[1.0, 2.0, 3.0, 4.0, 9.0, 9.0]);
         assert_eq!(c.read_slot(0, 1).0.data(), &[9.0, 9.0]);
+    }
+
+    #[test]
+    fn append_rows_grows_only_the_rows_it_names() {
+        // A live-row step: tensor rows 0 and 1 land in cache rows 2 and 0;
+        // rows 1 and 3 are not part of the step and keep length, table and
+        // bytes. On an empty cache the call still shapes all four rows.
+        let mut c = KvCache::paged(1, 2);
+        let step = |a: f32, b: f32| Tensor::from_vec(vec![2, 1, 2], vec![a, a, b, b]);
+        c.append_rows(0, &[2, 0], 4, &step(1.0, 2.0), &step(-1.0, -2.0));
+        assert_eq!(c.row_lens(0), &[1, 0, 1, 0]);
+        let parked = Tensor::from_vec(vec![3, 2], vec![7.0; 6]);
+        c.write_slot(0, 1, 4, &parked, &parked);
+        let live_before = c.page_stats().pages_live;
+        c.append_rows(0, &[2, 0], 4, &step(3.0, 4.0), &step(-3.0, -4.0));
+        assert_eq!(c.row_lens(0), &[2, 3, 2, 0]);
+        assert_eq!(c.read_slot(0, 2).0.data(), &[1.0, 1.0, 3.0, 3.0]);
+        assert_eq!(c.read_slot(0, 0).1.data(), &[-2.0, -2.0, -4.0, -4.0]);
+        assert_eq!(c.read_slot(0, 1).0.data(), parked.data());
+        assert_eq!(c.page_stats().pages_live, live_before, "second positions fit the first pages");
+        assert_eq!(c.row_runs(0, 3).count(), 0, "a row outside the step stays empty");
     }
 
     #[test]

@@ -245,11 +245,28 @@ const LT: usize = 8;
 const MR: usize = 4;
 const NR: usize = 32;
 
+/// [`attention_over_rows`] with every cache row in the step: row `bi` of `q`
+/// attends cache row `bi`.
+///
+/// # Panics
+///
+/// As [`attention_over_rows`]; `layer` must hold exactly one row per row of
+/// `q`.
+#[must_use]
+pub fn attention_over_cache(q: &Tensor, cache: &KvCache, layer: usize, d_head: usize) -> Tensor {
+    assert_eq!(cache.row_lens(layer).len(), q.dim(0), "one valid length per batch row");
+    let rows: Vec<usize> = (0..q.dim(0)).collect();
+    attention_over_rows(q, cache, &rows, layer, d_head)
+}
+
 /// Scaled-dot-product causal attention of `q` (`[B, Lq, Hq·dh]`, whatever
 /// heads are present locally) over `layer` of `cache`, whose rows hold
-/// `[len, Hkv·dh]` keys and values of ragged per-row lengths; row `bi`'s
-/// queries occupy the last `Lq` of its positions and query head `h` attends
-/// key/value head `h % Hkv` (so `Hkv = 1` is multiquery, `Hkv = Hq`
+/// `[len, Hkv·dh]` keys and values of ragged per-row lengths. `rows` is the
+/// step's row map — row `bi` of `q` attends cache row `rows[bi]`, the same
+/// map its keys and values were appended under
+/// ([`KvCache::append_rows`]); cache rows outside it are not read. Row
+/// `bi`'s queries occupy the last `Lq` of its positions and query head `h`
+/// attends key/value head `h % Hkv` (so `Hkv = 1` is multiquery, `Hkv = Hq`
 /// multihead, and a head-sharded subset is just fewer heads). Returns
 /// `[B, Lq, Hq·dh]`.
 ///
@@ -276,23 +293,30 @@ const NR: usize = 32;
 ///
 /// # Panics
 ///
-/// Panics if head widths are not multiples of `d_head`, `layer` does not
-/// hold one row per row of `q`, or a row is shorter than `Lq`.
+/// Panics if head widths are not multiples of `d_head`, `rows` is not one
+/// cache row of `layer` per row of `q`, or a row is shorter than `Lq`.
 #[must_use]
-pub fn attention_over_cache(q: &Tensor, cache: &KvCache, layer: usize, d_head: usize) -> Tensor {
+pub fn attention_over_rows(
+    q: &Tensor,
+    cache: &KvCache,
+    rows: &[usize],
+    layer: usize,
+    d_head: usize,
+) -> Tensor {
     let (b, l_q, qw) = (q.dim(0), q.dim(1), q.dim(2));
     let lens = cache.row_lens(layer);
-    assert_eq!(lens.len(), b, "one valid length per batch row");
+    assert_eq!(rows.len(), b, "one cache row per batch row");
     let kw = cache.width();
     assert!(qw.is_multiple_of(d_head) && kw.is_multiple_of(d_head), "head width mismatch");
     let (hq, hkv) = (qw / d_head, kw / d_head);
     let scale = 1.0 / (d_head as f32).sqrt();
     let mut out = vec![0.0f32; b * l_q * qw];
     let (mut qt, mut scores, mut max, mut sum) = (Vec::new(), Vec::new(), Vec::new(), Vec::new());
-    for (bi, &l_k) in lens.iter().enumerate() {
-        assert!(l_k >= l_q, "row {bi} length {l_k} shorter than query length {l_q}");
+    for (bi, &row) in rows.iter().enumerate() {
+        let l_k = lens[row];
+        assert!(l_k >= l_q, "row {row} length {l_k} shorter than query length {l_q}");
         let runs = || {
-            cache.row_runs(layer, bi).flat_map(|(k, v)| k.chunks(RUN * kw).zip(v.chunks(RUN * kw)))
+            cache.row_runs(layer, row).flat_map(|(k, v)| k.chunks(RUN * kw).zip(v.chunks(RUN * kw)))
         };
         for g in 0..hkv.min(hq) {
             let n_h = (hq - g).div_ceil(hkv); // query heads g, g + Hkv, … share KV head g
@@ -565,6 +589,25 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn fused_attention_over_a_row_map_reads_only_the_mapped_rows() {
+        // Four ragged rows; a step over cache rows [3, 0] must give those
+        // rows' slices of the all-rows result, in the map's order, bit for bit.
+        let (dh, hq, l_q) = (8, 3, 1);
+        let mut cache = KvCache::paged(1, 4);
+        for (row, len) in [5usize, 9, 1, 14].into_iter().enumerate() {
+            let (k, v) = (noise(vec![len, dh], 20 + row), noise(vec![len, dh], 30 + row));
+            cache.write_slot(0, row, 4, &k, &v);
+        }
+        let q = noise(vec![4, l_q, hq * dh], 41);
+        let all = attention_over_cache(&q, &cache, 0, dh);
+        let picked = Tensor::concat(&[&q.slice(0, 3, 1), &q.slice(0, 0, 1)], 0);
+        let some = attention_over_rows(&picked, &cache, &[3, 0], 0, dh);
+        let want = Tensor::concat(&[&all.slice(0, 3, 1), &all.slice(0, 0, 1)], 0);
+        let bits = |t: &Tensor| t.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&some), bits(&want));
     }
 
     fn models() -> Vec<ReferenceModel> {

@@ -15,7 +15,7 @@ use esti_collectives::{
     CollectiveError, CommGroup, CommTimes, FaultPlan, FaultState, InjectedCrash, TrafficStats,
 };
 use esti_core::layout::{AttnSharding, FfnLayout, Layout};
-use esti_model::reference::{attention_over_cache, gelu, mm3};
+use esti_model::reference::{attention_over_rows, gelu, mm3};
 use esti_model::{KvCache, MlpKind, ModelConfig, PageStats, PositionKind, ReferenceModel};
 use esti_tensor::pool::{with_worker_pool, ChipPool};
 use esti_tensor::{ops, Tensor};
@@ -596,13 +596,15 @@ impl PartitionedEngine {
     // Slot mode: ragged-batch decode for continuous batching
     // -----------------------------------------------------------------
 
-    /// Switches the engine into slot mode with a fixed decode batch of
-    /// `slots` rows, each an independent sequence of its own age (or idle).
-    /// Caches are cleared; `reserve` is ignored (pages allocate on demand)
-    /// and stays only because the frozen benchmark passes it. Subsequent
-    /// [`PartitionedEngine::decode_step`] calls must pass exactly `slots`
-    /// tokens (idle rows carry a dummy token; every op treats batch rows
-    /// independently, so idle rows cannot perturb live ones).
+    /// Switches the engine into slot mode with `slots` rows, each an
+    /// independent sequence of its own age (or empty). Caches are cleared;
+    /// `reserve` is ignored (pages allocate on demand) and stays only
+    /// because the frozen benchmark passes it. A decode step then runs the
+    /// slots it is given and no others
+    /// ([`PartitionedEngine::try_decode_rows`]): every op treats batch rows
+    /// independently, so which other rows share a step changes no bit of a
+    /// row's logits, and a slot left out neither ages nor allocates.
+    /// [`PartitionedEngine::decode_step`] is the step over all `slots`.
     ///
     /// # Panics
     ///
@@ -811,9 +813,11 @@ impl PartitionedEngine {
         self.row_lens.as_mut().expect("insert_kv requires slot mode")[slot] = kv.len;
     }
 
-    /// Evicts slot `slot`: its cached positions become scratch and its age
-    /// resets to zero. Slot mode only. Also the cheap way to keep *idle*
-    /// slots from aging (their dummy appends otherwise accumulate).
+    /// Evicts slot `slot`: its pages lose this slot's reference and its age
+    /// resets to zero. Slot mode only. An empty slot costs a decode step
+    /// nothing — steps run the slots they are given — except where it pads
+    /// its span for one step ([`PartitionedEngine::try_decode_rows`]), and
+    /// the engine evicts it again itself.
     ///
     /// # Panics
     ///
@@ -857,29 +861,169 @@ impl PartitionedEngine {
             return Err(EngineError::Poisoned);
         }
         let x = self.embed_host(tokens);
-        self.try_forward(x)
+        let rows: Vec<usize> = (0..tokens.len()).collect();
+        self.try_forward(x, &rows)
     }
 
-    /// One decode step (one token per sequence), returning logits `[B, V]`.
+    /// One decode step over every row (one token per sequence, in row
+    /// order), returning logits `[B, V]`.
     #[must_use]
     pub fn decode_step(&mut self, tokens: &[usize]) -> Tensor {
         self.try_decode_step(tokens).unwrap_or_else(|e| panic!("decode step failed: {e}"))
     }
 
-    /// Fallible [`PartitionedEngine::decode_step`] — same contract as
-    /// [`PartitionedEngine::try_prefill`].
+    /// Fallible [`PartitionedEngine::decode_step`]:
+    /// [`PartitionedEngine::try_decode_rows`] with row `i` carrying
+    /// `tokens[i]`.
     ///
     /// # Errors
     ///
     /// See [`EngineError`]. After any error the engine is poisoned.
     pub fn try_decode_step(&mut self, tokens: &[usize]) -> Result<Tensor, EngineError> {
+        let rows: Vec<(usize, usize)> = tokens.iter().copied().enumerate().collect();
+        self.try_decode_rows(&rows)
+    }
+
+    /// One decode step over the `(slot, token)` rows given and no others,
+    /// returning logits `[rows.len(), V]` in the order given. In slot mode
+    /// any non-empty set of distinct slots is a step: each appends its token
+    /// at its own age and ages by one; a slot left out is not touched. Rows
+    /// are independent, so a row's logits do not depend on which other rows
+    /// share its step. Outside slot mode the batch is uniform and a step is
+    /// every row in order.
+    ///
+    /// Where every chip sees every row (head-sharded 1D / 2D) the step
+    /// carries exactly the rows given. Where chips own spans of the rows
+    /// (batch-sharded attention, weight-gathered layouts) every span must
+    /// carry equally many for the collectives to stay regular, so each span
+    /// is padded with *empty* slots of its own up to the largest count any
+    /// span was given ([`PartitionedEngine::decode_rows_carried`]); a padding
+    /// row carries token 0 and is evicted again before the call returns.
+    ///
+    /// # Errors
+    ///
+    /// See [`EngineError`]. After any error the engine is poisoned.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an empty step, a slot out of range or given twice, an
+    /// out-of-vocabulary token, or a span with too few empty slots to pad.
+    pub fn try_decode_rows(&mut self, rows: &[(usize, usize)]) -> Result<Tensor, EngineError> {
         if self.poisoned {
             return Err(EngineError::Poisoned);
         }
-        let seqs: Vec<Vec<usize>> = tokens.iter().map(|&t| vec![t]).collect();
-        let x = self.embed_host(&seqs);
-        let (b, v) = (tokens.len(), self.cfg.vocab);
-        Ok(self.try_forward(x)?.into_reshape(vec![b, v]))
+        if self.row_lens.is_none() {
+            self.fix_batch(rows.len());
+        }
+        let step = self.lay_out_step(rows);
+        let (b, e, v) = (step.slots.len(), self.cfg.d_model, self.cfg.vocab);
+        let bases = self.row_bases(&step.slots);
+        let mut x = Tensor::zeros(vec![b, 1, e]);
+        for ((&tok, &base), row) in step.tokens.iter().zip(&bases).zip(x.data_mut().chunks_mut(e)) {
+            self.embed_token(tok, base, row);
+        }
+        let logits = self.try_forward(x, &step.slots)?.into_reshape(vec![b, v]);
+        for &slot in &step.padding {
+            self.evict_slot(slot);
+        }
+        if step.at.iter().copied().eq(0..b) {
+            return Ok(logits);
+        }
+        let mut out = Vec::with_capacity(rows.len() * v);
+        for &r in &step.at {
+            out.extend_from_slice(&logits.data()[r * v..(r + 1) * v]);
+        }
+        Ok(Tensor::from_vec(vec![rows.len(), v], out))
+    }
+
+    /// Batch rows one decode step over `rows` carries through the model:
+    /// `rows.len()` where every chip sees every row, more where spans of
+    /// rows are padded to a common count (see
+    /// [`PartitionedEngine::try_decode_rows`]) — never more than the slot
+    /// count. Slot mode only.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the engine is not in slot mode.
+    #[must_use]
+    pub fn decode_rows_carried(&self, rows: &[(usize, usize)]) -> usize {
+        let spans = self.row_spans(self.slot_lens().len());
+        spans.len() * rows_per_span(&spans, rows)
+    }
+
+    /// The distinct spans of the `b` batch rows the chips' caches hold, as
+    /// ascending `(start, count)`: one span of all `b` where every chip
+    /// holds every row, otherwise equal disjoint spans.
+    fn row_spans(&self, b: usize) -> Vec<(usize, usize)> {
+        let mut spans: Vec<_> = self.chips.iter().map(|c| self.chip_rows(c, b)).collect();
+        spans.sort_unstable();
+        spans.dedup();
+        spans
+    }
+
+    /// Places the requested `(slot, token)` rows in a step batch whose row
+    /// spans (`chip_rows` of the *step's* batch size) line up with the slot
+    /// spans the chips' caches hold: span by span, the span's requested rows
+    /// in request order, then empty slots of that span as padding up to the
+    /// largest requested count over spans.
+    fn lay_out_step(&self, rows: &[(usize, usize)]) -> StepLayout {
+        assert!(!rows.is_empty(), "empty batch");
+        let b = self.batch.expect("the caller fixed the batch");
+        let mut given = vec![false; b];
+        for &(slot, _) in rows {
+            assert!(slot < b, "slot {slot} out of range for batch {b}");
+            assert!(!std::mem::replace(&mut given[slot], true), "slot {slot} given twice in one step");
+        }
+        let lens = self.row_lens.as_deref();
+        assert!(
+            lens.is_some() || rows.iter().map(|r| r.0).eq(0..b),
+            "outside slot mode a decode step carries every row, in order"
+        );
+        let spans = self.row_spans(b);
+        let per_span = rows_per_span(&spans, rows);
+        let mut step = StepLayout {
+            slots: Vec::with_capacity(spans.len() * per_span),
+            tokens: Vec::with_capacity(spans.len() * per_span),
+            at: vec![0; rows.len()],
+            padding: Vec::new(),
+        };
+        for &(r0, rc) in &spans {
+            let span = r0..r0 + rc;
+            let end = step.slots.len() + per_span;
+            for (i, &(slot, tok)) in rows.iter().enumerate() {
+                if span.contains(&slot) {
+                    step.at[i] = step.slots.len();
+                    step.slots.push(slot);
+                    step.tokens.push(tok);
+                }
+            }
+            let empty = span.clone().filter(|&s| !given[s] && lens.is_some_and(|l| l[s] == 0));
+            for slot in empty.take(end - step.slots.len()) {
+                step.padding.push(slot);
+                step.slots.push(slot);
+                step.tokens.push(0);
+            }
+            assert_eq!(
+                step.slots.len(),
+                end,
+                "slots {span:?} hold too few empty slots to pad their share of the step to {per_span} rows"
+            );
+        }
+        step
+    }
+
+    /// Writes token `tok`'s embedding at absolute position `pos` into `row`
+    /// (`d_model` floats): the table row, plus the learned position row for
+    /// models that have one.
+    fn embed_token(&self, tok: usize, pos: usize, row: &mut [f32]) {
+        let e = self.cfg.d_model;
+        assert!(tok < self.cfg.vocab, "token id {tok} out of vocabulary");
+        row.copy_from_slice(&self.embed.data()[tok * e..(tok + 1) * e]);
+        if let Some(table) = &self.pos_embed {
+            for (v, &p) in row.iter_mut().zip(&table.data()[pos * e..(pos + 1) * e]) {
+                *v += p;
+            }
+        }
     }
 
     fn embed_host(&mut self, tokens: &[Vec<usize>]) -> Tensor {
@@ -887,42 +1031,41 @@ impl PartitionedEngine {
         assert!(b > 0, "empty batch");
         let l = tokens[0].len();
         assert!(l > 0, "empty sequence");
+        self.fix_batch(b);
+        let e = self.cfg.d_model;
+        // Cached positions before this pass = absolute position of the
+        // chunk; in slot mode each row carries its own age.
+        let rows: Vec<usize> = (0..b).collect();
+        let bases = self.row_bases(&rows);
+        let mut x = Tensor::zeros(vec![b, l, e]);
+        for ((seq, &base), rows) in tokens.iter().zip(&bases).zip(x.data_mut().chunks_mut(l * e)) {
+            assert_eq!(seq.len(), l, "ragged batch: all sequences must have equal length");
+            for (li, (&tok, row)) in seq.iter().zip(rows.chunks_mut(e)).enumerate() {
+                self.embed_token(tok, base + li, row);
+            }
+        }
+        x
+    }
+
+    /// Absolute position of the next token of each of `rows` (batch rows):
+    /// uniform (the shared cache length) in classic mode, per-slot ages in
+    /// slot mode.
+    fn row_bases(&self, rows: &[usize]) -> Vec<usize> {
+        match &self.row_lens {
+            Some(lens) => rows.iter().map(|&r| lens[r]).collect(),
+            None => vec![self.cache_len(); rows.len()],
+        }
+    }
+
+    /// Every row, every pass: the first pass fixes the batch size (cache
+    /// sharding depends on it) and later ones must match it.
+    fn fix_batch(&mut self, b: usize) {
         match self.batch {
             None => {
                 self.validate_batch(b);
                 self.batch = Some(b);
             }
             Some(prev) => assert_eq!(b, prev, "batch size changed mid-conversation; call reset()"),
-        }
-        let e = self.cfg.d_model;
-        // Cached positions before this pass = absolute position of the
-        // chunk; in slot mode each row carries its own age.
-        let bases = self.row_bases(b);
-        let mut x = Tensor::zeros(vec![b, l, e]);
-        let table = self.embed.data();
-        let positions = self.pos_embed.as_ref().map(Tensor::data);
-        for ((seq, &base), rows) in tokens.iter().zip(&bases).zip(x.data_mut().chunks_mut(l * e)) {
-            assert_eq!(seq.len(), l, "ragged batch: all sequences must have equal length");
-            for (li, (&tok, row)) in seq.iter().zip(rows.chunks_mut(e)).enumerate() {
-                assert!(tok < self.cfg.vocab, "token id {tok} out of vocabulary");
-                row.copy_from_slice(&table[tok * e..(tok + 1) * e]);
-                if let Some(pos) = positions {
-                    let at = (base + li) * e;
-                    for (v, &p) in row.iter_mut().zip(&pos[at..at + e]) {
-                        *v += p;
-                    }
-                }
-            }
-        }
-        x
-    }
-
-    /// Absolute position of each row's next token: uniform (the shared
-    /// cache length) in classic mode, per-slot ages in slot mode.
-    fn row_bases(&self, b: usize) -> Vec<usize> {
-        match &self.row_lens {
-            Some(lens) => lens.clone(),
-            None => vec![self.cache_len(); b],
         }
     }
 
@@ -948,8 +1091,11 @@ impl PartitionedEngine {
     }
 
     /// Runs the partitioned forward pass over embedded inputs `[B, L, E]`,
-    /// returning logits `[B, L, V]` — or, when any chip thread unwinds, the
-    /// classified root-cause [`EngineError`] after releasing every peer.
+    /// row `r` of which is batch row (slot) `rows[r]` — every row in order
+    /// for a prefill, the step's layout for a decode — returning logits
+    /// `[B, L, V]`, or, when any chip thread unwinds, the classified
+    /// root-cause [`EngineError`] after releasing every peer. Only `rows`
+    /// append to their caches and age.
     ///
     /// The unwind protocol: each worker runs its dataflow under
     /// `catch_unwind`; on unwind it cancels **all** of its own group
@@ -959,7 +1105,7 @@ impl PartitionedEngine {
     /// — wake with a structured [`CollectiveError`] and cascade the
     /// cancellation through their own groups in turn. No deadline is needed
     /// for a crash to propagate; deadlines cover silent stalls.
-    fn try_forward(&mut self, x: Tensor) -> Result<Tensor, EngineError> {
+    fn try_forward(&mut self, x: Tensor, rows: &[usize]) -> Result<Tensor, EngineError> {
         if self.poisoned {
             return Err(EngineError::Poisoned);
         }
@@ -972,7 +1118,23 @@ impl PartitionedEngine {
         };
         let n = self.chips.len();
         let (b, l) = (x.dim(0), x.dim(1));
-        let bases = self.row_bases(b);
+        let bases = self.row_bases(rows);
+        // Each chip's share of the pass (`chip_rows` of the pass's batch) as
+        // rows of its own cache (`chip_rows` of the engine's).
+        let batch = self.batch.expect("the caller fixed the batch");
+        let kv_rows: Vec<(Vec<usize>, usize)> = self
+            .chips
+            .iter()
+            .map(|chip| {
+                let (s0, sc) = self.chip_rows(chip, b);
+                let (r0, rc) = self.chip_rows(chip, batch);
+                let local = rows[s0..s0 + sc].iter().map(|&row| {
+                    assert!((r0..r0 + rc).contains(&row), "row {row} placed outside chip {}'s rows", chip.rank);
+                    row - r0
+                });
+                (local.collect(), rc)
+            })
+            .collect();
         let pools: Vec<Option<Arc<ChipPool>>> = if self.pools.is_empty() {
             (0..n).map(|_| None).collect()
         } else {
@@ -983,10 +1145,12 @@ impl PartitionedEngine {
                 .chips
                 .iter_mut()
                 .zip(pools)
-                .map(|(chip, pool)| {
+                .zip(&kv_rows)
+                .map(|((chip, pool), (kv_rows, kv_batch))| {
                     let x = x.clone();
                     let cfg = &cfg;
                     let bases = &bases;
+                    let kv = (kv_rows.as_slice(), *kv_batch);
                     // Each chip's executor thread installs its own worker
                     // pool; the kernels inside the forward then split
                     // output rows across it (bit-identically).
@@ -995,13 +1159,13 @@ impl PartitionedEngine {
                             let result = {
                                 let chip = &mut *chip;
                                 catch_unwind(AssertUnwindSafe(move || match dataflow {
-                                    Dataflow::OneD => forward_1d(cfg, chip, x, bases, attn, n),
+                                    Dataflow::OneD => forward_1d(cfg, chip, kv, x, bases, attn, n),
                                     Dataflow::TwoD => {
-                                        forward_2d(cfg, chip, x, bases, attn, x_parts, yz_parts)
+                                        forward_2d(cfg, chip, kv, x, bases, attn, x_parts, yz_parts)
                                     }
-                                    Dataflow::WeightGathered => forward_wg(cfg, chip, x, bases, n),
+                                    Dataflow::WeightGathered => forward_wg(cfg, chip, kv, x, bases, n),
                                     Dataflow::WeightGatheredHybrid { n_gather, .. } => {
-                                        forward_wg_hybrid(cfg, chip, x, bases, attn, n_gather)
+                                        forward_wg_hybrid(cfg, chip, kv, x, bases, attn, n_gather)
                                     }
                                 }))
                             };
@@ -1040,8 +1204,8 @@ impl PartitionedEngine {
         }
 
         if let Some(lens) = &mut self.row_lens {
-            for len in lens.iter_mut() {
-                *len += l;
+            for &row in rows {
+                lens[row] += l;
             }
         }
         if matches!(dataflow, Dataflow::WeightGatheredHybrid { .. }) {
@@ -1057,6 +1221,45 @@ impl PartitionedEngine {
                 .next()
                 .expect("rank 0 returns logits"))
         }
+    }
+}
+
+/// One decode step's batch, laid out by [`PartitionedEngine::lay_out_step`].
+struct StepLayout {
+    /// Slot each step row runs.
+    slots: Vec<usize>,
+    /// Token each step row carries (0 on padding rows).
+    tokens: Vec<usize>,
+    /// Step row of each requested row, in request order.
+    at: Vec<usize>,
+    /// Slots that only pad their span: empty before the step, evicted
+    /// again after it.
+    padding: Vec<usize>,
+}
+
+/// Rows each of `spans` carries in a step over `rows`: the most requested
+/// rows any one span holds.
+fn rows_per_span(spans: &[(usize, usize)], rows: &[(usize, usize)]) -> usize {
+    let held = |&(r0, rc): &(usize, usize)| rows.iter().filter(|r| (r0..r0 + rc).contains(&r.0)).count();
+    spans.iter().map(held).max().unwrap_or(0)
+}
+
+/// A chip's KV cache as one forward pass sees it: step row `r` of the
+/// chip's share appends to, and attends over, cache row `rows[r]` of the
+/// `batch` rows the cache holds.
+struct StepCache<'a> {
+    cache: &'a mut KvCache,
+    rows: &'a [usize],
+    batch: usize,
+}
+
+impl StepCache<'_> {
+    fn append(&mut self, layer: usize, k: &Tensor, v: &Tensor) {
+        self.cache.append_rows(layer, self.rows, self.batch, k, v);
+    }
+
+    fn attend(&self, q: &Tensor, layer: usize, d_head: usize) -> Tensor {
+        attention_over_rows(q, self.cache, self.rows, layer, d_head)
     }
 }
 
@@ -1325,6 +1528,7 @@ fn wg_rows(group: &CommGroup, x: &Tensor, shard: &ShardMat) -> Tensor {
 fn forward_1d(
     cfg: &ModelConfig,
     chip: &mut ChipState,
+    (rows, batch): (&[usize], usize),
     mut x: Tensor,
     bases: &[usize],
     attn: AttnSharding,
@@ -1332,6 +1536,7 @@ fn forward_1d(
 ) -> Option<Tensor> {
     let ChipState { rank, layers, cache, g_all, ln_final, embed_t, .. } = chip;
     let rank = *rank;
+    let cache = &mut StepCache { cache, rows, batch };
     for (li, shard) in layers.iter().enumerate() {
         x = layer_1d(cfg, shard, x, bases, attn, g_all, cache, li, rank, n);
     }
@@ -1355,7 +1560,7 @@ fn layer_1d(
     bases: &[usize],
     attn: AttnSharding,
     group: &CommGroup,
-    cache: &mut KvCache,
+    cache: &mut StepCache,
     li: usize,
     rank: usize,
     n: usize,
@@ -1384,12 +1589,14 @@ fn layer_1d(
 fn forward_wg_hybrid(
     cfg: &ModelConfig,
     chip: &mut ChipState,
+    (rows, batch): (&[usize], usize),
     x_full: Tensor,
     bases: &[usize],
     attn: AttnSharding,
     n_gather: usize,
 ) -> Option<Tensor> {
     let ChipState { i, j, layers, cache, g_x, g_yz, ln_final, embed_t, .. } = chip;
+    let cache = &mut StepCache { cache, rows, batch };
     let (g, b) = (*i, *j);
     let g_gather = g_x.as_ref().expect("hybrid WG has a gather group");
     let g_local = g_yz.as_ref().expect("hybrid WG has a local group");
@@ -1422,7 +1629,7 @@ fn attn_ctx_1d(
     bases: &[usize],
     attn: AttnSharding,
     g_all: &CommGroup,
-    cache: &mut KvCache,
+    cache: &mut StepCache,
     li: usize,
     rank: usize,
     n: usize,
@@ -1440,7 +1647,7 @@ fn attn_ctx_1d(
     match attn {
         AttnSharding::Head => {
             cache.append(li, &k, &v);
-            attention_over_cache(&q, cache, li, dh)
+            cache.attend(&q, li, dh)
         }
         AttnSharding::Batch => {
             // Reshard Q from head-sharded to batch-sharded (Figure 5b);
@@ -1452,7 +1659,7 @@ fn attn_ctx_1d(
             let k_b = k.slice(0, rank * b_loc, b_loc);
             let v_b = v.slice(0, rank * b_loc, b_loc);
             cache.append(li, &k_b, &v_b);
-            let attn_b = attention_over_cache(&q_b, cache, li, dh); // [B/n, l, H*dh]
+            let attn_b = cache.attend(&q_b, li, dh); // [B/n, l, H*dh]
             g_all.all_to_all(&attn_b, 2, 0) // [B, l, h_loc*dh]
         }
     }
@@ -1475,6 +1682,7 @@ fn mlp_hidden_1d(cfg: &ModelConfig, shard: &LayerShard, ln: &Tensor) -> Tensor {
 fn forward_2d(
     cfg: &ModelConfig,
     chip: &mut ChipState,
+    (rows, batch): (&[usize], usize),
     x_full: Tensor,
     bases: &[usize],
     attn: AttnSharding,
@@ -1483,6 +1691,7 @@ fn forward_2d(
 ) -> Option<Tensor> {
     let ChipState { rank, i, j, layers, cache, g_all, g_x, g_yz, ln_final, embed_t } = chip;
     let (rank, i, j) = (*rank, *i, *j);
+    let cache = &mut StepCache { cache, rows, batch };
     let g_x = g_x.as_ref().expect("2D dataflow has x group");
     let g_yz = g_yz.as_ref().expect("2D dataflow has yz group");
     let n = x_parts * yz_parts;
@@ -1576,7 +1785,7 @@ fn mlp_2d_hidden(
 #[allow(clippy::too_many_arguments)]
 fn attn_2d_ctx(
     cfg: &ModelConfig,
-    cache: &mut KvCache,
+    cache: &mut StepCache,
     li: usize,
     q_part: Tensor,
     k_part: Tensor,
@@ -1605,7 +1814,7 @@ fn attn_2d_ctx(
             // MQ: k_j is the full single head, cached replicated (the
             // "baseline multiquery" layout). MHA: own heads only.
             cache.append(li, &k_j, &v_j);
-            attention_over_cache(&q_j, cache, li, dh)
+            cache.attend(&q_j, li, dh)
         }
         AttnSharding::Batch => {
             let b = q_j.dim(0);
@@ -1620,7 +1829,7 @@ fn attn_2d_ctx(
             let k_bi = k_j.slice(0, kv_off, b_n);
             let v_bi = v_j.slice(0, kv_off, b_n);
             cache.append(li, &k_bi, &v_bi);
-            let attn_bi = attention_over_cache(&q_bi, cache, li, dh); // [B/n, l, H*dh]
+            let attn_bi = cache.attend(&q_bi, li, dh); // [B/n, l, H*dh]
             // Gather the batch back over x, then all-to-all back to
             // head sharding over yz.
             let attn_b = g_x.all_gather(&attn_bi, 0); // [B/YZ, l, H*dh]
@@ -1636,12 +1845,14 @@ fn attn_2d_ctx(
 fn forward_wg(
     cfg: &ModelConfig,
     chip: &mut ChipState,
+    (rows, batch): (&[usize], usize),
     x_full: Tensor,
     bases: &[usize],
     n: usize,
 ) -> Option<Tensor> {
     let ChipState { rank, layers, cache, g_all, ln_final, embed_t, .. } = chip;
     let rank = *rank;
+    let cache = &mut StepCache { cache, rows, batch };
     let b = x_full.dim(0);
     let b_loc = b / n;
     // Activations stay batch-sharded and fully stationary; each weight is
@@ -1717,7 +1928,7 @@ fn gather_layer(cfg: &ModelConfig, g: &CommGroup, s: &LayerShard) -> LayerShard 
 /// nothing to gather, plain local matmuls.
 fn attn_wg(
     cfg: &ModelConfig,
-    cache: &mut KvCache,
+    cache: &mut StepCache,
     li: usize,
     ln: &Tensor,
     bases: &[usize],
@@ -1735,7 +1946,7 @@ fn attn_wg(
         k = ops::rope_rows(&k, cfg.d_head, bases);
     }
     cache.append(li, &k, &v);
-    let attn = attention_over_cache(&q, cache, li, cfg.d_head);
+    let attn = cache.attend(&q, li, cfg.d_head);
     wg_rows(g, &attn, &shard.wo)
 }
 

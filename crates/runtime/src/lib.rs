@@ -67,6 +67,6 @@ pub use generate::GenerateOptions;
 pub use introspect::{kv_cache_json, weight_wire_format, wg_stream_plan, WgStream};
 pub use router::{ReplicaRouter, RouterError, RouterOutcome};
 pub use serving::{
-    BatcherSpec, ContinuousBatcher, OverloadShed, PrefillWork, ServeError, ServingOptions,
+    BatcherSpec, ContinuousBatcher, DecodeWork, OverloadShed, PrefillWork, ServeError, ServingOptions,
     ServingOutcome, ServingRequest,
 };

@@ -6,7 +6,8 @@
 //! pipelines into a fixed-capacity decode tier, also in slot mode
 //! ([`PartitionedEngine::begin_slots`]). Variable-length prompts arrive in
 //! a queue, are prefilled (optionally chunked), admitted into free decode
-//! slots at step boundaries up to the cap, and evicted on completion.
+//! slots at step boundaries up to the cap, and evicted on completion. A
+//! decode step runs the occupied slots only (see [`DecodeWork`]).
 //!
 //! Prefill does only the work that is needed. Up to a minimum batch of
 //! consecutive admissions share one *group* prefill, each in its own row,
@@ -314,6 +315,25 @@ pub struct PrefillWork {
     pub filler_rows: usize,
 }
 
+/// What the decode tier executed during one serve call, counted where each
+/// step is issued (successful steps only, like [`ServingOutcome::step_log`]).
+/// With every arrival at `0` and no injected fault these counts repeat
+/// exactly from run to run.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct DecodeWork {
+    /// Decode steps.
+    pub steps: usize,
+    /// Rows that carried a request's token, over all steps — the sum of
+    /// [`ServingOutcome::step_log`]'s live counts.
+    pub rows_live: usize,
+    /// Rows that carried nothing: empty slots padding a span of the batch up
+    /// to the fullest span's live count, on layouts whose chips each own a
+    /// span of the rows (batch-sharded attention, weight-gathered). Always
+    /// `0` where every chip sees every row (head-sharded 1D / 2D), and a
+    /// step's live and filler rows together never exceed the slot count.
+    pub filler_rows: usize,
+}
+
 /// Everything a serving run produces.
 #[derive(Debug, Clone)]
 pub struct ServingOutcome {
@@ -343,6 +363,8 @@ pub struct ServingOutcome {
     /// What the prefill tier computed, reused and padded (admissions,
     /// preemption replays and fault replays alike).
     pub prefill: PrefillWork,
+    /// What the decode tier stepped: live rows and the filler beside them.
+    pub decode: DecodeWork,
 }
 
 impl ServingOutcome {
@@ -424,10 +446,11 @@ pub struct BatcherSpec {
     /// Page-pool admission budget
     /// ([`ServingOptions::kv_position_budget`] `/ page_size`); `None` when
     /// unbudgeted. When set, admission charges new pages
-    /// (shared prefix pages charged once), growth reservations, and one
-    /// idle-slot dummy page per empty slot, and defers requests that would
-    /// overflow; eviction refunds a page exactly when its last reference
-    /// drops.
+    /// (shared prefix pages charged once) and growth reservations, keeps
+    /// one page per still-empty slot in hand (the page an empty slot holds
+    /// for the length of a step it pads; an upper bound where steps carry
+    /// no padding), and defers requests that would overflow; eviction
+    /// refunds a page exactly when its last reference drops.
     pub pool_pages: Option<usize>,
     /// Whether a waiting higher class preempts a strictly lower one out of
     /// its slot ([`ServingOptions::preemption`]). A preempted request is
@@ -827,9 +850,12 @@ impl ContinuousBatcher {
     /// request (least progress first, so the least replay is wasted); the
     /// victim re-enters its class queue and later replays to a
     /// bit-identical stream through the same machinery fault recovery
-    /// uses. The decode tier then steps the full slot batch — idle slots
-    /// carry a dummy token and are re-evicted each step so they neither
-    /// age nor allocate. A request leaves its slot the moment its last
+    /// uses. The decode tier then steps the occupied slots and only those
+    /// ([`PartitionedEngine::try_decode_rows`]): an empty slot costs the
+    /// step nothing, except on layouts whose chips own spans of the rows,
+    /// where the engine pads each span with its own empty slots up to the
+    /// fullest span's count and empties them again ([`DecodeWork`] counts
+    /// both kinds of row). A request leaves its slot the moment its last
     /// token is sampled.
     ///
     /// Admission control ([`ServingOptions::queue_limit`],
@@ -899,6 +925,7 @@ impl ContinuousBatcher {
         let mut recovery = RecoveryStats::default();
         let mut steps_done = 0usize;
         let mut peak_live = 0usize;
+        let mut decode_work = DecodeWork::default();
 
         loop {
             // Arrived requests join their class queue.
@@ -1019,10 +1046,11 @@ impl ContinuousBatcher {
                     let slot = (req.max_new_tokens > 1).then_some(slot);
                     // Page-pool admission gate. The charge covers this
                     // request's unshared prompt pages plus growth
-                    // reservations; the idle allowance covers
-                    // the one dummy page each still-empty slot transiently
-                    // holds per step, so the physical pool never outgrows
-                    // the budget.
+                    // reservations; the idle allowance covers the page a
+                    // still-empty slot holds while it pads its span of a
+                    // step, so the physical pool never outgrows the
+                    // budget. Where steps carry no padding the allowance
+                    // is an upper bound.
                     if let Some(slot) = slot {
                         let charge = ledger.plan(&req.prompt, req.max_new_tokens);
                         let live_now = active.iter().flatten().count()
@@ -1115,14 +1143,6 @@ impl ContinuousBatcher {
                 continue;
             }
 
-            // Idle slots are re-evicted so their dummy appends neither age
-            // their positions nor hold pages.
-            for (s, slot) in active.iter().enumerate() {
-                if slot.is_none() {
-                    self.decode.evict_slot(s);
-                }
-            }
-
             // Scheduled chaos: arm the one-shot fault plan at its step.
             if matches!(self.decode_fault, Some((at, _)) if at == steps_done) {
                 if let Some((_, plan)) = self.decode_fault.take() {
@@ -1130,11 +1150,16 @@ impl ContinuousBatcher {
                 }
             }
 
-            // One decode step over the full slot batch.
-            let tokens: Vec<usize> =
-                active.iter().map(|a| a.as_ref().map_or(0, |a| a.next_tok)).collect();
+            // One decode step over the occupied slots; logits come back one
+            // row per entry of `rows`, in slot order.
+            let rows: Vec<(usize, usize)> = active
+                .iter()
+                .enumerate()
+                .filter_map(|(s, a)| a.as_ref().map(|a| (s, a.next_tok)))
+                .collect();
+            let carried = self.decode.decode_rows_carried(&rows);
             let t_step = Instant::now();
-            let logits = match self.decode.try_decode_step(&tokens) {
+            let logits = match self.decode.try_decode_rows(&rows) {
                 Ok(logits) => logits,
                 Err(err) => {
                     self.recover_decode(
@@ -1152,13 +1177,15 @@ impl ContinuousBatcher {
             steps_done += 1;
             step_log.push((live, t_step.elapsed().as_secs_f64()));
             occupancy_sum += live;
+            decode_work.steps += 1;
+            decode_work.rows_live += live;
+            decode_work.filler_rows += carried - live;
 
-            let v = cfg.vocab;
-            for (s, slot) in active.iter_mut().enumerate() {
-                let Some(a) = slot else { continue };
+            for ((s, _), row) in rows.into_iter().zip(logits.data().chunks(cfg.vocab)) {
+                let slot = &mut active[s];
+                let Some(a) = slot else { unreachable!("rows lists occupied slots") };
                 // The step appended this row's input token to its cache.
                 ledger.advance(s);
-                let row = &logits.data()[s * v..(s + 1) * v];
                 let tok = sample_row(&mut a.rng, row, self.opts.sampling);
                 if a.consumed < outputs[a.idx].len() {
                     // Replay after a recovery: the recomputed sample must
@@ -1211,6 +1238,7 @@ impl ContinuousBatcher {
             preemptions,
             preempted_tokens_replayed: preempted_replayed,
             prefill: self.work,
+            decode: decode_work,
         })
     }
 

@@ -122,6 +122,37 @@ fn crash_recovery_is_bit_identical_for_multihead_models() {
 }
 
 #[test]
+fn a_crash_inside_a_live_subset_step_recovers_bit_identically() {
+    // Three requests in eight slots: every decode step runs a strict subset
+    // of the slots — exactly the live rows on the head-sharded layout, the
+    // live rows plus padding from the spans' empty slots on the batch-sharded
+    // one — and the crash lands between that step's collectives.
+    let model = ReferenceModel::init_random(ModelConfig::tiny(), 7);
+    let requests = workload(3, model.config().vocab);
+    for layout in [decode_layouts(AttnSharding::Head)[0], decode_layouts(AttnSharding::Batch)[1]] {
+        let baseline = batcher(&model, layout, 8).serve(&requests);
+        assert!(baseline.step_log.iter().all(|&(live, _)| live < 8), "every step is a subset");
+        let mut chaotic = batcher(&model, layout, 8);
+        chaotic.schedule_decode_fault(1, FaultPlan::new().crash(2, 3));
+        let outcome = chaotic.serve(&requests);
+        assert_eq!(outcome.outputs, baseline.outputs, "{}", layout.describe());
+        assert_eq!(outcome.report.recovery.faults, 1, "{}", layout.describe());
+        assert!(outcome.report.recovery.requests_replayed >= 1, "{}", layout.describe());
+    }
+    // At the engine: the failed subset step names the dead chip and poisons.
+    let mut engine = PartitionedEngine::new(&model, decode_layouts(AttnSharding::Batch)[1], WeightFormat::Exact);
+    engine.begin_slots(8, 0);
+    engine.try_decode_rows(&[(5, 1)]).expect("a fault-free subset step");
+    engine.inject_faults(FaultPlan::new().crash(2, 3));
+    match engine.try_decode_rows(&[(5, 2), (0, 3)]) {
+        Err(EngineError::ChipCrashed { rank, .. }) => assert_eq!(rank, 2),
+        other => panic!("expected ChipCrashed, got {other:?}"),
+    }
+    assert!(engine.is_poisoned());
+    assert_eq!(engine.try_decode_rows(&[(5, 2)]).unwrap_err(), EngineError::Poisoned);
+}
+
+#[test]
 fn stall_recovery_is_bit_identical_with_short_deadline() {
     // A stall longer than the deadline surfaces as a timeout; the batcher
     // rebuilds and replays exactly like for a crash.

@@ -97,7 +97,9 @@ pub fn simd_active() -> bool {
 /// stay resident in vector registers across the entire `k` loop.
 const NR: usize = 32;
 /// Row count of one register tile: independent accumulator chains per lane.
-const MR: usize = 4;
+/// The SIMD tier tiles the same number of rows, so one rule in
+/// [`mm_dispatch`] decides which rows fill a tile under either tier.
+const MR: usize = crate::simd::MR;
 
 /// Full-tile microkernel: `out[i..i+MR, j..j+NR] += a[i..i+MR, :] × b[:, j..j+NR]`.
 /// All loop bounds are compile-time constants so the accumulator tile is
@@ -142,8 +144,15 @@ fn mm_tile_full(
     }
 }
 
-/// Edge-tile microkernel for the `m % MR` / `n % NR` remainders: identical
-/// accumulation order to [`mm_tile_full`], with runtime tile bounds.
+/// Row count from which the register kernels take a band's whole tiles.
+/// Measured at this workspace's decode shapes (`kernel_speed.rs`,
+/// `decode_shape_weight_bandwidth`): below two tiles of rows streaming reads
+/// the weights 1.3–3× faster at 1–3 rows and is level or ahead up to 7 on all
+/// but the narrowest shape; at 8 the register kernel is level or ahead.
+const STREAM_BELOW: usize = 2 * MR;
+
+/// Edge-tile microkernel for the `n % NR` column remainder: identical
+/// accumulation order to [`mm_tile_full`], with a runtime tile width.
 #[allow(clippy::too_many_arguments)]
 fn mm_tile_edge(
     ad: &[f32],
@@ -155,37 +164,37 @@ fn mm_tile_edge(
     i: usize,
     j: usize,
     k: usize,
-    mr: usize,
     nr: usize,
 ) {
     let mut acc = [[0.0f32; NR]; MR];
-    for (r, row) in acc.iter_mut().enumerate().take(mr) {
+    for (r, row) in acc.iter_mut().enumerate() {
         let o0 = (i + r) * o_stride + j;
         row[..nr].copy_from_slice(&out[o0..o0 + nr]);
     }
     for kk in 0..k {
         let brow = &bd[kk * b_stride + j..][..nr];
-        for (r, row) in acc.iter_mut().enumerate().take(mr) {
+        for (r, row) in acc.iter_mut().enumerate() {
             let av = ad[(i + r) * a_stride + kk];
             for (x, &bv) in row[..nr].iter_mut().zip(brow) {
                 *x += av * bv;
             }
         }
     }
-    for (r, row) in acc.iter().enumerate().take(mr) {
+    for (r, row) in acc.iter().enumerate() {
         let o0 = (i + r) * o_stride + j;
         out[o0..o0 + nr].copy_from_slice(&row[..nr]);
     }
 }
 
-/// Register-tiled matmul core accumulating `out += a × b`, with explicit row
-/// strides so callers can address sub-blocks of larger matrices without
-/// copying. Tiles the output into `MR × NR` register blocks; the `j`-outer
-/// loop keeps the active `k × NR` panel of `b` hot in L1/L2 across row
-/// tiles. Each output element is accumulated by a single serial chain of
-/// additions in strictly ascending `k` order — the property the
-/// chunked/looped collective paths rely on for bit-identical results
-/// regardless of how the contraction is split.
+/// Register-tiled matmul core accumulating `out += a × b` over whole `MR`-row
+/// tiles (`m` is a multiple of `MR`; [`mm_dispatch`] sends the rows that
+/// cannot fill a tile to [`mm_stream`]), with explicit row strides so callers
+/// can address sub-blocks of larger matrices without copying. Tiles the
+/// output into `MR × NR` register blocks; the `j`-outer loop keeps the active
+/// `k × NR` panel of `b` hot in L1/L2 across row tiles. Each output element
+/// is accumulated by a single serial chain of additions in strictly
+/// ascending `k` order — the property the gathered contractions rely on for
+/// bit-identical results regardless of how the contraction is split.
 #[allow(clippy::too_many_arguments)]
 fn mm_kernel(
     ad: &[f32],
@@ -198,37 +207,64 @@ fn mm_kernel(
     k: usize,
     n: usize,
 ) {
+    debug_assert!(m.is_multiple_of(MR), "partial row tiles belong to mm_stream");
     let mut j = 0;
     while j + NR <= n {
-        let mut i = 0;
-        while i + MR <= m {
+        for i in (0..m).step_by(MR) {
             mm_tile_full(ad, a_stride, bd, b_stride, out, o_stride, i, j, k);
-            i += MR;
-        }
-        if i < m {
-            mm_tile_edge(ad, a_stride, bd, b_stride, out, o_stride, i, j, k, m - i, NR);
         }
         j += NR;
     }
     if j < n {
-        let nr = n - j;
-        let mut i = 0;
-        while i < m {
-            let mr = MR.min(m - i);
-            mm_tile_edge(ad, a_stride, bd, b_stride, out, o_stride, i, j, k, mr, nr);
-            i += mr;
+        for i in (0..m).step_by(MR) {
+            mm_tile_edge(ad, a_stride, bd, b_stride, out, o_stride, i, j, k, n - j);
+        }
+    }
+}
+
+/// Small-`m` core: `out += a × b` walked `k`-outer / `j`-inner, so each row
+/// of `b` is read once, front to back, while the few output rows stay in L1.
+/// The register kernels instead walk `b` one narrow column panel at a time,
+/// at a `b_stride` stride — the right trade once a panel is reused by many
+/// row tiles, but with a handful of rows (a decode step) it is the whole cost
+/// and the weights arrive at a third of the rate a sequential pass reads them
+/// (EXPERIMENTS.md, "Decode what is live"). Per element this is the tiles'
+/// chain exactly — `out += a[k]·b[k][j]`, one separate multiply and add per
+/// ascending `k` — so the bits are theirs.
+#[allow(clippy::too_many_arguments)]
+fn mm_stream(
+    ad: &[f32],
+    a_stride: usize,
+    bd: &[f32],
+    b_stride: usize,
+    out: &mut [f32],
+    o_stride: usize,
+    m: usize,
+    k: usize,
+    n: usize,
+) {
+    for kk in 0..k {
+        let brow = &bd[kk * b_stride..][..n];
+        for r in 0..m {
+            let av = ad[r * a_stride + kk];
+            for (x, &bv) in out[r * o_stride..][..n].iter_mut().zip(brow) {
+                *x += av * bv;
+            }
         }
     }
 }
 
 /// Strided GEMM core with kernel dispatch and deterministic row-banded
-/// parallelism: resolves the process-wide knob (AVX2 SIMD when active,
-/// blocked scalar otherwise) and, when the calling thread has a chip
-/// worker pool installed ([`crate::pool::with_worker_pool`]), splits the
-/// `m` output rows into disjoint bands — one per worker. Both the kernel
-/// tiers and the banding are bit-identity preserving: every output
-/// element is one ascending-`k` mul+add chain computed by exactly one
-/// worker, so any knob/worker-count combination produces identical bits.
+/// parallelism: when the calling thread has a chip worker pool installed
+/// ([`crate::pool::with_worker_pool`]), splits the `m` output rows into
+/// disjoint bands — one per worker. A band of fewer than [`STREAM_BELOW`]
+/// rows (the decode regime) goes to [`mm_stream`] whole; otherwise its whole
+/// `MR`-row tiles go to the register kernel the process-wide knob resolves
+/// to (AVX2 SIMD when active, blocked scalar otherwise) and only the
+/// `rows % MR` left over stream. Kernel tier, row split and banding are all
+/// bit-identity preserving: every output element is one ascending-`k`
+/// mul+add chain computed by exactly one worker, so any knob/worker-count
+/// combination produces identical bits.
 #[allow(clippy::too_many_arguments)]
 fn mm_dispatch(
     ad: &[f32],
@@ -244,10 +280,17 @@ fn mm_dispatch(
     let simd = simd_active();
     crate::pool::partition_rows(m, k, n, out, o_stride, |r0, rows, band| {
         let a = &ad[r0 * a_stride..];
-        if simd {
-            crate::simd::mm_f32(a, a_stride, bd, b_stride, band, o_stride, rows, k, n);
-        } else {
-            mm_kernel(a, a_stride, bd, b_stride, band, o_stride, rows, k, n);
+        let tiled = if rows < STREAM_BELOW { 0 } else { rows / MR * MR };
+        if tiled > 0 {
+            if simd {
+                crate::simd::mm_f32(a, a_stride, bd, b_stride, band, o_stride, tiled, k, n);
+            } else {
+                mm_kernel(a, a_stride, bd, b_stride, band, o_stride, tiled, k, n);
+            }
+        }
+        if tiled < rows {
+            let (a, band) = (&a[tiled * a_stride..], &mut band[tiled * o_stride..]);
+            mm_stream(a, a_stride, bd, b_stride, band, o_stride, rows - tiled, k, n);
         }
     });
 }

@@ -32,7 +32,7 @@ const NR: usize = 16;
 /// Rows per SIMD tile: 4 rows × 2 column vectors = 8 ymm accumulators,
 /// which with the broadcast register and two b-row loads stays within
 /// the 16 ymm registers AVX2 offers.
-const MR: usize = 4;
+pub(crate) const MR: usize = 4;
 
 /// True when the host can run the AVX2 kernels in this module.
 #[must_use]
@@ -70,15 +70,17 @@ fn check_gemm_bounds(
     assert!((m - 1) * o_stride + n <= o_len, "out slice too short");
 }
 
-/// AVX2 f32 GEMM core, strided like `ops::mm_kernel`: accumulates
+/// AVX2 f32 GEMM core, strided like `ops::mm_kernel` and, like it, over
+/// whole [`MR`]-row tiles only: accumulates
 /// `a (m×k, row stride a_stride) · b (k×n, row stride b_stride)` into
 /// `out (m×n, row stride o_stride)`. Bit-identical to the blocked and
 /// naive kernels (module docs).
 ///
 /// # Panics
 ///
-/// Panics if the host lacks AVX2 (callers gate on [`supported`]) or the
-/// slices are shorter than the dimensions imply.
+/// Panics if the host lacks AVX2 (callers gate on [`supported`]), `m` is
+/// not a multiple of [`MR`], or the slices are shorter than the dimensions
+/// imply.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn mm_f32(
     ad: &[f32],
@@ -92,10 +94,12 @@ pub(crate) fn mm_f32(
     n: usize,
 ) {
     assert!(supported(), "AVX2 kernel dispatched on a non-AVX2 host");
+    assert!(m.is_multiple_of(MR), "partial row tiles belong to ops::mm_stream");
     check_gemm_bounds(ad.len(), a_stride, bd.len(), b_stride, out.len(), o_stride, m, k, n);
     #[cfg(target_arch = "x86_64")]
     // SAFETY: AVX2 availability asserted above; index arithmetic bounded
-    // by check_gemm_bounds.
+    // by check_gemm_bounds, and the tile loop steps whole MR-row tiles
+    // through the m % MR == 0 rows asserted above.
     unsafe {
         mm_f32_avx2(ad, a_stride, bd, b_stride, out, o_stride, m, k, n);
     }
@@ -157,14 +161,8 @@ unsafe fn mm_f32_avx2(
 ) {
     let mut j = 0;
     while j + NR <= n {
-        let mut i = 0;
-        while i + MR <= m {
-            f32_tile::<MR>(ad, a_stride, bd, b_stride, out, o_stride, i, j, k);
-            i += MR;
-        }
-        while i < m {
-            f32_tile::<1>(ad, a_stride, bd, b_stride, out, o_stride, i, j, k);
-            i += 1;
+        for i in (0..m).step_by(MR) {
+            f32_tile(ad, a_stride, bd, b_stride, out, o_stride, i, j, k);
         }
         j += NR;
     }
@@ -182,13 +180,13 @@ unsafe fn mm_f32_avx2(
     }
 }
 
-/// One `R×NR` f32 tile: 2·R ymm accumulators, each lane one output
+/// One `MR×NR` f32 tile: 2·MR ymm accumulators, each lane one output
 /// element, mul-then-add per ascending-`k` step (never fused).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 #[inline]
 #[allow(clippy::too_many_arguments)]
-unsafe fn f32_tile<const R: usize>(
+unsafe fn f32_tile(
     ad: &[f32],
     a_stride: usize,
     bd: &[f32],
@@ -199,13 +197,13 @@ unsafe fn f32_tile<const R: usize>(
     j: usize,
     k: usize,
 ) {
-    // SAFETY (all pointer math in this fn): caller keeps i+R <= m and
+    // SAFETY (all pointer math in this fn): caller keeps i+MR <= m and
     // j+NR <= n under the bounds checked in mm_f32.
     unsafe {
         let ap = ad.as_ptr();
         let bp = bd.as_ptr();
         let op = out.as_mut_ptr();
-        let mut acc = [[_mm256_setzero_ps(); 2]; R];
+        let mut acc = [[_mm256_setzero_ps(); 2]; MR];
         for (r, a) in acc.iter_mut().enumerate() {
             let o0 = op.add((i + r) * o_stride + j);
             a[0] = _mm256_loadu_ps(o0);

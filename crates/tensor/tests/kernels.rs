@@ -166,6 +166,43 @@ fn tensor_cols(t: &Tensor, c0: usize, cn: usize) -> Tensor {
     Tensor::from_vec(vec![m, cn], data)
 }
 
+/// The decode regime at the model's own GEMM shapes: 1–7 live rows stream
+/// whole, 9 and 11 run as register tiles plus a streamed remainder. Every
+/// f32 entry point — a contraction chunk against a row range of `b`, a
+/// column block of a wider `out` — must equal the naive oracle bitwise,
+/// serial and banded over a worker pool.
+#[test]
+fn decode_shapes_equal_naive_oracle_through_every_entry_point() {
+    let _guard = knob_lock().lock().unwrap();
+    let pool = Arc::new(ChipPool::new(2));
+    for (k, n) in [(256, 1024), (1024, 256), (256, 256), (256, 64), (64, 256)] {
+        let b = tensor(k, n, (k * n) as u64);
+        for m in (1..=7).chain([9, 11]) {
+            let a = tensor(m, k, m as u64);
+            let oracle = ops::matmul_naive(&a, &b);
+            for pool in [None, Some(Arc::clone(&pool))] {
+                let ctx = format!("m={m} k={k} n={n} pooled={}", pool.is_some());
+                with_worker_pool(pool, || {
+                    assert_eq!(ops::matmul(&a, &b).data(), oracle.data(), "matmul {ctx}");
+                    // Two ascending contraction chunks, the second against
+                    // rows kc.. of b.
+                    let kc = k / 2 + 1;
+                    let mut acc = Tensor::zeros(vec![m, n]);
+                    ops::matmul_acc_rows(&tensor_cols(&a, 0, kc), &b, 0, &mut acc);
+                    ops::matmul_acc_rows(&tensor_cols(&a, kc, k - kc), &b, kc, &mut acc);
+                    assert_eq!(acc.data(), oracle.data(), "matmul_acc_rows {ctx}");
+                    // A column block of a wider target.
+                    let mut wide = Tensor::zeros(vec![m, n + 5]);
+                    ops::matmul_into_cols(&a, &b, &mut wide, 3);
+                    assert_eq!(tensor_cols(&wide, 3, n).data(), oracle.data(), "into_cols {ctx}");
+                    assert!(tensor_cols(&wide, 0, 3).data().iter().all(|&x| x == 0.0), "{ctx}");
+                    assert!(tensor_cols(&wide, n + 3, 2).data().iter().all(|&x| x == 0.0), "{ctx}");
+                });
+            }
+        }
+    }
+}
+
 /// Disabling SIMD at runtime (the `ESTI_DISABLE_SIMD` escape hatch's
 /// programmatic twin) must drop to the blocked scalar kernel and still
 /// produce bit-identical results.

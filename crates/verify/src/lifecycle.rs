@@ -644,7 +644,7 @@ pub fn run_trace(
             continue; // retry the step
         }
 
-        // One decode step over the slot batch.
+        // One decode step over the occupied slots.
         steps_done += 1;
         for slot in &mut active {
             let Some(s) = slot else { continue };

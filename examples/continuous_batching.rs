@@ -60,6 +60,11 @@ fn main() {
         "prefill: {} calls, {} prompt tokens computed, {} reused from a live slot, {} of {} rows filler",
         work.calls, work.tokens_computed, work.tokens_reused, work.filler_rows, work.rows,
     );
+    let work = outcome.decode;
+    println!(
+        "decode: {} steps over the occupied slots only, {} live rows, {} filler rows",
+        work.steps, work.rows_live, work.filler_rows,
+    );
 
     // The conformance claim, demonstrated: rerun request 5 alone.
     let mut alone = PartitionedEngine::new(&model, layout, WeightFormat::Exact);
