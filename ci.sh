@@ -61,18 +61,32 @@ echo "== prefix-prefill conformance: seeded and packed prefill rows bit-identica
 # only its suffix, next to other requests' rows, against a full batch-1
 # prefill (logits and KV to_bits, every decode layout, both GEMM tiers),
 # streams against isolated generate under preemption / decode crash /
-# prefill-tier fault, and the work counts on ServingOutcome.
+# prefill fault, a span padded from its scratch row, and the work counts on
+# ServingOutcome.
 cargo test -q --release -p esti-runtime --test prefix_prefill
 ESTI_DISABLE_SIMD=1 cargo test -q --release -p esti-runtime --test prefix_prefill
 # One prefill path: everything the scheduler prefills goes through
-# prefill_group -> prefill_rows, the only try_prefill call in serving.rs.
+# prefill_group -> prefill_call, the only try_prefill_rows call in serving.rs.
 if grep -n "try_prefill_padded" crates/runtime/src/serving.rs; then
   echo "FAIL: the replicated batch-1 prefill path is back in serving.rs" >&2
   exit 1
 fi
-calls=$(grep -c "\.try_prefill(" crates/runtime/src/serving.rs)
+calls=$(grep -c "\.try_prefill_rows(" crates/runtime/src/serving.rs)
 if [ "$calls" -ne 1 ]; then
-  echo "FAIL: serving.rs calls try_prefill at $calls sites; the group path is the only one" >&2
+  echo "FAIL: serving.rs calls try_prefill_rows at $calls sites; the group path is the only one" >&2
+  exit 1
+fi
+# One engine per batcher: prefill writes straight into the decode slots, so
+# serving.rs builds one PartitionedEngine, holds one, and neither keeps a
+# prefill tier nor copies KV into one.
+built=$(grep -c "PartitionedEngine::new(" crates/runtime/src/serving.rs)
+held=$(grep -cE "^\s+[a-z_]+: PartitionedEngine,$" crates/runtime/src/serving.rs)
+if [ "$built" -ne 1 ] || [ "$held" -ne 1 ]; then
+  echo "FAIL: serving.rs builds $built and holds $held engines; the batcher has one" >&2
+  exit 1
+fi
+if grep -nE "prefill_engine|\.insert_kv\(" crates/runtime/src/serving.rs; then
+  echo "FAIL: a second (prefill) engine or the copying insert_kv is back in serving.rs" >&2
   exit 1
 fi
 # One decode step: the batcher hands the engine its occupied slots
@@ -102,6 +116,9 @@ echo "== fault conformance: crash any rank, recovered streams bit-identical =="
 # a hang — and (b) post-recovery token streams bit-identical to a
 # fault-free run, with the replay cost matching esti-netsim's model.
 cargo test -q --release -p esti-runtime --test faults
+# A failed prefill call recovers through the one rebuild-and-replay path,
+# live requests bit-identical, under both GEMM tiers.
+ESTI_DISABLE_SIMD=1 cargo test -q --release -p esti-runtime --test faults a_prefill_fault
 
 echo "== frozen benchmark: builds against the workspace crates, oracle passes =="
 # benchmark/ is its own [workspace], so nothing above compiles it: a pub its

@@ -354,22 +354,6 @@ impl KvCache {
         }
     }
 
-    /// Overwrites one batch row of `layer` with a single sequence
-    /// (`[l, Hkv·dh]`), creating storage for `batch` rows if none exists
-    /// yet — the insertion half of slot management.
-    ///
-    /// # Panics
-    ///
-    /// Panics if shapes disagree or `row >= batch`.
-    pub fn write_slot(&mut self, layer: usize, row: usize, batch: usize, k: &Tensor, v: &Tensor) {
-        assert_eq!(k.shape(), v.shape(), "K and V must have matching shapes");
-        assert_eq!(k.rank(), 2, "slot KV tensors must be [l, Hkv*dh]");
-        assert!(row < batch, "row {row} out of range for batch {batch}");
-        self.ensure_shape(batch, k.dim(1));
-        self.write_span(layer, row, 0, k.data(), v.data());
-        self.lens[layer][row] = k.dim(0);
-    }
-
     /// Inserts a full request (every layer's `[l, Hkv·dh]` K/V, plus the
     /// `l` prompt tokens that produced it) into one row, sharing
     /// prompt-prefix pages with already-resident requests.
@@ -630,17 +614,15 @@ mod tests {
         let mut c = KvCache::new(2);
         let ka = Tensor::from_vec(vec![3, 2], (0..6).map(|i| i as f32).collect());
         let va = ka.scale(10.0);
-        for layer in 0..2 {
-            c.write_slot(layer, 1, 4, &ka, &va);
-        }
+        c.insert_row_shared(1, 4, &[(ka.clone(), va.clone()), (ka.clone(), va.clone())], &[1, 2, 3]);
         assert_eq!(c.row_lens(0), &[0, 3, 0, 0]);
         let (k, v) = c.read_slot(0, 1);
         assert_eq!(k.data(), ka.data());
         assert_eq!(v.data(), va.data());
         assert_eq!(c.read_slot(1, 0).0.dim(0), 0, "untouched rows are empty");
-        // Overwrite with a shorter sequence, then evict.
+        // Replace with a shorter sequence, then evict.
         let kb = Tensor::from_vec(vec![1, 2], vec![7.0, 8.0]);
-        c.write_slot(0, 1, 4, &kb, &kb);
+        c.insert_row_shared(1, 4, &[(kb.clone(), kb.clone()), (kb.clone(), kb.clone())], &[9]);
         assert_eq!(c.row_lens(0), &[0, 1, 0, 0]);
         assert_eq!(c.read_slot(0, 1).0.data(), &[7.0, 8.0]);
         c.clear_slot(1);
@@ -652,7 +634,7 @@ mod tests {
     fn ragged_rows_append_independently() {
         let mut c = KvCache::new(1);
         let ka = Tensor::from_vec(vec![2, 2], vec![1.0, 2.0, 3.0, 4.0]);
-        c.write_slot(0, 0, 2, &ka, &ka);
+        c.insert_row_shared(0, 2, &[(ka.clone(), ka)], &[1, 2]);
         let step = Tensor::full(vec![2, 1, 2], 9.0);
         c.append(0, &step, &step);
         assert_eq!(c.row_lens(0), &[3, 1]);
@@ -670,7 +652,7 @@ mod tests {
         c.append_rows(0, &[2, 0], 4, &step(1.0, 2.0), &step(-1.0, -2.0));
         assert_eq!(c.row_lens(0), &[1, 0, 1, 0]);
         let parked = Tensor::from_vec(vec![3, 2], vec![7.0; 6]);
-        c.write_slot(0, 1, 4, &parked, &parked);
+        c.insert_row_shared(1, 4, &[(parked.clone(), parked.clone())], &[7, 7, 7]);
         let live_before = c.page_stats().pages_live;
         c.append_rows(0, &[2, 0], 4, &step(3.0, 4.0), &step(-3.0, -4.0));
         assert_eq!(c.row_lens(0), &[2, 3, 2, 0]);
@@ -721,7 +703,7 @@ mod tests {
     struct Shadow(Vec<Vec<(Vec<f32>, Vec<f32>)>>);
 
     impl Shadow {
-        fn write_slot(&mut self, layer: usize, row: usize, k: &Tensor, v: &Tensor) {
+        fn set_row(&mut self, layer: usize, row: usize, k: &Tensor, v: &Tensor) {
             self.0[layer][row] = (k.data().to_vec(), v.data().to_vec());
         }
 
@@ -754,7 +736,7 @@ mod tests {
             let insert = |c: &mut KvCache, sh: &mut Shadow, row, kv: &[(Tensor, Tensor)], toks| {
                 c.insert_row_shared(row, 3, kv, toks);
                 for (li, (k, v)) in kv.iter().enumerate() {
-                    sh.write_slot(li, row, k, v);
+                    sh.set_row(li, row, k, v);
                 }
             };
             let append = |c: &mut KvCache, sh: &mut Shadow, tag: f32, step: &str| {
@@ -765,13 +747,14 @@ mod tests {
                 }
                 sh.assert_matches(c, &format!("S={page_size} after {step}"));
             };
-            // A private slot write, then every row grows by one position.
+            // A private append to one empty row, then every row grows by one
+            // position.
             let (k, v) = (seq(1.0, l, d), seq(2.0, l, d));
             for (layer, (k, v)) in [(&k, &v), (&v, &k)].into_iter().enumerate() {
-                c.write_slot(layer, 1, 3, k, v);
-                shadow.write_slot(layer, 1, k, v);
+                c.append_rows(layer, &[1], 3, &k.reshape(vec![1, l, d]), &v.reshape(vec![1, l, d]));
+                shadow.set_row(layer, 1, k, v);
             }
-            append(&mut c, &mut shadow, 9.0, "write_slot + append");
+            append(&mut c, &mut shadow, 9.0, "append_rows + append");
             // Rows 0 and 2 admit one prompt (their pages are shared), then
             // every row appends into its tail page: rows 0/2 copy out.
             let prompt = layer_kv(2, 20.0, l, d);
@@ -878,18 +861,19 @@ mod tests {
         c.insert_row_shared(0, 2, &kv, &tokens);
         c.insert_row_shared(1, 2, &kv, &tokens);
         assert_eq!(c.page_stats().pages_shared, 2);
-        // Row 0 is rewritten with one extra token: every page it touches is
-        // shared, so both must copy out, leaving row 1's view untouched.
-        let mut ext_k = kv[0].0.data().to_vec();
-        ext_k.extend_from_slice(&vec![7.0; d]);
-        let ext_kt = Tensor::from_vec(vec![l + 1, d], ext_k);
-        c.write_slot(0, 0, 2, &ext_kt, &ext_kt);
+        // Row 0 appends one token into its shared partial tail page: that
+        // page copies out, the full page stays shared, and row 1's view is
+        // untouched.
+        let step = Tensor::full(vec![1, 1, d], 7.0);
+        c.append_rows(0, &[0], 2, &step, &step.scale(-1.0));
         let st = c.page_stats();
-        assert_eq!(st.pages_live, 4, "COW copies the two written pages");
+        assert_eq!((st.pages_live, st.pages_shared), (3, 1), "COW copies the one written page");
         let (k1, v1) = c.read_slot(0, 1);
         assert_eq!(k1.data(), kv[0].0.data(), "sharer's bytes unchanged by COW");
         assert_eq!(v1.data(), kv[0].1.data());
-        assert_eq!(c.read_slot(0, 0).0.data(), ext_kt.data());
+        let (k0, v0) = c.read_slot(0, 0);
+        assert_eq!(k0.data(), [kv[0].0.data(), &[7.0; 2]].concat());
+        assert_eq!(v0.data(), [kv[0].1.data(), &[-7.0; 2]].concat());
     }
 
     #[test]

@@ -599,7 +599,7 @@ mod tests {
         let mut cache = KvCache::paged(1, 4);
         for (row, len) in [5usize, 9, 1, 14].into_iter().enumerate() {
             let (k, v) = (noise(vec![len, dh], 20 + row), noise(vec![len, dh], 30 + row));
-            cache.write_slot(0, row, 4, &k, &v);
+            cache.append_rows(0, &[row], 4, &k.into_reshape(vec![1, len, dh]), &v.into_reshape(vec![1, len, dh]));
         }
         let q = noise(vec![4, l_q, hq * dh], 41);
         let all = attention_over_cache(&q, &cache, 0, dh);

@@ -599,12 +599,15 @@ impl PartitionedEngine {
     /// Switches the engine into slot mode with `slots` rows, each an
     /// independent sequence of its own age (or empty). Caches are cleared;
     /// `reserve` is ignored (pages allocate on demand) and stays only
-    /// because the frozen benchmark passes it. A decode step then runs the
-    /// slots it is given and no others
-    /// ([`PartitionedEngine::try_decode_rows`]): every op treats batch rows
-    /// independently, so which other rows share a step changes no bit of a
-    /// row's logits, and a slot left out neither ages nor allocates.
-    /// [`PartitionedEngine::decode_step`] is the step over all `slots`.
+    /// because the frozen benchmark passes it. A pass then runs the slots
+    /// it is given and no others ([`PartitionedEngine::try_prefill_rows`],
+    /// and its one-token call [`PartitionedEngine::try_decode_rows`]):
+    /// every op treats batch rows independently, so which other rows share
+    /// a pass changes no bit of a row's logits, and a slot left out neither
+    /// ages nor allocates. [`PartitionedEngine::decode_step`] is the step
+    /// over all `slots`. Each chip's cache also holds one *scratch row*
+    /// past its slots, which only ever pads a pass and is empty between
+    /// calls.
     ///
     /// # Panics
     ///
@@ -630,10 +633,12 @@ impl PartitionedEngine {
         self.row_lens.as_deref().expect("engine not in slot mode; call begin_slots")
     }
 
-    /// The smallest batch size this engine's layout accepts — the rows one
-    /// prefill call carries on batch-sharded layouts whether or not it has
-    /// requests for all of them (rows are independent, so what fills the
-    /// others changes no bit of a request's row).
+    /// The smallest batch size this engine's layout accepts. It is also
+    /// the number of spans the chips split the slots into (one where every
+    /// chip sees every row), so a pass with one row per span carries
+    /// exactly `min_batch` rows whether or not it has requests for all of
+    /// them (rows are independent, so what fills the others changes no bit
+    /// of a request's row).
     #[must_use]
     pub fn min_batch(&self) -> usize {
         let n = self.chips.len();
@@ -647,6 +652,37 @@ impl PartitionedEngine {
             m = m.max(n);
         }
         m
+    }
+
+    /// Index of the span of slots holding `slot`, in `0..min_batch()`
+    /// (slot mode): spans are equal and contiguous, and a pass carries
+    /// equally many rows in each ([`PartitionedEngine::try_prefill_rows`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the engine is not in slot mode or `slot` is out of range.
+    #[must_use]
+    pub(crate) fn slot_span(&self, slot: usize) -> usize {
+        let spans = self.row_spans(self.slot_lens().len());
+        spans.iter().position(|&(r0, rc)| (r0..r0 + rc).contains(&slot)).expect("slot out of range")
+    }
+
+    /// Cache rows `chip` holds for a batch of `b`: its span, plus the
+    /// scratch row past it in slot mode.
+    fn cache_rows(&self, chip: &ChipState, b: usize) -> usize {
+        self.chip_rows(chip, b).1 + usize::from(self.row_lens.is_some())
+    }
+
+    /// Row of `chip`'s cache that batch row `row` of `b` lives in, if the
+    /// chip holds it: a slot of its span, or — for `b + r0`, the scratch row
+    /// of the span starting at `r0` — the row past the span.
+    fn local_row(&self, chip: &ChipState, b: usize, row: usize) -> Option<usize> {
+        let (r0, rc) = self.chip_rows(chip, b);
+        if (r0..r0 + rc).contains(&row) {
+            Some(row - r0)
+        } else {
+            (self.row_lens.is_some() && row == b + r0).then_some(rc)
+        }
     }
 
     /// Batch rows of the full batch `b` that `chip`'s KV cache holds, as
@@ -720,11 +756,10 @@ impl PartitionedEngine {
                 let mut k = None;
                 let mut v = None;
                 for chip in &self.chips {
-                    let (r0, rc) = self.chip_rows(chip, b);
-                    if row < r0 || row >= r0 + rc {
+                    let Some(local) = self.local_row(chip, b, row) else {
                         continue;
-                    }
-                    let l = chip.cache.row_lens(li)[row - r0];
+                    };
+                    let l = chip.cache.row_lens(li)[local];
                     assert!(*len.get_or_insert(l) == l, "chips disagree on row length");
                     let k = k.get_or_insert_with(|| Tensor::zeros(vec![l, d]));
                     let v = v.get_or_insert_with(|| Tensor::zeros(vec![l, d]));
@@ -732,7 +767,7 @@ impl PartitionedEngine {
                     let w = hc * dh;
                     // The chip's `[l, w]` head shard, run by run, straight
                     // into columns `h0·dh ..` of the canonical `[l, d]` rows.
-                    let shard = chip.cache.row_runs(li, row - r0);
+                    let shard = chip.cache.row_runs(li, local);
                     let rows = shard.flat_map(|(rk, rv)| rk.chunks(w).zip(rv.chunks(w)));
                     for (r, (rk, rv)) in rows.enumerate() {
                         let dst = r * d + h0 * dh;
@@ -746,59 +781,31 @@ impl PartitionedEngine {
         RequestKv { len: len.expect("model has at least one layer"), layers }
     }
 
-    /// Inserts a request's canonical KV into slot `slot`, overwriting
-    /// whatever the slot held; each chip takes its own head shard of its
-    /// own batch rows. Slot mode only.
+    /// Inserts a request's canonical KV, produced by `tokens`, into slot
+    /// `slot`, replacing whatever the slot held: each covering chip inserts
+    /// its head shard of the request through the cache's prefix registry
+    /// ([`KvCache::insert_row_shared`]), mapping pages already cached for
+    /// `tokens`' page-aligned prefixes by refcount instead of rewriting
+    /// them. Slot mode only.
     ///
     /// # Panics
     ///
-    /// Panics if the engine is not in slot mode, `slot` is out of range, or
-    /// the KV's layer count or width disagrees with the model.
-    pub fn insert_kv(&mut self, slot: usize, kv: &RequestKv) {
-        let b = self.batch.expect("insert_kv requires slot mode");
-        assert!(slot < b, "slot {slot} out of range for batch {b}");
-        assert_eq!(kv.layers.len(), self.cfg.n_layers, "layer count mismatch");
-        let dh = self.cfg.d_head;
-        let n_kv = self.cfg.n_kv_heads();
-        for ci in 0..self.chips.len() {
-            let (r0, rc) = self.chip_rows(&self.chips[ci], b);
-            if slot < r0 || slot >= r0 + rc {
-                continue;
-            }
-            let (h0, hc) = self.chip_kv_heads(&self.chips[ci]);
-            let chip = &mut self.chips[ci];
-            for (li, (k, v)) in kv.layers.iter().enumerate() {
-                assert_eq!(k.dim(1), n_kv * dh, "canonical KV width mismatch");
-                let ks = k.slice(1, h0 * dh, hc * dh);
-                let vs = v.slice(1, h0 * dh, hc * dh);
-                chip.cache.write_slot(li, slot - r0, rc, &ks, &vs);
-            }
-        }
-        self.row_lens.as_mut().expect("insert_kv requires slot mode")[slot] = kv.len;
-    }
-
-    /// [`PartitionedEngine::insert_kv`] with prompt-prefix sharing: each
-    /// covering chip inserts its head shard of the request through the
-    /// cache's prefix registry ([`KvCache::insert_row_shared`]), mapping
-    /// pages already cached for `tokens`' page-aligned prefixes by refcount
-    /// instead of rewriting them. Slot mode only.
-    ///
-    /// # Panics
-    ///
-    /// Panics as [`PartitionedEngine::insert_kv`] does, or if `tokens` is
-    /// not exactly `kv.len` tokens (the prompt that produced the KV).
+    /// Panics if the engine is not in slot mode, `slot` is out of range,
+    /// the KV's layer count or width disagrees with the model, or `tokens`
+    /// is not exactly `kv.len` tokens.
     pub fn insert_kv_shared(&mut self, slot: usize, kv: &RequestKv, tokens: &[usize]) {
-        let b = self.batch.expect("insert_kv requires slot mode");
+        let b = self.batch.expect("insert_kv_shared requires slot mode");
+        assert!(self.row_lens.is_some(), "insert_kv_shared requires slot mode");
         assert!(slot < b, "slot {slot} out of range for batch {b}");
         assert_eq!(kv.layers.len(), self.cfg.n_layers, "layer count mismatch");
         assert_eq!(tokens.len(), kv.len, "one prompt token per cached position");
         let dh = self.cfg.d_head;
         let n_kv = self.cfg.n_kv_heads();
         for ci in 0..self.chips.len() {
-            let (r0, rc) = self.chip_rows(&self.chips[ci], b);
-            if slot < r0 || slot >= r0 + rc {
+            let Some(row) = self.local_row(&self.chips[ci], b, slot) else {
                 continue;
-            }
+            };
+            let rows = self.cache_rows(&self.chips[ci], b);
             let (h0, hc) = self.chip_kv_heads(&self.chips[ci]);
             let shards: Vec<(Tensor, Tensor)> = kv
                 .layers
@@ -808,30 +815,39 @@ impl PartitionedEngine {
                     (k.slice(1, h0 * dh, hc * dh), v.slice(1, h0 * dh, hc * dh))
                 })
                 .collect();
-            self.chips[ci].cache.insert_row_shared(slot - r0, rc, &shards, tokens);
+            self.chips[ci].cache.insert_row_shared(row, rows, &shards, tokens);
         }
-        self.row_lens.as_mut().expect("insert_kv requires slot mode")[slot] = kv.len;
+        self.row_lens.as_mut().expect("checked above")[slot] = kv.len;
     }
 
     /// Evicts slot `slot`: its pages lose this slot's reference and its age
-    /// resets to zero. Slot mode only. An empty slot costs a decode step
-    /// nothing — steps run the slots they are given — except where it pads
-    /// its span for one step ([`PartitionedEngine::try_decode_rows`]), and
-    /// the engine evicts it again itself.
+    /// resets to zero. Slot mode only. An empty slot costs a pass nothing —
+    /// passes run the slots they are given — except where it pads its span
+    /// for one pass ([`PartitionedEngine::try_prefill_rows`]), and the
+    /// engine evicts it again itself.
     ///
     /// # Panics
     ///
     /// Panics if the engine is not in slot mode or `slot` is out of range.
     pub fn evict_slot(&mut self, slot: usize) {
         let b = self.batch.expect("evict_slot requires slot mode");
+        assert!(self.row_lens.is_some(), "evict_slot requires slot mode");
         assert!(slot < b, "slot {slot} out of range for batch {b}");
+        self.empty_row(slot);
+    }
+
+    /// Empties batch row `row` — a slot, or a span's scratch row — on every
+    /// chip holding it, and resets a slot's age.
+    fn empty_row(&mut self, row: usize) {
+        let b = self.batch.expect("the caller fixed the batch");
         for ci in 0..self.chips.len() {
-            let (r0, rc) = self.chip_rows(&self.chips[ci], b);
-            if slot >= r0 && slot < r0 + rc {
-                self.chips[ci].cache.clear_slot(slot - r0);
+            if let Some(local) = self.local_row(&self.chips[ci], b, row) {
+                self.chips[ci].cache.clear_slot(local);
             }
         }
-        self.row_lens.as_mut().expect("evict_slot requires slot mode")[slot] = 0;
+        if let Some(len) = self.row_lens.as_mut().and_then(|lens| lens.get_mut(row)) {
+            *len = 0;
+        }
     }
 
     /// Prefill over a chunk of tokens (`[B][L]`), returning logits
@@ -857,12 +873,77 @@ impl PartitionedEngine {
     ///
     /// See [`EngineError`]. After any error the engine is poisoned.
     pub fn try_prefill(&mut self, tokens: &[Vec<usize>]) -> Result<Tensor, EngineError> {
+        let rows: Vec<(usize, &[usize])> = tokens.iter().map(Vec::as_slice).enumerate().collect();
+        self.try_prefill_rows(&rows)
+    }
+
+    /// One pass over the `(slot, tokens)` rows given and no others, every
+    /// row carrying the same `L ≥ 1` tokens, returning logits
+    /// `[rows.len(), L, V]` in the order given. In slot mode any non-empty
+    /// set of distinct slots is a pass: each appends its tokens at its own
+    /// age and ages by `L`; a slot left out is not touched. Rows are
+    /// independent, so a row's logits and KV do not depend on which other
+    /// rows share its pass. Outside slot mode the batch is uniform and a
+    /// pass is every row in order.
+    ///
+    /// Where every chip sees every row (head-sharded 1D / 2D) the pass
+    /// carries exactly the rows given. Where chips own spans of the rows
+    /// (batch-sharded attention, weight-gathered layouts) every span must
+    /// carry equally many for the collectives to stay regular, so each span
+    /// is padded up to the largest count any span was given
+    /// ([`PartitionedEngine::decode_rows_carried`]): with *empty* slots of
+    /// its own first, then with its scratch row. A padding row carries
+    /// token 0 from position 0 and is emptied again before the call
+    /// returns.
+    ///
+    /// # Errors
+    ///
+    /// See [`EngineError`]. After any error the engine is poisoned.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an empty pass, rows of unequal or zero length, a slot out
+    /// of range or given twice, an out-of-vocabulary token, or a span short
+    /// of more padding rows than its empty slots and one scratch row.
+    pub fn try_prefill_rows(&mut self, rows: &[(usize, &[usize])]) -> Result<Tensor, EngineError> {
         if self.poisoned {
             return Err(EngineError::Poisoned);
         }
-        let x = self.embed_host(tokens);
-        let rows: Vec<usize> = (0..tokens.len()).collect();
-        self.try_forward(x, &rows)
+        assert!(!rows.is_empty(), "empty batch");
+        let l = rows[0].1.len();
+        assert!(l > 0, "empty sequence");
+        assert!(rows.iter().all(|r| r.1.len() == l), "ragged batch: all sequences must have equal length");
+        if self.row_lens.is_none() {
+            self.fix_batch(rows.len());
+        }
+        let slots: Vec<usize> = rows.iter().map(|r| r.0).collect();
+        let step = self.lay_out_step(&slots);
+        let (b, e, v) = (step.rows.len(), self.cfg.d_model, self.cfg.vocab);
+        // Padding rows carry token 0 at every position.
+        let mut tokens: Vec<&[usize]> = vec![&[]; b];
+        for (&at, row) in step.at.iter().zip(rows) {
+            tokens[at] = row.1;
+        }
+        let bases = self.row_bases(&step.rows);
+        let mut x = Tensor::zeros(vec![b, l, e]);
+        for ((seq, &base), out) in tokens.iter().zip(&bases).zip(x.data_mut().chunks_mut(l * e)) {
+            for (p, row) in out.chunks_mut(e).enumerate() {
+                self.embed_token(seq.get(p).copied().unwrap_or(0), base + p, row);
+            }
+        }
+        let logits = self.try_forward(x, &step.rows)?;
+        for &row in &step.padding {
+            self.empty_row(row);
+        }
+        if step.at.iter().copied().eq(0..b) {
+            return Ok(logits);
+        }
+        let n = l * v;
+        let mut out = Vec::with_capacity(rows.len() * n);
+        for &r in &step.at {
+            out.extend_from_slice(&logits.data()[r * n..(r + 1) * n]);
+        }
+        Ok(Tensor::from_vec(vec![rows.len(), l, v], out))
     }
 
     /// One decode step over every row (one token per sequence, in row
@@ -885,20 +966,8 @@ impl PartitionedEngine {
     }
 
     /// One decode step over the `(slot, token)` rows given and no others,
-    /// returning logits `[rows.len(), V]` in the order given. In slot mode
-    /// any non-empty set of distinct slots is a step: each appends its token
-    /// at its own age and ages by one; a slot left out is not touched. Rows
-    /// are independent, so a row's logits do not depend on which other rows
-    /// share its step. Outside slot mode the batch is uniform and a step is
-    /// every row in order.
-    ///
-    /// Where every chip sees every row (head-sharded 1D / 2D) the step
-    /// carries exactly the rows given. Where chips own spans of the rows
-    /// (batch-sharded attention, weight-gathered layouts) every span must
-    /// carry equally many for the collectives to stay regular, so each span
-    /// is padded with *empty* slots of its own up to the largest count any
-    /// span was given ([`PartitionedEngine::decode_rows_carried`]); a padding
-    /// row carries token 0 and is evicted again before the call returns.
+    /// returning logits `[rows.len(), V]` in the order given: the one-token
+    /// [`PartitionedEngine::try_prefill_rows`].
     ///
     /// # Errors
     ///
@@ -906,40 +975,16 @@ impl PartitionedEngine {
     ///
     /// # Panics
     ///
-    /// Panics on an empty step, a slot out of range or given twice, an
-    /// out-of-vocabulary token, or a span with too few empty slots to pad.
+    /// As [`PartitionedEngine::try_prefill_rows`].
     pub fn try_decode_rows(&mut self, rows: &[(usize, usize)]) -> Result<Tensor, EngineError> {
-        if self.poisoned {
-            return Err(EngineError::Poisoned);
-        }
-        if self.row_lens.is_none() {
-            self.fix_batch(rows.len());
-        }
-        let step = self.lay_out_step(rows);
-        let (b, e, v) = (step.slots.len(), self.cfg.d_model, self.cfg.vocab);
-        let bases = self.row_bases(&step.slots);
-        let mut x = Tensor::zeros(vec![b, 1, e]);
-        for ((&tok, &base), row) in step.tokens.iter().zip(&bases).zip(x.data_mut().chunks_mut(e)) {
-            self.embed_token(tok, base, row);
-        }
-        let logits = self.try_forward(x, &step.slots)?.into_reshape(vec![b, v]);
-        for &slot in &step.padding {
-            self.evict_slot(slot);
-        }
-        if step.at.iter().copied().eq(0..b) {
-            return Ok(logits);
-        }
-        let mut out = Vec::with_capacity(rows.len() * v);
-        for &r in &step.at {
-            out.extend_from_slice(&logits.data()[r * v..(r + 1) * v]);
-        }
-        Ok(Tensor::from_vec(vec![rows.len(), v], out))
+        let rows: Vec<(usize, &[usize])> = rows.iter().map(|(s, t)| (*s, std::slice::from_ref(t))).collect();
+        Ok(self.try_prefill_rows(&rows)?.into_reshape(vec![rows.len(), self.cfg.vocab]))
     }
 
-    /// Batch rows one decode step over `rows` carries through the model:
+    /// Batch rows one pass over `rows`' slots carries through the model:
     /// `rows.len()` where every chip sees every row, more where spans of
     /// rows are padded to a common count (see
-    /// [`PartitionedEngine::try_decode_rows`]) — never more than the slot
+    /// [`PartitionedEngine::try_prefill_rows`]) — never more than the slot
     /// count. Slot mode only.
     ///
     /// # Panics
@@ -948,7 +993,8 @@ impl PartitionedEngine {
     #[must_use]
     pub fn decode_rows_carried(&self, rows: &[(usize, usize)]) -> usize {
         let spans = self.row_spans(self.slot_lens().len());
-        spans.len() * rows_per_span(&spans, rows)
+        let slots: Vec<usize> = rows.iter().map(|r| r.0).collect();
+        spans.len() * rows_per_span(&spans, &slots)
     }
 
     /// The distinct spans of the `b` batch rows the chips' caches hold, as
@@ -961,52 +1007,50 @@ impl PartitionedEngine {
         spans
     }
 
-    /// Places the requested `(slot, token)` rows in a step batch whose row
-    /// spans (`chip_rows` of the *step's* batch size) line up with the slot
-    /// spans the chips' caches hold: span by span, the span's requested rows
-    /// in request order, then empty slots of that span as padding up to the
-    /// largest requested count over spans.
-    fn lay_out_step(&self, rows: &[(usize, usize)]) -> StepLayout {
-        assert!(!rows.is_empty(), "empty batch");
+    /// Places the requested slots in a pass batch whose row spans
+    /// (`chip_rows` of the *pass's* batch size) line up with the slot spans
+    /// the chips' caches hold: span by span, the span's requested slots in
+    /// request order, then padding up to the largest requested count over
+    /// spans — empty slots of that span, then (slot mode) its scratch row
+    /// `b + r0`.
+    fn lay_out_step(&self, slots: &[usize]) -> StepLayout {
         let b = self.batch.expect("the caller fixed the batch");
         let mut given = vec![false; b];
-        for &(slot, _) in rows {
+        for &slot in slots {
             assert!(slot < b, "slot {slot} out of range for batch {b}");
-            assert!(!std::mem::replace(&mut given[slot], true), "slot {slot} given twice in one step");
+            assert!(!std::mem::replace(&mut given[slot], true), "slot {slot} given twice in one pass");
         }
         let lens = self.row_lens.as_deref();
         assert!(
-            lens.is_some() || rows.iter().map(|r| r.0).eq(0..b),
-            "outside slot mode a decode step carries every row, in order"
+            lens.is_some() || slots.iter().copied().eq(0..b),
+            "outside slot mode a pass carries every row, in order"
         );
         let spans = self.row_spans(b);
-        let per_span = rows_per_span(&spans, rows);
+        let per_span = rows_per_span(&spans, slots);
         let mut step = StepLayout {
-            slots: Vec::with_capacity(spans.len() * per_span),
-            tokens: Vec::with_capacity(spans.len() * per_span),
-            at: vec![0; rows.len()],
+            rows: Vec::with_capacity(spans.len() * per_span),
+            at: vec![0; slots.len()],
             padding: Vec::new(),
         };
         for &(r0, rc) in &spans {
             let span = r0..r0 + rc;
-            let end = step.slots.len() + per_span;
-            for (i, &(slot, tok)) in rows.iter().enumerate() {
+            let end = step.rows.len() + per_span;
+            for (i, &slot) in slots.iter().enumerate() {
                 if span.contains(&slot) {
-                    step.at[i] = step.slots.len();
-                    step.slots.push(slot);
-                    step.tokens.push(tok);
+                    step.at[i] = step.rows.len();
+                    step.rows.push(slot);
                 }
             }
             let empty = span.clone().filter(|&s| !given[s] && lens.is_some_and(|l| l[s] == 0));
-            for slot in empty.take(end - step.slots.len()) {
-                step.padding.push(slot);
-                step.slots.push(slot);
-                step.tokens.push(0);
+            let scratch = lens.map(|_| b + r0);
+            for row in empty.chain(scratch).take(end - step.rows.len()) {
+                step.padding.push(row);
+                step.rows.push(row);
             }
             assert_eq!(
-                step.slots.len(),
+                step.rows.len(),
                 end,
-                "slots {span:?} hold too few empty slots to pad their share of the step to {per_span} rows"
+                "slots {span:?} hold too few empty slots (and one scratch row) to pad their share of the pass to {per_span} rows"
             );
         }
         step
@@ -1026,33 +1070,12 @@ impl PartitionedEngine {
         }
     }
 
-    fn embed_host(&mut self, tokens: &[Vec<usize>]) -> Tensor {
-        let b = tokens.len();
-        assert!(b > 0, "empty batch");
-        let l = tokens[0].len();
-        assert!(l > 0, "empty sequence");
-        self.fix_batch(b);
-        let e = self.cfg.d_model;
-        // Cached positions before this pass = absolute position of the
-        // chunk; in slot mode each row carries its own age.
-        let rows: Vec<usize> = (0..b).collect();
-        let bases = self.row_bases(&rows);
-        let mut x = Tensor::zeros(vec![b, l, e]);
-        for ((seq, &base), rows) in tokens.iter().zip(&bases).zip(x.data_mut().chunks_mut(l * e)) {
-            assert_eq!(seq.len(), l, "ragged batch: all sequences must have equal length");
-            for (li, (&tok, row)) in seq.iter().zip(rows.chunks_mut(e)).enumerate() {
-                self.embed_token(tok, base + li, row);
-            }
-        }
-        x
-    }
-
     /// Absolute position of the next token of each of `rows` (batch rows):
     /// uniform (the shared cache length) in classic mode, per-slot ages in
-    /// slot mode.
+    /// slot mode, where a scratch row (past the slots) is always empty.
     fn row_bases(&self, rows: &[usize]) -> Vec<usize> {
         match &self.row_lens {
-            Some(lens) => rows.iter().map(|&r| lens[r]).collect(),
+            Some(lens) => rows.iter().map(|&r| lens.get(r).copied().unwrap_or(0)).collect(),
             None => vec![self.cache_len(); rows.len()],
         }
     }
@@ -1091,11 +1114,11 @@ impl PartitionedEngine {
     }
 
     /// Runs the partitioned forward pass over embedded inputs `[B, L, E]`,
-    /// row `r` of which is batch row (slot) `rows[r]` — every row in order
-    /// for a prefill, the step's layout for a decode — returning logits
-    /// `[B, L, V]`, or, when any chip thread unwinds, the classified
-    /// root-cause [`EngineError`] after releasing every peer. Only `rows`
-    /// append to their caches and age.
+    /// row `r` of which is batch row `rows[r]` — a slot, or a span's
+    /// scratch row, as [`PartitionedEngine::lay_out_step`] placed them —
+    /// returning logits `[B, L, V]`, or, when any chip thread unwinds, the
+    /// classified root-cause [`EngineError`] after releasing every peer.
+    /// Only `rows` append to their caches, and only slots age.
     ///
     /// The unwind protocol: each worker runs its dataflow under
     /// `catch_unwind`; on unwind it cancels **all** of its own group
@@ -1127,12 +1150,11 @@ impl PartitionedEngine {
             .iter()
             .map(|chip| {
                 let (s0, sc) = self.chip_rows(chip, b);
-                let (r0, rc) = self.chip_rows(chip, batch);
                 let local = rows[s0..s0 + sc].iter().map(|&row| {
-                    assert!((r0..r0 + rc).contains(&row), "row {row} placed outside chip {}'s rows", chip.rank);
-                    row - r0
+                    let local = self.local_row(chip, batch, row);
+                    local.unwrap_or_else(|| panic!("row {row} placed outside chip {}'s rows", chip.rank))
                 });
-                (local.collect(), rc)
+                (local.collect(), self.cache_rows(chip, batch))
             })
             .collect();
         let pools: Vec<Option<Arc<ChipPool>>> = if self.pools.is_empty() {
@@ -1205,7 +1227,9 @@ impl PartitionedEngine {
 
         if let Some(lens) = &mut self.row_lens {
             for &row in rows {
-                lens[row] += l;
+                if let Some(len) = lens.get_mut(row) {
+                    *len += l;
+                }
             }
         }
         if matches!(dataflow, Dataflow::WeightGatheredHybrid { .. }) {
@@ -1224,23 +1248,21 @@ impl PartitionedEngine {
     }
 }
 
-/// One decode step's batch, laid out by [`PartitionedEngine::lay_out_step`].
+/// One pass's batch, laid out by [`PartitionedEngine::lay_out_step`].
 struct StepLayout {
-    /// Slot each step row runs.
-    slots: Vec<usize>,
-    /// Token each step row carries (0 on padding rows).
-    tokens: Vec<usize>,
-    /// Step row of each requested row, in request order.
+    /// Batch row each pass row runs: a slot, or a span's scratch row.
+    rows: Vec<usize>,
+    /// Pass row of each requested slot, in request order.
     at: Vec<usize>,
-    /// Slots that only pad their span: empty before the step, evicted
-    /// again after it.
+    /// Rows that only pad their span: empty before the pass, emptied again
+    /// after it.
     padding: Vec<usize>,
 }
 
-/// Rows each of `spans` carries in a step over `rows`: the most requested
-/// rows any one span holds.
-fn rows_per_span(spans: &[(usize, usize)], rows: &[(usize, usize)]) -> usize {
-    let held = |&(r0, rc): &(usize, usize)| rows.iter().filter(|r| (r0..r0 + rc).contains(&r.0)).count();
+/// Rows each of `spans` carries in a pass over `slots`: the most requested
+/// slots any one span holds.
+fn rows_per_span(spans: &[(usize, usize)], slots: &[usize]) -> usize {
+    let held = |&(r0, rc): &(usize, usize)| slots.iter().filter(|s| (r0..r0 + rc).contains(s)).count();
     spans.iter().map(held).max().unwrap_or(0)
 }
 

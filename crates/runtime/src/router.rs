@@ -281,9 +281,7 @@ impl ReplicaRouter {
                         &mut preemptions,
                     );
                 }
-                Err(
-                    err @ (ServeError::Engine(_) | ServeError::RecoveryLimit { .. }),
-                ) => {
+                Err(err @ ServeError::RecoveryLimit { .. }) => {
                     // The replica is gone: drain it and re-route its whole
                     // share. try_serve committed nothing, so the share
                     // replays losslessly wherever it lands.

@@ -1,34 +1,34 @@
 //! Continuous-batching serving over the partitioned engine (Section 4.4).
 //!
-//! Where [`esti_core::serving`] *models* the paper's two-tier arrangement
-//! analytically, this module *runs* it: a prefill tier
-//! ([`PartitionedEngine`] in slot mode at the layout's minimum batch)
-//! pipelines into a fixed-capacity decode tier, also in slot mode
-//! ([`PartitionedEngine::begin_slots`]). Variable-length prompts arrive in
-//! a queue, are prefilled (optionally chunked), admitted into free decode
-//! slots at step boundaries up to the cap, and evicted on completion. A
-//! decode step runs the occupied slots only (see [`DecodeWork`]).
+//! Where [`esti_core::serving`] *models* the paper's prefill/decode
+//! arrangement analytically, this module *runs* it on one
+//! [`PartitionedEngine`] — one copy of the weights, one KV page pool — in
+//! slot mode ([`PartitionedEngine::begin_slots`]) with a fixed number of
+//! decode slots. Variable-length prompts arrive in a queue, are admitted
+//! into free slots at step boundaries up to the cap, prefilled (optionally
+//! chunked) straight into the slots admission chose, and evicted on
+//! completion. A decode step runs the occupied slots only (see
+//! [`DecodeWork`]).
 //!
 //! Prefill does only the work that is needed. Up to a minimum batch of
-//! consecutive admissions share one *group* prefill, each in its own row,
-//! and a row whose prompt opens with whole KV pages a live decode slot
-//! already holds is seeded with those pages and runs only the rest of its
-//! prompt (see [`PrefillWork`] for what a serve call ended up computing).
+//! consecutive admissions share one *group* prefill, each in its own slot,
+//! and a slot whose prompt opens with whole KV pages a live slot already
+//! holds is seeded with those pages and runs only the rest of its prompt
+//! (see [`PrefillWork`] for what a serve call ended up computing).
 //!
 //! Correctness rests on two properties proved elsewhere in the workspace:
 //! every op treats batch rows independently (so a request's row in a
 //! padded, mixed-age batch computes bit-identically to running it alone),
-//! and the canonical [`RequestKv`](crate::RequestKv) form is
-//! layout-independent (so a prefill-tier cache moves into any decode-tier
-//! slot exactly). The conformance tests assert the visible consequence:
-//! per-request token streams identical to isolated
-//! [`PartitionedEngine::generate`] runs.
+//! and K/V at a position depend only on the tokens up to it (so a donor's
+//! first pages hold exactly what a seeded row would have computed). The
+//! conformance tests assert the visible consequence: per-request token
+//! streams identical to isolated [`PartitionedEngine::generate`] runs.
 //!
 //! # Self-healing
 //!
-//! The same two properties make the scheduler recoverable. When a decode
-//! step fails (a chip died or a collective timed out — see
-//! [`EngineError`]), the batcher rebuilds the decode engine and *replays*
+//! The same two properties make the scheduler recoverable. When a step or
+//! a prefill call fails (a chip died or a collective timed out — see
+//! [`EngineError`]), the batcher rebuilds the engine and *replays*
 //! every in-flight request from durable state it already holds: the prompt
 //! (re-prefilled with the original chunking), the per-request RNG seed
 //! (re-seeded, so the sampling stream restarts from draw zero), and the
@@ -37,7 +37,9 @@
 //! independent and the replayed computation is the original computation,
 //! post-recovery token streams are **bit-identical** to a fault-free run —
 //! the chaos conformance tests in `tests/faults.rs` assert exactly that for
-//! every decode layout. The price paid is accounted in
+//! every decode layout. A failed prefill call's group goes back to the
+//! front of its class queues and is admitted again. The price paid is
+//! accounted in
 //! [`ServingReport::recovery`] and cross-checked against
 //! `esti_netsim::crash_recovery_cost`.
 
@@ -53,7 +55,7 @@ use esti_core::serving::{Priority, RecoveryStats, RequestStats, ServingReport};
 use esti_model::{PositionKind, ReferenceModel};
 use esti_tensor::sample::{sample_row, Sampling};
 
-use crate::engine::{EngineError, PartitionedEngine, RequestKv, WeightFormat};
+use crate::engine::{EngineError, PartitionedEngine, WeightFormat, DEFAULT_COLLECTIVE_DEADLINE};
 
 /// One queued generation request.
 #[derive(Debug, Clone)]
@@ -99,28 +101,28 @@ impl ServingRequest {
 /// Scheduler policy knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct ServingOptions {
-    /// Decode-tier slot count (the in-flight cap). Must satisfy the
-    /// layout's batch divisibility requirements.
+    /// Slot count (the in-flight cap). Must satisfy the layout's batch
+    /// divisibility requirements.
     pub max_decode_batch: usize,
     /// Sampling method applied to every request.
     pub sampling: Sampling,
     /// Chunked (incremental) prefill size; `None` prefills each prompt in
     /// one pass.
     pub prefill_chunk: Option<usize>,
-    /// Intra-chip kernel worker threads per simulated chip, applied to both
-    /// tiers and to every engine rebuilt during fault recovery. `0` keeps
-    /// each engine's own default (the `ESTI_CHIP_THREADS` environment
+    /// Intra-chip kernel worker threads per simulated chip, applied to the
+    /// engine and to every engine rebuilt during fault recovery. `0` keeps
+    /// the engine's own default (the `ESTI_CHIP_THREADS` environment
     /// knob). Thread count never changes results — the banded kernels are
     /// bit-identical at any worker count.
     pub intra_chip_threads: usize,
-    /// KV-cache page size applied to both tiers (and every engine rebuilt
+    /// KV-cache page size applied to the engine (and every engine rebuilt
     /// during fault recovery). `None` keeps the engine default
     /// ([`crate::DEFAULT_KV_PAGE_SIZE`]). The page size never changes
     /// results — token streams are bit-identical at every size, down to a
     /// page longer than any sequence (one dense run per row).
     pub kv_page_size: Option<usize>,
-    /// Decode-tier KV memory budget in canonical cache positions (one
-    /// position = one token's K and V across all layers and heads).
+    /// KV memory budget for admitted requests, in canonical cache positions
+    /// (one position = one token's K and V across all layers and heads).
     /// `None` is unlimited. Admission charges the page ledger (shared
     /// prompt-prefix pages charged once) and defers requests that would
     /// overflow. The dense baseline at equal memory — every slot
@@ -189,7 +191,7 @@ pub enum ServeError {
         max_seq: usize,
     },
     /// A request can never fit the configured
-    /// [`ServingOptions::kv_position_budget`], even with the decode tier
+    /// [`ServingOptions::kv_position_budget`], even with every slot
     /// otherwise empty.
     KvBudgetExceeded {
         /// Index of the offending request.
@@ -210,9 +212,6 @@ pub enum ServeError {
         /// Which overload policy triggered the shed.
         reason: OverloadShed,
     },
-    /// An engine failure that recovery could not absorb (e.g. the prefill
-    /// tier failed twice in a row for the same prompt).
-    Engine(EngineError),
     /// More faults occurred than the configured recovery budget
     /// ([`ContinuousBatcher::set_max_recoveries`]) allows.
     RecoveryLimit {
@@ -253,7 +252,6 @@ impl std::fmt::Display for ServeError {
                      {deadline:.3}s TTFT deadline"
                 ),
             },
-            ServeError::Engine(e) => write!(f, "unrecoverable engine failure: {e}"),
             ServeError::RecoveryLimit { faults, last } => {
                 write!(f, "recovery budget exhausted after {faults} faults (last: {last})")
             }
@@ -285,37 +283,33 @@ pub enum OverloadShed {
 impl std::error::Error for ServeError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            ServeError::Engine(e) | ServeError::RecoveryLimit { last: e, .. } => Some(e),
+            ServeError::RecoveryLimit { last: e, .. } => Some(e),
             _ => None,
         }
     }
 }
 
-impl From<EngineError> for ServeError {
-    fn from(e: EngineError) -> Self {
-        ServeError::Engine(e)
-    }
-}
-
-/// What the prefill tier executed during one serve call. With every arrival
-/// at `0` and no injected fault these counts repeat exactly from run to run.
+/// What prefill executed during one serve call. With every arrival at `0`
+/// and no injected fault these counts repeat exactly from run to run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PrefillWork {
-    /// Engine prefill calls (one per chunk of each group).
+    /// Engine prefill calls (one per chunk of each call a group splits
+    /// into).
     pub calls: usize,
-    /// Prompt tokens the tier ran: each admitted prompt's unseeded suffix.
+    /// Prompt tokens computed: each admitted prompt's unseeded suffix.
     /// Padding tokens and filler rows are not counted.
     pub tokens_computed: usize,
     /// Prompt tokens whose KV was copied from a donor instead of computed.
     pub tokens_reused: usize,
-    /// Batch rows over all groups (each group is a minimum batch of rows).
+    /// Batch rows over all calls (each call is a minimum batch of rows, one
+    /// per span of slots).
     pub rows: usize,
     /// Of [`PrefillWork::rows`], rows that carried no request: dummy tokens
-    /// filling the layout's minimum batch when nobody else was admissible.
+    /// padding a span no request of the call sits in.
     pub filler_rows: usize,
 }
 
-/// What the decode tier executed during one serve call, counted where each
+/// What the decode steps executed during one serve call, counted where each
 /// step is issued (successful steps only, like [`ServingOutcome::step_log`]).
 /// With every arrival at `0` and no injected fault these counts repeat
 /// exactly from run to run.
@@ -360,10 +354,10 @@ pub struct ServingOutcome {
     /// Recorded tokens re-derived during preemption replays — pure
     /// overhead the preemption policy paid for priority inversion relief.
     pub preempted_tokens_replayed: usize,
-    /// What the prefill tier computed, reused and padded (admissions,
-    /// preemption replays and fault replays alike).
+    /// What prefill computed, reused and padded (admissions, preemption
+    /// replays and fault replays alike).
     pub prefill: PrefillWork,
-    /// What the decode tier stepped: live rows and the filler beside them.
+    /// What the decode steps ran: live rows and the filler beside them.
     pub decode: DecodeWork,
 }
 
@@ -387,14 +381,30 @@ struct Active {
     consumed: usize,
 }
 
+/// One admission, waiting for its group's prefill.
+struct Admission {
+    idx: usize,
+    /// The slot the request is prefilled into.
+    slot: usize,
+    /// Whether the request keeps the slot after its prefill. One that ends
+    /// at its first token only borrows the slot for its call: admission
+    /// still counts the slot free, and a later admission that takes it
+    /// sits in the same span, so its call runs after this one.
+    holds: bool,
+}
+
 /// One request's row in a prefill call.
 struct PrefillRow<'a> {
     prompt: &'a [usize],
-    /// Leading positions seeded from a donor instead of computed: whole
+    slot: usize,
+    /// [`PartitionedEngine::slot_span`] of `slot`.
+    span: usize,
+    holds: bool,
+    /// Leading positions seeded from `donor` instead of computed: whole
     /// pages, and fewer than the prompt so its last token always runs.
     hit: usize,
-    /// The donor's first `hit` positions (`None` when `hit` is 0).
-    seed: Option<RequestKv>,
+    /// The live slot the seed is copied from (meaningless when `hit` is 0).
+    donor: usize,
 }
 
 /// Leading tokens of `prompt` a prefill can skip given a cache that already
@@ -405,8 +415,8 @@ fn prefix_hit(prompt: &[usize], cached: &[usize], page: usize) -> usize {
     common.min(prompt.len() - 1) / page * page
 }
 
-/// The occupied decode slots and the prompts whose KV they hold — the
-/// donors a prefill group may seed from.
+/// The occupied slots and the prompts whose KV they hold — the donors a
+/// prefill group may seed from.
 fn live_prompts<'a>(
     active: &[Option<Active>],
     requests: &'a [ServingRequest],
@@ -428,20 +438,20 @@ fn live_prompts<'a>(
 /// under test.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct BatcherSpec {
-    /// Decode-tier slot count ([`ServingOptions::max_decode_batch`]).
+    /// Slot count ([`ServingOptions::max_decode_batch`]).
     pub slots: usize,
     /// Faults one `try_serve` call absorbs before
     /// [`ServeError::RecoveryLimit`].
     pub max_recoveries: usize,
     /// Admission prefill emits the request's first token, so a request with
-    /// `max_new_tokens <= 1` completes at admission without ever occupying
-    /// a decode slot.
+    /// `max_new_tokens <= 1` completes at admission without ever holding a
+    /// decode slot (its prefill borrows one for the length of its call).
     pub prefill_emits_first_token: bool,
     /// Replay-cursor position after a recovery rebuild: re-prefill
     /// re-derives token 0 (asserted against the recording), so replay of
     /// the remaining recorded tokens restarts at index 1.
     pub replay_restarts_at: usize,
-    /// KV page size of the decode tier's cache.
+    /// KV page size of the engine's cache.
     pub page_size: usize,
     /// Page-pool admission budget
     /// ([`ServingOptions::kv_position_budget`] `/ page_size`); `None` when
@@ -461,7 +471,8 @@ pub struct BatcherSpec {
     pub preemption: bool,
 }
 
-/// The two-tier continuous-batching scheduler.
+/// The continuous-batching scheduler: one [`PartitionedEngine`] in slot
+/// mode, which every prefill writes into and every decode step reads from.
 ///
 /// # Examples
 ///
@@ -485,16 +496,15 @@ pub struct BatcherSpec {
 /// assert!(outcome.outputs.iter().all(|o| o.len() == 4));
 /// ```
 pub struct ContinuousBatcher {
-    prefill: PartitionedEngine,
-    decode: PartitionedEngine,
+    engine: PartitionedEngine,
     opts: ServingOptions,
-    /// Everything needed to rebuild a tier after a fault.
+    /// Everything needed to rebuild the engine after a fault.
     model: ReferenceModel,
     layout: Layout,
     fmt: WeightFormat,
     /// Deadline re-applied to rebuilt engines.
     deadline: Option<Duration>,
-    /// A fault plan armed into the decode tier just before the given
+    /// A fault plan armed into the engine just before the given
     /// successful-step count is reached (one-shot).
     decode_fault: Option<(usize, FaultPlan)>,
     /// Forced preemptions `(after_step, slot)` applied at step boundaries
@@ -502,28 +512,28 @@ pub struct ContinuousBatcher {
     preempt_plan: Vec<(usize, usize)>,
     /// Recovery budget per [`ContinuousBatcher::try_serve`] call.
     max_recoveries: usize,
-    /// Prefill-tier work of the serve call in progress.
+    /// Prefill work of the serve call in progress.
     work: PrefillWork,
 }
 
-/// Builds a tier engine. `workers` is
-/// [`ServingOptions::intra_chip_threads`]; `0` keeps the engine default.
-/// `page_size` is [`ServingOptions::kv_page_size`]; `None` keeps the engine
-/// default.
+/// Builds the scheduler's engine — at `opts`' intra-chip worker count and
+/// KV page size, each left at the engine default when unset — with its
+/// collectives under `deadline`.
 fn build_engine(
     model: &ReferenceModel,
     layout: Layout,
     fmt: WeightFormat,
-    workers: usize,
-    page_size: Option<usize>,
+    opts: &ServingOptions,
+    deadline: Option<Duration>,
 ) -> PartitionedEngine {
     let mut engine = PartitionedEngine::new(model, layout, fmt);
-    if workers > 0 {
-        engine.set_intra_chip_threads(workers);
+    if opts.intra_chip_threads > 0 {
+        engine.set_intra_chip_threads(opts.intra_chip_threads);
     }
-    if let Some(page_size) = page_size {
+    if let Some(page_size) = opts.kv_page_size {
         engine.set_kv_page_size(page_size);
     }
+    engine.set_collective_deadline(deadline);
     engine
 }
 
@@ -715,9 +725,8 @@ impl PageLedger {
 }
 
 impl ContinuousBatcher {
-    /// Builds both tiers from one model and layout (the common case; the
-    /// paper's tiers may differ in chip count, which maps here to building
-    /// with different layouts via two engines — a future extension).
+    /// Builds the one engine prefill and decode both run on, from `model`
+    /// sharded by `layout`.
     ///
     /// # Panics
     ///
@@ -732,14 +741,9 @@ impl ContinuousBatcher {
         opts: ServingOptions,
     ) -> Self {
         assert!(opts.max_decode_batch > 0, "decode batch cap must be positive");
-        let prefill =
-            build_engine(model, layout, fmt, opts.intra_chip_threads, opts.kv_page_size);
-        let decode =
-            build_engine(model, layout, fmt, opts.intra_chip_threads, opts.kv_page_size);
-        let deadline = decode.collective_deadline();
+        let deadline = Some(DEFAULT_COLLECTIVE_DEADLINE);
         ContinuousBatcher {
-            prefill,
-            decode,
+            engine: build_engine(model, layout, fmt, &opts, deadline),
             opts,
             model: model.clone(),
             layout,
@@ -752,23 +756,17 @@ impl ContinuousBatcher {
         }
     }
 
-    /// The decode-tier engine (for inspecting traffic or comm times).
+    /// The engine (for inspecting its page pool, traffic or comm times).
     #[must_use]
-    pub fn decode_engine(&self) -> &PartitionedEngine {
-        &self.decode
-    }
-
-    /// The prefill-tier engine (for inspecting its page pool or traffic).
-    #[must_use]
-    pub fn prefill_engine(&self) -> &PartitionedEngine {
-        &self.prefill
+    pub fn engine(&self) -> &PartitionedEngine {
+        &self.engine
     }
 
     /// The slot-machine parameters the lifecycle analyzer models (see
     /// [`BatcherSpec`]).
     #[must_use]
     pub fn spec(&self) -> BatcherSpec {
-        let page_size = self.decode.kv_page_size();
+        let page_size = self.engine.kv_page_size();
         BatcherSpec {
             slots: self.opts.max_decode_batch,
             max_recoveries: self.max_recoveries,
@@ -780,12 +778,11 @@ impl ContinuousBatcher {
         }
     }
 
-    /// Sets the collective deadline both tiers (and any rebuilt engine)
-    /// run under; `None` waits forever.
+    /// Sets the collective deadline the engine (and any rebuilt engine)
+    /// runs under; `None` waits forever.
     pub fn set_collective_deadline(&mut self, deadline: Option<Duration>) {
         self.deadline = deadline;
-        self.prefill.set_collective_deadline(deadline);
-        self.decode.set_collective_deadline(deadline);
+        self.engine.set_collective_deadline(deadline);
     }
 
     /// Caps how many faults one [`ContinuousBatcher::try_serve`] call will
@@ -794,18 +791,22 @@ impl ContinuousBatcher {
         self.max_recoveries = max;
     }
 
-    /// Arms `plan` into the decode tier immediately before its
-    /// `at_step`-th successful decode step (chaos testing): the plan's call
-    /// indices then count collectives from the start of that step. One-shot
-    /// — a rebuilt engine comes up fault-free.
+    /// Arms `plan` into the engine immediately before its `at_step`-th
+    /// successful decode step (chaos testing): the plan's call indices then
+    /// count collectives from the start of that step (a later index may
+    /// land in a prefill call after it). One-shot — a rebuilt engine comes
+    /// up fault-free.
     pub fn schedule_decode_fault(&mut self, at_step: usize, plan: FaultPlan) {
         self.decode_fault = Some((at_step, plan));
     }
 
-    /// Arms `plan` into the prefill tier right away (chaos testing). The
-    /// recovery path rebuilds the tier fault-free and retries the prompt.
+    /// Arms `plan` into the engine right away (chaos testing): its call
+    /// indices count collectives from the next engine call, which at the
+    /// start of a serve call is its first prefill. A failed prefill call
+    /// recovers like a failed step — the engine is rebuilt fault-free, the
+    /// live slots replay — and its group is admitted again.
     pub fn inject_prefill_fault(&mut self, plan: FaultPlan) {
-        self.prefill.inject_faults(plan);
+        self.engine.inject_faults(plan);
     }
 
     /// Forces preemptions for the next serve call (conformance testing):
@@ -839,24 +840,25 @@ impl ContinuousBatcher {
     ///
     /// Admission policy: priority-first, FIFO within a class. At every
     /// step boundary, arrived requests join their class queue; the
-    /// highest waiting class is admitted first and takes the lowest free
-    /// slot, until slots or arrived requests run out. Every admission is
+    /// highest waiting class is admitted first and takes a free slot — the
+    /// lowest one in a span of slots its group has not used yet, else the
+    /// lowest — until slots or arrived requests run out. Every admission is
     /// decided on its own, in that order; only the prefill work is
     /// batched — up to a minimum batch of consecutive admissions run as
-    /// one group, each prompt in its own row and computing only the suffix
-    /// no live slot's pages already cover. With
-    /// [`ServingOptions::preemption`], a waiting request whose class
-    /// strictly exceeds the lowest in-flight class evicts that slot's
-    /// request (least progress first, so the least replay is wasted); the
-    /// victim re-enters its class queue and later replays to a
-    /// bit-identical stream through the same machinery fault recovery
-    /// uses. The decode tier then steps the occupied slots and only those
-    /// ([`PartitionedEngine::try_decode_rows`]): an empty slot costs the
-    /// step nothing, except on layouts whose chips own spans of the rows,
-    /// where the engine pads each span with its own empty slots up to the
-    /// fullest span's count and empties them again ([`DecodeWork`] counts
-    /// both kinds of row). A request leaves its slot the moment its last
-    /// token is sampled.
+    /// one group, each prompt prefilled straight into its slot, at most one
+    /// per span per engine call, computing only the suffix no live slot's
+    /// pages already cover. With [`ServingOptions::preemption`], a waiting
+    /// request whose class strictly exceeds the lowest in-flight class
+    /// evicts that slot's request (least progress first, so the least
+    /// replay is wasted); the victim re-enters its class queue and later
+    /// replays to a bit-identical stream through the same machinery fault
+    /// recovery uses. Each decode step then runs the occupied slots and
+    /// only those ([`PartitionedEngine::try_decode_rows`]): an empty slot
+    /// costs the step nothing, except on layouts whose chips own spans of
+    /// the rows, where the engine pads each span with its own empty slots
+    /// up to the fullest span's count and empties them again
+    /// ([`DecodeWork`] counts both kinds of row). A request leaves its slot
+    /// the moment its last token is sampled.
     ///
     /// Admission control ([`ServingOptions::queue_limit`],
     /// [`ServingOptions::ttft_deadline`]) sheds waiting requests under
@@ -865,17 +867,19 @@ impl ContinuousBatcher {
     /// itself still completes. Preempted requests are never shed — they
     /// hold emitted tokens and always complete.
     ///
-    /// Failed steps trigger recovery (see the module docs): the dead tier
-    /// is rebuilt and in-flight requests are replayed to bit-identical
-    /// streams, up to [`ContinuousBatcher::set_max_recoveries`] faults.
+    /// Failed steps and prefill calls trigger recovery (see the module
+    /// docs): the engine is rebuilt and in-flight requests are replayed to
+    /// bit-identical streams, up to [`ContinuousBatcher::set_max_recoveries`]
+    /// faults.
     ///
     /// # Errors
     ///
     /// [`ServeError::NoRequests`] / [`ServeError::UnsortedArrivals`] /
     /// [`ServeError::EmptyPrompt`] / [`ServeError::PromptTooLong`] reject
-    /// the submission before any engine work; [`ServeError::Engine`] and
-    /// [`ServeError::RecoveryLimit`] report faults recovery could not
-    /// absorb.
+    /// the submission before any engine work;
+    /// [`ServeError::KvBudgetExceeded`] rejects a request no budget leaves
+    /// room for; [`ServeError::RecoveryLimit`] reports faults recovery could
+    /// not absorb.
     pub fn try_serve(&mut self, requests: &[ServingRequest]) -> Result<ServingOutcome, ServeError> {
         if requests.is_empty() {
             return Err(ServeError::NoRequests);
@@ -883,7 +887,7 @@ impl ContinuousBatcher {
         if !requests.windows(2).all(|w| w[0].arrival <= w[1].arrival) {
             return Err(ServeError::UnsortedArrivals);
         }
-        let cfg = self.decode.config().clone();
+        let cfg = self.engine.config().clone();
         for (index, r) in requests.iter().enumerate() {
             if r.prompt.is_empty() {
                 return Err(ServeError::EmptyPrompt { index });
@@ -894,14 +898,12 @@ impl ContinuousBatcher {
             }
         }
         let cap = self.opts.max_decode_batch;
-        let page_size = self.decode.kv_page_size();
+        let page_size = self.engine.kv_page_size();
         let mut ledger =
             PageLedger::new(page_size, self.opts.kv_position_budget.map(|b| b / page_size));
-        self.decode.begin_slots(cap, 0);
-        // Prefill rows are recycled through `evict_slot` from here on, so
-        // the tier's page pool is allocated by the first group and reused.
-        let pad = self.prefill.min_batch();
-        self.prefill.begin_slots(pad, 0);
+        self.engine.begin_slots(cap, 0);
+        let pad = self.engine.min_batch();
+        let span: Vec<usize> = (0..cap).map(|s| self.engine.slot_span(s)).collect();
         self.work = PrefillWork::default();
 
         let t0 = Instant::now();
@@ -944,7 +946,7 @@ impl ContinuousBatcher {
                 forced.swap_remove(i);
                 if let Some(a) = active[slot].take() {
                     waiting[requests[a.idx].priority.index()].push_front(a.idx);
-                    self.decode.evict_slot(slot);
+                    self.engine.evict_slot(slot);
                     ledger.release(slot);
                     preemptions += 1;
                 }
@@ -999,7 +1001,7 @@ impl ContinuousBatcher {
             // request is decided on its own (slot, preemption victim, page
             // ledger) against everything decided before it; the prefill
             // work of up to `pad` consecutive admissions runs as one group.
-            let mut group: Vec<(usize, Option<usize>)> = Vec::new();
+            let mut group: Vec<Admission> = Vec::new();
             let mut admitting = true;
             while admitting {
                 let admitted = 'decide: {
@@ -1010,10 +1012,13 @@ impl ContinuousBatcher {
                     else {
                         break 'decide None;
                     };
-                    let free = (0..cap).find(|&s| {
-                        active[s].is_none() && !group.iter().any(|&(_, held)| held == Some(s))
+                    // A free slot in a span the group has not used yet lets
+                    // the group run as one call; any free slot will do.
+                    let free = (0..cap).filter(|&s| {
+                        active[s].is_none() && !group.iter().any(|a| a.holds && a.slot == s)
                     });
-                    let slot = match free {
+                    let fresh = free.clone().find(|&s| group.iter().all(|a| span[a.slot] != span[s]));
+                    let slot = match fresh.or_else(|| free.min()) {
                         Some(s) => s,
                         None if self.opts.preemption => {
                             // Policy preemption: evict the lowest class below
@@ -1030,7 +1035,7 @@ impl ContinuousBatcher {
                             let Some((s, v)) = victim else { break 'decide None };
                             waiting[requests[v].priority.index()].push_front(v);
                             active[s] = None;
-                            self.decode.evict_slot(s);
+                            self.engine.evict_slot(s);
                             ledger.release(s);
                             preemptions += 1;
                             s
@@ -1043,18 +1048,18 @@ impl ContinuousBatcher {
                     let req = &requests[idx];
                     // A request that ends at its first token never holds
                     // the slot it was offered.
-                    let slot = (req.max_new_tokens > 1).then_some(slot);
+                    let holds = req.max_new_tokens > 1;
                     // Page-pool admission gate. The charge covers this
                     // request's unshared prompt pages plus growth
                     // reservations; the idle allowance covers the page a
                     // still-empty slot holds while it pads its span of a
-                    // step, so the physical pool never outgrows the
-                    // budget. Where steps carry no padding the allowance
-                    // is an upper bound.
-                    if let Some(slot) = slot {
+                    // step, so the pages admitted requests hold never
+                    // outgrow the budget. Where steps carry no padding the
+                    // allowance is an upper bound.
+                    if holds {
                         let charge = ledger.plan(&req.prompt, req.max_new_tokens);
                         let live_now = active.iter().flatten().count()
-                            + group.iter().filter(|(_, held)| held.is_some()).count();
+                            + group.iter().filter(|a| a.holds).count();
                         let idle_after = cap - (live_now + 1);
                         if !ledger.fits(charge + idle_after) {
                             if live_now == 0 {
@@ -1073,7 +1078,7 @@ impl ContinuousBatcher {
                         ledger.commit(slot, &req.prompt, req.max_new_tokens);
                     }
                     waiting[class.index()].pop_front();
-                    Some((idx, slot))
+                    Some(Admission { idx, slot, holds })
                 };
                 match admitted {
                     Some(admission) => group.push(admission),
@@ -1086,11 +1091,23 @@ impl ContinuousBatcher {
                     continue;
                 }
 
-                let prompts: Vec<&[usize]> =
-                    group.iter().map(|&(idx, _)| requests[idx].prompt.as_slice()).collect();
                 let donors = live_prompts(&active, requests);
-                let prefilled = self.prefill_group(&prompts, &donors, &mut recovery)?;
-                for ((idx, slot), (last_logits, kv)) in group.drain(..).zip(prefilled) {
+                let prefilled = match self.prefill_group(requests, &group, &donors, &mut recovery) {
+                    Ok(prefilled) => prefilled,
+                    Err(err) => {
+                        // The call took the engine down: the group goes back
+                        // to the front of its class queues, in admission
+                        // order, the live slots replay on a rebuilt engine,
+                        // and admission starts over.
+                        for a in group.drain(..).rev() {
+                            waiting[requests[a.idx].priority.index()].push_front(a.idx);
+                        }
+                        self.recover(requests, &outputs, &mut active, &mut recovery, &mut ledger, err)?;
+                        admitting = true;
+                        continue;
+                    }
+                };
+                for (Admission { idx, slot, holds }, last_logits) in group.drain(..).zip(prefilled) {
                     let req = &requests[idx];
                     let replaying = !outputs[idx].is_empty();
                     let mut rng = StdRng::seed_from_u64(req.seed);
@@ -1117,11 +1134,10 @@ impl ContinuousBatcher {
                     } else {
                         outputs[idx].push(tok);
                     }
-                    let Some(slot) = slot else {
+                    if !holds {
                         finished_at[idx] = now();
                         continue;
-                    };
-                    self.decode.insert_kv_shared(slot, &kv, &req.prompt);
+                    }
                     active[slot] = Some(Active { idx, rng, next_tok: tok, consumed: 1 });
                 }
             }
@@ -1146,7 +1162,7 @@ impl ContinuousBatcher {
             // Scheduled chaos: arm the one-shot fault plan at its step.
             if matches!(self.decode_fault, Some((at, _)) if at == steps_done) {
                 if let Some((_, plan)) = self.decode_fault.take() {
-                    self.decode.inject_faults(plan);
+                    self.engine.inject_faults(plan);
                 }
             }
 
@@ -1157,20 +1173,12 @@ impl ContinuousBatcher {
                 .enumerate()
                 .filter_map(|(s, a)| a.as_ref().map(|a| (s, a.next_tok)))
                 .collect();
-            let carried = self.decode.decode_rows_carried(&rows);
+            let carried = self.engine.decode_rows_carried(&rows);
             let t_step = Instant::now();
-            let logits = match self.decode.try_decode_rows(&rows) {
+            let logits = match self.engine.try_decode_rows(&rows) {
                 Ok(logits) => logits,
                 Err(err) => {
-                    self.recover_decode(
-                        requests,
-                        &outputs,
-                        &mut active,
-                        cap,
-                        &mut recovery,
-                        &mut ledger,
-                        err,
-                    )?;
+                    self.recover(requests, &outputs, &mut active, &mut recovery, &mut ledger, err)?;
                     continue;
                 }
             };
@@ -1204,7 +1212,7 @@ impl ContinuousBatcher {
                 if a.consumed == requests[a.idx].max_new_tokens {
                     finished_at[a.idx] = now();
                     *slot = None;
-                    self.decode.evict_slot(s);
+                    self.engine.evict_slot(s);
                     ledger.release(s);
                 } else {
                     a.next_tok = tok;
@@ -1242,197 +1250,176 @@ impl ContinuousBatcher {
         })
     }
 
-    /// A fault-free replacement for a failed tier, under the deadline the
-    /// batcher runs both tiers with.
-    fn fresh_engine(&self) -> PartitionedEngine {
-        let mut engine = build_engine(
-            &self.model,
-            self.layout,
-            self.fmt,
-            self.opts.intra_chip_threads,
-            self.opts.kv_page_size,
-        );
-        engine.set_collective_deadline(self.deadline);
-        engine
-    }
-
-    /// Rebuilds the decode tier after a failed step and replays every
-    /// in-flight request up to its recorded stream: prompt re-prefilled
-    /// (original chunking, through the same group path admissions take),
-    /// RNG re-seeded, first token re-derived from the prefill logits, KV
-    /// re-inserted into the same slot. The emitted decode suffix is then
-    /// re-derived by the ordinary step loop, which asserts each replayed
-    /// sample equals its recording — so a successful recovery is
-    /// bit-identical by construction, not by luck.
-    #[allow(clippy::too_many_arguments)] // private: the serve loop's locals.
-    fn recover_decode(
+    /// Rebuilds the engine after a failed step or prefill call and replays
+    /// every in-flight request up to its recorded stream: prompt
+    /// re-prefilled into its own slot (original chunking, through the same
+    /// group path admissions take), RNG re-seeded, first token re-derived
+    /// from the prefill logits. The emitted decode suffix is then re-derived
+    /// by the ordinary step loop, which asserts each replayed sample equals
+    /// its recording — so a successful recovery is bit-identical by
+    /// construction, not by luck. A replay call that fails counts as one
+    /// more fault and starts the rebuild over.
+    fn recover(
         &mut self,
         requests: &[ServingRequest],
         outputs: &[Vec<usize>],
         active: &mut [Option<Active>],
-        cap: usize,
         recovery: &mut RecoveryStats,
         ledger: &mut PageLedger,
-        err: EngineError,
+        mut err: EngineError,
     ) -> Result<(), ServeError> {
-        recovery.faults += 1;
-        if recovery.faults > self.max_recoveries {
-            return Err(ServeError::RecoveryLimit { faults: recovery.faults, last: err });
-        }
         let t = Instant::now();
-        self.decode = self.fresh_engine();
-        self.decode.begin_slots(cap, 0);
-        // The rebuilt cache starts empty, so the ledger restarts too: each
-        // replayed request re-admits (re-sharing prompt prefixes exactly as
-        // the fresh block tables do) and the replay steps re-advance it.
-        // Peaks carry over — they describe the whole serve call.
-        *ledger = PageLedger {
-            peak_used: ledger.peak_used,
-            peak_shared: ledger.peak_shared,
-            ..PageLedger::new(ledger.page_size, ledger.budget)
-        };
         // Slots come back in slot order, a group at a time; a slot is a
-        // donor again once its KV is back in the rebuilt tier.
-        let replay: Vec<(usize, usize)> = active
+        // donor again once its KV is back in the rebuilt engine.
+        let replay: Vec<Admission> = active
             .iter_mut()
             .enumerate()
-            .filter_map(|(slot, entry)| entry.take().map(|a| (slot, a.idx)))
+            .filter_map(|(slot, entry)| entry.take().map(|a| Admission { idx: a.idx, slot, holds: true }))
             .collect();
-        let mut steps_lost = 0usize;
-        for group in replay.chunks(self.prefill.min_batch()) {
-            let prompts: Vec<&[usize]> =
-                group.iter().map(|&(_, idx)| requests[idx].prompt.as_slice()).collect();
-            let donors = live_prompts(active, requests);
-            let prefilled = self.prefill_group(&prompts, &donors, recovery)?;
-            for (&(slot, idx), (last_logits, kv)) in group.iter().zip(prefilled) {
-                let req = &requests[idx];
-                let emitted = &outputs[idx];
-                let mut rng = StdRng::seed_from_u64(req.seed);
-                let tok0 = sample_row(&mut rng, &last_logits, self.opts.sampling);
-                assert_eq!(tok0, emitted[0], "request {idx} diverged at replayed token 0");
-                self.decode.insert_kv_shared(slot, &kv, &req.prompt);
-                ledger.commit(slot, &req.prompt, req.max_new_tokens);
-                active[slot] = Some(Active { idx, rng, next_tok: tok0, consumed: 1 });
-                recovery.requests_replayed += 1;
-                recovery.prefill_tokens_replayed += req.prompt.len();
-                recovery.decode_tokens_replayed += emitted.len() - 1;
-                steps_lost = steps_lost.max(emitted.len() - 1);
+        recovery.steps_lost += replay.iter().map(|a| outputs[a.idx].len() - 1).max().unwrap_or(0);
+        'rebuild: loop {
+            recovery.faults += 1;
+            if recovery.faults > self.max_recoveries {
+                return Err(ServeError::RecoveryLimit { faults: recovery.faults, last: err });
             }
+            self.engine = build_engine(&self.model, self.layout, self.fmt, &self.opts, self.deadline);
+            self.engine.begin_slots(self.opts.max_decode_batch, 0);
+            // The rebuilt cache starts empty, so the ledger restarts too:
+            // each replayed request re-admits (re-sharing prompt prefixes
+            // exactly as the fresh block tables do) and the replay steps
+            // re-advance it. Peaks carry over — they describe the whole
+            // serve call.
+            *ledger = PageLedger {
+                peak_used: ledger.peak_used,
+                peak_shared: ledger.peak_shared,
+                ..PageLedger::new(ledger.page_size, ledger.budget)
+            };
+            active.iter_mut().for_each(|a| *a = None);
+            for group in replay.chunks(self.engine.min_batch()) {
+                let donors = live_prompts(active, requests);
+                let prefilled = match self.prefill_group(requests, group, &donors, recovery) {
+                    Ok(prefilled) => prefilled,
+                    Err(e) => {
+                        err = e;
+                        continue 'rebuild;
+                    }
+                };
+                for (&Admission { idx, slot, .. }, last_logits) in group.iter().zip(prefilled) {
+                    let req = &requests[idx];
+                    let emitted = &outputs[idx];
+                    let mut rng = StdRng::seed_from_u64(req.seed);
+                    let tok0 = sample_row(&mut rng, &last_logits, self.opts.sampling);
+                    assert_eq!(tok0, emitted[0], "request {idx} diverged at replayed token 0");
+                    ledger.commit(slot, &req.prompt, req.max_new_tokens);
+                    active[slot] = Some(Active { idx, rng, next_tok: tok0, consumed: 1 });
+                    recovery.requests_replayed += 1;
+                    recovery.prefill_tokens_replayed += req.prompt.len();
+                    recovery.decode_tokens_replayed += emitted.len() - 1;
+                }
+            }
+            recovery.recovery_seconds += t.elapsed().as_secs_f64();
+            return Ok(());
         }
-        recovery.steps_lost += steps_lost;
-        recovery.recovery_seconds += t.elapsed().as_secs_f64();
-        Ok(())
     }
 
-    /// Prefills `prompts` — up to a minimum batch of consecutive admissions,
-    /// in admission order — and returns each one's last-position logits and
-    /// canonical KV. This is the only way the scheduler runs the prefill
-    /// tier: admissions, preemption replays and fault replays all come
-    /// through here.
+    /// Prefills `group` — up to a minimum batch of consecutive admissions,
+    /// in admission order — straight into the slots admission chose, and
+    /// returns each one's last-position logits. This is the only way the
+    /// scheduler runs prefill: admissions, preemption replays and fault
+    /// replays all come through here.
     ///
-    /// Each prompt gets its own batch row. A row starts from its *donor*:
-    /// the slot of `live` (decode slots, by the prompt whose KV they hold)
-    /// sharing the longest whole-page prefix with the prompt, lowest slot
-    /// among equals. The donor's first `hit` positions seed the row and only
-    /// `prompt[hit..]` runs. Rows of one call are independent and a seeded
-    /// position holds the bits the row would have computed itself (the
-    /// invariant prefix sharing already rests on), so logits and KV equal a
-    /// full batch-1 prefill's bit for bit. Shorter suffixes are right-padded
-    /// with a dummy token — causal attention keeps padding from reaching the
-    /// positions before it, and each row's KV is cut back to its prompt
-    /// afterwards — and rows left over when nobody else is admissible carry
-    /// dummy tokens only.
+    /// A row starts from its *donor*: the slot of `live` (occupied slots,
+    /// by the prompt whose KV they hold) sharing the longest whole-page
+    /// prefix with the prompt, lowest slot among equals. The donor's first
+    /// `hit` positions seed the row's slot and only `prompt[hit..]` runs.
+    /// Rows of one call are independent and a seeded position holds the
+    /// bits the row would have computed itself (the invariant prefix
+    /// sharing already rests on), so logits and KV equal a full batch-1
+    /// prefill's bit for bit. Shorter suffixes are right-padded with a dummy
+    /// token — causal attention keeps padding from reaching the positions
+    /// before it, and each row's KV is cut back to its prompt afterwards —
+    /// and spans no row of a call sits in carry padding rows only.
     ///
-    /// The group is one engine call per chunk, except under learned
-    /// positions when padding a short row to the longest suffix would run
-    /// past the position table: that prompt starts the next call.
+    /// A call carries at most one row per span of slots, so a group whose
+    /// slots share a span splits into calls, taken in admission order; so
+    /// does one where, under learned positions, padding a short row to the
+    /// longest suffix would run past the position table (that prompt starts
+    /// the next call). A failed call charges its prompts to
+    /// [`RecoveryStats::prefill_tokens_replayed`]; the caller recovers.
     fn prefill_group(
         &mut self,
-        prompts: &[&[usize]],
+        requests: &[ServingRequest],
+        group: &[Admission],
         live: &[(usize, &[usize])],
         recovery: &mut RecoveryStats,
-    ) -> Result<Vec<(Vec<f32>, RequestKv)>, ServeError> {
-        let pad = self.prefill.min_batch();
-        let page = self.decode.kv_page_size();
-        let cfg = self.decode.config();
+    ) -> Result<Vec<Vec<f32>>, EngineError> {
+        let page = self.engine.kv_page_size();
+        let cfg = self.engine.config();
         let max_positions =
             if cfg.position == PositionKind::Learned { cfg.max_seq } else { usize::MAX };
-        let mut done: Vec<(Vec<f32>, RequestKv)> = Vec::with_capacity(prompts.len());
-        while done.len() < prompts.len() {
-            let mut rows: Vec<PrefillRow> = Vec::with_capacity(pad);
-            let mut longest = 0usize;
-            for &prompt in prompts[done.len()..].iter().take(pad) {
+        let rows: Vec<PrefillRow> = group
+            .iter()
+            .map(|a| {
+                let prompt = requests[a.idx].prompt.as_slice();
                 let (hit, donor) = live
                     .iter()
                     .map(|&(slot, cached)| (prefix_hit(prompt, cached, page), slot))
                     .max_by_key(|&(hit, slot)| (hit, std::cmp::Reverse(slot)))
                     .unwrap_or((0, 0));
-                let padded = longest.max(prompt.len() - hit);
-                let fits = hit + padded <= max_positions
-                    && rows.iter().all(|r| r.hit + padded <= max_positions);
-                if !fits && !rows.is_empty() {
+                let span = self.engine.slot_span(a.slot);
+                PrefillRow { prompt, slot: a.slot, span, holds: a.holds, hit, donor }
+            })
+            .collect();
+        let mut last: Vec<Vec<f32>> = vec![Vec::new(); rows.len()];
+        let mut pending: Vec<usize> = (0..rows.len()).collect();
+        while !pending.is_empty() {
+            let mut call: Vec<usize> = Vec::new();
+            let mut longest = 0usize;
+            for &i in &pending {
+                let row = &rows[i];
+                if call.iter().any(|&c| rows[c].span == row.span) {
+                    continue;
+                }
+                let padded = longest.max(row.prompt.len() - row.hit);
+                let fits = call.iter().chain([&i]).all(|&c| rows[c].hit + padded <= max_positions);
+                if !fits && !call.is_empty() {
                     break;
                 }
-                let seed = (hit > 0).then(|| {
-                    let mut kv = self.decode.extract_kv(donor);
-                    kv.truncate(hit);
-                    kv
-                });
                 longest = padded;
-                rows.push(PrefillRow { prompt, hit, seed });
+                call.push(i);
             }
-
-            let out = match self.prefill_rows(&rows) {
-                Ok(out) => out,
-                Err(err) => {
-                    // The prefill tier holds nothing the call did not put
-                    // there: rebuild it fault-free, re-seed the rows and
-                    // retry once, charging the retry to the recovery
-                    // ledger. A second failure is unrecoverable.
-                    recovery.faults += 1;
-                    if recovery.faults > self.max_recoveries {
-                        return Err(ServeError::RecoveryLimit {
-                            faults: recovery.faults,
-                            last: err,
-                        });
+            pending.retain(|i| !call.contains(i));
+            let call_rows: Vec<&PrefillRow> = call.iter().map(|&i| &rows[i]).collect();
+            match self.prefill_call(&call_rows) {
+                Ok(logits) => {
+                    for (&i, logits) in call.iter().zip(logits) {
+                        last[i] = logits;
                     }
-                    let t = Instant::now();
-                    self.prefill = self.fresh_engine();
-                    self.prefill.begin_slots(pad, 0);
-                    let out = self.prefill_rows(&rows).map_err(ServeError::Engine)?;
-                    recovery.prefill_tokens_replayed +=
-                        rows.iter().map(|r| r.prompt.len()).sum::<usize>();
-                    recovery.recovery_seconds += t.elapsed().as_secs_f64();
-                    out
                 }
-            };
-            self.work.rows += pad;
-            self.work.filler_rows += pad - rows.len();
-            self.work.tokens_reused += rows.iter().map(|r| r.hit).sum::<usize>();
-            self.work.tokens_computed +=
-                rows.iter().map(|r| r.prompt.len() - r.hit).sum::<usize>();
-            done.extend(out);
+                Err(err) => {
+                    recovery.prefill_tokens_replayed +=
+                        call_rows.iter().map(|r| r.prompt.len()).sum::<usize>();
+                    return Err(err);
+                }
+            }
         }
-        Ok(done)
+        Ok(last)
     }
 
-    /// One prefill-tier pass over `rows` (at most a minimum batch; the rest
-    /// of the batch is filler), honoring the chunked-prefill option: every
-    /// row is recycled, seeded, and runs its suffix right-padded to the
-    /// longest. Returns each row's logits at its own last prompt position
-    /// and its KV cut back to its prompt.
-    fn prefill_rows(
-        &mut self,
-        rows: &[PrefillRow],
-    ) -> Result<Vec<(Vec<f32>, RequestKv)>, EngineError> {
-        let pad = self.prefill.min_batch();
-        let v = self.prefill.config().vocab;
-        for r in 0..pad {
-            self.prefill.evict_slot(r);
-        }
-        for (r, row) in rows.iter().enumerate() {
-            if let Some(seed) = &row.seed {
-                self.prefill.insert_kv(r, seed);
+    /// One engine call over `rows` (at most one per span; padding fills the
+    /// rest), honoring the chunked-prefill option: every row is seeded into
+    /// its slot and runs its suffix right-padded to the longest. Returns
+    /// each row's logits at its own last prompt position, after settling
+    /// the row: a request keeping its slot holds its prompt's KV there
+    /// (right padding cut off, prompt pages registered for sharing), a
+    /// request ending at its first token leaves the slot empty again.
+    fn prefill_call(&mut self, rows: &[&PrefillRow]) -> Result<Vec<Vec<f32>>, EngineError> {
+        let v = self.engine.config().vocab;
+        for row in rows {
+            if row.hit > 0 {
+                let mut seed = self.engine.extract_kv(row.donor);
+                seed.truncate(row.hit);
+                self.engine.insert_kv_shared(row.slot, &seed, &row.prompt[..row.hit]);
             }
         }
         // Admission rejects empty prompts and a hit stops short of the last
@@ -1444,13 +1431,16 @@ impl ContinuousBatcher {
         let mut start = 0;
         while start < longest {
             let l = chunk.min(longest - start);
-            let tokens: Vec<Vec<usize>> = (0..pad)
-                .map(|r| {
-                    let suffix = rows.get(r).map_or(&[][..], |row| &row.prompt[row.hit..]);
+            let tokens: Vec<Vec<usize>> = rows
+                .iter()
+                .map(|row| {
+                    let suffix = &row.prompt[row.hit..];
                     (start..start + l).map(|p| suffix.get(p).copied().unwrap_or(0)).collect()
                 })
                 .collect();
-            let logits = self.prefill.try_prefill(&tokens)?; // [pad, l, V]
+            let pass: Vec<(usize, &[usize])> =
+                rows.iter().zip(&tokens).map(|(row, t)| (row.slot, t.as_slice())).collect();
+            let logits = self.engine.try_prefill_rows(&pass)?; // [rows, l, V]
             self.work.calls += 1;
             for (r, row) in rows.iter().enumerate() {
                 let end = row.prompt.len() - row.hit - 1;
@@ -1461,15 +1451,20 @@ impl ContinuousBatcher {
             }
             start += l;
         }
-        Ok(rows
-            .iter()
-            .zip(last)
-            .enumerate()
-            .map(|(r, (row, logits))| {
-                let mut kv = self.prefill.extract_kv(r);
+        for row in rows {
+            if row.holds {
+                let mut kv = self.engine.extract_kv(row.slot);
                 kv.truncate(row.prompt.len());
-                (logits, kv)
-            })
-            .collect())
+                self.engine.insert_kv_shared(row.slot, &kv, row.prompt);
+            } else {
+                self.engine.evict_slot(row.slot);
+            }
+        }
+        let pad = self.engine.min_batch();
+        self.work.rows += pad;
+        self.work.filler_rows += pad - rows.len();
+        self.work.tokens_reused += rows.iter().map(|r| r.hit).sum::<usize>();
+        self.work.tokens_computed += rows.iter().map(|r| r.prompt.len() - r.hit).sum::<usize>();
+        Ok(last)
     }
 }

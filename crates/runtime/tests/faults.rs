@@ -313,7 +313,10 @@ fn recovery_budget_limits_repeated_faults() {
 }
 
 #[test]
-fn prefill_tier_fault_is_retried_transparently() {
+fn a_prefill_fault_is_recovered_transparently() {
+    // Chip 0's collective #1 falls in the first prefill call, before any
+    // request is live: the call's prompt is charged, nothing replays, and
+    // the request is admitted again on the rebuilt engine.
     let model = ReferenceModel::init_random(ModelConfig::tiny(), 7);
     let layout = Layout {
         ffn: FfnLayout::WeightStationary1D,
@@ -326,9 +329,50 @@ fn prefill_tier_fault_is_retried_transparently() {
     let mut chaotic = batcher(&model, layout, 2);
     chaotic.inject_prefill_fault(FaultPlan::new().crash(0, 1));
     let outcome = chaotic.serve(&requests);
-    assert_eq!(outcome.outputs, baseline.outputs, "prefill retry diverged");
-    assert_eq!(outcome.report.recovery.faults, 1);
-    assert!(outcome.report.recovery.prefill_tokens_replayed >= 1);
+    assert_eq!(outcome.outputs, baseline.outputs, "prefill recovery diverged");
+    let rec = outcome.report.recovery;
+    assert_eq!((rec.faults, rec.requests_replayed), (1, 0));
+    assert_eq!(rec.prefill_tokens_replayed, requests[0].prompt.len());
+}
+
+/// Collectives chip 0 joins in one forward pass of `layout`: the first call
+/// index a crash plan can name without firing inside one prefill.
+fn collectives_per_pass(model: &ReferenceModel, layout: Layout) -> u64 {
+    (0..)
+        .find(|&call| {
+            let mut engine = PartitionedEngine::new(model, layout, WeightFormat::Exact);
+            let rows = vec![vec![1, 2, 3]; engine.min_batch()];
+            engine.inject_faults(FaultPlan::new().crash(0, call));
+            engine.try_prefill(&rows).is_ok()
+        })
+        .expect("a pass runs finitely many collectives")
+}
+
+#[test]
+fn a_prefill_fault_with_requests_live_replays_them_bit_identically() {
+    // Two minimum batches of requests due at once into as many slots: the
+    // first group's call runs, its requests are live, and the second
+    // group's call crashes at its first collective. The live requests
+    // replay on the rebuilt engine, the second group is admitted again, and
+    // every stream equals the fault-free run.
+    let model = ReferenceModel::init_random(ModelConfig::tiny(), 9);
+    for attn in [AttnSharding::Head, AttnSharding::Batch] {
+        for layout in decode_layouts(attn) {
+            let pad = PartitionedEngine::new(&model, layout, WeightFormat::Exact).min_batch();
+            let requests = workload(2 * pad, model.config().vocab);
+            let baseline = batcher(&model, layout, 2 * pad).serve(&requests);
+            let mut chaotic = batcher(&model, layout, 2 * pad);
+            let call = collectives_per_pass(&model, layout);
+            chaotic.inject_prefill_fault(FaultPlan::new().crash(0, call));
+            let outcome = chaotic.serve(&requests);
+            let ctx = layout.describe();
+            assert_eq!(outcome.outputs, baseline.outputs, "{ctx}: recovered streams diverged");
+            let rec = outcome.report.recovery;
+            assert_eq!((rec.faults, rec.requests_replayed), (1, pad), "{ctx}");
+            let prompts: usize = requests.iter().map(|r| r.prompt.len()).sum();
+            assert_eq!(rec.prefill_tokens_replayed, prompts, "{ctx}: the lost call, then the live group");
+        }
+    }
 }
 
 #[test]

@@ -78,21 +78,22 @@ fn prompt(s: usize, seed: usize, vocab: usize) -> Vec<usize> {
     (0..1 + (3 * s + seed) % 9).map(|t| (5 + 7 * s + 11 * t + seed) % vocab).collect()
 }
 
-/// A slot-mode engine whose `occupied` slots hold their prompts' KV and whose
-/// other slots are empty.
+/// A slot-mode engine whose `occupied` slots hold their prompts' KV (prompt
+/// `seed`) and whose other slots are empty.
 fn engine_with(
     model: &ReferenceModel,
     layout: Layout,
     fmt: WeightFormat,
     occupied: &[bool],
     kvs: &[RequestKv],
+    seed: usize,
 ) -> PartitionedEngine {
     let mut engine = PartitionedEngine::new(model, layout, fmt);
     engine.set_kv_page_size(PAGE);
     engine.begin_slots(SLOTS, 0);
     for (s, kv) in kvs.iter().enumerate() {
         if occupied[s] {
-            engine.insert_kv(s, kv);
+            engine.insert_kv_shared(s, kv, &prompt(s, seed, model.config().vocab));
         }
     }
     engine
@@ -124,7 +125,7 @@ fn check_live_step(
 
     // The chips hold the slots in `n_spans` equal contiguous spans: one live
     // row is carried as one row per span.
-    let probe = engine_with(model, layout, fmt, &[false; SLOTS], &kvs);
+    let probe = engine_with(model, layout, fmt, &[false; SLOTS], &kvs, seed);
     let n_spans = probe.decode_rows_carried(&[(0, 0)]);
     let span = SLOTS / n_spans;
     let live_in = |i: usize| live[i * span..(i + 1) * span].iter().filter(|&&l| l).count();
@@ -152,9 +153,9 @@ fn check_live_step(
         tokens
     };
 
-    let mut all = engine_with(model, layout, fmt, &occupied, &kvs);
-    let mut sub = engine_with(model, layout, fmt, &occupied, &kvs);
-    let mut untouched = engine_with(model, layout, fmt, &occupied, &kvs);
+    let mut all = engine_with(model, layout, fmt, &occupied, &kvs, seed);
+    let mut sub = engine_with(model, layout, fmt, &occupied, &kvs, seed);
+    let mut untouched = engine_with(model, layout, fmt, &occupied, &kvs, seed);
     let before = sub.slot_lens().to_vec();
 
     assert_eq!(sub.decode_rows_carried(&rows(0)), n_spans * per_span, "{ctx}: rows carried");
@@ -248,6 +249,70 @@ fn a_padded_step_reaches_the_slot_count_only_when_a_span_is_full() {
                 assert_eq!(carried == SLOTS, fullest == span, "{ctx}: full only behind a full span");
             }
         }
+    }
+}
+
+/// A batch-1-equivalent prefill of `p` (replicated to the minimum batch):
+/// row 0's logits at every position, and its KV.
+fn batch1(engine: &mut PartitionedEngine, p: &[usize]) -> (Vec<f32>, RequestKv) {
+    engine.reset();
+    let logits = engine.prefill(&vec![p.to_vec(); engine.min_batch()]);
+    (logits.data()[..p.len() * engine.config().vocab].to_vec(), engine.extract_kv(0))
+}
+
+#[test]
+fn a_prefill_pass_beside_a_full_span_pads_it_with_the_scratch_row() {
+    // Span 0's slots all hold parked requests and sit the pass out, so the
+    // span has no empty slot to pad with. Pass 1 runs a cold 5-token prompt
+    // at the first slot of every other span; pass 2 the next slot of each,
+    // seeded with a page of its own prompt and running the 5 tokens after
+    // it. Every row's logits at every position, and its KV, must be the
+    // batch-1 prefill's, `to_bits`; the parked slots keep their bytes and
+    // the scratch row gives its pages back.
+    const L: usize = 5;
+    for (model, layout, fmt) in combos() {
+        let vocab = model.config().vocab;
+        let ctx = format!("{} {fmt:?} {}", layout.describe(), model.config().name);
+        let mut oracle = PartitionedEngine::new(&model, layout, fmt);
+        let parked: Vec<RequestKv> = (0..SLOTS).map(|s| batch1(&mut oracle, &prompt(s, 0, vocab)).1).collect();
+        let n_spans = engine_with(&model, layout, fmt, &[false; SLOTS], &parked, 0).decode_rows_carried(&[(0, 0)]);
+        if n_spans == 1 {
+            continue; // every chip sees every row: a pass never pads
+        }
+        let span = SLOTS / n_spans;
+        let occupied: Vec<bool> = (0..SLOTS).map(|s| s < span).collect();
+        let mut engine = engine_with(&model, layout, fmt, &occupied, &parked, 0);
+        let untouched = engine_with(&model, layout, fmt, &occupied, &parked, 0);
+        for pass in 0..2 {
+            let hit = pass * PAGE;
+            let rows: Vec<(usize, Vec<usize>)> = (1..n_spans)
+                .map(|i| (i * span + pass, (0..hit + L).map(|t| (3 + 7 * i + 5 * t + pass) % vocab).collect()))
+                .collect();
+            let want: Vec<(Vec<f32>, RequestKv)> = rows.iter().map(|(_, p)| batch1(&mut oracle, p)).collect();
+            for ((slot, p), (_, kv)) in rows.iter().zip(&want).filter(|_| hit > 0) {
+                let mut seed = kv.clone();
+                seed.truncate(hit);
+                engine.insert_kv_shared(*slot, &seed, &p[..hit]);
+            }
+            let given: Vec<(usize, &[usize])> = rows.iter().map(|(s, p)| (*s, &p[hit..])).collect();
+            let carried: Vec<(usize, usize)> = rows.iter().map(|r| (r.0, 0)).collect();
+            assert_eq!(engine.decode_rows_carried(&carried), n_spans, "{ctx}: one row per span");
+            let got = engine.try_prefill_rows(&given).unwrap();
+            assert_eq!(got.shape(), &[rows.len(), L, vocab], "{ctx}");
+            for (r, ((slot, _), (logits, kv))) in rows.iter().zip(&want).enumerate() {
+                let got = &got.data()[r * L * vocab..(r + 1) * L * vocab];
+                assert_eq!(bits(got), bits(&logits[hit * vocab..]), "{ctx}: pass {pass} slot {slot} logits");
+                assert_same_kv(&engine.extract_kv(*slot), kv, &format!("{ctx}: pass {pass} slot {slot}"));
+            }
+        }
+        for s in 0..span {
+            assert_same_kv(&engine.extract_kv(s), &untouched.extract_kv(s), &format!("{ctx}: parked slot {s}"));
+        }
+        for s in span..SLOTS {
+            engine.evict_slot(s);
+        }
+        let (got, want) = (engine.kv_page_stats().unwrap(), untouched.kv_page_stats().unwrap());
+        assert_eq!((got.pages_live, got.pages_shared), (want.pages_live, want.pages_shared), "{ctx}: pool");
     }
 }
 

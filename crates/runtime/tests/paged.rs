@@ -120,7 +120,7 @@ fn check_paged_matches_isolated(model: &ReferenceModel, layout: Layout, page_siz
             WeightFormat::Exact,
             ServingOptions::default(),
         );
-        probe.decode_engine().min_batch().max(2)
+        probe.engine().min_batch().max(2)
     };
     let paged = serve_with(model, layout, page_size, None, cap, &requests);
     assert_eq!(

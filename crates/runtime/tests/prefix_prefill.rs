@@ -3,7 +3,7 @@
 //! next to other requests' rows, must produce the bits a full batch-1
 //! prefill produces — at the engine (logits and KV, `to_bits`), through the
 //! scheduler (token streams against isolated `generate`, under preemption,
-//! decode crashes and prefill-tier faults), and in the work the scheduler
+//! decode crashes and prefill faults), and in the work the scheduler
 //! reports having done.
 
 use esti_collectives::FaultPlan;
@@ -150,12 +150,12 @@ fn seeded_prefill(
     chunk: Option<usize>,
 ) -> Vec<(Vec<f32>, RequestKv)> {
     let v = engine.config().vocab;
-    for (r, &(_, hit, full)) in rows.iter().enumerate() {
+    for (r, &(p, hit, full)) in rows.iter().enumerate() {
         engine.evict_slot(r);
         if hit > 0 {
             let mut seed = full.clone();
             seed.truncate(hit);
-            engine.insert_kv(r, &seed);
+            engine.insert_kv_shared(r, &seed, &p[..hit]);
         }
     }
     let longest = rows.iter().map(|(p, hit, _)| p.len() - hit).max().unwrap();
@@ -316,6 +316,8 @@ fn a_decode_crash_replays_through_seeded_groups() {
 fn a_prefill_fault_on_a_seeded_group_reseeds_and_retries() {
     // ws1d × head runs one all-reduce per layer, so chip 0's collective #2
     // is the first of the second prefill call: request 1's seeded group.
+    // Request 0 is live in its slot by then, so the rebuilt engine replays
+    // it before request 1 is admitted (and seeded from it) again.
     let model = ReferenceModel::init_random(ModelConfig::tiny(), 35);
     assert_eq!(model.config().n_layers, 2);
     let requests = shared_prefix_workload(model.config().vocab, 2 * PAGE, &[3, 1, 2], 4);
@@ -325,8 +327,12 @@ fn a_prefill_fault_on_a_seeded_group_reseeds_and_retries() {
         b.inject_prefill_fault(FaultPlan::new().crash(0, 2));
     });
     let rec = outcome.report.recovery;
-    assert_eq!(rec.faults, 1);
-    assert_eq!(rec.prefill_tokens_replayed, requests[1].prompt.len(), "the seeded group failed");
+    assert_eq!((rec.faults, rec.requests_replayed), (1, 1));
+    assert_eq!(
+        rec.prefill_tokens_replayed,
+        requests[1].prompt.len() + requests[0].prompt.len(),
+        "the seeded group's call was lost and the live request replayed"
+    );
     assert_eq!(outcome.prefill.tokens_reused, baseline.prefill.tokens_reused);
     assert_eq!(baseline.prefill.tokens_reused, 2 * 2 * PAGE);
 }
@@ -471,9 +477,12 @@ fn unshared_prompts_run_exactly_the_parents_calls() {
 }
 
 #[test]
-fn the_prefill_tier_allocates_its_pages_once_per_serve_call() {
-    // Same-shape cold prompts, one row per group: every group needs the
-    // pages the first one allocated, and gets them back from the free list.
+fn the_one_pool_reuses_freed_pages() {
+    // Same-shape cold prompts on two slots, one row per group: one request
+    // allocates its prompt's pages; five, two at a time, allocate two
+    // requests' worth and take the rest back off the free list — prefill
+    // writes, settles and decodes in the one pool, and gives every page
+    // back when the serve call ends.
     let model = ReferenceModel::init_random(ModelConfig::tiny(), 40);
     let vocab = model.config().vocab;
     let cold = |n: usize| -> Vec<ServingRequest> {
@@ -484,14 +493,63 @@ fn the_prefill_tier_allocates_its_pages_once_per_serve_call() {
             })
             .collect()
     };
-    let allocated = |b: &ContinuousBatcher| {
-        b.prefill_engine().kv_page_stats().expect("paged prefill tier").pages_allocated
-    };
+    let pages = |b: &ContinuousBatcher| b.engine().kv_page_stats().expect("one pool");
     let mut batcher =
         ContinuousBatcher::new(&model, ws1d_head(), WeightFormat::Exact, paged_opts(2, None));
     batcher.serve(&cold(1));
-    let first_group = allocated(&batcher);
-    assert_eq!(first_group, 10usize.div_ceil(PAGE));
+    let one = pages(&batcher).pages_allocated;
+    assert_eq!(one, 10usize.div_ceil(PAGE));
     batcher.serve(&cold(5));
-    assert_eq!(allocated(&batcher), first_group, "later groups must reuse the first group's pages");
+    assert_eq!(pages(&batcher).pages_allocated, 2 * one, "later requests reuse freed pages");
+    assert_eq!(pages(&batcher).pages_live, 0, "every page is back on the free list");
+}
+
+#[test]
+fn a_full_backlog_on_ws2d_batch_runs_four_calls_of_four_rows() {
+    // Sixteen distinct prompts due at once into sixteen slots in four spans
+    // of four: each group of four admissions takes one slot per span, so it
+    // runs as one call with nothing to pad.
+    let model = ReferenceModel::init_random(ModelConfig::tiny(), 39);
+    let vocab = model.config().vocab;
+    let requests: Vec<ServingRequest> = (0..16)
+        .map(|i| {
+            let prompt = (0..3 + i % 5).map(|t| (i + 17 * t) % vocab).collect();
+            ServingRequest { seed: 500 + i as u64, ..ServingRequest::immediate(prompt, 3) }
+        })
+        .collect();
+    let work = serve_and_check(&model, ws2d_batch(), paged_opts(16, None), &requests, |_| {}).prefill;
+    assert_eq!((work.calls, work.rows, work.filler_rows, work.tokens_reused), (4, 16, 0, 0), "{work:?}");
+}
+
+#[test]
+fn a_span_with_no_empty_slot_pads_from_its_scratch_row() {
+    // ws2d × batch, eight slots in four spans of two. The first two groups
+    // fill every slot; the long requests 0 and 4 land in span 0 (slots 0
+    // and 1), the rest finish after one step. The third group's three
+    // requests then take one slot in each of spans 1–3, and span 0 — full,
+    // and not in the call — pads with its chips' scratch row.
+    let model = ReferenceModel::init_random(ModelConfig::tiny(), 41);
+    let vocab = model.config().vocab;
+    let requests: Vec<ServingRequest> = (0..11)
+        .map(|i| {
+            let prompt = (0..2 + i % 6).map(|t| (3 + 4 * i + 7 * t) % vocab).collect();
+            let max_new = if i == 0 || i == 4 { 12 } else { 2 };
+            ServingRequest { seed: 600 + i as u64, ..ServingRequest::immediate(prompt, max_new) }
+        })
+        .collect();
+    for chunk in [None, Some(2)] {
+        let opts = paged_opts(8, chunk);
+        let mut batcher = ContinuousBatcher::new(&model, ws2d_batch(), WeightFormat::Exact, opts);
+        let outcome = batcher.serve(&requests);
+        assert_eq!(outcome.outputs, isolated_streams(&model, ws2d_batch(), &requests, chunk), "chunk {chunk:?}");
+        // Three calls of four rows; the one filler row is span 0's scratch.
+        let work = outcome.prefill;
+        assert_eq!((work.rows, work.filler_rows), (12, 1), "chunk {chunk:?}: {work:?}");
+        if chunk.is_none() {
+            assert_eq!(work.calls, 3);
+        }
+        let twin = ContinuousBatcher::new(&model, ws2d_batch(), WeightFormat::Exact, opts);
+        let live = |b: &ContinuousBatcher| b.engine().kv_page_stats().expect("one pool").pages_live;
+        assert_eq!(live(&batcher), live(&twin), "chunk {chunk:?}: the pool is back where it started");
+    }
 }
