@@ -22,8 +22,22 @@ ESTI_DISABLE_SIMD=1 cargo test -q --release -p esti-tensor --test kernels
 cargo test -q --release -p esti-model fused_attention
 ESTI_DISABLE_SIMD=1 cargo test -q --release -p esti-model fused_attention
 
-echo "== thread conformance: intra-chip worker count invisible in logits and tokens =="
+echo "== thread conformance: the intra-chip worker count (setter / ServingOptions field, default 1) invisible in logits and tokens =="
+# Two ways to set it, no environment variable: the engine's
+# set_intra_chip_threads and ServingOptions::intra_chip_threads, which
+# build_engine always applies.
 cargo test -q --release -p esti-runtime --test threads
+
+echo "== one engine mode: the classic calls are the all-slots pass =="
+# The engine holds one Vec of slot ages; try_prefill / try_decode_step /
+# expand_batch are passes over every slot (live_rows checks them against the
+# row calls, both GEMM tiers). The second mode, its batch pinning, the
+# panicking twins and the env-var thread knob stay gone.
+if grep -rnE "row_lens\.is_(some|none)|fn fix_batch|ESTI_CHIP_THREADS|default_chip_workers" crates src tests examples \
+  || grep -rnE "pub fn (prefill|decode_step|serve)\(" crates/runtime/src; then
+  echo "FAIL: a second engine mode, a panicking twin or the ESTI_CHIP_THREADS knob is back" >&2
+  exit 1
+fi
 
 echo "== serving conformance: scheduler token streams identical to isolated generate =="
 # Covers every built-in decode layout plus the ragged-workload proptest.
@@ -32,7 +46,9 @@ cargo test -q --release -p esti-runtime --test serving
 # stepped row the all-slots step's bits (logits and KV, every decode layout,
 # multiquery / multihead, f32 / int8, both GEMM tiers — small steps run the
 # streaming f32 schedule), leaves every other slot untouched and returns its
-# padding slots empty; DecodeWork counts repeat exactly.
+# padding slots empty; try_prefill / expand_batch / try_decode_step equal
+# the row calls over every slot, and an expanded batch takes row calls and
+# gives back every page; DecodeWork counts repeat exactly.
 cargo test -q --release -p esti-runtime --test live_rows
 ESTI_DISABLE_SIMD=1 cargo test -q --release -p esti-runtime --test live_rows
 

@@ -87,11 +87,11 @@ fn decode_seconds(model: &ReferenceModel, layout: Layout, kernel: MatmulKernel) 
     let mut best = f64::INFINITY;
     for rep in 0..3 {
         let mut engine = PartitionedEngine::new(model, layout, WeightFormat::Exact);
-        let _ = engine.prefill(&toks);
+        let _ = engine.try_prefill(&toks).unwrap();
         let mut next: Vec<usize> = (0..BATCH).map(|b| (b + rep) % vocab).collect();
         let t = Instant::now();
         for _ in 0..DECODE_STEPS {
-            let logits = engine.decode_step(&next);
+            let logits = engine.try_decode_step(&next).unwrap();
             next = (0..BATCH).map(|b| (b + logits.shape()[0]) % vocab).collect();
         }
         best = best.min(t.elapsed().as_secs_f64() / DECODE_STEPS as f64);
@@ -248,10 +248,10 @@ fn main() {
     // the bf16-accounted dense volume.
     let decode_ag_bytes = |fmt: WeightFormat| {
         let mut engine = PartitionedEngine::new(&model, wg, fmt);
-        let _ = engine.prefill(&prompts(cfg.vocab));
+        let _ = engine.try_prefill(&prompts(cfg.vocab)).unwrap();
         engine.traffic().reset();
         let next: Vec<usize> = (0..BATCH).map(|b| b % cfg.vocab).collect();
-        let _ = engine.decode_step(&next);
+        let _ = engine.try_decode_step(&next).unwrap();
         engine.traffic().bytes(esti_collectives::CollectiveOp::AllGather)
     };
     let wg_f32 = decode_ag_bytes(WeightFormat::Exact);
@@ -267,10 +267,10 @@ fn main() {
     // up in the byte ratio above, not in a link's transfer time).
     let step_time = |fmt: WeightFormat| {
         let mut engine = PartitionedEngine::new(&model, wg, fmt);
-        let _ = engine.prefill(&prompts(cfg.vocab));
+        let _ = engine.try_prefill(&prompts(cfg.vocab)).unwrap();
         let next: Vec<usize> = (0..BATCH).map(|b| b % cfg.vocab).collect();
         time_best(3, || {
-            let _ = engine.decode_step(&next);
+            let _ = engine.try_decode_step(&next).unwrap();
         })
     };
     let t_f32 = step_time(WeightFormat::Exact);
@@ -323,7 +323,7 @@ fn main() {
         let mut batcher = ContinuousBatcher::new(&model, serve_layout, WeightFormat::Exact, opts);
         let mut best = 0.0f64;
         for _ in 0..2 {
-            best = best.max(batcher.serve(&serve_requests).throughput_tokens_per_sec());
+            best = best.max(batcher.try_serve(&serve_requests).unwrap().throughput_tokens_per_sec());
         }
         best
     };
@@ -442,7 +442,7 @@ fn main() {
         .collect();
     let baseline = {
         let mut b = ContinuousBatcher::new(&rt_model, rt_layout, WeightFormat::Exact, rt_opts);
-        b.serve(&rt_requests).outputs
+        b.try_serve(&rt_requests).unwrap().outputs
     };
     let mut rt = ReplicaRouter::new(&rt_model, rt_layout, WeightFormat::Exact, rt_opts, 2);
     rt.batcher_mut(0).set_max_recoveries(0);
@@ -493,7 +493,7 @@ fn main() {
         ..ServingOptions::default()
     };
     let kv_paged = ContinuousBatcher::new(&model, serve_layout, WeightFormat::Exact, kv_opts)
-        .serve(&kv_requests);
+        .try_serve(&kv_requests).unwrap();
     let kv_dense = kv_budget / (kv_shared + kv_unique + kv_new);
     let gate_paged = kv_paged.report.peak_decode_batch as f64 / kv_dense as f64;
     println!(
@@ -509,11 +509,11 @@ fn main() {
         let mut best = f64::INFINITY;
         for rep in 0..3 {
             let mut engine = PartitionedEngine::new(&model, ws1d, WeightFormat::Exact);
-            let _ = engine.prefill(&toks);
+            let _ = engine.try_prefill(&toks).unwrap();
             let mut next: Vec<usize> = (0..BATCH).map(|b| (b + rep) % cfg.vocab).collect();
             let t = Instant::now();
             for _ in 0..DECODE_STEPS {
-                let logits = engine.decode_step(&next);
+                let logits = engine.try_decode_step(&next).unwrap();
                 next = (0..BATCH).map(|b| (b + logits.shape()[0]) % cfg.vocab).collect();
             }
             best = best.min(t.elapsed().as_secs_f64() / DECODE_STEPS as f64);
@@ -541,7 +541,7 @@ fn main() {
     let build_engine = |deadline: Option<std::time::Duration>| {
         let mut engine = PartitionedEngine::new(&model, ws1d, WeightFormat::Exact);
         engine.set_collective_deadline(deadline);
-        let _ = engine.prefill(&prompts(cfg.vocab));
+        let _ = engine.try_prefill(&prompts(cfg.vocab)).unwrap();
         engine
     };
     let mut eng_blocking = build_engine(None);
@@ -554,12 +554,12 @@ fn main() {
     for _ in 0..9 {
         t_blocking = t_blocking.min(time_best(1, || {
             for _ in 0..DECODE_STEPS {
-                let _ = eng_blocking.decode_step(&next);
+                let _ = eng_blocking.try_decode_step(&next).unwrap();
             }
         }));
         t_deadline = t_deadline.min(time_best(1, || {
             for _ in 0..DECODE_STEPS {
-                let _ = eng_deadline.decode_step(&next);
+                let _ = eng_deadline.try_decode_step(&next).unwrap();
             }
         }));
     }
@@ -579,11 +579,11 @@ fn main() {
 
     banner("Per-chip communication summary (ws1d, 4 decode steps)");
     let mut engine = PartitionedEngine::new(&model, ws1d, WeightFormat::Exact);
-    let _ = engine.prefill(&prompts(cfg.vocab));
+    let _ = engine.try_prefill(&prompts(cfg.vocab)).unwrap();
     engine.reset_comm_times();
     let next: Vec<usize> = (0..BATCH).map(|b| b % cfg.vocab).collect();
     for _ in 0..DECODE_STEPS {
-        let _ = engine.decode_step(&next);
+        let _ = engine.try_decode_step(&next).unwrap();
     }
     print!("{}", engine.comm_time_summary());
 

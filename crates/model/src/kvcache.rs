@@ -501,20 +501,26 @@ impl KvCache {
         2 * d * valid.iter().sum::<usize>()
     }
 
-    /// Replicates every cached sequence `k` times along the batch
-    /// dimension (`[s0, s1] → [s0, s0, s1, s1]` for `k = 2`) — the
-    /// mechanism behind the paper's low-latency recipe of combining a
-    /// batch-1 prefill with a batch-64 decode by "generating multiple
-    /// samples from the same input text" (Section 4.4). Replicas share the
-    /// originals' pages (copy-on-write on later divergence) instead of
-    /// duplicating them.
+    /// Replicates each of the first `rows` cached sequences `k` times along
+    /// the batch dimension, and keeps the rows past them once, after the
+    /// replicas (`[s0, s1, t] → [s0, s0, s1, s1, t]` for `k = 2`,
+    /// `rows = 2`) — the mechanism behind the paper's low-latency recipe of
+    /// combining a batch-1 prefill with a batch-64 decode by "generating
+    /// multiple samples from the same input text" (Section 4.4). Replicas
+    /// share the originals' pages (copy-on-write on later divergence)
+    /// instead of duplicating them. A cache nothing was written to has no
+    /// rows yet and stays as it is.
     ///
     /// # Panics
     ///
-    /// Panics if `k` is zero.
-    pub fn repeat_batch(&mut self, k: usize) {
+    /// Panics if `k` is zero or `rows` exceeds the cached row count.
+    pub fn repeat_batch(&mut self, k: usize, rows: usize) {
         assert!(k > 0, "repeat factor must be positive");
-        let mut tables = Vec::with_capacity(self.tables.len() * k);
+        if self.tables.is_empty() {
+            return;
+        }
+        let kept = self.tables.split_off(rows);
+        let mut tables = Vec::with_capacity(rows * k + kept.len());
         for table in &self.tables {
             for copy in 0..k {
                 if copy > 0 {
@@ -525,9 +531,11 @@ impl KvCache {
                 tables.push(table.clone());
             }
         }
+        tables.extend(kept);
         self.tables = tables;
         for lens in &mut self.lens {
-            *lens = lens.iter().flat_map(|&l| std::iter::repeat_n(l, k)).collect();
+            let kept = lens.split_off(rows);
+            *lens = lens.iter().flat_map(|&l| std::iter::repeat_n(l, k)).chain(kept).collect();
         }
     }
 
@@ -598,15 +606,20 @@ mod tests {
 
     #[test]
     fn repeat_batch_replicates_sequences() {
+        // Rows 0 and 1 replicate; row 2 is kept once, after the replicas.
         let mut c = KvCache::new(1);
-        let k = Tensor::from_vec(vec![2, 1, 2], vec![1.0, 2.0, 3.0, 4.0]);
+        let k = Tensor::from_vec(vec![3, 1, 2], vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
         c.append(0, &k, &k);
-        c.repeat_batch(3);
-        assert_eq!(c.row_lens(0).len(), 6);
+        c.repeat_batch(3, 2);
+        assert_eq!(c.row_lens(0).len(), 7);
         assert_eq!(c.read_slot(0, 0).0.data(), &[1.0, 2.0]);
         assert_eq!(c.read_slot(0, 2).0.data(), &[1.0, 2.0]);
         assert_eq!(c.read_slot(0, 3).0.data(), &[3.0, 4.0]);
+        assert_eq!(c.read_slot(0, 6).0.data(), &[5.0, 6.0]);
         assert_eq!(c.len(), 1); // sequence length unchanged
+        let mut empty = KvCache::new(1);
+        empty.repeat_batch(2, 1);
+        assert_eq!(empty.row_lens(0).len(), 0, "nothing written: no rows to repeat");
     }
 
     #[test]
@@ -925,7 +938,7 @@ mod tests {
         let k = seq(1.0, l, d).into_reshape(vec![1, l, d]);
         c.append(0, &k, &k);
         let before = c.page_stats().pages_live;
-        c.repeat_batch(3);
+        c.repeat_batch(3, 1);
         let st = c.page_stats();
         assert_eq!(st.pages_live, before, "replicas map the original pages");
         assert_eq!(st.pages_shared, before);

@@ -24,16 +24,6 @@ use crate::shard::{shard_1d, shard_2d, shard_wg, shard_wg_hybrid, LayerShard, Sh
 
 pub use crate::shard::WeightFormat;
 
-/// The `ESTI_CHIP_THREADS` environment default for
-/// [`PartitionedEngine::set_intra_chip_threads`] (1 when unset/invalid).
-fn default_chip_workers() -> usize {
-    std::env::var("ESTI_CHIP_THREADS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&w| w >= 1)
-        .unwrap_or(1)
-}
-
 /// Deadline applied to every collective of a fresh engine: generous enough
 /// that no healthy run ever trips it, but a stalled or dead chip surfaces as
 /// a structured [`EngineError`] instead of hanging the process forever.
@@ -127,11 +117,14 @@ struct ChipState {
 /// A Transformer partitioned over `n` simulated chips.
 ///
 /// Construct with a [`ReferenceModel`] (whose weights are sharded according
-/// to the [`Layout`]) and drive it with [`PartitionedEngine::prefill`] /
-/// [`PartitionedEngine::decode_step`] exactly like the reference. All
-/// inter-chip dataflow goes through `esti-collectives`, and is recorded in
-/// the [`TrafficStats`] ledger available via
-/// [`PartitionedEngine::traffic`].
+/// to the [`Layout`]). The engine holds a batch of *slots*, each a sequence
+/// of its own age, and a pass runs any set of them
+/// ([`PartitionedEngine::try_prefill_rows`] /
+/// [`PartitionedEngine::try_decode_rows`]); [`PartitionedEngine::try_prefill`]
+/// / [`PartitionedEngine::try_decode_step`] are the pass over every slot,
+/// driven exactly like the reference. All inter-chip dataflow goes through
+/// `esti-collectives`, and is recorded in the [`TrafficStats`] ledger
+/// available via [`PartitionedEngine::traffic`].
 pub struct PartitionedEngine {
     cfg: ModelConfig,
     layout: Layout,
@@ -142,12 +135,11 @@ pub struct PartitionedEngine {
     embed: Tensor,
     /// Learned position table, for models that have one.
     pos_embed: Option<Tensor>,
-    /// Batch size fixed at the first prefill (cache sharding depends on it).
-    batch: Option<usize>,
-    /// Per-row cached positions when the engine runs in slot mode
-    /// ([`PartitionedEngine::begin_slots`]): row `r`'s next token occupies
-    /// absolute position `row_lens[r]`. `None` in classic (uniform) mode.
-    row_lens: Option<Vec<usize>>,
+    /// Cached positions per slot: slot `s`'s next token occupies absolute
+    /// position `ages[s]`. The slot count is the batch (cache sharding
+    /// depends on it); empty until the first prefill or
+    /// [`PartitionedEngine::begin_slots`].
+    ages: Vec<usize>,
     /// Deadline applied to every chip group's collectives.
     deadline: Option<Duration>,
     /// Worker threads each simulated chip's kernels split output rows
@@ -330,15 +322,13 @@ impl PartitionedEngine {
             dataflow,
             chips,
             stats,
-            batch: None,
-            row_lens: None,
+            ages: Vec::new(),
             deadline: None,
             chip_workers: 1,
             pools: Vec::new(),
             poisoned: false,
         };
         engine.set_collective_deadline(Some(DEFAULT_COLLECTIVE_DEADLINE));
-        engine.set_intra_chip_threads(default_chip_workers());
         engine
     }
 
@@ -370,10 +360,9 @@ impl PartitionedEngine {
     }
 
     /// Sets the number of worker threads each simulated chip parallelizes
-    /// its GEMM kernels over (ROADMAP item 5). `1` (the default, or the
-    /// `ESTI_CHIP_THREADS` environment override) keeps every chip serial
-    /// on its own executor thread; `w > 1` gives each chip a persistent
-    /// pool of `w` workers that own disjoint output-row bands.
+    /// its GEMM kernels over. `1` (the default) keeps every chip serial on
+    /// its own executor thread; `w > 1` gives each chip a persistent pool
+    /// of `w` workers that own disjoint output-row bands.
     ///
     /// Deterministic by construction: banding only decides which worker
     /// computes an element, never the arithmetic, so logits are
@@ -406,12 +395,12 @@ impl PartitionedEngine {
     ///
     /// # Panics
     ///
-    /// Panics if `page_size` is zero, or if the engine already holds cached
-    /// tokens (set it before the first prefill, or after
+    /// Panics if `page_size` is zero, or if the engine already holds slots
+    /// (set it before the first prefill, or after
     /// [`PartitionedEngine::reset`] / before
     /// [`PartitionedEngine::begin_slots`]).
     pub fn set_kv_page_size(&mut self, page_size: usize) {
-        assert!(self.batch.is_none(), "set_kv_page_size requires an empty engine (reset() first)");
+        assert!(self.ages.is_empty(), "set_kv_page_size requires an empty engine (reset() first)");
         for c in &mut self.chips {
             c.cache = KvCache::paged(self.cfg.n_layers, page_size);
         }
@@ -544,12 +533,12 @@ impl PartitionedEngine {
         }
     }
 
-    /// Tokens currently cached per sequence.
+    /// Tokens cached by the oldest slot — every slot's, after passes over
+    /// every slot ([`PartitionedEngine::try_prefill`] /
+    /// [`PartitionedEngine::try_decode_step`]); 0 with no slots.
     #[must_use]
     pub fn cache_len(&self) -> usize {
-        // With batch sharding, chips hold different sequences but the same
-        // number of cached positions.
-        self.chips.first().map_or(0, |c| c.cache.len())
+        self.ages.iter().copied().max().unwrap_or(0)
     }
 
     /// KV-cache elements held by the busiest chip — the quantity the memory
@@ -565,49 +554,47 @@ impl PartitionedEngine {
     /// prompt "with negligible latency impact" since decode is
     /// weight-loading bound at these batch sizes.
     ///
-    /// Subsequent [`PartitionedEngine::decode_step`] calls must pass
-    /// `k ×` the original batch of tokens, ordered with each prompt's
-    /// samples adjacent.
+    /// Every slot becomes `k` adjacent slots of its age, each replica
+    /// mapping its source's pages by refcount (copy-on-write on later
+    /// divergence), so subsequent [`PartitionedEngine::try_decode_step`]
+    /// calls pass `k ×` the original batch of tokens, each prompt's samples
+    /// adjacent.
     ///
     /// # Panics
     ///
-    /// Panics if nothing is cached, `k` is zero, or the expanded batch
-    /// violates the layout's divisibility requirements.
+    /// Panics if the engine holds no slots, `k` is zero, or the expanded
+    /// batch violates the layout's divisibility requirements.
     pub fn expand_batch(&mut self, k: usize) {
         assert!(k > 0, "expansion factor must be positive");
-        let b = self.batch.expect("expand_batch requires a prior prefill");
+        assert!(!self.ages.is_empty(), "expand_batch requires a prior prefill");
+        let b = self.ages.len();
         self.validate_batch(b * k);
-        for c in &mut self.chips {
-            c.cache.repeat_batch(k);
+        for ci in 0..self.chips.len() {
+            let span = self.chip_rows(&self.chips[ci], b).1;
+            self.chips[ci].cache.repeat_batch(k, span);
         }
-        self.batch = Some(b * k);
+        self.ages = self.ages.iter().flat_map(|&age| std::iter::repeat_n(age, k)).collect();
     }
 
-    /// Clears all KV caches so a new batch can be served.
+    /// Clears all KV caches and drops every slot, so a new batch can be
+    /// served.
     pub fn reset(&mut self) {
         for c in &mut self.chips {
             c.cache.clear();
         }
-        self.batch = None;
-        self.row_lens = None;
+        self.ages.clear();
     }
 
-    // -----------------------------------------------------------------
-    // Slot mode: ragged-batch decode for continuous batching
-    // -----------------------------------------------------------------
-
-    /// Switches the engine into slot mode with `slots` rows, each an
-    /// independent sequence of its own age (or empty). Caches are cleared;
-    /// `reserve` is ignored (pages allocate on demand) and stays only
-    /// because the frozen benchmark passes it. A pass then runs the slots
-    /// it is given and no others ([`PartitionedEngine::try_prefill_rows`],
-    /// and its one-token call [`PartitionedEngine::try_decode_rows`]):
-    /// every op treats batch rows independently, so which other rows share
-    /// a pass changes no bit of a row's logits, and a slot left out neither
-    /// ages nor allocates. [`PartitionedEngine::decode_step`] is the step
-    /// over all `slots`. Each chip's cache also holds one *scratch row*
-    /// past its slots, which only ever pads a pass and is empty between
-    /// calls.
+    /// Replaces the engine's slots with `slots` empty ones, each an
+    /// independent sequence of its own age; caches are cleared. `reserve`
+    /// is ignored (pages allocate on demand) and stays only because the
+    /// frozen benchmark passes it. A pass then runs the slots it is given
+    /// and no others ([`PartitionedEngine::try_prefill_rows`], and its
+    /// one-token call [`PartitionedEngine::try_decode_rows`]): every op
+    /// treats batch rows independently, so which other rows share a pass
+    /// changes no bit of a row's logits, and a slot left out neither ages
+    /// nor allocates. Each chip's cache also holds one *scratch row* past
+    /// its slots, which only ever pads a pass and is empty between calls.
     ///
     /// # Panics
     ///
@@ -619,18 +606,13 @@ impl PartitionedEngine {
         for c in &mut self.chips {
             c.cache.clear();
         }
-        self.batch = Some(slots);
-        self.row_lens = Some(vec![0; slots]);
+        self.ages = vec![0; slots];
     }
 
-    /// Cached positions per slot (slot mode only).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the engine is not in slot mode.
+    /// Cached positions per slot (empty with no slots).
     #[must_use]
     pub fn slot_lens(&self) -> &[usize] {
-        self.row_lens.as_deref().expect("engine not in slot mode; call begin_slots")
+        &self.ages
     }
 
     /// The smallest batch size this engine's layout accepts. It is also
@@ -654,23 +636,23 @@ impl PartitionedEngine {
         m
     }
 
-    /// Index of the span of slots holding `slot`, in `0..min_batch()`
-    /// (slot mode): spans are equal and contiguous, and a pass carries
-    /// equally many rows in each ([`PartitionedEngine::try_prefill_rows`]).
+    /// Index of the span of slots holding `slot`, in `0..min_batch()`:
+    /// spans are equal and contiguous, and a pass carries equally many rows
+    /// in each ([`PartitionedEngine::try_prefill_rows`]).
     ///
     /// # Panics
     ///
-    /// Panics if the engine is not in slot mode or `slot` is out of range.
+    /// Panics if `slot` is out of range.
     #[must_use]
     pub(crate) fn slot_span(&self, slot: usize) -> usize {
-        let spans = self.row_spans(self.slot_lens().len());
+        let spans = self.row_spans(self.ages.len());
         spans.iter().position(|&(r0, rc)| (r0..r0 + rc).contains(&slot)).expect("slot out of range")
     }
 
     /// Cache rows `chip` holds for a batch of `b`: its span, plus the
-    /// scratch row past it in slot mode.
+    /// scratch row past it.
     fn cache_rows(&self, chip: &ChipState, b: usize) -> usize {
-        self.chip_rows(chip, b).1 + usize::from(self.row_lens.is_some())
+        self.chip_rows(chip, b).1 + 1
     }
 
     /// Row of `chip`'s cache that batch row `row` of `b` lives in, if the
@@ -681,7 +663,7 @@ impl PartitionedEngine {
         if (r0..r0 + rc).contains(&row) {
             Some(row - r0)
         } else {
-            (self.row_lens.is_some() && row == b + r0).then_some(rc)
+            (row == b + r0).then_some(rc)
         }
     }
 
@@ -737,16 +719,15 @@ impl PartitionedEngine {
         }
     }
 
-    /// Extracts batch row `row`'s KV cache in canonical form, assembling
-    /// head shards across chips (replicated shards are written
-    /// idempotently). Works in both classic and slot mode.
+    /// Extracts slot `row`'s KV cache in canonical form, assembling head
+    /// shards across chips (replicated shards are written idempotently).
     ///
     /// # Panics
     ///
     /// Panics if nothing is cached or `row` is out of range.
     #[must_use]
     pub fn extract_kv(&self, row: usize) -> RequestKv {
-        let b = self.batch.expect("extract_kv requires cached contents");
+        let b = self.ages.len();
         assert!(row < b, "row {row} out of range for batch {b}");
         let dh = self.cfg.d_head;
         let d = self.cfg.n_kv_heads() * dh;
@@ -786,16 +767,14 @@ impl PartitionedEngine {
     /// its head shard of the request through the cache's prefix registry
     /// ([`KvCache::insert_row_shared`]), mapping pages already cached for
     /// `tokens`' page-aligned prefixes by refcount instead of rewriting
-    /// them. Slot mode only.
+    /// them.
     ///
     /// # Panics
     ///
-    /// Panics if the engine is not in slot mode, `slot` is out of range,
-    /// the KV's layer count or width disagrees with the model, or `tokens`
-    /// is not exactly `kv.len` tokens.
+    /// Panics if `slot` is out of range, the KV's layer count or width
+    /// disagrees with the model, or `tokens` is not exactly `kv.len` tokens.
     pub fn insert_kv_shared(&mut self, slot: usize, kv: &RequestKv, tokens: &[usize]) {
-        let b = self.batch.expect("insert_kv_shared requires slot mode");
-        assert!(self.row_lens.is_some(), "insert_kv_shared requires slot mode");
+        let b = self.ages.len();
         assert!(slot < b, "slot {slot} out of range for batch {b}");
         assert_eq!(kv.layers.len(), self.cfg.n_layers, "layer count mismatch");
         assert_eq!(tokens.len(), kv.len, "one prompt token per cached position");
@@ -817,21 +796,20 @@ impl PartitionedEngine {
                 .collect();
             self.chips[ci].cache.insert_row_shared(row, rows, &shards, tokens);
         }
-        self.row_lens.as_mut().expect("checked above")[slot] = kv.len;
+        self.ages[slot] = kv.len;
     }
 
     /// Evicts slot `slot`: its pages lose this slot's reference and its age
-    /// resets to zero. Slot mode only. An empty slot costs a pass nothing —
-    /// passes run the slots they are given — except where it pads its span
-    /// for one pass ([`PartitionedEngine::try_prefill_rows`]), and the
-    /// engine evicts it again itself.
+    /// resets to zero. An empty slot costs a pass nothing — passes run the
+    /// slots they are given — except where it pads its span for one pass
+    /// ([`PartitionedEngine::try_prefill_rows`]), and the engine evicts it
+    /// again itself.
     ///
     /// # Panics
     ///
-    /// Panics if the engine is not in slot mode or `slot` is out of range.
+    /// Panics if `slot` is out of range.
     pub fn evict_slot(&mut self, slot: usize) {
-        let b = self.batch.expect("evict_slot requires slot mode");
-        assert!(self.row_lens.is_some(), "evict_slot requires slot mode");
+        let b = self.ages.len();
         assert!(slot < b, "slot {slot} out of range for batch {b}");
         self.empty_row(slot);
     }
@@ -839,52 +817,52 @@ impl PartitionedEngine {
     /// Empties batch row `row` — a slot, or a span's scratch row — on every
     /// chip holding it, and resets a slot's age.
     fn empty_row(&mut self, row: usize) {
-        let b = self.batch.expect("the caller fixed the batch");
+        let b = self.ages.len();
         for ci in 0..self.chips.len() {
             if let Some(local) = self.local_row(&self.chips[ci], b, row) {
                 self.chips[ci].cache.clear_slot(local);
             }
         }
-        if let Some(len) = self.row_lens.as_mut().and_then(|lens| lens.get_mut(row)) {
-            *len = 0;
+        if let Some(age) = self.ages.get_mut(row) {
+            *age = 0;
         }
     }
 
-    /// Prefill over a chunk of tokens (`[B][L]`), returning logits
-    /// `[B, L, V]`. Calling again before [`PartitionedEngine::reset`]
-    /// performs incremental prefill over additional chunks.
+    /// Prefill over a chunk of tokens (`[B][L]`), one row per slot in slot
+    /// order, returning logits `[B, L, V]`: the
+    /// [`PartitionedEngine::try_prefill_rows`] pass over every slot. An
+    /// engine with no slots first begins `B` of them
+    /// ([`PartitionedEngine::begin_slots`]); calling again before
+    /// [`PartitionedEngine::reset`] performs incremental prefill over
+    /// additional chunks. A chip crash, collective timeout, or prior
+    /// poisoning surfaces as a typed [`EngineError`]; shape/vocabulary
+    /// misuse panics — those are caller bugs, not faults.
+    ///
+    /// # Errors
+    ///
+    /// See [`EngineError`]. After any error the engine is poisoned.
     ///
     /// # Panics
     ///
     /// Panics on ragged batches, out-of-vocabulary tokens, a batch size
     /// change mid-conversation, or a batch that does not divide evenly for
     /// the batch-sharded paths.
-    #[must_use]
-    pub fn prefill(&mut self, tokens: &[Vec<usize>]) -> Tensor {
-        self.try_prefill(tokens).unwrap_or_else(|e| panic!("prefill failed: {e}"))
-    }
-
-    /// Fallible [`PartitionedEngine::prefill`]: a chip crash, collective
-    /// timeout, or prior poisoning surfaces as a typed [`EngineError`]
-    /// instead of a panic. Shape/vocabulary misuse still panics — those are
-    /// caller bugs, not faults.
-    ///
-    /// # Errors
-    ///
-    /// See [`EngineError`]. After any error the engine is poisoned.
     pub fn try_prefill(&mut self, tokens: &[Vec<usize>]) -> Result<Tensor, EngineError> {
+        if self.ages.is_empty() {
+            self.begin_slots(tokens.len(), 0);
+        }
+        assert_eq!(tokens.len(), self.ages.len(), "batch size changed mid-conversation; call reset()");
         let rows: Vec<(usize, &[usize])> = tokens.iter().map(Vec::as_slice).enumerate().collect();
         self.try_prefill_rows(&rows)
     }
 
     /// One pass over the `(slot, tokens)` rows given and no others, every
     /// row carrying the same `L ≥ 1` tokens, returning logits
-    /// `[rows.len(), L, V]` in the order given. In slot mode any non-empty
-    /// set of distinct slots is a pass: each appends its tokens at its own
-    /// age and ages by `L`; a slot left out is not touched. Rows are
-    /// independent, so a row's logits and KV do not depend on which other
-    /// rows share its pass. Outside slot mode the batch is uniform and a
-    /// pass is every row in order.
+    /// `[rows.len(), L, V]` in the order given. Any non-empty set of
+    /// distinct slots is a pass: each appends its tokens at its own age and
+    /// ages by `L`; a slot left out is not touched. Rows are independent, so
+    /// a row's logits and KV do not depend on which other rows share its
+    /// pass.
     ///
     /// Where every chip sees every row (head-sharded 1D / 2D) the pass
     /// carries exactly the rows given. Where chips own spans of the rows
@@ -913,9 +891,6 @@ impl PartitionedEngine {
         let l = rows[0].1.len();
         assert!(l > 0, "empty sequence");
         assert!(rows.iter().all(|r| r.1.len() == l), "ragged batch: all sequences must have equal length");
-        if self.row_lens.is_none() {
-            self.fix_batch(rows.len());
-        }
         let slots: Vec<usize> = rows.iter().map(|r| r.0).collect();
         let step = self.lay_out_step(&slots);
         let (b, e, v) = (step.rows.len(), self.cfg.d_model, self.cfg.vocab);
@@ -946,21 +921,20 @@ impl PartitionedEngine {
         Ok(Tensor::from_vec(vec![rows.len(), l, v], out))
     }
 
-    /// One decode step over every row (one token per sequence, in row
-    /// order), returning logits `[B, V]`.
-    #[must_use]
-    pub fn decode_step(&mut self, tokens: &[usize]) -> Tensor {
-        self.try_decode_step(tokens).unwrap_or_else(|e| panic!("decode step failed: {e}"))
-    }
-
-    /// Fallible [`PartitionedEngine::decode_step`]:
-    /// [`PartitionedEngine::try_decode_rows`] with row `i` carrying
-    /// `tokens[i]`.
+    /// One decode step over every slot (one token per slot, in slot order),
+    /// returning logits `[B, V]`: [`PartitionedEngine::try_decode_rows`]
+    /// with slot `i` carrying `tokens[i]`.
     ///
     /// # Errors
     ///
     /// See [`EngineError`]. After any error the engine is poisoned.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless there is one token per slot, or as
+    /// [`PartitionedEngine::try_prefill_rows`].
     pub fn try_decode_step(&mut self, tokens: &[usize]) -> Result<Tensor, EngineError> {
+        assert_eq!(tokens.len(), self.ages.len(), "batch size changed mid-conversation; call reset()");
         let rows: Vec<(usize, usize)> = tokens.iter().copied().enumerate().collect();
         self.try_decode_rows(&rows)
     }
@@ -985,14 +959,10 @@ impl PartitionedEngine {
     /// `rows.len()` where every chip sees every row, more where spans of
     /// rows are padded to a common count (see
     /// [`PartitionedEngine::try_prefill_rows`]) — never more than the slot
-    /// count. Slot mode only.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the engine is not in slot mode.
+    /// count.
     #[must_use]
     pub fn decode_rows_carried(&self, rows: &[(usize, usize)]) -> usize {
-        let spans = self.row_spans(self.slot_lens().len());
+        let spans = self.row_spans(self.ages.len());
         let slots: Vec<usize> = rows.iter().map(|r| r.0).collect();
         spans.len() * rows_per_span(&spans, &slots)
     }
@@ -1011,20 +981,14 @@ impl PartitionedEngine {
     /// (`chip_rows` of the *pass's* batch size) line up with the slot spans
     /// the chips' caches hold: span by span, the span's requested slots in
     /// request order, then padding up to the largest requested count over
-    /// spans — empty slots of that span, then (slot mode) its scratch row
-    /// `b + r0`.
+    /// spans — empty slots of that span, then its scratch row `b + r0`.
     fn lay_out_step(&self, slots: &[usize]) -> StepLayout {
-        let b = self.batch.expect("the caller fixed the batch");
+        let b = self.ages.len();
         let mut given = vec![false; b];
         for &slot in slots {
             assert!(slot < b, "slot {slot} out of range for batch {b}");
             assert!(!std::mem::replace(&mut given[slot], true), "slot {slot} given twice in one pass");
         }
-        let lens = self.row_lens.as_deref();
-        assert!(
-            lens.is_some() || slots.iter().copied().eq(0..b),
-            "outside slot mode a pass carries every row, in order"
-        );
         let spans = self.row_spans(b);
         let per_span = rows_per_span(&spans, slots);
         let mut step = StepLayout {
@@ -1041,9 +1005,8 @@ impl PartitionedEngine {
                     step.rows.push(slot);
                 }
             }
-            let empty = span.clone().filter(|&s| !given[s] && lens.is_some_and(|l| l[s] == 0));
-            let scratch = lens.map(|_| b + r0);
-            for row in empty.chain(scratch).take(end - step.rows.len()) {
+            let empty = span.clone().filter(|&s| !given[s] && self.ages[s] == 0);
+            for row in empty.chain([b + r0]).take(end - step.rows.len()) {
                 step.padding.push(row);
                 step.rows.push(row);
             }
@@ -1071,25 +1034,9 @@ impl PartitionedEngine {
     }
 
     /// Absolute position of the next token of each of `rows` (batch rows):
-    /// uniform (the shared cache length) in classic mode, per-slot ages in
-    /// slot mode, where a scratch row (past the slots) is always empty.
+    /// a slot's age; a scratch row (past the slots) is always empty.
     fn row_bases(&self, rows: &[usize]) -> Vec<usize> {
-        match &self.row_lens {
-            Some(lens) => rows.iter().map(|&r| lens.get(r).copied().unwrap_or(0)).collect(),
-            None => vec![self.cache_len(); rows.len()],
-        }
-    }
-
-    /// Every row, every pass: the first pass fixes the batch size (cache
-    /// sharding depends on it) and later ones must match it.
-    fn fix_batch(&mut self, b: usize) {
-        match self.batch {
-            None => {
-                self.validate_batch(b);
-                self.batch = Some(b);
-            }
-            Some(prev) => assert_eq!(b, prev, "batch size changed mid-conversation; call reset()"),
-        }
+        rows.iter().map(|&r| self.ages.get(r).copied().unwrap_or(0)).collect()
     }
 
     fn validate_batch(&self, b: usize) {
@@ -1144,7 +1091,7 @@ impl PartitionedEngine {
         let bases = self.row_bases(rows);
         // Each chip's share of the pass (`chip_rows` of the pass's batch) as
         // rows of its own cache (`chip_rows` of the engine's).
-        let batch = self.batch.expect("the caller fixed the batch");
+        let batch = self.ages.len();
         let kv_rows: Vec<(Vec<usize>, usize)> = self
             .chips
             .iter()
@@ -1225,11 +1172,9 @@ impl PartitionedEngine {
             return Err(err);
         }
 
-        if let Some(lens) = &mut self.row_lens {
-            for &row in rows {
-                if let Some(len) = lens.get_mut(row) {
-                    *len += l;
-                }
+        for &row in rows {
+            if let Some(age) = self.ages.get_mut(row) {
+                *age += l;
             }
         }
         if matches!(dataflow, Dataflow::WeightGatheredHybrid { .. }) {

@@ -49,8 +49,8 @@ impl PartitionedEngine {
     /// # Panics
     ///
     /// Panics on empty or ragged prompts, a chunk size or sample count of
-    /// zero, or an expanded batch that violates the layout's divisibility
-    /// requirements.
+    /// zero, an expanded batch that violates the layout's divisibility
+    /// requirements, or an [`crate::EngineError`].
     // Vetted expect: prompts are asserted non-empty above, so at least
     // one prefill chunk always runs.
     #[allow(clippy::expect_used)]
@@ -71,7 +71,9 @@ impl PartitionedEngine {
             let end = (start + chunk).min(len);
             let chunk_tokens: Vec<Vec<usize>> =
                 prompts.iter().map(|p| p[start..end].to_vec()).collect();
-            let logits = self.prefill(&chunk_tokens); // [B, l, V]
+            let logits = self
+                .try_prefill(&chunk_tokens)
+                .unwrap_or_else(|e| panic!("prefill failed: {e}")); // [B, l, V]
             let l = end - start;
             let v = self.config().vocab;
             last_logits =
@@ -94,7 +96,7 @@ impl PartitionedEngine {
             for (out, &t) in outputs.iter_mut().zip(&next) {
                 out.push(t);
             }
-            logits = self.decode_step(&next);
+            logits = self.try_decode_step(&next).unwrap_or_else(|e| panic!("decode step failed: {e}"));
         }
         outputs
     }

@@ -18,6 +18,9 @@
 //!   reduce-scatter/all-gather dance over the `x` and `yz` groups;
 //! * **weight-gathered XYZ** (Section 3.2.3) — batch-sharded activations,
 //!   weights all-gathered just before use, no activation collectives;
+//! * **hybrid weight-gathered X / XY** (Figure A.2) — the batch sharded
+//!   over the gather groups, weights all-gathered within each, and 1D
+//!   weight-stationary over the chips of a group;
 //!
 //! each combinable with head-sharded attention (multihead, or "baseline"
 //! multiquery with a replicated KV head) or the paper's batch-sharded
@@ -41,7 +44,7 @@
 //! let machine = Machine::tpu_v4_slice(4).unwrap();
 //! let layout = decode_layout(model.config(), &machine);
 //! let mut engine = PartitionedEngine::new(&model, layout, WeightFormat::Exact);
-//! let logits = engine.prefill(&[vec![1, 2, 3], vec![4, 5, 6], vec![7, 8, 9], vec![1, 1, 1]]);
+//! let logits = engine.try_prefill(&[vec![1, 2, 3], vec![4, 5, 6], vec![7, 8, 9], vec![1, 1, 1]]).unwrap();
 //! assert_eq!(logits.shape(), &[4, 3, model.config().vocab]);
 //! ```
 

@@ -2,12 +2,11 @@
 //!
 //! Where [`esti_core::serving`] *models* the paper's prefill/decode
 //! arrangement analytically, this module *runs* it on one
-//! [`PartitionedEngine`] — one copy of the weights, one KV page pool — in
-//! slot mode ([`PartitionedEngine::begin_slots`]) with a fixed number of
-//! decode slots. Variable-length prompts arrive in a queue, are admitted
-//! into free slots at step boundaries up to the cap, prefilled (optionally
-//! chunked) straight into the slots admission chose, and evicted on
-//! completion. A decode step runs the occupied slots only (see
+//! [`PartitionedEngine`] — one copy of the weights, one KV page pool — with
+//! a fixed number of decode slots ([`PartitionedEngine::begin_slots`]).
+//! Variable-length prompts arrive in a queue, are admitted into free slots
+//! at step boundaries up to the cap, prefilled (optionally chunked)
+//! straight into the slots admission chose, and evicted on completion. A decode step runs the occupied slots only (see
 //! [`DecodeWork`]).
 //!
 //! Prefill does only the work that is needed. Up to a minimum batch of
@@ -109,11 +108,12 @@ pub struct ServingOptions {
     /// Chunked (incremental) prefill size; `None` prefills each prompt in
     /// one pass.
     pub prefill_chunk: Option<usize>,
-    /// Intra-chip kernel worker threads per simulated chip, applied to the
-    /// engine and to every engine rebuilt during fault recovery. `0` keeps
-    /// the engine's own default (the `ESTI_CHIP_THREADS` environment
-    /// knob). Thread count never changes results — the banded kernels are
-    /// bit-identical at any worker count.
+    /// Intra-chip kernel worker threads per simulated chip
+    /// ([`PartitionedEngine::set_intra_chip_threads`]), applied to the
+    /// engine and to every engine rebuilt during fault recovery; defaults
+    /// to 1, every chip serial on its own thread. Thread count never
+    /// changes results — the banded kernels are bit-identical at any worker
+    /// count.
     pub intra_chip_threads: usize,
     /// KV-cache page size applied to the engine (and every engine rebuilt
     /// during fault recovery). `None` keeps the engine default
@@ -157,7 +157,7 @@ impl Default for ServingOptions {
             max_decode_batch: 4,
             sampling: Sampling::Greedy,
             prefill_chunk: None,
-            intra_chip_threads: 0,
+            intra_chip_threads: 1,
             kv_page_size: None,
             kv_position_budget: None,
             queue_limit: None,
@@ -471,8 +471,8 @@ pub struct BatcherSpec {
     pub preemption: bool,
 }
 
-/// The continuous-batching scheduler: one [`PartitionedEngine`] in slot
-/// mode, which every prefill writes into and every decode step reads from.
+/// The continuous-batching scheduler: one [`PartitionedEngine`] whose
+/// slots every prefill writes into and every decode step reads from.
 ///
 /// # Examples
 ///
@@ -491,7 +491,7 @@ pub struct BatcherSpec {
 ///     ServingRequest::immediate(vec![1, 2, 3], 4),
 ///     ServingRequest::immediate(vec![5, 6], 4),
 /// ];
-/// let outcome = batcher.serve(&requests);
+/// let outcome = batcher.try_serve(&requests).unwrap();
 /// assert_eq!(outcome.outputs.len(), 2);
 /// assert!(outcome.outputs.iter().all(|o| o.len() == 4));
 /// ```
@@ -517,8 +517,8 @@ pub struct ContinuousBatcher {
 }
 
 /// Builds the scheduler's engine — at `opts`' intra-chip worker count and
-/// KV page size, each left at the engine default when unset — with its
-/// collectives under `deadline`.
+/// KV page size, the page size left at the engine default when unset —
+/// with its collectives under `deadline`.
 fn build_engine(
     model: &ReferenceModel,
     layout: Layout,
@@ -527,9 +527,7 @@ fn build_engine(
     deadline: Option<Duration>,
 ) -> PartitionedEngine {
     let mut engine = PartitionedEngine::new(model, layout, fmt);
-    if opts.intra_chip_threads > 0 {
-        engine.set_intra_chip_threads(opts.intra_chip_threads);
-    }
+    engine.set_intra_chip_threads(opts.intra_chip_threads);
     if let Some(page_size) = opts.kv_page_size {
         engine.set_kv_page_size(page_size);
     }
@@ -823,20 +821,6 @@ impl ContinuousBatcher {
 
     /// Serves `requests` (sorted by arrival) to completion and returns
     /// every request's generated tokens plus measured statistics.
-    ///
-    /// See [`ContinuousBatcher::try_serve`] for the admission policy and
-    /// recovery behavior.
-    ///
-    /// # Panics
-    ///
-    /// Panics on any [`ServeError`] — invalid submissions (empty request
-    /// list, unsorted arrivals, an empty prompt, a learned-position
-    /// overflow) and engine failures past the recovery budget alike.
-    pub fn serve(&mut self, requests: &[ServingRequest]) -> ServingOutcome {
-        self.try_serve(requests).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Serves `requests` (sorted by arrival) to completion.
     ///
     /// Admission policy: priority-first, FIFO within a class. At every
     /// step boundary, arrived requests join their class queue; the

@@ -42,7 +42,7 @@ fn reference_prefill(model: &ReferenceModel, tokens: &[Vec<usize>]) -> (Tensor, 
 fn check_prefill_and_decode(model: &ReferenceModel, layout: Layout, tokens: &[Vec<usize>]) {
     let (ref_logits, mut ref_cache) = reference_prefill(model, tokens);
     let mut engine = PartitionedEngine::new(model, layout, WeightFormat::Exact);
-    let logits = engine.prefill(tokens);
+    let logits = engine.try_prefill(tokens).unwrap();
     assert!(
         logits.approx_eq(&ref_logits, TOL),
         "{} prefill: max diff {:e}",
@@ -54,7 +54,7 @@ fn check_prefill_and_decode(model: &ReferenceModel, layout: Layout, tokens: &[Ve
     let mut next: Vec<usize> = (0..tokens.len()).map(|b| (b + 1) % model.config().vocab).collect();
     for step in 0..2 {
         let ref_step = model.decode_step(&next, &mut ref_cache);
-        let eng_step = engine.decode_step(&next);
+        let eng_step = engine.try_decode_step(&next).unwrap();
         assert!(
             eng_step.approx_eq(&ref_step, TOL),
             "{} decode step {step}: max diff {:e}",
@@ -131,8 +131,8 @@ fn batch_sharded_kv_cache_is_divided_n_ways() {
     let batch = Layout { attn: AttnSharding::Batch, ..head };
     let mut e_head = PartitionedEngine::new(&model, head, WeightFormat::Exact);
     let mut e_batch = PartitionedEngine::new(&model, batch, WeightFormat::Exact);
-    let _ = e_head.prefill(&tokens);
-    let _ = e_batch.prefill(&tokens);
+    let _ = e_head.try_prefill(&tokens).unwrap();
+    let _ = e_batch.try_prefill(&tokens).unwrap();
     let head_kv = e_head.max_cache_elements_per_chip();
     let batch_kv = e_batch.max_cache_elements_per_chip();
     assert_eq!(head_kv, n * batch_kv, "batch sharding must divide the KV cache {n} ways");
@@ -148,13 +148,13 @@ fn incremental_prefill_matches_single_shot() {
         mesh: MeshFactors::new(1, 2, 1),
     };
     let mut one = PartitionedEngine::new(&model, layout, WeightFormat::Exact);
-    let full = one.prefill(&tokens);
+    let full = one.try_prefill(&tokens).unwrap();
 
     let mut two = PartitionedEngine::new(&model, layout, WeightFormat::Exact);
     let first: Vec<Vec<usize>> = tokens.iter().map(|t| t[..2].to_vec()).collect();
     let rest: Vec<Vec<usize>> = tokens.iter().map(|t| t[2..].to_vec()).collect();
-    let _ = two.prefill(&first);
-    let tail = two.prefill(&rest);
+    let _ = two.try_prefill(&first).unwrap();
+    let tail = two.try_prefill(&rest).unwrap();
     assert!(tail.approx_eq(&full.slice(1, 2, 4), TOL));
     assert_eq!(one.cache_len(), two.cache_len());
 }
@@ -170,8 +170,8 @@ fn int8_weights_stay_close_to_exact() {
     };
     let mut exact = PartitionedEngine::new(&model, layout, WeightFormat::Exact);
     let mut int8 = PartitionedEngine::new(&model, layout, WeightFormat::Int8);
-    let le = exact.prefill(&tokens);
-    let li = int8.prefill(&tokens);
+    let le = exact.try_prefill(&tokens).unwrap();
+    let li = int8.try_prefill(&tokens).unwrap();
     assert!(!le.approx_eq(&li, 1e-6), "int8 must actually quantize");
     // Logit scale for the tiny model is O(10); int8 noise stays small.
     let rel = li.max_abs_diff(&le)
@@ -190,8 +190,8 @@ fn bf16_weights_stay_close_to_exact() {
     };
     let mut exact = PartitionedEngine::new(&model, layout, WeightFormat::Exact);
     let mut bf16 = PartitionedEngine::new(&model, layout, WeightFormat::Bf16);
-    let le = exact.prefill(&tokens);
-    let lb = bf16.prefill(&tokens);
+    let le = exact.try_prefill(&tokens).unwrap();
+    let lb = bf16.try_prefill(&tokens).unwrap();
     let rel = lb.max_abs_diff(&le)
         / le.data().iter().fold(0.0f32, |a, &b| a.max(b.abs())).max(1.0);
     assert!(rel < 0.02, "bf16 relative error {rel}");
@@ -279,7 +279,7 @@ fn batch_sharding_requires_divisible_batch() {
         mesh: MeshFactors::new(1, 4, 1),
     };
     let mut engine = PartitionedEngine::new(&model, layout, WeightFormat::Exact);
-    let _ = engine.prefill(&[vec![1, 2, 3]]); // batch 1 on 4 chips
+    let _ = engine.try_prefill(&[vec![1, 2, 3]]).unwrap(); // batch 1 on 4 chips
 }
 
 #[test]
@@ -317,9 +317,9 @@ fn multi_sample_expansion_matches_repeated_prefill() {
         },
     ] {
         let mut engine = PartitionedEngine::new(&model, layout, WeightFormat::Exact);
-        let _ = engine.prefill(&prompts);
+        let _ = engine.try_prefill(&prompts).unwrap();
         engine.expand_batch(2);
-        let got = engine.decode_step(&[7, 8, 9, 10]);
+        let got = engine.try_decode_step(&[7, 8, 9, 10]).unwrap();
         assert!(
             got.approx_eq(&expect, TOL),
             "{}: max diff {:e}",
@@ -395,8 +395,8 @@ fn hybrid_gathers_less_weight_traffic_than_full_wg() {
         },
         WeightFormat::Exact,
     );
-    let _ = hybrid.prefill(&tokens);
-    let _ = full.prefill(&tokens);
+    let _ = hybrid.try_prefill(&tokens).unwrap();
+    let _ = full.try_prefill(&tokens).unwrap();
     use esti_collectives::CollectiveOp;
     let h = hybrid.traffic().bytes(CollectiveOp::AllGather);
     let f = full.traffic().bytes(CollectiveOp::AllGather);
@@ -461,7 +461,7 @@ fn comm_times_are_recorded_per_chip() {
         mesh: MeshFactors::new(1, 4, 1),
     };
     let mut engine = PartitionedEngine::new(&model, layout, WeightFormat::Exact);
-    let _ = engine.prefill(&tokens);
+    let _ = engine.try_prefill(&tokens).unwrap();
     let times = engine.comm_times();
     assert_eq!(times.len(), 4);
     assert!(

@@ -81,12 +81,12 @@ fn check_crash_conformance(model: &ReferenceModel, layout: Layout, plan: FaultPl
     let cap = 4;
     let requests = workload(cap + 2, model.config().vocab);
 
-    let baseline = batcher(model, layout, cap).serve(&requests);
+    let baseline = batcher(model, layout, cap).try_serve(&requests).unwrap();
     assert_eq!(baseline.report.recovery.faults, 0, "baseline must be fault-free");
 
     let mut chaotic = batcher(model, layout, cap);
     chaotic.schedule_decode_fault(at_step, plan.clone());
-    let outcome = chaotic.serve(&requests);
+    let outcome = chaotic.try_serve(&requests).unwrap();
 
     assert_eq!(
         outcome.outputs,
@@ -130,11 +130,11 @@ fn a_crash_inside_a_live_subset_step_recovers_bit_identically() {
     let model = ReferenceModel::init_random(ModelConfig::tiny(), 7);
     let requests = workload(3, model.config().vocab);
     for layout in [decode_layouts(AttnSharding::Head)[0], decode_layouts(AttnSharding::Batch)[1]] {
-        let baseline = batcher(&model, layout, 8).serve(&requests);
+        let baseline = batcher(&model, layout, 8).try_serve(&requests).unwrap();
         assert!(baseline.step_log.iter().all(|&(live, _)| live < 8), "every step is a subset");
         let mut chaotic = batcher(&model, layout, 8);
         chaotic.schedule_decode_fault(1, FaultPlan::new().crash(2, 3));
-        let outcome = chaotic.serve(&requests);
+        let outcome = chaotic.try_serve(&requests).unwrap();
         assert_eq!(outcome.outputs, baseline.outputs, "{}", layout.describe());
         assert_eq!(outcome.report.recovery.faults, 1, "{}", layout.describe());
         assert!(outcome.report.recovery.requests_replayed >= 1, "{}", layout.describe());
@@ -164,13 +164,13 @@ fn stall_recovery_is_bit_identical_with_short_deadline() {
     };
     let cap = 4;
     let requests = workload(cap + 2, model.config().vocab);
-    let baseline = batcher(&model, layout, cap).serve(&requests);
+    let baseline = batcher(&model, layout, cap).try_serve(&requests).unwrap();
 
     let mut chaotic = batcher(&model, layout, cap);
     chaotic.set_collective_deadline(Some(Duration::from_millis(100)));
     chaotic.schedule_decode_fault(1, FaultPlan::new().stall(2, 0, Duration::from_secs(10)));
     let t = Instant::now();
-    let outcome = chaotic.serve(&requests);
+    let outcome = chaotic.try_serve(&requests).unwrap();
     assert!(
         t.elapsed() < Duration::from_secs(8),
         "the 10s stall must be cut short by the 100ms deadline, not waited out"
@@ -241,7 +241,7 @@ fn delayed_link_is_transparent_to_the_engine() {
     };
     let prompts = vec![vec![1usize, 2, 3]];
     let mut clean = PartitionedEngine::new(&model, layout, WeightFormat::Exact);
-    let expect = clean.prefill(&prompts);
+    let expect = clean.try_prefill(&prompts).unwrap();
 
     let mut slow = PartitionedEngine::new(&model, layout, WeightFormat::Exact);
     slow.inject_faults(FaultPlan::new().delay(1, 0, Duration::from_millis(30)));
@@ -324,11 +324,11 @@ fn a_prefill_fault_is_recovered_transparently() {
         mesh: MeshFactors::new(1, 2, 1),
     };
     let requests = workload(3, model.config().vocab);
-    let baseline = batcher(&model, layout, 2).serve(&requests);
+    let baseline = batcher(&model, layout, 2).try_serve(&requests).unwrap();
 
     let mut chaotic = batcher(&model, layout, 2);
     chaotic.inject_prefill_fault(FaultPlan::new().crash(0, 1));
-    let outcome = chaotic.serve(&requests);
+    let outcome = chaotic.try_serve(&requests).unwrap();
     assert_eq!(outcome.outputs, baseline.outputs, "prefill recovery diverged");
     let rec = outcome.report.recovery;
     assert_eq!((rec.faults, rec.requests_replayed), (1, 0));
@@ -360,11 +360,11 @@ fn a_prefill_fault_with_requests_live_replays_them_bit_identically() {
         for layout in decode_layouts(attn) {
             let pad = PartitionedEngine::new(&model, layout, WeightFormat::Exact).min_batch();
             let requests = workload(2 * pad, model.config().vocab);
-            let baseline = batcher(&model, layout, 2 * pad).serve(&requests);
+            let baseline = batcher(&model, layout, 2 * pad).try_serve(&requests).unwrap();
             let mut chaotic = batcher(&model, layout, 2 * pad);
             let call = collectives_per_pass(&model, layout);
             chaotic.inject_prefill_fault(FaultPlan::new().crash(0, call));
-            let outcome = chaotic.serve(&requests);
+            let outcome = chaotic.try_serve(&requests).unwrap();
             let ctx = layout.describe();
             assert_eq!(outcome.outputs, baseline.outputs, "{ctx}: recovered streams diverged");
             let rec = outcome.report.recovery;
@@ -394,7 +394,7 @@ fn recovery_accounting_matches_the_netsim_model_exactly() {
     ];
     let mut b = batcher(&model, layout, 2);
     b.schedule_decode_fault(2, FaultPlan::new().crash(1, 0));
-    let outcome = b.serve(&requests);
+    let outcome = b.try_serve(&requests).unwrap();
 
     let live = [
         LiveRequest { prompt_len: 3, emitted: 3 },
@@ -437,13 +437,13 @@ proptest! {
         let cap = 4;
         let requests = workload(cap + 1, model.config().vocab);
 
-        let baseline = batcher(&model, layout, cap).serve(&requests);
+        let baseline = batcher(&model, layout, cap).try_serve(&requests).unwrap();
         let mut chaotic = batcher(&model, layout, cap);
         // Chip and call index drawn deterministically from the seed; the
         // call index may land in a later step than `at_step`, which only
         // moves the crash — every placement must recover.
         chaotic.schedule_decode_fault(at_step, FaultPlan::seeded_crash(seed, 4, 12));
-        let outcome = chaotic.serve(&requests);
+        let outcome = chaotic.try_serve(&requests).unwrap();
 
         prop_assert_eq!(&outcome.outputs, &baseline.outputs);
         let rec = outcome.report.recovery;

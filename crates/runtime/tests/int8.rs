@@ -39,7 +39,7 @@ fn int8_weight_gathered_traffic_is_quantized_volume() {
         ((values_per_layer + scales_per_layer) * cfg.n_layers + logit_bytes) as u64;
 
     let mut engine = PartitionedEngine::new(&model, layout, WeightFormat::Int8);
-    let _ = engine.prefill(&prompts(b, l));
+    let _ = engine.try_prefill(&prompts(b, l)).unwrap();
     assert_eq!(
         engine.traffic().bytes(CollectiveOp::AllGather),
         expected,
@@ -79,9 +79,9 @@ fn int8_halves_weight_gather_bytes_vs_bf16() {
     };
     let bytes = |fmt: WeightFormat| {
         let mut engine = PartitionedEngine::new(&model, layout, fmt);
-        let _ = engine.prefill(&prompts(4, 2));
+        let _ = engine.try_prefill(&prompts(4, 2)).unwrap();
         engine.traffic().reset();
-        let _ = engine.decode_step(&[1, 2, 3, 4]);
+        let _ = engine.try_decode_step(&[1, 2, 3, 4]).unwrap();
         engine.traffic().bytes(CollectiveOp::AllGather) as f64
     };
     let ratio = bytes(WeightFormat::Int8) / bytes(WeightFormat::Exact);

@@ -4,8 +4,10 @@
 //! it — logits and appended KV, `to_bits` — on every decode layout,
 //! multiquery and multihead, f32 and int8 weights; must leave every slot it
 //! was not given exactly as it was; and must hand back, empty, the slots it
-//! borrowed to pad a span. The scheduler's counts of what it stepped
-//! ([`DecodeWork`]) are checked at the end.
+//! borrowed to pad a span. The classic calls (`try_prefill`,
+//! `expand_batch`, `try_decode_step`) must be the pass over every slot, and
+//! row calls must work on a batch they built. The scheduler's counts of
+//! what it stepped ([`DecodeWork`]) are checked at the end.
 
 use esti_core::layout::{AttnSharding, FfnLayout, GatherExtent, Layout, MeshFactors};
 use esti_model::{ModelConfig, ReferenceModel};
@@ -118,7 +120,7 @@ fn check_live_step(
     let kvs: Vec<RequestKv> = (0..SLOTS)
         .map(|s| {
             pre.reset();
-            let _ = pre.prefill(&vec![prompt(s, seed, vocab); pad]);
+            let _ = pre.try_prefill(&vec![prompt(s, seed, vocab); pad]).unwrap();
             pre.extract_kv(0)
         })
         .collect();
@@ -256,7 +258,7 @@ fn a_padded_step_reaches_the_slot_count_only_when_a_span_is_full() {
 /// row 0's logits at every position, and its KV.
 fn batch1(engine: &mut PartitionedEngine, p: &[usize]) -> (Vec<f32>, RequestKv) {
     engine.reset();
-    let logits = engine.prefill(&vec![p.to_vec(); engine.min_batch()]);
+    let logits = engine.try_prefill(&vec![p.to_vec(); engine.min_batch()]).unwrap();
     (logits.data()[..p.len() * engine.config().vocab].to_vec(), engine.extract_kv(0))
 }
 
@@ -316,6 +318,136 @@ fn a_prefill_pass_beside_a_full_span_pads_it_with_the_scratch_row() {
     }
 }
 
+/// The five layouts the workspace's cross-layout generation test runs: all
+/// four dataflows, both attention shardings.
+fn tier1_layouts() -> [Layout; 5] {
+    [
+        (FfnLayout::WeightStationary1D, AttnSharding::Head, MeshFactors::new(1, 4, 1)),
+        (FfnLayout::WeightStationary1D, AttnSharding::Batch, MeshFactors::new(1, 4, 1)),
+        (FfnLayout::WeightStationary2D, AttnSharding::Batch, MeshFactors::new(2, 2, 1)),
+        (FfnLayout::WeightGathered(GatherExtent::Xyz), AttnSharding::Batch, MeshFactors::new(4, 1, 1)),
+        (FfnLayout::WeightGathered(GatherExtent::X), AttnSharding::Head, MeshFactors::new(2, 2, 1)),
+    ]
+    .map(|(ffn, attn, mesh)| Layout { ffn, attn, mesh })
+}
+
+/// Four equal-length 5-token prompts.
+fn prompts4(vocab: usize) -> Vec<Vec<usize>> {
+    (0..4).map(|b| (0..5).map(|t| (3 + 7 * b + 5 * t) % vocab).collect()).collect()
+}
+
+#[test]
+fn the_classic_calls_are_the_all_slots_pass() {
+    // try_prefill on a fresh engine, a second chunk, expand_batch(2) and two
+    // try_decode_steps, against begin_slots over the expanded batch and the
+    // row calls over every slot (given in reverse order, each sample
+    // prefilled on its own): logits and KV `to_bits`, every tier-1 layout.
+    let model = ReferenceModel::init_random(ModelConfig::tiny(), 44);
+    let vocab = model.config().vocab;
+    let prompts = prompts4(vocab);
+    let slots = 2 * prompts.len();
+    for layout in tier1_layouts() {
+        for fmt in [WeightFormat::Exact, WeightFormat::Int8] {
+            let ctx = format!("{} {fmt:?}", layout.describe());
+            let mut classic = PartitionedEngine::new(&model, layout, fmt);
+            classic.set_kv_page_size(PAGE);
+            let mut rows = PartitionedEngine::new(&model, layout, fmt);
+            rows.set_kv_page_size(PAGE);
+            rows.begin_slots(slots, 0);
+            for (lo, hi) in [(0, 3), (3, 5)] {
+                let chunk: Vec<Vec<usize>> = prompts.iter().map(|p| p[lo..hi].to_vec()).collect();
+                let want = classic.try_prefill(&chunk).unwrap();
+                let given: Vec<(usize, &[usize])> = (0..slots).rev().map(|s| (s, &chunk[s / 2][..])).collect();
+                let got = rows.try_prefill_rows(&given).unwrap();
+                let n = (hi - lo) * vocab;
+                for (r, &(s, _)) in given.iter().enumerate() {
+                    let want = &want.data()[s / 2 * n..(s / 2 + 1) * n];
+                    assert_eq!(bits(&got.data()[r * n..(r + 1) * n]), bits(want), "{ctx}: chunk {lo}.. slot {s}");
+                }
+            }
+            classic.expand_batch(2);
+            assert_eq!(classic.slot_lens(), rows.slot_lens(), "{ctx}: ages after expand_batch");
+            for round in 0..2 {
+                let tokens: Vec<usize> = (0..slots).map(|s| (1 + 3 * s + round) % vocab).collect();
+                let want = classic.try_decode_step(&tokens).unwrap();
+                let given: Vec<(usize, usize)> = (0..slots).rev().map(|s| (s, tokens[s])).collect();
+                let got = rows.try_decode_rows(&given).unwrap();
+                for (r, &(s, _)) in given.iter().enumerate() {
+                    let want = &want.data()[s * vocab..(s + 1) * vocab];
+                    assert_eq!(bits(&got.data()[r * vocab..(r + 1) * vocab]), bits(want), "{ctx}: step {round} slot {s}");
+                }
+            }
+            for s in 0..slots {
+                assert_same_kv(&classic.extract_kv(s), &rows.extract_kv(s), &format!("{ctx}: slot {s}"));
+            }
+            assert_eq!(classic.cache_len(), 7, "{ctx}");
+        }
+    }
+}
+
+#[test]
+fn an_expanded_batch_takes_a_row_pass_and_gives_back_every_page() {
+    // On ws1d × batch (longctx_decode's layout) and WG-XYZ, a classic
+    // prefill expanded to two samples per prompt; then one sample is
+    // evicted and its slot prefilled alone with a new prompt. Every other
+    // span is full, so each pads from its scratch row. The new row must be
+    // the batch-1 prefill's, `to_bits`; every other slot keeps its bytes;
+    // with every slot evicted, the pool holds what a never-served engine's
+    // holds.
+    let model = ReferenceModel::init_random(ModelConfig::tiny(), 45);
+    let vocab = model.config().vocab;
+    let prompts = prompts4(vocab);
+    let slots = 2 * prompts.len();
+    let fresh: Vec<usize> = (0..7).map(|t| (2 + 9 * t) % vocab).collect();
+    for layout in [tier1_layouts()[1], tier1_layouts()[3]] {
+        for fmt in [WeightFormat::Exact, WeightFormat::Int8] {
+            let ctx = format!("{} {fmt:?}", layout.describe());
+            let engine_at = |slots: Option<usize>| {
+                let mut engine = PartitionedEngine::new(&model, layout, fmt);
+                engine.set_kv_page_size(PAGE);
+                if let Some(slots) = slots {
+                    engine.begin_slots(slots, 0);
+                }
+                engine
+            };
+            let mut engine = engine_at(None);
+            engine.try_prefill(&prompts).unwrap();
+            engine.expand_batch(2);
+            let before: Vec<RequestKv> = (0..slots).map(|s| engine.extract_kv(s)).collect();
+            let (logits, kv) = batch1(&mut engine_at(None), &fresh);
+            let s = 5;
+            engine.evict_slot(s);
+            assert_eq!(engine.decode_rows_carried(&[(s, 0)]), engine.min_batch(), "{ctx}: one row per span");
+            let got = engine.try_prefill_rows(&[(s, &fresh)]).unwrap();
+            assert_eq!(bits(got.data()), bits(&logits), "{ctx}: logits");
+            assert_same_kv(&engine.extract_kv(s), &kv, &ctx);
+            assert_eq!(engine.slot_lens()[s], fresh.len(), "{ctx}");
+            for o in (0..slots).filter(|&o| o != s) {
+                assert_same_kv(&engine.extract_kv(o), &before[o], &format!("{ctx}: slot {o}"));
+            }
+            for o in 0..slots {
+                engine.evict_slot(o);
+            }
+            let never_served = engine_at(Some(slots)).kv_page_stats().unwrap();
+            assert_eq!(engine.kv_page_stats().unwrap().pages_live, never_served.pages_live, "{ctx}: pool");
+        }
+    }
+}
+
+#[test]
+fn cache_len_is_the_oldest_slots_age() {
+    // On ws1d × batch chip 0 holds slot 0 only: a prefill into slot 3 is
+    // not in its span, and must still count.
+    let model = ReferenceModel::init_random(ModelConfig::tiny(), 46);
+    let mut engine = PartitionedEngine::new(&model, tier1_layouts()[1], WeightFormat::Exact);
+    engine.begin_slots(4, 0);
+    assert_eq!(engine.cache_len(), 0);
+    engine.try_prefill_rows(&[(3, &[1, 2, 3, 4, 5])]).unwrap();
+    assert_eq!(engine.cache_len(), 5);
+    engine.try_decode_rows(&[(0, 1)]).unwrap();
+    assert_eq!((engine.slot_lens(), engine.cache_len()), (&[1, 0, 0, 5][..], 5));
+}
+
 fn batcher_at(model: &ReferenceModel, layout: Layout) -> ContinuousBatcher {
     let opts = ServingOptions { max_decode_batch: SLOTS, kv_page_size: Some(PAGE), ..Default::default() };
     ContinuousBatcher::new(model, layout, WeightFormat::Exact, opts)
@@ -338,10 +470,10 @@ fn decode_work_counts_live_and_filler_rows_exactly() {
     let requests = trace(model.config().vocab);
     for attn in [AttnSharding::Head, AttnSharding::Batch] {
         for (li, layout) in decode_layouts(attn).into_iter().enumerate() {
-            let outcome = batcher_at(&model, layout).serve(&requests);
+            let outcome = batcher_at(&model, layout).try_serve(&requests).unwrap();
             let work = outcome.decode;
             let ctx = layout.describe();
-            assert_eq!(outcome.decode, batcher_at(&model, layout).serve(&requests).decode, "{ctx}: repeats");
+            assert_eq!(outcome.decode, batcher_at(&model, layout).try_serve(&requests).unwrap().decode, "{ctx}: repeats");
             assert_eq!(work.steps, outcome.step_log.len(), "{ctx}");
             assert_eq!(work.rows_live, outcome.step_log.iter().map(|s| s.0).sum::<usize>(), "{ctx}");
             // Every generated token but each request's first came out of a

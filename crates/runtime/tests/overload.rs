@@ -78,7 +78,7 @@ fn forced_preemption_replays_to_identical_streams_with_accounting() {
 
     let mut b = ContinuousBatcher::new(&model, layout(), WeightFormat::Exact, opts(2));
     b.schedule_preemptions(&[(1, 0)]);
-    let outcome = b.serve(&requests);
+    let outcome = b.try_serve(&requests).unwrap();
 
     assert_eq!(outcome.outputs, isolated, "preempted streams diverged from isolated runs");
     assert_eq!(outcome.preemptions, 1, "the scheduled eviction must fire");
@@ -110,7 +110,7 @@ fn priority_classes_prefill_highest_first() {
         })
         .collect();
     let mut b = ContinuousBatcher::new(&model, layout(), WeightFormat::Exact, opts(2));
-    let outcome = b.serve(&requests);
+    let outcome = b.try_serve(&requests).unwrap();
 
     // Prefill is serial, so prefill completion times order the admissions:
     // the high request strictly precedes the normal one, which strictly
@@ -137,7 +137,7 @@ fn queue_limit_sheds_newest_lowest_class_with_typed_error() {
     let mut o = opts(2);
     o.queue_limit = Some(2);
     let mut b = ContinuousBatcher::new(&model, layout(), WeightFormat::Exact, o);
-    let outcome = b.serve(&requests);
+    let outcome = b.try_serve(&requests).unwrap();
 
     // Boundary 0 sees 4 waiting > limit 2: the two newest are shed (3,
     // then 2), the survivors complete in full.
@@ -179,7 +179,7 @@ fn ttft_deadline_sheds_expired_classes_but_not_exempt_ones() {
     // Normal expires instantly; High has no deadline.
     o.ttft_deadline = [None, Some(0.0), None];
     let mut b = ContinuousBatcher::new(&model, layout(), WeightFormat::Exact, o);
-    let outcome = b.serve(&requests);
+    let outcome = b.try_serve(&requests).unwrap();
 
     assert_eq!(outcome.shed.len(), 2, "both normals out-waited a zero deadline");
     for e in &outcome.shed {
@@ -220,7 +220,7 @@ fn policy_preemption_keeps_streams_identical_and_accounts_replay() {
         priority: Priority::High,
     });
     let mut b = ContinuousBatcher::new(&model, layout(), WeightFormat::Exact, opts(2));
-    let outcome = b.serve(&requests);
+    let outcome = b.try_serve(&requests).unwrap();
 
     assert_eq!(outcome.outputs, isolated_streams(&model, &requests));
     if outcome.preemptions == 0 {
@@ -265,7 +265,7 @@ proptest! {
 
         let mut b = ContinuousBatcher::new(&model, layout(), WeightFormat::Exact, opts(2));
         b.schedule_preemptions(&plan);
-        let outcome = b.serve(&requests);
+        let outcome = b.try_serve(&requests).unwrap();
 
         prop_assert_eq!(&outcome.outputs, &isolated);
         if outcome.preemptions == 0 {

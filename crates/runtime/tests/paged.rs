@@ -106,7 +106,7 @@ fn serve_with(
         ..ServingOptions::default()
     };
     let mut batcher = ContinuousBatcher::new(model, layout, WeightFormat::Exact, opts);
-    batcher.serve(requests)
+    batcher.try_serve(requests).unwrap()
 }
 
 /// The bit-identity check: a shared-prefix workload served at `page_size`
@@ -195,12 +195,12 @@ fn mid_decode_fault_replays_paged_state() {
     };
     let baseline = {
         let mut b = ContinuousBatcher::new(&model, layout, WeightFormat::Exact, opts);
-        b.serve(&requests)
+        b.try_serve(&requests).unwrap()
     };
     assert_eq!(baseline.report.recovery.faults, 0);
     let mut chaotic = ContinuousBatcher::new(&model, layout, WeightFormat::Exact, opts);
     chaotic.schedule_decode_fault(2, FaultPlan::new().crash(1, 0));
-    let outcome = chaotic.serve(&requests);
+    let outcome = chaotic.try_serve(&requests).unwrap();
     assert_eq!(
         outcome.outputs, baseline.outputs,
         "recovered paged streams diverged from the fault-free run"

@@ -134,7 +134,7 @@ fn full_prefill(
     let (pad, v) = (engine.min_batch(), engine.config().vocab);
     let mut last = Vec::new();
     for piece in prompt.chunks(chunk.unwrap_or(prompt.len())) {
-        let logits = engine.prefill(&vec![piece.to_vec(); pad]);
+        let logits = engine.try_prefill(&vec![piece.to_vec(); pad]).unwrap();
         last = logits.data()[(piece.len() - 1) * v..piece.len() * v].to_vec();
     }
     (last, engine.extract_kv(0))
@@ -169,7 +169,7 @@ fn seeded_prefill(
                 (start..start + l).map(|i| p[*hit..].get(i).copied().unwrap_or(0)).collect()
             })
             .collect();
-        let logits = engine.prefill(&tokens);
+        let logits = engine.try_prefill(&tokens).unwrap();
         for (r, (p, hit, _)) in rows.iter().enumerate() {
             let end = p.len() - hit - 1;
             if (start..start + l).contains(&end) {
@@ -265,7 +265,7 @@ fn serve_and_check(
 ) -> ServingOutcome {
     let mut batcher = ContinuousBatcher::new(model, layout, WeightFormat::Exact, opts);
     arm(&mut batcher);
-    let outcome = batcher.serve(requests);
+    let outcome = batcher.try_serve(requests).unwrap();
     let expect = isolated_streams(model, layout, requests, opts.prefill_chunk);
     for (i, (got, want)) in outcome.outputs.iter().zip(&expect).enumerate() {
         assert_eq!(got, want, "{} request {i} diverged from its isolated run", layout.describe());
@@ -496,10 +496,10 @@ fn the_one_pool_reuses_freed_pages() {
     let pages = |b: &ContinuousBatcher| b.engine().kv_page_stats().expect("one pool");
     let mut batcher =
         ContinuousBatcher::new(&model, ws1d_head(), WeightFormat::Exact, paged_opts(2, None));
-    batcher.serve(&cold(1));
+    batcher.try_serve(&cold(1)).unwrap();
     let one = pages(&batcher).pages_allocated;
     assert_eq!(one, 10usize.div_ceil(PAGE));
-    batcher.serve(&cold(5));
+    batcher.try_serve(&cold(5)).unwrap();
     assert_eq!(pages(&batcher).pages_allocated, 2 * one, "later requests reuse freed pages");
     assert_eq!(pages(&batcher).pages_live, 0, "every page is back on the free list");
 }
@@ -540,7 +540,7 @@ fn a_span_with_no_empty_slot_pads_from_its_scratch_row() {
     for chunk in [None, Some(2)] {
         let opts = paged_opts(8, chunk);
         let mut batcher = ContinuousBatcher::new(&model, ws2d_batch(), WeightFormat::Exact, opts);
-        let outcome = batcher.serve(&requests);
+        let outcome = batcher.try_serve(&requests).unwrap();
         assert_eq!(outcome.outputs, isolated_streams(&model, ws2d_batch(), &requests, chunk), "chunk {chunk:?}");
         // Three calls of four rows; the one filler row is span 0's scratch.
         let work = outcome.prefill;

@@ -55,7 +55,7 @@ fn single_batcher_outputs(
     cap: usize,
 ) -> Vec<Vec<usize>> {
     let mut b = ContinuousBatcher::new(model, layout(), WeightFormat::Exact, opts(cap));
-    let outcome = b.serve(requests);
+    let outcome = b.try_serve(requests).unwrap();
     assert!(outcome.shed.is_empty());
     outcome.outputs
 }

@@ -90,7 +90,7 @@ fn check_conformance(model: &ReferenceModel, layout: Layout, prefill_chunk: Opti
         ..ServingOptions::default()
     };
     let mut batcher = ContinuousBatcher::new(model, layout, WeightFormat::Exact, opts);
-    let outcome = batcher.serve(&requests);
+    let outcome = batcher.try_serve(&requests).unwrap();
     assert_eq!(outcome.outputs.len(), requests.len());
     for (i, req) in requests.iter().enumerate() {
         let expect = isolated_tokens(&mut isolated, req, Sampling::Greedy, prefill_chunk);
@@ -167,7 +167,7 @@ fn stochastic_streams_match_isolated_batch1() {
         ..ServingOptions::default()
     };
     let mut batcher = ContinuousBatcher::new(&model, layout, WeightFormat::Exact, opts);
-    let outcome = batcher.serve(&requests);
+    let outcome = batcher.try_serve(&requests).unwrap();
     let mut isolated = PartitionedEngine::new(&model, layout, WeightFormat::Exact);
     assert_eq!(isolated.min_batch(), 1, "stochastic conformance needs a batch-1 isolated run");
     for (i, req) in requests.iter().enumerate() {
@@ -193,7 +193,7 @@ fn zero_and_one_token_requests_are_served() {
     ];
     let opts = ServingOptions { max_decode_batch: 2, ..ServingOptions::default() };
     let mut batcher = ContinuousBatcher::new(&model, layout, WeightFormat::Exact, opts);
-    let outcome = batcher.serve(&requests);
+    let outcome = batcher.try_serve(&requests).unwrap();
     let mut isolated = PartitionedEngine::new(&model, layout, WeightFormat::Exact);
     assert!(outcome.outputs[0].is_empty());
     assert_eq!(outcome.outputs[1].len(), 1);
@@ -220,7 +220,7 @@ fn arrivals_gate_admission() {
     ];
     let opts = ServingOptions { max_decode_batch: 2, ..ServingOptions::default() };
     let mut batcher = ContinuousBatcher::new(&model, layout, WeightFormat::Exact, opts);
-    let outcome = batcher.serve(&requests);
+    let outcome = batcher.try_serve(&requests).unwrap();
     let late = &outcome.report.requests[1];
     assert!(
         late.prefilled >= 0.05,
@@ -260,7 +260,7 @@ fn measured_stats_cross_check_analytical_simulator() {
         .collect();
     let opts = ServingOptions { max_decode_batch: cap, ..ServingOptions::default() };
     let mut batcher = ContinuousBatcher::new(&model, layout, WeightFormat::Exact, opts);
-    let outcome = batcher.serve(&requests);
+    let outcome = batcher.try_serve(&requests).unwrap();
 
     // The first token of each request comes from prefill, so the decode
     // tier generates gen-1 per request.
@@ -343,7 +343,7 @@ proptest! {
             ..ServingOptions::default()
         };
         let mut batcher = ContinuousBatcher::new(&model, layout, WeightFormat::Exact, opts);
-        let outcome = batcher.serve(&requests);
+        let outcome = batcher.try_serve(&requests).unwrap();
         let mut isolated = PartitionedEngine::new(&model, layout, WeightFormat::Exact);
         for (i, req) in requests.iter().enumerate() {
             let expect = isolated_tokens(&mut isolated, req, Sampling::Greedy, None);

@@ -65,7 +65,7 @@ fn eight_chip_layouts_match_reference() {
     ];
     for layout in layouts {
         let mut engine = PartitionedEngine::new(&model, layout, WeightFormat::Exact);
-        let got = engine.prefill(&tokens);
+        let got = engine.try_prefill(&tokens).unwrap();
         assert!(
             got.approx_eq(&expect, 5e-3),
             "{}: max diff {:e}",

@@ -35,10 +35,10 @@ fn run_at(model: &ReferenceModel, layout: Layout, fmt: WeightFormat, workers: us
     engine.set_intra_chip_threads(workers);
     assert_eq!(engine.intra_chip_threads(), workers.max(1));
     let tokens = prompts();
-    let mut outs = vec![engine.prefill(&tokens)];
+    let mut outs = vec![engine.try_prefill(&tokens).unwrap()];
     let mut next: Vec<usize> = (0..tokens.len()).map(|b| (b + 1) % model.config().vocab).collect();
     for _ in 0..2 {
-        let step = engine.decode_step(&next);
+        let step = engine.try_decode_step(&next).unwrap();
         next = next.iter().map(|&t| (t * 7 + 3) % model.config().vocab).collect();
         outs.push(step);
     }
@@ -82,9 +82,9 @@ fn serving_thread_knob_is_invisible_in_the_tokens() {
     let serve = |threads: usize| {
         let opts = ServingOptions { intra_chip_threads: threads, ..ServingOptions::default() };
         let mut batcher = ContinuousBatcher::new(&model, layout, WeightFormat::Int8, opts);
-        batcher.serve(&requests).outputs
+        batcher.try_serve(&requests).unwrap().outputs
     };
-    let baseline = serve(0); // 0 = engine default (ESTI_CHIP_THREADS or 1)
+    let baseline = serve(ServingOptions::default().intra_chip_threads); // 1: serial chips
     assert_eq!(baseline, serve(2), "2 intra-chip workers changed served tokens");
     assert_eq!(baseline, serve(4), "4 intra-chip workers changed served tokens");
 }

@@ -30,7 +30,7 @@ fn ws1d_measured_bytes_equal_analytic_exactly() {
     };
     let mut engine = PartitionedEngine::new(&model, layout, WeightFormat::Exact);
     let (b, l) = (2usize, 3usize);
-    let _ = engine.prefill(&prompts(b, l));
+    let _ = engine.try_prefill(&prompts(b, l)).unwrap();
 
     // Analytic: per layer, one all-gather + one reduce-scatter of B·L·E
     // elements each (= one all-reduce), in bf16 accounting bytes.
@@ -60,7 +60,7 @@ fn serial_block_measures_twice_the_all_reduces() {
         mesh: MeshFactors::new(1, 2, 1),
     };
     let mut engine = PartitionedEngine::new(&model, layout, WeightFormat::Exact);
-    let _ = engine.prefill(&prompts(2, 3));
+    let _ = engine.try_prefill(&prompts(2, 3)).unwrap();
     // Section 3.4/4.3: the serialized formulation needs two all-reduces per
     // layer instead of one.
     assert_eq!(
@@ -81,7 +81,7 @@ fn batch_sharded_attention_adds_two_all_to_alls_per_layer() {
     };
     let mut engine = PartitionedEngine::new(&model, layout, WeightFormat::Exact);
     let (b, l) = (4usize, 2usize);
-    let _ = engine.prefill(&prompts(b, l));
+    let _ = engine.try_prefill(&prompts(b, l)).unwrap();
     assert_eq!(
         engine.traffic().calls(CollectiveOp::AllToAll) as usize,
         2 * cfg.n_layers,
@@ -116,7 +116,7 @@ fn weight_gathered_traffic_is_weights_not_activations() {
     };
     let mut engine = PartitionedEngine::new(&model, layout, WeightFormat::Exact);
     let (b, l) = (4usize, 2usize);
-    let _ = engine.prefill(&prompts(b, l));
+    let _ = engine.try_prefill(&prompts(b, l)).unwrap();
     let stats = engine.traffic();
     // Per layer: one all-gather per weight matrix (wq, wo, w_in, w_gate,
     // w_out; MQ K/V are replicated), plus one final logit gather.
@@ -187,7 +187,7 @@ fn symbolic_schedule_call_counts_match_measured_runtime() {
             }
         }
         let mut engine = PartitionedEngine::new(&model, layout, WeightFormat::Exact);
-        let _ = engine.prefill(&prompts(b, l));
+        let _ = engine.try_prefill(&prompts(b, l)).unwrap();
         for op in CollectiveOp::ALL {
             assert_eq!(
                 engine.traffic().calls(op),
@@ -209,16 +209,16 @@ fn decode_step_traffic_scales_with_batch_not_context() {
         mesh: MeshFactors::new(1, 2, 1),
     };
     let mut engine = PartitionedEngine::new(&model, layout, WeightFormat::Exact);
-    let _ = engine.prefill(&prompts(2, 2));
+    let _ = engine.try_prefill(&prompts(2, 2)).unwrap();
     engine.traffic().reset();
-    let _ = engine.decode_step(&[1, 2]);
+    let _ = engine.try_decode_step(&[1, 2]).unwrap();
     let short_ctx = engine.traffic().total_bytes();
     // Grow the context by several tokens, then measure another step.
     for t in 0..5 {
-        let _ = engine.decode_step(&[t % 7, (t + 1) % 7]);
+        let _ = engine.try_decode_step(&[t % 7, (t + 1) % 7]).unwrap();
     }
     engine.traffic().reset();
-    let _ = engine.decode_step(&[3, 4]);
+    let _ = engine.try_decode_step(&[3, 4]).unwrap();
     let long_ctx = engine.traffic().total_bytes();
     assert_eq!(short_ctx, long_ctx, "decode traffic must not grow with context");
 }

@@ -54,7 +54,7 @@ fn main() {
             mesh: esti::core::layout::MeshFactors::new(1, 4, 1),
         };
         let mut engine = PartitionedEngine::new(&tiny, layout, WeightFormat::Exact);
-        let _ = engine.prefill(&prompts);
+        let _ = engine.try_prefill(&prompts).expect("a fault-free engine prefills");
         println!(
             "  {:<6} sharding: {} KV elements on the busiest chip",
             sharding.name(),

@@ -36,7 +36,7 @@ fn main() {
 
     let opts = ServingOptions { max_decode_batch: 3, ..ServingOptions::default() };
     let mut batcher = ContinuousBatcher::new(&model, layout, WeightFormat::Exact, opts);
-    let outcome = batcher.serve(&requests);
+    let outcome = batcher.try_serve(&requests).expect("a sorted, non-empty trace serves");
 
     println!("served {} requests through a 3-slot decode tier:", requests.len());
     for (i, (req, out)) in requests.iter().zip(&outcome.outputs).enumerate() {

@@ -78,7 +78,7 @@ fn main() {
     };
     let mut engine = PartitionedEngine::new(&tiny, layout, WeightFormat::Bf16);
     let prompts: Vec<Vec<usize>> = (0..8).map(|b| vec![b, b + 1, b + 2, b + 3]).collect();
-    let logits = engine.prefill(&prompts);
+    let logits = engine.try_prefill(&prompts).expect("a fault-free engine prefills");
     println!(
         "  prefilled {} sequences; logits shape {:?}; weight all-gathers: {}",
         prompts.len(),

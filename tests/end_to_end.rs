@@ -32,7 +32,7 @@ fn planner_choices_drive_a_working_engine() {
 
     let mut cache = KvCache::new(model.config().n_layers);
     let expect = model.prefill(&prompts, &mut cache);
-    let got = engine.prefill(&prompts);
+    let got = engine.try_prefill(&prompts).unwrap();
     assert!(got.approx_eq(&expect, 2e-3), "max diff {}", got.max_abs_diff(&expect));
 }
 
@@ -68,7 +68,7 @@ fn runtime_kv_footprint_matches_memory_model() {
             mesh: MeshFactors::new(1, n, 1),
         };
         let mut engine = PartitionedEngine::new(&model, layout, WeightFormat::Exact);
-        let _ = engine.prefill(&prompts);
+        let _ = engine.try_prefill(&prompts).unwrap();
         let measured_elems = engine.max_cache_elements_per_chip() as f64;
         let model_bytes = memory::kv_bytes_per_chip(&cfg, sharding, n, batch, len, DType::F32);
         assert_eq!(
@@ -174,6 +174,27 @@ fn generation_is_deterministic_across_layouts() {
                 layouts[0].describe()
             );
         }
+    }
+}
+
+#[test]
+fn expanded_samples_each_follow_their_prompt() {
+    // Section 4.4's recipe through generate: prefill four prompts once,
+    // expand the cache to two samples each, decode greedily. On ws1d × batch
+    // and WG-XYZ the expansion re-spans every chip's rows; each sample must
+    // still be the single chip's greedy continuation of its own prompt.
+    let model = ReferenceModel::init_random(ModelConfig::tiny(), 104);
+    let prompts: Vec<Vec<usize>> = (0..4).map(|b| (0..5).map(|i| (b * 7 + i * 3 + 1) % 40).collect()).collect();
+    let expect = reference_greedy(&model, &prompts, 4);
+    let opts = GenerateOptions { max_new_tokens: 4, n_samples: 2, ..GenerateOptions::default() };
+    for (ffn, mesh) in [
+        (FfnLayout::WeightStationary1D, MeshFactors::new(1, 4, 1)),
+        (FfnLayout::WeightGathered(GatherExtent::Xyz), MeshFactors::new(4, 1, 1)),
+    ] {
+        let layout = Layout { ffn, attn: AttnSharding::Batch, mesh };
+        let out = PartitionedEngine::new(&model, layout, WeightFormat::Exact).generate(&prompts, &opts);
+        let want: Vec<Vec<usize>> = expect.iter().flat_map(|e| [e.clone(), e.clone()]).collect();
+        assert_eq!(out, want, "{}", layout.describe());
     }
 }
 
