@@ -39,6 +39,19 @@ if grep -rnE "row_lens\.is_(some|none)|fn fix_batch|ESTI_CHIP_THREADS|default_ch
   exit 1
 fi
 
+echo "== one executable schedule: the 1D family runs the schedule esti-lint verifies =="
+# The engine keeps its layout's verified schedule, and on the 1D and hybrid
+# weight-gathered layouts every chip walks it step by step; the hand-written
+# 1D forwards and the verify-and-discard preflight stay gone. The equivalence,
+# int8 and traffic suites hold the interpreter to the reference model, the
+# quantized wire volume and the schedule's collective calls, both GEMM tiers.
+if grep -rnE "fn (forward_1d|layer_1d|attn_ctx_1d|mlp_hidden_1d|forward_wg_hybrid|gather_layer|preflight)\b" crates; then
+  echo "FAIL: a hand-written 1D forward (or preflight) is back beside the schedule interpreter" >&2
+  exit 1
+fi
+cargo test -q --release -p esti-runtime --test equivalence --test int8 --test traffic
+ESTI_DISABLE_SIMD=1 cargo test -q --release -p esti-runtime --test equivalence --test int8 --test traffic
+
 echo "== serving conformance: scheduler token streams identical to isolated generate =="
 # Covers every built-in decode layout plus the ragged-workload proptest.
 cargo test -q --release -p esti-runtime --test serving

@@ -22,8 +22,9 @@
 //!   (Figures 1, C.1);
 //! * [`planner`] — the layout-selection strategy of Section 4.1 and an
 //!   application-requirements advisor;
-//! * [`schedule`] — symbolic per-chip execution schedules mirroring the
-//!   runtime dataflows, verifiable against the algebra's rewrite rules;
+//! * [`schedule`] — per-chip execution schedules in the algebra's
+//!   notation, verifiable against its rewrite rules: the program the
+//!   runtime runs for the 1D family, a mirror of its 2D / XYZ forwards;
 //! * [`ft`] — the published FasterTransformer baseline numbers used in
 //!   Section 5 / Appendix D.
 //!

@@ -1,23 +1,25 @@
-//! Symbolic per-chip execution schedules for every built-in layout.
-//!
-//! This module mirrors the dataflows implemented by the partitioned runtime
-//! (`esti-runtime`) at the level of the paper's partitioning algebra
-//! (Section 3.2): each step is either a collective, an einsum, or a local
-//! op, and each intermediate tensor carries a [`ShardingSpec`] plus a
-//! global (unsharded) shape. A [`Schedule`] can be *verified* — every
-//! collective must be legal under the sharding-algebra rewrite rules,
+//! Per-chip execution schedules for every built-in layout, in the paper's
+//! partitioning algebra (Section 3.2): each step is a collective, an
+//! einsum, or a local op ([`LocalOp`]), and names its operands by
+//! reference ([`Operand`]): the layer boundary, a stored weight by
+//! [`Role`], or an earlier step's output. Each output carries a
+//! [`ShardingSpec`] plus a global (unsharded) shape. A [`Schedule`] can be
+//! *verified*: every operand must have been produced before it is read,
+//! every collective must be legal under the sharding-algebra rewrite rules,
 //! every einsum's output sharding must follow from its inputs, and every
 //! local shape must divide evenly over the mesh axes it is sharded on.
 //!
+//! For the 1D weight-stationary and hybrid weight-gathered layouts the
+//! schedule *is* the program: `esti-runtime`'s engine builds and verifies
+//! it once, then every chip thread walks it step by step, dispatching each
+//! to a kernel or a collective. The 2D and fully weight-gathered (XYZ)
+//! schedules still mirror hand-written forwards, which `esti-runtime`'s
+//! `tests/traffic.rs` holds to the schedule's collective calls.
+//!
 //! Schedules are built over the layout's *logical* mesh
 //! (`TorusShape::new(mesh.x, mesh.y, mesh.z)`), matching the runtime's
-//! rank arithmetic rather than a physical slice shape.
-//!
-//! The static analyzer (`esti-verify`) consumes these schedules for its
-//! SPMD-conformance pass, and [`preflight`] is wired into the runtime
-//! engine so an invalid partition plan fails fast with a description of
-//! the offending step instead of a shape panic deep inside a worker
-//! thread.
+//! rank arithmetic rather than a physical slice shape. The static analyzer
+//! (`esti-verify`) consumes them for its SPMD-conformance pass.
 
 use crate::layout::{AttnSharding, FfnLayout, GatherExtent, Layout};
 use crate::sharding::ShardingSpec;
@@ -395,13 +397,91 @@ pub fn expected_einsum(
 /// (`esti-collectives`' `quant_wire_bytes`). This is an execution
 /// annotation: sharding semantics are identical for both formats, but the
 /// quant-dataflow pass in `esti-verify` checks byte accounting and scale
-/// provenance against it.
+/// provenance against it, and the runtime gathers quantized exactly where
+/// it is set.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WireFormat {
     /// Dense activation/weight payload.
     Dense,
     /// Quantized payload: int8 values + per-column f32 scales (Section 3.6).
     Int8,
+}
+
+/// A stored weight, by its role in the model.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Role {
+    /// Query projection.
+    Wq,
+    /// Key projection.
+    Wk,
+    /// Value projection.
+    Wv,
+    /// Attention output projection.
+    Wo,
+    /// MLP input projection.
+    WIn,
+    /// SwiGLU gate projection.
+    WGate,
+    /// MLP output projection.
+    WOut,
+    /// Transposed embedding: the final logits projection.
+    EmbedT,
+}
+
+/// What a step reads, by reference.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Operand {
+    /// The residual stream at layer entry (after the stack, for the final
+    /// steps).
+    Boundary,
+    /// A stored weight.
+    Weight(Role),
+    /// The output of step `i`, numbering [`Schedule::layer`] then
+    /// [`Schedule::final_steps`].
+    Step(usize),
+}
+
+/// Which gain a [`LocalOp::LayerNorm`] applies.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Gain {
+    /// The layer's first layernorm (a parallel block's only one).
+    Attn,
+    /// A serial block's MLP layernorm.
+    Mlp,
+    /// The layernorm after the stack.
+    Final,
+}
+
+/// What a [`Step::Local`] computes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LocalOp {
+    /// Layernorm with its gain; over an `E`-sharded stream the second input
+    /// is the all-reduced [`LocalOp::Moments`].
+    LayerNorm(Gain),
+    /// Per-row sum and sum of squares of an `E`-sharded stream.
+    Moments,
+    /// Causal attention of `q` over the KV cache once `k` and `v` are
+    /// appended (inputs `[q, k, v]`, RoPE applied first where the model
+    /// uses it).
+    Attention,
+    /// The chip's rows of the batch: its rank's share in the group over the
+    /// axes the batch dimension gains.
+    BatchSlice,
+    /// `swish(gate) · up` (inputs `[gate, up]`).
+    SwiGlu,
+    /// GELU.
+    Gelu,
+    /// Elementwise sum.
+    Add,
+}
+
+impl LocalOp {
+    /// True when every input must be free of partial sums (the op is
+    /// nonlinear, e.g. softmax or a layernorm divide).
+    #[must_use]
+    pub fn needs_full(self) -> bool {
+        !matches!(self, LocalOp::Moments | LocalOp::BatchSlice | LocalOp::Add)
+    }
 }
 
 /// One step of a per-chip schedule.
@@ -415,8 +495,8 @@ pub enum Step {
         op: SymOp,
         /// Mesh axes the communicating group spans.
         axes: AxisSet,
-        /// Sharding before the collective.
-        input: SymTensor,
+        /// The tensor resharded.
+        input: Operand,
         /// Declared sharding after the collective (checked against the rule).
         output: SymTensor,
         /// Payload wire format (see [`WireFormat`]).
@@ -427,25 +507,23 @@ pub enum Step {
         /// Human-readable step name for diagnostics.
         label: &'static str,
         /// Activation operand.
-        x: SymTensor,
+        x: Operand,
         /// Weight operand.
-        w: SymTensor,
+        w: Operand,
         /// Contracted dimension names.
         contract: Vec<char>,
         /// Declared output (checked against [`expected_einsum`]).
         output: SymTensor,
     },
-    /// A chip-local op (layernorm, softmax-attention, nonlinearity, residual
-    /// add, batch slice, ...). Never communicates; may not resolve partial
-    /// sums and may not materialize data the chip does not hold.
+    /// A chip-local op. Never communicates; may not resolve partial sums and
+    /// may not materialize data the chip does not hold.
     Local {
         /// Human-readable step name for diagnostics.
         label: &'static str,
-        /// If true, every input must be partial-sum free (the op is
-        /// nonlinear, e.g. softmax or a layernorm divide).
-        needs_full: bool,
+        /// What the op computes.
+        op: LocalOp,
         /// Input tensors (must already be available on-chip).
-        inputs: Vec<SymTensor>,
+        inputs: Vec<Operand>,
         /// Declared output.
         output: SymTensor,
     },
@@ -473,6 +551,27 @@ impl Step {
     }
 }
 
+/// The dataflow family a layout lowers to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Dataflow {
+    /// 1D weight-stationary (Section 3.2.1).
+    OneD,
+    /// 2D weight-stationary (Section 3.2.2).
+    TwoD,
+    /// Weight-gathered over every axis (XYZ extent, Section 3.2.3): weights
+    /// fully gathered, activations batch-stationary.
+    WgFull,
+    /// Weight-gathered over some axes (X / XY extents, Figure A.2): the batch
+    /// sharded and the weights all-gathered over `gather`, and 1D
+    /// weight-stationary over `local`.
+    WgHybrid {
+        /// Axes the weights are gathered (and the batch sharded) over.
+        gather: AxisSet,
+        /// Axes each gather group runs 1D weight-stationary over.
+        local: AxisSet,
+    },
+}
+
 /// A complete symbolic schedule for one (layout, model, batch, seq)
 /// combination: the per-layer step sequence plus the final (post-stack)
 /// steps, with the tensors that must be resident at layer entry.
@@ -480,6 +579,8 @@ impl Step {
 pub struct Schedule {
     /// The layout this schedule implements.
     pub layout: Layout,
+    /// The dataflow family `layout` lowers to.
+    pub dataflow: Dataflow,
     /// The logical mesh the schedule runs on (from `layout.mesh`).
     pub torus: TorusShape,
     /// Global batch size the schedule was built for.
@@ -489,45 +590,53 @@ pub struct Schedule {
     /// The residual-stream tensor at layer entry (and, by the residual
     /// invariant, at layer exit).
     pub boundary: SymTensor,
-    /// Per-layer weight tensors, as stored on chip.
-    pub weights: Vec<SymTensor>,
+    /// Stored weights by role, as held on chip ([`Role::EmbedT`] feeds the
+    /// final steps).
+    pub weights: Vec<(Role, SymTensor)>,
     /// Steps executed by every layer.
     pub layer: Vec<Step>,
-    /// Weights used by the final (post-stack) steps.
-    pub final_weights: Vec<SymTensor>,
     /// Steps executed once after the layer stack (final layernorm + logits).
     pub final_steps: Vec<Step>,
 }
 
 impl Schedule {
     /// Verify the whole schedule: boundary and weights well-formed, every
-    /// step's declared output reproducible from the rewrite rules, every
-    /// intermediate divisible, and the layer body closed over the boundary
-    /// sharding (residual invariant).
+    /// operand available where it is read, every step's declared output
+    /// reproducible from the rewrite rules, every intermediate divisible,
+    /// and the layer body closed over the boundary sharding (residual
+    /// invariant).
     pub fn verify(&self) -> Result<(), String> {
         self.boundary
             .check(self.torus)
             .map_err(|e| format!("layer boundary: {e}"))?;
-        for w in self.weights.iter().chain(&self.final_weights) {
+        for (_, w) in &self.weights {
             w.check(self.torus).map_err(|e| format!("weight {w}: {e}"))?;
         }
-
-        let mut avail: Vec<SymTensor> = vec![self.boundary.clone()];
-        avail.extend(self.weights.iter().cloned());
-        let last = walk_steps(&self.layer, &mut avail, self.torus)?;
-        if let Some(out) = last {
-            if out != self.boundary {
+        if let Some(out) = self.walk_steps(&self.layer, 0)? {
+            if *out != self.boundary {
                 return Err(format!(
                     "residual invariant violated: layer produces {out} but entered with {}",
                     self.boundary
                 ));
             }
         }
-
-        let mut avail: Vec<SymTensor> = vec![self.boundary.clone()];
-        avail.extend(self.final_weights.iter().cloned());
-        walk_steps(&self.final_steps, &mut avail, self.torus)?;
+        self.walk_steps(&self.final_steps, self.layer.len())?;
         Ok(())
+    }
+
+    /// The symbolic tensor `r` names: the boundary, a stored weight, or a
+    /// step's declared output.
+    ///
+    /// # Errors
+    ///
+    /// `r` names a weight or a step the schedule does not have.
+    pub fn tensor(&self, r: Operand) -> Result<&SymTensor, String> {
+        match r {
+            Operand::Boundary => Some(&self.boundary),
+            Operand::Weight(role) => self.weights.iter().find(|w| w.0 == role).map(|w| &w.1),
+            Operand::Step(i) => self.layer.iter().chain(&self.final_steps).nth(i).map(Step::output),
+        }
+        .ok_or_else(|| format!("the schedule has no {r:?}"))
     }
 
     /// All collective steps: one layer iteration followed by the final
@@ -542,10 +651,8 @@ impl Schedule {
     }
 
     /// Annotate the wire format the runtime uses for this weight storage
-    /// dtype: with [`DType::Int8`], every per-layer weight all-gather moves
-    /// quantized (int8 values + per-column f32 scales, Section 3.6) —
-    /// exactly the steps the engine's weight gathers quantize, in both the
-    /// fully weight-gathered and hybrid dataflows.
+    /// dtype: with [`DType::Int8`], every all-gather of a stored weight
+    /// moves quantized (int8 values + per-column f32 scales, Section 3.6).
     /// All other dtypes leave the schedule dense.
     #[must_use]
     pub fn with_weight_dtype(mut self, dtype: DType) -> Self {
@@ -553,210 +660,193 @@ impl Schedule {
             return self;
         }
         for step in self.layer.iter_mut().chain(&mut self.final_steps) {
-            if let Step::Collective { label, op: SymOp::AllGather { .. }, wire, .. } = step {
-                if label.ends_with("weight all-gather") {
-                    *wire = WireFormat::Int8;
-                }
+            if let Step::Collective {
+                op: SymOp::AllGather { .. }, input: Operand::Weight(_), wire, ..
+            } = step
+            {
+                *wire = WireFormat::Int8;
             }
         }
         self
     }
-}
 
-/// Walk a step list, verifying each step against the available tensors and
-/// the rewrite rules. Returns the last step's output (if any steps exist).
-fn walk_steps(
-    steps: &[Step],
-    avail: &mut Vec<SymTensor>,
-    torus: TorusShape,
-) -> Result<Option<SymTensor>, String> {
-    let mut last: Option<SymTensor> = None;
-    for step in steps {
-        let label = step.label();
-        match step {
-            Step::Collective { op, axes, input, output, .. } => {
-                require_avail(avail, input, label)?;
-                let expect = apply_op(*op, *axes, input).map_err(|e| format!("{label}: {e}"))?;
-                if expect != *output {
-                    return Err(format!(
-                        "{label}: declared output {output} but {op} over {axes} yields {expect}"
-                    ));
-                }
-            }
-            Step::Einsum { x, w, contract, output, .. } => {
-                require_avail(avail, x, label)?;
-                require_avail(avail, w, label)?;
-                let names: String = output.spec.dims().iter().map(|d| d.name).collect();
-                let expect = expected_einsum(x, w, contract, &names)
-                    .map_err(|e| format!("{label}: {e}"))?;
-                if expect != *output {
-                    return Err(format!(
-                        "{label}: declared output {output} but einsum yields {expect}"
-                    ));
-                }
-            }
-            Step::Local { needs_full, inputs, output, .. } => {
-                let mut in_partial = AxisSet::empty();
-                for input in inputs {
-                    require_avail(avail, input, label)?;
-                    if *needs_full && !input.spec.partial_sum().is_empty() {
+    /// Walk `steps`, numbered from `base`, verifying each against the
+    /// rewrite rules: a step reads the boundary, a stored weight, or a step
+    /// of the same list that has already run. Returns the last step's
+    /// output (if any steps exist).
+    fn walk_steps<'a>(
+        &self,
+        steps: &'a [Step],
+        base: usize,
+    ) -> Result<Option<&'a SymTensor>, String> {
+        for (i, step) in (base..).zip(steps) {
+            let label = step.label();
+            let read = |r: Operand| match r {
+                Operand::Step(j) if !(base..i).contains(&j) => Err(format!(
+                    "{label}: reads step {j}, which has not run on-chip at this point"
+                )),
+                _ => self.tensor(r).map_err(|e| format!("{label}: {e}")),
+            };
+            match step {
+                Step::Collective { op, axes, input, output, .. } => {
+                    let expect =
+                        apply_op(*op, *axes, read(*input)?).map_err(|e| format!("{label}: {e}"))?;
+                    if expect != *output {
                         return Err(format!(
-                            "{label}: nonlinear local op consumes unresolved partial sum {input}"
+                            "{label}: declared output {output} but {op} over {axes} yields {expect}"
                         ));
                     }
-                    in_partial = in_partial.union(input.spec.partial_sum());
                 }
-                if !in_partial.is_subset_of(output.spec.partial_sum()) {
-                    return Err(format!(
-                        "{label}: local op silently resolves partial sum over {in_partial}"
-                    ));
+                Step::Einsum { x, w, contract, output, .. } => {
+                    let names: String = output.spec.dims().iter().map(|d| d.name).collect();
+                    let expect = expected_einsum(read(*x)?, read(*w)?, contract, &names)
+                        .map_err(|e| format!("{label}: {e}"))?;
+                    if expect != *output {
+                        return Err(format!(
+                            "{label}: declared output {output} but einsum yields {expect}"
+                        ));
+                    }
                 }
-                // A local op may slice (add axes) but never materialize data
-                // the chip does not hold (remove axes) from a same-sized
-                // input dimension.
-                for input in inputs {
-                    for d in output.spec.dims() {
-                        if let (Some(in_axes), Some(in_g)) =
-                            (input.axes_of(d.name), input.global_of(d.name))
-                        {
-                            if !in_axes.is_subset_of(d.axes)
-                                && Some(in_g) == output.global_of(d.name)
+                Step::Local { op, inputs, output, .. } => {
+                    let inputs = inputs.iter().map(|&r| read(r)).collect::<Result<Vec<_>, _>>()?;
+                    let mut in_partial = AxisSet::empty();
+                    for input in &inputs {
+                        if op.needs_full() && !input.spec.partial_sum().is_empty() {
+                            return Err(format!(
+                                "{label}: nonlinear local op consumes unresolved partial sum {input}"
+                            ));
+                        }
+                        in_partial = in_partial.union(input.spec.partial_sum());
+                    }
+                    if !in_partial.is_subset_of(output.spec.partial_sum()) {
+                        return Err(format!(
+                            "{label}: local op silently resolves partial sum over {in_partial}"
+                        ));
+                    }
+                    // A local op may slice (add axes) but never materialize data
+                    // the chip does not hold (remove axes) from a same-sized
+                    // input dimension.
+                    for input in &inputs {
+                        for d in output.spec.dims() {
+                            if let (Some(in_axes), Some(in_g)) =
+                                (input.axes_of(d.name), input.global_of(d.name))
                             {
-                                return Err(format!(
-                                    "{label}: local op materializes dimension {} ({} -> {}) without a collective",
-                                    d.name, in_axes, d.axes
-                                ));
+                                if !in_axes.is_subset_of(d.axes)
+                                    && Some(in_g) == output.global_of(d.name)
+                                {
+                                    return Err(format!(
+                                        "{label}: local op materializes dimension {} ({} -> {}) without a collective",
+                                        d.name, in_axes, d.axes
+                                    ));
+                                }
                             }
                         }
                     }
                 }
             }
+            step.output()
+                .check(self.torus)
+                .map_err(|e| format!("{label}: output {e}"))?;
         }
-        step.output()
-            .check(torus)
-            .map_err(|e| format!("{label}: output {e}"))?;
-        avail.push(step.output().clone());
-        last = Some(step.output().clone());
-    }
-    Ok(last)
-}
-
-fn require_avail(avail: &[SymTensor], t: &SymTensor, label: &str) -> Result<(), String> {
-    if avail.contains(t) {
-        Ok(())
-    } else {
-        Err(format!("{label}: input {t} is not available on-chip at this point"))
+        Ok(steps.last().map(Step::output))
     }
 }
 
-/// Internal dataflow family, mirroring the runtime's private `Dataflow`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Flow {
-    OneD,
-    TwoD,
-    WgFull,
-    WgHybrid { gather: AxisSet, local: AxisSet },
-}
-
-fn flow_of(layout: &Layout) -> Flow {
+fn dataflow_of(layout: &Layout) -> Dataflow {
     match layout.ffn {
-        FfnLayout::WeightStationary1D => Flow::OneD,
-        FfnLayout::WeightStationary2D => Flow::TwoD,
+        FfnLayout::WeightStationary1D => Dataflow::OneD,
+        FfnLayout::WeightStationary2D => Dataflow::TwoD,
         FfnLayout::WeightGathered(extent) => {
             if extent.n_gather(layout.mesh) >= layout.mesh.n_chips() {
-                Flow::WgFull
+                Dataflow::WgFull
             } else {
                 let gather = match extent {
                     GatherExtent::X => AxisSet::single(Axis::X),
                     GatherExtent::Xy => AxisSet::of(&[Axis::X, Axis::Y]),
                     GatherExtent::Xyz => AxisSet::all(),
                 };
-                Flow::WgHybrid { gather, local: AxisSet::all().without(gather) }
+                Dataflow::WgHybrid { gather, local: AxisSet::all().without(gather) }
             }
         }
     }
 }
 
-/// Error-returning schedule builder state.
+/// Schedule builder: the schedule under construction, each step appended
+/// to its layer steps, or to its final steps once `finals` is set.
 struct Plan {
-    torus: TorusShape,
-    steps: Vec<Step>,
-    weights: Vec<SymTensor>,
+    s: Schedule,
+    finals: bool,
 }
 
 impl Plan {
+    fn new(layout: &Layout, batch: usize, seq: usize, boundary: SymTensor) -> Self {
+        let s = Schedule {
+            layout: *layout,
+            dataflow: dataflow_of(layout),
+            torus: TorusShape::new(layout.mesh.x, layout.mesh.y, layout.mesh.z),
+            batch,
+            seq,
+            boundary,
+            weights: Vec::new(),
+            layer: Vec::new(),
+            final_steps: Vec::new(),
+        };
+        Plan { s, finals: false }
+    }
+
+    fn push(&mut self, step: Step) -> Result<Operand, String> {
+        step.output()
+            .check(self.s.torus)
+            .map_err(|e| format!("{}: output {e}", step.label()))?;
+        let steps = if self.finals { &mut self.s.final_steps } else { &mut self.s.layer };
+        steps.push(step);
+        Ok(Operand::Step(self.s.layer.len() + self.s.final_steps.len() - 1))
+    }
+
     fn collective(
         &mut self,
         label: &'static str,
         op: SymOp,
         axes: AxisSet,
-        input: &SymTensor,
-    ) -> Result<SymTensor, String> {
-        let output = apply_op(op, axes, input).map_err(|e| format!("{label}: {e}"))?;
-        output
-            .check(self.torus)
-            .map_err(|e| format!("{label}: output {e}"))?;
-        self.steps.push(Step::Collective {
-            label,
-            op,
-            axes,
-            input: input.clone(),
-            output: output.clone(),
-            wire: WireFormat::Dense,
-        });
-        Ok(output)
+        input: Operand,
+    ) -> Result<Operand, String> {
+        let output =
+            apply_op(op, axes, self.s.tensor(input)?).map_err(|e| format!("{label}: {e}"))?;
+        self.push(Step::Collective { label, op, axes, input, output, wire: WireFormat::Dense })
     }
 
     fn einsum(
         &mut self,
         label: &'static str,
-        x: &SymTensor,
-        w: &SymTensor,
+        x: Operand,
+        w: Operand,
         contract: &[char],
         out_names: &str,
-    ) -> Result<SymTensor, String> {
-        let output =
-            expected_einsum(x, w, contract, out_names).map_err(|e| format!("{label}: {e}"))?;
-        output
-            .check(self.torus)
-            .map_err(|e| format!("{label}: output {e}"))?;
-        self.steps.push(Step::Einsum {
-            label,
-            x: x.clone(),
-            w: w.clone(),
-            contract: contract.to_vec(),
-            output: output.clone(),
-        });
-        Ok(output)
+    ) -> Result<Operand, String> {
+        let output = expected_einsum(self.s.tensor(x)?, self.s.tensor(w)?, contract, out_names)
+            .map_err(|e| format!("{label}: {e}"))?;
+        self.push(Step::Einsum { label, x, w, contract: contract.to_vec(), output })
     }
 
+    /// A local op whose output is `output`, or shaped like its first input.
     fn local(
         &mut self,
         label: &'static str,
-        needs_full: bool,
-        inputs: &[&SymTensor],
-        output: SymTensor,
-    ) -> Result<SymTensor, String> {
-        output
-            .check(self.torus)
-            .map_err(|e| format!("{label}: output {e}"))?;
-        self.steps.push(Step::Local {
-            label,
-            needs_full,
-            inputs: inputs.iter().map(|t| (*t).clone()).collect(),
-            output: output.clone(),
-        });
-        Ok(output)
+        op: LocalOp,
+        inputs: &[Operand],
+        output: Option<SymTensor>,
+    ) -> Result<Operand, String> {
+        let output = match output {
+            Some(t) => t,
+            None => self.s.tensor(inputs[0])?.clone(),
+        };
+        self.push(Step::Local { label, op, inputs: inputs.to_vec(), output })
     }
 
-    fn weight(&mut self, w: SymTensor) -> Result<SymTensor, String> {
-        w.check(self.torus).map_err(|e| format!("weight {w}: {e}"))?;
-        self.weights.push(w.clone());
-        Ok(w)
-    }
-
-    fn take(&mut self) -> Vec<Step> {
-        std::mem::take(&mut self.steps)
+    fn weight(&mut self, role: Role, w: SymTensor) -> Result<Operand, String> {
+        w.check(self.s.torus).map_err(|e| format!("weight {w}: {e}"))?;
+        self.s.weights.push((role, w));
+        Ok(Operand::Weight(role))
     }
 }
 
@@ -778,245 +868,157 @@ pub fn build_schedule(
             "batch-sharded attention requires multiquery attention (Section 3.3)".to_string(),
         );
     }
-    match flow_of(layout) {
-        Flow::OneD => build_1d(cfg, layout, batch, seq, AxisSet::all(), AxisSet::empty()),
-        Flow::WgHybrid { gather, local } => build_1d(cfg, layout, batch, seq, local, gather),
-        Flow::TwoD => build_2d(cfg, layout, batch, seq),
-        Flow::WgFull => build_wg_full(cfg, layout, batch, seq),
+    match dataflow_of(layout) {
+        Dataflow::TwoD => build_2d(cfg, layout, batch, seq),
+        Dataflow::OneD | Dataflow::WgHybrid { .. } | Dataflow::WgFull => {
+            build_1d(cfg, layout, batch, seq)
+        }
     }
 }
 
-fn logical_torus(layout: &Layout) -> TorusShape {
-    TorusShape::new(layout.mesh.x, layout.mesh.y, layout.mesh.z)
+/// Stores the weights 1D-sharded — heads and `d_ff` over every axis,
+/// multiquery K/V replicated — and, over non-empty `gather` axes,
+/// all-gathers each sharded one at layer entry. Returns the gathered
+/// operands by role.
+fn weights_1d(
+    p: &mut Plan,
+    cfg: &ModelConfig,
+    gather: AxisSet,
+) -> Result<Vec<(Role, Operand)>, String> {
+    let (e, f, h, d, all) = (cfg.d_model, cfg.d_ff, cfg.n_heads, cfg.d_head, AxisSet::all());
+    let kv = if cfg.n_kv_heads() == 1 {
+        SymTensor::new("ED", &[e, d])
+    } else {
+        SymTensor::new("EHD", &[e, h, d]).shard('H', all)
+    };
+    let mut stored = vec![
+        ("wq weight all-gather", Role::Wq, SymTensor::new("EHD", &[e, h, d]).shard('H', all)),
+        ("wk weight all-gather", Role::Wk, kv.clone()),
+        ("wv weight all-gather", Role::Wv, kv),
+        ("wo weight all-gather", Role::Wo, SymTensor::new("HDE", &[h, d, e]).shard('H', all)),
+        ("w_in weight all-gather", Role::WIn, SymTensor::new("EF", &[e, f]).shard('F', all)),
+        ("w_gate weight all-gather", Role::WGate, SymTensor::new("EF", &[e, f]).shard('F', all)),
+        ("w_out weight all-gather", Role::WOut, SymTensor::new("FE", &[f, e]).shard('F', all)),
+    ];
+    if cfg.mlp != MlpKind::SwiGlu {
+        stored.retain(|w| w.1 != Role::WGate);
+    }
+    for (_, role, w) in &stored {
+        p.weight(*role, w.clone())?;
+    }
+    let mut gathered = Vec::new();
+    for (label, role, w) in stored {
+        // Replicated (multiquery K/V) weights have nothing to gather.
+        let sharded = w.spec.dims().iter().find(|dim| !dim.axes.is_empty());
+        if let (Some(dim), false) = (sharded, gather.is_empty()) {
+            let op = SymOp::AllGather { dim: dim.name };
+            gathered.push((role, p.collective(label, op, gather, Operand::Weight(role))?));
+        }
+    }
+    Ok(gathered)
 }
 
+/// The 1D weight-stationary family: pure 1D (every axis local), hybrid
+/// weight-gathered (the batch sharded and weights gathered over some axes,
+/// 1D over the rest) and fully weight-gathered (every axis gathered,
+/// nothing local, so no activation collectives at all, Section 3.2.3).
 #[allow(clippy::too_many_lines)]
 fn build_1d(
     cfg: &ModelConfig,
     layout: &Layout,
     batch: usize,
     seq: usize,
-    local_axes: AxisSet,
-    gather_axes: AxisSet,
 ) -> Result<Schedule, String> {
-    let torus = logical_torus(layout);
-    let hybrid = !gather_axes.is_empty();
-    let e = cfg.d_model;
-    let f = cfg.d_ff;
-    let h = cfg.n_heads;
-    let d = cfg.d_head;
-    let vocab = cfg.vocab;
-    let multiquery = cfg.n_kv_heads() == 1;
-    let batch_attn = layout.attn == AttnSharding::Batch;
+    let (local, gather) = match dataflow_of(layout) {
+        Dataflow::WgHybrid { gather, local } => (local, gather),
+        Dataflow::WgFull => (AxisSet::empty(), AxisSet::all()),
+        Dataflow::OneD | Dataflow::TwoD => (AxisSet::all(), AxisSet::empty()),
+    };
     let serial = cfg.block == BlockKind::Serial;
-    let gated = cfg.mlp == MlpKind::SwiGlu;
-
-    let mut p = Plan { torus, steps: Vec::new(), weights: Vec::new() };
 
     // Residual stream: replicated in pure 1D; batch-sharded over the gather
-    // axes in the hybrid weight-gathered flow (each gather group owns a
-    // batch slice).
-    let x = if hybrid {
-        SymTensor::new("BLE", &[batch, seq, e]).shard('B', gather_axes)
-    } else {
-        SymTensor::new("BLE", &[batch, seq, e])
-    };
-
-    // Stored weights: head/ffn dims sharded over ALL axes; in the hybrid
-    // flow they are all-gathered over `gather_axes` each layer down to the
-    // local axes before use.
-    let all = AxisSet::all();
-    let wq_stored = p.weight(SymTensor::new("EHD", &[e, h, d]).shard('H', all))?;
-    let (wk_stored, wv_stored) = if multiquery {
-        (
-            p.weight(SymTensor::new("ED", &[e, d]))?,
-            p.weight(SymTensor::new("ED", &[e, d]))?,
-        )
-    } else {
-        (
-            p.weight(SymTensor::new("EHD", &[e, h, d]).shard('H', all))?,
-            p.weight(SymTensor::new("EHD", &[e, h, d]).shard('H', all))?,
-        )
-    };
-    let wo_stored = p.weight(SymTensor::new("HDE", &[h, d, e]).shard('H', all))?;
-    let w_in_stored = p.weight(SymTensor::new("EF", &[e, f]).shard('F', all))?;
-    let w_gate_stored = if gated {
-        Some(p.weight(SymTensor::new("EF", &[e, f]).shard('F', all))?)
-    } else {
-        None
-    };
-    let w_out_stored = p.weight(SymTensor::new("FE", &[f, e]).shard('F', all))?;
-
-    // Hybrid: all-gather weights over the gather axes at layer entry.
-    let (wq, wk, wv, wo, w_in, w_gate, w_out) = if hybrid {
-        let wq = p.collective(
-            "wq weight all-gather",
-            SymOp::AllGather { dim: 'H' },
-            gather_axes,
-            &wq_stored,
-        )?;
-        let (wk, wv) = if multiquery {
-            (wk_stored.clone(), wv_stored.clone())
+    // axes in the weight-gathered flows (each gather group owns a batch
+    // slice).
+    let boundary = SymTensor::new("BLE", &[batch, seq, cfg.d_model]).shard('B', gather);
+    let mut p = Plan::new(layout, batch, seq, boundary);
+    let x = Operand::Boundary;
+    let gathered = weights_1d(&mut p, cfg, gather)?;
+    let w = |r: Role| gathered.iter().find(|g| g.0 == r).map_or(Operand::Weight(r), |g| g.1);
+    // Partial sums over the local axes resolve by all-reduce (nothing to
+    // resolve when no axis is local).
+    let reduce = |p: &mut Plan, label: &'static str, t: Operand| {
+        if local.is_empty() {
+            Ok(t)
         } else {
-            (
-                p.collective(
-                    "wk weight all-gather",
-                    SymOp::AllGather { dim: 'H' },
-                    gather_axes,
-                    &wk_stored,
-                )?,
-                p.collective(
-                    "wv weight all-gather",
-                    SymOp::AllGather { dim: 'H' },
-                    gather_axes,
-                    &wv_stored,
-                )?,
-            )
-        };
-        let wo = p.collective(
-            "wo weight all-gather",
-            SymOp::AllGather { dim: 'H' },
-            gather_axes,
-            &wo_stored,
-        )?;
-        let w_in = p.collective(
-            "w_in weight all-gather",
-            SymOp::AllGather { dim: 'F' },
-            gather_axes,
-            &w_in_stored,
-        )?;
-        let w_gate = match &w_gate_stored {
-            Some(wg) => Some(p.collective(
-                "w_gate weight all-gather",
-                SymOp::AllGather { dim: 'F' },
-                gather_axes,
-                wg,
-            )?),
-            None => None,
-        };
-        let w_out = p.collective(
-            "w_out weight all-gather",
-            SymOp::AllGather { dim: 'F' },
-            gather_axes,
-            &w_out_stored,
-        )?;
-        (wq, wk, wv, wo, w_in, w_gate, w_out)
-    } else {
-        (
-            wq_stored,
-            wk_stored,
-            wv_stored,
-            wo_stored,
-            w_in_stored,
-            w_gate_stored,
-            w_out_stored,
-        )
+            p.collective(label, SymOp::AllReduce, local, t)
+        }
     };
 
     // ---- Attention sub-block ----
-    let b_axes = x.axes_of('B').unwrap_or_else(AxisSet::empty);
-    let ln1 = p.local("attn layernorm", true, &[&x], x.clone())?;
+    let ln1 = p.local("attn layernorm", LocalOp::LayerNorm(Gain::Attn), &[x], None)?;
+    let kv = if cfg.n_kv_heads() == 1 { "BLD" } else { "BLHD" };
+    let q = p.einsum("wq einsum", ln1, w(Role::Wq), &['E'], "BLHD")?;
+    let k = p.einsum("wk einsum", ln1, w(Role::Wk), &['E'], kv)?;
+    let v = p.einsum("wv einsum", ln1, w(Role::Wv), &['E'], kv)?;
 
-    let q = p.einsum("wq einsum", &ln1, &wq, &['E'], "BLHD")?;
-    let (k, v) = if multiquery {
-        (
-            p.einsum("wk einsum", &ln1, &wk, &['E'], "BLD")?,
-            p.einsum("wv einsum", &ln1, &wv, &['E'], "BLD")?,
-        )
-    } else {
-        (
-            p.einsum("wk einsum", &ln1, &wk, &['E'], "BLHD")?,
-            p.einsum("wv einsum", &ln1, &wv, &['E'], "BLHD")?,
-        )
-    };
-
-    let attn_out = if batch_attn {
+    let attn_out = if layout.attn == AttnSharding::Batch && !local.is_empty() {
         // Multiquery, batch-sharded attention: all-to-all q from
         // head-sharded to batch-sharded, slice k/v locally, run attention,
         // all-to-all back (Section 3.3).
-        let q_b = p.collective(
-            "attn qkv all-to-all",
-            SymOp::AllToAll { split: 'B', concat: 'H' },
-            local_axes,
-            &q,
-        )?;
-        let full_b = b_axes.union(local_axes);
-        let k_b = p.local(
-            "k batch slice",
-            false,
-            &[&k],
-            SymTensor::new("BLD", &[batch, seq, d]).shard('B', full_b),
-        )?;
-        let v_b = p.local(
-            "v batch slice",
-            false,
-            &[&v],
-            SymTensor::new("BLD", &[batch, seq, d]).shard('B', full_b),
-        )?;
-        let attn_b = p.local("attention", true, &[&q_b, &k_b, &v_b], q_b.clone())?;
-        p.collective(
-            "attn out all-to-all",
-            SymOp::AllToAll { split: 'H', concat: 'B' },
-            local_axes,
-            &attn_b,
-        )?
+        let a2a = SymOp::AllToAll { split: 'B', concat: 'H' };
+        let q_b = p.collective("attn qkv all-to-all", a2a, local, q)?;
+        let kv_b = SymTensor::new("BLD", &[batch, seq, cfg.d_head]).shard('B', gather.union(local));
+        let k_b = p.local("k batch slice", LocalOp::BatchSlice, &[k], Some(kv_b.clone()))?;
+        let v_b = p.local("v batch slice", LocalOp::BatchSlice, &[v], Some(kv_b))?;
+        let attn_b = p.local("attention", LocalOp::Attention, &[q_b, k_b, v_b], None)?;
+        let a2a = SymOp::AllToAll { split: 'H', concat: 'B' };
+        p.collective("attn out all-to-all", a2a, local, attn_b)?
     } else {
-        p.local("attention", true, &[&q, &k, &v], q.clone())?
+        p.local("attention", LocalOp::Attention, &[q, k, v], None)?
     };
 
-    let a_part = p.einsum("wo einsum", &attn_out, &wo, &['H', 'D'], "BLE")?;
+    let a_part = p.einsum("wo einsum", attn_out, w(Role::Wo), &['H', 'D'], "BLE")?;
 
     // ---- MLP sub-block ----
-    let ln2_src = if serial {
+    let (x_mid, ln2) = if serial {
         // Serial block: attention output is reduced and added to the
         // residual before the MLP runs.
-        let a_full = p.collective("attn all-reduce", SymOp::AllReduce, local_axes, &a_part)?;
-        let x_mid = p.local("attn residual add", false, &[&x, &a_full], x.clone())?;
-        p.local("mlp layernorm", true, &[&x_mid], x_mid.clone())?
+        let a_full = reduce(&mut p, "attn all-reduce", a_part)?;
+        let x_mid = p.local("attn residual add", LocalOp::Add, &[x, a_full], None)?;
+        (x_mid, p.local("mlp layernorm", LocalOp::LayerNorm(Gain::Mlp), &[x_mid], None)?)
     } else {
-        ln1.clone()
+        (x, ln1)
     };
 
-    let up = p.einsum("w_in einsum", &ln2_src, &w_in, &['E'], "BLF")?;
-    let act = if let Some(wg) = &w_gate {
-        let gate = p.einsum("w_gate einsum", &ln2_src, wg, &['E'], "BLF")?;
-        p.local("swiglu", true, &[&up, &gate], up.clone())?
+    let up = p.einsum("w_in einsum", ln2, w(Role::WIn), &['E'], "BLF")?;
+    let act = if cfg.mlp == MlpKind::SwiGlu {
+        let gate = p.einsum("w_gate einsum", ln2, w(Role::WGate), &['E'], "BLF")?;
+        p.local("swiglu", LocalOp::SwiGlu, &[gate, up], None)?
     } else {
-        p.local("nonlinearity", true, &[&up], up.clone())?
+        p.local("nonlinearity", LocalOp::Gelu, &[up], None)?
     };
-    let m_part = p.einsum("w_out einsum", &act, &w_out, &['F'], "BLE")?;
+    let m_part = p.einsum("w_out einsum", act, w(Role::WOut), &['F'], "BLE")?;
 
     // ---- Combine + residual ----
     if serial {
-        let m_full = p.collective("mlp all-reduce", SymOp::AllReduce, local_axes, &m_part)?;
-        p.local("mlp residual add", false, &[&ln2_src, &m_full], x.clone())?;
+        let m_full = reduce(&mut p, "mlp all-reduce", m_part)?;
+        p.local("mlp residual add", LocalOp::Add, &[x_mid, m_full], None)?;
     } else {
-        let sum = p.local("attn+mlp add", false, &[&a_part, &m_part], m_part.clone())?;
-        let full = p.collective("block all-reduce", SymOp::AllReduce, local_axes, &sum)?;
-        p.local("residual add", false, &[&x, &full], x.clone())?;
+        let sum = p.local("attn+mlp add", LocalOp::Add, &[a_part, m_part], None)?;
+        let full = reduce(&mut p, "block all-reduce", sum)?;
+        p.local("residual add", LocalOp::Add, &[x, full], None)?;
     }
-    let layer = p.take();
-    let weights = std::mem::take(&mut p.weights);
 
-    // ---- Final layernorm + logits ----
-    let embed_t = SymTensor::new("EV", &[e, vocab]);
-    p.weights.push(embed_t.clone());
-    let xn = p.local("final layernorm", true, &[&x], x.clone())?;
-    p.einsum("logits einsum", &xn, &embed_t, &['E'], "BLV")?;
-    let final_steps = p.take();
-    let final_weights = std::mem::take(&mut p.weights);
-
-    Ok(Schedule {
-        layout: *layout,
-        torus,
-        batch,
-        seq,
-        boundary: x,
-        weights,
-        layer,
-        final_weights,
-        final_steps,
-    })
+    // ---- Final layernorm + logits (then, fully gathered, the batch shards) ----
+    p.finals = true;
+    let embed_t = p.weight(Role::EmbedT, SymTensor::new("EV", &[cfg.d_model, cfg.vocab]))?;
+    let xn = p.local("final layernorm", LocalOp::LayerNorm(Gain::Final), &[x], None)?;
+    let logits = p.einsum("logits einsum", xn, embed_t, &['E'], "BLV")?;
+    if local.is_empty() {
+        let op = SymOp::AllGather { dim: 'B' };
+        p.collective("logits batch all-gather", op, gather, logits)?;
+    }
+    Ok(p.s)
 }
 
 #[allow(clippy::too_many_lines)]
@@ -1026,7 +1028,6 @@ fn build_2d(
     batch: usize,
     seq: usize,
 ) -> Result<Schedule, String> {
-    let torus = logical_torus(layout);
     let e = cfg.d_model;
     let f = cfg.d_ff;
     let h = cfg.n_heads;
@@ -1041,68 +1042,59 @@ fn build_2d(
     let ayz = AxisSet::of(&[Axis::Y, Axis::Z]);
     let all = AxisSet::all();
 
-    let mut p = Plan { torus, steps: Vec::new(), weights: Vec::new() };
-
     // Residual stream: d_model sharded over the full mesh (E_xyz).
-    let x = SymTensor::new("BLE", &[batch, seq, e]).shard('E', all);
+    let boundary = SymTensor::new("BLE", &[batch, seq, e]).shard('E', all);
+    let mut p = Plan::new(layout, batch, seq, boundary);
+    let x = Operand::Boundary;
 
-    let wq = p.weight(SymTensor::new("EHD", &[e, h, d]).shard('E', ax).shard('H', ayz))?;
-    let (wk, wv) = if multiquery {
-        (
-            p.weight(SymTensor::new("ED", &[e, d]).shard('E', ax))?,
-            p.weight(SymTensor::new("ED", &[e, d]).shard('E', ax))?,
-        )
+    let wq = p.weight(Role::Wq, SymTensor::new("EHD", &[e, h, d]).shard('E', ax).shard('H', ayz))?;
+    let kv = if multiquery {
+        SymTensor::new("ED", &[e, d]).shard('E', ax)
     } else {
-        (
-            p.weight(SymTensor::new("EHD", &[e, h, d]).shard('E', ax).shard('H', ayz))?,
-            p.weight(SymTensor::new("EHD", &[e, h, d]).shard('E', ax).shard('H', ayz))?,
-        )
+        SymTensor::new("EHD", &[e, h, d]).shard('E', ax).shard('H', ayz)
     };
-    let wo = p.weight(SymTensor::new("HDE", &[h, d, e]).shard('H', ayz).shard('E', ax))?;
-    let w_in = p.weight(SymTensor::new("EF", &[e, f]).shard('E', ax).shard('F', ayz))?;
+    let wk = p.weight(Role::Wk, kv.clone())?;
+    let wv = p.weight(Role::Wv, kv)?;
+    let wo = p.weight(Role::Wo, SymTensor::new("HDE", &[h, d, e]).shard('H', ayz).shard('E', ax))?;
+    let w_in = p.weight(Role::WIn, SymTensor::new("EF", &[e, f]).shard('E', ax).shard('F', ayz))?;
     let w_gate = if gated {
-        Some(p.weight(SymTensor::new("EF", &[e, f]).shard('E', ax).shard('F', ayz))?)
+        Some(p.weight(Role::WGate, SymTensor::new("EF", &[e, f]).shard('E', ax).shard('F', ayz))?)
     } else {
         None
     };
-    let w_out = p.weight(SymTensor::new("FE", &[f, e]).shard('F', ayz).shard('E', ax))?;
+    let w_out = p.weight(Role::WOut, SymTensor::new("FE", &[f, e]).shard('F', ayz).shard('E', ax))?;
 
     // Distributed layernorm over a sharded d_model: local moments, then an
     // all-reduce so every chip can normalize its slice (Section 3.2.2).
     fn layernorm(
         p: &mut Plan,
-        src: &SymTensor,
-        batch: usize,
-        seq: usize,
+        src: Operand,
+        gain: Gain,
         labels: [&'static str; 3],
-    ) -> Result<SymTensor, String> {
-        let moments = p.local(
-            labels[0],
-            false,
-            &[src],
-            SymTensor::new("BLM", &[batch, seq, 2]).partial(AxisSet::all()),
-        )?;
-        let moments_full = p.collective(labels[1], SymOp::AllReduce, AxisSet::all(), &moments)?;
-        p.local(labels[2], true, &[src, &moments_full], src.clone())
+    ) -> Result<Operand, String> {
+        let (batch, seq) = (p.s.batch, p.s.seq);
+        let moments = SymTensor::new("BLM", &[batch, seq, 2]).partial(AxisSet::all());
+        let moments = p.local(labels[0], LocalOp::Moments, &[src], Some(moments))?;
+        let moments_full = p.collective(labels[1], SymOp::AllReduce, AxisSet::all(), moments)?;
+        p.local(labels[2], LocalOp::LayerNorm(gain), &[src, moments_full], None)
     }
 
     // ---- Attention sub-block ----
     let xn = layernorm(
         &mut p,
-        &x,
-        batch,
-        seq,
+        x,
+        Gain::Attn,
         ["attn moments", "attn moments all-reduce", "attn layernorm"],
     )?;
     // All-gather over yz gives each chip its x-slice of d_model (E_x).
-    let x_i = p.collective("acts all-gather (yz)", SymOp::AllGather { dim: 'E' }, ayz, &xn)?;
-    let q_part = p.einsum("wq einsum", &x_i, &wq, &['E'], "BLHD")?;
-    let q = p.collective("q all-reduce (x)", SymOp::AllReduce, ax, &q_part)?;
+    let x_i = p.collective("acts all-gather (yz)", SymOp::AllGather { dim: 'E' }, ayz, xn)?;
+    let q_part = p.einsum("wq einsum", x_i, wq, &['E'], "BLHD")?;
+    let q = p.collective("q all-reduce (x)", SymOp::AllReduce, ax, q_part)?;
     let kv_names = if multiquery { "BLD" } else { "BLHD" };
-    let k_part = p.einsum("wk einsum", &x_i, &wk, &['E'], kv_names)?;
-    let k = p.collective("k all-reduce (x)", SymOp::AllReduce, ax, &k_part)?;
-    let v_part = p.einsum("wv einsum", &x_i, &wv, &['E'], kv_names)?;
-    let v = p.collective("v all-reduce (x)", SymOp::AllReduce, ax, &v_part)?;
+    let k_part = p.einsum("wk einsum", x_i, wk, &['E'], kv_names)?;
+    let k = p.collective("k all-reduce (x)", SymOp::AllReduce, ax, k_part)?;
+    let v_part = p.einsum("wv einsum", x_i, wv, &['E'], kv_names)?;
+    let v = p.collective("v all-reduce (x)", SymOp::AllReduce, ax, v_part)?;
 
     let attn_out = if batch_attn {
         // q: B L H_yz D -> all-to-all over yz -> B_yz L H D, then slice the
@@ -1111,44 +1103,35 @@ fn build_2d(
             "attn qkv all-to-all (yz)",
             SymOp::AllToAll { split: 'B', concat: 'H' },
             ayz,
-            &q,
+            q,
         )?;
         let q_bi = p.local(
             "q batch slice (x)",
-            false,
-            &[&q_b],
-            SymTensor::new("BLHD", &[batch, seq, h, d]).shard('B', all),
+            LocalOp::BatchSlice,
+            &[q_b],
+            Some(SymTensor::new("BLHD", &[batch, seq, h, d]).shard('B', all)),
         )?;
-        let k_b = p.local(
-            "k batch slice",
-            false,
-            &[&k],
-            SymTensor::new("BLD", &[batch, seq, d]).shard('B', all),
-        )?;
-        let v_b = p.local(
-            "v batch slice",
-            false,
-            &[&v],
-            SymTensor::new("BLD", &[batch, seq, d]).shard('B', all),
-        )?;
-        let attn_bi = p.local("attention", true, &[&q_bi, &k_b, &v_b], q_bi.clone())?;
+        let kv_b = SymTensor::new("BLD", &[batch, seq, d]).shard('B', all);
+        let k_b = p.local("k batch slice", LocalOp::BatchSlice, &[k], Some(kv_b.clone()))?;
+        let v_b = p.local("v batch slice", LocalOp::BatchSlice, &[v], Some(kv_b))?;
+        let attn_bi = p.local("attention", LocalOp::Attention, &[q_bi, k_b, v_b], None)?;
         let attn_b = p.collective(
             "attn batch all-gather (x)",
             SymOp::AllGather { dim: 'B' },
             ax,
-            &attn_bi,
+            attn_bi,
         )?;
         p.collective(
             "attn out all-to-all (yz)",
             SymOp::AllToAll { split: 'H', concat: 'B' },
             ayz,
-            &attn_b,
+            attn_b,
         )?
     } else {
-        p.local("attention", true, &[&q, &k, &v], q.clone())?
+        p.local("attention", LocalOp::Attention, &[q, k, v], None)?
     };
 
-    let a_part = p.einsum("wo einsum", &attn_out, &wo, &['H', 'D'], "BLE")?;
+    let a_part = p.einsum("wo einsum", attn_out, wo, &['H', 'D'], "BLE")?;
 
     // ---- MLP sub-block ----
     let (x_mid, ln2) = if serial {
@@ -1156,51 +1139,46 @@ fn build_2d(
             "attn reduce-scatter (yz)",
             SymOp::ReduceScatter { dim: 'E' },
             ayz,
-            &a_part,
+            a_part,
         )?;
-        let x_mid = p.local("attn residual add", false, &[&x, &a_loc], x.clone())?;
+        let x_mid = p.local("attn residual add", LocalOp::Add, &[x, a_loc], None)?;
         let ln2 = layernorm(
             &mut p,
-            &x_mid,
-            batch,
-            seq,
+            x_mid,
+            Gain::Mlp,
             ["mlp moments", "mlp moments all-reduce", "mlp layernorm"],
         )?;
-        let ln2_i = p.collective(
-            "mlp acts all-gather (yz)",
-            SymOp::AllGather { dim: 'E' },
-            ayz,
-            &ln2,
-        )?;
-        (Some(x_mid), ln2_i)
+        let ln2_i =
+            p.collective("mlp acts all-gather (yz)", SymOp::AllGather { dim: 'E' }, ayz, ln2)?;
+        (x_mid, ln2_i)
     } else {
-        (None, x_i.clone())
+        (x, x_i)
     };
 
     let mut gate_sharded = None;
-    if let Some(wg) = &w_gate {
-        let gate_part = p.einsum("w_gate einsum", &ln2, wg, &['E'], "BLF")?;
+    if let Some(wg) = w_gate {
+        let gate_part = p.einsum("w_gate einsum", ln2, wg, &['E'], "BLF")?;
         gate_sharded = Some(p.collective(
             "gate reduce-scatter (x)",
             SymOp::ReduceScatter { dim: 'F' },
             ax,
-            &gate_part,
+            gate_part,
         )?);
     }
-    let up_part = p.einsum("w_in einsum", &ln2, &w_in, &['E'], "BLF")?;
+    let up_part = p.einsum("w_in einsum", ln2, w_in, &['E'], "BLF")?;
     let up_sharded = p.collective(
         "up reduce-scatter (x)",
         SymOp::ReduceScatter { dim: 'F' },
         ax,
-        &up_part,
+        up_part,
     )?;
-    let act = if let Some(g) = &gate_sharded {
-        p.local("swiglu", true, &[&up_sharded, g], up_sharded.clone())?
+    let act = if let Some(g) = gate_sharded {
+        p.local("swiglu", LocalOp::SwiGlu, &[g, up_sharded], None)?
     } else {
-        p.local("nonlinearity", true, &[&up_sharded], up_sharded.clone())?
+        p.local("nonlinearity", LocalOp::Gelu, &[up_sharded], None)?
     };
-    let act_yz = p.collective("act all-gather (x)", SymOp::AllGather { dim: 'F' }, ax, &act)?;
-    let m_part = p.einsum("w_out einsum", &act_yz, &w_out, &['F'], "BLE")?;
+    let act_yz = p.collective("act all-gather (x)", SymOp::AllGather { dim: 'F' }, ax, act)?;
+    let m_part = p.einsum("w_out einsum", act_yz, w_out, &['F'], "BLE")?;
 
     // ---- Combine + residual ----
     if serial {
@@ -1208,218 +1186,34 @@ fn build_2d(
             "mlp reduce-scatter (yz)",
             SymOp::ReduceScatter { dim: 'E' },
             ayz,
-            &m_part,
+            m_part,
         )?;
-        let x_mid = x_mid.expect("serial block always has a mid residual");
-        p.local("mlp residual add", false, &[&x_mid, &m_loc], x.clone())?;
+        p.local("mlp residual add", LocalOp::Add, &[x_mid, m_loc], None)?;
     } else {
-        let sum = p.local("attn+mlp add", false, &[&a_part, &m_part], m_part.clone())?;
+        let sum = p.local("attn+mlp add", LocalOp::Add, &[a_part, m_part], None)?;
         let loc = p.collective(
             "block reduce-scatter (yz)",
             SymOp::ReduceScatter { dim: 'E' },
             ayz,
-            &sum,
+            sum,
         )?;
-        p.local("residual add", false, &[&x, &loc], x.clone())?;
+        p.local("residual add", LocalOp::Add, &[x, loc], None)?;
     }
-    let layer = p.take();
-    let weights = std::mem::take(&mut p.weights);
 
     // ---- Final layernorm + logits ----
     // The transposed embedding is sharded E_xyz on the contraction dim, so
     // the logits come out as a partial sum over the whole mesh.
-    let embed_t = SymTensor::new("EV", &[e, vocab]).shard('E', all);
-    p.weights.push(embed_t.clone());
+    p.finals = true;
+    let embed_t = p.weight(Role::EmbedT, SymTensor::new("EV", &[e, vocab]).shard('E', all))?;
     let xn = layernorm(
         &mut p,
-        &x,
-        batch,
-        seq,
+        x,
+        Gain::Final,
         ["final moments", "final moments all-reduce", "final layernorm"],
     )?;
-    let logits_part = p.einsum("logits einsum", &xn, &embed_t, &['E'], "BLV")?;
-    p.collective("logits all-reduce", SymOp::AllReduce, all, &logits_part)?;
-    let final_steps = p.take();
-    let final_weights = std::mem::take(&mut p.weights);
-
-    Ok(Schedule {
-        layout: *layout,
-        torus,
-        batch,
-        seq,
-        boundary: x,
-        weights,
-        layer,
-        final_weights,
-        final_steps,
-    })
-}
-
-#[allow(clippy::too_many_lines)]
-fn build_wg_full(
-    cfg: &ModelConfig,
-    layout: &Layout,
-    batch: usize,
-    seq: usize,
-) -> Result<Schedule, String> {
-    let torus = logical_torus(layout);
-    let e = cfg.d_model;
-    let f = cfg.d_ff;
-    let h = cfg.n_heads;
-    let d = cfg.d_head;
-    let vocab = cfg.vocab;
-    let multiquery = cfg.n_kv_heads() == 1;
-    let serial = cfg.block == BlockKind::Serial;
-    let gated = cfg.mlp == MlpKind::SwiGlu;
-    let all = AxisSet::all();
-
-    let mut p = Plan { torus, steps: Vec::new(), weights: Vec::new() };
-
-    // Fully weight-gathered: activations batch-sharded over the whole mesh,
-    // weights gathered from their stored sharding each layer.
-    let x = SymTensor::new("BLE", &[batch, seq, e]).shard('B', all);
-
-    let wq_stored = p.weight(SymTensor::new("EHD", &[e, h, d]).shard('H', all))?;
-    let (wk_stored, wv_stored) = if multiquery {
-        (
-            p.weight(SymTensor::new("ED", &[e, d]))?,
-            p.weight(SymTensor::new("ED", &[e, d]))?,
-        )
-    } else {
-        (
-            p.weight(SymTensor::new("EHD", &[e, h, d]).shard('H', all))?,
-            p.weight(SymTensor::new("EHD", &[e, h, d]).shard('H', all))?,
-        )
-    };
-    let wo_stored = p.weight(SymTensor::new("HDE", &[h, d, e]).shard('H', all))?;
-    let w_in_stored = p.weight(SymTensor::new("EF", &[e, f]).shard('F', all))?;
-    let w_gate_stored = if gated {
-        Some(p.weight(SymTensor::new("EF", &[e, f]).shard('F', all))?)
-    } else {
-        None
-    };
-    let w_out_stored = p.weight(SymTensor::new("FE", &[f, e]).shard('F', all))?;
-
-    let wq = p.collective(
-        "wq weight all-gather",
-        SymOp::AllGather { dim: 'H' },
-        all,
-        &wq_stored,
-    )?;
-    let (wk, wv) = if multiquery {
-        (wk_stored.clone(), wv_stored.clone())
-    } else {
-        (
-            p.collective(
-                "wk weight all-gather",
-                SymOp::AllGather { dim: 'H' },
-                all,
-                &wk_stored,
-            )?,
-            p.collective(
-                "wv weight all-gather",
-                SymOp::AllGather { dim: 'H' },
-                all,
-                &wv_stored,
-            )?,
-        )
-    };
-    let wo = p.collective(
-        "wo weight all-gather",
-        SymOp::AllGather { dim: 'H' },
-        all,
-        &wo_stored,
-    )?;
-    let w_in = p.collective(
-        "w_in weight all-gather",
-        SymOp::AllGather { dim: 'F' },
-        all,
-        &w_in_stored,
-    )?;
-    let w_gate = match &w_gate_stored {
-        Some(wg) => Some(p.collective(
-            "w_gate weight all-gather",
-            SymOp::AllGather { dim: 'F' },
-            all,
-            wg,
-        )?),
-        None => None,
-    };
-    let w_out = p.collective(
-        "w_out weight all-gather",
-        SymOp::AllGather { dim: 'F' },
-        all,
-        &w_out_stored,
-    )?;
-
-    // With full weights on chip the whole layer is local over the batch
-    // slice — no activation collectives at all (Section 3.2.3).
-    let ln1 = p.local("attn layernorm", true, &[&x], x.clone())?;
-    let q = p.einsum("wq einsum", &ln1, &wq, &['E'], "BLHD")?;
-    let kv_names = if multiquery { "BLD" } else { "BLHD" };
-    let k = p.einsum("wk einsum", &ln1, &wk, &['E'], kv_names)?;
-    let v = p.einsum("wv einsum", &ln1, &wv, &['E'], kv_names)?;
-    let attn_out = p.local("attention", true, &[&q, &k, &v], q.clone())?;
-    let a_full = p.einsum("wo einsum", &attn_out, &wo, &['H', 'D'], "BLE")?;
-
-    let ln2_src = if serial {
-        let x_mid = p.local("attn residual add", false, &[&x, &a_full], x.clone())?;
-        p.local("mlp layernorm", true, &[&x_mid], x_mid.clone())?
-    } else {
-        ln1.clone()
-    };
-    let up = p.einsum("w_in einsum", &ln2_src, &w_in, &['E'], "BLF")?;
-    let act = if let Some(wg) = &w_gate {
-        let gate = p.einsum("w_gate einsum", &ln2_src, wg, &['E'], "BLF")?;
-        p.local("swiglu", true, &[&up, &gate], up.clone())?
-    } else {
-        p.local("nonlinearity", true, &[&up], up.clone())?
-    };
-    let m_full = p.einsum("w_out einsum", &act, &w_out, &['F'], "BLE")?;
-
-    if serial {
-        p.local("mlp residual add", false, &[&ln2_src, &m_full], x.clone())?;
-    } else {
-        let sum = p.local("attn+mlp add", false, &[&a_full, &m_full], m_full.clone())?;
-        p.local("residual add", false, &[&x, &sum], x.clone())?;
-    }
-    let layer = p.take();
-    let weights = std::mem::take(&mut p.weights);
-
-    // ---- Final layernorm + logits, then gather the batch shards ----
-    let embed_t = SymTensor::new("EV", &[e, vocab]);
-    p.weights.push(embed_t.clone());
-    let xn = p.local("final layernorm", true, &[&x], x.clone())?;
-    let logits_loc = p.einsum("logits einsum", &xn, &embed_t, &['E'], "BLV")?;
-    p.collective(
-        "logits batch all-gather",
-        SymOp::AllGather { dim: 'B' },
-        all,
-        &logits_loc,
-    )?;
-    let final_steps = p.take();
-    let final_weights = std::mem::take(&mut p.weights);
-
-    Ok(Schedule {
-        layout: *layout,
-        torus,
-        batch,
-        seq,
-        boundary: x,
-        weights,
-        layer,
-        final_weights,
-        final_steps,
-    })
-}
-
-/// Build and verify the schedule for `layout` with the smallest batch the
-/// runtime itself would accept (`batch = n_chips`, `seq = 1`): any
-/// divisibility failure reported here is a property of the plan, not of a
-/// particular request size.
-pub fn preflight(cfg: &ModelConfig, layout: &Layout) -> Result<(), String> {
-    let schedule = build_schedule(cfg, layout, layout.mesh.n_chips(), 1)?;
-    schedule.verify()
+    let logits_part = p.einsum("logits einsum", xn, embed_t, &['E'], "BLV")?;
+    p.collective("logits all-reduce", SymOp::AllReduce, all, logits_part)?;
+    Ok(p.s)
 }
 
 #[cfg(test)]
@@ -1480,7 +1274,7 @@ mod tests {
             attn: AttnSharding::Head,
             mesh: MeshFactors::new(4, 4, 4),
         };
-        let err = preflight(&cfg, &layout).unwrap_err();
+        let err = build_schedule(&cfg, &layout, 64, 1).and_then(|s| s.verify()).unwrap_err();
         assert!(err.contains("divisible"), "unexpected error: {err}");
     }
 
@@ -1492,20 +1286,32 @@ mod tests {
             attn: AttnSharding::Head,
             mesh: MeshFactors::new(2, 2, 1),
         };
-        let mut s = build_schedule(&cfg, &layout, 16, 4).unwrap();
-        // Tamper: claim the wo einsum output is replicated (drops the
-        // partial-sum marker without a reduce).
-        let pos = s
+        let built = build_schedule(&cfg, &layout, 16, 4).unwrap();
+        let pos = built
             .layer
             .iter()
             .position(|st| st.label() == "wo einsum")
             .expect("wo einsum present");
+        // Tamper: claim the wo einsum output is replicated (drops the
+        // partial-sum marker without a reduce).
+        let mut s = built.clone();
         if let Step::Einsum { output, .. } = &mut s.layer[pos] {
             output.spec = ShardingSpec::new("BLE");
         }
         let err = s.verify().unwrap_err();
         assert!(
             err.contains("wo einsum"),
+            "error should name the tampered step: {err}"
+        );
+        // Tamper: the wo einsum reads its own output, a step that has not
+        // run yet.
+        let mut s = built;
+        if let Step::Einsum { x, .. } = &mut s.layer[pos] {
+            *x = Operand::Step(pos);
+        }
+        let err = s.verify().unwrap_err();
+        assert!(
+            err.contains("wo einsum") && err.contains("has not run"),
             "error should name the tampered step: {err}"
         );
     }
@@ -1521,26 +1327,69 @@ mod tests {
             mesh: MeshFactors::new(2, 2, 1),
         };
         let mut s = build_schedule(&cfg, &layout, 16, 4).unwrap();
-        let partial_in = s
+        let pos = s
             .layer
             .iter()
-            .find_map(|st| match st {
-                Step::Collective { label, input, .. } if *label == "block all-reduce" => {
-                    Some(input.clone())
-                }
-                _ => None,
-            })
+            .position(|st| st.label() == "block all-reduce")
             .expect("block all-reduce present");
-        s.layer.retain(|st| st.label() != "block all-reduce");
-        for st in &mut s.layer {
-            if let Step::Local { label, inputs, .. } = st {
-                if *label == "residual add" {
-                    inputs[1] = partial_in.clone();
-                }
-            }
-        }
+        let Step::Collective { input: partial_in, .. } = s.layer.remove(pos) else {
+            unreachable!("the block all-reduce is a collective")
+        };
+        // The residual add followed the reduce; it now reads the partial sum.
+        let Step::Local { label: "residual add", inputs, .. } = &mut s.layer[pos] else {
+            panic!("the residual add follows the block all-reduce")
+        };
+        inputs[1] = partial_in;
         let err = s.verify().unwrap_err();
-        assert!(err.contains("partial"), "unexpected error: {err}");
+        assert!(
+            err.contains("residual add") && err.contains("partial"),
+            "unexpected error: {err}"
+        );
+    }
+
+    #[test]
+    fn residual_adds_read_the_stream_never_a_layernorm() {
+        // Every flow (1D, 2D, fully and hybrid weight-gathered on a 2x2x1
+        // mesh) x {parallel, serial}: a residual add's first operand is the
+        // layer boundary or the serial block's attention residual add.
+        for block in [BlockKind::Parallel, BlockKind::Serial] {
+            let cfg = ModelConfig { block, ..ModelConfig::tiny() };
+            let mut flows = Vec::new();
+            for layout in layouts_for(MeshFactors::new(2, 2, 1)) {
+                let s = build_schedule(&cfg, &layout, 16, 4).unwrap();
+                s.verify().unwrap_or_else(|e| panic!("{}: {e}", layout.describe()));
+                flows.push(s.dataflow);
+                let attn_add = s.layer.iter().position(|st| st.label() == "attn residual add");
+                let mut adds = 0;
+                for step in &s.layer {
+                    let Step::Local { label, op, inputs, .. } = step else { continue };
+                    if !label.ends_with("residual add") {
+                        continue;
+                    }
+                    adds += 1;
+                    assert_eq!(*op, LocalOp::Add, "{label}");
+                    let first = inputs[0];
+                    assert!(
+                        first == Operand::Boundary || attn_add.map(Operand::Step) == Some(first),
+                        "{} {block:?}: {label} adds onto {first:?}",
+                        layout.describe()
+                    );
+                    if let Operand::Step(i) = first {
+                        let read = &s.layer[i];
+                        assert!(
+                            !matches!(read, Step::Local { op: LocalOp::LayerNorm(_), .. }),
+                            "{label} adds onto a layernorm output"
+                        );
+                    }
+                }
+                let expect = if block == BlockKind::Serial { 2 } else { 1 };
+                assert_eq!(adds, expect, "{} {block:?}", layout.describe());
+            }
+            for flow in [Dataflow::OneD, Dataflow::TwoD, Dataflow::WgFull] {
+                assert!(flows.contains(&flow), "{flow:?} not covered");
+            }
+            assert!(flows.iter().any(|f| matches!(f, Dataflow::WgHybrid { .. })));
+        }
     }
 
     #[test]
@@ -1607,8 +1456,10 @@ mod tests {
             s.verify()
                 .unwrap_or_else(|e| panic!("{}: verify after wire marking: {e}", layout.describe()));
             for step in s.layer.iter().chain(&s.final_steps) {
-                let Step::Collective { label, op, wire, .. } = step else { continue };
-                if label.ends_with("weight all-gather") {
+                let Step::Collective { label, op, input, wire, .. } = step else { continue };
+                let weight = matches!(input, Operand::Weight(_));
+                assert_eq!(weight, label.ends_with("weight all-gather"), "{label}");
+                if weight {
                     assert!(matches!(op, SymOp::AllGather { .. }), "{label}");
                     assert_eq!(*wire, WireFormat::Int8, "{label}");
                 } else {

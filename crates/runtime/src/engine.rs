@@ -1,10 +1,21 @@
 //! The partitioned execution engine: one thread per simulated chip.
+//!
+//! The engine builds and verifies its layout's [`Schedule`] once, so an
+//! invalid plan fails with the offending step instead of a shape panic in
+//! a worker thread. On the 1D weight-stationary and hybrid weight-gathered
+//! layouts every chip thread then *runs* that schedule (`run_schedule`):
+//! its layer steps once per model layer, then its final steps, each einsum
+//! a [`ShardMat::mm3`], each collective a call on the chip's group over
+//! the step's axes, each local op its kernel. The 2D and fully
+//! weight-gathered (XYZ) layouts still run the hand-written `forward_2d` /
+//! `forward_wg`, which their schedules mirror.
 
 // Vetted against the crate's no-unwrap/no-expect discipline: every
 // `expect`/`unwrap` below asserts a sharding-arithmetic or protocol
-// invariant established at construction (divisibility checked by
-// `preflight`, "one handle per rank", "rank 0 returns logits"), not a
-// runtime fault. Faults travel through `try_forward`'s typed error path.
+// invariant established at construction (divisibility checked by the
+// verified schedule, "one handle per rank", "a verified schedule's
+// operands exist"), not a runtime fault. Faults travel through
+// `try_forward`'s typed error path.
 #![allow(clippy::expect_used, clippy::unwrap_used)]
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -14,11 +25,17 @@ use std::time::Duration;
 use esti_collectives::{
     CollectiveError, CommGroup, CommTimes, FaultPlan, FaultState, InjectedCrash, TrafficStats,
 };
-use esti_core::layout::{AttnSharding, FfnLayout, Layout};
-use esti_model::reference::{attention_over_rows, gelu, mm3};
+use esti_core::layout::{AttnSharding, Layout};
+use esti_core::schedule::{
+    build_schedule, Dataflow, Gain, LocalOp, Operand, Role, Schedule, Step, SymOp, SymTensor,
+    WireFormat,
+};
+use esti_hal::DType;
+use esti_model::reference::{attention_over_rows, gelu};
 use esti_model::{KvCache, MlpKind, ModelConfig, PageStats, PositionKind, ReferenceModel};
 use esti_tensor::pool::{with_worker_pool, ChipPool};
-use esti_tensor::{ops, Tensor};
+use esti_tensor::{ops, QuantizedMatrix, Tensor};
+use esti_topology::AxisSet;
 
 use crate::shard::{shard_1d, shard_2d, shard_wg, shard_wg_hybrid, LayerShard, ShardMat};
 
@@ -77,21 +94,6 @@ impl std::fmt::Display for EngineError {
 
 impl std::error::Error for EngineError {}
 
-/// Which partitioned dataflow a layout lowers to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Dataflow {
-    OneD,
-    TwoD,
-    /// XYZ extent: weights fully gathered, activations batch-stationary.
-    WeightGathered,
-    /// X / XY extents: batch sharded over the gather groups, 1D
-    /// weight-stationary within each local group (Figure A.2's hybrids).
-    WeightGatheredHybrid {
-        n_gather: usize,
-        n_local: usize,
-    },
-}
-
 /// Per-chip state: weight shards, KV-cache shard, and group handles.
 struct ChipState {
     rank: usize,
@@ -111,7 +113,7 @@ struct ChipState {
     ln_final: Tensor,
     /// Transposed embedding for the logit projection (full `[E, V]`, or
     /// this chip's `[E/n, V]` row slice in 2D).
-    embed_t: Tensor,
+    embed_t: ShardMat,
 }
 
 /// A Transformer partitioned over `n` simulated chips.
@@ -128,7 +130,10 @@ struct ChipState {
 pub struct PartitionedEngine {
     cfg: ModelConfig,
     layout: Layout,
-    dataflow: Dataflow,
+    /// The layout's verified schedule, wire formats marked for the stored
+    /// weights: what the 1D family's chips run, and every layout's
+    /// dataflow family.
+    schedule: Schedule,
     chips: Vec<ChipState>,
     stats: Arc<TrafficStats>,
     /// Full embedding table, used host-side for the input lookup.
@@ -210,50 +215,27 @@ impl PartitionedEngine {
     ///
     /// # Panics
     ///
-    /// Panics if the model dimensions do not divide the mesh (each dataflow
-    /// documents its divisibility requirements in [`crate::shard`]), or if
-    /// batch-sharded attention is requested for a multihead model.
+    /// Panics if the model dimensions do not divide the mesh, or if
+    /// batch-sharded attention is requested for a multihead model: the
+    /// layout's schedule, built for the smallest batch the engine accepts,
+    /// fails to verify.
     #[must_use]
     pub fn new(model: &ReferenceModel, layout: Layout, fmt: WeightFormat) -> Self {
         let cfg = model.config().clone();
         let n = layout.mesh.n_chips();
-        let dataflow = match layout.ffn {
-            FfnLayout::WeightStationary1D => Dataflow::OneD,
-            FfnLayout::WeightStationary2D => Dataflow::TwoD,
-            FfnLayout::WeightGathered(extent) => {
-                let n_gather = extent.n_gather(layout.mesh);
-                if n_gather >= n {
-                    Dataflow::WeightGathered
-                } else {
-                    Dataflow::WeightGatheredHybrid { n_gather, n_local: n / n_gather }
-                }
-            }
-        };
-        if layout.attn == AttnSharding::Batch {
-            assert_eq!(
-                cfg.n_kv_heads(),
-                1,
-                "batch-sharded attention requires multiquery attention (Section 3.3)"
-            );
-        }
-        // Static preflight: run the symbolic schedule through the
-        // sharding-algebra verifier so an invalid plan fails with the
-        // offending step instead of a shape panic in a worker thread.
-        if let Err(e) = esti_core::schedule::preflight(&cfg, &layout) {
-            panic!("invalid partition plan for {}: {e}", layout.describe());
-        }
-        let (x_parts, yz_parts) = match dataflow {
-            Dataflow::TwoD => (layout.mesh.x, layout.mesh.yz()),
-            Dataflow::WeightGatheredHybrid { n_gather, n_local } => (n_gather, n_local),
-            _ => (1, n),
-        };
+        let dtype = if fmt == WeightFormat::Int8 { DType::Int8 } else { DType::Bf16 };
+        let schedule = build_schedule(&cfg, &layout, n, 1)
+            .and_then(|s| s.verify().map(|()| s.with_weight_dtype(dtype)))
+            .unwrap_or_else(|e| panic!("invalid partition plan for {}: {e}", layout.describe()));
+        let dataflow = schedule.dataflow;
+        let (x_parts, yz_parts) = parts(&schedule);
 
         let stats = TrafficStats::new();
         let mut g_all: Vec<Option<CommGroup>> =
             CommGroup::create_with_stats(n, Arc::clone(&stats)).into_iter().map(Some).collect();
         let mut g_x: Vec<Option<CommGroup>> = (0..n).map(|_| None).collect();
         let mut g_yz: Vec<Option<CommGroup>> = (0..n).map(|_| None).collect();
-        if matches!(dataflow, Dataflow::TwoD | Dataflow::WeightGatheredHybrid { .. }) {
+        if matches!(dataflow, Dataflow::TwoD | Dataflow::WgHybrid { .. }) {
             // For 2D these are the physical x / yz groups; for hybrid WG,
             // g_x is the weight-gather group and g_yz the 1D local group.
             for j in 0..yz_parts {
@@ -283,9 +265,9 @@ impl PartitionedEngine {
                     .map(|lw| match dataflow {
                         Dataflow::OneD => shard_1d(&cfg, lw, rank, n, fmt),
                         Dataflow::TwoD => shard_2d(&cfg, lw, i, j, x_parts, yz_parts, fmt),
-                        Dataflow::WeightGathered => shard_wg(&cfg, lw, rank, n, fmt),
-                        Dataflow::WeightGatheredHybrid { n_gather, n_local } => {
-                            shard_wg_hybrid(&cfg, lw, i, j, n_gather, n_local, fmt)
+                        Dataflow::WgFull => shard_wg(&cfg, lw, rank, n, fmt),
+                        Dataflow::WgHybrid { .. } => {
+                            shard_wg_hybrid(&cfg, lw, i, j, x_parts, yz_parts, fmt)
                         }
                     })
                     .collect();
@@ -293,10 +275,7 @@ impl PartitionedEngine {
                     Dataflow::TwoD => {
                         assert!(e.is_multiple_of(n), "2D layout needs d_model divisible by {n} chips");
                         let off = i * (e / x_parts) + j * e_n;
-                        (
-                            weights.ln_final.slice(0, off, e_n),
-                            embed_t.slice(0, off, e_n),
-                        )
+                        (weights.ln_final.slice(0, off, e_n), embed_t.slice(0, off, e_n))
                     }
                     _ => (weights.ln_final.clone(), embed_t.clone()),
                 };
@@ -310,7 +289,7 @@ impl PartitionedEngine {
                     g_x: g_x[rank].take(),
                     g_yz: g_yz[rank].take(),
                     ln_final,
-                    embed_t,
+                    embed_t: ShardMat::Dense(embed_t),
                 }
             })
             .collect();
@@ -319,7 +298,7 @@ impl PartitionedEngine {
             pos_embed: weights.pos_embed.clone(),
             cfg,
             layout,
-            dataflow,
+            schedule,
             chips,
             stats,
             ages: Vec::new(),
@@ -624,16 +603,12 @@ impl PartitionedEngine {
     #[must_use]
     pub fn min_batch(&self) -> usize {
         let n = self.chips.len();
-        let mut m = 1;
-        match self.dataflow {
-            Dataflow::WeightGathered => m = n,
-            Dataflow::WeightGatheredHybrid { n_gather, .. } => m = m.max(n_gather),
-            Dataflow::OneD | Dataflow::TwoD => {}
+        match self.schedule.dataflow {
+            Dataflow::WgFull => n,
+            _ if self.layout.attn == AttnSharding::Batch => n,
+            Dataflow::WgHybrid { .. } => parts(&self.schedule).0,
+            Dataflow::OneD | Dataflow::TwoD => 1,
         }
-        if self.layout.attn == AttnSharding::Batch && self.dataflow != Dataflow::WeightGathered {
-            m = m.max(n);
-        }
-        m
     }
 
     /// Index of the span of slots holding `slot`, in `0..min_batch()`:
@@ -671,17 +646,17 @@ impl PartitionedEngine {
     /// `(start, count)` — the inverse of each dataflow's cache slicing.
     fn chip_rows(&self, chip: &ChipState, b: usize) -> (usize, usize) {
         let n = self.chips.len();
-        match (self.dataflow, self.layout.attn) {
-            (Dataflow::OneD | Dataflow::TwoD, AttnSharding::Head) => (0, b),
-            (Dataflow::OneD, AttnSharding::Batch) | (Dataflow::WeightGathered, _) => {
-                (chip.rank * (b / n), b / n)
-            }
+        // 1D is the hybrid with one gather group: `(i, j) = (0, rank)`.
+        let (n_gather, n_local) = parts(&self.schedule);
+        match (self.schedule.dataflow, self.layout.attn) {
+            (Dataflow::TwoD, AttnSharding::Head) => (0, b),
+            (Dataflow::WgFull, _) => (chip.rank * (b / n), b / n),
             (Dataflow::TwoD, AttnSharding::Batch) => {
                 let b_n = b / n;
                 let b_yz = b / self.layout.mesh.yz();
                 (chip.j * b_yz + chip.i * b_n, b_n)
             }
-            (Dataflow::WeightGatheredHybrid { n_gather, n_local }, attn) => {
+            (Dataflow::OneD | Dataflow::WgHybrid { .. }, attn) => {
                 let slice = b / n_gather;
                 match attn {
                     AttnSharding::Head => (chip.i * slice, slice),
@@ -702,21 +677,12 @@ impl PartitionedEngine {
         if n_kv == 1 {
             return (0, 1);
         }
-        match self.dataflow {
-            Dataflow::OneD => {
-                let h = n_kv / self.chips.len();
-                (chip.rank * h, h)
-            }
-            Dataflow::TwoD => {
-                let h = n_kv / self.layout.mesh.yz();
-                (chip.j * h, h)
-            }
-            Dataflow::WeightGathered => (0, n_kv),
-            Dataflow::WeightGatheredHybrid { n_local, .. } => {
-                let h = n_kv / n_local;
-                (chip.j * h, h)
-            }
+        if self.schedule.dataflow == Dataflow::WgFull {
+            return (0, n_kv);
         }
+        // Heads shard over the yz / local group (every chip, in 1D).
+        let h = n_kv / parts(&self.schedule).1;
+        (chip.j * h, h)
     }
 
     /// Extracts slot `row`'s KV cache in canonical form, assembling head
@@ -1041,22 +1007,19 @@ impl PartitionedEngine {
 
     fn validate_batch(&self, b: usize) {
         let n = self.chips.len();
-        if self.dataflow == Dataflow::WeightGathered {
+        let dataflow = self.schedule.dataflow;
+        if dataflow == Dataflow::WgFull {
             assert!(b.is_multiple_of(n), "weight-gathered layout needs batch divisible by {n} chips");
         }
-        if let Dataflow::WeightGatheredHybrid { n_gather, .. } = self.dataflow {
+        if let Dataflow::WgHybrid { .. } = dataflow {
+            let n_gather = parts(&self.schedule).0;
             assert!(
                 b.is_multiple_of(n_gather),
                 "hybrid weight-gathered layout needs batch divisible by {n_gather} gather groups"
             );
         }
-        if self.layout.attn == AttnSharding::Batch {
-            match self.dataflow {
-                Dataflow::OneD | Dataflow::TwoD | Dataflow::WeightGatheredHybrid { .. } => {
-                    assert!(b.is_multiple_of(n), "batch-sharded attention needs batch divisible by {n} chips");
-                }
-                Dataflow::WeightGathered => {}
-            }
+        if self.layout.attn == AttnSharding::Batch && dataflow != Dataflow::WgFull {
+            assert!(b.is_multiple_of(n), "batch-sharded attention needs batch divisible by {n} chips");
         }
     }
 
@@ -1080,12 +1043,9 @@ impl PartitionedEngine {
             return Err(EngineError::Poisoned);
         }
         let cfg = self.cfg.clone();
-        let dataflow = self.dataflow;
+        let schedule = &self.schedule;
         let attn = self.layout.attn;
-        let (x_parts, yz_parts) = match dataflow {
-            Dataflow::TwoD => (self.layout.mesh.x, self.layout.mesh.yz()),
-            _ => (1, self.chips.len()),
-        };
+        let (x_parts, yz_parts) = parts(schedule);
         let n = self.chips.len();
         let (b, l) = (x.dim(0), x.dim(1));
         let bases = self.row_bases(rows);
@@ -1127,14 +1087,13 @@ impl PartitionedEngine {
                         with_worker_pool(pool, || {
                             let result = {
                                 let chip = &mut *chip;
-                                catch_unwind(AssertUnwindSafe(move || match dataflow {
-                                    Dataflow::OneD => forward_1d(cfg, chip, kv, x, bases, attn, n),
+                                catch_unwind(AssertUnwindSafe(move || match schedule.dataflow {
                                     Dataflow::TwoD => {
                                         forward_2d(cfg, chip, kv, x, bases, attn, x_parts, yz_parts)
                                     }
-                                    Dataflow::WeightGathered => forward_wg(cfg, chip, kv, x, bases, n),
-                                    Dataflow::WeightGatheredHybrid { n_gather, .. } => {
-                                        forward_wg_hybrid(cfg, chip, kv, x, bases, attn, n_gather)
+                                    Dataflow::WgFull => forward_wg(cfg, chip, kv, x, bases, n),
+                                    Dataflow::OneD | Dataflow::WgHybrid { .. } => {
+                                        run_schedule(schedule, cfg, chip, kv, x, bases)
                                     }
                                 }))
                             };
@@ -1177,19 +1136,13 @@ impl PartitionedEngine {
                 *age += l;
             }
         }
-        if matches!(dataflow, Dataflow::WeightGatheredHybrid { .. }) {
-            // One logits slice per gather group (rank order == g order);
-            // concatenate along the batch dimension.
-            let parts: Vec<Tensor> = outputs.into_iter().flatten().collect();
-            let refs: Vec<&Tensor> = parts.iter().collect();
-            Ok(Tensor::concat(&refs, 0))
-        } else {
-            Ok(outputs
-                .into_iter()
-                .flatten()
-                .next()
-                .expect("rank 0 returns logits"))
+        // The chips holding distinct logits slices return them, in rank
+        // (= batch) order.
+        let mut logits: Vec<Tensor> = outputs.into_iter().flatten().collect();
+        if logits.len() == 1 {
+            return Ok(logits.remove(0));
         }
+        Ok(Tensor::concat(&logits.iter().collect::<Vec<_>>(), 0))
     }
 }
 
@@ -1209,6 +1162,17 @@ struct StepLayout {
 fn rows_per_span(spans: &[(usize, usize)], slots: &[usize]) -> usize {
     let held = |&(r0, rc): &(usize, usize)| slots.iter().filter(|s| (r0..r0 + rc).contains(s)).count();
     spans.iter().map(held).max().unwrap_or(0)
+}
+
+/// The `(x, yz)` group sizes of `s`'s dataflow: 2D's `x` and `y·z`, hybrid
+/// weight-gathering's gather and local groups, `(1, n)` otherwise.
+fn parts(s: &Schedule) -> (usize, usize) {
+    let size = |axes| s.torus.group_size(axes);
+    match s.dataflow {
+        Dataflow::TwoD => (s.layout.mesh.x, s.layout.mesh.yz()),
+        Dataflow::WgHybrid { gather, local } => (size(gather), size(local)),
+        Dataflow::OneD | Dataflow::WgFull => (1, s.torus.chip_count()),
+    }
 }
 
 /// A chip's KV cache as one forward pass sees it: step row `r` of the
@@ -1489,156 +1453,213 @@ fn wg_rows(group: &CommGroup, x: &Tensor, shard: &ShardMat) -> Tensor {
 }
 
 // ---------------------------------------------------------------------------
-// 1D weight-stationary dataflow (Section 3.2.1)
+// the schedule interpreter: 1D weight-stationary (Section 3.2.1) and hybrid
+// weight-gathered (Figure A.2) dataflows
 // ---------------------------------------------------------------------------
 
-fn forward_1d(
-    cfg: &ModelConfig,
-    chip: &mut ChipState,
-    (rows, batch): (&[usize], usize),
-    mut x: Tensor,
-    bases: &[usize],
-    attn: AttnSharding,
-    n: usize,
-) -> Option<Tensor> {
-    let ChipState { rank, layers, cache, g_all, ln_final, embed_t, .. } = chip;
-    let rank = *rank;
-    let cache = &mut StepCache { cache, rows, batch };
-    for (li, shard) in layers.iter().enumerate() {
-        x = layer_1d(cfg, shard, x, bases, attn, g_all, cache, li, rank, n);
-    }
-    if rank == 0 {
-        let h = ln3(&x, ln_final);
-        Some(mm3(&h, embed_t))
-    } else {
-        None
+/// What a schedule step hands on: an activation, or a weight gathered for
+/// this layer.
+enum Val {
+    Act(Tensor),
+    Mat(ShardMat),
+}
+
+/// The operands `step` reads.
+fn operands(step: &Step) -> impl Iterator<Item = Operand> + '_ {
+    let (a, b, rest): (_, _, &[Operand]) = match step {
+        Step::Collective { input, .. } => (Some(input), None, &[]),
+        Step::Einsum { x, w, .. } => (Some(x), Some(w), &[]),
+        Step::Local { inputs, .. } => (None, None, inputs),
+    };
+    a.into_iter().chain(b).chain(rest).copied()
+}
+
+/// The stored weight `role` names: one of `layer`'s shards, or the
+/// transposed embedding.
+fn stored<'a>(layer: Option<&'a LayerShard>, embed_t: &'a ShardMat, role: Role) -> &'a ShardMat {
+    let l = || layer.expect("layer weights are read inside a layer");
+    match role {
+        Role::Wq => &l().wq,
+        Role::Wk => &l().wk,
+        Role::Wv => &l().wv,
+        Role::Wo => &l().wo,
+        Role::WIn => &l().w_in,
+        Role::WGate => l().w_gate.as_ref().expect("a gated MLP stores its gate"),
+        Role::WOut => &l().w_out,
+        Role::EmbedT => embed_t,
     }
 }
 
-/// One 1D weight-stationary Transformer layer: the Megatron dataflow with
-/// a parallel or serialized block, shared by the pure 1D and the hybrid
-/// weight-gathered forwards. Each block's output projections are summed
-/// locally and leave through one all-reduce.
-#[allow(clippy::too_many_arguments)]
-fn layer_1d(
+/// All-gathers a stored weight shard over `g` along its stored `dim`
+/// (0 = rows, 1 = columns). Over an int8 wire the shards stay quantized:
+/// column shards concatenate into one [`ShardMat::Int8`] (every column's
+/// scale lives wholly in one shard), row shards become a
+/// [`ShardMat::Int8Cat`] of independently-scaled blocks, so the ledger
+/// charges the quantized volume the analytic model charges.
+fn gather_weight(g: &CommGroup, w: &ShardMat, dim: usize, wire: WireFormat) -> ShardMat {
+    match (w, wire) {
+        (ShardMat::Int8(q), WireFormat::Int8) => {
+            let parts = g.all_gather_quant(q, dim);
+            if dim == 1 {
+                ShardMat::Int8(QuantizedMatrix::concat_cols(&parts.iter().collect::<Vec<_>>()))
+            } else {
+                ShardMat::Int8Cat(parts)
+            }
+        }
+        (ShardMat::Dense(t), WireFormat::Dense) => ShardMat::Dense(g.all_gather(t, dim)),
+        _ => unreachable!("a weight's wire format follows its storage"),
+    }
+}
+
+/// Runs schedule `s` on one chip: its layer steps once per model layer,
+/// then its final steps. An einsum runs [`ShardMat::mm3`]; a collective
+/// runs on the chip's group over the step's axes; a local op runs its
+/// kernel. Each value is dropped after its last reader. Returns the logits
+/// where this chip is rank 0 of the group they are replicated over.
+fn run_schedule(
+    s: &Schedule,
     cfg: &ModelConfig,
-    shard: &LayerShard,
+    chip: &mut ChipState,
+    (rows, batch): (&[usize], usize),
     x: Tensor,
     bases: &[usize],
-    attn: AttnSharding,
-    group: &CommGroup,
-    cache: &mut StepCache,
-    li: usize,
-    rank: usize,
-    n: usize,
-) -> Tensor {
-    let serial = cfg.block == esti_model::BlockKind::Serial;
-    if serial {
-        let ctx =
-            attn_ctx_1d(cfg, shard, &ln3(&x, &shard.ln1), bases, attn, group, cache, li, rank, n);
-        let x1 = &x + &group.all_reduce(&partial_sum(&[(&ctx, &shard.wo)]));
-        let ln2 = shard.ln2.as_ref().expect("serial block requires ln2");
-        let h = mlp_hidden_1d(cfg, shard, &ln3(&x1, ln2));
-        &x1 + &group.all_reduce(&partial_sum(&[(&h, &shard.w_out)]))
-    } else {
-        let ln = ln3(&x, &shard.ln1);
-        let ctx = attn_ctx_1d(cfg, shard, &ln, bases, attn, group, cache, li, rank, n);
-        let h = mlp_hidden_1d(cfg, shard, &ln);
-        &x + &group.all_reduce(&partial_sum(&[(&ctx, &shard.wo), (&h, &shard.w_out)]))
-    }
-}
-
-/// The hybrid weight-gathered forward (X / XY extents, Figure A.2): the
-/// batch is sharded over `n_gather` groups; within each group, weights are
-/// all-gathered into 1D shards and the layer runs as 1D weight-stationary
-/// over the `n_local` chips holding that batch slice.
-#[allow(clippy::too_many_arguments)]
-fn forward_wg_hybrid(
-    cfg: &ModelConfig,
-    chip: &mut ChipState,
-    (rows, batch): (&[usize], usize),
-    x_full: Tensor,
-    bases: &[usize],
-    attn: AttnSharding,
-    n_gather: usize,
 ) -> Option<Tensor> {
-    let ChipState { i, j, layers, cache, g_x, g_yz, ln_final, embed_t, .. } = chip;
+    let ChipState { layers, cache, g_all, g_x, g_yz, ln_final, embed_t, .. } = chip;
     let cache = &mut StepCache { cache, rows, batch };
-    let (g, b) = (*i, *j);
-    let g_gather = g_x.as_ref().expect("hybrid WG has a gather group");
-    let g_local = g_yz.as_ref().expect("hybrid WG has a local group");
-    let batch = x_full.dim(0);
-    let slice = batch / n_gather;
-    let mut x = x_full.slice(0, g * slice, slice);
-    let bases = &bases[g * slice..(g + 1) * slice];
-    for (li, shard) in layers.iter().enumerate() {
-        let w = gather_layer(cfg, g_gather, shard);
-        x = layer_1d(cfg, &w, x, bases, attn, g_local, cache, li, b, g_local.size());
-    }
-    if b == 0 {
-        // x is replicated within the local group; the b = 0 member of each
-        // gather group emits its batch slice's logits.
-        let h = ln3(&x, ln_final);
-        Some(mm3(&h, embed_t))
-    } else {
-        None
-    }
-}
-
-/// 1D attention up to (but not including) the output projection: returns
-/// the per-chip context `[B, l, h_loc*dh]`, which the caller contracts
-/// with `wo` ahead of the block's all-reduce.
-#[allow(clippy::too_many_arguments)]
-fn attn_ctx_1d(
-    cfg: &ModelConfig,
-    shard: &LayerShard,
-    ln: &Tensor,
-    bases: &[usize],
-    attn: AttnSharding,
-    g_all: &CommGroup,
-    cache: &mut StepCache,
-    li: usize,
-    rank: usize,
-    n: usize,
-) -> Tensor {
-    let mut q = shard.wq.mm3(ln); // [B, l, h_loc*dh]
-    let mut k = shard.wk.mm3(ln); // MQ: [B, l, dh] (replicated); MHA: local heads
-    let v = shard.wv.mm3(ln);
-    let dh = cfg.d_head;
-    if cfg.position == PositionKind::Rope {
-        // RoPE is head-local and position-dependent only, so rotating the
-        // shards before any resharding matches the reference exactly.
-        q = ops::rope_rows(&q, dh, bases);
-        k = ops::rope_rows(&k, dh, bases);
-    }
-    match attn {
-        AttnSharding::Head => {
-            cache.append(li, &k, &v);
-            cache.attend(&q, li, dh)
+    let group = |axes: AxisSet| match s.dataflow {
+        Dataflow::WgHybrid { gather, .. } if axes == gather => g_x.as_ref().expect("gather group"),
+        Dataflow::WgHybrid { local, .. } if axes == local => g_yz.as_ref().expect("local group"),
+        _ => &*g_all,
+    };
+    // The rows of `n` this chip keeps when they split over `axes`: its
+    // group rank's share.
+    let share = |n: usize, axes: AxisSet| {
+        if axes.is_empty() {
+            return 0..n;
         }
-        AttnSharding::Batch => {
-            // Reshard Q from head-sharded to batch-sharded (Figure 5b);
-            // K/V are replicated under multiquery so each chip just keeps
-            // its batch slice — the KV cache ends up divided n ways.
-            let b = q.dim(0);
-            let q_b = g_all.all_to_all(&q, 0, 2); // [B/n, l, H*dh]
-            let b_loc = b / n;
-            let k_b = k.slice(0, rank * b_loc, b_loc);
-            let v_b = v.slice(0, rank * b_loc, b_loc);
-            cache.append(li, &k_b, &v_b);
-            let attn_b = cache.attend(&q_b, li, dh); // [B/n, l, H*dh]
-            g_all.all_to_all(&attn_b, 2, 0) // [B, l, h_loc*dh]
+        let (r, k) = (group(axes).rank(), n / group(axes).size());
+        r * k..(r + 1) * k
+    };
+    let tensor = |r: Operand| s.tensor(r).expect("a verified schedule's operands exist");
+    let b_axes = s.boundary.spec.axes_of('B');
+    let mine = share(x.dim(0), b_axes);
+    let mut x = if mine.len() == x.dim(0) { x } else { x.slice(0, mine.start, mine.len()) };
+    let bases = &bases[mine];
+
+    let steps: Vec<&Step> = s.layer.iter().chain(&s.final_steps).collect();
+    let mut last_read = vec![0; steps.len()];
+    for (k, step) in steps.iter().enumerate() {
+        for r in operands(step) {
+            if let Operand::Step(j) = r {
+                last_read[j] = k;
+            }
         }
     }
-}
-
-/// 1D MLP up to (but not including) the output projection: returns the
-/// hidden activations `[B, l, f_loc]`, which the caller contracts with
-/// `w_out` ahead of the block's all-reduce.
-fn mlp_hidden_1d(cfg: &ModelConfig, shard: &LayerShard, ln: &Tensor) -> Tensor {
-    let gate = shard.w_gate.as_ref().map(|g| g.mm3(ln));
-    let up = shard.w_in.mm3(ln);
-    mlp_hidden(cfg, gate, up)
+    // Rank 0 of the group the logits are replicated over returns them; the
+    // other chips skip the final steps unless those communicate.
+    let sharded = tensor(Operand::Step(steps.len() - 1)).spec.axes_of('B');
+    let emits = group(AxisSet::all().without(sharded)).rank() == 0;
+    let talks = s.final_steps.iter().any(|st| matches!(st, Step::Collective { .. }));
+    let passes = if emits || talks { layers.len() + 1 } else { layers.len() };
+    let mut vals: Vec<Option<Val>> = steps.iter().map(|_| None).collect();
+    for li in 0..passes {
+        let layer = layers.get(li);
+        let run = if layer.is_some() { 0..s.layer.len() } else { s.layer.len()..steps.len() };
+        for k in run {
+            let val = |j: usize| vals[j].as_ref().expect("a value lives until its last reader");
+            let act = |r: Operand| match r {
+                Operand::Boundary => &x,
+                Operand::Step(j) => match val(j) {
+                    Val::Act(t) => t,
+                    Val::Mat(_) => panic!("step {j} is a weight"),
+                },
+                Operand::Weight(role) => panic!("{role:?} is a weight"),
+            };
+            let mat = |r: Operand| match r {
+                Operand::Weight(role) => stored(layer, &*embed_t, role),
+                Operand::Step(j) => match val(j) {
+                    Val::Mat(m) => m,
+                    Val::Act(_) => panic!("step {j} is an activation"),
+                },
+                Operand::Boundary => panic!("the boundary is an activation"),
+            };
+            let out = match steps[k] {
+                Step::Einsum { x: a, w, .. } => Val::Act(mat(*w).mm3(act(*a))),
+                Step::Collective { op, axes, input, wire, .. } => {
+                    let (g, t) = (group(*axes), tensor(*input));
+                    // Activations are `[B, L, ·]`, heads and head dims
+                    // flattened into dim 2; a stored weight is a matrix
+                    // whose rows are its leading dim.
+                    let act_dim = |c: char| t.dim_index(c).expect("the tensor has the dim").min(2);
+                    match *op {
+                        SymOp::AllGather { dim } => {
+                            let rows = t.dim_index(dim) == Some(0);
+                            Val::Mat(gather_weight(g, mat(*input), usize::from(!rows), *wire))
+                        }
+                        SymOp::AllReduce => Val::Act(g.all_reduce(act(*input))),
+                        SymOp::AllToAll { split, concat } => {
+                            Val::Act(g.all_to_all(act(*input), act_dim(split), act_dim(concat)))
+                        }
+                        SymOp::ReduceScatter { .. } => unreachable!("1D never reduce-scatters"),
+                    }
+                }
+                Step::Local { op, inputs, output, .. } => {
+                    let a = act(inputs[0]);
+                    // The batch axes this op's output gains over its input.
+                    let gained = |from: &SymTensor| {
+                        output.spec.axes_of('B').without(from.spec.axes_of('B'))
+                    };
+                    Val::Act(match op {
+                        LocalOp::LayerNorm(gain) => ln3(
+                            a,
+                            match gain {
+                                Gain::Attn => &layer.expect("a layer step").ln1,
+                                Gain::Mlp => layer.and_then(|l| l.ln2.as_ref()).expect("serial ln2"),
+                                Gain::Final => &*ln_final,
+                            },
+                        ),
+                        LocalOp::Attention => {
+                            let (k, v, dh) = (act(inputs[1]), act(inputs[2]), cfg.d_head);
+                            let bases = &bases[share(bases.len(), gained(&s.boundary))];
+                            if cfg.position == PositionKind::Rope {
+                                cache.append(li, &ops::rope_rows(k, dh, bases), v);
+                                cache.attend(&ops::rope_rows(a, dh, bases), li, dh)
+                            } else {
+                                cache.append(li, k, v);
+                                cache.attend(a, li, dh)
+                            }
+                        }
+                        LocalOp::BatchSlice => {
+                            let r = share(a.dim(0), gained(tensor(inputs[0])));
+                            a.slice(0, r.start, r.len())
+                        }
+                        LocalOp::SwiGlu => ops::swiglu(a, act(inputs[1])),
+                        LocalOp::Gelu => gelu(a),
+                        LocalOp::Add => a + act(inputs[1]),
+                        LocalOp::Moments => unreachable!("only 2D shards the layernorm"),
+                    })
+                }
+            };
+            vals[k] = Some(out);
+            for r in operands(steps[k]) {
+                if let Operand::Step(j) = r {
+                    if last_read[j] == k {
+                        vals[j] = None;
+                    }
+                }
+            }
+        }
+        if layer.is_some() {
+            x = match vals[s.layer.len() - 1].take() {
+                Some(Val::Act(t)) => t,
+                _ => unreachable!("a layer ends on the residual stream"),
+            };
+        }
+    }
+    match vals.pop() {
+        Some(Some(Val::Act(logits))) if emits => Some(logits),
+        _ => None,
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1719,7 +1740,7 @@ fn forward_2d(
     }
     // Final layernorm + logit projection: partial over all chips.
     let xn = sharded_layernorm(g_all, &x_loc, ln_final, e);
-    let logits_part = mm3(&xn, embed_t); // [B, L, V] partial
+    let logits_part = embed_t.mm3(&xn); // [B, L, V] partial
     let logits = g_all.all_reduce(&logits_part);
     if rank == 0 {
         Some(logits)
@@ -1842,50 +1863,12 @@ fn forward_wg(
         }
     }
     let h = ln3(&x, ln_final);
-    let logits_loc = mm3(&h, embed_t); // [B/n, L, V]
+    let logits_loc = embed_t.mm3(&h); // [B/n, L, V]
     let logits = g_all.all_gather(&logits_loc, 0);
     if rank == 0 {
         Some(logits)
     } else {
         None
-    }
-}
-
-/// All-gathers one layer's weight shards into full matrices, for the hybrid
-/// dataflow's 1D layer to run on. Quantized shards travel in
-/// their wire format (int8 values + per-column f32 scales) and stay
-/// quantized after the gather: column shards reassemble into one
-/// [`ShardMat::Int8`] (every output column's scale lives wholly in one
-/// shard), row shards become a [`ShardMat::Int8Cat`] of the
-/// independently-scaled blocks so the downstream einsum can fold scaled
-/// per-block partials. The ledger therefore charges the quantized byte
-/// volume, matching the stored-dtype traffic the analytic model charges.
-fn gather_layer(cfg: &ModelConfig, g: &CommGroup, s: &LayerShard) -> LayerShard {
-    use crate::shard::ShardMat;
-    let ag = |m: &ShardMat, dim: usize| match m {
-        ShardMat::Int8(q) => {
-            let parts = g.all_gather_quant(q, dim);
-            if dim == 1 {
-                let refs: Vec<&esti_tensor::QuantizedMatrix> = parts.iter().collect();
-                ShardMat::Int8(esti_tensor::QuantizedMatrix::concat_cols(&refs))
-            } else {
-                ShardMat::Int8Cat(parts)
-            }
-        }
-        ShardMat::Int8Cat(_) => unreachable!("stored shards are never gathered concatenations"),
-        ShardMat::Dense(_) => ShardMat::Dense(g.all_gather(&m.dense(), dim)),
-    };
-    LayerShard {
-        wq: ag(&s.wq, 1),
-        // Multiquery K/V shards are replicated (nothing to gather).
-        wk: if cfg.n_kv_heads() == 1 { s.wk.clone() } else { ag(&s.wk, 1) },
-        wv: if cfg.n_kv_heads() == 1 { s.wv.clone() } else { ag(&s.wv, 1) },
-        wo: ag(&s.wo, 0),
-        w_in: ag(&s.w_in, 1),
-        w_gate: s.w_gate.as_ref().map(|w| ag(w, 1)),
-        w_out: ag(&s.w_out, 0),
-        ln1: s.ln1.clone(),
-        ln2: s.ln2.clone(),
     }
 }
 

@@ -4,11 +4,12 @@
 //! `esti-verify`'s quant-dataflow pass checks schedules against what the
 //! engine *actually does* with quantized weight streams — which matrices
 //! gather along which dimension, and so which axis their per-column scales
-//! ride. Encoding those conventions here, next to the code that implements
-//! them (the engine's `wg_cols` / `wg_rows` and `gather_layer`), keeps the
-//! analyzer and the runtime from drifting apart silently: a new weight
-//! stream must be added to this table to be verified, and the quant pass
-//! rejects schedules whose streams it cannot find.
+//! ride. The hybrid weight-gathered layouts run their schedule's own weight
+//! gathers, but the fully weight-gathered (XYZ) layout still fuses each
+//! gather into its einsum by hand (the engine's `wg_cols` / `wg_rows`), so
+//! its conventions are encoded here, next to the code that implements
+//! them: a new weight stream must be added to this table to be verified,
+//! and the quant pass rejects schedules whose streams it cannot find.
 
 use esti_core::schedule::WireFormat;
 
@@ -27,13 +28,14 @@ pub struct WgStream {
 /// The weight streams the weight-gathered dataflows move per layer, with
 /// the gather dimension each uses.
 ///
-/// Must stay in lockstep with the engine's one executor (`wg_cols` /
-/// `wg_rows` for the fully gathered dataflow, `gather_layer` for the
-/// hybrid): `wq`/`wk`/`wv`/`w_in`/`w_gate` are column-sharded and gather
-/// along dim 1, each arriving shard owning its output columns and their
-/// scales outright; `wo`/`w_out` are row-sharded and gather along dim 0,
-/// each source rank's scales landing once on that rank's accumulator before
-/// the rank fold.
+/// Must stay in lockstep with the fully gathered dataflow's hand-written
+/// `wg_cols` / `wg_rows` (the hybrid gathers along the dim each schedule
+/// step's stored orientation gives, the same table):
+/// `wq`/`wk`/`wv`/`w_in`/`w_gate` are column-sharded and gather along dim
+/// 1, each arriving shard owning its output columns and their scales
+/// outright; `wo`/`w_out` are row-sharded and gather along dim 0, each
+/// source rank's scales landing once on that rank's accumulator before the
+/// rank fold.
 #[must_use]
 pub fn wg_stream_plan() -> [WgStream; 7] {
     [

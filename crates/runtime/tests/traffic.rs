@@ -151,10 +151,13 @@ fn weight_gathered_traffic_is_weights_not_activations() {
 fn symbolic_schedule_call_counts_match_measured_runtime() {
     // The static analyzer (esti-verify Pass 2) replays per-chip programs
     // derived from the symbolic schedule, so the schedule must describe
-    // what the runtime actually does. For 1D weight-stationary layouts the
-    // correspondence is exact: the engine must issue precisely the
-    // collective calls the schedule predicts, group-for-group.
+    // what the runtime actually does: the engine must issue precisely the
+    // collective calls the schedule predicts, group-for-group. The 1D and
+    // hybrid weight-gathered layouts run their schedule, so for them this
+    // holds by construction; for 2D and WG-XYZ it is the exact check that
+    // the hand-written forwards issue the schedule's calls.
     use esti_core::schedule::{build_schedule, Step, SymOp};
+    use esti_hal::DType;
 
     fn op_kind(op: SymOp) -> CollectiveOp {
         match op {
@@ -165,37 +168,55 @@ fn symbolic_schedule_call_counts_match_measured_runtime() {
         }
     }
 
-    for attn in [AttnSharding::Head, AttnSharding::Batch] {
-        let model = ReferenceModel::init_random(ModelConfig::tiny(), 12);
+    // The five tier-1 layouts: all four dataflows, both attention shardings.
+    let layouts = [
+        (FfnLayout::WeightStationary1D, AttnSharding::Head, MeshFactors::new(1, 4, 1)),
+        (FfnLayout::WeightStationary1D, AttnSharding::Batch, MeshFactors::new(1, 4, 1)),
+        (FfnLayout::WeightStationary2D, AttnSharding::Batch, MeshFactors::new(2, 2, 1)),
+        (FfnLayout::WeightGathered(GatherExtent::Xyz), AttnSharding::Batch, MeshFactors::new(4, 1, 1)),
+        (FfnLayout::WeightGathered(GatherExtent::X), AttnSharding::Head, MeshFactors::new(2, 2, 1)),
+    ];
+    let mut checked = 0;
+    for cfg in [ModelConfig::tiny(), ModelConfig::tiny_multihead()] {
+        let model = ReferenceModel::init_random(cfg, 12);
         let cfg = model.config();
-        let layout = Layout {
-            ffn: FfnLayout::WeightStationary1D,
-            attn,
-            mesh: MeshFactors::new(1, 4, 1),
-        };
-        let (b, l) = (4usize, 2usize);
-        let schedule = build_schedule(cfg, &layout, b * l, 1).expect("schedule");
-        let torus = schedule.torus;
-        let mut expected = std::collections::HashMap::new();
-        for (steps, reps) in [(&schedule.layer, cfg.n_layers), (&schedule.final_steps, 1)] {
-            for step in steps {
-                if let Step::Collective { op, axes, .. } = step {
-                    // One ledger entry per group instance (rank 0 records).
-                    let groups = torus.chip_count() / torus.group_size(*axes);
-                    *expected.entry(op_kind(*op)).or_insert(0u64) += (groups * reps) as u64;
+        for (ffn, attn, mesh) in layouts {
+            if attn == AttnSharding::Batch && cfg.n_kv_heads() != 1 {
+                continue; // batch-sharded attention needs multiquery
+            }
+            let layout = Layout { ffn, attn, mesh };
+            let formats = [(WeightFormat::Exact, DType::F32), (WeightFormat::Int8, DType::Int8)];
+            for (fmt, dtype) in formats {
+                let (b, l) = (4usize, 2usize);
+                let schedule = build_schedule(cfg, &layout, b * l, 1).expect("schedule");
+                let schedule = schedule.with_weight_dtype(dtype);
+                let torus = schedule.torus;
+                let mut expected = std::collections::HashMap::new();
+                for (steps, reps) in [(&schedule.layer, cfg.n_layers), (&schedule.final_steps, 1)] {
+                    for step in steps {
+                        if let Step::Collective { op, axes, .. } = step {
+                            // One ledger entry per group instance (rank 0 records).
+                            let groups = torus.chip_count() / torus.group_size(*axes);
+                            *expected.entry(op_kind(*op)).or_insert(0u64) += (groups * reps) as u64;
+                        }
+                    }
                 }
+                let mut engine = PartitionedEngine::new(&model, layout, fmt);
+                let _ = engine.try_prefill(&prompts(b, l)).unwrap();
+                for op in CollectiveOp::ALL {
+                    assert_eq!(
+                        engine.traffic().calls(op),
+                        expected.get(&op).copied().unwrap_or(0),
+                        "{op:?} call count: {} {} {fmt:?}",
+                        cfg.name,
+                        layout.describe()
+                    );
+                }
+                checked += 1;
             }
         }
-        let mut engine = PartitionedEngine::new(&model, layout, WeightFormat::Exact);
-        let _ = engine.try_prefill(&prompts(b, l)).unwrap();
-        for op in CollectiveOp::ALL {
-            assert_eq!(
-                engine.traffic().calls(op),
-                expected.get(&op).copied().unwrap_or(0),
-                "{op:?} call count with {attn:?} attention"
-            );
-        }
     }
+    assert_eq!(checked, 14, "5 layouts x 2 formats for tiny, 2 x 2 for tiny_multihead");
 }
 
 #[test]

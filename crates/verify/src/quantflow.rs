@@ -13,7 +13,7 @@
 //!   actually moves more bytes than the dense bf16 path it replaces.
 //!
 //! This pass walks every [`WireFormat::Int8`]-annotated collective of a
-//! schedule (see `Plan::with_weight_dtype`) and checks it against the
+//! schedule (see `Schedule::with_weight_dtype`) and checks it against the
 //! runtime's stream table ([`esti_runtime::wg_stream_plan`]): the step must
 //! be a weight all-gather the executor knows, gathered along the dimension
 //! the stream's shards are sharded on; and its wire volume, by the ledger's
@@ -168,6 +168,7 @@ pub fn check_quantflow(
         if !covered.contains(label) {
             covered.push(label);
         }
+        let input = schedule.tensor(*input).map_err(QuantflowError::Extraction)?;
         let shape = input
             .local_shape(torus)
             .map_err(QuantflowError::Extraction)?;

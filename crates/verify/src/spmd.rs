@@ -142,8 +142,9 @@ pub fn per_chip_program(
     ] {
         for step in steps {
             if let Step::Collective { label, op, axes, input, wire, .. } = step {
-                let shape = input
-                    .local_shape(torus)
+                let shape = schedule
+                    .tensor(*input)
+                    .and_then(|t| t.local_shape(torus))
                     .map_err(|e| format!("step \"{label}\": {e}"))?;
                 out.push((*label, *op, *axes, shape, *wire));
             }
