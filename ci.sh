@@ -149,6 +149,17 @@ cargo test -q --release -p esti-runtime --test faults
 # live requests bit-identical, under both GEMM tiers.
 ESTI_DISABLE_SIMD=1 cargo test -q --release -p esti-runtime --test faults a_prefill_fault
 
+echo "== resident executors: chip threads live as long as their engine =="
+# The engine runs every pass on its own executor pool (one worker per chip),
+# so no pass spawns a thread. executors checks the process thread count
+# across 200 steps, on drop and after a fault-forced rebuild; threads and
+# faults hold the pool to the bits and to the unwind protocol.
+if grep -rn "thread::scope" crates/runtime/src; then
+  echo "FAIL: a forward pass spawns chip threads again (thread::scope in crates/runtime/src)" >&2
+  exit 1
+fi
+cargo test -q --release -p esti-runtime --test executors --test threads --test faults
+
 echo "== frozen benchmark: builds against the workspace crates, oracle passes =="
 # benchmark/ is its own [workspace], so nothing above compiles it: a pub its
 # probes use (KvCache::read_slot, attention_over_cache, ops::softmax_base2,

@@ -1,4 +1,16 @@
 //! Mailbox-and-barrier collective groups.
+//!
+//! One collective is one rendezvous. Each member deposits its payload into
+//! its mailbox of the call's *generation parity* (a member's calls alternate
+//! between two mailboxes), passes one barrier, and then reads every peer's
+//! deposit of that parity by reference. The last member to finish reading a
+//! generation empties that parity's mailboxes.
+//!
+//! No second barrier is needed to keep a fast member from overwriting a
+//! mailbox a slow one still reads: the next deposit into the same parity
+//! belongs to generation g + 2, which a member reaches only after passing
+//! g + 1's barrier — and every member arrives there only once it has
+//! finished reading generation g.
 
 use std::cell::{Cell, RefCell};
 use std::sync::Arc;
@@ -15,31 +27,38 @@ use crate::sync::{Barrier, BarrierFate, Mutex, PoisonError};
 /// scales). Keeping the quantized form first-class in the mailbox is what
 /// lets weight-gathered layouts move int8 bytes instead of the dequantized
 /// f32 view — the ledger then charges the true quantized volume.
-#[derive(Clone)]
 enum Payload {
     Dense(Tensor),
     Quant(QuantizedMatrix),
 }
 
-impl Payload {
-    fn into_dense(self) -> Tensor {
-        match self {
+/// One member's deposit for one collective: its payload and, in debug
+/// builds, what it claims to be doing.
+struct Deposit {
+    payload: Payload,
+    #[cfg(all(debug_assertions, not(loom)))]
+    meta: CallMeta,
+}
+
+impl Deposit {
+    fn dense(&self) -> &Tensor {
+        match &self.payload {
             Payload::Dense(t) => t,
             Payload::Quant(_) => panic!("expected dense payload in mailbox slot"),
         }
     }
 
-    fn into_quant(self) -> QuantizedMatrix {
-        match self {
+    fn quant(&self) -> &QuantizedMatrix {
+        match &self.payload {
             Payload::Dense(_) => panic!("expected quantized payload in mailbox slot"),
             Payload::Quant(q) => q,
         }
     }
 }
 
-/// What one member claims to be doing, deposited before each collective in
-/// debug builds so divergent members fail an assertion instead of
-/// deadlocking at the barrier or corrupting each other's mailboxes.
+/// What one member claims to be doing, deposited with each collective's
+/// payload in debug builds so divergent members fail an assertion instead
+/// of corrupting each other's results.
 #[cfg(all(debug_assertions, not(loom)))]
 #[derive(Clone, PartialEq, Debug)]
 struct CallMeta {
@@ -56,12 +75,19 @@ struct CallMeta {
     quant: bool,
 }
 
+/// A mailbox: empty, or one member's deposit of the generation in flight.
+/// The deposit sits behind an `Arc` so readers hold the lock only to take a
+/// reference, never while they fold or copy.
+type Mailbox = Mutex<Option<Arc<Deposit>>>;
+
 struct Shared {
-    slots: Vec<Mutex<Option<Payload>>>,
+    /// One mailbox per rank for each generation parity.
+    slots: [Vec<Mailbox>; 2],
+    /// Per parity, how many members have finished reading the generation in
+    /// flight; the last one empties that parity's mailboxes.
+    readers: [Mutex<usize>; 2],
     barrier: Barrier,
     stats: Option<Arc<TrafficStats>>,
-    #[cfg(all(debug_assertions, not(loom)))]
-    meta: Vec<Mutex<Option<CallMeta>>>,
 }
 
 /// One member's handle to a collective group of simulated chips.
@@ -98,8 +124,8 @@ pub struct CommGroup {
     /// this chip's group handles. `chip` is the *global* chip id, which may
     /// differ from `rank` inside a sub-communicator.
     fault: RefCell<Option<FaultArm>>,
-    /// Number of collectives this member has issued (debug-build SPMD check).
-    #[cfg(all(debug_assertions, not(loom)))]
+    /// Number of collectives this member has issued: its next call's
+    /// generation, whose parity picks the mailbox.
     calls: Cell<u64>,
 }
 
@@ -138,12 +164,12 @@ impl CommGroup {
 
     fn create_impl(size: usize, stats: Option<Arc<TrafficStats>>) -> Vec<CommGroup> {
         assert!(size > 0, "group size must be positive");
+        let mailboxes = || (0..size).map(|_| Mutex::new(None)).collect();
         let shared = Arc::new(Shared {
-            slots: (0..size).map(|_| Mutex::new(None)).collect(),
+            slots: [mailboxes(), mailboxes()],
+            readers: [Mutex::new(0), Mutex::new(0)],
             barrier: Barrier::new(size),
             stats,
-            #[cfg(all(debug_assertions, not(loom)))]
-            meta: (0..size).map(|_| Mutex::new(None)).collect(),
         });
         (0..size)
             .map(|rank| CommGroup {
@@ -152,7 +178,6 @@ impl CommGroup {
                 times: Default::default(),
                 deadline: Cell::new(None),
                 fault: RefCell::new(None),
-                #[cfg(all(debug_assertions, not(loom)))]
                 calls: Cell::new(0),
             })
             .collect()
@@ -167,7 +192,7 @@ impl CommGroup {
     /// Number of members in the group.
     #[must_use]
     pub fn size(&self) -> usize {
-        self.shared.slots.len()
+        self.shared.slots[0].len()
     }
 
     /// Sets the deadline applied to every barrier wait this member
@@ -210,10 +235,10 @@ impl CommGroup {
         self.shared.barrier.cancel_timeout();
     }
 
-    /// One barrier phase under this member's deadline. A structured failure
-    /// (peer crash, timeout) propagates as a typed panic payload so the
-    /// tensor-returning collective API stays unchanged; the engine's
-    /// per-chip `catch_unwind` harvests it into an `EngineError`.
+    /// The collective's one barrier wait, under this member's deadline. A
+    /// structured failure (peer crash, timeout) propagates as a typed panic
+    /// payload so the tensor-returning collective API stays unchanged; the
+    /// engine's per-chip `catch_unwind` harvests it into an `EngineError`.
     fn barrier_wait(&self) {
         if let Err(err) = self.shared.barrier.wait_deadline(self.deadline.get()) {
             std::panic::panic_any(err);
@@ -260,82 +285,95 @@ impl CommGroup {
         }
     }
 
-    /// Core exchange: every member deposits a tensor and receives clones of
-    /// everyone's deposits, in rank order. Two barrier phases ensure no
-    /// member races ahead and overwrites a slot that others still read.
-    fn exchange(&self, t: Tensor) -> Vec<Tensor> {
-        self.exchange_payload(Payload::Dense(t))
-            .into_iter()
-            .map(Payload::into_dense)
-            .collect()
-    }
-
-    /// [`exchange`](Self::exchange) for quantized weight shards: every
-    /// member deposits int8 values + scales and receives everyone's, in
-    /// rank order.
-    fn exchange_quant(&self, q: QuantizedMatrix) -> Vec<QuantizedMatrix> {
-        self.exchange_payload(Payload::Quant(q))
-            .into_iter()
-            .map(Payload::into_quant)
-            .collect()
-    }
-
-    // Vetted: "peer deposited" is a two-phase-barrier protocol invariant
-    // (every member deposits before any reads); its violation is a bug in
-    // this file, not a runtime fault. Faults surface via barrier_wait.
+    /// The one rendezvous of a collective. Deposits `payload` into this
+    /// member's mailbox of the call's generation parity, passes the barrier
+    /// once every peer has deposited too, and hands `read` all deposits in
+    /// rank order, by reference. The last member to finish reading empties
+    /// the parity's mailboxes, so no payload outlives its collective.
+    ///
+    /// `op`, `shape` and `dims` describe the call for the debug-build SPMD
+    /// check ([`debug_check_agreement`](Self::debug_check_agreement)).
+    // Vetted: "peer deposited" is a protocol invariant (every member deposits
+    // before the barrier, and a parity's mailboxes are emptied only after
+    // every member has read them); its violation is a bug in this file, not
+    // a runtime fault. Faults surface via barrier_wait.
     #[allow(clippy::expect_used)]
-    fn exchange_payload(&self, p: Payload) -> Vec<Payload> {
+    fn exchange<R>(
+        &self,
+        payload: Payload,
+        op: CollectiveOp,
+        shape: &[usize],
+        dims: [usize; 2],
+        read: impl FnOnce(&[Arc<Deposit>]) -> R,
+    ) -> R {
+        let generation = self.calls.get();
+        self.calls.set(generation + 1);
+        #[cfg(all(debug_assertions, not(loom)))]
+        let meta = CallMeta {
+            seq: generation,
+            op,
+            shape: shape.to_vec(),
+            dims,
+            quant: matches!(payload, Payload::Quant(_)),
+        };
+        #[cfg(not(all(debug_assertions, not(loom))))]
+        let _ = (op, shape, dims);
+        let mine = Arc::new(Deposit {
+            payload,
+            #[cfg(all(debug_assertions, not(loom)))]
+            meta,
+        });
         if self.size() == 1 {
-            return vec![p];
+            return read(&[mine]);
         }
-        *self.shared.slots[self.rank].lock().unwrap_or_else(PoisonError::into_inner) = Some(p);
+        let parity = usize::from(generation % 2 == 1);
+        let slots = &self.shared.slots[parity];
+        *slots[self.rank].lock().unwrap_or_else(PoisonError::into_inner) = Some(mine);
         self.barrier_wait();
-        let all: Vec<Payload> = self
-            .shared
-            .slots
+        let all: Vec<Arc<Deposit>> = slots
             .iter()
             .map(|s| {
-                s.lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .clone()
-                    .expect("peer deposited")
+                let slot = s.lock().unwrap_or_else(PoisonError::into_inner);
+                Arc::clone(slot.as_ref().expect("peer deposited"))
             })
             .collect();
-        self.barrier_wait();
-        all
+        self.debug_check_agreement(&all);
+        let out = read(&all);
+        drop(all);
+        self.release(parity);
+        out
     }
 
-    /// Debug-build SPMD conformance check: every member deposits what it is
-    /// about to do; after a barrier, each asserts all deposits agree. A
-    /// member that diverged (wrong op, wrong shape, out-of-order call) fails
-    /// fast with a message naming both sides, instead of deadlocking at the
-    /// exchange barrier or silently mixing shards. Every member performs the
+    /// Counts this member done reading the generation in flight at
+    /// `parity`. The last reader empties that parity's mailboxes: every
+    /// peer has dropped its references by then, so the payloads free here.
+    fn release(&self, parity: usize) {
+        let mut done = self.shared.readers[parity].lock().unwrap_or_else(PoisonError::into_inner);
+        *done += 1;
+        if *done < self.size() {
+            return;
+        }
+        *done = 0;
+        drop(done);
+        for s in &self.shared.slots[parity] {
+            *s.lock().unwrap_or_else(PoisonError::into_inner) = None;
+        }
+    }
+
+    /// Debug-build SPMD conformance check, run on one rendezvous's deposits
+    /// before any payload is read: every member asserts that all deposits
+    /// describe the call it made. A member that diverged (wrong op, wrong
+    /// shape, wrong payload form) fails fast with a message naming both
+    /// sides instead of silently mixing shards. Every member performs the
     /// identical comparison, so on disagreement *all* members panic and no
     /// thread is left waiting on a barrier that will never fill.
     ///
     /// Disabled under `--cfg loom` to keep the model-checked state space at
     /// the size of the production protocol.
     #[cfg(all(debug_assertions, not(loom)))]
-    // Vetted: "peer deposited" is a two-phase-barrier protocol invariant
-    // (every member deposits before any reads); its violation is a bug in
-    // this file, not a runtime fault. Faults surface via barrier_wait.
-    #[allow(clippy::expect_used)]
-    fn debug_check_agreement(&self, op: CollectiveOp, shape: &[usize], dims: [usize; 2], quant: bool) {
-        if self.size() == 1 {
-            return;
-        }
-        let seq = self.calls.get();
-        self.calls.set(seq + 1);
-        let mine = CallMeta { seq, op, shape: shape.to_vec(), dims, quant };
-        *self.shared.meta[self.rank].lock().unwrap_or_else(PoisonError::into_inner) =
-            Some(mine.clone());
-        self.barrier_wait();
-        for (peer, slot) in self.shared.meta.iter().enumerate() {
-            let theirs = slot
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .clone()
-                .expect("peer deposited call metadata");
+    fn debug_check_agreement(&self, all: &[Arc<Deposit>]) {
+        let mine = &all[self.rank].meta;
+        for (peer, theirs) in all.iter().map(|d| &d.meta).enumerate() {
             assert!(
                 mine == theirs,
                 "SPMD violation: rank {} issued {mine:?} but rank {peer} issued {theirs:?} — \
@@ -343,17 +381,19 @@ impl CommGroup {
                 self.rank,
             );
         }
-        self.barrier_wait();
     }
 
     #[cfg(not(all(debug_assertions, not(loom))))]
-    fn debug_check_agreement(
-        &self,
-        _op: CollectiveOp,
-        _shape: &[usize],
-        _dims: [usize; 2],
-        _quant: bool,
-    ) {
+    fn debug_check_agreement(&self, _all: &[Arc<Deposit>]) {}
+
+    /// Whether any mailbox of either parity still holds a deposit.
+    #[cfg(test)]
+    fn holds_deposits(&self) -> bool {
+        self.shared
+            .slots
+            .iter()
+            .flatten()
+            .any(|s| s.lock().unwrap_or_else(PoisonError::into_inner).is_some())
     }
 
     fn record(&self, op: CollectiveOp, elems: usize) {
@@ -414,9 +454,15 @@ impl CommGroup {
     /// Panics if members pass incompatible shapes.
     #[must_use]
     pub fn all_gather(&self, shard: &Tensor, dim: usize) -> Tensor {
-        let parts = self.all_gather_parts(shard, dim);
-        let refs: Vec<&Tensor> = parts.iter().collect();
-        Tensor::concat(&refs, dim)
+        let t0 = Instant::now();
+        self.fault_point();
+        self.record(CollectiveOp::AllGather, shard.numel() * self.size());
+        let payload = Payload::Dense(shard.clone());
+        let out = self.exchange(payload, CollectiveOp::AllGather, shard.shape(), [dim, dim], |all| {
+            Tensor::concat(&all.iter().map(|d| d.dense()).collect::<Vec<_>>(), dim)
+        });
+        self.note_time(CollectiveOp::AllGather, t0);
+        out
     }
 
     /// [`all_gather`](Self::all_gather) without the concatenation: every
@@ -431,9 +477,11 @@ impl CommGroup {
     pub fn all_gather_parts(&self, shard: &Tensor, dim: usize) -> Vec<Tensor> {
         let t0 = Instant::now();
         self.fault_point();
-        self.debug_check_agreement(CollectiveOp::AllGather, shard.shape(), [dim, dim], false);
         self.record(CollectiveOp::AllGather, shard.numel() * self.size());
-        let parts = self.exchange(shard.clone());
+        let payload = Payload::Dense(shard.clone());
+        let parts = self.exchange(payload, CollectiveOp::AllGather, shard.shape(), [dim, dim], |all| {
+            all.iter().map(|d| d.dense().clone()).collect()
+        });
         self.note_time(CollectiveOp::AllGather, t0);
         parts
     }
@@ -450,20 +498,22 @@ impl CommGroup {
     pub fn reduce_scatter(&self, input: &Tensor, dim: usize) -> Tensor {
         let t0 = Instant::now();
         self.fault_point();
-        self.debug_check_agreement(CollectiveOp::ReduceScatter, input.shape(), [dim, dim], false);
         self.record(CollectiveOp::ReduceScatter, input.numel());
         if self.size() == 1 {
             return input.clone();
         }
-        let sum = rank_sum(self.exchange(input.clone()));
         let k = self.size();
         assert!(
-            sum.dim(dim).is_multiple_of(k),
+            input.dim(dim).is_multiple_of(k),
             "reduce-scatter dim {dim} of size {} not divisible by group size {k}",
-            sum.dim(dim)
+            input.dim(dim)
         );
-        let part = sum.dim(dim) / k;
-        let out = sum.slice(dim, self.rank * part, part);
+        let part = input.dim(dim) / k;
+        let mine = |d: &Arc<Deposit>| d.dense().slice(dim, self.rank * part, part);
+        let payload = Payload::Dense(input.clone());
+        let out = self.exchange(payload, CollectiveOp::ReduceScatter, input.shape(), [dim, dim], |all| {
+            rank_sum(mine(&all[0]), all[1..].iter().map(mine))
+        });
         self.note_time(CollectiveOp::ReduceScatter, t0);
         out
     }
@@ -475,12 +525,14 @@ impl CommGroup {
     pub fn all_reduce(&self, input: &Tensor) -> Tensor {
         let t0 = Instant::now();
         self.fault_point();
-        self.debug_check_agreement(CollectiveOp::AllReduce, input.shape(), [0, 0], false);
         self.record(CollectiveOp::AllReduce, input.numel() * 2);
         if self.size() == 1 {
             return input.clone();
         }
-        let sum = rank_sum(self.exchange(input.clone()));
+        let payload = Payload::Dense(input.clone());
+        let sum = self.exchange(payload, CollectiveOp::AllReduce, input.shape(), [0, 0], |all| {
+            rank_sum(all[0].dense().clone(), all[1..].iter().map(|d| d.dense()))
+        });
         self.note_time(CollectiveOp::AllReduce, t0);
         sum
     }
@@ -501,7 +553,6 @@ impl CommGroup {
     pub fn all_to_all(&self, input: &Tensor, split_dim: usize, concat_dim: usize) -> Tensor {
         let t0 = Instant::now();
         self.fault_point();
-        self.debug_check_agreement(CollectiveOp::AllToAll, input.shape(), [split_dim, concat_dim], false);
         self.record(CollectiveOp::AllToAll, input.numel());
         if self.size() == 1 {
             return input.clone();
@@ -512,14 +563,14 @@ impl CommGroup {
             "all-to-all split dim {split_dim} of size {} not divisible by group size {k}",
             input.dim(split_dim)
         );
-        let parts = self.exchange(input.clone());
         let part = input.dim(split_dim) / k;
-        let mine: Vec<Tensor> = parts
-            .iter()
-            .map(|p| p.slice(split_dim, self.rank * part, part))
-            .collect();
-        let refs: Vec<&Tensor> = mine.iter().collect();
-        let out = Tensor::concat(&refs, concat_dim);
+        let payload = Payload::Dense(input.clone());
+        let dims = [split_dim, concat_dim];
+        let out = self.exchange(payload, CollectiveOp::AllToAll, input.shape(), dims, |all| {
+            let mine: Vec<Tensor> =
+                all.iter().map(|d| d.dense().slice(split_dim, self.rank * part, part)).collect();
+            Tensor::concat(&mine.iter().collect::<Vec<_>>(), concat_dim)
+        });
         self.note_time(CollectiveOp::AllToAll, t0);
         out
     }
@@ -546,32 +597,28 @@ impl CommGroup {
     pub fn all_gather_quant(&self, shard: &QuantizedMatrix, dim: usize) -> Vec<QuantizedMatrix> {
         let t0 = Instant::now();
         self.fault_point();
-        let shape = [shard.rows(), shard.cols()];
-        self.debug_check_agreement(CollectiveOp::AllGather, &shape, [dim, dim], true);
         self.record_raw(
             CollectiveOp::AllGather,
             crate::stats::quant_wire_bytes(self.size(), shard.rows(), shard.cols()) as u64,
         );
-        let parts = self.exchange_quant(shard.clone());
+        let payload = Payload::Quant(shard.clone());
+        let shape = [shard.rows(), shard.cols()];
+        let parts = self.exchange(payload, CollectiveOp::AllGather, &shape, [dim, dim], |all| {
+            all.iter().map(|d| d.quant().clone()).collect()
+        });
         self.note_time(CollectiveOp::AllGather, t0);
         parts
     }
 }
 
-/// Sums the rank-ordered deposits of a reduction in ascending rank order, in
-/// place in rank 0's buffer: each element sees the serial add chain
-/// `p₀ += p₁; p₀ += p₂; …`, which fixes the result's bits.
-// Vetted expect: groups have at least one member (asserted at creation), so
-// an exchange always returns at least one deposit.
-#[allow(clippy::expect_used)]
-fn rank_sum(parts: Vec<Tensor>) -> Tensor {
-    parts
-        .into_iter()
-        .reduce(|mut sum, p| {
-            ops::add_assign(&mut sum, &p);
-            sum
-        })
-        .expect("group has at least one member")
+/// Adds `rest` into `sum` in ascending rank order: each element sees the
+/// serial add chain `p₀ + p₁ + p₂ + …` from rank 0's deposit, which fixes
+/// the result's bits.
+fn rank_sum<T: std::borrow::Borrow<Tensor>>(mut sum: Tensor, rest: impl Iterator<Item = T>) -> Tensor {
+    for p in rest {
+        ops::add_assign(&mut sum, p.borrow());
+    }
+    sum
 }
 
 #[cfg(test)]
@@ -706,6 +753,33 @@ mod tests {
         });
         for (a, b) in outs.iter().zip(&outs[1..]) {
             assert!(a.approx_eq(b, 1e-4));
+        }
+    }
+
+    #[test]
+    fn no_deposit_outlives_its_collective() {
+        // Once every member has returned from a collective, the last reader
+        // has emptied its mailboxes: nothing of either parity stays pinned
+        // until the group's next call.
+        let members = CommGroup::create(4);
+        let members: Vec<CommGroup> = std::thread::scope(|s| {
+            let handles: Vec<_> = members
+                .into_iter()
+                .map(|g| {
+                    s.spawn(move || {
+                        let t = Tensor::full(vec![4, 8], g.rank() as f32);
+                        let _ = g.all_reduce(&t);
+                        let _ = g.all_gather(&t, 1);
+                        let _ = g.reduce_scatter(&t, 0);
+                        let _ = g.all_to_all(&t, 1, 0);
+                        g
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().expect("member")).collect()
+        });
+        for g in &members {
+            assert!(!g.holds_deposits(), "rank {} sees a deposit left behind", g.rank());
         }
     }
 

@@ -48,8 +48,9 @@ struct BarrierState {
 /// Sense-reversing via a generation counter: the last arrival of a
 /// generation resets the count and bumps the generation, and earlier
 /// arrivals wait for the generation to change — so back-to-back `wait`
-/// calls (the two phases of a mailbox exchange) cannot confuse a fast
-/// participant's second phase with a slow participant's first.
+/// calls (one per collective, with nothing in between for a member whose
+/// read is quick) cannot confuse a fast participant's next collective with
+/// a slow participant's current one.
 pub struct Barrier {
     state: Mutex<BarrierState>,
     cv: Condvar,

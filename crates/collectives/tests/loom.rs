@@ -1,4 +1,6 @@
-//! Model-checked interleaving tests for the mailbox-and-barrier protocol.
+//! Model-checked interleaving tests for the mailbox-and-barrier protocol:
+//! one deposit into a generation-parity mailbox, one barrier, reads by
+//! reference, and a last-reader release per collective.
 //!
 //! Compiled only under `RUSTFLAGS="--cfg loom"`, which swaps the sync
 //! primitives in `esti_collectives::sync` for the `esti-loom` bounded-DFS
@@ -77,21 +79,50 @@ fn all_gather_two_members_all_interleavings() {
 
 #[test]
 fn back_to_back_collectives_do_not_cross_generations() {
-    // The racy failure mode the two-phase exchange protects against: a fast
-    // member starting collective #2 must not overwrite a mailbox slot the
-    // slow member still reads for collective #1. all_reduce then all_gather
-    // exercises both barrier phases twice.
+    // One barrier per collective: a fast member starting collective #2
+    // deposits into the other parity while the slow member may still read
+    // #1, and collective #3 wraps back onto #1's parity — whose mailboxes
+    // must by then hold no deposit of #1, and must not lose one #3 needs.
     loom::model(|| {
         let (g0, g1) = pair();
         let h = loom::thread::spawn(move || {
             let sum = g1.all_reduce(&Tensor::full(vec![1], 2.0));
-            g1.all_gather(&sum, 0)
+            let both = g1.all_gather(&sum, 0);
+            g1.all_reduce(&both)
         });
         let sum = g0.all_reduce(&Tensor::full(vec![1], 1.0));
-        let mine = g0.all_gather(&sum, 0);
+        let both = g0.all_gather(&sum, 0);
+        let mine = g0.all_reduce(&both);
         let theirs = h.join().expect("member thread");
-        assert_eq!(mine.data(), &[3.0, 3.0]);
-        assert_eq!(theirs.data(), &[3.0, 3.0]);
+        assert_eq!(mine.data(), &[6.0, 6.0]);
+        assert_eq!(theirs.data(), &[6.0, 6.0]);
+    });
+}
+
+#[test]
+fn last_reader_never_empties_a_mailbox_a_peer_still_reads() {
+    // Three members, so one member's read of a generation can overlap both
+    // of its peers finishing theirs: whoever counts itself last empties the
+    // parity's mailboxes, and no interleaving may let that happen before
+    // every member has taken its references (a reader finding an empty
+    // mailbox panics on "peer deposited"). The follow-up all-gather reuses
+    // the other parity while the first generation may still be draining.
+    loom::model(|| {
+        let mut members = CommGroup::create(3);
+        let g2 = members.remove(2);
+        let g1 = members.remove(1);
+        let g0 = members.remove(0);
+        let run = |g: CommGroup| {
+            let x = Tensor::full(vec![1], g.rank() as f32 + 1.0);
+            let sum = g.all_reduce(&x);
+            g.all_gather(&sum, 0)
+        };
+        let h1 = loom::thread::spawn(move || run(g1));
+        let h2 = loom::thread::spawn(move || run(g2));
+        let mine = run(g0);
+        for out in [mine, h1.join().expect("member 1"), h2.join().expect("member 2")] {
+            assert_eq!(out.data(), &[6.0, 6.0, 6.0]);
+        }
     });
 }
 

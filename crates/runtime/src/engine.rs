@@ -1,5 +1,10 @@
 //! The partitioned execution engine: one thread per simulated chip.
 //!
+//! The chip threads are resident: the engine starts one executor per chip
+//! when it is built (an [`esti_tensor::pool::ChipPool`] with a worker per
+//! chip), every pass runs chip `i` on executor `i`, and the threads are
+//! joined when the engine drops. A pass pays no thread start.
+//!
 //! The engine builds and verifies its layout's [`Schedule`] once, so an
 //! invalid plan fails with the offending step instead of a shape panic in
 //! a worker thread. On the 1D weight-stationary and hybrid weight-gathered
@@ -18,6 +23,7 @@
 // `try_forward`'s typed error path.
 #![allow(clippy::expect_used, clippy::unwrap_used)]
 
+use std::borrow::Cow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Duration;
@@ -153,6 +159,9 @@ pub struct PartitionedEngine {
     /// One persistent worker pool per chip when `chip_workers > 1`
     /// (aligned with `chips`); empty otherwise.
     pools: Vec<Arc<ChipPool>>,
+    /// The chips' executor threads, one worker per chip: a pass hands chip
+    /// `i` to worker `i`, and the threads live as long as the engine.
+    executors: ChipPool,
     /// Set the first time a step fails: the distributed KV state is no
     /// longer trustworthy and every further `try_*` call reports
     /// [`EngineError::Poisoned`] until the engine is rebuilt.
@@ -305,6 +314,7 @@ impl PartitionedEngine {
             deadline: None,
             chip_workers: 1,
             pools: Vec::new(),
+            executors: ChipPool::new(n),
             poisoned: false,
         };
         engine.set_collective_deadline(Some(DEFAULT_COLLECTIVE_DEADLINE));
@@ -1026,11 +1036,16 @@ impl PartitionedEngine {
     /// Runs the partitioned forward pass over embedded inputs `[B, L, E]`,
     /// row `r` of which is batch row `rows[r]` — a slot, or a span's
     /// scratch row, as [`PartitionedEngine::lay_out_step`] placed them —
-    /// returning logits `[B, L, V]`, or, when any chip thread unwinds, the
+    /// returning logits `[B, L, V]`, or, when any chip unwinds, the
     /// classified root-cause [`EngineError`] after releasing every peer.
     /// Only `rows` append to their caches, and only slots age.
     ///
-    /// The unwind protocol: each worker runs its dataflow under
+    /// Each chip runs on its resident executor thread: the pass hands the
+    /// engine's executor pool one task per chip, each borrowing its chip's
+    /// state, the shared input and its own result slot, and blocks until
+    /// every task is done.
+    ///
+    /// The unwind protocol: each chip runs its dataflow under
     /// `catch_unwind`; on unwind it cancels **all** of its own group
     /// handles, labelled with the originating rank (or as a timeout), so
     /// peers blocked in *any* of the chip's communicators — including the
@@ -1042,7 +1057,7 @@ impl PartitionedEngine {
         if self.poisoned {
             return Err(EngineError::Poisoned);
         }
-        let cfg = self.cfg.clone();
+        let cfg = &self.cfg;
         let schedule = &self.schedule;
         let attn = self.layout.attn;
         let (x_parts, yz_parts) = parts(schedule);
@@ -1069,47 +1084,42 @@ impl PartitionedEngine {
         } else {
             self.pools.iter().map(|p| Some(Arc::clone(p))).collect()
         };
-        let results: Vec<Result<Option<Tensor>, ChipPanic>> = std::thread::scope(|s| {
-            let handles: Vec<_> = self
-                .chips
-                .iter_mut()
-                .zip(pools)
-                .zip(&kv_rows)
-                .map(|((chip, pool), (kv_rows, kv_batch))| {
-                    let x = x.clone();
-                    let cfg = &cfg;
-                    let bases = &bases;
-                    let kv = (kv_rows.as_slice(), *kv_batch);
-                    // Each chip's executor thread installs its own worker
-                    // pool; the kernels inside the forward then split
-                    // output rows across it (bit-identically).
-                    s.spawn(move || {
-                        with_worker_pool(pool, || {
-                            let result = {
-                                let chip = &mut *chip;
-                                catch_unwind(AssertUnwindSafe(move || match schedule.dataflow {
-                                    Dataflow::TwoD => {
-                                        forward_2d(cfg, chip, kv, x, bases, attn, x_parts, yz_parts)
-                                    }
-                                    Dataflow::WgFull => forward_wg(cfg, chip, kv, x, bases, n),
-                                    Dataflow::OneD | Dataflow::WgHybrid { .. } => {
-                                        run_schedule(schedule, cfg, chip, kv, x, bases)
-                                    }
-                                }))
-                            };
-                            if let Err(payload) = &result {
-                                cancel_chip_groups(chip, payload);
+        let mut results: Vec<Result<Option<Tensor>, ChipPanic>> = (0..n).map(|_| Ok(None)).collect();
+        let (x, bases) = (&x, &bases);
+        let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = self
+            .chips
+            .iter_mut()
+            .zip(pools)
+            .zip(&kv_rows)
+            .zip(&mut results)
+            .map(|(((chip, pool), (kv_rows, kv_batch)), result)| {
+                let kv = (kv_rows.as_slice(), *kv_batch);
+                // Each chip's executor installs its own worker pool; the
+                // kernels inside the forward then split output rows across
+                // it (bit-identically).
+                Box::new(move || {
+                    *result = with_worker_pool(pool, || {
+                        let run = catch_unwind(AssertUnwindSafe(|| match schedule.dataflow {
+                            Dataflow::TwoD => {
+                                forward_2d(cfg, chip, kv, x, bases, attn, x_parts, yz_parts)
                             }
-                            result
-                        })
-                    })
-                })
-                .collect();
-            // The worker closures never unwind (everything runs under
-            // catch_unwind), but fold a hypothetical escape into the same
-            // payload channel rather than trusting that.
-            handles.into_iter().map(|h| h.join().unwrap_or_else(Err)).collect()
-        });
+                            Dataflow::WgFull => forward_wg(cfg, chip, kv, x, bases, n),
+                            Dataflow::OneD | Dataflow::WgHybrid { .. } => {
+                                run_schedule(schedule, cfg, chip, kv, x, bases)
+                            }
+                        }));
+                        if let Err(payload) = &run {
+                            cancel_chip_groups(chip, payload);
+                        }
+                        run
+                    });
+                }) as Box<dyn FnOnce() + Send + '_>
+            })
+            .collect();
+        // One task per worker, so chip `i` runs on executor `i`. The tasks
+        // never unwind (everything runs under catch_unwind), so `run`
+        // returns only once every chip has written its result.
+        self.executors.run(tasks);
 
         let mut outputs: Vec<Option<Tensor>> = Vec::with_capacity(results.len());
         let mut failure: Option<(u8, EngineError)> = None;
@@ -1521,7 +1531,7 @@ fn run_schedule(
     cfg: &ModelConfig,
     chip: &mut ChipState,
     (rows, batch): (&[usize], usize),
-    x: Tensor,
+    input: &Tensor,
     bases: &[usize],
 ) -> Option<Tensor> {
     let ChipState { layers, cache, g_all, g_x, g_yz, ln_final, embed_t, .. } = chip;
@@ -1542,8 +1552,14 @@ fn run_schedule(
     };
     let tensor = |r: Operand| s.tensor(r).expect("a verified schedule's operands exist");
     let b_axes = s.boundary.spec.axes_of('B');
-    let mine = share(x.dim(0), b_axes);
-    let mut x = if mine.len() == x.dim(0) { x } else { x.slice(0, mine.start, mine.len()) };
+    // The residual stream: the pass input itself while this chip keeps all
+    // of its rows, then each layer's output.
+    let mine = share(input.dim(0), b_axes);
+    let mut x = if mine.len() == input.dim(0) {
+        Cow::Borrowed(input)
+    } else {
+        Cow::Owned(input.slice(0, mine.start, mine.len()))
+    };
     let bases = &bases[mine];
 
     let steps: Vec<&Step> = s.layer.iter().chain(&s.final_steps).collect();
@@ -1568,7 +1584,7 @@ fn run_schedule(
         for k in run {
             let val = |j: usize| vals[j].as_ref().expect("a value lives until its last reader");
             let act = |r: Operand| match r {
-                Operand::Boundary => &x,
+                Operand::Boundary => &*x,
                 Operand::Step(j) => match val(j) {
                     Val::Act(t) => t,
                     Val::Mat(_) => panic!("step {j} is a weight"),
@@ -1651,7 +1667,7 @@ fn run_schedule(
         }
         if layer.is_some() {
             x = match vals[s.layer.len() - 1].take() {
-                Some(Val::Act(t)) => t,
+                Some(Val::Act(t)) => Cow::Owned(t),
                 _ => unreachable!("a layer ends on the residual stream"),
             };
         }
@@ -1671,7 +1687,7 @@ fn forward_2d(
     cfg: &ModelConfig,
     chip: &mut ChipState,
     (rows, batch): (&[usize], usize),
-    x_full: Tensor,
+    x_full: &Tensor,
     bases: &[usize],
     attn: AttnSharding,
     x_parts: usize,
@@ -1834,7 +1850,7 @@ fn forward_wg(
     cfg: &ModelConfig,
     chip: &mut ChipState,
     (rows, batch): (&[usize], usize),
-    x_full: Tensor,
+    x_full: &Tensor,
     bases: &[usize],
     n: usize,
 ) -> Option<Tensor> {

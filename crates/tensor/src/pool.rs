@@ -7,6 +7,12 @@
 //! [`crate::quant`] then split each matmul's **output rows** into disjoint
 //! bands, one band per worker.
 //!
+//! The same pool type also carries the chips themselves: the runtime's
+//! engine owns one [`ChipPool`] with a worker per chip and runs each forward
+//! pass as one task per chip ([`ChipPool::run`] sends task `i` to worker
+//! `i` when the counts match), so the chip executor threads live as long as
+//! the engine.
+//!
 //! # Determinism contract
 //!
 //! Row-banded partitioning never changes arithmetic: every output element
