@@ -39,14 +39,18 @@ if grep -rnE "row_lens\.is_(some|none)|fn fix_batch|ESTI_CHIP_THREADS|default_ch
   exit 1
 fi
 
-echo "== one executable schedule: the 1D family runs the schedule esti-lint verifies =="
-# The engine keeps its layout's verified schedule, and on the 1D and hybrid
-# weight-gathered layouts every chip walks it step by step; the hand-written
-# 1D forwards and the verify-and-discard preflight stay gone. The equivalence,
+echo "== one executable schedule: every layout runs the schedule esti-lint verifies =="
+# The engine keeps its layout's verified schedule, and on every layout each
+# chip walks it step by step; the hand-written forwards, their fused-gather
+# helpers, the gathered-int8 shard type, the stream table the quant pass used
+# to trust and the verify-and-discard preflight stay gone. The equivalence,
 # int8 and traffic suites hold the interpreter to the reference model, the
 # quantized wire volume and the schedule's collective calls, both GEMM tiers.
-if grep -rnE "fn (forward_1d|layer_1d|attn_ctx_1d|mlp_hidden_1d|forward_wg_hybrid|gather_layer|preflight)\b" crates; then
-  echo "FAIL: a hand-written 1D forward (or preflight) is back beside the schedule interpreter" >&2
+# (The function names are searched in the runtime, where they lived:
+# `ShardingSpec::partial_sum` in esti-core is an unrelated accessor.)
+if grep -rnE "fn (forward_1d|layer_1d|attn_ctx_1d|mlp_hidden_1d|forward_wg_hybrid|gather_layer|preflight|forward_2d|attn_2d_ctx|mlp_2d_hidden|forward_wg|attn_wg|mlp_wg|ag_einsums|wg_cols|wg_rows|partial_sum|sharded_layernorm)\b" crates/runtime \
+  || grep -rnE "Int8Cat|wg_stream_plan|WgStream|weight_wire_format" crates; then
+  echo "FAIL: a hand-written forward, fused-gather helper or stream table is back beside the schedule interpreter" >&2
   exit 1
 fi
 cargo test -q --release -p esti-runtime --test equivalence --test int8 --test traffic

@@ -9,12 +9,9 @@
 //! every einsum's output sharding must follow from its inputs, and every
 //! local shape must divide evenly over the mesh axes it is sharded on.
 //!
-//! For the 1D weight-stationary and hybrid weight-gathered layouts the
-//! schedule *is* the program: `esti-runtime`'s engine builds and verifies
-//! it once, then every chip thread walks it step by step, dispatching each
-//! to a kernel or a collective. The 2D and fully weight-gathered (XYZ)
-//! schedules still mirror hand-written forwards, which `esti-runtime`'s
-//! `tests/traffic.rs` holds to the schedule's collective calls.
+//! On every layout the schedule *is* the program: `esti-runtime`'s engine
+//! builds and verifies it once, then every chip thread walks it step by
+//! step, dispatching each to a kernel or a collective.
 //!
 //! Schedules are built over the layout's *logical* mesh
 //! (`TorusShape::new(mesh.x, mesh.y, mesh.z)`), matching the runtime's
@@ -877,14 +874,9 @@ pub fn build_schedule(
 }
 
 /// Stores the weights 1D-sharded — heads and `d_ff` over every axis,
-/// multiquery K/V replicated — and, over non-empty `gather` axes,
-/// all-gathers each sharded one at layer entry. Returns the gathered
-/// operands by role.
-fn weights_1d(
-    p: &mut Plan,
-    cfg: &ModelConfig,
-    gather: AxisSet,
-) -> Result<Vec<(Role, Operand)>, String> {
+/// multiquery K/V replicated. Returns each sharded one's all-gather label,
+/// role and sharded dimension.
+fn weights_1d(p: &mut Plan, cfg: &ModelConfig) -> Result<Vec<(&'static str, Role, char)>, String> {
     let (e, f, h, d, all) = (cfg.d_model, cfg.d_ff, cfg.n_heads, cfg.d_head, AxisSet::all());
     let kv = if cfg.n_kv_heads() == 1 {
         SymTensor::new("ED", &[e, d])
@@ -903,19 +895,15 @@ fn weights_1d(
     if cfg.mlp != MlpKind::SwiGlu {
         stored.retain(|w| w.1 != Role::WGate);
     }
-    for (_, role, w) in &stored {
-        p.weight(*role, w.clone())?;
-    }
-    let mut gathered = Vec::new();
+    let mut sharded = Vec::new();
     for (label, role, w) in stored {
         // Replicated (multiquery K/V) weights have nothing to gather.
-        let sharded = w.spec.dims().iter().find(|dim| !dim.axes.is_empty());
-        if let (Some(dim), false) = (sharded, gather.is_empty()) {
-            let op = SymOp::AllGather { dim: dim.name };
-            gathered.push((role, p.collective(label, op, gather, Operand::Weight(role))?));
+        if let Some(dim) = w.spec.dims().iter().find(|dim| !dim.axes.is_empty()) {
+            sharded.push((label, role, dim.name));
         }
+        p.weight(role, w)?;
     }
-    Ok(gathered)
+    Ok(sharded)
 }
 
 /// The 1D weight-stationary family: pure 1D (every axis local), hybrid
@@ -942,8 +930,19 @@ fn build_1d(
     let boundary = SymTensor::new("BLE", &[batch, seq, cfg.d_model]).shard('B', gather);
     let mut p = Plan::new(layout, batch, seq, boundary);
     let x = Operand::Boundary;
-    let gathered = weights_1d(&mut p, cfg, gather)?;
-    let w = |r: Role| gathered.iter().find(|g| g.0 == r).map_or(Operand::Weight(r), |g| g.1);
+    let sharded = weights_1d(&mut p, cfg)?;
+    // Over the gather axes a sharded weight is all-gathered just before the
+    // einsum that reads it, so one gathered weight is live at a time.
+    let einsum = |p: &mut Plan, label, x, role, contract: &[char], out: &str| {
+        let w = match sharded.iter().find(|s| s.1 == role) {
+            Some(&(gather_label, _, dim)) if !gather.is_empty() => {
+                let op = SymOp::AllGather { dim };
+                p.collective(gather_label, op, gather, Operand::Weight(role))?
+            }
+            _ => Operand::Weight(role),
+        };
+        p.einsum(label, x, w, contract, out)
+    };
     // Partial sums over the local axes resolve by all-reduce (nothing to
     // resolve when no axis is local).
     let reduce = |p: &mut Plan, label: &'static str, t: Operand| {
@@ -957,9 +956,9 @@ fn build_1d(
     // ---- Attention sub-block ----
     let ln1 = p.local("attn layernorm", LocalOp::LayerNorm(Gain::Attn), &[x], None)?;
     let kv = if cfg.n_kv_heads() == 1 { "BLD" } else { "BLHD" };
-    let q = p.einsum("wq einsum", ln1, w(Role::Wq), &['E'], "BLHD")?;
-    let k = p.einsum("wk einsum", ln1, w(Role::Wk), &['E'], kv)?;
-    let v = p.einsum("wv einsum", ln1, w(Role::Wv), &['E'], kv)?;
+    let q = einsum(&mut p, "wq einsum", ln1, Role::Wq, &['E'], "BLHD")?;
+    let k = einsum(&mut p, "wk einsum", ln1, Role::Wk, &['E'], kv)?;
+    let v = einsum(&mut p, "wv einsum", ln1, Role::Wv, &['E'], kv)?;
 
     let attn_out = if layout.attn == AttnSharding::Batch && !local.is_empty() {
         // Multiquery, batch-sharded attention: all-to-all q from
@@ -977,30 +976,39 @@ fn build_1d(
         p.local("attention", LocalOp::Attention, &[q, k, v], None)?
     };
 
-    let a_part = p.einsum("wo einsum", attn_out, w(Role::Wo), &['H', 'D'], "BLE")?;
+    let a_part = einsum(&mut p, "wo einsum", attn_out, Role::Wo, &['H', 'D'], "BLE")?;
 
     // ---- MLP sub-block ----
-    let (x_mid, ln2) = if serial {
-        // Serial block: attention output is reduced and added to the
-        // residual before the MLP runs.
+    // A serial block reduces the attention output and adds it to the
+    // residual before the MLP runs; so does a block with no local axes,
+    // which has no all-reduce for the two branches to share.
+    let x_mid = if serial || local.is_empty() {
         let a_full = reduce(&mut p, "attn all-reduce", a_part)?;
-        let x_mid = p.local("attn residual add", LocalOp::Add, &[x, a_full], None)?;
-        (x_mid, p.local("mlp layernorm", LocalOp::LayerNorm(Gain::Mlp), &[x_mid], None)?)
+        Some(p.local("attn residual add", LocalOp::Add, &[x, a_full], None)?)
     } else {
-        (x, ln1)
+        None
+    };
+    let ln2 = match x_mid {
+        Some(x_mid) if serial => {
+            p.local("mlp layernorm", LocalOp::LayerNorm(Gain::Mlp), &[x_mid], None)?
+        }
+        _ => ln1,
     };
 
-    let up = p.einsum("w_in einsum", ln2, w(Role::WIn), &['E'], "BLF")?;
-    let act = if cfg.mlp == MlpKind::SwiGlu {
-        let gate = p.einsum("w_gate einsum", ln2, w(Role::WGate), &['E'], "BLF")?;
-        p.local("swiglu", LocalOp::SwiGlu, &[gate, up], None)?
+    let gate = if cfg.mlp == MlpKind::SwiGlu {
+        Some(einsum(&mut p, "w_gate einsum", ln2, Role::WGate, &['E'], "BLF")?)
     } else {
-        p.local("nonlinearity", LocalOp::Gelu, &[up], None)?
+        None
     };
-    let m_part = p.einsum("w_out einsum", act, w(Role::WOut), &['F'], "BLE")?;
+    let up = einsum(&mut p, "w_in einsum", ln2, Role::WIn, &['E'], "BLF")?;
+    let act = match gate {
+        Some(gate) => p.local("swiglu", LocalOp::SwiGlu, &[gate, up], None)?,
+        None => p.local("nonlinearity", LocalOp::Gelu, &[up], None)?,
+    };
+    let m_part = einsum(&mut p, "w_out einsum", act, Role::WOut, &['F'], "BLE")?;
 
     // ---- Combine + residual ----
-    if serial {
+    if let Some(x_mid) = x_mid {
         let m_full = reduce(&mut p, "mlp all-reduce", m_part)?;
         p.local("mlp residual add", LocalOp::Add, &[x_mid, m_full], None)?;
     } else {
@@ -1382,7 +1390,9 @@ mod tests {
                         );
                     }
                 }
-                let expect = if block == BlockKind::Serial { 2 } else { 1 };
+                // Fully weight-gathered blocks add each branch in turn.
+                let turn = block == BlockKind::Serial || s.dataflow == Dataflow::WgFull;
+                let expect = if turn { 2 } else { 1 };
                 assert_eq!(adds, expect, "{} {block:?}", layout.describe());
             }
             for flow in [Dataflow::OneD, Dataflow::TwoD, Dataflow::WgFull] {

@@ -7,13 +7,12 @@
 //!
 //! The engine builds and verifies its layout's [`Schedule`] once, so an
 //! invalid plan fails with the offending step instead of a shape panic in
-//! a worker thread. On the 1D weight-stationary and hybrid weight-gathered
-//! layouts every chip thread then *runs* that schedule (`run_schedule`):
-//! its layer steps once per model layer, then its final steps, each einsum
-//! a [`ShardMat::mm3`], each collective a call on the chip's group over
-//! the step's axes, each local op its kernel. The 2D and fully
-//! weight-gathered (XYZ) layouts still run the hand-written `forward_2d` /
-//! `forward_wg`, which their schedules mirror.
+//! a worker thread. On every layout each chip thread then *runs* that
+//! schedule (`run_schedule`): its layer steps once per model layer, then
+//! its final steps, each einsum a [`ShardMat::mm3`] (or, over an
+//! all-gather's parts, one block or accumulator per source rank), each
+//! collective a call on the chip's group over the step's axes, each local
+//! op its kernel.
 
 // Vetted against the crate's no-unwrap/no-expect discipline: every
 // `expect`/`unwrap` below asserts a sharding-arithmetic or protocol
@@ -38,9 +37,9 @@ use esti_core::schedule::{
 };
 use esti_hal::DType;
 use esti_model::reference::{attention_over_rows, gelu};
-use esti_model::{KvCache, MlpKind, ModelConfig, PageStats, PositionKind, ReferenceModel};
+use esti_model::{KvCache, ModelConfig, PageStats, PositionKind, ReferenceModel};
 use esti_tensor::pool::{with_worker_pool, ChipPool};
-use esti_tensor::{ops, QuantizedMatrix, Tensor};
+use esti_tensor::{ops, Tensor};
 use esti_topology::AxisSet;
 
 use crate::shard::{shard_1d, shard_2d, shard_wg, shard_wg_hybrid, LayerShard, ShardMat};
@@ -109,12 +108,9 @@ struct ChipState {
     j: usize,
     layers: Vec<LayerShard>,
     cache: KvCache,
-    /// Group of all chips.
-    g_all: CommGroup,
-    /// x-axis group (same `j`), 2D only.
-    g_x: Option<CommGroup>,
-    /// yz-axes group (same `i`), 2D only.
-    g_yz: Option<CommGroup>,
+    /// The chip's group over each axis set the schedule's collectives name,
+    /// and over all chips.
+    groups: Vec<(AxisSet, CommGroup)>,
     /// Final layernorm gain (full, or this chip's `E/n` slice in 2D).
     ln_final: Tensor,
     /// Transposed embedding for the logit projection (full `[E, V]`, or
@@ -137,8 +133,7 @@ pub struct PartitionedEngine {
     cfg: ModelConfig,
     layout: Layout,
     /// The layout's verified schedule, wire formats marked for the stored
-    /// weights: what the 1D family's chips run, and every layout's
-    /// dataflow family.
+    /// weights: what every chip runs.
     schedule: Schedule,
     chips: Vec<ChipState>,
     stats: Arc<TrafficStats>,
@@ -239,24 +234,24 @@ impl PartitionedEngine {
         let dataflow = schedule.dataflow;
         let (x_parts, yz_parts) = parts(&schedule);
 
+        // One group per axis set the schedule's collectives name, plus all
+        // chips; members rank in chip order.
         let stats = TrafficStats::new();
-        let mut g_all: Vec<Option<CommGroup>> =
-            CommGroup::create_with_stats(n, Arc::clone(&stats)).into_iter().map(Some).collect();
-        let mut g_x: Vec<Option<CommGroup>> = (0..n).map(|_| None).collect();
-        let mut g_yz: Vec<Option<CommGroup>> = (0..n).map(|_| None).collect();
-        if matches!(dataflow, Dataflow::TwoD | Dataflow::WgHybrid { .. }) {
-            // For 2D these are the physical x / yz groups; for hybrid WG,
-            // g_x is the weight-gather group and g_yz the 1D local group.
-            for j in 0..yz_parts {
-                let members = CommGroup::create_with_stats(x_parts, Arc::clone(&stats));
-                for (i, m) in members.into_iter().enumerate() {
-                    g_x[i * yz_parts + j] = Some(m);
+        let mut axes = vec![AxisSet::all()];
+        for step in schedule.collectives() {
+            if let Step::Collective { axes: a, .. } = step {
+                if !axes.contains(a) {
+                    axes.push(*a);
                 }
             }
-            for i in 0..x_parts {
-                let members = CommGroup::create_with_stats(yz_parts, Arc::clone(&stats));
-                for (j, m) in members.into_iter().enumerate() {
-                    g_yz[i * yz_parts + j] = Some(m);
+        }
+        let torus = schedule.torus;
+        let mut groups: Vec<Vec<(AxisSet, CommGroup)>> = (0..n).map(|_| Vec::new()).collect();
+        for a in axes {
+            for members in torus.groups(a) {
+                let handles = CommGroup::create_with_stats(members.len(), Arc::clone(&stats));
+                for (c, g) in members.into_iter().zip(handles) {
+                    groups[torus.chip_id(c)].push((a, g));
                 }
             }
         }
@@ -265,8 +260,10 @@ impl PartitionedEngine {
         let e = cfg.d_model;
         let e_n = e / n.max(1);
         let embed_t = weights.embed.transpose();
-        let chips = (0..n)
-            .map(|rank| {
+        let chips = groups
+            .into_iter()
+            .enumerate()
+            .map(|(rank, groups)| {
                 let (i, j) = (rank / yz_parts, rank % yz_parts);
                 let layers = weights
                     .layers
@@ -283,7 +280,7 @@ impl PartitionedEngine {
                 let (ln_final, embed_t) = match dataflow {
                     Dataflow::TwoD => {
                         assert!(e.is_multiple_of(n), "2D layout needs d_model divisible by {n} chips");
-                        let off = i * (e / x_parts) + j * e_n;
+                        let off = rank * e_n;
                         (weights.ln_final.slice(0, off, e_n), embed_t.slice(0, off, e_n))
                     }
                     _ => (weights.ln_final.clone(), embed_t.clone()),
@@ -294,9 +291,7 @@ impl PartitionedEngine {
                     j,
                     layers,
                     cache: KvCache::new(cfg.n_layers),
-                    g_all: g_all[rank].take().expect("one handle per rank"),
-                    g_x: g_x[rank].take(),
-                    g_yz: g_yz[rank].take(),
+                    groups,
                     ln_final,
                     embed_t: ShardMat::Dense(embed_t),
                 }
@@ -323,14 +318,8 @@ impl PartitionedEngine {
 
     /// Calls `f` on every group handle of every chip.
     fn for_each_group(&self, f: impl Fn(&CommGroup)) {
-        for c in &self.chips {
-            f(&c.g_all);
-            if let Some(g) = &c.g_x {
-                f(g);
-            }
-            if let Some(g) = &c.g_yz {
-                f(g);
-            }
+        for (_, g) in self.chips.iter().flat_map(|c| &c.groups) {
+            f(g);
         }
     }
 
@@ -422,11 +411,7 @@ impl PartitionedEngine {
     pub fn inject_faults(&mut self, plan: FaultPlan) {
         let state = Arc::new(FaultState::new(plan, self.chips.len()));
         for c in &self.chips {
-            c.g_all.arm_faults(Arc::clone(&state), c.rank);
-            if let Some(g) = &c.g_x {
-                g.arm_faults(Arc::clone(&state), c.rank);
-            }
-            if let Some(g) = &c.g_yz {
+            for (_, g) in &c.groups {
                 g.arm_faults(Arc::clone(&state), c.rank);
             }
         }
@@ -475,11 +460,8 @@ impl PartitionedEngine {
         self.chips
             .iter()
             .map(|c| {
-                let mut t = c.g_all.times();
-                if let Some(g) = &c.g_x {
-                    t.merge(&g.times());
-                }
-                if let Some(g) = &c.g_yz {
+                let mut t = CommTimes::default();
+                for (_, g) in &c.groups {
                     t.merge(&g.times());
                 }
                 t
@@ -511,15 +493,7 @@ impl PartitionedEngine {
     /// Clears every chip's per-group collective-time counters (the shared
     /// [`TrafficStats`] ledger has its own [`TrafficStats::reset`]).
     pub fn reset_comm_times(&self) {
-        for c in &self.chips {
-            c.g_all.reset_times();
-            if let Some(g) = &c.g_x {
-                g.reset_times();
-            }
-            if let Some(g) = &c.g_yz {
-                g.reset_times();
-            }
-        }
+        self.for_each_group(CommGroup::reset_times);
     }
 
     /// Tokens cached by the oldest slot — every slot's, after passes over
@@ -1059,8 +1033,6 @@ impl PartitionedEngine {
         }
         let cfg = &self.cfg;
         let schedule = &self.schedule;
-        let attn = self.layout.attn;
-        let (x_parts, yz_parts) = parts(schedule);
         let n = self.chips.len();
         let (b, l) = (x.dim(0), x.dim(1));
         let bases = self.row_bases(rows);
@@ -1099,14 +1071,8 @@ impl PartitionedEngine {
                 // it (bit-identically).
                 Box::new(move || {
                     *result = with_worker_pool(pool, || {
-                        let run = catch_unwind(AssertUnwindSafe(|| match schedule.dataflow {
-                            Dataflow::TwoD => {
-                                forward_2d(cfg, chip, kv, x, bases, attn, x_parts, yz_parts)
-                            }
-                            Dataflow::WgFull => forward_wg(cfg, chip, kv, x, bases, n),
-                            Dataflow::OneD | Dataflow::WgHybrid { .. } => {
-                                run_schedule(schedule, cfg, chip, kv, x, bases)
-                            }
+                        let run = catch_unwind(AssertUnwindSafe(|| {
+                            run_schedule(schedule, cfg, chip, kv, x, bases)
                         }));
                         if let Err(payload) = &run {
                             cancel_chip_groups(chip, payload);
@@ -1228,7 +1194,7 @@ fn cancel_chip_groups(chip: &ChipState, payload: &ChipPanic) {
     } else {
         Cause::Crash(chip.rank)
     };
-    for g in [Some(&chip.g_all), chip.g_x.as_ref(), chip.g_yz.as_ref()].into_iter().flatten() {
+    for (_, g) in &chip.groups {
         match cause {
             Cause::Timeout => g.cancel_timeout(),
             Cause::Crash(rank) => g.cancel(rank),
@@ -1269,209 +1235,27 @@ fn classify_panic(thread_idx: usize, payload: &ChipPanic) -> (u8, EngineError) {
 }
 
 // ---------------------------------------------------------------------------
-// shared per-chip helpers
-// ---------------------------------------------------------------------------
-
-fn ln3(x: &Tensor, gain: &Tensor) -> Tensor {
-    ops::layernorm(x, gain, 1e-6)
-}
-
-/// Layernorm of an `E`-sharded `[B, L, E/n]` tensor: local moments are
-/// all-reduced over `group` (a tiny `[B·L, 2]` exchange), then each chip
-/// normalizes its own slice with its gain shard.
-fn sharded_layernorm(group: &CommGroup, x_loc: &Tensor, gain_loc: &Tensor, e_global: usize) -> Tensor {
-    let (b, l, e_loc) = (x_loc.dim(0), x_loc.dim(1), x_loc.dim(2));
-    let rows = b * l;
-    let mut moments = Tensor::zeros(vec![rows, 2]);
-    for r in 0..rows {
-        let row = &x_loc.data()[r * e_loc..(r + 1) * e_loc];
-        let sum: f32 = row.iter().sum();
-        let sumsq: f32 = row.iter().map(|v| v * v).sum();
-        moments.set(&[r, 0], sum);
-        moments.set(&[r, 1], sumsq);
-    }
-    let tot = group.all_reduce(&moments);
-    let ef = e_global as f32;
-    let mut out = vec![0.0f32; x_loc.numel()];
-    for r in 0..rows {
-        let mean = tot.at(&[r, 0]) / ef;
-        let var = tot.at(&[r, 1]) / ef - mean * mean;
-        let inv = 1.0 / (var + 1e-6).sqrt();
-        for c in 0..e_loc {
-            out[r * e_loc + c] =
-                (x_loc.data()[r * e_loc + c] - mean) * inv * gain_loc.data()[c];
-        }
-    }
-    Tensor::from_vec(vec![b, l, e_loc], out)
-}
-
-/// MLP hidden nonlinearity on (possibly sharded) gate/up tensors.
-fn mlp_hidden(cfg: &ModelConfig, gate: Option<Tensor>, up: Tensor) -> Tensor {
-    match cfg.mlp {
-        MlpKind::SwiGlu => ops::swiglu(&gate.expect("SwiGLU requires gate"), &up),
-        MlpKind::Gelu => gelu(&up),
-    }
-}
-
-// ---------------------------------------------------------------------------
-// einsums fused with a collective
+// the schedule interpreter
 //
-// Two rules fix the bits of every gathered contraction below, so they hold
-// wherever a weight or activation arrives from peers:
+// Two rules fix the bits of every contraction over data that arrives from
+// peers:
 //
 // 1. the matmul kernels accumulate each output element by one serial chain
 //    of adds in ascending `k` order;
 // 2. a contraction over a *gathered* `k` keeps one accumulator per source
-//    rank — each a pure ascending-`k` chain over that rank's shard — and
-//    folds them in ascending rank order. Int8 partial products accumulate
-//    unscaled and each scale vector is applied exactly once: a gathered
-//    weight's per-rank scales to that rank's accumulator before the fold,
-//    a local weight's scales to the folded sum.
+//    rank — each a pure ascending-`k` chain over that rank's part — and
+//    folds them in ascending rank order (`fold_ranks`). Int8 partial
+//    products accumulate unscaled and each scale vector is applied exactly
+//    once: a gathered weight's per-rank scales to that rank's accumulator
+//    before the fold, a local weight's scales to the folded sum.
 // ---------------------------------------------------------------------------
 
-/// Flattens `[B, L, D]` activations to `[B·L, D]` for the rank-2 kernels.
-fn flat2(x: &Tensor) -> Tensor {
-    let (b, l, d) = (x.dim(0), x.dim(1), x.dim(2));
-    x.reshape(vec![b * l, d])
-}
-
-/// Folds per-source-rank accumulators in ascending rank order, in place in
-/// rank 0's buffer — the reduction order the collectives use.
-fn fold_ranks(accs: Vec<Tensor>) -> Tensor {
-    accs.into_iter()
-        .reduce(|mut out, p| {
-            ops::add_assign(&mut out, &p);
-            out
-        })
-        .expect("groups have at least one member")
-}
-
-/// `Σ_t xₜ × wₜ`: the local partial sum a weight-stationary block epilogue
-/// hands to its all-reduce (1D) or reduce-scatter (2D).
-fn partial_sum(terms: &[(&Tensor, &ShardMat)]) -> Tensor {
-    let mut part = terms[0].1.mm3(terms[0].0);
-    for (x, w) in &terms[1..] {
-        ops::add_assign(&mut part, &w.mm3(x));
-    }
-    part
-}
-
-/// The 2D weight-stationary block prologue: `x_i = all_gather(xn, dim 2)`
-/// contracted with each of `weights`, with one accumulator per source rank
-/// (rule 2 above). Int8 weights accumulate raw integer partial products;
-/// their scales are applied once, after the rank fold.
-fn ag_einsums(group: &CommGroup, xn: &Tensor, weights: &[&ShardMat]) -> Vec<Tensor> {
-    let (b, l, e_loc) = (xn.dim(0), xn.dim(1), xn.dim(2));
-    let parts = group.all_gather_parts(&flat2(xn), 1);
-    weights
-        .iter()
-        .map(|w| {
-            let n_w = w.cols();
-            let accs = parts
-                .iter()
-                .enumerate()
-                .map(|(r, part)| {
-                    let mut acc = Tensor::zeros(vec![b * l, n_w]);
-                    match w {
-                        ShardMat::Dense(w) => ops::matmul_acc_rows(part, w, r * e_loc, &mut acc),
-                        ShardMat::Int8(q) => q.matmul_acc_rows(part, r * e_loc, &mut acc),
-                        ShardMat::Int8Cat(_) => {
-                            unreachable!("2D blocks are stored shards, never gathered concatenations")
-                        }
-                    }
-                    acc
-                })
-                .collect();
-            let mut out = fold_ranks(accs);
-            if let ShardMat::Int8(q) = w {
-                q.apply_scales(&mut out);
-            }
-            out.into_reshape(vec![b, l, n_w])
-        })
-        .collect()
-}
-
-/// `x × all_gather(shard, dim 1)` for a column-sharded weight
-/// (`wq`/`wk`/`wv`/`w_in`/`w_gate` of the weight-gathered dataflow): each
-/// rank's shard writes its own column block of the output. Int8 shards move
-/// in their wire format and scale on arrival, so no dense f32 view ever
-/// touches the interconnect and the ledger charges the quantized volume.
-fn wg_cols(group: &CommGroup, x: &Tensor, shard: &ShardMat) -> Tensor {
-    let (b, l) = (x.dim(0), x.dim(1));
-    let flat = flat2(x);
-    let w_loc = shard.cols();
-    let mut out = Tensor::zeros(vec![b * l, w_loc * group.size()]);
-    match shard {
-        ShardMat::Dense(w) => {
-            for (r, part) in group.all_gather_parts(w, 1).iter().enumerate() {
-                ops::matmul_into_cols(&flat, part, &mut out, r * w_loc);
-            }
-        }
-        ShardMat::Int8(q) => {
-            for (r, part) in group.all_gather_quant(q, 1).iter().enumerate() {
-                part.matmul_into_cols(&flat, &mut out, r * w_loc);
-            }
-        }
-        ShardMat::Int8Cat(_) => {
-            unreachable!("stored weight-gathered shards are never gathered concatenations")
-        }
-    }
-    out.into_reshape(vec![b, l, w_loc * group.size()])
-}
-
-/// `x × all_gather(shard, dim 0)` for a row-sharded weight (`wo`/`w_out` of
-/// the weight-gathered dataflow), with one accumulator per source rank
-/// (rule 2 above); each rank's int8 scales land on its accumulator before
-/// the fold.
-fn wg_rows(group: &CommGroup, x: &Tensor, shard: &ShardMat) -> Tensor {
-    let (b, l, d) = (x.dim(0), x.dim(1), x.dim(2));
-    let flat = flat2(x);
-    let n_out = shard.cols();
-    // Rank `r`'s `rows`-high shard contracts with its own window of `x`'s
-    // columns, into its own zeroed accumulator.
-    let operands = |r: usize, rows: usize| {
-        assert_eq!(d, rows * group.size(), "row-gather contraction width mismatch");
-        (flat.slice(1, r * rows, rows), Tensor::zeros(vec![b * l, n_out]))
-    };
-    let accs = match shard {
-        ShardMat::Dense(w) => group
-            .all_gather_parts(w, 0)
-            .iter()
-            .enumerate()
-            .map(|(r, part)| {
-                let (a, mut acc) = operands(r, part.dim(0));
-                ops::matmul_acc_rows(&a, part, 0, &mut acc);
-                acc
-            })
-            .collect(),
-        ShardMat::Int8(q) => group
-            .all_gather_quant(q, 0)
-            .iter()
-            .enumerate()
-            .map(|(r, part)| {
-                let (a, mut acc) = operands(r, part.rows());
-                part.matmul_acc_rows(&a, 0, &mut acc);
-                part.apply_scales(&mut acc);
-                acc
-            })
-            .collect(),
-        ShardMat::Int8Cat(_) => {
-            unreachable!("stored weight-gathered shards are never gathered concatenations")
-        }
-    };
-    fold_ranks(accs).into_reshape(vec![b, l, n_out])
-}
-
-// ---------------------------------------------------------------------------
-// the schedule interpreter: 1D weight-stationary (Section 3.2.1) and hybrid
-// weight-gathered (Figure A.2) dataflows
-// ---------------------------------------------------------------------------
-
-/// What a schedule step hands on: an activation, or a weight gathered for
-/// this layer.
+/// What a schedule step hands on: an activation, or an all-gather's
+/// rank-ordered parts (weight shards, or `[B·L, ·]` activation blocks),
+/// which only an einsum reads.
 enum Val {
     Act(Tensor),
-    Mat(ShardMat),
+    Parts(Vec<ShardMat>),
 }
 
 /// The operands `step` reads.
@@ -1500,32 +1284,91 @@ fn stored<'a>(layer: Option<&'a LayerShard>, embed_t: &'a ShardMat, role: Role) 
     }
 }
 
-/// All-gathers a stored weight shard over `g` along its stored `dim`
-/// (0 = rows, 1 = columns). Over an int8 wire the shards stay quantized:
-/// column shards concatenate into one [`ShardMat::Int8`] (every column's
-/// scale lives wholly in one shard), row shards become a
-/// [`ShardMat::Int8Cat`] of independently-scaled blocks, so the ledger
-/// charges the quantized volume the analytic model charges.
-fn gather_weight(g: &CommGroup, w: &ShardMat, dim: usize, wire: WireFormat) -> ShardMat {
-    match (w, wire) {
-        (ShardMat::Int8(q), WireFormat::Int8) => {
-            let parts = g.all_gather_quant(q, dim);
-            if dim == 1 {
-                ShardMat::Int8(QuantizedMatrix::concat_cols(&parts.iter().collect::<Vec<_>>()))
-            } else {
-                ShardMat::Int8Cat(parts)
-            }
+/// Flattens `[B, L, D]` activations to `[B·L, D]` for the rank-2 kernels.
+fn flat2(x: &Tensor) -> Tensor {
+    let (b, l, d) = (x.dim(0), x.dim(1), x.dim(2));
+    x.reshape(vec![b * l, d])
+}
+
+/// `x × w` for a weight whose rank-ordered `parts` split its output
+/// columns: each part writes its own column block, an int8 part scaled as
+/// it arrives.
+fn mm_cols(x: &Tensor, parts: &[ShardMat]) -> Tensor {
+    let w = parts[0].cols();
+    let mut out = Tensor::zeros(vec![x.dim(0), w * parts.len()]);
+    for (r, part) in parts.iter().enumerate() {
+        match part {
+            ShardMat::Dense(t) => ops::matmul_into_cols(x, t, &mut out, r * w),
+            ShardMat::Int8(q) => q.matmul_into_cols(x, &mut out, r * w),
         }
-        (ShardMat::Dense(t), WireFormat::Dense) => ShardMat::Dense(g.all_gather(t, dim)),
-        _ => unreachable!("a weight's wire format follows its storage"),
     }
+    out
+}
+
+/// Rule 2 above: `xᵣ × wᵣ` for each source rank `r`, each into its own
+/// zeroed accumulator (`wᵣ` read from its row `r0`; an int8 `wᵣ` unscaled
+/// unless `scale`), folded in ascending rank order in rank 0's buffer — the
+/// reduction order the collectives use.
+fn fold_ranks<'a>(
+    ranks: impl Iterator<Item = (Cow<'a, Tensor>, &'a ShardMat, usize)>,
+    scale: bool,
+) -> Tensor {
+    ranks
+        .map(|(x, w, r0)| {
+            let mut acc = Tensor::zeros(vec![x.dim(0), w.cols()]);
+            match w {
+                ShardMat::Dense(t) => ops::matmul_acc_rows(&x, t, r0, &mut acc),
+                ShardMat::Int8(q) => {
+                    q.matmul_acc_rows(&x, r0, &mut acc);
+                    if scale {
+                        q.apply_scales(&mut acc);
+                    }
+                }
+            }
+            acc
+        })
+        .reduce(|mut out, p| {
+            ops::add_assign(&mut out, &p);
+            out
+        })
+        .expect("groups have at least one member")
+}
+
+/// Per-row sum and sum of squares of an `E`-sharded `[B, L, E/n]` stream:
+/// the partial moments `[B, L, 2]` a sharded layernorm all-reduces.
+fn moments(x: &Tensor) -> Tensor {
+    let mut out = Vec::with_capacity(x.dim(0) * x.dim(1) * 2);
+    for row in x.data().chunks(x.dim(2)) {
+        let sum: f32 = row.iter().sum();
+        let sumsq: f32 = row.iter().map(|v| v * v).sum();
+        out.extend([sum, sumsq]);
+    }
+    Tensor::from_vec(vec![x.dim(0), x.dim(1), 2], out)
+}
+
+/// Layernorm of an `E`-sharded `[B, L, E/n]` stream given its all-reduced
+/// moments `tot` over the full width `e`: the chip normalizes its own slice
+/// with its gain shard.
+fn normalize(x: &Tensor, tot: &Tensor, gain: &Tensor, e: usize) -> Tensor {
+    let ef = e as f32;
+    let mut out = x.clone();
+    for (row, m) in out.data_mut().chunks_mut(x.dim(2)).zip(tot.data().chunks(2)) {
+        let mean = m[0] / ef;
+        let var = m[1] / ef - mean * mean;
+        let inv = 1.0 / (var + 1e-6).sqrt();
+        for (v, g) in row.iter_mut().zip(gain.data()) {
+            *v = (*v - mean) * inv * g;
+        }
+    }
+    out
 }
 
 /// Runs schedule `s` on one chip: its layer steps once per model layer,
-/// then its final steps. An einsum runs [`ShardMat::mm3`]; a collective
-/// runs on the chip's group over the step's axes; a local op runs its
-/// kernel. Each value is dropped after its last reader. Returns the logits
-/// where this chip is rank 0 of the group they are replicated over.
+/// then its final steps. An einsum runs [`ShardMat::mm3`], or over an
+/// all-gather's parts `mm_cols` / `fold_ranks`; a collective runs on the
+/// chip's group over the step's axes; a local op runs its kernel. Each
+/// value is dropped after its last reader. Returns the logits where this
+/// chip is rank 0 of the group they are replicated over.
 fn run_schedule(
     s: &Schedule,
     cfg: &ModelConfig,
@@ -1534,46 +1377,58 @@ fn run_schedule(
     input: &Tensor,
     bases: &[usize],
 ) -> Option<Tensor> {
-    let ChipState { layers, cache, g_all, g_x, g_yz, ln_final, embed_t, .. } = chip;
+    let ChipState { layers, cache, groups, ln_final, embed_t, .. } = chip;
+    let (groups, ln_final, embed_t) = (&*groups, &*ln_final, &*embed_t);
     let cache = &mut StepCache { cache, rows, batch };
-    let group = |axes: AxisSet| match s.dataflow {
-        Dataflow::WgHybrid { gather, .. } if axes == gather => g_x.as_ref().expect("gather group"),
-        Dataflow::WgHybrid { local, .. } if axes == local => g_yz.as_ref().expect("local group"),
-        _ => &*g_all,
-    };
-    // The rows of `n` this chip keeps when they split over `axes`: its
-    // group rank's share.
-    let share = |n: usize, axes: AxisSet| {
-        if axes.is_empty() {
-            return 0..n;
-        }
-        let (r, k) = (group(axes).rank(), n / group(axes).size());
-        r * k..(r + 1) * k
-    };
+    let group = |axes: AxisSet| &groups.iter().find(|g| g.0 == axes).expect("a group per axes").1;
     let tensor = |r: Operand| s.tensor(r).expect("a verified schedule's operands exist");
-    let b_axes = s.boundary.spec.axes_of('B');
-    // The residual stream: the pass input itself while this chip keeps all
-    // of its rows, then each layer's output.
-    let mine = share(input.dim(0), b_axes);
-    let mut x = if mine.len() == input.dim(0) {
-        Cow::Borrowed(input)
-    } else {
-        Cow::Owned(input.slice(0, mine.start, mine.len()))
+    let b_axes = |t: &SymTensor| {
+        t.spec.dims().iter().find(|d| d.name == 'B').map_or(AxisSet::empty(), |d| d.axes)
     };
-    let bases = &bases[mine];
-
     let steps: Vec<&Step> = s.layer.iter().chain(&s.final_steps).collect();
+    // The groups the batch splits over, outermost first: the order the
+    // schedule shards it in (2D batch attention splits it over yz, then x).
+    let mut nest: Vec<AxisSet> = Vec::new();
+    for t in std::iter::once(&s.boundary).chain(steps.iter().map(|st| st.output())) {
+        let new = b_axes(t).without(nest.iter().fold(AxisSet::empty(), |u, &a| u.union(a)));
+        if !new.is_empty() {
+            nest.push(new);
+        }
+    }
+    // The rows of `n` batch rows this chip keeps when they split over
+    // `axes`: its share in each of those groups, outermost first.
+    let share = |n: usize, axes: AxisSet| {
+        nest.iter().filter(|a| a.is_subset_of(axes)).fold(0..n, |r, &a| {
+            let (rank, k) = (group(a).rank(), r.len() / group(a).size());
+            r.start + rank * k..r.start + (rank + 1) * k
+        })
+    };
+    // The residual stream: the chip's block of the pass input (each dim the
+    // boundary shards cut by its rank in the group over those axes; the
+    // input itself where it keeps everything), then each layer's output.
+    let mut x = Cow::Borrowed(input);
+    for (d, dim) in s.boundary.spec.dims().iter().enumerate() {
+        if !dim.axes.is_empty() {
+            let (rank, k) = (group(dim.axes).rank(), x.dim(d) / group(dim.axes).size());
+            x = Cow::Owned(x.slice(d, rank * k, k));
+        }
+    }
+    let bases = &bases[share(bases.len(), b_axes(&s.boundary))];
+    let l = input.dim(1);
+
     let mut last_read = vec![0; steps.len()];
+    let mut to_einsum = vec![false; steps.len()];
     for (k, step) in steps.iter().enumerate() {
         for r in operands(step) {
             if let Operand::Step(j) = r {
                 last_read[j] = k;
+                to_einsum[j] |= matches!(step, Step::Einsum { .. });
             }
         }
     }
     // Rank 0 of the group the logits are replicated over returns them; the
     // other chips skip the final steps unless those communicate.
-    let sharded = tensor(Operand::Step(steps.len() - 1)).spec.axes_of('B');
+    let sharded = b_axes(tensor(Operand::Step(steps.len() - 1)));
     let emits = group(AxisSet::all().without(sharded)).rank() == 0;
     let talks = s.final_steps.iter().any(|st| matches!(st, Step::Collective { .. }));
     let passes = if emits || talks { layers.len() + 1 } else { layers.len() };
@@ -1587,20 +1442,58 @@ fn run_schedule(
                 Operand::Boundary => &*x,
                 Operand::Step(j) => match val(j) {
                     Val::Act(t) => t,
-                    Val::Mat(_) => panic!("step {j} is a weight"),
+                    Val::Parts(_) => panic!("step {j} hands its parts to an einsum"),
                 },
                 Operand::Weight(role) => panic!("{role:?} is a weight"),
             };
             let mat = |r: Operand| match r {
-                Operand::Weight(role) => stored(layer, &*embed_t, role),
-                Operand::Step(j) => match val(j) {
-                    Val::Mat(m) => m,
-                    Val::Act(_) => panic!("step {j} is an activation"),
+                Operand::Weight(role) => stored(layer, embed_t, role),
+                _ => panic!("{r:?} is not a stored weight"),
+            };
+            // An einsum operand that arrived as an all-gather's parts, and
+            // the dim they split.
+            let parts = |r: Operand| match r {
+                Operand::Step(j) => match (steps[j], val(j)) {
+                    (Step::Collective { op: SymOp::AllGather { dim }, .. }, Val::Parts(p)) => {
+                        Some((p.as_slice(), *dim))
+                    }
+                    _ => None,
                 },
-                Operand::Boundary => panic!("the boundary is an activation"),
+                _ => None,
             };
             let out = match steps[k] {
-                Step::Einsum { x: a, w, .. } => Val::Act(mat(*w).mm3(act(*a))),
+                Step::Einsum { x: a, w, contract, .. } => {
+                    let y = match (parts(*a), parts(*w)) {
+                        (None, None) => mat(*w).mm3(act(*a)),
+                        (None, Some((ws, dim))) if !contract.contains(&dim) => {
+                            mm_cols(&flat2(act(*a)), ws)
+                        }
+                        (None, Some((ws, _))) => {
+                            let flat = flat2(act(*a));
+                            let kc = flat.dim(1) / ws.len();
+                            let xs = ws.iter().enumerate();
+                            let xs = xs.map(|(r, w)| (Cow::Owned(flat.slice(1, r * kc, kc)), w, 0));
+                            fold_ranks(xs, true)
+                        }
+                        (Some((xs, dim)), None) if contract.contains(&dim) => {
+                            let w = mat(*w);
+                            let xs = xs.iter().enumerate().map(|(r, x)| {
+                                let ShardMat::Dense(x) = x else { unreachable!("dense activations") };
+                                (Cow::Borrowed(x), w, r * x.dim(1))
+                            });
+                            let mut y = fold_ranks(xs, false);
+                            if let ShardMat::Int8(q) = w {
+                                q.apply_scales(&mut y);
+                            }
+                            y
+                        }
+                        _ => unreachable!("parts split a weight's columns or the contraction"),
+                    };
+                    // The rank-2 kernels' `[B·L, ·]` back to `[B, L, ·]`.
+                    let n = y.dim(y.rank() - 1);
+                    let m = y.numel() / n;
+                    Val::Act(y.into_reshape(vec![m / l, l, n]))
+                }
                 Step::Collective { op, axes, input, wire, .. } => {
                     let (g, t) = (group(*axes), tensor(*input));
                     // Activations are `[B, L, ·]`, heads and head dims
@@ -1608,32 +1501,57 @@ fn run_schedule(
                     // whose rows are its leading dim.
                     let act_dim = |c: char| t.dim_index(c).expect("the tensor has the dim").min(2);
                     match *op {
+                        SymOp::AllGather { dim } if to_einsum[k] => Val::Parts(match *input {
+                            Operand::Weight(role) => {
+                                let along = usize::from(t.dim_index(dim) != Some(0));
+                                match (stored(layer, embed_t, role), *wire) {
+                                    (ShardMat::Int8(q), WireFormat::Int8) => {
+                                        let parts = g.all_gather_quant(q, along);
+                                        parts.into_iter().map(ShardMat::Int8).collect()
+                                    }
+                                    (ShardMat::Dense(w), WireFormat::Dense) => {
+                                        let parts = g.all_gather_parts(w, along);
+                                        parts.into_iter().map(ShardMat::Dense).collect()
+                                    }
+                                    _ => unreachable!("a weight's wire format follows its storage"),
+                                }
+                            }
+                            _ => {
+                                let parts = g.all_gather_parts(&flat2(act(*input)), 1);
+                                parts.into_iter().map(ShardMat::Dense).collect()
+                            }
+                        }),
                         SymOp::AllGather { dim } => {
-                            let rows = t.dim_index(dim) == Some(0);
-                            Val::Mat(gather_weight(g, mat(*input), usize::from(!rows), *wire))
+                            Val::Act(g.all_gather(act(*input), act_dim(dim)))
                         }
                         SymOp::AllReduce => Val::Act(g.all_reduce(act(*input))),
+                        SymOp::ReduceScatter { dim } => {
+                            Val::Act(g.reduce_scatter(act(*input), act_dim(dim)))
+                        }
                         SymOp::AllToAll { split, concat } => {
                             Val::Act(g.all_to_all(act(*input), act_dim(split), act_dim(concat)))
                         }
-                        SymOp::ReduceScatter { .. } => unreachable!("1D never reduce-scatters"),
                     }
                 }
                 Step::Local { op, inputs, output, .. } => {
                     let a = act(inputs[0]);
                     // The batch axes this op's output gains over its input.
-                    let gained = |from: &SymTensor| {
-                        output.spec.axes_of('B').without(from.spec.axes_of('B'))
-                    };
+                    let gained = |from: &SymTensor| b_axes(output).without(b_axes(from));
                     Val::Act(match op {
-                        LocalOp::LayerNorm(gain) => ln3(
-                            a,
-                            match gain {
+                        LocalOp::LayerNorm(gain) => {
+                            let gain = match gain {
                                 Gain::Attn => &layer.expect("a layer step").ln1,
                                 Gain::Mlp => layer.and_then(|l| l.ln2.as_ref()).expect("serial ln2"),
-                                Gain::Final => &*ln_final,
-                            },
-                        ),
+                                Gain::Final => ln_final,
+                            };
+                            // Over an `E`-sharded stream the second input
+                            // is the all-reduced moments.
+                            match inputs.get(1) {
+                                Some(&tot) => normalize(a, act(tot), gain, cfg.d_model),
+                                None => ops::layernorm(a, gain, 1e-6),
+                            }
+                        }
+                        LocalOp::Moments => moments(a),
                         LocalOp::Attention => {
                             let (k, v, dh) = (act(inputs[1]), act(inputs[2]), cfg.d_head);
                             let bases = &bases[share(bases.len(), gained(&s.boundary))];
@@ -1652,7 +1570,6 @@ fn run_schedule(
                         LocalOp::SwiGlu => ops::swiglu(a, act(inputs[1])),
                         LocalOp::Gelu => gelu(a),
                         LocalOp::Add => a + act(inputs[1]),
-                        LocalOp::Moments => unreachable!("only 2D shards the layernorm"),
                     })
                 }
             };
@@ -1676,250 +1593,4 @@ fn run_schedule(
         Some(Some(Val::Act(logits))) if emits => Some(logits),
         _ => None,
     }
-}
-
-// ---------------------------------------------------------------------------
-// 2D weight-stationary dataflow (Section 3.2.2)
-// ---------------------------------------------------------------------------
-
-#[allow(clippy::too_many_arguments)]
-fn forward_2d(
-    cfg: &ModelConfig,
-    chip: &mut ChipState,
-    (rows, batch): (&[usize], usize),
-    x_full: &Tensor,
-    bases: &[usize],
-    attn: AttnSharding,
-    x_parts: usize,
-    yz_parts: usize,
-) -> Option<Tensor> {
-    let ChipState { rank, i, j, layers, cache, g_all, g_x, g_yz, ln_final, embed_t } = chip;
-    let (rank, i, j) = (*rank, *i, *j);
-    let cache = &mut StepCache { cache, rows, batch };
-    let g_x = g_x.as_ref().expect("2D dataflow has x group");
-    let g_yz = g_yz.as_ref().expect("2D dataflow has yz group");
-    let n = x_parts * yz_parts;
-    let e = cfg.d_model;
-    let e_n = e / n;
-    let off = i * (e / x_parts) + j * e_n;
-    // Boundary state: x sharded E_xyz.
-    let mut x_loc = x_full.slice(2, off, e_n);
-    for (li, shard) in layers.iter().enumerate() {
-        let serial = cfg.block == esti_model::BlockKind::Serial;
-        if serial {
-            let xn = sharded_layernorm(g_all, &x_loc, &shard.ln1, e);
-            let mut proj = ag_einsums(g_yz, &xn, &[&shard.wq, &shard.wk, &shard.wv]);
-            let v_part = proj.pop().expect("three projections");
-            let k_part = proj.pop().expect("three projections");
-            let q_part = proj.pop().expect("three projections");
-            let attn_j = attn_2d_ctx(
-                cfg, cache, li, q_part, k_part, v_part, bases, attn, g_x, g_yz, i, j, x_parts,
-                yz_parts,
-            );
-            let x1_loc =
-                &x_loc + &g_yz.reduce_scatter(&partial_sum(&[(&attn_j, &shard.wo)]), 2);
-            let ln2 = shard.ln2.as_ref().expect("serial block requires ln2");
-            let x1n = sharded_layernorm(g_all, &x1_loc, ln2, e);
-            let mlp_w: Vec<&ShardMat> = match &shard.w_gate {
-                Some(g) => vec![g, &shard.w_in],
-                None => vec![&shard.w_in],
-            };
-            let mut proj = ag_einsums(g_yz, &x1n, &mlp_w);
-            let up_part = proj.pop().expect("mlp input projection");
-            let gate_part = proj.pop();
-            let h_j = mlp_2d_hidden(cfg, g_x, gate_part, up_part);
-            x_loc = &x1_loc + &g_yz.reduce_scatter(&partial_sum(&[(&h_j, &shard.w_out)]), 2);
-        } else {
-            let xn = sharded_layernorm(g_all, &x_loc, &shard.ln1, e);
-            // One all-gather feeds every projection of the parallel block
-            // (attention and MLP share the layernormed x_i).
-            let mut weights: Vec<&ShardMat> = vec![&shard.wq, &shard.wk, &shard.wv];
-            if let Some(g) = &shard.w_gate {
-                weights.push(g);
-            }
-            weights.push(&shard.w_in);
-            let mut proj = ag_einsums(g_yz, &xn, &weights);
-            let up_part = proj.pop().expect("mlp input projection");
-            let gate_part = if shard.w_gate.is_some() { proj.pop() } else { None };
-            let v_part = proj.pop().expect("three projections");
-            let k_part = proj.pop().expect("three projections");
-            let q_part = proj.pop().expect("three projections");
-            let attn_j = attn_2d_ctx(
-                cfg, cache, li, q_part, k_part, v_part, bases, attn, g_x, g_yz, i, j, x_parts,
-                yz_parts,
-            );
-            let h_j = mlp_2d_hidden(cfg, g_x, gate_part, up_part);
-            // One reduce-scatter carries both partials.
-            let part = partial_sum(&[(&attn_j, &shard.wo), (&h_j, &shard.w_out)]);
-            x_loc = &x_loc + &g_yz.reduce_scatter(&part, 2);
-        }
-    }
-    // Final layernorm + logit projection: partial over all chips.
-    let xn = sharded_layernorm(g_all, &x_loc, ln_final, e);
-    let logits_part = embed_t.mm3(&xn); // [B, L, V] partial
-    let logits = g_all.all_reduce(&logits_part);
-    if rank == 0 {
-        Some(logits)
-    } else {
-        None
-    }
-}
-
-/// 2D MLP between the input and output projections: reduce-scatter(x) the
-/// partial gate/up along the hidden dimension (the paper's choice, Section
-/// 3.5), apply the nonlinearity on `[B, l, F/n]` shards, all-gather(x)
-/// back to `[B, l, F/YZ]`. The caller contracts the result with `w_out`
-/// ahead of the yz reduce-scatter.
-fn mlp_2d_hidden(
-    cfg: &ModelConfig,
-    g_x: &CommGroup,
-    gate_part: Option<Tensor>,
-    up_part: Tensor,
-) -> Tensor {
-    let gate_sh = gate_part.map(|g| g_x.reduce_scatter(&g, 2));
-    let up_sh = g_x.reduce_scatter(&up_part, 2);
-    let h_sh = mlp_hidden(cfg, gate_sh, up_sh);
-    g_x.all_gather(&h_sh, 2) // [B, l, F/YZ]
-}
-
-/// 2D attention from the partial (over `i`) Q/K/V projections up to (but
-/// not including) the output projection: returns the head-sharded context
-/// `[B, l, H_yz*dh]`, which the caller contracts with `wo` ahead of the yz
-/// reduce-scatter.
-#[allow(clippy::too_many_arguments)]
-fn attn_2d_ctx(
-    cfg: &ModelConfig,
-    cache: &mut StepCache,
-    li: usize,
-    q_part: Tensor,
-    k_part: Tensor,
-    v_part: Tensor,
-    bases: &[usize],
-    attn: AttnSharding,
-    g_x: &CommGroup,
-    g_yz: &CommGroup,
-    i: usize,
-    j: usize,
-    x_parts: usize,
-    yz_parts: usize,
-) -> Tensor {
-    let dh = cfg.d_head;
-    // Projections are partial over i; all-reduce(x) replicates them within
-    // the x group (Q/K/V are small relative to the FFN activations).
-    let mut q_j = g_x.all_reduce(&q_part); // [B, l, H_yz*dh]
-    let mut k_j = g_x.all_reduce(&k_part);
-    let v_j = g_x.all_reduce(&v_part);
-    if cfg.position == PositionKind::Rope {
-        q_j = ops::rope_rows(&q_j, dh, bases);
-        k_j = ops::rope_rows(&k_j, dh, bases);
-    }
-    match attn {
-        AttnSharding::Head => {
-            // MQ: k_j is the full single head, cached replicated (the
-            // "baseline multiquery" layout). MHA: own heads only.
-            cache.append(li, &k_j, &v_j);
-            cache.attend(&q_j, li, dh)
-        }
-        AttnSharding::Batch => {
-            let b = q_j.dim(0);
-            let n = x_parts * yz_parts;
-            let b_n = b / n;
-            let b_yz = b / yz_parts;
-            // all-to-all over yz: heads -> batch (Figure 5b), then slice
-            // the x-replicated result so each chip keeps B/n sequences.
-            let q_b = g_yz.all_to_all(&q_j, 0, 2); // [B/YZ, l, H*dh]
-            let q_bi = q_b.slice(0, i * b_n, b_n); // [B/n, l, H*dh]
-            let kv_off = j * b_yz + i * b_n;
-            let k_bi = k_j.slice(0, kv_off, b_n);
-            let v_bi = v_j.slice(0, kv_off, b_n);
-            cache.append(li, &k_bi, &v_bi);
-            let attn_bi = cache.attend(&q_bi, li, dh); // [B/n, l, H*dh]
-            // Gather the batch back over x, then all-to-all back to
-            // head sharding over yz.
-            let attn_b = g_x.all_gather(&attn_bi, 0); // [B/YZ, l, H*dh]
-            g_yz.all_to_all(&attn_b, 2, 0) // [B, l, H_yz*dh]
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// weight-gathered dataflow (Section 3.2.3, XYZ extent)
-// ---------------------------------------------------------------------------
-
-fn forward_wg(
-    cfg: &ModelConfig,
-    chip: &mut ChipState,
-    (rows, batch): (&[usize], usize),
-    x_full: &Tensor,
-    bases: &[usize],
-    n: usize,
-) -> Option<Tensor> {
-    let ChipState { rank, layers, cache, g_all, ln_final, embed_t, .. } = chip;
-    let rank = *rank;
-    let cache = &mut StepCache { cache, rows, batch };
-    let b = x_full.dim(0);
-    let b_loc = b / n;
-    // Activations stay batch-sharded and fully stationary; each weight is
-    // gathered just before the einsum that consumes it.
-    let mut x = x_full.slice(0, rank * b_loc, b_loc);
-    let bases = &bases[rank * b_loc..(rank + 1) * b_loc];
-    for (li, shard) in layers.iter().enumerate() {
-        let serial = cfg.block == esti_model::BlockKind::Serial;
-        if serial {
-            let a = attn_wg(cfg, cache, li, &ln3(&x, &shard.ln1), bases, shard, g_all);
-            let x1 = &x + &a;
-            let ln2 = shard.ln2.as_ref().expect("serial block requires ln2");
-            let m = mlp_wg(cfg, &ln3(&x1, ln2), shard, g_all);
-            x = &x1 + &m;
-        } else {
-            let ln = ln3(&x, &shard.ln1);
-            let a = attn_wg(cfg, cache, li, &ln, bases, shard, g_all);
-            let m = mlp_wg(cfg, &ln, shard, g_all);
-            x = &(&x + &a) + &m;
-        }
-    }
-    let h = ln3(&x, ln_final);
-    let logits_loc = embed_t.mm3(&h); // [B/n, L, V]
-    let logits = g_all.all_gather(&logits_loc, 0);
-    if rank == 0 {
-        Some(logits)
-    } else {
-        None
-    }
-}
-
-/// Weight-gathered attention: every projection gathers its weight into the
-/// einsum ([`wg_cols`] for the head-sharded Q/K/V, [`wg_rows`] for the
-/// row-sharded output projection). Multiquery K/V shards are replicated —
-/// nothing to gather, plain local matmuls.
-fn attn_wg(
-    cfg: &ModelConfig,
-    cache: &mut StepCache,
-    li: usize,
-    ln: &Tensor,
-    bases: &[usize],
-    shard: &LayerShard,
-    g: &CommGroup,
-) -> Tensor {
-    let mut q = wg_cols(g, ln, &shard.wq);
-    let (mut k, v) = if cfg.n_kv_heads() == 1 {
-        (shard.wk.mm3(ln), shard.wv.mm3(ln))
-    } else {
-        (wg_cols(g, ln, &shard.wk), wg_cols(g, ln, &shard.wv))
-    };
-    if cfg.position == PositionKind::Rope {
-        q = ops::rope_rows(&q, cfg.d_head, bases);
-        k = ops::rope_rows(&k, cfg.d_head, bases);
-    }
-    cache.append(li, &k, &v);
-    let attn = cache.attend(&q, li, cfg.d_head);
-    wg_rows(g, &attn, &shard.wo)
-}
-
-/// Weight-gathered MLP: column gathers for the input (and gate)
-/// projections, a row gather for the output projection.
-fn mlp_wg(cfg: &ModelConfig, ln: &Tensor, shard: &LayerShard, g: &CommGroup) -> Tensor {
-    let gate = shard.w_gate.as_ref().map(|w| wg_cols(g, ln, w));
-    let up = wg_cols(g, ln, &shard.w_in);
-    wg_rows(g, &mlp_hidden(cfg, gate, up), &shard.w_out)
 }

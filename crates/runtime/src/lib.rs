@@ -67,7 +67,7 @@ pub use engine::{
 };
 pub use esti_model::DEFAULT_KV_PAGE_SIZE;
 pub use generate::GenerateOptions;
-pub use introspect::{kv_cache_json, weight_wire_format, wg_stream_plan, WgStream};
+pub use introspect::kv_cache_json;
 pub use router::{ReplicaRouter, RouterError, RouterOutcome};
 pub use serving::{
     BatcherSpec, ContinuousBatcher, DecodeWork, OverloadShed, PrefillWork, ServeError, ServingOptions,

@@ -30,21 +30,14 @@ impl WeightFormat {
     }
 }
 
-/// A stored weight shard: dense f32/bf16 values, or genuine int8 with
-/// per-column scales.
+/// A stored weight shard, or one source rank's part of an all-gathered one:
+/// dense f32/bf16 values, or genuine int8 with per-column scales.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ShardMat {
     /// Dense floating-point storage.
     Dense(Tensor),
     /// int8 weight-only quantization (Section 3.6).
     Int8(QuantizedMatrix),
-    /// Row-concatenation of int8 blocks, each with its own per-column
-    /// scales — the result of all-gathering a row-sharded quantized matrix
-    /// (each source rank quantized its block independently, so the blocks
-    /// cannot merge into one `QuantizedMatrix` without re-quantizing).
-    /// Contracting against it folds the blocks' scaled partial products in
-    /// ascending rank order, as the fully weight-gathered `wg_rows` does.
-    Int8Cat(Vec<QuantizedMatrix>),
 }
 
 impl ShardMat {
@@ -55,25 +48,10 @@ impl ShardMat {
     ///
     /// Panics on shape mismatch.
     #[must_use]
-    // Vetted expect: Int8Cat is built from >= 1 source shards.
-    #[allow(clippy::expect_used)]
     pub fn mm3(&self, x: &Tensor) -> Tensor {
         match self {
             ShardMat::Dense(w) => mm3(x, w),
             ShardMat::Int8(q) => q.matmul3(x),
-            ShardMat::Int8Cat(blocks) => {
-                let mut off = 0;
-                let mut sum: Option<Tensor> = None;
-                for q in blocks {
-                    let part = q.matmul3(&x.slice(2, off, q.rows()));
-                    off += q.rows();
-                    sum = Some(match sum {
-                        None => part,
-                        Some(s) => &s + &part,
-                    });
-                }
-                sum.expect("Int8Cat has at least one block")
-            }
         }
     }
 
@@ -87,7 +65,6 @@ impl ShardMat {
         match self {
             ShardMat::Dense(w) => w.dim(1),
             ShardMat::Int8(q) => q.cols(),
-            ShardMat::Int8Cat(blocks) => blocks[0].cols(),
         }
     }
 
@@ -98,11 +75,6 @@ impl ShardMat {
         match self {
             ShardMat::Dense(w) => w.clone(),
             ShardMat::Int8(q) => q.dequantize(),
-            ShardMat::Int8Cat(blocks) => {
-                let parts: Vec<Tensor> = blocks.iter().map(QuantizedMatrix::dequantize).collect();
-                let refs: Vec<&Tensor> = parts.iter().collect();
-                Tensor::concat(&refs, 0)
-            }
         }
     }
 
@@ -113,7 +85,6 @@ impl ShardMat {
         match self {
             ShardMat::Dense(w) => w.numel() * 4,
             ShardMat::Int8(q) => q.storage_bytes(),
-            ShardMat::Int8Cat(blocks) => blocks.iter().map(QuantizedMatrix::storage_bytes).sum(),
         }
     }
 }
@@ -136,8 +107,10 @@ pub fn block(w: &Tensor, r0: usize, rn: usize, c0: usize, cn: usize) -> Tensor {
 ///   `ln*` replicated.
 /// * 2D: every matrix is a `(row, col)` block per `(i, j)`; `ln*` gains are
 ///   sharded like the boundary activations (`E/n` each).
-/// * WG-XYZ: `w_*` are column (in) / row (out) shards that get all-gathered
-///   before use; `ln*` replicated.
+/// * weight-gathered (WG-XYZ, and the hybrid's gather groups): `w_*` are
+///   column (in) / row (out) shards, each all-gathered just before the
+///   einsum that reads it, which contracts the rank-ordered parts directly;
+///   `ln*` replicated.
 #[derive(Debug, Clone)]
 pub struct LayerShard {
     /// Query projection shard.

@@ -150,12 +150,13 @@ fn weight_gathered_traffic_is_weights_not_activations() {
 #[test]
 fn symbolic_schedule_call_counts_match_measured_runtime() {
     // The static analyzer (esti-verify Pass 2) replays per-chip programs
-    // derived from the symbolic schedule, so the schedule must describe
-    // what the runtime actually does: the engine must issue precisely the
-    // collective calls the schedule predicts, group-for-group. The 1D and
-    // hybrid weight-gathered layouts run their schedule, so for them this
-    // holds by construction; for 2D and WG-XYZ it is the exact check that
-    // the hand-written forwards issue the schedule's calls.
+    // derived from the symbolic schedule, and every layout's chips run that
+    // schedule. What the interpreter may still get wrong is skipping: chips
+    // that do not emit the logits skip the final steps unless those
+    // communicate. So the engine must issue precisely the collective calls
+    // the schedule predicts, group for group, on every layout, block kind
+    // (a serial 2D layer all-reduces layernorm moments twice and
+    // reduce-scatters each residual branch on its own) and weight format.
     use esti_core::schedule::{build_schedule, Step, SymOp};
     use esti_hal::DType;
 
@@ -177,7 +178,8 @@ fn symbolic_schedule_call_counts_match_measured_runtime() {
         (FfnLayout::WeightGathered(GatherExtent::X), AttnSharding::Head, MeshFactors::new(2, 2, 1)),
     ];
     let mut checked = 0;
-    for cfg in [ModelConfig::tiny(), ModelConfig::tiny_multihead()] {
+    let serial = ModelConfig { block: esti_model::BlockKind::Serial, ..ModelConfig::tiny() };
+    for cfg in [ModelConfig::tiny(), ModelConfig::tiny_multihead(), serial] {
         let model = ReferenceModel::init_random(cfg, 12);
         let cfg = model.config();
         for (ffn, attn, mesh) in layouts {
@@ -216,7 +218,7 @@ fn symbolic_schedule_call_counts_match_measured_runtime() {
             }
         }
     }
-    assert_eq!(checked, 14, "5 layouts x 2 formats for tiny, 2 x 2 for tiny_multihead");
+    assert_eq!(checked, 24, "5 layouts x 2 formats for tiny and serial, 2 x 2 for tiny_multihead");
 }
 
 #[test]

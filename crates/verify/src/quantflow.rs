@@ -4,26 +4,25 @@
 //! plus one f32 scale per output column, dequantized only at the point of
 //! use. That discipline has two failure modes the type system cannot see:
 //!
-//! * **dropped scales** — a quantized stream the executor has no
-//!   scale-application plan for, or one gathered along a dimension the
-//!   executor's scale axis does not follow;
+//! * **dropped scales** — a quantized stream with no scales to apply: the
+//!   engine's interpreter quantizes only stored int8 weight shards, so an
+//!   int8 wire on anything else (an activation) has none;
 //! * **wire-volume drift** — the schedule's implied quantized byte count
 //!   disagreeing with the closed form the traffic ledger charges
 //!   ([`esti_collectives::quant_wire_bytes`]), e.g. an "int8" stream that
 //!   actually moves more bytes than the dense bf16 path it replaces.
 //!
 //! This pass walks every [`WireFormat::Int8`]-annotated collective of a
-//! schedule (see `Schedule::with_weight_dtype`) and checks it against the
-//! runtime's stream table ([`esti_runtime::wg_stream_plan`]): the step must
-//! be a weight all-gather the executor knows, gathered along the dimension
-//! the stream's shards are sharded on; and its wire volume, by the ledger's
-//! closed form, must stay strictly below the dense volume it replaces.
+//! schedule (see `Schedule::with_weight_dtype`) and checks what the
+//! interpreter does with it: the step must be an all-gather of a stored
+//! weight ([`Operand::Weight`]), at least rank 2 (a matrix whose columns
+//! carry the scales), and its wire volume, by the ledger's closed form,
+//! must stay strictly below the dense volume it replaces.
 
 use std::fmt;
 
 use esti_collectives::{quant_wire_bytes, ACT_BYTES};
-use esti_core::schedule::{Schedule, Step, SymOp, WireFormat};
-use esti_runtime::{wg_stream_plan, WgStream};
+use esti_core::schedule::{Operand, Schedule, Step, SymOp, WireFormat};
 
 /// Successful quant-dataflow check of one schedule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -31,7 +30,7 @@ pub struct QuantflowReport {
     /// Int8-annotated collective steps checked (0 for schedules that move
     /// no quantized weights, e.g. non-weight-gathered layouts).
     pub quant_steps: usize,
-    /// Distinct executor streams those steps covered.
+    /// Distinct weight streams those steps covered.
     pub streams_covered: usize,
     /// Total per-chip quantized wire bytes implied by the schedule
     /// (ledger closed form, summed over steps).
@@ -65,8 +64,9 @@ pub enum QuantflowError {
         /// Offending step label.
         label: &'static str,
     },
-    /// A quantized stream the executor has no entry for — its per-column
-    /// scales would never be applied (dropped).
+    /// An int8 wire on a gather of something other than a stored weight:
+    /// only stored int8 shards carry per-column scales, so there are none
+    /// to apply (dropped).
     DroppedScales {
         /// Offending step label.
         label: &'static str,
@@ -79,16 +79,6 @@ pub enum QuantflowError {
         label: &'static str,
         /// The local shape found.
         shape: Vec<usize>,
-    },
-    /// The schedule gathers along one dimension but the executor's stream
-    /// is sharded along another — scale provenance would not line up.
-    GatherDimMismatch {
-        /// Offending step label.
-        label: &'static str,
-        /// Dimension the executor's stream gathers (0 = rows, 1 = cols).
-        stream_dim: usize,
-        /// Dimension the schedule gathers.
-        schedule_dim: usize,
     },
     /// The quantized wire volume is not strictly below the dense volume it
     /// replaces — the int8 annotation is an accounting lie.
@@ -112,17 +102,12 @@ impl fmt::Display for QuantflowError {
             }
             QuantflowError::DroppedScales { label } => write!(
                 f,
-                "quantflow: \"{label}\" is quantized but no executor stream applies its \
-                 scales (dropped per-column scales)"
+                "quantflow: \"{label}\" is quantized but gathers no stored weight, so no \
+                 per-column scales ride it (dropped scales)"
             ),
             QuantflowError::NotAMatrix { label, shape } => write!(
                 f,
                 "quantflow: \"{label}\" quantized shard must be at least rank-2, got {shape:?}"
-            ),
-            QuantflowError::GatherDimMismatch { label, stream_dim, schedule_dim } => write!(
-                f,
-                "quantflow: \"{label}\" gathers dim {schedule_dim} but the executor stream \
-                 is sharded along dim {stream_dim}"
             ),
             QuantflowError::WireVolumeMismatch { label, quant, dense } => write!(
                 f,
@@ -134,16 +119,13 @@ impl fmt::Display for QuantflowError {
     }
 }
 
-/// Check every int8-annotated collective of `schedule` against the
-/// executor's stream table `plan`.
+/// Check every int8-annotated collective of `schedule` against what the
+/// engine's interpreter does with it.
 ///
 /// # Errors
 ///
 /// The first [`QuantflowError`] found, in schedule order.
-pub fn check_quantflow(
-    schedule: &Schedule,
-    plan: &[WgStream],
-) -> Result<QuantflowReport, QuantflowError> {
+pub fn check_quantflow(schedule: &Schedule) -> Result<QuantflowReport, QuantflowError> {
     let torus = schedule.torus;
     let mut quant_steps = 0usize;
     let mut covered: Vec<&'static str> = Vec::new();
@@ -161,10 +143,9 @@ pub fn check_quantflow(
         let SymOp::AllGather { dim: gather_dim } = *op else {
             return Err(QuantflowError::NotAllGather { label });
         };
-        let stream = plan
-            .iter()
-            .find(|s| s.label == *label)
-            .ok_or(QuantflowError::DroppedScales { label })?;
+        if !matches!(input, Operand::Weight(_)) {
+            return Err(QuantflowError::DroppedScales { label });
+        }
         if !covered.contains(label) {
             covered.push(label);
         }
@@ -175,24 +156,11 @@ pub fn check_quantflow(
         if shape.len() < 2 {
             return Err(QuantflowError::NotAMatrix { label, shape });
         }
-        let schedule_dim = input
-            .dim_index(gather_dim)
-            .ok_or_else(|| QuantflowError::Extraction(format!(
-                "step \"{label}\": gathered dimension {gather_dim} not in tensor"
-            )))?;
         // The stored shard is a matrix (`shard.rs` folds the head dims
         // together): a row-gathered stream stores `[.. , E]` as
         // `[prod(leading), E]`, a column-gathered one stores `[E, ..]` as
         // `[E, prod(trailing)]`. Scales ride the columns either way.
-        let matrix_dim = usize::from(schedule_dim != 0);
-        if matrix_dim != stream.dim {
-            return Err(QuantflowError::GatherDimMismatch {
-                label,
-                stream_dim: stream.dim,
-                schedule_dim: matrix_dim,
-            });
-        }
-        let (rows, cols) = if matrix_dim == 0 {
+        let (rows, cols) = if input.dim_index(gather_dim) == Some(0) {
             (shape[..shape.len() - 1].iter().product::<usize>(), shape[shape.len() - 1])
         } else {
             (shape[0], shape[1..].iter().product::<usize>())
@@ -215,13 +183,13 @@ pub fn check_quantflow(
     })
 }
 
-/// Run the pass against the runtime's actual stream table.
+/// [`check_quantflow`] with the error formatted.
 ///
 /// # Errors
 ///
 /// Returns the formatted [`QuantflowError`].
 pub fn check_schedule_quantflow(schedule: &Schedule) -> Result<QuantflowReport, String> {
-    check_quantflow(schedule, &wg_stream_plan()).map_err(|e| e.to_string())
+    check_quantflow(schedule).map_err(|e| e.to_string())
 }
 
 #[cfg(test)]
@@ -273,33 +241,27 @@ mod tests {
 
     #[test]
     fn dropped_scale_rejected() {
-        // Remove a stream from the executor table: the quantized gather
-        // would arrive with scales nobody applies.
-        let s = wg_int8();
-        let plan: Vec<WgStream> = wg_stream_plan()
-            .into_iter()
-            .filter(|st| st.label != "wq weight all-gather")
-            .collect();
-        let err = check_quantflow(&s, &plan).unwrap_err();
-        assert!(
-            matches!(err, QuantflowError::DroppedScales { label } if label == "wq weight all-gather"),
-            "got {err}"
-        );
-    }
-
-    #[test]
-    fn wrong_gather_dim_rejected() {
-        let s = wg_int8();
-        let mut plan = wg_stream_plan();
-        // Claim wq is row-sharded: the schedule's column gather no longer
-        // lines up with where the executor expects the scale axis.
-        let wq = plan
+        // Seed a schedule-side mutation: mark 2D's activation gather as int8
+        // wire. An activation carries no per-column scales to apply.
+        let cfg = esti_model::ModelConfig::tiny();
+        let layout = Layout {
+            ffn: FfnLayout::WeightStationary2D,
+            attn: AttnSharding::Head,
+            mesh: MeshFactors::new(2, 2, 1),
+        };
+        let mut s = build_schedule(&cfg, &layout, 8, 1).unwrap();
+        let wire = s
+            .layer
             .iter_mut()
-            .find(|st| st.label == "wq weight all-gather")
-            .unwrap();
-        wq.dim = 0;
-        let err = check_quantflow(&s, &plan).unwrap_err();
-        assert!(matches!(err, QuantflowError::GatherDimMismatch { .. }), "got {err}");
+            .find_map(|st| match st {
+                Step::Collective { label: "acts all-gather (yz)", wire, .. } => Some(wire),
+                _ => None,
+            })
+            .expect("2D gathers its layernormed activations over yz");
+        *wire = WireFormat::Int8;
+        let err = check_quantflow(&s).unwrap_err();
+        let dropped = matches!(err, QuantflowError::DroppedScales { label: "acts all-gather (yz)" });
+        assert!(dropped, "got {err}");
     }
 
     #[test]

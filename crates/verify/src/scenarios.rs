@@ -140,7 +140,7 @@ pub fn check_combo(s: &Scenario, layout: &Layout) -> Outcome {
     };
     // Pass 5: quant dataflow, when this scenario stores int8 weights. The
     // annotated schedule must stay SPMD-clean (wire agreement) and every
-    // quantized stream must line up with the executor's stream table.
+    // quantized stream must be a stored weight's gather, below dense volume.
     let quant = if s.weight_dtype == DType::Int8 {
         let q = schedule.with_weight_dtype(DType::Int8);
         if let Err(e) = check_schedule_spmd(&q) {
