@@ -153,16 +153,25 @@ cargo test -q --release -p esti-runtime --test faults
 # live requests bit-identical, under both GEMM tiers.
 ESTI_DISABLE_SIMD=1 cargo test -q --release -p esti-runtime --test faults a_prefill_fault
 
-echo "== resident executors: chip threads live as long as their engine =="
-# The engine runs every pass on its own executor pool (one worker per chip),
-# so no pass spawns a thread. executors checks the process thread count
+echo "== lockstep executors: min(CPUs, chips) executors, the caller among them, step the chips =="
+# The engine runs its chips on T = min(available_parallelism, chips)
+# resident executors, the calling thread running the first, each stepping a
+# contiguous block of chips through the schedule in lockstep, so no pass
+# spawns a thread. executors checks the process thread count (idle + T - 1)
 # across 200 steps, on drop and after a fault-forced rebuild; threads and
-# faults hold the pool to the bits and to the unwind protocol.
+# faults hold the executors to the bits and to the unwind protocol. The
+# suites run again pinned to one CPU (T = 1: the whole mesh on the caller)
+# and to two (T = 2), so a host with four or more CPUs still exercises
+# executors that share their thread among chips.
 if grep -rn "thread::scope" crates/runtime/src; then
   echo "FAIL: a forward pass spawns chip threads again (thread::scope in crates/runtime/src)" >&2
   exit 1
 fi
 cargo test -q --release -p esti-runtime --test executors --test threads --test faults
+for cpus in 0 0,1; do
+  taskset -c "$cpus" cargo test -q --release -p esti-runtime \
+    --test equivalence --test faults --test executors --test threads
+done
 
 echo "== frozen benchmark: builds against the workspace crates, oracle passes =="
 # benchmark/ is its own [workspace], so nothing above compiles it: a pub its

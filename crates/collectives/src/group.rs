@@ -1,16 +1,24 @@
 //! Mailbox-and-barrier collective groups.
 //!
-//! One collective is one rendezvous. Each member deposits its payload into
-//! its mailbox of the call's *generation parity* (a member's calls alternate
-//! between two mailboxes), passes one barrier, and then reads every peer's
-//! deposit of that parity by reference. The last member to finish reading a
-//! generation empties that parity's mailboxes.
+//! One collective is one rendezvous, in two halves. [`CommGroup::post`]
+//! deposits the member's payload into its mailbox of the call's
+//! *generation parity* (a member's calls alternate between two mailboxes)
+//! and arrives at the group's barrier, without waiting for anyone.
+//! [`CommGroup::complete`] awaits the barrier generation, reads every
+//! peer's deposit of that parity by reference, and counts the member done;
+//! the last member to finish reading a generation empties that parity's
+//! mailboxes. The blocking collectives ([`CommGroup::all_reduce`] and the
+//! rest) are post, then complete.
+//!
+//! The split lets one thread run several members of a group in lockstep:
+//! it posts for all of them, then completes each. A thread that completed
+//! one member before posting another would wait on itself.
 //!
 //! No second barrier is needed to keep a fast member from overwriting a
 //! mailbox a slow one still reads: the next deposit into the same parity
-//! belongs to generation g + 2, which a member reaches only after passing
-//! g + 1's barrier — and every member arrives there only once it has
-//! finished reading generation g.
+//! belongs to generation g + 2, which a member posts only after completing
+//! g + 1 — and every member arrives there only once it has finished
+//! reading generation g.
 
 use std::cell::{Cell, RefCell};
 use std::sync::Arc;
@@ -20,7 +28,7 @@ use esti_tensor::{ops, QuantizedMatrix, Tensor};
 
 use crate::fault::{FaultKind, FaultState, InjectedCrash};
 use crate::stats::{CollectiveOp, CommTimes, TrafficStats, ACT_BYTES};
-use crate::sync::{Barrier, BarrierFate, Mutex, PoisonError};
+use crate::sync::{Arrival, Barrier, BarrierFate, Mutex, PoisonError};
 
 /// What one mailbox slot carries: a dense activation tensor, or a quantized
 /// weight shard moved in its wire format (int8 values + per-column f32
@@ -52,6 +60,16 @@ impl Deposit {
         match &self.payload {
             Payload::Dense(_) => panic!("expected quantized payload in mailbox slot"),
             Payload::Quant(q) => q,
+        }
+    }
+}
+
+#[cfg(all(debug_assertions, not(loom)))]
+impl Payload {
+    fn shape(&self) -> Vec<usize> {
+        match self {
+            Payload::Dense(t) => t.shape().to_vec(),
+            Payload::Quant(q) => vec![q.rows(), q.cols()],
         }
     }
 }
@@ -88,6 +106,97 @@ struct Shared {
     readers: [Mutex<usize>; 2],
     barrier: Barrier,
     stats: Option<Arc<TrafficStats>>,
+}
+
+/// One collective call as a member [`post`](CommGroup::post)s it: each
+/// variant carries one blocking collective's arguments.
+#[derive(Clone, Copy)]
+pub enum Call<'a> {
+    /// [`CommGroup::all_gather`] of `shard` along `dim`.
+    AllGather { shard: &'a Tensor, dim: usize },
+    /// [`CommGroup::all_gather_parts`] of `shard`, logically along `dim`.
+    AllGatherParts { shard: &'a Tensor, dim: usize },
+    /// [`CommGroup::all_gather_quant`] of `shard`, logically along `dim`.
+    AllGatherQuant { shard: &'a QuantizedMatrix, dim: usize },
+    /// [`CommGroup::reduce_scatter`] of `input` along `dim`.
+    ReduceScatter { input: &'a Tensor, dim: usize },
+    /// [`CommGroup::all_reduce`] of `input`.
+    AllReduce { input: &'a Tensor },
+    /// [`CommGroup::all_to_all`] of `input`, split along `split` and
+    /// concatenated along `concat`.
+    AllToAll { input: &'a Tensor, split: usize, concat: usize },
+}
+
+/// What a [`complete`](CommGroup::complete)d call hands back.
+pub enum Received {
+    /// A gather's concatenation, a reduction's sum or slice of it, or an
+    /// all-to-all's result.
+    Tensor(Tensor),
+    /// [`Call::AllGatherParts`]: every rank's shard, in rank order.
+    Parts(Vec<Tensor>),
+    /// [`Call::AllGatherQuant`]: every rank's int8 shard, in rank order.
+    Quant(Vec<QuantizedMatrix>),
+}
+
+impl Received {
+    fn tensor(self) -> Tensor {
+        match self {
+            Received::Tensor(t) => t,
+            _ => unreachable!("this call reads one tensor"),
+        }
+    }
+}
+
+/// A call one member has posted and not yet completed.
+#[must_use = "a posted collective must be completed"]
+pub struct Posted {
+    op: CollectiveOp,
+    flight: Flight,
+}
+
+enum Flight {
+    /// A group of one: the result is already read.
+    Done(Received),
+    /// Deposited at `parity` and arrived at the barrier; `read` turns the
+    /// released deposits into the result.
+    Arrived { parity: usize, arrival: Arrival, read: Read },
+}
+
+/// How a member reads the rank-ordered deposits of a released generation.
+#[derive(Clone, Copy)]
+enum Read {
+    /// Concatenated along the dim.
+    Concat(usize),
+    /// Every dense deposit, unconcatenated.
+    Parts,
+    /// Every int8 deposit.
+    Quant,
+    /// This member's `part`-wide slice along `dim` of the rank-ordered sum.
+    Slice { dim: usize, part: usize },
+    /// The rank-ordered sum.
+    Sum,
+    /// This member's `part`-wide slice along `split` of every deposit,
+    /// concatenated along `concat`.
+    Transpose { split: usize, concat: usize, part: usize },
+}
+
+impl Read {
+    fn apply(self, all: &[Arc<Deposit>], rank: usize) -> Received {
+        Received::Tensor(match self {
+            Read::Parts => return Received::Parts(all.iter().map(|d| d.dense().clone()).collect()),
+            Read::Quant => return Received::Quant(all.iter().map(|d| d.quant().clone()).collect()),
+            Read::Concat(dim) => Tensor::concat(&all.iter().map(|d| d.dense()).collect::<Vec<_>>(), dim),
+            Read::Slice { dim, part } => {
+                let mine = |d: &Arc<Deposit>| d.dense().slice(dim, rank * part, part);
+                rank_sum(mine(&all[0]), all[1..].iter().map(mine))
+            }
+            Read::Sum => rank_sum(all[0].dense().clone(), all[1..].iter().map(|d| d.dense())),
+            Read::Transpose { split, concat, part } => {
+                let mine: Vec<Tensor> = all.iter().map(|d| d.dense().slice(split, rank * part, part)).collect();
+                Tensor::concat(&mine.iter().collect::<Vec<_>>(), concat)
+            }
+        })
+    }
 }
 
 /// One member's handle to a collective group of simulated chips.
@@ -145,7 +254,7 @@ impl std::fmt::Debug for CommGroup {
 
 impl CommGroup {
     /// Creates a group of `size` members. The returned handles are in rank
-    /// order; hand one to each chip thread.
+    /// order; hand one to each member (a chip).
     ///
     /// # Panics
     ///
@@ -235,16 +344,6 @@ impl CommGroup {
         self.shared.barrier.cancel_timeout();
     }
 
-    /// The collective's one barrier wait, under this member's deadline. A
-    /// structured failure (peer crash, timeout) propagates as a typed panic
-    /// payload so the tensor-returning collective API stays unchanged; the
-    /// engine's per-chip `catch_unwind` harvests it into an `EngineError`.
-    fn barrier_wait(&self) {
-        if let Err(err) = self.shared.barrier.wait_deadline(self.deadline.get()) {
-            std::panic::panic_any(err);
-        }
-    }
-
     /// Fault-injection hook at the top of every collective entry point:
     /// counts this chip's call and fires its armed trigger, if any.
     fn fault_point(&self) {
@@ -269,11 +368,19 @@ impl CommGroup {
                 // Freeze in small slices, abandoning the stall early once a
                 // peer has cancelled the group (its deadline expired) — the
                 // engine then tears down in ~the deadline, not the full
-                // stall duration.
+                // stall duration. The thread stalling here may also be the
+                // one that runs those peers (an executor runs several
+                // chips), so once this member's own deadline has passed it
+                // times the group out itself, as the first of them would.
                 let slice = Duration::from_millis(2);
+                let (limit, t0) = (self.deadline.get(), Instant::now());
                 let mut left = dur;
                 while left > Duration::ZERO {
                     if self.shared.barrier.fate() != BarrierFate::Alive {
+                        break;
+                    }
+                    if limit.is_some_and(|limit| t0.elapsed() >= limit) {
+                        self.shared.barrier.cancel_timeout();
                         break;
                     }
                     let nap = slice.min(left);
@@ -285,52 +392,120 @@ impl CommGroup {
         }
     }
 
-    /// The one rendezvous of a collective. Deposits `payload` into this
-    /// member's mailbox of the call's generation parity, passes the barrier
-    /// once every peer has deposited too, and hands `read` all deposits in
-    /// rank order, by reference. The last member to finish reading empties
-    /// the parity's mailboxes, so no payload outlives its collective.
+    /// Posts this member's half of `call`: the fault point, the ledger
+    /// entry, the deposit into this member's mailbox of the call's
+    /// generation parity, and its arrival at the barrier. Never waits for a
+    /// peer. The member must [`complete`](Self::complete) the call before
+    /// it posts again.
     ///
-    /// `op`, `shape` and `dims` describe the call for the debug-build SPMD
-    /// check ([`debug_check_agreement`](Self::debug_check_agreement)).
-    // Vetted: "peer deposited" is a protocol invariant (every member deposits
-    // before the barrier, and a parity's mailboxes are emptied only after
-    // every member has read them); its violation is a bug in this file, not
-    // a runtime fault. Faults surface via barrier_wait.
-    #[allow(clippy::expect_used)]
-    fn exchange<R>(
-        &self,
-        payload: Payload,
-        op: CollectiveOp,
-        shape: &[usize],
-        dims: [usize; 2],
-        read: impl FnOnce(&[Arc<Deposit>]) -> R,
-    ) -> R {
+    /// A thread running several members of one group posts for every one
+    /// of them before it completes any: each completion waits until all of
+    /// the group has posted.
+    ///
+    /// # Panics
+    ///
+    /// Panics with an [`InjectedCrash`] at an armed crash, with a
+    /// [`CollectiveError`](crate::CollectiveError) if the group is already
+    /// cancelled, and if a reduce-scatter's or all-to-all's split dim does
+    /// not divide by the group size.
+    pub fn post(&self, call: Call<'_>) -> Posted {
+        self.fault_point();
+        let k = self.size();
+        let divide = |t: &Tensor, dim: usize, what: &str| {
+            assert!(
+                t.dim(dim).is_multiple_of(k),
+                "{what} dim {dim} of size {} not divisible by group size {k}",
+                t.dim(dim)
+            );
+            t.dim(dim) / k
+        };
+        let (op, dims, read, payload) = match call {
+            Call::AllGather { shard, dim } | Call::AllGatherParts { shard, dim } => {
+                self.record(CollectiveOp::AllGather, shard.numel() * k);
+                let read = if matches!(call, Call::AllGather { .. }) { Read::Concat(dim) } else { Read::Parts };
+                (CollectiveOp::AllGather, [dim, dim], read, Payload::Dense(shard.clone()))
+            }
+            Call::AllGatherQuant { shard, dim } => {
+                let bytes = crate::stats::quant_wire_bytes(k, shard.rows(), shard.cols());
+                self.record_raw(CollectiveOp::AllGather, bytes as u64);
+                (CollectiveOp::AllGather, [dim, dim], Read::Quant, Payload::Quant(shard.clone()))
+            }
+            Call::ReduceScatter { input, dim } => {
+                self.record(CollectiveOp::ReduceScatter, input.numel());
+                let part = divide(input, dim, "reduce-scatter");
+                (CollectiveOp::ReduceScatter, [dim, dim], Read::Slice { dim, part }, Payload::Dense(input.clone()))
+            }
+            Call::AllReduce { input } => {
+                self.record(CollectiveOp::AllReduce, input.numel() * 2);
+                (CollectiveOp::AllReduce, [0, 0], Read::Sum, Payload::Dense(input.clone()))
+            }
+            Call::AllToAll { input, split, concat } => {
+                self.record(CollectiveOp::AllToAll, input.numel());
+                let part = divide(input, split, "all-to-all split");
+                let read = Read::Transpose { split, concat, part };
+                (CollectiveOp::AllToAll, [split, concat], read, Payload::Dense(input.clone()))
+            }
+        };
         let generation = self.calls.get();
         self.calls.set(generation + 1);
         #[cfg(all(debug_assertions, not(loom)))]
         let meta = CallMeta {
             seq: generation,
             op,
-            shape: shape.to_vec(),
+            shape: payload.shape(),
             dims,
             quant: matches!(payload, Payload::Quant(_)),
         };
         #[cfg(not(all(debug_assertions, not(loom))))]
-        let _ = (op, shape, dims);
+        let _ = dims;
         let mine = Arc::new(Deposit {
             payload,
             #[cfg(all(debug_assertions, not(loom)))]
             meta,
         });
-        if self.size() == 1 {
-            return read(&[mine]);
+        if k == 1 {
+            // A group of one reads its own deposit at once.
+            return Posted { op, flight: Flight::Done(read.apply(&[mine], self.rank)) };
         }
         let parity = usize::from(generation % 2 == 1);
-        let slots = &self.shared.slots[parity];
-        *slots[self.rank].lock().unwrap_or_else(PoisonError::into_inner) = Some(mine);
-        self.barrier_wait();
-        let all: Vec<Arc<Deposit>> = slots
+        *self.shared.slots[parity][self.rank].lock().unwrap_or_else(PoisonError::into_inner) = Some(mine);
+        match self.shared.barrier.arrive(self.deadline.get()) {
+            Ok(arrival) => Posted { op, flight: Flight::Arrived { parity, arrival, read } },
+            Err(err) => std::panic::panic_any(err),
+        }
+    }
+
+    /// Completes a call this member [`post`](Self::post)ed: awaits the
+    /// barrier generation it joined (the only time charged to
+    /// [`times`](Self::times)), checks in debug builds that every deposit
+    /// describes the same call, reads the deposits in rank order, by
+    /// reference, and counts this member done reading. The last member to
+    /// finish reading empties the parity's mailboxes, so no payload outlives
+    /// its collective.
+    ///
+    /// # Panics
+    ///
+    /// Panics with a [`CollectiveError`](crate::CollectiveError) payload if
+    /// the group is cancelled or the deadline expires first, so the
+    /// tensor-returning API stays unchanged; the engine's per-chip
+    /// `catch_unwind` harvests it into an `EngineError`.
+    // Vetted: "peer deposited" is a protocol invariant (every member deposits
+    // before it arrives, and a parity's mailboxes are emptied only after
+    // every member has read them); its violation is a bug in this file, not
+    // a runtime fault. Faults surface as the await's error.
+    #[allow(clippy::expect_used)]
+    #[must_use]
+    pub fn complete(&self, posted: Posted) -> Received {
+        let (parity, arrival, read) = match posted.flight {
+            Flight::Done(out) => return out,
+            Flight::Arrived { parity, arrival, read } => (parity, arrival, read),
+        };
+        let t0 = Instant::now();
+        if let Err(err) = self.shared.barrier.await_generation(arrival) {
+            std::panic::panic_any(err);
+        }
+        self.note_time(posted.op, t0);
+        let all: Vec<Arc<Deposit>> = self.shared.slots[parity]
             .iter()
             .map(|s| {
                 let slot = s.lock().unwrap_or_else(PoisonError::into_inner);
@@ -338,10 +513,16 @@ impl CommGroup {
             })
             .collect();
         self.debug_check_agreement(&all);
-        let out = read(&all);
+        let out = read.apply(&all, self.rank);
         drop(all);
         self.release(parity);
         out
+    }
+
+    /// One blocking collective: [`post`](Self::post), then
+    /// [`complete`](Self::complete).
+    fn call(&self, call: Call<'_>) -> Received {
+        self.complete(self.post(call))
     }
 
     /// Counts this member done reading the generation in flight at
@@ -411,8 +592,9 @@ impl CommGroup {
         }
     }
 
-    /// Accumulates wall-clock time blocked in a collective: always into this
-    /// member's [`times`](CommGroup::times), and on rank 0 into the shared
+    /// Accumulates wall-clock time blocked in a collective (a completion's
+    /// await, measured from `start`): always into this member's
+    /// [`times`](CommGroup::times), and on rank 0 into the shared
     /// [`TrafficStats`] ledger.
     fn note_time(&self, op: CollectiveOp, start: Instant) {
         let d = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
@@ -426,7 +608,7 @@ impl CommGroup {
     }
 
     /// This member's accumulated wall-clock time blocked per collective
-    /// kind.
+    /// kind: its completions' awaits only (see [`CommTimes`]).
     #[must_use]
     pub fn times(&self) -> CommTimes {
         CommTimes::from_nanos([
@@ -454,15 +636,7 @@ impl CommGroup {
     /// Panics if members pass incompatible shapes.
     #[must_use]
     pub fn all_gather(&self, shard: &Tensor, dim: usize) -> Tensor {
-        let t0 = Instant::now();
-        self.fault_point();
-        self.record(CollectiveOp::AllGather, shard.numel() * self.size());
-        let payload = Payload::Dense(shard.clone());
-        let out = self.exchange(payload, CollectiveOp::AllGather, shard.shape(), [dim, dim], |all| {
-            Tensor::concat(&all.iter().map(|d| d.dense()).collect::<Vec<_>>(), dim)
-        });
-        self.note_time(CollectiveOp::AllGather, t0);
-        out
+        self.call(Call::AllGather { shard, dim }).tensor()
     }
 
     /// [`all_gather`](Self::all_gather) without the concatenation: every
@@ -475,15 +649,10 @@ impl CommGroup {
     /// Traffic ledger: per-chip *output* bytes (Appendix A.1).
     #[must_use]
     pub fn all_gather_parts(&self, shard: &Tensor, dim: usize) -> Vec<Tensor> {
-        let t0 = Instant::now();
-        self.fault_point();
-        self.record(CollectiveOp::AllGather, shard.numel() * self.size());
-        let payload = Payload::Dense(shard.clone());
-        let parts = self.exchange(payload, CollectiveOp::AllGather, shard.shape(), [dim, dim], |all| {
-            all.iter().map(|d| d.dense().clone()).collect()
-        });
-        self.note_time(CollectiveOp::AllGather, t0);
-        parts
+        match self.call(Call::AllGatherParts { shard, dim }) {
+            Received::Parts(parts) => parts,
+            _ => unreachable!("a parts gather reads parts"),
+        }
     }
 
     /// reduce-scatter(`dim`): sums every member's `input` element-wise, then
@@ -496,26 +665,7 @@ impl CommGroup {
     /// Panics if `dim` is not divisible by the group size or shapes differ.
     #[must_use]
     pub fn reduce_scatter(&self, input: &Tensor, dim: usize) -> Tensor {
-        let t0 = Instant::now();
-        self.fault_point();
-        self.record(CollectiveOp::ReduceScatter, input.numel());
-        if self.size() == 1 {
-            return input.clone();
-        }
-        let k = self.size();
-        assert!(
-            input.dim(dim).is_multiple_of(k),
-            "reduce-scatter dim {dim} of size {} not divisible by group size {k}",
-            input.dim(dim)
-        );
-        let part = input.dim(dim) / k;
-        let mine = |d: &Arc<Deposit>| d.dense().slice(dim, self.rank * part, part);
-        let payload = Payload::Dense(input.clone());
-        let out = self.exchange(payload, CollectiveOp::ReduceScatter, input.shape(), [dim, dim], |all| {
-            rank_sum(mine(&all[0]), all[1..].iter().map(mine))
-        });
-        self.note_time(CollectiveOp::ReduceScatter, t0);
-        out
+        self.call(Call::ReduceScatter { input, dim }).tensor()
     }
 
     /// all-reduce: sums every member's `input` element-wise, replicating the
@@ -523,18 +673,7 @@ impl CommGroup {
     /// (Section 3.1) and charged as both in the traffic ledger.
     #[must_use]
     pub fn all_reduce(&self, input: &Tensor) -> Tensor {
-        let t0 = Instant::now();
-        self.fault_point();
-        self.record(CollectiveOp::AllReduce, input.numel() * 2);
-        if self.size() == 1 {
-            return input.clone();
-        }
-        let payload = Payload::Dense(input.clone());
-        let sum = self.exchange(payload, CollectiveOp::AllReduce, input.shape(), [0, 0], |all| {
-            rank_sum(all[0].dense().clone(), all[1..].iter().map(|d| d.dense()))
-        });
-        self.note_time(CollectiveOp::AllReduce, t0);
-        sum
+        self.call(Call::AllReduce { input }).tensor()
     }
 
     /// all-to-all: splits every member's `input` into `size()` slices along
@@ -551,28 +690,7 @@ impl CommGroup {
     /// Panics if `split_dim` is not divisible by the group size.
     #[must_use]
     pub fn all_to_all(&self, input: &Tensor, split_dim: usize, concat_dim: usize) -> Tensor {
-        let t0 = Instant::now();
-        self.fault_point();
-        self.record(CollectiveOp::AllToAll, input.numel());
-        if self.size() == 1 {
-            return input.clone();
-        }
-        let k = self.size();
-        assert!(
-            input.dim(split_dim).is_multiple_of(k),
-            "all-to-all split dim {split_dim} of size {} not divisible by group size {k}",
-            input.dim(split_dim)
-        );
-        let part = input.dim(split_dim) / k;
-        let payload = Payload::Dense(input.clone());
-        let dims = [split_dim, concat_dim];
-        let out = self.exchange(payload, CollectiveOp::AllToAll, input.shape(), dims, |all| {
-            let mine: Vec<Tensor> =
-                all.iter().map(|d| d.dense().slice(split_dim, self.rank * part, part)).collect();
-            Tensor::concat(&mine.iter().collect::<Vec<_>>(), concat_dim)
-        });
-        self.note_time(CollectiveOp::AllToAll, t0);
-        out
+        self.call(Call::AllToAll { input, split: split_dim, concat: concat_dim }).tensor()
     }
 
     /// Quantized all-gather: every member deposits its int8 weight shard in
@@ -595,19 +713,10 @@ impl CommGroup {
     /// Panics (debug builds) if members disagree on op, shape or dims.
     #[must_use]
     pub fn all_gather_quant(&self, shard: &QuantizedMatrix, dim: usize) -> Vec<QuantizedMatrix> {
-        let t0 = Instant::now();
-        self.fault_point();
-        self.record_raw(
-            CollectiveOp::AllGather,
-            crate::stats::quant_wire_bytes(self.size(), shard.rows(), shard.cols()) as u64,
-        );
-        let payload = Payload::Quant(shard.clone());
-        let shape = [shard.rows(), shard.cols()];
-        let parts = self.exchange(payload, CollectiveOp::AllGather, &shape, [dim, dim], |all| {
-            all.iter().map(|d| d.quant().clone()).collect()
-        });
-        self.note_time(CollectiveOp::AllGather, t0);
-        parts
+        match self.call(Call::AllGatherQuant { shard, dim }) {
+            Received::Quant(parts) => parts,
+            _ => unreachable!("a quantized gather reads int8 parts"),
+        }
     }
 }
 

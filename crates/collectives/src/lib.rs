@@ -1,12 +1,14 @@
 //! Shared-memory collective operations for the functional runtime.
 //!
 //! `esti-runtime` proves the paper's partitioning algebra by actually
-//! executing sharded Transformer forward passes: one OS thread per simulated
-//! chip, communicating *only* through the collectives in this crate —
+//! executing sharded Transformer forward passes: simulated chips,
+//! communicating *only* through the collectives in this crate —
 //! all-gather, reduce-scatter, all-reduce and all-to-all, the four
 //! primitives of Section 3.1 (Figure A.1).
 //!
-//! Chips are threads in one process, so the implementation exchanges
+//! Chips live in one process, run by a few executor threads, each of which
+//! may post for several members of a group before it completes any
+//! ([`CommGroup::post`], [`CommGroup::complete`]); the implementation exchanges
 //! tensors through per-group mailboxes guarded by a reusable barrier. That
 //! is obviously not how a TPU pod moves bytes — timing comes from
 //! `esti-netsim` and the analytic model — but the *semantics* (which chip
@@ -55,7 +57,7 @@ pub mod stats;
 pub mod sync;
 
 pub use fault::{CollectiveError, FaultKind, FaultPlan, FaultState, InjectedCrash, Trigger};
-pub use group::CommGroup;
+pub use group::{Call, CommGroup, Posted, Received};
 pub use protocol::{ProtocolEdge, ProtocolModel};
 pub use stats::{quant_wire_bytes, CollectiveOp, CommTimes, TrafficStats, ACT_BYTES};
 pub use sync::BarrierFate;

@@ -13,19 +13,29 @@
 //!
 //! | edge | realized by |
 //! |------|-------------|
-//! | `crash_cancels_entered_group` | [`CommGroup::fault_point`]: an injected crash cancels the barrier of the group being entered *before* panicking |
-//! | `unwind_cancels_all_groups` | the engine's per-chip `catch_unwind` calls `cancel_chip_groups`, cancelling **every** group the dead chip belongs to with the typed cause |
-//! | `cancel_wakes_waiters` | [`Barrier::cancel`]/[`Barrier::cancel_timeout`]: fate is set first-writer-wins and then `notify_all` wakes every blocked waiter |
-//! | `entry_checks_fate` | [`Barrier::wait_deadline`] re-checks fate *at entry*, so a surviving rank never posts into an already-cancelled group |
+//! | `crash_cancels_entered_group` | [`CommGroup::post`]'s fault point: an injected crash cancels the barrier of the group being entered *before* panicking |
+//! | `unwind_cancels_all_groups` | the engine's per-chip, per-step `catch_unwind` calls `cancel_chip_groups`, cancelling **every** group the dead chip belongs to with the typed cause |
+//! | `cancel_wakes_waiters` | [`Barrier::cancel`]/[`Barrier::cancel_timeout`] set the fate first-writer-wins and `notify_all`; every member blocked in [`Barrier::await_generation`] wakes and returns the typed error |
+//! | `entry_checks_fate` | [`Barrier::arrive`] checks the fate *at entry*, so a surviving rank never posts into an already-cancelled group |
 //! | `deadline_armed` | [`CommGroup::set_deadline`] arms a timeout for every subsequent barrier wait |
-//! | `timeout_broadcasts` | an expiring waiter sets [`BarrierFate::TimedOut`] and notifies all, so one expiry aborts every member |
-//! | `stall_aborts_on_cancel` | [`CommGroup::fault_point`]: an injected stall sleeps in slices, polling the barrier fate, and aborts with the typed error once its group is cancelled |
+//! | `timeout_broadcasts` | a member whose [`Barrier::await_generation`] expires sets [`BarrierFate::TimedOut`] and notifies all, so one expiry aborts every member |
+//! | `stall_aborts_on_cancel` | [`CommGroup::post`]'s fault point: an injected stall sleeps in slices, polling the barrier fate, and aborts with the typed error once its group is cancelled — or times the group out itself once its own deadline passes |
 //!
-//! [`CommGroup::fault_point`]: crate::CommGroup
+//! The engine runs the chips on fewer executor threads than chips, each
+//! stepping its chips through the schedule in lockstep, so the table rests
+//! on one more invariant, which the edges above do not state: **an executor
+//! posts for all its chips before it awaits any.** Every member of a group
+//! then either posts its arrival or has unwound and cancelled the group
+//! before any member awaits, exactly as when each chip had its own thread,
+//! so the liveness pass's per-rank model (a rank waits at a collective
+//! until its group fills or is cancelled) still describes every chip.
+//!
+//! [`CommGroup::post`]: crate::CommGroup::post
 //! [`CommGroup::set_deadline`]: crate::CommGroup::set_deadline
 //! [`Barrier::cancel`]: crate::sync::Barrier::cancel
 //! [`Barrier::cancel_timeout`]: crate::sync::Barrier::cancel_timeout
-//! [`Barrier::wait_deadline`]: crate::sync::Barrier::wait_deadline
+//! [`Barrier::arrive`]: crate::sync::Barrier::arrive
+//! [`Barrier::await_generation`]: crate::sync::Barrier::await_generation
 //! [`BarrierFate::TimedOut`]: crate::BarrierFate::TimedOut
 
 /// One structural guarantee of the fault protocol.

@@ -150,10 +150,13 @@ impl TrafficStats {
 }
 
 /// One member's wall-clock time blocked in each collective kind, snapshot
-/// from [`CommGroup::times`](crate::CommGroup::times). Unlike
+/// from [`CommGroup::times`](crate::CommGroup::times): the time its
+/// [`complete`](crate::CommGroup::complete)s spent awaiting peers, and
+/// nothing else — not the post, not the read, and not the work a thread
+/// running several members does for the others in between. Unlike
 /// [`TrafficStats`] (one shared ledger, recorded once per call), this is
-/// per-chip: the engine collects one `CommTimes` from every chip thread and
-/// can dump a per-chip summary of where each chip waited.
+/// per-chip: the engine collects one `CommTimes` from every chip and can
+/// dump a per-chip summary of where each chip waited.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct CommTimes {
     nanos: [u64; 4],

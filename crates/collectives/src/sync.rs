@@ -11,6 +11,13 @@
 //! support *cancellation* and *deadlines* — one crashed or stalled chip has
 //! to surface a structured [`CollectiveError`] on every peer instead of
 //! leaving them blocked forever.
+//!
+//! A barrier wait is two halves. [`Barrier::arrive`] checks the fate and
+//! counts the caller in, never blocking; [`Barrier::await_generation`]
+//! blocks until the generation it joined is released, under the deadline
+//! and cancellation. One thread may arrive for several participants (the
+//! simulated chips its executor runs) and only then await each of them,
+//! which is how a collective's post and complete halves use it.
 
 use std::time::Duration;
 
@@ -37,6 +44,16 @@ pub enum BarrierFate {
     TimedOut,
 }
 
+/// One participant's place in a barrier generation, from
+/// [`Barrier::arrive`], redeemed by [`Barrier::await_generation`].
+#[derive(Debug, Clone, Copy)]
+#[must_use = "an arrival must be awaited"]
+pub struct Arrival {
+    generation: u64,
+    last: bool,
+    deadline: Option<Duration>,
+}
+
 struct BarrierState {
     arrived: usize,
     generation: u64,
@@ -47,10 +64,10 @@ struct BarrierState {
 ///
 /// Sense-reversing via a generation counter: the last arrival of a
 /// generation resets the count and bumps the generation, and earlier
-/// arrivals wait for the generation to change — so back-to-back `wait`
-/// calls (one per collective, with nothing in between for a member whose
-/// read is quick) cannot confuse a fast participant's next collective with
-/// a slow participant's current one.
+/// arrivals await the generation they joined — so back-to-back waits (one
+/// per collective, with nothing in between for a member whose read is
+/// quick) cannot confuse a fast participant's next collective with a slow
+/// participant's current one.
 pub struct Barrier {
     state: Mutex<BarrierState>,
     cv: Condvar,
@@ -127,9 +144,38 @@ impl Barrier {
         }
     }
 
-    /// Block until all `n` participants have arrived, the optional deadline
-    /// expires, or the barrier is cancelled. `Ok(true)` on exactly one
-    /// participant per generation (the last to arrive).
+    /// Counts one participant in at the current generation, under
+    /// `deadline` (which only labels a timeout error here). Checks the fate
+    /// first, so a member never joins an already-cancelled generation. The
+    /// last arrival resets the count, bumps the generation and wakes every
+    /// waiter. The returned [`Arrival`] is what
+    /// [`await_generation`](Barrier::await_generation) waits on; a caller
+    /// may arrive for several participants before awaiting any of them.
+    ///
+    /// # Errors
+    ///
+    /// The cancellation's [`CollectiveError`] if the barrier is dead.
+    pub fn arrive(&self, deadline: Option<Duration>) -> Result<Arrival, CollectiveError> {
+        let mut s = self.lock();
+        if let Some(err) = Self::fate_error(s.fate, deadline) {
+            return Err(err);
+        }
+        let generation = s.generation;
+        s.arrived += 1;
+        let last = s.arrived == self.n;
+        if last {
+            s.arrived = 0;
+            s.generation = s.generation.wrapping_add(1);
+            drop(s);
+            self.cv.notify_all();
+        }
+        Ok(Arrival { generation, last, deadline })
+    }
+
+    /// Blocks until the generation `arrival` joined is released (every
+    /// participant has arrived), its deadline expires, or the barrier is
+    /// cancelled. `Ok(true)` on exactly one participant per generation (the
+    /// last to arrive).
     ///
     /// On its own timeout the caller marks the whole barrier
     /// [`BarrierFate::TimedOut`] before returning, so peers blocked on the
@@ -145,20 +191,9 @@ impl Barrier {
     /// [`CollectiveError::PeerCrashed`] if the barrier was cancelled by a
     /// crash, [`CollectiveError::Timeout`] if this wait (or a peer's)
     /// exceeded its deadline.
-    pub fn wait_deadline(&self, deadline: Option<Duration>) -> Result<bool, CollectiveError> {
+    pub fn await_generation(&self, arrival: Arrival) -> Result<bool, CollectiveError> {
+        let Arrival { generation, last, deadline } = arrival;
         let mut s = self.lock();
-        if let Some(err) = Self::fate_error(s.fate, deadline) {
-            return Err(err);
-        }
-        s.arrived += 1;
-        if s.arrived == self.n {
-            s.arrived = 0;
-            s.generation = s.generation.wrapping_add(1);
-            drop(s);
-            self.cv.notify_all();
-            return Ok(true);
-        }
-        let generation = s.generation;
         #[cfg(not(loom))]
         let start = std::time::Instant::now();
         while s.generation == generation {
@@ -193,7 +228,20 @@ impl Barrier {
                 }
             }
         }
-        Ok(false)
+        Ok(last)
+    }
+
+    /// [`arrive`](Barrier::arrive), then
+    /// [`await_generation`](Barrier::await_generation): one participant's
+    /// whole barrier under `deadline`. `Ok(true)` on exactly one
+    /// participant per generation (the last to arrive).
+    ///
+    /// # Errors
+    ///
+    /// As [`arrive`](Barrier::arrive) and
+    /// [`await_generation`](Barrier::await_generation).
+    pub fn wait_deadline(&self, deadline: Option<Duration>) -> Result<bool, CollectiveError> {
+        self.await_generation(self.arrive(deadline)?)
     }
 
     /// Block until all `n` participants have arrived (no deadline), as the

@@ -1,6 +1,8 @@
 //! Model-checked interleaving tests for the mailbox-and-barrier protocol:
 //! one deposit into a generation-parity mailbox, one barrier, reads by
-//! reference, and a last-reader release per collective.
+//! reference, and a last-reader release per collective. Most models run the
+//! blocking collectives (post, then complete); the two executor models post
+//! for several members on one thread before completing any.
 //!
 //! Compiled only under `RUSTFLAGS="--cfg loom"`, which swaps the sync
 //! primitives in `esti_collectives::sync` for the `esti-loom` bounded-DFS
@@ -19,7 +21,7 @@
 use std::time::Duration;
 
 use esti_collectives::sync::Barrier;
-use esti_collectives::{CollectiveError, CommGroup};
+use esti_collectives::{Call, CollectiveError, CommGroup, Posted, Received};
 use esti_tensor::Tensor;
 use loom::sync::Arc;
 
@@ -135,6 +137,57 @@ fn missing_member_is_detected_as_deadlock() {
     loom::model(|| {
         let (g0, _g1) = pair();
         let _ = g0.all_reduce(&Tensor::full(vec![1], 1.0));
+    });
+}
+
+/// Posts member `g`'s all-reduce of its rank + 1.
+fn post_rank(g: &CommGroup) -> Posted {
+    g.post(Call::AllReduce { input: &Tensor::full(vec![1], g.rank() as f32 + 1.0) })
+}
+
+/// The one-element sum a completed all-reduce hands back.
+fn sum(received: Received) -> Vec<f32> {
+    match received {
+        Received::Tensor(t) => t.data().to_vec(),
+        _ => panic!("an all-reduce reads one tensor"),
+    }
+}
+
+#[test]
+fn one_thread_posts_for_two_members_then_completes() {
+    // An executor running members 0 and 1 of a 3-member group posts for
+    // both before it completes either, while member 2 runs on its own
+    // thread: under every interleaving all three read the same sum, and
+    // neither of the executor's completions waits on the other.
+    loom::model(|| {
+        let mut members = CommGroup::create(3);
+        let g2 = members.remove(2);
+        let g1 = members.remove(1);
+        let g0 = members.remove(0);
+        let h = loom::thread::spawn(move || sum(g2.complete(post_rank(&g2))));
+        let (p0, p1) = (post_rank(&g0), post_rank(&g1));
+        let (s0, s1) = (sum(g0.complete(p0)), sum(g1.complete(p1)));
+        for out in [s0, s1, h.join().expect("member 2")] {
+            assert_eq!(out, [6.0]);
+        }
+    });
+}
+
+#[test]
+#[should_panic(expected = "deadlock")]
+fn completing_a_member_before_posting_its_executor_mate_deadlocks() {
+    // The mutation of the model above: the executor completes member 0
+    // before it posts member 1, so member 0 waits for an arrival that only
+    // its own thread could make, and the model checker reports a deadlock.
+    loom::model(|| {
+        let mut members = CommGroup::create(3);
+        let g2 = members.remove(2);
+        let g1 = members.remove(1);
+        let g0 = members.remove(0);
+        let _h = loom::thread::spawn(move || sum(g2.complete(post_rank(&g2))));
+        let s0 = sum(g0.complete(post_rank(&g0)));
+        let s1 = sum(g1.complete(post_rank(&g1)));
+        assert_eq!((s0, s1), (vec![6.0], vec![6.0]));
     });
 }
 

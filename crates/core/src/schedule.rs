@@ -10,7 +10,7 @@
 //! local shape must divide evenly over the mesh axes it is sharded on.
 //!
 //! On every layout the schedule *is* the program: `esti-runtime`'s engine
-//! builds and verifies it once, then every chip thread walks it step by
+//! builds and verifies it once, then every chip walks it step by
 //! step, dispatching each to a kernel or a collective.
 //!
 //! Schedules are built over the layout's *logical* mesh

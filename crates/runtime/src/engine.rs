@@ -1,18 +1,28 @@
-//! The partitioned execution engine: one thread per simulated chip.
+//! The partitioned execution engine: the simulated chips as lockstep
+//! tasks on a few resident executors.
 //!
-//! The chip threads are resident: the engine starts one executor per chip
-//! when it is built (an [`esti_tensor::pool::ChipPool`] with a worker per
-//! chip), every pass runs chip `i` on executor `i`, and the threads are
-//! joined when the engine drops. A pass pays no thread start.
+//! Every chip runs the same program — the layout's [`Schedule`] — so one
+//! thread can run step k for several chips in turn. The engine owns
+//! `T = min(available_parallelism, chips)` executors (an
+//! [`esti_tensor::pool::ChipPool`] of `T` workers, which spawns `T − 1`
+//! threads when the engine is built and joins them when it drops). A pass
+//! hands each executor a contiguous block of ranks, so a 2×2 2D mesh's yz
+//! groups complete inside one executor, and the calling thread runs the
+//! first block. With `T = chips` this is one thread per chip; pinned to one
+//! CPU, the whole mesh runs on the caller.
 //!
 //! The engine builds and verifies its layout's [`Schedule`] once, so an
 //! invalid plan fails with the offending step instead of a shape panic in
-//! a worker thread. On every layout each chip thread then *runs* that
-//! schedule (`run_schedule`): its layer steps once per model layer, then
-//! its final steps, each einsum a [`ShardMat::mm3`] (or, over an
-//! all-gather's parts, one block or accumulator per source rank), each
-//! collective a call on the chip's group over the step's axes, each local
-//! op its kernel.
+//! an executor. Each executor then *runs* that schedule for its chips
+//! (`run_schedule`): the layer steps once per model layer, then the final
+//! steps, every step on each of its chips before the next step. An einsum
+//! is a [`ShardMat::mm3`] (or, over an all-gather's parts, one block or
+//! accumulator per source rank), a local op its kernel, and a collective
+//! two halves on each chip's group over the step's axes: the executor posts
+//! for every one of its chips, then completes each. All posts of a step
+//! precede every wait on every executor, so the lockstep cannot deadlock;
+//! deposits, rank-ordered folds and per-chip fault counters are those of a
+//! thread per chip, so the bits are too.
 
 // Vetted against the crate's no-unwrap/no-expect discipline: every
 // `expect`/`unwrap` below asserts a sharding-arithmetic or protocol
@@ -28,7 +38,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use esti_collectives::{
-    CollectiveError, CommGroup, CommTimes, FaultPlan, FaultState, InjectedCrash, TrafficStats,
+    Call, CollectiveError, CommGroup, CommTimes, FaultPlan, FaultState, InjectedCrash, Posted, Received,
+    TrafficStats,
 };
 use esti_core::layout::{AttnSharding, Layout};
 use esti_core::schedule::{
@@ -54,14 +65,14 @@ pub const DEFAULT_COLLECTIVE_DEADLINE: Duration = Duration::from_secs(60);
 
 /// A partitioned forward pass failed instead of completing.
 ///
-/// The engine runs one thread per chip; when any of them unwinds (an
-/// injected fault, a peer's crash propagated through a cancelled barrier, or
-/// an ordinary panic), every other chip is released from its collectives and
+/// When any chip unwinds (an injected fault, a peer's crash propagated
+/// through a cancelled barrier, or an ordinary panic), every other chip is
+/// released from its collectives and
 /// the whole step reports the *root cause*: the chip that died first, not
 /// the cascade of peers that observed it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum EngineError {
-    /// A chip's worker thread panicked; `rank` is the chip that originated
+    /// A chip panicked; `rank` is the chip that originated
     /// the failure (for a propagated crash, the dead peer — not the
     /// observer).
     ChipCrashed {
@@ -149,13 +160,14 @@ pub struct PartitionedEngine {
     /// Deadline applied to every chip group's collectives.
     deadline: Option<Duration>,
     /// Worker threads each simulated chip's kernels split output rows
-    /// over (1 = each chip computes serially on its own thread).
+    /// over (1 = each chip computes serially on its executor).
     chip_workers: usize,
     /// One persistent worker pool per chip when `chip_workers > 1`
     /// (aligned with `chips`); empty otherwise.
     pools: Vec<Arc<ChipPool>>,
-    /// The chips' executor threads, one worker per chip: a pass hands chip
-    /// `i` to worker `i`, and the threads live as long as the engine.
+    /// The chips' executors, `min(available_parallelism, chips)` workers:
+    /// a pass hands each a contiguous block of ranks, the calling thread
+    /// runs the first, and the other threads live as long as the engine.
     executors: ChipPool,
     /// Set the first time a step fails: the distributed KV state is no
     /// longer trustworthy and every further `try_*` call reports
@@ -225,6 +237,14 @@ impl PartitionedEngine {
     /// fails to verify.
     #[must_use]
     pub fn new(model: &ReferenceModel, layout: Layout, fmt: WeightFormat) -> Self {
+        let n = layout.mesh.n_chips();
+        let cpus = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+        PartitionedEngine::with_executors(model, layout, fmt, cpus.min(n))
+    }
+
+    /// [`PartitionedEngine::new`] with the chips run on `executors`
+    /// threads (the caller's among them).
+    fn with_executors(model: &ReferenceModel, layout: Layout, fmt: WeightFormat, executors: usize) -> Self {
         let cfg = model.config().clone();
         let n = layout.mesh.n_chips();
         let dtype = if fmt == WeightFormat::Int8 { DType::Int8 } else { DType::Bf16 };
@@ -309,7 +329,7 @@ impl PartitionedEngine {
             deadline: None,
             chip_workers: 1,
             pools: Vec::new(),
-            executors: ChipPool::new(n),
+            executors: ChipPool::new(executors),
             poisoned: false,
         };
         engine.set_collective_deadline(Some(DEFAULT_COLLECTIVE_DEADLINE));
@@ -339,8 +359,9 @@ impl PartitionedEngine {
 
     /// Sets the number of worker threads each simulated chip parallelizes
     /// its GEMM kernels over. `1` (the default) keeps every chip serial on
-    /// its own executor thread; `w > 1` gives each chip a persistent pool
-    /// of `w` workers that own disjoint output-row bands.
+    /// its executor; `w > 1` gives each chip a persistent pool of `w`
+    /// workers (its executor and `w − 1` threads) that own disjoint
+    /// output-row bands.
     ///
     /// Deterministic by construction: banding only decides which worker
     /// computes an element, never the arithmetic, so logits are
@@ -454,7 +475,9 @@ impl PartitionedEngine {
     }
 
     /// Per-chip wall-clock time blocked in collectives, merged across each
-    /// chip's groups, in rank order.
+    /// chip's groups, in rank order: only the time each chip's completions
+    /// spent awaiting their peers, not the time its executor spent posting
+    /// and reading for the other chips it runs.
     #[must_use]
     pub fn comm_times(&self) -> Vec<CommTimes> {
         self.chips
@@ -1014,25 +1037,24 @@ impl PartitionedEngine {
     /// classified root-cause [`EngineError`] after releasing every peer.
     /// Only `rows` append to their caches, and only slots age.
     ///
-    /// Each chip runs on its resident executor thread: the pass hands the
-    /// engine's executor pool one task per chip, each borrowing its chip's
-    /// state, the shared input and its own result slot, and blocks until
-    /// every task is done.
+    /// The chips split into one contiguous block of ranks per executor, and
+    /// the pass hands the engine's executor pool one task per block; the
+    /// calling thread runs the first. Each executor walks the schedule with
+    /// its chips in lockstep (`run_schedule`).
     ///
-    /// The unwind protocol: each chip runs its dataflow under
+    /// The unwind protocol: each chip runs each of its steps under its own
     /// `catch_unwind`; on unwind it cancels **all** of its own group
     /// handles, labelled with the originating rank (or as a timeout), so
     /// peers blocked in *any* of the chip's communicators — including the
     /// hybrid layouts' sub-groups the dead chip shares with only some peers
     /// — wake with a structured [`CollectiveError`] and cascade the
-    /// cancellation through their own groups in turn. No deadline is needed
-    /// for a crash to propagate; deadlines cover silent stalls.
+    /// cancellation through their own groups in turn. The chip then sits out
+    /// the rest of the pass while its executor-mates step on. No deadline is
+    /// needed for a crash to propagate; deadlines cover silent stalls.
     fn try_forward(&mut self, x: Tensor, rows: &[usize]) -> Result<Tensor, EngineError> {
         if self.poisoned {
             return Err(EngineError::Poisoned);
         }
-        let cfg = &self.cfg;
-        let schedule = &self.schedule;
         let n = self.chips.len();
         let (b, l) = (x.dim(0), x.dim(1));
         let bases = self.row_bases(rows);
@@ -1051,40 +1073,37 @@ impl PartitionedEngine {
                 (local.collect(), self.cache_rows(chip, batch))
             })
             .collect();
-        let pools: Vec<Option<Arc<ChipPool>>> = if self.pools.is_empty() {
-            (0..n).map(|_| None).collect()
-        } else {
-            self.pools.iter().map(|p| Some(Arc::clone(p))).collect()
-        };
+        let pass = Pass::new(&self.schedule, &self.cfg, l);
         let mut results: Vec<Result<Option<Tensor>, ChipPanic>> = (0..n).map(|_| Ok(None)).collect();
-        let (x, bases) = (&x, &bases);
-        let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = self
-            .chips
-            .iter_mut()
-            .zip(pools)
-            .zip(&kv_rows)
-            .zip(&mut results)
-            .map(|(((chip, pool), (kv_rows, kv_batch)), result)| {
-                let kv = (kv_rows.as_slice(), *kv_batch);
-                // Each chip's executor installs its own worker pool; the
-                // kernels inside the forward then split output rows across
-                // it (bit-identically).
-                Box::new(move || {
-                    *result = with_worker_pool(pool, || {
-                        let run = catch_unwind(AssertUnwindSafe(|| {
-                            run_schedule(schedule, cfg, chip, kv, x, bases)
-                        }));
-                        if let Err(payload) = &run {
-                            cancel_chip_groups(chip, payload);
-                        }
-                        run
-                    });
-                }) as Box<dyn FnOnce() + Send + '_>
-            })
-            .collect();
-        // One task per worker, so chip `i` runs on executor `i`. The tasks
-        // never unwind (everything runs under catch_unwind), so `run`
-        // returns only once every chip has written its result.
+        let (x, bases, pass, pools) = (&x, &bases, &pass, &self.pools);
+        let t = self.executors.workers();
+        let (mut chips, mut out) = (self.chips.as_mut_slice(), results.as_mut_slice());
+        let mut tasks: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::with_capacity(t);
+        for e in 0..t {
+            let (lo, hi) = (e * n / t, (e + 1) * n / t);
+            let (block, rest) = std::mem::take(&mut chips).split_at_mut(hi - lo);
+            chips = rest;
+            let (done, rest) = std::mem::take(&mut out).split_at_mut(hi - lo);
+            out = rest;
+            let kv = &kv_rows[lo..hi];
+            tasks.push(Box::new(move || {
+                let mut lanes: Vec<Lane<'_>> = block
+                    .iter_mut()
+                    .zip(kv)
+                    .map(|(chip, (rows, batch))| {
+                        let pool = pools.get(chip.rank).cloned();
+                        Lane::new(pass, chip, (rows, *batch), pool, x, bases)
+                    })
+                    .collect();
+                run_schedule(pass, &mut lanes);
+                for (lane, done) in lanes.into_iter().zip(done) {
+                    *done = lane.finish();
+                }
+            }));
+        }
+        // Executor `e` runs on worker `e`, the first on this thread. The
+        // tasks never unwind (every chip step runs under catch_unwind), so
+        // `run` returns only once every chip has written its result.
         self.executors.run(tasks);
 
         let mut outputs: Vec<Option<Tensor>> = Vec::with_capacity(results.len());
@@ -1170,16 +1189,16 @@ impl StepCache<'_> {
     }
 }
 
-/// What a chip thread's unwind carries.
+/// What a chip's unwind carries.
 type ChipPanic = Box<dyn std::any::Any + Send + 'static>;
 
-/// Releases every communicator `chip` participates in after its worker
+/// Releases every communicator in `groups`, chip `rank`'s, after the chip
 /// unwound with `payload`, labelling the cancellation with the *originating*
 /// failure: a propagated [`CollectiveError::PeerCrashed`] keeps naming the
 /// chip that actually died (not this observer), and a timeout stays a
 /// timeout. Cancellation is first-writer-wins at the barrier, so cascades
 /// never relabel the root cause.
-fn cancel_chip_groups(chip: &ChipState, payload: &ChipPanic) {
+fn cancel_chip_groups(rank: usize, groups: &[(AxisSet, CommGroup)], payload: &ChipPanic) {
     enum Cause {
         Timeout,
         Crash(usize),
@@ -1192,9 +1211,9 @@ fn cancel_chip_groups(chip: &ChipState, payload: &ChipPanic) {
     } else if let Some(c) = payload.downcast_ref::<InjectedCrash>() {
         Cause::Crash(c.chip)
     } else {
-        Cause::Crash(chip.rank)
+        Cause::Crash(rank)
     };
-    for (_, g) in &chip.groups {
+    for (_, g) in groups {
         match cause {
             Cause::Timeout => g.cancel_timeout(),
             Cause::Crash(rank) => g.cancel(rank),
@@ -1206,7 +1225,7 @@ fn cancel_chip_groups(chip: &ChipState, payload: &ChipPanic) {
 /// payloads the lowest priority wins, so the step reports the root cause
 /// (the chip that died) rather than the cascade (peers observing the death,
 /// then stragglers timing out on cancelled groups).
-fn classify_panic(thread_idx: usize, payload: &ChipPanic) -> (u8, EngineError) {
+fn classify_panic(rank: usize, payload: &ChipPanic) -> (u8, EngineError) {
     if let Some(c) = payload.downcast_ref::<InjectedCrash>() {
         return (0, EngineError::ChipCrashed { rank: c.chip, message: "injected crash".to_string() });
     }
@@ -1229,9 +1248,9 @@ fn classify_panic(thread_idx: usize, payload: &ChipPanic) -> (u8, EngineError) {
     } else if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else {
-        "chip thread panicked with a non-string payload".to_string()
+        "chip panicked with a non-string payload".to_string()
     };
-    (2, EngineError::ChipCrashed { rank: thread_idx, message })
+    (2, EngineError::ChipCrashed { rank, message })
 }
 
 // ---------------------------------------------------------------------------
@@ -1363,234 +1382,433 @@ fn normalize(x: &Tensor, tot: &Tensor, gain: &Tensor, e: usize) -> Tensor {
     out
 }
 
-/// Runs schedule `s` on one chip: its layer steps once per model layer,
-/// then its final steps. An einsum runs [`ShardMat::mm3`], or over an
-/// all-gather's parts `mm_cols` / `fold_ranks`; a collective runs on the
-/// chip's group over the step's axes; a local op runs its kernel. Each
-/// value is dropped after its last reader. Returns the logits where this
-/// chip is rank 0 of the group they are replicated over.
-fn run_schedule(
-    s: &Schedule,
-    cfg: &ModelConfig,
-    chip: &mut ChipState,
-    (rows, batch): (&[usize], usize),
-    input: &Tensor,
-    bases: &[usize],
-) -> Option<Tensor> {
-    let ChipState { layers, cache, groups, ln_final, embed_t, .. } = chip;
-    let (groups, ln_final, embed_t) = (&*groups, &*ln_final, &*embed_t);
-    let cache = &mut StepCache { cache, rows, batch };
-    let group = |axes: AxisSet| &groups.iter().find(|g| g.0 == axes).expect("a group per axes").1;
-    let tensor = |r: Operand| s.tensor(r).expect("a verified schedule's operands exist");
-    let b_axes = |t: &SymTensor| {
-        t.spec.dims().iter().find(|d| d.name == 'B').map_or(AxisSet::empty(), |d| d.axes)
-    };
-    let steps: Vec<&Step> = s.layer.iter().chain(&s.final_steps).collect();
-    // The groups the batch splits over, outermost first: the order the
-    // schedule shards it in (2D batch attention splits it over yz, then x).
-    let mut nest: Vec<AxisSet> = Vec::new();
-    for t in std::iter::once(&s.boundary).chain(steps.iter().map(|st| st.output())) {
-        let new = b_axes(t).without(nest.iter().fold(AxisSet::empty(), |u, &a| u.union(a)));
-        if !new.is_empty() {
-            nest.push(new);
-        }
-    }
-    // The rows of `n` batch rows this chip keeps when they split over
-    // `axes`: its share in each of those groups, outermost first.
-    let share = |n: usize, axes: AxisSet| {
-        nest.iter().filter(|a| a.is_subset_of(axes)).fold(0..n, |r, &a| {
-            let (rank, k) = (group(a).rank(), r.len() / group(a).size());
-            r.start + rank * k..r.start + (rank + 1) * k
-        })
-    };
-    // The residual stream: the chip's block of the pass input (each dim the
-    // boundary shards cut by its rank in the group over those axes; the
-    // input itself where it keeps everything), then each layer's output.
-    let mut x = Cow::Borrowed(input);
-    for (d, dim) in s.boundary.spec.dims().iter().enumerate() {
-        if !dim.axes.is_empty() {
-            let (rank, k) = (group(dim.axes).rank(), x.dim(d) / group(dim.axes).size());
-            x = Cow::Owned(x.slice(d, rank * k, k));
-        }
-    }
-    let bases = &bases[share(bases.len(), b_axes(&s.boundary))];
-    let l = input.dim(1);
+/// The batch axes of `t`: those its `B` dim shards over.
+fn b_axes(t: &SymTensor) -> AxisSet {
+    t.spec.dims().iter().find(|d| d.name == 'B').map_or(AxisSet::empty(), |d| d.axes)
+}
 
-    let mut last_read = vec![0; steps.len()];
-    let mut to_einsum = vec![false; steps.len()];
-    for (k, step) in steps.iter().enumerate() {
-        for r in operands(step) {
-            if let Operand::Step(j) = r {
-                last_read[j] = k;
-                to_einsum[j] |= matches!(step, Step::Einsum { .. });
+/// The group in `groups` over `axes`.
+fn group(groups: &[(AxisSet, CommGroup)], axes: AxisSet) -> &CommGroup {
+    &groups.iter().find(|g| g.0 == axes).expect("a group per axes").1
+}
+
+/// The activation operand `r` names: the residual stream `x`, or a live
+/// step value.
+fn act<'v>(x: &'v Tensor, vals: &'v [Option<Val>], r: Operand) -> &'v Tensor {
+    match r {
+        Operand::Boundary => x,
+        Operand::Step(j) => match vals[j].as_ref().expect("a value lives until its last reader") {
+            Val::Act(t) => t,
+            Val::Parts(_) => panic!("step {j} hands its parts to an einsum"),
+        },
+        Operand::Weight(role) => panic!("{role:?} is a weight"),
+    }
+}
+
+/// What every chip derives alike from the schedule for one pass: computed
+/// once, shared by the executors.
+struct Pass<'a> {
+    s: &'a Schedule,
+    cfg: &'a ModelConfig,
+    /// The layer steps, then the final steps.
+    steps: Vec<&'a Step>,
+    /// The groups the batch splits over, outermost first: the order the
+    /// schedule shards it in (2D batch attention splits it over yz, then x).
+    nest: Vec<AxisSet>,
+    /// Each step value's last reader, after which the value is dropped.
+    last_read: Vec<usize>,
+    /// Whether an einsum reads each step's value (an all-gather then hands
+    /// it rank-ordered parts).
+    to_einsum: Vec<bool>,
+    /// Whether the final steps communicate, so that every chip runs them.
+    talks: bool,
+    /// Tokens per row.
+    l: usize,
+}
+
+impl<'a> Pass<'a> {
+    fn new(s: &'a Schedule, cfg: &'a ModelConfig, l: usize) -> Self {
+        let steps: Vec<&Step> = s.layer.iter().chain(&s.final_steps).collect();
+        let mut nest: Vec<AxisSet> = Vec::new();
+        for t in std::iter::once(&s.boundary).chain(steps.iter().map(|st| st.output())) {
+            let new = b_axes(t).without(nest.iter().fold(AxisSet::empty(), |u, &a| u.union(a)));
+            if !new.is_empty() {
+                nest.push(new);
             }
+        }
+        let mut last_read = vec![0; steps.len()];
+        let mut to_einsum = vec![false; steps.len()];
+        for (k, step) in steps.iter().enumerate() {
+            for r in operands(step) {
+                if let Operand::Step(j) = r {
+                    last_read[j] = k;
+                    to_einsum[j] |= matches!(step, Step::Einsum { .. });
+                }
+            }
+        }
+        let talks = s.final_steps.iter().any(|st| matches!(st, Step::Collective { .. }));
+        Pass { s, cfg, steps, nest, last_read, to_einsum, talks, l }
+    }
+
+    fn tensor(&self, r: Operand) -> &'a SymTensor {
+        self.s.tensor(r).expect("a verified schedule's operands exist")
+    }
+
+    /// The rows of `n` batch rows a chip with `groups` keeps when they split
+    /// over `axes`: its share in each of those groups, outermost first.
+    fn share(&self, groups: &[(AxisSet, CommGroup)], n: usize, axes: AxisSet) -> std::ops::Range<usize> {
+        self.nest.iter().filter(|a| a.is_subset_of(axes)).fold(0..n, |r, &a| {
+            let g = group(groups, a);
+            let k = r.len() / g.size();
+            r.start + g.rank() * k..r.start + (g.rank() + 1) * k
+        })
+    }
+}
+
+/// One chip's part of a pass: the chip, its cache rows, its residual
+/// stream, and the step values it still holds.
+struct Lane<'a> {
+    chip: &'a mut ChipState,
+    /// The chip's cache rows of the pass's rows, of the rows it holds.
+    kv: (&'a [usize], usize),
+    /// The chip's intra-chip worker pool, installed around each of its
+    /// steps.
+    pool: Option<Arc<ChipPool>>,
+    /// The residual stream: the chip's block of the pass input, then each
+    /// layer's output.
+    x: Cow<'a, Tensor>,
+    /// The next-token positions of the chip's rows.
+    bases: &'a [usize],
+    vals: Vec<Option<Val>>,
+    /// The collective of the step in flight, posted and not yet completed.
+    posted: Option<Posted>,
+    /// Whether this chip returns the logits: rank 0 of the group they are
+    /// replicated over.
+    emits: bool,
+    /// Set once the chip unwinds; it then sits out the rest of the pass.
+    failed: Option<ChipPanic>,
+}
+
+impl<'a> Lane<'a> {
+    fn new(
+        p: &Pass<'_>,
+        chip: &'a mut ChipState,
+        kv: (&'a [usize], usize),
+        pool: Option<Arc<ChipPool>>,
+        input: &'a Tensor,
+        bases: &'a [usize],
+    ) -> Self {
+        let vals = p.steps.iter().map(|_| None).collect();
+        Lane { chip, kv, pool, x: Cow::Borrowed(input), bases, vals, posted: None, emits: false, failed: None }
+    }
+
+    /// Runs `f` on this chip, under its worker pool and its own
+    /// `catch_unwind`, unless the chip already failed. On unwind the chip
+    /// cancels every group it belongs to and drops out of the pass.
+    fn guard(&mut self, f: impl FnOnce(&mut Self)) {
+        if self.failed.is_some() {
+            return;
+        }
+        let pool = self.pool.clone();
+        if let Err(payload) = with_worker_pool(pool, || catch_unwind(AssertUnwindSafe(|| f(self)))) {
+            cancel_chip_groups(self.chip.rank, &self.chip.groups, &payload);
+            self.failed = Some(payload);
         }
     }
-    // Rank 0 of the group the logits are replicated over returns them; the
-    // other chips skip the final steps unless those communicate.
-    let sharded = b_axes(tensor(Operand::Step(steps.len() - 1)));
-    let emits = group(AxisSet::all().without(sharded)).rank() == 0;
-    let talks = s.final_steps.iter().any(|st| matches!(st, Step::Collective { .. }));
-    let passes = if emits || talks { layers.len() + 1 } else { layers.len() };
-    let mut vals: Vec<Option<Val>> = steps.iter().map(|_| None).collect();
-    for li in 0..passes {
-        let layer = layers.get(li);
-        let run = if layer.is_some() { 0..s.layer.len() } else { s.layer.len()..steps.len() };
-        for k in run {
-            let val = |j: usize| vals[j].as_ref().expect("a value lives until its last reader");
-            let act = |r: Operand| match r {
-                Operand::Boundary => &*x,
-                Operand::Step(j) => match val(j) {
-                    Val::Act(t) => t,
-                    Val::Parts(_) => panic!("step {j} hands its parts to an einsum"),
-                },
-                Operand::Weight(role) => panic!("{role:?} is a weight"),
-            };
-            let mat = |r: Operand| match r {
-                Operand::Weight(role) => stored(layer, embed_t, role),
-                _ => panic!("{r:?} is not a stored weight"),
-            };
-            // An einsum operand that arrived as an all-gather's parts, and
-            // the dim they split.
-            let parts = |r: Operand| match r {
-                Operand::Step(j) => match (steps[j], val(j)) {
-                    (Step::Collective { op: SymOp::AllGather { dim }, .. }, Val::Parts(p)) => {
-                        Some((p.as_slice(), *dim))
-                    }
-                    _ => None,
-                },
-                _ => None,
-            };
-            let out = match steps[k] {
-                Step::Einsum { x: a, w, contract, .. } => {
-                    let y = match (parts(*a), parts(*w)) {
-                        (None, None) => mat(*w).mm3(act(*a)),
-                        (None, Some((ws, dim))) if !contract.contains(&dim) => {
-                            mm_cols(&flat2(act(*a)), ws)
-                        }
-                        (None, Some((ws, _))) => {
-                            let flat = flat2(act(*a));
-                            let kc = flat.dim(1) / ws.len();
-                            let xs = ws.iter().enumerate();
-                            let xs = xs.map(|(r, w)| (Cow::Owned(flat.slice(1, r * kc, kc)), w, 0));
-                            fold_ranks(xs, true)
-                        }
-                        (Some((xs, dim)), None) if contract.contains(&dim) => {
-                            let w = mat(*w);
-                            let xs = xs.iter().enumerate().map(|(r, x)| {
-                                let ShardMat::Dense(x) = x else { unreachable!("dense activations") };
-                                (Cow::Borrowed(x), w, r * x.dim(1))
-                            });
-                            let mut y = fold_ranks(xs, false);
-                            if let ShardMat::Int8(q) = w {
-                                q.apply_scales(&mut y);
-                            }
-                            y
-                        }
-                        _ => unreachable!("parts split a weight's columns or the contraction"),
-                    };
-                    // The rank-2 kernels' `[B·L, ·]` back to `[B, L, ·]`.
-                    let n = y.dim(y.rank() - 1);
-                    let m = y.numel() / n;
-                    Val::Act(y.into_reshape(vec![m / l, l, n]))
-                }
-                Step::Collective { op, axes, input, wire, .. } => {
-                    let (g, t) = (group(*axes), tensor(*input));
-                    // Activations are `[B, L, ·]`, heads and head dims
-                    // flattened into dim 2; a stored weight is a matrix
-                    // whose rows are its leading dim.
-                    let act_dim = |c: char| t.dim_index(c).expect("the tensor has the dim").min(2);
-                    match *op {
-                        SymOp::AllGather { dim } if to_einsum[k] => Val::Parts(match *input {
-                            Operand::Weight(role) => {
-                                let along = usize::from(t.dim_index(dim) != Some(0));
-                                match (stored(layer, embed_t, role), *wire) {
-                                    (ShardMat::Int8(q), WireFormat::Int8) => {
-                                        let parts = g.all_gather_quant(q, along);
-                                        parts.into_iter().map(ShardMat::Int8).collect()
-                                    }
-                                    (ShardMat::Dense(w), WireFormat::Dense) => {
-                                        let parts = g.all_gather_parts(w, along);
-                                        parts.into_iter().map(ShardMat::Dense).collect()
-                                    }
-                                    _ => unreachable!("a weight's wire format follows its storage"),
-                                }
-                            }
-                            _ => {
-                                let parts = g.all_gather_parts(&flat2(act(*input)), 1);
-                                parts.into_iter().map(ShardMat::Dense).collect()
-                            }
-                        }),
-                        SymOp::AllGather { dim } => {
-                            Val::Act(g.all_gather(act(*input), act_dim(dim)))
-                        }
-                        SymOp::AllReduce => Val::Act(g.all_reduce(act(*input))),
-                        SymOp::ReduceScatter { dim } => {
-                            Val::Act(g.reduce_scatter(act(*input), act_dim(dim)))
-                        }
-                        SymOp::AllToAll { split, concat } => {
-                            Val::Act(g.all_to_all(act(*input), act_dim(split), act_dim(concat)))
-                        }
-                    }
-                }
-                Step::Local { op, inputs, output, .. } => {
-                    let a = act(inputs[0]);
-                    // The batch axes this op's output gains over its input.
-                    let gained = |from: &SymTensor| b_axes(output).without(b_axes(from));
-                    Val::Act(match op {
-                        LocalOp::LayerNorm(gain) => {
-                            let gain = match gain {
-                                Gain::Attn => &layer.expect("a layer step").ln1,
-                                Gain::Mlp => layer.and_then(|l| l.ln2.as_ref()).expect("serial ln2"),
-                                Gain::Final => ln_final,
-                            };
-                            // Over an `E`-sharded stream the second input
-                            // is the all-reduced moments.
-                            match inputs.get(1) {
-                                Some(&tot) => normalize(a, act(tot), gain, cfg.d_model),
-                                None => ops::layernorm(a, gain, 1e-6),
-                            }
-                        }
-                        LocalOp::Moments => moments(a),
-                        LocalOp::Attention => {
-                            let (k, v, dh) = (act(inputs[1]), act(inputs[2]), cfg.d_head);
-                            let bases = &bases[share(bases.len(), gained(&s.boundary))];
-                            if cfg.position == PositionKind::Rope {
-                                cache.append(li, &ops::rope_rows(k, dh, bases), v);
-                                cache.attend(&ops::rope_rows(a, dh, bases), li, dh)
-                            } else {
-                                cache.append(li, k, v);
-                                cache.attend(a, li, dh)
-                            }
-                        }
-                        LocalOp::BatchSlice => {
-                            let r = share(a.dim(0), gained(tensor(inputs[0])));
-                            a.slice(0, r.start, r.len())
-                        }
-                        LocalOp::SwiGlu => ops::swiglu(a, act(inputs[1])),
-                        LocalOp::Gelu => gelu(a),
-                        LocalOp::Add => a + act(inputs[1]),
-                    })
-                }
-            };
-            vals[k] = Some(out);
-            for r in operands(steps[k]) {
-                if let Operand::Step(j) = r {
-                    if last_read[j] == k {
-                        vals[j] = None;
-                    }
+
+    /// Whether the chip runs pass `li` of `p` (`li` past the last layer is
+    /// the final steps, which a chip that does not emit skips unless they
+    /// communicate).
+    fn runs(&self, p: &Pass<'_>, li: usize) -> bool {
+        self.failed.is_none() && (li < self.chip.layers.len() || self.emits || p.talks)
+    }
+
+    /// Cuts the chip's block of the pass input (each dim the boundary
+    /// shards, by its rank in the group over those axes) and its rows'
+    /// positions, and decides whether it emits the logits.
+    fn enter(&mut self, p: &Pass<'_>) {
+        for (d, dim) in p.s.boundary.spec.dims().iter().enumerate() {
+            if !dim.axes.is_empty() {
+                let g = group(&self.chip.groups, dim.axes);
+                let k = self.x.dim(d) / g.size();
+                self.x = Cow::Owned(self.x.slice(d, g.rank() * k, k));
+            }
+        }
+        self.bases = &self.bases[p.share(&self.chip.groups, self.bases.len(), b_axes(&p.s.boundary))];
+        let sharded = b_axes(p.tensor(Operand::Step(p.steps.len() - 1)));
+        self.emits = group(&self.chip.groups, AxisSet::all().without(sharded)).rank() == 0;
+    }
+
+    /// Stores step `k`'s value, drops every value it read last, and at a
+    /// layer's end makes its output the residual stream.
+    fn settle(&mut self, p: &Pass<'_>, li: usize, k: usize, val: Val) {
+        self.vals[k] = Some(val);
+        for r in operands(p.steps[k]) {
+            if let Operand::Step(j) = r {
+                if p.last_read[j] == k {
+                    self.vals[j] = None;
                 }
             }
         }
-        if layer.is_some() {
-            x = match vals[s.layer.len() - 1].take() {
+        if li < self.chip.layers.len() && k + 1 == p.s.layer.len() {
+            self.x = match self.vals[k].take() {
                 Some(Val::Act(t)) => Cow::Owned(t),
                 _ => unreachable!("a layer ends on the residual stream"),
             };
         }
     }
-    match vals.pop() {
-        Some(Some(Val::Act(logits))) if emits => Some(logits),
-        _ => None,
+
+    /// Runs step `k` of pass `li`, an einsum or a local op: [`ShardMat::mm3`]
+    /// or, over an all-gather's parts, `mm_cols` / `fold_ranks`; a local op
+    /// its kernel.
+    fn compute(&mut self, p: &Pass<'_>, li: usize, k: usize) {
+        let Lane { chip, kv: (rows, batch), x, bases, vals, .. } = self;
+        let ChipState { layers, cache, groups, ln_final, embed_t, .. } = &mut **chip;
+        let cache = &mut StepCache { cache, rows, batch: *batch };
+        let (cfg, l, layer) = (p.cfg, p.l, layers.get(li));
+        let act = |r: Operand| act(x, vals, r);
+        let mat = |r: Operand| match r {
+            Operand::Weight(role) => stored(layer, embed_t, role),
+            _ => panic!("{r:?} is not a stored weight"),
+        };
+        // An einsum operand that arrived as an all-gather's parts, and the
+        // dim they split.
+        let parts = |r: Operand| match r {
+            Operand::Step(j) => match (p.steps[j], vals[j].as_ref()) {
+                (Step::Collective { op: SymOp::AllGather { dim }, .. }, Some(Val::Parts(ps))) => {
+                    Some((ps.as_slice(), *dim))
+                }
+                _ => None,
+            },
+            _ => None,
+        };
+        let out = match p.steps[k] {
+            Step::Einsum { x: a, w, contract, .. } => {
+                let y = match (parts(*a), parts(*w)) {
+                    (None, None) => mat(*w).mm3(act(*a)),
+                    (None, Some((ws, dim))) if !contract.contains(&dim) => mm_cols(&flat2(act(*a)), ws),
+                    (None, Some((ws, _))) => {
+                        let flat = flat2(act(*a));
+                        let kc = flat.dim(1) / ws.len();
+                        let xs = ws.iter().enumerate();
+                        let xs = xs.map(|(r, w)| (Cow::Owned(flat.slice(1, r * kc, kc)), w, 0));
+                        fold_ranks(xs, true)
+                    }
+                    (Some((xs, dim)), None) if contract.contains(&dim) => {
+                        let w = mat(*w);
+                        let xs = xs.iter().enumerate().map(|(r, x)| {
+                            let ShardMat::Dense(x) = x else { unreachable!("dense activations") };
+                            (Cow::Borrowed(x), w, r * x.dim(1))
+                        });
+                        let mut y = fold_ranks(xs, false);
+                        if let ShardMat::Int8(q) = w {
+                            q.apply_scales(&mut y);
+                        }
+                        y
+                    }
+                    _ => unreachable!("parts split a weight's columns or the contraction"),
+                };
+                // The rank-2 kernels' `[B·L, ·]` back to `[B, L, ·]`.
+                let n = y.dim(y.rank() - 1);
+                let m = y.numel() / n;
+                Val::Act(y.into_reshape(vec![m / l, l, n]))
+            }
+            Step::Local { op, inputs, output, .. } => {
+                let a = act(inputs[0]);
+                // The batch axes this op's output gains over its input.
+                let gained = |from: &SymTensor| b_axes(output).without(b_axes(from));
+                Val::Act(match op {
+                    LocalOp::LayerNorm(gain) => {
+                        let gain = match gain {
+                            Gain::Attn => &layer.expect("a layer step").ln1,
+                            Gain::Mlp => layer.and_then(|l| l.ln2.as_ref()).expect("serial ln2"),
+                            Gain::Final => ln_final,
+                        };
+                        // Over an `E`-sharded stream the second input is the
+                        // all-reduced moments.
+                        match inputs.get(1) {
+                            Some(&tot) => normalize(a, act(tot), gain, cfg.d_model),
+                            None => ops::layernorm(a, gain, 1e-6),
+                        }
+                    }
+                    LocalOp::Moments => moments(a),
+                    LocalOp::Attention => {
+                        let (k, v, dh) = (act(inputs[1]), act(inputs[2]), cfg.d_head);
+                        let bases = &bases[p.share(groups, bases.len(), gained(&p.s.boundary))];
+                        if cfg.position == PositionKind::Rope {
+                            cache.append(li, &ops::rope_rows(k, dh, bases), v);
+                            cache.attend(&ops::rope_rows(a, dh, bases), li, dh)
+                        } else {
+                            cache.append(li, k, v);
+                            cache.attend(a, li, dh)
+                        }
+                    }
+                    LocalOp::BatchSlice => {
+                        let r = p.share(groups, a.dim(0), gained(p.tensor(inputs[0])));
+                        a.slice(0, r.start, r.len())
+                    }
+                    LocalOp::SwiGlu => ops::swiglu(a, act(inputs[1])),
+                    LocalOp::Gelu => gelu(a),
+                    LocalOp::Add => a + act(inputs[1]),
+                })
+            }
+            Step::Collective { .. } => unreachable!("a collective posts and completes"),
+        };
+        self.settle(p, li, k, out);
+    }
+
+    /// Posts step `k`'s collective on the chip's group over the step's
+    /// axes. An all-gather an einsum reads moves rank-ordered parts: a
+    /// stored weight in its wire format, or `[B·L, ·]` activation blocks.
+    fn post(&mut self, p: &Pass<'_>, li: usize, k: usize) {
+        let Step::Collective { op, axes, input, wire, .. } = p.steps[k] else {
+            unreachable!("step {k} is a collective")
+        };
+        let t = p.tensor(*input);
+        // Activations are `[B, L, ·]`, heads and head dims flattened into
+        // dim 2; a stored weight is a matrix whose rows are its leading dim.
+        let act_dim = |c: char| t.dim_index(c).expect("the tensor has the dim").min(2);
+        let act = |r: Operand| act(&self.x, &self.vals, r);
+        let flat;
+        let call = match *op {
+            SymOp::AllGather { dim } if p.to_einsum[k] => match *input {
+                Operand::Weight(role) => {
+                    let along = usize::from(t.dim_index(dim) != Some(0));
+                    match (stored(self.chip.layers.get(li), &self.chip.embed_t, role), *wire) {
+                        (ShardMat::Int8(q), WireFormat::Int8) => Call::AllGatherQuant { shard: q, dim: along },
+                        (ShardMat::Dense(w), WireFormat::Dense) => Call::AllGatherParts { shard: w, dim: along },
+                        _ => unreachable!("a weight's wire format follows its storage"),
+                    }
+                }
+                _ => {
+                    flat = flat2(act(*input));
+                    Call::AllGatherParts { shard: &flat, dim: 1 }
+                }
+            },
+            SymOp::AllGather { dim } => Call::AllGather { shard: act(*input), dim: act_dim(dim) },
+            SymOp::AllReduce => Call::AllReduce { input: act(*input) },
+            SymOp::ReduceScatter { dim } => Call::ReduceScatter { input: act(*input), dim: act_dim(dim) },
+            SymOp::AllToAll { split, concat } => {
+                Call::AllToAll { input: act(*input), split: act_dim(split), concat: act_dim(concat) }
+            }
+        };
+        let posted = group(&self.chip.groups, *axes).post(call);
+        self.posted = Some(posted);
+    }
+
+    /// Completes the collective step `k` posted.
+    fn complete(&mut self, p: &Pass<'_>, li: usize, k: usize) {
+        let Step::Collective { axes, .. } = p.steps[k] else { unreachable!("step {k} is a collective") };
+        let posted = self.posted.take().expect("the step posted its collective");
+        let val = match group(&self.chip.groups, *axes).complete(posted) {
+            Received::Tensor(t) => Val::Act(t),
+            Received::Parts(parts) => Val::Parts(parts.into_iter().map(ShardMat::Dense).collect()),
+            Received::Quant(parts) => Val::Parts(parts.into_iter().map(ShardMat::Int8).collect()),
+        };
+        self.settle(p, li, k, val);
+    }
+
+    /// The chip's result: the logits where it emits them, or its unwind.
+    fn finish(mut self) -> Result<Option<Tensor>, ChipPanic> {
+        match (self.failed, self.vals.pop()) {
+            (Some(payload), _) => Err(payload),
+            (None, Some(Some(Val::Act(logits)))) if self.emits => Ok(Some(logits)),
+            (None, _) => Ok(None),
+        }
+    }
+}
+
+/// Runs schedule pass `p` on one executor's chips in lockstep: the layer
+/// steps once per model layer, then the final steps, and each step on every
+/// chip before the next. A collective step posts for every chip before it
+/// completes any — every post of a step precedes every wait, on every
+/// executor, so the chips of one group never wait on their own executor.
+/// Each chip's part of each step runs under its own `catch_unwind`
+/// (`Lane::guard`): a chip that unwinds cancels its groups and drops out,
+/// and its executor-mates meet the cancellation in their own collectives.
+fn run_schedule(p: &Pass<'_>, lanes: &mut [Lane<'_>]) {
+    for lane in lanes.iter_mut() {
+        lane.guard(|c| c.enter(p));
+    }
+    let (layers, split) = (p.cfg.n_layers, p.s.layer.len());
+    for li in 0..=layers {
+        let run = if li < layers { 0..split } else { split..p.steps.len() };
+        for k in run {
+            if !matches!(p.steps[k], Step::Collective { .. }) {
+                for lane in lanes.iter_mut().filter(|c| c.runs(p, li)) {
+                    lane.guard(|c| c.compute(p, li, k));
+                }
+                continue;
+            }
+            for lane in lanes.iter_mut().filter(|c| c.runs(p, li)) {
+                lane.guard(|c| c.post(p, li, k));
+            }
+            for lane in lanes.iter_mut().filter(|c| c.runs(p, li)) {
+                lane.guard(|c| c.complete(p, li, k));
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use esti_collectives::CollectiveOp;
+    use esti_core::layout::{FfnLayout, GatherExtent, MeshFactors};
+
+    /// What one run shows of its bits: every logit, every slot's KV, and the
+    /// ledger's bytes and calls per op.
+    fn bits(engine: &PartitionedEngine, logits: &[Tensor]) -> Vec<u64> {
+        let mut out: Vec<u64> = logits.iter().flat_map(Tensor::data).map(|v| u64::from(v.to_bits())).collect();
+        for slot in 0..engine.slot_lens().len() {
+            for (k, v) in engine.extract_kv(slot).layers() {
+                out.extend(k.data().iter().chain(v.data()).map(|v| u64::from(v.to_bits())));
+            }
+        }
+        for op in CollectiveOp::ALL {
+            out.extend([engine.traffic().bytes(op), engine.traffic().calls(op)]);
+        }
+        out
+    }
+
+    #[test]
+    fn every_executor_count_runs_the_same_bits_and_faults() {
+        let model = ReferenceModel::init_random(ModelConfig::tiny(), 5);
+        let layouts = [
+            (FfnLayout::WeightStationary1D, AttnSharding::Head, MeshFactors::new(1, 4, 1)),
+            (FfnLayout::WeightStationary1D, AttnSharding::Batch, MeshFactors::new(1, 4, 1)),
+            (FfnLayout::WeightStationary2D, AttnSharding::Batch, MeshFactors::new(2, 2, 1)),
+            (FfnLayout::WeightGathered(GatherExtent::Xyz), AttnSharding::Batch, MeshFactors::new(4, 1, 1)),
+            (FfnLayout::WeightGathered(GatherExtent::X), AttnSharding::Head, MeshFactors::new(2, 2, 1)),
+        ];
+        for (ffn, attn, mesh) in layouts {
+            let layout = Layout { ffn, attn, mesh };
+            let n = mesh.n_chips();
+            for fmt in [WeightFormat::Exact, WeightFormat::Int8] {
+                let run = |t: usize| {
+                    let mut engine = PartitionedEngine::with_executors(&model, layout, fmt, t);
+                    let prompts: Vec<Vec<usize>> = (0..4).map(|s| vec![s + 1, 2 * s + 3, 5]).collect();
+                    let prefill = engine.try_prefill(&prompts).expect("a fault-free prefill");
+                    let step = engine.try_decode_step(&[7, 8, 9, 10]).expect("a fault-free step");
+                    let rows = engine.try_decode_rows(&[(3, 11), (1, 12)]).expect("a fault-free row step");
+                    let seen = bits(&engine, &[prefill, step, rows]);
+                    let mut faulty = PartitionedEngine::with_executors(&model, layout, fmt, t);
+                    faulty.inject_faults(FaultPlan::new().crash(n - 1, 1));
+                    let fault = faulty.try_prefill(&prompts).expect_err("chip n - 1 crashes");
+                    (seen, fault)
+                };
+                let (want, want_fault) = run(n);
+                assert!(
+                    matches!(want_fault, EngineError::ChipCrashed { rank, .. } if rank == n - 1),
+                    "{}: {want_fault:?}",
+                    layout.describe()
+                );
+                for t in [1, 2] {
+                    let (got, fault) = run(t);
+                    assert!(got == want, "{} {fmt:?}: {t} executors changed the bits", layout.describe());
+                    assert_eq!(fault, want_fault, "{} {fmt:?}: {t} executors", layout.describe());
+                }
+            }
+        }
     }
 }

@@ -2,9 +2,9 @@
 //!
 //! This crate is the *functional* half of the reproduction: where
 //! `esti-core` computes what a partitioning **costs**, this crate proves
-//! what it **computes**. Every simulated chip is an OS thread owning only
-//! its weight shards and KV-cache shard; chips exchange tensors exclusively
-//! through `esti-collectives`. Tests assert that each layout's partitioned
+//! what it **computes**. Every simulated chip owns only its weight shards
+//! and KV-cache shard, and runs as a lockstep task on one of a few executor
+//! threads; chips exchange tensors exclusively through `esti-collectives`. Tests assert that each layout's partitioned
 //! forward pass equals the single-chip [`esti_model::ReferenceModel`]
 //! within floating-point tolerance.
 //!

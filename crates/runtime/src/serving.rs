@@ -111,7 +111,7 @@ pub struct ServingOptions {
     /// Intra-chip kernel worker threads per simulated chip
     /// ([`PartitionedEngine::set_intra_chip_threads`]), applied to the
     /// engine and to every engine rebuilt during fault recovery; defaults
-    /// to 1, every chip serial on its own thread. Thread count never
+    /// to 1, every chip serial on its executor. Thread count never
     /// changes results — the banded kernels are bit-identical at any worker
     /// count.
     pub intra_chip_threads: usize,

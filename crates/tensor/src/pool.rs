@@ -1,17 +1,17 @@
-//! Deterministic intra-chip worker pool (ROADMAP item 5).
+//! Deterministic intra-chip worker pool.
 //!
-//! A [`ChipPool`] is a small set of persistent OS threads that one
-//! *simulated chip* uses to parallelize its GEMM kernels. The runtime
-//! installs a chip's pool on the chip's executor thread
-//! ([`with_worker_pool`]); the kernel dispatchers in [`crate::ops`] and
+//! A [`ChipPool`] of `w` workers is the calling thread plus `w − 1`
+//! persistent OS threads. One *simulated chip* uses one to parallelize its
+//! GEMM kernels: the runtime installs the chip's pool around the chip's
+//! work ([`with_worker_pool`]); the kernel dispatchers in [`crate::ops`] and
 //! [`crate::quant`] then split each matmul's **output rows** into disjoint
-//! bands, one band per worker.
+//! bands, one band per worker, the first on the calling thread.
 //!
 //! The same pool type also carries the chips themselves: the runtime's
-//! engine owns one [`ChipPool`] with a worker per chip and runs each forward
-//! pass as one task per chip ([`ChipPool::run`] sends task `i` to worker
-//! `i` when the counts match), so the chip executor threads live as long as
-//! the engine.
+//! engine owns one [`ChipPool`] with a worker per executor and runs each
+//! forward pass as one task per executor ([`ChipPool::run`] sends task `i`
+//! to worker `i` when the counts match, and runs task 0 on the caller), so
+//! the executor threads live as long as the engine.
 //!
 //! # Determinism contract
 //!
@@ -75,10 +75,11 @@ impl Latch {
 
 /// A persistent pool of worker threads owned by one simulated chip.
 ///
-/// [`ChipPool::run`] blocks the calling (chip) thread until every task has
-/// finished, so tasks may borrow the caller's stack — the scoped-pool
-/// pattern — while the workers themselves live for the pool's lifetime
-/// (no per-matmul thread spawns on the decode hot path).
+/// [`ChipPool::run`] runs one share of the tasks on the calling thread and
+/// blocks it until every task has finished, so tasks may borrow the
+/// caller's stack — the scoped-pool pattern — while the other workers live
+/// for the pool's lifetime (no per-matmul thread spawns on the decode hot
+/// path).
 ///
 /// # Examples
 ///
@@ -95,12 +96,14 @@ impl Latch {
 /// assert_eq!(halves[0] + halves[1], (0..100u64).sum());
 /// ```
 pub struct ChipPool {
+    /// Workers 1.. (worker 0 is whichever thread calls `run`).
     senders: Vec<Sender<Job>>,
     handles: Vec<JoinHandle<()>>,
 }
 
 impl ChipPool {
-    /// Spawns a pool of `workers` persistent threads (`workers >= 1`).
+    /// A pool of `workers` (`workers >= 1`): the calling thread of each
+    /// [`ChipPool::run`], plus `workers − 1` spawned persistent threads.
     ///
     /// # Panics
     ///
@@ -108,9 +111,9 @@ impl ChipPool {
     #[must_use]
     pub fn new(workers: usize) -> ChipPool {
         assert!(workers >= 1, "a chip pool needs at least one worker");
-        let mut senders = Vec::with_capacity(workers);
-        let mut handles = Vec::with_capacity(workers);
-        for w in 0..workers {
+        let mut senders = Vec::with_capacity(workers - 1);
+        let mut handles = Vec::with_capacity(workers - 1);
+        for w in 1..workers {
             let (tx, rx) = channel::<Job>();
             let builder = std::thread::Builder::new().name(format!("esti-chip-worker-{w}"));
             let handle = match builder.spawn(move || {
@@ -127,14 +130,17 @@ impl ChipPool {
         ChipPool { senders, handles }
     }
 
-    /// Number of worker threads — the row-band count kernels split over.
+    /// Number of workers, the caller included — the row-band count kernels
+    /// split over.
     #[must_use]
     pub fn workers(&self) -> usize {
-        self.senders.len()
+        self.senders.len() + 1
     }
 
-    /// Runs `tasks` across the workers (round-robin) and blocks until all
-    /// of them have completed. Tasks may borrow from the caller's scope.
+    /// Runs `tasks` across the workers (round-robin: task `i` on worker
+    /// `i mod workers`, worker 0 being the calling thread) and blocks until
+    /// all of them have completed. Tasks may borrow from the caller's
+    /// scope.
     ///
     /// # Panics
     ///
@@ -145,9 +151,15 @@ impl ChipPool {
         if tasks.is_empty() {
             return;
         }
+        let workers = self.workers();
         let latch = Arc::new(Latch::new(tasks.len()));
         let mut lost_worker = false;
+        let mut mine = Vec::with_capacity(tasks.len().div_ceil(workers));
         for (i, task) in tasks.into_iter().enumerate() {
+            if i % workers == 0 {
+                mine.push(task);
+                continue;
+            }
             if lost_worker {
                 // Account for the undispatched task so `wait` terminates.
                 latch.complete(None);
@@ -167,7 +179,7 @@ impl ChipPool {
             let job: Job = unsafe {
                 std::mem::transmute::<Box<dyn FnOnce() + Send + 'scope>, Job>(wrapped)
             };
-            if let Err(e) = self.senders[i % self.senders.len()].send(job) {
+            if let Err(e) = self.senders[i % workers - 1].send(job) {
                 // The worker's receiver is gone (thread died). The failed
                 // send hands the job back inside the error; dropping it
                 // without running it means completing its latch slot here.
@@ -175,6 +187,10 @@ impl ChipPool {
                 latch.complete(None);
                 lost_worker = true;
             }
+        }
+        // Worker 0's share runs here, while the others run theirs.
+        for task in mine {
+            latch.complete(catch_unwind(AssertUnwindSafe(task)).err());
         }
         let panic = latch.wait();
         assert!(!lost_worker, "chip pool lost a worker thread");
