@@ -173,6 +173,27 @@ for cpus in 0 0,1; do
     --test equivalence --test faults --test executors --test threads
 done
 
+echo "== compiled program: the schedule compiled once, every value in a slot of the buffer plan =="
+# The engine compiles its schedule into a per-chip program when it is built:
+# try_forward derives nothing from the schedule, and every einsum, local op
+# and dense collective read writes into a slot of the buffer plan, which
+# every layer of a pass reuses. The plan test walks every built-in layout's
+# schedule for two live values sharing a slot; the stale-buffer test runs a
+# smaller pass after a larger one on the five tier-1 layouts; alloc checks
+# that an 8-layer prefill allocates about as many large-block bytes as a
+# 2-layer one. Both GEMM tiers, and pinned to one CPU (the whole mesh on one
+# executor).
+if grep -nE "fn flat2|Pass::new\(|\.reshape\(" crates/runtime/src/engine.rs; then
+  echo "FAIL: the interpreter derives a pass from the schedule again, or copies an operand to change its shape" >&2
+  exit 1
+fi
+cargo test -q --release -p esti-runtime --test alloc
+cargo test -q --release -p esti-runtime --lib -- the_buffer_plan a_pass_after_a_larger_one
+ESTI_DISABLE_SIMD=1 cargo test -q --release -p esti-runtime --test alloc
+ESTI_DISABLE_SIMD=1 cargo test -q --release -p esti-runtime --lib -- the_buffer_plan a_pass_after_a_larger_one
+taskset -c 0 cargo test -q --release -p esti-runtime --test alloc
+taskset -c 0 cargo test -q --release -p esti-runtime --lib -- the_buffer_plan a_pass_after_a_larger_one
+
 echo "== frozen benchmark: builds against the workspace crates, oracle passes =="
 # benchmark/ is its own [workspace], so nothing above compiles it: a pub its
 # probes use (KvCache::read_slot, attention_over_cache, ops::softmax_base2,

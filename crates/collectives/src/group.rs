@@ -5,7 +5,9 @@
 //! *generation parity* (a member's calls alternate between two mailboxes)
 //! and arrives at the group's barrier, without waiting for anyone.
 //! [`CommGroup::complete`] awaits the barrier generation, reads every
-//! peer's deposit of that parity by reference, and counts the member done;
+//! peer's deposit of that parity by reference — a dense result straight
+//! into the caller's buffer, no peer's deposit sliced or copied first —
+//! and counts the member done;
 //! the last member to finish reading a generation empties that parity's
 //! mailboxes. The blocking collectives ([`CommGroup::all_reduce`] and the
 //! rest) are post, then complete.
@@ -147,19 +149,20 @@ impl Received {
     }
 }
 
-/// A call one member has posted and not yet completed.
+/// A call one member has posted and not yet completed: `read` turns the
+/// released deposits into the result.
 #[must_use = "a posted collective must be completed"]
 pub struct Posted {
     op: CollectiveOp,
+    read: Read,
     flight: Flight,
 }
 
 enum Flight {
-    /// A group of one: the result is already read.
-    Done(Received),
-    /// Deposited at `parity` and arrived at the barrier; `read` turns the
-    /// released deposits into the result.
-    Arrived { parity: usize, arrival: Arrival, read: Read },
+    /// A group of one: its own deposit, read on completion.
+    Solo(Arc<Deposit>),
+    /// Deposited at `parity` and arrived at the barrier.
+    Arrived { parity: usize, arrival: Arrival },
 }
 
 /// How a member reads the rank-ordered deposits of a released generation.
@@ -181,19 +184,58 @@ enum Read {
 }
 
 impl Read {
-    fn apply(self, all: &[Arc<Deposit>], rank: usize) -> Received {
+    /// The result of reading `all`, a dense one written into `buf` straight
+    /// from the deposits: concatenated, folded in ascending rank order, or
+    /// cut, with no peer's deposit sliced or copied first.
+    fn apply(self, all: &[Arc<Deposit>], rank: usize, buf: Vec<f32>) -> Received {
+        let mut out = buf;
+        out.clear();
         Received::Tensor(match self {
             Read::Parts => return Received::Parts(all.iter().map(|d| d.dense().clone()).collect()),
             Read::Quant => return Received::Quant(all.iter().map(|d| d.quant().clone()).collect()),
-            Read::Concat(dim) => Tensor::concat(&all.iter().map(|d| d.dense()).collect::<Vec<_>>(), dim),
+            Read::Concat(dim) => Tensor::concat_into(&all.iter().map(|d| d.dense()).collect::<Vec<_>>(), dim, out),
             Read::Slice { dim, part } => {
-                let mine = |d: &Arc<Deposit>| d.dense().slice(dim, rank * part, part);
-                rank_sum(mine(&all[0]), all[1..].iter().map(mine))
+                let mut sum = all[0].dense().slice_into(dim, rank * part, part, out);
+                for d in &all[1..] {
+                    add_slice(&mut sum, d.dense(), dim, rank * part);
+                }
+                sum
             }
-            Read::Sum => rank_sum(all[0].dense().clone(), all[1..].iter().map(|d| d.dense())),
+            Read::Sum => {
+                let first = all[0].dense();
+                out.reserve_exact(first.numel());
+                out.extend_from_slice(first.data());
+                let mut sum = Tensor::from_vec(first.shape().to_vec(), out);
+                for d in &all[1..] {
+                    ops::add_assign(&mut sum, d.dense());
+                }
+                sum
+            }
             Read::Transpose { split, concat, part } => {
-                let mine: Vec<Tensor> = all.iter().map(|d| d.dense().slice(split, rank * part, part)).collect();
-                Tensor::concat(&mine.iter().collect::<Vec<_>>(), concat)
+                let shape = all[0].dense().shape();
+                // One deposit's share: `part` wide along `split`, from `rank·part`.
+                let mut piece = shape.to_vec();
+                piece[split] = part;
+                let mut start = vec![0; shape.len()];
+                start[split] = rank * part;
+                // Output order: each index over the dims before `concat`, then
+                // every rank's share of the dims from `concat` on.
+                let mut extent = piece.clone();
+                extent[..concat].fill(1);
+                let outer: usize = piece[..concat].iter().product();
+                out.reserve_exact(outer * piece[concat..].iter().product::<usize>() * all.len());
+                for o in 0..outer {
+                    let mut rest = o;
+                    for d in (0..concat).rev() {
+                        start[d] = rest % piece[d] + if d == split { rank * part } else { 0 };
+                        rest /= piece[d];
+                    }
+                    for dep in all {
+                        extend_box(&mut out, dep.dense(), &start, &extent);
+                    }
+                }
+                piece[concat] *= all.len();
+                Tensor::from_vec(piece, out)
             }
         })
     }
@@ -464,13 +506,13 @@ impl CommGroup {
             meta,
         });
         if k == 1 {
-            // A group of one reads its own deposit at once.
-            return Posted { op, flight: Flight::Done(read.apply(&[mine], self.rank)) };
+            // A group of one has no peer to wait for.
+            return Posted { op, read, flight: Flight::Solo(mine) };
         }
         let parity = usize::from(generation % 2 == 1);
         *self.shared.slots[parity][self.rank].lock().unwrap_or_else(PoisonError::into_inner) = Some(mine);
         match self.shared.barrier.arrive(self.deadline.get()) {
-            Ok(arrival) => Posted { op, flight: Flight::Arrived { parity, arrival, read } },
+            Ok(arrival) => Posted { op, read, flight: Flight::Arrived { parity, arrival } },
             Err(err) => std::panic::panic_any(err),
         }
     }
@@ -482,6 +524,12 @@ impl CommGroup {
     /// reference, and counts this member done reading. The last member to
     /// finish reading empties the parity's mailboxes, so no payload outlives
     /// its collective.
+    ///
+    /// A dense result (a gather's concatenation, a reduction's sum or this
+    /// member's slice of it, an all-to-all's share) is written into `buf`,
+    /// grown if short, straight from the deposits: a caller that keeps its
+    /// buffers across calls reads without allocating. A parts read leaves
+    /// `buf` unused.
     ///
     /// # Panics
     ///
@@ -495,16 +543,17 @@ impl CommGroup {
     // a runtime fault. Faults surface as the await's error.
     #[allow(clippy::expect_used)]
     #[must_use]
-    pub fn complete(&self, posted: Posted) -> Received {
-        let (parity, arrival, read) = match posted.flight {
-            Flight::Done(out) => return out,
-            Flight::Arrived { parity, arrival, read } => (parity, arrival, read),
+    pub fn complete(&self, posted: Posted, buf: Vec<f32>) -> Received {
+        let Posted { op, read, flight } = posted;
+        let (parity, arrival) = match flight {
+            Flight::Solo(mine) => return read.apply(&[mine], self.rank, buf),
+            Flight::Arrived { parity, arrival } => (parity, arrival),
         };
         let t0 = Instant::now();
         if let Err(err) = self.shared.barrier.await_generation(arrival) {
             std::panic::panic_any(err);
         }
-        self.note_time(posted.op, t0);
+        self.note_time(op, t0);
         let all: Vec<Arc<Deposit>> = self.shared.slots[parity]
             .iter()
             .map(|s| {
@@ -513,16 +562,16 @@ impl CommGroup {
             })
             .collect();
         self.debug_check_agreement(&all);
-        let out = read.apply(&all, self.rank);
+        let out = read.apply(&all, self.rank, buf);
         drop(all);
         self.release(parity);
         out
     }
 
     /// One blocking collective: [`post`](Self::post), then
-    /// [`complete`](Self::complete).
+    /// [`complete`](Self::complete) into a new buffer.
     fn call(&self, call: Call<'_>) -> Received {
-        self.complete(self.post(call))
+        self.complete(self.post(call), Vec::new())
     }
 
     /// Counts this member done reading the generation in flight at
@@ -720,14 +769,34 @@ impl CommGroup {
     }
 }
 
-/// Adds `rest` into `sum` in ascending rank order: each element sees the
-/// serial add chain `p₀ + p₁ + p₂ + …` from rank 0's deposit, which fixes
+/// `sum += src.slice(dim, start, sum.dim(dim))`, read in place: the next
+/// link of a slice's rank-ordered add chain `p₀ + p₁ + p₂ + …`, which fixes
 /// the result's bits.
-fn rank_sum<T: std::borrow::Borrow<Tensor>>(mut sum: Tensor, rest: impl Iterator<Item = T>) -> Tensor {
-    for p in rest {
-        ops::add_assign(&mut sum, p.borrow());
+fn add_slice(sum: &mut Tensor, src: &Tensor, dim: usize, start: usize) {
+    let inner: usize = src.shape()[dim + 1..].iter().product();
+    let (run, stride) = (sum.dim(dim) * inner, src.dim(dim) * inner);
+    for (o, dst) in sum.data_mut().chunks_mut(run.max(1)).enumerate() {
+        let from = o * stride + start * inner;
+        for (d, &s) in dst.iter_mut().zip(&src.data()[from..from + run]) {
+            *d += s;
+        }
     }
-    sum
+}
+
+/// Appends the box of `t` from `start`, `extent` wide along each dim, to
+/// `out` in row-major order.
+fn extend_box(out: &mut Vec<f32>, t: &Tensor, start: &[usize], extent: &[usize]) {
+    fn walk(out: &mut Vec<f32>, data: &[f32], shape: &[usize], start: &[usize], extent: &[usize]) {
+        if shape.len() == 1 {
+            out.extend_from_slice(&data[start[0]..start[0] + extent[0]]);
+            return;
+        }
+        let inner: usize = shape[1..].iter().product();
+        for i in start[0]..start[0] + extent[0] {
+            walk(out, &data[i * inner..(i + 1) * inner], &shape[1..], &start[1..], &extent[1..]);
+        }
+    }
+    walk(out, t.data(), t.shape(), start, extent);
 }
 
 #[cfg(test)]

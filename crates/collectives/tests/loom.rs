@@ -164,9 +164,9 @@ fn one_thread_posts_for_two_members_then_completes() {
         let g2 = members.remove(2);
         let g1 = members.remove(1);
         let g0 = members.remove(0);
-        let h = loom::thread::spawn(move || sum(g2.complete(post_rank(&g2))));
+        let h = loom::thread::spawn(move || sum(g2.complete(post_rank(&g2), Vec::new())));
         let (p0, p1) = (post_rank(&g0), post_rank(&g1));
-        let (s0, s1) = (sum(g0.complete(p0)), sum(g1.complete(p1)));
+        let (s0, s1) = (sum(g0.complete(p0, Vec::new())), sum(g1.complete(p1, Vec::new())));
         for out in [s0, s1, h.join().expect("member 2")] {
             assert_eq!(out, [6.0]);
         }
@@ -184,9 +184,9 @@ fn completing_a_member_before_posting_its_executor_mate_deadlocks() {
         let g2 = members.remove(2);
         let g1 = members.remove(1);
         let g0 = members.remove(0);
-        let _h = loom::thread::spawn(move || sum(g2.complete(post_rank(&g2))));
-        let s0 = sum(g0.complete(post_rank(&g0)));
-        let s1 = sum(g1.complete(post_rank(&g1)));
+        let _h = loom::thread::spawn(move || sum(g2.complete(post_rank(&g2), Vec::new())));
+        let s0 = sum(g0.complete(post_rank(&g0), Vec::new()));
+        let s1 = sum(g1.complete(post_rank(&g1), Vec::new()));
         assert_eq!((s0, s1), (vec![6.0], vec![6.0]));
     });
 }

@@ -150,6 +150,13 @@ impl KvCache {
 
     fn ensure_shape(&mut self, batch: usize, width: usize) {
         if self.tables.is_empty() {
+            if width != self.width {
+                // A cleared pool's pages are sized for its old width.
+                self.pages.clear();
+                self.refs.clear();
+                self.keys.clear();
+                self.free.clear();
+            }
             self.tables = vec![Vec::new(); batch];
             self.lens.iter_mut().for_each(|l| *l = vec![0; batch]);
             self.width = width;
@@ -539,10 +546,18 @@ impl KvCache {
         }
     }
 
-    /// Drops all cached tokens — the whole pool and registry — keeping the
-    /// layer count and page size.
+    /// Drops all cached tokens: every page goes back on the free list, and
+    /// the prefix registry, page keys, refcounts and block tables reset. The
+    /// pages keep their buffers, so refilling the cache to the same shape
+    /// allocates no page.
     pub fn clear(&mut self) {
-        *self = KvCache::paged(self.n_layers, self.page_size);
+        self.refs.fill(0);
+        self.keys.fill(None);
+        self.free.clear();
+        self.free.extend((0..self.pages.len()).rev());
+        self.registry.clear();
+        self.tables.clear();
+        self.lens.iter_mut().for_each(Vec::clear);
     }
 }
 
@@ -684,6 +699,38 @@ mod tests {
         c.clear();
         assert!(c.is_empty());
         assert_eq!(c.n_layers(), 1);
+    }
+
+    #[test]
+    fn clear_keeps_the_page_pool_for_a_refill() {
+        // Three rows of six positions at page 4: two pages a row. Clearing
+        // frees all six; refilling to the same shape takes them back off the
+        // free list, and the refill reads its own values.
+        let mut c = KvCache::paged(2, 4);
+        let fill = |c: &mut KvCache, v: f32| {
+            let t = Tensor::full(vec![3, 6, 2], v);
+            for layer in 0..2 {
+                c.append(layer, &t, &t.scale(-1.0));
+            }
+        };
+        fill(&mut c, 1.0);
+        let full = c.page_stats().pages_allocated;
+        assert_eq!(full, 6);
+        c.clear();
+        let st = c.page_stats();
+        assert!(c.is_empty());
+        assert_eq!((st.pages_live, st.pages_free, st.pages_allocated), (0, full, full));
+        fill(&mut c, 2.0);
+        let st = c.page_stats();
+        assert_eq!((st.pages_live, st.pages_allocated), (full, full), "the refill reuses the pool");
+        assert_eq!(c.read_slot(1, 2).1.data(), &[-2.0; 12]);
+        // A prompt registered before a clear is forgotten with it.
+        let kv = layer_kv(2, 0.0, 4, 2);
+        c.clear();
+        c.insert_row_shared(0, 2, &kv, &[1, 2, 3, 4]);
+        c.clear();
+        c.insert_row_shared(1, 2, &kv, &[1, 2, 3, 4]);
+        assert_eq!(c.page_stats().pages_shared, 0);
     }
 
     #[test]

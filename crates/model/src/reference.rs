@@ -303,14 +303,34 @@ pub fn attention_over_rows(
     layer: usize,
     d_head: usize,
 ) -> Tensor {
+    let mut out = Tensor::zeros(q.shape().to_vec());
+    attention_over_rows_into(q, cache, rows, layer, d_head, &mut out);
+    out
+}
+
+/// [`attention_over_rows`] accumulated into `out` (shaped like `q`), which
+/// the caller zeroes first.
+///
+/// # Panics
+///
+/// As [`attention_over_rows`], or if `out` is not shaped like `q`.
+pub fn attention_over_rows_into(
+    q: &Tensor,
+    cache: &KvCache,
+    rows: &[usize],
+    layer: usize,
+    d_head: usize,
+    out: &mut Tensor,
+) {
     let (b, l_q, qw) = (q.dim(0), q.dim(1), q.dim(2));
     let lens = cache.row_lens(layer);
     assert_eq!(rows.len(), b, "one cache row per batch row");
+    assert_eq!(out.shape(), q.shape(), "attention output shape mismatch");
     let kw = cache.width();
     assert!(qw.is_multiple_of(d_head) && kw.is_multiple_of(d_head), "head width mismatch");
     let (hq, hkv) = (qw / d_head, kw / d_head);
     let scale = 1.0 / (d_head as f32).sqrt();
-    let mut out = vec![0.0f32; b * l_q * qw];
+    let out = out.data_mut();
     let (mut qt, mut scores, mut max, mut sum) = (Vec::new(), Vec::new(), Vec::new(), Vec::new());
     for (bi, &row) in rows.iter().enumerate() {
         let l_k = lens[row];
@@ -399,9 +419,9 @@ pub fn attention_over_rows(
                             let (p, v) = (&p_run[l0..], &v_run[g * d_head + c0..]);
                             let offs = std::array::from_fn(|r| at(l0 + r.min(mr - 1)) + c0);
                             if d_head - c0 >= NR {
-                                pv_tile(p, lp, v, kw, NR, &mut out, &offs, mr);
+                                pv_tile(p, lp, v, kw, NR, out, &offs, mr);
                             } else {
-                                pv_tile(p, lp, v, kw, d_head - c0, &mut out, &offs, mr);
+                                pv_tile(p, lp, v, kw, d_head - c0, out, &offs, mr);
                             }
                         }
                     }
@@ -410,7 +430,6 @@ pub fn attention_over_rows(
             }
         }
     }
-    Tensor::from_vec(vec![b, l_q, qw], out)
 }
 
 /// `scores[jj][l] = (Σ_d qt[d][l] · k[jj][d]) · scale` for up to `KT` keys ×
@@ -487,21 +506,29 @@ fn ln3(x: &Tensor, gain: &Tensor) -> Tensor {
 /// weight shards.
 #[must_use]
 pub fn mm3(x: &Tensor, w: &Tensor) -> Tensor {
-    let (b, l, e) = (x.dim(0), x.dim(1), x.dim(2));
-    let flat = x.reshape(vec![b * l, e]);
-    let out = ops::matmul(&flat, w);
-    let d = w.dim(1);
-    out.into_reshape(vec![b, l, d])
+    let mut out = Tensor::zeros(vec![x.dim(0), x.dim(1), w.dim(1)]);
+    ops::matmul_into(x, w, &mut out);
+    out
 }
 
 /// GELU (tanh approximation), used by the Megatron-style MLP.
 #[must_use]
 pub fn gelu(t: &Tensor) -> Tensor {
-    t.map(|v| {
-        0.5 * v
-            * (1.0
-                + ((2.0 / std::f32::consts::PI).sqrt() * (v + 0.044715 * v * v * v)).tanh())
-    })
+    let mut out = Tensor::zeros(t.shape().to_vec());
+    gelu_into(t, &mut out);
+    out
+}
+
+/// [`gelu`] into `out` (shaped like `t`), overwriting every element.
+///
+/// # Panics
+///
+/// Panics if `out` is not shaped like `t`.
+pub fn gelu_into(t: &Tensor, out: &mut Tensor) {
+    assert_eq!(out.shape(), t.shape(), "gelu output shape mismatch");
+    for (o, &v) in out.data_mut().iter_mut().zip(t.data()) {
+        *o = 0.5 * v * (1.0 + ((2.0 / std::f32::consts::PI).sqrt() * (v + 0.044715 * v * v * v)).tanh());
+    }
 }
 
 #[cfg(test)]

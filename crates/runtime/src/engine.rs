@@ -13,16 +13,27 @@
 //!
 //! The engine builds and verifies its layout's [`Schedule`] once, so an
 //! invalid plan fails with the offending step instead of a shape panic in
-//! an executor. Each executor then *runs* that schedule for its chips
-//! (`run_schedule`): the layer steps once per model layer, then the final
-//! steps, every step on each of its chips before the next step. An einsum
-//! is a [`ShardMat::mm3`] (or, over an all-gather's parts, one block or
-//! accumulator per source rank), a local op its kernel, and a collective
-//! two halves on each chip's group over the step's axes: the executor posts
-//! for every one of its chips, then completes each. All posts of a step
-//! precede every wait on every executor, so the lockstep cannot deadlock;
-//! deposits, rank-ordered folds and per-chip fault counters are those of a
-//! thread per chip, so the bits are too.
+//! an executor, and compiles it, once, into a `Program`: one instruction
+//! per step, each collective's group resolved to an index into every
+//! chip's groups, and a buffer plan that gives every step value a slot by
+//! liveness (values whose intervals `[k, last_read[k]]` are disjoint share
+//! one; the residual stream alternates between two). In a pass each chip
+//! allocates one buffer per slot, at the slot's first use, and every layer
+//! writes its values into the buffers the first layer's took: a kernel that
+//! overwrites every element takes its slot as it is, one that accumulates
+//! zeroes it first.
+//!
+//! Each executor then *runs* the program for its chips (`run_schedule`):
+//! the layer steps once per model layer, then the final steps, every step
+//! on each of its chips before the next step. An einsum is a matmul into
+//! its slot (or, over an all-gather's parts, one column block or
+//! accumulator per source rank), a local op its write-into kernel, and a
+//! collective two halves on each chip's group over the step's axes: the
+//! executor posts for every one of its chips, then completes each, reading
+//! a dense result into the step's slot. All posts of a step precede every
+//! wait on every executor, so the lockstep cannot deadlock; deposits,
+//! rank-ordered folds and per-chip fault counters are those of a thread
+//! per chip, so the bits are too.
 
 // Vetted against the crate's no-unwrap/no-expect discipline: every
 // `expect`/`unwrap` below asserts a sharding-arithmetic or protocol
@@ -47,7 +58,7 @@ use esti_core::schedule::{
     WireFormat,
 };
 use esti_hal::DType;
-use esti_model::reference::{attention_over_rows, gelu};
+use esti_model::reference::{attention_over_rows_into, gelu_into};
 use esti_model::{KvCache, ModelConfig, PageStats, PositionKind, ReferenceModel};
 use esti_tensor::pool::{with_worker_pool, ChipPool};
 use esti_tensor::{ops, Tensor};
@@ -144,8 +155,10 @@ pub struct PartitionedEngine {
     cfg: ModelConfig,
     layout: Layout,
     /// The layout's verified schedule, wire formats marked for the stored
-    /// weights: what every chip runs.
+    /// weights.
     schedule: Schedule,
+    /// The schedule compiled once for the chips: what every chip runs.
+    program: Program,
     chips: Vec<ChipState>,
     stats: Arc<TrafficStats>,
     /// Full embedding table, used host-side for the input lookup.
@@ -257,17 +270,11 @@ impl PartitionedEngine {
         // One group per axis set the schedule's collectives name, plus all
         // chips; members rank in chip order.
         let stats = TrafficStats::new();
-        let mut axes = vec![AxisSet::all()];
-        for step in schedule.collectives() {
-            if let Step::Collective { axes: a, .. } = step {
-                if !axes.contains(a) {
-                    axes.push(*a);
-                }
-            }
-        }
+        let axes = group_axes(&schedule);
+        let program = Program::compile(&schedule, &cfg, &axes);
         let torus = schedule.torus;
         let mut groups: Vec<Vec<(AxisSet, CommGroup)>> = (0..n).map(|_| Vec::new()).collect();
-        for a in axes {
+        for &a in &axes {
             for members in torus.groups(a) {
                 let handles = CommGroup::create_with_stats(members.len(), Arc::clone(&stats));
                 for (c, g) in members.into_iter().zip(handles) {
@@ -323,6 +330,7 @@ impl PartitionedEngine {
             cfg,
             layout,
             schedule,
+            program,
             chips,
             stats,
             ages: Vec::new(),
@@ -1073,9 +1081,8 @@ impl PartitionedEngine {
                 (local.collect(), self.cache_rows(chip, batch))
             })
             .collect();
-        let pass = Pass::new(&self.schedule, &self.cfg, l);
         let mut results: Vec<Result<Option<Tensor>, ChipPanic>> = (0..n).map(|_| Ok(None)).collect();
-        let (x, bases, pass, pools) = (&x, &bases, &pass, &self.pools);
+        let (x, bases, program, pools) = (&x, &bases, &self.program, &self.pools);
         let t = self.executors.workers();
         let (mut chips, mut out) = (self.chips.as_mut_slice(), results.as_mut_slice());
         let mut tasks: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::with_capacity(t);
@@ -1092,10 +1099,10 @@ impl PartitionedEngine {
                     .zip(kv)
                     .map(|(chip, (rows, batch))| {
                         let pool = pools.get(chip.rank).cloned();
-                        Lane::new(pass, chip, (rows, *batch), pool, x, bases)
+                        Lane::new(program, chip, (rows, *batch), pool, x, bases)
                     })
                     .collect();
-                run_schedule(pass, &mut lanes);
+                run_schedule(program, &mut lanes);
                 for (lane, done) in lanes.into_iter().zip(done) {
                     *done = lane.finish();
                 }
@@ -1184,8 +1191,10 @@ impl StepCache<'_> {
         self.cache.append_rows(layer, self.rows, self.batch, k, v);
     }
 
-    fn attend(&self, q: &Tensor, layer: usize, d_head: usize) -> Tensor {
-        attention_over_rows(q, self.cache, self.rows, layer, d_head)
+    /// Attention of `q` over the step's rows into `out`, which the caller
+    /// zeroed.
+    fn attend_into(&self, q: &Tensor, layer: usize, d_head: usize, out: &mut Tensor) {
+        attention_over_rows_into(q, self.cache, self.rows, layer, d_head, out);
     }
 }
 
@@ -1254,7 +1263,7 @@ fn classify_panic(rank: usize, payload: &ChipPanic) -> (u8, EngineError) {
 }
 
 // ---------------------------------------------------------------------------
-// the schedule interpreter
+// the compiled program
 //
 // Two rules fix the bits of every contraction over data that arrives from
 // peers:
@@ -1267,14 +1276,66 @@ fn classify_panic(rank: usize, payload: &ChipPanic) -> (u8, EngineError) {
 //    products accumulate unscaled and each scale vector is applied exactly
 //    once: a gathered weight's per-rank scales to that rank's accumulator
 //    before the fold, a local weight's scales to the folded sum.
+//
+// One rule fixes where every value lives, the buffer plan: each value is
+// written into a slot's buffer, and the slot is free again once the value's
+// last reader has run. A step never reads the stale contents an earlier
+// occupant left: a kernel that overwrites every element takes the slot as
+// it is, one that accumulates zeroes it first.
 // ---------------------------------------------------------------------------
 
 /// What a schedule step hands on: an activation, or an all-gather's
-/// rank-ordered parts (weight shards, or `[B·L, ·]` activation blocks),
+/// rank-ordered parts (weight shards, or `[B, L, ·]` activation blocks),
 /// which only an einsum reads.
 enum Val {
     Act(Tensor),
     Parts(Vec<ShardMat>),
+}
+
+/// How an einsum reads its operands, fixed by which of them arrive as an
+/// all-gather's rank-ordered parts.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Mm {
+    /// Both whole: one [`ShardMat::mm3_into`].
+    Whole,
+    /// The weight's parts split its output columns: each writes its own
+    /// column block, an int8 part scaled as it arrives.
+    Cols,
+    /// The weight's parts split the contraction: rank `r`'s part against
+    /// its window of the activation's columns, read in place.
+    FoldW,
+    /// The activation's parts split the contraction: rank `r`'s part
+    /// against its rows of the stored weight.
+    FoldX,
+}
+
+/// What a collective step posts, its dims resolved for the runtime's
+/// `[B, L, ·]` activations (heads and head dims flattened into dim 2).
+#[derive(Debug, Clone, Copy)]
+enum Exchange {
+    /// A stored weight, gathered into rank-ordered parts in its wire
+    /// format, logically along its matrix dim `dim`.
+    Weight { role: Role, dim: usize, wire: WireFormat },
+    /// An activation an einsum reads as rank-ordered parts.
+    Parts,
+    Gather(usize),
+    AllReduce,
+    ReduceScatter(usize),
+    AllToAll { split: usize, concat: usize },
+}
+
+/// One compiled step.
+enum Instr {
+    /// An einsum writing `[B, L, width]`.
+    Einsum { x: Operand, w: Operand, mm: Mm, width: usize },
+    /// A local op; `gained` is the batch axes its output gains over its
+    /// input (over the boundary, for attention's positions), whose groups
+    /// pick the chip's rows. An elementwise op whose input `inputs[i]` dies
+    /// here, shaped like its output, overwrites it (`in_place: Some(i)`).
+    Local { op: LocalOp, inputs: Vec<Operand>, gained: AxisSet, in_place: Option<usize> },
+    /// A collective on the chip's group `group` (an index into
+    /// `ChipState::groups`).
+    Collective { send: Exchange, input: Operand, group: usize },
 }
 
 /// The operands `step` reads.
@@ -1285,6 +1346,299 @@ fn operands(step: &Step) -> impl Iterator<Item = Operand> + '_ {
         Step::Local { inputs, .. } => (None, None, inputs),
     };
     a.into_iter().chain(b).chain(rest).copied()
+}
+
+/// The batch axes of `t`: those its `B` dim shards over.
+fn b_axes(t: &SymTensor) -> AxisSet {
+    t.spec.dims().iter().find(|d| d.name == 'B').map_or(AxisSet::empty(), |d| d.axes)
+}
+
+/// The axes of the groups every chip of `s` belongs to, in the order
+/// `ChipState::groups` holds them: all chips, then each axis set the
+/// schedule's collectives name, first use first.
+fn group_axes(s: &Schedule) -> Vec<AxisSet> {
+    let mut axes = vec![AxisSet::all()];
+    for step in s.collectives() {
+        if let Step::Collective { axes: a, .. } = step {
+            if !axes.contains(a) {
+                axes.push(*a);
+            }
+        }
+    }
+    axes
+}
+
+/// The layout's schedule compiled for the engine's chips, once, when the
+/// engine is built: every pass runs it and derives nothing from the
+/// schedule.
+struct Program {
+    cfg: ModelConfig,
+    /// The layer steps, then the final steps.
+    instrs: Vec<Instr>,
+    /// Where the final steps begin.
+    split: usize,
+    /// The groups the batch splits over, outermost first — the order the
+    /// schedule shards it in (2D batch attention splits it over yz, then
+    /// x) — by axes and by index into `ChipState::groups`.
+    nest: Vec<(AxisSet, usize)>,
+    /// The step values each step reads last, whose buffers then go back to
+    /// their slots.
+    dies: Vec<Vec<usize>>,
+    /// The slots each step uses last, whose buffers are freed once the step
+    /// has run for the last time in a pass.
+    frees: Vec<Vec<usize>>,
+    /// Whether the final steps communicate, so that every chip runs them.
+    talks: bool,
+    /// The boundary dim a chip cuts its block of the pass input along, and
+    /// the group whose rank picks the block.
+    cut: Option<(usize, usize)>,
+    /// The boundary's batch axes: whose groups pick the chip's rows.
+    rows: AxisSet,
+    /// The group whose rank 0 returns the logits: the one they are
+    /// replicated over.
+    emit: usize,
+    slots: BufferPlan,
+}
+
+/// Where every value of a pass lives: slots of a lane's buffers
+/// (`Lane::slots`), coloured by liveness. Two values share a slot only if
+/// their intervals `[k, last_read[k]]` are disjoint; largest first, each
+/// takes the first slot it overlaps nothing in, so a slot is as large as
+/// its first value and smaller ones fill the gaps. Slots are not split by
+/// per-token width: every value's size scales with the pass's `B·L` alike,
+/// so one plan by size serves every pass.
+struct BufferPlan {
+    /// Each step's value's slot; `None` for an all-gather's parts and for
+    /// a layer's output, which goes to a residual slot.
+    value: Vec<Option<usize>>,
+    /// Each step's scratch slots: attention's roped `q`, then roped `k`.
+    scratch: Vec<Vec<usize>>,
+    /// The two slots the residual stream alternates between: layer `li`
+    /// reads its input from `resid[li % 2]` (or the pass input, borrowed,
+    /// where the chip keeps all of it) and writes its output to
+    /// `resid[(li + 1) % 2]`.
+    resid: [usize; 2],
+    /// Each slot's size: its largest value's elements at the schedule's
+    /// own batch and length.
+    sizes: Vec<usize>,
+}
+
+impl Program {
+    /// Compiles verified schedule `s` of `cfg` for chips whose groups span
+    /// `axes`, in that order.
+    fn compile(s: &Schedule, cfg: &ModelConfig, axes: &[AxisSet]) -> Self {
+        let steps: Vec<&Step> = s.layer.iter().chain(&s.final_steps).collect();
+        let (n, split) = (steps.len(), s.layer.len());
+        let tensor = |r: Operand| s.tensor(r).expect("a verified schedule's operands exist");
+        let group = |a: AxisSet| axes.iter().position(|&g| g == a).expect("a group per axes");
+        let mut nest: Vec<(AxisSet, usize)> = Vec::new();
+        for t in std::iter::once(&s.boundary).chain(steps.iter().map(|st| st.output())) {
+            let held = nest.iter().fold(AxisSet::empty(), |u, &(a, _)| u.union(a));
+            let new = b_axes(t).without(held);
+            if !new.is_empty() {
+                nest.push((new, group(new)));
+            }
+        }
+        let mut last_read: Vec<usize> = (0..n).collect();
+        let mut to_einsum = vec![false; n];
+        for (k, step) in steps.iter().enumerate() {
+            for r in operands(step) {
+                if let Operand::Step(j) = r {
+                    last_read[j] = k;
+                    to_einsum[j] |= matches!(step, Step::Einsum { .. });
+                }
+            }
+        }
+        // The dim an operand's rank-ordered parts split, where an all-gather
+        // hands them to the einsum reading it.
+        let parts = |r: Operand| match r {
+            Operand::Step(j) => match steps[j] {
+                Step::Collective { op: SymOp::AllGather { dim }, .. } if to_einsum[j] => Some(*dim),
+                _ => None,
+            },
+            _ => None,
+        };
+        // A value's elements per `B·L` token, and in all at the schedule's
+        // own shape.
+        let width = |t: &SymTensor| -> usize {
+            let local = t.local_shape(s.torus).expect("a verified schedule's shapes divide");
+            let dims = t.spec.dims().iter().zip(local);
+            dims.filter(|(d, _)| !matches!(d.name, 'B' | 'L')).map(|(_, w)| w).product()
+        };
+        let size = |t: &SymTensor| t.local_elements(s.torus).expect("a verified schedule's shapes divide");
+        let instrs: Vec<Instr> = steps
+            .iter()
+            .enumerate()
+            .map(|(k, step)| match step {
+                Step::Einsum { x, w, contract, output, .. } => {
+                    let mm = match (parts(*x), parts(*w)) {
+                        (None, None) => Mm::Whole,
+                        (None, Some(dim)) if !contract.contains(&dim) => Mm::Cols,
+                        (None, Some(_)) => Mm::FoldW,
+                        (Some(dim), None) if contract.contains(&dim) => Mm::FoldX,
+                        _ => panic!("{}: parts split a weight's columns or the contraction", step.label()),
+                    };
+                    Instr::Einsum { x: *x, w: *w, mm, width: width(output) }
+                }
+                Step::Local { op, inputs, output, .. } => {
+                    let from = if *op == LocalOp::Attention { &s.boundary } else { tensor(inputs[0]) };
+                    let dies_here = |r: &Operand| {
+                        matches!(*r, Operand::Step(j) if last_read[j] == k)
+                            && inputs.iter().filter(|&o| o == r).count() == 1
+                            && size(tensor(*r)) == size(output)
+                    };
+                    let elementwise = matches!(op, LocalOp::SwiGlu | LocalOp::Add) && k + 1 != split;
+                    let in_place = inputs.iter().position(dies_here).filter(|_| elementwise);
+                    let gained = b_axes(output).without(b_axes(from));
+                    Instr::Local { op: *op, inputs: inputs.clone(), gained, in_place }
+                }
+                Step::Collective { op, axes, input, wire, .. } => {
+                    let t = tensor(*input);
+                    let dim = |c: char| t.dim_index(c).expect("the tensor has the dim");
+                    let send = match (*op, *input) {
+                        (SymOp::AllGather { dim: d }, Operand::Weight(role)) if to_einsum[k] => {
+                            Exchange::Weight { role, dim: usize::from(dim(d) != 0), wire: *wire }
+                        }
+                        (SymOp::AllGather { .. }, _) if to_einsum[k] => Exchange::Parts,
+                        (SymOp::AllGather { dim: d }, _) => Exchange::Gather(dim(d).min(2)),
+                        (SymOp::AllReduce, _) => Exchange::AllReduce,
+                        (SymOp::ReduceScatter { dim: d }, _) => Exchange::ReduceScatter(dim(d).min(2)),
+                        (SymOp::AllToAll { split, concat }, _) => {
+                            Exchange::AllToAll { split: dim(split).min(2), concat: dim(concat).min(2) }
+                        }
+                    };
+                    Instr::Collective { send, input: *input, group: group(*axes) }
+                }
+            })
+            .collect();
+
+        // The buffer plan. Each buffer a pass needs is an item live over
+        // steps `[first, last]`: a step value (joined by the values ops in
+        // place write over it), or attention's roped `q` / `k`.
+        let mut items: Vec<(usize, usize, usize)> = Vec::new();
+        let mut item_of: Vec<Option<usize>> = vec![None; n];
+        let mut scratch_items: Vec<(usize, usize)> = Vec::new();
+        for (k, (step, instr)) in steps.iter().zip(&instrs).enumerate() {
+            if let Instr::Local { op: LocalOp::Attention, inputs, .. } = instr {
+                if cfg.position == PositionKind::Rope {
+                    for &r in &inputs[..2] {
+                        scratch_items.push((k, items.len()));
+                        items.push((k, k, size(tensor(r))));
+                    }
+                }
+            }
+            let held = !matches!(instr, Instr::Collective { send: Exchange::Weight { .. } | Exchange::Parts, .. });
+            if !held || k + 1 == split {
+                continue;
+            }
+            let over = match instr {
+                Instr::Local { inputs, in_place: Some(i), .. } => match inputs[*i] {
+                    Operand::Step(j) => item_of[j],
+                    _ => None,
+                },
+                _ => None,
+            };
+            let it = over.unwrap_or_else(|| {
+                items.push((k, k, 0));
+                items.len() - 1
+            });
+            items[it].1 = last_read[k];
+            items[it].2 = items[it].2.max(size(step.output()));
+            item_of[k] = Some(it);
+        }
+        // Largest first, each item takes the first slot it overlaps nothing
+        // in, else a new one. The layer steps and the final steps keep to
+        // slots of their own, so the layers' buffers are freed before the
+        // final steps take theirs; the residual pair is reserved for the
+        // layers.
+        let e = size(&s.boundary);
+        let mut slots = BufferPlan { value: vec![None; n], scratch: vec![Vec::new(); n], resid: [0, 1], sizes: vec![e, e] };
+        let mut held: Vec<Vec<(usize, usize)>> = vec![vec![(0, split.saturating_sub(1))]; 2];
+        let mut order: Vec<usize> = (0..items.len()).collect();
+        order.sort_by_key(|&it| (std::cmp::Reverse(items[it].2), items[it].0));
+        let mut slot_of = vec![0; items.len()];
+        for it in order {
+            let (first, last, size) = items[it];
+            let free = |iv: &Vec<(usize, usize)>| {
+                iv.iter().all(|&(a, b)| (last < a || b < first) && (a < split) == (first < split))
+            };
+            let slot = (2..held.len()).find(|&s| free(&held[s])).unwrap_or_else(|| {
+                slots.sizes.push(size);
+                held.push(Vec::new());
+                held.len() - 1
+            });
+            held[slot].push((first, last));
+            slot_of[it] = slot;
+        }
+        for (value, it) in slots.value.iter_mut().zip(&item_of) {
+            *value = it.map(|it| slot_of[it]);
+        }
+        for &(k, it) in &scratch_items {
+            slots.scratch[k].push(slot_of[it]);
+        }
+        // A value dies at its last reader; a layer's output lives on as the
+        // residual stream, and the logits as the pass's result.
+        let mut dies = vec![Vec::new(); n];
+        for j in (0..n).filter(|&j| j + 1 != split && j + 1 != n) {
+            dies[last_read[j]].push(j);
+        }
+        // A slot's buffer is freed after its items' last step.
+        let mut frees = vec![Vec::new(); n];
+        for (slot, iv) in held.iter().enumerate() {
+            frees[iv.iter().map(|&(_, b)| b).max().unwrap_or(0)].push(slot);
+        }
+
+        let mut cut = s.boundary.spec.dims().iter().enumerate().filter(|(_, d)| !d.axes.is_empty());
+        let first_cut = cut.next().map(|(d, dim)| (d, group(dim.axes)));
+        assert!(cut.next().is_none(), "the residual stream is cut along one dim");
+        let sharded = b_axes(steps[n - 1].output());
+        Program {
+            cfg: cfg.clone(),
+            instrs,
+            split,
+            nest,
+            dies,
+            frees,
+            talks: s.final_steps.iter().any(|st| matches!(st, Step::Collective { .. })),
+            cut: first_cut,
+            rows: b_axes(&s.boundary),
+            emit: group(AxisSet::all().without(sharded)),
+            slots,
+        }
+    }
+
+    /// The slot step `k` of pass `li` writes: a layer's output goes to the
+    /// residual slot its input is not in.
+    fn out_slot(&self, li: usize, k: usize) -> Option<usize> {
+        if li < self.cfg.n_layers && k + 1 == self.split {
+            Some(self.slots.resid[(li + 1) % 2])
+        } else {
+            self.slots.value[k]
+        }
+    }
+
+    /// The rows of `n` batch rows a chip with `groups` keeps when they split
+    /// over `axes`: its share in each of those groups, outermost first.
+    fn share(&self, groups: &[(AxisSet, CommGroup)], n: usize, axes: AxisSet) -> std::ops::Range<usize> {
+        self.nest.iter().filter(|(a, _)| a.is_subset_of(axes)).fold(0..n, |r, &(_, g)| {
+            let g = &groups[g].1;
+            let k = r.len() / g.size();
+            r.start + g.rank() * k..r.start + (g.rank() + 1) * k
+        })
+    }
+}
+
+/// Slot `s`'s buffer as a `shape`d tensor, taken out of `slots` until its
+/// value dies: grown if short, its stale contents zeroed only if `zero`.
+fn take_slot(slots: &mut [Vec<f32>], s: usize, shape: Vec<usize>, zero: bool) -> Tensor {
+    let mut buf = std::mem::take(&mut slots[s]);
+    let n: usize = shape.iter().product();
+    if zero {
+        buf.clear();
+    }
+    buf.reserve_exact(n.saturating_sub(buf.len()));
+    buf.resize(n, 0.0);
+    Tensor::from_vec(shape, buf)
 }
 
 /// The stored weight `role` names: one of `layer`'s shards, or the
@@ -1303,93 +1657,73 @@ fn stored<'a>(layer: Option<&'a LayerShard>, embed_t: &'a ShardMat, role: Role) 
     }
 }
 
-/// Flattens `[B, L, D]` activations to `[B·L, D]` for the rank-2 kernels.
-fn flat2(x: &Tensor) -> Tensor {
-    let (b, l, d) = (x.dim(0), x.dim(1), x.dim(2));
-    x.reshape(vec![b * l, d])
-}
+/// Rows a fold's later ranks accumulate at a time: their accumulator is a
+/// block of the output, not all of it.
+const FOLD_ROWS: usize = 128;
 
-/// `x × w` for a weight whose rank-ordered `parts` split its output
-/// columns: each part writes its own column block, an int8 part scaled as
-/// it arrives.
-fn mm_cols(x: &Tensor, parts: &[ShardMat]) -> Tensor {
-    let w = parts[0].cols();
-    let mut out = Tensor::zeros(vec![x.dim(0), w * parts.len()]);
-    for (r, part) in parts.iter().enumerate() {
-        match part {
-            ShardMat::Dense(t) => ops::matmul_into_cols(x, t, &mut out, r * w),
-            ShardMat::Int8(q) => q.matmul_into_cols(x, &mut out, r * w),
+/// One source rank's part of a fold: `x[.., c0..c0+kc] × w[r0..r0+kc, :]`.
+type RankPart<'t> = (&'t Tensor, usize, &'t ShardMat, usize, usize);
+
+/// Rule 2 above: each source rank's part (an int8 `w` unscaled unless
+/// `scale`) — rank 0's straight into `out`, which the caller zeroed, and
+/// each later rank's, `FOLD_ROWS` rows at a time, into the zeroed `block`,
+/// then added to `out`: every element folds the ranks in ascending order,
+/// as the collectives do.
+fn fold_ranks(out: &mut Tensor, block: &mut Vec<f32>, ranks: &[RankPart<'_>], scale: bool) {
+    let n = out.dim(out.rank() - 1);
+    let m = out.numel().checked_div(n).unwrap_or(0);
+    let acc = |&(x, c0, w, r0, kc): &RankPart<'_>, rows: std::ops::Range<usize>, into: &mut Tensor| match w {
+        ShardMat::Dense(t) => ops::matmul_acc_window(x, rows, c0, t, r0, kc, into.data_mut()),
+        ShardMat::Int8(q) => {
+            q.matmul_acc_window(x, rows, c0, r0, kc, into.data_mut());
+            if scale {
+                q.apply_scales(into);
+            }
+        }
+    };
+    let Some((first, rest)) = ranks.split_first() else { return };
+    acc(first, 0..m, out);
+    for b0 in (0..m).step_by(FOLD_ROWS) {
+        let rows = b0..(b0 + FOLD_ROWS).min(m);
+        let span = rows.start * n..rows.end * n;
+        for part in rest {
+            let mut buf = std::mem::take(block);
+            buf.clear();
+            buf.resize(span.len(), 0.0);
+            let mut acc_r = Tensor::from_vec(vec![rows.len(), n], buf);
+            acc(part, rows.clone(), &mut acc_r);
+            for (o, &v) in out.data_mut()[span.clone()].iter_mut().zip(acc_r.data()) {
+                *o += v;
+            }
+            *block = acc_r.into_vec();
         }
     }
-    out
 }
 
-/// Rule 2 above: `xᵣ × wᵣ` for each source rank `r`, each into its own
-/// zeroed accumulator (`wᵣ` read from its row `r0`; an int8 `wᵣ` unscaled
-/// unless `scale`), folded in ascending rank order in rank 0's buffer — the
-/// reduction order the collectives use.
-fn fold_ranks<'a>(
-    ranks: impl Iterator<Item = (Cow<'a, Tensor>, &'a ShardMat, usize)>,
-    scale: bool,
-) -> Tensor {
-    ranks
-        .map(|(x, w, r0)| {
-            let mut acc = Tensor::zeros(vec![x.dim(0), w.cols()]);
-            match w {
-                ShardMat::Dense(t) => ops::matmul_acc_rows(&x, t, r0, &mut acc),
-                ShardMat::Int8(q) => {
-                    q.matmul_acc_rows(&x, r0, &mut acc);
-                    if scale {
-                        q.apply_scales(&mut acc);
-                    }
-                }
-            }
-            acc
-        })
-        .reduce(|mut out, p| {
-            ops::add_assign(&mut out, &p);
-            out
-        })
-        .expect("groups have at least one member")
-}
-
-/// Per-row sum and sum of squares of an `E`-sharded `[B, L, E/n]` stream:
-/// the partial moments `[B, L, 2]` a sharded layernorm all-reduces.
-fn moments(x: &Tensor) -> Tensor {
-    let mut out = Vec::with_capacity(x.dim(0) * x.dim(1) * 2);
-    for row in x.data().chunks(x.dim(2)) {
-        let sum: f32 = row.iter().sum();
-        let sumsq: f32 = row.iter().map(|v| v * v).sum();
-        out.extend([sum, sumsq]);
+/// Per-row sum and sum of squares of an `E`-sharded `[B, L, E/n]` stream
+/// into `out` (`[B, L, 2]`): the partial moments a sharded layernorm
+/// all-reduces.
+fn moments_into(x: &Tensor, out: &mut Tensor) {
+    for (row, m) in x.data().chunks(x.dim(2)).zip(out.data_mut().chunks_mut(2)) {
+        m[0] = row.iter().sum();
+        m[1] = row.iter().map(|v| v * v).sum();
     }
-    Tensor::from_vec(vec![x.dim(0), x.dim(1), 2], out)
 }
 
-/// Layernorm of an `E`-sharded `[B, L, E/n]` stream given its all-reduced
-/// moments `tot` over the full width `e`: the chip normalizes its own slice
-/// with its gain shard.
-fn normalize(x: &Tensor, tot: &Tensor, gain: &Tensor, e: usize) -> Tensor {
-    let ef = e as f32;
-    let mut out = x.clone();
-    for (row, m) in out.data_mut().chunks_mut(x.dim(2)).zip(tot.data().chunks(2)) {
+/// Layernorm of an `E`-sharded `[B, L, E/n]` stream into `out`, given its
+/// all-reduced moments `tot` over the full width `e`: the chip normalizes
+/// its own slice with its gain shard.
+fn normalize_into(x: &Tensor, tot: &Tensor, gain: &Tensor, e: usize, out: &mut Tensor) {
+    let (ef, w) = (e as f32, x.dim(2));
+    let rows = x.data().chunks(w).zip(out.data_mut().chunks_mut(w));
+    for ((row, o), m) in rows.zip(tot.data().chunks(2)) {
         let mean = m[0] / ef;
         let var = m[1] / ef - mean * mean;
         let inv = 1.0 / (var + 1e-6).sqrt();
-        for (v, g) in row.iter_mut().zip(gain.data()) {
-            *v = (*v - mean) * inv * g;
+        for ((o, &v), g) in o.iter_mut().zip(row).zip(gain.data()) {
+            *o = (v - mean) * inv * g;
         }
     }
-    out
-}
-
-/// The batch axes of `t`: those its `B` dim shards over.
-fn b_axes(t: &SymTensor) -> AxisSet {
-    t.spec.dims().iter().find(|d| d.name == 'B').map_or(AxisSet::empty(), |d| d.axes)
-}
-
-/// The group in `groups` over `axes`.
-fn group(groups: &[(AxisSet, CommGroup)], axes: AxisSet) -> &CommGroup {
-    &groups.iter().find(|g| g.0 == axes).expect("a group per axes").1
 }
 
 /// The activation operand `r` names: the residual stream `x`, or a live
@@ -1405,66 +1739,6 @@ fn act<'v>(x: &'v Tensor, vals: &'v [Option<Val>], r: Operand) -> &'v Tensor {
     }
 }
 
-/// What every chip derives alike from the schedule for one pass: computed
-/// once, shared by the executors.
-struct Pass<'a> {
-    s: &'a Schedule,
-    cfg: &'a ModelConfig,
-    /// The layer steps, then the final steps.
-    steps: Vec<&'a Step>,
-    /// The groups the batch splits over, outermost first: the order the
-    /// schedule shards it in (2D batch attention splits it over yz, then x).
-    nest: Vec<AxisSet>,
-    /// Each step value's last reader, after which the value is dropped.
-    last_read: Vec<usize>,
-    /// Whether an einsum reads each step's value (an all-gather then hands
-    /// it rank-ordered parts).
-    to_einsum: Vec<bool>,
-    /// Whether the final steps communicate, so that every chip runs them.
-    talks: bool,
-    /// Tokens per row.
-    l: usize,
-}
-
-impl<'a> Pass<'a> {
-    fn new(s: &'a Schedule, cfg: &'a ModelConfig, l: usize) -> Self {
-        let steps: Vec<&Step> = s.layer.iter().chain(&s.final_steps).collect();
-        let mut nest: Vec<AxisSet> = Vec::new();
-        for t in std::iter::once(&s.boundary).chain(steps.iter().map(|st| st.output())) {
-            let new = b_axes(t).without(nest.iter().fold(AxisSet::empty(), |u, &a| u.union(a)));
-            if !new.is_empty() {
-                nest.push(new);
-            }
-        }
-        let mut last_read = vec![0; steps.len()];
-        let mut to_einsum = vec![false; steps.len()];
-        for (k, step) in steps.iter().enumerate() {
-            for r in operands(step) {
-                if let Operand::Step(j) = r {
-                    last_read[j] = k;
-                    to_einsum[j] |= matches!(step, Step::Einsum { .. });
-                }
-            }
-        }
-        let talks = s.final_steps.iter().any(|st| matches!(st, Step::Collective { .. }));
-        Pass { s, cfg, steps, nest, last_read, to_einsum, talks, l }
-    }
-
-    fn tensor(&self, r: Operand) -> &'a SymTensor {
-        self.s.tensor(r).expect("a verified schedule's operands exist")
-    }
-
-    /// The rows of `n` batch rows a chip with `groups` keeps when they split
-    /// over `axes`: its share in each of those groups, outermost first.
-    fn share(&self, groups: &[(AxisSet, CommGroup)], n: usize, axes: AxisSet) -> std::ops::Range<usize> {
-        self.nest.iter().filter(|a| a.is_subset_of(axes)).fold(0..n, |r, &a| {
-            let g = group(groups, a);
-            let k = r.len() / g.size();
-            r.start + g.rank() * k..r.start + (g.rank() + 1) * k
-        })
-    }
-}
-
 /// One chip's part of a pass: the chip, its cache rows, its residual
 /// stream, and the step values it still holds.
 struct Lane<'a> {
@@ -1474,12 +1748,17 @@ struct Lane<'a> {
     /// The chip's intra-chip worker pool, installed around each of its
     /// steps.
     pool: Option<Arc<ChipPool>>,
-    /// The residual stream: the chip's block of the pass input, then each
-    /// layer's output.
+    /// The residual stream: the pass input, or the chip's block of it, then
+    /// each layer's output, in a residual slot's buffer.
     x: Cow<'a, Tensor>,
     /// The next-token positions of the chip's rows.
     bases: &'a [usize],
     vals: Vec<Option<Val>>,
+    /// One buffer per slot of the program's buffer plan, each allocated at
+    /// its first use in the pass and freed after its last.
+    slots: Vec<Vec<f32>>,
+    /// A fold's later-rank accumulator, one block of `FOLD_ROWS` rows.
+    fold: Vec<f32>,
     /// The collective of the step in flight, posted and not yet completed.
     posted: Option<Posted>,
     /// Whether this chip returns the logits: rank 0 of the group they are
@@ -1491,20 +1770,23 @@ struct Lane<'a> {
 
 impl<'a> Lane<'a> {
     fn new(
-        p: &Pass<'_>,
+        p: &Program,
         chip: &'a mut ChipState,
         kv: (&'a [usize], usize),
         pool: Option<Arc<ChipPool>>,
         input: &'a Tensor,
         bases: &'a [usize],
     ) -> Self {
-        let vals = p.steps.iter().map(|_| None).collect();
-        Lane { chip, kv, pool, x: Cow::Borrowed(input), bases, vals, posted: None, emits: false, failed: None }
+        let vals = p.instrs.iter().map(|_| None).collect();
+        let slots = vec![Vec::new(); p.slots.sizes.len()];
+        let x = Cow::Borrowed(input);
+        Lane { chip, kv, pool, x, bases, vals, slots, fold: Vec::new(), posted: None, emits: false, failed: None }
     }
 
     /// Runs `f` on this chip, under its worker pool and its own
     /// `catch_unwind`, unless the chip already failed. On unwind the chip
-    /// cancels every group it belongs to and drops out of the pass.
+    /// cancels every group it belongs to and drops out of the pass; the
+    /// buffers it held are dropped with it.
     fn guard(&mut self, f: impl FnOnce(&mut Self)) {
         if self.failed.is_some() {
             return;
@@ -1519,188 +1801,249 @@ impl<'a> Lane<'a> {
     /// Whether the chip runs pass `li` of `p` (`li` past the last layer is
     /// the final steps, which a chip that does not emit skips unless they
     /// communicate).
-    fn runs(&self, p: &Pass<'_>, li: usize) -> bool {
-        self.failed.is_none() && (li < self.chip.layers.len() || self.emits || p.talks)
+    fn runs(&self, p: &Program, li: usize) -> bool {
+        self.failed.is_none() && (li < p.cfg.n_layers || self.emits || p.talks)
     }
 
-    /// Cuts the chip's block of the pass input (each dim the boundary
-    /// shards, by its rank in the group over those axes) and its rows'
-    /// positions, and decides whether it emits the logits.
-    fn enter(&mut self, p: &Pass<'_>) {
-        for (d, dim) in p.s.boundary.spec.dims().iter().enumerate() {
-            if !dim.axes.is_empty() {
-                let g = group(&self.chip.groups, dim.axes);
-                let k = self.x.dim(d) / g.size();
-                self.x = Cow::Owned(self.x.slice(d, g.rank() * k, k));
-            }
+    /// Cuts the chip's block of the pass input into the first residual
+    /// slot (where the boundary shards it, by the chip's rank in the group
+    /// over those axes) and its rows' positions, and decides whether it
+    /// emits the logits.
+    fn enter(&mut self, p: &Program) {
+        let groups = &self.chip.groups;
+        if let Some((d, g)) = p.cut {
+            let g = &groups[g].1;
+            let k = self.x.dim(d) / g.size();
+            let buf = std::mem::take(&mut self.slots[p.slots.resid[0]]);
+            self.x = Cow::Owned(self.x.slice_into(d, g.rank() * k, k, buf));
         }
-        self.bases = &self.bases[p.share(&self.chip.groups, self.bases.len(), b_axes(&p.s.boundary))];
-        let sharded = b_axes(p.tensor(Operand::Step(p.steps.len() - 1)));
-        self.emits = group(&self.chip.groups, AxisSet::all().without(sharded)).rank() == 0;
+        self.bases = &self.bases[p.share(groups, self.bases.len(), p.rows)];
+        self.emits = groups[p.emit].1.rank() == 0;
     }
 
-    /// Stores step `k`'s value, drops every value it read last, and at a
-    /// layer's end makes its output the residual stream.
-    fn settle(&mut self, p: &Pass<'_>, li: usize, k: usize, val: Val) {
+    /// Stores step `k`'s value, hands the buffers of every value it read
+    /// last back to their slots, at a layer's end makes its output the
+    /// residual stream, the old stream's buffer back in its slot, and
+    /// frees the slots the pass is done with.
+    fn settle(&mut self, p: &Program, li: usize, k: usize, val: Val) {
         self.vals[k] = Some(val);
-        for r in operands(p.steps[k]) {
-            if let Operand::Step(j) = r {
-                if p.last_read[j] == k {
-                    self.vals[j] = None;
-                }
+        for &j in &p.dies[k] {
+            if let (Some(Val::Act(t)), Some(s)) = (self.vals[j].take(), p.slots.value[j]) {
+                self.slots[s] = t.into_vec();
             }
         }
-        if li < self.chip.layers.len() && k + 1 == p.s.layer.len() {
-            self.x = match self.vals[k].take() {
-                Some(Val::Act(t)) => Cow::Owned(t),
-                _ => unreachable!("a layer ends on the residual stream"),
+        let layers = p.cfg.n_layers;
+        if li < layers && k + 1 == p.split {
+            let Some(Val::Act(out)) = self.vals[k].take() else {
+                unreachable!("a layer ends on the residual stream")
             };
+            if let Cow::Owned(old) = std::mem::replace(&mut self.x, Cow::Owned(out)) {
+                self.slots[p.slots.resid[li % 2]] = old.into_vec();
+            }
+        }
+        if li == if k < p.split { layers.saturating_sub(1) } else { layers } {
+            for &s in &p.frees[k] {
+                self.slots[s] = Vec::new();
+            }
         }
     }
 
-    /// Runs step `k` of pass `li`, an einsum or a local op: [`ShardMat::mm3`]
-    /// or, over an all-gather's parts, `mm_cols` / `fold_ranks`; a local op
-    /// its kernel.
-    fn compute(&mut self, p: &Pass<'_>, li: usize, k: usize) {
-        let Lane { chip, kv: (rows, batch), x, bases, vals, .. } = self;
+    /// Runs step `k` of pass `li`, an einsum or a local op, into its slot:
+    /// [`ShardMat::mm3_into`] or, over an all-gather's parts, one column
+    /// block or accumulator per source rank; a local op its write-into
+    /// kernel.
+    fn compute(&mut self, p: &Program, li: usize, k: usize) {
+        if let Instr::Local { op, inputs, in_place: Some(i), .. } = &p.instrs[k] {
+            let Operand::Step(j) = inputs[*i] else { unreachable!("an op in place overwrites a step value") };
+            let Some(Val::Act(mut y)) = self.vals[j].take() else {
+                unreachable!("a value lives until its last reader")
+            };
+            let other = act(&self.x, &self.vals, inputs[1 - *i]);
+            match op {
+                LocalOp::SwiGlu => ops::swiglu_assign(&mut y, other, *i == 0),
+                LocalOp::Add => ops::add_assign(&mut y, other),
+                _ => unreachable!("only SwiGLU and add run in place"),
+            }
+            self.settle(p, li, k, Val::Act(y));
+            return;
+        }
+        let Lane { chip, kv: (rows, batch), x, bases, vals, slots, fold, .. } = self;
         let ChipState { layers, cache, groups, ln_final, embed_t, .. } = &mut **chip;
         let cache = &mut StepCache { cache, rows, batch: *batch };
-        let (cfg, l, layer) = (p.cfg, p.l, layers.get(li));
+        let (cfg, layer) = (&p.cfg, layers.get(li));
         let act = |r: Operand| act(x, vals, r);
         let mat = |r: Operand| match r {
             Operand::Weight(role) => stored(layer, embed_t, role),
             _ => panic!("{r:?} is not a stored weight"),
         };
-        // An einsum operand that arrived as an all-gather's parts, and the
-        // dim they split.
         let parts = |r: Operand| match r {
-            Operand::Step(j) => match (p.steps[j], vals[j].as_ref()) {
-                (Step::Collective { op: SymOp::AllGather { dim }, .. }, Some(Val::Parts(ps))) => {
-                    Some((ps.as_slice(), *dim))
-                }
-                _ => None,
+            Operand::Step(j) => match vals[j].as_ref() {
+                Some(Val::Parts(ps)) => ps.as_slice(),
+                _ => unreachable!("step {j} hands the einsum its parts"),
             },
-            _ => None,
+            _ => unreachable!("{r:?} is not an all-gather's parts"),
         };
-        let out = match p.steps[k] {
-            Step::Einsum { x: a, w, contract, .. } => {
-                let y = match (parts(*a), parts(*w)) {
-                    (None, None) => mat(*w).mm3(act(*a)),
-                    (None, Some((ws, dim))) if !contract.contains(&dim) => mm_cols(&flat2(act(*a)), ws),
-                    (None, Some((ws, _))) => {
-                        let flat = flat2(act(*a));
-                        let kc = flat.dim(1) / ws.len();
-                        let xs = ws.iter().enumerate();
-                        let xs = xs.map(|(r, w)| (Cow::Owned(flat.slice(1, r * kc, kc)), w, 0));
-                        fold_ranks(xs, true)
+        fn dense(x: &ShardMat) -> &Tensor {
+            match x {
+                ShardMat::Dense(x) => x,
+                ShardMat::Int8(_) => unreachable!("activations move dense"),
+            }
+        }
+        let slot = p.out_slot(li, k).expect("an einsum or a local op writes a slot");
+        let scratch = &p.slots.scratch[k];
+        let out = match &p.instrs[k] {
+            Instr::Einsum { x: a, w, mm, width } => {
+                // `[B, L, ·]` in, `[B, L, width]` out.
+                let like = |t: &Tensor| vec![t.dim(0), t.dim(1), *width];
+                match mm {
+                    Mm::Whole => {
+                        let a = act(*a);
+                        let mut y = take_slot(slots, slot, like(a), false);
+                        mat(*w).mm3_into(a, &mut y);
+                        y
                     }
-                    (Some((xs, dim)), None) if contract.contains(&dim) => {
-                        let w = mat(*w);
-                        let xs = xs.iter().enumerate().map(|(r, x)| {
-                            let ShardMat::Dense(x) = x else { unreachable!("dense activations") };
-                            (Cow::Borrowed(x), w, r * x.dim(1))
-                        });
-                        let mut y = fold_ranks(xs, false);
+                    Mm::Cols => {
+                        let (a, ws) = (act(*a), parts(*w));
+                        let mut y = take_slot(slots, slot, like(a), true);
+                        let c = ws[0].cols();
+                        for (r, part) in ws.iter().enumerate() {
+                            match part {
+                                ShardMat::Dense(t) => ops::matmul_into_cols(a, t, &mut y, r * c),
+                                ShardMat::Int8(q) => q.matmul_into_cols(a, &mut y, r * c),
+                            }
+                        }
+                        y
+                    }
+                    Mm::FoldW => {
+                        let (a, ws) = (act(*a), parts(*w));
+                        let kc = a.dim(2) / ws.len();
+                        let mut y = take_slot(slots, slot, like(a), true);
+                        let ranks: Vec<RankPart<'_>> =
+                            ws.iter().enumerate().map(|(r, w)| (a, r * kc, w, 0, kc)).collect();
+                        fold_ranks(&mut y, fold, &ranks, true);
+                        y
+                    }
+                    Mm::FoldX => {
+                        let (xs, w) = (parts(*a), mat(*w));
+                        let mut y = take_slot(slots, slot, like(dense(&xs[0])), true);
+                        let ranks: Vec<RankPart<'_>> =
+                            xs.iter().map(dense).enumerate().map(|(r, x)| (x, 0, w, r * x.dim(2), x.dim(2))).collect();
+                        fold_ranks(&mut y, fold, &ranks, false);
                         if let ShardMat::Int8(q) = w {
                             q.apply_scales(&mut y);
                         }
                         y
                     }
-                    _ => unreachable!("parts split a weight's columns or the contraction"),
-                };
-                // The rank-2 kernels' `[B·L, ·]` back to `[B, L, ·]`.
-                let n = y.dim(y.rank() - 1);
-                let m = y.numel() / n;
-                Val::Act(y.into_reshape(vec![m / l, l, n]))
+                }
             }
-            Step::Local { op, inputs, output, .. } => {
+            Instr::Local { op, inputs, gained, .. } => {
                 let a = act(inputs[0]);
-                // The batch axes this op's output gains over its input.
-                let gained = |from: &SymTensor| b_axes(output).without(b_axes(from));
-                Val::Act(match op {
+                let shape = a.shape().to_vec();
+                match op {
                     LocalOp::LayerNorm(gain) => {
                         let gain = match gain {
                             Gain::Attn => &layer.expect("a layer step").ln1,
                             Gain::Mlp => layer.and_then(|l| l.ln2.as_ref()).expect("serial ln2"),
                             Gain::Final => ln_final,
                         };
+                        let mut y = take_slot(slots, slot, shape, false);
                         // Over an `E`-sharded stream the second input is the
                         // all-reduced moments.
                         match inputs.get(1) {
-                            Some(&tot) => normalize(a, act(tot), gain, cfg.d_model),
-                            None => ops::layernorm(a, gain, 1e-6),
+                            Some(&tot) => normalize_into(a, act(tot), gain, cfg.d_model, &mut y),
+                            None => ops::layernorm_into(a, gain, 1e-6, &mut y),
                         }
+                        y
                     }
-                    LocalOp::Moments => moments(a),
+                    LocalOp::Moments => {
+                        let mut y = take_slot(slots, slot, vec![a.dim(0), a.dim(1), 2], false);
+                        moments_into(a, &mut y);
+                        y
+                    }
                     LocalOp::Attention => {
-                        let (k, v, dh) = (act(inputs[1]), act(inputs[2]), cfg.d_head);
-                        let bases = &bases[p.share(groups, bases.len(), gained(&p.s.boundary))];
+                        let (kn, v, dh) = (act(inputs[1]), act(inputs[2]), cfg.d_head);
+                        let bases = &bases[p.share(groups, bases.len(), *gained)];
                         if cfg.position == PositionKind::Rope {
-                            cache.append(li, &ops::rope_rows(k, dh, bases), v);
-                            cache.attend(&ops::rope_rows(a, dh, bases), li, dh)
+                            let (sq, sk) = (scratch[0], scratch[1]);
+                            let mut k_r = take_slot(slots, sk, kn.shape().to_vec(), false);
+                            ops::rope_rows_into(kn, dh, bases, &mut k_r);
+                            cache.append(li, &k_r, v);
+                            slots[sk] = k_r.into_vec();
+                            let mut q_r = take_slot(slots, sq, shape.clone(), false);
+                            ops::rope_rows_into(a, dh, bases, &mut q_r);
+                            let mut y = take_slot(slots, slot, shape, true);
+                            cache.attend_into(&q_r, li, dh, &mut y);
+                            slots[sq] = q_r.into_vec();
+                            y
                         } else {
-                            cache.append(li, k, v);
-                            cache.attend(a, li, dh)
+                            cache.append(li, kn, v);
+                            let mut y = take_slot(slots, slot, shape, true);
+                            cache.attend_into(a, li, dh, &mut y);
+                            y
                         }
                     }
                     LocalOp::BatchSlice => {
-                        let r = p.share(groups, a.dim(0), gained(p.tensor(inputs[0])));
-                        a.slice(0, r.start, r.len())
+                        let r = p.share(groups, a.dim(0), *gained);
+                        a.slice_into(0, r.start, r.len(), std::mem::take(&mut slots[slot]))
                     }
-                    LocalOp::SwiGlu => ops::swiglu(a, act(inputs[1])),
-                    LocalOp::Gelu => gelu(a),
-                    LocalOp::Add => a + act(inputs[1]),
-                })
+                    LocalOp::SwiGlu => {
+                        let mut y = take_slot(slots, slot, shape, false);
+                        ops::swiglu_into(a, act(inputs[1]), &mut y);
+                        y
+                    }
+                    LocalOp::Gelu => {
+                        let mut y = take_slot(slots, slot, shape, false);
+                        gelu_into(a, &mut y);
+                        y
+                    }
+                    LocalOp::Add => {
+                        let mut y = take_slot(slots, slot, shape, false);
+                        ops::add_into(a, act(inputs[1]), &mut y);
+                        y
+                    }
+                }
             }
-            Step::Collective { .. } => unreachable!("a collective posts and completes"),
+            Instr::Collective { .. } => unreachable!("a collective posts and completes"),
         };
-        self.settle(p, li, k, out);
+        self.settle(p, li, k, Val::Act(out));
     }
 
     /// Posts step `k`'s collective on the chip's group over the step's
     /// axes. An all-gather an einsum reads moves rank-ordered parts: a
-    /// stored weight in its wire format, or `[B·L, ·]` activation blocks.
-    fn post(&mut self, p: &Pass<'_>, li: usize, k: usize) {
-        let Step::Collective { op, axes, input, wire, .. } = p.steps[k] else {
+    /// stored weight in its wire format, or `[B, L, ·]` activation blocks.
+    fn post(&mut self, p: &Program, li: usize, k: usize) {
+        let Instr::Collective { send, input, group } = &p.instrs[k] else {
             unreachable!("step {k} is a collective")
         };
-        let t = p.tensor(*input);
-        // Activations are `[B, L, ·]`, heads and head dims flattened into
-        // dim 2; a stored weight is a matrix whose rows are its leading dim.
-        let act_dim = |c: char| t.dim_index(c).expect("the tensor has the dim").min(2);
         let act = |r: Operand| act(&self.x, &self.vals, r);
-        let flat;
-        let call = match *op {
-            SymOp::AllGather { dim } if p.to_einsum[k] => match *input {
-                Operand::Weight(role) => {
-                    let along = usize::from(t.dim_index(dim) != Some(0));
-                    match (stored(self.chip.layers.get(li), &self.chip.embed_t, role), *wire) {
-                        (ShardMat::Int8(q), WireFormat::Int8) => Call::AllGatherQuant { shard: q, dim: along },
-                        (ShardMat::Dense(w), WireFormat::Dense) => Call::AllGatherParts { shard: w, dim: along },
-                        _ => unreachable!("a weight's wire format follows its storage"),
-                    }
+        let call = match *send {
+            Exchange::Weight { role, dim, wire } => {
+                match (stored(self.chip.layers.get(li), &self.chip.embed_t, role), wire) {
+                    (ShardMat::Int8(q), WireFormat::Int8) => Call::AllGatherQuant { shard: q, dim },
+                    (ShardMat::Dense(w), WireFormat::Dense) => Call::AllGatherParts { shard: w, dim },
+                    _ => unreachable!("a weight's wire format follows its storage"),
                 }
-                _ => {
-                    flat = flat2(act(*input));
-                    Call::AllGatherParts { shard: &flat, dim: 1 }
-                }
-            },
-            SymOp::AllGather { dim } => Call::AllGather { shard: act(*input), dim: act_dim(dim) },
-            SymOp::AllReduce => Call::AllReduce { input: act(*input) },
-            SymOp::ReduceScatter { dim } => Call::ReduceScatter { input: act(*input), dim: act_dim(dim) },
-            SymOp::AllToAll { split, concat } => {
-                Call::AllToAll { input: act(*input), split: act_dim(split), concat: act_dim(concat) }
             }
+            Exchange::Parts => {
+                let t = act(*input);
+                Call::AllGatherParts { shard: t, dim: t.rank() - 1 }
+            }
+            Exchange::Gather(dim) => Call::AllGather { shard: act(*input), dim },
+            Exchange::AllReduce => Call::AllReduce { input: act(*input) },
+            Exchange::ReduceScatter(dim) => Call::ReduceScatter { input: act(*input), dim },
+            Exchange::AllToAll { split, concat } => Call::AllToAll { input: act(*input), split, concat },
         };
-        let posted = group(&self.chip.groups, *axes).post(call);
+        let posted = self.chip.groups[*group].1.post(call);
         self.posted = Some(posted);
     }
 
-    /// Completes the collective step `k` posted.
-    fn complete(&mut self, p: &Pass<'_>, li: usize, k: usize) {
-        let Step::Collective { axes, .. } = p.steps[k] else { unreachable!("step {k} is a collective") };
+    /// Completes the collective step `k` posted, a dense result read into
+    /// the step's slot.
+    fn complete(&mut self, p: &Program, li: usize, k: usize) {
+        let Instr::Collective { group, .. } = &p.instrs[k] else { unreachable!("step {k} is a collective") };
         let posted = self.posted.take().expect("the step posted its collective");
-        let val = match group(&self.chip.groups, *axes).complete(posted) {
+        let buf = p.out_slot(li, k).map_or_else(Vec::new, |s| std::mem::take(&mut self.slots[s]));
+        let val = match self.chip.groups[*group].1.complete(posted, buf) {
             Received::Tensor(t) => Val::Act(t),
             Received::Parts(parts) => Val::Parts(parts.into_iter().map(ShardMat::Dense).collect()),
             Received::Quant(parts) => Val::Parts(parts.into_iter().map(ShardMat::Int8).collect()),
@@ -1709,32 +2052,33 @@ impl<'a> Lane<'a> {
     }
 
     /// The chip's result: the logits where it emits them, or its unwind.
+    /// Every other buffer of the pass is freed with the lane.
     fn finish(mut self) -> Result<Option<Tensor>, ChipPanic> {
-        match (self.failed, self.vals.pop()) {
+        match (self.failed, self.vals.pop().flatten()) {
             (Some(payload), _) => Err(payload),
-            (None, Some(Some(Val::Act(logits)))) if self.emits => Ok(Some(logits)),
+            (None, Some(Val::Act(logits))) if self.emits => Ok(Some(logits)),
             (None, _) => Ok(None),
         }
     }
 }
 
-/// Runs schedule pass `p` on one executor's chips in lockstep: the layer
-/// steps once per model layer, then the final steps, and each step on every
+/// Runs program `p` on one executor's chips in lockstep: the layer steps
+/// once per model layer, then the final steps, and each step on every
 /// chip before the next. A collective step posts for every chip before it
 /// completes any — every post of a step precedes every wait, on every
 /// executor, so the chips of one group never wait on their own executor.
 /// Each chip's part of each step runs under its own `catch_unwind`
 /// (`Lane::guard`): a chip that unwinds cancels its groups and drops out,
 /// and its executor-mates meet the cancellation in their own collectives.
-fn run_schedule(p: &Pass<'_>, lanes: &mut [Lane<'_>]) {
+fn run_schedule(p: &Program, lanes: &mut [Lane<'_>]) {
     for lane in lanes.iter_mut() {
         lane.guard(|c| c.enter(p));
     }
-    let (layers, split) = (p.cfg.n_layers, p.s.layer.len());
+    let layers = p.cfg.n_layers;
     for li in 0..=layers {
-        let run = if li < layers { 0..split } else { split..p.steps.len() };
+        let run = if li < layers { 0..p.split } else { p.split..p.instrs.len() };
         for k in run {
-            if !matches!(p.steps[k], Step::Collective { .. }) {
+            if !matches!(p.instrs[k], Instr::Collective { .. }) {
                 for lane in lanes.iter_mut().filter(|c| c.runs(p, li)) {
                     lane.guard(|c| c.compute(p, li, k));
                 }
@@ -1774,14 +2118,8 @@ mod tests {
     #[test]
     fn every_executor_count_runs_the_same_bits_and_faults() {
         let model = ReferenceModel::init_random(ModelConfig::tiny(), 5);
-        let layouts = [
-            (FfnLayout::WeightStationary1D, AttnSharding::Head, MeshFactors::new(1, 4, 1)),
-            (FfnLayout::WeightStationary1D, AttnSharding::Batch, MeshFactors::new(1, 4, 1)),
-            (FfnLayout::WeightStationary2D, AttnSharding::Batch, MeshFactors::new(2, 2, 1)),
-            (FfnLayout::WeightGathered(GatherExtent::Xyz), AttnSharding::Batch, MeshFactors::new(4, 1, 1)),
-            (FfnLayout::WeightGathered(GatherExtent::X), AttnSharding::Head, MeshFactors::new(2, 2, 1)),
-        ];
-        for (ffn, attn, mesh) in layouts {
+        for (ffn, attn, m) in TIER1 {
+            let mesh = MeshFactors::new(m.0, m.1, m.2);
             let layout = Layout { ffn, attn, mesh };
             let n = mesh.n_chips();
             for fmt in [WeightFormat::Exact, WeightFormat::Int8] {
@@ -1807,6 +2145,168 @@ mod tests {
                     let (got, fault) = run(t);
                     assert!(got == want, "{} {fmt:?}: {t} executors changed the bits", layout.describe());
                     assert_eq!(fault, want_fault, "{} {fmt:?}: {t} executors", layout.describe());
+                }
+            }
+        }
+    }
+
+    /// The five tier-1 layouts of the executor and stale-buffer tests.
+    const TIER1: [(FfnLayout, AttnSharding, (usize, usize, usize)); 5] = [
+        (FfnLayout::WeightStationary1D, AttnSharding::Head, (1, 4, 1)),
+        (FfnLayout::WeightStationary1D, AttnSharding::Batch, (1, 4, 1)),
+        (FfnLayout::WeightStationary2D, AttnSharding::Batch, (2, 2, 1)),
+        (FfnLayout::WeightGathered(GatherExtent::Xyz), AttnSharding::Batch, (4, 1, 1)),
+        (FfnLayout::WeightGathered(GatherExtent::X), AttnSharding::Head, (2, 2, 1)),
+    ];
+
+    #[test]
+    fn the_buffer_plan_never_gives_two_live_values_one_slot() {
+        use esti_model::config::{BlockKind, MlpKind};
+        let serial = ModelConfig { block: BlockKind::Serial, ..ModelConfig::tiny() };
+        let gelu = ModelConfig { mlp: MlpKind::Gelu, position: PositionKind::Learned, ..ModelConfig::tiny() };
+        let ffns = [
+            FfnLayout::WeightStationary1D,
+            FfnLayout::WeightStationary2D,
+            FfnLayout::WeightGathered(GatherExtent::Xyz),
+            FfnLayout::WeightGathered(GatherExtent::X),
+            FfnLayout::WeightGathered(GatherExtent::Xy),
+        ];
+        let meshes = [(1, 1, 1), (2, 1, 1), (1, 2, 1), (2, 2, 1), (4, 1, 1), (1, 4, 1), (1, 2, 2)];
+        let mut checked = 0;
+        for cfg in [ModelConfig::tiny(), ModelConfig::tiny_multihead(), serial, gelu] {
+            for (ffn, attn, m) in layouts_of(&ffns, &meshes) {
+                let layout = Layout { ffn, attn, mesh: MeshFactors::new(m.0, m.1, m.2) };
+                let Ok(s) = build_schedule(&cfg, &layout, layout.mesh.n_chips(), 1).and_then(|s| s.verify().map(|()| s))
+                else {
+                    continue;
+                };
+                let p = Program::compile(&s, &cfg, &group_axes(&s));
+                let what = format!("{} {}", cfg.name, layout.describe());
+                // An independent walk of the steps' operands: each value's
+                // last reader, and which values are an einsum's parts.
+                let steps: Vec<&Step> = s.layer.iter().chain(&s.final_steps).collect();
+                let reads = |st: &Step| -> Vec<Operand> {
+                    match st {
+                        Step::Collective { input, .. } => vec![*input],
+                        Step::Einsum { x, w, .. } => vec![*x, *w],
+                        Step::Local { inputs, .. } => inputs.clone(),
+                    }
+                };
+                let mut readers = vec![Vec::new(); steps.len()];
+                for (k, st) in steps.iter().enumerate() {
+                    for r in reads(st) {
+                        if let Operand::Step(j) = r {
+                            readers[j].push(k);
+                        }
+                    }
+                }
+                let last: Vec<usize> =
+                    readers.iter().enumerate().map(|(j, r)| r.iter().copied().max().unwrap_or(j)).collect();
+                let gathered = |j: usize| {
+                    matches!(steps[j], Step::Collective { op: SymOp::AllGather { .. }, .. })
+                        && readers[j].iter().any(|&k| matches!(steps[k], Step::Einsum { .. }))
+                };
+                for (j, step) in steps.iter().enumerate() {
+                    let slot = p.slots.value[j];
+                    if gathered(j) || j + 1 == s.layer.len() {
+                        assert_eq!(slot, None, "{what}: step {j} holds no slot");
+                    } else {
+                        let slot = slot.unwrap_or_else(|| panic!("{what}: step {j} has a slot"));
+                        let size = step.output().local_elements(s.torus).unwrap();
+                        assert!(p.slots.sizes[slot] >= size, "{what}: step {j}'s slot holds it");
+                    }
+                }
+                for (k, (step, instr)) in steps.iter().zip(&p.instrs).enumerate() {
+                    // An op in place overwrites the operand it reads last.
+                    let overwritten = match instr {
+                        Instr::Local { inputs, in_place: Some(i), .. } => Some(inputs[*i]),
+                        _ => None,
+                    };
+                    if let Some(Operand::Step(j)) = overwritten {
+                        assert_eq!(last[j], k, "{what}: step {k} overwrites a live value");
+                        assert_eq!(p.slots.value[j], p.slots.value[k], "{what}: step {k} runs in its operand's slot");
+                    }
+                    let dead = |j: usize| last[j] < k || overwritten == Some(Operand::Step(j));
+                    let live = (0..=k).filter(|&j| !dead(j)).filter_map(|j| p.slots.value[j]);
+                    let mut held: Vec<usize> = live.chain(p.slots.scratch[k].iter().copied()).collect();
+                    held.extend(p.slots.resid);
+                    let n = held.len();
+                    held.sort_unstable();
+                    held.dedup();
+                    assert_eq!(held.len(), n, "{what}: two values live at step {k} ({}) share a slot", step.label());
+                }
+                checked += 1;
+            }
+        }
+        assert!(checked >= 60, "only {checked} schedules checked");
+    }
+
+    /// Every `(ffn, attn, mesh)` of the given ffns and meshes, under both
+    /// attention shardings.
+    fn layouts_of<'a>(
+        ffns: &'a [FfnLayout],
+        meshes: &'a [(usize, usize, usize)],
+    ) -> impl Iterator<Item = (FfnLayout, AttnSharding, (usize, usize, usize))> + 'a {
+        ffns.iter().flat_map(move |&f| {
+            [AttnSharding::Head, AttnSharding::Batch].into_iter().flat_map(move |a| meshes.iter().map(move |&m| (f, a, m)))
+        })
+    }
+
+    #[test]
+    fn a_pass_after_a_larger_one_reads_no_stale_buffer() {
+        let model = ReferenceModel::init_random(ModelConfig::tiny(), 5);
+        // One slot of each of four spans of 16: no pass needs padding rows.
+        let long: Vec<Vec<usize>> = (0..4).map(|s| (0..9).map(|p| (s * 7 + p * 3 + 1) % 41).collect()).collect();
+        let short: Vec<Vec<usize>> = (0..4).map(|s| vec![s + 2, 2 * s + 1, 9]).collect();
+        let rows = |first: usize, prompts: &'_ [Vec<usize>]| -> Vec<(usize, Vec<usize>)> {
+            prompts.iter().enumerate().map(|(i, p)| (first + 4 * i, p.clone())).collect()
+        };
+        let prefill = |e: &mut PartitionedEngine, rows: &[(usize, Vec<usize>)]| {
+            let rows: Vec<(usize, &[usize])> = rows.iter().map(|(s, t)| (*s, t.as_slice())).collect();
+            e.try_prefill_rows(&rows).expect("a fault-free prefill")
+        };
+        let seen = |e: &PartitionedEngine, logits: &Tensor, slots: &[usize]| -> Vec<u32> {
+            let mut out: Vec<u32> = logits.data().iter().map(|v| v.to_bits()).collect();
+            for &slot in slots {
+                for (k, v) in e.extract_kv(slot).layers() {
+                    out.extend(k.data().iter().chain(v.data()).map(|v| v.to_bits()));
+                }
+            }
+            out
+        };
+        let (big, step, small) = (rows(0, &long), [(0, 7), (4, 8)], rows(1, &short));
+        for (ffn, attn, m) in TIER1 {
+            let layout = Layout { ffn, attn, mesh: MeshFactors::new(m.0, m.1, m.2) };
+            let n = layout.mesh.n_chips();
+            for fmt in [WeightFormat::Exact, WeightFormat::Int8] {
+                for t in [1, 2, n] {
+                    let what = format!("{} {fmt:?} at {t} executors", layout.describe());
+                    let fresh = || {
+                        let mut e = PartitionedEngine::with_executors(&model, layout, fmt, t);
+                        e.begin_slots(16, 0);
+                        e
+                    };
+                    let mut engine = fresh();
+                    let first = prefill(&mut engine, &big);
+                    let first = seen(&engine, &first, &[0, 4, 8, 12]);
+                    let stepped = engine.try_decode_rows(&step).expect("a fault-free step");
+                    let stepped = seen(&engine, &stepped, &[0, 4]);
+                    let later = prefill(&mut engine, &small);
+                    let later = seen(&engine, &later, &[1, 5, 9, 13]);
+
+                    // The step, on an engine whose only earlier pass is its
+                    // two rows' own prefill.
+                    let mut solo = fresh();
+                    prefill(&mut solo, &big[..2]);
+                    let want = solo.try_decode_rows(&step).expect("a fault-free step");
+                    assert!(stepped == seen(&solo, &want, &[0, 4]), "{what}: the decode after a larger pass");
+                    let mut other = fresh();
+                    let want = prefill(&mut other, &small);
+                    assert!(later == seen(&other, &want, &[1, 5, 9, 13]), "{what}: the short prefill");
+                    // And the larger pass again, after the smaller ones.
+                    engine.begin_slots(16, 0);
+                    let again = prefill(&mut engine, &big);
+                    assert!(first == seen(&engine, &again, &[0, 4, 8, 12]), "{what}: the long prefill again");
                 }
             }
         }

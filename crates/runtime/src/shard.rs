@@ -1,6 +1,5 @@
 //! Weight-shard construction for each layout.
 
-use esti_model::reference::mm3;
 use esti_model::{LayerWeights, ModelConfig};
 use esti_tensor::{ops, quant::QuantizedMatrix, Tensor};
 
@@ -41,17 +40,15 @@ pub enum ShardMat {
 }
 
 impl ShardMat {
-    /// `[B, L, E] × shard → [B, L, D]`, running the int8 kernel when the
-    /// shard is quantized.
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatch.
-    #[must_use]
-    pub fn mm3(&self, x: &Tensor) -> Tensor {
+    /// `[B, L, E] × shard` into `out` (`[B, L, D]`), overwriting it,
+    /// running the int8 kernel when the shard is quantized.
+    pub(crate) fn mm3_into(&self, x: &Tensor, out: &mut Tensor) {
         match self {
-            ShardMat::Dense(w) => mm3(x, w),
-            ShardMat::Int8(q) => q.matmul3(x),
+            ShardMat::Dense(w) => {
+                out.data_mut().fill(0.0);
+                ops::matmul_into(x, w, out);
+            }
+            ShardMat::Int8(q) => q.matmul_into(x, out),
         }
     }
 

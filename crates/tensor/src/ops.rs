@@ -335,17 +335,41 @@ fn mm_naive_kernel(ad: &[f32], bd: &[f32], out: &mut [f32], m: usize, k: usize, 
 /// ```
 #[must_use]
 pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
-    if matmul_kernel() == MatmulKernel::Naive {
-        return matmul_naive(a, b);
-    }
     assert_eq!(a.rank(), 2, "matmul lhs must be rank-2");
     assert_eq!(b.rank(), 2, "matmul rhs must be rank-2");
-    let (m, k) = (a.dim(0), a.dim(1));
+    let mut out = Tensor::zeros(vec![a.dim(0), b.dim(1)]);
+    matmul_into(a, b, &mut out);
+    out
+}
+
+/// `(rows, last)`: a tensor's trailing dim and how many rows of it the
+/// leading dims hold — the `[m, k]` view the rank-2 kernels read without a
+/// reshape copy.
+fn rows_of(t: &Tensor) -> (usize, usize) {
+    let last = t.dim(t.rank() - 1);
+    (t.numel().checked_div(last).unwrap_or(0), last)
+}
+
+/// [`matmul`] into `out`, flattening leading dims: `a [.., k] × b [k, n]`
+/// accumulates into `out [.., n]`, which holds `a`'s rows and which the
+/// caller zeroes first. Same kernels and bits as [`matmul`] over the
+/// flattened `[m, k]` view; nothing is copied to change a shape.
+///
+/// # Panics
+///
+/// Panics if `b` is not rank 2, the inner dimensions disagree, or `out`
+/// does not hold `a`'s rows of `n` columns.
+pub fn matmul_into(a: &Tensor, b: &Tensor, out: &mut Tensor) {
+    assert_eq!(b.rank(), 2, "matmul rhs must be rank-2");
+    let (m, k) = rows_of(a);
     let (k2, n) = (b.dim(0), b.dim(1));
     assert_eq!(k, k2, "matmul inner dimension mismatch: {k} vs {k2}");
-    let mut out = vec![0.0f32; m * n];
-    mm_dispatch(a.data(), k, b.data(), n, &mut out, n, m, k, n);
-    Tensor::from_vec(vec![m, n], out)
+    assert_eq!(rows_of(out), (m, n), "matmul output shape mismatch");
+    if matmul_kernel() == MatmulKernel::Naive {
+        mm_naive_kernel(a.data(), b.data(), out.data_mut(), m, k, n);
+    } else {
+        mm_dispatch(a.data(), k, b.data(), n, out.data_mut(), n, m, k, n);
+    }
 }
 
 /// The pre-optimization scalar matmul, kept as a correctness oracle: i-k-j
@@ -378,34 +402,75 @@ pub fn matmul_naive(a: &Tensor, b: &Tensor) -> Tensor {
 /// Panics on rank/shape mismatch or if the row range exceeds `b`.
 pub fn matmul_acc_rows(a: &Tensor, b: &Tensor, r0: usize, out: &mut Tensor) {
     assert_eq!(a.rank(), 2, "matmul_acc_rows lhs must be rank-2");
-    assert_eq!(b.rank(), 2, "matmul_acc_rows rhs must be rank-2");
     assert_eq!(out.rank(), 2, "matmul_acc_rows out must be rank-2");
-    let (m, kc) = (a.dim(0), a.dim(1));
+    assert_eq!(out.dim(0), a.dim(0), "matmul_acc_rows output shape mismatch");
+    matmul_acc_window(a, 0..a.dim(0), 0, b, r0, a.dim(1), out.data_mut());
+}
+
+/// Accumulates `out += a[rows, c0..c0+kc] × b[r0..r0+kc, :]`: one source
+/// rank's contraction chunk over a block of `a`'s rows (its leading dims
+/// flattened), its window of columns read in place at row stride `a`'s
+/// trailing dim, into `out`'s `rows.len()` rows of `b`'s width.
+/// Ascending-`k` accumulation, so chunking an ascending range reproduces
+/// one matmul over the whole range bit-for-bit.
+///
+/// # Panics
+///
+/// Panics on shape mismatch or if a window exceeds its operand.
+pub fn matmul_acc_window(
+    a: &Tensor,
+    rows: std::ops::Range<usize>,
+    c0: usize,
+    b: &Tensor,
+    r0: usize,
+    kc: usize,
+    out: &mut [f32],
+) {
+    assert_eq!(b.rank(), 2, "matmul_acc_rows rhs must be rank-2");
+    let (m, k) = rows_of(a);
     let n = b.dim(1);
+    assert!(rows.start <= rows.end && rows.end <= m, "row block {rows:?} exceeds {m}");
+    assert!(c0 + kc <= k, "column window {c0}+{kc} exceeds {k}");
     assert!(r0 + kc <= b.dim(0), "row range {r0}+{kc} exceeds {}", b.dim(0));
-    assert_eq!(out.shape(), &[m, n], "matmul_acc_rows output shape mismatch");
+    assert_eq!(out.len(), rows.len() * n, "matmul_acc_rows output shape mismatch");
+    if rows.is_empty() {
+        return;
+    }
     let bd = &b.data()[r0 * n..];
-    mm_dispatch(a.data(), kc, bd, n, out.data_mut(), n, m, kc, n);
+    mm_dispatch(&a.data()[rows.start * k + c0..], k, bd, n, out, n, rows.len(), kc, n);
 }
 
 /// Writes `a × b` into columns `[c0, c0 + b.dim(1))` of `out`
-/// (accumulating; the target region is normally zero-initialized). Lets a
-/// streamed weight-gather assemble its output column block by column block.
+/// (accumulating; the target region is normally zero-initialized), `a`'s
+/// and `out`'s leading dims flattened. Lets a streamed weight-gather
+/// assemble its output column block by column block.
 ///
 /// # Panics
 ///
 /// Panics on rank/shape mismatch or if the column range exceeds `out`.
 pub fn matmul_into_cols(a: &Tensor, b: &Tensor, out: &mut Tensor, c0: usize) {
-    assert_eq!(a.rank(), 2, "matmul_into_cols lhs must be rank-2");
     assert_eq!(b.rank(), 2, "matmul_into_cols rhs must be rank-2");
-    assert_eq!(out.rank(), 2, "matmul_into_cols out must be rank-2");
-    let (m, k) = (a.dim(0), a.dim(1));
+    let (m, k) = rows_of(a);
     let (k2, cn) = (b.dim(0), b.dim(1));
     assert_eq!(k, k2, "matmul_into_cols inner dimension mismatch: {k} vs {k2}");
-    assert_eq!(out.dim(0), m, "matmul_into_cols row count mismatch");
-    let n_out = out.dim(1);
+    let (m_out, n_out) = rows_of(out);
+    assert_eq!(m_out, m, "matmul_into_cols row count mismatch");
     assert!(c0 + cn <= n_out, "column range {c0}+{cn} exceeds {n_out}");
     mm_dispatch(a.data(), k, b.data(), cn, &mut out.data_mut()[c0..], n_out, m, k, cn);
+}
+
+/// `out = a + b` elementwise, overwriting every element of `out`: the
+/// write-into form of `&a + &b`.
+///
+/// # Panics
+///
+/// Panics unless all three shapes agree.
+pub fn add_into(a: &Tensor, b: &Tensor, out: &mut Tensor) {
+    assert_eq!(a.shape(), b.shape(), "shape mismatch in zip_with");
+    assert_eq!(out.shape(), a.shape(), "add_into output shape mismatch");
+    for ((o, &x), &y) in out.data_mut().iter_mut().zip(a.data()).zip(b.data()) {
+        *o = x + y;
+    }
 }
 
 /// In-place elementwise `out += src` in flat index order — the same serial
@@ -504,16 +569,24 @@ fn softmax_impl(t: &Tensor, exp: impl Fn(f32) -> f32) -> Tensor {
 /// Panics if `gain` is not rank 1 matching the last dimension of `t`.
 #[must_use]
 pub fn layernorm(t: &Tensor, gain: &Tensor, eps: f32) -> Tensor {
+    let mut out = Tensor::zeros(t.shape().to_vec());
+    layernorm_into(t, gain, eps, &mut out);
+    out
+}
+
+/// [`layernorm`] into `out` (shaped like `t`), overwriting every element.
+///
+/// # Panics
+///
+/// As [`layernorm`], or if `out` is not shaped like `t`.
+pub fn layernorm_into(t: &Tensor, gain: &Tensor, eps: f32, out: &mut Tensor) {
     // Vetted: the documented shape-check panic for rank-0 input — an
     // assert with a message, not a swallowed runtime fault.
     #[allow(clippy::expect_used)]
     let last = *t.shape().last().expect("layernorm of rank-0 tensor");
     assert_eq!(gain.shape(), &[last], "layernorm gain shape mismatch");
-    let rows = t.numel() / last;
-    let mut out = vec![0.0f32; t.numel()];
-    for r in 0..rows {
-        let row = &t.data()[r * last..(r + 1) * last];
-        let orow = &mut out[r * last..(r + 1) * last];
+    assert_eq!(out.shape(), t.shape(), "layernorm output shape mismatch");
+    for (row, orow) in t.data().chunks(last).zip(out.data_mut().chunks_mut(last)) {
         let mean: f32 = row.iter().sum::<f32>() / last as f32;
         let var: f32 = row.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / last as f32;
         let inv = 1.0 / (var + eps).sqrt();
@@ -521,7 +594,6 @@ pub fn layernorm(t: &Tensor, gain: &Tensor, eps: f32) -> Tensor {
             *o = (v - mean) * inv * g;
         }
     }
-    Tensor::from_vec(t.shape().to_vec(), out)
 }
 
 /// The swish / SiLU activation `x · sigmoid(x)` used inside PaLM's SwiGLU.
@@ -546,7 +618,44 @@ pub fn swish_base2(t: &Tensor) -> Tensor {
 /// Panics if the two tensors have different shapes.
 #[must_use]
 pub fn swiglu(gate: &Tensor, up: &Tensor) -> Tensor {
-    &swish(gate) * up
+    let mut out = Tensor::zeros(gate.shape().to_vec());
+    swiglu_into(gate, up, &mut out);
+    out
+}
+
+/// [`swiglu`] into `out`, overwriting every element, in one pass: each
+/// element is [`swish`]'s rounded `g / (1 + e^-g)` times `up`, the same two
+/// rounded operations as `&swish(gate) * up` without the temporary.
+///
+/// # Panics
+///
+/// Panics unless all three shapes agree.
+pub fn swiglu_into(gate: &Tensor, up: &Tensor, out: &mut Tensor) {
+    assert_eq!(gate.shape(), up.shape(), "shape mismatch in zip_with");
+    assert_eq!(out.shape(), gate.shape(), "swiglu output shape mismatch");
+    for ((o, &g), &u) in out.data_mut().iter_mut().zip(gate.data()).zip(up.data()) {
+        *o = swiglu1(g, u);
+    }
+}
+
+/// [`swiglu`] in place over one operand: `out` holds `gate` when
+/// `out_is_gate`, else `up`, and `other` holds the other; each element
+/// becomes the same rounded `swish(gate) · up`.
+///
+/// # Panics
+///
+/// Panics on shape mismatch.
+pub fn swiglu_assign(out: &mut Tensor, other: &Tensor, out_is_gate: bool) {
+    assert_eq!(out.shape(), other.shape(), "shape mismatch in zip_with");
+    for (o, &v) in out.data_mut().iter_mut().zip(other.data()) {
+        *o = if out_is_gate { swiglu1(*o, v) } else { swiglu1(v, *o) };
+    }
+}
+
+/// One SwiGLU element: [`swish`]'s rounded `g / (1 + e^-g)`, times `u`.
+#[inline]
+fn swiglu1(g: f32, u: f32) -> f32 {
+    g / (1.0 + (-g).exp()) * u
 }
 
 /// Applies a lower-triangular causal mask to attention scores shaped
@@ -595,32 +704,7 @@ pub fn causal_mask(scores: &Tensor) -> Tensor {
 /// not a multiple of `d_head`.
 #[must_use]
 pub fn rope(t: &Tensor, d_head: usize, base_pos: usize) -> Tensor {
-    assert_eq!(t.rank(), 3, "rope expects [B, L, H*d_head]");
-    assert!(d_head.is_multiple_of(2), "rope requires an even d_head");
-    let (b, l, hd) = (t.dim(0), t.dim(1), t.dim(2));
-    assert!(hd % d_head == 0, "last dimension must be a multiple of d_head");
-    let heads = hd / d_head;
-    let half = d_head / 2;
-    // Precompute inverse frequencies and per-(position, i) sin/cos.
-    let inv_freq: Vec<f32> = (0..half)
-        .map(|i| 1.0 / 10000f32.powf(2.0 * i as f32 / d_head as f32))
-        .collect();
-    let mut out = t.data().to_vec();
-    for li in 0..l {
-        let p = (base_pos + li) as f32;
-        for (i, &f) in inv_freq.iter().enumerate() {
-            let (sin, cos) = (p * f).sin_cos();
-            for bi in 0..b {
-                for h in 0..heads {
-                    let off = ((bi * l + li) * hd) + h * d_head + 2 * i;
-                    let (x0, x1) = (out[off], out[off + 1]);
-                    out[off] = x0 * cos - x1 * sin;
-                    out[off + 1] = x0 * sin + x1 * cos;
-                }
-            }
-        }
-    }
-    Tensor::from_vec(vec![b, l, hd], out)
+    rope_rows(t, d_head, &vec![base_pos; t.shape().first().copied().unwrap_or(0)])
 }
 
 /// Per-row-base variant of [`rope`]: batch row `bi`'s positions start at
@@ -635,17 +719,30 @@ pub fn rope(t: &Tensor, d_head: usize, base_pos: usize) -> Tensor {
 /// a multiple of `d_head`, or `bases` disagrees with the batch dim.
 #[must_use]
 pub fn rope_rows(t: &Tensor, d_head: usize, bases: &[usize]) -> Tensor {
+    let mut out = Tensor::zeros(t.shape().to_vec());
+    rope_rows_into(t, d_head, bases, &mut out);
+    out
+}
+
+/// [`rope_rows`] into `out` (shaped like `t`), overwriting every element.
+///
+/// # Panics
+///
+/// As [`rope_rows`], or if `out` is not shaped like `t`.
+pub fn rope_rows_into(t: &Tensor, d_head: usize, bases: &[usize], out: &mut Tensor) {
     assert_eq!(t.rank(), 3, "rope expects [B, L, H*d_head]");
     assert!(d_head.is_multiple_of(2), "rope requires an even d_head");
-    let (b, l, hd) = (t.dim(0), t.dim(1), t.dim(2));
+    let (l, hd) = (t.dim(1), t.dim(2));
     assert!(hd % d_head == 0, "last dimension must be a multiple of d_head");
-    assert_eq!(bases.len(), b, "one position base per batch row");
+    assert_eq!(bases.len(), t.dim(0), "one position base per batch row");
+    assert_eq!(out.shape(), t.shape(), "rope output shape mismatch");
     let heads = hd / d_head;
     let half = d_head / 2;
+    // Inverse frequencies once; sin/cos once per (position, i).
     let inv_freq: Vec<f32> = (0..half)
         .map(|i| 1.0 / 10000f32.powf(2.0 * i as f32 / d_head as f32))
         .collect();
-    let mut out = t.data().to_vec();
+    let (src, dst) = (t.data(), out.data_mut());
     for (bi, &base) in bases.iter().enumerate() {
         for li in 0..l {
             let p = (base + li) as f32;
@@ -653,14 +750,13 @@ pub fn rope_rows(t: &Tensor, d_head: usize, bases: &[usize]) -> Tensor {
                 let (sin, cos) = (p * f).sin_cos();
                 for h in 0..heads {
                     let off = ((bi * l + li) * hd) + h * d_head + 2 * i;
-                    let (x0, x1) = (out[off], out[off + 1]);
-                    out[off] = x0 * cos - x1 * sin;
-                    out[off + 1] = x0 * sin + x1 * cos;
+                    let (x0, x1) = (src[off], src[off + 1]);
+                    dst[off] = x0 * cos - x1 * sin;
+                    dst[off + 1] = x0 * sin + x1 * cos;
                 }
             }
         }
     }
-    Tensor::from_vec(vec![b, l, hd], out)
 }
 
 #[cfg(test)]

@@ -333,39 +333,30 @@ impl QuantizedMatrix {
     #[must_use]
     pub fn matmul(&self, x: &Tensor) -> Tensor {
         assert_eq!(x.rank(), 2, "quantized matmul lhs must be rank-2");
-        assert_eq!(x.dim(1), self.rows, "quantized matmul inner dimension mismatch");
-        let m = x.dim(0);
-        let mut out = Tensor::zeros(vec![m, self.cols]);
-        qmm_dispatch(
-            x.data(),
-            self.rows,
-            &self.values,
-            self.cols,
-            out.data_mut(),
-            self.cols,
-            m,
-            self.rows,
-            self.cols,
-            Some(&self.scales),
-        );
+        let mut out = Tensor::zeros(vec![x.dim(0), self.cols]);
+        self.scaled_into(x, &mut out);
         out
     }
 
-    /// [`Self::matmul`] writing into a preallocated `[m, cols]` output,
-    /// overwriting its contents — avoids the per-call allocation in steady
-    /// state decode loops.
+    /// [`Self::matmul`] writing into a preallocated output, overwriting its
+    /// contents — avoids the per-call allocation in steady state decode
+    /// loops. Leading dims flatten: `x [.., rows] → out [.., cols]`.
     ///
     /// # Panics
     ///
-    /// Panics on rank or shape mismatch between `x`, `self`, and `out`.
+    /// Panics on shape mismatch between `x`, `self`, and `out`.
     pub fn matmul_into(&self, x: &Tensor, out: &mut Tensor) {
-        assert_eq!(x.rank(), 2, "quantized matmul lhs must be rank-2");
-        assert_eq!(x.dim(1), self.rows, "quantized matmul inner dimension mismatch");
-        let m = x.dim(0);
-        assert_eq!(out.rank(), 2, "matmul_into output must be rank-2");
-        assert_eq!(out.dim(0), m, "matmul_into output row mismatch");
-        assert_eq!(out.dim(1), self.cols, "matmul_into output col mismatch");
         out.data_mut().fill(0.0);
+        self.scaled_into(x, out);
+    }
+
+    /// The scaled product of `x [.., rows]` into a zeroed `out [.., cols]`
+    /// (the same rows): the one body behind every scaled entry point.
+    fn scaled_into(&self, x: &Tensor, out: &mut Tensor) {
+        assert_eq!(x.dim(x.rank() - 1), self.rows, "quantized matmul inner dimension mismatch");
+        let m = x.numel() / self.rows.max(1);
+        assert_eq!(out.dim(out.rank() - 1), self.cols, "matmul_into output col mismatch");
+        assert_eq!(out.numel(), m * self.cols, "matmul_into output row mismatch");
         qmm_dispatch(
             x.data(),
             self.rows,
@@ -391,22 +382,8 @@ impl QuantizedMatrix {
     pub fn matmul3(&self, x: &Tensor) -> Tensor {
         assert_eq!(x.rank(), 3, "matmul3 lhs must be rank-3");
         assert_eq!(x.dim(2), self.rows, "matmul3 inner dimension mismatch");
-        let (b, l) = (x.dim(0), x.dim(1));
-        let m = b * l;
-        let mut out = Tensor::zeros(vec![b, l, self.cols]);
-        // Scaled over the flat [m, cols] view.
-        qmm_dispatch(
-            x.data(),
-            self.rows,
-            &self.values,
-            self.cols,
-            out.data_mut(),
-            self.cols,
-            m,
-            self.rows,
-            self.cols,
-            Some(&self.scales),
-        );
+        let mut out = Tensor::zeros(vec![x.dim(0), x.dim(1), self.cols]);
+        self.scaled_into(x, &mut out);
         out
     }
 
@@ -414,19 +391,17 @@ impl QuantizedMatrix {
     /// `[c0, c0 + cols)` of a wider output, in place — the fused
     /// scale-on-arrival step of the weight-gathered overlap loop. The target
     /// column range must contain zeros (the scale is applied in place after
-    /// the unscaled accumulation).
+    /// the unscaled accumulation). `x`'s and `out`'s leading dims flatten.
     ///
     /// # Panics
     ///
     /// Panics on shape mismatch or if the column range exceeds the output.
     pub fn matmul_into_cols(&self, x: &Tensor, out: &mut Tensor, c0: usize) {
-        assert_eq!(x.rank(), 2, "matmul_into_cols lhs must be rank-2");
-        assert_eq!(x.dim(1), self.rows, "matmul_into_cols inner dimension mismatch");
-        assert_eq!(out.rank(), 2, "matmul_into_cols output must be rank-2");
-        assert_eq!(out.dim(0), x.dim(0), "matmul_into_cols output row mismatch");
-        let n_out = out.dim(1);
+        assert_eq!(x.dim(x.rank() - 1), self.rows, "matmul_into_cols inner dimension mismatch");
+        let m = x.numel() / self.rows.max(1);
+        let n_out = out.dim(out.rank() - 1);
+        assert_eq!(out.numel(), m * n_out, "matmul_into_cols output row mismatch");
         assert!(c0 + self.cols <= n_out, "column range {c0}+{} exceeds {n_out}", self.cols);
-        let m = x.dim(0);
         qmm_dispatch(
             x.data(),
             self.rows,
@@ -453,20 +428,47 @@ impl QuantizedMatrix {
     /// Panics on shape mismatch or if the row range exceeds `rows`.
     pub fn matmul_acc_rows(&self, x: &Tensor, r0: usize, out: &mut Tensor) {
         assert_eq!(x.rank(), 2, "matmul_acc_rows lhs must be rank-2");
-        let kc = x.dim(1);
-        assert!(r0 + kc <= self.rows, "row range {r0}+{kc} exceeds {}", self.rows);
         assert_eq!(out.rank(), 2, "matmul_acc_rows output must be rank-2");
         assert_eq!(out.dim(0), x.dim(0), "matmul_acc_rows output row mismatch");
         assert_eq!(out.dim(1), self.cols, "matmul_acc_rows output col mismatch");
-        let m = x.dim(0);
+        self.matmul_acc_window(x, 0..x.dim(0), 0, r0, x.dim(1), out.data_mut());
+    }
+
+    /// [`Self::matmul_acc_rows`] over a window of `x`: accumulates the
+    /// unscaled `x[rows, c0..c0+kc] × self[r0..r0+kc, :]` into `out`'s
+    /// `rows.len()` rows of `cols`, the block of `x`'s rows (its leading
+    /// dims flattened) and its window of columns read in place at row
+    /// stride `x`'s trailing dim.
+    ///
+    /// # Panics
+    ///
+    /// Panics on shape mismatch or if a window exceeds its operand.
+    pub fn matmul_acc_window(
+        &self,
+        x: &Tensor,
+        rows: std::ops::Range<usize>,
+        c0: usize,
+        r0: usize,
+        kc: usize,
+        out: &mut [f32],
+    ) {
+        let k = x.dim(x.rank() - 1);
+        let m = x.numel().checked_div(k).unwrap_or(0);
+        assert!(rows.start <= rows.end && rows.end <= m, "row block {rows:?} exceeds {m}");
+        assert!(c0 + kc <= k, "column window {c0}+{kc} exceeds {k}");
+        assert!(r0 + kc <= self.rows, "row range {r0}+{kc} exceeds {}", self.rows);
+        assert_eq!(out.len(), rows.len() * self.cols, "matmul_acc_rows output row mismatch");
+        if rows.is_empty() {
+            return;
+        }
         qmm_dispatch(
-            x.data(),
-            kc,
+            &x.data()[rows.start * k + c0..],
+            k,
             &self.values[r0 * self.cols..],
             self.cols,
-            out.data_mut(),
+            out,
             self.cols,
-            m,
+            rows.len(),
             kc,
             self.cols,
             None,

@@ -196,11 +196,23 @@ impl Tensor {
     /// Panics if the range exceeds the dimension size.
     #[must_use]
     pub fn slice(&self, dim: usize, start: usize, len: usize) -> Tensor {
+        self.slice_into(dim, start, len, Vec::new())
+    }
+
+    /// [`Tensor::slice`] written into `out`'s storage, which is grown if
+    /// short; its old contents are dropped.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range exceeds the dimension size.
+    #[must_use]
+    pub fn slice_into(&self, dim: usize, start: usize, len: usize, mut out: Vec<f32>) -> Tensor {
         assert!(dim < self.rank(), "slice dim out of range");
         assert!(start + len <= self.shape[dim], "slice range out of bounds");
         let outer: usize = self.shape[..dim].iter().product();
         let inner: usize = self.shape[dim + 1..].iter().product();
-        let mut out = Vec::with_capacity(outer * len * inner);
+        out.clear();
+        out.reserve_exact(outer * len * inner);
         let stride = self.shape[dim] * inner;
         for o in 0..outer {
             let base = o * stride + start * inner;
@@ -218,6 +230,17 @@ impl Tensor {
     /// Panics if `parts` is empty or shapes disagree off-`dim`.
     #[must_use]
     pub fn concat(parts: &[&Tensor], dim: usize) -> Tensor {
+        Tensor::concat_into(parts, dim, Vec::new())
+    }
+
+    /// [`Tensor::concat`] written into `out`'s storage, which is grown if
+    /// short; its old contents are dropped.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `parts` is empty or shapes disagree off-`dim`.
+    #[must_use]
+    pub fn concat_into(parts: &[&Tensor], dim: usize, mut out: Vec<f32>) -> Tensor {
         assert!(!parts.is_empty(), "concat of zero tensors");
         let first = parts[0];
         let rank = first.rank();
@@ -233,7 +256,8 @@ impl Tensor {
         let outer: usize = first.shape[..dim].iter().product();
         let inner: usize = first.shape[dim + 1..].iter().product();
         let total_dim: usize = parts.iter().map(|p| p.shape[dim]).sum();
-        let mut out = Vec::with_capacity(outer * total_dim * inner);
+        out.clear();
+        out.reserve_exact(outer * total_dim * inner);
         for o in 0..outer {
             for p in parts {
                 let stride = p.shape[dim] * inner;
@@ -364,7 +388,9 @@ impl fmt::Debug for Tensor {
 impl Add<&Tensor> for &Tensor {
     type Output = Tensor;
     fn add(self, rhs: &Tensor) -> Tensor {
-        self.zip_with(rhs, |a, b| a + b)
+        let mut out = Tensor::zeros(self.shape.clone());
+        crate::ops::add_into(self, rhs, &mut out);
+        out
     }
 }
 
