@@ -194,6 +194,29 @@ ESTI_DISABLE_SIMD=1 cargo test -q --release -p esti-runtime --lib -- the_buffer_
 taskset -c 0 cargo test -q --release -p esti-runtime --test alloc
 taskset -c 0 cargo test -q --release -p esti-runtime --lib -- the_buffer_plan a_pass_after_a_larger_one
 
+echo "== shards cut from the schedule: every weight, gain and KV row from the schedule's specs =="
+# The engine cuts each chip's weights, layernorm gains, KV rows and KV heads
+# from its verified schedule's specs with one helper, ShardingSpec::local_range:
+# axes a collective later gathers innermost, the batch in the order the
+# schedule shards it, everything else canonical. The per-layout shard
+# builders and every match on the dataflow family stay out of the runtime.
+# The property test walks every built-in layout at 1/2/4/8 chips (tiny and
+# tiny-mh, parallel and serial): each weight's cuts tile it, a weight
+# gather's parts concatenate to the next cut, gains are E/n in 2D and whole
+# elsewhere, and the KV rows x heads cover every pair. end_to_end reads each
+# slot's KV back against the single chip's. Both GEMM tiers.
+if grep -rn "Dataflow" crates/runtime \
+  || grep -rnE "fn shard_1d|fn shard_2d|fn shard_wg|fn unshard_1d|megatron_trick_check|LayerShard|fn chip_kv_heads|fn chip_rows|fn parts\(" crates/runtime; then
+  echo "FAIL: a per-layout shard builder or a Dataflow match is back in the runtime" >&2
+  exit 1
+fi
+cargo test -q --release -p esti-runtime --lib -- shards_cut_from_the_schedule
+cargo test -q --release --test end_to_end
+cargo test -q --release -p esti-runtime --test equivalence --test live_rows --test prefix_prefill
+ESTI_DISABLE_SIMD=1 cargo test -q --release -p esti-runtime --lib -- shards_cut_from_the_schedule
+ESTI_DISABLE_SIMD=1 cargo test -q --release --test end_to_end
+ESTI_DISABLE_SIMD=1 cargo test -q --release -p esti-runtime --test equivalence --test live_rows --test prefix_prefill
+
 echo "== frozen benchmark: builds against the workspace crates, oracle passes =="
 # benchmark/ is its own [workspace], so nothing above compiles it: a pub its
 # probes use (KvCache::read_slot, attention_over_cache, ops::softmax_base2,

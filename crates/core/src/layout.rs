@@ -257,7 +257,7 @@ impl Layout {
                 }
             }
             FfnLayout::WeightStationary2D => {
-                // Dataflow (Appendix A.2.1): activations sharded E_xyz at
+                // The 2D flow (Appendix A.2.1): activations sharded E_xyz at
                 // layer boundaries; the E/X-sized transfers run over the yz
                 // axes (gathering/scattering the d_model shards) and the
                 // F/YZ-sized transfers over the x axis (around the hidden

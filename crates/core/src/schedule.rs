@@ -548,9 +548,11 @@ impl Step {
     }
 }
 
-/// The dataflow family a layout lowers to.
+/// The dataflow family a layout lowers to: which builder writes its
+/// schedule, and over which axes. Nothing outside this module needs it: the
+/// schedule's specs say everything a runtime cuts or runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Dataflow {
+enum Dataflow {
     /// 1D weight-stationary (Section 3.2.1).
     OneD,
     /// 2D weight-stationary (Section 3.2.2).
@@ -576,8 +578,6 @@ pub enum Dataflow {
 pub struct Schedule {
     /// The layout this schedule implements.
     pub layout: Layout,
-    /// The dataflow family `layout` lowers to.
-    pub dataflow: Dataflow,
     /// The logical mesh the schedule runs on (from `layout.mesh`).
     pub torus: TorusShape,
     /// Global batch size the schedule was built for.
@@ -779,7 +779,6 @@ impl Plan {
     fn new(layout: &Layout, batch: usize, seq: usize, boundary: SymTensor) -> Self {
         let s = Schedule {
             layout: *layout,
-            dataflow: dataflow_of(layout),
             torus: TorusShape::new(layout.mesh.x, layout.mesh.y, layout.mesh.z),
             batch,
             seq,
@@ -1366,7 +1365,7 @@ mod tests {
             for layout in layouts_for(MeshFactors::new(2, 2, 1)) {
                 let s = build_schedule(&cfg, &layout, 16, 4).unwrap();
                 s.verify().unwrap_or_else(|e| panic!("{}: {e}", layout.describe()));
-                flows.push(s.dataflow);
+                flows.push(dataflow_of(&layout));
                 let attn_add = s.layer.iter().position(|st| st.label() == "attn residual add");
                 let mut adds = 0;
                 for step in &s.layer {
@@ -1391,7 +1390,7 @@ mod tests {
                     }
                 }
                 // Fully weight-gathered blocks add each branch in turn.
-                let turn = block == BlockKind::Serial || s.dataflow == Dataflow::WgFull;
+                let turn = block == BlockKind::Serial || dataflow_of(&layout) == Dataflow::WgFull;
                 let expect = if turn { 2 } else { 1 };
                 assert_eq!(adds, expect, "{} {block:?}", layout.describe());
             }

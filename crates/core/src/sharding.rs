@@ -155,8 +155,12 @@ impl ShardingSpec {
     }
 
     /// The slice `(start, len)` of global dimension `idx` owned by the chip
-    /// at `coord`. Shard index is the lexicographic position of the chip's
-    /// coordinates along the dimension's axes (canonical `x, y, z` order).
+    /// at `coord`. Shard index is the position of the chip's coordinates
+    /// along the dimension's axes, outer to inner: first the axes no set of
+    /// `order` names, then each set of `order` in turn, every set in
+    /// canonical `x, y, z` order (`order = &[]` is canonical throughout). The
+    /// sets are disjoint; those naming none of the dimension's axes are
+    /// skipped.
     ///
     /// # Panics
     ///
@@ -168,15 +172,16 @@ impl ShardingSpec {
         global: usize,
         torus: TorusShape,
         coord: ChipCoord,
+        order: &[AxisSet],
     ) -> (usize, usize) {
         let d = &self.dims[idx];
         let parts = torus.group_size(d.axes);
         assert!(global.is_multiple_of(parts), "dimension not divisible by partitions");
         let len = global / parts;
-        let mut shard = 0;
-        for a in d.axes.iter() {
-            shard = shard * torus.size(a) + coord.along(a);
-        }
+        let named = order.iter().fold(AxisSet::empty(), |u, &s| u.union(s));
+        let inner = order.iter().map(|s| s.intersection(d.axes));
+        let axes = std::iter::once(d.axes.without(named)).chain(inner).flat_map(AxisSet::iter);
+        let shard = axes.fold(0, |shard, a| shard * torus.size(a) + coord.along(a));
         (shard * len, len)
     }
 
@@ -323,13 +328,21 @@ mod tests {
         let spec = ShardingSpec::new("BE").shard('E', AxisSet::of(&[Axis::X, Axis::Y]));
         let mut covered = [false; 16];
         for c in torus.chips() {
-            let (start, len) = spec.local_range(1, 16, torus, c);
+            let (start, len) = spec.local_range(1, 16, torus, c, &[]);
             assert_eq!(len, 4);
             for c in covered.iter_mut().skip(start).take(len) {
                 *c = true; // chips sharing a shard mark it again
             }
         }
         assert!(covered.iter().all(|&c| c));
+        // With x inner the shard index is y-major: chip (x, y) holds shard
+        // 2y + x, where canonically it holds 2x + y.
+        let x_inner = [AxisSet::single(Axis::X)];
+        for c in torus.chips() {
+            let (start, _) = spec.local_range(1, 16, torus, c, &x_inner);
+            assert_eq!(start, 4 * (2 * c.y + c.x));
+            assert_eq!(spec.local_range(1, 16, torus, c, &[]).0, 4 * (2 * c.x + c.y));
+        }
     }
 
     #[test]
@@ -337,7 +350,7 @@ mod tests {
         let torus = TorusShape::new(4, 1, 1);
         let spec = ShardingSpec::new("BE").shard('E', AxisSet::single(Axis::X));
         for c in torus.chips() {
-            assert_eq!(spec.local_range(0, 8, torus, c), (0, 8));
+            assert_eq!(spec.local_range(0, 8, torus, c, &[]), (0, 8));
         }
     }
 
@@ -462,15 +475,18 @@ mod tests {
             let torus = TorusShape::new(x, y, 1);
             let spec = ShardingSpec::new("E").shard('E', AxisSet::of(&[Axis::X, Axis::Y]));
             let global = x * y * 2;
-            let mut hits = vec![0usize; global];
-            for c in torus.chips() {
-                let (s, l) = spec.local_range(0, global, torus, c);
-                for h in hits.iter_mut().skip(s).take(l) {
-                    *h += 1;
+            // Canonically, and with x inner (y-major).
+            for order in [&[][..], &[AxisSet::single(Axis::X)]] {
+                let mut hits = vec![0usize; global];
+                for c in torus.chips() {
+                    let (s, l) = spec.local_range(0, global, torus, c, order);
+                    for h in hits.iter_mut().skip(s).take(l) {
+                        *h += 1;
+                    }
                 }
+                // Every element owned exactly once.
+                prop_assert!(hits.iter().all(|&h| h == 1));
             }
-            // Every element owned exactly once.
-            prop_assert!(hits.iter().all(|&h| h == 1));
         }
     }
 }

@@ -44,6 +44,7 @@
 #![allow(clippy::expect_used, clippy::unwrap_used)]
 
 use std::borrow::Cow;
+use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Duration;
@@ -52,19 +53,19 @@ use esti_collectives::{
     Call, CollectiveError, CommGroup, CommTimes, FaultPlan, FaultState, InjectedCrash, Posted, Received,
     TrafficStats,
 };
-use esti_core::layout::{AttnSharding, Layout};
+use esti_core::layout::Layout;
 use esti_core::schedule::{
-    build_schedule, Dataflow, Gain, LocalOp, Operand, Role, Schedule, Step, SymOp, SymTensor,
-    WireFormat,
+    build_schedule, Gain, LocalOp, Operand, Role, Schedule, Step, SymOp, SymTensor, WireFormat,
 };
+use esti_core::sharding::ShardingSpec;
 use esti_hal::DType;
 use esti_model::reference::{attention_over_rows_into, gelu_into};
-use esti_model::{KvCache, ModelConfig, PageStats, PositionKind, ReferenceModel};
+use esti_model::{KvCache, ModelConfig, PageStats, PositionKind, ReferenceModel, Weights};
 use esti_tensor::pool::{with_worker_pool, ChipPool};
 use esti_tensor::{ops, Tensor};
-use esti_topology::AxisSet;
+use esti_topology::{AxisSet, ChipCoord, TorusShape};
 
-use crate::shard::{shard_1d, shard_2d, shard_wg, shard_wg_hybrid, LayerShard, ShardMat};
+use crate::shard::ShardMat;
 
 pub use crate::shard::WeightFormat;
 
@@ -121,23 +122,36 @@ impl std::fmt::Display for EngineError {
 
 impl std::error::Error for EngineError {}
 
-/// Per-chip state: weight shards, KV-cache shard, and group handles.
+/// Per-chip state: its cut of the weights and gains, KV-cache shard, and
+/// group handles.
 struct ChipState {
     rank: usize,
-    /// Position along the logical x axis (2D only).
-    i: usize,
-    /// Position along the logical yz axes (2D only).
-    j: usize,
-    layers: Vec<LayerShard>,
+    /// The chip's place on the schedule's mesh, which picks its cuts.
+    coord: ChipCoord,
+    /// What the chip stores for each pass of the program: every layer,
+    /// then the final steps.
+    stored: Vec<Stored>,
     cache: KvCache,
     /// The chip's group over each axis set the schedule's collectives name,
     /// and over all chips.
     groups: Vec<(AxisSet, CommGroup)>,
-    /// Final layernorm gain (full, or this chip's `E/n` slice in 2D).
-    ln_final: Tensor,
-    /// Transposed embedding for the logit projection (full `[E, V]`, or
-    /// this chip's `[E/n, V]` row slice in 2D).
-    embed_t: ShardMat,
+}
+
+/// A chip's cut of what one pass reads — a layer, or the final steps: each
+/// stored weight, in `Schedule.weights` order, and each layernorm gain.
+struct Stored {
+    weights: Vec<(Role, ShardMat)>,
+    gains: Vec<(Gain, Tensor)>,
+}
+
+impl Stored {
+    fn weight(&self, role: Role) -> &ShardMat {
+        &self.weights.iter().find(|w| w.0 == role).expect("a pass stores every weight it reads").1
+    }
+
+    fn gain(&self, gain: Gain) -> &Tensor {
+        &self.gains.iter().find(|g| g.0 == gain).expect("a pass stores every gain it applies").1
+    }
 }
 
 /// A Transformer partitioned over `n` simulated chips.
@@ -154,9 +168,6 @@ struct ChipState {
 pub struct PartitionedEngine {
     cfg: ModelConfig,
     layout: Layout,
-    /// The layout's verified schedule, wire formats marked for the stored
-    /// weights.
-    schedule: Schedule,
     /// The schedule compiled once for the chips: what every chip runs.
     program: Program,
     chips: Vec<ChipState>,
@@ -264,8 +275,6 @@ impl PartitionedEngine {
         let schedule = build_schedule(&cfg, &layout, n, 1)
             .and_then(|s| s.verify().map(|()| s.with_weight_dtype(dtype)))
             .unwrap_or_else(|e| panic!("invalid partition plan for {}: {e}", layout.describe()));
-        let dataflow = schedule.dataflow;
-        let (x_parts, yz_parts) = parts(&schedule);
 
         // One group per axis set the schedule's collectives name, plus all
         // chips; members rank in chip order.
@@ -284,44 +293,14 @@ impl PartitionedEngine {
         }
 
         let weights = model.weights();
-        let e = cfg.d_model;
-        let e_n = e / n.max(1);
         let embed_t = weights.embed.transpose();
         let chips = groups
             .into_iter()
             .enumerate()
             .map(|(rank, groups)| {
-                let (i, j) = (rank / yz_parts, rank % yz_parts);
-                let layers = weights
-                    .layers
-                    .iter()
-                    .map(|lw| match dataflow {
-                        Dataflow::OneD => shard_1d(&cfg, lw, rank, n, fmt),
-                        Dataflow::TwoD => shard_2d(&cfg, lw, i, j, x_parts, yz_parts, fmt),
-                        Dataflow::WgFull => shard_wg(&cfg, lw, rank, n, fmt),
-                        Dataflow::WgHybrid { .. } => {
-                            shard_wg_hybrid(&cfg, lw, i, j, x_parts, yz_parts, fmt)
-                        }
-                    })
-                    .collect();
-                let (ln_final, embed_t) = match dataflow {
-                    Dataflow::TwoD => {
-                        assert!(e.is_multiple_of(n), "2D layout needs d_model divisible by {n} chips");
-                        let off = rank * e_n;
-                        (weights.ln_final.slice(0, off, e_n), embed_t.slice(0, off, e_n))
-                    }
-                    _ => (weights.ln_final.clone(), embed_t.clone()),
-                };
-                ChipState {
-                    rank,
-                    i,
-                    j,
-                    layers,
-                    cache: KvCache::new(cfg.n_layers),
-                    groups,
-                    ln_final,
-                    embed_t: ShardMat::Dense(embed_t),
-                }
+                let coord = torus.coord_of(rank);
+                let stored = (0..=cfg.n_layers).map(|li| store(&schedule, weights, &embed_t, li, coord, fmt)).collect();
+                ChipState { rank, coord, stored, cache: KvCache::new(cfg.n_layers), groups }
             })
             .collect();
         let mut engine = PartitionedEngine {
@@ -329,7 +308,6 @@ impl PartitionedEngine {
             pos_embed: weights.pos_embed.clone(),
             cfg,
             layout,
-            schedule,
             program,
             chips,
             stats,
@@ -564,7 +542,7 @@ impl PartitionedEngine {
         let b = self.ages.len();
         self.validate_batch(b * k);
         for ci in 0..self.chips.len() {
-            let span = self.chip_rows(&self.chips[ci], b).1;
+            let span = self.program.kv_rows(self.chips[ci].coord, b).len();
             self.chips[ci].cache.repeat_batch(k, span);
         }
         self.ages = self.ages.iter().flat_map(|&age| std::iter::repeat_n(age, k)).collect();
@@ -617,13 +595,7 @@ impl PartitionedEngine {
     /// of a request's row).
     #[must_use]
     pub fn min_batch(&self) -> usize {
-        let n = self.chips.len();
-        match self.schedule.dataflow {
-            Dataflow::WgFull => n,
-            _ if self.layout.attn == AttnSharding::Batch => n,
-            Dataflow::WgHybrid { .. } => parts(&self.schedule).0,
-            Dataflow::OneD | Dataflow::TwoD => 1,
-        }
+        self.program.spans()
     }
 
     /// Index of the span of slots holding `slot`, in `0..min_batch()`:
@@ -642,62 +614,19 @@ impl PartitionedEngine {
     /// Cache rows `chip` holds for a batch of `b`: its span, plus the
     /// scratch row past it.
     fn cache_rows(&self, chip: &ChipState, b: usize) -> usize {
-        self.chip_rows(chip, b).1 + 1
+        self.program.kv_rows(chip.coord, b).len() + 1
     }
 
     /// Row of `chip`'s cache that batch row `row` of `b` lives in, if the
     /// chip holds it: a slot of its span, or — for `b + r0`, the scratch row
     /// of the span starting at `r0` — the row past the span.
     fn local_row(&self, chip: &ChipState, b: usize, row: usize) -> Option<usize> {
-        let (r0, rc) = self.chip_rows(chip, b);
-        if (r0..r0 + rc).contains(&row) {
-            Some(row - r0)
+        let rows = self.program.kv_rows(chip.coord, b);
+        if rows.contains(&row) {
+            Some(row - rows.start)
         } else {
-            (row == b + r0).then_some(rc)
+            (row == b + rows.start).then_some(rows.len())
         }
-    }
-
-    /// Batch rows of the full batch `b` that `chip`'s KV cache holds, as
-    /// `(start, count)` — the inverse of each dataflow's cache slicing.
-    fn chip_rows(&self, chip: &ChipState, b: usize) -> (usize, usize) {
-        let n = self.chips.len();
-        // 1D is the hybrid with one gather group: `(i, j) = (0, rank)`.
-        let (n_gather, n_local) = parts(&self.schedule);
-        match (self.schedule.dataflow, self.layout.attn) {
-            (Dataflow::TwoD, AttnSharding::Head) => (0, b),
-            (Dataflow::WgFull, _) => (chip.rank * (b / n), b / n),
-            (Dataflow::TwoD, AttnSharding::Batch) => {
-                let b_n = b / n;
-                let b_yz = b / self.layout.mesh.yz();
-                (chip.j * b_yz + chip.i * b_n, b_n)
-            }
-            (Dataflow::OneD | Dataflow::WgHybrid { .. }, attn) => {
-                let slice = b / n_gather;
-                match attn {
-                    AttnSharding::Head => (chip.i * slice, slice),
-                    AttnSharding::Batch => {
-                        let b_loc = slice / n_local;
-                        (chip.i * slice + chip.j * b_loc, b_loc)
-                    }
-                }
-            }
-        }
-    }
-
-    /// KV heads of the canonical `[len, Hkv·dh]` row that `chip`'s cache
-    /// holds, as `(start, count)` — multiquery K/V is replicated (every
-    /// chip holds the single head); multihead K/V shards like Q.
-    fn chip_kv_heads(&self, chip: &ChipState) -> (usize, usize) {
-        let n_kv = self.cfg.n_kv_heads();
-        if n_kv == 1 {
-            return (0, 1);
-        }
-        if self.schedule.dataflow == Dataflow::WgFull {
-            return (0, n_kv);
-        }
-        // Heads shard over the yz / local group (every chip, in 1D).
-        let h = n_kv / parts(&self.schedule).1;
-        (chip.j * h, h)
     }
 
     /// Extracts slot `row`'s KV cache in canonical form, assembling head
@@ -725,14 +654,14 @@ impl PartitionedEngine {
                     assert!(*len.get_or_insert(l) == l, "chips disagree on row length");
                     let k = k.get_or_insert_with(|| Tensor::zeros(vec![l, d]));
                     let v = v.get_or_insert_with(|| Tensor::zeros(vec![l, d]));
-                    let (h0, hc) = self.chip_kv_heads(chip);
-                    let w = hc * dh;
+                    let heads = self.program.kv_heads(chip.coord);
+                    let w = heads.len() * dh;
                     // The chip's `[l, w]` head shard, run by run, straight
-                    // into columns `h0·dh ..` of the canonical `[l, d]` rows.
+                    // into its heads' columns of the canonical `[l, d]` rows.
                     let shard = chip.cache.row_runs(li, local);
                     let rows = shard.flat_map(|(rk, rv)| rk.chunks(w).zip(rv.chunks(w)));
                     for (r, (rk, rv)) in rows.enumerate() {
-                        let dst = r * d + h0 * dh;
+                        let dst = r * d + heads.start * dh;
                         k.data_mut()[dst..dst + w].copy_from_slice(rk);
                         v.data_mut()[dst..dst + w].copy_from_slice(rv);
                     }
@@ -766,13 +695,14 @@ impl PartitionedEngine {
                 continue;
             };
             let rows = self.cache_rows(&self.chips[ci], b);
-            let (h0, hc) = self.chip_kv_heads(&self.chips[ci]);
+            let heads = self.program.kv_heads(self.chips[ci].coord);
+            let (c0, w) = (heads.start * dh, heads.len() * dh);
             let shards: Vec<(Tensor, Tensor)> = kv
                 .layers
                 .iter()
                 .map(|(k, v)| {
                     assert_eq!(k.dim(1), n_kv * dh, "canonical KV width mismatch");
-                    (k.slice(1, h0 * dh, hc * dh), v.slice(1, h0 * dh, hc * dh))
+                    (k.slice(1, c0, w), v.slice(1, c0, w))
                 })
                 .collect();
             self.chips[ci].cache.insert_row_shared(row, rows, &shards, tokens);
@@ -952,14 +882,15 @@ impl PartitionedEngine {
     /// ascending `(start, count)`: one span of all `b` where every chip
     /// holds every row, otherwise equal disjoint spans.
     fn row_spans(&self, b: usize) -> Vec<(usize, usize)> {
-        let mut spans: Vec<_> = self.chips.iter().map(|c| self.chip_rows(c, b)).collect();
+        let rows = self.chips.iter().map(|c| self.program.kv_rows(c.coord, b));
+        let mut spans: Vec<_> = rows.map(|r| (r.start, r.len())).collect();
         spans.sort_unstable();
         spans.dedup();
         spans
     }
 
     /// Places the requested slots in a pass batch whose row spans
-    /// (`chip_rows` of the *pass's* batch size) line up with the slot spans
+    /// (`kv_rows` of the *pass's* batch size) line up with the slot spans
     /// the chips' caches hold: span by span, the span's requested slots in
     /// request order, then padding up to the largest requested count over
     /// spans — empty slots of that span, then its scratch row `b + r0`.
@@ -1021,21 +952,8 @@ impl PartitionedEngine {
     }
 
     fn validate_batch(&self, b: usize) {
-        let n = self.chips.len();
-        let dataflow = self.schedule.dataflow;
-        if dataflow == Dataflow::WgFull {
-            assert!(b.is_multiple_of(n), "weight-gathered layout needs batch divisible by {n} chips");
-        }
-        if let Dataflow::WgHybrid { .. } = dataflow {
-            let n_gather = parts(&self.schedule).0;
-            assert!(
-                b.is_multiple_of(n_gather),
-                "hybrid weight-gathered layout needs batch divisible by {n_gather} gather groups"
-            );
-        }
-        if self.layout.attn == AttnSharding::Batch && dataflow != Dataflow::WgFull {
-            assert!(b.is_multiple_of(n), "batch-sharded attention needs batch divisible by {n} chips");
-        }
+        let spans = self.min_batch();
+        assert!(b.is_multiple_of(spans), "{} needs batch divisible by {spans}", self.layout.describe());
     }
 
     /// Runs the partitioned forward pass over embedded inputs `[B, L, E]`,
@@ -1066,15 +984,14 @@ impl PartitionedEngine {
         let n = self.chips.len();
         let (b, l) = (x.dim(0), x.dim(1));
         let bases = self.row_bases(rows);
-        // Each chip's share of the pass (`chip_rows` of the pass's batch) as
-        // rows of its own cache (`chip_rows` of the engine's).
+        // Each chip's share of the pass (`kv_rows` of the pass's batch) as
+        // rows of its own cache (`kv_rows` of the engine's).
         let batch = self.ages.len();
         let kv_rows: Vec<(Vec<usize>, usize)> = self
             .chips
             .iter()
             .map(|chip| {
-                let (s0, sc) = self.chip_rows(chip, b);
-                let local = rows[s0..s0 + sc].iter().map(|&row| {
+                let local = rows[self.program.kv_rows(chip.coord, b)].iter().map(|&row| {
                     let local = self.local_row(chip, batch, row);
                     local.unwrap_or_else(|| panic!("row {row} placed outside chip {}'s rows", chip.rank))
                 });
@@ -1164,17 +1081,6 @@ struct StepLayout {
 fn rows_per_span(spans: &[(usize, usize)], slots: &[usize]) -> usize {
     let held = |&(r0, rc): &(usize, usize)| slots.iter().filter(|s| (r0..r0 + rc).contains(s)).count();
     spans.iter().map(held).max().unwrap_or(0)
-}
-
-/// The `(x, yz)` group sizes of `s`'s dataflow: 2D's `x` and `y·z`, hybrid
-/// weight-gathering's gather and local groups, `(1, n)` otherwise.
-fn parts(s: &Schedule) -> (usize, usize) {
-    let size = |axes| s.torus.group_size(axes);
-    match s.dataflow {
-        Dataflow::TwoD => (s.layout.mesh.x, s.layout.mesh.yz()),
-        Dataflow::WgHybrid { gather, local } => (size(gather), size(local)),
-        Dataflow::OneD | Dataflow::WgFull => (1, s.torus.chip_count()),
-    }
 }
 
 /// A chip's KV cache as one forward pass sees it: step row `r` of the
@@ -1373,14 +1279,15 @@ fn group_axes(s: &Schedule) -> Vec<AxisSet> {
 /// schedule.
 struct Program {
     cfg: ModelConfig,
+    torus: TorusShape,
     /// The layer steps, then the final steps.
     instrs: Vec<Instr>,
     /// Where the final steps begin.
     split: usize,
-    /// The groups the batch splits over, outermost first — the order the
+    /// The axes the batch splits over, outermost first — the order the
     /// schedule shards it in (2D batch attention splits it over yz, then
-    /// x) — by axes and by index into `ChipState::groups`.
-    nest: Vec<(AxisSet, usize)>,
+    /// x).
+    nest: Vec<AxisSet>,
     /// The step values each step reads last, whose buffers then go back to
     /// their slots.
     dies: Vec<Vec<usize>>,
@@ -1389,11 +1296,14 @@ struct Program {
     frees: Vec<Vec<usize>>,
     /// Whether the final steps communicate, so that every chip runs them.
     talks: bool,
-    /// The boundary dim a chip cuts its block of the pass input along, and
-    /// the group whose rank picks the block.
-    cut: Option<(usize, usize)>,
-    /// The boundary's batch axes: whose groups pick the chip's rows.
-    rows: AxisSet,
+    /// The residual stream's spec, and the one dim of it a chip cuts its
+    /// block of the pass input along; the chip's rows are its share over
+    /// the spec's batch axes.
+    boundary: SymTensor,
+    cut: Option<usize>,
+    /// The attention's K input: its batch axes pick the rows a chip's KV
+    /// cache holds, and the cut of its `H` dim the heads.
+    kv: SymTensor,
     /// The group whose rank 0 returns the logits: the one they are
     /// replicated over.
     emit: usize,
@@ -1431,12 +1341,11 @@ impl Program {
         let (n, split) = (steps.len(), s.layer.len());
         let tensor = |r: Operand| s.tensor(r).expect("a verified schedule's operands exist");
         let group = |a: AxisSet| axes.iter().position(|&g| g == a).expect("a group per axes");
-        let mut nest: Vec<(AxisSet, usize)> = Vec::new();
+        let mut nest: Vec<AxisSet> = Vec::new();
         for t in std::iter::once(&s.boundary).chain(steps.iter().map(|st| st.output())) {
-            let held = nest.iter().fold(AxisSet::empty(), |u, &(a, _)| u.union(a));
-            let new = b_axes(t).without(held);
+            let new = b_axes(t).without(nest.iter().fold(AxisSet::empty(), |u, &a| u.union(a)));
             if !new.is_empty() {
-                nest.push((new, group(new)));
+                nest.push(new);
             }
         }
         let mut last_read: Vec<usize> = (0..n).collect();
@@ -1497,7 +1406,8 @@ impl Program {
                     let dim = |c: char| t.dim_index(c).expect("the tensor has the dim");
                     let send = match (*op, *input) {
                         (SymOp::AllGather { dim: d }, Operand::Weight(role)) if to_einsum[k] => {
-                            Exchange::Weight { role, dim: usize::from(dim(d) != 0), wire: *wire }
+                            let dim = matrix_dims(&t.spec).nth(dim(d)).expect("the weight has the dim");
+                            Exchange::Weight { role, dim, wire: *wire }
                         }
                         (SymOp::AllGather { .. }, _) if to_einsum[k] => Exchange::Parts,
                         (SymOp::AllGather { dim: d }, _) => Exchange::Gather(dim(d).min(2)),
@@ -1589,19 +1499,25 @@ impl Program {
         }
 
         let mut cut = s.boundary.spec.dims().iter().enumerate().filter(|(_, d)| !d.axes.is_empty());
-        let first_cut = cut.next().map(|(d, dim)| (d, group(dim.axes)));
+        let first_cut = cut.next().map(|(d, _)| d);
         assert!(cut.next().is_none(), "the residual stream is cut along one dim");
         let sharded = b_axes(steps[n - 1].output());
+        let kv = steps.iter().find_map(|st| match st {
+            Step::Local { op: LocalOp::Attention, inputs, .. } => Some(tensor(inputs[1]).clone()),
+            _ => None,
+        });
         Program {
             cfg: cfg.clone(),
+            torus: s.torus,
             instrs,
             split,
             nest,
             dies,
             frees,
             talks: s.final_steps.iter().any(|st| matches!(st, Step::Collective { .. })),
+            boundary: s.boundary.clone(),
             cut: first_cut,
-            rows: b_axes(&s.boundary),
+            kv: kv.expect("a layer attends"),
             emit: group(AxisSet::all().without(sharded)),
             slots,
         }
@@ -1617,14 +1533,120 @@ impl Program {
         }
     }
 
-    /// The rows of `n` batch rows a chip with `groups` keeps when they split
-    /// over `axes`: its share in each of those groups, outermost first.
-    fn share(&self, groups: &[(AxisSet, CommGroup)], n: usize, axes: AxisSet) -> std::ops::Range<usize> {
-        self.nest.iter().filter(|(a, _)| a.is_subset_of(axes)).fold(0..n, |r, &(_, g)| {
-            let g = &groups[g].1;
-            let k = r.len() / g.size();
-            r.start + g.rank() * k..r.start + (g.rank() + 1) * k
+    /// The rows of `n` batch rows chip `coord` keeps when they split over
+    /// `axes`: its cut of a batch dim sharded over the nest's sets within
+    /// `axes`, in the nest's order.
+    fn share(&self, coord: ChipCoord, n: usize, axes: AxisSet) -> Range<usize> {
+        let held = self.nest.iter().filter(|a| a.is_subset_of(axes)).fold(AxisSet::empty(), |u, &a| u.union(a));
+        let (start, len) = ShardingSpec::new("B").shard('B', held).local_range(0, n, self.torus, coord, &self.nest);
+        start..start + len
+    }
+
+    /// The number of spans the batch splits into: the size of the group
+    /// over every axis it splits over.
+    fn spans(&self) -> usize {
+        self.torus.group_size(self.nest.iter().fold(AxisSet::empty(), |u, &a| u.union(a)))
+    }
+
+    /// The batch rows of `b` that chip `coord`'s KV cache holds.
+    fn kv_rows(&self, coord: ChipCoord, b: usize) -> Range<usize> {
+        self.share(coord, b, b_axes(&self.kv))
+    }
+
+    /// The heads of the canonical `[len, Hkv·dh]` KV row that chip `coord`'s
+    /// cache holds: all of a multiquery model's one head.
+    fn kv_heads(&self, coord: ChipCoord) -> Range<usize> {
+        let Some(h) = self.kv.dim_index('H') else { return 0..1 };
+        let (start, len) = self.kv.spec.local_range(h, self.kv.global[h], self.torus, coord, &[]);
+        start..start + len
+    }
+}
+
+/// The stored `[rows, cols]` matrix dim each of `spec`'s dims maps onto, in
+/// order: a `D` after `H` folds into it (`H·D`, H-major, as the activations
+/// flatten them); every other dim starts the next.
+fn matrix_dims(spec: &ShardingSpec) -> impl Iterator<Item = usize> + '_ {
+    let dims = spec.dims();
+    (0..dims.len()).scan(0, move |m, i| {
+        *m += usize::from(i > 0 && !(dims[i].name == 'D' && dims[i - 1].name == 'H'));
+        Some(*m)
+    })
+}
+
+/// Chip `coord`'s block of `w`, the stored `[rows, cols]` matrix of weight
+/// `t`: each of `t`'s dims cut by [`ShardingSpec::local_range`] with the
+/// axes `inner` innermost, and mapped onto the matrix by [`matrix_dims`].
+fn cut(w: &Tensor, t: &SymTensor, torus: TorusShape, coord: ChipCoord, inner: AxisSet) -> Tensor {
+    let mut block = [(0, 1); 2];
+    let mut last = None;
+    for (i, m) in matrix_dims(&t.spec).enumerate() {
+        let (start, len) = t.spec.local_range(i, t.global[i], torus, coord, &[inner]);
+        assert!(last != Some(m) || len == t.global[i], "a flattened matrix dim is cut on its outer dim only");
+        block[m] = (block[m].0 * t.global[i] + start, block[m].1 * len);
+        last = Some(m);
+    }
+    let [(r0, rn), (c0, cn)] = block;
+    w.slice(0, r0, rn).slice(1, c0, cn)
+}
+
+/// Chip `coord`'s cut of what pass `li` of `s` reads (a layer, or, past the
+/// last, the final steps). Each stored weight it reads is cut by its spec,
+/// the axes the schedule all-gathers it over innermost, so that a gather
+/// group's rank-ordered parts concatenate into the cut over the rest; it is
+/// stored in `fmt`, but the logits projection stays f32. Each layernorm gain
+/// is cut like its step's output `E`.
+fn store(s: &Schedule, w: &Weights, embed_t: &Tensor, li: usize, coord: ChipCoord, fmt: WeightFormat) -> Stored {
+    let steps = if li < w.layers.len() { &s.layer } else { &s.final_steps };
+    let gathered = |role: Role| {
+        let over = s.collectives().into_iter().find_map(|st| match st {
+            Step::Collective { op: SymOp::AllGather { .. }, axes, input, .. } if *input == Operand::Weight(role) => {
+                Some(*axes)
+            }
+            _ => None,
+        });
+        over.unwrap_or_default()
+    };
+    let weights = s
+        .weights
+        .iter()
+        .filter(|(role, _)| steps.iter().flat_map(operands).any(|r| r == Operand::Weight(*role)))
+        .map(|&(role, ref t)| {
+            let block = cut(matrix(w, embed_t, li, role), t, s.torus, coord, gathered(role));
+            (role, if role == Role::EmbedT { ShardMat::Dense(block) } else { fmt.apply(&block) })
         })
+        .collect();
+    let gains = steps
+        .iter()
+        .filter_map(|st| match st {
+            Step::Local { op: LocalOp::LayerNorm(gain), output, .. } => {
+                let full = match gain {
+                    Gain::Attn => &w.layers[li].ln1,
+                    Gain::Mlp => w.layers[li].ln2.as_ref().expect("a serial block has an MLP layernorm"),
+                    Gain::Final => &w.ln_final,
+                };
+                let e = output.dim_index('E').expect("a layernorm normalizes E");
+                let (start, len) = output.spec.local_range(e, output.global[e], s.torus, coord, &[]);
+                Some((*gain, full.slice(0, start, len)))
+            }
+            _ => None,
+        })
+        .collect();
+    Stored { weights, gains }
+}
+
+/// The full stored matrix of weight `role` in pass `li`: a field of layer
+/// `li`, or the transposed embedding.
+fn matrix<'a>(w: &'a Weights, embed_t: &'a Tensor, li: usize, role: Role) -> &'a Tensor {
+    let l = || &w.layers[li];
+    match role {
+        Role::Wq => &l().wq,
+        Role::Wk => &l().wk,
+        Role::Wv => &l().wv,
+        Role::Wo => &l().wo,
+        Role::WIn => &l().w_in,
+        Role::WGate => l().w_gate.as_ref().expect("a gated MLP stores its gate"),
+        Role::WOut => &l().w_out,
+        Role::EmbedT => embed_t,
     }
 }
 
@@ -1639,22 +1661,6 @@ fn take_slot(slots: &mut [Vec<f32>], s: usize, shape: Vec<usize>, zero: bool) ->
     buf.reserve_exact(n.saturating_sub(buf.len()));
     buf.resize(n, 0.0);
     Tensor::from_vec(shape, buf)
-}
-
-/// The stored weight `role` names: one of `layer`'s shards, or the
-/// transposed embedding.
-fn stored<'a>(layer: Option<&'a LayerShard>, embed_t: &'a ShardMat, role: Role) -> &'a ShardMat {
-    let l = || layer.expect("layer weights are read inside a layer");
-    match role {
-        Role::Wq => &l().wq,
-        Role::Wk => &l().wk,
-        Role::Wv => &l().wv,
-        Role::Wo => &l().wo,
-        Role::WIn => &l().w_in,
-        Role::WGate => l().w_gate.as_ref().expect("a gated MLP stores its gate"),
-        Role::WOut => &l().w_out,
-        Role::EmbedT => embed_t,
-    }
 }
 
 /// Rows a fold's later ranks accumulate at a time: their accumulator is a
@@ -1806,19 +1812,18 @@ impl<'a> Lane<'a> {
     }
 
     /// Cuts the chip's block of the pass input into the first residual
-    /// slot (where the boundary shards it, by the chip's rank in the group
-    /// over those axes) and its rows' positions, and decides whether it
-    /// emits the logits.
+    /// slot (where the boundary shards it: its cut of that dim, canonical,
+    /// since the boundary's batch axes are the nest's outermost) and its
+    /// rows' positions, and decides whether it emits the logits.
     fn enter(&mut self, p: &Program) {
-        let groups = &self.chip.groups;
-        if let Some((d, g)) = p.cut {
-            let g = &groups[g].1;
-            let k = self.x.dim(d) / g.size();
+        let coord = self.chip.coord;
+        if let Some(d) = p.cut {
+            let (start, len) = p.boundary.spec.local_range(d, self.x.dim(d), p.torus, coord, &[]);
             let buf = std::mem::take(&mut self.slots[p.slots.resid[0]]);
-            self.x = Cow::Owned(self.x.slice_into(d, g.rank() * k, k, buf));
+            self.x = Cow::Owned(self.x.slice_into(d, start, len, buf));
         }
-        self.bases = &self.bases[p.share(groups, self.bases.len(), p.rows)];
-        self.emits = groups[p.emit].1.rank() == 0;
+        self.bases = &self.bases[p.share(coord, self.bases.len(), b_axes(&p.boundary))];
+        self.emits = self.chip.groups[p.emit].1.rank() == 0;
     }
 
     /// Stores step `k`'s value, hands the buffers of every value it read
@@ -1868,12 +1873,12 @@ impl<'a> Lane<'a> {
             return;
         }
         let Lane { chip, kv: (rows, batch), x, bases, vals, slots, fold, .. } = self;
-        let ChipState { layers, cache, groups, ln_final, embed_t, .. } = &mut **chip;
+        let ChipState { coord, stored, cache, .. } = &mut **chip;
         let cache = &mut StepCache { cache, rows, batch: *batch };
-        let (cfg, layer) = (&p.cfg, layers.get(li));
+        let (cfg, stored) = (&p.cfg, &stored[li]);
         let act = |r: Operand| act(x, vals, r);
         let mat = |r: Operand| match r {
-            Operand::Weight(role) => stored(layer, embed_t, role),
+            Operand::Weight(role) => stored.weight(role),
             _ => panic!("{r:?} is not a stored weight"),
         };
         let parts = |r: Operand| match r {
@@ -1941,11 +1946,7 @@ impl<'a> Lane<'a> {
                 let shape = a.shape().to_vec();
                 match op {
                     LocalOp::LayerNorm(gain) => {
-                        let gain = match gain {
-                            Gain::Attn => &layer.expect("a layer step").ln1,
-                            Gain::Mlp => layer.and_then(|l| l.ln2.as_ref()).expect("serial ln2"),
-                            Gain::Final => ln_final,
-                        };
+                        let gain = stored.gain(*gain);
                         let mut y = take_slot(slots, slot, shape, false);
                         // Over an `E`-sharded stream the second input is the
                         // all-reduced moments.
@@ -1962,7 +1963,7 @@ impl<'a> Lane<'a> {
                     }
                     LocalOp::Attention => {
                         let (kn, v, dh) = (act(inputs[1]), act(inputs[2]), cfg.d_head);
-                        let bases = &bases[p.share(groups, bases.len(), *gained)];
+                        let bases = &bases[p.share(*coord, bases.len(), *gained)];
                         if cfg.position == PositionKind::Rope {
                             let (sq, sk) = (scratch[0], scratch[1]);
                             let mut k_r = take_slot(slots, sk, kn.shape().to_vec(), false);
@@ -1983,7 +1984,7 @@ impl<'a> Lane<'a> {
                         }
                     }
                     LocalOp::BatchSlice => {
-                        let r = p.share(groups, a.dim(0), *gained);
+                        let r = p.share(*coord, a.dim(0), *gained);
                         a.slice_into(0, r.start, r.len(), std::mem::take(&mut slots[slot]))
                     }
                     LocalOp::SwiGlu => {
@@ -2018,7 +2019,7 @@ impl<'a> Lane<'a> {
         let act = |r: Operand| act(&self.x, &self.vals, r);
         let call = match *send {
             Exchange::Weight { role, dim, wire } => {
-                match (stored(self.chip.layers.get(li), &self.chip.embed_t, role), wire) {
+                match (self.chip.stored[li].weight(role), wire) {
                     (ShardMat::Int8(q), WireFormat::Int8) => Call::AllGatherQuant { shard: q, dim },
                     (ShardMat::Dense(w), WireFormat::Dense) => Call::AllGatherParts { shard: w, dim },
                     _ => unreachable!("a weight's wire format follows its storage"),
@@ -2098,7 +2099,7 @@ fn run_schedule(p: &Program, lanes: &mut [Lane<'_>]) {
 mod tests {
     use super::*;
     use esti_collectives::CollectiveOp;
-    use esti_core::layout::{FfnLayout, GatherExtent, MeshFactors};
+    use esti_core::layout::{AttnSharding, FfnLayout, GatherExtent, MeshFactors};
 
     /// What one run shows of its bits: every logit, every slot's KV, and the
     /// ledger's bytes and calls per op.
@@ -2150,6 +2151,15 @@ mod tests {
         }
     }
 
+    /// Every built-in ffn layout.
+    const FFNS: [FfnLayout; 5] = [
+        FfnLayout::WeightStationary1D,
+        FfnLayout::WeightStationary2D,
+        FfnLayout::WeightGathered(GatherExtent::Xyz),
+        FfnLayout::WeightGathered(GatherExtent::X),
+        FfnLayout::WeightGathered(GatherExtent::Xy),
+    ];
+
     /// The five tier-1 layouts of the executor and stale-buffer tests.
     const TIER1: [(FfnLayout, AttnSharding, (usize, usize, usize)); 5] = [
         (FfnLayout::WeightStationary1D, AttnSharding::Head, (1, 4, 1)),
@@ -2164,17 +2174,10 @@ mod tests {
         use esti_model::config::{BlockKind, MlpKind};
         let serial = ModelConfig { block: BlockKind::Serial, ..ModelConfig::tiny() };
         let gelu = ModelConfig { mlp: MlpKind::Gelu, position: PositionKind::Learned, ..ModelConfig::tiny() };
-        let ffns = [
-            FfnLayout::WeightStationary1D,
-            FfnLayout::WeightStationary2D,
-            FfnLayout::WeightGathered(GatherExtent::Xyz),
-            FfnLayout::WeightGathered(GatherExtent::X),
-            FfnLayout::WeightGathered(GatherExtent::Xy),
-        ];
         let meshes = [(1, 1, 1), (2, 1, 1), (1, 2, 1), (2, 2, 1), (4, 1, 1), (1, 4, 1), (1, 2, 2)];
         let mut checked = 0;
         for cfg in [ModelConfig::tiny(), ModelConfig::tiny_multihead(), serial, gelu] {
-            for (ffn, attn, m) in layouts_of(&ffns, &meshes) {
+            for (ffn, attn, m) in layouts_of(&FFNS, &meshes) {
                 let layout = Layout { ffn, attn, mesh: MeshFactors::new(m.0, m.1, m.2) };
                 let Ok(s) = build_schedule(&cfg, &layout, layout.mesh.n_chips(), 1).and_then(|s| s.verify().map(|()| s))
                 else {
@@ -2239,6 +2242,141 @@ mod tests {
             }
         }
         assert!(checked >= 60, "only {checked} schedules checked");
+    }
+
+    #[test]
+    fn shards_cut_from_the_schedule_tile_every_weight_gain_and_kv_row() {
+        use esti_model::config::BlockKind;
+        let numbered = |t: &Tensor| Tensor::from_vec(t.shape().to_vec(), (0..t.numel()).map(|i| i as f32).collect());
+        let meshes = [
+            (1, 1, 1),
+            (2, 1, 1),
+            (1, 2, 1),
+            (1, 1, 2),
+            (2, 2, 1),
+            (4, 1, 1),
+            (1, 4, 1),
+            (1, 2, 2),
+            (2, 1, 2),
+            (2, 2, 2),
+            (2, 4, 1),
+            (4, 2, 1),
+            (1, 8, 1),
+        ];
+        let mut checked = 0;
+        for base in [ModelConfig::tiny(), ModelConfig::tiny_multihead()] {
+            for block in [BlockKind::Parallel, BlockKind::Serial] {
+                let cfg = ModelConfig { block, ..base.clone() };
+                // Every matrix and gain numbered element by element, so the
+                // values a chip stores name the elements it holds.
+                let mut w = Weights::random(&cfg, 1);
+                for l in &mut w.layers {
+                    let opt = l.w_gate.iter_mut().chain(l.ln2.iter_mut());
+                    let all = [&mut l.wq, &mut l.wk, &mut l.wv, &mut l.wo, &mut l.w_in, &mut l.w_out, &mut l.ln1];
+                    for t in all.into_iter().chain(opt) {
+                        *t = numbered(t);
+                    }
+                }
+                w.ln_final = numbered(&w.ln_final);
+                let embed_t = numbered(&w.embed.transpose());
+                for (ffn, attn, m) in layouts_of(&FFNS, &meshes) {
+                    let layout = Layout { ffn, attn, mesh: MeshFactors::new(m.0, m.1, m.2) };
+                    let n = layout.mesh.n_chips();
+                    let Ok(s) = build_schedule(&cfg, &layout, n, 1).and_then(|s| s.verify().map(|()| s)) else {
+                        continue;
+                    };
+                    let what = format!("{} {:?} {}", cfg.name, block, layout.describe());
+                    let coords: Vec<ChipCoord> = s.torus.chips().collect();
+                    let cut_of = |c: ChipCoord| -> Vec<Stored> {
+                        (0..=cfg.n_layers).map(|li| store(&s, &w, &embed_t, li, c, WeightFormat::Exact)).collect()
+                    };
+                    let chips: Vec<Vec<Stored>> = coords.iter().map(|&c| cut_of(c)).collect();
+                    let dense = |c: usize, li: usize, role: Role| chips[c][li].weight(role).dense();
+                    for li in 0..=cfg.n_layers {
+                        // (i) Each weight's chips tile its matrix, every
+                        // element held by as many chips as hold each shard.
+                        for (role, _) in &chips[0][li].weights {
+                            let t = s.tensor(Operand::Weight(*role)).unwrap();
+                            let mut held = vec![0; matrix(&w, &embed_t, li, *role).numel()];
+                            for c in 0..n {
+                                for &v in dense(c, li, *role).data() {
+                                    held[v as usize] += 1;
+                                }
+                            }
+                            let copies = n / t.spec.shard_count(s.torus);
+                            assert!(held.iter().all(|&h| h == copies), "{what}: {role:?} of pass {li} is not tiled");
+                        }
+                        // (iii) Gains: E/n in 2D (the chips' in rank order
+                        // are the whole gain), whole elsewhere.
+                        let gains: Vec<Gain> = chips[0][li].gains.iter().map(|g| g.0).collect();
+                        let want = match (li < cfg.n_layers, block) {
+                            (false, _) => vec![Gain::Final],
+                            (true, BlockKind::Parallel) => vec![Gain::Attn],
+                            (true, BlockKind::Serial) => vec![Gain::Attn, Gain::Mlp],
+                        };
+                        assert_eq!(gains, want, "{what}: pass {li}'s gains");
+                        let whole = numbered(&w.ln_final);
+                        for gain in want {
+                            let parts: Vec<&Tensor> = chips.iter().map(|c| c[li].gain(gain)).collect();
+                            if ffn == FfnLayout::WeightStationary2D {
+                                assert!(Tensor::concat(&parts, 0) == whole, "{what}: {gain:?} is not cut E/n");
+                            } else {
+                                assert!(parts.iter().all(|&g| *g == whole), "{what}: {gain:?} is not whole");
+                            }
+                        }
+                    }
+                    // (ii) A weight all-gather's group, its cuts in rank
+                    // order, concatenates to the cut over the other axes.
+                    for step in s.collectives() {
+                        let Step::Collective {
+                            op: SymOp::AllGather { dim }, axes, input: Operand::Weight(role), output, ..
+                        } = step
+                        else {
+                            continue;
+                        };
+                        let t = s.tensor(Operand::Weight(*role)).unwrap();
+                        let m = matrix_dims(&t.spec).nth(t.dim_index(*dim).unwrap()).unwrap();
+                        let full = matrix(&w, &embed_t, 0, *role);
+                        for group in s.torus.groups(*axes) {
+                            let parts: Vec<Tensor> =
+                                group.iter().map(|&c| dense(s.torus.chip_id(c), 0, *role)).collect();
+                            let gathered = Tensor::concat(&parts.iter().collect::<Vec<_>>(), m);
+                            for &c in &group {
+                                let want = cut(full, output, s.torus, c, AxisSet::empty());
+                                assert!(gathered == want, "{what}: the {role:?} gather over {axes} at {c}");
+                            }
+                        }
+                    }
+                    // (iv) The chips' KV rows x heads cover every (row,
+                    // head) pair, exactly once where the batch shards.
+                    let p = Program::compile(&s, &cfg, &group_axes(&s));
+                    let (b, heads) = (2 * p.spans(), cfg.n_kv_heads());
+                    let mut held = vec![0; b * heads];
+                    for &c in &coords {
+                        for row in p.kv_rows(c, b) {
+                            for h in p.kv_heads(c) {
+                                held[row * heads + h] += 1;
+                            }
+                        }
+                    }
+                    assert!(held.iter().all(|&h| h >= 1), "{what}: a KV row or head no chip caches");
+                    if attn == AttnSharding::Batch {
+                        assert!(held.iter().all(|&h| h == 1), "{what}: a KV row cached twice");
+                    }
+                    checked += 1;
+                }
+            }
+        }
+        assert!(checked >= 100, "only {checked} schedules checked");
+    }
+
+    #[test]
+    #[should_panic(expected = "divisible")]
+    fn indivisible_sharding_rejected() {
+        let model = ReferenceModel::init_random(ModelConfig::tiny(), 9);
+        let layout =
+            Layout { ffn: FfnLayout::WeightStationary1D, attn: AttnSharding::Head, mesh: MeshFactors::new(1, 3, 1) };
+        let _ = PartitionedEngine::new(&model, layout, WeightFormat::Exact);
     }
 
     /// Every `(ffn, attn, mesh)` of the given ffns and meshes, under both

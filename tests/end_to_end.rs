@@ -139,37 +139,68 @@ fn reference_greedy(model: &ReferenceModel, prompts: &[Vec<usize>], n: usize) ->
 #[test]
 fn generation_is_deterministic_across_layouts() {
     // Greedy generation must produce identical tokens whichever layout
-    // executes it — partitioning is an implementation detail. The five
-    // layouts cover all four dataflows and both attention shardings; the
-    // int8 pass sends quantized weights through every weight gather.
-    // 13 prompt tokens + 8 decode steps reach 21 positions: the default
-    // 16-position KV page fills mid-decode, so attention walks a full page
-    // and a partial one.
-    let model = ReferenceModel::init_random(ModelConfig::tiny(), 102);
+    // executes it — partitioning is an implementation detail. The layouts
+    // cover all four dataflows, both attention shardings and the cuts whose
+    // order is not canonical: the hybrid's weights (gathered axes innermost)
+    // and 2D batch attention's rows (yz-major). The int8 pass sends quantized
+    // weights through every weight gather; the multihead pass cuts the KV
+    // heads too; every f32 pass reads each slot's KV back against the single
+    // chip's. 13 prompt tokens + 8 decode steps reach 21 positions: the
+    // default 16-position KV page fills mid-decode, so attention walks a
+    // full page and a partial one.
+    let multiquery = ReferenceModel::init_random(ModelConfig::tiny(), 102);
+    let multihead = ReferenceModel::init_random(ModelConfig::tiny_multihead(), 102);
     let prompts: Vec<Vec<usize>> =
         (0..4).map(|b| (0..13).map(|i| (b * 5 + i * 3 + 2) % 40).collect()).collect();
     let opts = GenerateOptions { max_new_tokens: 8, ..GenerateOptions::default() };
+    let (mesh_1d, mesh_2x2) = (MeshFactors::new(1, 4, 1), MeshFactors::new(2, 2, 1));
+    let hybrid = FfnLayout::WeightGathered(GatherExtent::X);
     let layouts = [
-        (FfnLayout::WeightStationary1D, AttnSharding::Head, MeshFactors::new(1, 4, 1)),
-        (FfnLayout::WeightStationary1D, AttnSharding::Batch, MeshFactors::new(1, 4, 1)),
-        (FfnLayout::WeightStationary2D, AttnSharding::Batch, MeshFactors::new(2, 2, 1)),
+        (FfnLayout::WeightStationary1D, AttnSharding::Head, mesh_1d),
+        (FfnLayout::WeightStationary1D, AttnSharding::Batch, mesh_1d),
+        (FfnLayout::WeightStationary2D, AttnSharding::Head, mesh_2x2),
+        (FfnLayout::WeightStationary2D, AttnSharding::Batch, mesh_2x2),
         (FfnLayout::WeightGathered(GatherExtent::Xyz), AttnSharding::Batch, MeshFactors::new(4, 1, 1)),
-        (FfnLayout::WeightGathered(GatherExtent::X), AttnSharding::Head, MeshFactors::new(2, 2, 1)),
+        (hybrid, AttnSharding::Head, mesh_2x2),
+        (hybrid, AttnSharding::Batch, mesh_2x2),
     ]
     .map(|(ffn, attn, mesh)| Layout { ffn, attn, mesh });
-    for fmt in [WeightFormat::Exact, WeightFormat::Int8] {
-        let outputs: Vec<_> = layouts
-            .iter()
-            .map(|&layout| PartitionedEngine::new(&model, layout, fmt).generate(&prompts, &opts))
-            .collect();
+    let head_sharded: Vec<Layout> = [0, 2, 5].iter().map(|&i| layouts[i]).collect();
+    let passes = [
+        (&multiquery, WeightFormat::Exact, &layouts[..]),
+        (&multiquery, WeightFormat::Int8, &layouts[..]),
+        (&multihead, WeightFormat::Exact, &head_sharded[..]),
+    ];
+    for (model, fmt, layouts) in passes {
+        let mut outputs = Vec::new();
+        for &layout in layouts {
+            let mut engine = PartitionedEngine::new(model, layout, fmt);
+            let out = engine.generate(&prompts, &opts);
+            if fmt == WeightFormat::Exact {
+                // The chips' KV, reassembled, is the single chip's: each
+                // row and head where the canonical layout puts it.
+                let seqs: Vec<Vec<usize>> = prompts.iter().zip(&out).map(|(p, o)| [&p[..], o].concat()).collect();
+                let mut cache = KvCache::new(model.config().n_layers);
+                let _ = model.prefill(&seqs, &mut cache);
+                for slot in 0..seqs.len() {
+                    for (li, (k, v)) in engine.extract_kv(slot).layers().iter().enumerate() {
+                        let (want_k, want_v) = cache.read_slot(li, slot);
+                        let what = format!("{} {}: slot {slot} layer {li}", model.config().name, layout.describe());
+                        assert!(k.approx_eq(&want_k, 2e-3) && v.approx_eq(&want_v, 2e-3), "{what}: KV");
+                    }
+                }
+            }
+            outputs.push(out);
+        }
         if fmt == WeightFormat::Exact {
-            assert_eq!(outputs[0], reference_greedy(&model, &prompts, opts.max_new_tokens));
+            assert_eq!(outputs[0], reference_greedy(model, &prompts, opts.max_new_tokens));
         }
         for (layout, out) in layouts.iter().zip(&outputs).skip(1) {
             assert_eq!(
                 outputs[0],
                 *out,
-                "{fmt:?}: {} diverged from {}",
+                "{} {fmt:?}: {} diverged from {}",
+                model.config().name,
                 layout.describe(),
                 layouts[0].describe()
             );
