@@ -137,6 +137,28 @@ echo "== overload conformance: preemption stream-transparent, shedding typed =="
 # per-request ServeError::Overloaded — never a run failure.
 cargo test -q --release -p esti-runtime --test overload
 
+echo "== one scheduler core: the live batcher and the trace simulator run one policy =="
+# esti_core::scheduler is the one definition of admission, preemption,
+# shedding and KV page charging. ContinuousBatcher::try_serve and
+# simulate_trace only drive it: the FIFO simulate is gone, the page ledger is
+# defined once, in the core, and neither caller holds class queues, a victim
+# choice or a shed loop of its own.
+sim_trace=$(awk '/^pub fn simulate_trace\(/,/^}/' crates/core/src/serving.rs)
+if [ -z "$sim_trace" ] \
+  || grep -rn "fn simulate(" crates \
+  || [ "$(grep -rl 'struct PageLedger' crates)" != "crates/core/src/scheduler.rs" ] \
+  || grep -nE "min_by_key|waiting\[|ttft_deadline\[|> limit" crates/runtime/src/serving.rs \
+  || grep -nE "min_by_key|waiting\[|ttft_deadline\[|> limit" <<<"$sim_trace"; then
+  echo "FAIL: a second copy of the serving policy is back beside esti_core::scheduler" >&2
+  exit 1
+fi
+cargo test -q --release -p esti-core --lib -- serving scheduler
+cargo test -q --release -p esti-runtime --test serving --test overload --test prefix_prefill \
+  --test paged --test router --test faults --test stress
+cargo test -q --release -p esti-verify lifecycle
+cargo run -q --release -p esti-bench --bin serving > /dev/null
+cargo run -q --release --example serving_tier > /dev/null
+
 echo "== router conformance: replica crash loses nothing, streams identical =="
 # An injected chip crash with an exhausted recovery budget drains the
 # replica; its whole share must re-route and replay to bit-identical

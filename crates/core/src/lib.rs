@@ -25,6 +25,9 @@
 //! * [`schedule`] — per-chip execution schedules in the algebra's
 //!   notation, verifiable against its rewrite rules: the program the
 //!   runtime runs for the 1D family, a mirror of its 2D / XYZ forwards;
+//! * [`scheduler`] and [`serving`] — the serving policy of Section 4.4
+//!   (admission, preemption, shedding, KV page charging) written once, and
+//!   the trace simulator that drives it in simulated time;
 //! * [`ft`] — the published FasterTransformer baseline numbers used in
 //!   Section 5 / Appendix D.
 //!
@@ -59,6 +62,7 @@ pub mod perf;
 pub mod pipeline;
 pub mod planner;
 pub mod schedule;
+pub mod scheduler;
 pub mod serving;
 pub mod sharding;
 

@@ -1,4 +1,4 @@
-//! Two-tier serving simulation (Section 4.4).
+//! Two-tier serving in simulated time (Section 4.4).
 //!
 //! The paper's low-latency recipe pairs *different batch sizes per phase*:
 //!
@@ -6,17 +6,22 @@
 //! > generating multiple samples from the same input text, or by
 //! > pipelining a batch-1 prefill server into a batch-64 decoding server."
 //!
-//! This module simulates that second arrangement as a discrete-event
-//! system: requests arrive over time, a prefill tier processes prompts one
-//! at a time (batch 1, minimum prefill latency), and a decode tier runs a
-//! continuous loop of generation steps over all in-flight sequences up to
-//! a batch cap, admitting newly prefilled requests at step boundaries —
-//! a small-scale ancestor of today's continuous batching.
+//! [`simulate_trace`] runs that second arrangement as a discrete-event
+//! system: an [`ArrivalTrace`] of requests arrives over time, a serial
+//! prefill tier processes prompts one at a time (batch 1, minimum prefill
+//! latency), and a decode tier runs a continuous loop of generation steps
+//! over its slots, admitting newly prefilled requests at step boundaries.
+//! What is admitted, preempted or shed is decided by the one
+//! [`crate::scheduler::Scheduler`] the live `ContinuousBatcher` also runs
+//! on; this module only prices time.
 //!
 //! Step costs come from the same analytical model as every figure, so the
 //! serving numbers stay consistent with the rest of the reproduction.
+//! The module also holds the types both callers report in
+//! ([`ServingReport`], [`RequestStats`], [`RecoveryStats`]) and the
+//! seeded open-loop load generator ([`ArrivalTrace::generate`]).
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 
 use esti_hal::{DType, Seconds};
 use esti_model::ModelConfig;
@@ -24,6 +29,7 @@ use esti_model::ModelConfig;
 use crate::machine::Machine;
 use crate::perf::{estimate, PhaseSpec};
 use crate::planner;
+use crate::scheduler::{Advance, Decision, Job, Scheduler};
 
 /// Scheduling class of a request. Ordered: `Low < Normal < High`, so the
 /// derived [`Ord`] is "who goes first". Schedulers admit (and prefill)
@@ -75,10 +81,6 @@ pub struct ServingConfig {
     pub decode_machine: Machine,
     /// Maximum concurrent sequences in the decode batch.
     pub max_decode_batch: usize,
-    /// Prompt length of every request (tokens).
-    pub input_len: usize,
-    /// Tokens generated per request.
-    pub gen_len: usize,
     /// Weight storage type.
     pub weight_dtype: DType,
 }
@@ -305,18 +307,9 @@ impl ServingReport {
         self.requests.iter().map(|r| r.arrival).fold(f64::INFINITY, f64::min)
     }
 
-    /// Generated tokens per second, measured from the first arrival to the
-    /// last completion (not from t = 0, which would understate throughput
-    /// for traces that start late). For per-request generation lengths that
-    /// vary, pass the actual total via
-    /// [`ServingReport::generated_throughput`].
-    #[must_use]
-    pub fn throughput_tokens_per_sec(&self, gen_len: usize) -> f64 {
-        self.generated_throughput(self.requests.len() * gen_len)
-    }
-
-    /// [`ServingReport::throughput_tokens_per_sec`] for an explicit total
-    /// token count.
+    /// Generated tokens per second for `total_tokens` generated, measured
+    /// from the first arrival to the last completion (not from t = 0, which
+    /// would understate throughput for traces that start late).
     #[must_use]
     pub fn generated_throughput(&self, total_tokens: usize) -> f64 {
         total_tokens as f64 / (self.makespan - self.first_arrival())
@@ -335,121 +328,6 @@ fn percentile(mut values: Vec<f64>, p: f64) -> f64 {
     values.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
     let rank = ((p / 100.0) * values.len() as f64).ceil() as usize;
     values[rank.max(1) - 1]
-}
-
-/// Simulates serving `arrivals` (absolute arrival times, ascending) through
-/// the two-tier system for `model`.
-///
-/// # Panics
-///
-/// Panics if `arrivals` is empty or not sorted ascending.
-#[must_use]
-pub fn simulate(model: &ModelConfig, cfg: &ServingConfig, arrivals: &[Seconds]) -> ServingReport {
-    assert!(!arrivals.is_empty(), "no arrivals to simulate");
-    assert!(
-        arrivals.windows(2).all(|w| w[0] <= w[1]),
-        "arrival times must be ascending"
-    );
-
-    // Phase costs from the analytical model. Decode step time depends on
-    // the instantaneous batch; precompute per occupancy 1..=max.
-    let prefill_layout =
-        planner::prefill_layout(model, &cfg.prefill_machine, 1, cfg.input_len, cfg.weight_dtype);
-    let prefill_time = estimate(
-        &cfg.prefill_machine,
-        model,
-        &prefill_layout,
-        &PhaseSpec::prefill(1, cfg.input_len),
-        cfg.weight_dtype,
-    )
-    .step_time;
-    let context = cfg.input_len + cfg.gen_len / 2;
-    let step_time: Vec<Seconds> = (0..=cfg.max_decode_batch)
-        .map(|b| {
-            if b == 0 {
-                0.0
-            } else {
-                let layout = planner::decode_layout_for_batch(model, &cfg.decode_machine, b);
-                estimate(
-                    &cfg.decode_machine,
-                    model,
-                    &layout,
-                    &PhaseSpec::decode(b, context),
-                    cfg.weight_dtype,
-                )
-                .step_time
-            }
-        })
-        .collect();
-
-    // --- prefill tier: FIFO, one prompt at a time -------------------------
-    let mut prefilled_at = Vec::with_capacity(arrivals.len());
-    let mut free_at: Seconds = 0.0;
-    for &a in arrivals {
-        let start = a.max(free_at);
-        free_at = start + prefill_time;
-        prefilled_at.push(free_at);
-    }
-
-    // --- decode tier: continuous stepping with admission at boundaries ----
-    #[derive(Clone, Copy)]
-    struct InFlight {
-        idx: usize,
-        remaining: usize,
-    }
-    let mut pending: std::collections::VecDeque<usize> = (0..arrivals.len()).collect();
-    let mut in_flight: Vec<InFlight> = Vec::new();
-    let mut finished_at = vec![0.0f64; arrivals.len()];
-    let mut now: Seconds = 0.0;
-    let mut steps = 0usize;
-    let mut occupancy_sum = 0usize;
-    if cfg.gen_len == 0 {
-        // Degenerate: nothing to decode — requests finish as they prefill.
-        finished_at.copy_from_slice(&prefilled_at);
-        pending.clear();
-    }
-    while !pending.is_empty() || !in_flight.is_empty() {
-        // Admit every request already prefilled, up to the cap.
-        while in_flight.len() < cfg.max_decode_batch {
-            match pending.front() {
-                Some(&idx) if prefilled_at[idx] <= now => {
-                    pending.pop_front();
-                    in_flight.push(InFlight { idx, remaining: cfg.gen_len });
-                }
-                _ => break,
-            }
-        }
-        if in_flight.is_empty() {
-            // Idle until the next prefill completes.
-            let next = pending.front().map(|&i| prefilled_at[i]).expect("pending non-empty");
-            now = now.max(next);
-            continue;
-        }
-        let b = in_flight.len();
-        now += step_time[b];
-        steps += 1;
-        occupancy_sum += b;
-        for r in &mut in_flight {
-            r.remaining -= 1;
-            if r.remaining == 0 {
-                finished_at[r.idx] = now;
-            }
-        }
-        in_flight.retain(|r| r.remaining > 0);
-    }
-
-    let requests: Vec<RequestStats> = arrivals
-        .iter()
-        .zip(&prefilled_at)
-        .zip(&finished_at)
-        .map(|((&arrival, &prefilled), &finished)| RequestStats {
-            arrival,
-            prefilled,
-            finished,
-            generated: cfg.gen_len,
-        })
-        .collect();
-    ServingReport::new(requests, steps, occupancy_sum)
 }
 
 /// A tiny splitmix64 PRNG — keeps the workspace dependency-light while
@@ -494,33 +372,6 @@ impl Rng64 {
         let u2 = self.uniform();
         (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
     }
-}
-
-/// Evenly spaced arrivals at `rate` requests/second for `n` requests —
-/// a deterministic open-loop load for reproducible experiments.
-#[must_use]
-pub fn uniform_arrivals(n: usize, rate: f64) -> Vec<Seconds> {
-    (0..n).map(|i| i as f64 / rate).collect()
-}
-
-/// Seeded Poisson-process arrivals at `rate` requests/second — bursty
-/// open-loop load with exponential inter-arrival gaps, deterministic for a
-/// given seed.
-///
-/// # Panics
-///
-/// Panics if `rate` is not positive.
-#[must_use]
-pub fn poisson_arrivals(n: usize, rate: f64, seed: u64) -> Vec<Seconds> {
-    assert!(rate > 0.0, "arrival rate must be positive");
-    let mut rng = Rng64::new(seed);
-    let mut t = 0.0;
-    (0..n)
-        .map(|_| {
-            t += rng.exp(rate);
-            t
-        })
-        .collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -729,12 +580,6 @@ impl ArrivalTrace {
         ArrivalTrace { requests }
     }
 
-    /// Arrival instants alone (feeds the fixed-shape [`simulate`]).
-    #[must_use]
-    pub fn arrivals(&self) -> Vec<Seconds> {
-        self.requests.iter().map(|r| r.arrival).collect()
-    }
-
     /// Total output tokens the trace asks for.
     #[must_use]
     pub fn offered_tokens(&self) -> usize {
@@ -767,17 +612,18 @@ impl ArrivalTrace {
 // SLO-aware overload scheduling (simulated time).
 // ---------------------------------------------------------------------------
 
-/// Admission/scheduling policy of the overload simulator.
+/// Shedding and preemption policy of the [`Scheduler`] (both callers).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OverloadPolicy {
     /// Waiting requests (arrived, not yet in a decode slot) the scheduler
     /// tolerates before shedding; `None` queues without bound. Shedding
     /// removes the *newest lowest-priority* waiting request — the one
-    /// whose loss costs the least committed work.
+    /// whose loss costs the least committed work. Preempted victims are
+    /// never shed.
     pub queue_limit: Option<usize>,
     /// Per-class TTFT deadline (indexed by [`Priority::index`]): a waiting
-    /// request that can no longer meet its class deadline even if admitted
-    /// immediately is shed instead of served uselessly late. `None`
+    /// request whose best-case TTFT, as its caller reports it, exceeds its
+    /// class deadline is shed instead of served uselessly late. `None`
     /// disables the deadline for that class.
     pub ttft_deadline: [Option<Seconds>; 3],
     /// Preempt strictly-lower-priority in-flight requests when a higher
@@ -794,20 +640,22 @@ impl Default for OverloadPolicy {
     }
 }
 
-/// Why the scheduler refused a request.
+/// Why the scheduler refused a request (both callers report it).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ShedReason {
-    /// The waiting queue was at its limit.
+    /// The waiting queue was over [`OverloadPolicy::queue_limit`].
     QueueFull {
         /// Requests waiting when the shed happened.
         waiting: usize,
         /// The configured limit.
         limit: usize,
     },
-    /// The request could no longer meet its class TTFT deadline.
-    DeadlineExpired {
-        /// Best-case TTFT at the moment of shedding.
-        projected_ttft: Seconds,
+    /// The request's best-case TTFT exceeded its class's
+    /// [`OverloadPolicy::ttft_deadline`].
+    TtftDeadline {
+        /// The TTFT its caller reported: the live batcher's time waited,
+        /// the simulator's projection.
+        ttft: Seconds,
         /// The class deadline it missed.
         deadline: Seconds,
     },
@@ -915,28 +763,28 @@ impl OverloadReport {
     }
 }
 
-/// A request occupying a decode slot of the overload simulator.
-#[derive(Clone, Copy)]
-struct SimSlot {
-    idx: usize,
-    /// When its (re-)prefill completes and the row starts decoding.
-    ready_at: Seconds,
-    /// Already-emitted tokens to re-derive before new ones (preemption
-    /// replay; each costs a decode step and emits nothing).
-    replay: usize,
-}
-
-/// Analytic phase costs of the overload simulator, cached per shape.
+/// Analytic phase costs of the overload simulator.
 struct SimCosts {
-    model: ModelConfig,
-    cfg: ServingConfig,
-    prefill_cache: HashMap<usize, Seconds>,
+    /// Batch-1 prefill time of each request of the trace.
+    prefill: Vec<Seconds>,
     /// Decode step time per batch occupancy `0..=max_decode_batch`.
     step_time: Vec<Seconds>,
 }
 
 impl SimCosts {
     fn new(model: &ModelConfig, cfg: &ServingConfig, trace: &ArrivalTrace) -> Self {
+        let mut by_len: HashMap<usize, Seconds> = HashMap::new();
+        let prefill = trace.requests.iter()
+            .map(|r| {
+                *by_len.entry(r.prompt_len).or_insert_with(|| {
+                    let machine = &cfg.prefill_machine;
+                    let layout =
+                        planner::prefill_layout(model, machine, 1, r.prompt_len, cfg.weight_dtype);
+                    let spec = PhaseSpec::prefill(1, r.prompt_len);
+                    estimate(machine, model, &layout, &spec, cfg.weight_dtype).step_time
+                })
+            })
+            .collect();
         // Characteristic KV context for decode-step pricing: the trace's
         // mean prompt plus half its mean generation.
         let n = trace.requests.len().max(1);
@@ -944,80 +792,40 @@ impl SimCosts {
             trace.requests.iter().map(|r| r.prompt_len).sum::<usize>() / n;
         let mean_gen: usize = trace.requests.iter().map(|r| r.gen_len).sum::<usize>() / n;
         let context = (mean_prompt + mean_gen / 2).max(1);
-        let step_time: Vec<Seconds> = (0..=cfg.max_decode_batch)
+        let step_time = (0..=cfg.max_decode_batch)
             .map(|b| {
                 if b == 0 {
-                    0.0
-                } else {
-                    let layout = planner::decode_layout_for_batch(model, &cfg.decode_machine, b);
-                    estimate(
-                        &cfg.decode_machine,
-                        model,
-                        &layout,
-                        &PhaseSpec::decode(b, context),
-                        cfg.weight_dtype,
-                    )
-                    .step_time
+                    return 0.0;
                 }
+                let machine = &cfg.decode_machine;
+                let layout = planner::decode_layout_for_batch(model, machine, b);
+                let spec = PhaseSpec::decode(b, context);
+                estimate(machine, model, &layout, &spec, cfg.weight_dtype).step_time
             })
             .collect();
-        SimCosts {
-            model: model.clone(),
-            cfg: cfg.clone(),
-            prefill_cache: HashMap::new(),
-            step_time,
-        }
-    }
-
-    fn prefill_time(&mut self, prompt_len: usize) -> Seconds {
-        let model = &self.model;
-        let cfg = &self.cfg;
-        *self.prefill_cache.entry(prompt_len).or_insert_with(|| {
-            let layout = planner::prefill_layout(
-                model,
-                &cfg.prefill_machine,
-                1,
-                prompt_len,
-                cfg.weight_dtype,
-            );
-            estimate(
-                &cfg.prefill_machine,
-                model,
-                &layout,
-                &PhaseSpec::prefill(1, prompt_len),
-                cfg.weight_dtype,
-            )
-            .step_time
-        })
+        SimCosts { prefill, step_time }
     }
 }
 
 /// Serves an [`ArrivalTrace`] through the two-tier system in simulated
-/// time with SLO-aware scheduling: priority-ordered admission and prefill,
-/// optional preemption of lower classes, TTFT-deadline and queue-depth
-/// shedding. Costs come from the same analytical model as [`simulate`],
-/// so an overload run's numbers stay consistent with every figure. Handles
-/// 10⁵–10⁶-request traces in seconds — the loop is O(steps · batch).
+/// time, 10⁵–10⁶ requests in seconds. Every admission, preemption and shed
+/// is the [`Scheduler`]'s, the policy the live batcher runs, with one span
+/// of `max_decode_batch` slots, one admission per prefill and no page
+/// ledger. This function prices the time around those decisions:
 ///
-/// Scheduling contract (all deterministic):
-///
-/// * waiting requests are admitted highest class first, FIFO within a
-///   class; the serial prefill tier serves admissions in that same order;
-/// * with [`OverloadPolicy::preemption`], a waiting request whose class
-///   strictly exceeds the lowest in-flight class preempts that slot (the
-///   victim with the most remaining work loses, so the least replay is
-///   wasted); victims re-enter their class queue *front* and replay;
-/// * a waiting request that can no longer meet its class TTFT deadline is
-///   shed ([`ShedReason::DeadlineExpired`]); when the waiting count
-///   exceeds [`OverloadPolicy::queue_limit`], the newest request of the
-///   lowest waiting class is shed ([`ShedReason::QueueFull`]) — typed
-///   shed records instead of unbounded queue growth.
+/// * the serial prefill tier runs admissions in admission order, each
+///   priced at its prompt length; a slot decodes once its prefill is done
+///   (`ready_at`), and the prefill emits the first token (the TTFT);
+/// * a decode step over the `b` ready slots costs the analytic batch-`b`
+///   step time and emits one token per slot, or re-derives one of a
+///   re-admitted victim's already-emitted tokens (replay);
+/// * the TTFT a waiting request reports for deadline shedding is its
+///   best case: admitted now, prefilled as soon as the tier is free.
 ///
 /// # Panics
 ///
 /// Panics if the trace is empty or not sorted by arrival.
 #[must_use]
-#[allow(clippy::too_many_lines)] // one function = one faithful serve loop.
 pub fn simulate_trace(
     model: &ModelConfig,
     cfg: &ServingConfig,
@@ -1030,143 +838,61 @@ pub fn simulate_trace(
         reqs.windows(2).all(|w| w[0].arrival <= w[1].arrival),
         "trace must be sorted by arrival"
     );
-    let mut costs = SimCosts::new(model, cfg, trace);
+    let SimCosts { prefill, step_time } = SimCosts::new(model, cfg, trace);
     let cap = cfg.max_decode_batch;
     assert!(cap > 0, "decode batch cap must be positive");
 
     let n = reqs.len();
+    let jobs = reqs.iter().map(|r| Job { class: r.priority, max_new: r.gen_len, prompt: &[] });
+    let mut core = Scheduler::new(jobs.collect(), vec![0; cap], *policy, None);
     let mut prefilled_at = vec![f64::NAN; n];
     let mut finished_at = vec![f64::NAN; n];
-    let mut emitted = vec![0usize; n];
-    // Waiting queues per class, highest drained first.
-    let mut waiting: [VecDeque<usize>; 3] = Default::default();
+    let mut ready_at = vec![0.0; cap];
     let mut shed: Vec<ShedRecord> = Vec::new();
-    let mut slots: Vec<Option<SimSlot>> = vec![None; cap];
     let mut now: Seconds = reqs[0].arrival;
     let mut prefill_free: Seconds = now;
     let mut cursor = 0usize;
     let mut steps = 0usize;
     let mut occupancy_sum = 0usize;
-    let mut preemptions = 0usize;
-    let mut replayed_tokens = 0usize;
     let mut outstanding = n;
 
     while outstanding > 0 {
-        // Arrivals up to `now` join their class queue.
         while cursor < n && reqs[cursor].arrival <= now {
-            waiting[reqs[cursor].priority.index()].push_back(cursor);
+            core.arrive(cursor);
             cursor += 1;
         }
+        let start = now.max(prefill_free);
+        let refused = core.shed(|i| start + prefill[i] - reqs[i].arrival);
+        outstanding -= refused.len();
+        shed.extend(refused);
 
-        // Deadline shedding: within a class the queue is FIFO by arrival,
-        // so the front is (near-)stalest; shed from the front while the
-        // best-case TTFT (admitted and prefilled right now) already misses
-        // the class deadline.
-        for class in Priority::ALL {
-            let Some(deadline) = policy.ttft_deadline[class.index()] else { continue };
-            while let Some(&idx) = waiting[class.index()].front() {
-                let projected = now.max(prefill_free) + costs.prefill_time(reqs[idx].prompt_len)
-                    - reqs[idx].arrival;
-                if projected <= deadline {
-                    break;
-                }
-                waiting[class.index()].pop_front();
-                shed.push(ShedRecord {
-                    index: idx,
-                    priority: class,
-                    reason: ShedReason::DeadlineExpired { projected_ttft: projected, deadline },
-                });
-                outstanding -= 1;
-            }
-        }
-
-        // Queue-depth shedding: newest of the lowest waiting class first.
-        if let Some(limit) = policy.queue_limit {
-            let mut total: usize = waiting.iter().map(VecDeque::len).sum();
-            while total > limit {
-                let class =
-                    Priority::ALL.into_iter().find(|c| !waiting[c.index()].is_empty());
-                let Some(class) = class else { break };
-                let Some(idx) = waiting[class.index()].pop_back() else { break };
-                shed.push(ShedRecord {
-                    index: idx,
-                    priority: class,
-                    reason: ShedReason::QueueFull { waiting: total, limit },
-                });
-                outstanding -= 1;
-                total -= 1;
-            }
-        }
-
-        // Admission, highest class first. Preemption frees a slot when a
-        // strictly lower class holds one.
-        while let Some(class) = Priority::ALL
-            .into_iter()
-            .rev()
-            .find(|c| !waiting[c.index()].is_empty())
-        {
-            let slot = match slots.iter().position(Option::is_none) {
-                Some(s) => s,
-                None if policy.preemption => {
-                    // Victim: the lowest-class slot, strictly below the
-                    // admitted class; among equals, the most remaining
-                    // work (least already-emitted tokens wasted on
-                    // replay... the *least* progress means the least
-                    // replay, so prefer the least-emitted victim).
-                    let victim = slots
-                        .iter()
-                        .enumerate()
-                        .filter_map(|(s, o)| o.map(|sl| (s, sl)))
-                        .filter(|&(_, sl)| reqs[sl.idx].priority < class)
-                        .min_by_key(|&(s, sl)| {
-                            (reqs[sl.idx].priority, emitted[sl.idx], s)
-                        });
-                    let Some((s, sl)) = victim else { break };
-                    // Re-queue at the front of its class (it keeps FIFO
-                    // standing) with its recording intact; re-admission
-                    // replays the emitted suffix.
-                    waiting[reqs[sl.idx].priority.index()].push_front(sl.idx);
-                    slots[s] = None;
-                    preemptions += 1;
-                    s
-                }
-                None => break,
+        loop {
+            let a = match core.admit(&[]) {
+                Decision::Admit(a) => a,
+                Decision::Preempted { .. } => continue,
+                Decision::Wait => break,
+                Decision::NeverFits { .. } => unreachable!("the simulator charges no pages"),
             };
-            let Some(idx) = waiting[class.index()].pop_front() else { break };
-            let start = now.max(prefill_free);
-            let done = start + costs.prefill_time(reqs[idx].prompt_len);
+            let done = now.max(prefill_free) + prefill[a.idx];
             prefill_free = done;
-            let replay = emitted[idx].saturating_sub(1);
-            if emitted[idx] == 0 {
-                // First admission: the first token comes from the prefill
-                // logits, so TTFT is the prefill completion.
-                prefilled_at[idx] = done;
-                emitted[idx] = 1;
+            if core.start(&a) {
+                prefilled_at[a.idx] = done;
+            }
+            if a.holds {
+                ready_at[a.slot] = done;
             } else {
-                // Re-admission after preemption: re-prefill re-derives
-                // token 0; the emitted decode suffix replays step by step.
-                replayed_tokens += replay;
-            }
-            if reqs[idx].gen_len <= 1 {
-                finished_at[idx] = done;
+                finished_at[a.idx] = done;
                 outstanding -= 1;
-                slots[slot] = None;
-                continue;
             }
-            slots[slot] = Some(SimSlot { idx, ready_at: done, replay });
         }
 
         // Nothing decodable? Jump to the next event (a slot becoming
         // ready, or the next arrival).
-        let ready = slots.iter().flatten().filter(|s| s.ready_at <= now).count();
+        let live: Vec<usize> = (0..cap).filter(|&s| core.occupant(s).is_some()).collect();
+        let ready = live.iter().filter(|&&s| ready_at[s] <= now).count();
         if ready == 0 {
-            let next_ready = slots
-                .iter()
-                .flatten()
-                .map(|s| s.ready_at)
-                .fold(f64::INFINITY, f64::min);
-            let next_arrival =
-                if cursor < n { reqs[cursor].arrival } else { f64::INFINITY };
+            let next_ready = live.iter().map(|&s| ready_at[s]).fold(f64::INFINITY, f64::min);
+            let next_arrival = if cursor < n { reqs[cursor].arrival } else { f64::INFINITY };
             let next = next_ready.min(next_arrival);
             if !next.is_finite() {
                 break; // queues empty, slots empty: done (or all shed).
@@ -1176,24 +902,18 @@ pub fn simulate_trace(
         }
 
         // One decode step over the ready rows.
-        now += costs.step_time[ready];
+        let step_start = now;
+        now += step_time[ready];
         steps += 1;
         occupancy_sum += ready;
-        for slot in &mut slots {
-            let Some(s) = slot else { continue };
-            if s.ready_at > now - costs.step_time[ready] {
+        for s in live {
+            if ready_at[s] > step_start {
                 continue; // still prefilling during this step
             }
-            let idx = s.idx;
-            if s.replay > 0 {
-                s.replay -= 1; // re-derives a recorded token, emits nothing
-                continue;
-            }
-            emitted[idx] += 1;
-            if emitted[idx] == reqs[idx].gen_len {
+            let Some(idx) = core.occupant(s) else { unreachable!("live slots are occupied") };
+            if core.advance(s) == Advance::Finished {
                 finished_at[idx] = now;
                 outstanding -= 1;
-                *slot = None;
             }
         }
     }
@@ -1201,39 +921,30 @@ pub fn simulate_trace(
     // Capacity ceiling: the slower of full-batch decode and the serial
     // prefill tier (requests/second × mean generation length).
     let mean_gen = trace.offered_tokens() as f64 / n as f64;
-    let mean_prefill = reqs
-        .iter()
-        .map(|r| costs.prefill_time(r.prompt_len))
-        .sum::<f64>()
-        / n as f64;
-    let decode_ceiling = cap as f64 / costs.step_time[cap];
+    let mean_prefill = prefill.iter().sum::<f64>() / n as f64;
+    let decode_ceiling = cap as f64 / step_time[cap];
     let prefill_ceiling = mean_gen / mean_prefill;
     let capacity_tokens_per_sec = decode_ceiling.min(prefill_ceiling);
 
-    let mut completed = Vec::new();
-    let mut priorities = Vec::new();
-    let mut stats = Vec::new();
-    for (idx, r) in reqs.iter().enumerate() {
-        if finished_at[idx].is_nan() {
-            continue;
-        }
-        completed.push(idx);
-        priorities.push(r.priority);
-        stats.push(RequestStats {
-            arrival: r.arrival,
-            prefilled: prefilled_at[idx],
-            finished: finished_at[idx],
-            generated: r.gen_len,
-        });
-    }
+    let completed: Vec<usize> = (0..n).filter(|&i| !finished_at[i].is_nan()).collect();
+    let priorities = completed.iter().map(|&i| reqs[i].priority).collect();
+    let stats = completed
+        .iter()
+        .map(|&i| RequestStats {
+            arrival: reqs[i].arrival,
+            prefilled: prefilled_at[i],
+            finished: finished_at[i],
+            generated: reqs[i].gen_len,
+        })
+        .collect();
     debug_assert_eq!(completed.len() + shed.len(), n, "every request completes or sheds");
     OverloadReport {
         report: ServingReport::new(stats, steps, occupancy_sum),
         completed,
         priorities,
         shed,
-        preemptions,
-        replayed_tokens,
+        preemptions: core.preemptions(),
+        replayed_tokens: core.replayed_tokens(),
         capacity_tokens_per_sec,
     }
 }
@@ -1248,23 +959,47 @@ mod tests {
             prefill_machine: Machine::tpu_v4_slice(64).unwrap(),
             decode_machine: Machine::tpu_v4_slice(64).unwrap(),
             max_decode_batch: 64,
-            input_len: 64,
-            gen_len: 64,
             weight_dtype: DType::Int8,
         };
         (model, cfg)
     }
 
+    /// Normal requests, 64-token prompts and 64-token replies, arriving by
+    /// `process`.
+    fn fixed_spec(process: ArrivalProcess) -> TraceSpec {
+        let fixed = LengthDist::Fixed(64);
+        TraceSpec { process, prompt: fixed, output: fixed, high_fraction: 0.0, low_fraction: 0.0 }
+    }
+
+    fn fixed_trace(process: ArrivalProcess, n: usize) -> ArrivalTrace {
+        ArrivalTrace::generate(&fixed_spec(process), n, 3)
+    }
+
+    /// `n` requests arriving together (a nanosecond apart).
+    fn burst(n: usize) -> ArrivalTrace {
+        fixed_trace(ArrivalProcess::Uniform { rate: 1e9 }, n)
+    }
+
+    fn serve(model: &ModelConfig, cfg: &ServingConfig, trace: &ArrivalTrace) -> ServingReport {
+        let r = simulate_trace(model, cfg, trace, &OverloadPolicy::default());
+        assert_eq!(r.completed.len(), trace.requests.len(), "an unpoliced run completes everything");
+        r.report
+    }
+
+    fn throughput(report: &ServingReport) -> f64 {
+        report.generated_throughput(report.requests.iter().map(|r| r.generated).sum())
+    }
+
     #[test]
     fn single_request_matches_phase_sum() {
         let (model, cfg) = config();
-        let report = simulate(&model, &cfg, &[0.0]);
+        let report = serve(&model, &cfg, &burst(1));
         assert_eq!(report.requests.len(), 1);
         let r = report.requests[0];
-        assert!(r.prefilled > 0.0);
+        assert!(r.prefilled > r.arrival);
         assert!(r.finished > r.prefilled);
-        // 64 decode steps at batch 1.
-        assert_eq!(report.decode_steps, 64);
+        // The prefill emits the first of 64 tokens: 63 decode steps at batch 1.
+        assert_eq!(report.decode_steps, 63);
         assert!((report.mean_decode_batch - 1.0).abs() < 1e-9);
     }
 
@@ -1273,8 +1008,7 @@ mod tests {
         let (model, cfg) = config();
         // A burst of 128 simultaneous requests: the decode tier should run
         // near its batch cap.
-        let arrivals = vec![0.0; 128];
-        let report = simulate(&model, &cfg, &arrivals);
+        let report = serve(&model, &cfg, &burst(128));
         assert!(report.mean_decode_batch > 32.0, "occupancy {}", report.mean_decode_batch);
         assert!(report.latency_percentile(99.0) >= report.latency_percentile(50.0));
     }
@@ -1288,11 +1022,10 @@ mod tests {
         solo.max_decode_batch = 1;
         // A saturating burst, so the serial tier cannot hide behind idle
         // time between arrivals.
-        let arrivals = vec![0.0; 32];
-        let batched = simulate(&model, &cfg, &arrivals);
-        let serial = simulate(&model, &solo, &arrivals);
-        let tput_b = batched.throughput_tokens_per_sec(cfg.gen_len);
-        let tput_s = serial.throughput_tokens_per_sec(cfg.gen_len);
+        let batched = serve(&model, &cfg, &burst(32));
+        let serial = serve(&model, &solo, &burst(32));
+        let tput_b = throughput(&batched);
+        let tput_s = throughput(&serial);
         assert!(tput_b > 3.0 * tput_s, "batched {tput_b} vs serial {tput_s}");
         assert!(batched.mean_latency() < serial.mean_latency());
     }
@@ -1302,28 +1035,26 @@ mod tests {
         // At low arrival rate each request sees roughly the 1.9s chatbot
         // turn of Section 1 (we use a 64-token prompt + 64 generated).
         let (model, cfg) = config();
-        let arrivals = uniform_arrivals(4, 0.2); // one request per 5s
-        let report = simulate(&model, &cfg, &arrivals);
-        let mean = report.mean_latency();
+        let trace = fixed_trace(ArrivalProcess::Uniform { rate: 0.2 }, 4); // one per 5s
+        let mean = serve(&model, &cfg, &trace).mean_latency();
         assert!(mean > 0.3 && mean < 3.0, "mean latency {mean}");
     }
 
     #[test]
     fn throughput_saturates_with_offered_load() {
         let (model, cfg) = config();
-        let low = simulate(&model, &cfg, &uniform_arrivals(16, 1.0));
-        let high = simulate(&model, &cfg, &uniform_arrivals(256, 1e6));
-        let t_low = low.throughput_tokens_per_sec(cfg.gen_len);
-        let t_high = high.throughput_tokens_per_sec(cfg.gen_len);
+        let low = serve(&model, &cfg, &fixed_trace(ArrivalProcess::Uniform { rate: 1.0 }, 16));
+        let high = serve(&model, &cfg, &fixed_trace(ArrivalProcess::Uniform { rate: 1e6 }, 256));
+        let t_low = throughput(&low);
+        let t_high = throughput(&high);
         assert!(t_high > t_low);
         // The cap: batch-64 decode step bounds tokens/sec.
-        let (model2, _) = config();
-        let layout = planner::decode_layout_for_batch(&model2, &cfg.decode_machine, 64);
+        let layout = planner::decode_layout_for_batch(&model, &cfg.decode_machine, 64);
         let step = estimate(
             &cfg.decode_machine,
-            &model2,
+            &model,
             &layout,
-            &PhaseSpec::decode(64, cfg.input_len + cfg.gen_len / 2),
+            &PhaseSpec::decode(64, 64 + 64 / 2),
             cfg.weight_dtype,
         )
         .step_time;
@@ -1334,14 +1065,18 @@ mod tests {
 
     #[test]
     fn poisson_arrivals_are_sorted_and_rate_accurate() {
-        let arr = poisson_arrivals(2000, 4.0, 9);
+        let spec = fixed_spec(ArrivalProcess::Poisson { rate: 4.0 });
+        let arrivals = |seed| -> Vec<f64> {
+            ArrivalTrace::generate(&spec, 2000, seed).requests.iter().map(|r| r.arrival).collect()
+        };
+        let arr = arrivals(9);
         assert!(arr.windows(2).all(|w| w[0] <= w[1]));
         // Mean inter-arrival ~ 1/rate within 10%.
         let mean_gap = arr.last().unwrap() / 2000.0;
         assert!((mean_gap - 0.25).abs() < 0.025, "mean gap {mean_gap}");
         // Deterministic per seed, different across seeds.
-        assert_eq!(arr, poisson_arrivals(2000, 4.0, 9));
-        assert_ne!(arr, poisson_arrivals(2000, 4.0, 10));
+        assert_eq!(arr, arrivals(9));
+        assert_ne!(arr, arrivals(10));
     }
 
     #[test]
@@ -1349,16 +1084,41 @@ mod tests {
         // Poisson burstiness should not lower the p99 below the uniform
         // schedule's at the same rate.
         let (model, cfg) = config();
-        let uni = simulate(&model, &cfg, &uniform_arrivals(64, 8.0));
-        let poi = simulate(&model, &cfg, &poisson_arrivals(64, 8.0, 3));
+        let uni = serve(&model, &cfg, &fixed_trace(ArrivalProcess::Uniform { rate: 8.0 }, 64));
+        let poi = serve(&model, &cfg, &fixed_trace(ArrivalProcess::Poisson { rate: 8.0 }, 64));
         assert!(poi.latency_percentile(99.0) >= uni.latency_percentile(99.0) * 0.9);
     }
 
     #[test]
-    #[should_panic(expected = "ascending")]
+    #[should_panic(expected = "sorted")]
     fn unsorted_arrivals_rejected() {
         let (model, cfg) = config();
-        let _ = simulate(&model, &cfg, &[1.0, 0.5]);
+        let mut trace = burst(2);
+        trace.requests[0].arrival = 1.0;
+        let _ = simulate_trace(&model, &cfg, &trace, &OverloadPolicy::default());
+    }
+
+    #[test]
+    fn a_preempted_victim_is_never_shed() {
+        // One slot. A long Low request is preempted at t = 1 by a High one
+        // and waits, holding its first tokens, while the High one decodes.
+        let (model, mut cfg) = config();
+        cfg.max_decode_batch = 1;
+        let req = |arrival, gen_len, priority| TraceRequest { arrival, prompt_len: 64, gen_len, priority };
+        let mut requests = vec![req(0.0, 400, Priority::Low), req(1.0, 64, Priority::High)];
+        // Its wait outlasts the Low deadline: the victim is exempt.
+        let deadline = OverloadPolicy { ttft_deadline: [Some(0.5), None, None], ..OverloadPolicy::default() };
+        // A Normal request joins the queue over its limit of one: it, not
+        // the lower-class victim, is shed.
+        let limit = OverloadPolicy { queue_limit: Some(1), ..OverloadPolicy::default() };
+        for (policy, shed) in [(deadline, vec![]), (limit, vec![2])] {
+            let trace = ArrivalTrace { requests: requests.clone() };
+            let r = simulate_trace(&model, &cfg, &trace, &policy);
+            assert_eq!((r.preemptions, r.completed.clone()), (1, vec![0, 1]), "{policy:?}");
+            assert_eq!(r.shed.iter().map(|s| s.index).collect::<Vec<_>>(), shed, "{policy:?}");
+            assert!(r.replayed_tokens > 0, "the victim replays what it had emitted");
+            requests.push(req(1.5, 64, Priority::Normal));
+        }
     }
 
     fn fixture_report(lats: &[f64]) -> ServingReport {
@@ -1395,15 +1155,19 @@ mod tests {
         let r = ServingReport::new(requests, 10, 15);
         assert_eq!(r.first_arrival(), 100.0);
         // 2 requests x 5 tokens over (110 - 100) seconds.
-        assert!((r.throughput_tokens_per_sec(5) - 1.0).abs() < 1e-12);
+        assert!((r.generated_throughput(10) - 1.0).abs() < 1e-12);
         assert!((r.generated_throughput(20) - 2.0).abs() < 1e-12);
     }
 
     #[test]
     fn zero_decode_steps_yield_finite_stats() {
-        let (model, mut cfg) = config();
-        cfg.gen_len = 0;
-        let report = simulate(&model, &cfg, &[0.0, 1.0]);
+        // One-token replies: the prefill emits each, no decode step runs.
+        let (model, cfg) = config();
+        let spec = TraceSpec {
+            output: LengthDist::Fixed(1),
+            ..fixed_spec(ArrivalProcess::Uniform { rate: 1.0 })
+        };
+        let report = serve(&model, &cfg, &ArrivalTrace::generate(&spec, 2, 0));
         assert_eq!(report.decode_steps, 0);
         assert_eq!(report.mean_decode_batch, 0.0);
         assert!(report.mean_decode_batch.is_finite(), "must not be NaN");
@@ -1491,8 +1255,7 @@ mod tests {
             mean_dwell: 2.0,
         });
         let t = ArrivalTrace::generate(&spec, n, 5);
-        let arr = t.arrivals();
-        let gaps: Vec<f64> = arr.windows(2).map(|w| w[1] - w[0]).collect();
+        let gaps: Vec<f64> = t.requests.windows(2).map(|w| w[1].arrival - w[0].arrival).collect();
         let mean = gaps.iter().sum::<f64>() / gaps.len() as f64;
         let var = gaps.iter().map(|g| (g - mean).powi(2)).sum::<f64>() / gaps.len() as f64;
         // Exponential gaps have cv^2 = 1; MMPP well above.
@@ -1566,7 +1329,7 @@ mod tests {
         assert!(r
             .shed
             .iter()
-            .all(|s| matches!(s.reason, ShedReason::DeadlineExpired { .. })));
+            .all(|s| matches!(s.reason, ShedReason::TtftDeadline { .. })));
         // Whoever completed met a TTFT not far above the deadline (the
         // shed decision uses the best-case projection, so a small
         // overshoot from queueing behind the current prefill is possible).

@@ -1,13 +1,13 @@
 //! Continuous-batching serving over the partitioned engine (Section 4.4).
 //!
-//! Where [`esti_core::serving`] *models* the paper's prefill/decode
-//! arrangement analytically, this module *runs* it on one
-//! [`PartitionedEngine`] — one copy of the weights, one KV page pool — with
-//! a fixed number of decode slots ([`PartitionedEngine::begin_slots`]).
-//! Variable-length prompts arrive in a queue, are admitted into free slots
-//! at step boundaries up to the cap, prefilled (optionally chunked)
-//! straight into the slots admission chose, and evicted on completion. A decode step runs the occupied slots only (see
-//! [`DecodeWork`]).
+//! [`ContinuousBatcher`] *runs* the paper's prefill/decode arrangement on one
+//! [`PartitionedEngine`] — one copy of the weights, one KV page pool — with a
+//! fixed number of decode slots ([`PartitionedEngine::begin_slots`]). It is
+//! the live caller of [`esti_core::scheduler`], which decides what is shed,
+//! admitted and preempted (the trace simulator drives the same policy): this
+//! module prefills each admission straight into its slot (optionally
+//! chunked), runs decode steps over the occupied slots (see [`DecodeWork`])
+//! and evicts on completion.
 //!
 //! Prefill does only the work that is needed. Up to a minimum batch of
 //! consecutive admissions share one *group* prefill, each in its own slot,
@@ -38,11 +38,9 @@
 //! the chaos conformance tests in `tests/faults.rs` assert exactly that for
 //! every decode layout. A failed prefill call's group goes back to the
 //! front of its class queues and is admitted again. The price paid is
-//! accounted in
-//! [`ServingReport::recovery`] and cross-checked against
+//! accounted in [`ServingReport::recovery`] and cross-checked against
 //! `esti_netsim::crash_recovery_cost`.
 
-use std::collections::{HashMap, VecDeque};
 use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
@@ -50,7 +48,8 @@ use rand::SeedableRng;
 
 use esti_collectives::FaultPlan;
 use esti_core::layout::Layout;
-use esti_core::serving::{Priority, RecoveryStats, RequestStats, ServingReport};
+use esti_core::scheduler::{Admission, Advance, Decision, Job, PageLedger, Scheduler};
+use esti_core::serving::{OverloadPolicy, Priority, RecoveryStats, RequestStats, ServingReport};
 use esti_model::{PositionKind, ReferenceModel};
 use esti_tensor::sample::{sample_row, Sampling};
 
@@ -129,25 +128,18 @@ pub struct ServingOptions {
     /// pre-charged its worst-case length — fits `budget / longest request`
     /// slots.
     pub kv_position_budget: Option<usize>,
-    /// Arrived-but-unadmitted requests the scheduler tolerates before
-    /// shedding; `None` queues without bound. Shedding removes the
-    /// *newest* waiting request of the *lowest* waiting class — the one
-    /// whose loss costs the least — recording a typed
-    /// [`ServeError::Overloaded`] in [`ServingOutcome::shed`] instead of
-    /// letting the backlog grow without bound.
+    /// Waiting requests tolerated before the newest of the lowest class is
+    /// shed (a typed [`ServeError::Overloaded`] in [`ServingOutcome::shed`]);
+    /// `None` queues without bound.
     pub queue_limit: Option<usize>,
-    /// Per-class TTFT deadline in seconds, indexed by
-    /// [`Priority::index`]: a waiting request that has already waited past
-    /// its class deadline is shed (typed [`ServeError::Overloaded`])
-    /// rather than served uselessly late. `None` disables the deadline
-    /// for that class.
+    /// Per-class TTFT deadline in seconds, indexed by [`Priority::index`]:
+    /// a waiting request that has waited past it is shed. `None` disables
+    /// it for that class.
     pub ttft_deadline: [Option<f64>; 3],
-    /// Preempt a strictly-lower-priority slot when a higher class is
-    /// waiting and no slot is free. The victim re-enters its class queue
-    /// (at the front — it keeps its FIFO standing) and, on re-admission,
-    /// *replays* through the recovery machinery to a bit-identical
-    /// stream. On by default: with every request in one class (the
-    /// pre-priority behavior) preemption never fires.
+    /// Preempt a strictly-lower-priority slot when a higher class waits and
+    /// no slot is free; the victim re-enters the front of its class queue
+    /// and replays to a bit-identical stream on re-admission. With one class
+    /// it never fires.
     pub preemption: bool,
 }
 
@@ -246,7 +238,7 @@ impl std::fmt::Display for ServeError {
                     f,
                     "request {index} shed under overload: {waiting} waiting, limit {limit}"
                 ),
-                OverloadShed::TtftDeadline { waited, deadline } => write!(
+                OverloadShed::TtftDeadline { ttft: waited, deadline } => write!(
                     f,
                     "request {index} shed under overload: waited {waited:.3}s past its \
                      {deadline:.3}s TTFT deadline"
@@ -260,25 +252,9 @@ impl std::fmt::Display for ServeError {
 }
 
 /// Which admission-control policy shed a request (the payload of
-/// [`ServeError::Overloaded`]).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum OverloadShed {
-    /// The waiting queue was over [`ServingOptions::queue_limit`].
-    QueueFull {
-        /// Requests waiting when the shed happened.
-        waiting: usize,
-        /// The configured limit.
-        limit: usize,
-    },
-    /// The request out-waited its class's
-    /// [`ServingOptions::ttft_deadline`].
-    TtftDeadline {
-        /// Seconds the request had waited unadmitted.
-        waited: f64,
-        /// The class deadline it missed.
-        deadline: f64,
-    },
-}
+/// [`ServeError::Overloaded`]); the live batcher's `ttft` is the time the
+/// request had waited.
+pub use esti_core::serving::ShedReason as OverloadShed;
 
 impl std::error::Error for ServeError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
@@ -369,28 +345,13 @@ impl ServingOutcome {
     }
 }
 
-/// A live request occupying a decode slot.
+/// A live request occupying a decode slot: its sampling stream and the
+/// token its next step consumes. (Where it is in its stream, and whether a
+/// step replays a recorded token, is the scheduler's.)
 struct Active {
     idx: usize,
     rng: StdRng,
     next_tok: usize,
-    /// Position of the next sample in this request's token stream. Behind
-    /// `outputs[idx].len()` only while replaying after a recovery: until
-    /// the cursor catches up, each sample is asserted equal to its
-    /// recording instead of being appended.
-    consumed: usize,
-}
-
-/// One admission, waiting for its group's prefill.
-struct Admission {
-    idx: usize,
-    /// The slot the request is prefilled into.
-    slot: usize,
-    /// Whether the request keeps the slot after its prefill. One that ends
-    /// at its first token only borrows the slot for its call: admission
-    /// still counts the slot free, and a later admission that takes it
-    /// sits in the same span, so its call runs after this one.
-    holds: bool,
 }
 
 /// One request's row in a prefill call.
@@ -535,193 +496,6 @@ fn build_engine(
     engine
 }
 
-/// Virtual page-pool ledger the admission policy charges. It mirrors the
-/// physical [`esti_model::KvCache`] page pool in *canonical* units — whole
-/// heads, undivided by the layout — so one ledger governs admission
-/// identically across shardings.
-///
-/// Accounting invariants (each mirrors a physical transition):
-///
-/// * **admit** charges one page per prompt prefix *not* already registered
-///   by a live request (registry hits map shared pages: charged once),
-///   plus a reservation for every page decode growth can touch — pages the
-///   generation frontier will cross into, and one copy-out page when the
-///   prompt's last page is partial (a write to it may trigger
-///   copy-on-write if shared, or converts it private if not; either way
-///   the reservation bounds the worst case).
-/// * **advance** (one appended token) converts reservations to private
-///   pages at page boundaries and resolves the partial-page frontier on
-///   its first write — exactly the cache's copy-on-write / deregistration
-///   transitions — without changing the slot's total claim.
-/// * **release** refunds private and reserved pages plus every prefix page
-///   whose registry refcount drops to zero — the cache frees a physical
-///   page at precisely that moment.
-struct PageLedger {
-    page_size: usize,
-    /// Admission budget in pages; `None` tracks usage without gating.
-    budget: Option<usize>,
-    /// Live page-aligned prompt prefixes → number of slots mapping them.
-    registry: HashMap<Vec<usize>, usize>,
-    used: usize,
-    peak_used: usize,
-    peak_shared: usize,
-    slots: HashMap<usize, LedgerSlot>,
-}
-
-/// One admitted slot's claim on the ledger.
-struct LedgerSlot {
-    /// Registered prefix keys this slot maps, in page order.
-    keys: Vec<Vec<usize>>,
-    /// Pages owned by this slot alone (decode growth, copy-outs).
-    private: usize,
-    /// Pages charged at admission but not yet materialized.
-    reserved: usize,
-    /// Cached positions (prompt + appended decode tokens).
-    len: usize,
-    /// The last prompt page is partial *and* still registry-mapped; the
-    /// first decode write resolves it (copy-on-write or deregistration).
-    frontier_keyed: bool,
-}
-
-impl PageLedger {
-    fn new(page_size: usize, budget: Option<usize>) -> Self {
-        assert!(page_size > 0, "page size must be positive");
-        PageLedger {
-            page_size,
-            budget,
-            registry: HashMap::new(),
-            used: 0,
-            peak_used: 0,
-            peak_shared: 0,
-            slots: HashMap::new(),
-        }
-    }
-
-    /// `(unshared prompt pages, growth pages, copy-out reservation)` for
-    /// admitting `prompt` with `max_new` generated tokens, against the
-    /// current registry.
-    fn charge_parts(&self, prompt: &[usize], max_new: usize) -> (usize, usize, usize) {
-        let s = self.page_size;
-        let l = prompt.len();
-        let n_pages = l.div_ceil(s);
-        let new_keys = (0..n_pages)
-            .filter(|pi| {
-                let end = ((pi + 1) * s).min(l);
-                !self.registry.contains_key(&prompt[..end])
-            })
-            .count();
-        let grow = (l + max_new).div_ceil(s) - n_pages;
-        let cow = usize::from(max_new > 1 && !l.is_multiple_of(s));
-        (new_keys, grow, cow)
-    }
-
-    /// Pages admitting this request would charge right now.
-    fn plan(&self, prompt: &[usize], max_new: usize) -> usize {
-        let (new_keys, grow, cow) = self.charge_parts(prompt, max_new);
-        new_keys + grow + cow
-    }
-
-    /// Whether `extra` more pages fit the budget (always true unbudgeted).
-    fn fits(&self, extra: usize) -> bool {
-        self.budget.is_none_or(|b| self.used + extra <= b)
-    }
-
-    /// Records an admission: registers/references prompt prefixes and
-    /// charges the pool.
-    fn commit(&mut self, slot: usize, prompt: &[usize], max_new: usize) {
-        let (new_keys, grow, cow) = self.charge_parts(prompt, max_new);
-        let s = self.page_size;
-        let l = prompt.len();
-        let n_pages = l.div_ceil(s);
-        let mut keys = Vec::with_capacity(n_pages);
-        for pi in 0..n_pages {
-            let end = ((pi + 1) * s).min(l);
-            let key = prompt[..end].to_vec();
-            *self.registry.entry(key.clone()).or_insert(0) += 1;
-            keys.push(key);
-        }
-        self.used += new_keys + grow + cow;
-        self.peak_used = self.peak_used.max(self.used);
-        let shared = self.registry.values().filter(|&&r| r >= 2).count();
-        self.peak_shared = self.peak_shared.max(shared);
-        let prior = self.slots.insert(
-            slot,
-            LedgerSlot {
-                keys,
-                private: 0,
-                reserved: grow + cow,
-                len: l,
-                frontier_keyed: !l.is_multiple_of(s),
-            },
-        );
-        assert!(prior.is_none(), "slot {slot} admitted while still charged");
-    }
-
-    /// Records one decode token appended to `slot`'s cache row.
-    fn advance(&mut self, slot: usize) {
-        let s = self.page_size;
-        let Some(rec) = self.slots.get_mut(&slot) else {
-            unreachable!("slot {slot} stepped without an admission");
-        };
-        let pos = rec.len;
-        rec.len += 1;
-        if pos % s == 0 {
-            // Crossing into a fresh page: a growth reservation materializes.
-            assert!(rec.reserved > 0, "slot {slot} grew past its reservation");
-            rec.reserved -= 1;
-            rec.private += 1;
-        } else if rec.frontier_keyed {
-            // First write into the partial last prompt page.
-            rec.frontier_keyed = false;
-            let Some(key) = rec.keys.pop() else {
-                unreachable!("frontier_keyed implies a registered frontier page");
-            };
-            let Some(refs) = self.registry.get_mut(&key) else {
-                unreachable!("slot keys are always registered");
-            };
-            if *refs > 1 {
-                // Copy-on-write: the copy-out consumes the reservation; the
-                // original page stays with its other references.
-                *refs -= 1;
-                assert!(rec.reserved > 0, "copy-on-write without a reservation");
-                rec.reserved -= 1;
-                rec.private += 1;
-            } else {
-                // Sole reference: the cache deregisters and writes in
-                // place — the page converts from keyed to private, no new
-                // allocation.
-                self.registry.remove(&key);
-                rec.private += 1;
-            }
-        }
-    }
-
-    /// Records an eviction, refunding every page whose last reference this
-    /// slot held.
-    fn release(&mut self, slot: usize) {
-        let Some(rec) = self.slots.remove(&slot) else {
-            return; // Never admitted (idle-slot re-eviction).
-        };
-        let mut refund = rec.private + rec.reserved;
-        for key in rec.keys {
-            if let Some(refs) = self.registry.get_mut(&key) {
-                *refs -= 1;
-                if *refs == 0 {
-                    self.registry.remove(&key);
-                    refund += 1;
-                }
-            }
-        }
-        assert!(self.used >= refund, "page ledger refund exceeds usage");
-        self.used -= refund;
-    }
-
-    /// Minimum free pages observed under the budget (`0` unbudgeted).
-    fn min_free(&self) -> usize {
-        self.budget.map_or(0, |b| b.saturating_sub(self.peak_used))
-    }
-}
-
 impl ContinuousBatcher {
     /// Builds the one engine prefill and decode both run on, from `model`
     /// sharded by `layout`.
@@ -822,39 +596,19 @@ impl ContinuousBatcher {
     /// Serves `requests` (sorted by arrival) to completion and returns
     /// every request's generated tokens plus measured statistics.
     ///
-    /// Admission policy: priority-first, FIFO within a class. At every
-    /// step boundary, arrived requests join their class queue; the
-    /// highest waiting class is admitted first and takes a free slot — the
-    /// lowest one in a span of slots its group has not used yet, else the
-    /// lowest — until slots or arrived requests run out. Every admission is
-    /// decided on its own, in that order; only the prefill work is
-    /// batched — up to a minimum batch of consecutive admissions run as
-    /// one group, each prompt prefilled straight into its slot, at most one
-    /// per span per engine call, computing only the suffix no live slot's
-    /// pages already cover. With [`ServingOptions::preemption`], a waiting
-    /// request whose class strictly exceeds the lowest in-flight class
-    /// evicts that slot's request (least progress first, so the least
-    /// replay is wasted); the victim re-enters its class queue and later
-    /// replays to a bit-identical stream through the same machinery fault
-    /// recovery uses. Each decode step then runs the occupied slots and
-    /// only those ([`PartitionedEngine::try_decode_rows`]): an empty slot
-    /// costs the step nothing, except on layouts whose chips own spans of
-    /// the rows, where the engine pads each span with its own empty slots
-    /// up to the fullest span's count and empties them again
-    /// ([`DecodeWork`] counts both kinds of row). A request leaves its slot
-    /// the moment its last token is sampled.
-    ///
-    /// Admission control ([`ServingOptions::queue_limit`],
-    /// [`ServingOptions::ttft_deadline`]) sheds waiting requests under
-    /// overload instead of queueing without bound; each shed is a typed
-    /// [`ServeError::Overloaded`] in [`ServingOutcome::shed`], the run
-    /// itself still completes. Preempted requests are never shed — they
-    /// hold emitted tokens and always complete.
-    ///
-    /// Failed steps and prefill calls trigger recovery (see the module
-    /// docs): the engine is rebuilt and in-flight requests are replayed to
-    /// bit-identical streams, up to [`ContinuousBatcher::set_max_recoveries`]
-    /// faults.
+    /// Every shed, admission, preemption and page charge is decided by the
+    /// [`esti_core::scheduler::Scheduler`] the trace simulator also runs; a
+    /// request's TTFT so far is the time it has waited. This batcher runs the
+    /// work: up to a minimum batch of consecutive admissions share one group
+    /// prefill, each prompt prefilled straight into its slot, at most one per
+    /// span per engine call, computing only the suffix no live slot's pages
+    /// cover. Each decode step runs the occupied slots only
+    /// ([`PartitionedEngine::try_decode_rows`]; on layouts whose chips own
+    /// spans of the rows the engine pads each span to the fullest one, see
+    /// [`DecodeWork`]). A preempted victim, like every request after a
+    /// failed step or prefill call (see the module docs), replays to a
+    /// bit-identical stream; recovery absorbs up to
+    /// [`ContinuousBatcher::set_max_recoveries`] faults.
     ///
     /// # Errors
     ///
@@ -883,11 +637,18 @@ impl ContinuousBatcher {
         }
         let cap = self.opts.max_decode_batch;
         let page_size = self.engine.kv_page_size();
-        let mut ledger =
-            PageLedger::new(page_size, self.opts.kv_position_budget.map(|b| b / page_size));
         self.engine.begin_slots(cap, 0);
         let pad = self.engine.min_batch();
-        let span: Vec<usize> = (0..cap).map(|s| self.engine.slot_span(s)).collect();
+        let jobs = requests.iter().map(|r| Job {
+            class: r.priority,
+            max_new: r.max_new_tokens,
+            prompt: &r.prompt,
+        });
+        let ServingOptions { queue_limit, ttft_deadline, preemption, .. } = self.opts;
+        let policy = OverloadPolicy { queue_limit, ttft_deadline, preemption };
+        let ledger = PageLedger::new(page_size, self.opts.kv_position_budget.map(|b| b / page_size));
+        let spans = (0..cap).map(|s| self.engine.slot_span(s)).collect();
+        let mut core = Scheduler::new(jobs.collect(), spans, policy, Some(ledger));
         self.work = PrefillWork::default();
 
         let t0 = Instant::now();
@@ -896,14 +657,9 @@ impl ContinuousBatcher {
         let mut outputs: Vec<Vec<usize>> = vec![Vec::new(); n];
         let mut prefilled_at = vec![0.0f64; n];
         let mut finished_at = vec![0.0f64; n];
-        // Requests arrive (in sorted order) past `cursor` into their class
-        // queue; admission drains the highest class first, FIFO within.
-        let mut waiting: [VecDeque<usize>; 3] = Default::default();
         let mut cursor = 0usize;
         let mut shed: Vec<ServeError> = Vec::new();
         let mut is_shed = vec![false; n];
-        let mut preemptions = 0usize;
-        let mut preempted_replayed = 0usize;
         let mut forced = std::mem::take(&mut self.preempt_plan);
         let mut active: Vec<Option<Active>> = (0..cap).map(|_| None).collect();
         let mut step_log: Vec<(usize, f64)> = Vec::new();
@@ -914,9 +670,8 @@ impl ContinuousBatcher {
         let mut decode_work = DecodeWork::default();
 
         loop {
-            // Arrived requests join their class queue.
             while cursor < n && requests[cursor].arrival <= now() {
-                waiting[requests[cursor].priority.index()].push_back(cursor);
+                core.arrive(cursor);
                 cursor += 1;
             }
 
@@ -928,145 +683,38 @@ impl ContinuousBatcher {
                     continue;
                 }
                 forced.swap_remove(i);
-                if let Some(a) = active[slot].take() {
-                    waiting[requests[a.idx].priority.index()].push_front(a.idx);
+                if core.preempt(slot).is_some() {
+                    active[slot] = None;
                     self.engine.evict_slot(slot);
-                    ledger.release(slot);
-                    preemptions += 1;
                 }
             }
 
-            // TTFT-deadline shedding. Preempted victims (non-empty
-            // recording) are exempt: they were admitted once and must
-            // complete.
-            for class in Priority::ALL {
-                if let Some(deadline) = self.opts.ttft_deadline[class.index()] {
-                    waiting[class.index()].retain(|&idx| {
-                        let waited = now() - requests[idx].arrival;
-                        if outputs[idx].is_empty() && waited > deadline {
-                            is_shed[idx] = true;
-                            shed.push(ServeError::Overloaded {
-                                index: idx,
-                                reason: OverloadShed::TtftDeadline { waited, deadline },
-                            });
-                            false
-                        } else {
-                            true
-                        }
-                    });
-                }
+            // A waiting request's TTFT so far is the time it has waited.
+            for record in core.shed(|idx| now() - requests[idx].arrival) {
+                is_shed[record.index] = true;
+                shed.push(ServeError::Overloaded { index: record.index, reason: record.reason });
             }
 
-            // Queue-depth shedding: the newest waiting request of the
-            // lowest class goes first; preempted victims are exempt.
-            if let Some(limit) = self.opts.queue_limit {
-                let mut total: usize = waiting.iter().map(VecDeque::len).sum();
-                'shed: while total > limit {
-                    for class in Priority::ALL {
-                        let q = &mut waiting[class.index()];
-                        let Some(pos) = q.iter().rposition(|&idx| outputs[idx].is_empty())
-                        else {
-                            continue;
-                        };
-                        let Some(idx) = q.remove(pos) else { unreachable!("pos in bounds") };
-                        is_shed[idx] = true;
-                        shed.push(ServeError::Overloaded {
-                            index: idx,
-                            reason: OverloadShed::QueueFull { waiting: total, limit },
-                        });
-                        total -= 1;
-                        continue 'shed;
-                    }
-                    break; // only un-sheddable victims remain waiting
-                }
-            }
-
-            // Admission at the step boundary, highest class first. Each
-            // request is decided on its own (slot, preemption victim, page
-            // ledger) against everything decided before it; the prefill
-            // work of up to `pad` consecutive admissions runs as one group.
+            // Admission at the step boundary; the prefill work of up to
+            // `pad` consecutive admissions runs as one group.
             let mut group: Vec<Admission> = Vec::new();
             let mut admitting = true;
             while admitting {
-                let admitted = 'decide: {
-                    let Some(class) = Priority::ALL
-                        .into_iter()
-                        .rev()
-                        .find(|c| !waiting[c.index()].is_empty())
-                    else {
-                        break 'decide None;
-                    };
-                    // A free slot in a span the group has not used yet lets
-                    // the group run as one call; any free slot will do.
-                    let free = (0..cap).filter(|&s| {
-                        active[s].is_none() && !group.iter().any(|a| a.holds && a.slot == s)
-                    });
-                    let fresh = free.clone().find(|&s| group.iter().all(|a| span[a.slot] != span[s]));
-                    let slot = match fresh.or_else(|| free.min()) {
-                        Some(s) => s,
-                        None if self.opts.preemption => {
-                            // Policy preemption: evict the lowest class below
-                            // the admitted one; among equals the least
-                            // progress, so the least replay is wasted.
-                            let victim = active
-                                .iter()
-                                .enumerate()
-                                .filter_map(|(s, o)| o.as_ref().map(|a| (s, a.idx)))
-                                .filter(|&(_, v)| requests[v].priority < class)
-                                .min_by_key(|&(s, v)| {
-                                    (requests[v].priority, outputs[v].len(), s)
-                                });
-                            let Some((s, v)) = victim else { break 'decide None };
-                            waiting[requests[v].priority.index()].push_front(v);
-                            active[s] = None;
-                            self.engine.evict_slot(s);
-                            ledger.release(s);
-                            preemptions += 1;
-                            s
-                        }
-                        None => break 'decide None,
-                    };
-                    let Some(&idx) = waiting[class.index()].front() else {
-                        break 'decide None;
-                    };
-                    let req = &requests[idx];
-                    // A request that ends at its first token never holds
-                    // the slot it was offered.
-                    let holds = req.max_new_tokens > 1;
-                    // Page-pool admission gate. The charge covers this
-                    // request's unshared prompt pages plus growth
-                    // reservations; the idle allowance covers the page a
-                    // still-empty slot holds while it pads its span of a
-                    // step, so the pages admitted requests hold never
-                    // outgrow the budget. Where steps carry no padding the
-                    // allowance is an upper bound.
-                    if holds {
-                        let charge = ledger.plan(&req.prompt, req.max_new_tokens);
-                        let live_now = active.iter().flatten().count()
-                            + group.iter().filter(|a| a.holds).count();
-                        let idle_after = cap - (live_now + 1);
-                        if !ledger.fits(charge + idle_after) {
-                            if live_now == 0 {
-                                // Nothing to evict will ever free enough:
-                                // the request cannot fit even alone.
-                                let budget =
-                                    self.opts.kv_position_budget.unwrap_or(usize::MAX);
-                                return Err(ServeError::KvBudgetExceeded {
-                                    index: idx,
-                                    needed: (ledger.used + charge + idle_after) * ledger.page_size,
-                                    budget,
-                                });
-                            }
-                            break 'decide None; // Defer until eviction frees pages.
-                        }
-                        ledger.commit(slot, &req.prompt, req.max_new_tokens);
+                match core.admit(&group) {
+                    Decision::Admit(admission) => group.push(admission),
+                    Decision::Preempted { slot, .. } => {
+                        active[slot] = None;
+                        self.engine.evict_slot(slot);
+                        continue;
                     }
-                    waiting[class.index()].pop_front();
-                    Some(Admission { idx, slot, holds })
-                };
-                match admitted {
-                    Some(admission) => group.push(admission),
-                    None => admitting = false,
+                    Decision::Wait => admitting = false,
+                    Decision::NeverFits { idx, pages } => {
+                        return Err(ServeError::KvBudgetExceeded {
+                            index: idx,
+                            needed: pages * page_size,
+                            budget: self.opts.kv_position_budget.unwrap_or(usize::MAX),
+                        });
+                    }
                 }
                 // A group runs when it is full, or when nobody else is
                 // admissible and it holds anyone at all.
@@ -1084,16 +732,16 @@ impl ContinuousBatcher {
                         // order, the live slots replay on a rebuilt engine,
                         // and admission starts over.
                         for a in group.drain(..).rev() {
-                            waiting[requests[a.idx].priority.index()].push_front(a.idx);
+                            core.requeue(&a);
                         }
-                        self.recover(requests, &outputs, &mut active, &mut recovery, &mut ledger, err)?;
+                        self.recover(requests, &outputs, &mut active, &mut core, &mut recovery, err)?;
                         admitting = true;
                         continue;
                     }
                 };
-                for (Admission { idx, slot, holds }, last_logits) in group.drain(..).zip(prefilled) {
-                    let req = &requests[idx];
-                    let replaying = !outputs[idx].is_empty();
+                for (a, last_logits) in group.drain(..).zip(prefilled) {
+                    let (idx, req) = (a.idx, &requests[a.idx]);
+                    let replaying = !core.start(&a);
                     let mut rng = StdRng::seed_from_u64(req.seed);
                     if !replaying {
                         prefilled_at[idx] = now();
@@ -1106,30 +754,25 @@ impl ContinuousBatcher {
                     // logits — its sampling time is the TTFT recorded
                     // above. On a post-preemption re-admission the
                     // re-derived token is asserted against the recording
-                    // instead (the replay cursor then walks the emitted
-                    // decode suffix).
+                    // instead (the decode steps then replay the rest).
                     let tok = sample_row(&mut rng, &last_logits, self.opts.sampling);
                     if replaying {
-                        assert_eq!(
-                            tok, outputs[idx][0],
-                            "request {idx} diverged at replayed token 0"
-                        );
-                        preempted_replayed += outputs[idx].len() - 1;
+                        assert_eq!(tok, outputs[idx][0], "request {idx} diverged at replayed token 0");
                     } else {
                         outputs[idx].push(tok);
                     }
-                    if !holds {
+                    if !a.holds {
                         finished_at[idx] = now();
                         continue;
                     }
-                    active[slot] = Some(Active { idx, rng, next_tok: tok, consumed: 1 });
+                    active[a.slot] = Some(Active { idx, rng, next_tok: tok });
                 }
             }
 
             let live = active.iter().flatten().count();
             peak_live = peak_live.max(live);
             if live == 0 {
-                if cursor >= n && waiting.iter().all(VecDeque::is_empty) {
+                if cursor >= n && core.waiting() == 0 {
                     break;
                 }
                 // Nothing in flight and the next request has not arrived:
@@ -1162,7 +805,7 @@ impl ContinuousBatcher {
             let logits = match self.engine.try_decode_rows(&rows) {
                 Ok(logits) => logits,
                 Err(err) => {
-                    self.recover(requests, &outputs, &mut active, &mut recovery, &mut ledger, err)?;
+                    self.recover(requests, &outputs, &mut active, &mut core, &mut recovery, err)?;
                     continue;
                 }
             };
@@ -1174,33 +817,26 @@ impl ContinuousBatcher {
             decode_work.filler_rows += carried - live;
 
             for ((s, _), row) in rows.into_iter().zip(logits.data().chunks(cfg.vocab)) {
-                let slot = &mut active[s];
-                let Some(a) = slot else { unreachable!("rows lists occupied slots") };
-                // The step appended this row's input token to its cache.
-                ledger.advance(s);
+                let Some(a) = &mut active[s] else { unreachable!("rows lists occupied slots") };
                 let tok = sample_row(&mut a.rng, row, self.opts.sampling);
-                if a.consumed < outputs[a.idx].len() {
-                    // Replay after a recovery: the recomputed sample must
-                    // reproduce its recording bit-for-bit.
-                    assert_eq!(
-                        tok,
-                        outputs[a.idx][a.consumed],
-                        "request {} diverged at replayed token {}",
-                        a.idx,
-                        a.consumed
-                    );
-                } else {
-                    outputs[a.idx].push(tok);
+                match core.advance(s) {
+                    // Replay after a preemption or a recovery: the
+                    // recomputed sample must reproduce its recording.
+                    Advance::Replayed(pos) => assert_eq!(
+                        tok, outputs[a.idx][pos],
+                        "request {} diverged at replayed token {pos}",
+                        a.idx
+                    ),
+                    Advance::Emitted => outputs[a.idx].push(tok),
+                    Advance::Finished => {
+                        outputs[a.idx].push(tok);
+                        finished_at[a.idx] = now();
+                        active[s] = None;
+                        self.engine.evict_slot(s);
+                        continue;
+                    }
                 }
-                a.consumed += 1;
-                if a.consumed == requests[a.idx].max_new_tokens {
-                    finished_at[a.idx] = now();
-                    *slot = None;
-                    self.engine.evict_slot(s);
-                    ledger.release(s);
-                } else {
-                    a.next_tok = tok;
-                }
+                a.next_tok = tok;
             }
         }
 
@@ -1217,18 +853,19 @@ impl ContinuousBatcher {
             })
             .collect();
         let total_generated = outputs.iter().map(Vec::len).sum();
+        let Some(pages) = core.pages() else { unreachable!("the live scheduler charges pages") };
         let report = ServingReport::new(stats, step_log.len(), occupancy_sum)
             .with_recovery(recovery)
             .with_peak_batch(peak_live)
-            .with_kv_pages(ledger.min_free(), ledger.peak_shared);
+            .with_kv_pages(pages.min_free(), pages.peak_shared());
         Ok(ServingOutcome {
             report,
             step_log,
             outputs,
             total_generated,
             shed,
-            preemptions,
-            preempted_tokens_replayed: preempted_replayed,
+            preemptions: core.preemptions(),
+            preempted_tokens_replayed: core.replayed_tokens(),
             prefill: self.work,
             decode: decode_work,
         })
@@ -1248,11 +885,12 @@ impl ContinuousBatcher {
         requests: &[ServingRequest],
         outputs: &[Vec<usize>],
         active: &mut [Option<Active>],
+        core: &mut Scheduler,
         recovery: &mut RecoveryStats,
-        ledger: &mut PageLedger,
         mut err: EngineError,
     ) -> Result<(), ServeError> {
         let t = Instant::now();
+        core.restart();
         // Slots come back in slot order, a group at a time; a slot is a
         // donor again once its KV is back in the rebuilt engine.
         let replay: Vec<Admission> = active
@@ -1268,16 +906,6 @@ impl ContinuousBatcher {
             }
             self.engine = build_engine(&self.model, self.layout, self.fmt, &self.opts, self.deadline);
             self.engine.begin_slots(self.opts.max_decode_batch, 0);
-            // The rebuilt cache starts empty, so the ledger restarts too:
-            // each replayed request re-admits (re-sharing prompt prefixes
-            // exactly as the fresh block tables do) and the replay steps
-            // re-advance it. Peaks carry over — they describe the whole
-            // serve call.
-            *ledger = PageLedger {
-                peak_used: ledger.peak_used,
-                peak_shared: ledger.peak_shared,
-                ..PageLedger::new(ledger.page_size, ledger.budget)
-            };
             active.iter_mut().for_each(|a| *a = None);
             for group in replay.chunks(self.engine.min_batch()) {
                 let donors = live_prompts(active, requests);
@@ -1294,8 +922,7 @@ impl ContinuousBatcher {
                     let mut rng = StdRng::seed_from_u64(req.seed);
                     let tok0 = sample_row(&mut rng, &last_logits, self.opts.sampling);
                     assert_eq!(tok0, emitted[0], "request {idx} diverged at replayed token 0");
-                    ledger.commit(slot, &req.prompt, req.max_new_tokens);
-                    active[slot] = Some(Active { idx, rng, next_tok: tok0, consumed: 1 });
+                    active[slot] = Some(Active { idx, rng, next_tok: tok0 });
                     recovery.requests_replayed += 1;
                     recovery.prefill_tokens_replayed += req.prompt.len();
                     recovery.decode_tokens_replayed += emitted.len() - 1;

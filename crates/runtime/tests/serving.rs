@@ -8,7 +8,10 @@
 //! never *which* tokens appear.
 
 use esti_core::layout::{AttnSharding, FfnLayout, GatherExtent, Layout, MeshFactors};
-use esti_core::serving::{simulate, Priority, ServingConfig};
+use esti_core::serving::{
+    simulate_trace, ArrivalProcess, ArrivalTrace, LengthDist, OverloadPolicy, Priority, ServingConfig,
+    TraceSpec,
+};
 use esti_core::Machine;
 use esti_hal::DType;
 use esti_model::{ModelConfig, ReferenceModel};
@@ -274,17 +277,20 @@ fn measured_stats_cross_check_analytical_simulator() {
     let mean = outcome.report.mean_decode_batch;
     assert!((mean - occupancy as f64 / steps as f64).abs() < 1e-12);
 
-    // The analytical model of the same workload (gen-1 decode tokens per
-    // request) conserves the same occupancy and obeys the same bracket.
+    // The analytical model of the same workload conserves the same
+    // occupancy and obeys the same bracket: its prefill emits the first
+    // token too, so it decodes the same gen-1 tokens per request.
     let cfg = ServingConfig {
         prefill_machine: Machine::tpu_v4_slice(4).expect("4-chip slice"),
         decode_machine: Machine::tpu_v4_slice(4).expect("4-chip slice"),
         max_decode_batch: cap,
-        input_len: 3,
-        gen_len: gen - 1,
         weight_dtype: DType::Bf16,
     };
-    let analytic = simulate(&ModelConfig::tiny(), &cfg, &vec![0.0; n_req]);
+    let (process, fixed) = (ArrivalProcess::Uniform { rate: 1e9 }, LengthDist::Fixed);
+    let spec = TraceSpec { process, prompt: fixed(3), output: fixed(gen), high_fraction: 0.0, low_fraction: 0.0 };
+    let trace = ArrivalTrace::generate(&spec, n_req, 0);
+    let analytic =
+        simulate_trace(&ModelConfig::tiny(), &cfg, &trace, &OverloadPolicy::default()).report;
     let analytic_occupancy =
         (analytic.mean_decode_batch * analytic.decode_steps as f64).round() as usize;
     assert_eq!(analytic_occupancy, occupancy, "analytic and measured occupancy disagree");

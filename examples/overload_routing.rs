@@ -30,8 +30,6 @@ fn main() {
         prefill_machine: Machine::tpu_v4_slice(64).expect("64-chip slice"),
         decode_machine: Machine::tpu_v4_slice(64).expect("64-chip slice"),
         max_decode_batch: 64,
-        input_len: 64,
-        gen_len: 64,
         weight_dtype: DType::Int8,
     };
     let spec = TraceSpec {

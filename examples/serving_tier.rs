@@ -3,7 +3,10 @@
 //!
 //! Run with: `cargo run --example serving_tier [-- <requests_per_second>]`
 
-use esti::core::serving::{simulate, uniform_arrivals, ServingConfig};
+use esti::core::serving::{
+    simulate_trace, ArrivalProcess, ArrivalTrace, LengthDist, OverloadPolicy, ServingConfig,
+    TraceSpec,
+};
 use esti::core::Machine;
 use esti::hal::DType;
 use esti::model::ModelConfig;
@@ -18,21 +21,23 @@ fn main() {
         prefill_machine: Machine::tpu_v4_slice(64).expect("64-chip slice"),
         decode_machine: Machine::tpu_v4_slice(64).expect("64-chip slice"),
         max_decode_batch: 64,
-        input_len: 64,
-        gen_len: 64,
         weight_dtype: DType::Int8,
     };
+    let (prompt, reply) = (64, 64);
+    let (process, fixed) = (ArrivalProcess::Uniform { rate }, LengthDist::Fixed);
+    let spec = TraceSpec { process, prompt: fixed(prompt), output: fixed(reply), high_fraction: 0.0, low_fraction: 0.0 };
 
     println!(
-        "serving {} at {rate:.1} req/s ({}-token prompts, {}-token replies, int8):",
-        model.name, cfg.input_len, cfg.gen_len
+        "serving {} at {rate:.1} req/s ({prompt}-token prompts, {reply}-token replies, int8):",
+        model.name
     );
     let n = ((rate * 30.0).ceil() as usize).max(8);
-    let report = simulate(&model, &cfg, &uniform_arrivals(n, rate));
+    let trace = ArrivalTrace::generate(&spec, n, 0);
+    let report = simulate_trace(&model, &cfg, &trace, &OverloadPolicy::default()).report;
     println!("  requests served : {}", report.requests.len());
     println!(
         "  throughput      : {:.0} generated tokens/s",
-        report.throughput_tokens_per_sec(cfg.gen_len)
+        report.generated_throughput(trace.offered_tokens())
     );
     println!("  mean latency    : {:.2}s", report.mean_latency());
     println!("  p50 / p99       : {:.2}s / {:.2}s", report.latency_percentile(50.0), report.latency_percentile(99.0));
