@@ -137,18 +137,20 @@ echo "== overload conformance: preemption stream-transparent, shedding typed =="
 # per-request ServeError::Overloaded — never a run failure.
 cargo test -q --release -p esti-runtime --test overload
 
-echo "== one scheduler core: the live batcher and the trace simulator run one policy =="
+echo "== one scheduler core: the live batcher, the trace simulator and the verifier run one policy =="
 # esti_core::scheduler is the one definition of admission, preemption,
-# shedding and KV page charging. ContinuousBatcher::try_serve and
-# simulate_trace only drive it: the FIFO simulate is gone, the page ledger is
-# defined once, in the core, and neither caller holds class queues, a victim
-# choice or a shed loop of its own.
+# shedding and KV page charging. ContinuousBatcher::try_serve,
+# simulate_trace and verify::lifecycle::run_trace only drive it: the FIFO
+# simulate is gone, the page ledger is defined once, in the core, and no
+# driver holds class queues, a victim choice, a page pool or a shed loop of
+# its own.
 sim_trace=$(awk '/^pub fn simulate_trace\(/,/^}/' crates/core/src/serving.rs)
 if [ -z "$sim_trace" ] \
   || grep -rn "fn simulate(" crates \
   || [ "$(grep -rl 'struct PageLedger' crates)" != "crates/core/src/scheduler.rs" ] \
   || grep -nE "min_by_key|waiting\[|ttft_deadline\[|> limit" crates/runtime/src/serving.rs \
-  || grep -nE "min_by_key|waiting\[|ttft_deadline\[|> limit" <<<"$sim_trace"; then
+  || grep -nE "min_by_key|waiting\[|ttft_deadline\[|> limit" <<<"$sim_trace" \
+  || grep -nE "struct Pool|struct Slot|fn plan\(|min_by_key|Priority::ALL" crates/verify/src/lifecycle.rs; then
   echo "FAIL: a second copy of the serving policy is back beside esti_core::scheduler" >&2
   exit 1
 fi

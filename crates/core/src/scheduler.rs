@@ -7,8 +7,9 @@
 //! [`Scheduler::admit`] until [`Decision::Wait`] (prefilling each admission,
 //! then [`Scheduler::start`]); after a decode step, [`Scheduler::advance`]
 //! for each stepped slot. The live `esti_runtime::ContinuousBatcher` (wall
-//! clock, real engine, page ledger) and [`crate::serving::simulate_trace`]
-//! (priced time, one span, no ledger) are its two callers.
+//! clock, real engine, page ledger), [`crate::serving::simulate_trace`]
+//! (priced time, one span, no ledger) and `esti_verify::lifecycle` (step
+//! counts, checked invariants, seeded defects) are its three callers.
 //!
 //! The rules: shed every waiting request whose TTFT exceeds its class
 //! deadline, then the newest of the lowest class while the queue is over its
@@ -314,6 +315,12 @@ impl<'a> Scheduler<'a> {
         self.waiting.iter().map(VecDeque::len).sum()
     }
 
+    /// Whether request `idx` is queued (arrived or preempted, not admitted).
+    #[must_use]
+    pub fn is_waiting(&self, idx: usize) -> bool {
+        self.waiting[self.jobs[idx].class.index()].contains(&idx)
+    }
+
     /// The request holding `slot`, if any.
     #[must_use]
     pub fn occupant(&self, slot: usize) -> Option<usize> {
@@ -513,6 +520,12 @@ impl PageLedger {
         self.used -= refund;
     }
 
+    /// Pages charged now.
+    #[must_use]
+    pub fn used(&self) -> usize {
+        self.used
+    }
+
     /// Minimum free pages observed under the budget (`0` unbudgeted).
     #[must_use]
     pub fn min_free(&self) -> usize {
@@ -555,6 +568,24 @@ mod tests {
         let full = ShedReason::QueueFull { waiting: 2, limit: 1 };
         assert_eq!(shed.iter().map(|s| (s.index, s.reason)).collect::<Vec<_>>(), [(2, expired), (3, full)]);
         assert_eq!(core.waiting(), 1);
+    }
+
+    #[test]
+    fn a_shared_page_is_refunded_by_its_last_release() {
+        // Page size 2: two slots map the same two prompt pages, charged
+        // once, and each reserves two growth pages. The first release
+        // refunds only its own private and reserved pages; the last one
+        // refunds the shared pages too.
+        let prompt = [1, 2, 3, 4];
+        let mut pages = PageLedger::new(2, None);
+        pages.commit(0, &prompt, 3);
+        pages.commit(1, &prompt, 3);
+        assert_eq!(pages.used(), 6);
+        pages.advance(0); // a growth page becomes private
+        pages.release(0);
+        assert_eq!(pages.used(), 4);
+        pages.release(1);
+        assert_eq!(pages.used(), 0);
     }
 
     #[test]

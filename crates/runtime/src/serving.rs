@@ -389,14 +389,13 @@ fn live_prompts<'a>(
         .collect()
 }
 
-/// The slot-machine parameters of a [`ContinuousBatcher`], exported for
+/// The configuration of a [`ContinuousBatcher`]'s scheduler, exported for
 /// `esti-verify`'s slot-lifecycle pass.
 ///
-/// The pass models admission → prefill → decode-slot → evict/replay as an
-/// explicit state machine and explores it against abstract request traces;
-/// these fields are the knobs that machine is parameterized over, read from
-/// the live scheduler so the model cannot drift from the configuration
-/// under test.
+/// The pass drives the same `esti_core::scheduler::Scheduler` the batcher
+/// does over abstract request traces; these fields configure that core
+/// (slots, page ledger, preemption) and the driver's recovery budget, read
+/// from the live batcher so the pass checks the configuration under test.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct BatcherSpec {
     /// Slot count ([`ServingOptions::max_decode_batch`]).
@@ -404,31 +403,14 @@ pub struct BatcherSpec {
     /// Faults one `try_serve` call absorbs before
     /// [`ServeError::RecoveryLimit`].
     pub max_recoveries: usize,
-    /// Admission prefill emits the request's first token, so a request with
-    /// `max_new_tokens <= 1` completes at admission without ever holding a
-    /// decode slot (its prefill borrows one for the length of its call).
-    pub prefill_emits_first_token: bool,
-    /// Replay-cursor position after a recovery rebuild: re-prefill
-    /// re-derives token 0 (asserted against the recording), so replay of
-    /// the remaining recorded tokens restarts at index 1.
-    pub replay_restarts_at: usize,
     /// KV page size of the engine's cache.
     pub page_size: usize,
-    /// Page-pool admission budget
+    /// Page-ledger admission budget
     /// ([`ServingOptions::kv_position_budget`] `/ page_size`); `None` when
-    /// unbudgeted. When set, admission charges new pages
-    /// (shared prefix pages charged once) and growth reservations, keeps
-    /// one page per still-empty slot in hand (the page an empty slot holds
-    /// for the length of a step it pads; an upper bound where steps carry
-    /// no padding), and defers requests that would overflow; eviction
-    /// refunds a page exactly when its last reference drops.
+    /// unbudgeted.
     pub pool_pages: Option<usize>,
     /// Whether a waiting higher class preempts a strictly lower one out of
-    /// its slot ([`ServingOptions::preemption`]). A preempted request is
-    /// never dropped: it re-enters its class queue with its recording
-    /// intact and must eventually re-admit and replay
-    /// (`replay_restarts_at`) — the lifecycle pass rejects machines that
-    /// preempt without a replay cursor or starve victims forever.
+    /// its slot ([`ServingOptions::preemption`]).
     pub preemption: bool,
 }
 
@@ -534,7 +516,7 @@ impl ContinuousBatcher {
         &self.engine
     }
 
-    /// The slot-machine parameters the lifecycle analyzer models (see
+    /// The scheduler configuration the lifecycle pass drives (see
     /// [`BatcherSpec`]).
     #[must_use]
     pub fn spec(&self) -> BatcherSpec {
@@ -542,8 +524,6 @@ impl ContinuousBatcher {
         BatcherSpec {
             slots: self.opts.max_decode_batch,
             max_recoveries: self.max_recoveries,
-            prefill_emits_first_token: true,
-            replay_restarts_at: 1,
             page_size,
             pool_pages: self.opts.kv_position_budget.map(|b| b / page_size),
             preemption: self.opts.preemption,

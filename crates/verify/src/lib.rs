@@ -22,10 +22,11 @@
 //! * [`quantflow`] — tracks dtype and per-column scale provenance through
 //!   int8-annotated schedules, rejecting double-applied or dropped scales
 //!   and wire volumes that disagree with the traffic ledger's closed form;
-//! * [`lifecycle`] — explores the continuous-batching slot state machine
-//!   ([`esti_runtime::BatcherSpec`]) over abstract request traces with
-//!   mid-decode faults, checking slot occupancy, eviction, replay-cursor,
-//!   and recovery-budget invariants.
+//! * [`lifecycle`] — drives the shipped scheduler core
+//!   ([`esti_core::scheduler::Scheduler`], configured by
+//!   [`esti_runtime::BatcherSpec`]) over abstract request traces with
+//!   faults, preemptions and drains, checking slot occupancy, eviction,
+//!   replay, conservation, page and recovery-budget invariants.
 //!
 //! The `esti-lint` binary sweeps every built-in layout × model × slice
 //! combination ([`scenarios`]) and exits nonzero on any failure (or, with

@@ -1,66 +1,48 @@
-//! Pass 6 — continuous-batching slot lifecycle.
+//! Pass 6 — the continuous-batching slot lifecycle, checked on the
+//! scheduler that ships.
 //!
-//! Models the [`ContinuousBatcher`](esti_runtime::ContinuousBatcher) serve
-//! loop — admission → prefill → decode slot → evict, with fault-triggered
-//! replay, priority-first admission, preemption, and replica drains — as an
-//! explicit state machine parameterized by the scheduler's own
-//! [`BatcherSpec`], and explores it over a bounded family of abstract
-//! request traces (mixed generation lengths, queue depths past the slot
-//! cap, mid-decode faults, budget-exhausting fault bursts, late-arriving
-//! high-priority work, mid-run replica drains). The machine is abstract
-//! over token *values* — it tracks, per request, how many tokens are
-//! recorded and where the replay cursor stands — which is exactly the
-//! state the real scheduler's invariants quantify over:
+//! [`run_trace`] is the third driver of [`Scheduler`], beside
+//! `ContinuousBatcher::try_serve` and `simulate_trace`: every admission,
+//! victim, replay position and page charge is the core's. The driver stands
+//! in for the engine: it maps each event of an abstract [`Trace`] onto a
+//! core call, keeps what a driver owns (its slot table, each request's
+//! recording, the recovery budget, the drain), and checks every decision
+//! the core returns:
 //!
-//! * **no double-occupied slot** — admission only ever fills an empty slot;
-//! * **evict only complete** — a slot is released only when its request's
-//!   cursor has consumed `max_new_tokens` tokens;
-//! * **replay cursor exact** — after a recovery the cursor restarts at
-//!   [`BatcherSpec::replay_restarts_at`] (decode replay can never re-derive
-//!   the prefill-produced token 0), advances by one per step, replays
-//!   (asserts) while behind the recording, and appends past it — so a
-//!   request's recording never exceeds `max_new_tokens`;
-//! * **recovery budget respected** — a fault past
-//!   [`BatcherSpec::max_recoveries`] must surface as a
-//!   [`TraceOutcome::RecoveryLimit`], never be absorbed silently;
-//! * **preemption replays** — when [`BatcherSpec::preemption`] is set, a
-//!   strictly higher class may evict a strictly lower victim; the victim
-//!   keeps its recording and must resume with its cursor back at the
-//!   replay boundary (resuming at the recording head would leave the
-//!   re-prefilled KV cache without the recorded suffix);
-//! * **no starvation** — every queued request is eventually admitted; a
-//!   scheduler that never serves the low class trips the liveness check;
-//! * **drain conservation** — a replica drain evicts every in-flight
-//!   request back to the queue with its recording intact (the router
-//!   re-dispatches and replays); losing one is caught by request
-//!   accounting.
+//! * **no double-occupied slot** — an admission only fills an empty slot;
+//! * **evict only complete** — a slot frees only once its request recorded
+//!   exactly `max_new_tokens` tokens;
+//! * **replay exact** — after any prefill a slot replays from position 1,
+//!   one position per step, and emits only at the head of its recording;
+//! * **recovery budget** — a fault past [`BatcherSpec::max_recoveries`]
+//!   surfaces as [`TraceOutcome::RecoveryLimit`];
+//! * **conservation** — every arrived, unfinished request waits in the core
+//!   or holds a driver slot the core agrees on;
+//! * **pages** — the ledger stays within [`BatcherSpec::pool_pages`] and is
+//!   empty when a trace completes;
+//! * **no starvation** — every request completes within a step bound.
 //!
-//! [`Defect`] seeds one mutation into the machine (admit into an occupied
-//! slot, evict one token early, rewind the replay cursor to 0, ignore the
-//! budget, skip the replay after preemption, starve the low class, drop
-//! requests at a drain); the unit tests prove each seeded defect is
-//! rejected by the corresponding invariant, so the pass demonstrably
-//! checks what it claims.
+//! A [`Defect`] mutates one core decision before the driver acts on it; the
+//! unit tests prove each is rejected by its invariant.
 
 use std::collections::VecDeque;
 use std::fmt;
 
-use esti_core::serving::Priority;
+use esti_core::scheduler::{Advance, Decision, Job, PageLedger, Scheduler};
+use esti_core::serving::{OverloadPolicy, Priority};
 use esti_runtime::BatcherSpec;
 
-/// One abstract request: its generation length drives the slot machine,
-/// its prompt shape drives the page-pool model, and its class/arrival
-/// drive the priority scheduler (token *values* stay opaque — sharing is
-/// abstracted as "the first `shared_prefix` tokens are common to every
-/// request in the trace").
+/// One abstract request: its generation length, prompt shape, class and
+/// arrival step. The driver turns it into a concrete prompt whose first
+/// `shared_prefix` tokens are common to the whole trace and whose tail is
+/// its own, so the page ledger sees the sharing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AbstractRequest {
     /// Tokens the request generates (0 and 1 complete at admission).
     pub max_new_tokens: usize,
-    /// Prompt length in tokens (pool model only).
+    /// Prompt length in tokens (read only by the page ledger).
     pub prompt_len: usize,
-    /// Leading prompt tokens shared with every other request in the trace;
-    /// full pages inside this prefix are refcounted, not copied.
+    /// Leading prompt tokens shared with every other request in the trace.
     pub shared_prefix: usize,
     /// Scheduling class: admission is priority-first, FIFO within a class.
     pub priority: Priority,
@@ -69,8 +51,7 @@ pub struct AbstractRequest {
 }
 
 impl AbstractRequest {
-    /// A request with a default-shaped private prompt (the slot-machine
-    /// invariants don't depend on prompt shape).
+    /// A request with an 8-token private prompt.
     #[must_use]
     pub fn new(max_new_tokens: usize) -> Self {
         AbstractRequest {
@@ -82,7 +63,7 @@ impl AbstractRequest {
         }
     }
 
-    /// A request with an explicit prompt shape (pool-model traces).
+    /// A request with an explicit prompt shape.
     #[must_use]
     pub fn with_prompt(max_new_tokens: usize, prompt_len: usize, shared_prefix: usize) -> Self {
         assert!(shared_prefix <= prompt_len, "shared prefix cannot exceed the prompt");
@@ -105,7 +86,7 @@ impl AbstractRequest {
 }
 
 /// One abstract serving trace: requests (with arrival steps) plus the
-/// decode steps at which a fault or a replica drain strikes (indexed by
+/// points at which a fault or a replica drain strikes (indexed by
 /// *successful* step count, matching the scheduler's
 /// `schedule_decode_fault`; repeats model back-to-back events).
 #[derive(Debug, Clone, Default)]
@@ -114,38 +95,39 @@ pub struct Trace {
     pub requests: Vec<AbstractRequest>,
     /// Successful-step counts at which a decode fault strikes, sorted.
     pub faults_at: Vec<usize>,
+    /// Successful-step counts at which a boundary's prefill call fails (the
+    /// first boundary with an admission at or after it): its group is
+    /// requeued and the live slots replay, as in `ContinuousBatcher`.
+    pub prefill_faults_at: Vec<usize>,
     /// Successful-step counts at which the serving replica drains: every
     /// in-flight request is re-queued (recording intact) for re-dispatch,
     /// modeling the router's fault-aware failover.
     pub drains_at: Vec<usize>,
 }
 
-/// A seeded scheduler mutation, for tests that prove the pass rejects
-/// exactly the bug each invariant exists to catch.
+/// A seeded mutation of a core decision, applied by the driver before it
+/// acts, for tests that prove the pass rejects exactly the bug each
+/// invariant exists to catch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Defect {
-    /// Admission targets slot 0 unconditionally, clobbering its occupant.
+    /// Every admission's slot is rewritten to 0, clobbering its occupant.
     DoubleAdmit,
-    /// Completion fires one token early, evicting an unfinished request.
+    /// The last-but-one `Emitted` becomes `Finished`: the slot frees one
+    /// token early.
     EvictIncomplete,
-    /// Recovery rewinds the replay cursor to 0 instead of
-    /// [`BatcherSpec::replay_restarts_at`].
+    /// The first `Replayed(1)` after a restart becomes `Replayed(0)`: the
+    /// replay rewinds onto the prefill-produced token 0.
     ReplayRewind,
     /// Recovery proceeds past [`BatcherSpec::max_recoveries`].
     IgnoreBudget,
-    /// Eviction frees a slot's shared prefix pages unconditionally instead
-    /// of only at the last reference — the classic refcounting bug a paged
-    /// KV pool must not have.
-    DoubleFreeSharedPage,
-    /// Preemption discards the victim's replay obligation: re-admission
-    /// resumes at the recording head instead of replaying from
-    /// [`BatcherSpec::replay_restarts_at`], so the re-prefilled KV cache
-    /// never contains the recorded suffix.
+    /// A re-admitted victim's first step counts as `Emitted`: it resumes
+    /// at its recording head, so the re-prefilled KV cache never holds the
+    /// recorded suffix.
     PreemptWithoutReplayCursor,
-    /// Admission never serves the low-priority class, even with free slots.
+    /// The low class never reaches the core: its `arrive` is withheld.
     StarveLowPriorityForever,
-    /// A replica drain drops its in-flight requests instead of re-queueing
-    /// them for re-dispatch.
+    /// A replica drain clears the driver's slots without preempting their
+    /// requests in the core.
     LoseRequestOnReplicaDrain,
 }
 
@@ -190,25 +172,26 @@ pub enum LifecycleError {
         /// Tokens the request was due.
         want: usize,
     },
-    /// Recovery rewound a replay cursor below the prefill boundary: decode
-    /// replay cannot re-derive the prefill-produced token 0.
+    /// A step replayed a position behind the slot's: after a rebuild that
+    /// rewinds onto the prefill-produced token 0, which decode replay
+    /// cannot re-derive.
     ReplayRewound {
         /// The replayed request.
         request: usize,
-        /// Where the cursor restarted.
+        /// The position the step replayed.
         cursor: usize,
-        /// Where the spec says it must restart.
+        /// The position the slot's KV cache stands at.
         must_restart_at: usize,
     },
-    /// A preempted or drained request resumed with its cursor past the
-    /// replay boundary: its recorded suffix would never be re-derived into
-    /// the rebuilt KV cache.
+    /// A step skipped ahead of the slot's position, e.g. a re-admitted
+    /// request emitting at its recording head: its recorded suffix would
+    /// never be re-derived into the rebuilt KV cache.
     ReplaySkipped {
         /// The resumed request.
         request: usize,
-        /// Where the cursor resumed.
+        /// The position the step claimed.
         cursor: usize,
-        /// Where the spec says it must restart.
+        /// The position the slot's KV cache stands at.
         must_restart_at: usize,
     },
     /// A recording grew past the request's `max_new_tokens`.
@@ -227,20 +210,13 @@ pub enum LifecycleError {
         /// The configured budget.
         budget: usize,
     },
-    /// A replica drain dropped an in-flight request: it is neither
-    /// finished nor queued anywhere for re-dispatch.
+    /// An arrived request is neither finished, waiting in the core, nor
+    /// held in a driver slot the core agrees on.
     RequestLost {
         /// The dropped request.
         request: usize,
     },
-    /// Eviction freed a shared page other requests still reference.
-    SharedPageDoubleFreed {
-        /// Index of the page inside the shared prefix region.
-        page: usize,
-        /// References still outstanding when the free happened.
-        refs: usize,
-    },
-    /// Admission charged the page pool past its budget instead of
+    /// Admission charged the page ledger past its budget instead of
     /// deferring the request.
     PoolOverflow {
         /// Pages charged.
@@ -248,8 +224,13 @@ pub enum LifecycleError {
         /// The configured pool budget.
         budget: usize,
     },
-    /// The machine exceeded its step bound or idled with work queued —
-    /// requests are starving.
+    /// A trace completed with pages still charged.
+    PagesLeaked {
+        /// Pages the ledger still counts.
+        used: usize,
+    },
+    /// A request never fits, the step bound tripped, the driver idled with
+    /// work queued, or a request ended unfinished — requests are starving.
     Stuck {
         /// Steps taken when the bound tripped.
         steps: usize,
@@ -264,41 +245,35 @@ impl fmt::Display for LifecycleError {
                 "lifecycle: request {admitted} admitted into slot {slot} still held by \
                  request {incumbent}"
             ),
-            LifecycleError::EvictedIncomplete { request, consumed, want } => write!(
-                f,
-                "lifecycle: request {request} evicted after {consumed}/{want} tokens"
-            ),
+            LifecycleError::EvictedIncomplete { request, consumed, want } => {
+                write!(f, "lifecycle: request {request} evicted after {consumed}/{want} tokens")
+            }
             LifecycleError::ReplayRewound { request, cursor, must_restart_at } => write!(
                 f,
-                "lifecycle: request {request} replay cursor restarted at {cursor}, must be \
+                "lifecycle: request {request} replayed position {cursor}, must be \
                  {must_restart_at} (token 0 is prefill-produced)"
             ),
             LifecycleError::ReplaySkipped { request, cursor, must_restart_at } => write!(
                 f,
-                "lifecycle: request {request} resumed at cursor {cursor}, skipping the replay \
+                "lifecycle: request {request} stepped at position {cursor}, skipping the replay \
                  from {must_restart_at} that rebuilds its KV cache"
             ),
-            LifecycleError::OverGeneration { request, recorded, want } => write!(
-                f,
-                "lifecycle: request {request} recorded {recorded} tokens, cap {want}"
-            ),
-            LifecycleError::BudgetIgnored { faults, budget } => write!(
-                f,
-                "lifecycle: recovery proceeded at fault {faults} past budget {budget}"
-            ),
+            LifecycleError::OverGeneration { request, recorded, want } => {
+                write!(f, "lifecycle: request {request} recorded {recorded} tokens, cap {want}")
+            }
+            LifecycleError::BudgetIgnored { faults, budget } => {
+                write!(f, "lifecycle: recovery proceeded at fault {faults} past budget {budget}")
+            }
             LifecycleError::RequestLost { request } => write!(
                 f,
-                "lifecycle: request {request} lost at replica drain — neither finished nor \
-                 queued for re-dispatch"
+                "lifecycle: request {request} lost — neither finished, queued nor in a slot"
             ),
-            LifecycleError::SharedPageDoubleFreed { page, refs } => write!(
-                f,
-                "lifecycle: shared page {page} freed with {refs} references outstanding"
-            ),
-            LifecycleError::PoolOverflow { used, budget } => write!(
-                f,
-                "lifecycle: page pool charged to {used} past its budget of {budget}"
-            ),
+            LifecycleError::PoolOverflow { used, budget } => {
+                write!(f, "lifecycle: page ledger charged to {used} past its budget of {budget}")
+            }
+            LifecycleError::PagesLeaked { used } => {
+                write!(f, "lifecycle: {used} pages still charged after every request finished")
+            }
             LifecycleError::Stuck { steps } => {
                 write!(f, "lifecycle: no completion after {steps} steps")
             }
@@ -321,79 +296,19 @@ pub struct LifecycleReport {
     pub recovery_limits: usize,
 }
 
-/// A request's slot, mirroring the scheduler's `Active` plus its page
-/// claim.
+/// A request in one of the driver's engine slots.
 #[derive(Debug, Clone, Copy)]
-struct Slot {
+struct Held {
     idx: usize,
-    /// Position of the next sample (`Active::consumed`).
-    cursor: usize,
-    /// Full shared-prefix pages this slot references.
-    shared_pages: usize,
-    /// Pages owned by this slot alone (private prompt tail + worst-case
-    /// decode growth, charged at admission like the scheduler's ledger).
-    private_pages: usize,
+    /// Stream position the slot's next decode step produces: 1 after any
+    /// prefill (which derives token 0), then one more per step.
+    pos: usize,
+    /// A preempted or drained request re-admitted, before its first step.
+    resumed: bool,
 }
 
-/// The refcounted page pool the machine models at
-/// [`BatcherSpec::page_size`]: per-shared-page reference counts
-/// (page `i` covers shared tokens `[i*S, (i+1)*S)`) plus a total-usage
-/// counter gated by [`BatcherSpec::pool_pages`].
-#[derive(Debug, Default)]
-struct Pool {
-    shared_refs: Vec<usize>,
-    used: usize,
-}
-
-impl Pool {
-    /// `(shared pages, private pages, admission charge)` for one request —
-    /// already-referenced shared pages charge nothing.
-    fn plan(&self, r: &AbstractRequest, page_size: usize) -> (usize, usize, usize) {
-        let total = (r.prompt_len + r.max_new_tokens).div_ceil(page_size);
-        let shared = (r.shared_prefix / page_size).min(total);
-        let private = total - shared;
-        let new_shared =
-            (0..shared).filter(|&p| self.shared_refs.get(p).is_none_or(|&c| c == 0)).count();
-        (shared, private, new_shared + private)
-    }
-
-    fn admit(&mut self, shared: usize, private: usize) {
-        if self.shared_refs.len() < shared {
-            self.shared_refs.resize(shared, 0);
-        }
-        for p in 0..shared {
-            if self.shared_refs[p] == 0 {
-                self.used += 1;
-            }
-            self.shared_refs[p] += 1;
-        }
-        self.used += private;
-    }
-
-    /// Releases a slot's claim; `defect` frees shared pages eagerly, which
-    /// the refcount check turns into the invariant violation.
-    fn release(
-        &mut self,
-        slot: &Slot,
-        double_free: bool,
-    ) -> Result<(), LifecycleError> {
-        for p in 0..slot.shared_pages {
-            let refs = self.shared_refs[p];
-            if double_free && refs > 1 {
-                return Err(LifecycleError::SharedPageDoubleFreed { page: p, refs });
-            }
-            self.shared_refs[p] -= 1;
-            if self.shared_refs[p] == 0 {
-                self.used -= 1;
-            }
-        }
-        self.used -= slot.private_pages;
-        Ok(())
-    }
-}
-
-/// Run one trace through the slot machine described by `spec`, optionally
-/// seeding one `defect`, checking every invariant along the way.
+/// Run one trace through the scheduler core configured by `spec`,
+/// optionally seeding one `defect`, checking every invariant along the way.
 ///
 /// # Errors
 ///
@@ -404,305 +319,253 @@ pub fn run_trace(
     trace: &Trace,
     defect: Option<Defect>,
 ) -> Result<TraceOutcome, LifecycleError> {
-    assert!(spec.slots > 0, "slot machine needs at least one slot");
-    let n = trace.requests.len();
+    use LifecycleError as E;
+    assert!(spec.slots > 0, "the scheduler needs at least one slot");
+    let reqs = &trace.requests;
+    let n = reqs.len();
+    // A prompt's first `shared_prefix` tokens are common to the trace.
+    let prompt = |(i, r): (usize, &AbstractRequest)| -> Vec<usize> {
+        (0..r.prompt_len).map(|p| if p < r.shared_prefix { p } else { usize::MAX - i }).collect()
+    };
+    let prompts: Vec<Vec<usize>> = reqs.iter().enumerate().map(prompt).collect();
+    let jobs = reqs.iter().zip(&prompts);
+    let jobs = jobs.map(|(r, p)| Job { class: r.priority, max_new: r.max_new_tokens, prompt: p });
+    let policy = OverloadPolicy { preemption: spec.preemption, ..OverloadPolicy::default() };
+    let ledger = PageLedger::new(spec.page_size, spec.pool_pages);
+    let mut core = Scheduler::new(jobs.collect(), (0..spec.slots).collect(), policy, Some(ledger));
+
+    let mut held: Vec<Option<Held>> = vec![None; spec.slots];
     let mut recorded = vec![0usize; n];
+    let mut arrived = vec![false; n];
     let mut finished = vec![false; n];
     let mut future: VecDeque<usize> = {
         let mut order: Vec<usize> = (0..n).collect();
-        order.sort_by_key(|&i| trace.requests[i].arrive_at);
+        order.sort_by_key(|&i| reqs[i].arrive_at);
         order.into()
     };
-    let mut pending: VecDeque<usize> = VecDeque::new();
-    let mut active: Vec<Option<Slot>> = vec![None; spec.slots];
     let mut faults: VecDeque<usize> = trace.faults_at.iter().copied().collect();
+    let mut prefill_faults: VecDeque<usize> = trace.prefill_faults_at.iter().copied().collect();
     let mut drains: VecDeque<usize> = trace.drains_at.iter().copied().collect();
-    let mut faults_used = 0usize;
-    let mut steps_done = 0usize;
-    let mut recoveries = 0usize;
-    let mut preemptions = 0usize;
-    let mut pool = Pool::default();
+    let (mut steps, mut faults_used, mut recoveries, mut preemptions) = (0usize, 0, 0, 0);
+    let mut rewind = false;
 
     // Liveness bound: every request needs at most max_new_tokens steps;
     // every recovery, drain, and preemption can replay them all once more.
-    let work: usize = trace.requests.iter().map(|r| r.max_new_tokens).sum();
-    let disruptions = trace.faults_at.len() + trace.drains_at.len() + n;
-    let bound = (work + 1) * (disruptions + 1) + n + 1;
-    let mut attempts = 0usize;
+    let work: usize = reqs.iter().map(|r| r.max_new_tokens).sum();
+    let disruptions = faults.len() + prefill_faults.len() + drains.len() + n;
+    let last_arrival = reqs.iter().map(|r| r.arrive_at).max().unwrap_or(0);
+    let bound = last_arrival + (work + 1) * (disruptions + 1) + n + 1;
 
     loop {
-        // Arrivals whose step has come join the queue (FIFO within class).
         while let Some(&idx) = future.front() {
-            if trace.requests[idx].arrive_at > steps_done {
+            if reqs[idx].arrive_at > steps {
                 break;
             }
             future.pop_front();
-            pending.push_back(idx);
+            let low = reqs[idx].priority == Priority::Low;
+            if !(low && defect == Some(Defect::StarveLowPriorityForever)) {
+                core.arrive(idx);
+                arrived[idx] = true;
+            }
         }
 
-        // Replica drain? Every in-flight request is evicted back to the
-        // *front* of the queue with its recording intact — the router
-        // re-dispatches it to a healthy replica, which replays. The
-        // defective machine drops them; request conservation catches it.
-        if drains.front() == Some(&steps_done) {
+        // Replica drain: the router re-dispatches every in-flight request,
+        // which goes back to the front of its queue (last slot first, so
+        // the queue keeps slot order) and replays.
+        if drains.front() == Some(&steps) {
             drains.pop_front();
-            let mut evicted: Vec<usize> = Vec::new();
-            for slot in &mut active {
-                if let Some(s) = slot.take() {
-                    pool.release(&s, false)?;
-                    evicted.push(s.idx);
-                }
-            }
-            if defect != Some(Defect::LoseRequestOnReplicaDrain) {
-                for &idx in evicted.iter().rev() {
-                    pending.push_front(idx);
-                }
-            }
-            for (idx, done) in finished.iter().enumerate() {
-                if !done && !pending.contains(&idx) && !future.contains(&idx) {
-                    return Err(LifecycleError::RequestLost { request: idx });
+            let lose = defect == Some(Defect::LoseRequestOnReplicaDrain);
+            for slot in (0..spec.slots).rev() {
+                if held[slot].take().is_some() && !lose {
+                    core.preempt(slot);
                 }
             }
         }
 
-        // Admission at the step boundary: highest waiting class first,
-        // FIFO within a class; when no slot is free a strictly higher
-        // class may preempt a strictly lower victim.
+        // Admission at the step boundary: one prefill group of everything
+        // the core admits before it says Wait.
+        let mut group = Vec::new();
         loop {
-            let mut picked: Option<usize> = None; // position in `pending`
-            for &class in Priority::ALL.iter().rev() {
-                if class == Priority::Low && defect == Some(Defect::StarveLowPriorityForever) {
-                    continue;
-                }
-                picked = pending.iter().position(|&i| trace.requests[i].priority == class);
-                if picked.is_some() {
-                    break;
-                }
-            }
-            let Some(mut pos) = picked else { break };
-            let idx = pending[pos];
-            let class = trace.requests[idx].priority;
-            let slot = if defect == Some(Defect::DoubleAdmit) {
-                Some(0)
-            } else {
-                active.iter().position(Option::is_none)
-            };
-            let slot = match slot {
-                Some(s) => s,
-                None if spec.preemption => {
-                    // Victim: the strictly lower-priority occupant with the
-                    // least recorded progress (cheapest replay), evicted
-                    // back to the queue front with its recording intact.
-                    let victim = active
-                        .iter()
-                        .enumerate()
-                        .filter_map(|(s, e)| e.as_ref().map(|e| (s, e.idx)))
-                        .filter(|&(_, v)| trace.requests[v].priority < class)
-                        .min_by_key(|&(s, v)| (trace.requests[v].priority, recorded[v], s));
-                    let Some((s, _)) = victim else { break };
-                    if let Some(e) = active[s].take() {
-                        pool.release(&e, false)?;
-                        pending.push_front(e.idx);
-                        pos += 1; // the pick shifted right by the push_front
-                        preemptions += 1;
+            match core.admit(&group) {
+                Decision::Admit(mut a) => {
+                    if defect == Some(Defect::DoubleAdmit) {
+                        a.slot = 0;
                     }
-                    s
-                }
-                None => break,
-            };
-            let want = trace.requests[idx].max_new_tokens;
-            let occupies = want > usize::from(spec.prefill_emits_first_token);
-            // Page-pool admission gate, mirroring the scheduler's ledger:
-            // requests that will occupy a slot charge their unshared pages
-            // (worst case, prompt plus full generation) and defer when the
-            // budget cannot cover them.
-            let mut claim = (0usize, 0usize);
-            if occupies {
-                let (shared, private, charge) = pool.plan(&trace.requests[idx], spec.page_size);
-                if let Some(budget) = spec.pool_pages {
-                    if pool.used + charge > budget {
-                        if active.iter().all(Option::is_none) {
-                            // Alone and still over budget: starvation
-                            // (arrivals only add load, never free pages).
-                            return Err(LifecycleError::Stuck { steps: steps_done });
+                    if a.holds {
+                        if let Some(h) = held[a.slot] {
+                            let (slot, incumbent, admitted) = (a.slot, h.idx, a.idx);
+                            return Err(E::DoubleOccupied { slot, incumbent, admitted });
                         }
-                        break; // Defer until eviction frees pages.
+                        held[a.slot] = Some(Held { idx: a.idx, pos: 1, resumed: false });
+                    }
+                    group.push(a);
+                }
+                Decision::Preempted { slot, .. } => {
+                    held[slot] = None;
+                    preemptions += 1;
+                }
+                Decision::Wait => break,
+                Decision::NeverFits { .. } => return Err(E::Stuck { steps }),
+            }
+        }
+
+        if !group.is_empty() && prefill_faults.front().is_some_and(|&at| at <= steps) {
+            // The prefill call failed: its group goes back to the front of
+            // its queues in admission order, and the engine rebuilds below.
+            prefill_faults.pop_front();
+            for a in group.iter().rev() {
+                core.requeue(a);
+                if a.holds {
+                    held[a.slot] = None;
+                }
+            }
+        } else {
+            for a in &group {
+                if core.start(a) {
+                    recorded[a.idx] = reqs[a.idx].max_new_tokens.min(1);
+                } else if let Some(h) = &mut held[a.slot] {
+                    h.resumed = true;
+                }
+                finished[a.idx] |= !a.holds;
+            }
+            check_books(&core, &held, &arrived, &finished, spec.pool_pages)?;
+
+            if held.iter().all(Option::is_none) {
+                if core.waiting() > 0 {
+                    // Slots free, work queued, nothing admitted.
+                    return Err(E::Stuck { steps });
+                }
+                // Idle until the next arrival, or done.
+                let Some(&next) = future.front() else { break };
+                steps = steps.max(reqs[next].arrive_at);
+                continue;
+            }
+            if steps > bound {
+                return Err(E::Stuck { steps });
+            }
+
+            if faults.front() != Some(&steps) {
+                // One decode step over the held slots.
+                steps += 1;
+                for (slot, entry) in held.iter_mut().enumerate() {
+                    let Some(h) = entry else { continue };
+                    let want = reqs[h.idx].max_new_tokens;
+                    let mut step = core.advance(slot);
+                    match (defect, step) {
+                        (Some(Defect::ReplayRewind), Advance::Replayed(1)) if rewind => {
+                            rewind = false;
+                            step = Advance::Replayed(0);
+                        }
+                        (Some(Defect::PreemptWithoutReplayCursor), Advance::Replayed(_))
+                            if h.resumed =>
+                        {
+                            step = Advance::Emitted;
+                        }
+                        (Some(Defect::EvictIncomplete), Advance::Emitted)
+                            if recorded[h.idx] + 2 == want =>
+                        {
+                            step = Advance::Finished;
+                        }
+                        _ => {}
+                    }
+                    // The step must replay the slot's position while it is
+                    // behind the recording, and emit only at its head.
+                    let (request, at, rec) = (h.idx, h.pos, &mut recorded[h.idx]);
+                    let skip = |cursor| E::ReplaySkipped { request, cursor, must_restart_at: at };
+                    match step {
+                        Advance::Replayed(p) if p == at && p < *rec => {}
+                        Advance::Replayed(cursor) if cursor < at => {
+                            return Err(E::ReplayRewound { request, cursor, must_restart_at: at });
+                        }
+                        Advance::Replayed(cursor) => return Err(skip(cursor)),
+                        _ if at < *rec => return Err(skip(*rec)),
+                        _ => *rec += 1,
+                    }
+                    if *rec > want {
+                        return Err(E::OverGeneration { request, recorded: *rec, want });
+                    }
+                    h.pos += 1;
+                    h.resumed = false;
+                    if step == Advance::Finished {
+                        if *rec < want {
+                            return Err(E::EvictedIncomplete { request, consumed: *rec, want });
+                        }
+                        finished[request] = true;
+                        *entry = None;
                     }
                 }
-                claim = (shared, private);
-            }
-            pending.remove(pos);
-            // A resumed request (preempted or drained victim) keeps its
-            // recording; only a first admission's prefill emits token 0.
-            let resumed = recorded[idx] > 0;
-            if !resumed && spec.prefill_emits_first_token && want > 0 {
-                recorded[idx] += 1;
-            }
-            if !occupies {
-                // Completes at admission; never occupies a decode slot.
-                finished[idx] = true;
                 continue;
             }
-            if let Some(incumbent) = active[slot] {
-                return Err(LifecycleError::DoubleOccupied {
-                    slot,
-                    incumbent: incumbent.idx,
-                    admitted: idx,
-                });
-            }
-            pool.admit(claim.0, claim.1);
-            if let Some(budget) = spec.pool_pages {
-                if pool.used > budget {
-                    return Err(LifecycleError::PoolOverflow { used: pool.used, budget });
-                }
-            }
-            let cursor = if resumed {
-                if defect == Some(Defect::PreemptWithoutReplayCursor) {
-                    recorded[idx] // skip the replay entirely
-                } else {
-                    spec.replay_restarts_at
-                }
-            } else {
-                usize::from(spec.prefill_emits_first_token)
-            };
-            // Replay-boundary invariant: a resumed request with recorded
-            // decode tokens must restart at the spec boundary and replay
-            // its suffix into the rebuilt KV cache.
-            if resumed
-                && recorded[idx] > spec.replay_restarts_at
-                && cursor != spec.replay_restarts_at
-            {
-                return Err(LifecycleError::ReplaySkipped {
-                    request: idx,
-                    cursor,
-                    must_restart_at: spec.replay_restarts_at,
-                });
-            }
-            active[slot] =
-                Some(Slot { idx, cursor, shared_pages: claim.0, private_pages: claim.1 });
-        }
-
-        if active.iter().all(Option::is_none) {
-            if pending.is_empty() && future.is_empty() {
-                break;
-            }
-            if pending.is_empty() {
-                // Idle gap before the next arrival: jump the step clock.
-                if let Some(next) = future.iter().map(|&i| trace.requests[i].arrive_at).min() {
-                    steps_done = steps_done.max(next);
-                }
-                attempts += 1;
-                if attempts > bound {
-                    return Err(LifecycleError::Stuck { steps: steps_done });
-                }
-                continue;
-            }
-            // Work is queued, slots are free, yet nothing was admitted:
-            // the scheduler is starving its queue.
-            return Err(LifecycleError::Stuck { steps: steps_done });
-        }
-
-        attempts += 1;
-        if attempts > bound {
-            return Err(LifecycleError::Stuck { steps: steps_done });
-        }
-
-        // Mid-decode fault? Strike before the step completes.
-        if faults.front() == Some(&steps_done) {
             faults.pop_front();
-            faults_used += 1;
-            if faults_used > spec.max_recoveries {
-                if defect == Some(Defect::IgnoreBudget) {
-                    return Err(LifecycleError::BudgetIgnored {
-                        faults: faults_used,
-                        budget: spec.max_recoveries,
-                    });
-                }
-                return Ok(TraceOutcome::RecoveryLimit { faults: faults_used });
-            }
-            recoveries += 1;
-            // Rebuild + replay: every in-flight request keeps its slot and
-            // recording; its cursor restarts at the replay boundary.
-            for entry in active.iter_mut().flatten() {
-                let restart = if defect == Some(Defect::ReplayRewind) {
-                    0
-                } else {
-                    spec.replay_restarts_at
-                };
-                if spec.prefill_emits_first_token
-                    && recorded[entry.idx] > 0
-                    && restart < spec.replay_restarts_at
-                {
-                    return Err(LifecycleError::ReplayRewound {
-                        request: entry.idx,
-                        cursor: restart,
-                        must_restart_at: spec.replay_restarts_at,
-                    });
-                }
-                entry.cursor = restart;
-            }
-            continue; // retry the step
         }
 
-        // One decode step over the occupied slots.
-        steps_done += 1;
-        for slot in &mut active {
-            let Some(s) = slot else { continue };
-            let idx = s.idx;
-            let want = trace.requests[idx].max_new_tokens;
-            if s.cursor < recorded[idx] {
-                // Replay: the recomputed sample is asserted against its
-                // recording; nothing is appended.
-            } else {
-                recorded[idx] += 1;
-                if recorded[idx] > want {
-                    return Err(LifecycleError::OverGeneration {
-                        request: idx,
-                        recorded: recorded[idx],
-                        want,
-                    });
-                }
+        // A failed prefill or decode call: the engine rebuilds and every
+        // live slot replays from position 1.
+        faults_used += 1;
+        if faults_used > spec.max_recoveries {
+            if defect == Some(Defect::IgnoreBudget) {
+                let budget = spec.max_recoveries;
+                return Err(E::BudgetIgnored { faults: faults_used, budget });
             }
-            s.cursor += 1;
-            let done_at = if defect == Some(Defect::EvictIncomplete) {
-                want.saturating_sub(1)
-            } else {
-                want
-            };
-            if s.cursor >= done_at {
-                // Eviction: the invariant the pass enforces.
-                if s.cursor < want || recorded[idx] < want {
-                    return Err(LifecycleError::EvictedIncomplete {
-                        request: idx,
-                        consumed: s.cursor,
-                        want,
-                    });
-                }
-                finished[idx] = true;
-                if let Some(s) = slot.take() {
-                    pool.release(&s, defect == Some(Defect::DoubleFreeSharedPage))?;
-                }
-            }
+            return Ok(TraceOutcome::RecoveryLimit { faults: faults_used });
+        }
+        recoveries += 1;
+        core.restart();
+        rewind = true;
+        for h in held.iter_mut().flatten() {
+            h.pos = 1;
         }
     }
 
-    for idx in 0..n {
-        let want = trace.requests[idx].max_new_tokens;
-        if !finished[idx] || recorded[idx] != want {
-            return Err(LifecycleError::Stuck { steps: steps_done });
-        }
+    if (0..n).any(|i| !finished[i] || recorded[i] != reqs[i].max_new_tokens) {
+        return Err(E::Stuck { steps });
     }
-    Ok(TraceOutcome::Completed { steps: steps_done, recoveries, preemptions })
+    let used = core.pages().map_or(0, PageLedger::used);
+    if used > 0 {
+        return Err(E::PagesLeaked { used });
+    }
+    Ok(TraceOutcome::Completed { steps, recoveries, preemptions })
+}
+
+/// Conservation and the page budget at a step boundary: every arrived,
+/// unfinished request waits in the core or holds a driver slot the core
+/// agrees on, and the ledger is within its budget.
+fn check_books(
+    core: &Scheduler,
+    held: &[Option<Held>],
+    arrived: &[bool],
+    finished: &[bool],
+    budget: Option<usize>,
+) -> Result<(), LifecycleError> {
+    let in_slot = |idx| {
+        held.iter()
+            .enumerate()
+            .any(|(s, h)| h.is_some_and(|h| h.idx == idx) && core.occupant(s) == Some(idx))
+    };
+    let lost = (0..arrived.len())
+        .find(|&i| arrived[i] && !finished[i] && !in_slot(i) && !core.is_waiting(i));
+    if let Some(request) = lost {
+        return Err(LifecycleError::RequestLost { request });
+    }
+    let used = core.pages().map_or(0, PageLedger::used);
+    match budget {
+        Some(budget) if used > budget => Err(LifecycleError::PoolOverflow { used, budget }),
+        _ => Ok(()),
+    }
 }
 
 /// The bounded trace family `check_lifecycle` explores: generation-length
 /// mixes around the slot cap (including admission-complete lengths 0 and 1
 /// interleaved with long runs), fault-free runs, single faults at each
-/// early step, fault bursts, a budget-exhausting burst, late-arriving
-/// high-priority work that preempts a low fleet, three-class mixes, and
-/// mid-run replica drains (alone and stacked with faults or preemption).
+/// early step, fault bursts, a budget-exhausting burst, failed prefill
+/// calls, late-arriving high-priority work that preempts a low fleet,
+/// three-class mixes, mid-run replica drains (alone and stacked with faults
+/// or preemption), and shared-prefix fleets.
 fn builtin_traces(spec: &BatcherSpec) -> Vec<Trace> {
     let s = spec.slots;
+    let trace = |requests: Vec<AbstractRequest>, faults_at: Vec<usize>, drains_at: Vec<usize>| {
+        Trace { requests, faults_at, drains_at, ..Trace::default() }
+    };
     let length_sets: Vec<Vec<usize>> = vec![
         vec![1],
         vec![0],
@@ -724,13 +587,17 @@ fn builtin_traces(spec: &BatcherSpec) -> Vec<Trace> {
     let mut traces = Vec::new();
     for lengths in &length_sets {
         for faults in &fault_sets {
-            traces.push(Trace {
-                requests: lengths.iter().map(|&l| AbstractRequest::new(l)).collect(),
-                faults_at: faults.clone(),
-                drains_at: vec![],
-            });
+            let requests = lengths.iter().map(|&l| AbstractRequest::new(l)).collect();
+            traces.push(trace(requests, faults.clone(), vec![]));
         }
     }
+    // Failed prefill calls: the first group at step 0, then the admission
+    // a completion makes room for, with live slots to replay.
+    traces.push(Trace {
+        requests: (2..s + 4).map(AbstractRequest::new).collect(),
+        prefill_faults_at: vec![0, 1],
+        ..Trace::default()
+    });
     // Priority + preemption: a low fleet fills every slot, then a
     // high-priority request arrives mid-run and (with spec.preemption)
     // evicts the least-progressed victim, which later replays. Stacked
@@ -742,34 +609,24 @@ fn builtin_traces(spec: &BatcherSpec) -> Vec<Trace> {
     for faults in [vec![], vec![2], vec![2, 2]] {
         let mut reqs = low_fleet(6);
         reqs.push(AbstractRequest::new(3).with_priority(Priority::High).arriving_at(1));
-        traces.push(Trace { requests: reqs, faults_at: faults, drains_at: vec![] });
+        traces.push(trace(reqs, faults, vec![]));
     }
     // Three classes with staggered arrivals: the late high jumps the late
     // low in the queue.
     let mut mixed = vec![AbstractRequest::new(4); s];
     mixed.push(AbstractRequest::new(2).with_priority(Priority::High).arriving_at(1));
     mixed.push(AbstractRequest::new(2).with_priority(Priority::Low).arriving_at(1));
-    traces.push(Trace { requests: mixed, faults_at: vec![], drains_at: vec![] });
+    traces.push(trace(mixed, vec![], vec![]));
     // Replica drains: a full fleet re-queued mid-run, a drain stacked with
     // a later fault, and a drain landing on a preempted fleet.
-    traces.push(Trace {
-        requests: vec![AbstractRequest::new(4); s + 2],
-        faults_at: vec![],
-        drains_at: vec![2],
-    });
-    traces.push(Trace {
-        requests: vec![AbstractRequest::new(5); s],
-        faults_at: vec![3],
-        drains_at: vec![2],
-    });
-    {
-        let mut reqs = low_fleet(6);
-        reqs.push(AbstractRequest::new(4).with_priority(Priority::High).arriving_at(1));
-        traces.push(Trace { requests: reqs, faults_at: vec![], drains_at: vec![3] });
-    }
-    // Pooled traces: a shared-prefix fleet deeper than the slot cap, with
-    // staggered completions (so shared pages drop references one by one),
-    // with a mid-run fault (so replay re-admits against the pool), with a
+    traces.push(trace(vec![AbstractRequest::new(4); s + 2], vec![], vec![2]));
+    traces.push(trace(vec![AbstractRequest::new(5); s], vec![3], vec![2]));
+    let mut reqs = low_fleet(6);
+    reqs.push(AbstractRequest::new(4).with_priority(Priority::High).arriving_at(1));
+    traces.push(trace(reqs, vec![], vec![3]));
+    // Shared-prefix fleets deeper than the slot cap, with staggered
+    // completions (so shared pages drop references one by one), with a
+    // mid-run fault (so the ledger re-charges every live slot), with a
     // drain (so the whole fleet releases and re-charges), and with a
     // high-priority preemptor (victim pages release and re-charge).
     let page_size = spec.page_size;
@@ -780,26 +637,19 @@ fn builtin_traces(spec: &BatcherSpec) -> Vec<Trace> {
             .collect()
     };
     let staggered: Vec<usize> = (2..2 + s + 2).collect();
-    let uniform = vec![3; s + 2];
-    traces.push(Trace { requests: fleet(&staggered), faults_at: vec![], drains_at: vec![] });
-    traces.push(Trace { requests: fleet(&staggered), faults_at: vec![1], drains_at: vec![] });
-    traces.push(Trace { requests: fleet(&uniform), faults_at: vec![], drains_at: vec![] });
-    traces.push(Trace { requests: fleet(&staggered), faults_at: vec![], drains_at: vec![2] });
-    let mut pooled_preempt: Vec<AbstractRequest> = fleet(&vec![5; s])
-        .into_iter()
-        .map(|r| r.with_priority(Priority::Low))
-        .collect();
-    pooled_preempt.push(
-        AbstractRequest::with_prompt(3, shared + page_size / 2 + 1, shared)
-            .with_priority(Priority::High)
-            .arriving_at(1),
-    );
-    traces.push(Trace { requests: pooled_preempt, faults_at: vec![], drains_at: vec![] });
+    traces.push(trace(fleet(&staggered), vec![], vec![]));
+    traces.push(trace(fleet(&staggered), vec![1], vec![]));
+    traces.push(trace(fleet(&vec![3; s + 2]), vec![], vec![]));
+    traces.push(trace(fleet(&staggered), vec![], vec![2]));
+    let mut pooled_preempt: Vec<AbstractRequest> =
+        fleet(&vec![5; s]).into_iter().map(|r| r.with_priority(Priority::Low)).collect();
+    pooled_preempt.push(fleet(&[3])[0].with_priority(Priority::High).arriving_at(1));
+    traces.push(trace(pooled_preempt, vec![], vec![]));
     traces
 }
 
-/// Explore the slot machine of `spec` over the builtin bounded trace
-/// family with no seeded defect.
+/// Drive the scheduler core configured by `spec` over the builtin bounded
+/// trace family with no seeded defect.
 ///
 /// # Errors
 ///
@@ -829,24 +679,13 @@ pub fn check_lifecycle(spec: &BatcherSpec) -> Result<LifecycleReport, LifecycleE
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn spec() -> BatcherSpec {
-        BatcherSpec {
-            slots: 4,
-            max_recoveries: 3,
-            prefill_emits_first_token: true,
-            replay_restarts_at: 1,
-            page_size: esti_runtime::DEFAULT_KV_PAGE_SIZE,
-            pool_pages: None,
-            preemption: true,
-        }
-    }
+    use crate::scenarios::default_batcher_spec as spec;
 
     fn trace(lengths: &[usize], faults: &[usize]) -> Trace {
         Trace {
             requests: lengths.iter().map(|&l| AbstractRequest::new(l)).collect(),
             faults_at: faults.to_vec(),
-            drains_at: vec![],
+            ..Trace::default()
         }
     }
 
@@ -857,7 +696,7 @@ mod tests {
             .map(|_| AbstractRequest::new(6).with_priority(Priority::Low))
             .collect();
         reqs.push(AbstractRequest::new(3).with_priority(Priority::High).arriving_at(2));
-        Trace { requests: reqs, faults_at: vec![], drains_at: vec![] }
+        Trace { requests: reqs, ..Trace::default() }
     }
 
     #[test]
@@ -874,6 +713,33 @@ mod tests {
     fn single_slot_spec_is_clean_too() {
         let one = BatcherSpec { slots: 1, ..spec() };
         check_lifecycle(&one).unwrap();
+    }
+
+    #[test]
+    fn budgeted_spec_is_clean_too() {
+        // 12 pages of 4 hold any builtin request alone beside the three
+        // pages kept for idle slots, and defer some admissions.
+        let paged = BatcherSpec { page_size: 4, ..spec() };
+        let budgeted = BatcherSpec { pool_pages: Some(12), ..paged };
+        let free = check_lifecycle(&paged).unwrap();
+        let deferred = check_lifecycle(&budgeted).unwrap();
+        assert!(deferred.steps > free.steps, "the budget must defer some admission");
+    }
+
+    #[test]
+    fn a_failed_prefill_requeues_its_group_and_replays_the_live_slots() {
+        // Request 0 finishes after one step; the prefill of request 4 into
+        // its slot fails, so request 4 is requeued and the three live slots
+        // replay on the rebuilt engine before it is admitted again.
+        let t = Trace {
+            requests: (2..7).map(AbstractRequest::new).collect(),
+            prefill_faults_at: vec![1],
+            ..Trace::default()
+        };
+        match run_trace(&spec(), &t, None).unwrap() {
+            TraceOutcome::Completed { recoveries, .. } => assert_eq!(recoveries, 1),
+            other => panic!("expected completion, got {other:?}"),
+        }
     }
 
     #[test]
@@ -999,8 +865,7 @@ mod tests {
                 AbstractRequest::new(2).with_priority(Priority::High),
                 AbstractRequest::new(3).with_priority(Priority::Low),
             ],
-            faults_at: vec![],
-            drains_at: vec![],
+            ..Trace::default()
         };
         let err = run_trace(&s, &t, Some(Defect::StarveLowPriorityForever)).unwrap_err();
         assert!(matches!(err, LifecycleError::Stuck { .. }), "got {err}");
@@ -1013,8 +878,8 @@ mod tests {
         let s = spec();
         let t = Trace {
             requests: vec![AbstractRequest::new(5), AbstractRequest::new(5)],
-            faults_at: vec![],
             drains_at: vec![1],
+            ..Trace::default()
         };
         let err = run_trace(&s, &t, Some(Defect::LoseRequestOnReplicaDrain)).unwrap_err();
         assert!(matches!(err, LifecycleError::RequestLost { request: 0 }), "got {err}");
@@ -1027,23 +892,23 @@ mod tests {
         let s = spec();
         let t = Trace {
             requests: vec![AbstractRequest::new(5); 6],
-            faults_at: vec![],
             drains_at: vec![2],
+            ..Trace::default()
         };
         run_trace(&s, &t, None).unwrap();
     }
 
     #[test]
     fn pool_budget_defers_admission_until_pages_free() {
-        // page_size 4, shared prefix 8 (= 2 shared pages). Each request:
-        // prompt 8 + max_new 3 → 3 pages total, 1 private. First admission
-        // charges 3, later ones 1. Budget 4 fits two concurrent requests;
-        // the third must wait for both to finish (its charge re-counts the
-        // then-freed shared pages). Deferral serializes: ≥ 4 steps instead
-        // of the 2 a parallel run would take.
-        let s = BatcherSpec { page_size: 4, pool_pages: Some(4), ..spec() };
-        let reqs = vec![AbstractRequest::with_prompt(3, 8, 8); 3];
-        let t = Trace { requests: reqs, faults_at: vec![], drains_at: vec![] };
+        // page_size 4, private 8-token prompts, 3 new tokens: each request
+        // charges 2 prompt pages + 1 growth page, and admission keeps one
+        // page in hand per still-empty slot of the 4. The first fits in
+        // 3 + 3, the second in 6 + 2 = 8; the third needs 6 + 3 + 1 = 10
+        // and must wait for both to finish. Deferral serializes: ≥ 4 steps
+        // instead of the 2 a parallel run would take.
+        let s = BatcherSpec { page_size: 4, pool_pages: Some(8), ..spec() };
+        let reqs = vec![AbstractRequest::with_prompt(3, 8, 0); 3];
+        let t = Trace { requests: reqs, ..Trace::default() };
         match run_trace(&s, &t, None).unwrap() {
             TraceOutcome::Completed { steps, .. } => {
                 assert!(steps >= 4, "deferred admission must serialize: {steps} steps");
@@ -1057,35 +922,9 @@ mod tests {
         let s = BatcherSpec { page_size: 4, pool_pages: Some(2), ..spec() };
         let t = Trace {
             requests: vec![AbstractRequest::with_prompt(4, 12, 0)],
-            faults_at: vec![],
-            drains_at: vec![],
+            ..Trace::default()
         };
         assert!(matches!(run_trace(&s, &t, None), Err(LifecycleError::Stuck { .. })));
-    }
-
-    #[test]
-    fn double_free_shared_page_defect_rejected() {
-        // The ISSUE's seeded refcounting mutation: two requests share two
-        // full prefix pages; the short one completes first, and the
-        // defective machine frees the shared pages outright while the long
-        // one still references them.
-        let s = BatcherSpec { page_size: 4, ..spec() };
-        let t = Trace {
-            requests: vec![
-                AbstractRequest::with_prompt(2, 8, 8),
-                AbstractRequest::with_prompt(6, 8, 8),
-            ],
-            faults_at: vec![],
-            drains_at: vec![],
-        };
-        let err = run_trace(&s, &t, Some(Defect::DoubleFreeSharedPage)).unwrap_err();
-        match err {
-            LifecycleError::SharedPageDoubleFreed { page, refs } => {
-                assert_eq!(page, 0);
-                assert_eq!(refs, 2);
-            }
-            other => panic!("expected SharedPageDoubleFreed, got {other}"),
-        }
     }
 
     #[test]
@@ -1096,8 +935,7 @@ mod tests {
                 AbstractRequest::with_prompt(2, 8, 8),
                 AbstractRequest::with_prompt(6, 8, 8),
             ],
-            faults_at: vec![],
-            drains_at: vec![],
+            ..Trace::default()
         };
         run_trace(&s, &t, None).unwrap();
     }

@@ -156,7 +156,7 @@ pub fn check_combo(s: &Scenario, layout: &Layout) -> Outcome {
     Outcome::Pass { spmd, mem, liveness, quant }
 }
 
-/// The slot-machine parameters the shipped scheduler runs with (the
+/// The scheduler configuration the shipped batcher runs with (the
 /// `spec_matches_the_live_scheduler` test in [`crate::lifecycle`] pins this
 /// literal to what a real `ContinuousBatcher` reports).
 #[must_use]
@@ -164,8 +164,6 @@ pub fn default_batcher_spec() -> BatcherSpec {
     BatcherSpec {
         slots: 4,
         max_recoveries: 3,
-        prefill_emits_first_token: true,
-        replay_restarts_at: 1,
         page_size: esti_runtime::DEFAULT_KV_PAGE_SIZE,
         pool_pages: None,
         preemption: true,
