@@ -161,6 +161,21 @@ cargo test -q --release -p esti-verify lifecycle
 cargo run -q --release -p esti-bench --bin serving > /dev/null
 cargo run -q --release --example serving_tier > /dev/null
 
+echo "== one memory model: memfit charges the schedule's shards and the shipped page ledger =="
+# verify::memfit reads each chip's weights and KV rows off the verified
+# Schedule (the specs the engine cuts) and sizes a paged pool by driving the
+# shipped scheduler core and its PageLedger. Its closed-form mirror, its
+# private page model and the third copy of the weight-gathered warning stay
+# gone. The property test holds the paged pool to the ledger's admission
+# bound (admits the fleet at P pages, not at P - 1); the cross-layer test
+# holds the KV term to a real engine's busiest cache on every tier-1 layout.
+if grep -rnE "paged_pool_parts|paged_pool_pages|PagedRequest|weight_bytes_per_chip|kv_bytes_per_chip" crates/verify/src \
+  || grep -rn "fn wg_fits_in_memory" crates; then
+  echo "FAIL: memfit charges a formula or a page model of its own beside the schedule and the ledger" >&2
+  exit 1
+fi
+cargo test -q --release -p esti-verify --test memory_model
+
 echo "== router conformance: replica crash loses nothing, streams identical =="
 # An injected chip crash with an exhausted recovery budget drains the
 # replica; its whole share must re-route and replay to bit-identical

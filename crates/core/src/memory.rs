@@ -23,7 +23,7 @@ pub const TABLE1_KV_FRACTION: f64 = 0.3;
 #[must_use]
 pub fn kv_heads_per_chip(model: &ModelConfig, sharding: AttnSharding, n_chips: usize) -> usize {
     match sharding {
-        AttnSharding::Head => div_ceil(model.n_kv_heads(), n_chips).max(1),
+        AttnSharding::Head => model.n_kv_heads().div_ceil(n_chips).max(1),
         AttnSharding::Batch => model.n_kv_heads(),
     }
 }
@@ -33,7 +33,7 @@ pub fn kv_heads_per_chip(model: &ModelConfig, sharding: AttnSharding, n_chips: u
 pub fn kv_seqs_per_chip(sharding: AttnSharding, n_chips: usize, batch: usize) -> usize {
     match sharding {
         AttnSharding::Head => batch,
-        AttnSharding::Batch => div_ceil(batch, n_chips),
+        AttnSharding::Batch => batch.div_ceil(n_chips),
     }
 }
 
@@ -113,28 +113,6 @@ pub fn wg_working_set_bytes(
     2.0 * model.params_per_layer() as f64 * n_gather as f64 / n_chips as f64 * dtype.bytes_f()
 }
 
-/// Whether a weight-gathered configuration fits including its transient
-/// gathered-weights working set (stricter than [`fits_in_memory`]).
-#[allow(clippy::too_many_arguments)]
-#[must_use]
-pub fn wg_fits_in_memory(
-    machine: &Machine,
-    model: &ModelConfig,
-    sharding: AttnSharding,
-    n_gather: usize,
-    batch: usize,
-    context: usize,
-    weight_dtype: DType,
-    kv_dtype: DType,
-) -> bool {
-    let n = machine.n_chips();
-    let weights = weight_bytes_per_chip(model, n, weight_dtype);
-    let kv = kv_bytes_per_chip(model, sharding, n, batch, context, kv_dtype);
-    let working = wg_working_set_bytes(model, n_gather, n, weight_dtype);
-    let acts = 4.0 * batch as f64 * model.d_model as f64 * 2.0;
-    weights + kv + working + acts <= machine.chip.hbm_capacity * 0.95
-}
-
 /// Table 1's rows: max context for the three attention variants of
 /// PaLM 540B on 64 chips.
 #[must_use]
@@ -146,10 +124,6 @@ pub fn table1_row(
 ) -> usize {
     let budget = machine.chip.hbm_capacity * TABLE1_KV_FRACTION;
     max_context_len(model, sharding, machine.n_chips(), batch, budget, DType::Bf16)
-}
-
-fn div_ceil(a: usize, b: usize) -> usize {
-    a.div_ceil(b)
 }
 
 #[cfg(test)]
@@ -233,24 +207,6 @@ mod tests {
         assert!(!fits_in_memory(&m8, &model, AttnSharding::Batch, 1, 128, DType::Bf16, DType::Bf16));
         let m64 = machine64();
         assert!(fits_in_memory(&m64, &model, AttnSharding::Batch, 64, 2048, DType::Bf16, DType::Bf16));
-    }
-
-    #[test]
-    fn wg_working_set_can_be_the_binding_constraint() {
-        // PaLM 540B bf16 on 64 chips: the plain footprint fits, but fully
-        // gathering a 4.7B-parameter layer (9.5 GB x 2 buffers) on top of
-        // the 17 GB weight shard pushes past 32 GiB — exactly the
-        // Section 3.5 hazard.
-        let model = ModelConfig::palm_540b_padded();
-        let m = machine64();
-        assert!(fits_in_memory(&m, &model, AttnSharding::Batch, 512, 2048, DType::Bf16, DType::Bf16));
-        assert!(!wg_fits_in_memory(&m, &model, AttnSharding::Batch, 64, 512, 2048, DType::Bf16, DType::Bf16),
-            "XYZ-gathered bf16 540B should exceed HBM with a double-buffered gather");
-        // Gathering over fewer chips (the X extent) keeps the working set
-        // proportional and fits.
-        assert!(wg_fits_in_memory(&m, &model, AttnSharding::Batch, 4, 512, 2048, DType::Bf16, DType::Bf16));
-        // And int8 weights halve the gathered copy, restoring XYZ.
-        assert!(wg_fits_in_memory(&m, &model, AttnSharding::Batch, 64, 512, 2048, DType::Int8, DType::Bf16));
     }
 
     #[test]

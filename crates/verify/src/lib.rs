@@ -11,9 +11,11 @@
 //!   symbolic schedule ([`esti_core::schedule`]) and proves every
 //!   communication group's members issue identical sequences (no shape,
 //!   op, or wire-format mismatch, no deadlock);
-//! * [`memfit`] — sums weight-shard, KV-cache, and activation bytes per
-//!   chip against the esti-hal HBM capacity, reporting margins and
-//!   weight-gathered working-set warnings;
+//! * [`memfit`] — sums the weight shards and KV rows the verified schedule
+//!   cuts per chip (or the page pool the shipped scheduler's ledger charges
+//!   for a request set), plus an activation allowance, against the esti-hal
+//!   HBM capacity, reporting margins and weight-gathered working-set
+//!   warnings;
 //! * [`liveness`] — injects every single crash/stall fault into the
 //!   per-chip programs and explores the barrier/deadline/cancel protocol
 //!   ([`esti_collectives::ProtocolModel`]) to prove every surviving rank
@@ -46,7 +48,7 @@ pub use liveness::{
     check_liveness, check_schedule_liveness, AbstractFault, FaultSite, LivenessError,
     LivenessReport,
 };
-pub use memfit::{check_memory_fit, check_memory_fit_paged, paged_pool_pages, MemReport, PagedRequest};
+pub use memfit::{check_memory_fit, check_memory_fit_paged, MemReport};
 pub use quantflow::{check_schedule_quantflow, QuantflowError, QuantflowReport};
 pub use scenarios::{builtin_scenarios, run_all, ComboResult, Outcome, Scenario};
 pub use spmd::{check_schedule_spmd, check_spmd, per_chip_program, SpmdError, SpmdReport};

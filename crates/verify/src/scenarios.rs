@@ -120,15 +120,7 @@ pub fn check_combo(s: &Scenario, layout: &Layout) -> Outcome {
         Err(e) => return classify(format!("spmd: {e}")),
     };
     // Pass 3: memory fit.
-    let mem = check_memory_fit(
-        &s.machine,
-        &s.model,
-        layout,
-        s.batch,
-        s.context,
-        s.weight_dtype,
-        s.kv_dtype,
-    );
+    let mem = check_memory_fit(&s.machine, &s.model, &schedule, s.context, s.weight_dtype, s.kv_dtype);
     if !mem.fits {
         return Outcome::Fail(format!("memory: over HBM — {}", mem.summary()));
     }
