@@ -63,21 +63,6 @@ pub fn weight_bytes_per_chip(model: &ModelConfig, n_chips: usize, dtype: DType) 
     model.weight_bytes(dtype) / n_chips as f64
 }
 
-/// Maximum context length that fits when `kv_budget_per_chip` bytes of HBM
-/// are reserved for the KV cache (Table 1 uses 30% of 32 GiB).
-#[must_use]
-pub fn max_context_len(
-    model: &ModelConfig,
-    sharding: AttnSharding,
-    n_chips: usize,
-    batch: usize,
-    kv_budget_per_chip: f64,
-    dtype: DType,
-) -> usize {
-    let per_token = kv_bytes_per_chip(model, sharding, n_chips, batch, 1, dtype);
-    (kv_budget_per_chip / per_token) as usize
-}
-
 /// Whether a configuration fits in HBM: weight shard + KV cache + a small
 /// activation allowance must not exceed per-chip capacity.
 #[must_use]
@@ -98,23 +83,9 @@ pub fn fits_in_memory(
     weights + kv + acts <= machine.chip.hbm_capacity * 0.95
 }
 
-/// Transient working-set bytes of a weight-gathered layer: the gathered
-/// weight copy (`W_layer · N / n` elements, double-buffered so the next
-/// layer's gather can overlap the current einsum). Section 3.5 notes that
-/// "some of the weight-gathered layouts would exhaust memory without these
-/// optimizations" — this is the quantity that exhausts it.
-#[must_use]
-pub fn wg_working_set_bytes(
-    model: &ModelConfig,
-    n_gather: usize,
-    n_chips: usize,
-    dtype: DType,
-) -> f64 {
-    2.0 * model.params_per_layer() as f64 * n_gather as f64 / n_chips as f64 * dtype.bytes_f()
-}
-
 /// Table 1's rows: max context for the three attention variants of
-/// PaLM 540B on 64 chips.
+/// PaLM 540B on 64 chips — the bf16 positions per row that fit when
+/// [`TABLE1_KV_FRACTION`] of HBM is reserved for the KV cache.
 #[must_use]
 pub fn table1_row(
     model: &ModelConfig,
@@ -123,7 +94,8 @@ pub fn table1_row(
     batch: usize,
 ) -> usize {
     let budget = machine.chip.hbm_capacity * TABLE1_KV_FRACTION;
-    max_context_len(model, sharding, machine.n_chips(), batch, budget, DType::Bf16)
+    let per_token = kv_bytes_per_chip(model, sharding, machine.n_chips(), batch, 1, DType::Bf16);
+    (budget / per_token) as usize
 }
 
 #[cfg(test)]

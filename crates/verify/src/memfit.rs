@@ -16,15 +16,15 @@
 //!   buffers.
 //!
 //! A configuration whose residents overflow HBM is a hard failure; a
-//! weight-gathered layout whose *transient* gathered-weights working set
+//! weight-gathered layout whose *transient* working set — the outputs of
+//! the schedule's weight all-gathers in a layer, double-buffered —
 //! overflows (Section 3.5) is reported as a warning, since the runtime can
 //! trade it off by gathering in chunks.
 
-use esti_core::memory::wg_working_set_bytes;
-use esti_core::schedule::{LocalOp, Role, Schedule, Step, SymTensor};
+use esti_core::schedule::{LocalOp, Operand, Role, Schedule, Step, SymOp, SymTensor};
 use esti_core::scheduler::{Decision, Job, PageLedger, Scheduler};
 use esti_core::serving::OverloadPolicy;
-use esti_core::{FfnLayout, Machine};
+use esti_core::Machine;
 use esti_hal::DType;
 use esti_model::ModelConfig;
 
@@ -79,7 +79,8 @@ impl MemReport {
 /// # Panics
 ///
 /// Panics if `schedule` does not verify (a weight or the K input does not
-/// divide) or has no attention step.
+/// divide), has no attention step, or is built for a different chip count
+/// than `machine`'s.
 #[must_use]
 pub fn check_memory_fit(
     machine: &Machine,
@@ -104,7 +105,8 @@ pub fn check_memory_fit(
 ///
 /// # Panics
 ///
-/// As [`check_memory_fit`].
+/// As [`check_memory_fit`], and if `schedule` is not built at one row per
+/// job.
 #[must_use]
 pub fn check_memory_fit_paged(
     machine: &Machine,
@@ -115,6 +117,7 @@ pub fn check_memory_fit_paged(
     weight_dtype: DType,
     kv_dtype: DType,
 ) -> MemReport {
+    assert_eq!(schedule.batch, jobs.len(), "the schedule holds one row per job");
     let (_, width, parts) = kv_cut(schedule);
     let share = jobs.len().div_ceil(parts).max(1);
     let pages = jobs.chunks(share).map(|js| pool_pages(page_size, js)).max().unwrap_or(0);
@@ -163,6 +166,7 @@ fn report(
     kv_bytes: f64,
     kv_pages: Option<usize>,
 ) -> MemReport {
+    assert_eq!(machine.n_chips(), s.torus.chip_count(), "the schedule spans the machine");
     let local = |w: &SymTensor| w.local_elements(s.torus).expect("a verified schedule divides");
     let layers = |role| if role == Role::EmbedT { 1 } else { model.n_layers };
     let weight_elements: usize = s.weights.iter().map(|(role, w)| local(w) * layers(*role)).sum();
@@ -170,22 +174,25 @@ fn report(
     let act_bytes = 4.0 * s.batch as f64 * model.d_model as f64 * 2.0;
     let capacity = machine.chip.hbm_capacity * USABLE_HBM_FRACTION;
     let resident = weight_bytes + kv_bytes + act_bytes;
-    let n_gather = match s.layout.ffn {
-        FfnLayout::WeightGathered(extent) => Some(extent.n_gather(s.layout.mesh)),
-        FfnLayout::WeightStationary1D | FfnLayout::WeightStationary2D => None,
+    // A weight-gathered layer's working set: every weight all-gather's
+    // output, double-buffered so the next gather can overlap the einsum.
+    let gather = |st: &Step| match st {
+        Step::Collective { op: SymOp::AllGather { .. }, input: Operand::Weight(_), axes, output, .. } => {
+            Some((local(output), s.torus.group_size(*axes)))
+        }
+        _ => None,
     };
-    let wg_warning = n_gather.and_then(|n_gather| {
-        let working = wg_working_set_bytes(model, n_gather, s.torus.chip_count(), weight_dtype);
-        (resident + working > capacity).then(|| {
-            let gib = 1024.0 * 1024.0 * 1024.0;
-            format!(
-                "transient gathered-weights working set ({:.2} GiB, double-buffered \
-                 x{n_gather} gather) exceeds the remaining {:.2} GiB; the runtime \
-                 must gather in chunks (Section 3.5)",
-                working / gib,
-                (capacity - resident) / gib,
-            )
-        })
+    let gathers: Vec<(usize, usize)> = s.layer.iter().filter_map(gather).collect();
+    let working = 2.0 * gathers.iter().map(|g| g.0).sum::<usize>() as f64 * weight_dtype.bytes_f();
+    let wg_warning = gathers.first().filter(|_| resident + working > capacity).map(|&(_, n_gather)| {
+        let gib = 1024.0 * 1024.0 * 1024.0;
+        format!(
+            "transient gathered-weights working set ({:.2} GiB, double-buffered \
+             x{n_gather} gather) exceeds the remaining {:.2} GiB; the runtime \
+             must gather in chunks (Section 3.5)",
+            working / gib,
+            (capacity - resident) / gib,
+        )
     });
     let (fits, margin_frac) = (resident <= capacity, (capacity - resident) / capacity);
     MemReport { weight_bytes, kv_bytes, act_bytes, capacity, fits, margin_frac, wg_warning, kv_pages }
@@ -196,18 +203,28 @@ mod tests {
     use super::*;
     use esti_core::layout::MeshFactors;
     use esti_core::schedule::build_schedule;
-    use esti_core::{AttnSharding, GatherExtent, Layout};
+    use esti_core::{AttnSharding, FfnLayout, GatherExtent, Layout};
+
+    /// PaLM 540B on WS 2D × batch over `n` chips, 64 rows of 2048
+    /// positions, weights and KV in `dtype`.
+    fn palm_540b_ws2d(n: usize, dtype: DType) -> MemReport {
+        let (machine, model) = (Machine::tpu_v4_slice(n).unwrap(), ModelConfig::palm_540b());
+        let mesh = Layout::ws2d_mesh(n, model.d_model, model.d_ff);
+        let layout = Layout { ffn: FfnLayout::WeightStationary2D, attn: AttnSharding::Batch, mesh };
+        let s = build_schedule(&model, &layout, 64, 1).unwrap();
+        check_memory_fit(&machine, &model, &s, 2048, dtype, dtype)
+    }
+
+    #[test]
+    fn palm_540b_bf16_overflows_8_chips() {
+        let r = palm_540b_ws2d(8, DType::Bf16);
+        assert!(!r.fits && r.margin_frac < 0.0, "540B bf16 cannot fit 8 chips: {}", r.summary());
+    }
 
     #[test]
     fn palm_540b_int8_fits_64_chips() {
-        let machine = Machine::tpu_v4_slice(64).unwrap();
-        let model = ModelConfig::palm_540b();
-        let mesh = Layout::ws2d_mesh(64, model.d_model, model.d_ff);
-        let layout = Layout { ffn: FfnLayout::WeightStationary2D, attn: AttnSharding::Batch, mesh };
-        let s = build_schedule(&model, &layout, 64, 1).unwrap();
-        let r = check_memory_fit(&machine, &model, &s, 2048, DType::Int8, DType::Int8);
-        assert!(r.fits, "540B int8 should fit 64 chips: {}", r.summary());
-        assert!(r.wg_warning.is_none());
+        let r = palm_540b_ws2d(64, DType::Int8);
+        assert!(r.fits && r.wg_warning.is_none(), "540B int8 should fit 64 chips: {}", r.summary());
     }
 
     #[test]
@@ -237,16 +254,11 @@ mod tests {
 
     #[test]
     fn tiny_model_has_wide_margin() {
-        let machine = Machine::tpu_v4_slice(4).unwrap();
-        let model = ModelConfig::tiny();
-        let layout = Layout {
-            ffn: FfnLayout::WeightStationary1D,
-            attn: AttnSharding::Head,
-            mesh: MeshFactors::new(1, 4, 1),
-        };
+        let (machine, model) = (Machine::tpu_v4_slice(4).unwrap(), ModelConfig::tiny());
+        let mesh = MeshFactors::new(1, 4, 1);
+        let layout = Layout { ffn: FfnLayout::WeightStationary1D, attn: AttnSharding::Head, mesh };
         let s = build_schedule(&model, &layout, 8, 1).unwrap();
         let r = check_memory_fit(&machine, &model, &s, 64, DType::Bf16, DType::Bf16);
-        assert!(r.fits);
-        assert!(r.margin_frac > 0.99, "tiny model should leave >99% free");
+        assert!(r.fits && r.margin_frac > 0.99, "tiny model should leave >99% free: {}", r.summary());
     }
 }

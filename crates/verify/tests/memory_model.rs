@@ -3,7 +3,8 @@
 //! * **Paged pools**: the pool [`check_memory_fit_paged`] sizes for a
 //!   shared-prefix fleet is exactly the budget at which the shipped
 //!   scheduler admits the whole fleet at one boundary — one page less and
-//!   it does not — and a batch-sharded chip holds its share's pool.
+//!   it does not — and a batch-sharded chip holds its busiest share's pool,
+//!   by the same bound.
 //! * **Dense KV**: on every tier-1 layout, the KV elements memfit charges
 //!   one chip equal what the busiest chip of a real engine caches after a
 //!   prefill.
@@ -42,17 +43,13 @@ fn palm_paged(n: usize, attn: AttnSharding, jobs: &[Job<'_>]) -> (MemReport, Mem
     (paged, check_memory_fit(&machine, &model, &s, 2048, DType::Int8, DType::Int8))
 }
 
-/// The pool `jobs` need at `page` positions a page.
-fn pool(page: usize, jobs: &[Job<'_>]) -> usize {
+/// `jobs`' paged report for `tiny` on WS 1D over 1×4×1 under `attn`, pages
+/// of `page` positions.
+fn tiny_paged(page: usize, attn: AttnSharding, jobs: &[Job<'_>]) -> MemReport {
     let (machine, model) = (Machine::tpu_v4_slice(4).unwrap(), ModelConfig::tiny());
-    let layout = Layout {
-        ffn: FfnLayout::WeightStationary1D,
-        attn: AttnSharding::Head,
-        mesh: MeshFactors::new(1, 4, 1),
-    };
-    let s = build_schedule(&model, &layout, jobs.len(), 1).unwrap();
-    let r = check_memory_fit_paged(&machine, &model, &s, page, jobs, DType::F32, DType::F32);
-    r.kv_pages.expect("a paged report carries its pool")
+    let mesh = MeshFactors::new(1, 4, 1);
+    let s = build_schedule(&model, &Layout { ffn: FfnLayout::WeightStationary1D, attn, mesh }, jobs.len(), 1);
+    check_memory_fit_paged(&machine, &model, &s.unwrap(), page, jobs, DType::F32, DType::F32)
 }
 
 /// Requests a scheduler with one slot per job and a `budget`-page ledger
@@ -74,13 +71,31 @@ proptest! {
         prefix in 0usize..41,
         lens in prop::collection::vec(1usize..41, 1..13),
         news in prop::collection::vec(2usize..9, 12..13),
+        by_batch in 0usize..2,
     ) {
-        let reqs: Vec<(usize, usize)> = lens.iter().map(|&len| (len, prefix.min(len))).collect();
+        // Batch-sharded attention cuts the fleet over the 4 chips, so it
+        // takes a multiple of 4 jobs; head sharding leaves it whole.
+        let (attn, parts) = if by_batch == 1 { (AttnSharding::Batch, 4) } else { (AttnSharding::Head, 1) };
+        let n = lens.len().next_multiple_of(parts);
+        let reqs: Vec<(usize, usize)> =
+            lens.iter().cycle().take(n).map(|&len| (len, prefix.min(len))).collect();
         let prompts = prompts(&reqs);
         let jobs = jobs(&prompts, &news);
-        let p = pool(page, &jobs);
+        let r = tiny_paged(page, attn, &jobs);
+        // The whole fleet's pool.
+        let p = r.kv_pages.expect("a paged report carries its pool");
         prop_assert_eq!(admitted(page, p, &jobs), jobs.len(), "budget {} pages", p);
         prop_assert!(admitted(page, p - 1, &jobs) < jobs.len(), "budget {} pages", p - 1);
+        // The busiest chip's pool (tiny is multiquery: one head a row):
+        // every chip's in-order share is admitted at it, and one share is
+        // not a page below it.
+        let cfg = ModelConfig::tiny();
+        let page_bytes = (2 * cfg.n_layers * page * cfg.d_head * 4) as f64;
+        let chip = (r.kv_bytes / page_bytes) as usize;
+        prop_assert_eq!(r.kv_bytes, chip as f64 * page_bytes);
+        let mut shares = jobs.chunks(n / parts);
+        prop_assert!(shares.clone().all(|js| admitted(page, chip, js) == js.len()), "budget {}", chip);
+        prop_assert!(shares.any(|js| admitted(page, chip - 1, js) < js.len()), "budget {}", chip - 1);
     }
 }
 
@@ -89,9 +104,10 @@ fn paged_pool_counts_shared_pages_once() {
     // 8 requests, all sharing a 48-token prefix of 56-token prompts, 8
     // generated tokens, 8-token pages: 6 shared pages once, plus each
     // request's own last prompt page and one growth page.
-    assert_eq!(pool(8, &jobs(&prompts(&[(56, 48); 8]), &[8; 8])), 6 + 8 * 2);
+    let pool = |reqs| tiny_paged(8, AttnSharding::Head, &jobs(&prompts(reqs), &[8; 8])).kv_pages;
+    assert_eq!(pool(&[(56, 48); 8]), Some(6 + 8 * 2));
     // Without sharing the same fleet needs 8 full block tables.
-    assert_eq!(pool(8, &jobs(&prompts(&[(56, 0); 8]), &[8; 8])), 8 * 8);
+    assert_eq!(pool(&[(56, 0); 8]), Some(8 * 8));
 }
 
 #[test]
@@ -99,7 +115,8 @@ fn paged_pool_rounds_ragged_tails_up() {
     // The 5-token prompt rounds up to a page, plus a copy-out page for its
     // partial last page; the two requests that end at their first token
     // never keep a slot, so they hold no pages.
-    assert_eq!(pool(8, &jobs(&prompts(&[(5, 0), (17, 16), (16, 16)]), &[2, 0, 1])), 1 + 1);
+    let p = prompts(&[(5, 0), (17, 16), (16, 16)]);
+    assert_eq!(tiny_paged(8, AttnSharding::Head, &jobs(&p, &[2, 0, 1])).kv_pages, Some(1 + 1));
 }
 
 #[test]
