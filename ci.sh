@@ -267,7 +267,18 @@ cargo run --release --quiet --manifest-path benchmark/Cargo.toml -- --check-only
 echo "== clippy (workspace lints, -D warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "== esti-lint: static partition-plan, SPMD, liveness & quant-dataflow analysis =="
+echo "== esti-lint: comm table vs schedule, SPMD, liveness & quant-dataflow analysis =="
+# Pass 1 checks the paper's comm table (Layout::layer_comm) against the
+# schedule that runs; the hand-written sharding chain it replaced, and the
+# layout spec functions only that chain read, stay gone.
+if grep -rnE "check_layout_algebra|fn weight_spec|fn activation_spec" crates \
+  || [ -e crates/verify/src/algebra.rs ]; then
+  echo "FAIL: the hand-written sharding chain or Layout::{weight,activation}_spec is back" >&2
+  exit 1
+fi
+# The grid of every accepted (model, mesh, layout, batch) point and the
+# mutation tests (a cloned collective; a duplicated, scaled or regrouped piece).
+cargo test -q --release -p esti-verify comm_table
 # check_combo verifies each (scenario, layout) schedule once, and
 # run_scenario upgrades any skip on the layout the *layout* planner
 # (esti_core::planner) chose for that scenario to a failure, so a

@@ -19,9 +19,6 @@
 //! the KV cache across chips).
 
 use esti_model::{BlockKind, ModelConfig};
-use esti_topology::{Axis, AxisSet};
-
-use crate::sharding::ShardingSpec;
 
 /// Logical mesh factorization `X × Y × Z = n_chips` used by a layout.
 ///
@@ -352,44 +349,6 @@ impl Layout {
             .sum()
     }
 
-    /// The weight sharding in the paper's subscript notation (Section 3.1):
-    /// `EF_xyz` for 1D weight-stationary, `E_xF_yz` for 2D and the
-    /// weight-gathered layouts (which store weights in the 2D layout and
-    /// gather at use, Section 3.2.3).
-    #[must_use]
-    pub fn weight_spec(&self) -> ShardingSpec {
-        match self.ffn {
-            FfnLayout::WeightStationary1D => {
-                ShardingSpec::new("EF").shard('F', AxisSet::all())
-            }
-            FfnLayout::WeightStationary2D | FfnLayout::WeightGathered(_) => ShardingSpec::new("EF")
-                .shard('E', AxisSet::single(Axis::X))
-                .shard('F', AxisSet::of(&[Axis::Y, Axis::Z])),
-        }
-    }
-
-    /// The layer-boundary activation sharding in subscript notation:
-    /// `BLE_xyz` for the weight-stationary layouts (d_model fully sharded
-    /// between layers), `B_xyz LE` for XYZ-weight-gathered (batch
-    /// stationary), and batch-over-gather-axes for the hybrids.
-    #[must_use]
-    pub fn activation_spec(&self) -> ShardingSpec {
-        match self.ffn {
-            FfnLayout::WeightStationary1D | FfnLayout::WeightStationary2D => {
-                ShardingSpec::new("BLE").shard('E', AxisSet::all())
-            }
-            FfnLayout::WeightGathered(GatherExtent::Xyz) => {
-                ShardingSpec::new("BLE").shard('B', AxisSet::all())
-            }
-            FfnLayout::WeightGathered(GatherExtent::X) => ShardingSpec::new("BLE")
-                .shard('B', AxisSet::single(Axis::X))
-                .shard('E', AxisSet::of(&[Axis::Y, Axis::Z])),
-            FfnLayout::WeightGathered(GatherExtent::Xy) => ShardingSpec::new("BLE")
-                .shard('B', AxisSet::of(&[Axis::X, Axis::Y]))
-                .shard('E', AxisSet::single(Axis::Z)),
-        }
-    }
-
     /// One-line description, e.g. `"WS 2D / Batch on 4x4x4"`.
     #[must_use]
     pub fn describe(&self) -> String {
@@ -633,28 +592,6 @@ mod tests {
         let pieces = layout.layer_comm(&model, 1e6);
         assert_eq!(pieces.len(), 1);
         assert!(pieces[0].is_weights);
-    }
-
-    #[test]
-    fn sharding_specs_match_paper_notation() {
-        let model = ModelConfig::palm_62b();
-        let l2 = Layout::ws2d(&model, 64);
-        assert_eq!(l2.weight_spec().to_string(), "E_xF_yz");
-        assert_eq!(l2.activation_spec().to_string(), "BLE_xyz");
-        let l1 = Layout {
-            ffn: FfnLayout::WeightStationary1D,
-            attn: AttnSharding::Head,
-            mesh: Layout::ws1d_mesh(64),
-        };
-        assert_eq!(l1.weight_spec().to_string(), "EF_xyz");
-        let wg = Layout {
-            ffn: FfnLayout::WeightGathered(GatherExtent::Xy),
-            attn: AttnSharding::Batch,
-            mesh: MeshFactors::new(4, 4, 4),
-        };
-        // Weights stored as in 2D WS; activations B_xy L E_z (Figure A.2).
-        assert_eq!(wg.weight_spec().to_string(), "E_xF_yz");
-        assert_eq!(wg.activation_spec().to_string(), "B_xyLE_z");
     }
 
     #[test]

@@ -211,7 +211,7 @@ impl std::fmt::Display for SymOp {
 /// post-collective sharding, or an error explaining why the collective is
 /// illegal in this position (the static analogue of a runtime deadlock or
 /// shape mismatch).
-pub fn apply_op(op: SymOp, axes: AxisSet, input: &SymTensor) -> Result<SymTensor, String> {
+pub(crate) fn apply_op(op: SymOp, axes: AxisSet, input: &SymTensor) -> Result<SymTensor, String> {
     if axes.is_empty() {
         return Err(format!("{op}: empty axis set"));
     }
@@ -319,7 +319,7 @@ pub fn apply_op(op: SymOp, axes: AxisSet, input: &SymTensor) -> Result<SymTensor
 /// output accumulates the partial-sum markers of both inputs plus the axes
 /// of every contracted sharded dimension (a sharded contraction produces a
 /// partial sum).
-pub fn expected_einsum(
+pub(crate) fn expected_einsum(
     x: &SymTensor,
     w: &SymTensor,
     contract: &[char],
@@ -1283,6 +1283,48 @@ mod tests {
         };
         let err = build_schedule(&cfg, &layout, 64, 1).and_then(|s| s.verify()).unwrap_err();
         assert!(err.contains("divisible"), "unexpected error: {err}");
+        // Weight-gathered boundaries shard the batch: 3 tokens cannot split
+        // over a 4-chip gather group.
+        let layout = Layout {
+            ffn: FfnLayout::WeightGathered(GatherExtent::Xyz),
+            attn: AttnSharding::Head,
+            mesh: MeshFactors::new(2, 2, 1),
+        };
+        let err = build_schedule(&ModelConfig::tiny(), &layout, 3, 1).unwrap_err();
+        assert!(err.contains("B of size 3 not divisible"), "unexpected error: {err}");
+        // d_model = 6 on 2x2x1: the 2D boundary BLE_xyz cannot shard E four
+        // ways; the 1D boundary BLE leaves E whole, so 1D builds.
+        let cfg = ModelConfig { d_model: 6, ..ModelConfig::tiny() };
+        let layout = Layout { ffn: FfnLayout::WeightStationary2D, ..layout };
+        let err = build_schedule(&cfg, &layout, 16, 1).unwrap_err();
+        assert!(err.contains("E of size 6 not divisible by 4"), "unexpected error: {err}");
+        let layout = Layout { ffn: FfnLayout::WeightStationary1D, ..layout };
+        build_schedule(&cfg, &layout, 16, 1).and_then(|s| s.verify()).unwrap();
+    }
+
+    #[test]
+    fn shipped_specs_in_paper_notation() {
+        // The layer boundary and the stored w_in each layout ships, at PaLM
+        // 540B (64 heads) on 64 chips. Weight-gathered layouts store the
+        // weights 1D (EF_xyz) and gather them over the batch-sharded axes.
+        let cfg = ModelConfig::palm_540b_padded();
+        let cases = [
+            (FfnLayout::WeightStationary1D, "BLE", "EF_xyz"),
+            (FfnLayout::WeightStationary2D, "BLE_xyz", "E_xF_yz"),
+            (FfnLayout::WeightGathered(GatherExtent::X), "B_xLE", "EF_xyz"),
+            (FfnLayout::WeightGathered(GatherExtent::Xy), "B_xyLE", "EF_xyz"),
+            (FfnLayout::WeightGathered(GatherExtent::Xyz), "B_xyzLE", "EF_xyz"),
+        ];
+        for (ffn, boundary, w_in) in cases {
+            let mesh = match ffn {
+                FfnLayout::WeightStationary1D => Layout::ws1d_mesh(64),
+                _ => Layout::ws2d_mesh(64, cfg.d_model, cfg.d_ff),
+            };
+            let s = build_schedule(&cfg, &Layout { ffn, attn: AttnSharding::Head, mesh }, 64, 1)
+                .unwrap();
+            assert_eq!(s.boundary.spec.to_string(), boundary, "{}", ffn.name());
+            assert_eq!(s.tensor(Operand::Weight(Role::WIn)).unwrap().spec.to_string(), w_in);
+        }
     }
 
     #[test]

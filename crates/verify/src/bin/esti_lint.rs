@@ -38,9 +38,10 @@ fn json_escape(s: &str) -> String {
 /// One row rendered as a JSON object.
 fn json_row(r: &ComboResult) -> String {
     let (status, detail) = match &r.outcome {
-        Outcome::Pass { spmd, mem, liveness, quant } => {
+        Outcome::Pass { comm, spmd, mem, liveness, quant } => {
             let mut d = format!(
-                "spmd {} chips/{} firings; liveness {} sites/{} injections; mem {}",
+                "comm {}; spmd {} chips/{} firings; liveness {} sites/{} injections; mem {}",
+                comm.summary(),
                 spmd.chips,
                 spmd.firings,
                 liveness.call_sites,
@@ -114,7 +115,7 @@ fn main() {
             println!("\n== {scenario} ==");
         }
         match &r.outcome {
-            Outcome::Pass { spmd, mem, liveness, quant } => {
+            Outcome::Pass { comm, spmd, mem, liveness, quant } => {
                 passes += 1;
                 let wg = match &mem.wg_warning {
                     Some(w) => {
@@ -128,8 +129,9 @@ fn main() {
                     None => String::new(),
                 };
                 println!(
-                    "  PASS {:<55} spmd {} chips/{} firings, live {} inj, mem {}{q}{wg}",
+                    "  PASS {:<55} comm {:.3}x, spmd {} chips/{} firings, live {} inj, mem {}{q}{wg}",
                     r.layout,
+                    comm.ratio(),
                     spmd.chips,
                     spmd.firings,
                     liveness.injections,

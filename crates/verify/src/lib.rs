@@ -3,10 +3,10 @@
 //! Six passes over the partitioning layouts of Pope et al. (MLSYS 2023),
 //! run without executing the runtime:
 //!
-//! * [`algebra`] — chains each layout's sharding specs through its
-//!   analytic communication pieces under the rewrite rules of Section 3.2,
-//!   checking divisibility, axis disjointness, partial-sum resolution, and
-//!   piece-by-piece spec continuity;
+//! * [`comm_table`] — the paper's comm table against the schedule that
+//!   runs: projects the verified schedule's per-layer collectives
+//!   ([`esti_core::schedule`]) onto Appendix A's pieces and compares them
+//!   with `Layout::layer_comm` bucket by bucket, every difference named;
 //! * [`spmd`] — extracts the per-chip collective sequence from the
 //!   symbolic schedule ([`esti_core::schedule`]) and proves every
 //!   communication group's members issue identical sequences (no shape,
@@ -34,7 +34,7 @@
 //! combination ([`scenarios`]) and exits nonzero on any failure (or, with
 //! `--strict`, on any warning); `--json` emits the machine-readable report.
 
-pub mod algebra;
+pub mod comm_table;
 pub mod lifecycle;
 pub mod liveness;
 pub mod memfit;
@@ -42,7 +42,7 @@ pub mod quantflow;
 pub mod scenarios;
 pub mod spmd;
 
-pub use algebra::check_layout_algebra;
+pub use comm_table::{check_comm_table, CommTableReport};
 pub use lifecycle::{check_lifecycle, Defect, LifecycleError, LifecycleReport};
 pub use liveness::{
     check_liveness, check_schedule_liveness, AbstractFault, FaultSite, LivenessError,

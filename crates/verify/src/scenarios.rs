@@ -9,7 +9,7 @@ use esti_hal::DType;
 use esti_model::ModelConfig;
 use esti_runtime::BatcherSpec;
 
-use crate::algebra::check_layout_algebra;
+use crate::comm_table::{check_comm_table, CommTableReport};
 use crate::lifecycle::check_lifecycle;
 use crate::liveness::{check_schedule_liveness, LivenessReport};
 use crate::memfit::{check_memory_fit, MemReport};
@@ -22,7 +22,7 @@ pub struct Scenario {
     pub model: ModelConfig,
     /// Machine slice (sets chip count and HBM).
     pub machine: Machine,
-    /// Decode batch size (token count for the algebra pass).
+    /// Decode batch size (one token per row: the schedule's token count).
     pub batch: usize,
     /// KV-cache context length for the memory pass.
     pub context: usize,
@@ -36,6 +36,9 @@ pub struct Scenario {
 pub enum Outcome {
     /// All passes succeeded.
     Pass {
+        /// The comm table against the schedule: volume ratio and named
+        /// remainders.
+        comm: CommTableReport,
         /// SPMD report (chips, ops, firings).
         spmd: SpmdReport,
         /// Memory report (may carry a weight-gathered warning).
@@ -103,11 +106,7 @@ pub fn sweep_layouts(model: &ModelConfig, n_chips: usize) -> Vec<Layout> {
 /// Run every pass on one (scenario, layout) combination.
 #[must_use]
 pub fn check_combo(s: &Scenario, layout: &Layout) -> Outcome {
-    // Pass 1: sharding algebra over the analytic comm model.
-    if let Err(e) = check_layout_algebra(&s.model, layout, s.batch) {
-        return classify(format!("algebra: {e}"));
-    }
-    // Pass 2: symbolic schedule + per-chip SPMD conformance.
+    // The verified schedule every pass reads.
     let schedule = match esti_core::schedule::build_schedule(&s.model, layout, s.batch, 1) {
         Ok(sch) => sch,
         Err(e) => return classify(format!("schedule: {e}")),
@@ -115,6 +114,13 @@ pub fn check_combo(s: &Scenario, layout: &Layout) -> Outcome {
     if let Err(e) = schedule.verify() {
         return classify(format!("schedule: {e}"));
     }
+    // Pass 1: the paper's comm table against the schedule.
+    let pieces = layout.layer_comm(&s.model, s.batch as f64);
+    let comm = match check_comm_table(&s.model, &schedule, &pieces) {
+        Ok(r) => r,
+        Err(e) => return Outcome::Fail(format!("comm table: {e}")),
+    };
+    // Pass 2: per-chip SPMD conformance.
     let spmd = match check_schedule_spmd(&schedule) {
         Ok(r) => r,
         Err(e) => return classify(format!("spmd: {e}")),
@@ -145,7 +151,7 @@ pub fn check_combo(s: &Scenario, layout: &Layout) -> Outcome {
     } else {
         None
     };
-    Outcome::Pass { spmd, mem, liveness, quant }
+    Outcome::Pass { comm, spmd, mem, liveness, quant }
 }
 
 /// The scheduler configuration the shipped batcher runs with (the
