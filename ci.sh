@@ -169,12 +169,18 @@ echo "== one memory model: memfit charges the schedule's shards and the shipped 
 # gone. The property test holds the paged pool to the ledger's admission
 # bound (admits the fleet at P pages, not at P - 1); the cross-layer test
 # holds the KV term to a real engine's busiest cache on every tier-1 layout.
+# The activations are the peak of esti-core's BufferPlan, the one plan the
+# engine runs: memfit's 4 x batch x d_model allowance and a BufferPlan
+# defined outside esti-core stay gone (buffer_plan checks act_bytes against
+# the plan's peak on every schedule esti-lint passes).
 if grep -rnE "paged_pool_parts|paged_pool_pages|PagedRequest|weight_bytes_per_chip|kv_bytes_per_chip" crates/verify/src \
-  || grep -rn "fn wg_fits_in_memory" crates; then
-  echo "FAIL: memfit charges a formula or a page model of its own beside the schedule and the ledger" >&2
+  || grep -rn "fn wg_fits_in_memory" crates \
+  || grep -n "4.0 \* s.batch" crates/verify/src/memfit.rs \
+  || grep -rn --include='*.rs' "struct BufferPlan" crates src tests examples | grep -v "^crates/core/"; then
+  echo "FAIL: memfit charges a formula or a page model of its own beside the schedule, the ledger and the buffer plan" >&2
   exit 1
 fi
-cargo test -q --release -p esti-verify --test memory_model
+cargo test -q --release -p esti-verify --test memory_model --test buffer_plan
 
 echo "== router conformance: replica crash loses nothing, streams identical =="
 # An injected chip crash with an exhausted recovery budget drains the
@@ -216,8 +222,10 @@ echo "== compiled program: the schedule compiled once, every value in a slot of 
 # The engine compiles its schedule into a per-chip program when it is built:
 # try_forward derives nothing from the schedule, and every einsum, local op
 # and dense collective read writes into a slot of the buffer plan, which
-# every layer of a pass reuses. The plan test walks every built-in layout's
-# schedule for two live values sharing a slot; the stale-buffer test runs a
+# every layer of a pass reuses. The plan is esti-core's BufferPlan; its test
+# (in esti-verify, beside esti-lint's grid) walks every built-in layout's
+# schedule and every schedule esti-lint accepts for two live values sharing
+# a slot; the stale-buffer test runs a
 # smaller pass after a larger one on the five tier-1 layouts; alloc checks
 # that an 8-layer prefill allocates about as many large-block bytes as a
 # 2-layer one. Both GEMM tiers, and pinned to one CPU (the whole mesh on one
@@ -227,11 +235,14 @@ if grep -nE "fn flat2|Pass::new\(|\.reshape\(" crates/runtime/src/engine.rs; the
   exit 1
 fi
 cargo test -q --release -p esti-runtime --test alloc
-cargo test -q --release -p esti-runtime --lib -- the_buffer_plan a_pass_after_a_larger_one
+cargo test -q --release -p esti-runtime --lib -- a_pass_after_a_larger_one
+cargo test -q --release -p esti-verify --test buffer_plan -- the_buffer_plan
 ESTI_DISABLE_SIMD=1 cargo test -q --release -p esti-runtime --test alloc
-ESTI_DISABLE_SIMD=1 cargo test -q --release -p esti-runtime --lib -- the_buffer_plan a_pass_after_a_larger_one
+ESTI_DISABLE_SIMD=1 cargo test -q --release -p esti-runtime --lib -- a_pass_after_a_larger_one
+ESTI_DISABLE_SIMD=1 cargo test -q --release -p esti-verify --test buffer_plan -- the_buffer_plan
 taskset -c 0 cargo test -q --release -p esti-runtime --test alloc
-taskset -c 0 cargo test -q --release -p esti-runtime --lib -- the_buffer_plan a_pass_after_a_larger_one
+taskset -c 0 cargo test -q --release -p esti-runtime --lib -- a_pass_after_a_larger_one
+taskset -c 0 cargo test -q --release -p esti-verify --test buffer_plan -- the_buffer_plan
 
 echo "== shards cut from the schedule: every weight, gain and KV row from the schedule's specs =="
 # The engine cuts each chip's weights, layernorm gains, KV rows and KV heads

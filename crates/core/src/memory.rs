@@ -19,24 +19,6 @@ use crate::machine::Machine;
 /// Fraction of HBM the paper reserves for the KV cache in Table 1.
 pub const TABLE1_KV_FRACTION: f64 = 0.3;
 
-/// KV heads stored per chip under a sharding.
-#[must_use]
-pub fn kv_heads_per_chip(model: &ModelConfig, sharding: AttnSharding, n_chips: usize) -> usize {
-    match sharding {
-        AttnSharding::Head => model.n_kv_heads().div_ceil(n_chips).max(1),
-        AttnSharding::Batch => model.n_kv_heads(),
-    }
-}
-
-/// Sequences whose KV cache one chip stores under a sharding.
-#[must_use]
-pub fn kv_seqs_per_chip(sharding: AttnSharding, n_chips: usize, batch: usize) -> usize {
-    match sharding {
-        AttnSharding::Head => batch,
-        AttnSharding::Batch => batch.div_ceil(n_chips),
-    }
-}
-
 /// KV-cache bytes per chip for `batch` sequences of `context` tokens.
 #[must_use]
 pub fn kv_bytes_per_chip(
@@ -47,14 +29,11 @@ pub fn kv_bytes_per_chip(
     context: usize,
     dtype: DType,
 ) -> f64 {
-    let heads = kv_heads_per_chip(model, sharding, n_chips) as f64;
-    let seqs = kv_seqs_per_chip(sharding, n_chips, batch) as f64;
-    2.0 * model.n_layers as f64
-        * seqs
-        * context as f64
-        * heads
-        * model.d_head as f64
-        * dtype.bytes_f()
+    let (heads, seqs) = match sharding {
+        AttnSharding::Head => (model.n_kv_heads().div_ceil(n_chips).max(1), batch),
+        AttnSharding::Batch => (model.n_kv_heads(), batch.div_ceil(n_chips)),
+    };
+    (2 * model.n_layers * seqs * context * heads * model.d_head) as f64 * dtype.bytes_f()
 }
 
 /// Weight bytes per chip (weights are always fully sharded over all chips).
@@ -63,8 +42,10 @@ pub fn weight_bytes_per_chip(model: &ModelConfig, n_chips: usize, dtype: DType) 
     model.weight_bytes(dtype) / n_chips as f64
 }
 
-/// Whether a configuration fits in HBM: weight shard + KV cache + a small
-/// activation allowance must not exceed per-chip capacity.
+/// Whether a configuration fits in HBM: weight shard + KV cache + four live
+/// `[batch, d_model]` bf16 buffers must not exceed per-chip capacity. That
+/// allowance is the analytic model's, which `perf` and Figure 8 read;
+/// `esti-verify`'s memfit charges the schedule's buffer plan instead.
 #[must_use]
 pub fn fits_in_memory(
     machine: &Machine,
@@ -78,7 +59,6 @@ pub fn fits_in_memory(
     let n = machine.n_chips();
     let weights = weight_bytes_per_chip(model, n, weight_dtype);
     let kv = kv_bytes_per_chip(model, sharding, n, batch, context, kv_dtype);
-    // Activation working set: a few live [tokens, E] buffers per chip.
     let acts = 4.0 * batch as f64 * model.d_model as f64 * 2.0;
     weights + kv + acts <= machine.chip.hbm_capacity * 0.95
 }
@@ -148,19 +128,27 @@ mod tests {
         assert!(opt as f64 / mh as f64 >= 32.0, "ratio {}", opt as f64 / mh as f64);
     }
 
+    /// KV bytes per chip of `model` over `n` chips at `batch` rows, as a
+    /// multiple of one whole head of one sequence.
+    fn kv_units(model: &ModelConfig, sharding: AttnSharding, n: usize, batch: usize) -> f64 {
+        let one_head = kv_bytes_per_chip(model, AttnSharding::Head, model.n_kv_heads(), 1, 16, DType::Bf16);
+        kv_bytes_per_chip(model, sharding, n, batch, 16, DType::Bf16) / one_head
+    }
+
     #[test]
     fn kv_heads_partially_replicate_beyond_head_count() {
         let mh = ModelConfig::palm_540b_multihead(); // 48 KV heads
-        assert_eq!(kv_heads_per_chip(&mh, AttnSharding::Head, 16), 3);
-        assert_eq!(kv_heads_per_chip(&mh, AttnSharding::Head, 48), 1);
-        assert_eq!(kv_heads_per_chip(&mh, AttnSharding::Head, 64), 1); // replicated
+        assert_eq!(kv_units(&mh, AttnSharding::Head, 16, 1), 3.0);
+        assert_eq!(kv_units(&mh, AttnSharding::Head, 48, 1), 1.0);
+        assert_eq!(kv_units(&mh, AttnSharding::Head, 64, 1), 1.0); // replicated
     }
 
     #[test]
     fn batch_sharding_divides_sequences() {
-        assert_eq!(kv_seqs_per_chip(AttnSharding::Batch, 64, 512), 8);
-        assert_eq!(kv_seqs_per_chip(AttnSharding::Batch, 64, 32), 1); // partial
-        assert_eq!(kv_seqs_per_chip(AttnSharding::Head, 64, 512), 512);
+        let mq = ModelConfig::palm_540b(); // one KV head
+        assert_eq!(kv_units(&mq, AttnSharding::Batch, 64, 512), 8.0);
+        assert_eq!(kv_units(&mq, AttnSharding::Batch, 64, 32), 1.0); // partial
+        assert_eq!(kv_units(&mq, AttnSharding::Head, 64, 512), 512.0);
     }
 
     #[test]

@@ -21,7 +21,7 @@
 use crate::layout::{AttnSharding, FfnLayout, GatherExtent, Layout};
 use crate::sharding::ShardingSpec;
 use esti_hal::DType;
-use esti_model::{BlockKind, MlpKind, ModelConfig};
+use esti_model::{BlockKind, MlpKind, ModelConfig, PositionKind};
 use esti_topology::{Axis, AxisSet, TorusShape};
 
 /// A tensor known only symbolically: a sharding spec plus the global
@@ -546,6 +546,16 @@ impl Step {
             | Step::Local { label, .. } => label,
         }
     }
+
+    /// The operands the step reads.
+    pub fn operands(&self) -> impl Iterator<Item = Operand> + '_ {
+        let (a, b, rest): (_, _, &[Operand]) = match self {
+            Step::Collective { input, .. } => (Some(input), None, &[]),
+            Step::Einsum { x, w, .. } => (Some(x), Some(w), &[]),
+            Step::Local { inputs, .. } => (None, None, inputs),
+        };
+        a.into_iter().chain(b).chain(rest).copied()
+    }
 }
 
 /// The dataflow family a layout lowers to: which builder writes its
@@ -647,6 +657,18 @@ impl Schedule {
             .collect()
     }
 
+    /// The attention step's K input: its batch axes pick the rows a chip's
+    /// KV cache holds, and the cut of its `H` dim the heads. Panics if no
+    /// layer step attends.
+    #[must_use]
+    pub fn kv_input(&self) -> &SymTensor {
+        let attends = |st: &Step| match st {
+            Step::Local { op: LocalOp::Attention, inputs, .. } => self.tensor(inputs[1]).ok(),
+            _ => None,
+        };
+        self.layer.iter().find_map(attends).expect("a layer attends")
+    }
+
     /// Annotate the wire format the runtime uses for this weight storage
     /// dtype: with [`DType::Int8`], every all-gather of a stored weight
     /// moves quantized (int8 values + per-column f32 scales, Section 3.6).
@@ -746,6 +768,159 @@ impl Schedule {
                 .map_err(|e| format!("{label}: output {e}"))?;
         }
         Ok(steps.last().map(Step::output))
+    }
+}
+
+/// Where every value of a pass over a schedule lives on a chip: slots of
+/// buffers, coloured by liveness. Two values share a slot only if their
+/// intervals `[k, last_read[k]]` are disjoint; largest first, each takes
+/// the first slot it overlaps nothing in, so a slot is as large as its
+/// first value and smaller ones fill the gaps. Slots are not split by
+/// per-token width: every value's size scales with the pass's `B·L` alike,
+/// so one plan by size serves every pass. Steps are numbered
+/// [`Schedule::layer`] then [`Schedule::final_steps`].
+#[derive(Debug)]
+pub struct BufferPlan {
+    /// Whether each step is an all-gather handing an einsum rank-ordered parts.
+    pub parts: Vec<bool>,
+    /// Each SwiGLU or add that overwrites its input `inputs[i]` (`Some(i)`).
+    pub in_place: Vec<Option<usize>>,
+    /// Each step's value's slot; `None` for an all-gather's parts and for
+    /// a layer's output, which goes to a residual slot.
+    pub value: Vec<Option<usize>>,
+    /// Each step's scratch slots: attention's roped `q`, then roped `k`.
+    pub scratch: Vec<Vec<usize>>,
+    /// The two slots the residual stream alternates between: layer `li`
+    /// reads its input from `resid[li % 2]` (or the pass input, borrowed,
+    /// where the chip keeps all of it) and writes its output to
+    /// `resid[(li + 1) % 2]`.
+    pub resid: [usize; 2],
+    /// Each slot's size: its largest value's elements at the schedule's
+    /// own batch and length.
+    pub sizes: Vec<usize>,
+    /// The step values each step reads last, whose buffers then go back to
+    /// their slots.
+    pub dies: Vec<Vec<usize>>,
+    /// The slots each step uses last, whose buffers are freed once the step
+    /// has run for the last time in a pass.
+    pub frees: Vec<Vec<usize>>,
+    peak: usize,
+}
+
+impl BufferPlan {
+    /// Plans the buffers of `s`, a verified schedule of `cfg`; panics if `s`
+    /// does not verify.
+    #[must_use]
+    pub fn new(s: &Schedule, cfg: &ModelConfig) -> Self {
+        let steps: Vec<&Step> = s.layer.iter().chain(&s.final_steps).collect();
+        let (n, split) = (steps.len(), s.layer.len());
+        let tensor = |r: Operand| s.tensor(r).expect("a verified schedule's operands exist");
+        let size = |t: &SymTensor| t.local_elements(s.torus).expect("a verified schedule's shapes divide");
+        let mut last_read: Vec<usize> = (0..n).collect();
+        let mut parts = vec![false; n];
+        for (k, step) in steps.iter().enumerate() {
+            for r in step.operands() {
+                if let Operand::Step(j) = r {
+                    last_read[j] = k;
+                    parts[j] |= matches!(step, Step::Einsum { .. })
+                        && matches!(steps[j], Step::Collective { op: SymOp::AllGather { .. }, .. });
+                }
+            }
+        }
+
+        // Each buffer a pass needs is an item live over steps `[first,
+        // last]`: a step value (joined by the value a SwiGLU or add writes
+        // over it in place, where it dies there and is shaped like the
+        // output), or attention's roped `q` / `k`.
+        let (mut items, mut scratch_items) = (Vec::new(), Vec::new());
+        let (mut item_of, mut in_place): (Vec<Option<usize>>, _) = (vec![None; n], vec![None; n]);
+        for (k, step) in steps.iter().enumerate() {
+            let mut over = None;
+            if let Step::Local { op, inputs, output, .. } = step {
+                if *op == LocalOp::Attention && cfg.position == PositionKind::Rope {
+                    for &r in &inputs[..2] {
+                        scratch_items.push((k, items.len()));
+                        items.push((k, k, size(tensor(r))));
+                    }
+                }
+                let dies_here = |r: &Operand| {
+                    matches!(*r, Operand::Step(j) if last_read[j] == k)
+                        && inputs.iter().filter(|&o| o == r).count() == 1
+                        && size(tensor(*r)) == size(output)
+                };
+                if matches!(op, LocalOp::SwiGlu | LocalOp::Add) && k + 1 != split {
+                    in_place[k] = inputs.iter().position(dies_here);
+                }
+                if let Some(Operand::Step(j)) = in_place[k].map(|i| inputs[i]) {
+                    over = item_of[j];
+                }
+            }
+            if parts[k] || k + 1 == split {
+                continue;
+            }
+            let it = over.unwrap_or_else(|| {
+                items.push((k, k, 0));
+                items.len() - 1
+            });
+            items[it].1 = last_read[k];
+            items[it].2 = items[it].2.max(size(step.output()));
+            item_of[k] = Some(it);
+        }
+        // Largest first, each item takes the first slot it overlaps nothing
+        // in, else a new one. The layer steps and the final steps keep to
+        // slots of their own, so the layers' buffers are freed before the
+        // final steps take theirs; the residual pair is reserved for the
+        // layers.
+        let mut sizes = vec![size(&s.boundary); 2];
+        let mut held: Vec<Vec<(usize, usize)>> = vec![vec![(0, split.saturating_sub(1))]; 2];
+        let mut order: Vec<usize> = (0..items.len()).collect();
+        order.sort_by_key(|&it| (std::cmp::Reverse(items[it].2), items[it].0));
+        let mut slot_of = vec![0; items.len()];
+        for it in order {
+            let (first, last, size) = items[it];
+            let free = |iv: &Vec<(usize, usize)>| {
+                iv.iter().all(|&(a, b)| (last < a || b < first) && (a < split) == (first < split))
+            };
+            let slot = (2..held.len()).find(|&s| free(&held[s])).unwrap_or_else(|| {
+                sizes.push(size);
+                held.push(Vec::new());
+                held.len() - 1
+            });
+            held[slot].push((first, last));
+            slot_of[it] = slot;
+        }
+        let value = item_of.iter().map(|it| it.map(|it| slot_of[it])).collect();
+        let mut scratch = vec![Vec::new(); n];
+        for &(k, it) in &scratch_items {
+            scratch[k].push(slot_of[it]);
+        }
+        // A value dies at its last reader; a layer's output lives on as the
+        // residual stream, and the logits as the pass's result.
+        let mut dies = vec![Vec::new(); n];
+        for j in (0..n).filter(|&j| j + 1 != split && j + 1 != n) {
+            dies[last_read[j]].push(j);
+        }
+        // A slot's buffer is freed after its items' last step. Over a pass,
+        // a lane holds it from its first use until then in the last layer (a
+        // layer slot) or the final steps; slot 0 holds the residual stream on
+        // through the final steps. The peak falls where a buffer is taken.
+        let (mut frees, mut spans) = (vec![Vec::new(); n], Vec::new());
+        let shift = cfg.n_layers.saturating_sub(1) * split;
+        for (slot, iv) in held.iter().enumerate() {
+            let (a, b) = (iv.iter().map(|v| v.0).min().unwrap_or(0), iv.iter().map(|v| v.1).max().unwrap_or(0));
+            frees[b].push(slot);
+            spans.push((if a < split { a } else { shift + a }, shift + if slot == 0 { n - 1 } else { b }, sizes[slot]));
+        }
+        let held_at = |t: usize| spans.iter().filter(|&&(a, b, _)| a <= t && t <= b).map(|v| v.2).sum();
+        let peak = spans.iter().map(|v| held_at(v.0)).max().unwrap_or(0);
+        BufferPlan { parts, in_place, value, scratch, resid: [0, 1], sizes, dies, frees, peak }
+    }
+
+    /// The most slot elements one chip's lane holds at once over a pass at
+    /// the schedule's own batch and length.
+    #[must_use]
+    pub fn peak_elements(&self) -> usize {
+        self.peak
     }
 }
 

@@ -13,9 +13,9 @@
 //!   op, or wire-format mismatch, no deadlock);
 //! * [`memfit`] — sums the weight shards and KV rows the verified schedule
 //!   cuts per chip (or the page pool the shipped scheduler's ledger charges
-//!   for a request set), plus an activation allowance, against the esti-hal
-//!   HBM capacity, reporting margins and weight-gathered working-set
-//!   warnings;
+//!   for a request set), plus the peak of the schedule's buffer plan (the
+//!   slots the engine's lanes hold), against the esti-hal HBM capacity,
+//!   reporting margins and weight-gathered working-set warnings;
 //! * [`liveness`] — injects every single crash/stall fault into the
 //!   per-chip programs and explores the barrier/deadline/cancel protocol
 //!   ([`esti_collectives::ProtocolModel`]) to prove every surviving rank

@@ -12,8 +12,8 @@
 //!   every layer: over `context` positions per row in [`check_memory_fit`],
 //!   or over the page pool the shipped [`Scheduler`] and its [`PageLedger`]
 //!   charge for a request set in [`check_memory_fit_paged`];
-//! * **activations** — an allowance of four live `[batch, d_model]` bf16
-//!   buffers.
+//! * **activations** — the peak of the schedule's [`BufferPlan`], the
+//!   slots each chip's lane holds at once in the engine, in bf16.
 //!
 //! A configuration whose residents overflow HBM is a hard failure; a
 //! weight-gathered layout whose *transient* working set — the outputs of
@@ -21,7 +21,7 @@
 //! overflows (Section 3.5) is reported as a warning, since the runtime can
 //! trade it off by gathering in chunks.
 
-use esti_core::schedule::{LocalOp, Operand, Role, Schedule, Step, SymOp, SymTensor};
+use esti_core::schedule::{BufferPlan, Operand, Role, Schedule, Step, SymOp, SymTensor};
 use esti_core::scheduler::{Decision, Job, PageLedger, Scheduler};
 use esti_core::serving::OverloadPolicy;
 use esti_core::Machine;
@@ -101,7 +101,7 @@ pub fn check_memory_fit(
 /// reservations per job), at the chip's heads. A chip whose K input is cut
 /// by batch holds the pool of its share of the jobs, split in order over
 /// the batch's parts; the busiest share is charged. `schedule` is built at
-/// the fleet's batch, which sizes the activation allowance.
+/// the fleet's batch, which sizes the activations.
 ///
 /// # Panics
 ///
@@ -130,14 +130,9 @@ pub fn check_memory_fit_paged(
 /// width, parts)` — the batch rows it holds, the `heads × d_head` elements
 /// of each row, and the number of parts the batch is cut into.
 fn kv_cut(s: &Schedule) -> (usize, usize, usize) {
-    let attends = |st: &Step| match st {
-        Step::Local { op: LocalOp::Attention, inputs, .. } => s.tensor(inputs[1]).ok(),
-        _ => None,
-    };
-    let k = s.layer.iter().find_map(attends).expect("a layer attends");
+    let k = s.kv_input();
     let local = k.local_shape(s.torus).expect("a verified schedule divides");
-    let dim = |name| k.dim_index(name).expect("the K input has batch and position dims");
-    let (b, l) = (dim('B'), dim('L'));
+    let [b, l] = ['B', 'L'].map(|name| k.dim_index(name).expect("the K input has batch and position dims"));
     let width = local.iter().enumerate().filter(|&(i, _)| i != b && i != l).map(|(_, n)| n).product();
     (local[b], width, s.torus.group_size(k.spec.dims()[b].axes))
 }
@@ -155,9 +150,8 @@ fn pool_pages(page_size: usize, jobs: &[Job<'_>]) -> usize {
     core.pages().map_or(0, PageLedger::used)
 }
 
-/// Sums the schedule's weight shard, `kv_bytes` and the activation
-/// allowance against usable HBM, with the weight-gathered working-set
-/// warning.
+/// Sums the schedule's weight shard, `kv_bytes` and its buffer plan's peak
+/// against usable HBM, with the weight-gathered working-set warning.
 fn report(
     machine: &Machine,
     model: &ModelConfig,
@@ -171,7 +165,7 @@ fn report(
     let layers = |role| if role == Role::EmbedT { 1 } else { model.n_layers };
     let weight_elements: usize = s.weights.iter().map(|(role, w)| local(w) * layers(*role)).sum();
     let weight_bytes = weight_elements as f64 * weight_dtype.bytes_f();
-    let act_bytes = 4.0 * s.batch as f64 * model.d_model as f64 * 2.0;
+    let act_bytes = BufferPlan::new(s, model).peak_elements() as f64 * 2.0;
     let capacity = machine.chip.hbm_capacity * USABLE_HBM_FRACTION;
     let resident = weight_bytes + kv_bytes + act_bytes;
     // A weight-gathered layer's working set: every weight all-gather's
