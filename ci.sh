@@ -11,10 +11,18 @@ echo "== tests =="
 cargo test -q --workspace
 
 echo "== kernel conformance: SIMD and worker-pool paths bit-identical to the scalar oracles =="
-# Runs the GEMM conformance suite twice: once with the AVX2 SIMD tier
-# active (the default) and once with ESTI_DISABLE_SIMD forcing the scalar
-# blocked fallback, so both dispatch tiers are proven against the naive
-# oracle on every CI run.
+# Runs the GEMM conformance suite twice: once with the AVX2 int8 tier
+# active (the default) and once with ESTI_DISABLE_SIMD forcing the blocked
+# int8 fallback, so both int8 tiers are proven against the scalar oracle on
+# every CI run. ESTI_DISABLE_SIMD switches only the int8 tier: f32 has one
+# shipped tier (the blocked tile, autovectorised), checked against the
+# naive oracle under both settings. The explicit AVX2 f32 kernels, the
+# int8 copies of the f32 tiles, the second SIMD switch and the GEMM entry
+# points nothing called stay gone.
+if grep -rnE "fn mm_f32|f32_tile|set_simd_enabled|qmm_tile_full|qmm_tile_edge|fn (batched_matmul|quantized_matmul|matmul3|concat_cols|matmul_acc_rows)\b" crates src tests examples; then
+  echo "FAIL: a second f32 GEMM tier, an int8 copy of the f32 tile or an uncalled GEMM entry point is back" >&2
+  exit 1
+fi
 cargo test -q --release -p esti-tensor --test kernels
 ESTI_DISABLE_SIMD=1 cargo test -q --release -p esti-tensor --test kernels
 # The fused attention kernel against the unfused matmul/softmax composition,
@@ -172,10 +180,12 @@ echo "== one memory model: memfit charges the schedule's shards and the shipped 
 # The activations are the peak of esti-core's BufferPlan, the one plan the
 # engine runs: memfit's 4 x batch x d_model allowance and a BufferPlan
 # defined outside esti-core stay gone (buffer_plan checks act_bytes against
-# the plan's peak on every schedule esti-lint passes).
+# the plan's peak on every schedule esti-lint passes). MemReport carries no
+# page count of its own: the tests read a chip's pages off its KV bytes.
 if grep -rnE "paged_pool_parts|paged_pool_pages|PagedRequest|weight_bytes_per_chip|kv_bytes_per_chip" crates/verify/src \
   || grep -rn "fn wg_fits_in_memory" crates \
   || grep -n "4.0 \* s.batch" crates/verify/src/memfit.rs \
+  || grep -n "kv_pages" crates/verify/src/memfit.rs \
   || grep -rn --include='*.rs' "struct BufferPlan" crates src tests examples | grep -v "^crates/core/"; then
   echo "FAIL: memfit charges a formula or a page model of its own beside the schedule, the ledger and the buffer plan" >&2
   exit 1

@@ -9,11 +9,13 @@
 //! quantization ([`quant`], Section 3.6), bf16 storage emulation ([`bf16`]),
 //! and the top-k/top-p decode samplers of Section 3.5 ([`sample`]).
 //!
-//! Everything is dependency-light and portable. The GEMM core dispatches
-//! to explicit AVX2 SIMD kernels with runtime feature detection (scalar
-//! tiers remain as bitwise oracles — see [`ops::set_matmul_kernel`]) and
-//! can split output rows across a deterministic per-chip worker pool
-//! ([`pool`]); both paths are bit-identical to the serial scalar kernels.
+//! Everything is dependency-light and portable. The f32 GEMM core is one
+//! blocked register tile that autovectorises under `target-cpu=native`;
+//! int8 products run an explicit AVX2 kernel with runtime feature detection
+//! or that same tile over a widened panel (scalar kernels remain as bitwise
+//! oracles — see [`ops::set_matmul_kernel`]). Either can split output rows
+//! across a deterministic per-chip worker pool ([`pool`]); every path is
+//! bit-identical to the serial scalar kernels.
 //!
 //! # Examples
 //!

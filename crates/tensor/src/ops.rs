@@ -4,31 +4,42 @@
 //! paper: a log-base-2 softmax ([`softmax_base2`]) and log-base-2 swish
 //! ([`swish_base2`]) that replace `exp` with the cheaper `exp2`, exploiting
 //! `e^x = 2^(x·log2 e)`.
+//!
+//! The f32 GEMM has one shipped tier: an `MR × NR` register tile in safe
+//! Rust that autovectorises under `target-cpu=native`. Bands of fewer than
+//! `STREAM_BELOW` (8) rows (a decode step) and the `m % MR` rows left over
+//! go to `mm_stream`, which reads each weight row once, front to back. The
+//! int8 GEMM in [`crate::quant`] runs the same tile over a widened panel.
+//! [`matmul_naive`] is the oracle.
 
 use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::OnceLock;
 
 use crate::Tensor;
 
-/// Which inner matmul kernel [`matmul`] dispatches to.
+/// Which inner kernel the GEMM entry points dispatch to.
 ///
-/// `Simd` is the default and resolves at dispatch time: the AVX2 kernels
-/// run when the host supports them and SIMD has not been disabled
-/// ([`set_simd_enabled`] / `ESTI_DISABLE_SIMD=1`), otherwise execution
-/// falls back to the blocked tier. The blocked and naive kernels are kept
-/// as the bitwise oracles and so benchmarks can measure the older tiers
-/// in the same binary. Every tier accumulates every output element by one
-/// serial chain of mul-then-add steps in strictly ascending `k` order, so
-/// for inputs without exact zeros all three produce bit-identical results
-/// (the naive tier's `av == 0.0` skip is the only divergence, and only on
-/// exact-zero activations).
+/// f32 has one shipped tier, the blocked register tile (autovectorised
+/// under `target-cpu=native`), which `Simd` and `Blocked` both run, and one
+/// oracle, `Naive`. The setting tells the two apart only for int8
+/// products ([`crate::QuantizedMatrix`]): `Simd`, the default, runs the
+/// explicit AVX2 int8 kernel when the host supports it and
+/// `ESTI_DISABLE_SIMD` is unset, and the blocked tier otherwise. Every tier
+/// accumulates every output element by one serial chain of mul-then-add
+/// steps in strictly ascending `k` order, so for inputs without exact zeros
+/// all of them produce bit-identical results (the f32 naive tier's
+/// `av == 0.0` skip is the only divergence, and only on exact-zero
+/// activations).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MatmulKernel {
-    /// Explicit AVX2 SIMD kernel with runtime feature detection; falls
-    /// back to `Blocked` on hosts without AVX2.
+    /// The shipped setting: the blocked f32 tile, and the explicit AVX2
+    /// int8 kernel with runtime feature detection (falling back to
+    /// `Blocked` on hosts without AVX2).
     Simd,
-    /// Cache-blocked, 4×-unrolled scalar kernel (the bitwise oracle).
+    /// The blocked register tile for both dtypes (the int8 oracle the AVX2
+    /// kernel is checked against).
     Blocked,
-    /// Scalar i-k-j kernel with the historical `av == 0.0` skip.
+    /// Scalar i-k-j kernels (f32 with the historical `av == 0.0` skip).
     Naive,
 }
 
@@ -40,7 +51,7 @@ static MATMUL_KERNEL: AtomicU8 = AtomicU8::new(0);
 #[cfg(test)]
 pub(crate) static KNOB_TEST_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
-/// Selects the kernel used by [`matmul`] / [`batched_matmul`] process-wide.
+/// Selects the kernel the GEMM entry points use, process-wide.
 /// All kernels are correct; this is a benchmarking and oracle escape hatch.
 pub fn set_matmul_kernel(kernel: MatmulKernel) {
     let v = match kernel {
@@ -61,32 +72,16 @@ pub fn matmul_kernel() -> MatmulKernel {
     }
 }
 
-/// SIMD enablement: 0 = undecided (consult `ESTI_DISABLE_SIMD` once),
-/// 1 = enabled, 2 = disabled.
-static SIMD_STATE: AtomicU8 = AtomicU8::new(0);
-
+/// True unless `ESTI_DISABLE_SIMD` is set (to anything but `0`), read once.
 fn simd_enabled() -> bool {
-    match SIMD_STATE.load(Ordering::Relaxed) {
-        1 => true,
-        2 => false,
-        _ => {
-            let off = std::env::var_os("ESTI_DISABLE_SIMD").is_some_and(|v| !v.is_empty() && v != "0");
-            SIMD_STATE.store(if off { 2 } else { 1 }, Ordering::Relaxed);
-            !off
-        }
-    }
+    static ON: OnceLock<bool> = OnceLock::new();
+    *ON.get_or_init(|| {
+        !std::env::var_os("ESTI_DISABLE_SIMD").is_some_and(|v| !v.is_empty() && v != "0")
+    })
 }
 
-/// Enables or disables the AVX2 SIMD tier process-wide, overriding the
-/// `ESTI_DISABLE_SIMD` environment default. With SIMD disabled the `Simd`
-/// knob setting resolves to the blocked tier — the forced-scalar fallback
-/// non-AVX2 hosts take automatically.
-pub fn set_simd_enabled(on: bool) {
-    SIMD_STATE.store(if on { 1 } else { 2 }, Ordering::Relaxed);
-}
-
-/// True when the GEMM entry points will actually run the AVX2 kernels:
-/// the `Simd` tier is selected, SIMD is not disabled, and the host
+/// True when the int8 GEMM entry points will actually run the AVX2 kernel:
+/// the `Simd` tier is selected, `ESTI_DISABLE_SIMD` is unset, and the host
 /// supports AVX2.
 #[must_use]
 pub fn simd_active() -> bool {
@@ -95,11 +90,9 @@ pub fn simd_active() -> bool {
 
 /// Column width of one register tile: `MR` accumulator rows of `NR` floats
 /// stay resident in vector registers across the entire `k` loop.
-const NR: usize = 32;
+pub(crate) const NR: usize = 32;
 /// Row count of one register tile: independent accumulator chains per lane.
-/// The SIMD tier tiles the same number of rows, so one rule in
-/// [`mm_dispatch`] decides which rows fill a tile under either tier.
-const MR: usize = crate::simd::MR;
+pub(crate) const MR: usize = 4;
 
 /// Full-tile microkernel: `out[i..i+MR, j..j+NR] += a[i..i+MR, :] × b[:, j..j+NR]`.
 /// All loop bounds are compile-time constants so the accumulator tile is
@@ -107,7 +100,7 @@ const MR: usize = crate::simd::MR;
 /// slice and `MR` scalars of `a`.
 #[allow(clippy::too_many_arguments)]
 #[inline]
-fn mm_tile_full(
+pub(crate) fn mm_tile_full(
     ad: &[f32],
     a_stride: usize,
     bd: &[f32],
@@ -154,7 +147,7 @@ const STREAM_BELOW: usize = 2 * MR;
 /// Edge-tile microkernel for the `n % NR` column remainder: identical
 /// accumulation order to [`mm_tile_full`], with a runtime tile width.
 #[allow(clippy::too_many_arguments)]
-fn mm_tile_edge(
+pub(crate) fn mm_tile_edge(
     ad: &[f32],
     a_stride: usize,
     bd: &[f32],
@@ -232,7 +225,7 @@ fn mm_kernel(
 /// chain exactly — `out += a[k]·b[k][j]`, one separate multiply and add per
 /// ascending `k` — so the bits are theirs.
 #[allow(clippy::too_many_arguments)]
-fn mm_stream(
+pub(crate) fn mm_stream(
     ad: &[f32],
     a_stride: usize,
     bd: &[f32],
@@ -259,12 +252,10 @@ fn mm_stream(
 /// ([`crate::pool::with_worker_pool`]), splits the `m` output rows into
 /// disjoint bands — one per worker. A band of fewer than [`STREAM_BELOW`]
 /// rows (the decode regime) goes to [`mm_stream`] whole; otherwise its whole
-/// `MR`-row tiles go to the register kernel the process-wide knob resolves
-/// to (AVX2 SIMD when active, blocked scalar otherwise) and only the
-/// `rows % MR` left over stream. Kernel tier, row split and banding are all
-/// bit-identity preserving: every output element is one ascending-`k`
-/// mul+add chain computed by exactly one worker, so any knob/worker-count
-/// combination produces identical bits.
+/// `MR`-row tiles go to the register kernel and only the `rows % MR` left
+/// over stream. Row split and banding are both bit-identity preserving:
+/// every output element is one ascending-`k` mul+add chain computed by
+/// exactly one worker, so any worker count produces identical bits.
 #[allow(clippy::too_many_arguments)]
 fn mm_dispatch(
     ad: &[f32],
@@ -277,16 +268,11 @@ fn mm_dispatch(
     k: usize,
     n: usize,
 ) {
-    let simd = simd_active();
     crate::pool::partition_rows(m, k, n, out, o_stride, |r0, rows, band| {
         let a = &ad[r0 * a_stride..];
         let tiled = if rows < STREAM_BELOW { 0 } else { rows / MR * MR };
         if tiled > 0 {
-            if simd {
-                crate::simd::mm_f32(a, a_stride, bd, b_stride, band, o_stride, tiled, k, n);
-            } else {
-                mm_kernel(a, a_stride, bd, b_stride, band, o_stride, tiled, k, n);
-            }
+            mm_kernel(a, a_stride, bd, b_stride, band, o_stride, tiled, k, n);
         }
         if tiled < rows {
             let (a, band) = (&a[tiled * a_stride..], &mut band[tiled * o_stride..]);
@@ -314,10 +300,8 @@ fn mm_naive_kernel(ad: &[f32], bd: &[f32], out: &mut [f32], m: usize, k: usize, 
 
 /// Matrix product of rank-2 tensors: `[m, k] × [k, n] → [m, n]`.
 ///
-/// Dispatches to the AVX2 SIMD kernel when active, falling back to the
-/// cache-blocked scalar kernel (see [`set_matmul_kernel`] and
-/// [`set_simd_enabled`] for the escape hatches back to the oracles).
-/// Every output element is accumulated in strictly ascending `k` order, so
+/// Runs the blocked register tile (see [`set_matmul_kernel`] for the
+/// escape hatch back to the naive oracle). Every output element is accumulated in strictly ascending `k` order, so
 /// splitting the contraction into chunks and accumulating the chunks in
 /// order reproduces the monolithic result bit-for-bit.
 ///
@@ -391,22 +375,6 @@ pub fn matmul_naive(a: &Tensor, b: &Tensor) -> Tensor {
     Tensor::from_vec(vec![m, n], out)
 }
 
-/// Accumulates `out += a × b[r0..r0+a.dim(1), :]` — a contraction-chunk
-/// update against a row range of `b`, used to stream all-gathered chunks
-/// through an einsum. Accumulation stays in ascending `k` order within the
-/// chunk, so chunk-by-chunk accumulation over an ascending range equals a
-/// single matmul over the whole range bit-for-bit.
-///
-/// # Panics
-///
-/// Panics on rank/shape mismatch or if the row range exceeds `b`.
-pub fn matmul_acc_rows(a: &Tensor, b: &Tensor, r0: usize, out: &mut Tensor) {
-    assert_eq!(a.rank(), 2, "matmul_acc_rows lhs must be rank-2");
-    assert_eq!(out.rank(), 2, "matmul_acc_rows out must be rank-2");
-    assert_eq!(out.dim(0), a.dim(0), "matmul_acc_rows output shape mismatch");
-    matmul_acc_window(a, 0..a.dim(0), 0, b, r0, a.dim(1), out.data_mut());
-}
-
 /// Accumulates `out += a[rows, c0..c0+kc] × b[r0..r0+kc, :]`: one source
 /// rank's contraction chunk over a block of `a`'s rows (its leading dims
 /// flattened), its window of columns read in place at row stride `a`'s
@@ -426,13 +394,13 @@ pub fn matmul_acc_window(
     kc: usize,
     out: &mut [f32],
 ) {
-    assert_eq!(b.rank(), 2, "matmul_acc_rows rhs must be rank-2");
+    assert_eq!(b.rank(), 2, "matmul_acc_window rhs must be rank-2");
     let (m, k) = rows_of(a);
     let n = b.dim(1);
     assert!(rows.start <= rows.end && rows.end <= m, "row block {rows:?} exceeds {m}");
     assert!(c0 + kc <= k, "column window {c0}+{kc} exceeds {k}");
     assert!(r0 + kc <= b.dim(0), "row range {r0}+{kc} exceeds {}", b.dim(0));
-    assert_eq!(out.len(), rows.len() * n, "matmul_acc_rows output shape mismatch");
+    assert_eq!(out.len(), rows.len() * n, "matmul_acc_window output shape mismatch");
     if rows.is_empty() {
         return;
     }
@@ -484,39 +452,6 @@ pub fn add_assign(out: &mut Tensor, src: &Tensor) {
     for (o, s) in out.data_mut().iter_mut().zip(src.data()) {
         *o += s;
     }
-}
-
-/// Batched matrix product: `[b, m, k] × [b, k, n] → [b, m, n]`.
-///
-/// Writes every batch element directly into one preallocated output buffer
-/// — no per-batch slice/reshape/concat allocations on the attention hot
-/// path.
-///
-/// # Panics
-///
-/// Panics if inputs are not rank 3 or batch/inner dimensions disagree.
-#[must_use]
-pub fn batched_matmul(a: &Tensor, b: &Tensor) -> Tensor {
-    assert_eq!(a.rank(), 3, "batched_matmul lhs must be rank-3");
-    assert_eq!(b.rank(), 3, "batched_matmul rhs must be rank-3");
-    assert_eq!(a.dim(0), b.dim(0), "batch dimension mismatch");
-    let (batch, m, k) = (a.dim(0), a.dim(1), a.dim(2));
-    let (k2, n) = (b.dim(1), b.dim(2));
-    assert_eq!(k, k2, "batched_matmul inner dimension mismatch: {k} vs {k2}");
-    let mut out = vec![0.0f32; batch * m * n];
-    let (ad, bd) = (a.data(), b.data());
-    let naive = matmul_kernel() == MatmulKernel::Naive;
-    for i in 0..batch {
-        let a_i = &ad[i * m * k..(i + 1) * m * k];
-        let b_i = &bd[i * k * n..(i + 1) * k * n];
-        let o_i = &mut out[i * m * n..(i + 1) * m * n];
-        if naive {
-            mm_naive_kernel(a_i, b_i, o_i, m, k, n);
-        } else {
-            mm_dispatch(a_i, k, b_i, n, o_i, n, m, k, n);
-        }
-    }
-    Tensor::from_vec(vec![batch, m, n], out)
 }
 
 /// Numerically-stable softmax along the last dimension.
@@ -787,21 +722,6 @@ mod tests {
     }
 
     #[test]
-    fn batched_matmul_matches_loop() {
-        let mut rng = StdRng::seed_from_u64(2);
-        let a = Tensor::randn(&mut rng, vec![3, 2, 4], 1.0);
-        let b = Tensor::randn(&mut rng, vec![3, 4, 5], 1.0);
-        let c = batched_matmul(&a, &b);
-        assert_eq!(c.shape(), &[3, 2, 5]);
-        for i in 0..3 {
-            let ai = a.slice(0, i, 1).into_reshape(vec![2, 4]);
-            let bi = b.slice(0, i, 1).into_reshape(vec![4, 5]);
-            let ci = c.slice(0, i, 1).into_reshape(vec![2, 5]);
-            assert!(matmul(&ai, &bi).approx_eq(&ci, 1e-6));
-        }
-    }
-
-    #[test]
     fn add_assign_is_bit_identical_to_the_allocating_add() {
         let mut rng = StdRng::seed_from_u64(7);
         let a = Tensor::randn(&mut rng, vec![3, 4], 1.0);
@@ -1027,7 +947,7 @@ mod tests {
     }
 
     #[test]
-    fn matmul_acc_rows_chunked_contraction_is_bitwise_exact() {
+    fn matmul_acc_window_chunked_contraction_is_bitwise_exact() {
         // Accumulating ascending k-chunks must reproduce the monolithic
         // product bit-for-bit — the invariant the looped collectives use.
         let mut rng = StdRng::seed_from_u64(13);
@@ -1039,7 +959,7 @@ mod tests {
             let mut k0 = 0;
             while k0 < 12 {
                 let kc = chunk.min(12 - k0);
-                matmul_acc_rows(&a.slice(1, k0, kc), &b, k0, &mut acc);
+                matmul_acc_window(&a, 0..5, k0, &b, k0, kc, acc.data_mut());
                 k0 += kc;
             }
             assert_eq!(acc.max_abs_diff(&full), 0.0, "chunk {chunk}");
@@ -1071,15 +991,12 @@ mod tests {
     }
 
     #[test]
-    fn simd_toggle_forces_the_blocked_fallback() {
+    fn blocked_knob_forces_the_blocked_fallback() {
         let _guard = KNOB_TEST_LOCK.lock().unwrap();
-        let initial = simd_enabled();
-        set_simd_enabled(false);
-        assert!(!simd_active(), "disabled SIMD must not be active");
-        set_simd_enabled(true);
-        assert_eq!(simd_active(), crate::simd::supported());
-        // Restore the ESTI_DISABLE_SIMD-derived state for later tests.
-        set_simd_enabled(initial);
+        set_matmul_kernel(MatmulKernel::Blocked);
+        assert!(!simd_active(), "the Blocked setting must not run the AVX2 tier");
+        set_matmul_kernel(MatmulKernel::Simd);
+        assert_eq!(simd_active(), simd_enabled() && crate::simd::supported());
     }
 
     proptest! {

@@ -6,14 +6,14 @@
 //! while matmul arithmetic stays in floating point, matching "the matmuls
 //! still use bfloat16 arithmetic" (Section 4.4).
 //!
-//! The GEMM family here mirrors the f32 kernels in [`crate::ops`]: an
-//! AVX2 SIMD tier that widens int8 panels with vector converts and folds
-//! the per-column scale once at tile store, a register-tiled blocked core
-//! with f32 accumulators (int8 values widened to f32 one rhs panel at a
-//! time), a scalar oracle kernel — all selectable through the same
-//! [`crate::ops::set_matmul_kernel`] knob — and chunk-safe
-//! `matmul_acc_rows` / `matmul_into_cols` variants so quantized weights
-//! compose with the streamed weight-gather paths.
+//! The GEMM family here has three tiers behind the
+//! [`crate::ops::set_matmul_kernel`] knob: an AVX2 SIMD kernel that widens
+//! int8 panels with vector converts and folds the per-column scale once at
+//! tile store (`Simd`, the default), the blocked core — each int8 column
+//! block widened to an f32 panel once, then run through `ops`' own f32
+//! register tile — and a scalar oracle kernel. The chunk-safe
+//! [`QuantizedMatrix::matmul_acc_window`] / `matmul_into_cols` variants let
+//! quantized weights compose with the streamed weight-gather paths.
 //! Every kernel accumulates each output element by one serial chain of adds
 //! in strictly ascending `k` order, and the per-column scale is applied
 //! exactly once after the full contraction (folding it at tile store over a
@@ -22,7 +22,7 @@
 //! output rows across chip workers reproduces the monolithic result
 //! bit-for-bit.
 
-use crate::ops::{matmul_kernel, MatmulKernel};
+use crate::ops::{matmul_kernel, mm_stream, mm_tile_edge, mm_tile_full, MatmulKernel, MR, NR};
 use crate::Tensor;
 
 /// A rank-2 weight matrix stored as int8 with per-column scales.
@@ -47,95 +47,14 @@ pub struct QuantizedMatrix {
     scales: Vec<f32>,
 }
 
-/// Column width of one register tile (matches the f32 kernel in `ops`).
-const NR: usize = 32;
-/// Accumulator rows per register tile.
-const MR: usize = 4;
-
-/// Full-tile int8 microkernel over a pre-widened rhs panel:
-/// `out[i..i+MR, j..j+NR] += a[i..i+MR, :] × panel`, where `panel` holds the
-/// int8 block `v[:, j..j+NR]` already widened to f32 (row `kk` at
-/// `panel[kk*NR..]`). Unscaled — callers apply the per-column scale once
-/// after the full contraction. Accumulation order is identical to the f32
-/// tile: one serial chain of adds per output element, strictly ascending `k`.
-#[allow(clippy::too_many_arguments)]
-#[inline]
-fn qmm_tile_full(
-    ad: &[f32],
-    a_stride: usize,
-    panel: &[f32],
-    out: &mut [f32],
-    o_stride: usize,
-    i: usize,
-    j: usize,
-    k: usize,
-) {
-    let mut acc = [[0.0f32; NR]; MR];
-    for (r, row) in acc.iter_mut().enumerate() {
-        let o0 = (i + r) * o_stride + j;
-        row.copy_from_slice(&out[o0..o0 + NR]);
-    }
-    for kk in 0..k {
-        // Vetted: `[..NR]` fixes the slice length to NR before the
-        // conversion; the dequant panel is packed in NR-wide rows.
-        #[allow(clippy::expect_used)]
-        let brow: &[f32; NR] = panel[kk * NR..][..NR].try_into().expect("NR panel row");
-        for (r, row) in acc.iter_mut().enumerate() {
-            let av = ad[(i + r) * a_stride + kk];
-            for (x, &bv) in row.iter_mut().zip(brow) {
-                *x += av * bv;
-            }
-        }
-    }
-    for (r, row) in acc.iter().enumerate() {
-        let o0 = (i + r) * o_stride + j;
-        out[o0..o0 + NR].copy_from_slice(row);
-    }
-}
-
-/// Edge-tile int8 microkernel for the `m % MR` / `n % NR` remainders:
-/// identical accumulation order to [`qmm_tile_full`] with runtime bounds
-/// (panel row `kk` at `panel[kk*nr..]`).
-#[allow(clippy::too_many_arguments)]
-fn qmm_tile_edge(
-    ad: &[f32],
-    a_stride: usize,
-    panel: &[f32],
-    out: &mut [f32],
-    o_stride: usize,
-    i: usize,
-    j: usize,
-    k: usize,
-    mr: usize,
-    nr: usize,
-) {
-    let mut acc = [[0.0f32; NR]; MR];
-    for (r, row) in acc.iter_mut().enumerate().take(mr) {
-        let o0 = (i + r) * o_stride + j;
-        row[..nr].copy_from_slice(&out[o0..o0 + nr]);
-    }
-    for kk in 0..k {
-        let brow = &panel[kk * nr..][..nr];
-        for (r, row) in acc.iter_mut().enumerate().take(mr) {
-            let av = ad[(i + r) * a_stride + kk];
-            for (x, &bv) in row[..nr].iter_mut().zip(brow) {
-                *x += av * bv;
-            }
-        }
-    }
-    for (r, row) in acc.iter().enumerate().take(mr) {
-        let o0 = (i + r) * o_stride + j;
-        out[o0..o0 + nr].copy_from_slice(&row[..nr]);
-    }
-}
-
 /// Register-tiled int8 GEMM core accumulating `out += a × values` (unscaled),
 /// with explicit strides so callers can address sub-blocks of larger
-/// matrices without copying — the int8 twin of `ops::mm_kernel`. Each
-/// `NR`-wide column block of the int8 rhs is widened to an f32 panel *once*
-/// and reused by every row tile, so the i8→f32 conversion costs `O(k·n)`
-/// instead of `O(m·k·n / MR)`; widening is pure precomputation, so the
-/// per-element accumulation chains are unchanged.
+/// matrices without copying. Each `NR`-wide column block of the int8 rhs is
+/// widened to an f32 panel *once*; `ops`' f32 tiles then run over it as a
+/// `b` operand of row stride `nr`, whole `MR`-row tiles first and the
+/// `m % MR` rows left over streamed. The i8→f32 conversion costs `O(k·n)`
+/// instead of `O(m·k·n / MR)`, and widening is exact precomputation, so
+/// every element is the f32 tiles' ascending-`k` chain over the int values.
 #[allow(clippy::too_many_arguments)]
 fn qmm_kernel(
     ad: &[f32],
@@ -159,17 +78,17 @@ fn qmm_kernel(
             }
         }
         let panel = &panel[..k * nr];
-        let mut i = 0;
-        if nr == NR {
-            while i + MR <= m {
-                qmm_tile_full(ad, a_stride, panel, out, o_stride, i, j, k);
-                i += MR;
+        let tiled = m / MR * MR;
+        for i in (0..tiled).step_by(MR) {
+            if nr == NR {
+                mm_tile_full(ad, a_stride, panel, nr, &mut out[j..], o_stride, i, 0, k);
+            } else {
+                mm_tile_edge(ad, a_stride, panel, nr, &mut out[j..], o_stride, i, 0, k, nr);
             }
         }
-        while i < m {
-            let mr = MR.min(m - i);
-            qmm_tile_edge(ad, a_stride, panel, out, o_stride, i, j, k, mr, nr);
-            i += mr;
+        if tiled < m {
+            let (a, o) = (&ad[tiled * a_stride..], &mut out[tiled * o_stride + j..]);
+            mm_stream(a, a_stride, panel, nr, o, o_stride, m - tiled, k, nr);
         }
         j += NR;
     }
@@ -212,7 +131,7 @@ fn qmm_scalar_kernel(
 /// store on the SIMD path, as a post-pass on the scalar paths; both require
 /// and assume a zeroed target, which every scaled entry point guarantees.
 /// `scales: None` leaves the accumulation unscaled (the
-/// [`QuantizedMatrix::matmul_acc_rows`] contraction-chunk protocol, paired
+/// [`QuantizedMatrix::matmul_acc_window`] contraction-chunk protocol, paired
 /// with one deferred [`QuantizedMatrix::apply_scales`]).
 #[allow(clippy::too_many_arguments)]
 fn qmm_dispatch(
@@ -371,22 +290,6 @@ impl QuantizedMatrix {
         );
     }
 
-    /// Rank-3 batched product: `x [b, l, rows] → [b, l, cols]`, contracting
-    /// the trailing dim against the matrix without reshape copies. The
-    /// batched form the runtime's `[batch, seq, features]` einsums use.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x` is not rank 3 or its trailing dimension mismatches.
-    #[must_use]
-    pub fn matmul3(&self, x: &Tensor) -> Tensor {
-        assert_eq!(x.rank(), 3, "matmul3 lhs must be rank-3");
-        assert_eq!(x.dim(2), self.rows, "matmul3 inner dimension mismatch");
-        let mut out = Tensor::zeros(vec![x.dim(0), x.dim(1), self.cols]);
-        self.scaled_into(x, &mut out);
-        out
-    }
-
     /// Writes the *scaled* product `x × self` into columns
     /// `[c0, c0 + cols)` of a wider output, in place — the fused
     /// scale-on-arrival step of the weight-gathered overlap loop. The target
@@ -416,29 +319,14 @@ impl QuantizedMatrix {
         );
     }
 
-    /// Accumulates the **unscaled** partial product of `x` against the row
-    /// block `self[r0..r0+x.cols, :]` into `out` — the contraction-dim
-    /// chunking primitive. Because every kernel accumulates in ascending `k`
-    /// order, running consecutive row chunks in order and then applying
-    /// [`Self::apply_scales`] once reproduces the monolithic
-    /// [`Self::matmul`] bit-for-bit.
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatch or if the row range exceeds `rows`.
-    pub fn matmul_acc_rows(&self, x: &Tensor, r0: usize, out: &mut Tensor) {
-        assert_eq!(x.rank(), 2, "matmul_acc_rows lhs must be rank-2");
-        assert_eq!(out.rank(), 2, "matmul_acc_rows output must be rank-2");
-        assert_eq!(out.dim(0), x.dim(0), "matmul_acc_rows output row mismatch");
-        assert_eq!(out.dim(1), self.cols, "matmul_acc_rows output col mismatch");
-        self.matmul_acc_window(x, 0..x.dim(0), 0, r0, x.dim(1), out.data_mut());
-    }
-
-    /// [`Self::matmul_acc_rows`] over a window of `x`: accumulates the
-    /// unscaled `x[rows, c0..c0+kc] × self[r0..r0+kc, :]` into `out`'s
-    /// `rows.len()` rows of `cols`, the block of `x`'s rows (its leading
-    /// dims flattened) and its window of columns read in place at row
-    /// stride `x`'s trailing dim.
+    /// Accumulates the **unscaled** partial product
+    /// `x[rows, c0..c0+kc] × self[r0..r0+kc, :]` into `out`'s `rows.len()`
+    /// rows of `cols` — the contraction-chunking primitive. The block of
+    /// `x`'s rows (its leading dims flattened) and its window of columns are
+    /// read in place at row stride `x`'s trailing dim. Because every kernel
+    /// accumulates in ascending `k` order, running consecutive row chunks in
+    /// order and then applying [`Self::apply_scales`] once reproduces the
+    /// monolithic [`Self::matmul`] bit-for-bit.
     ///
     /// # Panics
     ///
@@ -457,7 +345,7 @@ impl QuantizedMatrix {
         assert!(rows.start <= rows.end && rows.end <= m, "row block {rows:?} exceeds {m}");
         assert!(c0 + kc <= k, "column window {c0}+{kc} exceeds {k}");
         assert!(r0 + kc <= self.rows, "row range {r0}+{kc} exceeds {}", self.rows);
-        assert_eq!(out.len(), rows.len() * self.cols, "matmul_acc_rows output row mismatch");
+        assert_eq!(out.len(), rows.len() * self.cols, "matmul_acc_window output row mismatch");
         if rows.is_empty() {
             return;
         }
@@ -477,7 +365,7 @@ impl QuantizedMatrix {
 
     /// Multiplies each column `j` of a `[*, cols]` tensor by `scales[j]` in
     /// place — the single deferred scale application paired with the
-    /// unscaled [`Self::matmul_acc_rows`] accumulation.
+    /// unscaled [`Self::matmul_acc_window`] accumulation.
     ///
     /// # Panics
     ///
@@ -489,32 +377,6 @@ impl QuantizedMatrix {
                 *o *= s;
             }
         }
-    }
-
-    /// Concatenates column blocks (same row count) back into one matrix —
-    /// the inverse of slicing a column-sharded weight, values and scales
-    /// both exact.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `parts` is empty or row counts disagree.
-    #[must_use]
-    pub fn concat_cols(parts: &[&Self]) -> Self {
-        assert!(!parts.is_empty(), "concat_cols needs at least one part");
-        let rows = parts[0].rows;
-        assert!(parts.iter().all(|p| p.rows == rows), "concat_cols row mismatch");
-        let cols: usize = parts.iter().map(|p| p.cols).sum();
-        let mut values = Vec::with_capacity(rows * cols);
-        for i in 0..rows {
-            for p in parts {
-                values.extend_from_slice(&p.values[i * p.cols..(i + 1) * p.cols]);
-            }
-        }
-        let mut scales = Vec::with_capacity(cols);
-        for p in parts {
-            scales.extend_from_slice(&p.scales);
-        }
-        QuantizedMatrix { rows, cols, values, scales }
     }
 
     /// Bytes occupied by the quantized representation (int8 values plus
@@ -529,13 +391,6 @@ impl QuantizedMatrix {
     pub fn max_error(&self, col: usize) -> f32 {
         self.scales[col] * 0.5
     }
-}
-
-/// Quantizes, then immediately multiplies — convenience for tests comparing
-/// against the unquantized [`crate::ops::matmul`].
-#[must_use]
-pub fn quantized_matmul(x: &Tensor, w: &Tensor) -> Tensor {
-    QuantizedMatrix::quantize(w).matmul(x)
 }
 
 #[cfg(test)]
@@ -584,18 +439,6 @@ mod tests {
         let fused = q.matmul(&x);
         let explicit = ops::matmul(&x, &q.dequantize());
         assert!(fused.approx_eq(&explicit, 1e-4));
-    }
-
-    #[test]
-    fn quantized_matmul_close_to_fp() {
-        let mut rng = StdRng::seed_from_u64(13);
-        let w = Tensor::randn(&mut rng, vec![64, 32], 0.05);
-        let x = Tensor::randn(&mut rng, vec![2, 64], 1.0);
-        let exact = ops::matmul(&x, &w);
-        let quant = quantized_matmul(&x, &w);
-        // int8 noise on 64-term dot products of ~N(0, 0.05) weights.
-        let scale: f32 = exact.data().iter().map(|v| v.abs()).fold(0.0, f32::max);
-        assert!(quant.max_abs_diff(&exact) < 0.02 * scale.max(1.0));
     }
 
     #[test]
@@ -655,19 +498,6 @@ mod tests {
     }
 
     #[test]
-    fn matmul3_matches_flattened_matmul() {
-        let mut rng = StdRng::seed_from_u64(23);
-        let w = Tensor::randn(&mut rng, vec![17, 39], 0.6);
-        let x = Tensor::randn(&mut rng, vec![2, 3, 17], 1.0);
-        let q = QuantizedMatrix::quantize(&w);
-        let out3 = q.matmul3(&x);
-        let flat = x.reshape(vec![6, 17]);
-        let out2 = q.matmul(&flat);
-        assert_eq!(out3.shape(), &[2, 3, 39]);
-        assert_eq!(out3.data(), out2.data());
-    }
-
-    #[test]
     fn matmul_into_cols_assembles_full_product() {
         let mut rng = StdRng::seed_from_u64(25);
         let wa = Tensor::randn(&mut rng, vec![16, 33], 0.5);
@@ -682,7 +512,7 @@ mod tests {
     }
 
     #[test]
-    fn acc_rows_chunked_contraction_is_bitwise_exact() {
+    fn acc_window_chunked_contraction_is_bitwise_exact() {
         // Split the contraction dim at every chunking granularity; ascending
         // accumulation + one deferred scale must equal the monolithic path
         // bit-for-bit.
@@ -695,23 +525,11 @@ mod tests {
             let step = 48 / chunks;
             let mut acc = Tensor::zeros(vec![3, 37]);
             for c in 0..chunks {
-                q.matmul_acc_rows(&x.slice(1, c * step, step), c * step, &mut acc);
+                q.matmul_acc_window(&x, 0..3, c * step, c * step, step, acc.data_mut());
             }
             q.apply_scales(&mut acc);
             assert_eq!(acc.data(), mono.data(), "chunks={chunks}");
         }
-    }
-
-    #[test]
-    fn concat_cols_of_column_blocks_is_the_whole_matrix() {
-        // Scales are per column, so quantizing column blocks apart and
-        // concatenating equals quantizing the whole matrix.
-        let mut rng = StdRng::seed_from_u64(27);
-        let w = Tensor::randn(&mut rng, vec![10, 12], 1.0);
-        let (ca, cb) = (w.slice(1, 0, 5), w.slice(1, 5, 7));
-        let parts = [QuantizedMatrix::quantize(&ca), QuantizedMatrix::quantize(&cb)];
-        let back = QuantizedMatrix::concat_cols(&[&parts[0], &parts[1]]);
-        assert_eq!(back, QuantizedMatrix::quantize(&w));
     }
 
     proptest! {

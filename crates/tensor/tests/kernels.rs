@@ -1,7 +1,10 @@
-//! Kernel-core conformance: the AVX2 SIMD tier and the banded worker-pool
-//! execution must be **bit-identical** to the serial scalar oracle for
-//! every GEMM entry point, at every shape — including shapes that exercise
-//! the m/n/k remainder paths (NR = 16 column lanes, MR = 4 row tiles).
+//! Kernel-core conformance: the shipped f32 tier (the blocked register
+//! tile plus the streamed small-`m` schedule), the AVX2 int8 tier, the
+//! blocked int8 tier and the banded worker-pool execution must be
+//! **bit-identical** to the serial scalar oracles for every GEMM entry
+//! point, at every shape — including shapes that exercise the m/n/k
+//! remainder paths (NR = 32 f32 and 16 AVX2 int8 column lanes, MR = 4 row
+//! tiles).
 //!
 //! Bit-identity is the contract that keeps `set_matmul_kernel` a pure
 //! performance knob: every element is one serial mul-then-add chain in
@@ -49,15 +52,16 @@ fn tensor(rows: usize, cols: usize, seed: u64) -> Tensor {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// `matmul` under the SIMD tier equals the naive oracle bitwise at
-    /// every shape, including m % MR, n % NR and odd-k remainders.
+    /// `matmul` under the default setting equals the naive oracle bitwise
+    /// at every shape, including m % MR, n % NR and odd-k remainders.
     #[test]
-    fn simd_matmul_equals_naive_oracle_bitwise(
-        // Spans below, at, and beyond one SIMD column block (NR = 16) and
-        // one row tile (MR = 4), so every remainder path is exercised.
+    fn matmul_equals_naive_oracle_bitwise(
+        // Spans below, at, and beyond one column block (NR = 32) and two
+        // row tiles (MR = 4; 8 rows start the tiles), so every remainder
+        // path is exercised.
         m in 1usize..14,
         k in 1usize..38,
-        n in 1usize..42,
+        n in 1usize..70,
         seed in 0u64..1000,
     ) {
         let _guard = knob_lock().lock().unwrap();
@@ -68,11 +72,10 @@ proptest! {
         prop_assert_eq!(got.data(), oracle.data());
     }
 
-    /// The chunked f32 entry point (`matmul_acc_rows` contraction chunks)
-    /// stays bitwise equal to the monolithic naive product under the SIMD
-    /// tier.
+    /// The chunked f32 entry point (`matmul_acc_window` contraction
+    /// chunks) stays bitwise equal to the monolithic naive product.
     #[test]
-    fn simd_chunked_f32_entry_points_match_monolithic(
+    fn chunked_f32_entry_points_match_monolithic(
         m in 1usize..14,
         k in 2usize..38,
         n in 2usize..42,
@@ -88,17 +91,15 @@ proptest! {
             // to the monolithic result bit-for-bit.
             let kc = 1 + ((split * (k - 1) as f64) as usize).min(k - 1);
             let mut acc = Tensor::zeros(vec![m, n]);
-            let a_lo = tensor_cols(&a, 0, kc);
-            let a_hi = tensor_cols(&a, kc, k - kc);
-            ops::matmul_acc_rows(&a_lo, &b, 0, &mut acc);
-            ops::matmul_acc_rows(&a_hi, &b, kc, &mut acc);
+            ops::matmul_acc_window(&a, 0..m, 0, &b, 0, kc, acc.data_mut());
+            ops::matmul_acc_window(&a, 0..m, kc, &b, kc, k - kc, acc.data_mut());
             prop_assert_eq!(acc.data(), oracle.data());
         });
     }
 
     /// Int8 entry points under the SIMD tier equal the scalar oracle
     /// (knob = `Naive`) bitwise: monolithic, into-cols, and
-    /// the unscaled row-accumulate + deferred `apply_scales` path.
+    /// the unscaled window-accumulate + deferred `apply_scales` path.
     #[test]
     fn simd_int8_entry_points_equal_scalar_oracle_bitwise(
         m in 1usize..14,
@@ -125,8 +126,8 @@ proptest! {
             // Unscaled contraction chunks + one deferred scale pass.
             let kc = 1 + ((split * (k - 1) as f64) as usize).min(k - 1);
             let mut acc = Tensor::zeros(vec![m, n]);
-            q.matmul_acc_rows(&tensor_cols(&x, 0, kc), 0, &mut acc);
-            q.matmul_acc_rows(&tensor_cols(&x, kc, k - kc), kc, &mut acc);
+            q.matmul_acc_window(&x, 0..m, 0, 0, kc, acc.data_mut());
+            q.matmul_acc_window(&x, 0..m, kc, kc, k - kc, acc.data_mut());
             q.apply_scales(&mut acc);
             prop_assert_eq!(acc.data(), oracle.data());
         });
@@ -188,9 +189,9 @@ fn decode_shapes_equal_naive_oracle_through_every_entry_point() {
                     // rows kc.. of b.
                     let kc = k / 2 + 1;
                     let mut acc = Tensor::zeros(vec![m, n]);
-                    ops::matmul_acc_rows(&tensor_cols(&a, 0, kc), &b, 0, &mut acc);
-                    ops::matmul_acc_rows(&tensor_cols(&a, kc, k - kc), &b, kc, &mut acc);
-                    assert_eq!(acc.data(), oracle.data(), "matmul_acc_rows {ctx}");
+                    ops::matmul_acc_window(&a, 0..m, 0, &b, 0, kc, acc.data_mut());
+                    ops::matmul_acc_window(&a, 0..m, kc, &b, kc, k - kc, acc.data_mut());
+                    assert_eq!(acc.data(), oracle.data(), "matmul_acc_window {ctx}");
                     // A column block of a wider target.
                     let mut wide = Tensor::zeros(vec![m, n + 5]);
                     ops::matmul_into_cols(&a, &b, &mut wide, 3);
@@ -203,21 +204,20 @@ fn decode_shapes_equal_naive_oracle_through_every_entry_point() {
     }
 }
 
-/// Disabling SIMD at runtime (the `ESTI_DISABLE_SIMD` escape hatch's
-/// programmatic twin) must drop to the blocked scalar kernel and still
-/// produce bit-identical results.
+/// The `Blocked` setting (what `ESTI_DISABLE_SIMD=1` or a host without
+/// AVX2 leaves the default at) turns the AVX2 int8 tier off and still
+/// produces the default setting's bits, f32 and int8.
 #[test]
-fn forced_scalar_fallback_is_bit_identical() {
+fn forced_blocked_fallback_is_bit_identical() {
     let _guard = knob_lock().lock().unwrap();
     let a = tensor(11, 29, 7);
     let b = tensor(29, 33, 13);
     let q = QuantizedMatrix::quantize(&b);
-    let initial = ops::simd_active();
-    let with_simd = (ops::matmul(&a, &b), q.matmul(&a));
-    ops::set_simd_enabled(false);
-    assert!(!ops::simd_active(), "fallback must disable the SIMD tier");
-    let fallback = (ops::matmul(&a, &b), q.matmul(&a));
-    ops::set_simd_enabled(initial);
-    assert_eq!(with_simd.0.data(), fallback.0.data());
-    assert_eq!(with_simd.1.data(), fallback.1.data());
+    let shipped = (ops::matmul(&a, &b), q.matmul(&a));
+    let fallback = with_kernel(MatmulKernel::Blocked, || {
+        assert!(!ops::simd_active(), "the Blocked setting must not run the AVX2 tier");
+        (ops::matmul(&a, &b), q.matmul(&a))
+    });
+    assert_eq!(shipped.0.data(), fallback.0.data());
+    assert_eq!(shipped.1.data(), fallback.1.data());
 }

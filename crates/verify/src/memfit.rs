@@ -49,10 +49,6 @@ pub struct MemReport {
     /// Set when a weight-gathered layout's transient working set would
     /// exceed the remaining capacity.
     pub wg_warning: Option<String>,
-    /// Pages the whole fleet's pool holds, when the paged policy was
-    /// accounted ([`check_memory_fit_paged`]); `None` under the dense
-    /// policy.
-    pub kv_pages: Option<usize>,
 }
 
 impl MemReport {
@@ -92,7 +88,7 @@ pub fn check_memory_fit(
 ) -> MemReport {
     let (rows, width, _) = kv_cut(schedule);
     let kv_bytes = (2 * model.n_layers * rows * width * context) as f64 * kv_dtype.bytes_f();
-    report(machine, model, schedule, weight_dtype, kv_bytes, None)
+    report(machine, model, schedule, weight_dtype, kv_bytes)
 }
 
 /// [`check_memory_fit`] under the paged KV policy: the KV term charges the
@@ -122,8 +118,7 @@ pub fn check_memory_fit_paged(
     let share = jobs.len().div_ceil(parts).max(1);
     let pages = jobs.chunks(share).map(|js| pool_pages(page_size, js)).max().unwrap_or(0);
     let kv_bytes = (2 * model.n_layers * pages * page_size * width) as f64 * kv_dtype.bytes_f();
-    let pool = Some(pool_pages(page_size, jobs));
-    report(machine, model, schedule, weight_dtype, kv_bytes, pool)
+    report(machine, model, schedule, weight_dtype, kv_bytes)
 }
 
 /// The attention step's K input on one chip at one position: `(rows,
@@ -158,7 +153,6 @@ fn report(
     s: &Schedule,
     weight_dtype: DType,
     kv_bytes: f64,
-    kv_pages: Option<usize>,
 ) -> MemReport {
     assert_eq!(machine.n_chips(), s.torus.chip_count(), "the schedule spans the machine");
     let local = |w: &SymTensor| w.local_elements(s.torus).expect("a verified schedule divides");
@@ -189,7 +183,7 @@ fn report(
         )
     });
     let (fits, margin_frac) = (resident <= capacity, (capacity - resident) / capacity);
-    MemReport { weight_bytes, kv_bytes, act_bytes, capacity, fits, margin_frac, wg_warning, kv_pages }
+    MemReport { weight_bytes, kv_bytes, act_bytes, capacity, fits, margin_frac, wg_warning }
 }
 
 #[cfg(test)]

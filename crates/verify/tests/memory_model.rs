@@ -52,6 +52,15 @@ fn tiny_paged(page: usize, attn: AttnSharding, jobs: &[Job<'_>]) -> MemReport {
     check_memory_fit_paged(&machine, &model, &s.unwrap(), page, jobs, DType::F32, DType::F32)
 }
 
+/// The pages one chip's share of a multiquery report's KV bytes holds: one
+/// `d_head`-wide head a row, K and V in every layer.
+fn chip_pages(r: &MemReport, model: &ModelConfig, page: usize, kv_dtype: DType) -> usize {
+    let page_bytes = (2 * model.n_layers * page * model.d_head) as f64 * kv_dtype.bytes_f();
+    let pages = (r.kv_bytes / page_bytes) as usize;
+    assert_eq!(r.kv_bytes, pages as f64 * page_bytes, "a whole number of pages");
+    pages
+}
+
 /// Requests a scheduler with one slot per job and a `budget`-page ledger
 /// admits at one boundary before it stops.
 fn admitted(page: usize, budget: usize, jobs: &[Job<'_>]) -> usize {
@@ -81,18 +90,14 @@ proptest! {
             lens.iter().cycle().take(n).map(|&len| (len, prefix.min(len))).collect();
         let prompts = prompts(&reqs);
         let jobs = jobs(&prompts, &news);
-        let r = tiny_paged(page, attn, &jobs);
-        // The whole fleet's pool.
-        let p = r.kv_pages.expect("a paged report carries its pool");
+        let cfg = ModelConfig::tiny();
+        // The whole fleet's pool: a head-sharded chip holds every row.
+        let p = chip_pages(&tiny_paged(page, AttnSharding::Head, &jobs), &cfg, page, DType::F32);
         prop_assert_eq!(admitted(page, p, &jobs), jobs.len(), "budget {} pages", p);
         prop_assert!(admitted(page, p - 1, &jobs) < jobs.len(), "budget {} pages", p - 1);
-        // The busiest chip's pool (tiny is multiquery: one head a row):
-        // every chip's in-order share is admitted at it, and one share is
-        // not a page below it.
-        let cfg = ModelConfig::tiny();
-        let page_bytes = (2 * cfg.n_layers * page * cfg.d_head * 4) as f64;
-        let chip = (r.kv_bytes / page_bytes) as usize;
-        prop_assert_eq!(r.kv_bytes, chip as f64 * page_bytes);
+        // The busiest chip's pool: every chip's in-order share is admitted
+        // at it, and one share is not a page below it.
+        let chip = chip_pages(&tiny_paged(page, attn, &jobs), &cfg, page, DType::F32);
         let mut shares = jobs.chunks(n / parts);
         prop_assert!(shares.clone().all(|js| admitted(page, chip, js) == js.len()), "budget {}", chip);
         prop_assert!(shares.any(|js| admitted(page, chip - 1, js) < js.len()), "budget {}", chip - 1);
@@ -104,10 +109,13 @@ fn paged_pool_counts_shared_pages_once() {
     // 8 requests, all sharing a 48-token prefix of 56-token prompts, 8
     // generated tokens, 8-token pages: 6 shared pages once, plus each
     // request's own last prompt page and one growth page.
-    let pool = |reqs| tiny_paged(8, AttnSharding::Head, &jobs(&prompts(reqs), &[8; 8])).kv_pages;
-    assert_eq!(pool(&[(56, 48); 8]), Some(6 + 8 * 2));
+    let pool = |reqs| {
+        let r = tiny_paged(8, AttnSharding::Head, &jobs(&prompts(reqs), &[8; 8]));
+        chip_pages(&r, &ModelConfig::tiny(), 8, DType::F32)
+    };
+    assert_eq!(pool(&[(56, 48); 8]), 6 + 8 * 2);
     // Without sharing the same fleet needs 8 full block tables.
-    assert_eq!(pool(&[(56, 0); 8]), Some(8 * 8));
+    assert_eq!(pool(&[(56, 0); 8]), 8 * 8);
 }
 
 #[test]
@@ -116,7 +124,8 @@ fn paged_pool_rounds_ragged_tails_up() {
     // partial last page; the two requests that end at their first token
     // never keep a slot, so they hold no pages.
     let p = prompts(&[(5, 0), (17, 16), (16, 16)]);
-    assert_eq!(tiny_paged(8, AttnSharding::Head, &jobs(&p, &[2, 0, 1])).kv_pages, Some(1 + 1));
+    let r = tiny_paged(8, AttnSharding::Head, &jobs(&p, &[2, 0, 1]));
+    assert_eq!(chip_pages(&r, &ModelConfig::tiny(), 8, DType::F32), 1 + 1);
 }
 
 #[test]
@@ -128,7 +137,8 @@ fn paged_fit_beats_slab_fit_on_shared_fleets() {
     let (paged, slab) = palm_paged(64, AttnSharding::Head, &jobs(&p, &[256; 64]));
     assert!(paged.fits, "{}", paged.summary());
     assert!(paged.kv_bytes < slab.kv_bytes / 4.0, "paged {paged:?} vs slab {slab:?}");
-    assert_eq!(paged.kv_pages, Some(112 + 64 * 16)); // 1792/16 shared once + 256/16 each
+    let pages = chip_pages(&paged, &ModelConfig::palm_540b(), 16, DType::Int8);
+    assert_eq!(pages, 112 + 64 * 16); // 1792/16 shared once + 256/16 each
 }
 
 #[test]
