@@ -25,6 +25,13 @@ if grep -rnE "fn mm_f32|f32_tile|set_simd_enabled|qmm_tile_full|qmm_tile_edge|fn
 fi
 cargo test -q --release -p esti-tensor --test kernels
 ESTI_DISABLE_SIMD=1 cargo test -q --release -p esti-tensor --test kernels
+# The forward path has one exponent, ops::exp2 (softmax, the attention
+# kernel, SwiGLU): a libm exp/exp2 there would make the bits depend on the
+# host's libm and leave its loop scalar.
+if grep -rnE '\.exp2?\(\)|f32::exp2?\b' crates/model/src crates/runtime/src crates/tensor/src/ops.rs; then
+  echo "FAIL: a forward-path exponent bypasses ops::exp2" >&2
+  exit 1
+fi
 # The fused attention kernel against the unfused matmul/softmax composition,
 # bit for bit; the oracle side goes through ops::matmul, so both tiers.
 cargo test -q --release -p esti-model fused_attention

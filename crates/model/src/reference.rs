@@ -394,12 +394,7 @@ pub fn attention_over_rows_into(
                         *m = m.max(s);
                     }
                 }
-                for row in scores.chunks_exact_mut(lp) {
-                    for ((s, &m), sum) in row.iter_mut().zip(&max).zip(&mut sum).take(lanes) {
-                        *s = ((*s - m) * std::f32::consts::LOG2_E).exp2();
-                        *sum += *s;
-                    }
-                }
+                exp_and_sum(scores, &max, &mut sum);
                 for row in scores.chunks_exact_mut(lp) {
                     for (s, &sum) in row.iter_mut().zip(&sum) {
                         *s /= sum;
@@ -427,6 +422,24 @@ pub fn attention_over_rows_into(
                     }
                     rest = tail;
                 }
+            }
+        }
+    }
+}
+
+/// Step (2)'s exponent pass over `[key, lane]` scores, `LT` lanes abreast:
+/// `s = exp2((s − max[l])·log2 e)` and `sum[l] += s`, keys in ascending
+/// order. Padded lanes are run too and never written out. Kept out of line:
+/// inlined into the kernel, LLVM leaves this loop scalar.
+#[inline(never)]
+fn exp_and_sum(scores: &mut [f32], max: &[f32], sum: &mut [f32]) {
+    let (max, _) = max.as_chunks::<LT>();
+    let (sum, _) = sum.as_chunks_mut::<LT>();
+    for row in scores.chunks_exact_mut(max.len() * LT) {
+        for ((s, m), e) in row.as_chunks_mut::<LT>().0.iter_mut().zip(max).zip(sum.iter_mut()) {
+            for ((x, &m), e) in s.iter_mut().zip(m).zip(e) {
+                *x = ops::exp2((*x - m) * std::f32::consts::LOG2_E);
+                *e += *x;
             }
         }
     }

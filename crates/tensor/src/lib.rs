@@ -4,10 +4,11 @@
 //! Transformer forward passes to prove the paper's sharding algebra correct.
 //! This crate supplies the numeric substrate for that: a row-major `f32`
 //! [`Tensor`], the handful of operators a PaLM-style decoder needs
-//! ([`ops`]: matmul, softmax — including the log-base-2 fast path of
-//! Section 3.5 — layernorm, SwiGLU), AQT-style per-channel int8 weight
-//! quantization ([`quant`], Section 3.6), bf16 storage emulation ([`bf16`]),
-//! and the top-k/top-p decode samplers of Section 3.5 ([`sample`]).
+//! ([`ops`]: matmul, layernorm, and softmax and SwiGLU in Section 3.5's
+//! log-base-2 form over one vectorised polynomial [`ops::exp2`]),
+//! AQT-style per-channel int8 weight quantization ([`quant`], Section 3.6),
+//! bf16 storage emulation ([`bf16`]), and the top-k/top-p decode samplers
+//! of Section 3.5 ([`sample`]).
 //!
 //! Everything is dependency-light and portable. The f32 GEMM core is one
 //! blocked register tile that autovectorises under `target-cpu=native`;

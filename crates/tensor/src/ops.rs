@@ -1,9 +1,10 @@
 //! Numeric operators for Transformer inference.
 //!
 //! Includes the low-level optimizations called out in Section 3.5 of the
-//! paper: a log-base-2 softmax ([`softmax_base2`]) and log-base-2 swish
-//! ([`swish_base2`]) that replace `exp` with the cheaper `exp2`, exploiting
-//! `e^x = 2^(x·log2 e)`.
+//! paper: softmax ([`softmax_base2`]) and the swish inside SwiGLU
+//! ([`swiglu`]) are computed in base 2, `e^x = 2^(x·log2 e)`, through one
+//! branch-free polynomial [`exp2`] that vectorises. It is the forward
+//! path's only exponent, so every layout gets the same bits.
 //!
 //! The f32 GEMM has one shipped tier: an `MR × NR` register tile in safe
 //! Rust that autovectorises under `target-cpu=native`. Bands of fewer than
@@ -454,25 +455,57 @@ pub fn add_assign(out: &mut Tensor, src: &Tensor) {
     }
 }
 
-/// Numerically-stable softmax along the last dimension.
+/// `2^x`, branch-free so that a loop over it vectorises: the forward
+/// path's one exponent (softmax, the attention kernel, SwiGLU).
+///
+/// `x` is split as `n + f` with `n = round(x)` (the `1.5·2²³` add and
+/// subtract, ties to even) and `f ∈ [−½, ½]`; `2^f` is Cephes' degree-6
+/// polynomial `1 + f·P(f)` in Horner form, a separate multiply and add per
+/// step (no FMA, like every other chain here); `2^n` is built from its
+/// exponent bits. Within 1 ULP of the correctly rounded `2^x` on
+/// `[−126, 127]`. Outside it: `x < −126` (and `−∞`) gives `+0` rather than
+/// a subnormal, `x ≥ 127.5` (and `+∞`) gives `+∞`, and NaN gives NaN.
 #[must_use]
-pub fn softmax(t: &Tensor) -> Tensor {
-    softmax_impl(t, f32::exp)
+#[inline]
+pub fn exp2(x: f32) -> f32 {
+    /// Adding it rounds any `|x| < 2²²` to an integer in the low mantissa bits.
+    const ROUND: f32 = 12_582_912.0;
+    const P: [f32; 6] = [
+        1.535_336_2e-4,
+        1.339_887_4e-3,
+        9.618_437e-3,
+        5.550_332_4e-2,
+        2.402_264_8e-1,
+        6.931_472e-1,
+    ];
+    // Both compares are false for NaN, which flows through to the result.
+    let c = if x < -126.0 { -126.0 } else { x };
+    let c = if c > 128.0 { 128.0 } else { c };
+    let t = c + ROUND;
+    let f = c - (t - ROUND);
+    let mut p = P[0];
+    for &k in &P[1..] {
+        p = p * f + k;
+    }
+    let p = 1.0 + f * p;
+    // n + 127 is the biased exponent of 2^n: 1 at n = −126, 255 (= +∞) at 128.
+    let scale = f32::from_bits(t.to_bits().wrapping_sub(ROUND.to_bits()).wrapping_add(127) << 23);
+    // The flush selects the scale, not the result: with the product inside
+    // an `if`, LLVM sinks the polynomial into a branch and nothing vectorises.
+    let scale = if x < -126.0 { 0.0 } else { scale };
+    p * scale
 }
 
-/// Softmax computed in base 2 (Section 3.5's "faster log-base-2
-/// implementations of Softmax").
+/// Softmax along the last dimension, computed in base 2 (Section 3.5's
+/// "faster log-base-2 implementations of Softmax"): `e^(v − max)` is
+/// [`exp2`]`((v − max)·log2 e)`, and the base cancels in the normalization.
+/// Each row sums its terms from `0` in ascending order, then divides.
 ///
-/// Mathematically identical to [`softmax`] because the base cancels in the
-/// normalization after rescaling logits by `log2(e)`; on real hardware
-/// `exp2` is cheaper than `exp`.
+/// # Panics
+///
+/// Panics on a rank-0 tensor or an empty last dimension.
 #[must_use]
 pub fn softmax_base2(t: &Tensor) -> Tensor {
-    const LOG2_E: f32 = std::f32::consts::LOG2_E;
-    softmax_impl(t, |v| (v * LOG2_E).exp2())
-}
-
-fn softmax_impl(t: &Tensor, exp: impl Fn(f32) -> f32) -> Tensor {
     // Vetted: the documented shape-check panic for rank-0 input — an
     // assert with a message, not a swallowed runtime fault.
     #[allow(clippy::expect_used)]
@@ -486,7 +519,7 @@ fn softmax_impl(t: &Tensor, exp: impl Fn(f32) -> f32) -> Tensor {
         let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
         let mut sum = 0.0;
         for (o, &v) in orow.iter_mut().zip(row) {
-            *o = exp(v - max);
+            *o = exp2((v - max) * std::f32::consts::LOG2_E);
             sum += *o;
         }
         for o in orow.iter_mut() {
@@ -531,22 +564,9 @@ pub fn layernorm_into(t: &Tensor, gain: &Tensor, eps: f32, out: &mut Tensor) {
     }
 }
 
-/// The swish / SiLU activation `x · sigmoid(x)` used inside PaLM's SwiGLU.
-#[must_use]
-pub fn swish(t: &Tensor) -> Tensor {
-    t.map(|v| v / (1.0 + (-v).exp()))
-}
-
-/// Swish computed with `exp2` (Section 3.5). Identical to [`swish`] up to
-/// floating-point rounding.
-#[must_use]
-pub fn swish_base2(t: &Tensor) -> Tensor {
-    const LOG2_E: f32 = std::f32::consts::LOG2_E;
-    t.map(|v| v / (1.0 + (-v * LOG2_E).exp2()))
-}
-
 /// SwiGLU combination: `swish(gate) ⊙ up`, the element-wise product at the
-/// heart of PaLM's feedforward block.
+/// heart of PaLM's feedforward block, with swish `g · sigmoid(g)` computed
+/// in base 2 (Section 3.5) as `g / (1 + 2^(−g·log2 e))`.
 ///
 /// # Panics
 ///
@@ -559,8 +579,7 @@ pub fn swiglu(gate: &Tensor, up: &Tensor) -> Tensor {
 }
 
 /// [`swiglu`] into `out`, overwriting every element, in one pass: each
-/// element is [`swish`]'s rounded `g / (1 + e^-g)` times `up`, the same two
-/// rounded operations as `&swish(gate) * up` without the temporary.
+/// element is the rounded swish `g / (1 + 2^(−g·log2 e))` times `up`.
 ///
 /// # Panics
 ///
@@ -587,10 +606,10 @@ pub fn swiglu_assign(out: &mut Tensor, other: &Tensor, out_is_gate: bool) {
     }
 }
 
-/// One SwiGLU element: [`swish`]'s rounded `g / (1 + e^-g)`, times `u`.
+/// One SwiGLU element: the rounded swish `g / (1 + 2^(−g·log2 e))`, times `u`.
 #[inline]
 fn swiglu1(g: f32, u: f32) -> f32 {
-    g / (1.0 + (-g).exp()) * u
+    g / (1.0 + exp2(-g * std::f32::consts::LOG2_E)) * u
 }
 
 /// Applies a lower-triangular causal mask to attention scores shaped
@@ -731,10 +750,83 @@ mod tests {
         assert_eq!(acc.data(), (&a + &b).data());
     }
 
+    /// ULPs between `exp2(x)` and the correctly rounded `2^x`, over every
+    /// `step`-th bit pattern of `[−126, 127]`; returns the largest distance
+    /// and how many patterns were off by one.
+    fn exp2_ulp_sweep(step: usize) -> (u32, u64) {
+        let (mut worst, mut off) = (0, 0);
+        let negative = (-0.0f32).to_bits()..=(-126.0f32).to_bits();
+        for bits in (0..=127.0f32.to_bits()).step_by(step).chain(negative.step_by(step)) {
+            let x = f32::from_bits(bits);
+            let want = (f64::exp2(f64::from(x)) as f32).to_bits();
+            let ulps = exp2(x).to_bits().abs_diff(want);
+            assert!(ulps <= 1, "exp2({x:e}) is {ulps} ULPs from 2^x");
+            worst = worst.max(ulps);
+            off += u64::from(ulps);
+        }
+        (worst, off)
+    }
+
+    #[test]
+    fn exp2_is_within_one_ulp_on_a_strided_sweep() {
+        exp2_ulp_sweep(1021);
+    }
+
+    #[test]
+    #[ignore = "exhaustive: every f32 in [−126, 127], about a minute in release"]
+    fn exp2_is_within_one_ulp_everywhere() {
+        let (worst, off) = exp2_ulp_sweep(1);
+        println!("exp2: worst {worst} ULP, {off} inputs off by one");
+    }
+
+    #[test]
+    fn exp2_special_values_and_clamps() {
+        let bits = |x: f32| exp2(x).to_bits();
+        // A masked key scores −∞ and must add exactly +0 to Σe.
+        assert_eq!(bits(f32::NEG_INFINITY), 0.0f32.to_bits());
+        assert_eq!(bits(0.0), 1.0f32.to_bits());
+        assert_eq!(bits(-0.0), 1.0f32.to_bits());
+        assert_eq!(bits(-126.0), f32::MIN_POSITIVE.to_bits());
+        assert_eq!(bits(127.0), 2.0f32.powi(127).to_bits());
+        assert!(exp2(f32::NAN).is_nan());
+        // Below −126 the result flushes to +0 rather than a subnormal.
+        let below = f32::from_bits((-126.0f32).to_bits() + 1);
+        for x in [below, -126.5, -149.0, -1e30] {
+            assert_eq!(bits(x), 0.0f32.to_bits(), "exp2({x})");
+        }
+        // From 127.5 up the result is +∞.
+        let under = f32::from_bits(127.5f32.to_bits() - 1);
+        assert!(exp2(under).is_finite());
+        for x in [127.5, 128.0, 1e30, f32::INFINITY] {
+            assert_eq!(bits(x), f32::INFINITY.to_bits(), "exp2({x})");
+        }
+    }
+
+    #[test]
+    fn swiglu_into_and_assign_are_swiglu1_elementwise() {
+        let mut rng = StdRng::seed_from_u64(9);
+        let mut gate = Tensor::randn(&mut rng, vec![4, 33], 4.0);
+        // Gates whose `−g·log2 e` leaves `[−126, 127.5)` meet exp2's clamps.
+        gate.data_mut()[..6].copy_from_slice(&[-200.0, -90.0, -0.0, 90.0, 200.0, f32::INFINITY]);
+        let up = Tensor::randn(&mut rng, vec![4, 33], 1.0);
+        let want: Vec<u32> =
+            gate.data().iter().zip(up.data()).map(|(&g, &u)| swiglu1(g, u).to_bits()).collect();
+        let bits = |t: &Tensor| t.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut out = Tensor::zeros(vec![4, 33]);
+        swiglu_into(&gate, &up, &mut out);
+        assert_eq!(bits(&out), want);
+        let mut in_gate = gate.clone();
+        swiglu_assign(&mut in_gate, &up, true);
+        assert_eq!(bits(&in_gate), want);
+        let mut in_up = up.clone();
+        swiglu_assign(&mut in_up, &gate, false);
+        assert_eq!(bits(&in_up), want);
+    }
+
     #[test]
     fn softmax_rows_sum_to_one() {
         let t = Tensor::from_vec(vec![2, 3], vec![1.0, 2.0, 3.0, -1.0, 0.0, 1.0]);
-        let s = softmax(&t);
+        let s = softmax_base2(&t);
         for r in 0..2 {
             let sum: f32 = s.data()[r * 3..(r + 1) * 3].iter().sum();
             assert!((sum - 1.0).abs() < 1e-6);
@@ -744,22 +836,8 @@ mod tests {
     #[test]
     fn softmax_handles_large_logits() {
         let t = Tensor::from_vec(vec![1, 2], vec![1000.0, 1000.0]);
-        let s = softmax(&t);
+        let s = softmax_base2(&t);
         assert!((s.at(&[0, 0]) - 0.5).abs() < 1e-6);
-    }
-
-    #[test]
-    fn softmax_base2_matches_softmax() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let t = Tensor::randn(&mut rng, vec![5, 17], 3.0);
-        assert!(softmax(&t).approx_eq(&softmax_base2(&t), 1e-5));
-    }
-
-    #[test]
-    fn swish_base2_matches_swish() {
-        let mut rng = StdRng::seed_from_u64(4);
-        let t = Tensor::randn(&mut rng, vec![64], 2.0);
-        assert!(swish(&t).approx_eq(&swish_base2(&t), 1e-5));
     }
 
     #[test]
@@ -838,7 +916,7 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(seed);
             let t = Tensor::randn(&mut rng, vec![2, 9], 1.0);
             let shifted = t.map(|v| v + shift);
-            prop_assert!(softmax(&t).approx_eq(&softmax(&shifted), 1e-5));
+            prop_assert!(softmax_base2(&t).approx_eq(&softmax_base2(&shifted), 1e-5));
         }
 
         #[test]
