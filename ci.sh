@@ -236,7 +236,7 @@ for cpus in 0 0,1; do
 done
 
 echo "== compiled program: the schedule compiled once, every value in a slot of the buffer plan =="
-# The engine compiles its schedule into a per-chip program when it is built:
+# The engine compiles its schedule into esti_core's ChipProgram when it is built:
 # try_forward derives nothing from the schedule, and every einsum, local op
 # and dense collective read writes into a slot of the buffer plan, which
 # every layer of a pass reuses. The plan is esti-core's BufferPlan; its test
@@ -249,6 +249,15 @@ echo "== compiled program: the schedule compiled once, every value in a slot of 
 # executor).
 if grep -nE "fn flat2|Pass::new\(|\.reshape\(" crates/runtime/src/engine.rs; then
   echo "FAIL: the interpreter derives a pass from the schedule again, or copies an operand to change its shape" >&2
+  exit 1
+fi
+# The per-chip program is esti_core::schedule::ChipProgram, defined once:
+# the engine runs it and esti-verify's SPMD and liveness passes play its
+# collectives. Neither the verifier's own call list nor the engine's own
+# instruction set, group axes or matrix-dim map comes back.
+if grep -rnE "per_chip_program|ChipOp" crates \
+  || grep -rnE "enum Instr|enum Exchange|fn group_axes|fn matrix_dims|struct Program" crates/runtime/src; then
+  echo "FAIL: a second derivation of the per-chip program is back beside esti_core::schedule::ChipProgram" >&2
   exit 1
 fi
 cargo test -q --release -p esti-runtime --test alloc
@@ -295,7 +304,7 @@ cargo run --release --quiet --manifest-path benchmark/Cargo.toml -- --check-only
 echo "== clippy (workspace lints, -D warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "== esti-lint: comm table vs schedule, SPMD, liveness & quant-dataflow analysis =="
+echo "== esti-lint: comm table vs schedule, compile, SPMD, liveness & quant-dataflow analysis =="
 # Pass 1 checks the paper's comm table (Layout::layer_comm) against the
 # schedule that runs; the hand-written sharding chain it replaced, and the
 # layout spec functions only that chain read, stay gone.
@@ -304,9 +313,14 @@ if grep -rnE "check_layout_algebra|fn weight_spec|fn activation_spec" crates \
   echo "FAIL: the hand-written sharding chain or Layout::{weight,activation}_spec is back" >&2
   exit 1
 fi
-# The grid of every accepted (model, mesh, layout, batch) point and the
-# mutation tests (a cloned collective; a duplicated, scaled or regrouped piece).
+# The grid of every accepted (model, mesh, layout, batch) point, each also
+# compiled into the program the engine runs (dense and int8 weights), and
+# the mutation tests (a cloned collective; a duplicated, scaled or
+# regrouped piece). check_combo compiles every schedule it accepts: a
+# schedule the engine cannot run (the seeded int8 activation gather) is a
+# typed "compile:" failure, not a panic.
 cargo test -q --release -p esti-verify comm_table
+cargo test -q --release -p esti-verify --lib -- an_int8_activation_gather
 # check_combo verifies each (scenario, layout) schedule once, and
 # run_scenario upgrades any skip on the layout the *layout* planner
 # (esti_core::planner) chose for that scenario to a failure, so a

@@ -9,20 +9,22 @@
 //! every einsum's output sharding must follow from its inputs, and every
 //! local shape must divide evenly over the mesh axes it is sharded on.
 //!
-//! On every layout the schedule *is* the program: `esti-runtime`'s engine
-//! builds and verifies it once, then every chip walks it step by
-//! step, dispatching each to a kernel or a collective.
+//! On every layout the schedule *is* the program: a verified schedule
+//! compiles into one [`ChipProgram`], which `esti-runtime`'s engine runs on
+//! every chip step by step, dispatching each to a kernel or a collective,
+//! and whose collectives the static analyzer (`esti-verify`) plays for its
+//! SPMD and liveness passes.
 //!
 //! Schedules are built over the layout's *logical* mesh
 //! (`TorusShape::new(mesh.x, mesh.y, mesh.z)`), matching the runtime's
-//! rank arithmetic rather than a physical slice shape. The static analyzer
-//! (`esti-verify`) consumes them for its SPMD-conformance pass.
+//! rank arithmetic rather than a physical slice shape.
 
 use crate::layout::{AttnSharding, FfnLayout, GatherExtent, Layout};
 use crate::sharding::ShardingSpec;
 use esti_hal::DType;
 use esti_model::{BlockKind, MlpKind, ModelConfig, PositionKind};
-use esti_topology::{Axis, AxisSet, TorusShape};
+use esti_topology::{Axis, AxisSet, ChipCoord, TorusShape};
+use std::ops::Range;
 
 /// A tensor known only symbolically: a sharding spec plus the global
 /// (logical, unsharded) shape. The per-chip shape is derived on demand.
@@ -392,10 +394,10 @@ pub(crate) fn expected_einsum(
 /// [`WireFormat::Int8`] marks the quantized weight gathers of Section 3.6,
 /// whose wire volume is int8 values plus one f32 scale per column
 /// (`esti-collectives`' `quant_wire_bytes`). This is an execution
-/// annotation: sharding semantics are identical for both formats, but the
-/// quant-dataflow pass in `esti-verify` checks byte accounting and scale
-/// provenance against it, and the runtime gathers quantized exactly where
-/// it is set.
+/// annotation: sharding semantics are identical for both formats, but
+/// [`ChipProgram::compile`] accepts it only where the runtime gathers a
+/// stored weight's parts, which then travel quantized, and the
+/// quant-dataflow pass in `esti-verify` checks their byte accounting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WireFormat {
     /// Dense activation/weight payload.
@@ -646,17 +648,6 @@ impl Schedule {
         .ok_or_else(|| format!("the schedule has no {r:?}"))
     }
 
-    /// All collective steps: one layer iteration followed by the final
-    /// steps, in execution order.
-    #[must_use]
-    pub fn collectives(&self) -> Vec<&Step> {
-        self.layer
-            .iter()
-            .chain(&self.final_steps)
-            .filter(|s| matches!(s, Step::Collective { .. }))
-            .collect()
-    }
-
     /// The attention step's K input: its batch axes pick the rows a chip's
     /// KV cache holds, and the cut of its `H` dim the heads. Panics if no
     /// layer step attends.
@@ -779,7 +770,7 @@ impl Schedule {
 /// per-token width: every value's size scales with the pass's `B·L` alike,
 /// so one plan by size serves every pass. Steps are numbered
 /// [`Schedule::layer`] then [`Schedule::final_steps`].
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct BufferPlan {
     /// Whether each step is an all-gather handing an einsum rank-ordered parts.
     pub parts: Vec<bool>,
@@ -921,6 +912,299 @@ impl BufferPlan {
     #[must_use]
     pub fn peak_elements(&self) -> usize {
         self.peak
+    }
+}
+
+/// How an einsum reads its operands, fixed by which of them arrive as an
+/// all-gather's rank-ordered parts.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Mm {
+    /// Both whole: one matmul.
+    Whole,
+    /// The weight's parts split its output columns: each writes its own
+    /// column block.
+    Cols,
+    /// The weight's parts split the contraction: rank `r`'s part against
+    /// its window of the activation's columns.
+    FoldW,
+    /// The activation's parts split the contraction: rank `r`'s part
+    /// against its rows of the stored weight.
+    FoldX,
+}
+
+/// What a collective step posts, its dims resolved for the runtime's
+/// `[B, L, ·]` activations (heads and head dims flattened into dim 2).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Exchange {
+    /// A stored weight, gathered into rank-ordered parts in its wire
+    /// format (the one exchange that may move int8), logically along its
+    /// matrix dim `dim` ([`matrix_dims`]).
+    Weight { role: Role, dim: usize, wire: WireFormat },
+    /// An activation an einsum reads as rank-ordered parts.
+    Parts,
+    /// An all-gather along a dim.
+    Gather(usize),
+    /// An all-reduce.
+    AllReduce,
+    /// A reduce-scatter along a dim.
+    ReduceScatter(usize),
+    /// An all-to-all, splitting dim `split` and concatenating along
+    /// `concat`.
+    AllToAll { split: usize, concat: usize },
+}
+
+/// A compiled collective step.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Collective {
+    /// The schedule step's label.
+    pub label: &'static str,
+    /// What the chip posts.
+    pub send: Exchange,
+    /// The value posted.
+    pub input: Operand,
+    /// The chip's group, an index into [`ChipProgram::group_axes`].
+    pub group: usize,
+    /// The input's chip-local shape.
+    pub shape: Vec<usize>,
+}
+
+/// One compiled step.
+#[derive(Debug, Clone)]
+pub enum Instr {
+    /// An einsum `x · w`, read as `mm`, writing `[B, L, width]`.
+    Einsum { x: Operand, w: Operand, mm: Mm, width: usize },
+    /// A local op; `gained` is the batch axes its output gains over its
+    /// input (over the boundary, for attention's positions), whose groups
+    /// pick the chip's rows.
+    Local { op: LocalOp, inputs: Vec<Operand>, gained: AxisSet },
+    /// A collective on one of the chip's groups.
+    Collective(Collective),
+}
+
+/// The batch axes of `t`: those its `B` dim shards over.
+#[must_use]
+pub fn b_axes(t: &SymTensor) -> AxisSet {
+    t.spec.dims().iter().find(|d| d.name == 'B').map_or(AxisSet::empty(), |d| d.axes)
+}
+
+/// The stored `[rows, cols]` matrix dim each of `spec`'s dims maps onto, in
+/// order: a `D` after `H` folds into it (`H·D`, H-major, as the activations
+/// flatten them); every other dim starts the next.
+pub fn matrix_dims(spec: &ShardingSpec) -> impl Iterator<Item = usize> + '_ {
+    let dims = spec.dims();
+    (0..dims.len()).scan(0, move |m, i| {
+        *m += usize::from(i > 0 && !(dims[i].name == 'D' && dims[i - 1].name == 'H'));
+        Some(*m)
+    })
+}
+
+/// The program every chip runs: a verified schedule compiled once, each
+/// step resolved to an instruction and each collective's group to an index
+/// into the groups every chip belongs to. The engine runs it; the SPMD and
+/// liveness passes play its collectives.
+#[derive(Debug, Clone)]
+pub struct ChipProgram {
+    /// The model the schedule runs.
+    pub cfg: ModelConfig,
+    /// The schedule's mesh.
+    pub torus: TorusShape,
+    /// The layer steps, then the final steps.
+    pub instrs: Vec<Instr>,
+    /// Where the final steps begin.
+    pub split: usize,
+    /// The axes of the groups every chip belongs to: all chips, then each
+    /// axis set a collective names, first use first.
+    pub group_axes: Vec<AxisSet>,
+    /// Whether the final steps communicate, so that every chip runs them.
+    pub talks: bool,
+    /// The residual stream's spec, and the one dim of it a chip cuts its
+    /// block of the pass input along; the chip's rows are its share over
+    /// the spec's batch axes.
+    pub boundary: SymTensor,
+    /// The boundary's one sharded dim, if any.
+    pub cut: Option<usize>,
+    /// The group whose rank 0 returns the logits: the one they are
+    /// replicated over.
+    pub emit: usize,
+    /// Where every value lives: slots of a chip's buffers.
+    pub plan: BufferPlan,
+    /// The axes the batch splits over, outermost first — the order the
+    /// schedule shards it in (2D batch attention splits it over yz, then
+    /// x).
+    nest: Vec<AxisSet>,
+    /// The attention's K input ([`Schedule::kv_input`]).
+    kv: SymTensor,
+}
+
+impl ChipProgram {
+    /// Compiles verified schedule `s` of `cfg`.
+    ///
+    /// # Errors
+    ///
+    /// A step the engine cannot run, named by its label: an einsum whose
+    /// parts split a weight's columns or the contraction, an int8 wire on
+    /// anything but a stored weight's gathered parts, or an operand the
+    /// schedule lacks; or a residual stream cut along more than one dim.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `s` does not verify ([`BufferPlan::new`]).
+    pub fn compile(s: &Schedule, cfg: &ModelConfig) -> Result<Self, String> {
+        let plan = BufferPlan::new(s, cfg);
+        let steps: Vec<&Step> = s.layer.iter().chain(&s.final_steps).collect();
+        let mut nest: Vec<AxisSet> = Vec::new();
+        for t in std::iter::once(&s.boundary).chain(steps.iter().map(|st| st.output())) {
+            let new = b_axes(t).without(nest.iter().fold(AxisSet::empty(), |u, &a| u.union(a)));
+            if !new.is_empty() {
+                nest.push(new);
+            }
+        }
+        // The dim an operand's rank-ordered parts split, where an all-gather
+        // hands them to the einsum reading it.
+        let parts = |r: Operand| match r {
+            Operand::Step(j) if plan.parts[j] => match steps[j] {
+                Step::Collective { op: SymOp::AllGather { dim }, .. } => Some(*dim),
+                _ => None,
+            },
+            _ => None,
+        };
+        let mut group_axes = vec![AxisSet::all()];
+        let mut group = |a: AxisSet| {
+            group_axes.iter().position(|&g| g == a).unwrap_or_else(|| {
+                group_axes.push(a);
+                group_axes.len() - 1
+            })
+        };
+        let mut instrs = Vec::with_capacity(steps.len());
+        for (k, step) in steps.iter().enumerate() {
+            let at = |e: String| format!("{}: {e}", step.label());
+            let instr = match step {
+                Step::Einsum { x, w, contract, output, .. } => {
+                    let mm = match (parts(*x), parts(*w)) {
+                        (None, None) => Mm::Whole,
+                        (None, Some(dim)) if !contract.contains(&dim) => Mm::Cols,
+                        (None, Some(_)) => Mm::FoldW,
+                        (Some(dim), None) if contract.contains(&dim) => Mm::FoldX,
+                        _ => return Err(at("parts split a weight's columns or the contraction".into())),
+                    };
+                    // The output's elements per `B·L` token.
+                    let local = output.local_shape(s.torus).map_err(at)?;
+                    let dims = output.spec.dims().iter().zip(local);
+                    let width = dims.filter(|(d, _)| !matches!(d.name, 'B' | 'L')).map(|(_, w)| w).product();
+                    Instr::Einsum { x: *x, w: *w, mm, width }
+                }
+                Step::Local { op, inputs, output, .. } => {
+                    let from = if *op == LocalOp::Attention { &s.boundary } else { s.tensor(inputs[0]).map_err(at)? };
+                    let gained = b_axes(output).without(b_axes(from));
+                    Instr::Local { op: *op, inputs: inputs.clone(), gained }
+                }
+                Step::Collective { label, op, axes, input, wire, .. } => {
+                    let t = s.tensor(*input).map_err(at)?;
+                    let dim = |c: char| t.dim_index(c).ok_or_else(|| at(format!("{t} has no dim {c}")));
+                    let send = match (*op, *input) {
+                        (SymOp::AllGather { dim: d }, Operand::Weight(role)) if plan.parts[k] => {
+                            let dim = matrix_dims(&t.spec).nth(dim(d)?).unwrap_or_default();
+                            Exchange::Weight { role, dim, wire: *wire }
+                        }
+                        (SymOp::AllGather { .. }, _) if plan.parts[k] => Exchange::Parts,
+                        (SymOp::AllGather { dim: d }, _) => Exchange::Gather(dim(d)?.min(2)),
+                        (SymOp::AllReduce, _) => Exchange::AllReduce,
+                        (SymOp::ReduceScatter { dim: d }, _) => Exchange::ReduceScatter(dim(d)?.min(2)),
+                        (SymOp::AllToAll { split, concat }, _) => {
+                            Exchange::AllToAll { split: dim(split)?.min(2), concat: dim(concat)?.min(2) }
+                        }
+                    };
+                    if *wire == WireFormat::Int8 && !matches!(send, Exchange::Weight { .. }) {
+                        return Err(at(format!(
+                            "int8 wire on a {op} that moves dense: only a stored weight's gathered parts travel int8"
+                        )));
+                    }
+                    let shape = t.local_shape(s.torus).map_err(at)?;
+                    Instr::Collective(Collective { label, send, input: *input, group: group(*axes), shape })
+                }
+            };
+            instrs.push(instr);
+        }
+
+        let mut cuts = s.boundary.spec.dims().iter().enumerate().filter(|(_, d)| !d.axes.is_empty());
+        let cut = cuts.next().map(|(d, _)| d);
+        if cuts.next().is_some() {
+            return Err(format!("layer boundary {}: the residual stream is cut along more than one dim", s.boundary));
+        }
+        let sharded = steps.last().map_or(AxisSet::empty(), |st| b_axes(st.output()));
+        let emit = group(AxisSet::all().without(sharded));
+        Ok(ChipProgram {
+            cfg: cfg.clone(),
+            torus: s.torus,
+            instrs,
+            split: s.layer.len(),
+            group_axes,
+            talks: s.final_steps.iter().any(|st| matches!(st, Step::Collective { .. })),
+            boundary: s.boundary.clone(),
+            cut,
+            emit,
+            plan,
+            nest,
+            kv: s.kv_input().clone(),
+        })
+    }
+
+    /// The steps a chip runs over `layers` layers and then the final steps,
+    /// as `(pass, instruction)`: pass `layers` is the final steps.
+    pub fn steps(&self, layers: usize) -> impl Iterator<Item = (usize, usize)> + '_ {
+        (0..=layers).flat_map(move |li| {
+            let run = if li < layers { 0..self.split } else { self.split..self.instrs.len() };
+            run.map(move |k| (li, k))
+        })
+    }
+
+    /// The collectives a chip runs over `layers` layers and then the final
+    /// steps, in order.
+    pub fn collectives(&self, layers: usize) -> impl Iterator<Item = &Collective> + '_ {
+        self.steps(layers).filter_map(|(_, k)| match &self.instrs[k] {
+            Instr::Collective(c) => Some(c),
+            _ => None,
+        })
+    }
+
+    /// The slot step `k` of pass `li` writes: a layer's output goes to the
+    /// residual slot its input is not in.
+    #[must_use]
+    pub fn out_slot(&self, li: usize, k: usize) -> Option<usize> {
+        let output = li < self.cfg.n_layers && k + 1 == self.split;
+        if output { Some(self.plan.resid[(li + 1) % 2]) } else { self.plan.value[k] }
+    }
+
+    /// The rows of `n` batch rows chip `coord` keeps when they split over
+    /// `axes`: its cut of a batch dim sharded over the nest's sets within
+    /// `axes`, in the nest's order.
+    #[must_use]
+    pub fn share(&self, coord: ChipCoord, n: usize, axes: AxisSet) -> Range<usize> {
+        let held = self.nest.iter().filter(|a| a.is_subset_of(axes)).fold(AxisSet::empty(), |u, &a| u.union(a));
+        let (start, len) = ShardingSpec::new("B").shard('B', held).local_range(0, n, self.torus, coord, &self.nest);
+        start..start + len
+    }
+
+    /// The number of spans the batch splits into: the size of the group
+    /// over every axis it splits over.
+    #[must_use]
+    pub fn spans(&self) -> usize {
+        self.torus.group_size(self.nest.iter().fold(AxisSet::empty(), |u, &a| u.union(a)))
+    }
+
+    /// The batch rows of `b` that chip `coord`'s KV cache holds.
+    #[must_use]
+    pub fn kv_rows(&self, coord: ChipCoord, b: usize) -> Range<usize> {
+        self.share(coord, b, b_axes(&self.kv))
+    }
+
+    /// The heads of the canonical `[len, Hkv·dh]` KV row that chip `coord`'s
+    /// cache holds: all of a multiquery model's one head.
+    #[must_use]
+    pub fn kv_heads(&self, coord: ChipCoord) -> Range<usize> {
+        let Some(h) = self.kv.dim_index('H') else { return 0..1 };
+        let (start, len) = self.kv.spec.local_range(h, self.kv.global[h], self.torus, coord, &[]);
+        start..start + len
     }
 }
 
@@ -1700,7 +1984,7 @@ mod tests {
             mesh: MeshFactors::new(2, 2, 1),
         };
         let s = build_schedule(&cfg, &layout, 16, 4).unwrap().with_weight_dtype(DType::Bf16);
-        for step in s.collectives() {
+        for step in s.layer.iter().chain(&s.final_steps) {
             if let Step::Collective { wire, .. } = step {
                 assert_eq!(*wire, WireFormat::Dense);
             }
@@ -1712,11 +1996,8 @@ mod tests {
         let cfg = ModelConfig::tiny();
         for layout in layouts_for(MeshFactors::new(2, 2, 1)) {
             let s = build_schedule(&cfg, &layout, 16, 4).unwrap();
-            assert!(
-                !s.collectives().is_empty(),
-                "{}: expected at least one collective",
-                layout.describe()
-            );
+            let p = ChipProgram::compile(&s, &cfg).unwrap();
+            assert!(p.collectives(1).next().is_some(), "{}: expected at least one collective", layout.describe());
         }
     }
 }

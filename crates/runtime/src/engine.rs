@@ -13,10 +13,10 @@
 //!
 //! The engine builds and verifies its layout's [`Schedule`] once, so an
 //! invalid plan fails with the offending step instead of a shape panic in
-//! an executor, and compiles it, once, into a `Program`: one instruction
-//! per step, each collective's group resolved to an index into every
-//! chip's groups, and the schedule's [`BufferPlan`], which gives every step
-//! value a slot by liveness. In a pass each chip allocates one buffer per
+//! an executor, and compiles it, once, into a [`ChipProgram`]: one
+//! instruction per step, each collective's group resolved to an index into
+//! every chip's groups, and the schedule's buffer plan, which gives every
+//! step value a slot by liveness. In a pass each chip allocates one buffer per
 //! slot, at the slot's first use, and every layer writes its values into
 //! the buffers the first layer's took.
 //!
@@ -41,7 +41,6 @@
 #![allow(clippy::expect_used, clippy::unwrap_used)]
 
 use std::borrow::Cow;
-use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Duration;
@@ -52,9 +51,9 @@ use esti_collectives::{
 };
 use esti_core::layout::Layout;
 use esti_core::schedule::{
-    build_schedule, BufferPlan, Gain, LocalOp, Operand, Role, Schedule, Step, SymOp, SymTensor, WireFormat,
+    b_axes, build_schedule, matrix_dims, ChipProgram, Exchange, Gain, Instr, LocalOp, Mm, Operand, Role, Schedule,
+    Step, SymTensor, WireFormat,
 };
-use esti_core::sharding::ShardingSpec;
 use esti_hal::DType;
 use esti_model::reference::{attention_over_rows_into, gelu_into};
 use esti_model::{KvCache, ModelConfig, PageStats, PositionKind, ReferenceModel, Weights};
@@ -129,9 +128,8 @@ struct ChipState {
     /// then the final steps.
     stored: Vec<Stored>,
     cache: KvCache,
-    /// The chip's group over each axis set the schedule's collectives name,
-    /// and over all chips.
-    groups: Vec<(AxisSet, CommGroup)>,
+    /// The chip's group over each of the program's group axes.
+    groups: Vec<CommGroup>,
 }
 
 /// A chip's cut of what one pass reads — a layer, or the final steps: each
@@ -166,7 +164,7 @@ pub struct PartitionedEngine {
     cfg: ModelConfig,
     layout: Layout,
     /// The schedule compiled once for the chips: what every chip runs.
-    program: Program,
+    program: ChipProgram,
     chips: Vec<ChipState>,
     stats: Arc<TrafficStats>,
     /// Full embedding table, used host-side for the input lookup.
@@ -269,22 +267,21 @@ impl PartitionedEngine {
         let cfg = model.config().clone();
         let n = layout.mesh.n_chips();
         let dtype = if fmt == WeightFormat::Int8 { DType::Int8 } else { DType::Bf16 };
-        let schedule = build_schedule(&cfg, &layout, n, 1)
+        let (schedule, program) = build_schedule(&cfg, &layout, n, 1)
             .and_then(|s| s.verify().map(|()| s.with_weight_dtype(dtype)))
+            .and_then(|s| ChipProgram::compile(&s, &cfg).map(|p| (s, p)))
             .unwrap_or_else(|e| panic!("invalid partition plan for {}: {e}", layout.describe()));
 
-        // One group per axis set the schedule's collectives name, plus all
+        // One group per axis set the program's collectives name, plus all
         // chips; members rank in chip order.
         let stats = TrafficStats::new();
-        let axes = group_axes(&schedule);
-        let program = Program::compile(&schedule, &cfg, &axes);
         let torus = schedule.torus;
-        let mut groups: Vec<Vec<(AxisSet, CommGroup)>> = (0..n).map(|_| Vec::new()).collect();
-        for &a in &axes {
+        let mut groups: Vec<Vec<CommGroup>> = (0..n).map(|_| Vec::new()).collect();
+        for &a in &program.group_axes {
             for members in torus.groups(a) {
                 let handles = CommGroup::create_with_stats(members.len(), Arc::clone(&stats));
                 for (c, g) in members.into_iter().zip(handles) {
-                    groups[torus.chip_id(c)].push((a, g));
+                    groups[torus.chip_id(c)].push(g);
                 }
             }
         }
@@ -296,7 +293,8 @@ impl PartitionedEngine {
             .enumerate()
             .map(|(rank, groups)| {
                 let coord = torus.coord_of(rank);
-                let stored = (0..=cfg.n_layers).map(|li| store(&schedule, weights, &embed_t, li, coord, fmt)).collect();
+                let stored =
+                    (0..=cfg.n_layers).map(|li| store(&schedule, &program, weights, &embed_t, li, coord, fmt)).collect();
                 ChipState { rank, coord, stored, cache: KvCache::new(cfg.n_layers), groups }
             })
             .collect();
@@ -321,7 +319,7 @@ impl PartitionedEngine {
 
     /// Calls `f` on every group handle of every chip.
     fn for_each_group(&self, f: impl Fn(&CommGroup)) {
-        for (_, g) in self.chips.iter().flat_map(|c| &c.groups) {
+        for g in self.chips.iter().flat_map(|c| &c.groups) {
             f(g);
         }
     }
@@ -415,7 +413,7 @@ impl PartitionedEngine {
     pub fn inject_faults(&mut self, plan: FaultPlan) {
         let state = Arc::new(FaultState::new(plan, self.chips.len()));
         for c in &self.chips {
-            for (_, g) in &c.groups {
+            for g in &c.groups {
                 g.arm_faults(Arc::clone(&state), c.rank);
             }
         }
@@ -467,7 +465,7 @@ impl PartitionedEngine {
             .iter()
             .map(|c| {
                 let mut t = CommTimes::default();
-                for (_, g) in &c.groups {
+                for g in &c.groups {
                     t.merge(&g.times());
                 }
                 t
@@ -1110,7 +1108,7 @@ type ChipPanic = Box<dyn std::any::Any + Send + 'static>;
 /// chip that actually died (not this observer), and a timeout stays a
 /// timeout. Cancellation is first-writer-wins at the barrier, so cascades
 /// never relabel the root cause.
-fn cancel_chip_groups(rank: usize, groups: &[(AxisSet, CommGroup)], payload: &ChipPanic) {
+fn cancel_chip_groups(rank: usize, groups: &[CommGroup], payload: &ChipPanic) {
     enum Cause {
         Timeout,
         Crash(usize),
@@ -1125,7 +1123,7 @@ fn cancel_chip_groups(rank: usize, groups: &[(AxisSet, CommGroup)], payload: &Ch
     } else {
         Cause::Crash(rank)
     };
-    for (_, g) in groups {
+    for g in groups {
         match cause {
             Cause::Timeout => g.cancel_timeout(),
             Cause::Crash(rank) => g.cancel(rank),
@@ -1166,7 +1164,7 @@ fn classify_panic(rank: usize, payload: &ChipPanic) -> (u8, EngineError) {
 }
 
 // ---------------------------------------------------------------------------
-// the compiled program
+// running the compiled program
 //
 // Two rules fix the bits of every contraction over data that arrives from
 // peers:
@@ -1195,239 +1193,8 @@ enum Val {
     Parts(Vec<ShardMat>),
 }
 
-/// How an einsum reads its operands, fixed by which of them arrive as an
-/// all-gather's rank-ordered parts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Mm {
-    /// Both whole: one [`ShardMat::mm3_into`].
-    Whole,
-    /// The weight's parts split its output columns: each writes its own
-    /// column block, an int8 part scaled as it arrives.
-    Cols,
-    /// The weight's parts split the contraction: rank `r`'s part against
-    /// its window of the activation's columns, read in place.
-    FoldW,
-    /// The activation's parts split the contraction: rank `r`'s part
-    /// against its rows of the stored weight.
-    FoldX,
-}
-
-/// What a collective step posts, its dims resolved for the runtime's
-/// `[B, L, ·]` activations (heads and head dims flattened into dim 2).
-#[derive(Debug, Clone, Copy)]
-enum Exchange {
-    /// A stored weight, gathered into rank-ordered parts in its wire
-    /// format, logically along its matrix dim `dim`.
-    Weight { role: Role, dim: usize, wire: WireFormat },
-    /// An activation an einsum reads as rank-ordered parts.
-    Parts,
-    Gather(usize),
-    AllReduce,
-    ReduceScatter(usize),
-    AllToAll { split: usize, concat: usize },
-}
-
-/// One compiled step.
-enum Instr {
-    /// An einsum writing `[B, L, width]`.
-    Einsum { x: Operand, w: Operand, mm: Mm, width: usize },
-    /// A local op; `gained` is the batch axes its output gains over its
-    /// input (over the boundary, for attention's positions), whose groups
-    /// pick the chip's rows.
-    Local { op: LocalOp, inputs: Vec<Operand>, gained: AxisSet },
-    /// A collective on the chip's group `group` (an index into
-    /// `ChipState::groups`).
-    Collective { send: Exchange, input: Operand, group: usize },
-}
-
-/// The batch axes of `t`: those its `B` dim shards over.
-fn b_axes(t: &SymTensor) -> AxisSet {
-    t.spec.dims().iter().find(|d| d.name == 'B').map_or(AxisSet::empty(), |d| d.axes)
-}
-
-/// The axes of the groups every chip of `s` belongs to, in the order
-/// `ChipState::groups` holds them: all chips, then each axis set the
-/// schedule's collectives name, first use first.
-fn group_axes(s: &Schedule) -> Vec<AxisSet> {
-    let mut axes = vec![AxisSet::all()];
-    for step in s.collectives() {
-        if let Step::Collective { axes: a, .. } = step {
-            if !axes.contains(a) {
-                axes.push(*a);
-            }
-        }
-    }
-    axes
-}
-
-/// The layout's schedule compiled for the engine's chips, once, when the
-/// engine is built: every pass runs it and derives nothing from the
-/// schedule.
-struct Program {
-    cfg: ModelConfig,
-    torus: TorusShape,
-    /// The layer steps, then the final steps.
-    instrs: Vec<Instr>,
-    /// Where the final steps begin.
-    split: usize,
-    /// The axes the batch splits over, outermost first — the order the
-    /// schedule shards it in (2D batch attention splits it over yz, then
-    /// x).
-    nest: Vec<AxisSet>,
-    /// Whether the final steps communicate, so that every chip runs them.
-    talks: bool,
-    /// The residual stream's spec, and the one dim of it a chip cuts its
-    /// block of the pass input along; the chip's rows are its share over
-    /// the spec's batch axes.
-    boundary: SymTensor,
-    cut: Option<usize>,
-    /// The attention's K input ([`Schedule::kv_input`]).
-    kv: SymTensor,
-    /// The group whose rank 0 returns the logits: the one they are
-    /// replicated over.
-    emit: usize,
-    /// Where every value lives: slots of a lane's buffers (`Lane::slots`).
-    plan: BufferPlan,
-}
-
-impl Program {
-    /// Compiles verified schedule `s` of `cfg` for chips whose groups span
-    /// `axes`, in that order.
-    fn compile(s: &Schedule, cfg: &ModelConfig, axes: &[AxisSet]) -> Self {
-        let plan = BufferPlan::new(s, cfg);
-        let steps: Vec<&Step> = s.layer.iter().chain(&s.final_steps).collect();
-        let tensor = |r: Operand| s.tensor(r).expect("a verified schedule's operands exist");
-        let group = |a: AxisSet| axes.iter().position(|&g| g == a).expect("a group per axes");
-        let mut nest: Vec<AxisSet> = Vec::new();
-        for t in std::iter::once(&s.boundary).chain(steps.iter().map(|st| st.output())) {
-            let new = b_axes(t).without(nest.iter().fold(AxisSet::empty(), |u, &a| u.union(a)));
-            if !new.is_empty() {
-                nest.push(new);
-            }
-        }
-        // The dim an operand's rank-ordered parts split, where an all-gather
-        // hands them to the einsum reading it.
-        let parts = |r: Operand| match r {
-            Operand::Step(j) if plan.parts[j] => match steps[j] {
-                Step::Collective { op: SymOp::AllGather { dim }, .. } => Some(*dim),
-                _ => None,
-            },
-            _ => None,
-        };
-        // A value's elements per `B·L` token.
-        let width = |t: &SymTensor| -> usize {
-            let local = t.local_shape(s.torus).expect("a verified schedule's shapes divide");
-            let dims = t.spec.dims().iter().zip(local);
-            dims.filter(|(d, _)| !matches!(d.name, 'B' | 'L')).map(|(_, w)| w).product()
-        };
-        let instrs: Vec<Instr> = steps
-            .iter()
-            .enumerate()
-            .map(|(k, step)| match step {
-                Step::Einsum { x, w, contract, output, .. } => {
-                    let mm = match (parts(*x), parts(*w)) {
-                        (None, None) => Mm::Whole,
-                        (None, Some(dim)) if !contract.contains(&dim) => Mm::Cols,
-                        (None, Some(_)) => Mm::FoldW,
-                        (Some(dim), None) if contract.contains(&dim) => Mm::FoldX,
-                        _ => panic!("{}: parts split a weight's columns or the contraction", step.label()),
-                    };
-                    Instr::Einsum { x: *x, w: *w, mm, width: width(output) }
-                }
-                Step::Local { op, inputs, output, .. } => {
-                    let from = if *op == LocalOp::Attention { &s.boundary } else { tensor(inputs[0]) };
-                    let gained = b_axes(output).without(b_axes(from));
-                    Instr::Local { op: *op, inputs: inputs.clone(), gained }
-                }
-                Step::Collective { op, axes, input, wire, .. } => {
-                    let t = tensor(*input);
-                    let dim = |c: char| t.dim_index(c).expect("the tensor has the dim");
-                    let send = match (*op, *input) {
-                        (SymOp::AllGather { dim: d }, Operand::Weight(role)) if plan.parts[k] => {
-                            let dim = matrix_dims(&t.spec).nth(dim(d)).expect("the weight has the dim");
-                            Exchange::Weight { role, dim, wire: *wire }
-                        }
-                        (SymOp::AllGather { .. }, _) if plan.parts[k] => Exchange::Parts,
-                        (SymOp::AllGather { dim: d }, _) => Exchange::Gather(dim(d).min(2)),
-                        (SymOp::AllReduce, _) => Exchange::AllReduce,
-                        (SymOp::ReduceScatter { dim: d }, _) => Exchange::ReduceScatter(dim(d).min(2)),
-                        (SymOp::AllToAll { split, concat }, _) => {
-                            Exchange::AllToAll { split: dim(split).min(2), concat: dim(concat).min(2) }
-                        }
-                    };
-                    Instr::Collective { send, input: *input, group: group(*axes) }
-                }
-            })
-            .collect();
-
-        let mut cut = s.boundary.spec.dims().iter().enumerate().filter(|(_, d)| !d.axes.is_empty());
-        let first_cut = cut.next().map(|(d, _)| d);
-        assert!(cut.next().is_none(), "the residual stream is cut along one dim");
-        let sharded = b_axes(steps[steps.len() - 1].output());
-        Program {
-            cfg: cfg.clone(),
-            torus: s.torus,
-            instrs,
-            split: s.layer.len(),
-            nest,
-            talks: s.final_steps.iter().any(|st| matches!(st, Step::Collective { .. })),
-            boundary: s.boundary.clone(),
-            cut: first_cut,
-            kv: s.kv_input().clone(),
-            emit: group(AxisSet::all().without(sharded)),
-            plan,
-        }
-    }
-
-    /// The slot step `k` of pass `li` writes: a layer's output goes to the
-    /// residual slot its input is not in.
-    fn out_slot(&self, li: usize, k: usize) -> Option<usize> {
-        let output = li < self.cfg.n_layers && k + 1 == self.split;
-        if output { Some(self.plan.resid[(li + 1) % 2]) } else { self.plan.value[k] }
-    }
-
-    /// The rows of `n` batch rows chip `coord` keeps when they split over
-    /// `axes`: its cut of a batch dim sharded over the nest's sets within
-    /// `axes`, in the nest's order.
-    fn share(&self, coord: ChipCoord, n: usize, axes: AxisSet) -> Range<usize> {
-        let held = self.nest.iter().filter(|a| a.is_subset_of(axes)).fold(AxisSet::empty(), |u, &a| u.union(a));
-        let (start, len) = ShardingSpec::new("B").shard('B', held).local_range(0, n, self.torus, coord, &self.nest);
-        start..start + len
-    }
-
-    /// The number of spans the batch splits into: the size of the group
-    /// over every axis it splits over.
-    fn spans(&self) -> usize {
-        self.torus.group_size(self.nest.iter().fold(AxisSet::empty(), |u, &a| u.union(a)))
-    }
-
-    /// The batch rows of `b` that chip `coord`'s KV cache holds.
-    fn kv_rows(&self, coord: ChipCoord, b: usize) -> Range<usize> {
-        self.share(coord, b, b_axes(&self.kv))
-    }
-
-    /// The heads of the canonical `[len, Hkv·dh]` KV row that chip `coord`'s
-    /// cache holds: all of a multiquery model's one head.
-    fn kv_heads(&self, coord: ChipCoord) -> Range<usize> {
-        let Some(h) = self.kv.dim_index('H') else { return 0..1 };
-        let (start, len) = self.kv.spec.local_range(h, self.kv.global[h], self.torus, coord, &[]);
-        start..start + len
-    }
-}
-
-/// The stored `[rows, cols]` matrix dim each of `spec`'s dims maps onto, in
-/// order: a `D` after `H` folds into it (`H·D`, H-major, as the activations
-/// flatten them); every other dim starts the next.
-fn matrix_dims(spec: &ShardingSpec) -> impl Iterator<Item = usize> + '_ {
-    let dims = spec.dims();
-    (0..dims.len()).scan(0, move |m, i| {
-        *m += usize::from(i > 0 && !(dims[i].name == 'D' && dims[i - 1].name == 'H'));
-        Some(*m)
-    })
-}
-
 /// Chip `coord`'s block of `w`, the stored `[rows, cols]` matrix of weight
-/// `t`: each of `t`'s dims cut by [`ShardingSpec::local_range`] with the
+/// `t`: each of `t`'s dims cut by [`esti_core::sharding::ShardingSpec::local_range`] with the
 /// axes `inner` innermost, and mapped onto the matrix by [`matrix_dims`].
 fn cut(w: &Tensor, t: &SymTensor, torus: TorusShape, coord: ChipCoord, inner: AxisSet) -> Tensor {
     let mut block = [(0, 1); 2];
@@ -1442,18 +1209,26 @@ fn cut(w: &Tensor, t: &SymTensor, torus: TorusShape, coord: ChipCoord, inner: Ax
     w.slice(0, r0, rn).slice(1, c0, cn)
 }
 
-/// Chip `coord`'s cut of what pass `li` of `s` reads (a layer, or, past the
-/// last, the final steps). Each stored weight it reads is cut by its spec,
-/// the axes the schedule all-gathers it over innermost, so that a gather
-/// group's rank-ordered parts concatenate into the cut over the rest; it is
-/// stored in `fmt`, but the logits projection stays f32. Each layernorm gain
-/// is cut like its step's output `E`.
-fn store(s: &Schedule, w: &Weights, embed_t: &Tensor, li: usize, coord: ChipCoord, fmt: WeightFormat) -> Stored {
+/// Chip `coord`'s cut of what pass `li` of `s`, compiled into `p`, reads
+/// (a layer, or, past the last, the final steps). Each stored weight it
+/// reads is cut by its spec, the axes of the group `p` gathers it over
+/// innermost, so that a gather group's rank-ordered parts concatenate into
+/// the cut over the rest; it is stored in `fmt`, but the logits projection
+/// stays f32. Each layernorm gain is cut like its step's output `E`.
+fn store(
+    s: &Schedule,
+    p: &ChipProgram,
+    w: &Weights,
+    embed_t: &Tensor,
+    li: usize,
+    coord: ChipCoord,
+    fmt: WeightFormat,
+) -> Stored {
     let steps = if li < w.layers.len() { &s.layer } else { &s.final_steps };
     let gathered = |role: Role| {
-        let over = s.collectives().into_iter().find_map(|st| match st {
-            Step::Collective { op: SymOp::AllGather { .. }, axes, input, .. } if *input == Operand::Weight(role) => {
-                Some(*axes)
+        let over = p.instrs.iter().find_map(|i| match i {
+            Instr::Collective(c) if matches!(c.send, Exchange::Weight { role: r, .. } if r == role) => {
+                Some(p.group_axes[c.group])
             }
             _ => None,
         });
@@ -1629,7 +1404,7 @@ struct Lane<'a> {
 
 impl<'a> Lane<'a> {
     fn new(
-        p: &Program,
+        p: &ChipProgram,
         chip: &'a mut ChipState,
         kv: (&'a [usize], usize),
         pool: Option<Arc<ChipPool>>,
@@ -1660,7 +1435,7 @@ impl<'a> Lane<'a> {
     /// Whether the chip runs pass `li` of `p` (`li` past the last layer is
     /// the final steps, which a chip that does not emit skips unless they
     /// communicate).
-    fn runs(&self, p: &Program, li: usize) -> bool {
+    fn runs(&self, p: &ChipProgram, li: usize) -> bool {
         self.failed.is_none() && (li < p.cfg.n_layers || self.emits || p.talks)
     }
 
@@ -1668,7 +1443,7 @@ impl<'a> Lane<'a> {
     /// slot (where the boundary shards it: its cut of that dim, canonical,
     /// since the boundary's batch axes are the nest's outermost) and its
     /// rows' positions, and decides whether it emits the logits.
-    fn enter(&mut self, p: &Program) {
+    fn enter(&mut self, p: &ChipProgram) {
         let coord = self.chip.coord;
         if let Some(d) = p.cut {
             let (start, len) = p.boundary.spec.local_range(d, self.x.dim(d), p.torus, coord, &[]);
@@ -1676,14 +1451,14 @@ impl<'a> Lane<'a> {
             self.x = Cow::Owned(self.x.slice_into(d, start, len, buf));
         }
         self.bases = &self.bases[p.share(coord, self.bases.len(), b_axes(&p.boundary))];
-        self.emits = self.chip.groups[p.emit].1.rank() == 0;
+        self.emits = self.chip.groups[p.emit].rank() == 0;
     }
 
     /// Stores step `k`'s value, hands the buffers of every value it read
     /// last back to their slots, at a layer's end makes its output the
     /// residual stream, the old stream's buffer back in its slot, and
     /// frees the slots the pass is done with.
-    fn settle(&mut self, p: &Program, li: usize, k: usize, val: Val) {
+    fn settle(&mut self, p: &ChipProgram, li: usize, k: usize, val: Val) {
         self.vals[k] = Some(val);
         for &j in &p.plan.dies[k] {
             if let (Some(Val::Act(t)), Some(s)) = (self.vals[j].take(), p.plan.value[j]) {
@@ -1710,7 +1485,7 @@ impl<'a> Lane<'a> {
     /// [`ShardMat::mm3_into`] or, over an all-gather's parts, one column
     /// block or accumulator per source rank; a local op its write-into
     /// kernel.
-    fn compute(&mut self, p: &Program, li: usize, k: usize) {
+    fn compute(&mut self, p: &ChipProgram, li: usize, k: usize) {
         if let (Instr::Local { op, inputs, .. }, Some(i)) = (&p.instrs[k], p.plan.in_place[k]) {
             let Operand::Step(j) = inputs[i] else { unreachable!("an op in place overwrites a step value") };
             let Some(Val::Act(mut y)) = self.vals[j].take() else { unreachable!("a value lives until its last reader") };
@@ -1855,7 +1630,7 @@ impl<'a> Lane<'a> {
                     }
                 }
             }
-            Instr::Collective { .. } => unreachable!("a collective posts and completes"),
+            Instr::Collective(_) => unreachable!("a collective posts and completes"),
         };
         self.settle(p, li, k, Val::Act(out));
     }
@@ -1863,12 +1638,11 @@ impl<'a> Lane<'a> {
     /// Posts step `k`'s collective on the chip's group over the step's
     /// axes. An all-gather an einsum reads moves rank-ordered parts: a
     /// stored weight in its wire format, or `[B, L, ·]` activation blocks.
-    fn post(&mut self, p: &Program, li: usize, k: usize) {
-        let Instr::Collective { send, input, group } = &p.instrs[k] else {
-            unreachable!("step {k} is a collective")
-        };
+    fn post(&mut self, p: &ChipProgram, li: usize, k: usize) {
+        let Instr::Collective(c) = &p.instrs[k] else { unreachable!("step {k} is a collective") };
+        let input = &c.input;
         let act = |r: Operand| act(&self.x, &self.vals, r);
-        let call = match *send {
+        let call = match c.send {
             Exchange::Weight { role, dim, wire } => {
                 match (self.chip.stored[li].weight(role), wire) {
                     (ShardMat::Int8(q), WireFormat::Int8) => Call::AllGatherQuant { shard: q, dim },
@@ -1885,17 +1659,17 @@ impl<'a> Lane<'a> {
             Exchange::ReduceScatter(dim) => Call::ReduceScatter { input: act(*input), dim },
             Exchange::AllToAll { split, concat } => Call::AllToAll { input: act(*input), split, concat },
         };
-        let posted = self.chip.groups[*group].1.post(call);
+        let posted = self.chip.groups[c.group].post(call);
         self.posted = Some(posted);
     }
 
     /// Completes the collective step `k` posted, a dense result read into
     /// the step's slot.
-    fn complete(&mut self, p: &Program, li: usize, k: usize) {
-        let Instr::Collective { group, .. } = &p.instrs[k] else { unreachable!("step {k} is a collective") };
+    fn complete(&mut self, p: &ChipProgram, li: usize, k: usize) {
+        let Instr::Collective(c) = &p.instrs[k] else { unreachable!("step {k} is a collective") };
         let posted = self.posted.take().expect("the step posted its collective");
         let buf = p.out_slot(li, k).map_or_else(Vec::new, |s| std::mem::take(&mut self.slots[s]));
-        let val = match self.chip.groups[*group].1.complete(posted, buf) {
+        let val = match self.chip.groups[c.group].complete(posted, buf) {
             Received::Tensor(t) => Val::Act(t),
             Received::Parts(parts) => Val::Parts(parts.into_iter().map(ShardMat::Dense).collect()),
             Received::Quant(parts) => Val::Parts(parts.into_iter().map(ShardMat::Int8).collect()),
@@ -1922,26 +1696,22 @@ impl<'a> Lane<'a> {
 /// Each chip's part of each step runs under its own `catch_unwind`
 /// (`Lane::guard`): a chip that unwinds cancels its groups and drops out,
 /// and its executor-mates meet the cancellation in their own collectives.
-fn run_schedule(p: &Program, lanes: &mut [Lane<'_>]) {
+fn run_schedule(p: &ChipProgram, lanes: &mut [Lane<'_>]) {
     for lane in lanes.iter_mut() {
         lane.guard(|c| c.enter(p));
     }
-    let layers = p.cfg.n_layers;
-    for li in 0..=layers {
-        let run = if li < layers { 0..p.split } else { p.split..p.instrs.len() };
-        for k in run {
-            if !matches!(p.instrs[k], Instr::Collective { .. }) {
-                for lane in lanes.iter_mut().filter(|c| c.runs(p, li)) {
-                    lane.guard(|c| c.compute(p, li, k));
-                }
-                continue;
-            }
+    for (li, k) in p.steps(p.cfg.n_layers) {
+        if !matches!(p.instrs[k], Instr::Collective(_)) {
             for lane in lanes.iter_mut().filter(|c| c.runs(p, li)) {
-                lane.guard(|c| c.post(p, li, k));
+                lane.guard(|c| c.compute(p, li, k));
             }
-            for lane in lanes.iter_mut().filter(|c| c.runs(p, li)) {
-                lane.guard(|c| c.complete(p, li, k));
-            }
+            continue;
+        }
+        for lane in lanes.iter_mut().filter(|c| c.runs(p, li)) {
+            lane.guard(|c| c.post(p, li, k));
+        }
+        for lane in lanes.iter_mut().filter(|c| c.runs(p, li)) {
+            lane.guard(|c| c.complete(p, li, k));
         }
     }
 }
@@ -2063,8 +1833,9 @@ mod tests {
                     };
                     let what = format!("{} {:?} {}", cfg.name, block, layout.describe());
                     let coords: Vec<ChipCoord> = s.torus.chips().collect();
+                    let p = ChipProgram::compile(&s, &cfg).unwrap();
                     let cut_of = |c: ChipCoord| -> Vec<Stored> {
-                        (0..=cfg.n_layers).map(|li| store(&s, &w, &embed_t, li, c, WeightFormat::Exact)).collect()
+                        (0..=cfg.n_layers).map(|li| store(&s, &p, &w, &embed_t, li, c, WeightFormat::Exact)).collect()
                     };
                     let chips: Vec<Vec<Stored>> = coords.iter().map(|&c| cut_of(c)).collect();
                     let dense = |c: usize, li: usize, role: Role| chips[c][li].weight(role).dense();
@@ -2102,21 +1873,18 @@ mod tests {
                         }
                     }
                     // (ii) A weight all-gather's group, its cuts in rank
-                    // order, concatenates to the cut over the other axes.
-                    for step in s.collectives() {
-                        let Step::Collective {
-                            op: SymOp::AllGather { dim }, axes, input: Operand::Weight(role), output, ..
-                        } = step
-                        else {
+                    // order along the program's matrix dim, concatenates to
+                    // the cut over the other axes.
+                    for (step, instr) in s.layer.iter().chain(&s.final_steps).zip(&p.instrs) {
+                        let (Step::Collective { axes, output, .. }, Instr::Collective(c)) = (step, instr) else {
                             continue;
                         };
-                        let t = s.tensor(Operand::Weight(*role)).unwrap();
-                        let m = matrix_dims(&t.spec).nth(t.dim_index(*dim).unwrap()).unwrap();
-                        let full = matrix(&w, &embed_t, 0, *role);
+                        let Exchange::Weight { role, dim, .. } = c.send else { continue };
+                        let full = matrix(&w, &embed_t, 0, role);
                         for group in s.torus.groups(*axes) {
                             let parts: Vec<Tensor> =
-                                group.iter().map(|&c| dense(s.torus.chip_id(c), 0, *role)).collect();
-                            let gathered = Tensor::concat(&parts.iter().collect::<Vec<_>>(), m);
+                                group.iter().map(|&c| dense(s.torus.chip_id(c), 0, role)).collect();
+                            let gathered = Tensor::concat(&parts.iter().collect::<Vec<_>>(), dim);
                             for &c in &group {
                                 let want = cut(full, output, s.torus, c, AxisSet::empty());
                                 assert!(gathered == want, "{what}: the {role:?} gather over {axes} at {c}");
@@ -2125,7 +1893,6 @@ mod tests {
                     }
                     // (iv) The chips' KV rows x heads cover every (row,
                     // head) pair, exactly once where the batch shards.
-                    let p = Program::compile(&s, &cfg, &group_axes(&s));
                     let (b, heads) = (2 * p.spans(), cfg.n_kv_heads());
                     let mut held = vec![0; b * heads];
                     for &c in &coords {

@@ -149,9 +149,9 @@ fn weight_gathered_traffic_is_weights_not_activations() {
 
 #[test]
 fn symbolic_schedule_call_counts_match_measured_runtime() {
-    // The static analyzer (esti-verify Pass 2) replays per-chip programs
-    // derived from the symbolic schedule, and every layout's chips run that
-    // schedule. What the interpreter may still get wrong is skipping: chips
+    // The static analyzer (esti-verify Pass 2) plays the program compiled
+    // from the symbolic schedule, the one every layout's chips run. What
+    // the interpreter may still get wrong is skipping: chips
     // that do not emit the logits skip the final steps unless those
     // communicate. So the engine must issue precisely the collective calls
     // the schedule predicts, group for group, on every layout, block kind

@@ -285,8 +285,9 @@ pub fn check_comm_table(
 mod tests {
     use super::*;
     use esti_core::layout::MeshFactors;
-    use esti_core::schedule::build_schedule;
+    use esti_core::schedule::{build_schedule, ChipProgram};
     use esti_core::{GatherExtent, Layout};
+    use esti_hal::DType;
 
     const FFNS: [FfnLayout; 5] = [
         FfnLayout::WeightStationary1D,
@@ -346,6 +347,11 @@ mod tests {
         assert_eq!(grid.len(), 747, "accepted grid points");
         let mut seen: BTreeSet<&'static str> = BTreeSet::new();
         for (model, s, pieces) in &grid {
+            // Every accepted schedule compiles into the program the engine
+            // runs, with dense weights and int8 ones.
+            for s in [s.clone(), s.clone().with_weight_dtype(DType::Int8)] {
+                ChipProgram::compile(&s, model).unwrap_or_else(|e| panic!("{}: compile: {e}", case(model, &s)));
+            }
             let report = check_comm_table(model, s, pieces)
                 .unwrap_or_else(|e| panic!("{}: {e}", case(model, s)));
             seen.extend(report.remainders.iter().map(|r| r.name));

@@ -7,23 +7,24 @@
 //!   runs: projects the verified schedule's per-layer collectives
 //!   ([`esti_core::schedule`]) onto Appendix A's pieces and compares them
 //!   with `Layout::layer_comm` bucket by bucket, every difference named;
-//! * [`spmd`] — extracts the per-chip collective sequence from the
-//!   symbolic schedule ([`esti_core::schedule`]) and proves every
-//!   communication group's members issue identical sequences (no shape,
-//!   op, or wire-format mismatch, no deadlock);
+//! * [`spmd`] — plays the collective calls of the program every chip runs
+//!   ([`esti_core::schedule::ChipProgram`], the verified schedule compiled
+//!   as the engine compiles it) and proves every communication group's
+//!   members issue identical sequences (no shape, exchange, or wire-format
+//!   mismatch, no deadlock);
 //! * [`memfit`] — sums the weight shards and KV rows the verified schedule
 //!   cuts per chip (or the page pool the shipped scheduler's ledger charges
 //!   for a request set), plus the peak of the schedule's buffer plan (the
 //!   slots the engine's lanes hold), against the esti-hal HBM capacity,
 //!   reporting margins and weight-gathered working-set warnings;
 //! * [`liveness`] — injects every single crash/stall fault into the
-//!   per-chip programs and explores the barrier/deadline/cancel protocol
+//!   program's collective calls and explores the barrier/deadline/cancel protocol
 //!   ([`esti_collectives::ProtocolModel`]) to prove every surviving rank
 //!   terminates with a typed error — no hang, no post into a cancelled
 //!   group;
-//! * [`quantflow`] — tracks dtype and per-column scale provenance through
-//!   int8-annotated schedules, rejecting double-applied or dropped scales
-//!   and wire volumes that disagree with the traffic ledger's closed form;
+//! * [`quantflow`] — sizes every int8 weight gather of the program as the
+//!   matrix the engine stores, rejecting quantized wire volumes that do not
+//!   undercut the dense ones (an int8 wire anywhere else fails to compile);
 //! * [`lifecycle`] — drives the shipped scheduler core
 //!   ([`esti_core::scheduler::Scheduler`], configured by
 //!   [`esti_runtime::BatcherSpec`]) over abstract request traces with
@@ -31,7 +32,8 @@
 //!   replay, conservation, page and recovery-budget invariants.
 //!
 //! The `esti-lint` binary sweeps every built-in layout × model × slice
-//! combination ([`scenarios`]) and exits nonzero on any failure (or, with
+//! combination ([`scenarios`]), compiling each schedule it accepts into the
+//! program the engine runs, and exits nonzero on any failure (or, with
 //! `--strict`, on any warning); `--json` emits the machine-readable report.
 
 pub mod comm_table;
@@ -45,10 +47,10 @@ pub mod spmd;
 pub use comm_table::{check_comm_table, CommTableReport};
 pub use lifecycle::{check_lifecycle, Defect, LifecycleError, LifecycleReport};
 pub use liveness::{
-    check_liveness, check_schedule_liveness, AbstractFault, FaultSite, LivenessError,
+    check_liveness, check_program_liveness, AbstractFault, FaultSite, LivenessError,
     LivenessReport,
 };
 pub use memfit::{check_memory_fit, check_memory_fit_paged, MemReport};
-pub use quantflow::{check_schedule_quantflow, QuantflowError, QuantflowReport};
+pub use quantflow::{check_quantflow, QuantflowError, QuantflowReport};
 pub use scenarios::{builtin_scenarios, run_all, ComboResult, Outcome, Scenario};
-pub use spmd::{check_schedule_spmd, check_spmd, per_chip_program, SpmdError, SpmdReport};
+pub use spmd::{check_program_spmd, check_spmd, SpmdError, SpmdReport};

@@ -2,7 +2,7 @@
 //!
 //! The SPMD pass ([`crate::spmd`]) proves fault-free executions drain. This
 //! pass proves the *faulty* ones terminate too: for every rank and every
-//! collective call site in its per-chip program, it injects one abstract
+//! collective call site of the program it runs, it injects one abstract
 //! fault — a crash (the rank panics entering the collective) or a stall
 //! (the rank never arrives) — and explores the barrier/deadline/cancel
 //! state machine of `esti-collectives`, as described by a
@@ -33,17 +33,16 @@
 //! each expiring waiter's own unwind).
 //!
 //! The exploration is exhaustive over single faults: `ranks × call sites ×
-//! {crash, stall}` simulations per schedule, each linear in the total op
+//! {crash, stall}` simulations per program, each linear in the total op
 //! count thanks to a worklist-driven group-firing engine over dense arrays.
 
 use std::collections::HashMap;
 use std::fmt;
 
 use esti_collectives::ProtocolModel;
-use esti_core::schedule::Schedule;
-use esti_topology::TorusShape;
+use esti_core::schedule::ChipProgram;
 
-use crate::spmd::{per_chip_program, ChipOp, GroupId};
+use crate::spmd::{chip_calls, GroupId};
 
 /// The abstract single fault injected at a call site.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -70,7 +69,7 @@ impl fmt::Display for AbstractFault {
 pub struct FaultSite {
     /// Chip id of the faulty rank.
     pub rank: usize,
-    /// Index into the rank's per-chip program (the collective being entered).
+    /// Index into the rank's collective calls (the collective being entered).
     pub call_index: usize,
     /// The fault injected there.
     pub fault: AbstractFault,
@@ -87,7 +86,7 @@ impl fmt::Display for FaultSite {
 pub struct LivenessReport {
     /// Ranks in the torus.
     pub ranks: usize,
-    /// Total collective call sites across all per-chip programs.
+    /// Total collective call sites across all chips.
     pub call_sites: usize,
     /// Fault injections explored (`call_sites × 2`: crash and stall each).
     pub injections: usize,
@@ -132,8 +131,8 @@ impl fmt::Display for LivenessError {
     }
 }
 
-/// Per-chip program and group structure, precomputed once per schedule and
-/// shared by every simulation (the fault site is the only thing that
+/// Each chip's calls and the group structure, precomputed once per program
+/// and shared by every simulation (the fault site is the only thing that
 /// varies).
 struct Arena {
     /// Program of each chip as dense group indices, one per collective op.
@@ -147,26 +146,27 @@ struct Arena {
 }
 
 impl Arena {
-    fn build(torus: TorusShape, programs: &[Vec<ChipOp>]) -> Self {
-        assert_eq!(programs.len(), torus.chip_count(), "one program per chip required");
+    /// One layer iteration suffices: the group structure (which is all
+    /// liveness sees) repeats exactly across layers.
+    fn build(programs: &[&ChipProgram]) -> Self {
+        let torus = programs[0].torus;
         let mut index: HashMap<GroupId, u32> = HashMap::new();
         let mut members: Vec<Vec<u32>> = Vec::new();
         let mut names: Vec<GroupId> = Vec::new();
         let mut progs: Vec<Vec<u32>> = vec![Vec::new(); programs.len()];
         let mut chip_groups: Vec<Vec<u32>> = vec![Vec::new(); programs.len()];
-        for coord in torus.chips() {
-            let chip = torus.chip_id(coord);
-            for op in &programs[chip] {
-                let gidx = *index.entry(op.group).or_insert_with(|| {
+        for (chip, calls) in chip_calls(programs, 1).into_iter().enumerate() {
+            for (group, _) in calls {
+                let gidx = *index.entry(group).or_insert_with(|| {
                     let idx = u32::try_from(members.len()).unwrap_or(u32::MAX);
                     members.push(
                         torus
-                            .group_of(op.group.base, op.group.axes)
+                            .group_of(group.base, group.axes)
                             .into_iter()
                             .map(|c| u32::try_from(torus.chip_id(c)).unwrap_or(u32::MAX))
                             .collect(),
                     );
-                    names.push(op.group);
+                    names.push(group);
                     idx
                 });
                 progs[chip].push(gidx);
@@ -404,21 +404,21 @@ impl<'a> Sim<'a> {
 }
 
 /// Exhaustively inject every single fault (each rank × each of its call
-/// sites × crash/stall) into `programs` and explore the protocol described
-/// by `model` to quiescence.
+/// sites × crash/stall) into chip `i` running `programs[i]` and explore the
+/// protocol described by `model` to quiescence.
 ///
 /// The programs must already be SPMD-clean ([`crate::spmd::check_spmd`]):
-/// liveness of a mismatched schedule is not meaningful.
+/// liveness of a mismatched program is not meaningful.
 ///
 /// # Errors
 ///
 /// The first [`LivenessError::Hang`] or [`LivenessError::Orphan`] found.
-pub fn check_liveness(
-    torus: TorusShape,
-    programs: &[Vec<ChipOp>],
-    model: &ProtocolModel,
-) -> Result<LivenessReport, LivenessError> {
-    let arena = Arena::build(torus, programs);
+///
+/// # Panics
+///
+/// Panics unless there is one program per chip.
+pub fn check_liveness(programs: &[&ChipProgram], model: &ProtocolModel) -> Result<LivenessReport, LivenessError> {
+    let arena = Arena::build(programs);
     let call_sites: usize = arena.progs.iter().map(Vec::len).sum();
     let mut injections = 0usize;
     for rank in 0..arena.progs.len() {
@@ -433,17 +433,15 @@ pub fn check_liveness(
     Ok(LivenessReport { ranks: arena.progs.len(), call_sites, injections })
 }
 
-/// Run the pass for one schedule against the implemented protocol. One
-/// layer iteration suffices: the group structure (which is all liveness
-/// sees) repeats exactly across layers.
+/// Run the pass with every chip running `program`, against the implemented
+/// protocol.
 ///
 /// # Errors
 ///
-/// Returns the formatted extraction or liveness error.
-pub fn check_schedule_liveness(schedule: &Schedule) -> Result<LivenessReport, String> {
-    let programs = per_chip_program(schedule, 1)?;
-    check_liveness(schedule.torus, &programs, &ProtocolModel::implemented())
-        .map_err(|e| e.to_string())
+/// Returns the formatted liveness error.
+pub fn check_program_liveness(program: &ChipProgram) -> Result<LivenessReport, String> {
+    let programs = vec![program; program.torus.chip_count()];
+    check_liveness(&programs, &ProtocolModel::implemented()).map_err(|e| e.to_string())
 }
 
 #[cfg(test)]
@@ -451,7 +449,7 @@ mod tests {
     use super::*;
     use esti_collectives::ProtocolEdge;
     use esti_core::layout::MeshFactors;
-    use esti_core::schedule::build_schedule;
+    use esti_core::schedule::{build_schedule, Schedule};
     use esti_core::{AttnSharding, FfnLayout, Layout};
 
     /// A 2×2 2D-weight-stationary schedule: multiple overlapping groups
@@ -466,18 +464,21 @@ mod tests {
         build_schedule(&cfg, &layout, 8, 1).unwrap()
     }
 
-    fn programs(s: &Schedule) -> Vec<Vec<ChipOp>> {
-        per_chip_program(s, 1).unwrap()
+    /// The program every chip of `s` runs.
+    fn compiled(s: &Schedule) -> ChipProgram {
+        ChipProgram::compile(s, &esti_model::ModelConfig::tiny()).unwrap()
+    }
+
+    fn programs(p: &ChipProgram) -> Vec<&ChipProgram> {
+        vec![p; p.torus.chip_count()]
     }
 
     #[test]
     fn implemented_protocol_survives_every_single_fault() {
-        let s = two_d();
-        let progs = programs(&s);
-        let report =
-            check_liveness(s.torus, &progs, &ProtocolModel::implemented()).unwrap();
+        let p = compiled(&two_d());
+        let report = check_liveness(&programs(&p), &ProtocolModel::implemented()).unwrap();
         assert_eq!(report.ranks, 4);
-        let sites: usize = progs.iter().map(Vec::len).sum();
+        let sites = 4 * p.collectives(1).count();
         assert_eq!(report.call_sites, sites);
         assert_eq!(report.injections, sites * 2, "crash and stall at every site");
     }
@@ -488,9 +489,9 @@ mod tests {
         // the engine's unwind handler cancelling all of the dead chip's
         // groups, ranks waiting on its *other* groups never learn of the
         // crash (crash sims run deadline-free), so they hang.
-        let s = two_d();
+        let p = compiled(&two_d());
         let model = ProtocolModel::implemented().without(ProtocolEdge::UnwindCancelsAllGroups);
-        let err = check_liveness(s.torus, &programs(&s), &model).unwrap_err();
+        let err = check_liveness(&programs(&p), &model).unwrap_err();
         assert!(
             matches!(&err, LivenessError::Hang { site, .. } if site.fault == AbstractFault::Crash),
             "expected a crash-induced hang, got {err}"
@@ -499,17 +500,17 @@ mod tests {
 
     #[test]
     fn dropped_waiter_wakeup_hangs_on_crash() {
-        let s = two_d();
+        let p = compiled(&two_d());
         let model = ProtocolModel::implemented().without(ProtocolEdge::CancelWakesWaiters);
-        let err = check_liveness(s.torus, &programs(&s), &model).unwrap_err();
+        let err = check_liveness(&programs(&p), &model).unwrap_err();
         assert!(matches!(err, LivenessError::Hang { .. }), "got {err}");
     }
 
     #[test]
     fn dropped_entry_fate_check_orphans_a_post() {
-        let s = two_d();
+        let p = compiled(&two_d());
         let model = ProtocolModel::implemented().without(ProtocolEdge::EntryChecksFate);
-        let err = check_liveness(s.torus, &programs(&s), &model).unwrap_err();
+        let err = check_liveness(&programs(&p), &model).unwrap_err();
         assert!(
             matches!(err, LivenessError::Orphan { .. }),
             "a survivor should post into a cancelled group, got {err}"
@@ -518,9 +519,9 @@ mod tests {
 
     #[test]
     fn dropped_deadline_hangs_on_stall() {
-        let s = two_d();
+        let p = compiled(&two_d());
         let model = ProtocolModel::implemented().without(ProtocolEdge::DeadlineArmed);
-        let err = check_liveness(s.torus, &programs(&s), &model).unwrap_err();
+        let err = check_liveness(&programs(&p), &model).unwrap_err();
         assert!(
             matches!(&err, LivenessError::Hang { site, .. } if site.fault == AbstractFault::Stall),
             "expected a stall-induced hang, got {err}"
@@ -529,9 +530,9 @@ mod tests {
 
     #[test]
     fn dropped_stall_abort_leaves_the_stalled_rank_hung() {
-        let s = two_d();
+        let p = compiled(&two_d());
         let model = ProtocolModel::implemented().without(ProtocolEdge::StallAbortsOnCancel);
-        let err = check_liveness(s.torus, &programs(&s), &model).unwrap_err();
+        let err = check_liveness(&programs(&p), &model).unwrap_err();
         match err {
             LivenessError::Hang { site, stuck } => {
                 assert_eq!(site.fault, AbstractFault::Stall);
@@ -547,10 +548,10 @@ mod tests {
         // promise the protocol is redundant there (the unwind cascade
         // covers the entered-group cancel, and each expiring waiter's own
         // unwind covers the missing timeout broadcast).
-        let s = two_d();
+        let p = compiled(&two_d());
         for edge in [ProtocolEdge::CrashCancelsEnteredGroup, ProtocolEdge::TimeoutBroadcasts] {
             let model = ProtocolModel::implemented().without(edge);
-            check_liveness(s.torus, &programs(&s), &model)
+            check_liveness(&programs(&p), &model)
                 .unwrap_or_else(|e| panic!("dropping {edge:?} should be masked, got {e}"));
         }
     }
@@ -564,7 +565,7 @@ mod tests {
             mesh: MeshFactors::new(4, 1, 1),
         };
         let s = build_schedule(&cfg, &layout, 8, 1).unwrap();
-        let report = check_schedule_liveness(&s).unwrap();
+        let report = check_program_liveness(&compiled(&s)).unwrap();
         assert_eq!(report.ranks, 4);
     }
 }

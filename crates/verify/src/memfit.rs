@@ -12,16 +12,17 @@
 //!   every layer: over `context` positions per row in [`check_memory_fit`],
 //!   or over the page pool the shipped [`Scheduler`] and its [`PageLedger`]
 //!   charge for a request set in [`check_memory_fit_paged`];
-//! * **activations** — the peak of the schedule's [`BufferPlan`], the
-//!   slots each chip's lane holds at once in the engine, in bf16.
+//! * **activations** — the peak of the compiled program's buffer plan
+//!   ([`ChipProgram::plan`]), the slots each chip's lane holds at once in
+//!   the engine, in bf16.
 //!
 //! A configuration whose residents overflow HBM is a hard failure; a
-//! weight-gathered layout whose *transient* working set — the outputs of
-//! the schedule's weight all-gathers in a layer, double-buffered —
+//! weight-gathered layout whose *transient* working set — the weights the
+//! program gathers in a layer, double-buffered —
 //! overflows (Section 3.5) is reported as a warning, since the runtime can
 //! trade it off by gathering in chunks.
 
-use esti_core::schedule::{BufferPlan, Operand, Role, Schedule, Step, SymOp, SymTensor};
+use esti_core::schedule::{ChipProgram, Exchange, Instr, Role, Schedule, SymTensor};
 use esti_core::scheduler::{Decision, Job, PageLedger, Scheduler};
 use esti_core::serving::OverloadPolicy;
 use esti_core::Machine;
@@ -75,8 +76,8 @@ impl MemReport {
 /// # Panics
 ///
 /// Panics if `schedule` does not verify (a weight or the K input does not
-/// divide), has no attention step, or is built for a different chip count
-/// than `machine`'s.
+/// divide) or compile, has no attention step, or is built for a different
+/// chip count than `machine`'s.
 #[must_use]
 pub fn check_memory_fit(
     machine: &Machine,
@@ -145,8 +146,9 @@ fn pool_pages(page_size: usize, jobs: &[Job<'_>]) -> usize {
     core.pages().map_or(0, PageLedger::used)
 }
 
-/// Sums the schedule's weight shard, `kv_bytes` and its buffer plan's peak
-/// against usable HBM, with the weight-gathered working-set warning.
+/// Sums the schedule's weight shard, `kv_bytes` and its compiled program's
+/// buffer plan peak against usable HBM, with the weight-gathered
+/// working-set warning.
 fn report(
     machine: &Machine,
     model: &ModelConfig,
@@ -159,18 +161,20 @@ fn report(
     let layers = |role| if role == Role::EmbedT { 1 } else { model.n_layers };
     let weight_elements: usize = s.weights.iter().map(|(role, w)| local(w) * layers(*role)).sum();
     let weight_bytes = weight_elements as f64 * weight_dtype.bytes_f();
-    let act_bytes = BufferPlan::new(s, model).peak_elements() as f64 * 2.0;
+    let p = ChipProgram::compile(s, model).expect("a verified schedule compiles");
+    let act_bytes = p.plan.peak_elements() as f64 * 2.0;
     let capacity = machine.chip.hbm_capacity * USABLE_HBM_FRACTION;
     let resident = weight_bytes + kv_bytes + act_bytes;
-    // A weight-gathered layer's working set: every weight all-gather's
-    // output, double-buffered so the next gather can overlap the einsum.
-    let gather = |st: &Step| match st {
-        Step::Collective { op: SymOp::AllGather { .. }, input: Operand::Weight(_), axes, output, .. } => {
-            Some((local(output), s.torus.group_size(*axes)))
+    // A weight-gathered layer's working set: every weight the layer
+    // gathers, double-buffered so the next gather can overlap the einsum.
+    let gather = |i: &Instr| match i {
+        Instr::Collective(c) if matches!(c.send, Exchange::Weight { .. }) => {
+            let n = s.torus.group_size(p.group_axes[c.group]);
+            Some((n * c.shape.iter().product::<usize>(), n))
         }
         _ => None,
     };
-    let gathers: Vec<(usize, usize)> = s.layer.iter().filter_map(gather).collect();
+    let gathers: Vec<(usize, usize)> = p.instrs[..p.split].iter().filter_map(gather).collect();
     let working = 2.0 * gathers.iter().map(|g| g.0).sum::<usize>() as f64 * weight_dtype.bytes_f();
     let wg_warning = gathers.first().filter(|_| resident + working > capacity).map(|&(_, n_gather)| {
         let gib = 1024.0 * 1024.0 * 1024.0;

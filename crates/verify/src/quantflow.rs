@@ -1,30 +1,26 @@
-//! Pass 5 — quantized-dataflow conformance (dtype and scale provenance).
+//! Pass 5 — quantized-dataflow volume (Section 3.6).
 //!
 //! Section 3.6 moves int8 weights *in their wire format*: 1-byte values
 //! plus one f32 scale per output column, dequantized only at the point of
-//! use. That discipline has two failure modes the type system cannot see:
+//! use. Which exchanges travel int8 is the compiled program's business: only
+//! a stored weight's gathered parts ([`Exchange::Weight`]) carry a wire
+//! format, and [`ChipProgram::compile`] rejects an int8 wire on anything
+//! else, which would carry no scales. What is left to check is
+//! **wire-volume drift**: the quantized byte count, by the closed form the
+//! traffic ledger charges ([`esti_collectives::quant_wire_bytes`]), must
+//! stay strictly below the dense volume it replaces, or the "int8" stream
+//! moves more bytes than the dense bf16 path.
 //!
-//! * **dropped scales** — a quantized stream with no scales to apply: the
-//!   engine's interpreter quantizes only stored int8 weight shards, so an
-//!   int8 wire on anything else (an activation) has none;
-//! * **wire-volume drift** — the schedule's implied quantized byte count
-//!   disagreeing with the closed form the traffic ledger charges
-//!   ([`esti_collectives::quant_wire_bytes`]), e.g. an "int8" stream that
-//!   actually moves more bytes than the dense bf16 path it replaces.
-//!
-//! This pass walks every [`WireFormat::Int8`]-annotated collective of a
-//! schedule (see `Schedule::with_weight_dtype`) and checks what the
-//! interpreter does with it: the step must be an all-gather of a stored
-//! weight ([`Operand::Weight`]), at least rank 2 (a matrix whose columns
-//! carry the scales), and its wire volume, by the ledger's closed form,
-//! must stay strictly below the dense volume it replaces.
+//! This pass walks every int8 [`Exchange::Weight`] of a program, sizes the
+//! stored matrix it gathers as the engine cuts it ([`matrix_dims`]), and
+//! checks that volume.
 
 use std::fmt;
 
 use esti_collectives::{quant_wire_bytes, ACT_BYTES};
-use esti_core::schedule::{Operand, Schedule, Step, SymOp, WireFormat};
+use esti_core::schedule::{matrix_dims, ChipProgram, Exchange, Operand, Schedule, WireFormat};
 
-/// Successful quant-dataflow check of one schedule.
+/// Successful quant-dataflow check of one program.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QuantflowReport {
     /// Int8-annotated collective steps checked (0 for schedules that move
@@ -55,25 +51,11 @@ impl QuantflowReport {
     }
 }
 
-/// Why the quant-dataflow check rejected a schedule.
+/// Why the quant-dataflow check rejected a program.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum QuantflowError {
-    /// An int8 wire annotation on a collective that is not an all-gather:
-    /// only weight gathers move the quantized format.
-    NotAllGather {
-        /// Offending step label.
-        label: &'static str,
-    },
-    /// An int8 wire on a gather of something other than a stored weight:
-    /// only stored int8 shards carry per-column scales, so there are none
-    /// to apply (dropped).
-    DroppedScales {
-        /// Offending step label.
-        label: &'static str,
-    },
-    /// Quantized shards store as matrices (leading dim = rows, trailing
-    /// dims flattened into columns carrying the scales); a sub-matrix
-    /// tensor has no scale axis.
+    /// Quantized shards store as `[rows, cols]` matrices whose columns
+    /// carry the scales; a rank-1 tensor has no scale axis.
     NotAMatrix {
         /// Offending step label.
         label: &'static str,
@@ -90,21 +72,13 @@ pub enum QuantflowError {
         /// Dense bf16 bytes.
         dense: usize,
     },
-    /// Schedule extraction failed (shape not divisible on the torus).
+    /// The schedule lacks the weight a program gathers.
     Extraction(String),
 }
 
 impl fmt::Display for QuantflowError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            QuantflowError::NotAllGather { label } => {
-                write!(f, "quantflow: \"{label}\" moves int8 wire but is not an all-gather")
-            }
-            QuantflowError::DroppedScales { label } => write!(
-                f,
-                "quantflow: \"{label}\" is quantized but gathers no stored weight, so no \
-                 per-column scales ride it (dropped scales)"
-            ),
             QuantflowError::NotAMatrix { label, shape } => write!(
                 f,
                 "quantflow: \"{label}\" quantized shard must be at least rank-2, got {shape:?}"
@@ -119,53 +93,39 @@ impl fmt::Display for QuantflowError {
     }
 }
 
-/// Check every int8-annotated collective of `schedule` against what the
-/// engine's interpreter does with it.
+/// Check the wire volume of every int8 weight gather of `program`, compiled
+/// from `schedule`, over one layer and the final steps.
 ///
 /// # Errors
 ///
-/// The first [`QuantflowError`] found, in schedule order.
-pub fn check_quantflow(schedule: &Schedule) -> Result<QuantflowReport, QuantflowError> {
-    let torus = schedule.torus;
+/// The first [`QuantflowError`] found, in program order.
+pub fn check_quantflow(schedule: &Schedule, program: &ChipProgram) -> Result<QuantflowReport, QuantflowError> {
     let mut quant_steps = 0usize;
     let mut covered: Vec<&'static str> = Vec::new();
     let mut quant_bytes = 0usize;
     let mut dense_bytes = 0usize;
 
-    for step in schedule.layer.iter().chain(&schedule.final_steps) {
-        let Step::Collective { label, op, axes, input, wire, .. } = step else {
+    for c in program.collectives(1) {
+        let (label, shape) = (c.label, &c.shape);
+        let Exchange::Weight { role, wire: WireFormat::Int8, .. } = c.send else {
             continue;
         };
-        if *wire != WireFormat::Int8 {
-            continue;
-        }
         quant_steps += 1;
-        let SymOp::AllGather { dim: gather_dim } = *op else {
-            return Err(QuantflowError::NotAllGather { label });
-        };
-        if !matches!(input, Operand::Weight(_)) {
-            return Err(QuantflowError::DroppedScales { label });
-        }
-        if !covered.contains(label) {
+        if !covered.contains(&label) {
             covered.push(label);
         }
-        let input = schedule.tensor(*input).map_err(QuantflowError::Extraction)?;
-        let shape = input
-            .local_shape(torus)
-            .map_err(QuantflowError::Extraction)?;
         if shape.len() < 2 {
-            return Err(QuantflowError::NotAMatrix { label, shape });
+            return Err(QuantflowError::NotAMatrix { label, shape: shape.clone() });
         }
-        // The stored shard is a matrix (`shard.rs` folds the head dims
-        // together): a row-gathered stream stores `[.. , E]` as
-        // `[prod(leading), E]`, a column-gathered one stores `[E, ..]` as
-        // `[E, prod(trailing)]`. Scales ride the columns either way.
-        let (rows, cols) = if input.dim_index(gather_dim) == Some(0) {
-            (shape[..shape.len() - 1].iter().product::<usize>(), shape[shape.len() - 1])
-        } else {
-            (shape[0], shape[1..].iter().product::<usize>())
-        };
-        let g = torus.group_size(*axes);
+        // The stored shard is the `[rows, cols]` matrix the engine cuts;
+        // scales ride its columns.
+        let weight = schedule.tensor(Operand::Weight(role)).map_err(QuantflowError::Extraction)?;
+        let mut matrix = [1, 1];
+        for (m, n) in matrix_dims(&weight.spec).zip(shape) {
+            matrix[m] *= n;
+        }
+        let [rows, cols] = matrix;
+        let g = program.torus.group_size(program.group_axes[c.group]);
         let quant = quant_wire_bytes(g, rows, cols);
         let dense = g * rows * cols * usize::try_from(ACT_BYTES).unwrap_or(2);
         if quant >= dense {
@@ -183,28 +143,26 @@ pub fn check_quantflow(schedule: &Schedule) -> Result<QuantflowReport, Quantflow
     })
 }
 
-/// [`check_quantflow`] with the error formatted.
-///
-/// # Errors
-///
-/// Returns the formatted [`QuantflowError`].
-pub fn check_schedule_quantflow(schedule: &Schedule) -> Result<QuantflowReport, String> {
-    check_quantflow(schedule).map_err(|e| e.to_string())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use esti_core::layout::MeshFactors;
-    use esti_core::schedule::build_schedule;
+    use esti_core::schedule::{build_schedule, Step, SymOp};
     use esti_core::{AttnSharding, FfnLayout, GatherExtent, Layout};
     use esti_hal::DType;
+    use esti_model::ModelConfig;
 
-    fn wg_int8() -> Schedule {
+    /// [`check_quantflow`] on the program compiled from `s`.
+    fn check(s: &Schedule, cfg: &ModelConfig) -> Result<QuantflowReport, QuantflowError> {
+        check_quantflow(s, &ChipProgram::compile(s, cfg).unwrap())
+    }
+
+    #[test]
+    fn weight_gathered_int8_schedule_passes_with_savings() {
         // `tiny()` scaled up: a 4-way row shard needs more than 4 local rows
         // for its per-column scales to stay below the dense fp16 volume the
         // int8 values replace.
-        let mut cfg = esti_model::ModelConfig::tiny();
+        let mut cfg = ModelConfig::tiny();
         cfg.n_heads = 16;
         cfg.d_head = 32;
         cfg.d_model = 64;
@@ -214,12 +172,8 @@ mod tests {
             attn: AttnSharding::Head,
             mesh: MeshFactors::new(2, 2, 1),
         };
-        build_schedule(&cfg, &layout, 8, 1).unwrap().with_weight_dtype(DType::Int8)
-    }
-
-    #[test]
-    fn weight_gathered_int8_schedule_passes_with_savings() {
-        let report = check_schedule_quantflow(&wg_int8()).unwrap();
+        let s = build_schedule(&cfg, &layout, 8, 1).unwrap().with_weight_dtype(DType::Int8);
+        let report = check(&s, &cfg).unwrap();
         assert!(report.quant_steps > 0);
         assert!(report.streams_covered >= 5);
         assert!(report.wire_ratio() < 1.0, "int8 wire must beat dense, got {}", report.wire_ratio());
@@ -227,66 +181,56 @@ mod tests {
 
     #[test]
     fn dense_schedule_has_nothing_to_check() {
-        let cfg = esti_model::ModelConfig::tiny();
+        let cfg = ModelConfig::tiny();
         let layout = Layout {
             ffn: FfnLayout::WeightStationary1D,
             attn: AttnSharding::Head,
             mesh: MeshFactors::new(4, 1, 1),
         };
-        let s = build_schedule(&cfg, &layout, 8, 1).unwrap();
-        let report = check_schedule_quantflow(&s).unwrap();
+        let report = check(&build_schedule(&cfg, &layout, 8, 1).unwrap(), &cfg).unwrap();
         assert_eq!(report.quant_steps, 0);
         assert!((report.wire_ratio() - 1.0).abs() < f64::EPSILON);
     }
 
-    #[test]
-    fn dropped_scale_rejected() {
-        // Seed a schedule-side mutation: mark 2D's activation gather as int8
-        // wire. An activation carries no per-column scales to apply.
-        let cfg = esti_model::ModelConfig::tiny();
+    /// A 2D schedule with the first collective `pick` selects marked int8,
+    /// and that collective's label.
+    fn int8_marked(pick: impl Fn(&'static str, SymOp) -> bool) -> (Schedule, &'static str) {
         let layout = Layout {
             ffn: FfnLayout::WeightStationary2D,
             attn: AttnSharding::Head,
             mesh: MeshFactors::new(2, 2, 1),
         };
-        let mut s = build_schedule(&cfg, &layout, 8, 1).unwrap();
-        let wire = s
+        let mut s = build_schedule(&ModelConfig::tiny(), &layout, 8, 1).unwrap();
+        let label = s
             .layer
             .iter_mut()
             .find_map(|st| match st {
-                Step::Collective { label: "acts all-gather (yz)", wire, .. } => Some(wire),
+                Step::Collective { label, op, wire, .. } if pick(label, *op) => {
+                    *wire = WireFormat::Int8;
+                    Some(*label)
+                }
                 _ => None,
             })
-            .expect("2D gathers its layernormed activations over yz");
-        *wire = WireFormat::Int8;
-        let err = check_quantflow(&s).unwrap_err();
-        let dropped = matches!(err, QuantflowError::DroppedScales { label: "acts all-gather (yz)" });
-        assert!(dropped, "got {err}");
+            .expect("2D runs the collective");
+        (s, label)
+    }
+
+    #[test]
+    fn dropped_scale_rejected() {
+        // Seed a schedule-side mutation: mark 2D's activation gather as int8
+        // wire. An activation carries no per-column scales to apply, and the
+        // engine moves it dense, so the program does not compile.
+        let (s, label) = int8_marked(|label, _| label == "acts all-gather (yz)");
+        let err = ChipProgram::compile(&s, &ModelConfig::tiny()).unwrap_err();
+        assert!(err.starts_with(label) && err.contains("int8"), "got {err}");
     }
 
     #[test]
     fn int8_annotation_on_non_gather_rejected() {
         // Seed a schedule-side mutation: mark a non-all-gather collective
         // (a 2D layout's reduce-scatter/all-reduce traffic) as int8 wire.
-        let cfg = esti_model::ModelConfig::tiny();
-        let layout = Layout {
-            ffn: FfnLayout::WeightStationary2D,
-            attn: AttnSharding::Head,
-            mesh: MeshFactors::new(2, 2, 1),
-        };
-        let mut s = build_schedule(&cfg, &layout, 8, 1).unwrap();
-        let step = s
-            .layer
-            .iter_mut()
-            .find_map(|st| match st {
-                Step::Collective { op, wire, .. } if !matches!(op, SymOp::AllGather { .. }) => {
-                    Some(wire)
-                }
-                _ => None,
-            })
-            .expect("2D schedules carry non-gather collectives");
-        *step = WireFormat::Int8;
-        let err = check_schedule_quantflow(&s).unwrap_err();
-        assert!(err.contains("not an all-gather"), "got {err}");
+        let (s, label) = int8_marked(|_, op| !matches!(op, SymOp::AllGather { .. }));
+        let err = ChipProgram::compile(&s, &ModelConfig::tiny()).unwrap_err();
+        assert!(err.starts_with(label) && err.contains("int8"), "got {err}");
     }
 }

@@ -4,6 +4,7 @@
 //! scenario-independent protocol rows (serving slot lifecycle).
 
 use esti_core::layout::MeshFactors;
+use esti_core::schedule::{build_schedule, ChipProgram, Schedule};
 use esti_core::{planner, AttnSharding, FfnLayout, GatherExtent, Layout, Machine};
 use esti_hal::DType;
 use esti_model::ModelConfig;
@@ -11,10 +12,10 @@ use esti_runtime::BatcherSpec;
 
 use crate::comm_table::{check_comm_table, CommTableReport};
 use crate::lifecycle::check_lifecycle;
-use crate::liveness::{check_schedule_liveness, LivenessReport};
+use crate::liveness::{check_program_liveness, LivenessReport};
 use crate::memfit::{check_memory_fit, MemReport};
-use crate::quantflow::{check_schedule_quantflow, QuantflowReport};
-use crate::spmd::{check_schedule_spmd, SpmdReport};
+use crate::quantflow::{check_quantflow, QuantflowReport};
+use crate::spmd::{check_program_spmd, SpmdReport};
 
 /// One model × slice configuration to sweep layouts over.
 pub struct Scenario {
@@ -107,46 +108,63 @@ pub fn sweep_layouts(model: &ModelConfig, n_chips: usize) -> Vec<Layout> {
 #[must_use]
 pub fn check_combo(s: &Scenario, layout: &Layout) -> Outcome {
     // The verified schedule every pass reads.
-    let schedule = match esti_core::schedule::build_schedule(&s.model, layout, s.batch, 1) {
+    let schedule = match build_schedule(&s.model, layout, s.batch, 1) {
         Ok(sch) => sch,
         Err(e) => return classify(format!("schedule: {e}")),
     };
     if let Err(e) = schedule.verify() {
         return classify(format!("schedule: {e}"));
     }
+    check_schedule(s, &schedule)
+}
+
+/// Run every pass on `schedule`, a verified schedule of scenario `s`,
+/// compiled first into the program every chip runs.
+#[must_use]
+pub fn check_schedule(s: &Scenario, schedule: &Schedule) -> Outcome {
+    let compile = |sch: &Schedule| ChipProgram::compile(sch, &s.model).map_err(|e| format!("compile: {e}"));
+    let program = match compile(schedule) {
+        Ok(p) => p,
+        Err(e) => return Outcome::Fail(e),
+    };
     // Pass 1: the paper's comm table against the schedule.
-    let pieces = layout.layer_comm(&s.model, s.batch as f64);
-    let comm = match check_comm_table(&s.model, &schedule, &pieces) {
+    let pieces = schedule.layout.layer_comm(&s.model, s.batch as f64);
+    let comm = match check_comm_table(&s.model, schedule, &pieces) {
         Ok(r) => r,
         Err(e) => return Outcome::Fail(format!("comm table: {e}")),
     };
-    // Pass 2: per-chip SPMD conformance.
-    let spmd = match check_schedule_spmd(&schedule) {
+    // Pass 2: SPMD conformance of the program every chip runs.
+    let spmd = match check_program_spmd(&program) {
         Ok(r) => r,
-        Err(e) => return classify(format!("spmd: {e}")),
+        Err(e) => return Outcome::Fail(format!("spmd: {e}")),
     };
     // Pass 3: memory fit.
-    let mem = check_memory_fit(&s.machine, &s.model, &schedule, s.context, s.weight_dtype, s.kv_dtype);
+    let mem = check_memory_fit(&s.machine, &s.model, schedule, s.context, s.weight_dtype, s.kv_dtype);
     if !mem.fits {
         return Outcome::Fail(format!("memory: over HBM — {}", mem.summary()));
     }
     // Pass 4: fault-path liveness: every rank × collective call site ×
     // {crash, stall}.
-    let liveness = match check_schedule_liveness(&schedule) {
+    let liveness = match check_program_liveness(&program) {
         Ok(r) => r,
         Err(e) => return Outcome::Fail(format!("liveness: {e}")),
     };
     // Pass 5: quant dataflow, when this scenario stores int8 weights. The
-    // annotated schedule must stay SPMD-clean (wire agreement) and every
-    // quantized stream must be a stored weight's gather, below dense volume.
+    // annotated schedule must compile (only a stored weight's gathered parts
+    // travel int8), stay SPMD-clean (wire agreement), and move every
+    // quantized stream below its dense volume.
     let quant = if s.weight_dtype == DType::Int8 {
-        let q = schedule.with_weight_dtype(DType::Int8);
-        if let Err(e) = check_schedule_spmd(&q) {
+        let q = schedule.clone().with_weight_dtype(DType::Int8);
+        let qp = match compile(&q) {
+            Ok(p) => p,
+            Err(e) => return Outcome::Fail(e),
+        };
+        if let Err(e) = check_program_spmd(&qp) {
             return Outcome::Fail(format!("int8 spmd: {e}"));
         }
-        match check_schedule_quantflow(&q) {
+        match check_quantflow(&q, &qp) {
             Ok(r) => Some(r),
-            Err(e) => return Outcome::Fail(e),
+            Err(e) => return Outcome::Fail(e.to_string()),
         }
     } else {
         None
@@ -344,6 +362,39 @@ mod tests {
                 panic!("multihead batch attention must be skipped")
             }
             Outcome::Fail(e) => panic!("should skip, not fail: {e}"),
+        }
+    }
+
+    #[test]
+    fn an_int8_activation_gather_fails_to_compile() {
+        // Seeded defect: 2D's activation gather marked int8. The engine
+        // moves activations dense, so the lint reports a typed failure
+        // naming the step, not a panic.
+        let model = ModelConfig::tiny();
+        let s = Scenario {
+            machine: Machine::tpu_v4_slice(8).unwrap(),
+            batch: 32,
+            context: 64,
+            weight_dtype: DType::Bf16,
+            kv_dtype: DType::Bf16,
+            model: model.clone(),
+        };
+        let layout = Layout {
+            ffn: FfnLayout::WeightStationary2D,
+            attn: AttnSharding::Head,
+            mesh: Layout::ws2d_mesh(8, model.d_model, model.d_ff),
+        };
+        let mut schedule = build_schedule(&model, &layout, s.batch, 1).unwrap();
+        for step in &mut schedule.layer {
+            if let esti_core::schedule::Step::Collective { label: "acts all-gather (yz)", wire, .. } = step {
+                *wire = esti_core::schedule::WireFormat::Int8;
+            }
+        }
+        match check_schedule(&s, &schedule) {
+            Outcome::Fail(e) => assert!(e.starts_with("compile: acts all-gather (yz)"), "got {e}"),
+            Outcome::Pass { .. } | Outcome::Verified(_) | Outcome::Skipped(_) => {
+                panic!("an int8 activation gather must fail to compile")
+            }
         }
     }
 }

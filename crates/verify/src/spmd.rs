@@ -1,19 +1,19 @@
-//! Pass 2 — SPMD schedule conformance and deadlock freedom.
+//! Pass 2 — SPMD conformance and deadlock freedom of the compiled program.
 //!
-//! Symbolically extracts, for every chip coordinate, the sequence of
-//! (collective op, group, local shape) it will issue when executing a
-//! [`Schedule`], then proves that all members of each communication group
-//! issue identical sequences. The checker plays the programs forward,
-//! firing a group only when *every* member's next pending op targets that
-//! group with the same op and shape; if the programs disagree it reports a
-//! mismatch, and if no group can fire while work remains it reports a
-//! deadlock with the stuck chips.
+//! Plays every chip's [`ChipProgram`] — the program the engine runs — for
+//! its collective calls (step label, exchange, group, local input shape),
+//! then proves that all members of each communication group issue identical
+//! sequences. The checker plays the calls forward, firing a group only when
+//! *every* member's next pending call targets that group with the same
+//! exchange and shape; if the programs disagree it reports a mismatch, and
+//! if no group can fire while work remains it reports a deadlock with the
+//! stuck chips.
 
 use std::collections::HashMap;
 use std::fmt;
 
-use esti_core::schedule::{Schedule, Step, SymOp, WireFormat};
-use esti_topology::{AxisSet, ChipCoord, TorusShape};
+use esti_core::schedule::{ChipProgram, Collective};
+use esti_topology::{AxisSet, ChipCoord};
 
 /// Identity of a communication group: the axes it spans plus the base
 /// coordinate (the group member with all spanned axes at zero). Two chips
@@ -46,24 +46,6 @@ impl fmt::Display for GroupId {
             self.axes, self.base.x, self.base.y, self.base.z
         )
     }
-}
-
-/// One collective issued by one chip.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ChipOp {
-    /// Diagnostic label of the originating schedule step.
-    pub label: &'static str,
-    /// The collective operation.
-    pub op: SymOp,
-    /// The group this chip communicates with.
-    pub group: GroupId,
-    /// The chip-local input shape handed to the collective.
-    pub shape: Vec<usize>,
-    /// Payload wire format. Members must agree: a rank posting a dense
-    /// tensor into a quantized exchange (or vice versa) is exactly the
-    /// disagreement the runtime's `debug_check_agreement` catches
-    /// dynamically via its `quant` flag.
-    pub wire: WireFormat,
 }
 
 /// The outcome of a successful SPMD check.
@@ -111,130 +93,76 @@ impl fmt::Display for SpmdError {
     }
 }
 
-fn describe(op: &ChipOp) -> String {
-    let wire = match op.wire {
-        WireFormat::Dense => "",
-        WireFormat::Int8 => " (int8 wire)",
+fn describe(c: &Collective, group: GroupId) -> String {
+    format!("{} {:?} over {group} shape {:?}", c.label, c.send, c.shape)
+}
+
+/// Each chip's collective calls, by chip id, when chip `i` runs
+/// `programs[i]` for `layers` layers and then the final steps: each call
+/// with the group it names, `GroupId::of(coord, group_axes[group])`.
+///
+/// # Panics
+///
+/// Panics unless there is one program per chip of the first's mesh.
+pub(crate) fn chip_calls<'p>(programs: &[&'p ChipProgram], layers: usize) -> Vec<Vec<(GroupId, &'p Collective)>> {
+    let torus = programs[0].torus;
+    assert_eq!(programs.len(), torus.chip_count(), "one program per chip required");
+    let calls = |(coord, p): (ChipCoord, &&'p ChipProgram)| {
+        p.collectives(layers).map(|c| (GroupId::of(coord, p.group_axes[c.group]), c)).collect()
     };
-    format!("{} {} over {} shape {:?}{wire}", op.label, op.op, op.group, op.shape)
+    torus.chips().zip(programs).map(calls).collect()
 }
 
-/// Extract the per-chip collective program for `n_layers` layer iterations
-/// of `schedule` followed by its final steps, indexed by chip id.
-///
-/// # Errors
-///
-/// Returns an error if a collective input is not divisible on the
-/// schedule's torus (Pass 1 territory, but surfaced here too so the pass
-/// is self-contained).
-pub fn per_chip_program(
-    schedule: &Schedule,
-    n_layers: usize,
-) -> Result<Vec<Vec<ChipOp>>, String> {
-    let torus = schedule.torus;
-    // Collect the collective template once; it is identical across layers.
-    type Proto = (&'static str, SymOp, AxisSet, Vec<usize>, WireFormat);
-    let mut layer_ops: Vec<Proto> = Vec::new();
-    let mut final_ops: Vec<Proto> = Vec::new();
-    for (steps, out) in [
-        (&schedule.layer, &mut layer_ops),
-        (&schedule.final_steps, &mut final_ops),
-    ] {
-        for step in steps {
-            if let Step::Collective { label, op, axes, input, wire, .. } = step {
-                let shape = schedule
-                    .tensor(*input)
-                    .and_then(|t| t.local_shape(torus))
-                    .map_err(|e| format!("step \"{label}\": {e}"))?;
-                out.push((*label, *op, *axes, shape, *wire));
-            }
-        }
-    }
-
-    let mut programs = vec![Vec::new(); torus.chip_count()];
-    for coord in torus.chips() {
-        let program = &mut programs[torus.chip_id(coord)];
-        let ops = (0..n_layers).flat_map(|_| &layer_ops).chain(&final_ops);
-        for &(label, op, axes, ref shape, wire) in ops {
-            program.push(ChipOp {
-                label,
-                op,
-                group: GroupId::of(coord, axes),
-                shape: shape.clone(),
-                wire,
-            });
-        }
-    }
-    Ok(programs)
-}
-
-/// Play per-chip programs forward, firing groups whose members all agree
-/// on the next op, and prove the whole execution drains without mismatch
-/// or deadlock.
+/// Play chip `i`'s program `programs[i]` forward (two layer iterations,
+/// which exercise the cross-layer seam, then the final steps), firing groups
+/// whose members all agree on the next call, and prove the whole execution
+/// drains without mismatch or deadlock.
 ///
 /// # Errors
 ///
 /// [`SpmdError::Mismatch`] if two members of a group disagree on their
-/// next collective (op, label, or shape); [`SpmdError::Deadlock`] if work
-/// remains but no group can fire.
-pub fn check_spmd(torus: TorusShape, programs: &[Vec<ChipOp>]) -> Result<SpmdReport, SpmdError> {
-    assert_eq!(
-        programs.len(),
-        torus.chip_count(),
-        "one program per chip required"
-    );
-    // Precompute group membership as chip ids, keyed by group identity.
+/// next collective (label, exchange — its wire format among it — or
+/// shape); [`SpmdError::Deadlock`] if work remains but no group can fire.
+///
+/// # Panics
+///
+/// Panics unless there is one program per chip.
+pub fn check_spmd(programs: &[&ChipProgram]) -> Result<SpmdReport, SpmdError> {
+    let torus = programs[0].torus;
+    let calls = chip_calls(programs, 2);
+    // Group membership as chip ids, keyed by group identity.
     let mut members: HashMap<GroupId, Vec<usize>> = HashMap::new();
-    for coord in torus.chips() {
-        for prog_op in &programs[torus.chip_id(coord)] {
-            members.entry(prog_op.group).or_insert_with(|| {
-                torus
-                    .group_of(prog_op.group.base, prog_op.group.axes)
-                    .into_iter()
-                    .map(|c| torus.chip_id(c))
-                    .collect()
-            });
-        }
+    for &(group, _) in calls.iter().flatten() {
+        members.entry(group).or_insert_with(|| {
+            torus.group_of(group.base, group.axes).into_iter().map(|c| torus.chip_id(c)).collect()
+        });
     }
 
-    let mut head = vec![0usize; programs.len()];
-    let total: usize = programs.iter().map(Vec::len).sum();
+    let mut head = vec![0usize; calls.len()];
+    let total: usize = calls.iter().map(Vec::len).sum();
     let mut fired = 0usize;
     let mut firings = 0usize;
 
     loop {
         let mut progressed = false;
-        for chip in 0..programs.len() {
-            let Some(op) = programs[chip].get(head[chip]) else { continue };
-            let group = &members[&op.group];
+        for chip in 0..calls.len() {
+            let Some(&(group, op)) = calls[chip].get(head[chip]) else { continue };
+            let peers = &members[&group];
             // Fire only from the lowest-id member so each group fires once.
-            if group[0] != chip {
+            if peers[0] != chip {
                 continue;
             }
             let mut ready = true;
-            for &m in group {
-                match programs[m].get(head[m]) {
-                    Some(other) if other.group == op.group => {
-                        if other.op != op.op
-                            || other.label != op.label
-                            || other.wire != op.wire
-                        {
+            for &m in peers {
+                match calls[m].get(head[m]) {
+                    Some(&(g, other)) if g == group => {
+                        if (other.label, other.send, &other.shape) != (op.label, op.send, &op.shape) {
                             return Err(SpmdError::Mismatch {
-                                group: op.group.to_string(),
+                                group: group.to_string(),
                                 detail: format!(
                                     "chip {chip} issues {} but chip {m} issues {}",
-                                    describe(op),
-                                    describe(other)
-                                ),
-                            });
-                        }
-                        if other.shape != op.shape {
-                            return Err(SpmdError::Mismatch {
-                                group: op.group.to_string(),
-                                detail: format!(
-                                    "chip {chip} brings shape {:?} but chip {m} brings {:?} \
-                                     to {} {}",
-                                    op.shape, other.shape, op.label, op.op
+                                    describe(op, group),
+                                    describe(other, g)
                                 ),
                             });
                         }
@@ -246,7 +174,7 @@ pub fn check_spmd(torus: TorusShape, programs: &[Vec<ChipOp>]) -> Result<SpmdRep
                 }
             }
             if ready {
-                for &m in group {
+                for &m in peers {
                     head[m] += 1;
                     fired += 1;
                 }
@@ -255,105 +183,97 @@ pub fn check_spmd(torus: TorusShape, programs: &[Vec<ChipOp>]) -> Result<SpmdRep
             }
         }
         if fired == total {
-            return Ok(SpmdReport { chips: programs.len(), ops: total, firings });
+            return Ok(SpmdReport { chips: calls.len(), ops: total, firings });
         }
         if !progressed {
             let stuck = head
                 .iter()
                 .enumerate()
-                .filter_map(|(chip, &h)| {
-                    programs[chip].get(h).map(|op| (chip, describe(op)))
-                })
+                .filter_map(|(chip, &h)| calls[chip].get(h).map(|&(g, op)| (chip, describe(op, g))))
                 .collect();
             return Err(SpmdError::Deadlock { stuck });
         }
     }
 }
 
-/// Run the full pass for a schedule: extract per-chip programs (two layer
-/// iterations exercise the cross-layer seam) and check them.
+/// [`check_spmd`] with every chip running `program`, the error formatted.
 ///
 /// # Errors
 ///
-/// Returns the formatted extraction or SPMD error.
-pub fn check_schedule_spmd(schedule: &Schedule) -> Result<SpmdReport, String> {
-    let programs = per_chip_program(schedule, 2)?;
-    check_spmd(schedule.torus, &programs).map_err(|e| e.to_string())
+/// Returns the formatted SPMD error.
+pub fn check_program_spmd(program: &ChipProgram) -> Result<SpmdReport, String> {
+    check_spmd(&vec![program; program.torus.chip_count()]).map_err(|e| e.to_string())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use esti_topology::Axis;
+    use esti_core::layout::MeshFactors;
+    use esti_core::schedule::{build_schedule, Exchange, Instr, Operand, Role, WireFormat};
+    use esti_core::{AttnSharding, FfnLayout, Layout};
+    use esti_topology::{Axis, TorusShape};
 
-    fn two_chip_torus() -> TorusShape {
-        TorusShape::new(1, 1, 2)
+    /// A program for a chip of a `1 x y x z` mesh whose only steps are
+    /// `calls`, each a collective over its axes on a `[2, 2]` input: a real
+    /// program with its instructions replaced, so that a test can state
+    /// call sequences no schedule compiles to.
+    fn program(y: usize, z: usize, calls: &[(&'static str, Exchange, AxisSet)]) -> ChipProgram {
+        let cfg = esti_model::ModelConfig::tiny();
+        let layout = Layout {
+            ffn: FfnLayout::WeightStationary1D,
+            attn: AttnSharding::Head,
+            mesh: MeshFactors::new(1, y, z),
+        };
+        let mut p = ChipProgram::compile(&build_schedule(&cfg, &layout, y * z, 1).unwrap(), &cfg).unwrap();
+        p.group_axes = calls.iter().map(|c| c.2).collect();
+        p.instrs = (0..calls.len())
+            .map(|group| {
+                let (label, send, _) = calls[group];
+                Instr::Collective(Collective { label, send, input: Operand::Boundary, group, shape: vec![2, 2] })
+            })
+            .collect();
+        p.split = p.instrs.len();
+        p
     }
 
-    fn op(label: &'static str, op: SymOp, coord: ChipCoord, axes: AxisSet) -> ChipOp {
-        ChipOp {
-            label,
-            op,
-            group: GroupId::of(coord, axes),
-            shape: vec![2, 2],
-            wire: WireFormat::Dense,
-        }
+    fn z() -> AxisSet {
+        AxisSet::single(Axis::Z)
     }
 
     #[test]
     fn identical_programs_pass() {
-        let torus = two_chip_torus();
-        let z = AxisSet::single(Axis::Z);
-        let programs: Vec<Vec<ChipOp>> = torus
-            .chips()
-            .map(|c| vec![op("ag", SymOp::AllGather { dim: 'E' }, c, z)])
-            .collect();
-        let report = check_spmd(torus, &programs).unwrap();
+        let p = program(1, 2, &[("ag", Exchange::Gather(2), z())]);
+        let report = check_spmd(&[&p, &p]).unwrap();
         assert_eq!(report.chips, 2);
-        assert_eq!(report.ops, 2);
-        assert_eq!(report.firings, 1);
+        assert_eq!(report.ops, 4, "two layer iterations");
+        assert_eq!(report.firings, 2);
     }
 
     #[test]
     fn mismatched_ops_reported() {
-        let torus = two_chip_torus();
-        let z = AxisSet::single(Axis::Z);
-        let c0 = ChipCoord::new(0, 0, 0);
-        let c1 = ChipCoord::new(0, 0, 1);
-        let programs = vec![
-            vec![op("ag", SymOp::AllGather { dim: 'E' }, c0, z)],
-            vec![op("ag", SymOp::ReduceScatter { dim: 'E' }, c1, z)],
-        ];
-        let err = check_spmd(torus, &programs).unwrap_err();
+        let a = program(1, 2, &[("ag", Exchange::Gather(2), z())]);
+        let b = program(1, 2, &[("ag", Exchange::ReduceScatter(2), z())]);
+        let err = check_spmd(&[&a, &b]).unwrap_err();
         assert!(matches!(err, SpmdError::Mismatch { .. }), "got {err}");
     }
 
     #[test]
     fn mismatched_shapes_reported() {
-        let torus = two_chip_torus();
-        let z = AxisSet::single(Axis::Z);
-        let c0 = ChipCoord::new(0, 0, 0);
-        let c1 = ChipCoord::new(0, 0, 1);
-        let mut bad = op("ag", SymOp::AllGather { dim: 'E' }, c1, z);
-        bad.shape = vec![2, 3];
-        let programs = vec![vec![op("ag", SymOp::AllGather { dim: 'E' }, c0, z)], vec![bad]];
-        let err = check_spmd(torus, &programs).unwrap_err();
-        match err {
-            SpmdError::Mismatch { detail, .. } => {
-                assert!(detail.contains("shape"), "got {detail}");
-            }
+        let a = program(1, 2, &[("ag", Exchange::Gather(2), z())]);
+        let mut b = a.clone();
+        let Instr::Collective(c) = &mut b.instrs[0] else { unreachable!("a collective") };
+        c.shape = vec![2, 3];
+        match check_spmd(&[&a, &b]).unwrap_err() {
+            SpmdError::Mismatch { detail, .. } => assert!(detail.contains("shape"), "got {detail}"),
             other => panic!("expected mismatch, got {other}"),
         }
     }
 
     #[test]
     fn missing_member_deadlocks() {
-        let torus = two_chip_torus();
-        let z = AxisSet::single(Axis::Z);
-        let c0 = ChipCoord::new(0, 0, 0);
-        let programs = vec![vec![op("ag", SymOp::AllGather { dim: 'E' }, c0, z)], vec![]];
-        let err = check_spmd(torus, &programs).unwrap_err();
-        match err {
+        let a = program(1, 2, &[("ag", Exchange::Gather(2), z())]);
+        let idle = program(1, 2, &[]);
+        match check_spmd(&[&a, &idle]).unwrap_err() {
             SpmdError::Deadlock { stuck } => {
                 assert_eq!(stuck.len(), 1);
                 assert_eq!(stuck[0].0, 0);
@@ -369,17 +289,12 @@ mod tests {
         // needs chip 0, which waits on y-group(col 0), which needs chip 2,
         // which waits on z-group(row 1), which needs chip 3, which waits
         // on y-group(col 1), which needs chip 1 -- a 4-cycle, so nothing
-        // ever fires even though every op, label, and shape agrees.
+        // ever fires even though every exchange, label, and shape agrees.
         let torus = TorusShape::new(1, 2, 2);
-        let y = AxisSet::single(Axis::Y);
-        let z = AxisSet::single(Axis::Z);
-        let ar = SymOp::AllReduce;
-        let mut programs = vec![Vec::new(); torus.chip_count()];
-        for coord in torus.chips() {
-            let axes = if coord.y == coord.z { y } else { z };
-            programs[torus.chip_id(coord)] = vec![op("ar", ar, coord, axes)];
-        }
-        let err = check_spmd(torus, &programs).unwrap_err();
+        let y = program(2, 2, &[("ar", Exchange::AllReduce, AxisSet::single(Axis::Y))]);
+        let z = program(2, 2, &[("ar", Exchange::AllReduce, z())]);
+        let programs: Vec<&ChipProgram> = torus.chips().map(|c| if c.y == c.z { &y } else { &z }).collect();
+        let err = check_spmd(&programs).unwrap_err();
         match err {
             SpmdError::Deadlock { ref stuck } => assert_eq!(stuck.len(), 4, "{err}"),
             other => panic!("expected deadlock, got {other}"),
@@ -388,27 +303,17 @@ mod tests {
 
     #[test]
     fn mismatched_wire_formats_reported() {
-        let torus = two_chip_torus();
-        let z = AxisSet::single(Axis::Z);
-        let c0 = ChipCoord::new(0, 0, 0);
-        let c1 = ChipCoord::new(0, 0, 1);
-        let a = op("wq weight all-gather", SymOp::AllGather { dim: 'F' }, c0, z);
-        let mut b = op("wq weight all-gather", SymOp::AllGather { dim: 'F' }, c1, z);
-        b.wire = WireFormat::Int8;
-        let err = check_spmd(torus, &[vec![a], vec![b]]).unwrap_err();
-        match err {
-            SpmdError::Mismatch { detail, .. } => {
-                assert!(detail.contains("int8 wire"), "got {detail}");
-            }
+        let gather = |wire| Exchange::Weight { role: Role::Wq, dim: 1, wire };
+        let a = program(1, 2, &[("wq weight all-gather", gather(WireFormat::Dense), z())]);
+        let b = program(1, 2, &[("wq weight all-gather", gather(WireFormat::Int8), z())]);
+        match check_spmd(&[&a, &b]).unwrap_err() {
+            SpmdError::Mismatch { detail, .. } => assert!(detail.contains("Int8"), "got {detail}"),
             other => panic!("expected mismatch, got {other}"),
         }
     }
 
     #[test]
     fn real_schedule_is_spmd_clean() {
-        use esti_core::layout::MeshFactors;
-        use esti_core::schedule::build_schedule;
-        use esti_core::{AttnSharding, FfnLayout, Layout};
         let cfg = esti_model::ModelConfig::tiny();
         let layout = Layout {
             ffn: FfnLayout::WeightStationary2D,
@@ -416,7 +321,7 @@ mod tests {
             mesh: MeshFactors::new(2, 2, 1),
         };
         let schedule = build_schedule(&cfg, &layout, 8, 1).unwrap();
-        let report = check_schedule_spmd(&schedule).unwrap();
+        let report = check_program_spmd(&ChipProgram::compile(&schedule, &cfg).unwrap()).unwrap();
         assert!(report.firings > 0);
         assert_eq!(report.chips, 4);
     }
