@@ -269,6 +269,21 @@ ESTI_DISABLE_SIMD=1 cargo test -q --release -p esti-verify --test buffer_plan --
 taskset -c 0 cargo test -q --release -p esti-runtime --test alloc
 taskset -c 0 cargo test -q --release -p esti-runtime --lib -- a_pass_after_a_larger_one
 taskset -c 0 cargo test -q --release -p esti-verify --test buffer_plan -- the_buffer_plan
+# One shard set, one program per phase: a weight-gathered layout decodes on
+# the first 1D weight-stationary layout on its mesh that cuts every weight
+# and the KV cache as it does (the core's predicate over the probe matrix),
+# the engine stores its shards once, and a paired decode step is the
+# partner engine's step bit for bit and moves no weight bytes. Both GEMM
+# tiers, and pinned to one CPU.
+cargo test -q --release -p esti-core --lib -- decodes_on_the_ws1d runs_on_compares
+cargo test -q --release -p esti-runtime --lib -- a_paired_engine
+cargo test -q --release -p esti-runtime --test phases
+ESTI_DISABLE_SIMD=1 cargo test -q --release -p esti-core --lib -- decodes_on_the_ws1d runs_on_compares
+ESTI_DISABLE_SIMD=1 cargo test -q --release -p esti-runtime --lib -- a_paired_engine
+ESTI_DISABLE_SIMD=1 cargo test -q --release -p esti-runtime --test phases
+taskset -c 0 cargo test -q --release -p esti-core --lib -- decodes_on_the_ws1d runs_on_compares
+taskset -c 0 cargo test -q --release -p esti-runtime --lib -- a_paired_engine
+taskset -c 0 cargo test -q --release -p esti-runtime --test phases
 
 echo "== shards cut from the schedule: every weight, gain and KV row from the schedule's specs =="
 # The engine cuts each chip's weights, layernorm gains, KV rows and KV heads

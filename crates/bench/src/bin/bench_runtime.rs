@@ -10,10 +10,12 @@
 //!   weight-stationary layout (every decode row reports `baseline_us` vs
 //!   the shipped kernel and flags a regression);
 //! * SIMD int8 GEMM >= 2.1x over the scalar oracle kernel at 256^3;
-//! * int8 weight-gathered decode moves <= 0.55x the all-gather bytes of
-//!   the f32 path (quantized wire format vs bf16-accounted dense) **and**
-//!   its decode step is no slower than f32 (step ratio <= 1.0 — the
-//!   regression the SIMD dequant path exists to flip);
+//! * an int8 weight-gathered prefill pass (one token per row) moves <= 0.55x
+//!   the all-gather bytes of the f32 path (quantized wire format vs
+//!   bf16-accounted dense) **and** is no slower than f32 (step ratio <= 1.0
+//!   — the regression the SIMD dequant path exists to flip). Prefill is the
+//!   phase that gathers weights: a weight-gathered engine decodes on its
+//!   1D weight-stationary partner, which gathers none;
 //! * the deadline-based collective wait (PR 5's fault model) costs <= 1.05x
 //!   of the blocking barrier on a fault-free decode step;
 //! * the paged KV cache fits >= 2.0x the concurrent requests a dense
@@ -198,8 +200,10 @@ fn main() {
     println!("{:<16} {:>12} {:>12} {:>8}", "layout", "baseline us", "current us", "speedup");
     json.push_str("  \"decode\": [\n");
     let mut gate_1d = 0.0f64;
+    // The weight-gathered engine decodes on its paired WS 1D × Batch program
+    // over the same shards; its prefill (timed below) gathers the weights.
     for (i, (name, layout)) in
-        [("ws1d_8chips", ws1d), ("ws2d_2x2x2", ws2d), ("wg_xyz_8chips", wg)].into_iter().enumerate()
+        [("ws1d_8chips", ws1d), ("ws2d_2x2x2", ws2d), ("wg_xyz_8chips_paired", wg)].into_iter().enumerate()
     {
         // Baseline: the naive scalar kernel; current: the shipped tiers.
         let base = decode_seconds(&model, layout, MatmulKernel::Naive);
@@ -228,27 +232,29 @@ fn main() {
     }
     json.push_str("  ],\n");
 
-    banner("Int8 on the wire: weight-gathered decode bytes vs f32 (wg_xyz, 8 chips)");
-    // One decode step under the fully weight-gathered dataflow moves every
-    // weight matrix over the interconnect. With int8 shards the collectives
-    // carry the quantized wire format (1 byte/value + a per-column f32
-    // scale), so the all-gather byte volume must drop to roughly half of
-    // the bf16-accounted dense volume.
-    let decode_ag_bytes = |fmt: WeightFormat| {
+    banner("Int8 on the wire: weight-gathered prefill bytes vs f32 (wg_xyz, 8 chips)");
+    // One prefill pass under the fully weight-gathered dataflow moves every
+    // weight matrix over the interconnect (a decode step runs the
+    // weight-stationary partner and moves none). With int8 shards the
+    // collectives carry the quantized wire format (1 byte/value + a
+    // per-column f32 scale), so the all-gather byte volume must drop to
+    // roughly half of the bf16-accounted dense volume. The pass carries one
+    // token per row, the shape the decode step had when it gathered.
+    let next: Vec<Vec<usize>> = (0..BATCH).map(|b| vec![b % cfg.vocab]).collect();
+    let prefill_ag_bytes = |fmt: WeightFormat| {
         let mut engine = PartitionedEngine::new(&model, wg, fmt);
         let _ = engine.try_prefill(&prompts(cfg.vocab)).unwrap();
         engine.traffic().reset();
-        let next: Vec<usize> = (0..BATCH).map(|b| b % cfg.vocab).collect();
-        let _ = engine.try_decode_step(&next).unwrap();
+        let _ = engine.try_prefill(&next).unwrap();
         engine.traffic().bytes(esti_collectives::CollectiveOp::AllGather)
     };
-    let wg_f32 = decode_ag_bytes(WeightFormat::Exact);
-    let wg_int8 = decode_ag_bytes(WeightFormat::Int8);
+    let wg_f32 = prefill_ag_bytes(WeightFormat::Exact);
+    let wg_int8 = prefill_ag_bytes(WeightFormat::Int8);
     let gate_wire = wg_int8 as f64 / wg_f32 as f64;
     println!(
-        "all-gather bytes per decode step: f32 {wg_f32} vs int8 {wg_int8} (ratio {gate_wire:.3})"
+        "all-gather bytes per one-token prefill pass: f32 {wg_f32} vs int8 {wg_int8} (ratio {gate_wire:.3})"
     );
-    // Wall-clock per decode step, same layout. Gated at <= 1.0x of f32:
+    // Wall-clock per one-token prefill pass, same layout. Gated at <= 1.0x of f32:
     // with the SIMD widen-and-fold dequant the quantized path must at
     // least break even on step time while moving half the bytes (the
     // shared-memory mailboxes move pointers, so the wire win itself shows
@@ -256,16 +262,15 @@ fn main() {
     let step_time = |fmt: WeightFormat| {
         let mut engine = PartitionedEngine::new(&model, wg, fmt);
         let _ = engine.try_prefill(&prompts(cfg.vocab)).unwrap();
-        let next: Vec<usize> = (0..BATCH).map(|b| b % cfg.vocab).collect();
         time_best(3, || {
-            let _ = engine.try_decode_step(&next).unwrap();
+            let _ = engine.try_prefill(&next).unwrap();
         })
     };
     let t_f32 = step_time(WeightFormat::Exact);
     let t_int8 = step_time(WeightFormat::Int8);
     let gate_step = t_int8 / t_f32;
     println!(
-        "decode step wall-clock: f32 {:.0} us vs int8 {:.0} us (ratio {gate_step:.3})",
+        "one-token prefill wall-clock: f32 {:.0} us vs int8 {:.0} us (ratio {gate_step:.3})",
         t_f32 * 1e6,
         t_int8 * 1e6,
     );
@@ -281,7 +286,7 @@ fn main() {
         ""
     };
     json.push_str(&format!(
-        "  \"int8_wire\": {{\"wg_xyz_decode_ag_bytes_f32\": {wg_f32}, \"wg_xyz_decode_ag_bytes_int8\": {wg_int8}, \"ratio\": {gate_wire:.4}, \"wg_xyz_decode_us_f32\": {:.1}, \"wg_xyz_decode_us_int8\": {:.1}, \"step_ratio\": {gate_step:.4}, \"regression\": {wire_regression}{wire_tracking}}},\n",
+        "  \"int8_wire\": {{\"wg_xyz_prefill_ag_bytes_f32\": {wg_f32}, \"wg_xyz_prefill_ag_bytes_int8\": {wg_int8}, \"ratio\": {gate_wire:.4}, \"wg_xyz_prefill_us_f32\": {:.1}, \"wg_xyz_prefill_us_int8\": {:.1}, \"step_ratio\": {gate_step:.4}, \"regression\": {wire_regression}{wire_tracking}}},\n",
         t_f32 * 1e6,
         t_int8 * 1e6,
     ));
@@ -574,7 +579,7 @@ fn main() {
     print!("{}", engine.comm_time_summary());
 
     json.push_str(&format!(
-        "  \"gates\": {{\"matmul_256_speedup\": {gate_256:.4}, \"matmul_256_required\": 1.8, \"decode_ws1d_speedup\": {gate_1d:.4}, \"decode_ws1d_required\": 1.2, \"serving_batching_speedup\": {gate_serving:.4}, \"serving_batching_required\": 1.1, \"int8_matmul_256_speedup\": {gate_q256:.4}, \"int8_matmul_256_required\": 2.1, \"int8_wg_decode_byte_ratio\": {gate_wire:.4}, \"int8_wg_decode_byte_ratio_max\": 0.55, \"int8_wg_decode_step_ratio\": {gate_step:.4}, \"int8_wg_decode_step_ratio_max\": 1.0, \"paged_capacity_ratio\": {gate_paged:.4}, \"paged_capacity_required\": 2.0, \"deadline_overhead_ratio\": {gate_deadline:.4}, \"deadline_overhead_max\": 1.05, \"overload_goodput_ratio\": {gate_goodput:.4}, \"overload_goodput_required\": 0.7, \"overload_high_p99_ttft_s\": {gate_high_p99:.4}, \"overload_high_p99_ttft_max_s\": 1.0, \"router_failover_lost\": {gate_lost}, \"router_failover_lost_max\": 0, \"router_failover_streams_identical\": {rt_identical}}}\n}}\n"
+        "  \"gates\": {{\"matmul_256_speedup\": {gate_256:.4}, \"matmul_256_required\": 1.8, \"decode_ws1d_speedup\": {gate_1d:.4}, \"decode_ws1d_required\": 1.2, \"serving_batching_speedup\": {gate_serving:.4}, \"serving_batching_required\": 1.1, \"int8_matmul_256_speedup\": {gate_q256:.4}, \"int8_matmul_256_required\": 2.1, \"int8_wg_prefill_byte_ratio\": {gate_wire:.4}, \"int8_wg_prefill_byte_ratio_max\": 0.55, \"int8_wg_prefill_step_ratio\": {gate_step:.4}, \"int8_wg_prefill_step_ratio_max\": 1.0, \"paged_capacity_ratio\": {gate_paged:.4}, \"paged_capacity_required\": 2.0, \"deadline_overhead_ratio\": {gate_deadline:.4}, \"deadline_overhead_max\": 1.05, \"overload_goodput_ratio\": {gate_goodput:.4}, \"overload_goodput_required\": 0.7, \"overload_high_p99_ttft_s\": {gate_high_p99:.4}, \"overload_high_p99_ttft_max_s\": 1.0, \"router_failover_lost\": {gate_lost}, \"router_failover_lost_max\": 0, \"router_failover_streams_identical\": {rt_identical}}}\n}}\n"
     ));
 
     let root = results_dir().parent().map_or_else(|| std::path::PathBuf::from("."), std::path::Path::to_path_buf);
@@ -589,8 +594,8 @@ fn main() {
     println!("decode ws1d vs naive-kernel baseline: {gate_1d:.2}x (require >= 1.2x)");
     println!("serving continuous batching vs serial: {gate_serving:.2}x (require >= 1.1x)");
     println!("int8 GEMM 256^3 simd/scalar: {gate_q256:.2}x (require >= 2.1x)");
-    println!("int8 WG decode all-gather bytes vs f32: {gate_wire:.3} (require <= 0.55)");
-    println!("int8 WG decode step time vs f32: {gate_step:.3} (require <= 1.0)");
+    println!("int8 WG prefill all-gather bytes vs f32: {gate_wire:.3} (require <= 0.55)");
+    println!("int8 WG one-token prefill time vs f32: {gate_step:.3} (require <= 1.0)");
     println!("paged KV shared-prefix capacity vs dense: {gate_paged:.2}x (require >= 2.0x)");
     println!("deadline barrier vs blocking barrier decode step: {gate_deadline:.3} (require <= 1.05)");
     println!("overload goodput vs capacity ceiling: {gate_goodput:.2}x (require >= 0.7x)");
@@ -605,7 +610,7 @@ fn main() {
     assert!(gate_wire <= 0.55, "int8 wire gate failed: ratio {gate_wire:.3} > 0.55");
     assert!(
         gate_step <= 1.0,
-        "int8 step-time gate failed: int8/f32 decode step ratio {gate_step:.3} > 1.0"
+        "int8 step-time gate failed: int8/f32 prefill pass ratio {gate_step:.3} > 1.0"
     );
     assert!(
         gate_paged >= 2.0,

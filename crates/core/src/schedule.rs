@@ -1034,6 +1034,9 @@ pub struct ChipProgram {
     nest: Vec<AxisSet>,
     /// The attention's K input ([`Schedule::kv_input`]).
     kv: SymTensor,
+    /// The stored weights by role ([`Schedule::weights`]), which a chip
+    /// cuts by [`ChipProgram::cut`].
+    pub weights: Vec<(Role, SymTensor)>,
 }
 
 impl ChipProgram {
@@ -1146,6 +1149,7 @@ impl ChipProgram {
             plan,
             nest,
             kv: s.kv_input().clone(),
+            weights: s.weights.clone(),
         })
     }
 
@@ -1206,6 +1210,109 @@ impl ChipProgram {
         let (start, len) = self.kv.spec.local_range(h, self.kv.global[h], self.torus, coord, &[]);
         start..start + len
     }
+
+    /// The axes the program all-gathers stored weight `role` over (none if
+    /// it reads the weight where it is stored).
+    fn gathered(&self, role: Role) -> AxisSet {
+        let over = self.instrs.iter().find_map(|i| match i {
+            Instr::Collective(c) if matches!(c.send, Exchange::Weight { role: r, .. } if r == role) => {
+                Some(self.group_axes[c.group])
+            }
+            _ => None,
+        });
+        over.unwrap_or_default()
+    }
+
+    /// Chip `coord`'s cut of the stored weight `t` in [`ChipProgram::weights`],
+    /// as `(start, len)` per dim: each dim cut by
+    /// [`ShardingSpec::local_range`] with the axes the program gathers the
+    /// weight over innermost, so that a gather group's rank-ordered parts
+    /// concatenate into the cut over the rest.
+    #[must_use]
+    pub fn cut(&self, (role, t): &(Role, SymTensor), coord: ChipCoord) -> Vec<(usize, usize)> {
+        let inner = [self.gathered(*role)];
+        (0..t.global.len()).map(|i| t.spec.local_range(i, t.global[i], self.torus, coord, &inner)).collect()
+    }
+
+    /// Whether this program can run on what `stored` stores, each chip
+    /// holding one copy: every weight it reads cut alike on every chip
+    /// ([`ChipProgram::cut`], each program's gather axes innermost), and
+    /// the KV cache cut alike (the same spans, and each chip's
+    /// [`ChipProgram::kv_rows`] and [`ChipProgram::kv_heads`]).
+    ///
+    /// # Errors
+    ///
+    /// The first cut that differs: the weight's role, the chip, the dim and
+    /// both `(start, len)` ranges, `stored`'s first; or the first KV cut
+    /// that differs; or a model, mesh or weight spec that differs.
+    pub fn runs_on(&self, stored: &ChipProgram) -> Result<(), String> {
+        if self.cfg != stored.cfg || self.torus != stored.torus {
+            return Err("the programs run different models or meshes".into());
+        }
+        let chips = || self.torus.chips().enumerate();
+        for mine in &self.weights {
+            let Some(w) = stored.weights.iter().find(|w| w.0 == mine.0) else {
+                return Err(format!("{:?} is read but not stored", mine.0));
+            };
+            if mine.1 != w.1 {
+                return Err(format!("{:?}: stored as {} but read as {}", w.0, w.1, mine.1));
+            }
+            for (rank, coord) in chips() {
+                let (a, b) = (stored.cut(w, coord), self.cut(mine, coord));
+                if let Some(i) = (0..a.len()).find(|&i| a[i] != b[i]) {
+                    let name = w.1.spec.dims()[i].name;
+                    return Err(format!("{:?} on chip {rank}, dim {name}: {:?} vs {:?}", w.0, a[i], b[i]));
+                }
+            }
+        }
+        let b = self.spans();
+        if b != stored.spans() {
+            return Err(format!("KV spans: {} vs {b}", stored.spans()));
+        }
+        for (rank, coord) in chips() {
+            let (a, m) = (stored.kv_rows(coord, b), self.kv_rows(coord, b));
+            if a != m {
+                return Err(format!("KV rows of {b} on chip {rank}: {a:?} vs {m:?}"));
+            }
+            let (a, m) = (stored.kv_heads(coord), self.kv_heads(coord));
+            if a != m {
+                return Err(format!("KV heads on chip {rank}: {a:?} vs {m:?}"));
+            }
+        }
+        Ok(())
+    }
+}
+
+/// The program a weight-gathered layout decodes with: the first 1D
+/// weight-stationary layout on its mesh, × Batch then × Head, whose program
+/// built for `s`'s batch and sequence runs on what `p`, `s` compiled,
+/// stores ([`ChipProgram::runs_on`]). Gathering every weight pays only once
+/// a pass carries enough tokens (Section 3.2.3, Figure 7), so the paper
+/// prefills weight-gathered and decodes weight-stationary (Tables 2–3).
+///
+/// `Ok(None)` for every other layout: it decodes on its own program.
+///
+/// # Errors
+///
+/// A weight-gathered layout with no such partner, which decodes on its own
+/// program too: why the first candidate that builds does not pass.
+pub fn decode_partner(s: &Schedule, p: &ChipProgram) -> Result<Option<(Layout, ChipProgram)>, String> {
+    if !matches!(s.layout.ffn, FfnLayout::WeightGathered(_)) {
+        return Ok(None);
+    }
+    let mut first = None;
+    for attn in [AttnSharding::Batch, AttnSharding::Head] {
+        let layout = Layout { ffn: FfnLayout::WeightStationary1D, attn, mesh: s.layout.mesh };
+        let built = build_schedule(&p.cfg, &layout, s.batch, s.seq).and_then(|c| c.verify().map(|()| c));
+        let Ok(program) = built.and_then(|c| ChipProgram::compile(&c, &p.cfg)) else { continue };
+        match program.runs_on(p) {
+            Ok(()) => return Ok(Some((layout, program))),
+            Err(e) => {
+                first.get_or_insert_with(|| format!("{}: {e}", layout.describe()));
+            }
+        }
+    }
+    Err(first.unwrap_or_else(|| "no 1D weight-stationary layout builds on its mesh".into()))
 }
 
 fn dataflow_of(layout: &Layout) -> Dataflow {
@@ -1999,5 +2106,77 @@ mod tests {
             let p = ChipProgram::compile(&s, &cfg).unwrap();
             assert!(p.collectives(1).next().is_some(), "{}: expected at least one collective", layout.describe());
         }
+    }
+
+    /// `layout`'s partner for `cfg`, the schedule built as the engine builds
+    /// it: one row per chip, one token.
+    fn partner_of(cfg: &ModelConfig, layout: &Layout) -> Result<Option<Layout>, String> {
+        let s = build_schedule(cfg, layout, layout.mesh.n_chips(), 1).unwrap();
+        s.verify().unwrap();
+        let p = ChipProgram::compile(&s, cfg).unwrap();
+        decode_partner(&s, &p).map(|partner| partner.map(|(l, _)| l))
+    }
+
+    #[test]
+    fn a_weight_gathered_layout_decodes_on_the_ws1d_layout_that_shares_its_shards() {
+        // Eight heads, so that each of four chips holds two.
+        let cfg = ModelConfig { n_heads: 8, ..ModelConfig::tiny() };
+        let (batch, head) = (AttnSharding::Batch, AttnSharding::Head);
+        let wg = FfnLayout::WeightGathered;
+        let ws1d = |attn, mesh| Layout { ffn: FfnLayout::WeightStationary1D, attn, mesh };
+        let mut paired = Vec::new();
+        for (x, y, z) in [(2, 2, 1), (4, 1, 1), (1, 2, 2)] {
+            let mesh = MeshFactors::new(x, y, z);
+            for attn in [batch, head] {
+                paired.push((Layout { ffn: wg(GatherExtent::Xyz), attn, mesh }, ws1d(batch, mesh)));
+            }
+        }
+        let mesh = MeshFactors::new(1, 2, 2);
+        paired.push((Layout { ffn: wg(GatherExtent::X), attn: head, mesh }, ws1d(head, mesh)));
+        for (layout, partner) in paired {
+            let got = partner_of(&cfg, &layout);
+            assert_eq!(got, Ok(Some(partner)), "{}", layout.describe());
+        }
+
+        // Hybrid gathers put their gather axes innermost, which moves Wq's
+        // heads between chips: no partner stores the same cut.
+        for (extent, mesh) in [(GatherExtent::X, MeshFactors::new(2, 2, 1)), (GatherExtent::Xy, mesh)] {
+            for attn in [batch, head] {
+                let layout = Layout { ffn: wg(extent), attn, mesh };
+                let err = partner_of(&cfg, &layout).unwrap_err();
+                assert!(err.ends_with("Wq on chip 1, dim H: (4, 2) vs (2, 2)"), "{}: {err}", layout.describe());
+            }
+        }
+
+        // Weight-stationary layouts decode on their own program.
+        for layout in layouts_for(MeshFactors::new(2, 2, 1)) {
+            if !matches!(layout.ffn, FfnLayout::WeightGathered(_)) {
+                assert_eq!(partner_of(&cfg, &layout), Ok(None), "{}", layout.describe());
+            }
+        }
+    }
+
+    #[test]
+    fn runs_on_compares_every_weight_cut_and_the_kv_cut() {
+        let cfg = ModelConfig::tiny();
+        let mesh = MeshFactors::new(2, 2, 1);
+        let compile = |ffn, attn| {
+            let s = build_schedule(&cfg, &Layout { ffn, attn, mesh }, 4, 1).unwrap();
+            ChipProgram::compile(&s, &cfg).unwrap()
+        };
+        let (batch, head) = (AttnSharding::Batch, AttnSharding::Head);
+        let ws1d = compile(FfnLayout::WeightStationary1D, batch);
+        for layout in layouts_for(mesh) {
+            if let Ok(s) = build_schedule(&cfg, &layout, 4, 1) {
+                let p = ChipProgram::compile(&s, &cfg).unwrap();
+                assert_eq!(p.runs_on(&p), Ok(()), "{}", layout.describe());
+            }
+        }
+        // The same weights, KV rows split four ways against whole.
+        let err = compile(FfnLayout::WeightStationary1D, head).runs_on(&ws1d).unwrap_err();
+        assert_eq!(err, "KV spans: 4 vs 1");
+        // 2D stores E_x F_yz: the first weight is cut differently.
+        let err = ws1d.runs_on(&compile(FfnLayout::WeightStationary2D, batch)).unwrap_err();
+        assert!(err.starts_with("Wq: stored as"), "{err}");
     }
 }

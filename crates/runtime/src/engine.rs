@@ -18,7 +18,10 @@
 //! every chip's groups, and the schedule's buffer plan, which gives every
 //! step value a slot by liveness. In a pass each chip allocates one buffer per
 //! slot, at the slot's first use, and every layer writes its values into
-//! the buffers the first layer's took.
+//! the buffers the first layer's took. A weight-gathered layout also
+//! compiles its decode partner, a 1D weight-stationary program over the
+//! same stored shards: prefill passes gather the weights, decode steps run
+//! where the weights are stored.
 //!
 //! Each executor then *runs* the program for its chips (`run_schedule`):
 //! the layer steps once per model layer, then the final steps, every step
@@ -51,15 +54,15 @@ use esti_collectives::{
 };
 use esti_core::layout::Layout;
 use esti_core::schedule::{
-    b_axes, build_schedule, matrix_dims, ChipProgram, Exchange, Gain, Instr, LocalOp, Mm, Operand, Role, Schedule,
-    Step, SymTensor, WireFormat,
+    b_axes, build_schedule, decode_partner, matrix_dims, ChipProgram, Exchange, Gain, Instr, LocalOp, Mm, Operand,
+    Role, Schedule, Step, SymTensor, WireFormat,
 };
 use esti_hal::DType;
 use esti_model::reference::{attention_over_rows_into, gelu_into};
 use esti_model::{KvCache, ModelConfig, PageStats, PositionKind, ReferenceModel, Weights};
 use esti_tensor::pool::{with_worker_pool, ChipPool};
 use esti_tensor::{ops, Tensor};
-use esti_topology::{AxisSet, ChipCoord, TorusShape};
+use esti_topology::{AxisSet, ChipCoord};
 
 use crate::shard::ShardMat;
 
@@ -163,8 +166,13 @@ impl Stored {
 pub struct PartitionedEngine {
     cfg: ModelConfig,
     layout: Layout,
-    /// The schedule compiled once for the chips: what every chip runs.
+    /// The schedule compiled once for the chips: what every chip runs in a
+    /// prefill pass, and what each chip's weights and KV cache are cut by.
     program: ChipProgram,
+    /// What every chip runs in a decode step when that is not `program`: a
+    /// weight-gathered layout's 1D weight-stationary partner, which runs on
+    /// the same stored shards and KV cut ([`decode_partner`]).
+    decode: Option<ChipProgram>,
     chips: Vec<ChipState>,
     stats: Arc<TrafficStats>,
     /// Full embedding table, used host-side for the input lookup.
@@ -248,6 +256,14 @@ impl std::fmt::Debug for PartitionedEngine {
 impl PartitionedEngine {
     /// Shards `model` according to `layout` and builds the chip states.
     ///
+    /// The engine compiles the layout's schedule once; prefill passes run
+    /// it. A weight-gathered layout also compiles its decode partner, the
+    /// first 1D weight-stationary layout on its mesh that cuts every weight
+    /// and the KV cache as it does ([`decode_partner`]): the engine stores
+    /// the shards once and decode steps run the partner, which gathers no
+    /// weights. Every other layout, and a weight-gathered one with no
+    /// partner, decodes on its own program.
+    ///
     /// # Panics
     ///
     /// Panics if the model dimensions do not divide the mesh, or if
@@ -267,12 +283,16 @@ impl PartitionedEngine {
         let cfg = model.config().clone();
         let n = layout.mesh.n_chips();
         let dtype = if fmt == WeightFormat::Int8 { DType::Int8 } else { DType::Bf16 };
-        let (schedule, program) = build_schedule(&cfg, &layout, n, 1)
+        let (schedule, mut program) = build_schedule(&cfg, &layout, n, 1)
             .and_then(|s| s.verify().map(|()| s.with_weight_dtype(dtype)))
             .and_then(|s| ChipProgram::compile(&s, &cfg).map(|p| (s, p)))
             .unwrap_or_else(|e| panic!("invalid partition plan for {}: {e}", layout.describe()));
+        let decode = decode_partner(&schedule, &program).ok().flatten().map(|(_, mut decode)| {
+            regroup(&mut decode, &mut program.group_axes);
+            decode
+        });
 
-        // One group per axis set the program's collectives name, plus all
+        // One group per axis set the programs' collectives name, plus all
         // chips; members rank in chip order.
         let stats = TrafficStats::new();
         let torus = schedule.torus;
@@ -304,6 +324,7 @@ impl PartitionedEngine {
             cfg,
             layout,
             program,
+            decode,
             chips,
             stats,
             ages: Vec::new(),
@@ -562,6 +583,9 @@ impl PartitionedEngine {
     /// changes no bit of a row's logits, and a slot left out neither ages
     /// nor allocates. Each chip's cache also holds one *scratch row* past
     /// its slots, which only ever pads a pass and is empty between calls.
+    /// (A decode step runs the engine's decode program, which on a paired
+    /// weight-gathered engine is not the prefill program; see
+    /// [`PartitionedEngine::try_decode_rows`].)
     ///
     /// # Panics
     ///
@@ -790,6 +814,12 @@ impl PartitionedEngine {
     /// of range or given twice, an out-of-vocabulary token, or a span short
     /// of more padding rows than its empty slots and one scratch row.
     pub fn try_prefill_rows(&mut self, rows: &[(usize, &[usize])]) -> Result<Tensor, EngineError> {
+        self.try_rows(rows, false)
+    }
+
+    /// The pass over `rows` of [`PartitionedEngine::try_prefill_rows`], run
+    /// by the decode program if `decode`, else by the prefill program.
+    fn try_rows(&mut self, rows: &[(usize, &[usize])], decode: bool) -> Result<Tensor, EngineError> {
         if self.poisoned {
             return Err(EngineError::Poisoned);
         }
@@ -812,7 +842,7 @@ impl PartitionedEngine {
                 self.embed_token(seq.get(p).copied().unwrap_or(0), base + p, row);
             }
         }
-        let logits = self.try_forward(x, &step.rows)?;
+        let logits = self.try_forward(x, &step.rows, decode)?;
         for &row in &step.padding {
             self.empty_row(row);
         }
@@ -847,7 +877,13 @@ impl PartitionedEngine {
 
     /// One decode step over the `(slot, token)` rows given and no others,
     /// returning logits `[rows.len(), V]` in the order given: the one-token
-    /// [`PartitionedEngine::try_prefill_rows`].
+    /// pass of [`PartitionedEngine::try_prefill_rows`], slots and padding
+    /// alike, run by the engine's decode program. On a weight-gathered layout
+    /// with a decode partner ([`PartitionedEngine::new`]) that is the
+    /// partner, which rounds differently from the layout's own program: a
+    /// decode step is then not the one-token `try_prefill_rows`. The program
+    /// follows the call, never the token count, so a row's prompt KV and its
+    /// replays do not depend on which rows share its pass.
     ///
     /// # Errors
     ///
@@ -858,7 +894,7 @@ impl PartitionedEngine {
     /// As [`PartitionedEngine::try_prefill_rows`].
     pub fn try_decode_rows(&mut self, rows: &[(usize, usize)]) -> Result<Tensor, EngineError> {
         let rows: Vec<(usize, &[usize])> = rows.iter().map(|(s, t)| (*s, std::slice::from_ref(t))).collect();
-        Ok(self.try_prefill_rows(&rows)?.into_reshape(vec![rows.len(), self.cfg.vocab]))
+        Ok(self.try_rows(&rows, true)?.into_reshape(vec![rows.len(), self.cfg.vocab]))
     }
 
     /// Batch rows one pass over `rows`' slots carries through the model:
@@ -956,7 +992,8 @@ impl PartitionedEngine {
     /// scratch row, as [`PartitionedEngine::lay_out_step`] placed them —
     /// returning logits `[B, L, V]`, or, when any chip unwinds, the
     /// classified root-cause [`EngineError`] after releasing every peer.
-    /// Only `rows` append to their caches, and only slots age.
+    /// Only `rows` append to their caches, and only slots age. A decode step
+    /// runs the decode program, anything else the prefill program.
     ///
     /// The chips split into one contiguous block of ranks per executor, and
     /// the pass hands the engine's executor pool one task per block; the
@@ -972,7 +1009,7 @@ impl PartitionedEngine {
     /// cancellation through their own groups in turn. The chip then sits out
     /// the rest of the pass while its executor-mates step on. No deadline is
     /// needed for a crash to propagate; deadlines cover silent stalls.
-    fn try_forward(&mut self, x: Tensor, rows: &[usize]) -> Result<Tensor, EngineError> {
+    fn try_forward(&mut self, x: Tensor, rows: &[usize], decode: bool) -> Result<Tensor, EngineError> {
         if self.poisoned {
             return Err(EngineError::Poisoned);
         }
@@ -994,7 +1031,8 @@ impl PartitionedEngine {
             })
             .collect();
         let mut results: Vec<Result<Option<Tensor>, ChipPanic>> = (0..n).map(|_| Ok(None)).collect();
-        let (x, bases, program, pools) = (&x, &bases, &self.program, &self.pools);
+        let program = if decode { self.decode.as_ref().unwrap_or(&self.program) } else { &self.program };
+        let (x, bases, pools) = (&x, &bases, &self.pools);
         let t = self.executors.workers();
         let (mut chips, mut out) = (self.chips.as_mut_slice(), results.as_mut_slice());
         let mut tasks: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::with_capacity(t);
@@ -1193,14 +1231,13 @@ enum Val {
     Parts(Vec<ShardMat>),
 }
 
-/// Chip `coord`'s block of `w`, the stored `[rows, cols]` matrix of weight
-/// `t`: each of `t`'s dims cut by [`esti_core::sharding::ShardingSpec::local_range`] with the
-/// axes `inner` innermost, and mapped onto the matrix by [`matrix_dims`].
-fn cut(w: &Tensor, t: &SymTensor, torus: TorusShape, coord: ChipCoord, inner: AxisSet) -> Tensor {
+/// The block of `w`, the stored `[rows, cols]` matrix of weight `t`, that
+/// `ranges` cut: one `(start, len)` per dim of `t`, mapped onto the matrix by
+/// [`matrix_dims`].
+fn cut(w: &Tensor, t: &SymTensor, ranges: &[(usize, usize)]) -> Tensor {
     let mut block = [(0, 1); 2];
     let mut last = None;
-    for (i, m) in matrix_dims(&t.spec).enumerate() {
-        let (start, len) = t.spec.local_range(i, t.global[i], torus, coord, &[inner]);
+    for ((i, m), &(start, len)) in matrix_dims(&t.spec).enumerate().zip(ranges) {
         assert!(last != Some(m) || len == t.global[i], "a flattened matrix dim is cut on its outer dim only");
         block[m] = (block[m].0 * t.global[i] + start, block[m].1 * len);
         last = Some(m);
@@ -1211,10 +1248,9 @@ fn cut(w: &Tensor, t: &SymTensor, torus: TorusShape, coord: ChipCoord, inner: Ax
 
 /// Chip `coord`'s cut of what pass `li` of `s`, compiled into `p`, reads
 /// (a layer, or, past the last, the final steps). Each stored weight it
-/// reads is cut by its spec, the axes of the group `p` gathers it over
-/// innermost, so that a gather group's rank-ordered parts concatenate into
-/// the cut over the rest; it is stored in `fmt`, but the logits projection
-/// stays f32. Each layernorm gain is cut like its step's output `E`.
+/// reads is cut by [`ChipProgram::cut`], the axes `p` gathers it over
+/// innermost; it is stored in `fmt`, but the logits projection stays f32.
+/// Each layernorm gain is cut like its step's output `E`.
 fn store(
     s: &Schedule,
     p: &ChipProgram,
@@ -1225,21 +1261,12 @@ fn store(
     fmt: WeightFormat,
 ) -> Stored {
     let steps = if li < w.layers.len() { &s.layer } else { &s.final_steps };
-    let gathered = |role: Role| {
-        let over = p.instrs.iter().find_map(|i| match i {
-            Instr::Collective(c) if matches!(c.send, Exchange::Weight { role: r, .. } if r == role) => {
-                Some(p.group_axes[c.group])
-            }
-            _ => None,
-        });
-        over.unwrap_or_default()
-    };
-    let weights = s
+    let weights = p
         .weights
         .iter()
         .filter(|(role, _)| steps.iter().flat_map(Step::operands).any(|r| r == Operand::Weight(*role)))
-        .map(|&(role, ref t)| {
-            let block = cut(matrix(w, embed_t, li, role), t, s.torus, coord, gathered(role));
+        .map(|stored @ &(role, ref t)| {
+            let block = cut(matrix(w, embed_t, li, role), t, &p.cut(stored, coord));
             (role, if role == Role::EmbedT { ShardMat::Dense(block) } else { fmt.apply(&block) })
         })
         .collect();
@@ -1260,6 +1287,24 @@ fn store(
         })
         .collect();
     Stored { weights, gains }
+}
+
+/// Re-indexes `p`'s groups into `axes`, appending the axis sets `axes`
+/// lacks, so that `p` runs on the groups built for `axes`.
+fn regroup(p: &mut ChipProgram, axes: &mut Vec<AxisSet>) {
+    let mut at = |a: AxisSet| {
+        axes.iter().position(|&g| g == a).unwrap_or_else(|| {
+            axes.push(a);
+            axes.len() - 1
+        })
+    };
+    for i in &mut p.instrs {
+        if let Instr::Collective(c) = i {
+            c.group = at(p.group_axes[c.group]);
+        }
+    }
+    p.emit = at(p.group_axes[p.emit]);
+    p.group_axes.clone_from(axes);
 }
 
 /// The full stored matrix of weight `role` in pass `li`: a field of layer
@@ -1886,7 +1931,10 @@ mod tests {
                                 group.iter().map(|&c| dense(s.torus.chip_id(c), 0, role)).collect();
                             let gathered = Tensor::concat(&parts.iter().collect::<Vec<_>>(), dim);
                             for &c in &group {
-                                let want = cut(full, output, s.torus, c, AxisSet::empty());
+                                let canonical: Vec<(usize, usize)> = (0..output.global.len())
+                                    .map(|i| output.spec.local_range(i, output.global[i], s.torus, c, &[]))
+                                    .collect();
+                                let want = cut(full, output, &canonical);
                                 assert!(gathered == want, "{what}: the {role:?} gather over {axes} at {c}");
                             }
                         }
@@ -1911,6 +1959,43 @@ mod tests {
             }
         }
         assert!(checked >= 100, "only {checked} schedules checked");
+    }
+
+    #[test]
+    fn a_paired_engine_stores_its_shards_once() {
+        // A weight-gathered engine with a decode partner stores exactly what
+        // its own program cuts, which is what the partner engine stores too.
+        let model = ReferenceModel::init_random(ModelConfig::tiny(), 3);
+        let cfg = model.config();
+        let embed_t = model.weights().embed.transpose();
+        let bytes = |e: &PartitionedEngine| -> Vec<usize> {
+            let weights = e.chips.iter().map(|c| c.stored.iter().flat_map(|s| &s.weights).map(|w| w.1.storage_bytes()));
+            weights.map(Iterator::sum).collect()
+        };
+        for (x, y, z) in [(2, 2, 1), (4, 1, 1)] {
+            let mesh = MeshFactors::new(x, y, z);
+            let wg = Layout { ffn: FfnLayout::WeightGathered(GatherExtent::Xyz), attn: AttnSharding::Batch, mesh };
+            let ws = Layout { ffn: FfnLayout::WeightStationary1D, ..wg };
+            for fmt in [WeightFormat::Exact, WeightFormat::Int8] {
+                let dtype = if fmt == WeightFormat::Int8 { DType::Int8 } else { DType::Bf16 };
+                let paired = PartitionedEngine::new(&model, wg, fmt);
+                let partner = PartitionedEngine::new(&model, ws, fmt);
+                assert!(paired.decode.is_some() && partner.decode.is_none(), "{}", wg.describe());
+                // What the layout's own program alone cuts, chip by chip.
+                let s = build_schedule(cfg, &wg, mesh.n_chips(), 1).unwrap().with_weight_dtype(dtype);
+                let p = ChipProgram::compile(&s, cfg).unwrap();
+                let own: Vec<usize> = s
+                    .torus
+                    .chips()
+                    .map(|c| {
+                        let stored = (0..=cfg.n_layers).map(|li| store(&s, &p, model.weights(), &embed_t, li, c, fmt));
+                        stored.flat_map(|st| st.weights).map(|w| w.1.storage_bytes()).sum()
+                    })
+                    .collect();
+                assert_eq!(bytes(&paired), own, "{} {fmt:?}", wg.describe());
+                assert_eq!(bytes(&partner), own, "{} {fmt:?}", wg.describe());
+            }
+        }
     }
 
     #[test]

@@ -70,7 +70,9 @@ fn int8_weight_gathered_traffic_is_quantized_volume() {
 fn int8_halves_weight_gather_bytes_vs_bf16() {
     // The point of the int8 wire format: the same layout moves less than
     // 0.55x the weight-gather bytes of the f32/bf16 path (1 byte vs 2 per
-    // element, plus the small per-column scale overhead).
+    // element, plus the small per-column scale overhead). Measured on a
+    // one-token prefill pass, the phase that gathers weights: decode steps
+    // run the weight-stationary partner, which gathers none.
     let model = ReferenceModel::init_random(ModelConfig::tiny(), 72);
     let layout = Layout {
         ffn: FfnLayout::WeightGathered(GatherExtent::Xyz),
@@ -81,7 +83,7 @@ fn int8_halves_weight_gather_bytes_vs_bf16() {
         let mut engine = PartitionedEngine::new(&model, layout, fmt);
         let _ = engine.try_prefill(&prompts(4, 2)).unwrap();
         engine.traffic().reset();
-        let _ = engine.try_decode_step(&[1, 2, 3, 4]).unwrap();
+        let _ = engine.try_prefill(&[vec![1], vec![2], vec![3], vec![4]]).unwrap();
         engine.traffic().bytes(CollectiveOp::AllGather) as f64
     };
     let ratio = bytes(WeightFormat::Int8) / bytes(WeightFormat::Exact);

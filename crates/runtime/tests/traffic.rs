@@ -156,8 +156,10 @@ fn symbolic_schedule_call_counts_match_measured_runtime() {
     // communicate. So the engine must issue precisely the collective calls
     // the schedule predicts, group for group, on every layout, block kind
     // (a serial 2D layer all-reduces layernorm moments twice and
-    // reduce-scatters each residual branch on its own) and weight format.
-    use esti_core::schedule::{build_schedule, Step, SymOp};
+    // reduce-scatters each residual branch on its own) and weight format:
+    // in a prefill pass the layout's own schedule, in a decode step its
+    // decode program's (a weight-gathered layout's partner, if it has one).
+    use esti_core::schedule::{build_schedule, decode_partner, ChipProgram, Schedule, Step, SymOp};
     use esti_hal::DType;
 
     fn op_kind(op: SymOp) -> CollectiveOp {
@@ -192,27 +194,42 @@ fn symbolic_schedule_call_counts_match_measured_runtime() {
                 let (b, l) = (4usize, 2usize);
                 let schedule = build_schedule(cfg, &layout, b * l, 1).expect("schedule");
                 let schedule = schedule.with_weight_dtype(dtype);
-                let torus = schedule.torus;
-                let mut expected = std::collections::HashMap::new();
-                for (steps, reps) in [(&schedule.layer, cfg.n_layers), (&schedule.final_steps, 1)] {
-                    for step in steps {
-                        if let Step::Collective { op, axes, .. } = step {
-                            // One ledger entry per group instance (rank 0 records).
-                            let groups = torus.chip_count() / torus.group_size(*axes);
-                            *expected.entry(op_kind(*op)).or_insert(0u64) += (groups * reps) as u64;
+                let program = ChipProgram::compile(&schedule, cfg).expect("program");
+                let decode = match decode_partner(&schedule, &program) {
+                    Ok(Some((partner, _))) => build_schedule(cfg, &partner, b * l, 1).expect("partner schedule"),
+                    _ => schedule.clone(),
+                };
+                let expected = |s: &Schedule| {
+                    let torus = s.torus;
+                    let mut expected = std::collections::HashMap::new();
+                    for (steps, reps) in [(&s.layer, cfg.n_layers), (&s.final_steps, 1)] {
+                        for step in steps {
+                            if let Step::Collective { op, axes, .. } = step {
+                                // One ledger entry per group instance (rank 0 records).
+                                let groups = torus.chip_count() / torus.group_size(*axes);
+                                *expected.entry(op_kind(*op)).or_insert(0u64) += (groups * reps) as u64;
+                            }
                         }
                     }
-                }
+                    expected
+                };
                 let mut engine = PartitionedEngine::new(&model, layout, fmt);
                 let _ = engine.try_prefill(&prompts(b, l)).unwrap();
-                for op in CollectiveOp::ALL {
-                    assert_eq!(
-                        engine.traffic().calls(op),
-                        expected.get(&op).copied().unwrap_or(0),
-                        "{op:?} call count: {} {} {fmt:?}",
-                        cfg.name,
-                        layout.describe()
-                    );
+                let prefill: Vec<u64> = CollectiveOp::ALL.iter().map(|&op| engine.traffic().calls(op)).collect();
+                engine.traffic().reset();
+                let _ = engine.try_decode_step(&[1, 2, 3, 4]).unwrap();
+                let step: Vec<u64> = CollectiveOp::ALL.iter().map(|&op| engine.traffic().calls(op)).collect();
+                for (pass, calls, s) in [("prefill", prefill, &schedule), ("decode", step, &decode)] {
+                    let expected = expected(s);
+                    for (op, calls) in CollectiveOp::ALL.into_iter().zip(calls) {
+                        assert_eq!(
+                            calls,
+                            expected.get(&op).copied().unwrap_or(0),
+                            "{op:?} {pass} call count: {} {} {fmt:?}",
+                            cfg.name,
+                            layout.describe()
+                        );
+                    }
                 }
                 checked += 1;
             }

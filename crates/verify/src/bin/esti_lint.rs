@@ -35,6 +35,15 @@ fn json_escape(s: &str) -> String {
     out
 }
 
+/// What a weight-gathered row decodes on: its partner over the same
+/// stored shards, or the first cut that differs.
+fn decode_note(decode: &Result<esti_core::layout::Layout, String>) -> String {
+    match decode {
+        Ok(partner) => format!("decode on {}", partner.describe()),
+        Err(e) => format!("no decode partner: {e}"),
+    }
+}
+
 /// One row rendered as a JSON object.
 fn json_row(r: &ComboResult) -> String {
     let (status, detail) = match &r.outcome {
@@ -55,6 +64,9 @@ fn json_row(r: &ComboResult) -> String {
                     q.streams_covered,
                     q.wire_ratio()
                 );
+            }
+            if let Some(decode) = &mem.decode {
+                let _ = write!(d, "; {}", decode_note(decode));
             }
             let status = if mem.wg_warning.is_some() { "warn" } else { "pass" };
             (status, d)
@@ -128,8 +140,12 @@ fn main() {
                     Some(q) => format!(", int8 wire {:.2}x", q.wire_ratio()),
                     None => String::new(),
                 };
+                let decode = match &mem.decode {
+                    Some(decode) => format!(", {}", decode_note(decode)),
+                    None => String::new(),
+                };
                 println!(
-                    "  PASS {:<55} comm {:.3}x, spmd {} chips/{} firings, live {} inj, mem {}{q}{wg}",
+                    "  PASS {:<55} comm {:.3}x, spmd {} chips/{} firings, live {} inj, mem {}{q}{decode}{wg}",
                     r.layout,
                     comm.ratio(),
                     spmd.chips,

@@ -14,7 +14,9 @@
 //!   charge for a request set in [`check_memory_fit_paged`];
 //! * **activations** — the peak of the compiled program's buffer plan
 //!   ([`ChipProgram::plan`]), the slots each chip's lane holds at once in
-//!   the engine, in bf16.
+//!   the engine, in bf16. A weight-gathered layout with a decode partner
+//!   ([`decode_partner`]) stores its weights once and runs one program per
+//!   phase, so it is charged the larger of the two programs' peaks.
 //!
 //! A configuration whose residents overflow HBM is a hard failure; a
 //! weight-gathered layout whose *transient* working set — the weights the
@@ -22,7 +24,8 @@
 //! overflows (Section 3.5) is reported as a warning, since the runtime can
 //! trade it off by gathering in chunks.
 
-use esti_core::schedule::{ChipProgram, Exchange, Instr, Role, Schedule, SymTensor};
+use esti_core::layout::Layout;
+use esti_core::schedule::{decode_partner, ChipProgram, Exchange, Instr, Role, Schedule, SymTensor};
 use esti_core::scheduler::{Decision, Job, PageLedger, Scheduler};
 use esti_core::serving::OverloadPolicy;
 use esti_core::Machine;
@@ -50,6 +53,10 @@ pub struct MemReport {
     /// Set when a weight-gathered layout's transient working set would
     /// exceed the remaining capacity.
     pub wg_warning: Option<String>,
+    /// For a weight-gathered layout, the layout it decodes on over the same
+    /// stored shards, or why it has none ([`decode_partner`]); `None` for
+    /// every other layout.
+    pub decode: Option<Result<Layout, String>>,
 }
 
 impl MemReport {
@@ -147,8 +154,8 @@ fn pool_pages(page_size: usize, jobs: &[Job<'_>]) -> usize {
 }
 
 /// Sums the schedule's weight shard, `kv_bytes` and its compiled program's
-/// buffer plan peak against usable HBM, with the weight-gathered
-/// working-set warning.
+/// buffer plan peak (or its decode partner's, if larger) against usable
+/// HBM, with the weight-gathered working-set warning.
 fn report(
     machine: &Machine,
     model: &ModelConfig,
@@ -162,7 +169,12 @@ fn report(
     let weight_elements: usize = s.weights.iter().map(|(role, w)| local(w) * layers(*role)).sum();
     let weight_bytes = weight_elements as f64 * weight_dtype.bytes_f();
     let p = ChipProgram::compile(s, model).expect("a verified schedule compiles");
-    let act_bytes = p.plan.peak_elements() as f64 * 2.0;
+    let (decode, peak) = match decode_partner(s, &p) {
+        Ok(Some((layout, d))) => (Some(Ok(layout)), p.plan.peak_elements().max(d.plan.peak_elements())),
+        Ok(None) => (None, p.plan.peak_elements()),
+        Err(e) => (Some(Err(e)), p.plan.peak_elements()),
+    };
+    let act_bytes = peak as f64 * 2.0;
     let capacity = machine.chip.hbm_capacity * USABLE_HBM_FRACTION;
     let resident = weight_bytes + kv_bytes + act_bytes;
     // A weight-gathered layer's working set: every weight the layer
@@ -187,7 +199,7 @@ fn report(
         )
     });
     let (fits, margin_frac) = (resident <= capacity, (capacity - resident) / capacity);
-    MemReport { weight_bytes, kv_bytes, act_bytes, capacity, fits, margin_frac, wg_warning }
+    MemReport { weight_bytes, kv_bytes, act_bytes, capacity, fits, margin_frac, wg_warning, decode }
 }
 
 #[cfg(test)]

@@ -43,7 +43,7 @@ pub enum Outcome {
         /// SPMD report (chips, ops, firings).
         spmd: SpmdReport,
         /// Memory report (may carry a weight-gathered warning).
-        mem: MemReport,
+        mem: Box<MemReport>,
         /// Fault-path liveness over the schedule's collective call sites.
         liveness: LivenessReport,
         /// Quant-dataflow report for int8-weight scenarios (`None` when
@@ -169,7 +169,7 @@ pub fn check_schedule(s: &Scenario, schedule: &Schedule) -> Outcome {
     } else {
         None
     };
-    Outcome::Pass { comm, spmd, mem, liveness, quant }
+    Outcome::Pass { comm, spmd, mem: Box::new(mem), liveness, quant }
 }
 
 /// The scheduler configuration the shipped batcher runs with (the

@@ -6,10 +6,12 @@
 //!   values live at one step share a slot, checked against an independent
 //!   walk of the steps' operands.
 //! * **memfit**: on every combination esti-lint passes, the activation
-//!   bytes memfit charges are the plan's peak in bf16.
+//!   bytes memfit charges are the plan's peak in bf16 — the larger of the
+//!   two programs' peaks on a weight-gathered layout that decodes on a
+//!   partner.
 
 use esti_core::layout::{AttnSharding, FfnLayout, GatherExtent, Layout, MeshFactors};
-use esti_core::schedule::{build_schedule, BufferPlan, Operand, Schedule, Step, SymOp};
+use esti_core::schedule::{build_schedule, decode_partner, BufferPlan, ChipProgram, Operand, Schedule, Step, SymOp};
 use esti_model::{BlockKind, MlpKind, ModelConfig, PositionKind};
 use esti_verify::scenarios::{check_combo, sweep_layouts};
 use esti_verify::{builtin_scenarios, Outcome};
@@ -126,15 +128,23 @@ fn the_buffer_plan_never_gives_two_live_values_one_slot() {
 
 #[test]
 fn memfit_charges_the_plans_peak_on_every_accepted_schedule() {
-    let mut checked = 0;
+    let (mut checked, mut paired) = (0, 0);
     for sc in builtin_scenarios() {
         for layout in sweep_layouts(&sc.model, sc.machine.n_chips()) {
             let Outcome::Pass { mem, .. } = check_combo(&sc, &layout) else { continue };
             let s = build_schedule(&sc.model, &layout, sc.batch, 1).unwrap();
-            let peak = BufferPlan::new(&s, &sc.model).peak_elements();
+            let mut peak = BufferPlan::new(&s, &sc.model).peak_elements();
+            let p = ChipProgram::compile(&s, &sc.model).unwrap();
+            if let Ok(Some((partner, _))) = decode_partner(&s, &p) {
+                assert_eq!(mem.decode, Some(Ok(partner)), "{} {}", sc.model.name, layout.describe());
+                let d = build_schedule(&sc.model, &partner, sc.batch, 1).unwrap();
+                peak = peak.max(BufferPlan::new(&d, &sc.model).peak_elements());
+                paired += 1;
+            }
             assert_eq!(mem.act_bytes, peak as f64 * 2.0, "{} {}", sc.model.name, layout.describe());
             checked += 1;
         }
     }
     assert!(checked >= 35, "only {checked} accepted schedules");
+    assert!(paired > 0, "no accepted weight-gathered schedule decodes on a partner");
 }
