@@ -10,7 +10,7 @@ cargo build --workspace --release
 echo "== tests =="
 cargo test -q --workspace
 
-echo "== kernel conformance: SIMD and worker-pool paths bit-identical to the scalar oracles =="
+echo "== kernel conformance: SIMD paths bit-identical to the scalar oracles =="
 # Runs the GEMM conformance suite twice: once with the AVX2 int8 tier
 # active (the default) and once with ESTI_DISABLE_SIMD forcing the blocked
 # int8 fallback, so both int8 tiers are proven against the scalar oracle on
@@ -37,11 +37,16 @@ fi
 cargo test -q --release -p esti-model fused_attention
 ESTI_DISABLE_SIMD=1 cargo test -q --release -p esti-model fused_attention
 
-echo "== thread conformance: the intra-chip worker count (setter / ServingOptions field, default 1) invisible in logits and tokens =="
-# Two ways to set it, no environment variable: the engine's
-# set_intra_chip_threads and ServingOptions::intra_chip_threads, which
-# build_engine always applies.
-cargo test -q --release -p esti-runtime --test threads
+echo "== one level of parallelism: the chip executors are the engine's only threads =="
+# Each simulated chip's kernels run serially on the executor that steps it:
+# the per-chip worker pools, their thread knob (engine setter and
+# ServingOptions field), the banded GEMM dispatch and esti-tensor's pool
+# module stay gone, as do the collective wrappers only their own tests
+# called (the engine posts those calls itself).
+if grep -rnE "set_intra_chip_threads|intra_chip_threads|with_worker_pool|partition_rows|active_workers|esti_tensor::pool|fn all_gather_(parts|quant)\b" crates src tests examples; then
+  echo "FAIL: an intra-chip worker pool, its knob or a dead gather wrapper is back" >&2
+  exit 1
+fi
 
 echo "== one engine mode: the classic calls are the all-slots pass =="
 # The engine holds one Vec of slot ages; try_prefill / try_decode_step /
@@ -220,8 +225,8 @@ echo "== lockstep executors: min(CPUs, chips) executors, the caller among them, 
 # resident executors, the calling thread running the first, each stepping a
 # contiguous block of chips through the schedule in lockstep, so no pass
 # spawns a thread. executors checks the process thread count (idle + T - 1)
-# across 200 steps, on drop and after a fault-forced rebuild; threads and
-# faults hold the executors to the bits and to the unwind protocol. The
+# across 200 steps, on drop and after a fault-forced rebuild; equivalence
+# and faults hold the executors to the bits and to the unwind protocol. The
 # suites run again pinned to one CPU (T = 1: the whole mesh on the caller)
 # and to two (T = 2), so a host with four or more CPUs still exercises
 # executors that share their thread among chips.
@@ -229,10 +234,10 @@ if grep -rn "thread::scope" crates/runtime/src; then
   echo "FAIL: a forward pass spawns chip threads again (thread::scope in crates/runtime/src)" >&2
   exit 1
 fi
-cargo test -q --release -p esti-runtime --test executors --test threads --test faults
+cargo test -q --release -p esti-runtime --test executors --test faults
 for cpus in 0 0,1; do
   taskset -c "$cpus" cargo test -q --release -p esti-runtime \
-    --test equivalence --test faults --test executors --test threads
+    --test equivalence --test faults --test executors
 done
 
 echo "== compiled program: the schedule compiled once, every value in a slot of the buffer plan =="

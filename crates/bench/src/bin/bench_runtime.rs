@@ -281,7 +281,7 @@ fn main() {
     // again (ci.sh rejects flagged rows without one).
     let wire_regression = t_int8 > t_f32;
     let wire_tracking = if wire_regression {
-        ", \"tracking\": \"ROADMAP item 5: SIMD + intra-chip parallel kernel core\""
+        ", \"tracking\": \"the SIMD int8 kernel core\""
     } else {
         ""
     };
@@ -535,27 +535,23 @@ fn main() {
         let _ = engine.try_prefill(&prompts(cfg.vocab)).unwrap();
         engine
     };
-    let mut eng_blocking = build_engine(None);
-    let mut eng_deadline = build_engine(Some(esti_runtime::DEFAULT_COLLECTIVE_DEADLINE));
+    let mut engines = [build_engine(None), build_engine(Some(esti_runtime::DEFAULT_COLLECTIVE_DEADLINE))];
     let next: Vec<usize> = (0..BATCH).map(|b| b % cfg.vocab).collect();
-    // Interleave the two measurements round-by-round so slow drift in
-    // machine load (thermal, co-tenant noise) hits both variants equally
-    // instead of biasing whichever happens to run second.
-    let (mut t_blocking, mut t_deadline) = (f64::INFINITY, f64::INFINITY);
-    for _ in 0..9 {
-        t_blocking = t_blocking.min(time_best(1, || {
-            for _ in 0..DECODE_STEPS {
-                let _ = eng_blocking.try_decode_step(&next).unwrap();
-            }
-        }));
-        t_deadline = t_deadline.min(time_best(1, || {
-            for _ in 0..DECODE_STEPS {
-                let _ = eng_deadline.try_decode_step(&next).unwrap();
-            }
-        }));
+    // Interleave the two measurements round by round so slow drift in
+    // machine load (thermal, co-tenant noise) hits both variants equally,
+    // and alternate which one runs first so neither always runs second.
+    let mut best = [f64::INFINITY; 2];
+    for round in 0..9 {
+        for i in [round % 2, 1 - round % 2] {
+            let engine = &mut engines[i];
+            best[i] = best[i].min(time_best(1, || {
+                for _ in 0..DECODE_STEPS {
+                    let _ = engine.try_decode_step(&next).unwrap();
+                }
+            }));
+        }
     }
-    let t_blocking = t_blocking / DECODE_STEPS as f64;
-    let t_deadline = t_deadline / DECODE_STEPS as f64;
+    let [t_blocking, t_deadline] = best.map(|t| t / DECODE_STEPS as f64);
     let gate_deadline = t_deadline / t_blocking;
     println!(
         "decode step: blocking barrier {:.0} us vs deadline barrier {:.0} us (ratio {gate_deadline:.3})",

@@ -116,9 +116,19 @@ struct Shared {
 pub enum Call<'a> {
     /// [`CommGroup::all_gather`] of `shard` along `dim`.
     AllGather { shard: &'a Tensor, dim: usize },
-    /// [`CommGroup::all_gather_parts`] of `shard`, logically along `dim`.
+    /// [`CommGroup::all_gather`] of `shard` without the concatenation:
+    /// every rank's shard, in rank order, for a caller that contracts each
+    /// source rank's shard separately. `dim` is the logical concatenation
+    /// dimension; it only takes part in the SPMD agreement check. Charged
+    /// as the dense all-gather's output bytes.
     AllGatherParts { shard: &'a Tensor, dim: usize },
-    /// [`CommGroup::all_gather_quant`] of `shard`, logically along `dim`.
+    /// A quantized all-gather: every rank's int8 `shard` in wire format
+    /// (values + per-column scales), in rank order, each shard's scales
+    /// kept with its values. `dim` is the logical concatenation dimension
+    /// (0 = row shards sharing no scales, 1 = column shards partitioning
+    /// the scale vector); it only takes part in the SPMD agreement check.
+    /// Charged at the true quantized volume, `size() ×
+    /// shard.storage_bytes()` (1 byte per value + 4 per scale).
     AllGatherQuant { shard: &'a QuantizedMatrix, dim: usize },
     /// [`CommGroup::reduce_scatter`] of `input` along `dim`.
     ReduceScatter { input: &'a Tensor, dim: usize },
@@ -688,22 +698,6 @@ impl CommGroup {
         self.call(Call::AllGather { shard, dim }).tensor()
     }
 
-    /// [`all_gather`](Self::all_gather) without the concatenation: every
-    /// rank's `shard`, in rank order — the dense counterpart of
-    /// [`all_gather_quant`](Self::all_gather_quant), for callers that
-    /// contract each source rank's shard separately. `dim` is the logical
-    /// concatenation dimension; here it only participates in the SPMD
-    /// agreement check.
-    ///
-    /// Traffic ledger: per-chip *output* bytes (Appendix A.1).
-    #[must_use]
-    pub fn all_gather_parts(&self, shard: &Tensor, dim: usize) -> Vec<Tensor> {
-        match self.call(Call::AllGatherParts { shard, dim }) {
-            Received::Parts(parts) => parts,
-            _ => unreachable!("a parts gather reads parts"),
-        }
-    }
-
     /// reduce-scatter(`dim`): sums every member's `input` element-wise, then
     /// returns to each member its rank's slice of the sum along `dim`.
     ///
@@ -740,32 +734,6 @@ impl CommGroup {
     #[must_use]
     pub fn all_to_all(&self, input: &Tensor, split_dim: usize, concat_dim: usize) -> Tensor {
         self.call(Call::AllToAll { input, split: split_dim, concat: concat_dim }).tensor()
-    }
-
-    /// Quantized all-gather: every member deposits its int8 weight shard in
-    /// wire format (values + per-column scales) and receives every rank's
-    /// shard, in rank order. The caller reassembles (or streams) them —
-    /// returning the parts rather than a concatenation keeps each shard's
-    /// scales attached to its values.
-    ///
-    /// `dim` is the logical concatenation dimension of the gather (0 = row
-    /// shards sharing no scales, 1 = column shards partitioning the scale
-    /// vector); it only participates in the SPMD agreement check here.
-    ///
-    /// Traffic ledger: per-chip *output* bytes like the dense
-    /// [`all_gather`](Self::all_gather), but at the true quantized volume —
-    /// `size() × shard.storage_bytes()` (1 byte per value + 4 per scale)
-    /// instead of `elements × 2`.
-    ///
-    /// # Panics
-    ///
-    /// Panics (debug builds) if members disagree on op, shape or dims.
-    #[must_use]
-    pub fn all_gather_quant(&self, shard: &QuantizedMatrix, dim: usize) -> Vec<QuantizedMatrix> {
-        match self.call(Call::AllGatherQuant { shard, dim }) {
-            Received::Quant(parts) => parts,
-            _ => unreachable!("a quantized gather reads int8 parts"),
-        }
     }
 }
 
@@ -1040,7 +1008,14 @@ mod tests {
             };
             let outs = run_group(size, |r, g| {
                 let q = QuantizedMatrix::quantize(&shard(r));
-                (g.all_gather_parts(&shard(r), 0), g.all_gather(&shard(r), 0), g.all_gather_quant(&q, 0))
+                let Received::Parts(parts) = g.call(Call::AllGatherParts { shard: &shard(r), dim: 0 }) else {
+                    unreachable!("a parts gather reads parts")
+                };
+                let gathered = g.all_gather(&shard(r), 0);
+                let Received::Quant(quant) = g.call(Call::AllGatherQuant { shard: &q, dim: 0 }) else {
+                    unreachable!("a quantized gather reads int8 parts")
+                };
+                (parts, gathered, quant)
             });
             for (parts, gathered, quant) in outs {
                 assert_eq!(parts.len(), size);
@@ -1069,8 +1044,8 @@ mod tests {
                 s.spawn(move || {
                     let t = Tensor::ones(vec![8, 6]);
                     let _ = m.all_gather(&t, 1);
-                    let _ = m.all_gather_parts(&t, 1);
-                    let _ = m.all_gather_quant(&QuantizedMatrix::quantize(&t), 1);
+                    let _ = m.call(Call::AllGatherParts { shard: &t, dim: 1 });
+                    let _ = m.call(Call::AllGatherQuant { shard: &QuantizedMatrix::quantize(&t), dim: 1 });
                 });
             }
         });

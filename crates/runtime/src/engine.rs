@@ -3,9 +3,10 @@
 //!
 //! Every chip runs the same program — the layout's [`Schedule`] — so one
 //! thread can run step k for several chips in turn. The engine owns
-//! `T = min(available_parallelism, chips)` executors (an
-//! [`esti_tensor::pool::ChipPool`] of `T` workers, which spawns `T − 1`
-//! threads when the engine is built and joins them when it drops). A pass
+//! `T = min(available_parallelism, chips)` executors (a `ChipPool` of `T`
+//! workers, which spawns `T − 1` threads when the engine is built and
+//! joins them when it drops); they are its only threads, and each chip's
+//! kernels run serially on its executor. A pass
 //! hands each executor a contiguous block of ranks, so a 2×2 2D mesh's yz
 //! groups complete inside one executor, and the calling thread runs the
 //! first block. With `T = chips` this is one thread per chip; pinned to one
@@ -60,10 +61,10 @@ use esti_core::schedule::{
 use esti_hal::DType;
 use esti_model::reference::{attention_over_rows_into, gelu_into};
 use esti_model::{KvCache, ModelConfig, PageStats, PositionKind, ReferenceModel, Weights};
-use esti_tensor::pool::{with_worker_pool, ChipPool};
 use esti_tensor::{ops, Tensor};
 use esti_topology::{AxisSet, ChipCoord};
 
+use crate::executors::ChipPool;
 use crate::shard::ShardMat;
 
 pub use crate::shard::WeightFormat;
@@ -186,12 +187,6 @@ pub struct PartitionedEngine {
     ages: Vec<usize>,
     /// Deadline applied to every chip group's collectives.
     deadline: Option<Duration>,
-    /// Worker threads each simulated chip's kernels split output rows
-    /// over (1 = each chip computes serially on its executor).
-    chip_workers: usize,
-    /// One persistent worker pool per chip when `chip_workers > 1`
-    /// (aligned with `chips`); empty otherwise.
-    pools: Vec<Arc<ChipPool>>,
     /// The chips' executors, `min(available_parallelism, chips)` workers:
     /// a pass hands each a contiguous block of ranks, the calling thread
     /// runs the first, and the other threads live as long as the engine.
@@ -329,8 +324,6 @@ impl PartitionedEngine {
             stats,
             ages: Vec::new(),
             deadline: None,
-            chip_workers: 1,
-            pools: Vec::new(),
             executors: ChipPool::new(executors),
             poisoned: false,
         };
@@ -357,35 +350,6 @@ impl PartitionedEngine {
     #[must_use]
     pub fn collective_deadline(&self) -> Option<Duration> {
         self.deadline
-    }
-
-    /// Sets the number of worker threads each simulated chip parallelizes
-    /// its GEMM kernels over. `1` (the default) keeps every chip serial on
-    /// its executor; `w > 1` gives each chip a persistent pool of `w`
-    /// workers (its executor and `w − 1` threads) that own disjoint
-    /// output-row bands.
-    ///
-    /// Deterministic by construction: banding only decides which worker
-    /// computes an element, never the arithmetic, so logits are
-    /// bit-identical at any thread count.
-    pub fn set_intra_chip_threads(&mut self, workers: usize) {
-        let workers = workers.max(1);
-        if workers == self.chip_workers && (workers == 1) == self.pools.is_empty() {
-            return;
-        }
-        self.chip_workers = workers;
-        self.pools = if workers > 1 {
-            (0..self.chips.len()).map(|_| Arc::new(ChipPool::new(workers))).collect()
-        } else {
-            Vec::new()
-        };
-    }
-
-    /// The per-chip kernel worker-thread count (see
-    /// [`PartitionedEngine::set_intra_chip_threads`]).
-    #[must_use]
-    pub fn intra_chip_threads(&self) -> usize {
-        self.chip_workers
     }
 
     /// Rebuilds every chip's (necessarily empty) KV cache with `page_size`
@@ -1032,7 +996,7 @@ impl PartitionedEngine {
             .collect();
         let mut results: Vec<Result<Option<Tensor>, ChipPanic>> = (0..n).map(|_| Ok(None)).collect();
         let program = if decode { self.decode.as_ref().unwrap_or(&self.program) } else { &self.program };
-        let (x, bases, pools) = (&x, &bases, &self.pools);
+        let (x, bases) = (&x, &bases);
         let t = self.executors.workers();
         let (mut chips, mut out) = (self.chips.as_mut_slice(), results.as_mut_slice());
         let mut tasks: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::with_capacity(t);
@@ -1047,10 +1011,7 @@ impl PartitionedEngine {
                 let mut lanes: Vec<Lane<'_>> = block
                     .iter_mut()
                     .zip(kv)
-                    .map(|(chip, (rows, batch))| {
-                        let pool = pools.get(chip.rank).cloned();
-                        Lane::new(program, chip, (rows, *batch), pool, x, bases)
-                    })
+                    .map(|(chip, (rows, batch))| Lane::new(program, chip, (rows, *batch), x, bases))
                     .collect();
                 run_schedule(program, &mut lanes);
                 for (lane, done) in lanes.into_iter().zip(done) {
@@ -1424,9 +1385,6 @@ struct Lane<'a> {
     chip: &'a mut ChipState,
     /// The chip's cache rows of the pass's rows, of the rows it holds.
     kv: (&'a [usize], usize),
-    /// The chip's intra-chip worker pool, installed around each of its
-    /// steps.
-    pool: Option<Arc<ChipPool>>,
     /// The residual stream: the pass input, or the chip's block of it, then
     /// each layer's output, in a residual slot's buffer.
     x: Cow<'a, Tensor>,
@@ -1452,26 +1410,23 @@ impl<'a> Lane<'a> {
         p: &ChipProgram,
         chip: &'a mut ChipState,
         kv: (&'a [usize], usize),
-        pool: Option<Arc<ChipPool>>,
         input: &'a Tensor,
         bases: &'a [usize],
     ) -> Self {
         let vals = p.instrs.iter().map(|_| None).collect();
         let slots = vec![Vec::new(); p.plan.sizes.len()];
         let x = Cow::Borrowed(input);
-        Lane { chip, kv, pool, x, bases, vals, slots, fold: Vec::new(), posted: None, emits: false, failed: None }
+        Lane { chip, kv, x, bases, vals, slots, fold: Vec::new(), posted: None, emits: false, failed: None }
     }
 
-    /// Runs `f` on this chip, under its worker pool and its own
-    /// `catch_unwind`, unless the chip already failed. On unwind the chip
-    /// cancels every group it belongs to and drops out of the pass; the
-    /// buffers it held are dropped with it.
+    /// Runs `f` on this chip, under its own `catch_unwind`, unless the chip
+    /// already failed. On unwind the chip cancels every group it belongs to
+    /// and drops out of the pass; the buffers it held are dropped with it.
     fn guard(&mut self, f: impl FnOnce(&mut Self)) {
         if self.failed.is_some() {
             return;
         }
-        let pool = self.pool.clone();
-        if let Err(payload) = with_worker_pool(pool, || catch_unwind(AssertUnwindSafe(|| f(self)))) {
+        if let Err(payload) = catch_unwind(AssertUnwindSafe(|| f(self))) {
             cancel_chip_groups(self.chip.rank, &self.chip.groups, &payload);
             self.failed = Some(payload);
         }
@@ -1785,7 +1740,10 @@ mod tests {
     #[test]
     fn every_executor_count_runs_the_same_bits_and_faults() {
         let model = ReferenceModel::init_random(ModelConfig::tiny(), 5);
-        for (ffn, attn, m) in TIER1 {
+        // The full gather with head-sharded attention besides the tier-1
+        // five, so WG XYZ runs both attention cuts at every executor count.
+        let wg_head = (FfnLayout::WeightGathered(GatherExtent::Xyz), AttnSharding::Head, (4, 1, 1));
+        for (ffn, attn, m) in TIER1.into_iter().chain([wg_head]) {
             let mesh = MeshFactors::new(m.0, m.1, m.2);
             let layout = Layout { ffn, attn, mesh };
             let n = mesh.n_chips();

@@ -56,6 +56,7 @@
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod engine;
+mod executors;
 pub mod generate;
 pub mod introspect;
 pub mod router;

@@ -107,13 +107,6 @@ pub struct ServingOptions {
     /// Chunked (incremental) prefill size; `None` prefills each prompt in
     /// one pass.
     pub prefill_chunk: Option<usize>,
-    /// Intra-chip kernel worker threads per simulated chip
-    /// ([`PartitionedEngine::set_intra_chip_threads`]), applied to the
-    /// engine and to every engine rebuilt during fault recovery; defaults
-    /// to 1, every chip serial on its executor. Thread count never
-    /// changes results — the banded kernels are bit-identical at any worker
-    /// count.
-    pub intra_chip_threads: usize,
     /// KV-cache page size applied to the engine (and every engine rebuilt
     /// during fault recovery). `None` keeps the engine default
     /// ([`crate::DEFAULT_KV_PAGE_SIZE`]). The page size never changes
@@ -149,7 +142,6 @@ impl Default for ServingOptions {
             max_decode_batch: 4,
             sampling: Sampling::Greedy,
             prefill_chunk: None,
-            intra_chip_threads: 1,
             kv_page_size: None,
             kv_position_budget: None,
             queue_limit: None,
@@ -459,9 +451,8 @@ pub struct ContinuousBatcher {
     work: PrefillWork,
 }
 
-/// Builds the scheduler's engine — at `opts`' intra-chip worker count and
-/// KV page size, the page size left at the engine default when unset —
-/// with its collectives under `deadline`.
+/// Builds the scheduler's engine — at `opts`' KV page size, left at the
+/// engine default when unset — with its collectives under `deadline`.
 fn build_engine(
     model: &ReferenceModel,
     layout: Layout,
@@ -470,7 +461,6 @@ fn build_engine(
     deadline: Option<Duration>,
 ) -> PartitionedEngine {
     let mut engine = PartitionedEngine::new(model, layout, fmt);
-    engine.set_intra_chip_threads(opts.intra_chip_threads);
     if let Some(page_size) = opts.kv_page_size {
         engine.set_kv_page_size(page_size);
     }

@@ -14,9 +14,9 @@
 //! blocked register tile that autovectorises under `target-cpu=native`;
 //! int8 products run an explicit AVX2 kernel with runtime feature detection
 //! or that same tile over a widened panel (scalar kernels remain as bitwise
-//! oracles — see [`ops::set_matmul_kernel`]). Either can split output rows
-//! across a deterministic per-chip worker pool ([`pool`]); every path is
-//! bit-identical to the serial scalar kernels.
+//! oracles — see [`ops::set_matmul_kernel`]); every path is bit-identical
+//! to the serial scalar kernels. The crate starts no threads: each
+//! simulated chip's kernels run on the runtime's executor that steps it.
 //!
 //! # Examples
 //!
@@ -37,7 +37,6 @@
 
 pub mod bf16;
 pub mod ops;
-pub mod pool;
 pub mod quant;
 pub mod sample;
 mod simd;

@@ -7,7 +7,7 @@
 //! path's only exponent, so every layout gets the same bits.
 //!
 //! The f32 GEMM has one shipped tier: an `MR × NR` register tile in safe
-//! Rust that autovectorises under `target-cpu=native`. Bands of fewer than
+//! Rust that autovectorises under `target-cpu=native`. GEMMs of fewer than
 //! `STREAM_BELOW` (8) rows (a decode step) and the `m % MR` rows left over
 //! go to `mm_stream`, which reads each weight row once, front to back. The
 //! int8 GEMM in [`crate::quant`] runs the same tile over a widened panel.
@@ -138,7 +138,7 @@ pub(crate) fn mm_tile_full(
     }
 }
 
-/// Row count from which the register kernels take a band's whole tiles.
+/// Row count from which the register kernels take a GEMM's whole tiles.
 /// Measured at this workspace's decode shapes (`kernel_speed.rs`,
 /// `decode_shape_weight_bandwidth`): below two tiles of rows streaming reads
 /// the weights 1.3–3× faster at 1–3 rows and is level or ahead up to 7 on all
@@ -248,15 +248,11 @@ pub(crate) fn mm_stream(
     }
 }
 
-/// Strided GEMM core with kernel dispatch and deterministic row-banded
-/// parallelism: when the calling thread has a chip worker pool installed
-/// ([`crate::pool::with_worker_pool`]), splits the `m` output rows into
-/// disjoint bands — one per worker. A band of fewer than [`STREAM_BELOW`]
-/// rows (the decode regime) goes to [`mm_stream`] whole; otherwise its whole
-/// `MR`-row tiles go to the register kernel and only the `rows % MR` left
-/// over stream. Row split and banding are both bit-identity preserving:
-/// every output element is one ascending-`k` mul+add chain computed by
-/// exactly one worker, so any worker count produces identical bits.
+/// Strided GEMM core with kernel dispatch: fewer than [`STREAM_BELOW`] rows
+/// (the decode regime) go to [`mm_stream`] whole; otherwise the whole
+/// `MR`-row tiles go to the register kernel and only the `m % MR` left over
+/// stream. The row split preserves bit identity: every output element is
+/// one ascending-`k` mul+add chain either way.
 #[allow(clippy::too_many_arguments)]
 fn mm_dispatch(
     ad: &[f32],
@@ -269,17 +265,14 @@ fn mm_dispatch(
     k: usize,
     n: usize,
 ) {
-    crate::pool::partition_rows(m, k, n, out, o_stride, |r0, rows, band| {
-        let a = &ad[r0 * a_stride..];
-        let tiled = if rows < STREAM_BELOW { 0 } else { rows / MR * MR };
-        if tiled > 0 {
-            mm_kernel(a, a_stride, bd, b_stride, band, o_stride, tiled, k, n);
-        }
-        if tiled < rows {
-            let (a, band) = (&a[tiled * a_stride..], &mut band[tiled * o_stride..]);
-            mm_stream(a, a_stride, bd, b_stride, band, o_stride, rows - tiled, k, n);
-        }
-    });
+    let tiled = if m < STREAM_BELOW { 0 } else { m / MR * MR };
+    if tiled > 0 {
+        mm_kernel(ad, a_stride, bd, b_stride, out, o_stride, tiled, k, n);
+    }
+    if tiled < m {
+        let (a, out) = (&ad[tiled * a_stride..], &mut out[tiled * o_stride..]);
+        mm_stream(a, a_stride, bd, b_stride, out, o_stride, m - tiled, k, n);
+    }
 }
 
 /// The historical scalar kernel (i-k-j with a zero-skip), on raw slices.

@@ -18,9 +18,8 @@
 //! in strictly ascending `k` order, and the per-column scale is applied
 //! exactly once after the full contraction (folding it at tile store over a
 //! zeroed target is the same arithmetic) — so splitting the contraction
-//! (or the column range) into chunks, switching kernel tiers, or splitting
-//! output rows across chip workers reproduces the monolithic result
-//! bit-for-bit.
+//! (or the column range) into chunks or switching kernel tiers reproduces
+//! the monolithic result bit-for-bit.
 
 use crate::ops::{matmul_kernel, mm_stream, mm_tile_edge, mm_tile_full, MatmulKernel, MR, NR};
 use crate::Tensor;
@@ -124,15 +123,13 @@ fn qmm_scalar_kernel(
 }
 
 /// Strided int8 GEMM dispatch: resolves the process-wide kernel knob (AVX2
-/// SIMD when active, blocked or scalar-oracle otherwise), splits output
-/// rows across the calling thread's chip worker pool when one is installed
-/// ([`crate::pool::with_worker_pool`]), and applies the per-column `scales`
-/// exactly once after each element's full contraction — folded at tile
-/// store on the SIMD path, as a post-pass on the scalar paths; both require
-/// and assume a zeroed target, which every scaled entry point guarantees.
-/// `scales: None` leaves the accumulation unscaled (the
-/// [`QuantizedMatrix::matmul_acc_window`] contraction-chunk protocol, paired
-/// with one deferred [`QuantizedMatrix::apply_scales`]).
+/// SIMD when active, blocked or scalar-oracle otherwise) and applies the
+/// per-column `scales` exactly once after each element's full contraction —
+/// folded at tile store on the SIMD path, as a post-pass on the scalar
+/// paths; both require and assume a zeroed target, which every scaled
+/// entry point guarantees. `scales: None` leaves the accumulation unscaled
+/// (the [`QuantizedMatrix::matmul_acc_window`] contraction-chunk protocol,
+/// paired with one deferred [`QuantizedMatrix::apply_scales`]).
 #[allow(clippy::too_many_arguments)]
 fn qmm_dispatch(
     ad: &[f32],
@@ -146,28 +143,23 @@ fn qmm_dispatch(
     n: usize,
     scales: Option<&[f32]>,
 ) {
-    let naive = matmul_kernel() == MatmulKernel::Naive;
-    let simd = crate::ops::simd_active();
-    crate::pool::partition_rows(m, k, n, out, o_stride, |r0, rows, band| {
-        let a = &ad[r0 * a_stride..];
-        if simd {
-            crate::simd::mm_i8(a, a_stride, vd, v_stride, band, o_stride, rows, k, n, scales);
-            return;
-        }
-        if naive {
-            qmm_scalar_kernel(a, a_stride, vd, v_stride, band, o_stride, rows, k, n);
-        } else {
-            qmm_kernel(a, a_stride, vd, v_stride, band, o_stride, rows, k, n);
-        }
-        if let Some(s) = scales {
-            for r in 0..rows {
-                let orow = &mut band[r * o_stride..r * o_stride + n];
-                for (o, &sv) in orow.iter_mut().zip(s) {
-                    *o *= sv;
-                }
+    if crate::ops::simd_active() {
+        crate::simd::mm_i8(ad, a_stride, vd, v_stride, out, o_stride, m, k, n, scales);
+        return;
+    }
+    if matmul_kernel() == MatmulKernel::Naive {
+        qmm_scalar_kernel(ad, a_stride, vd, v_stride, out, o_stride, m, k, n);
+    } else {
+        qmm_kernel(ad, a_stride, vd, v_stride, out, o_stride, m, k, n);
+    }
+    if let Some(s) = scales {
+        for r in 0..m {
+            let orow = &mut out[r * o_stride..r * o_stride + n];
+            for (o, &sv) in orow.iter_mut().zip(s) {
+                *o *= sv;
             }
         }
-    });
+    }
 }
 
 impl QuantizedMatrix {

@@ -1,19 +1,17 @@
 //! Kernel-core conformance: the shipped f32 tier (the blocked register
-//! tile plus the streamed small-`m` schedule), the AVX2 int8 tier, the
-//! blocked int8 tier and the banded worker-pool execution must be
-//! **bit-identical** to the serial scalar oracles for every GEMM entry
-//! point, at every shape — including shapes that exercise the m/n/k
-//! remainder paths (NR = 32 f32 and 16 AVX2 int8 column lanes, MR = 4 row
-//! tiles).
+//! tile plus the streamed small-`m` schedule), the AVX2 int8 tier and the
+//! blocked int8 tier must be **bit-identical** to the serial scalar
+//! oracles for every GEMM entry point, at every shape — including shapes
+//! that exercise the m/n/k remainder paths (NR = 32 f32 and 16 AVX2 int8
+//! column lanes, MR = 4 row tiles).
 //!
 //! Bit-identity is the contract that keeps `set_matmul_kernel` a pure
 //! performance knob: every element is one serial mul-then-add chain in
-//! ascending `k`, regardless of SIMD width, tile shape, or worker count.
+//! ascending `k`, regardless of SIMD width or tile shape.
 
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Mutex, OnceLock};
 
 use esti_tensor::ops::{self, MatmulKernel};
-use esti_tensor::pool::{active_workers, with_worker_pool, ChipPool};
 use esti_tensor::{QuantizedMatrix, Tensor};
 use proptest::prelude::*;
 
@@ -132,28 +130,6 @@ proptest! {
             prop_assert_eq!(acc.data(), oracle.data());
         });
     }
-
-    /// Worker-pool banding is invisible in the bits: the same product at
-    /// 1 (no pool), 2, and 5 workers is bitwise identical, f32 and int8.
-    /// Shapes are sized past the banding cutoff so the pool really splits.
-    #[test]
-    fn worker_count_never_changes_the_bits(
-        workers in prop::sample::select(vec![2usize, 3, 5]),
-        seed in 0u64..1000,
-    ) {
-        let _guard = knob_lock().lock().unwrap();
-        let (m, k, n) = (37, 64, 96); // m·k·n ≫ the banding cutoff
-        let a = tensor(m, k, seed);
-        let b = tensor(k, n, seed ^ 0xBEEF);
-        let q = QuantizedMatrix::quantize(&b);
-        let serial = (ops::matmul(&a, &b), q.matmul(&a));
-        let pooled = with_worker_pool(Some(Arc::new(ChipPool::new(workers))), || {
-            assert_eq!(active_workers(), workers);
-            (ops::matmul(&a, &b), q.matmul(&a))
-        });
-        prop_assert_eq!(serial.0.data(), pooled.0.data());
-        prop_assert_eq!(serial.1.data(), pooled.1.data());
-    }
 }
 
 /// Column slice of a rank-2 tensor (test-local helper; the library slices
@@ -170,36 +146,30 @@ fn tensor_cols(t: &Tensor, c0: usize, cn: usize) -> Tensor {
 /// The decode regime at the model's own GEMM shapes: 1–7 live rows stream
 /// whole, 9 and 11 run as register tiles plus a streamed remainder. Every
 /// f32 entry point — a contraction chunk against a row range of `b`, a
-/// column block of a wider `out` — must equal the naive oracle bitwise,
-/// serial and banded over a worker pool.
+/// column block of a wider `out` — must equal the naive oracle bitwise.
 #[test]
 fn decode_shapes_equal_naive_oracle_through_every_entry_point() {
     let _guard = knob_lock().lock().unwrap();
-    let pool = Arc::new(ChipPool::new(2));
     for (k, n) in [(256, 1024), (1024, 256), (256, 256), (256, 64), (64, 256)] {
         let b = tensor(k, n, (k * n) as u64);
         for m in (1..=7).chain([9, 11]) {
             let a = tensor(m, k, m as u64);
             let oracle = ops::matmul_naive(&a, &b);
-            for pool in [None, Some(Arc::clone(&pool))] {
-                let ctx = format!("m={m} k={k} n={n} pooled={}", pool.is_some());
-                with_worker_pool(pool, || {
-                    assert_eq!(ops::matmul(&a, &b).data(), oracle.data(), "matmul {ctx}");
-                    // Two ascending contraction chunks, the second against
-                    // rows kc.. of b.
-                    let kc = k / 2 + 1;
-                    let mut acc = Tensor::zeros(vec![m, n]);
-                    ops::matmul_acc_window(&a, 0..m, 0, &b, 0, kc, acc.data_mut());
-                    ops::matmul_acc_window(&a, 0..m, kc, &b, kc, k - kc, acc.data_mut());
-                    assert_eq!(acc.data(), oracle.data(), "matmul_acc_window {ctx}");
-                    // A column block of a wider target.
-                    let mut wide = Tensor::zeros(vec![m, n + 5]);
-                    ops::matmul_into_cols(&a, &b, &mut wide, 3);
-                    assert_eq!(tensor_cols(&wide, 3, n).data(), oracle.data(), "into_cols {ctx}");
-                    assert!(tensor_cols(&wide, 0, 3).data().iter().all(|&x| x == 0.0), "{ctx}");
-                    assert!(tensor_cols(&wide, n + 3, 2).data().iter().all(|&x| x == 0.0), "{ctx}");
-                });
-            }
+            let ctx = format!("m={m} k={k} n={n}");
+            assert_eq!(ops::matmul(&a, &b).data(), oracle.data(), "matmul {ctx}");
+            // Two ascending contraction chunks, the second against rows kc..
+            // of b.
+            let kc = k / 2 + 1;
+            let mut acc = Tensor::zeros(vec![m, n]);
+            ops::matmul_acc_window(&a, 0..m, 0, &b, 0, kc, acc.data_mut());
+            ops::matmul_acc_window(&a, 0..m, kc, &b, kc, k - kc, acc.data_mut());
+            assert_eq!(acc.data(), oracle.data(), "matmul_acc_window {ctx}");
+            // A column block of a wider target.
+            let mut wide = Tensor::zeros(vec![m, n + 5]);
+            ops::matmul_into_cols(&a, &b, &mut wide, 3);
+            assert_eq!(tensor_cols(&wide, 3, n).data(), oracle.data(), "into_cols {ctx}");
+            assert!(tensor_cols(&wide, 0, 3).data().iter().all(|&x| x == 0.0), "{ctx}");
+            assert!(tensor_cols(&wide, n + 3, 2).data().iter().all(|&x| x == 0.0), "{ctx}");
         }
     }
 }
