@@ -11,20 +11,23 @@ echo "== tests =="
 cargo test -q --workspace
 
 echo "== kernel conformance: SIMD paths bit-identical to the scalar oracles =="
-# Runs the GEMM conformance suite twice: once with the AVX2 int8 tier
-# active (the default) and once with ESTI_DISABLE_SIMD forcing the blocked
-# int8 fallback, so both int8 tiers are proven against the scalar oracle on
-# every CI run. ESTI_DISABLE_SIMD switches only the int8 tier: f32 has one
-# shipped tier (the blocked tile, autovectorised), checked against the
-# naive oracle under both settings. The explicit AVX2 f32 kernels, the
-# int8 copies of the f32 tiles, the second SIMD switch and the GEMM entry
-# points nothing called stay gone.
-if grep -rnE "fn mm_f32|f32_tile|set_simd_enabled|qmm_tile_full|qmm_tile_edge|fn (batched_matmul|quantized_matmul|matmul3|concat_cols|matmul_acc_rows)\b" crates src tests examples; then
-  echo "FAIL: a second f32 GEMM tier, an int8 copy of the f32 tile or an uncalled GEMM entry point is back" >&2
+# Every GEMM runs one MR x 32 register tile over a weight packed in panel
+# order, f32 and int8 alike; the tile is written twice, as explicit AVX-512F
+# and in safe Rust. The conformance suite runs twice: once with the AVX-512
+# tile active (the default, on a host that has it) and once with
+# ESTI_DISABLE_SIMD, which now switches both dtypes to the portable tile, so
+# both forms are proven against the scalar oracles on every CI run. The
+# explicit AVX2 kernels (f32, then int8), the strided f32 tiles and their
+# int8 copies, the per-call int8 panel kernel, the second SIMD switch, the
+# enum of dense and int8 shards and its quantized-only gather, and the GEMM
+# entry points nothing called stay gone.
+if grep -rnE "fn mm_f32|f32_tile|set_simd_enabled|qmm_tile_full|qmm_tile_edge|mm_i8|i8_tile|qmm_kernel|mm_tile_full|mm_tile_edge|ShardMat|AllGatherQuant|fn (batched_matmul|quantized_matmul|matmul3|concat_cols|matmul_acc_rows)\b" crates src tests examples; then
+  echo "FAIL: a second GEMM tier, a strided or per-call int8 tile, a Dense/Int8 shard dispatch or an uncalled GEMM entry point is back" >&2
   exit 1
 fi
 cargo test -q --release -p esti-tensor --test kernels
 ESTI_DISABLE_SIMD=1 cargo test -q --release -p esti-tensor --test kernels
+taskset -c 0 cargo test -q --release -p esti-tensor --test kernels
 # The forward path has one exponent, ops::exp2 (softmax, the attention
 # kernel, SwiGLU): a libm exp/exp2 there would make the bits depend on the
 # host's libm and leave its loop scalar.
@@ -320,6 +323,21 @@ echo "== frozen benchmark: builds against the workspace crates, oracle passes ==
 # acceptance pipeline. --check-only runs one short rep per workload and the
 # single-chip oracle, no timing.
 cargo run --release --quiet --manifest-path benchmark/Cargo.toml -- --check-only
+
+echo "== docs build (workspace lints deny rustdoc warnings) =="
+cargo doc --no-deps --workspace -q
+
+echo "== the SIMD tile's unsafe under AddressSanitizer =="
+# The AVX-512 tile's SAFETY contract (crates/tensor/src/simd.rs: slice
+# bounds asserted before any unsafe code, masked loads and stores on a
+# narrow panel's columns, run-time feature detection) exercised under ASan
+# by the unit and conformance suites (a debug build, ~1 min). RUSTFLAGS
+# replaces .cargo/config.toml's rustflags, so the tile is still chosen by
+# run-time detection; doctests are excluded (rustdoc would need RUSTDOCFLAGS
+# set the same way). ThreadSanitizer needs build-std (no rust-src is
+# installed) and Miri is not installed, so neither runs here.
+RUSTFLAGS=-Zsanitizer=address cargo +nightly test -q --target x86_64-unknown-linux-gnu \
+  -p esti-tensor --lib --test kernels
 
 echo "== clippy (workspace lints, -D warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings

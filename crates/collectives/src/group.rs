@@ -26,20 +26,21 @@ use std::cell::{Cell, RefCell};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use esti_tensor::{ops, QuantizedMatrix, Tensor};
+use esti_tensor::{ops, PackedMatrix, Tensor};
 
 use crate::fault::{FaultKind, FaultState, InjectedCrash};
 use crate::stats::{CollectiveOp, CommTimes, TrafficStats, ACT_BYTES};
 use crate::sync::{Arrival, Barrier, BarrierFate, Mutex, PoisonError};
 
-/// What one mailbox slot carries: a dense activation tensor, or a quantized
-/// weight shard moved in its wire format (int8 values + per-column f32
-/// scales). Keeping the quantized form first-class in the mailbox is what
-/// lets weight-gathered layouts move int8 bytes instead of the dequantized
-/// f32 view — the ledger then charges the true quantized volume.
+/// What one mailbox slot carries: a dense activation tensor, or a weight
+/// shard moved in its stored, panel-packed form (f32, or int8 values +
+/// per-column f32 scales). Keeping the stored form first-class in the
+/// mailbox is what lets weight-gathered layouts move int8 bytes instead of
+/// a dequantized f32 view, and hand every rank's part to the GEMM tile
+/// without repacking it.
 enum Payload {
     Dense(Tensor),
-    Quant(QuantizedMatrix),
+    Packed(PackedMatrix),
 }
 
 /// One member's deposit for one collective: its payload and, in debug
@@ -54,14 +55,14 @@ impl Deposit {
     fn dense(&self) -> &Tensor {
         match &self.payload {
             Payload::Dense(t) => t,
-            Payload::Quant(_) => panic!("expected dense payload in mailbox slot"),
+            Payload::Packed(_) => panic!("expected dense payload in mailbox slot"),
         }
     }
 
-    fn quant(&self) -> &QuantizedMatrix {
+    fn packed(&self) -> &PackedMatrix {
         match &self.payload {
-            Payload::Dense(_) => panic!("expected quantized payload in mailbox slot"),
-            Payload::Quant(q) => q,
+            Payload::Dense(_) => panic!("expected a packed weight in mailbox slot"),
+            Payload::Packed(p) => p,
         }
     }
 }
@@ -71,7 +72,7 @@ impl Payload {
     fn shape(&self) -> Vec<usize> {
         match self {
             Payload::Dense(t) => t.shape().to_vec(),
-            Payload::Quant(q) => vec![q.rows(), q.cols()],
+            Payload::Packed(p) => vec![p.rows(), p.cols()],
         }
     }
 }
@@ -89,10 +90,11 @@ struct CallMeta {
     /// Operative dimensions: `[dim, dim]` for gather/scatter/reduce,
     /// `[split_dim, concat_dim]` for all-to-all.
     dims: [usize; 2],
-    /// Whether the payload moves in the quantized wire format. A member
-    /// posting a dense tensor while a peer posts int8 values would corrupt
-    /// the exchange, so the payload form is part of the agreement check.
-    quant: bool,
+    /// The payload's form: a dense tensor (`None`) or a packed weight, int8
+    /// (`Some(true)`) or f32. A member posting a dense tensor while a peer
+    /// posts int8 values would corrupt the exchange, so the payload form is
+    /// part of the agreement check.
+    packed: Option<bool>,
 }
 
 /// A mailbox: empty, or one member's deposit of the generation in flight.
@@ -122,14 +124,15 @@ pub enum Call<'a> {
     /// dimension; it only takes part in the SPMD agreement check. Charged
     /// as the dense all-gather's output bytes.
     AllGatherParts { shard: &'a Tensor, dim: usize },
-    /// A quantized all-gather: every rank's int8 `shard` in wire format
-    /// (values + per-column scales), in rank order, each shard's scales
-    /// kept with its values. `dim` is the logical concatenation dimension
-    /// (0 = row shards sharing no scales, 1 = column shards partitioning
-    /// the scale vector); it only takes part in the SPMD agreement check.
-    /// Charged at the true quantized volume, `size() ×
-    /// shard.storage_bytes()` (1 byte per value + 4 per scale).
-    AllGatherQuant { shard: &'a QuantizedMatrix, dim: usize },
+    /// A weight all-gather: every rank's packed `shard`, in rank order, as
+    /// stored (an int8 shard's scales kept with its values). `dim` is the
+    /// logical concatenation dimension (0 = row shards, 1 = column shards);
+    /// it only takes part in the SPMD agreement check. An int8 shard is
+    /// charged at its true quantized volume, `size() ×
+    /// shard.storage_bytes()` (1 byte per value + 4 per scale); an f32 one
+    /// as the dense gather's output elements × [`ACT_BYTES`], the wire
+    /// format the ledger models for dense weights.
+    AllGatherPacked { shard: &'a PackedMatrix, dim: usize },
     /// [`CommGroup::reduce_scatter`] of `input` along `dim`.
     ReduceScatter { input: &'a Tensor, dim: usize },
     /// [`CommGroup::all_reduce`] of `input`.
@@ -146,8 +149,8 @@ pub enum Received {
     Tensor(Tensor),
     /// [`Call::AllGatherParts`]: every rank's shard, in rank order.
     Parts(Vec<Tensor>),
-    /// [`Call::AllGatherQuant`]: every rank's int8 shard, in rank order.
-    Quant(Vec<QuantizedMatrix>),
+    /// [`Call::AllGatherPacked`]: every rank's packed shard, in rank order.
+    Packed(Vec<PackedMatrix>),
 }
 
 impl Received {
@@ -182,8 +185,8 @@ enum Read {
     Concat(usize),
     /// Every dense deposit, unconcatenated.
     Parts,
-    /// Every int8 deposit.
-    Quant,
+    /// Every packed deposit.
+    Packed,
     /// This member's `part`-wide slice along `dim` of the rank-ordered sum.
     Slice { dim: usize, part: usize },
     /// The rank-ordered sum.
@@ -202,7 +205,7 @@ impl Read {
         out.clear();
         Received::Tensor(match self {
             Read::Parts => return Received::Parts(all.iter().map(|d| d.dense().clone()).collect()),
-            Read::Quant => return Received::Quant(all.iter().map(|d| d.quant().clone()).collect()),
+            Read::Packed => return Received::Packed(all.iter().map(|d| d.packed().clone()).collect()),
             Read::Concat(dim) => Tensor::concat_into(&all.iter().map(|d| d.dense()).collect::<Vec<_>>(), dim, out),
             Read::Slice { dim, part } => {
                 let mut sum = all[0].dense().slice_into(dim, rank * part, part, out);
@@ -477,10 +480,14 @@ impl CommGroup {
                 let read = if matches!(call, Call::AllGather { .. }) { Read::Concat(dim) } else { Read::Parts };
                 (CollectiveOp::AllGather, [dim, dim], read, Payload::Dense(shard.clone()))
             }
-            Call::AllGatherQuant { shard, dim } => {
-                let bytes = crate::stats::quant_wire_bytes(k, shard.rows(), shard.cols());
-                self.record_raw(CollectiveOp::AllGather, bytes as u64);
-                (CollectiveOp::AllGather, [dim, dim], Read::Quant, Payload::Quant(shard.clone()))
+            Call::AllGatherPacked { shard, dim } => {
+                let (rows, cols) = (shard.rows(), shard.cols());
+                if shard.scales().is_some() {
+                    self.record_raw(CollectiveOp::AllGather, crate::stats::quant_wire_bytes(k, rows, cols) as u64);
+                } else {
+                    self.record(CollectiveOp::AllGather, rows * cols * k);
+                }
+                (CollectiveOp::AllGather, [dim, dim], Read::Packed, Payload::Packed(shard.clone()))
             }
             Call::ReduceScatter { input, dim } => {
                 self.record(CollectiveOp::ReduceScatter, input.numel());
@@ -506,7 +513,10 @@ impl CommGroup {
             op,
             shape: payload.shape(),
             dims,
-            quant: matches!(payload, Payload::Quant(_)),
+            packed: match &payload {
+                Payload::Dense(_) => None,
+                Payload::Packed(p) => Some(p.scales().is_some()),
+            },
         };
         #[cfg(not(all(debug_assertions, not(loom))))]
         let _ = dims;
@@ -998,7 +1008,7 @@ mod tests {
     }
 
     #[test]
-    fn all_gather_parts_and_quant_hand_back_every_shard_in_rank_order() {
+    fn all_gather_parts_and_packed_hand_back_every_shard_in_rank_order() {
         // Every rank must receive every peer's shard unconcatenated, in rank
         // order — dense shards bit-exact, quantized shards with values AND
         // scales identical to the sender's local quantization.
@@ -1007,12 +1017,12 @@ mod tests {
                 Tensor::from_vec(vec![3, 5], (0..15).map(|i| (r * 31 + i * 7) as f32 * 0.25 - 9.0).collect())
             };
             let outs = run_group(size, |r, g| {
-                let q = QuantizedMatrix::quantize(&shard(r));
+                let q = PackedMatrix::quantize(&shard(r));
                 let Received::Parts(parts) = g.call(Call::AllGatherParts { shard: &shard(r), dim: 0 }) else {
                     unreachable!("a parts gather reads parts")
                 };
                 let gathered = g.all_gather(&shard(r), 0);
-                let Received::Quant(quant) = g.call(Call::AllGatherQuant { shard: &q, dim: 0 }) else {
+                let Received::Packed(quant) = g.call(Call::AllGatherPacked { shard: &q, dim: 0 }) else {
                     unreachable!("a quantized gather reads int8 parts")
                 };
                 (parts, gathered, quant)
@@ -1024,9 +1034,7 @@ mod tests {
                 assert_eq!(Tensor::concat(&refs, 0), gathered);
                 for r in 0..size {
                     assert_eq!(parts[r], shard(r));
-                    let want = QuantizedMatrix::quantize(&shard(r));
-                    assert_eq!(quant[r].values(), want.values());
-                    assert_eq!(quant[r].scales(), want.scales());
+                    assert_eq!(quant[r], PackedMatrix::quantize(&shard(r)));
                 }
             }
         }
@@ -1034,9 +1042,10 @@ mod tests {
 
     #[test]
     fn gather_ledger_charges_dense_and_quantized_volumes() {
-        // Dense gathers charge output elements x ACT_BYTES whether or not
-        // the caller wants the concatenation; the quantized gather charges
-        // 1 byte per int8 value + 4 per f32 scale from each rank.
+        // Dense gathers, and the gather of a packed f32 weight, charge output
+        // elements x ACT_BYTES whether or not the caller wants the
+        // concatenation; an int8 weight's gather charges 1 byte per int8
+        // value + 4 per f32 scale from each rank.
         let stats = TrafficStats::new();
         let members = CommGroup::create_with_stats(4, Arc::clone(&stats));
         std::thread::scope(|s| {
@@ -1045,14 +1054,15 @@ mod tests {
                     let t = Tensor::ones(vec![8, 6]);
                     let _ = m.all_gather(&t, 1);
                     let _ = m.call(Call::AllGatherParts { shard: &t, dim: 1 });
-                    let _ = m.call(Call::AllGatherQuant { shard: &QuantizedMatrix::quantize(&t), dim: 1 });
+                    let _ = m.call(Call::AllGatherPacked { shard: &PackedMatrix::pack(&t), dim: 1 });
+                    let _ = m.call(Call::AllGatherPacked { shard: &PackedMatrix::quantize(&t), dim: 1 });
                 });
             }
         });
         let dense = 4 * 8 * 6 * ACT_BYTES;
         let quant = 4 * (8 * 6 + 6 * 4);
-        assert_eq!(stats.bytes(CollectiveOp::AllGather), 2 * dense + quant);
-        assert_eq!(stats.calls(CollectiveOp::AllGather), 3);
+        assert_eq!(stats.bytes(CollectiveOp::AllGather), 3 * dense + quant);
+        assert_eq!(stats.calls(CollectiveOp::AllGather), 4);
     }
 
     #[test]

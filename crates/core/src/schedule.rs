@@ -511,7 +511,8 @@ pub enum Step {
         w: Operand,
         /// Contracted dimension names.
         contract: Vec<char>,
-        /// Declared output (checked against [`expected_einsum`]).
+        /// Declared output (checked against the shape the contraction
+        /// implies when the schedule is verified).
         output: SymTensor,
     },
     /// A chip-local op. Never communicates; may not resolve partial sums and

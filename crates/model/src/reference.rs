@@ -273,7 +273,7 @@ pub fn attention_over_cache(q: &Tensor, cache: &KvCache, layer: usize, d_head: u
 /// One fused kernel shared by the reference model and every partitioned
 /// layout: it walks each row's [`KvCache::row_runs`] in place — no page
 /// gather, no per-head K/V copies, no per-head score tensors. Per row, KV
-/// head and block of [`QB`] query positions it (1) streams the key runs
+/// head and block of `QB` (8) query positions it (1) streams the key runs
 /// once, scoring every head of the block against each key into one reused
 /// `[key, lane]` scratch, (2) turns each lane's column into probabilities,
 /// (3) streams the value runs once, accumulating every head's context

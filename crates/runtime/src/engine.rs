@@ -61,11 +61,10 @@ use esti_core::schedule::{
 use esti_hal::DType;
 use esti_model::reference::{attention_over_rows_into, gelu_into};
 use esti_model::{KvCache, ModelConfig, PageStats, PositionKind, ReferenceModel, Weights};
-use esti_tensor::{ops, Tensor};
+use esti_tensor::{ops, PackedMatrix, Tensor};
 use esti_topology::{AxisSet, ChipCoord};
 
 use crate::executors::ChipPool;
-use crate::shard::ShardMat;
 
 pub use crate::shard::WeightFormat;
 
@@ -139,12 +138,12 @@ struct ChipState {
 /// A chip's cut of what one pass reads — a layer, or the final steps: each
 /// stored weight, in `Schedule.weights` order, and each layernorm gain.
 struct Stored {
-    weights: Vec<(Role, ShardMat)>,
+    weights: Vec<(Role, PackedMatrix)>,
     gains: Vec<(Gain, Tensor)>,
 }
 
 impl Stored {
-    fn weight(&self, role: Role) -> &ShardMat {
+    fn weight(&self, role: Role) -> &PackedMatrix {
         &self.weights.iter().find(|w| w.0 == role).expect("a pass stores every weight it reads").1
     }
 
@@ -1185,11 +1184,12 @@ fn classify_panic(rank: usize, payload: &ChipPanic) -> (u8, EngineError) {
 // ---------------------------------------------------------------------------
 
 /// What a schedule step hands on: an activation, or an all-gather's
-/// rank-ordered parts (weight shards, or `[B, L, ·]` activation blocks),
-/// which only an einsum reads.
+/// rank-ordered parts — packed weight shards, or `[B, L, ·]` activation
+/// blocks — which only an einsum reads.
 enum Val {
     Act(Tensor),
-    Parts(Vec<ShardMat>),
+    Weights(Vec<PackedMatrix>),
+    Parts(Vec<Tensor>),
 }
 
 /// The block of `w`, the stored `[rows, cols]` matrix of weight `t`, that
@@ -1204,7 +1204,12 @@ fn cut(w: &Tensor, t: &SymTensor, ranges: &[(usize, usize)]) -> Tensor {
         last = Some(m);
     }
     let [(r0, rn), (c0, cn)] = block;
-    w.slice(0, r0, rn).slice(1, c0, cn)
+    // One copy of the block, which the caller packs and drops.
+    let mut data = Vec::with_capacity(rn * cn);
+    for row in w.data().chunks_exact(w.dim(1)).skip(r0).take(rn) {
+        data.extend_from_slice(&row[c0..c0 + cn]);
+    }
+    Tensor::from_vec(vec![rn, cn], data)
 }
 
 /// Chip `coord`'s cut of what pass `li` of `s`, compiled into `p`, reads
@@ -1228,7 +1233,7 @@ fn store(
         .filter(|(role, _)| steps.iter().flat_map(Step::operands).any(|r| r == Operand::Weight(*role)))
         .map(|stored @ &(role, ref t)| {
             let block = cut(matrix(w, embed_t, li, role), t, &p.cut(stored, coord));
-            (role, if role == Role::EmbedT { ShardMat::Dense(block) } else { fmt.apply(&block) })
+            (role, if role == Role::EmbedT { PackedMatrix::pack(&block) } else { fmt.apply(&block) })
         })
         .collect();
     let gains = steps
@@ -1302,7 +1307,7 @@ fn take_slot(slots: &mut [Vec<f32>], s: usize, shape: Vec<usize>, zero: bool) ->
 const FOLD_ROWS: usize = 128;
 
 /// One source rank's part of a fold: `x[.., c0..c0+kc] × w[r0..r0+kc, :]`.
-type RankPart<'t> = (&'t Tensor, usize, &'t ShardMat, usize, usize);
+type RankPart<'t> = (&'t Tensor, usize, &'t PackedMatrix, usize, usize);
 
 /// Rule 2 above: each source rank's part (an int8 `w` unscaled unless
 /// `scale`) — rank 0's straight into `out`, which the caller zeroed, and
@@ -1312,13 +1317,10 @@ type RankPart<'t> = (&'t Tensor, usize, &'t ShardMat, usize, usize);
 fn fold_ranks(out: &mut Tensor, block: &mut Vec<f32>, ranks: &[RankPart<'_>], scale: bool) {
     let n = out.dim(out.rank() - 1);
     let m = out.numel().checked_div(n).unwrap_or(0);
-    let acc = |&(x, c0, w, r0, kc): &RankPart<'_>, rows: std::ops::Range<usize>, into: &mut Tensor| match w {
-        ShardMat::Dense(t) => ops::matmul_acc_window(x, rows, c0, t, r0, kc, into.data_mut()),
-        ShardMat::Int8(q) => {
-            q.matmul_acc_window(x, rows, c0, r0, kc, into.data_mut());
-            if scale {
-                q.apply_scales(into);
-            }
+    let acc = |&(x, c0, w, r0, kc): &RankPart<'_>, rows: std::ops::Range<usize>, into: &mut Tensor| {
+        w.matmul_acc_window(x, rows, c0, r0, kc, into.data_mut());
+        if scale {
+            w.apply_scales(into);
         }
     };
     let Some((first, rest)) = ranks.split_first() else { return };
@@ -1373,7 +1375,7 @@ fn act<'v>(x: &'v Tensor, vals: &'v [Option<Val>], r: Operand) -> &'v Tensor {
         Operand::Boundary => x,
         Operand::Step(j) => match vals[j].as_ref().expect("a value lives until its last reader") {
             Val::Act(t) => t,
-            Val::Parts(_) => panic!("step {j} hands its parts to an einsum"),
+            Val::Weights(_) | Val::Parts(_) => panic!("step {j} hands its parts to an einsum"),
         },
         Operand::Weight(role) => panic!("{role:?} is a weight"),
     }
@@ -1482,7 +1484,7 @@ impl<'a> Lane<'a> {
     }
 
     /// Runs step `k` of pass `li`, an einsum or a local op, into its slot:
-    /// [`ShardMat::mm3_into`] or, over an all-gather's parts, one column
+    /// [`PackedMatrix::matmul_into`] or, over an all-gather's parts, one column
     /// block or accumulator per source rank; a local op its write-into
     /// kernel.
     fn compute(&mut self, p: &ChipProgram, li: usize, k: usize) {
@@ -1507,19 +1509,18 @@ impl<'a> Lane<'a> {
             Operand::Weight(role) => stored.weight(role),
             _ => panic!("{r:?} is not a stored weight"),
         };
-        let parts = |r: Operand| match r {
-            Operand::Step(j) => match vals[j].as_ref() {
-                Some(Val::Parts(ps)) => ps.as_slice(),
-                _ => unreachable!("step {j} hands the einsum its parts"),
-            },
+        let val = |r: Operand| match r {
+            Operand::Step(j) => vals[j].as_ref(),
             _ => unreachable!("{r:?} is not an all-gather's parts"),
         };
-        fn dense(x: &ShardMat) -> &Tensor {
-            match x {
-                ShardMat::Dense(x) => x,
-                ShardMat::Int8(_) => unreachable!("activations move dense"),
-            }
-        }
+        let weights = |r: Operand| match val(r) {
+            Some(Val::Weights(ws)) => ws.as_slice(),
+            _ => unreachable!("{r:?} hands the einsum a weight's parts"),
+        };
+        let parts = |r: Operand| match val(r) {
+            Some(Val::Parts(xs)) => xs.as_slice(),
+            _ => unreachable!("{r:?} hands the einsum activation parts"),
+        };
         let slot = p.out_slot(li, k).expect("an einsum or a local op writes a slot");
         let scratch = &p.plan.scratch[k];
         let out = match &p.instrs[k] {
@@ -1530,23 +1531,20 @@ impl<'a> Lane<'a> {
                     Mm::Whole => {
                         let a = act(*a);
                         let mut y = take_slot(slots, slot, like(a), false);
-                        mat(*w).mm3_into(a, &mut y);
+                        mat(*w).matmul_into(a, &mut y);
                         y
                     }
                     Mm::Cols => {
-                        let (a, ws) = (act(*a), parts(*w));
+                        let (a, ws) = (act(*a), weights(*w));
                         let mut y = take_slot(slots, slot, like(a), true);
                         let c = ws[0].cols();
                         for (r, part) in ws.iter().enumerate() {
-                            match part {
-                                ShardMat::Dense(t) => ops::matmul_into_cols(a, t, &mut y, r * c),
-                                ShardMat::Int8(q) => q.matmul_into_cols(a, &mut y, r * c),
-                            }
+                            part.matmul_into_cols(a, &mut y, r * c);
                         }
                         y
                     }
                     Mm::FoldW => {
-                        let (a, ws) = (act(*a), parts(*w));
+                        let (a, ws) = (act(*a), weights(*w));
                         let kc = a.dim(2) / ws.len();
                         let mut y = take_slot(slots, slot, like(a), true);
                         let ranks: Vec<RankPart<'_>> =
@@ -1556,13 +1554,11 @@ impl<'a> Lane<'a> {
                     }
                     Mm::FoldX => {
                         let (xs, w) = (parts(*a), mat(*w));
-                        let mut y = take_slot(slots, slot, like(dense(&xs[0])), true);
+                        let mut y = take_slot(slots, slot, like(&xs[0]), true);
                         let ranks: Vec<RankPart<'_>> =
-                            xs.iter().map(dense).enumerate().map(|(r, x)| (x, 0, w, r * x.dim(2), x.dim(2))).collect();
+                            xs.iter().enumerate().map(|(r, x)| (x, 0, w, r * x.dim(2), x.dim(2))).collect();
                         fold_ranks(&mut y, fold, &ranks, false);
-                        if let ShardMat::Int8(q) = w {
-                            q.apply_scales(&mut y);
-                        }
+                        w.apply_scales(&mut y);
                         y
                     }
                 }
@@ -1644,11 +1640,10 @@ impl<'a> Lane<'a> {
         let act = |r: Operand| act(&self.x, &self.vals, r);
         let call = match c.send {
             Exchange::Weight { role, dim, wire } => {
-                match (self.chip.stored[li].weight(role), wire) {
-                    (ShardMat::Int8(q), WireFormat::Int8) => Call::AllGatherQuant { shard: q, dim },
-                    (ShardMat::Dense(w), WireFormat::Dense) => Call::AllGatherParts { shard: w, dim },
-                    _ => unreachable!("a weight's wire format follows its storage"),
-                }
+                let shard = self.chip.stored[li].weight(role);
+                let int8 = wire == WireFormat::Int8;
+                assert_eq!(shard.scales().is_some(), int8, "a weight's wire format follows its storage");
+                Call::AllGatherPacked { shard, dim }
             }
             Exchange::Parts => {
                 let t = act(*input);
@@ -1671,8 +1666,8 @@ impl<'a> Lane<'a> {
         let buf = p.out_slot(li, k).map_or_else(Vec::new, |s| std::mem::take(&mut self.slots[s]));
         let val = match self.chip.groups[c.group].complete(posted, buf) {
             Received::Tensor(t) => Val::Act(t),
-            Received::Parts(parts) => Val::Parts(parts.into_iter().map(ShardMat::Dense).collect()),
-            Received::Quant(parts) => Val::Parts(parts.into_iter().map(ShardMat::Int8).collect()),
+            Received::Parts(parts) => Val::Parts(parts),
+            Received::Packed(parts) => Val::Weights(parts),
         };
         self.settle(p, li, k, val);
     }
@@ -1841,7 +1836,7 @@ mod tests {
                         (0..=cfg.n_layers).map(|li| store(&s, &p, &w, &embed_t, li, c, WeightFormat::Exact)).collect()
                     };
                     let chips: Vec<Vec<Stored>> = coords.iter().map(|&c| cut_of(c)).collect();
-                    let dense = |c: usize, li: usize, role: Role| chips[c][li].weight(role).dense();
+                    let dense = |c: usize, li: usize, role: Role| chips[c][li].weight(role).unpack();
                     for li in 0..=cfg.n_layers {
                         // (i) Each weight's chips tile its matrix, every
                         // element held by as many chips as hold each shard.

@@ -1,6 +1,6 @@
 //! Fault-aware routing over N independent engine replicas.
 //!
-//! One [`ContinuousBatcher`](crate::ContinuousBatcher) already self-heals:
+//! One [`ContinuousBatcher`] already self-heals:
 //! a failed decode step rebuilds the tier and replays in-flight requests
 //! to bit-identical streams, up to its recovery budget. This module turns
 //! that into a *fleet-level* property. A [`ReplicaRouter`] owns N replicas

@@ -10,13 +10,14 @@
 //! bf16 storage emulation ([`bf16`]), and the top-k/top-p decode samplers
 //! of Section 3.5 ([`sample`]).
 //!
-//! Everything is dependency-light and portable. The f32 GEMM core is one
-//! blocked register tile that autovectorises under `target-cpu=native`;
-//! int8 products run an explicit AVX2 kernel with runtime feature detection
-//! or that same tile over a widened panel (scalar kernels remain as bitwise
-//! oracles — see [`ops::set_matmul_kernel`]); every path is bit-identical
-//! to the serial scalar kernels. The crate starts no threads: each
-//! simulated chip's kernels run on the runtime's executor that steps it.
+//! Everything is dependency-light and portable. Weights are stored once,
+//! in panel order ([`PackedMatrix`], f32 or int8), and every GEMM runs one
+//! `MR × NR` register tile over such a panel: explicit AVX-512F with
+//! runtime feature detection, or the same tile in safe Rust (scalar kernels
+//! remain as bitwise oracles — see [`ops::set_matmul_kernel`]); every path
+//! is bit-identical to the serial scalar kernels. The crate starts no
+//! threads: each simulated chip's kernels run on the runtime's executor
+//! that steps it.
 //!
 //! # Examples
 //!
@@ -37,10 +38,11 @@
 
 pub mod bf16;
 pub mod ops;
+pub mod packed;
 pub mod quant;
 pub mod sample;
 mod simd;
 pub mod tensor;
 
-pub use quant::QuantizedMatrix;
+pub use packed::PackedMatrix;
 pub use tensor::Tensor;

@@ -1,0 +1,372 @@
+//! Weights packed once, in panel order: the one stored form of a weight
+//! matrix, f32 or int8 with per-column scales, and the GEMM family over it.
+//!
+//! A `rows × cols` matrix is stored as column panels of `rows × NR` (`NR` =
+//! 32), each panel row by row; the last panel is `cols % NR` wide when that
+//! is not zero, and nothing is padded, so a packed matrix holds exactly the
+//! bytes of its row-major form. The register tile in `simd` walks one panel
+//! front to back, so a GEMM reads each weight once, in address order,
+//! whatever the matrix's width — which is why the packing happens once, when
+//! a weight is stored, rather than per call.
+//!
+//! Every entry point runs one body, `PackedMatrix::gemm`: per panel, the
+//! tile over all rows of the activations. An int8 panel is widened in
+//! registers when there are few rows, and once into an f32 scratch panel
+//! when there are at least `8·MR` (or the panel is narrow); widening is
+//! exact, so both read the same values. The scale of an int8 column is
+//! applied once, after the column's whole contraction. The
+//! [`crate::ops::MatmulKernel::Naive`] setting runs the scalar oracle
+//! instead, one i-k-j chain per element in the same order.
+
+use std::ops::Range;
+
+use crate::ops;
+use crate::simd::{self, Elem, MR, NR};
+use crate::Tensor;
+
+/// A weight matrix stored in panel order: f32 values, or int8 values with
+/// one f32 scale per column (see [`PackedMatrix::quantize`]).
+///
+/// # Examples
+///
+/// ```
+/// use esti_tensor::{PackedMatrix, Tensor};
+///
+/// let w = Tensor::from_vec(vec![2, 3], vec![1., 2., 3., 4., 5., 6.]);
+/// let p = PackedMatrix::pack(&w);
+/// assert_eq!(p.unpack(), w);
+/// let x = Tensor::from_vec(vec![1, 2], vec![1., 1.]);
+/// assert_eq!(p.matmul(&x).data(), &[5., 7., 9.]);
+/// assert_eq!(p.storage_bytes(), 2 * 3 * 4);
+/// ```
+#[derive(Debug, Clone, PartialEq)]
+pub struct PackedMatrix {
+    pub(crate) rows: usize,
+    pub(crate) cols: usize,
+    pub(crate) values: Values,
+}
+
+/// A packed matrix's values, in panel order.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) enum Values {
+    F32(Vec<f32>),
+    /// `w[i][j] ≈ values[i][j] · scales[j]`.
+    I8 { values: Vec<i8>, scales: Vec<f32> },
+}
+
+/// Row count from which an int8 panel is widened once into an f32 scratch
+/// panel rather than in registers by every row tile that reads it.
+/// Measured with `kernel_speed tiers_at_workload_shapes`: widening in
+/// registers ran 10–20 % faster at 16 and 32 rows, the scratch panel about
+/// 10 % faster from 64.
+const WIDEN_FROM: usize = 8 * MR;
+
+/// The row-major index ranges of a `rows × cols` matrix in panel order:
+/// panel by panel, each panel's rows in turn.
+pub(crate) fn panel_rows(rows: usize, cols: usize) -> impl Iterator<Item = Range<usize>> {
+    (0..cols).step_by(NR).flat_map(move |j0| {
+        let j1 = (j0 + NR).min(cols);
+        (0..rows).map(move |i| i * cols + j0..i * cols + j1)
+    })
+}
+
+impl PackedMatrix {
+    /// Packs a rank-2 f32 matrix.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `w` is not rank 2.
+    #[must_use]
+    pub fn pack(w: &Tensor) -> Self {
+        assert_eq!(w.rank(), 2, "pack requires a rank-2 matrix");
+        let (rows, cols) = (w.dim(0), w.dim(1));
+        let mut values = Vec::with_capacity(rows * cols);
+        for r in panel_rows(rows, cols) {
+            values.extend_from_slice(&w.data()[r]);
+        }
+        PackedMatrix { rows, cols, values: Values::F32(values) }
+    }
+
+    /// Number of rows (input channels).
+    #[must_use]
+    pub fn rows(&self) -> usize {
+        self.rows
+    }
+
+    /// Number of columns (output channels).
+    #[must_use]
+    pub fn cols(&self) -> usize {
+        self.cols
+    }
+
+    /// The per-column scales of an int8 matrix; `None` for f32.
+    #[must_use]
+    pub fn scales(&self) -> Option<&[f32]> {
+        match &self.values {
+            Values::F32(_) => None,
+            Values::I8 { scales, .. } => Some(scales),
+        }
+    }
+
+    /// The row-major matrix this one stands for, int8 values dequantized
+    /// (value × column scale).
+    #[must_use]
+    pub fn unpack(&self) -> Tensor {
+        let mut out = vec![0.0f32; self.rows * self.cols];
+        let mut at = 0;
+        for r in panel_rows(self.rows, self.cols) {
+            let (j0, dst) = (r.start % self.cols, &mut out[r.clone()]);
+            match &self.values {
+                Values::F32(v) => dst.copy_from_slice(&v[at..][..r.len()]),
+                Values::I8 { values, scales } => {
+                    for ((o, &q), &s) in dst.iter_mut().zip(&values[at..]).zip(&scales[j0..]) {
+                        *o = f32::from(q) * s;
+                    }
+                }
+            }
+            at += r.len();
+        }
+        Tensor::from_vec(vec![self.rows, self.cols], out)
+    }
+
+    /// Stored bytes: 4 per f32 value, or 1 per int8 value plus 4 per scale —
+    /// the same as the row-major form, since panels are not padded.
+    #[must_use]
+    pub fn storage_bytes(&self) -> usize {
+        match &self.values {
+            Values::F32(v) => v.len() * 4,
+            Values::I8 { values, scales } => values.len() + scales.len() * 4,
+        }
+    }
+
+    /// `x [m, rows] → [m, cols]`, int8 columns scaled.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x` is not rank 2 or its inner dimension mismatches.
+    #[must_use]
+    pub fn matmul(&self, x: &Tensor) -> Tensor {
+        assert_eq!(x.rank(), 2, "matmul lhs must be rank-2");
+        let mut out = Tensor::zeros(vec![x.dim(0), self.cols]);
+        self.matmul_into_cols(x, &mut out, 0);
+        out
+    }
+
+    /// [`Self::matmul`] into `out`, overwriting it; leading dims flatten:
+    /// `x [.., rows] → out [.., cols]`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on shape mismatch between `x`, `self` and `out`.
+    pub fn matmul_into(&self, x: &Tensor, out: &mut Tensor) {
+        out.data_mut().fill(0.0);
+        self.matmul_into_cols(x, out, 0);
+    }
+
+    /// The product `x × self`, int8 columns scaled, into columns
+    /// `[c0, c0 + cols)` of a wider `out`, which must hold zeros there (the
+    /// product accumulates onto them). `x`'s and `out`'s leading dims
+    /// flatten. Lets an all-gathered weight's parts assemble the output
+    /// column block by column block.
+    ///
+    /// # Panics
+    ///
+    /// Panics on shape mismatch or if the column range exceeds `out`.
+    pub fn matmul_into_cols(&self, x: &Tensor, out: &mut Tensor, c0: usize) {
+        let (m, k) = rows_of(x);
+        assert_eq!(k, self.rows, "matmul inner dimension mismatch: {k} vs {}", self.rows);
+        let (m_out, n_out) = rows_of(out);
+        assert_eq!(m_out, m, "matmul output row count mismatch");
+        assert!(c0 + self.cols <= n_out, "column range {c0}+{} exceeds {n_out}", self.cols);
+        if m == 0 {
+            return;
+        }
+        self.gemm(x.data(), k, m, 0..k, &mut out.data_mut()[c0..], n_out, true);
+    }
+
+    /// Accumulates the **unscaled** partial product `x[rows, c0..c0+kc] ×
+    /// self[r0..r0+kc, :]` into `out`'s `rows.len()` rows of `cols`: the
+    /// contraction-chunking primitive. The block of `x`'s rows (its leading
+    /// dims flattened) and its window of columns are read in place at row
+    /// stride `x`'s trailing dim. Every element accumulates in ascending
+    /// `k`, so consecutive chunks in order, then [`Self::apply_scales`] once,
+    /// reproduce [`Self::matmul`] bit for bit.
+    ///
+    /// # Panics
+    ///
+    /// Panics on shape mismatch or if a window exceeds its operand.
+    pub fn matmul_acc_window(&self, x: &Tensor, rows: Range<usize>, c0: usize, r0: usize, kc: usize, out: &mut [f32]) {
+        let (m, k) = rows_of(x);
+        assert!(rows.start <= rows.end && rows.end <= m, "row block {rows:?} exceeds {m}");
+        assert!(c0 + kc <= k, "column window {c0}+{kc} exceeds {k}");
+        assert!(r0 + kc <= self.rows, "row range {r0}+{kc} exceeds {}", self.rows);
+        assert_eq!(out.len(), rows.len() * self.cols, "matmul_acc_window output shape mismatch");
+        if rows.is_empty() {
+            return;
+        }
+        let a = &x.data()[rows.start * k + c0..];
+        self.gemm(a, k, rows.len(), r0..r0 + kc, out, self.cols, false);
+    }
+
+    /// Multiplies each column `j` of a `[.., cols]` tensor by an int8
+    /// matrix's `scales[j]`, in place: the one deferred scale paired with
+    /// [`Self::matmul_acc_window`]. A no-op for f32.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the trailing dimension of `out` is not `cols`.
+    pub fn apply_scales(&self, out: &mut Tensor) {
+        assert_eq!(out.dim(out.rank() - 1), self.cols, "apply_scales trailing dim mismatch");
+        let Some(scales) = self.scales() else { return };
+        for row in out.data_mut().chunks_exact_mut(self.cols) {
+            for (o, &s) in row.iter_mut().zip(scales) {
+                *o *= s;
+            }
+        }
+    }
+
+    /// The one GEMM body: `out[i][j] += Σ a[i][kk] · self[ks.start + kk][j]`
+    /// for the `m` rows of `a` (stride `a_stride`) and `out` (stride
+    /// `o_stride`), `kk` ascending over `ks`, then each element times its
+    /// column's scale if `scale` and the matrix is int8.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn gemm(
+        &self,
+        a: &[f32],
+        a_stride: usize,
+        m: usize,
+        ks: Range<usize>,
+        out: &mut [f32],
+        o_stride: usize,
+        scale: bool,
+    ) {
+        let scales = if scale { self.scales() } else { None };
+        let (rows, cols) = (self.rows, self.cols);
+        let Some(tile) = ops::tile() else {
+            return match &self.values {
+                Values::F32(v) => oracle(v, rows, cols, a, a_stride, m, ks, out, o_stride, scales),
+                Values::I8 { values, .. } => oracle(values, rows, cols, a, a_stride, m, ks, out, o_stride, scales),
+            };
+        };
+        let kc = ks.len();
+        let mut scratch = Vec::new();
+        for j0 in (0..cols).step_by(NR) {
+            let w = NR.min(cols - j0);
+            // Panel `j0 / NR` starts after `j0` full columns of every row;
+            // the window is its rows `ks`.
+            let window = j0 * rows + ks.start * w..j0 * rows + ks.end * w;
+            let (out, sc) = (&mut out[j0..], scales.map(|s| &s[j0..]));
+            match &self.values {
+                Values::F32(v) if w == NR => simd::run(tile, a, a_stride, m, kc, &v[window], out, o_stride, w, sc),
+                Values::I8 { values, .. } if w == NR && m < WIDEN_FROM => {
+                    simd::run(tile, a, a_stride, m, kc, &values[window], out, o_stride, w, sc);
+                }
+                narrow_or_tall => {
+                    match narrow_or_tall {
+                        Values::F32(v) => widen(&v[window], w, &mut scratch),
+                        Values::I8 { values, .. } => widen(&values[window], w, &mut scratch),
+                    }
+                    simd::run(tile, a, a_stride, m, kc, &scratch, out, o_stride, w, sc);
+                }
+            }
+        }
+    }
+}
+
+/// The scalar oracle for [`PackedMatrix::gemm`] over `values`, a `rows ×
+/// cols` matrix in panel order: for each panel and row, i-k-j, one chain
+/// per element in ascending `k`, each element then scaled.
+#[allow(clippy::too_many_arguments)]
+fn oracle<T: Elem>(
+    values: &[T],
+    rows: usize,
+    cols: usize,
+    a: &[f32],
+    a_stride: usize,
+    m: usize,
+    ks: Range<usize>,
+    out: &mut [f32],
+    o_stride: usize,
+    scales: Option<&[f32]>,
+) {
+    for j0 in (0..cols).step_by(NR) {
+        let w = NR.min(cols - j0);
+        let panel = &values[j0 * rows..][..rows * w];
+        for i in 0..m {
+            let orow = &mut out[i * o_stride + j0..][..w];
+            for (kk, r) in ks.clone().enumerate() {
+                let av = a[i * a_stride + kk];
+                for (o, &b) in orow.iter_mut().zip(&panel[r * w..][..w]) {
+                    *o += av * b.into();
+                }
+            }
+            if let Some(s) = scales {
+                for (o, &sv) in orow.iter_mut().zip(&s[j0..]) {
+                    *o *= sv;
+                }
+            }
+        }
+    }
+}
+
+/// Widens panel rows of `w` values into `scratch` as rows of `NR` f32,
+/// zero-padded: the full-width panel the tile reads.
+fn widen<T: Elem>(src: &[T], w: usize, scratch: &mut Vec<f32>) {
+    scratch.resize(src.len() / w * NR, 0.0);
+    for (dst, row) in scratch.chunks_exact_mut(NR).zip(src.chunks_exact(w)) {
+        let (vals, pad) = dst.split_at_mut(w);
+        for (d, &v) in vals.iter_mut().zip(row) {
+            *d = v.into();
+        }
+        pad.fill(0.0);
+    }
+}
+
+/// `(rows, last)`: a tensor's trailing dim and how many rows of it the
+/// leading dims hold — the `[m, k]` view the kernels read without a copy.
+pub(crate) fn rows_of(t: &Tensor) -> (usize, usize) {
+    let last = t.dim(t.rank() - 1);
+    (t.numel().checked_div(last).unwrap_or(0), last)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::ops::matmul_naive;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    #[test]
+    fn acc_window_chunked_contraction_is_bitwise_exact() {
+        // Accumulating ascending k-chunks must reproduce the monolithic
+        // product bit-for-bit — the invariant the rank folds use.
+        let mut rng = StdRng::seed_from_u64(13);
+        let a = Tensor::randn(&mut rng, vec![5, 12], 1.0);
+        let b = Tensor::randn(&mut rng, vec![12, 7], 1.0);
+        let (full, packed) = (matmul_naive(&a, &b), PackedMatrix::pack(&b));
+        for chunk in [1usize, 2, 3, 4, 6, 12] {
+            let mut acc = Tensor::zeros(vec![5, 7]);
+            let mut k0 = 0;
+            while k0 < 12 {
+                let kc = chunk.min(12 - k0);
+                packed.matmul_acc_window(&a, 0..5, k0, k0, kc, acc.data_mut());
+                k0 += kc;
+            }
+            assert_eq!(acc.max_abs_diff(&full), 0.0, "chunk {chunk}");
+        }
+    }
+
+    #[test]
+    fn into_cols_assembles_column_blocks() {
+        let mut rng = StdRng::seed_from_u64(14);
+        let a = Tensor::randn(&mut rng, vec![4, 9], 1.0);
+        let b = Tensor::randn(&mut rng, vec![9, 10], 1.0);
+        let full = matmul_naive(&a, &b);
+        let mut out = Tensor::zeros(vec![4, 10]);
+        for c0 in [6, 0, 3] {
+            PackedMatrix::pack(&b.slice(1, c0, 3)).matmul_into_cols(&a, &mut out, c0);
+        }
+        PackedMatrix::pack(&b.slice(1, 9, 1)).matmul_into_cols(&a, &mut out, 9);
+        assert_eq!(out.max_abs_diff(&full), 0.0);
+    }
+}

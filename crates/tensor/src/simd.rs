@@ -1,48 +1,87 @@
-//! The explicit AVX2 int8 GEMM kernel: the `Simd` setting of
-//! [`crate::ops::set_matmul_kernel`] runs int8 products here. f32 has no
-//! explicit SIMD kernel; its blocked tile autovectorises under
-//! `target-cpu=native` and measured faster (EXPERIMENTS.md, "One f32 GEMM
-//! tier").
+//! The GEMM register tile: `MR × NR` outputs over one `k × NR` weight panel,
+//! the one microkernel every GEMM in the crate runs
+//! ([`crate::PackedMatrix`]'s family, and row-major [`crate::ops::matmul`]
+//! once it has packed its right operand).
 //!
 //! # Bit-identity by construction
 //!
-//! The kernel vectorizes across output **columns**: each SIMD lane owns
-//! one output element, and every element is accumulated by one serial
-//! chain of mul-then-add steps in strictly ascending `k` order — always
-//! `_mm256_mul_ps` followed by `_mm256_add_ps`, never an FMA, which
-//! would fuse the intermediate rounding and change the bits. A lane
-//! therefore performs exactly the scalar kernel's arithmetic, element
-//! for element, and the SIMD tier is bit-identical to the blocked and
-//! scalar oracles regardless of tile shape (each element sees exactly one
-//! full-`k` pass, so MR/NR choices only affect traversal order *between*
-//! elements, never the chain *within* one).
+//! The tile vectorises across output **columns**: each lane owns one output
+//! element, which starts from the value already in `out` and takes one
+//! serial chain of steps `acc = acc + a·b` in strictly ascending `k` — a
+//! multiply, then an add, never an FMA, which would fuse the intermediate
+//! rounding and change the bits. An int8 panel is widened to f32 as it is
+//! read, which is exact (every `i8` is an f32), and a per-column scale, when
+//! given, multiplies each element once, at store, after its whole chain. A
+//! lane therefore does the scalar oracle's arithmetic, element for element,
+//! whatever the tile's shape or the vector width: `MR` and `NR` decide the
+//! order *between* elements, never the chain *within* one.
 //!
-//! It widens `i8` panels with SIMD (`_mm256_cvtepi8_epi32` +
-//! `_mm256_cvtepi32_ps`, exact — every `i8` is representable in f32) and
-//! folds the per-column scale once at tile store. Folding at store is
-//! bitwise identical to the scalar path's post-pass multiply because the
-//! scaled entry points all start from a zeroed target: `(0 + sum) * s`
-//! either way.
+//! The tile is written twice with that arithmetic: explicit AVX-512F
+//! (`_mm512_mul_ps` then `_mm512_add_ps`, masked loads and stores on a
+//! narrow panel's columns), selected at run time, and safe Rust, which runs
+//! when `ESTI_DISABLE_SIMD` is set or the host lacks AVX-512F (see
+//! [`crate::ops::set_matmul_kernel`]). LLVM keeps the safe tile in 256-bit
+//! registers under `target-cpu=native` on hosts that prefer them, which is
+//! why the 512-bit one is written out.
+//!
+//! # Safety contract of the AVX-512 tile
+//!
+//! [`run`] is the only way in, and it establishes every condition the
+//! `unsafe` code relies on before it runs any:
+//!
+//! - **Feature detection.** [`Tile::Avx512`] reaches the explicit tile
+//!   only after `run` asserts [`supported`], which asks the CPU at run
+//!   time (`is_x86_feature_detected!("avx512f")`); `ops` selects it only
+//!   then in the first place.
+//! - **Slice bounds.** `run` asserts that the panel is exactly `k × NR`,
+//!   that `a` holds `m` rows of `k` at stride `a_stride`, that `out` holds
+//!   `m` rows of `w ≤ NR` at stride `o_stride`, and that `scales` holds at
+//!   least `w`. The tile forms pointers only to row `r < R` of the rows
+//!   left, column `kk < k` of `a`, row `kk < k` of the panel, and columns
+//!   below `w` of `out` and `scales`.
+//! - **The mask on a narrow panel.** Columns `w..NR` of `out` and `scales`
+//!   may lie past the end of their slices. They are read and written only
+//!   through `_mm512_maskz_loadu_ps` / `_mm512_mask_storeu_ps` under masks
+//!   with exactly the lanes below `w` set, which access no masked-off lane
+//!   (an all-zero mask touches no memory), and the pointer to the upper
+//!   half is formed with `wrapping_add`, so no out-of-bounds pointer is
+//!   ever offset or dereferenced.
 
-#[cfg(target_arch = "x86_64")]
-use std::arch::x86_64::{
-    __m128i, __m256, _mm256_add_ps, _mm256_cvtepi8_epi32, _mm256_cvtepi32_ps, _mm256_loadu_ps,
-    _mm256_mul_ps, _mm256_set1_ps, _mm256_setzero_ps, _mm256_storeu_ps, _mm_loadl_epi64,
-};
+/// Column width of the tile and of a stored panel: two 512-bit vectors.
+pub(crate) const NR: usize = 32;
+/// Row count of the tile: `MR × 2` accumulators, plus the two panel
+/// vectors and a broadcast, fit the 32 vector registers of AVX-512.
+pub(crate) const MR: usize = 8;
 
-/// Columns per SIMD tile: two 8-lane ymm vectors of independent outputs.
-const NR: usize = 16;
-/// Rows per SIMD tile: 4 rows × 2 column vectors = 8 ymm accumulators,
-/// which with the broadcast register and two b-row loads stays within
-/// the 16 ymm registers AVX2 offers.
-const MR: usize = 4;
+/// Which implementation of the tile runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Tile {
+    /// The safe-Rust tile.
+    Portable,
+    /// The explicit AVX-512F tile.
+    Avx512,
+}
 
-/// True when the host can run the AVX2 kernel in this module.
+/// A panel element: f32, or int8, widened (exactly) to f32 as it is read.
+pub(crate) trait Elem: Copy + Into<f32> {
+    /// Whether the element is an `i8`.
+    const INT8: bool;
+}
+
+impl Elem for f32 {
+    const INT8: bool = false;
+}
+
+impl Elem for i8 {
+    const INT8: bool = true;
+}
+
+/// True when the host can run the AVX-512 tile.
 #[must_use]
-pub fn supported() -> bool {
+pub(crate) fn supported() -> bool {
     #[cfg(target_arch = "x86_64")]
     {
-        std::arch::is_x86_feature_detected!("avx2")
+        std::arch::is_x86_feature_detected!("avx512f")
     }
     #[cfg(not(target_arch = "x86_64"))]
     {
@@ -50,180 +89,203 @@ pub fn supported() -> bool {
     }
 }
 
-/// Bounds contract for the strided kernel below; the `unsafe` pointer
-/// arithmetic inside the tiles stays within these slices.
-#[allow(clippy::too_many_arguments)]
-fn check_gemm_bounds(
-    a_len: usize,
-    a_stride: usize,
-    b_len: usize,
-    b_stride: usize,
-    o_len: usize,
-    o_stride: usize,
-    m: usize,
-    k: usize,
-    n: usize,
-) {
-    if m == 0 {
-        return;
-    }
-    assert!(k <= a_stride || m == 1, "a rows must not overlap");
-    assert!((m - 1) * a_stride + k <= a_len, "a slice too short");
-    assert!(k == 0 || (k - 1) * b_stride + n <= b_len, "b slice too short");
-    assert!((m - 1) * o_stride + n <= o_len, "out slice too short");
+/// Calls `$body` with `$r` (1 to [`MR`]) bound to the constant `$R`, so a
+/// tile of any row count keeps its accumulators in registers.
+macro_rules! with_rows {
+    ($r:expr, $R:ident => $body:expr) => {
+        match $r {
+            1 => { const $R: usize = 1; $body }
+            2 => { const $R: usize = 2; $body }
+            3 => { const $R: usize = 3; $body }
+            4 => { const $R: usize = 4; $body }
+            5 => { const $R: usize = 5; $body }
+            6 => { const $R: usize = 6; $body }
+            7 => { const $R: usize = 7; $body }
+            8 => { const $R: usize = 8; $body }
+            r => unreachable!("a tile has 1 to {MR} rows, not {r}"),
+        }
+    };
 }
 
-/// AVX2 int8 GEMM core, strided like `quant::qmm_kernel`: widens NR-wide
-/// `i8` column panels once per block with SIMD, contracts with the same
-/// ascending-`k` mul+add chains as the scalar tiers, and (when `scales` is
-/// given) folds the per-column scale once at tile store. The scaled form
-/// requires a zeroed `out` (all scaled entry points guarantee it).
+/// `out[i][j] = (out[i][j] + Σ_kk a[i][kk]·panel[kk][j]) · scales[j]` for
+/// the `m` rows of `a` (row stride `a_stride`) and `out` (row stride
+/// `o_stride`), `kk` ascending over `0..k` and `j` over the first `w ≤ NR`
+/// columns of the `k × NR` panel; unscaled when `scales` is `None`. Rows go
+/// `MR` at a time, the last tile holding what is left.
 ///
 /// # Panics
 ///
-/// Panics if the host lacks AVX2, the slices are shorter than the
-/// dimensions imply, or `scales` is shorter than `n`.
+/// Panics if a slice is shorter than the dimensions imply, the panel is not
+/// `k × NR`, `w > NR`, or `tile` is [`Tile::Avx512`] on a host without
+/// AVX-512F.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn mm_i8(
-    ad: &[f32],
+pub(crate) fn run<T: Elem>(
+    tile: Tile,
+    a: &[f32],
     a_stride: usize,
-    vd: &[i8],
-    v_stride: usize,
-    out: &mut [f32],
-    o_stride: usize,
     m: usize,
     k: usize,
-    n: usize,
-    scales: Option<&[f32]>,
-) {
-    assert!(supported(), "AVX2 kernel dispatched on a non-AVX2 host");
-    check_gemm_bounds(ad.len(), a_stride, vd.len(), v_stride, out.len(), o_stride, m, k, n);
-    if let Some(s) = scales {
-        assert!(s.len() >= n, "scales slice shorter than the column count");
-    }
-    #[cfg(target_arch = "x86_64")]
-    // SAFETY: AVX2 availability asserted above; index arithmetic bounded
-    // by check_gemm_bounds and the scales length check.
-    unsafe {
-        mm_i8_avx2(ad, a_stride, vd, v_stride, out, o_stride, m, k, n, scales);
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    unreachable!("supported() is false off x86_64");
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-#[allow(clippy::too_many_arguments)]
-unsafe fn mm_i8_avx2(
-    ad: &[f32],
-    a_stride: usize,
-    vd: &[i8],
-    v_stride: usize,
+    panel: &[T],
     out: &mut [f32],
     o_stride: usize,
-    m: usize,
-    k: usize,
-    n: usize,
+    w: usize,
     scales: Option<&[f32]>,
 ) {
-    // k×NR f32 panel, widened once per column block and reused across
-    // every row tile — the dequant cost amortizes over all m rows.
-    let mut panel = vec![0.0f32; k * NR];
-    let mut j = 0;
-    while j + NR <= n {
-        // SAFETY: j+NR <= n and the vd bounds were checked in mm_i8.
-        unsafe {
-            for kk in 0..k {
-                let src = vd.as_ptr().add(kk * v_stride + j);
-                let dst = panel.as_mut_ptr().add(kk * NR);
-                // 8 i8 lanes → 8 f32 lanes, exact (i8 ⊂ f32).
-                let lo = _mm_loadl_epi64(src.cast::<__m128i>());
-                let hi = _mm_loadl_epi64(src.add(8).cast::<__m128i>());
-                _mm256_storeu_ps(dst, _mm256_cvtepi32_ps(_mm256_cvtepi8_epi32(lo)));
-                _mm256_storeu_ps(dst.add(8), _mm256_cvtepi32_ps(_mm256_cvtepi8_epi32(hi)));
-            }
-        }
-        let sc = scales.map(|s| {
-            // SAFETY: s.len() >= n >= j + NR, checked in mm_i8.
-            unsafe { (_mm256_loadu_ps(s.as_ptr().add(j)), _mm256_loadu_ps(s.as_ptr().add(j + 8))) }
+    if m == 0 || w == 0 {
+        return;
+    }
+    assert!(w <= NR, "a panel is at most {NR} columns wide, not {w}");
+    assert_eq!(panel.len(), k * NR, "a panel holds k = {k} rows of {NR}");
+    assert!((m - 1) * a_stride + k <= a.len(), "a slice too short");
+    assert!((m - 1) * o_stride + w <= out.len(), "out slice too short");
+    assert!(scales.is_none_or(|s| s.len() >= w), "scales shorter than the panel's columns");
+    assert!(tile == Tile::Portable || supported(), "the AVX-512 tile dispatched on a host without AVX-512F");
+    let mut i = 0;
+    while i < m {
+        let r = MR.min(m - i);
+        let (a, out) = (&a[i * a_stride..], &mut out[i * o_stride..]);
+        with_rows!(r, R => match tile {
+            Tile::Portable => portable::<R, T>(a, a_stride, k, panel, out, o_stride, w, scales),
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: the asserts above establish the module's contract:
+            // AVX-512F is present, and `a` / `out` hold the `R ≤ m - i` rows
+            // starting here, the panel `k × NR`, and `scales` `w` columns.
+            Tile::Avx512 => unsafe { avx512::tile::<R, T>(a, a_stride, k, panel, out, o_stride, w, scales) },
+            #[cfg(not(target_arch = "x86_64"))]
+            Tile::Avx512 => unreachable!("supported() is false off x86_64"),
         });
-        let mut i = 0;
-        while i + MR <= m {
-            i8_tile::<MR>(ad, a_stride, &panel, out, o_stride, i, j, k, sc);
-            i += MR;
-        }
-        while i < m {
-            i8_tile::<1>(ad, a_stride, &panel, out, o_stride, i, j, k, sc);
-            i += 1;
-        }
-        j += NR;
-    }
-    if j < n {
-        // Column remainder: scalar widen + ascending-k chains + one
-        // post-contraction scale — the scalar oracle's exact arithmetic.
-        for i in 0..m {
-            for jj in j..n {
-                let mut acc = out[i * o_stride + jj];
-                for kk in 0..k {
-                    acc += ad[i * a_stride + kk] * f32::from(vd[kk * v_stride + jj]);
-                }
-                if let Some(s) = scales {
-                    acc *= s[jj];
-                }
-                out[i * o_stride + jj] = acc;
-            }
-        }
+        i += r;
     }
 }
 
-/// One `R×NR` int8 tile over the pre-widened panel; when `sc` is given
-/// the per-column scale is folded exactly once, at store, after the full
-/// contraction.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-#[inline]
+/// The safe-Rust tile: `R` rows of [`run`]'s product over one panel.
 #[allow(clippy::too_many_arguments)]
-unsafe fn i8_tile<const R: usize>(
-    ad: &[f32],
+fn portable<const R: usize, T: Elem>(
+    a: &[f32],
     a_stride: usize,
-    panel: &[f32],
+    k: usize,
+    panel: &[T],
     out: &mut [f32],
     o_stride: usize,
-    i: usize,
-    j: usize,
-    k: usize,
-    sc: Option<(__m256, __m256)>,
+    w: usize,
+    scales: Option<&[f32]>,
 ) {
-    // SAFETY (all pointer math in this fn): caller keeps i+R <= m and
-    // j+NR <= n under the bounds checked in mm_i8; panel is k×NR.
-    unsafe {
-        let ap = ad.as_ptr();
-        let pp = panel.as_ptr();
-        let op = out.as_mut_ptr();
-        let mut acc = [[_mm256_setzero_ps(); 2]; R];
-        for (r, a) in acc.iter_mut().enumerate() {
-            let o0 = op.add((i + r) * o_stride + j);
-            a[0] = _mm256_loadu_ps(o0);
-            a[1] = _mm256_loadu_ps(o0.add(8));
-        }
-        for kk in 0..k {
-            let b0 = _mm256_loadu_ps(pp.add(kk * NR));
-            let b1 = _mm256_loadu_ps(pp.add(kk * NR + 8));
-            for (r, a) in acc.iter_mut().enumerate() {
-                let av = _mm256_set1_ps(*ap.add((i + r) * a_stride + kk));
-                a[0] = _mm256_add_ps(a[0], _mm256_mul_ps(av, b0));
-                a[1] = _mm256_add_ps(a[1], _mm256_mul_ps(av, b1));
+    let mut acc = [[0.0f32; NR]; R];
+    for (r, row) in acc.iter_mut().enumerate() {
+        row[..w].copy_from_slice(&out[r * o_stride..][..w]);
+    }
+    let (brows, _) = panel.as_chunks::<NR>();
+    for (kk, brow) in brows[..k].iter().enumerate() {
+        for (r, row) in acc.iter_mut().enumerate() {
+            let av = a[r * a_stride + kk];
+            // One separate multiply and add per k step, never a fused sum.
+            for (x, &bv) in row.iter_mut().zip(brow) {
+                *x += av * bv.into();
             }
         }
-        for (r, a) in acc.iter().enumerate() {
-            let (mut v0, mut v1) = (a[0], a[1]);
-            if let Some((s0, s1)) = sc {
-                v0 = _mm256_mul_ps(v0, s0);
-                v1 = _mm256_mul_ps(v1, s1);
+    }
+    for (r, row) in acc.iter_mut().enumerate() {
+        if let Some(s) = scales {
+            for (x, &sv) in row[..w].iter_mut().zip(s) {
+                *x *= sv;
             }
-            let o0 = op.add((i + r) * o_stride + j);
-            _mm256_storeu_ps(o0, v0);
-            _mm256_storeu_ps(o0.add(8), v1);
+        }
+        out[r * o_stride..][..w].copy_from_slice(&row[..w]);
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+mod avx512 {
+    use std::arch::x86_64::{
+        __m128i, __m512, __mmask16, _mm512_add_ps, _mm512_cvtepi32_ps, _mm512_cvtepi8_epi32, _mm512_loadu_ps,
+        _mm512_mask_storeu_ps, _mm512_maskz_loadu_ps, _mm512_mul_ps, _mm512_set1_ps, _mm512_setzero_ps,
+        _mm_loadu_si128,
+    };
+
+    use super::{Elem, NR};
+
+    /// The lanes below `n ≤ 16` set.
+    fn mask(n: usize) -> __mmask16 {
+        ((1u32 << n) - 1) as __mmask16
+    }
+
+    /// Row `kk` of a panel whose row starts at `p`: `NR` values as two
+    /// f32 vectors, an int8 row widened exactly.
+    ///
+    /// # Safety
+    ///
+    /// AVX-512F is present and `p` points at `NR` readable elements.
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    unsafe fn load_row<T: Elem>(p: *const T) -> (__m512, __m512) {
+        // SAFETY: the caller guarantees NR = 32 readable elements at `p`:
+        // two 16-byte halves of an int8 row, two 16-lane halves of an f32 one.
+        unsafe {
+            if T::INT8 {
+                let p = p.cast::<__m128i>();
+                let widen = |q: *const __m128i| _mm512_cvtepi32_ps(_mm512_cvtepi8_epi32(_mm_loadu_si128(q)));
+                (widen(p), widen(p.add(1)))
+            } else {
+                let p = p.cast::<f32>();
+                (_mm512_loadu_ps(p), _mm512_loadu_ps(p.add(16)))
+            }
+        }
+    }
+
+    /// The AVX-512F tile: `R` rows of `run`'s product over one panel.
+    ///
+    /// # Safety
+    ///
+    /// The host has AVX-512F; `a` holds `R` rows of `k` at `a_stride`,
+    /// `out` `R` rows of `w ≤ NR` at `o_stride`, the panel `k × NR`, and
+    /// `scales`, if given, at least `w` (the module's contract, which
+    /// `super::run` asserts).
+    #[target_feature(enable = "avx512f")]
+    #[allow(clippy::too_many_arguments)]
+    pub(super) unsafe fn tile<const R: usize, T: Elem>(
+        a: &[f32],
+        a_stride: usize,
+        k: usize,
+        panel: &[T],
+        out: &mut [f32],
+        o_stride: usize,
+        w: usize,
+        scales: Option<&[f32]>,
+    ) {
+        let (lo, hi) = (mask(w.min(16)), mask(w.saturating_sub(16)));
+        let (ap, pp, op) = (a.as_ptr(), panel.as_ptr(), out.as_mut_ptr());
+        // SAFETY: per the module contract, row r < R of `out` starts inside
+        // the slice and its lanes below `w` are in bounds; lanes from `w`
+        // are masked off and their upper-half pointer wraps; `a` row r
+        // holds `k` values and the panel `k` rows of NR.
+        unsafe {
+            let mut acc = [[_mm512_setzero_ps(); 2]; R];
+            for (r, v) in acc.iter_mut().enumerate() {
+                let o = op.add(r * o_stride);
+                *v = [_mm512_maskz_loadu_ps(lo, o), _mm512_maskz_loadu_ps(hi, o.wrapping_add(16))];
+            }
+            for kk in 0..k {
+                let (b0, b1) = load_row(pp.add(kk * NR));
+                for (r, v) in acc.iter_mut().enumerate() {
+                    let av = _mm512_set1_ps(*ap.add(r * a_stride + kk));
+                    v[0] = _mm512_add_ps(v[0], _mm512_mul_ps(av, b0));
+                    v[1] = _mm512_add_ps(v[1], _mm512_mul_ps(av, b1));
+                }
+            }
+            let sc = scales.map(|s| {
+                let s = s.as_ptr();
+                (_mm512_maskz_loadu_ps(lo, s), _mm512_maskz_loadu_ps(hi, s.wrapping_add(16)))
+            });
+            for (r, v) in acc.iter().enumerate() {
+                let [mut v0, mut v1] = *v;
+                if let Some((s0, s1)) = sc {
+                    v0 = _mm512_mul_ps(v0, s0);
+                    v1 = _mm512_mul_ps(v1, s1);
+                }
+                let o = op.add(r * o_stride);
+                _mm512_mask_storeu_ps(o, lo, v0);
+                _mm512_mask_storeu_ps(o.wrapping_add(16), hi, v1);
+            }
         }
     }
 }

@@ -1,11 +1,11 @@
-// Release-mode timings of the GEMM tiers (ignored by default). The gated
+// Release-mode timings of the GEMM tile and its oracles (ignored by default). The gated
 // numbers are `bench_runtime`'s (crates/bench/src/bin/bench_runtime.rs,
 // written to BENCH_runtime.json at the workspace root); these are for
-// deciding which tiers ship.
+// deciding what ships.
 //
 //   cargo test --release -p esti-tensor --test kernel_speed -- --ignored --nocapture
 use esti_tensor::ops::{self, matmul, matmul_naive, MatmulKernel};
-use esti_tensor::{QuantizedMatrix, Tensor};
+use esti_tensor::{PackedMatrix, Tensor};
 use std::time::Instant;
 
 fn fill(n: usize, scale: f32) -> Tensor {
@@ -94,63 +94,121 @@ fn best_of(reps: usize, mut f: impl FnMut()) -> f64 {
         .fold(f64::INFINITY, f64::min)
 }
 
+/// `m × k` activations.
+fn activations(m: usize, k: usize) -> Tensor {
+    Tensor::from_vec(vec![m, k], (0..m * k).map(|i| 0.1 * ((i % 13) as f32 - 6.0)).collect())
+}
+
+/// A `k × n` weight, varied by `c`.
+fn weight(k: usize, n: usize, c: usize) -> Tensor {
+    Tensor::from_vec(vec![k, n], (0..k * n).map(|i| 0.01 * (((i + c) % 23) as f32 - 11.0)).collect())
+}
+
 /// The tiers at the GEMM shapes of the benchmark's `palm-micro` model
 /// (`d_model` 256, `d_ff` 1024, 8 × 32 multiquery heads, vocab 512) as
-/// `(M, K, N)`: its projections over 1024 and 4096 prompt tokens, one
-/// 256-token prompt and small batches. f32 naive oracle vs the shipped
-/// blocked tier, and int8 blocked vs the AVX2 tier (`simd_active` says
-/// whether AVX2 ran; with `ESTI_DISABLE_SIMD=1` both int8 columns are the
-/// blocked tier). Best of 15 runs each. A `blocked/avx2` ratio above 1
-/// means the AVX2 int8 kernel is faster.
+/// `(M, K, N)`.
+///
+/// **Hot:** its projections over 1024 and 4096 prompt tokens, one 256-token
+/// prompt and small batches, each weight reused call after call. Columns:
+/// the f32 naive oracle, row-major `ops::matmul` (which packs `b` per call
+/// from 16 rows and streams below), f32 packed once (the stored form) under
+/// the safe-Rust tile and under the shipped setting, and int8 under the
+/// same two. Best of 15 runs each.
+///
+/// **Cold:** the decode shapes (1, 4, 8 and 16 rows at the five weight
+/// shapes), each call reading the next of enough distinct weights to fill
+/// 16 MB, as a decode step walks distinct layers, so the weights come from
+/// memory: row-major `ops::matmul` against the packed f32 and int8 forms.
+///
+/// `simd_active` says whether the shipped setting ran the AVX-512 tile;
+/// with `ESTI_DISABLE_SIMD=1` both columns of a pair are the safe-Rust
+/// tile. A `blk/simd` ratio above 1 means the AVX-512 tile is faster.
 #[test]
 #[ignore]
 fn tiers_at_workload_shapes() {
     const REPS: usize = 15;
-    let shapes = [
+    let restore = ops::matmul_kernel();
+    let time = |kernel, f: &mut dyn FnMut()| {
+        ops::set_matmul_kernel(kernel);
+        best_of(REPS, f)
+    };
+    eprintln!("simd_active={}", ops::simd_active());
+    eprintln!("hot weights:");
+    eprintln!(
+        "{:>18} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9} {:>8} {:>8}",
+        "(M, K, N)", "naive us", "rowmaj us", "f32 blk", "f32 simd", "i8 blk", "i8 simd", "f32 b/s", "i8 b/s"
+    );
+    let hot = [
         (1024, 256, 1024),
         (1024, 1024, 256),
         (1024, 256, 256),
         (1024, 256, 32),
         (256, 256, 1024),
+        (128, 256, 1024),
+        (64, 256, 1024),
         (32, 256, 1024),
         (12, 256, 256),
         (4096, 256, 512),
     ];
-    let restore = ops::matmul_kernel();
-    eprintln!("simd_active={}", ops::simd_active());
-    eprintln!(
-        "{:>18} {:>10} {:>10} {:>7} {:>10} {:>10} {:>12}",
-        "(M, K, N)", "naive us", "f32 us", "speedup", "i8 blk us", "i8 avx2 us", "blocked/avx2"
-    );
-    for (m, k, n) in shapes {
-        let a: Vec<f32> = (0..m * k).map(|i| 0.1 * ((i % 13) as f32 - 6.0)).collect();
-        let b: Vec<f32> = (0..k * n).map(|i| 0.01 * ((i % 23) as f32 - 11.0)).collect();
-        let (a, b) = (Tensor::from_vec(vec![m, k], a), Tensor::from_vec(vec![k, n], b));
-        let q = QuantizedMatrix::quantize(&b);
-        let run = |kernel, int8: bool| {
-            ops::set_matmul_kernel(kernel);
-            best_of(REPS, || {
-                if int8 {
-                    std::hint::black_box(q.matmul(std::hint::black_box(&a)));
-                } else {
-                    std::hint::black_box(matmul(std::hint::black_box(&a), std::hint::black_box(&b)));
-                }
-            })
-        };
-        let naive = run(MatmulKernel::Naive, false);
-        let f32_blocked = run(MatmulKernel::Simd, false);
-        let i8_blocked = run(MatmulKernel::Blocked, true);
-        let i8_simd = run(MatmulKernel::Simd, true);
+    for (m, k, n) in hot {
+        let (a, b) = (activations(m, k), weight(k, n, 0));
+        let (p, q) = (PackedMatrix::pack(&b), PackedMatrix::quantize(&b));
+        let mut row_major = || drop(std::hint::black_box(matmul(std::hint::black_box(&a), &b)));
+        let naive = time(MatmulKernel::Naive, &mut row_major);
+        let rowmaj = time(MatmulKernel::Simd, &mut row_major);
+        let mut f32_packed = || drop(std::hint::black_box(p.matmul(std::hint::black_box(&a))));
+        let f32_blk = time(MatmulKernel::Blocked, &mut f32_packed);
+        let f32_simd = time(MatmulKernel::Simd, &mut f32_packed);
+        let mut i8_packed = || drop(std::hint::black_box(q.matmul(std::hint::black_box(&a))));
+        let i8_blk = time(MatmulKernel::Blocked, &mut i8_packed);
+        let i8_simd = time(MatmulKernel::Simd, &mut i8_packed);
         eprintln!(
-            "{:>18} {:>10.1} {:>10.1} {:>7.2} {:>10.1} {:>10.1} {:>12.2}",
+            "{:>18} {:>9.1} {:>9.1} {:>9.1} {:>9.1} {:>9.1} {:>9.1} {:>8.2} {:>8.2}",
             format!("({m}, {k}, {n})"),
             naive * 1e6,
-            f32_blocked * 1e6,
-            naive / f32_blocked,
-            i8_blocked * 1e6,
+            rowmaj * 1e6,
+            f32_blk * 1e6,
+            f32_simd * 1e6,
+            i8_blk * 1e6,
             i8_simd * 1e6,
-            i8_blocked / i8_simd
+            f32_blk / f32_simd,
+            i8_blk / i8_simd
         );
+    }
+    const WORKING_SET: usize = 16 << 20;
+    eprintln!("cold weights (a {} MB working set of distinct matrices):", WORKING_SET >> 20);
+    eprintln!(
+        "{:>18} {:>9} {:>9} {:>9} {:>9} {:>9} {:>8} {:>8}",
+        "(M, K, N)", "rowmaj us", "f32 blk", "f32 simd", "i8 blk", "i8 simd", "f32 r/s", "i8 b/s"
+    );
+    for (k, n) in [(256, 1024), (1024, 256), (256, 256), (256, 64), (64, 256)] {
+        let copies = WORKING_SET.div_ceil(k * n * 4);
+        let dense: Vec<Tensor> = (0..copies).map(|c| weight(k, n, c)).collect();
+        let packed: Vec<PackedMatrix> = dense.iter().map(PackedMatrix::pack).collect();
+        let quant: Vec<PackedMatrix> = dense.iter().map(PackedMatrix::quantize).collect();
+        for m in [1, 4, 8, 16] {
+            let a = activations(m, k);
+            let cold = |kernel, f: &dyn Fn(usize)| {
+                ops::set_matmul_kernel(kernel);
+                best_of(5, || (0..2 * copies).for_each(f)) / (2 * copies) as f64
+            };
+            let rowmaj = cold(MatmulKernel::Simd, &|c| drop(std::hint::black_box(matmul(&a, &dense[c % copies]))));
+            let f32_blk = cold(MatmulKernel::Blocked, &|c| drop(std::hint::black_box(packed[c % copies].matmul(&a))));
+            let f32_simd = cold(MatmulKernel::Simd, &|c| drop(std::hint::black_box(packed[c % copies].matmul(&a))));
+            let i8_blk = cold(MatmulKernel::Blocked, &|c| drop(std::hint::black_box(quant[c % copies].matmul(&a))));
+            let i8_simd = cold(MatmulKernel::Simd, &|c| drop(std::hint::black_box(quant[c % copies].matmul(&a))));
+            eprintln!(
+                "{:>18} {:>9.1} {:>9.1} {:>9.1} {:>9.1} {:>9.1} {:>8.2} {:>8.2}",
+                format!("({m}, {k}, {n})"),
+                rowmaj * 1e6,
+                f32_blk * 1e6,
+                f32_simd * 1e6,
+                i8_blk * 1e6,
+                i8_simd * 1e6,
+                rowmaj / f32_simd,
+                i8_blk / i8_simd
+            );
+        }
     }
     ops::set_matmul_kernel(restore);
 }

@@ -1,18 +1,21 @@
-//! Kernel-core conformance: the shipped f32 tier (the blocked register
-//! tile plus the streamed small-`m` schedule), the AVX2 int8 tier and the
-//! blocked int8 tier must be **bit-identical** to the serial scalar
-//! oracles for every GEMM entry point, at every shape — including shapes
-//! that exercise the m/n/k remainder paths (NR = 32 f32 and 16 AVX2 int8
-//! column lanes, MR = 4 row tiles).
+//! Kernel-core conformance: the one register tile (`MR` = 8 rows × `NR` = 32
+//! columns over a panel-ordered weight), in whichever form the process runs
+//! it — AVX-512F by default, the safe-Rust tile under `ESTI_DISABLE_SIMD` or
+//! on a host without AVX-512F — must be **bit-identical** to the serial
+//! scalar oracles for every GEMM entry point, at every shape: every `m %
+//! MR` remainder, a narrow last panel, int8 widened in registers (few rows)
+//! and into a scratch panel (many), scaled and unscaled.
 //!
 //! Bit-identity is the contract that keeps `set_matmul_kernel` a pure
 //! performance knob: every element is one serial mul-then-add chain in
-//! ascending `k`, regardless of SIMD width or tile shape.
+//! ascending `k`, regardless of SIMD width or tile shape. CI runs this file
+//! under both `ESTI_DISABLE_SIMD` settings, so both forms of the tile meet
+//! the oracle.
 
 use std::sync::{Mutex, OnceLock};
 
 use esti_tensor::ops::{self, MatmulKernel};
-use esti_tensor::{QuantizedMatrix, Tensor};
+use esti_tensor::{bf16, PackedMatrix, Tensor};
 use proptest::prelude::*;
 
 /// The kernel knob is process-global; every test that toggles it holds
@@ -47,17 +50,83 @@ fn tensor(rows: usize, cols: usize, seed: u64) -> Tensor {
     Tensor::from_vec(vec![rows, cols], data)
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+fn bits(xs: &[f32]) -> Vec<u32> {
+    xs.iter().map(|x| x.to_bits()).collect()
+}
 
-    /// `matmul` under the default setting equals the naive oracle bitwise
-    /// at every shape, including m % MR, n % NR and odd-k remainders.
+/// The stored form of `w` in one of the formats a chip keeps: f32 as cut,
+/// bf16-rounded f32, or int8.
+fn stored(w: &Tensor, format: usize) -> PackedMatrix {
+    match format {
+        0 => PackedMatrix::pack(w),
+        1 => PackedMatrix::pack(&bf16::quantize_tensor(w)),
+        _ => PackedMatrix::quantize(w),
+    }
+}
+
+/// Every entry point of `w` against `x [m, k]`, as bits: the scaled
+/// product, the product into a wider zeroed target at two column offsets
+/// (one inside the first panel's width, one past it), and for
+/// every split of the contraction the two unscaled windows (the second
+/// reading `x` at a column offset) then one deferred scale.
+fn entry_points(w: &PackedMatrix, x: &Tensor) -> Vec<Vec<u32>> {
+    let (m, k, n) = (x.dim(0), w.rows(), w.cols());
+    let mut got = vec![bits(w.matmul(x).data())];
+    for c0 in [3, 35] {
+        let mut wide = Tensor::zeros(vec![m, n + 40]);
+        w.matmul_into_cols(x, &mut wide, c0);
+        got.push(bits(wide.data()));
+    }
+    for split in 0..=k {
+        let mut acc = Tensor::zeros(vec![m, n]);
+        w.matmul_acc_window(x, 0..m, 0, 0, split, acc.data_mut());
+        w.matmul_acc_window(x, 0..m, split, split, k - split, acc.data_mut());
+        w.apply_scales(&mut acc);
+        got.push(bits(acc.data()));
+    }
+    // A block of rows, each alone, into its own accumulator.
+    for r in 0..m {
+        let mut acc = vec![0.0; n];
+        w.matmul_acc_window(x, r..r + 1, 0, 0, k, &mut acc);
+        let mut acc = Tensor::from_vec(vec![1, n], acc);
+        w.apply_scales(&mut acc);
+        got.push(bits(acc.data()));
+    }
+    got
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Every packed entry point under the shipped setting equals the scalar
+    /// oracle (knob = `Naive`) bit for bit, for f32, bf16-rounded f32 and
+    /// int8 weights. `m` covers every remainder of `MR` = 8 up to 20 rows
+    /// and, for `tall` cases, 61 to 80 rows, across the row count (64) from
+    /// which int8 panels are widened once into a scratch panel; `n` covers
+    /// up to three panels and every narrow last one.
+    #[test]
+    fn every_entry_point_equals_the_scalar_oracle_bitwise(
+        m in 1usize..21,
+        tall in 0usize..2,
+        k in 1usize..80,
+        n in 1usize..100,
+        format in 0usize..3,
+        seed in 0u64..1000,
+    ) {
+        let _guard = knob_lock().lock().unwrap();
+        let x = tensor(m + 60 * tall, k, seed);
+        let w = stored(&tensor(k, n, seed ^ 0xFACE), format);
+        let oracle = with_kernel(MatmulKernel::Naive, || entry_points(&w, &x));
+        let got = with_kernel(MatmulKernel::Simd, || entry_points(&w, &x));
+        prop_assert_eq!(got, oracle);
+    }
+
+    /// Row-major `matmul` under the default setting equals the naive oracle
+    /// bitwise on both sides of the row count from which it packs `b` for
+    /// the call (8).
     #[test]
     fn matmul_equals_naive_oracle_bitwise(
-        // Spans below, at, and beyond one column block (NR = 32) and two
-        // row tiles (MR = 4; 8 rows start the tiles), so every remainder
-        // path is exercised.
-        m in 1usize..14,
+        m in 1usize..40,
         k in 1usize..38,
         n in 1usize..70,
         seed in 0u64..1000,
@@ -67,127 +136,80 @@ proptest! {
         let b = tensor(k, n, seed ^ 0xABCD);
         let oracle = ops::matmul_naive(&a, &b);
         let got = with_kernel(MatmulKernel::Simd, || ops::matmul(&a, &b));
-        prop_assert_eq!(got.data(), oracle.data());
+        prop_assert_eq!(bits(got.data()), bits(oracle.data()));
     }
 
-    /// The chunked f32 entry point (`matmul_acc_window` contraction
-    /// chunks) stays bitwise equal to the monolithic naive product.
+    /// Packing is a permutation: unpacking gives the matrix back, and the
+    /// stored bytes are the row-major form's, with no padding.
     #[test]
-    fn chunked_f32_entry_points_match_monolithic(
-        m in 1usize..14,
-        k in 2usize..38,
-        n in 2usize..42,
-        split in 0.0f64..1.0,
+    fn pack_then_unpack_round_trips_at_the_row_major_byte_count(
+        k in 1usize..80,
+        n in 1usize..100,
         seed in 0u64..1000,
     ) {
-        let _guard = knob_lock().lock().unwrap();
-        let a = tensor(m, k, seed);
-        let b = tensor(k, n, seed ^ 0x5EED);
-        let oracle = ops::matmul_naive(&a, &b);
-        with_kernel(MatmulKernel::Simd, || {
-            // Contraction chunking: ascending row chunks of b accumulate
-            // to the monolithic result bit-for-bit.
-            let kc = 1 + ((split * (k - 1) as f64) as usize).min(k - 1);
-            let mut acc = Tensor::zeros(vec![m, n]);
-            ops::matmul_acc_window(&a, 0..m, 0, &b, 0, kc, acc.data_mut());
-            ops::matmul_acc_window(&a, 0..m, kc, &b, kc, k - kc, acc.data_mut());
-            prop_assert_eq!(acc.data(), oracle.data());
-        });
-    }
-
-    /// Int8 entry points under the SIMD tier equal the scalar oracle
-    /// (knob = `Naive`) bitwise: monolithic, into-cols, and
-    /// the unscaled window-accumulate + deferred `apply_scales` path.
-    #[test]
-    fn simd_int8_entry_points_equal_scalar_oracle_bitwise(
-        m in 1usize..14,
-        k in 2usize..38,
-        n in 2usize..42,
-        split in 0.0f64..1.0,
-        seed in 0u64..1000,
-    ) {
-        let _guard = knob_lock().lock().unwrap();
-        let x = tensor(m, k, seed);
-        let q = QuantizedMatrix::quantize(&tensor(k, n, seed ^ 0xFACE));
-        let oracle = with_kernel(MatmulKernel::Naive, || q.matmul(&x));
-        with_kernel(MatmulKernel::Simd, || {
-            prop_assert_eq!(q.matmul(&x).data(), oracle.data());
-            // Scale-on-arrival into a wider zeroed target.
-            let mut wide = Tensor::zeros(vec![m, n + 5]);
-            q.matmul_into_cols(&x, &mut wide, 3);
-            for r in 0..m {
-                prop_assert_eq!(
-                    &wide.data()[r * (n + 5) + 3..r * (n + 5) + 3 + n],
-                    &oracle.data()[r * n..(r + 1) * n]
-                );
-            }
-            // Unscaled contraction chunks + one deferred scale pass.
-            let kc = 1 + ((split * (k - 1) as f64) as usize).min(k - 1);
-            let mut acc = Tensor::zeros(vec![m, n]);
-            q.matmul_acc_window(&x, 0..m, 0, 0, kc, acc.data_mut());
-            q.matmul_acc_window(&x, 0..m, kc, kc, k - kc, acc.data_mut());
-            q.apply_scales(&mut acc);
-            prop_assert_eq!(acc.data(), oracle.data());
-        });
+        let w = tensor(k, n, seed);
+        let p = PackedMatrix::pack(&w);
+        prop_assert_eq!(bits(p.unpack().data()), bits(w.data()));
+        prop_assert_eq!(p.storage_bytes(), k * n * 4);
+        let q = PackedMatrix::quantize(&w);
+        prop_assert_eq!(q.storage_bytes(), k * n + n * 4);
+        let scales = q.scales().unwrap();
+        for (i, (&got, &want)) in q.unpack().data().iter().zip(w.data()).enumerate() {
+            prop_assert!((got - want).abs() <= scales[i % n] * 0.5 + 1e-6);
+        }
     }
 }
 
-/// Column slice of a rank-2 tensor (test-local helper; the library slices
-/// via strides internally).
-fn tensor_cols(t: &Tensor, c0: usize, cn: usize) -> Tensor {
-    let (m, n) = (t.dim(0), t.dim(1));
-    let mut data = Vec::with_capacity(m * cn);
-    for r in 0..m {
-        data.extend_from_slice(&t.data()[r * n + c0..r * n + c0 + cn]);
-    }
-    Tensor::from_vec(vec![m, cn], data)
-}
-
-/// The decode regime at the model's own GEMM shapes: 1–7 live rows stream
-/// whole, 9 and 11 run as register tiles plus a streamed remainder. Every
-/// f32 entry point — a contraction chunk against a row range of `b`, a
-/// column block of a wider `out` — must equal the naive oracle bitwise.
+/// The decode regime at the model's own GEMM shapes, 1–7 live rows and 9 and
+/// 11 (a full tile plus a remainder): row-major `matmul` (streamed below 8
+/// rows) and every packed entry point must equal the naive oracle bitwise.
 #[test]
 fn decode_shapes_equal_naive_oracle_through_every_entry_point() {
     let _guard = knob_lock().lock().unwrap();
     for (k, n) in [(256, 1024), (1024, 256), (256, 256), (256, 64), (64, 256)] {
         let b = tensor(k, n, (k * n) as u64);
+        let packed = PackedMatrix::pack(&b);
         for m in (1..=7).chain([9, 11]) {
             let a = tensor(m, k, m as u64);
             let oracle = ops::matmul_naive(&a, &b);
             let ctx = format!("m={m} k={k} n={n}");
             assert_eq!(ops::matmul(&a, &b).data(), oracle.data(), "matmul {ctx}");
+            assert_eq!(packed.matmul(&a).data(), oracle.data(), "packed {ctx}");
             // Two ascending contraction chunks, the second against rows kc..
-            // of b.
             let kc = k / 2 + 1;
             let mut acc = Tensor::zeros(vec![m, n]);
-            ops::matmul_acc_window(&a, 0..m, 0, &b, 0, kc, acc.data_mut());
-            ops::matmul_acc_window(&a, 0..m, kc, &b, kc, k - kc, acc.data_mut());
+            packed.matmul_acc_window(&a, 0..m, 0, 0, kc, acc.data_mut());
+            packed.matmul_acc_window(&a, 0..m, kc, kc, k - kc, acc.data_mut());
             assert_eq!(acc.data(), oracle.data(), "matmul_acc_window {ctx}");
-            // A column block of a wider target.
+            // A column block of a wider target, its neighbours untouched.
             let mut wide = Tensor::zeros(vec![m, n + 5]);
-            ops::matmul_into_cols(&a, &b, &mut wide, 3);
-            assert_eq!(tensor_cols(&wide, 3, n).data(), oracle.data(), "into_cols {ctx}");
-            assert!(tensor_cols(&wide, 0, 3).data().iter().all(|&x| x == 0.0), "{ctx}");
-            assert!(tensor_cols(&wide, n + 3, 2).data().iter().all(|&x| x == 0.0), "{ctx}");
+            packed.matmul_into_cols(&a, &mut wide, 3);
+            for r in 0..m {
+                let row = &wide.data()[r * (n + 5)..(r + 1) * (n + 5)];
+                assert_eq!(&row[3..3 + n], &oracle.data()[r * n..(r + 1) * n], "into_cols {ctx}");
+                assert!(row[..3].iter().chain(&row[3 + n..]).all(|&x| x == 0.0), "{ctx}");
+            }
         }
     }
 }
 
 /// The `Blocked` setting (what `ESTI_DISABLE_SIMD=1` or a host without
-/// AVX2 leaves the default at) turns the AVX2 int8 tier off and still
-/// produces the default setting's bits, f32 and int8.
+/// AVX-512F leaves the default at) runs the safe-Rust tile and produces
+/// the default setting's bits, f32 and int8.
 #[test]
 fn forced_blocked_fallback_is_bit_identical() {
     let _guard = knob_lock().lock().unwrap();
-    let a = tensor(11, 29, 7);
-    let b = tensor(29, 33, 13);
-    let q = QuantizedMatrix::quantize(&b);
-    let shipped = (ops::matmul(&a, &b), q.matmul(&a));
+    let a = tensor(19, 29, 7);
+    let b = tensor(29, 45, 13);
+    let (p, q) = (PackedMatrix::pack(&b), PackedMatrix::quantize(&b));
+    let run = || (ops::matmul(&a, &b), p.matmul(&a), q.matmul(&a), q.matmul(&a.slice(0, 0, 3)));
+    let shipped = run();
     let fallback = with_kernel(MatmulKernel::Blocked, || {
-        assert!(!ops::simd_active(), "the Blocked setting must not run the AVX2 tier");
-        (ops::matmul(&a, &b), q.matmul(&a))
+        assert!(!ops::simd_active(), "the Blocked setting must not run the AVX-512 tile");
+        run()
     });
     assert_eq!(shipped.0.data(), fallback.0.data());
     assert_eq!(shipped.1.data(), fallback.1.data());
+    assert_eq!(shipped.2.data(), fallback.2.data());
+    assert_eq!(shipped.3.data(), fallback.3.data());
 }
