@@ -19,15 +19,27 @@ echo "== kernel conformance: SIMD paths bit-identical to the scalar oracles =="
 # both forms are proven against the scalar oracles on every CI run. The
 # explicit AVX2 kernels (f32, then int8), the strided f32 tiles and their
 # int8 copies, the per-call int8 panel kernel, the second SIMD switch, the
-# enum of dense and int8 shards and its quantized-only gather, and the GEMM
-# entry points nothing called stay gone.
-if grep -rnE "fn mm_f32|f32_tile|set_simd_enabled|qmm_tile_full|qmm_tile_edge|mm_i8|i8_tile|qmm_kernel|mm_tile_full|mm_tile_edge|ShardMat|AllGatherQuant|fn (batched_matmul|quantized_matmul|matmul3|concat_cols|matmul_acc_rows)\b" crates src tests examples; then
-  echo "FAIL: a second GEMM tier, a strided or per-call int8 tile, a Dense/Int8 shard dispatch or an uncalled GEMM entry point is back" >&2
+# enum of dense and int8 shards and its quantized-only gather, the GEMM
+# entry points nothing called and the unfused AVX-512 step stay gone.
+if grep -rnE "fn mm_f32|f32_tile|set_simd_enabled|qmm_tile_full|qmm_tile_edge|mm_i8|i8_tile|qmm_kernel|mm_tile_full|mm_tile_edge|ShardMat|AllGatherQuant|_mm512_add_ps\(v\[|fn (batched_matmul|quantized_matmul|matmul3|concat_cols|matmul_acc_rows)\b" crates src tests examples; then
+  echo "FAIL: a second GEMM tier, a strided or per-call int8 tile, a Dense/Int8 shard dispatch, an uncalled GEMM entry point or an unfused AVX-512 step is back" >&2
+  exit 1
+fi
+# One accumulation contract: every GEMM and attention chain is one fused
+# multiply-add per step (`acc = a.mul_add(b, acc)`), so no `+= a * b` step
+# is left in a tile, an oracle or mm_stream.
+if grep -rnE '\+= *[a-z_]+ \* [a-z_]+(\[[a-z_]+\]|\.into\(\))?;' crates/tensor/src crates/model/src; then
+  echo "FAIL: an unfused multiply-then-add chain is back beside the fused contract" >&2
   exit 1
 fi
 cargo test -q --release -p esti-tensor --test kernels
 ESTI_DISABLE_SIMD=1 cargo test -q --release -p esti-tensor --test kernels
 taskset -c 0 cargo test -q --release -p esti-tensor --test kernels
+# The fused chains against f64 beside an unfused one (GEMM k = 64 / 256 /
+# 1024, f32 and int8; attention scores and P.V).
+cargo test -q --release -p esti-tensor --test numerics
+cargo test -q --release -p esti-model --lib attention_chains_against_f64
+ESTI_DISABLE_SIMD=1 cargo test -q --release -p esti-tensor --test numerics
 # The forward path has one exponent, ops::exp2 (softmax, the attention
 # kernel, SwiGLU): a libm exp/exp2 there would make the bits depend on the
 # host's libm and leave its loop scalar.
@@ -39,6 +51,21 @@ fi
 # bit for bit; the oracle side goes through ops::matmul, so both tiers.
 cargo test -q --release -p esti-model fused_attention
 ESTI_DISABLE_SIMD=1 cargo test -q --release -p esti-model fused_attention
+# The score tile stays vectorised: written as a per-lane mul_add loop, LLVM's
+# SLP vectoriser leaves qk_tile with scalar FMAs (56 vfmadd231ss in
+# attention_over_rows_into, and 3-4x the kernel's time; 0 when vectorised).
+att_bin=$(cargo test --release -p esti-model --test attention_speed --no-run --message-format=json 2>/dev/null \
+  | grep -o '"executable":"[^"]*"' | tail -1 | cut -d'"' -f4)
+att_body=$(objdump -d --no-show-raw-insn -C "$att_bin" | awk '/<esti_model::reference::attention_over_rows_into>:$/,/^$/')
+if [ -z "$att_body" ]; then
+  echo "FAIL: attention_over_rows_into not found in $att_bin; the codegen gate cannot run" >&2
+  exit 1
+fi
+scalar_fma=$(grep -c "vfmadd231ss" <<<"$att_body" || true)
+if [ "$scalar_fma" -ne 0 ]; then
+  echo "FAIL: attention_over_rows_into has $scalar_fma scalar vfmadd231ss: its score tile stopped vectorising" >&2
+  exit 1
+fi
 
 echo "== one level of parallelism: the chip executors are the engine's only threads =="
 # Each simulated chip's kernels run serially on the executor that steps it:
@@ -327,17 +354,21 @@ cargo run --release --quiet --manifest-path benchmark/Cargo.toml -- --check-only
 echo "== docs build (workspace lints deny rustdoc warnings) =="
 cargo doc --no-deps --workspace -q
 
-echo "== the SIMD tile's unsafe under AddressSanitizer =="
+echo "== the SIMD tile's and the executor pool's unsafe under AddressSanitizer =="
 # The AVX-512 tile's SAFETY contract (crates/tensor/src/simd.rs: slice
 # bounds asserted before any unsafe code, masked loads and stores on a
 # narrow panel's columns, run-time feature detection) exercised under ASan
-# by the unit and conformance suites (a debug build, ~1 min). RUSTFLAGS
-# replaces .cargo/config.toml's rustflags, so the tile is still chosen by
-# run-time detection; doctests are excluded (rustdoc would need RUSTDOCFLAGS
-# set the same way). ThreadSanitizer needs build-std (no rust-src is
-# installed) and Miri is not installed, so neither runs here.
+# by the unit and conformance suites, and the chip executor pool's
+# (crates/runtime/src/executors.rs: ChipPool's borrowed task slots) by
+# esti-runtime's unit tests (debug builds). RUSTFLAGS replaces
+# .cargo/config.toml's rustflags, so the tile is still chosen by run-time
+# detection; doctests are excluded (rustdoc would need RUSTDOCFLAGS set the
+# same way). ThreadSanitizer needs build-std (no rust-src is installed) and
+# Miri is not installed, so neither runs here.
 RUSTFLAGS=-Zsanitizer=address cargo +nightly test -q --target x86_64-unknown-linux-gnu \
   -p esti-tensor --lib --test kernels
+RUSTFLAGS=-Zsanitizer=address cargo +nightly test -q --target x86_64-unknown-linux-gnu \
+  -p esti-runtime --lib
 
 echo "== clippy (workspace lints, -D warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings

@@ -280,15 +280,17 @@ pub fn attention_over_cache(q: &Tensor, cache: &KvCache, layer: usize, d_head: u
 /// straight into the output.
 ///
 /// Accumulation contract (what keeps every layout and every page size
-/// bit-identical, and identical to the unfused `matmul → scale →
+/// bit-identical, and identical to the step-by-step `matmul → scale →
 /// causal_mask → softmax_base2 → matmul` composition): a score is one
-/// serial chain `s = 0; s += q[d]·k[j][d]` in ascending `d`, then
-/// `s · 1/√dh`; a probability is `e_j / Σe` with `e_j = exp2((s_j − max)·
-/// log2 e)`, `max` folded and `Σe` summed from `0` in ascending `j`; an
-/// output is one chain `o = 0; o += p_j·v[j][d]` in ascending `j`. Never a
-/// fused multiply-add, never a rescaled partial sum. Keys past a block's
-/// last query are skipped; the few its earlier queries must not see are
-/// scored `-inf`, so they leave `max` alone and add `+0` to `Σe` and `±0`
+/// serial chain of fused multiply-adds `s = 0; s = fma(q[d], k[j][d], s)`
+/// in ascending `d`, then `s · 1/√dh`; a probability is `e_j / Σe` with
+/// `e_j = exp2((s_j − max)·log2 e)`, `max` folded and `Σe` summed from `0`
+/// in ascending `j`; an output is one chain `o = 0; o = fma(p_j, v[j][d],
+/// o)` in ascending `j`. These are the GEMM tile's chains, so the
+/// composition's matmuls give the same bits. Never a separately rounded
+/// product, never a rescaled partial sum. Keys past a block's last query
+/// are skipped; the few its earlier queries must not see are scored
+/// `-inf`, so they leave `max` alone and add `+0` to `Σe` and `±0`
 /// to `o` — after every visible term of chains that are never `-0`.
 ///
 /// # Panics
@@ -457,12 +459,14 @@ fn qk_tile(qt: &[f32], scores: &mut [f32], lp: usize, k: &[f32], kw: usize, dh: 
     let keys: [&[f32]; KT] = std::array::from_fn(|jj| &k[jj.min(kt - 1) * kw..][..dh]);
     let mut acc = [[0.0f32; LT]; KT];
     for (d, q_d) in qt.chunks(lp).enumerate() {
+        let q_d = &q_d.as_chunks::<LT>().0[0];
         for (row, key) in acc.iter_mut().zip(&keys) {
-            // One separate add per d step — the serial ascending chain of
-            // the accumulation contract, LT of them side by side.
-            for (x, &qx) in row.iter_mut().zip(&q_d[..LT]) {
-                *x += qx * key[d];
-            }
+            // One fused multiply-add per d step — the serial ascending chain
+            // of the accumulation contract, LT of them side by side. Written
+            // as a whole-row update: a per-lane `*x = qx.mul_add(..)` loop
+            // leaves LLVM's SLP vectoriser with scalar FMAs.
+            let kd = key[d];
+            *row = std::array::from_fn(|i| q_d[i].mul_add(kd, row[i]));
         }
     }
     for (row, dst) in acc.iter().zip(scores.chunks_mut(lp)) {
@@ -500,7 +504,7 @@ fn pv_tile(
         for (r, row) in acc.iter_mut().enumerate() {
             let pv = p[j * lp + r];
             for (x, &vv) in row[..nr].iter_mut().zip(v_j) {
-                *x += pv * vv;
+                *x = pv.mul_add(vv, *x);
             }
         }
     }
@@ -628,6 +632,80 @@ mod tests {
                     "Hq={hq} Hkv={hkv} dh={dh} l_q={l_q} page={page} element {i}: {a} vs {b}"
                 );
             }
+        }
+    }
+
+    /// One chain over `terms` three ways: fused (`mul_add`), unfused
+    /// (`acc + x * y`) and f64.
+    fn three_ways(terms: impl Iterator<Item = (f32, f32)>) -> (f32, f32, f64) {
+        terms.fold((0.0, 0.0, 0.0), |(f, u, e), (x, y)| (x.mul_add(y, f), u + x * y, e + f64::from(x) * f64::from(y)))
+    }
+
+    /// The attention kernel's two chains against f64, in the manner of
+    /// esti-tensor's `numerics` test: a score over `d_head` = 32 (`qk_tile`)
+    /// and an output over 256 and 3200 keys of softmax probabilities
+    /// (`pv_tile`). The tile must be a test-local `mul_add` chain's bits.
+    /// Its mean |error| against f64 must be no larger than a test-local
+    /// unfused `acc += a * b` chain's for the scores and the 256-key
+    /// outputs; at 3200 keys a probability is ~1/3200, its products'
+    /// roundings are lost in the sum's, and the fused mean came out larger
+    /// on 18 of 40 seeds, so there it is printed, as every max is.
+    #[test]
+    fn attention_chains_against_f64() {
+        const DH: usize = 32;
+        let mut rng = StdRng::seed_from_u64(47);
+        let report = |what: &str, kernel: &[f32], ways: &[(f32, f32, f64)], compare: bool| {
+            let same = kernel.iter().zip(ways).all(|(k, w)| k.to_bits() == w.0.to_bits());
+            assert!(same, "{what}: the tile is not the fused chain's bits");
+            let err = |x: f32, e: f64| (f64::from(x) - e).abs();
+            let stats = |pick: fn(&(f32, f32, f64)) -> f32| {
+                let errs = ways.iter().map(|w| err(pick(w), w.2));
+                (errs.clone().fold(0.0, f64::max), errs.sum::<f64>() / ways.len() as f64)
+            };
+            let ((f_max, f_mean), (u_max, u_mean)) = (stats(|w| w.0), stats(|w| w.1));
+            println!("{what:>14}: fused max {f_max:.3e} mean {f_mean:.3e}, unfused max {u_max:.3e} mean {u_mean:.3e}");
+            assert!(!compare || f_mean <= u_mean, "{what}: fused mean |error| {f_mean:e} > unfused {u_mean:e}");
+        };
+
+        // Scores: 64 query lanes against 512 keys, the tile's `[d, lane]`
+        // transposed queries and `[key, d]` keys, scale 1.
+        let (keys, tiles) = (512, 8);
+        let (q, k) = (noise(vec![tiles * LT, DH], 47), noise(vec![keys, DH], 48));
+        let (mut kernel, mut ways) = (Vec::new(), Vec::new());
+        for t in 0..tiles {
+            let qt: Vec<f32> = (0..DH * LT).map(|i| q.data()[(t * LT + i % LT) * DH + i / LT]).collect();
+            let mut scores = vec![0.0; keys * LT];
+            for j0 in (0..keys).step_by(KT) {
+                qk_tile(&qt, &mut scores[j0 * LT..], LT, &k.data()[j0 * DH..], DH, DH, 1.0);
+            }
+            for (j, row) in scores.chunks(LT).enumerate() {
+                for (l, &s) in row.iter().enumerate() {
+                    let (q_l, k_j) = (&q.data()[(t * LT + l) * DH..][..DH], &k.data()[j * DH..][..DH]);
+                    kernel.push(s);
+                    ways.push(three_ways(q_l.iter().copied().zip(k_j.iter().copied())));
+                }
+            }
+        }
+        report("scores d=32", &kernel, &ways, true);
+
+        // Outputs: `MR` lanes of probabilities (`softmax_base2` of unit
+        // normal scores) against `[key, DH]` values, the tile's whole width.
+        for (n, sets) in [(256, 128), (3200, 8)] {
+            let (mut kernel, mut ways) = (Vec::new(), Vec::new());
+            for set in 0..sets {
+                let p = ops::softmax_base2(&Tensor::randn(&mut rng, vec![MR, n], 1.0));
+                let v = noise(vec![n, DH], 100 + set);
+                let pt: Vec<f32> = (0..n * MR).map(|i| p.data()[(i % MR) * n + i / MR]).collect();
+                let mut out = vec![0.0; MR * DH];
+                pv_tile(&pt, MR, v.data(), DH, NR, &mut out, &std::array::from_fn(|r| r * DH), MR);
+                for (r, row) in out.chunks(DH).enumerate() {
+                    for (d, &o) in row.iter().enumerate() {
+                        kernel.push(o);
+                        ways.push(three_ways((0..n).map(|j| (p.data()[r * n + j], v.data()[j * DH + d]))));
+                    }
+                }
+            }
+            report(&format!("P·V {n} keys"), &kernel, &ways, n == 256);
         }
     }
 

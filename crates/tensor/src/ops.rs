@@ -26,9 +26,9 @@ use crate::{PackedMatrix, Tensor};
 /// AVX-512F form when the host supports it and `ESTI_DISABLE_SIMD` is unset,
 /// and its safe-Rust form otherwise; `Blocked` always runs the safe-Rust
 /// form, for f32 and int8 alike. `Naive` runs the scalar oracles. Every
-/// tier accumulates every output element by one serial chain of
-/// mul-then-add steps in strictly ascending `k` order, so all of them
-/// produce bit-identical results, except that the row-major f32 oracle
+/// tier accumulates every output element by one serial chain of fused
+/// multiply-adds, `acc = a.mul_add(b, acc)`, in strictly ascending `k`
+/// order, so all of them produce bit-identical results, except that the row-major f32 oracle
 /// [`matmul_naive`] skips exact-zero activations (`av == 0.0`), which can
 /// turn a `-0.0` into `+0.0`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -110,15 +110,15 @@ const STREAM_BELOW: usize = MR;
 
 /// Small-`m` core: `out += a × b` walked `k`-outer / `j`-inner, so each row
 /// of `b` is read once, front to back, while the few output rows stay in L1.
-/// Per element this is the tile's chain exactly — `out += a[k]·b[k][j]`,
-/// one separate multiply and add per ascending `k` — so the bits are its.
+/// Per element this is the tile's chain exactly — `out = fma(a[k], b[k][j],
+/// out)`, one fused multiply-add per ascending `k` — so the bits are its.
 fn mm_stream(ad: &[f32], bd: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
     for kk in 0..k {
         let brow = &bd[kk * n..][..n];
         for r in 0..m {
             let av = ad[r * k + kk];
             for (x, &bv) in out[r * n..][..n].iter_mut().zip(brow) {
-                *x += av * bv;
+                *x = av.mul_add(bv, *x);
             }
         }
     }
@@ -135,7 +135,7 @@ fn mm_naive_kernel(ad: &[f32], bd: &[f32], out: &mut [f32], m: usize, k: usize, 
             }
             let brow = &bd[kk * n..(kk + 1) * n];
             for (o, &bv) in orow.iter_mut().zip(brow) {
-                *o += av * bv;
+                *o = av.mul_add(bv, *o);
             }
         }
     }
@@ -243,7 +243,10 @@ pub fn add_assign(out: &mut Tensor, src: &Tensor) {
 /// `x` is split as `n + f` with `n = round(x)` (the `1.5·2²³` add and
 /// subtract, ties to even) and `f ∈ [−½, ½]`; `2^f` is Cephes' degree-6
 /// polynomial `1 + f·P(f)` in Horner form, a separate multiply and add per
-/// step (no FMA, like every other chain here); `2^n` is built from its
+/// step. The GEMM and attention chains fuse every step; this one stays
+/// unfused, because the exhaustive 1-ULP sweep below proved this form and
+/// a fused Horner rounds differently. Every caller shares this function,
+/// so the bits agree across layouts either way. `2^n` is built from its
 /// exponent bits. Within 1 ULP of the correctly rounded `2^x` on
 /// `[−126, 127]`. Outside it: `x < −126` (and `−∞`) gives `+0` rather than
 /// a subnormal, `x ≥ 127.5` (and `+∞`) gives `+∞`, and NaN gives NaN.

@@ -275,7 +275,8 @@ impl PackedMatrix {
 
 /// The scalar oracle for [`PackedMatrix::gemm`] over `values`, a `rows ×
 /// cols` matrix in panel order: for each panel and row, i-k-j, one chain
-/// per element in ascending `k`, each element then scaled.
+/// of fused multiply-adds per element in ascending `k`, each element then
+/// scaled.
 #[allow(clippy::too_many_arguments)]
 fn oracle<T: Elem>(
     values: &[T],
@@ -297,7 +298,7 @@ fn oracle<T: Elem>(
             for (kk, r) in ks.clone().enumerate() {
                 let av = a[i * a_stride + kk];
                 for (o, &b) in orow.iter_mut().zip(&panel[r * w..][..w]) {
-                    *o += av * b.into();
+                    *o = av.mul_add(b.into(), *o);
                 }
             }
             if let Some(s) = scales {

@@ -7,22 +7,26 @@
 //!
 //! The tile vectorises across output **columns**: each lane owns one output
 //! element, which starts from the value already in `out` and takes one
-//! serial chain of steps `acc = acc + a·b` in strictly ascending `k` — a
-//! multiply, then an add, never an FMA, which would fuse the intermediate
-//! rounding and change the bits. An int8 panel is widened to f32 as it is
-//! read, which is exact (every `i8` is an f32), and a per-column scale, when
-//! given, multiplies each element once, at store, after its whole chain. A
-//! lane therefore does the scalar oracle's arithmetic, element for element,
-//! whatever the tile's shape or the vector width: `MR` and `NR` decide the
-//! order *between* elements, never the chain *within* one.
+//! serial chain of fused multiply-adds `acc = fma(a, b, acc)` in strictly
+//! ascending `k`: the product is not rounded before it is added, and the
+//! one rounding per step is the same on every tier, because every tier
+//! (this tile in both forms, the scalar oracles, `mm_stream`, the attention
+//! kernel) runs the same chain. An int8 panel is widened to f32 as it is
+//! read, which is exact (every `i8` is an f32), and a per-column scale,
+//! when given, multiplies each element once, at store, after its whole
+//! chain. A lane therefore does the scalar oracle's arithmetic, element for
+//! element, whatever the tile's shape or the vector width: `MR` and `NR`
+//! decide the order *between* elements, never the chain *within* one.
 //!
 //! The tile is written twice with that arithmetic: explicit AVX-512F
-//! (`_mm512_mul_ps` then `_mm512_add_ps`, masked loads and stores on a
-//! narrow panel's columns), selected at run time, and safe Rust, which runs
-//! when `ESTI_DISABLE_SIMD` is set or the host lacks AVX-512F (see
-//! [`crate::ops::set_matmul_kernel`]). LLVM keeps the safe tile in 256-bit
-//! registers under `target-cpu=native` on hosts that prefer them, which is
-//! why the 512-bit one is written out.
+//! (`_mm512_fmadd_ps`, masked loads and stores on a narrow panel's
+//! columns), selected at run time, and safe Rust (`f32::mul_add`), which
+//! runs when `ESTI_DISABLE_SIMD` is set or the host lacks AVX-512F or FMA
+//! (see [`crate::ops::set_matmul_kernel`]). LLVM keeps the safe tile in
+//! 256-bit registers under `target-cpu=native` on hosts that prefer them,
+//! which is why the 512-bit one is written out; the safe tile walks its
+//! panel one 16-column half at a time, so a half's `MR × 16` accumulators
+//! stay in those registers too.
 //!
 //! # Safety contract of the AVX-512 tile
 //!
@@ -31,8 +35,9 @@
 //!
 //! - **Feature detection.** [`Tile::Avx512`] reaches the explicit tile
 //!   only after `run` asserts [`supported`], which asks the CPU at run
-//!   time (`is_x86_feature_detected!("avx512f")`); `ops` selects it only
-//!   then in the first place.
+//!   time (`is_x86_feature_detected!` for `avx512f` and `fma`, the two
+//!   features the tile is compiled with); `ops` selects it only then in the
+//!   first place.
 //! - **Slice bounds.** `run` asserts that the panel is exactly `k × NR`,
 //!   that `a` holds `m` rows of `k` at stride `a_stride`, that `out` holds
 //!   `m` rows of `w ≤ NR` at stride `o_stride`, and that `scales` holds at
@@ -81,7 +86,7 @@ impl Elem for i8 {
 pub(crate) fn supported() -> bool {
     #[cfg(target_arch = "x86_64")]
     {
-        std::arch::is_x86_feature_detected!("avx512f")
+        std::arch::is_x86_feature_detected!("avx512f") && std::arch::is_x86_feature_detected!("fma")
     }
     #[cfg(not(target_arch = "x86_64"))]
     {
@@ -107,7 +112,8 @@ macro_rules! with_rows {
     };
 }
 
-/// `out[i][j] = (out[i][j] + Σ_kk a[i][kk]·panel[kk][j]) · scales[j]` for
+/// `out[i][j] = (out[i][j] + Σ_kk a[i][kk]·panel[kk][j]) · scales[j]`, the
+/// sum one fused multiply-add per `kk`, for
 /// the `m` rows of `a` (row stride `a_stride`) and `out` (row stride
 /// `o_stride`), `kk` ascending over `0..k` and `j` over the first `w ≤ NR`
 /// columns of the `k × NR` panel; unscaled when `scales` is `None`. Rows go
@@ -117,7 +123,7 @@ macro_rules! with_rows {
 ///
 /// Panics if a slice is shorter than the dimensions imply, the panel is not
 /// `k × NR`, `w > NR`, or `tile` is [`Tile::Avx512`] on a host without
-/// AVX-512F.
+/// AVX-512F and FMA.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run<T: Elem>(
     tile: Tile,
@@ -139,7 +145,7 @@ pub(crate) fn run<T: Elem>(
     assert!((m - 1) * a_stride + k <= a.len(), "a slice too short");
     assert!((m - 1) * o_stride + w <= out.len(), "out slice too short");
     assert!(scales.is_none_or(|s| s.len() >= w), "scales shorter than the panel's columns");
-    assert!(tile == Tile::Portable || supported(), "the AVX-512 tile dispatched on a host without AVX-512F");
+    assert!(tile == Tile::Portable || supported(), "the AVX-512 tile dispatched on a host without AVX-512F and FMA");
     let mut i = 0;
     while i < m {
         let r = MR.min(m - i);
@@ -148,8 +154,9 @@ pub(crate) fn run<T: Elem>(
             Tile::Portable => portable::<R, T>(a, a_stride, k, panel, out, o_stride, w, scales),
             #[cfg(target_arch = "x86_64")]
             // SAFETY: the asserts above establish the module's contract:
-            // AVX-512F is present, and `a` / `out` hold the `R ≤ m - i` rows
-            // starting here, the panel `k × NR`, and `scales` `w` columns.
+            // AVX-512F and FMA are present, and `a` / `out` hold the
+            // `R ≤ m - i` rows starting here, the panel `k × NR`, and
+            // `scales` `w` columns.
             Tile::Avx512 => unsafe { avx512::tile::<R, T>(a, a_stride, k, panel, out, o_stride, w, scales) },
             #[cfg(not(target_arch = "x86_64"))]
             Tile::Avx512 => unreachable!("supported() is false off x86_64"),
@@ -158,7 +165,12 @@ pub(crate) fn run<T: Elem>(
     }
 }
 
-/// The safe-Rust tile: `R` rows of [`run`]'s product over one panel.
+/// Columns of a panel the safe tile holds at once: one half, so its `R × HALF`
+/// accumulators fit the vector registers at 256 bits as well as at 512.
+const HALF: usize = NR / 2;
+
+/// The safe-Rust tile: `R` rows of [`run`]'s product over one panel, one
+/// half of its columns at a time.
 #[allow(clippy::too_many_arguments)]
 fn portable<const R: usize, T: Elem>(
     a: &[f32],
@@ -170,34 +182,53 @@ fn portable<const R: usize, T: Elem>(
     w: usize,
     scales: Option<&[f32]>,
 ) {
-    let mut acc = [[0.0f32; NR]; R];
-    for (r, row) in acc.iter_mut().enumerate() {
-        row[..w].copy_from_slice(&out[r * o_stride..][..w]);
-    }
-    let (brows, _) = panel.as_chunks::<NR>();
-    for (kk, brow) in brows[..k].iter().enumerate() {
-        for (r, row) in acc.iter_mut().enumerate() {
-            let av = a[r * a_stride + kk];
-            // One separate multiply and add per k step, never a fused sum.
-            for (x, &bv) in row.iter_mut().zip(brow) {
-                *x += av * bv.into();
+    let brows = &panel.as_chunks::<NR>().0[..k];
+    let a_rows: [&[f32]; R] = std::array::from_fn(|r| &a[r * a_stride..][..k]);
+    for c0 in [0, HALF] {
+        if c0 >= w {
+            break;
+        }
+        let wc = HALF.min(w - c0);
+        let acc = std::array::from_fn(|r| {
+            let o = &out[r * o_stride + c0..][..wc];
+            std::array::from_fn(|j| if j < wc { o[j] } else { 0.0 })
+        });
+        let acc = half_chain::<R, T>(&a_rows, brows, c0, acc);
+        for (r, row) in acc.iter().enumerate() {
+            let o = &mut out[r * o_stride + c0..][..wc];
+            match scales {
+                Some(s) => o.iter_mut().zip(row).zip(&s[c0..]).for_each(|((o, &x), &sv)| *o = x * sv),
+                None => o.copy_from_slice(&row[..wc]),
             }
         }
     }
-    for (r, row) in acc.iter_mut().enumerate() {
-        if let Some(s) = scales {
-            for (x, &sv) in row[..w].iter_mut().zip(s) {
-                *x *= sv;
-            }
+}
+
+/// The chains of one half of [`portable`]'s tile: `acc[r][j] = fma(a[r][kk],
+/// panel[kk][c0 + j], acc[r][j])` for every `kk` in ascending order. Every
+/// index is a constant or bounded by `k`, so the accumulators stay in
+/// registers for the whole walk.
+#[inline(always)]
+fn half_chain<const R: usize, T: Elem>(
+    a_rows: &[&[f32]; R],
+    brows: &[[T; NR]],
+    c0: usize,
+    mut acc: [[f32; HALF]; R],
+) -> [[f32; HALF]; R] {
+    for (kk, brow) in brows.iter().enumerate() {
+        let b: [f32; HALF] = std::array::from_fn(|j| brow[c0 + j].into());
+        for (row, a_r) in acc.iter_mut().zip(a_rows) {
+            let av = a_r[kk];
+            *row = std::array::from_fn(|j| av.mul_add(b[j], row[j]));
         }
-        out[r * o_stride..][..w].copy_from_slice(&row[..w]);
     }
+    acc
 }
 
 #[cfg(target_arch = "x86_64")]
 mod avx512 {
     use std::arch::x86_64::{
-        __m128i, __m512, __mmask16, _mm512_add_ps, _mm512_cvtepi32_ps, _mm512_cvtepi8_epi32, _mm512_loadu_ps,
+        __m128i, __m512, __mmask16, _mm512_cvtepi32_ps, _mm512_cvtepi8_epi32, _mm512_fmadd_ps, _mm512_loadu_ps,
         _mm512_mask_storeu_ps, _mm512_maskz_loadu_ps, _mm512_mul_ps, _mm512_set1_ps, _mm512_setzero_ps,
         _mm_loadu_si128,
     };
@@ -236,11 +267,11 @@ mod avx512 {
     ///
     /// # Safety
     ///
-    /// The host has AVX-512F; `a` holds `R` rows of `k` at `a_stride`,
+    /// The host has AVX-512F and FMA; `a` holds `R` rows of `k` at `a_stride`,
     /// `out` `R` rows of `w ≤ NR` at `o_stride`, the panel `k × NR`, and
     /// `scales`, if given, at least `w` (the module's contract, which
     /// `super::run` asserts).
-    #[target_feature(enable = "avx512f")]
+    #[target_feature(enable = "avx512f,fma")]
     #[allow(clippy::too_many_arguments)]
     pub(super) unsafe fn tile<const R: usize, T: Elem>(
         a: &[f32],
@@ -268,8 +299,8 @@ mod avx512 {
                 let (b0, b1) = load_row(pp.add(kk * NR));
                 for (r, v) in acc.iter_mut().enumerate() {
                     let av = _mm512_set1_ps(*ap.add(r * a_stride + kk));
-                    v[0] = _mm512_add_ps(v[0], _mm512_mul_ps(av, b0));
-                    v[1] = _mm512_add_ps(v[1], _mm512_mul_ps(av, b1));
+                    v[0] = _mm512_fmadd_ps(av, b0, v[0]);
+                    v[1] = _mm512_fmadd_ps(av, b1, v[1]);
                 }
             }
             let sc = scales.map(|s| {
