@@ -20,9 +20,11 @@ echo "== kernel conformance: SIMD paths bit-identical to the scalar oracles =="
 # explicit AVX2 kernels (f32, then int8), the strided f32 tiles and their
 # int8 copies, the per-call int8 panel kernel, the second SIMD switch, the
 # enum of dense and int8 shards and its quantized-only gather, the GEMM
-# entry points nothing called and the unfused AVX-512 step stay gone.
-if grep -rnE "fn mm_f32|f32_tile|set_simd_enabled|qmm_tile_full|qmm_tile_edge|mm_i8|i8_tile|qmm_kernel|mm_tile_full|mm_tile_edge|ShardMat|AllGatherQuant|_mm512_add_ps\(v\[|fn (batched_matmul|quantized_matmul|matmul3|concat_cols|matmul_acc_rows)\b" crates src tests examples; then
-  echo "FAIL: a second GEMM tier, a strided or per-call int8 tile, a Dense/Int8 shard dispatch, an uncalled GEMM entry point or an unfused AVX-512 step is back" >&2
+# entry points nothing called, the unfused AVX-512 step and the attention
+# kernel's own register tiles (its contractions run the one tile through
+# ops::gemm_strided) stay gone.
+if grep -rnE "fn mm_f32|f32_tile|set_simd_enabled|qmm_tile_full|qmm_tile_edge|mm_i8|i8_tile|qmm_kernel|mm_tile_full|mm_tile_edge|ShardMat|AllGatherQuant|_mm512_add_ps\(v\[|qk_tile|pv_tile|fn (batched_matmul|quantized_matmul|matmul3|concat_cols|matmul_acc_rows)\b" crates src tests examples; then
+  echo "FAIL: a second GEMM tier, a strided or per-call int8 tile, a Dense/Int8 shard dispatch, an uncalled GEMM entry point, an unfused AVX-512 step or a second attention tile is back" >&2
   exit 1
 fi
 # One accumulation contract: every GEMM and attention chain is one fused
@@ -51,21 +53,27 @@ fi
 # bit for bit; the oracle side goes through ops::matmul, so both tiers.
 cargo test -q --release -p esti-model fused_attention
 ESTI_DISABLE_SIMD=1 cargo test -q --release -p esti-model fused_attention
-# The score tile stays vectorised: written as a per-lane mul_add loop, LLVM's
-# SLP vectoriser leaves qk_tile with scalar FMAs (56 vfmadd231ss in
-# attention_over_rows_into, and 3-4x the kernel's time; 0 when vectorised).
+# No scalar FMA on the attention path: the kernel's contractions run the one
+# register tile (its AVX-512 instances, and simd::run, where the safe tile is
+# inlined; the test binary links them only because the kernel reaches them),
+# so neither the kernel nor the tile it calls may hold a scalar vfmadd...ss. (The kernel's own tiles, before they were folded into the
+# GEMM tile, fell back to 56 vfmadd231ss and 3-4x the time when LLVM's SLP
+# vectoriser missed them.)
 att_bin=$(cargo test --release -p esti-model --test attention_speed --no-run --message-format=json 2>/dev/null \
   | grep -o '"executable":"[^"]*"' | tail -1 | cut -d'"' -f4)
-att_body=$(objdump -d --no-show-raw-insn -C "$att_bin" | awk '/<esti_model::reference::attention_over_rows_into>:$/,/^$/')
-if [ -z "$att_body" ]; then
-  echo "FAIL: attention_over_rows_into not found in $att_bin; the codegen gate cannot run" >&2
-  exit 1
-fi
-scalar_fma=$(grep -c "vfmadd231ss" <<<"$att_body" || true)
-if [ "$scalar_fma" -ne 0 ]; then
-  echo "FAIL: attention_over_rows_into has $scalar_fma scalar vfmadd231ss: its score tile stopped vectorising" >&2
-  exit 1
-fi
+att_asm=$(objdump -d --no-show-raw-insn -C "$att_bin")
+for sym in 'esti_model::reference::attention_over_rows_into' 'esti_tensor::simd::run' 'esti_tensor::simd::avx512::tile'; do
+  body=$(awk -v h="<$sym>:" '$2 == h {on = 1} on && /^$/ {on = 0} on' <<<"$att_asm")
+  if [ -z "$body" ]; then
+    echo "FAIL: $sym not found in $att_bin; the codegen gate cannot run" >&2
+    exit 1
+  fi
+  scalar_fma=$(grep -cE "vfmadd[0-9]+ss" <<<"$body" || true)
+  if [ "$scalar_fma" -ne 0 ]; then
+    echo "FAIL: $sym has $scalar_fma scalar vfmadd...ss: the attention path stopped vectorising" >&2
+    exit 1
+  fi
+done
 
 echo "== one level of parallelism: the chip executors are the engine's only threads =="
 # Each simulated chip's kernels run serially on the executor that steps it:
@@ -357,7 +365,7 @@ cargo doc --no-deps --workspace -q
 echo "== the SIMD tile's and the executor pool's unsafe under AddressSanitizer =="
 # The AVX-512 tile's SAFETY contract (crates/tensor/src/simd.rs: slice
 # bounds asserted before any unsafe code, masked loads and stores on a
-# narrow panel's columns, run-time feature detection) exercised under ASan
+# panel's columns at its row stride, run-time feature detection) exercised under ASan
 # by the unit and conformance suites, and the chip executor pool's
 # (crates/runtime/src/executors.rs: ChipPool's borrowed task slots) by
 # esti-runtime's unit tests (debug builds). RUSTFLAGS replaces
@@ -367,6 +375,11 @@ echo "== the SIMD tile's and the executor pool's unsafe under AddressSanitizer =
 # Miri is not installed, so neither runs here.
 RUSTFLAGS=-Zsanitizer=address cargo +nightly test -q --target x86_64-unknown-linux-gnu \
   -p esti-tensor --lib --test kernels
+# The attention kernel drives the tile over real KV pages: strided Kᵀ and V
+# panels of every width its conformance grid makes (pages of 1 to 128 keys,
+# d_head 8 / 16 / 32).
+RUSTFLAGS=-Zsanitizer=address cargo +nightly test -q --target x86_64-unknown-linux-gnu \
+  -p esti-model --lib
 RUSTFLAGS=-Zsanitizer=address cargo +nightly test -q --target x86_64-unknown-linux-gnu \
   -p esti-runtime --lib
 

@@ -16,10 +16,22 @@
 //! The one option is the page size ([`KvCache::paged`]; [`KvCache::new`]
 //! takes [`DEFAULT_KV_PAGE_SIZE`]). It decides how many runs a row is split
 //! into and how much of a prompt can be shared, never a value: every read
-//! goes through [`KvCache::row_runs`] — a row's valid positions as borrowed
-//! contiguous `(k, v)` runs in ascending order — and the attention kernel
-//! walks the runs in place. A page at least as long as every row is the
-//! dense layout (one run per row), reached through the same code.
+//! goes through [`KvCache::row_runs`] — a row's pages as borrowed `(kᵀ, v)`
+//! runs in ascending order — and the attention kernel walks the runs in
+//! place. A page at least as long as every row is the dense layout (one run
+//! per row), reached through the same code.
+//!
+//! A page stores its layer's V row-major, `[page_size, Hkv·d_head]`, and
+//! its K **transposed**, `[Hkv·d_head, page_size]`: feature `f` of position
+//! `p` sits at `f·page_size + p`, so KV head `g`'s keys for the page form a
+//! `d_head × n` panel at row stride `page_size`, keys along the row. The
+//! attention kernel scores a page as one call of the GEMM register tile
+//! (`Q·Kᵀ`, keys on the vector lanes) and sums it as another (`P·V`, head
+//! dims on the lanes), both over the page where it lies. The layout is
+//! private to the page: writes ([`KvCache::append_rows`],
+//! [`KvCache::insert_row_shared`]) transpose positions in, copy-on-write
+//! and [`KvCache::repeat_batch`] move or share whole pages, and
+//! [`KvCache::read_slot`] hands a row back as `[len, Hkv·d_head]`.
 //!
 //! Determinism makes prefix sharing exact rather than approximate: causal
 //! attention means K/V at position `p` depend only on tokens `0..=p`, and
@@ -40,8 +52,9 @@ pub const DEFAULT_KV_PAGE_SIZE: usize = 16;
 
 /// One pool page: `page_size` positions of K and V for *every* layer
 /// (`k[layer]`/`v[layer]` are `page_size · width` scratch-initialized
-/// buffers). Keeping all layers in one page means block tables, refcounts,
-/// and prefix keys exist once per page rather than once per layer.
+/// buffers, `k` transposed: `[width, page_size]`, see the module docs).
+/// Keeping all layers in one page means block tables, refcounts, and prefix
+/// keys exist once per page rather than once per layer.
 #[derive(Debug, Clone)]
 struct Page {
     k: Vec<Vec<f32>>,
@@ -248,10 +261,9 @@ impl KvCache {
             let (pi, off) = (pos / s, pos % s);
             let run = (s - off).min(len - p);
             let pid = self.prepare_write(r, pi);
-            let dst = off * d..(off + run) * d;
             let src = p * d..(p + run) * d;
-            self.pages[pid].k[layer][dst.clone()].copy_from_slice(&k_src[src.clone()]);
-            self.pages[pid].v[layer][dst].copy_from_slice(&v_src[src]);
+            write_kt(&mut self.pages[pid].k[layer], s, off, &k_src[src.clone()], d);
+            self.pages[pid].v[layer][off * d..(off + run) * d].copy_from_slice(&v_src[src]);
             p += run;
         }
     }
@@ -407,7 +419,7 @@ impl KvCache {
                 let (lo, span) = (pi * s, end - pi * s);
                 for (li, (k, v)) in layers.iter().enumerate() {
                     let src = lo * d..(lo + span) * d;
-                    self.pages[pid].k[li][..span * d].copy_from_slice(&k.data()[src.clone()]);
+                    write_kt(&mut self.pages[pid].k[li], s, 0, &k.data()[src.clone()], d);
                     self.pages[pid].v[li][..span * d].copy_from_slice(&v.data()[src]);
                 }
                 self.keys[pid] = Some(key.clone());
@@ -427,13 +439,15 @@ impl KvCache {
         self.width
     }
 
-    /// Row `row`'s valid positions of `layer` as borrowed contiguous
-    /// `(k, v)` runs in ascending position order, each a whole number of
-    /// `width`-float positions — the one block-table traversal every read
-    /// goes through: one run per block-table entry, the last possibly
-    /// partial. A page shared with other rows (or copied out of one) reads
-    /// like any other. An empty row, or a layer nothing was written to,
-    /// yields no run.
+    /// Row `row`'s pages of `layer` as borrowed `(kᵀ, v)` runs in ascending
+    /// position order — the one block-table traversal every read goes
+    /// through: one run per block-table entry holding a valid position. `v`
+    /// is the run's `n` valid positions, row-major (`n · width` floats, `n`
+    /// = `page_size` but for a partial last page); `kᵀ` is the page's whole
+    /// transposed K, `[width, page_size]`, of which columns `0..n` are
+    /// valid (feature `f` of position `p` at `f · page_size + p`). A page
+    /// shared with other rows (or copied out of one) reads like any other.
+    /// An empty row, or a layer nothing was written to, yields no run.
     ///
     /// # Panics
     ///
@@ -449,24 +463,30 @@ impl KvCache {
         };
         table.iter().take(len.div_ceil(s)).enumerate().map(move |(pi, &pid)| {
             let n = (len - pi * s).min(s) * d;
-            (&self.pages[pid].k[layer][..n], &self.pages[pid].v[layer][..n])
+            (&self.pages[pid].k[layer][..], &self.pages[pid].v[layer][..n])
         })
     }
 
     /// Reads one batch row of `layer` back as `([l, D], [l, D])` tensors —
     /// the extraction half of slot management: the concatenation of
-    /// [`KvCache::row_runs`], so the bytes do not depend on the page size.
+    /// [`KvCache::row_runs`], K transposed back to row-major, so the bytes
+    /// do not depend on the page size.
     ///
     /// # Panics
     ///
     /// Panics if `layer` has no contents or `row` is out of range.
     #[must_use]
     pub fn read_slot(&self, layer: usize, row: usize) -> (Tensor, Tensor) {
-        let (len, d) = (self.row_lens(layer)[row], self.width());
-        let mut kd = Vec::with_capacity(len * d);
+        let (len, d, s) = (self.row_lens(layer)[row], self.width(), self.page_size);
+        let mut kd = vec![0.0; len * d];
         let mut vd = Vec::with_capacity(len * d);
-        for (k, v) in self.row_runs(layer, row) {
-            kd.extend_from_slice(k);
+        for (kt, v) in self.row_runs(layer, row) {
+            let at = vd.len();
+            for (p, dst) in kd[at..at + v.len()].chunks_exact_mut(d).enumerate() {
+                for (x, col) in dst.iter_mut().zip(kt.chunks_exact(s)) {
+                    *x = col[p];
+                }
+            }
             vd.extend_from_slice(v);
         }
         (Tensor::from_vec(vec![len, d], kd), Tensor::from_vec(vec![len, d], vd))
@@ -558,6 +578,16 @@ impl KvCache {
         self.registry.clear();
         self.tables.clear();
         self.lens.iter_mut().for_each(Vec::clear);
+    }
+}
+
+/// Writes `src`'s positions (row-major, `width` floats each) into a page's
+/// transposed K, `[width, page_size]`, from column `at` on.
+fn write_kt(kt: &mut [f32], page_size: usize, at: usize, src: &[f32], width: usize) {
+    for (p, pos) in src.chunks_exact(width).enumerate() {
+        for (col, &x) in kt.chunks_exact_mut(page_size).zip(pos) {
+            col[at + p] = x;
+        }
     }
 }
 
@@ -843,11 +873,24 @@ mod tests {
         }
     }
 
+    /// The row-major K of `runs`: each run's first `v.len() / d` columns of
+    /// its `[d, s]` transposed page, position by position.
+    fn k_of<'a>(runs: impl IntoIterator<Item = (&'a [f32], &'a [f32])>, s: usize, d: usize) -> Vec<f32> {
+        let mut k = Vec::new();
+        for (kt, v) in runs {
+            for p in 0..v.len() / d {
+                k.extend((0..d).map(|f| kt[f * s + p]));
+            }
+        }
+        k
+    }
+
     #[test]
     fn row_runs_concatenate_to_the_row_at_every_page_size() {
         let (d, l) = (4, 7);
-        // 16 ≥ every row here: the whole row is one run.
-        for s in [1, 3, 16] {
+        // 16 ≥ every row here: the whole row is one run; 128 holds it with
+        // most of the page unwritten.
+        for s in [1, 3, 16, 128] {
             let mut c = KvCache::paged(2, s);
             // Rows 0 and 1 admit the same prompt (shared pages), row 2 stays
             // empty; then every row appends two positions, rows 0/1 into
@@ -860,7 +903,7 @@ mod tests {
             c.append(0, &step, &step.scale(-1.0));
             // Mid-forward: layer 1 has not appended yet, so its runs stop at
             // its own length though the block table already covers more.
-            assert_eq!(c.row_runs(1, 0).map(|(k, _)| k.len()).sum::<usize>(), l * d);
+            assert_eq!(k_of(c.row_runs(1, 0), s, d).len(), l * d);
             assert_eq!(c.row_runs(1, 2).count(), 0, "empty row yields no run");
             c.append(1, &step, &step.scale(-1.0));
             for (li, (prompt_k, _)) in kv.iter().enumerate() {
@@ -870,14 +913,16 @@ mod tests {
                     let want_k = [prompt, &step.data()[row * 2 * d..(row + 1) * 2 * d]].concat();
                     let want_v: Vec<f32> = want_k.iter().map(|x| -x).collect();
                     let runs: Vec<_> = c.row_runs(li, row).collect();
-                    assert_eq!(runs.iter().flat_map(|r| r.0).copied().collect::<Vec<_>>(), want_k);
+                    assert_eq!(k_of(runs.iter().copied(), s, d), want_k);
                     assert_eq!(runs.iter().flat_map(|r| r.1).copied().collect::<Vec<_>>(), want_v);
                     let (k, v) = c.read_slot(li, row);
                     assert_eq!((k.shape(), k.data()), (&[want_k.len() / d, d][..], &want_k[..]));
                     assert_eq!(v.data(), want_v);
-                    // Whole pages, then the partial tail.
+                    // Whole pages, then the partial tail; each run's Kᵀ is
+                    // its whole transposed page.
                     assert_eq!(runs.len(), (want_k.len() / d).div_ceil(s), "page={s}");
-                    assert!(runs.iter().rev().skip(1).all(|r| r.0.len() == s * d));
+                    assert!(runs.iter().all(|r| r.0.len() == s * d));
+                    assert!(runs.iter().rev().skip(1).all(|r| r.1.len() == s * d));
                 }
             }
         }

@@ -230,20 +230,11 @@ impl ReferenceModel {
 
 /// Query positions scored against one pass over a row's keys: K and V are
 /// each streamed once per block, and the score scratch holds
-/// `context × heads·QB` floats.
+/// `heads·QB × context` floats.
 const QB: usize = 8;
-/// Positions per kernel step: longer cache runs are cut to this, so a row
-/// held in one page and one spread over a block table walk the same loop
-/// nest.
-const RUN: usize = 16;
-/// QK register tile: `KT` keys × `LT` lanes (a lane is one query head at
-/// one query position), resident across the `d_head` loop.
-const KT: usize = 8;
-const LT: usize = 8;
-/// PV register tile: `MR` lanes × `NR` head-dim columns, resident across
-/// one run's keys.
-const MR: usize = 4;
-const NR: usize = 32;
+/// Lanes whose `Σe` chains the softmax runs abreast (independent chains,
+/// each still one serial sum).
+const SUM_LANES: usize = 8;
 
 /// [`attention_over_rows`] with every cache row in the step: row `bi` of `q`
 /// attends cache row `bi`.
@@ -273,20 +264,23 @@ pub fn attention_over_cache(q: &Tensor, cache: &KvCache, layer: usize, d_head: u
 /// One fused kernel shared by the reference model and every partitioned
 /// layout: it walks each row's [`KvCache::row_runs`] in place — no page
 /// gather, no per-head K/V copies, no per-head score tensors. Per row, KV
-/// head and block of `QB` (8) query positions it (1) streams the key runs
-/// once, scoring every head of the block against each key into one reused
-/// `[key, lane]` scratch, (2) turns each lane's column into probabilities,
-/// (3) streams the value runs once, accumulating every head's context
-/// straight into the output.
+/// head and block of `QB` (8) query positions — `lanes`, a lane being one
+/// query head at one query position — it (1) scores the lanes' queries
+/// against each page's stored `Kᵀ` panel with one call of the GEMM register
+/// tile ([`ops::gemm_strided`]: keys on the vector lanes) into a reused
+/// `[lane, key]` scratch, (2) turns each lane's row into probabilities,
+/// (3) sums each page's V rows under those probabilities with a second
+/// tile call (head dims on the vector lanes), into the lanes' outputs.
 ///
 /// Accumulation contract (what keeps every layout and every page size
 /// bit-identical, and identical to the step-by-step `matmul → scale →
 /// causal_mask → softmax_base2 → matmul` composition): a score is one
 /// serial chain of fused multiply-adds `s = 0; s = fma(q[d], k[j][d], s)`
-/// in ascending `d`, then `s · 1/√dh`; a probability is `e_j / Σe` with
-/// `e_j = exp2((s_j − max)·log2 e)`, `max` folded and `Σe` summed from `0`
-/// in ascending `j`; an output is one chain `o = 0; o = fma(p_j, v[j][d],
-/// o)` in ascending `j`. These are the GEMM tile's chains, so the
+/// in ascending `d`, then `s · 1/√dh` (the tile's scale at store); a
+/// probability is `e_j / Σe` with `e_j = exp2((s_j − max)·log2 e)`, `max`
+/// folded and `Σe` summed from `0` in ascending `j`; an output is one chain
+/// `o = 0; o = fma(p_j, v[j][d], o)` in ascending `j`, carried from page to
+/// page in the lanes' output rows. These are the GEMM tile's chains, so the
 /// composition's matmuls give the same bits. Never a separately rounded
 /// product, never a rescaled partial sum. Keys past a block's last query
 /// are skipped; the few its earlier queries must not see are scored
@@ -328,17 +322,24 @@ pub fn attention_over_rows_into(
     let lens = cache.row_lens(layer);
     assert_eq!(rows.len(), b, "one cache row per batch row");
     assert_eq!(out.shape(), q.shape(), "attention output shape mismatch");
-    let kw = cache.width();
+    let (kw, page) = (cache.width(), cache.page_size());
     assert!(qw.is_multiple_of(d_head) && kw.is_multiple_of(d_head), "head width mismatch");
     let (hq, hkv) = (qw / d_head, kw / d_head);
     let scale = 1.0 / (d_head as f32).sqrt();
     let out = out.data_mut();
-    let (mut qt, mut scores, mut max, mut sum) = (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+    // Lane-major scratch: queries and outputs `[lane, d_head]`, scores then
+    // probabilities `[lane, ctx]`.
+    let (mut qs, mut os, mut ps) = (Vec::new(), Vec::new(), Vec::new());
     for (bi, &row) in rows.iter().enumerate() {
         let l_k = lens[row];
         assert!(l_k >= l_q, "row {row} length {l_k} shorter than query length {l_q}");
-        let runs = || {
-            cache.row_runs(layer, row).flat_map(|(k, v)| k.chunks(RUN * kw).zip(v.chunks(RUN * kw)))
+        // The row's pages as `(first key, keys, Kᵀ, V)`.
+        let pages = || {
+            cache.row_runs(layer, row).scan(0, move |j0, (kt, v)| {
+                let at = *j0;
+                *j0 += v.len() / kw;
+                Some((at, v.len() / kw, kt, v))
+            })
         };
         for g in 0..hkv.min(hq) {
             let n_h = (hq - g).div_ceil(hkv); // query heads g, g + Hkv, … share KV head g
@@ -349,168 +350,88 @@ pub fn attention_over_rows_into(
                 let seen = |l: usize| l_k - l_q + i0 + l / n_h + 1;
                 let at = |l: usize| ((bi * l_q + i0 + l / n_h) * hq + g + (l % n_h) * hkv) * d_head;
                 let ctx = seen(lanes - 1);
-
-                // q transposed once to `[dh, lanes]`, zero-padded to whole tiles.
-                let lp = lanes.next_multiple_of(LT);
-                qt.clear();
-                qt.resize(d_head * lp, 0.0);
+                qs.clear();
+                os.clear();
                 for l in 0..lanes {
-                    for (d, &x) in q.data()[at(l)..][..d_head].iter().enumerate() {
-                        qt[d * lp + l] = x;
-                    }
+                    qs.extend_from_slice(&q.data()[at(l)..][..d_head]);
+                    os.extend_from_slice(&out[at(l)..][..d_head]);
                 }
-                if scores.len() < ctx * lp {
-                    scores.resize(ctx * lp, 0.0);
-                }
-                let scores = &mut scores[..ctx * lp];
+                ps.clear();
+                ps.resize(lanes * ctx, 0.0);
 
-                // (1) scores[j][lane] for the block's `ctx` keys, K read once.
-                let mut rest = &mut scores[..];
-                for (k_run, _) in runs() {
-                    if rest.is_empty() {
-                        break;
-                    }
-                    let n = (k_run.len() / kw * lp).min(rest.len());
-                    let (rows, tail) = std::mem::take(&mut rest).split_at_mut(n);
-                    for (k_tile, rows) in k_run.chunks(KT * kw).zip(rows.chunks_mut(KT * lp)) {
-                        let k_g = &k_tile[g * d_head..];
-                        for l0 in (0..lp).step_by(LT) {
-                            qk_tile(&qt[l0..], &mut rows[l0..], lp, k_g, kw, d_head, scale);
-                        }
-                    }
-                    rest = tail;
-                }
-                for l in 0..lanes {
-                    for j in seen(l)..ctx {
-                        scores[j * lp + l] = f32::NEG_INFINITY;
-                    }
+                // (1) S[lane][j] = (0 + Σ_d q·k)·scale, one tile call per page.
+                for (j0, n, kt, _) in pages().take_while(|p| p.0 < ctx) {
+                    let (kt_g, n) = (&kt[g * d_head * page..], n.min(ctx - j0));
+                    ops::gemm_strided(&qs, d_head, lanes, d_head, kt_g, page, n, &mut ps[j0..], ctx, Some(scale));
                 }
 
-                // (2) `softmax_base2` down each lane's column, all lanes abreast.
-                max.clear();
-                max.resize(lp, f32::NEG_INFINITY);
-                sum.clear();
-                sum.resize(lp, 0.0);
-                for row in scores.chunks_exact(lp) {
-                    for (m, &s) in max.iter_mut().zip(row) {
-                        *m = m.max(s);
-                    }
-                }
-                exp_and_sum(scores, &max, &mut sum);
-                for row in scores.chunks_exact_mut(lp) {
-                    for (s, &sum) in row.iter_mut().zip(&sum) {
-                        *s /= sum;
-                    }
-                }
+                // (2) `softmax_base2` along each lane's row.
+                softmax_lanes(&mut ps, ctx, lanes, seen);
 
-                // (3) out[lane] += p[j][lane] · v[j], V read once.
-                let mut rest = &scores[..];
-                for (_, v_run) in runs() {
-                    if rest.is_empty() {
-                        break;
-                    }
-                    let (p_run, tail) = rest.split_at((v_run.len() / kw * lp).min(rest.len()));
-                    for l0 in (0..lanes).step_by(MR) {
-                        let mr = MR.min(lanes - l0);
-                        for c0 in (0..d_head).step_by(NR) {
-                            let (p, v) = (&p_run[l0..], &v_run[g * d_head + c0..]);
-                            let offs = std::array::from_fn(|r| at(l0 + r.min(mr - 1)) + c0);
-                            if d_head - c0 >= NR {
-                                pv_tile(p, lp, v, kw, NR, out, &offs, mr);
-                            } else {
-                                pv_tile(p, lp, v, kw, d_head - c0, out, &offs, mr);
-                            }
-                        }
-                    }
-                    rest = tail;
+                // (3) O[lane] += Σ_j p·v, one tile call per page.
+                for (j0, n, _, v) in pages().take_while(|p| p.0 < ctx) {
+                    let (p_j, n) = (&ps[j0..], n.min(ctx - j0));
+                    ops::gemm_strided(p_j, ctx, lanes, n, &v[g * d_head..], kw, d_head, &mut os, d_head, None);
+                }
+                for (l, o) in os.chunks_exact(d_head).enumerate() {
+                    out[at(l)..][..d_head].copy_from_slice(o);
                 }
             }
         }
     }
 }
 
-/// Step (2)'s exponent pass over `[key, lane]` scores, `LT` lanes abreast:
-/// `s = exp2((s − max[l])·log2 e)` and `sum[l] += s`, keys in ascending
-/// order. Padded lanes are run too and never written out. Kept out of line:
-/// inlined into the kernel, LLVM leaves this loop scalar.
-#[inline(never)]
-fn exp_and_sum(scores: &mut [f32], max: &[f32], sum: &mut [f32]) {
-    let (max, _) = max.as_chunks::<LT>();
-    let (sum, _) = sum.as_chunks_mut::<LT>();
-    for row in scores.chunks_exact_mut(max.len() * LT) {
-        for ((s, m), e) in row.as_chunks_mut::<LT>().0.iter_mut().zip(max).zip(sum.iter_mut()) {
-            for ((x, &m), e) in s.iter_mut().zip(m).zip(e) {
-                *x = ops::exp2((*x - m) * std::f32::consts::LOG2_E);
-                *e += *x;
-            }
+/// Step (2) over `[lane, ctx]` scores, in place: each lane's keys from
+/// `seen(lane)` on are masked to `-inf`, then `p_j = e_j / Σe` with `e_j =
+/// exp2((s_j − max)·log2 e)`. `max`, the exponents and the divide run
+/// along the row; each `Σe` is one serial chain in ascending `j`, run
+/// `SUM_LANES` lanes abreast. A group of lanes is finished before the next
+/// is begun, so its rows are still in cache for the sum and the divide.
+fn softmax_lanes(ps: &mut [f32], ctx: usize, lanes: usize, seen: impl Fn(usize) -> usize) {
+    for l0 in (0..lanes).step_by(SUM_LANES) {
+        let group = &mut ps[l0 * ctx..(lanes.min(l0 + SUM_LANES)) * ctx];
+        for (l, row) in group.chunks_exact_mut(ctx).enumerate() {
+            row[seen(l0 + l)..].fill(f32::NEG_INFINITY);
+            let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+            exp_row(row, max);
+        }
+        let last = group.len() / ctx - 1;
+        let sums = lane_sums(std::array::from_fn(|t| &group[t.min(last) * ctx..][..ctx]));
+        for (row, sum) in group.chunks_exact_mut(ctx).zip(sums) {
+            row.iter_mut().for_each(|x| *x /= sum);
         }
     }
 }
 
-/// `scores[jj][l] = (Σ_d qt[d][l] · k[jj][d]) · scale` for up to `KT` keys ×
-/// `LT` lanes: `qt` and `scores` start at the tile's first lane (row stride
-/// `lp`), `k` at the first key's head column (`kw` floats per key); the
-/// shorter of `k` and `scores` says how many keys there are. Missing keys
-/// alias the last one — scored and dropped — so every loop bound is a
-/// compile-time constant and the accumulators stay in registers.
-#[inline(always)]
-fn qk_tile(qt: &[f32], scores: &mut [f32], lp: usize, k: &[f32], kw: usize, dh: usize, scale: f32) {
-    let kt = k.len().div_ceil(kw).min(scores.len().div_ceil(lp));
-    let keys: [&[f32]; KT] = std::array::from_fn(|jj| &k[jj.min(kt - 1) * kw..][..dh]);
-    let mut acc = [[0.0f32; LT]; KT];
-    for (d, q_d) in qt.chunks(lp).enumerate() {
-        let q_d = &q_d.as_chunks::<LT>().0[0];
-        for (row, key) in acc.iter_mut().zip(&keys) {
-            // One fused multiply-add per d step — the serial ascending chain
-            // of the accumulation contract, LT of them side by side. Written
-            // as a whole-row update: a per-lane `*x = qx.mul_add(..)` loop
-            // leaves LLVM's SLP vectoriser with scalar FMAs.
-            let kd = key[d];
-            *row = std::array::from_fn(|i| q_d[i].mul_add(kd, row[i]));
-        }
-    }
-    for (row, dst) in acc.iter().zip(scores.chunks_mut(lp)) {
-        for (s, &x) in dst[..LT].iter_mut().zip(row) {
-            *s = x * scale;
-        }
+/// `row[j] = exp2((row[j] − max)·log2 e)` along one lane's scores.
+fn exp_row(row: &mut [f32], max: f32) {
+    for x in row {
+        *x = ops::exp2((*x - max) * std::f32::consts::LOG2_E);
     }
 }
 
-/// `out[offs[r]..][..nr] += Σ_j p[j][r] · v[j][..nr]` in ascending `j`
-/// for the first `mr` of `MR` lanes (the rest are computed and dropped):
-/// `p` starts at the first key's first lane (row stride `lp`), `v` at the
-/// first key's column (`kw` floats per key); the shorter of the two says
-/// how many keys there are. Inlined so a call with constant `nr` keeps the
-/// whole tile in registers.
-#[allow(clippy::too_many_arguments)]
-#[inline(always)]
-fn pv_tile(
-    p: &[f32],
-    lp: usize,
-    v: &[f32],
-    kw: usize,
-    nr: usize,
-    out: &mut [f32],
-    offs: &[usize; MR],
-    mr: usize,
-) {
-    let n = p.len().div_ceil(lp).min(v.len().div_ceil(kw));
-    let mut acc = [[0.0f32; NR]; MR];
-    for (row, &o) in acc.iter_mut().zip(offs).take(mr) {
-        row[..nr].copy_from_slice(&out[o..][..nr]);
-    }
-    for j in 0..n {
-        let v_j = &v[j * kw..][..nr];
-        for (r, row) in acc.iter_mut().enumerate() {
-            let pv = p[j * lp + r];
-            for (x, &vv) in row[..nr].iter_mut().zip(v_j) {
-                *x = pv.mul_add(vv, *x);
+/// `Σ_j rows[t][j]` from `0` in ascending `j` for each of `SUM_LANES` rows
+/// of one length, the chains side by side. (Missing lanes alias the last
+/// one: summed and dropped.)
+fn lane_sums(rows: [&[f32]; SUM_LANES]) -> [f32; SUM_LANES] {
+    const J: usize = 8;
+    let mut sums = [0.0f32; SUM_LANES];
+    // Whole chunks of `J` keys (one bounds check per row and chunk), then
+    // the rest.
+    let chunks = rows.map(|r| r.as_chunks::<J>().0);
+    for block in (0..chunks[0].len()).map(|c| chunks.map(|ch| &ch[c])) {
+        for j in 0..J {
+            for (s, b) in sums.iter_mut().zip(&block) {
+                *s += b[j];
             }
         }
     }
-    for (row, &o) in acc.iter().zip(offs).take(mr) {
-        out[o..][..nr].copy_from_slice(&row[..nr]);
+    for j in chunks[0].len() * J..rows[0].len() {
+        for (s, r) in sums.iter_mut().zip(&rows) {
+            *s += r[j];
+        }
     }
+    sums
 }
 
 /// Layernorm over the last dim of a rank-3 tensor.
@@ -592,11 +513,13 @@ mod tests {
         // (Hq, Hkv): multiquery with a full lane tile, a head-sharded
         // multiquery subset, multihead, and grouped heads.
         let heads = [(8, 1), (3, 1), (4, 4), (6, 2)];
-        // Page 128 ≥ the longest row (37 + 32): one run per row.
-        let pages = [1, 8, 16, 128];
+        // Page 128 ≥ the longest row (37 + 32): one run per row. A page of
+        // 40 straddles the tile's 32-key panels; one of 3 leaves a partial
+        // page at every row length here.
+        let pages = [1, 3, 8, 16, 40, 128];
         for ((hq, hkv), page, dh, l_q) in heads.iter().flat_map(|&h| {
             pages.iter().flat_map(move |&p| {
-                [8, 32].into_iter().flat_map(move |dh| [1, 3, 32].map(|l_q| (h, p, dh, l_q)))
+                [8, 16, 32].into_iter().flat_map(move |dh| [1, 3, 32].map(|l_q| (h, p, dh, l_q)))
             })
         }) {
             let kw = hkv * dh;
@@ -642,9 +565,10 @@ mod tests {
     }
 
     /// The attention kernel's two chains against f64, in the manner of
-    /// esti-tensor's `numerics` test: a score over `d_head` = 32 (`qk_tile`)
-    /// and an output over 256 and 3200 keys of softmax probabilities
-    /// (`pv_tile`). The tile must be a test-local `mul_add` chain's bits.
+    /// esti-tensor's `numerics` test: a score over `d_head` = 32 (`Q·Kᵀ`
+    /// through `ops::gemm_strided` over a transposed key panel) and an
+    /// output over 256 and 3200 keys of softmax probabilities (`P·V` through
+    /// the same entry). The tile must be a test-local `mul_add` chain's bits.
     /// Its mean |error| against f64 must be no larger than a test-local
     /// unfused `acc += a * b` chain's for the scores and the 256-key
     /// outputs; at 3200 keys a probability is ~1/3200, its products'
@@ -667,37 +591,34 @@ mod tests {
             assert!(!compare || f_mean <= u_mean, "{what}: fused mean |error| {f_mean:e} > unfused {u_mean:e}");
         };
 
-        // Scores: 64 query lanes against 512 keys, the tile's `[d, lane]`
-        // transposed queries and `[key, d]` keys, scale 1.
-        let (keys, tiles) = (512, 8);
-        let (q, k) = (noise(vec![tiles * LT, DH], 47), noise(vec![keys, DH], 48));
+        // Scores: 64 query lanes against 512 keys, the kernel's `[lane, d]`
+        // queries and `[d, key]` transposed keys, scale 1.
+        let (keys, lanes) = (512, 64);
+        let (q, k) = (noise(vec![lanes, DH], 47), noise(vec![keys, DH], 48));
+        let kt = k.transpose();
+        let mut scores = vec![0.0; lanes * keys];
+        ops::gemm_strided(q.data(), DH, lanes, DH, kt.data(), keys, keys, &mut scores, keys, Some(1.0));
         let (mut kernel, mut ways) = (Vec::new(), Vec::new());
-        for t in 0..tiles {
-            let qt: Vec<f32> = (0..DH * LT).map(|i| q.data()[(t * LT + i % LT) * DH + i / LT]).collect();
-            let mut scores = vec![0.0; keys * LT];
-            for j0 in (0..keys).step_by(KT) {
-                qk_tile(&qt, &mut scores[j0 * LT..], LT, &k.data()[j0 * DH..], DH, DH, 1.0);
-            }
-            for (j, row) in scores.chunks(LT).enumerate() {
-                for (l, &s) in row.iter().enumerate() {
-                    let (q_l, k_j) = (&q.data()[(t * LT + l) * DH..][..DH], &k.data()[j * DH..][..DH]);
-                    kernel.push(s);
-                    ways.push(three_ways(q_l.iter().copied().zip(k_j.iter().copied())));
-                }
+        for (l, row) in scores.chunks(keys).enumerate() {
+            for (j, &s) in row.iter().enumerate() {
+                let (q_l, k_j) = (&q.data()[l * DH..][..DH], &k.data()[j * DH..][..DH]);
+                kernel.push(s);
+                ways.push(three_ways(q_l.iter().copied().zip(k_j.iter().copied())));
             }
         }
         report("scores d=32", &kernel, &ways, true);
 
-        // Outputs: `MR` lanes of probabilities (`softmax_base2` of unit
-        // normal scores) against `[key, DH]` values, the tile's whole width.
+        // Outputs: `LANES` lanes of probabilities (`softmax_base2` of unit
+        // normal scores, lane-major) against `[key, DH]` values, the tile's
+        // whole width.
+        const LANES: usize = 4;
         for (n, sets) in [(256, 128), (3200, 8)] {
             let (mut kernel, mut ways) = (Vec::new(), Vec::new());
             for set in 0..sets {
-                let p = ops::softmax_base2(&Tensor::randn(&mut rng, vec![MR, n], 1.0));
+                let p = ops::softmax_base2(&Tensor::randn(&mut rng, vec![LANES, n], 1.0));
                 let v = noise(vec![n, DH], 100 + set);
-                let pt: Vec<f32> = (0..n * MR).map(|i| p.data()[(i % MR) * n + i / MR]).collect();
-                let mut out = vec![0.0; MR * DH];
-                pv_tile(&pt, MR, v.data(), DH, NR, &mut out, &std::array::from_fn(|r| r * DH), MR);
+                let mut out = vec![0.0; LANES * DH];
+                ops::gemm_strided(p.data(), n, LANES, n, v.data(), DH, DH, &mut out, DH, None);
                 for (r, row) in out.chunks(DH).enumerate() {
                     for (d, &o) in row.iter().enumerate() {
                         kernel.push(o);

@@ -18,20 +18,22 @@ fn fill(shape: Vec<usize>, salt: usize) -> Tensor {
 
 /// Prints the median µs per `attention_over_rows_into` call for `rows` cache
 /// rows of `keys` positions each, `l_q` of them queries, `heads` query heads
-/// over one KV head.
+/// over one KV head, and the GFLOP/s it makes of the causal work: `2·d_head`
+/// flops per (query head, visible key) for `Q·Kᵀ` and as many for `P·V`.
 #[test]
 #[ignore]
 fn attention_at_workload_shapes() {
     let shapes = [
         ("longctx_decode step", 2, 1, 2664, 8),
+        ("longctx_decode step at 3200", 2, 1, 3200, 8),
         ("longctx 32-token follow-up", 2, 32, 2100, 8),
         ("prefill_batch", 4, 256, 256, 8),
         ("chat_steady prefill", 1, 64, 64, 2),
         ("chat_steady decode", 1, 1, 104, 2),
     ];
     eprintln!(
-        "{:>27} {:>4} {:>4} {:>5} {:>5} {:>9}",
-        "shape", "rows", "l_q", "keys", "heads", "median µs"
+        "{:>27} {:>4} {:>4} {:>5} {:>5} {:>9} {:>7}",
+        "shape", "rows", "l_q", "keys", "heads", "median µs", "GFLOP/s"
     );
     for (name, rows, l_q, keys, heads) in shapes {
         let mut cache = KvCache::new(1);
@@ -57,9 +59,10 @@ fn attention_at_workload_shapes() {
             .skip(2)
             .collect();
         times.sort_by(f64::total_cmp);
-        eprintln!(
-            "{name:>27} {rows:>4} {l_q:>4} {keys:>5} {heads:>5} {:>9.1}",
-            times[times.len() / 2]
-        );
+        let median = times[times.len() / 2];
+        // Query i of l_q sees keys - l_q + i + 1 keys.
+        let visible = l_q * (keys - l_q + 1) + l_q * (l_q - 1) / 2;
+        let gflops = (4 * D_HEAD * heads * rows * visible) as f64 / (median * 1e3);
+        eprintln!("{name:>27} {rows:>4} {l_q:>4} {keys:>5} {heads:>5} {median:>9.1} {gflops:>7.1}");
     }
 }

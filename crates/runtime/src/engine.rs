@@ -638,10 +638,10 @@ impl PartitionedEngine {
                     let v = v.get_or_insert_with(|| Tensor::zeros(vec![l, d]));
                     let heads = self.program.kv_heads(chip.coord);
                     let w = heads.len() * dh;
-                    // The chip's `[l, w]` head shard, run by run, straight
-                    // into its heads' columns of the canonical `[l, d]` rows.
-                    let shard = chip.cache.row_runs(li, local);
-                    let rows = shard.flat_map(|(rk, rv)| rk.chunks(w).zip(rv.chunks(w)));
+                    // The chip's `[l, w]` head shard into its heads' columns
+                    // of the canonical `[l, d]` rows.
+                    let (sk, sv) = chip.cache.read_slot(li, local);
+                    let rows = sk.data().chunks(w).zip(sv.data().chunks(w));
                     for (r, (rk, rv)) in rows.enumerate() {
                         let dst = r * d + heads.start * dh;
                         k.data_mut()[dst..dst + w].copy_from_slice(rk);

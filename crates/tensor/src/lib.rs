@@ -15,7 +15,9 @@
 //! `MR × NR` register tile over such a panel: explicit AVX-512F with
 //! runtime feature detection, or the same tile in safe Rust (scalar kernels
 //! remain as bitwise oracles — see [`ops::set_matmul_kernel`]); every path
-//! is bit-identical to the serial scalar kernels. The crate starts no
+//! is bit-identical to the serial scalar kernels. [`ops::gemm_strided`]
+//! runs the same tile over panels read in place at any row stride, which
+//! is how `esti-model`'s attention kernel scores and sums its KV pages. The crate starts no
 //! threads: each simulated chip's kernels run on the runtime's executor
 //! that steps it.
 //!

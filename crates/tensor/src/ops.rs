@@ -10,14 +10,15 @@
 //! weight stored in panel order ([`crate::PackedMatrix`]). A row-major
 //! [`matmul`] of at least `STREAM_BELOW` (8) rows packs its right operand
 //! for the call and runs that tile; one of fewer rows goes to `mm_stream`,
-//! which reads each weight row once, front to back. [`matmul_naive`] is the
-//! oracle.
+//! which reads each weight row once, front to back. [`gemm_strided`] runs
+//! the tile over operands read in place at their row strides (the
+//! attention kernel's two contractions). [`matmul_naive`] is the oracle.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
 
 use crate::packed::rows_of;
-use crate::simd::{self, Tile, MR};
+use crate::simd::{self, Tile, MR, NR};
 use crate::{PackedMatrix, Tensor};
 
 /// Which inner kernel the GEMM entry points dispatch to.
@@ -188,6 +189,51 @@ pub fn matmul_into(a: &Tensor, b: &Tensor, out: &mut Tensor) {
         None => mm_naive_kernel(a.data(), b.data(), out.data_mut(), m, k, n),
         Some(_) if m < STREAM_BELOW => mm_stream(a.data(), b.data(), out.data_mut(), m, k, n),
         Some(_) => PackedMatrix::pack(b).gemm(a.data(), k, m, 0..k, out.data_mut(), n, false),
+    }
+}
+
+/// `out[i][j] = (out[i][j] + Σ_kk a[i][kk]·b[kk][j])·scale` over slices
+/// read in place: the `m` rows of `a` (row stride `a_stride`, `k` values
+/// each), the `k` rows of `b` (row stride `b_stride`, `n` values each) and
+/// the `m` rows of `out` (row stride `o_stride`, `n` values each), the sum
+/// one fused multiply-add per ascending `kk` onto the value already in
+/// `out`, then one multiply by `scale` if given. Dispatches like every GEMM
+/// ([`set_matmul_kernel`]): the register tile over `b`'s columns 32 at a
+/// time, AVX-512F or safe Rust, or under `Naive` the scalar chain; all
+/// three give the same bits. The attention kernel's two contractions run
+/// here: scores over a KV page's stored `Kᵀ` (`b_stride` = the page size)
+/// and outputs over its V rows.
+///
+/// # Panics
+///
+/// Panics if a slice is shorter than its rows and stride imply.
+#[allow(clippy::too_many_arguments)]
+pub fn gemm_strided(
+    a: &[f32],
+    a_stride: usize,
+    m: usize,
+    k: usize,
+    b: &[f32],
+    b_stride: usize,
+    n: usize,
+    out: &mut [f32],
+    o_stride: usize,
+    scale: Option<f32>,
+) {
+    if m == 0 || n == 0 {
+        return;
+    }
+    assert!(k == 0 || (k - 1) * b_stride + n <= b.len(), "b slice too short");
+    assert!((m - 1) * o_stride + n <= out.len(), "out slice too short");
+    let scales = scale.map(|s| [s; NR]);
+    let tile = tile();
+    for j0 in (0..n).step_by(NR) {
+        let w = NR.min(n - j0);
+        let (b, out, sc) = (&b[j0..], &mut out[j0..], scales.as_ref().map(|s| &s[..]));
+        match tile {
+            Some(t) => simd::run(t, a, a_stride, m, k, b, b_stride, out, o_stride, w, sc),
+            None => simd::scalar(a, a_stride, m, k, b, b_stride, out, o_stride, w, sc),
+        }
     }
 }
 

@@ -10,13 +10,14 @@
 //! a weight is stored, rather than per call.
 //!
 //! Every entry point runs one body, `PackedMatrix::gemm`: per panel, the
-//! tile over all rows of the activations. An int8 panel is widened in
-//! registers when there are few rows, and once into an f32 scratch panel
-//! when there are at least `8·MR` (or the panel is narrow); widening is
-//! exact, so both read the same values. The scale of an int8 column is
-//! applied once, after the column's whole contraction. The
-//! [`crate::ops::MatmulKernel::Naive`] setting runs the scalar oracle
-//! instead, one i-k-j chain per element in the same order.
+//! tile over all rows of the activations, reading the panel where it is
+//! stored (a narrow last panel too, through the tile's one-vector path or
+//! its masks). An int8 panel is widened in registers when there are few
+//! rows, and once into an f32 scratch panel when there are at least `8·MR`
+//! (or the panel is narrow); widening is exact, so both read the same
+//! values. The scale of an int8 column is applied once, after the column's
+//! whole contraction. The [`crate::ops::MatmulKernel::Naive`] setting runs
+//! the scalar chain instead, one i-k-j chain per element in the same order.
 
 use std::ops::Range;
 
@@ -257,16 +258,14 @@ impl PackedMatrix {
             let window = j0 * rows + ks.start * w..j0 * rows + ks.end * w;
             let (out, sc) = (&mut out[j0..], scales.map(|s| &s[j0..]));
             match &self.values {
-                Values::F32(v) if w == NR => simd::run(tile, a, a_stride, m, kc, &v[window], out, o_stride, w, sc),
+                Values::F32(v) => simd::run(tile, a, a_stride, m, kc, &v[window], w, out, o_stride, w, sc),
                 Values::I8 { values, .. } if w == NR && m < WIDEN_FROM => {
-                    simd::run(tile, a, a_stride, m, kc, &values[window], out, o_stride, w, sc);
+                    simd::run(tile, a, a_stride, m, kc, &values[window], w, out, o_stride, w, sc);
                 }
-                narrow_or_tall => {
-                    match narrow_or_tall {
-                        Values::F32(v) => widen(&v[window], w, &mut scratch),
-                        Values::I8 { values, .. } => widen(&values[window], w, &mut scratch),
-                    }
-                    simd::run(tile, a, a_stride, m, kc, &scratch, out, o_stride, w, sc);
+                Values::I8 { values, .. } => {
+                    scratch.clear();
+                    scratch.extend(values[window].iter().map(|&q| f32::from(q)));
+                    simd::run(tile, a, a_stride, m, kc, &scratch, w, out, o_stride, w, sc);
                 }
             }
         }
@@ -274,9 +273,8 @@ impl PackedMatrix {
 }
 
 /// The scalar oracle for [`PackedMatrix::gemm`] over `values`, a `rows ×
-/// cols` matrix in panel order: for each panel and row, i-k-j, one chain
-/// of fused multiply-adds per element in ascending `k`, each element then
-/// scaled.
+/// cols` matrix in panel order: per panel, the scalar chain
+/// ([`simd::scalar`]) over its rows `ks`.
 #[allow(clippy::too_many_arguments)]
 fn oracle<T: Elem>(
     values: &[T],
@@ -292,34 +290,9 @@ fn oracle<T: Elem>(
 ) {
     for j0 in (0..cols).step_by(NR) {
         let w = NR.min(cols - j0);
-        let panel = &values[j0 * rows..][..rows * w];
-        for i in 0..m {
-            let orow = &mut out[i * o_stride + j0..][..w];
-            for (kk, r) in ks.clone().enumerate() {
-                let av = a[i * a_stride + kk];
-                for (o, &b) in orow.iter_mut().zip(&panel[r * w..][..w]) {
-                    *o = av.mul_add(b.into(), *o);
-                }
-            }
-            if let Some(s) = scales {
-                for (o, &sv) in orow.iter_mut().zip(&s[j0..]) {
-                    *o *= sv;
-                }
-            }
-        }
-    }
-}
-
-/// Widens panel rows of `w` values into `scratch` as rows of `NR` f32,
-/// zero-padded: the full-width panel the tile reads.
-fn widen<T: Elem>(src: &[T], w: usize, scratch: &mut Vec<f32>) {
-    scratch.resize(src.len() / w * NR, 0.0);
-    for (dst, row) in scratch.chunks_exact_mut(NR).zip(src.chunks_exact(w)) {
-        let (vals, pad) = dst.split_at_mut(w);
-        for (d, &v) in vals.iter_mut().zip(row) {
-            *d = v.into();
-        }
-        pad.fill(0.0);
+        let panel = &values[j0 * rows + ks.start * w..];
+        let (out, sc) = (&mut out[j0..], scales.map(|s| &s[j0..]));
+        simd::scalar(a, a_stride, m, ks.len(), panel, w, out, o_stride, w, sc);
     }
 }
 

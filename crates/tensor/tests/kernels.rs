@@ -1,16 +1,18 @@
-//! Kernel-core conformance: the one register tile (`MR` = 8 rows × `NR` = 32
-//! columns over a panel-ordered weight), in whichever form the process runs
-//! it — AVX-512F by default, the safe-Rust tile under `ESTI_DISABLE_SIMD` or
-//! on a host without AVX-512F — must be **bit-identical** to the serial
-//! scalar oracles for every GEMM entry point, at every shape: every `m %
-//! MR` remainder, a narrow last panel, int8 widened in registers (few rows)
-//! and into a scratch panel (many), scaled and unscaled.
+//! Kernel-core conformance: the one register tile (`MR` = 8 rows × up to
+//! `NR` = 32 columns over a panel read at its row stride), in whichever form
+//! the process runs it — AVX-512F by default, the safe-Rust tile under
+//! `ESTI_DISABLE_SIMD` or on a host without AVX-512F — must be
+//! **bit-identical** to the serial scalar oracles for every GEMM entry
+//! point, at every shape: every `m % MR` remainder, a narrow last panel, int8
+//! widened in registers (few rows) and into a scratch panel (many), scaled
+//! and unscaled, and `ops::gemm_strided` over panels at any row stride, at
+//! most 16 columns wide (the one-vector path) and wider.
 //!
 //! Bit-identity is the contract that keeps `set_matmul_kernel` a pure
-//! performance knob: every element is one serial mul-then-add chain in
-//! ascending `k`, regardless of SIMD width or tile shape. CI runs this file
-//! under both `ESTI_DISABLE_SIMD` settings, so both forms of the tile meet
-//! the oracle.
+//! performance knob: every element is one serial chain of fused
+//! multiply-adds in ascending `k`, regardless of SIMD width, tile shape or
+//! panel stride. CI runs this file under both `ESTI_DISABLE_SIMD` settings,
+//! so both forms of the tile meet the oracle.
 
 use std::sync::{Mutex, OnceLock};
 
@@ -95,6 +97,25 @@ fn entry_points(w: &PackedMatrix, x: &Tensor) -> Vec<Vec<u32>> {
     got
 }
 
+/// `ops::gemm_strided` of `x [m, k]` over panels cut from `b` at row strides
+/// 1, 3, 16 and 40 (rows overlap where the stride is below the width), `wd`
+/// columns wide, as bits: into a target of row stride `wd + 3` that already
+/// holds values (the product accumulates onto them), scaled and unscaled.
+fn strided_entry_points(x: &Tensor, b: &Tensor, wd: usize) -> Vec<Vec<u32>> {
+    let (m, k) = (x.dim(0), x.dim(1));
+    let mut got = Vec::new();
+    for stride in [1, 3, 16, 40] {
+        let panel = &b.data()[..(k - 1) * stride + wd];
+        for scale in [None, Some(0.375)] {
+            let o_stride = wd + 3;
+            let mut out = tensor(m, o_stride, wd as u64).data().to_vec();
+            ops::gemm_strided(x.data(), k, m, k, panel, stride, wd, &mut out, o_stride, scale);
+            got.push(bits(&out));
+        }
+    }
+    got
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -103,7 +124,8 @@ proptest! {
     /// int8 weights. `m` covers every remainder of `MR` = 8 up to 20 rows
     /// and, for `tall` cases, 61 to 80 rows, across the row count (64) from
     /// which int8 panels are widened once into a scratch panel; `n` covers
-    /// up to three panels and every narrow last one.
+    /// up to three panels and every narrow last one. The strided entry
+    /// point runs at a width of 1–16 and one of 17–32 per case.
     #[test]
     fn every_entry_point_equals_the_scalar_oracle_bitwise(
         m in 1usize..21,
@@ -116,8 +138,16 @@ proptest! {
         let _guard = knob_lock().lock().unwrap();
         let x = tensor(m + 60 * tall, k, seed);
         let w = stored(&tensor(k, n, seed ^ 0xFACE), format);
-        let oracle = with_kernel(MatmulKernel::Naive, || entry_points(&w, &x));
-        let got = with_kernel(MatmulKernel::Simd, || entry_points(&w, &x));
+        let b = tensor(k, 40, seed ^ 0xBEEF);
+        let all = || {
+            let mut got = entry_points(&w, &x);
+            for wd in [1 + n % 16, 17 + n % 16] {
+                got.extend(strided_entry_points(&x, &b, wd));
+            }
+            got
+        };
+        let oracle = with_kernel(MatmulKernel::Naive, all);
+        let got = with_kernel(MatmulKernel::Simd, all);
         prop_assert_eq!(got, oracle);
     }
 
