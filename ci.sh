@@ -146,6 +146,14 @@ if grep -rnE "Backend::Slab|KvBackend|kv_backend|ESTI_KV_PAGE_SIZE" crates src t
   echo "FAIL: a second KV backend (or a knob selecting one) is back" >&2
   exit 1
 fi
+# One block store: the pool's storage is per-layer blocks of 32-key Kt
+# panels (kvcache.rs), read as maximal runs. The per-page buffers (the Page
+# struct, its constructor, the pool's page vector) and the per-page Kt
+# writer stay gone.
+if grep -rnE "struct Page\b|Page::new|fn write_kt\b|\.pages\[" crates src tests examples; then
+  echo "FAIL: per-page KV buffers are back beside the block store" >&2
+  exit 1
+fi
 
 echo "== prefix-prefill conformance: seeded and packed prefill rows bit-identical to batch-1 =="
 # The group prefill: a row seeded with a donor's whole pages and running
@@ -165,6 +173,14 @@ fi
 calls=$(grep -c "\.try_prefill_rows(" crates/runtime/src/serving.rs)
 if [ "$calls" -ne 1 ]; then
   echo "FAIL: serving.rs calls try_prefill_rows at $calls sites; the group path is the only one" >&2
+  exit 1
+fi
+# A prefilled row settles in place (PartitionedEngine::register_slot keys
+# its prompt pages where they lie); the one KV copy left in serving.rs is
+# the seed's.
+copies=$(grep -c "extract_kv" crates/runtime/src/serving.rs)
+if [ "$copies" -ne 1 ]; then
+  echo "FAIL: serving.rs reads KV out at $copies sites; only the seed copies a row" >&2
   exit 1
 fi
 # One engine per batcher: prefill writes straight into the decode slots, so

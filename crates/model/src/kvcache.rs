@@ -8,30 +8,48 @@
 //! step writes in place and a row holds only the pages its valid positions
 //! need. Pages are refcounted: [`KvCache::insert_row_shared`] maps
 //! prompt-prefix pages already resident (keyed by the exact token prefix
-//! they cache) instead of rewriting them, and any in-place write to a page
-//! referenced by more than one row first copies it out (copy-on-write).
-//! Eviction is page-granular: a shared page returns to the free list only
-//! when its last reference drops.
+//! they cache) instead of rewriting them, [`KvCache::register_row`] keys a
+//! prefilled row's prompt pages where they lie, and any in-place write to a
+//! page referenced by more than one row first copies it out
+//! (copy-on-write). Eviction is page-granular: a shared page returns to the
+//! free list only when its last reference drops.
 //!
 //! The one option is the page size ([`KvCache::paged`]; [`KvCache::new`]
-//! takes [`DEFAULT_KV_PAGE_SIZE`]). It decides how many runs a row is split
-//! into and how much of a prompt can be shared, never a value: every read
-//! goes through [`KvCache::row_runs`] — a row's pages as borrowed `(kᵀ, v)`
-//! runs in ascending order — and the attention kernel walks the runs in
-//! place. A page at least as long as every row is the dense layout (one run
-//! per row), reached through the same code.
+//! takes [`DEFAULT_KV_PAGE_SIZE`]). It decides how much of a prompt can be
+//! shared, never a value: every read goes through [`KvCache::row_runs`] — a
+//! row's keys and values as borrowed [`KvRun`]s in ascending order — and the
+//! attention kernel walks the runs in place.
 //!
-//! A page stores its layer's V row-major, `[page_size, Hkv·d_head]`, and
-//! its K **transposed**, `[Hkv·d_head, page_size]`: feature `f` of position
-//! `p` sits at `f·page_size + p`, so KV head `g`'s keys for the page form a
-//! `d_head × n` panel at row stride `page_size`, keys along the row. The
-//! attention kernel scores a page as one call of the GEMM register tile
-//! (`Q·Kᵀ`, keys on the vector lanes) and sums it as another (`P·V`, head
-//! dims on the lanes), both over the page where it lies. The layout is
-//! private to the page: writes ([`KvCache::append_rows`],
+//! **Blocks.** The pool's storage is a list of *blocks*, each `B`
+//! consecutive page ids covering about 256 positions (`B = ⌊256 /
+//! page_size⌋`, at least one page: 16 pages at the default page). A
+//! block's storage exists once its first page is handed out, and holds per
+//! layer its `B·page_size` positions' V row-major, `[B·S, Hkv·d_head]`, and
+//! its K **transposed in panels** of [`KT_PANEL`] (32) keys, the GEMM
+//! register tile's width: `[⌈B·S/32⌉][Hkv·d_head][32]`.
+//!
+//! **The panel map.** Feature `f` of block position `p` sits at `(p/32)·32·
+//! width + f·32 + p%32`, so KV head `g`'s keys for one panel are one
+//! contiguous `d_head × 32` tile panel at row stride 32, keys along the row;
+//! page `i` of a block holds block positions `(i % B)·S ..`. The layout is
+//! private to the cache: writes ([`KvCache::append_rows`],
 //! [`KvCache::insert_row_shared`]) transpose positions in, copy-on-write
-//! and [`KvCache::repeat_batch`] move or share whole pages, and
-//! [`KvCache::read_slot`] hands a row back as `[len, Hkv·d_head]`.
+//! moves a page's positions, [`KvCache::repeat_batch`] shares whole pages,
+//! and [`KvCache::read_slot`] hands a row back as `[len, Hkv·d_head]`.
+//!
+//! **Runs.** [`KvCache::row_runs`] yields a row's *maximal runs*:
+//! consecutive block-table entries whose page ids are consecutive inside
+//! one block, so their positions are consecutive in its storage. A run's V
+//! is one row-major slice, and its `Kᵀ` is a few whole tile panels (a
+//! piece at either end when the run starts or stops inside one). A row
+//! whose pages were handed out in order is one run per block whatever the
+//! page size, and the free list hands pages out lowest id first, so pages
+//! freed together come back in order. A page out of order (decode pages
+//! interleaved with other rows', a free page reused), a copied-on-write
+//! page or a block end breaks a run, never a value. The
+//! attention kernel scores a run one panel piece at a time (`Q·Kᵀ`, keys on
+//! the vector lanes) and sums it with one `P·V` call (head dims on the
+//! lanes).
 //!
 //! Determinism makes prefix sharing exact rather than approximate: causal
 //! attention means K/V at position `p` depend only on tokens `0..=p`, and
@@ -41,7 +59,8 @@
 //! therefore invisible in the token streams (proven by the paged
 //! conformance suite).
 
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap};
 
 use esti_tensor::Tensor;
 
@@ -50,21 +69,84 @@ use esti_tensor::Tensor;
 /// block tables stay short at this workspace's context lengths.
 pub const DEFAULT_KV_PAGE_SIZE: usize = 16;
 
-/// One pool page: `page_size` positions of K and V for *every* layer
-/// (`k[layer]`/`v[layer]` are `page_size · width` scratch-initialized
-/// buffers, `k` transposed: `[width, page_size]`, see the module docs).
-/// Keeping all layers in one page means block tables, refcounts, and prefix
-/// keys exist once per page rather than once per layer.
+/// Keys per stored `Kᵀ` panel: the GEMM register tile's width, so one
+/// panel's keys are scored by one tile call on its two-vector path.
+pub const KT_PANEL: usize = 32;
+
+/// Positions a block of pages covers, rounded down to whole pages.
+const BLOCK_POSITIONS: usize = 256;
+
+/// The storage of one block of pages, every layer's (see the module docs):
+/// `kt` is `[layer][panel][width][KT_PANEL]`, `v` is `[layer][position]
+/// [width]`, both zero-initialized.
 #[derive(Debug, Clone)]
-struct Page {
-    k: Vec<Vec<f32>>,
-    v: Vec<Vec<f32>>,
+struct Block {
+    kt: Vec<f32>,
+    v: Vec<f32>,
 }
 
-impl Page {
-    fn new(n_layers: usize, elems: usize) -> Self {
-        Page { k: vec![vec![0.0; elems]; n_layers], v: vec![vec![0.0; elems]; n_layers] }
+/// One run of a row's cached positions in one layer (see
+/// [`KvCache::row_runs`]): positions consecutive in the row and in one
+/// block's storage.
+#[derive(Debug, Clone, Copy)]
+pub struct KvRun<'a> {
+    /// The block's whole `Kᵀ` for the layer, `[panel][width][KT_PANEL]`.
+    kt: &'a [f32],
+    /// Block position of the run's first key.
+    at: usize,
+    width: usize,
+    /// The run's values, row-major.
+    v: &'a [f32],
+}
+
+impl<'a> KvRun<'a> {
+    /// Positions (keys) in the run.
+    #[must_use]
+    pub fn keys(&self) -> usize {
+        self.v.len() / self.width
     }
+
+    /// The run's values, row-major: `[keys, Hkv·d_head]`.
+    #[must_use]
+    pub fn v(&self) -> &'a [f32] {
+        self.v
+    }
+
+    /// The run's keys as tile panels, in ascending order: `(first, n,
+    /// panel)` for each piece of the run inside one [`KT_PANEL`]-key panel
+    /// of its block — whole panels, but a piece at either end where the
+    /// run starts or stops inside one. The piece holds the run's keys
+    /// `first..first + n`, feature `f` of key `first + i` at `panel[f ·
+    /// KT_PANEL + i]`, so KV head `g`'s keys are the `d_head × n` panel
+    /// from `panel[g · d_head · KT_PANEL]` on at row stride [`KT_PANEL`].
+    pub fn kt_panels(&self) -> impl Iterator<Item = (usize, usize, &'a [f32])> + 'a {
+        let (kt, at, w, n) = (self.kt, self.at, self.width, self.keys());
+        let mut j = 0;
+        std::iter::from_fn(move || {
+            (j < n).then(|| {
+                let p = at + j;
+                let piece = (KT_PANEL - p % KT_PANEL).min(n - j);
+                let panel_end = (p / KT_PANEL + 1) * KT_PANEL * w;
+                let item = (j, piece, &kt[kt_at(p, w)..panel_end]);
+                j += piece;
+                item
+            })
+        })
+    }
+
+    /// Writes the run's keys row-major, `[keys, Hkv·d_head]`, into `dst`.
+    fn read_k(&self, dst: &mut [f32]) {
+        for (p, row) in dst.chunks_exact_mut(self.width).enumerate() {
+            let src = self.kt[kt_at(self.at + p, self.width)..].iter().step_by(KT_PANEL);
+            row.iter_mut().zip(src).for_each(|(x, &y)| *x = y);
+        }
+    }
+}
+
+/// Index of feature 0 of block position `p` in a layer's panel-major `Kᵀ`
+/// of row width `width`; feature `f` is `f · KT_PANEL` further on.
+fn kt_at(p: usize, width: usize) -> usize {
+    p / KT_PANEL * KT_PANEL * width + p % KT_PANEL
 }
 
 /// Pool occupancy counters (see [`KvCache::page_stats`]).
@@ -82,7 +164,7 @@ pub struct PageStats {
     pub pages_shared: usize,
 }
 
-/// Per-layer key/value storage for a batch of sequences: page pool +
+/// Per-layer key/value storage for a batch of sequences: block storage +
 /// refcounts + prefix registry + block tables (see the module docs).
 ///
 /// # Examples
@@ -101,15 +183,22 @@ pub struct PageStats {
 pub struct KvCache {
     n_layers: usize,
     page_size: usize,
+    /// Pages per block, `B`.
+    block_pages: usize,
     /// Feature width `Hkv·d_head`, fixed by the first write (0 until then).
     width: usize,
-    pages: Vec<Page>,
+    /// `blocks[i]` stores pages `i·B .. (i+1)·B`.
+    blocks: Vec<Block>,
+    /// Per page id: references; its length is the pages ever handed out.
     refs: Vec<usize>,
     /// The token prefix a page caches, when it was admitted via
-    /// [`KvCache::insert_row_shared`] and is still bit-exact for that
-    /// prefix (cleared on any in-place write).
+    /// [`KvCache::insert_row_shared`] or keyed by [`KvCache::register_row`]
+    /// and is still bit-exact for that prefix (cleared on any in-place
+    /// write).
     keys: Vec<Option<Vec<usize>>>,
-    free: Vec<usize>,
+    /// Free page ids, handed out lowest first, so pages freed together
+    /// come back in order and a re-admitted row's pages form runs.
+    free: BinaryHeap<Reverse<usize>>,
     /// Exact token prefix → page id. A key of length `e` always maps the
     /// page covering positions `(⌈e/S⌉−1)·S .. e`, so keys double as page
     /// indices.
@@ -150,11 +239,12 @@ impl KvCache {
         KvCache {
             n_layers,
             page_size,
+            block_pages: (BLOCK_POSITIONS / page_size).max(1),
             width: 0,
-            pages: Vec::new(),
+            blocks: Vec::new(),
             refs: Vec::new(),
             keys: Vec::new(),
-            free: Vec::new(),
+            free: BinaryHeap::new(),
             registry: HashMap::new(),
             tables: Vec::new(),
             lens: vec![Vec::new(); n_layers],
@@ -164,8 +254,8 @@ impl KvCache {
     fn ensure_shape(&mut self, batch: usize, width: usize) {
         if self.tables.is_empty() {
             if width != self.width {
-                // A cleared pool's pages are sized for its old width.
-                self.pages.clear();
+                // A cleared pool's blocks are sized for its old width.
+                self.blocks.clear();
                 self.refs.clear();
                 self.keys.clear();
                 self.free.clear();
@@ -178,19 +268,52 @@ impl KvCache {
         assert_eq!(self.width, width, "feature dim disagrees with cached contents");
     }
 
-    /// Pops a free page or grows the pool; the page starts private
-    /// (refcount 1, no key).
+    /// Floats of one layer's `Kᵀ` and of its V in a block.
+    fn layer_lens(&self) -> (usize, usize) {
+        let positions = self.block_pages * self.page_size;
+        (positions.div_ceil(KT_PANEL) * KT_PANEL * self.width, positions * self.width)
+    }
+
+    /// Pops the lowest free page or hands out the next page id, allocating its
+    /// block's storage when it is the block's first; the page starts
+    /// private (refcount 1, no key).
     fn alloc_page(&mut self) -> usize {
-        if let Some(id) = self.free.pop() {
+        if let Some(Reverse(id)) = self.free.pop() {
             self.refs[id] = 1;
             self.keys[id] = None;
             id
         } else {
-            self.pages.push(Page::new(self.n_layers, self.page_size * self.width));
+            let id = self.refs.len();
+            if id.is_multiple_of(self.block_pages) {
+                let (kl, vl) = self.layer_lens();
+                self.blocks.push(Block { kt: vec![0.0; self.n_layers * kl], v: vec![0.0; self.n_layers * vl] });
+            }
             self.refs.push(1);
             self.keys.push(None);
-            self.pages.len() - 1
+            id
         }
+    }
+
+    /// Writes `k` and `v` (row-major, `width` floats per position) into
+    /// `layer` of page `pid` from position `off` of the page on.
+    fn put(&mut self, layer: usize, pid: usize, off: usize, k: &[f32], v: &[f32]) {
+        let ((kl, vl), d) = (self.layer_lens(), self.width);
+        let at = pid % self.block_pages * self.page_size + off;
+        let block = &mut self.blocks[pid / self.block_pages];
+        block.v[layer * vl + at * d..][..v.len()].copy_from_slice(v);
+        let kt = &mut block.kt[layer * kl..][..kl];
+        for (p, pos) in k.chunks_exact(d).enumerate() {
+            let dst = kt[kt_at(at + p, d)..].iter_mut().step_by(KT_PANEL);
+            dst.zip(pos).for_each(|(x, &y)| *x = y);
+        }
+    }
+
+    /// Page `pid`'s `layer` as a run of its first `n` positions.
+    fn page_run(&self, layer: usize, pid: usize, n: usize) -> KvRun<'_> {
+        let ((kl, vl), d) = (self.layer_lens(), self.width);
+        let at = pid % self.block_pages * self.page_size;
+        let block = &self.blocks[pid / self.block_pages];
+        KvRun { kt: &block.kt[layer * kl..][..kl], at, width: d, v: &block.v[layer * vl + at * d..][..n * d] }
     }
 
     /// Drops one reference; the last reference deregisters the page's
@@ -202,7 +325,7 @@ impl KvCache {
             if let Some(key) = self.keys[id].take() {
                 self.registry.remove(&key);
             }
-            self.free.push(id);
+            self.free.push(Reverse(id));
         }
     }
 
@@ -232,11 +355,13 @@ impl KvCache {
         if self.refs[pid] > 1 {
             // A referenced page is never on the free list, so `nid != pid`.
             let nid = self.alloc_page();
-            let (lo, hi) = self.pages.split_at_mut(pid.max(nid));
-            let (src, dst) =
-                if pid < nid { (&lo[pid], &mut hi[0]) } else { (&hi[0], &mut lo[nid]) };
-            for (d, s) in dst.k.iter_mut().zip(&src.k).chain(dst.v.iter_mut().zip(&src.v)) {
-                d.copy_from_slice(s);
+            let n = self.page_size * self.width;
+            let (mut k, mut v) = (vec![0.0; n], vec![0.0; n]);
+            for layer in 0..self.n_layers {
+                let src = self.page_run(layer, pid, self.page_size);
+                src.read_k(&mut k);
+                v.copy_from_slice(src.v);
+                self.put(layer, nid, 0, &k, &v);
             }
             self.refs[pid] -= 1;
             self.tables[r][pi] = nid;
@@ -262,8 +387,7 @@ impl KvCache {
             let run = (s - off).min(len - p);
             let pid = self.prepare_write(r, pi);
             let src = p * d..(p + run) * d;
-            write_kt(&mut self.pages[pid].k[layer], s, off, &k_src[src.clone()], d);
-            self.pages[pid].v[layer][off * d..(off + run) * d].copy_from_slice(&v_src[src]);
+            self.put(layer, pid, off, &k_src[src.clone()], &v_src[src]);
             p += run;
         }
     }
@@ -279,8 +403,8 @@ impl KvCache {
     pub fn page_stats(&self) -> PageStats {
         PageStats {
             page_size: self.page_size,
-            pages_allocated: self.pages.len(),
-            pages_live: self.pages.len() - self.free.len(),
+            pages_allocated: self.refs.len(),
+            pages_live: self.refs.len() - self.free.len(),
             pages_free: self.free.len(),
             pages_shared: self.refs.iter().filter(|&&r| r > 1).count(),
         }
@@ -416,11 +540,9 @@ impl KvCache {
                 self.tables[row].push(pid);
             } else {
                 let pid = self.alloc_page();
-                let (lo, span) = (pi * s, end - pi * s);
+                let src = pi * s * d..end * d;
                 for (li, (k, v)) in layers.iter().enumerate() {
-                    let src = lo * d..(lo + span) * d;
-                    write_kt(&mut self.pages[pid].k[li], s, 0, &k.data()[src.clone()], d);
-                    self.pages[pid].v[li][..span * d].copy_from_slice(&v.data()[src]);
+                    self.put(li, pid, 0, &k.data()[src.clone()], &v.data()[src.clone()]);
                 }
                 self.keys[pid] = Some(key.clone());
                 self.registry.insert(key, pid);
@@ -432,6 +554,46 @@ impl KvCache {
         }
     }
 
+    /// Settles a prefilled row in place: cuts row `row` to `tokens.len()`
+    /// positions in every layer (releasing its pages past them), then keys
+    /// each of its prompt pages by the token prefix it caches, as
+    /// [`KvCache::insert_row_shared`] would have keyed a copy of them. A
+    /// page whose key is already registered to another page is dropped and
+    /// that page mapped instead; a page shared with another row is copied
+    /// out before it is keyed. No position is rewritten.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row` is out of range or holds fewer than `tokens.len()`
+    /// positions in some layer.
+    pub fn register_row(&mut self, row: usize, tokens: &[usize]) {
+        let l = tokens.len();
+        for lens in &mut self.lens {
+            assert!(lens[row] >= l, "row {row} holds {} positions, not {l}", lens[row]);
+            lens[row] = l;
+        }
+        for pid in self.tables[row].split_off(l.div_ceil(self.page_size)) {
+            self.unref_page(pid);
+        }
+        for pi in 0..self.tables[row].len() {
+            let key = &tokens[..((pi + 1) * self.page_size).min(l)];
+            let pid = self.tables[row][pi];
+            match self.registry.get(key) {
+                Some(&hit) if hit == pid => {}
+                Some(&hit) => {
+                    self.refs[hit] += 1;
+                    self.tables[row][pi] = hit;
+                    self.unref_page(pid);
+                }
+                None => {
+                    let pid = self.prepare_write(row, pi);
+                    self.keys[pid] = Some(key.to_vec());
+                    self.registry.insert(key.to_vec(), pid);
+                }
+            }
+        }
+    }
+
     /// Feature width `Hkv·d_head` of the cached rows (0 before the first
     /// write).
     #[must_use]
@@ -439,55 +601,57 @@ impl KvCache {
         self.width
     }
 
-    /// Row `row`'s pages of `layer` as borrowed `(kᵀ, v)` runs in ascending
+    /// Row `row`'s positions of `layer` as borrowed [`KvRun`]s in ascending
     /// position order — the one block-table traversal every read goes
-    /// through: one run per block-table entry holding a valid position. `v`
-    /// is the run's `n` valid positions, row-major (`n · width` floats, `n`
-    /// = `page_size` but for a partial last page); `kᵀ` is the page's whole
-    /// transposed K, `[width, page_size]`, of which columns `0..n` are
-    /// valid (feature `f` of position `p` at `f · page_size + p`). A page
-    /// shared with other rows (or copied out of one) reads like any other.
-    /// An empty row, or a layer nothing was written to, yields no run.
+    /// through. A run is a maximal stretch of block-table entries whose
+    /// page ids are consecutive inside one block (see the module docs), cut
+    /// at the layer's valid length: its V is the run's valid positions,
+    /// row-major, and its `Kᵀ` is read as the block's tile panels
+    /// ([`KvRun::kt_panels`]). A page shared with other rows (or copied out
+    /// of one) reads like any other. An empty row, or a layer nothing was
+    /// written to, yields no run.
     ///
     /// # Panics
     ///
     /// Panics if `layer` is out of range, or `row` is out of range for a
     /// cache that holds contents.
-    pub fn row_runs(&self, layer: usize, row: usize) -> impl Iterator<Item = (&[f32], &[f32])> {
-        let (s, d) = (self.page_size, self.width);
+    pub fn row_runs(&self, layer: usize, row: usize) -> impl Iterator<Item = KvRun<'_>> {
+        let (s, bp) = (self.page_size, self.block_pages);
         // Before the first write there are no block tables to index.
         let (table, len) = if self.tables.is_empty() {
             (&[][..], 0)
         } else {
-            (&self.tables[row][..], self.lens[layer][row])
+            (&self.tables[row][..self.lens[layer][row].div_ceil(s)], self.lens[layer][row])
         };
-        table.iter().take(len.div_ceil(s)).enumerate().map(move |(pi, &pid)| {
-            let n = (len - pi * s).min(s) * d;
-            (&self.pages[pid].k[layer][..], &self.pages[pid].v[layer][..n])
+        let mut pi = 0;
+        std::iter::from_fn(move || {
+            let first = *table.get(pi)?;
+            let end = (pi + 1..table.len())
+                .find(|&e| table[e] != first + (e - pi) || table[e].is_multiple_of(bp))
+                .unwrap_or(table.len());
+            let n = (end * s).min(len) - pi * s;
+            pi = end;
+            Some(self.page_run(layer, first, n))
         })
     }
 
     /// Reads one batch row of `layer` back as `([l, D], [l, D])` tensors —
     /// the extraction half of slot management: the concatenation of
     /// [`KvCache::row_runs`], K transposed back to row-major, so the bytes
-    /// do not depend on the page size.
+    /// do not depend on the page size or the block layout.
     ///
     /// # Panics
     ///
     /// Panics if `layer` has no contents or `row` is out of range.
     #[must_use]
     pub fn read_slot(&self, layer: usize, row: usize) -> (Tensor, Tensor) {
-        let (len, d, s) = (self.row_lens(layer)[row], self.width(), self.page_size);
+        let (len, d) = (self.row_lens(layer)[row], self.width());
         let mut kd = vec![0.0; len * d];
         let mut vd = Vec::with_capacity(len * d);
-        for (kt, v) in self.row_runs(layer, row) {
+        for run in self.row_runs(layer, row) {
             let at = vd.len();
-            for (p, dst) in kd[at..at + v.len()].chunks_exact_mut(d).enumerate() {
-                for (x, col) in dst.iter_mut().zip(kt.chunks_exact(s)) {
-                    *x = col[p];
-                }
-            }
-            vd.extend_from_slice(v);
+            run.read_k(&mut kd[at..at + run.v.len()]);
+            vd.extend_from_slice(run.v);
         }
         (Tensor::from_vec(vec![len, d], kd), Tensor::from_vec(vec![len, d], vd))
     }
@@ -515,7 +679,7 @@ impl KvCache {
         let (s, d) = (self.page_size, self.width);
         // valid[page][layer] = widest valid span any referencing row holds
         // in that page.
-        let mut valid = vec![0usize; self.pages.len() * self.n_layers];
+        let mut valid = vec![0usize; self.refs.len() * self.n_layers];
         for (r, table) in self.tables.iter().enumerate() {
             for (pi, &pid) in table.iter().enumerate() {
                 for (li, lens) in self.lens.iter().enumerate() {
@@ -568,26 +732,15 @@ impl KvCache {
 
     /// Drops all cached tokens: every page goes back on the free list, and
     /// the prefix registry, page keys, refcounts and block tables reset. The
-    /// pages keep their buffers, so refilling the cache to the same shape
-    /// allocates no page.
+    /// blocks keep their storage, so refilling the cache to the same shape
+    /// allocates nothing.
     pub fn clear(&mut self) {
         self.refs.fill(0);
         self.keys.fill(None);
-        self.free.clear();
-        self.free.extend((0..self.pages.len()).rev());
+        self.free = (0..self.refs.len()).map(Reverse).collect();
         self.registry.clear();
         self.tables.clear();
         self.lens.iter_mut().for_each(Vec::clear);
-    }
-}
-
-/// Writes `src`'s positions (row-major, `width` floats each) into a page's
-/// transposed K, `[width, page_size]`, from column `at` on.
-fn write_kt(kt: &mut [f32], page_size: usize, at: usize, src: &[f32], width: usize) {
-    for (p, pos) in src.chunks_exact(width).enumerate() {
-        for (col, &x) in kt.chunks_exact_mut(page_size).zip(pos) {
-            col[at + p] = x;
-        }
     }
 }
 
@@ -873,16 +1026,31 @@ mod tests {
         }
     }
 
-    /// The row-major K of `runs`: each run's first `v.len() / d` columns of
-    /// its `[d, s]` transposed page, position by position.
-    fn k_of<'a>(runs: impl IntoIterator<Item = (&'a [f32], &'a [f32])>, s: usize, d: usize) -> Vec<f32> {
+    /// The row-major K of `runs`, read off each run's tile panels position
+    /// by position.
+    fn k_of<'a>(runs: impl IntoIterator<Item = KvRun<'a>>, d: usize) -> Vec<f32> {
         let mut k = Vec::new();
-        for (kt, v) in runs {
-            for p in 0..v.len() / d {
-                k.extend((0..d).map(|f| kt[f * s + p]));
+        for run in runs {
+            for (_, n, kt) in run.kt_panels() {
+                for p in 0..n {
+                    k.extend((0..d).map(|f| kt[f * KT_PANEL + p]));
+                }
             }
         }
         k
+    }
+
+    /// `run`'s panel pieces as `(first, n)`, checking they tile the run.
+    fn pieces(run: KvRun<'_>) -> Vec<(usize, usize)> {
+        let pieces: Vec<(usize, usize)> = run.kt_panels().map(|(j, n, _)| (j, n)).collect();
+        let mut next = 0;
+        for &(j, n) in &pieces {
+            assert_eq!(j, next, "pieces are contiguous");
+            assert!(0 < n && n <= KT_PANEL, "a piece is one panel at most");
+            next += n;
+        }
+        assert_eq!(next, run.keys(), "pieces cover the run");
+        pieces
     }
 
     #[test]
@@ -903,7 +1071,7 @@ mod tests {
             c.append(0, &step, &step.scale(-1.0));
             // Mid-forward: layer 1 has not appended yet, so its runs stop at
             // its own length though the block table already covers more.
-            assert_eq!(k_of(c.row_runs(1, 0), s, d).len(), l * d);
+            assert_eq!(k_of(c.row_runs(1, 0), d).len(), l * d);
             assert_eq!(c.row_runs(1, 2).count(), 0, "empty row yields no run");
             c.append(1, &step, &step.scale(-1.0));
             for (li, (prompt_k, _)) in kv.iter().enumerate() {
@@ -913,16 +1081,19 @@ mod tests {
                     let want_k = [prompt, &step.data()[row * 2 * d..(row + 1) * 2 * d]].concat();
                     let want_v: Vec<f32> = want_k.iter().map(|x| -x).collect();
                     let runs: Vec<_> = c.row_runs(li, row).collect();
-                    assert_eq!(k_of(runs.iter().copied(), s, d), want_k);
-                    assert_eq!(runs.iter().flat_map(|r| r.1).copied().collect::<Vec<_>>(), want_v);
+                    assert_eq!(k_of(runs.iter().copied(), d), want_k);
+                    assert_eq!(runs.iter().flat_map(KvRun::v).copied().collect::<Vec<_>>(), want_v);
                     let (k, v) = c.read_slot(li, row);
                     assert_eq!((k.shape(), k.data()), (&[want_k.len() / d, d][..], &want_k[..]));
                     assert_eq!(v.data(), want_v);
-                    // Whole pages, then the partial tail; each run's Kᵀ is
-                    // its whole transposed page.
-                    assert_eq!(runs.len(), (want_k.len() / d).div_ceil(s), "page={s}");
-                    assert!(runs.iter().all(|r| r.0.len() == s * d));
-                    assert!(runs.iter().rev().skip(1).all(|r| r.1.len() == s * d));
+                    // At most one run per page; a run's panel pieces tile
+                    // it, whole panels but at its two ends.
+                    assert!(runs.len() <= (want_k.len() / d).div_ceil(s), "page={s}");
+                    for run in &runs {
+                        let pieces = pieces(*run);
+                        let inner = pieces.len().saturating_sub(2);
+                        assert!(pieces.iter().skip(1).take(inner).all(|p| p.1 == KT_PANEL), "page={s}");
+                    }
                 }
             }
         }
@@ -1069,5 +1240,183 @@ mod tests {
         let mut c = KvCache::paged(1, 4);
         let kv = layer_kv(1, 0.0, 4, 2);
         c.insert_row_shared(0, 1, &kv, &[1, 2, 3]);
+    }
+
+    /// Keys per run of `row` in `layer`.
+    fn run_keys(c: &KvCache, layer: usize, row: usize) -> Vec<usize> {
+        c.row_runs(layer, row).map(|r| r.keys()).collect()
+    }
+
+    #[test]
+    fn runs_break_at_block_ends_reused_pages_and_copy_on_write() {
+        // Page 16: a block is 16 pages, 256 positions.
+        let d = 4;
+        let rows = |tag: f32, n: usize, l: usize| seq(tag, n * l, d).into_reshape(vec![n, l, d]);
+        let mut c = KvCache::paged(1, 16);
+        // Row 0's 300 positions take pages 0..=18 in order: a run per block.
+        c.append_rows(0, &[0], 3, &rows(1.0, 1, 300), &rows(2.0, 1, 300));
+        assert_eq!(run_keys(&c, 0, 0), [256, 44]);
+        // Row 1 takes pages 19 and 20, row 2 page 21. Evicting row 1 frees
+        // 19 and 20; row 2's next 32 positions reuse them, so its run breaks
+        // after page 21 however the free list orders them.
+        c.append_rows(0, &[1], 3, &rows(3.0, 1, 32), &rows(4.0, 1, 32));
+        c.append_rows(0, &[2], 3, &rows(5.0, 1, 16), &rows(6.0, 1, 16));
+        assert_eq!(run_keys(&c, 0, 1), [32]);
+        c.clear_slot(1);
+        c.append_rows(0, &[2], 3, &rows(7.0, 1, 32), &rows(8.0, 1, 32));
+        let keys = run_keys(&c, 0, 2);
+        assert_eq!((keys[0], keys.iter().sum::<usize>()), (16, 48), "{keys:?}");
+        assert_eq!(c.page_stats().pages_allocated, 22, "the evicted pages were reused");
+        // One-position steps over two rows interleave their pages: every
+        // page is its own run.
+        let mut c = KvCache::paged(1, 16);
+        for step in 0..64 {
+            c.append(0, &rows(step as f32, 2, 1), &rows(-(step as f32), 2, 1));
+        }
+        assert_eq!(run_keys(&c, 0, 0), [16; 4]);
+        // Two rows map one 24-position prompt (pages 0 and 1: one run); an
+        // append copies row 0's shared tail page out, breaking its run.
+        let mut c = KvCache::paged(1, 16);
+        let kv = layer_kv(1, 1.0, 24, d);
+        let tokens: Vec<usize> = (0..24).collect();
+        c.insert_row_shared(0, 2, &kv, &tokens);
+        c.insert_row_shared(1, 2, &kv, &tokens);
+        assert_eq!((run_keys(&c, 0, 0), run_keys(&c, 0, 1)), (vec![24], vec![24]));
+        c.append_rows(0, &[0], 2, &rows(9.0, 1, 1), &rows(9.0, 1, 1));
+        assert_eq!((run_keys(&c, 0, 0), run_keys(&c, 0, 1)), (vec![16, 9], vec![24]));
+        assert_eq!(c.read_slot(0, 1).0.data(), kv[0].0.data());
+    }
+
+    #[test]
+    fn kt_panels_tile_every_page_size() {
+        let d = 8;
+        for s in [1, 3, 16, 40, 128] {
+            // Row 0 takes a first page; row 1's 300 positions start on the
+            // page after it and run past the block's end.
+            let mut c = KvCache::paged(2, s);
+            let (k0, k1) = (seq(1.0, s, d), seq(500.0, 300, d));
+            for layer in 0..2 {
+                c.append_rows(layer, &[0], 2, &k0.reshape(vec![1, s, d]), &k0.scale(-1.0).reshape(vec![1, s, d]));
+                c.append_rows(layer, &[1], 2, &k1.reshape(vec![1, 300, d]), &k1.scale(-1.0).reshape(vec![1, 300, d]));
+            }
+            let block = (256 / s).max(1) * s;
+            for layer in 0..2 {
+                let runs: Vec<KvRun<'_>> = c.row_runs(layer, 1).collect();
+                assert_eq!(k_of(runs.iter().copied(), d), k1.data(), "S={s}");
+                assert_eq!(runs.iter().flat_map(KvRun::v).copied().collect::<Vec<_>>(), k1.scale(-1.0).data());
+                // Every block here holds two pages or more: row 1 starts one
+                // page into block 0, and its runs end at block ends.
+                assert_eq!(runs[0].keys(), block - s, "S={s}");
+                assert!(runs.iter().rev().skip(1).all(|r| r.keys() % s == 0), "S={s}");
+                let first_pieces = pieces(runs[0]);
+                let row0 = pieces(c.row_runs(layer, 0).next().expect("row 0 has a run"));
+                match s {
+                    // A 40-position page straddles two panels: page 0 is
+                    // panel 0 and 8 keys of panel 1; row 1's run starts 40
+                    // positions in, 24 keys before panel 2.
+                    40 => {
+                        assert_eq!(row0, [(0, 32), (32, 8)]);
+                        assert_eq!(&first_pieces[..2], [(0, 24), (24, 32)]);
+                    }
+                    // A 128-position page spans four whole panels.
+                    128 => {
+                        assert_eq!(row0, [(0, 32), (32, 32), (64, 32), (96, 32)]);
+                        assert_eq!(first_pieces, row0);
+                    }
+                    _ => assert!(first_pieces.iter().skip(1).all(|p| p.1 == KT_PANEL || p.0 + p.1 == runs[0].keys())),
+                }
+                for run in &runs {
+                    pieces(*run);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn reads_and_counters_are_the_page_pools_at_every_page_size() {
+        // What the cache reports does not depend on how pages are stored:
+        // rows read back as written, valid positions are counted once per
+        // physical page, and the counters count pages.
+        let (d, n_layers) = (4, 2);
+        for s in [1, 3, 16, 40, 128] {
+            let mut c = KvCache::paged(n_layers, s);
+            let mut shadow = Shadow(vec![vec![(vec![], vec![]); 3]; n_layers]);
+            // Ragged chunks, then interleaved one-position steps.
+            for (row, l) in [(0, 270), (1, 37), (2, 5)] {
+                for layer in 0..n_layers {
+                    let (k, v) = (seq(row as f32, l, d), seq(-(row as f32), l, d));
+                    c.append_rows(layer, &[row], 3, &k.reshape(vec![1, l, d]), &v.reshape(vec![1, l, d]));
+                    shadow.set_row(layer, row, &k, &v);
+                }
+            }
+            for step in 0..20 {
+                let t = seq(1000.0 + step as f32, 3, d).into_reshape(vec![3, 1, d]);
+                for layer in 0..n_layers {
+                    c.append(layer, &t, &t.scale(0.5));
+                    shadow.append(layer, &t, &t.scale(0.5));
+                }
+            }
+            shadow.assert_matches(&c, &format!("S={s}"));
+            let lens: [usize; 3] = [290, 57, 25];
+            let pages: usize = lens.iter().map(|l| l.div_ceil(s)).sum();
+            assert_eq!(c.total_elements(), 2 * d * n_layers * lens.iter().sum::<usize>(), "S={s}");
+            let want = PageStats { page_size: s, pages_allocated: pages, pages_live: pages, pages_free: 0, pages_shared: 0 };
+            assert_eq!(c.page_stats(), want, "S={s}");
+            c.clear_slot(1);
+            let st = c.page_stats();
+            assert_eq!((st.pages_live, st.pages_free), (pages - 57usize.div_ceil(s), 57usize.div_ceil(s)), "S={s}");
+        }
+    }
+
+    #[test]
+    fn register_row_keys_a_prefilled_row_in_place() {
+        // A row prefilled past its prompt (right padding), settled in place,
+        // reads and counts as the same row copied out and inserted with its
+        // prompt would: pages past the prompt released, prompt pages keyed
+        // for the next sharer, and a page whose key another page already
+        // holds swapped for that page.
+        let (s, d, l) = (4, 2, 10);
+        for settle_in_place in [false, true] {
+            let mut c = KvCache::paged(2, s);
+            let tokens: Vec<usize> = (0..l).collect();
+            // Row 0 holds the prompt's first 8 tokens, registered.
+            let kv = layer_kv(2, 1.0, l, d);
+            let head: Vec<(Tensor, Tensor)> = kv.iter().map(|(k, v)| (k.slice(0, 0, 8), v.slice(0, 0, 8))).collect();
+            c.insert_row_shared(0, 3, &head, &tokens[..8]);
+            // Row 1 is prefilled privately with the prompt plus 3 padding
+            // positions.
+            for (li, (k, v)) in kv.iter().enumerate() {
+                let pad = Tensor::full(vec![3, d], 99.0);
+                let k = Tensor::concat(&[k, &pad], 0).into_reshape(vec![1, l + 3, d]);
+                let v = Tensor::concat(&[v, &pad], 0).into_reshape(vec![1, l + 3, d]);
+                c.append_rows(li, &[1], 3, &k, &v);
+            }
+            assert_eq!(c.page_stats().pages_live, 2 + 4);
+            if settle_in_place {
+                c.register_row(1, &tokens);
+            } else {
+                let copy: Vec<(Tensor, Tensor)> = (0..2)
+                    .map(|li| {
+                        let (k, v) = c.read_slot(li, 1);
+                        (k.slice(0, 0, l), v.slice(0, 0, l))
+                    })
+                    .collect();
+                c.insert_row_shared(1, 3, &copy, &tokens);
+            }
+            let ctx = format!("in place: {settle_in_place}");
+            assert_eq!(c.row_lens(0), &[8, l, 0], "{ctx}");
+            assert_eq!(c.row_lens(1), &[8, l, 0], "{ctx}");
+            // Pages 0 and 1 are row 0's; row 1's partial page is its own.
+            let st = c.page_stats();
+            assert_eq!((st.pages_live, st.pages_shared), (3, 2), "{ctx}");
+            for (li, (k, v)) in kv.iter().enumerate() {
+                assert_eq!(c.read_slot(li, 1).0.data(), k.data(), "{ctx}");
+                assert_eq!(c.read_slot(li, 1).1.data(), v.data(), "{ctx}");
+            }
+            // The whole prompt is now registered: a third row maps every page.
+            c.insert_row_shared(2, 3, &kv, &tokens);
+            assert_eq!(c.page_stats().pages_live, 3, "{ctx}");
+            assert_eq!(c.total_elements(), 2 * 2 * l * d, "{ctx}");
+        }
     }
 }

@@ -4,7 +4,7 @@
 use esti_tensor::{ops, Tensor};
 
 use crate::config::{BlockKind, MlpKind, ModelConfig, PositionKind};
-use crate::kvcache::KvCache;
+use crate::kvcache::{KvCache, KT_PANEL};
 use crate::weights::{LayerWeights, Weights};
 
 /// An unpartitioned decoder-only Transformer.
@@ -266,11 +266,13 @@ pub fn attention_over_cache(q: &Tensor, cache: &KvCache, layer: usize, d_head: u
 /// gather, no per-head K/V copies, no per-head score tensors. Per row, KV
 /// head and block of `QB` (8) query positions — `lanes`, a lane being one
 /// query head at one query position — it (1) scores the lanes' queries
-/// against each page's stored `Kᵀ` panel with one call of the GEMM register
-/// tile ([`ops::gemm_strided`]: keys on the vector lanes) into a reused
-/// `[lane, key]` scratch, (2) turns each lane's row into probabilities,
-/// (3) sums each page's V rows under those probabilities with a second
-/// tile call (head dims on the vector lanes), into the lanes' outputs.
+/// against each run's stored `Kᵀ` one 32-key tile panel at a time
+/// ([`crate::kvcache::KvRun::kt_panels`]), one call of the GEMM register
+/// tile per panel piece ([`ops::gemm_strided`]: keys on the vector lanes)
+/// into a reused `[lane, key]` scratch, (2) turns each lane's row into
+/// probabilities, (3) sums each run's V rows under those probabilities with
+/// one more tile call per run (head dims on the vector lanes, `k` the run's
+/// keys), into the lanes' outputs.
 ///
 /// Accumulation contract (what keeps every layout and every page size
 /// bit-identical, and identical to the step-by-step `matmul → scale →
@@ -279,8 +281,8 @@ pub fn attention_over_cache(q: &Tensor, cache: &KvCache, layer: usize, d_head: u
 /// in ascending `d`, then `s · 1/√dh` (the tile's scale at store); a
 /// probability is `e_j / Σe` with `e_j = exp2((s_j − max)·log2 e)`, `max`
 /// folded and `Σe` summed from `0` in ascending `j`; an output is one chain
-/// `o = 0; o = fma(p_j, v[j][d], o)` in ascending `j`, carried from page to
-/// page in the lanes' output rows. These are the GEMM tile's chains, so the
+/// `o = 0; o = fma(p_j, v[j][d], o)` in ascending `j`, carried from run to
+/// run in the lanes' output rows. These are the GEMM tile's chains, so the
 /// composition's matmuls give the same bits. Never a separately rounded
 /// product, never a rescaled partial sum. Keys past a block's last query
 /// are skipped; the few its earlier queries must not see are scored
@@ -322,7 +324,7 @@ pub fn attention_over_rows_into(
     let lens = cache.row_lens(layer);
     assert_eq!(rows.len(), b, "one cache row per batch row");
     assert_eq!(out.shape(), q.shape(), "attention output shape mismatch");
-    let (kw, page) = (cache.width(), cache.page_size());
+    let kw = cache.width();
     assert!(qw.is_multiple_of(d_head) && kw.is_multiple_of(d_head), "head width mismatch");
     let (hq, hkv) = (qw / d_head, kw / d_head);
     let scale = 1.0 / (d_head as f32).sqrt();
@@ -333,12 +335,12 @@ pub fn attention_over_rows_into(
     for (bi, &row) in rows.iter().enumerate() {
         let l_k = lens[row];
         assert!(l_k >= l_q, "row {row} length {l_k} shorter than query length {l_q}");
-        // The row's pages as `(first key, keys, Kᵀ, V)`.
-        let pages = || {
-            cache.row_runs(layer, row).scan(0, move |j0, (kt, v)| {
+        // The row's runs as `(first key, run)`.
+        let runs = || {
+            cache.row_runs(layer, row).scan(0, |j0, run| {
                 let at = *j0;
-                *j0 += v.len() / kw;
-                Some((at, v.len() / kw, kt, v))
+                *j0 += run.keys();
+                Some((at, run))
             })
         };
         for g in 0..hkv.min(hq) {
@@ -359,19 +361,23 @@ pub fn attention_over_rows_into(
                 ps.clear();
                 ps.resize(lanes * ctx, 0.0);
 
-                // (1) S[lane][j] = (0 + Σ_d q·k)·scale, one tile call per page.
-                for (j0, n, kt, _) in pages().take_while(|p| p.0 < ctx) {
-                    let (kt_g, n) = (&kt[g * d_head * page..], n.min(ctx - j0));
-                    ops::gemm_strided(&qs, d_head, lanes, d_head, kt_g, page, n, &mut ps[j0..], ctx, Some(scale));
+                // (1) S[lane][j] = (0 + Σ_d q·k)·scale, one tile call per
+                // panel piece of each run.
+                for (j0, run) in runs().take_while(|r| r.0 < ctx) {
+                    let pieces = run.kt_panels().map(|(p, n, kt)| (j0 + p, n, kt));
+                    for (j, n, kt) in pieces.take_while(|p| p.0 < ctx) {
+                        let (kt_g, n) = (&kt[g * d_head * KT_PANEL..], n.min(ctx - j));
+                        ops::gemm_strided(&qs, d_head, lanes, d_head, kt_g, KT_PANEL, n, &mut ps[j..], ctx, Some(scale));
+                    }
                 }
 
                 // (2) `softmax_base2` along each lane's row.
                 softmax_lanes(&mut ps, ctx, lanes, seen);
 
-                // (3) O[lane] += Σ_j p·v, one tile call per page.
-                for (j0, n, _, v) in pages().take_while(|p| p.0 < ctx) {
-                    let (p_j, n) = (&ps[j0..], n.min(ctx - j0));
-                    ops::gemm_strided(p_j, ctx, lanes, n, &v[g * d_head..], kw, d_head, &mut os, d_head, None);
+                // (3) O[lane] += Σ_j p·v, one tile call per run.
+                for (j0, run) in runs().take_while(|r| r.0 < ctx) {
+                    let (p_j, n) = (&ps[j0..], run.keys().min(ctx - j0));
+                    ops::gemm_strided(p_j, ctx, lanes, n, &run.v()[g * d_head..], kw, d_head, &mut os, d_head, None);
                 }
                 for (l, o) in os.chunks_exact(d_head).enumerate() {
                     out[at(l)..][..d_head].copy_from_slice(o);
@@ -544,16 +550,25 @@ mod tests {
                 cache.append(li, &step(3), &step(5));
             }
             assert_eq!(cache.row_lens(1), &[21 + l_q, 21 + l_q, l_q, 37 + l_q]);
-            let q = noise(vec![4, l_q, hq * dh], 11);
-            let fused = attention_over_cache(&q, &cache, 1, dh);
-            let oracle = attention_unfused(&q, &cache, 1, dh);
-            assert_eq!(fused.shape(), oracle.shape());
-            for (i, (a, b)) in fused.data().iter().zip(oracle.data()).enumerate() {
-                assert_eq!(
-                    a.to_bits(),
-                    b.to_bits(),
-                    "Hq={hq} Hkv={hkv} dh={dh} l_q={l_q} page={page} element {i}: {a} vs {b}"
-                );
+            // Then row 2 is re-admitted with 300 positions and more, longer
+            // than one block of pages (256 positions or fewer) at every
+            // page size: its runs break at a block end.
+            for long in [false, true] {
+                if long {
+                    let n = 300 + l_q;
+                    cache.insert_row_shared(2, 4, &prompt(n, 3), &(200..200 + n).collect::<Vec<_>>());
+                }
+                let q = noise(vec![4, l_q, hq * dh], 11);
+                let fused = attention_over_cache(&q, &cache, 1, dh);
+                let oracle = attention_unfused(&q, &cache, 1, dh);
+                assert_eq!(fused.shape(), oracle.shape());
+                for (i, (a, b)) in fused.data().iter().zip(oracle.data()).enumerate() {
+                    assert_eq!(
+                        a.to_bits(),
+                        b.to_bits(),
+                        "Hq={hq} Hkv={hkv} dh={dh} l_q={l_q} page={page} element {i}: {a} vs {b}"
+                    );
+                }
             }
         }
     }

@@ -1,6 +1,7 @@
 // Release-mode timings of the fused attention kernel (ignored by default) at
 // the shapes one simulated chip runs in the serving benchmark's workloads
-// (`palm-micro`: multiquery, 8 heads of 32; four chips).
+// (`palm-micro`: multiquery, 8 heads of 32; four chips), warm and, for the
+// decode shapes, over a cache built and left cold the way the engine's is.
 //
 //   cargo test --release -p esti-model --test attention_speed -- --ignored --nocapture
 use esti_model::reference::attention_over_rows_into;
@@ -9,6 +10,16 @@ use esti_tensor::Tensor;
 use std::time::Instant;
 
 const D_HEAD: usize = 32;
+/// Layers of the in-engine rows' cache (`palm-micro`'s).
+const LAYERS: usize = 4;
+/// Rows of the in-engine rows' cache: `longctx_decode`'s conversations.
+const CACHE_ROWS: usize = 4;
+/// `longctx_decode`'s prefill chunk and chunk-prefilled context.
+const CHUNK: usize = 256;
+const CONTEXT: usize = 2048;
+/// Bytes written between two in-engine calls, so a call finds the cache
+/// as cold as the rest of a step leaves it.
+const CLOBBER: usize = 16 << 20;
 
 fn fill(shape: Vec<usize>, salt: usize) -> Tensor {
     let n = shape.iter().product();
@@ -16,10 +27,57 @@ fn fill(shape: Vec<usize>, salt: usize) -> Tensor {
     Tensor::from_vec(shape, data)
 }
 
+/// A `LAYERS`-layer cache of `CACHE_ROWS` rows of `keys` positions, built
+/// the way `longctx_decode` builds its own: 256-position chunks over every
+/// row up to its 2048-position context, then one position per row per step,
+/// so the rows' decode pages interleave in the pool.
+fn engine_like_cache(keys: usize) -> KvCache {
+    let mut cache = KvCache::new(LAYERS);
+    let chunked = keys.min(CONTEXT) / CHUNK * CHUNK;
+    let mut at = 0;
+    while at < keys {
+        let n = if at < chunked { CHUNK } else { 1 };
+        for layer in 0..LAYERS {
+            let salt = 2 * (at * LAYERS + layer);
+            cache.append(layer, &fill(vec![CACHE_ROWS, n, D_HEAD], salt), &fill(vec![CACHE_ROWS, n, D_HEAD], salt + 1));
+        }
+        at += n;
+    }
+    cache
+}
+
+/// Median µs of `reps` calls of `attention_over_rows_into` of `q` over rows
+/// `0..q.dim(0)` of `cache`, cycling through its layers; `clobber`, if
+/// given, is written whole before every call (untimed).
+fn median_us(cache: &KvCache, q: &Tensor, reps: usize, mut clobber: Option<&mut Vec<u8>>) -> f64 {
+    let row_map: Vec<usize> = (0..q.dim(0)).collect();
+    let mut out = Tensor::zeros(q.shape().to_vec());
+    let mut times: Vec<f64> = (0..reps + 2)
+        .map(|rep| {
+            if let Some(buf) = clobber.as_deref_mut() {
+                buf.iter_mut().for_each(|b| *b = b.wrapping_add(1));
+                std::hint::black_box(&buf);
+            }
+            out.data_mut().fill(0.0);
+            let t = Instant::now();
+            attention_over_rows_into(q, cache, &row_map, rep % cache.n_layers(), D_HEAD, std::hint::black_box(&mut out));
+            t.elapsed().as_secs_f64() * 1e6
+        })
+        .skip(2)
+        .collect();
+    times.sort_by(f64::total_cmp);
+    times[times.len() / 2]
+}
+
 /// Prints the median µs per `attention_over_rows_into` call for `rows` cache
 /// rows of `keys` positions each, `l_q` of them queries, `heads` query heads
 /// over one KV head, and the GFLOP/s it makes of the causal work: `2·d_head`
 /// flops per (query head, visible key) for `Q·Kᵀ` and as many for `P·V`.
+///
+/// Each row is timed warm, over one layer built by one append; a decode
+/// shape is timed again *in-engine*: over the `LAYERS`-layer cache
+/// [`engine_like_cache`] builds, layer after layer, with `CLOBBER` bytes
+/// written before every call. Nothing is gated on time.
 #[test]
 #[ignore]
 fn attention_at_workload_shapes() {
@@ -32,37 +90,25 @@ fn attention_at_workload_shapes() {
         ("chat_steady decode", 1, 1, 104, 2),
     ];
     eprintln!(
-        "{:>27} {:>4} {:>4} {:>5} {:>5} {:>9} {:>7}",
+        "{:>39} {:>4} {:>4} {:>5} {:>5} {:>9} {:>7}",
         "shape", "rows", "l_q", "keys", "heads", "median µs", "GFLOP/s"
     );
+    let mut clobber = vec![0u8; CLOBBER];
     for (name, rows, l_q, keys, heads) in shapes {
-        let mut cache = KvCache::new(1);
-        cache.append(0, &fill(vec![rows, keys, D_HEAD], 1), &fill(vec![rows, keys, D_HEAD], 2));
         let q = fill(vec![rows, l_q, heads * D_HEAD], 3);
-        let row_map: Vec<usize> = (0..rows).collect();
-        let mut out = Tensor::zeros(q.shape().to_vec());
-        let reps = (2_000_000 / (rows * l_q * keys * heads)).clamp(5, 400);
-        let mut times: Vec<f64> = (0..reps + 2)
-            .map(|_| {
-                out.data_mut().fill(0.0);
-                let t = Instant::now();
-                attention_over_rows_into(
-                    &q,
-                    &cache,
-                    &row_map,
-                    0,
-                    D_HEAD,
-                    std::hint::black_box(&mut out),
-                );
-                t.elapsed().as_secs_f64() * 1e6
-            })
-            .skip(2)
-            .collect();
-        times.sort_by(f64::total_cmp);
-        let median = times[times.len() / 2];
         // Query i of l_q sees keys - l_q + i + 1 keys.
         let visible = l_q * (keys - l_q + 1) + l_q * (l_q - 1) / 2;
-        let gflops = (4 * D_HEAD * heads * rows * visible) as f64 / (median * 1e3);
-        eprintln!("{name:>27} {rows:>4} {l_q:>4} {keys:>5} {heads:>5} {median:>9.1} {gflops:>7.1}");
+        let print = |name: &str, median: f64| {
+            let gflops = (4 * D_HEAD * heads * rows * visible) as f64 / (median * 1e3);
+            eprintln!("{name:>39} {rows:>4} {l_q:>4} {keys:>5} {heads:>5} {median:>9.1} {gflops:>7.1}");
+        };
+        let mut cache = KvCache::new(1);
+        cache.append(0, &fill(vec![rows, keys, D_HEAD], 1), &fill(vec![rows, keys, D_HEAD], 2));
+        let reps = (2_000_000 / (rows * l_q * keys * heads)).clamp(5, 400);
+        print(name, median_us(&cache, &q, reps, None));
+        if l_q == 1 {
+            let median = median_us(&engine_like_cache(keys), &q, reps.min(100), Some(&mut clobber));
+            print(&format!("{name} (in-engine)"), median);
+        }
     }
 }

@@ -692,6 +692,28 @@ impl PartitionedEngine {
         self.ages[slot] = kv.len;
     }
 
+    /// Settles slot `slot` in place after a prefill: cuts it to
+    /// `tokens.len()` positions (the prompt that produced them, right
+    /// padding dropped) and keys its prompt pages for later sharers on
+    /// every chip holding it ([`KvCache::register_row`]), leaving the KV
+    /// exactly as [`PartitionedEngine::insert_kv_shared`] of the slot's own
+    /// extracted, truncated KV would, without copying it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slot` is out of range or holds fewer than `tokens.len()`
+    /// positions.
+    pub fn register_slot(&mut self, slot: usize, tokens: &[usize]) {
+        let b = self.ages.len();
+        assert!(slot < b, "slot {slot} out of range for batch {b}");
+        for ci in 0..self.chips.len() {
+            if let Some(row) = self.local_row(&self.chips[ci], b, slot) {
+                self.chips[ci].cache.register_row(row, tokens);
+            }
+        }
+        self.ages[slot] = tokens.len();
+    }
+
     /// Evicts slot `slot`: its pages lose this slot's reference and its age
     /// resets to zero. An empty slot costs a pass nothing — passes run the
     /// slots they are given — except where it pads its span for one pass

@@ -1034,9 +1034,7 @@ impl ContinuousBatcher {
         }
         for row in rows {
             if row.holds {
-                let mut kv = self.engine.extract_kv(row.slot);
-                kv.truncate(row.prompt.len());
-                self.engine.insert_kv_shared(row.slot, &kv, row.prompt);
+                self.engine.register_slot(row.slot, row.prompt);
             } else {
                 self.engine.evict_slot(row.slot);
             }
