@@ -140,6 +140,11 @@ echo "== paged-KV conformance: streams identical to isolated generate at every p
 # the >= 2x shared-prefix capacity claim at an equal KV position budget.
 cargo test -q --release -p esti-runtime --test paged
 ESTI_DISABLE_SIMD=1 cargo test -q --release -p esti-runtime --test paged
+# The pool's own suite: the block-affine page rule (long rows stepping
+# together keep whole blocks), runs cut at a range, shared prefixes, the
+# counters and copy-on-write, under both tile settings.
+cargo test -q --release -p esti-model --lib kvcache::
+ESTI_DISABLE_SIMD=1 cargo test -q --release -p esti-model --lib kvcache::
 # One KV store, one option: the slab backend, its selector enum and the
 # environment variable that picked between them stay gone.
 if grep -rnE "Backend::Slab|KvBackend|kv_backend|ESTI_KV_PAGE_SIZE" crates src tests examples; then

@@ -18,7 +18,8 @@
 //!   phase that gathers weights: a weight-gathered engine decodes on its
 //!   1D weight-stationary partner, which gathers none;
 //! * the deadline-based collective wait (PR 5's fault model) costs <= 1.05x
-//!   of the blocking barrier on a fault-free decode step;
+//!   of the blocking barrier on a fault-free decode step (the mean of 16
+//!   per-step minima over 8 rounds, the two engines stepping in turn);
 //! * the paged KV cache fits >= 2.0x the concurrent requests a dense
 //!   per-slot reservation (`budget / longest request`) would at an equal
 //!   KV position budget on a shared-prefix workload.
@@ -541,26 +542,35 @@ fn main() {
     let build_engine = |deadline: Option<std::time::Duration>| {
         let mut engine = PartitionedEngine::new(&model, ws1d, WeightFormat::Exact);
         engine.set_collective_deadline(deadline);
-        let _ = engine.try_prefill(&prompts(cfg.vocab)).unwrap();
         engine
     };
     let mut engines = [build_engine(None), build_engine(Some(esti_runtime::DEFAULT_COLLECTIVE_DEADLINE))];
     let next: Vec<usize> = (0..BATCH).map(|b| b % cfg.vocab).collect();
-    // Interleave the two measurements round by round so slow drift in
-    // machine load (thermal, co-tenant noise) hits both variants equally,
-    // and alternate which one runs first so neither always runs second.
-    let mut best = [f64::INFINITY; 2];
-    for round in 0..9 {
-        for i in [round % 2, 1 - round % 2] {
-            let engine = &mut engines[i];
-            best[i] = best[i].min(time_best(1, || {
-                for _ in 0..DECODE_STEPS {
-                    let _ = engine.try_decode_step(&next).unwrap();
-                }
-            }));
+    // Per-step minima: each of `ROUNDS` rounds refills both caches to the
+    // prompt and runs `STEPS` steps on each engine, the two taking single
+    // steps in turn (which goes first alternating), so slow drift in machine
+    // load hits both alike. Step `s` runs at the same length in every round
+    // and on both engines; its time is its minimum over the rounds, and a
+    // side's time is the sum of its steps' minima, so no one fast or slow
+    // sample sets it (`ROUNDS × STEPS` = 128 samples a side).
+    const STEPS: usize = 16;
+    const ROUNDS: usize = 8;
+    let mut best = [[f64::INFINITY; 2]; STEPS];
+    for round in 0..ROUNDS {
+        for engine in &mut engines {
+            engine.reset();
+            let _ = engine.try_prefill(&prompts(cfg.vocab)).unwrap();
+        }
+        for (step, best) in best.iter_mut().enumerate() {
+            let first = (round + step) % 2;
+            for i in [first, 1 - first] {
+                let t = Instant::now();
+                let _ = engines[i].try_decode_step(&next).unwrap();
+                best[i] = best[i].min(t.elapsed().as_secs_f64());
+            }
         }
     }
-    let [t_blocking, t_deadline] = best.map(|t| t / DECODE_STEPS as f64);
+    let [t_blocking, t_deadline] = [0, 1].map(|i| best.iter().map(|b| b[i]).sum::<f64>() / STEPS as f64);
     let gate_deadline = t_deadline / t_blocking;
     println!(
         "decode step: blocking barrier {:.0} us vs deadline barrier {:.0} us (ratio {gate_deadline:.3})",

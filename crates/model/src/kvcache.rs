@@ -43,13 +43,18 @@
 //! is one row-major slice, and its `Kᵀ` is a few whole tile panels (a
 //! piece at either end when the run starts or stops inside one). A row
 //! whose pages were handed out in order is one run per block whatever the
-//! page size, and the free list hands pages out lowest id first, so pages
-//! freed together come back in order. A page out of order (decode pages
-//! interleaved with other rows', a free page reused), a copied-on-write
-//! page or a block end breaks a run, never a value. The
-//! attention kernel scores a run one panel piece at a time (`Q·Kᵀ`, keys on
-//! the vector lanes) and sums it with one `P·V` call (head dims on the
-//! lanes).
+//! page size. A page out of order (a short row's decode pages interleaved
+//! with other rows', a free page reused), a copied-on-write page or a block
+//! end breaks a run, never a value. The attention kernel scores a run one
+//! panel piece at a time (`Q·Kᵀ`, keys on the vector lanes) and sums it
+//! with one `P·V` call (head dims on the lanes); it reads rows through
+//! [`KvCache::row_runs_in`] (the runs cut to a range of keys), a group of
+//! rows' common pages ([`KvCache::shared_prefix`]) once for all of them.
+//!
+//! **Allocation** is *block-affine* (the rule is on the `free` field):
+//! long rows that step together each fill blocks of their own, read as
+//! whole runs, instead of taking pages in turn, while short rows keep the
+//! footprint page-id order gives them.
 //!
 //! Determinism makes prefix sharing exact rather than approximate: causal
 //! attention means K/V at position `p` depend only on tokens `0..=p`, and
@@ -59,8 +64,8 @@
 //! therefore invisible in the token streams (proven by the paged
 //! conformance suite).
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::{BTreeSet, HashMap};
+use std::ops::Range;
 
 use esti_tensor::Tensor;
 
@@ -189,16 +194,27 @@ pub struct KvCache {
     width: usize,
     /// `blocks[i]` stores pages `i·B .. (i+1)·B`.
     blocks: Vec<Block>,
-    /// Per page id: references; its length is the pages ever handed out.
+    /// Per page id: references; its length is every block's pages.
     refs: Vec<usize>,
     /// The token prefix a page caches, when it was admitted via
     /// [`KvCache::insert_row_shared`] or keyed by [`KvCache::register_row`]
     /// and is still bit-exact for that prefix (cleared on any in-place
     /// write).
     keys: Vec<Option<Vec<usize>>>,
-    /// Free page ids, handed out lowest first, so pages freed together
-    /// come back in order and a re-admitted row's pages form runs.
-    free: BinaryHeap<Reverse<usize>>,
+    /// Page ids handed out before and now unreferenced. The allocation rule
+    /// is block-affine: a row's next page is the page after its last when
+    /// that page is free (here or untouched) and in the same block; a row
+    /// that already holds a block's worth of pages starts its next block on
+    /// the lowest wholly free block, or on a new one. Every other page — a
+    /// row's first, a short row's next when its neighbour is taken, a
+    /// copy-on-write copy — is the lowest free page, else the lowest
+    /// untouched one, so pages freed together come back in order and short
+    /// rows use as many blocks as they would in page-id order. Long rows
+    /// stepping together so each hold whole blocks, read as whole runs.
+    free: BTreeSet<usize>,
+    /// Pages of a block that were never handed out (neither live nor free:
+    /// [`PageStats`] counts pages handed out).
+    untouched: BTreeSet<usize>,
     /// Exact token prefix → page id. A key of length `e` always maps the
     /// page covering positions `(⌈e/S⌉−1)·S .. e`, so keys double as page
     /// indices.
@@ -244,7 +260,8 @@ impl KvCache {
             blocks: Vec::new(),
             refs: Vec::new(),
             keys: Vec::new(),
-            free: BinaryHeap::new(),
+            free: BTreeSet::new(),
+            untouched: BTreeSet::new(),
             registry: HashMap::new(),
             tables: Vec::new(),
             lens: vec![Vec::new(); n_layers],
@@ -259,6 +276,7 @@ impl KvCache {
                 self.refs.clear();
                 self.keys.clear();
                 self.free.clear();
+                self.untouched.clear();
             }
             self.tables = vec![Vec::new(); batch];
             self.lens.iter_mut().for_each(|l| *l = vec![0; batch]);
@@ -274,24 +292,58 @@ impl KvCache {
         (positions.div_ceil(KT_PANEL) * KT_PANEL * self.width, positions * self.width)
     }
 
-    /// Pops the lowest free page or hands out the next page id, allocating its
-    /// block's storage when it is the block's first; the page starts
-    /// private (refcount 1, no key).
-    fn alloc_page(&mut self) -> usize {
-        if let Some(Reverse(id)) = self.free.pop() {
-            self.refs[id] = 1;
-            self.keys[id] = None;
-            id
-        } else {
-            let id = self.refs.len();
-            if id.is_multiple_of(self.block_pages) {
-                let (kl, vl) = self.layer_lens();
-                self.blocks.push(Block { kt: vec![0.0; self.n_layers * kl], v: vec![0.0; self.n_layers * vl] });
-            }
-            self.refs.push(1);
-            self.keys.push(None);
-            id
+    /// Appends a block with its storage, its pages untouched; returns its
+    /// index.
+    fn new_block(&mut self) -> usize {
+        let (kl, vl) = self.layer_lens();
+        self.blocks.push(Block { kt: vec![0.0; self.n_layers * kl], v: vec![0.0; self.n_layers * vl] });
+        let pages = self.refs.len()..self.refs.len() + self.block_pages;
+        self.refs.resize(pages.end, 0);
+        self.keys.resize(pages.end, None);
+        self.untouched.extend(pages);
+        self.blocks.len() - 1
+    }
+
+    /// Hands out page `id`, free or untouched: it starts private (refcount
+    /// 1, no key).
+    fn take_page(&mut self, id: usize) -> usize {
+        if !self.free.remove(&id) {
+            assert!(self.untouched.remove(&id), "page {id} is not free");
         }
+        self.refs[id] = 1;
+        self.keys[id] = None;
+        id
+    }
+
+    /// The lowest-free rule: the lowest free page, else the lowest untouched
+    /// one, else the first page of a new block.
+    fn alloc_page(&mut self) -> usize {
+        let id = match self.free.first().or(self.untouched.first()) {
+            Some(&id) => id,
+            None => self.new_block() * self.block_pages,
+        };
+        self.take_page(id)
+    }
+
+    /// Hands out row `r`'s next block-table page by the block-affine rule
+    /// (see `free`): the page after its last when that one is free in the
+    /// same block; for a row holding a block's worth of pages, the first
+    /// page of the lowest wholly free block or of a new one; else
+    /// [`KvCache::alloc_page`]'s.
+    fn next_page(&mut self, r: usize) -> usize {
+        let (table, bp) = (&self.tables[r], self.block_pages);
+        if let Some(&last) = table.last() {
+            let next = last + 1;
+            if !next.is_multiple_of(bp) && self.refs[next] == 0 {
+                return self.take_page(next);
+            }
+            if table.len() >= bp {
+                let block = self.refs.chunks(bp).position(|b| b.iter().all(|&n| n == 0));
+                let block = block.unwrap_or_else(|| self.new_block());
+                return self.take_page(block * bp);
+            }
+        }
+        self.alloc_page()
     }
 
     /// Writes `k` and `v` (row-major, `width` floats per position) into
@@ -308,10 +360,11 @@ impl KvCache {
         }
     }
 
-    /// Page `pid`'s `layer` as a run of its first `n` positions.
-    fn page_run(&self, layer: usize, pid: usize, n: usize) -> KvRun<'_> {
+    /// Page `pid`'s `layer` as a run of `n` positions from position `off`
+    /// of the page on.
+    fn page_run(&self, layer: usize, pid: usize, off: usize, n: usize) -> KvRun<'_> {
         let ((kl, vl), d) = (self.layer_lens(), self.width);
-        let at = pid % self.block_pages * self.page_size;
+        let at = pid % self.block_pages * self.page_size + off;
         let block = &self.blocks[pid / self.block_pages];
         KvRun { kt: &block.kt[layer * kl..][..kl], at, width: d, v: &block.v[layer * vl + at * d..][..n * d] }
     }
@@ -325,7 +378,7 @@ impl KvCache {
             if let Some(key) = self.keys[id].take() {
                 self.registry.remove(&key);
             }
-            self.free.push(Reverse(id));
+            self.free.insert(id);
         }
     }
 
@@ -340,7 +393,7 @@ impl KvCache {
     /// Grows row `r`'s block table until it covers `need` positions.
     fn ensure_pages(&mut self, r: usize, need: usize) {
         while self.tables[r].len() * self.page_size < need {
-            let id = self.alloc_page();
+            let id = self.next_page(r);
             self.tables[r].push(id);
         }
     }
@@ -358,7 +411,7 @@ impl KvCache {
             let n = self.page_size * self.width;
             let (mut k, mut v) = (vec![0.0; n], vec![0.0; n]);
             for layer in 0..self.n_layers {
-                let src = self.page_run(layer, pid, self.page_size);
+                let src = self.page_run(layer, pid, 0, self.page_size);
                 src.read_k(&mut k);
                 v.copy_from_slice(src.v);
                 self.put(layer, nid, 0, &k, &v);
@@ -401,10 +454,11 @@ impl KvCache {
     /// Pool occupancy counters.
     #[must_use]
     pub fn page_stats(&self) -> PageStats {
+        let allocated = self.refs.len() - self.untouched.len();
         PageStats {
             page_size: self.page_size,
-            pages_allocated: self.refs.len(),
-            pages_live: self.refs.len() - self.free.len(),
+            pages_allocated: allocated,
+            pages_live: allocated - self.free.len(),
             pages_free: self.free.len(),
             pages_shared: self.refs.iter().filter(|&&r| r > 1).count(),
         }
@@ -539,7 +593,7 @@ impl KvCache {
                 self.refs[pid] += 1;
                 self.tables[row].push(pid);
             } else {
-                let pid = self.alloc_page();
+                let pid = self.next_page(row);
                 let src = pi * s * d..end * d;
                 for (li, (k, v)) in layers.iter().enumerate() {
                     self.put(li, pid, 0, &k.data()[src.clone()], &v.data()[src.clone()]);
@@ -616,23 +670,67 @@ impl KvCache {
     /// Panics if `layer` is out of range, or `row` is out of range for a
     /// cache that holds contents.
     pub fn row_runs(&self, layer: usize, row: usize) -> impl Iterator<Item = KvRun<'_>> {
-        let (s, bp) = (self.page_size, self.block_pages);
         // Before the first write there are no block tables to index.
-        let (table, len) = if self.tables.is_empty() {
-            (&[][..], 0)
-        } else {
-            (&self.tables[row][..self.lens[layer][row].div_ceil(s)], self.lens[layer][row])
-        };
-        let mut pi = 0;
+        let len = if self.tables.is_empty() { 0 } else { self.lens[layer][row] };
+        self.row_runs_in(layer, row, 0..len).map(|(_, run)| run)
+    }
+
+    /// Row `row`'s keys `keys` of `layer` as `(first key, run)` pairs in
+    /// ascending order: [`KvCache::row_runs`] cut at the range's two ends,
+    /// which need not be page-aligned. The attention kernel reads a row's
+    /// shared prefix ([`KvCache::shared_prefix`]) and its own keys as two
+    /// such ranges.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `keys` ends past the row's valid length in `layer`, or as
+    /// [`KvCache::row_runs`].
+    pub fn row_runs_in(
+        &self,
+        layer: usize,
+        row: usize,
+        keys: Range<usize>,
+    ) -> impl Iterator<Item = (usize, KvRun<'_>)> {
+        let (s, bp, end) = (self.page_size, self.block_pages, keys.end);
+        assert!(end <= self.lens[layer].get(row).copied().unwrap_or(0), "keys {keys:?} past row {row}'s length");
+        let table = if end == 0 { &[][..] } else { &self.tables[row][..end.div_ceil(s)] };
+        let mut j = keys.start;
         std::iter::from_fn(move || {
-            let first = *table.get(pi)?;
-            let end = (pi + 1..table.len())
-                .find(|&e| table[e] != first + (e - pi) || table[e].is_multiple_of(bp))
-                .unwrap_or(table.len());
-            let n = (end * s).min(len) - pi * s;
-            pi = end;
-            Some(self.page_run(layer, first, n))
+            (j < end).then(|| {
+                let pi = j / s;
+                let first = table[pi];
+                let stop = (pi + 1..table.len())
+                    .find(|&e| table[e] != first + (e - pi) || table[e].is_multiple_of(bp))
+                    .unwrap_or(table.len());
+                let n = (stop * s).min(end) - j;
+                let item = (j, self.page_run(layer, first, j % s, n));
+                j += n;
+                item
+            })
         })
+    }
+
+    /// Leading positions of `layer` that every row of `rows` reads from the
+    /// same pages: their block tables' common prefix of page ids, in whole
+    /// pages, cut at the shortest row's valid length (0 for fewer than two
+    /// rows). Rows repeated by [`KvCache::repeat_batch`] or admitted with
+    /// one prompt by [`KvCache::insert_row_shared`] share theirs; the
+    /// attention kernel scores such rows' common keys once.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `layer` or a row is out of range for a cache that holds
+    /// contents.
+    #[must_use]
+    pub fn shared_prefix(&self, layer: usize, rows: &[usize]) -> usize {
+        let Some((&r0, rest)) = rows.split_first() else { return 0 };
+        if self.tables.is_empty() || rest.is_empty() {
+            return 0;
+        }
+        let t0 = &self.tables[r0];
+        let pages = rest.iter().map(|&r| t0.iter().zip(&self.tables[r]).take_while(|(a, b)| a == b).count()).min();
+        let shortest = rows.iter().map(|&r| self.lens[layer][r]).min().unwrap_or(0);
+        (pages.unwrap_or(0) * self.page_size).min(shortest)
     }
 
     /// Reads one batch row of `layer` back as `([l, D], [l, D])` tensors —
@@ -737,7 +835,7 @@ impl KvCache {
     pub fn clear(&mut self) {
         self.refs.fill(0);
         self.keys.fill(None);
-        self.free = (0..self.refs.len()).map(Reverse).collect();
+        self.free = (0..self.refs.len()).filter(|id| !self.untouched.contains(id)).collect();
         self.registry.clear();
         self.tables.clear();
         self.lens.iter_mut().for_each(Vec::clear);
@@ -1254,19 +1352,21 @@ mod tests {
         let rows = |tag: f32, n: usize, l: usize| seq(tag, n * l, d).into_reshape(vec![n, l, d]);
         let mut c = KvCache::paged(1, 16);
         // Row 0's 300 positions take pages 0..=18 in order: a run per block.
-        c.append_rows(0, &[0], 3, &rows(1.0, 1, 300), &rows(2.0, 1, 300));
+        c.append_rows(0, &[0], 4, &rows(1.0, 1, 300), &rows(2.0, 1, 300));
         assert_eq!(run_keys(&c, 0, 0), [256, 44]);
-        // Row 1 takes pages 19 and 20, row 2 page 21. Evicting row 1 frees
-        // 19 and 20; row 2's next 32 positions reuse them, so its run breaks
-        // after page 21 however the free list orders them.
-        c.append_rows(0, &[1], 3, &rows(3.0, 1, 32), &rows(4.0, 1, 32));
-        c.append_rows(0, &[2], 3, &rows(5.0, 1, 16), &rows(6.0, 1, 16));
+        // Row 1 takes pages 19 and 20, row 2 page 21, row 3 page 22.
+        // Evicting row 1 frees 19 and 20; the page after row 2's is taken, so
+        // its next 32 positions reuse them, and its run breaks after page 21
+        // however the free list orders them.
+        c.append_rows(0, &[1], 4, &rows(3.0, 1, 32), &rows(4.0, 1, 32));
+        c.append_rows(0, &[2], 4, &rows(5.0, 1, 16), &rows(6.0, 1, 16));
+        c.append_rows(0, &[3], 4, &rows(5.5, 1, 16), &rows(6.5, 1, 16));
         assert_eq!(run_keys(&c, 0, 1), [32]);
         c.clear_slot(1);
-        c.append_rows(0, &[2], 3, &rows(7.0, 1, 32), &rows(8.0, 1, 32));
+        c.append_rows(0, &[2], 4, &rows(7.0, 1, 32), &rows(8.0, 1, 32));
         let keys = run_keys(&c, 0, 2);
         assert_eq!((keys[0], keys.iter().sum::<usize>()), (16, 48), "{keys:?}");
-        assert_eq!(c.page_stats().pages_allocated, 22, "the evicted pages were reused");
+        assert_eq!(c.page_stats().pages_allocated, 23, "the evicted pages were reused");
         // One-position steps over two rows interleave their pages: every
         // page is its own run.
         let mut c = KvCache::paged(1, 16);
@@ -1329,6 +1429,88 @@ mod tests {
                     pieces(*run);
                 }
             }
+        }
+    }
+
+    #[test]
+    fn long_rows_stepping_together_keep_their_pages_in_blocks() {
+        // Four rows prefill 300 positions each, then step together one
+        // position at a time, 300 times. Every break in a row's block table
+        // lands on a block's first page, so past its first run a row reads
+        // whole blocks; the values and counters are the page pool's.
+        let (d, n, len) = (4, 4, 600usize);
+        for s in [1, 3, 16, 40] {
+            let mut c = KvCache::paged(1, s);
+            let mut shadow = Shadow(vec![vec![(vec![], vec![]); n]]);
+            for row in 0..n {
+                let (k, v) = (seq(row as f32, 300, d), seq(-(row as f32), 300, d));
+                c.append_rows(0, &[row], n, &k.reshape(vec![1, 300, d]), &v.reshape(vec![1, 300, d]));
+                shadow.set_row(0, row, &k, &v);
+            }
+            for step in 0..300 {
+                let t = seq(1000.0 + step as f32, n, d).into_reshape(vec![n, 1, d]);
+                c.append(0, &t, &t.scale(0.5));
+                shadow.append(0, &t, &t.scale(0.5));
+            }
+            shadow.assert_matches(&c, &format!("S={s}"));
+            let bp = (256 / s).max(1);
+            for (row, table) in c.tables.iter().enumerate() {
+                for w in table.windows(2) {
+                    let (a, b) = (w[0], w[1]);
+                    assert!(b == a + 1 || b.is_multiple_of(bp), "S={s} row {row}: page {b} after {a}");
+                }
+            }
+            let pages = n * len.div_ceil(s);
+            let want = PageStats {
+                page_size: s,
+                pages_allocated: pages,
+                pages_live: pages,
+                pages_free: 0,
+                pages_shared: 0,
+            };
+            assert_eq!(c.page_stats(), want, "S={s}");
+            // At the default page a 600-position row is four runs at most:
+            // a block's worth each but where a row's prefill stopped inside
+            // one; a run's panel pieces are whole panels but at its ends.
+            for row in (0..n).filter(|_| s == DEFAULT_KV_PAGE_SIZE) {
+                let runs: Vec<KvRun<'_>> = c.row_runs(0, row).collect();
+                assert!(runs.len() <= len.div_ceil(256) + 1, "row {row}: {:?}", run_keys(&c, 0, row));
+                for run in runs {
+                    let pieces = pieces(run);
+                    let inner = pieces.len().saturating_sub(2);
+                    assert!(pieces.iter().skip(1).take(inner).all(|p| p.1 == KT_PANEL), "row {row}: {pieces:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn row_runs_in_cuts_the_row_and_shared_prefix_finds_common_pages() {
+        let (d, s) = (4, 16);
+        let mut c = KvCache::paged(2, s);
+        let kv = layer_kv(2, 1.0, 40, d);
+        let tokens: Vec<usize> = (0..40).collect();
+        c.insert_row_shared(0, 2, &kv, &tokens);
+        c.repeat_batch(2, 1);
+        // Rows 0 and 1 map the same three pages; row 1 appends 5 positions
+        // (its tail page copied out), row 2 stays empty.
+        let step = seq(70.0, 5, d).into_reshape(vec![1, 5, d]);
+        for layer in 0..2 {
+            c.append_rows(layer, &[1], 3, &step, &step);
+        }
+        assert_eq!(c.shared_prefix(0, &[0, 1]), 32, "two whole pages");
+        assert_eq!(c.shared_prefix(0, &[0]), 0);
+        assert_eq!(c.shared_prefix(0, &[0, 1, 2]), 0, "the empty row shares nothing");
+        let row1 = c.read_slot(0, 1).0;
+        for keys in [0..45, 0..32, 32..45, 7..9, 13..40, 45..45] {
+            let runs: Vec<(usize, KvRun<'_>)> = c.row_runs_in(0, 1, keys.clone()).collect();
+            let mut next = keys.start;
+            for (j, run) in &runs {
+                assert_eq!(*j, next, "{keys:?}");
+                next += run.keys();
+            }
+            assert_eq!(next, keys.end, "{keys:?}");
+            assert_eq!(k_of(runs.into_iter().map(|r| r.1), d), row1.data()[keys.start * d..keys.end * d], "{keys:?}");
         }
     }
 

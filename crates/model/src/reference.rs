@@ -262,17 +262,27 @@ pub fn attention_over_cache(q: &Tensor, cache: &KvCache, layer: usize, d_head: u
 /// `[B, Lq, Hq·dh]`.
 ///
 /// One fused kernel shared by the reference model and every partitioned
-/// layout: it walks each row's [`KvCache::row_runs`] in place — no page
-/// gather, no per-head K/V copies, no per-head score tensors. Per row, KV
-/// head and block of `QB` (8) query positions — `lanes`, a lane being one
-/// query head at one query position — it (1) scores the lanes' queries
-/// against each run's stored `Kᵀ` one 32-key tile panel at a time
+/// layout: it walks each row's runs ([`KvCache::row_runs_in`]) in place —
+/// no page gather, no per-head K/V copies, no per-head score tensors. Per
+/// row, KV head and block of `QB` (8) query positions — `lanes`, a lane
+/// being one query head at one query position — it (1) scores the lanes'
+/// queries against each run's stored `Kᵀ` one 32-key tile panel at a time
 /// ([`crate::kvcache::KvRun::kt_panels`]), one call of the GEMM register
 /// tile per panel piece ([`ops::gemm_strided`]: keys on the vector lanes)
 /// into a reused `[lane, key]` scratch, (2) turns each lane's row into
 /// probabilities, (3) sums each run's V rows under those probabilities with
 /// one more tile call per run (head dims on the vector lanes, `k` the run's
 /// keys), into the lanes' outputs.
+///
+/// Rows that share pages are read once: consecutive step rows whose block
+/// tables begin with the same pages ([`KvCache::shared_prefix`]; the
+/// samples of one prompt after [`KvCache::repeat_batch`], prompts admitted
+/// through [`KvCache::insert_row_shared`]) form a group, and the lanes of as
+/// many of its rows as one block of `QB` queries' lanes holds are stacked:
+/// (1) and (3) run over the shared keys once for all of them, one tile call
+/// per panel piece and per run, then over each row's own keys for its
+/// lanes alone. A lane's softmax runs over its own row's keys only, so the
+/// contract below holds lane by lane, unchanged.
 ///
 /// Accumulation contract (what keeps every layout and every page size
 /// bit-identical, and identical to the step-by-step `matmul → scale →
@@ -326,85 +336,114 @@ pub fn attention_over_rows_into(
     assert_eq!(out.shape(), q.shape(), "attention output shape mismatch");
     let kw = cache.width();
     assert!(qw.is_multiple_of(d_head) && kw.is_multiple_of(d_head), "head width mismatch");
+    for &row in rows {
+        assert!(lens[row] >= l_q, "row {row} length {} shorter than query length {l_q}", lens[row]);
+    }
     let (hq, hkv) = (qw / d_head, kw / d_head);
     let scale = 1.0 / (d_head as f32).sqrt();
     let out = out.data_mut();
     // Lane-major scratch: queries and outputs `[lane, d_head]`, scores then
-    // probabilities `[lane, ctx]`.
+    // probabilities `[lane, stride]`.
     let (mut qs, mut os, mut ps) = (Vec::new(), Vec::new(), Vec::new());
-    for (bi, &row) in rows.iter().enumerate() {
-        let l_k = lens[row];
-        assert!(l_k >= l_q, "row {row} length {l_k} shorter than query length {l_q}");
-        // The row's runs as `(first key, run)`.
-        let runs = || {
-            cache.row_runs(layer, row).scan(0, |j0, run| {
-                let at = *j0;
-                *j0 += run.keys();
-                Some((at, run))
-            })
-        };
+    let mut b0 = 0;
+    while b0 < b {
+        // The group: step rows `b0..b1` that read their first `first` keys
+        // from the same pages (none, if `b0`'s next row shares no page).
+        let shared = |b1: usize| cache.shared_prefix(layer, &[rows[b0], rows[b1]]);
+        let first = if b0 + 1 < b { shared(b0 + 1) } else { 0 };
+        let b1 = (b0 + 1..b).find(|&b1| first == 0 || shared(b1) < first).unwrap_or(b);
         for g in 0..hkv.min(hq) {
             let n_h = (hq - g).div_ceil(hkv); // query heads g, g + Hkv, … share KV head g
             for i0 in (0..l_q).step_by(QB) {
-                // Lane `l` is head `g + (l % n_h)·Hkv` of query `i0 + l / n_h`:
-                // it sees `seen(l)` keys and lives at `at(l)` in `q` and `out`.
-                let lanes = QB.min(l_q - i0) * n_h;
-                let seen = |l: usize| l_k - l_q + i0 + l / n_h + 1;
-                let at = |l: usize| ((bi * l_q + i0 + l / n_h) * hq + g + (l % n_h) * hkv) * d_head;
-                let ctx = seen(lanes - 1);
-                qs.clear();
-                os.clear();
-                for l in 0..lanes {
-                    qs.extend_from_slice(&q.data()[at(l)..][..d_head]);
-                    os.extend_from_slice(&out[at(l)..][..d_head]);
-                }
-                ps.clear();
-                ps.resize(lanes * ctx, 0.0);
-
-                // (1) S[lane][j] = (0 + Σ_d q·k)·scale, one tile call per
-                // panel piece of each run.
-                for (j0, run) in runs().take_while(|r| r.0 < ctx) {
-                    let pieces = run.kt_panels().map(|(p, n, kt)| (j0 + p, n, kt));
-                    for (j, n, kt) in pieces.take_while(|p| p.0 < ctx) {
-                        let (kt_g, n) = (&kt[g * d_head * KT_PANEL..], n.min(ctx - j));
-                        ops::gemm_strided(&qs, d_head, lanes, d_head, kt_g, KT_PANEL, n, &mut ps[j..], ctx, Some(scale));
+                // The group's rows in chunks of at most `QB` queries' lanes,
+                // the scratch of one row's whole block. Lane `r·rl + l` is
+                // head `g + (l % n_h)·Hkv` of query `i0 + l / n_h` of the
+                // chunk's row `r`: it sees `seen(r, l)` keys and lives at
+                // `at(r, l)` in `q` and `out`; row `r` scores `ctx(r)` keys,
+                // the first `common` of them shared by the whole chunk.
+                let qn = QB.min(l_q - i0);
+                let rl = qn * n_h;
+                for c0 in (b0..b1).step_by(QB / qn) {
+                    let n_rows = (b1 - c0).min(QB / qn);
+                    let lanes = n_rows * rl;
+                    let ctx = |r: usize| lens[rows[c0 + r]] - l_q + i0 + qn;
+                    let seen = |r: usize, l: usize| ctx(r) - qn + l / n_h + 1;
+                    let at = |r: usize, l: usize| (((c0 + r) * l_q + i0 + l / n_h) * hq + g + (l % n_h) * hkv) * d_head;
+                    let (mut stride, mut common) = (0, first);
+                    qs.clear();
+                    os.clear();
+                    for r in 0..n_rows {
+                        (stride, common) = (stride.max(ctx(r)), common.min(ctx(r)));
+                        for l in 0..rl {
+                            qs.extend_from_slice(&q.data()[at(r, l)..][..d_head]);
+                            os.extend_from_slice(&out[at(r, l)..][..d_head]);
+                        }
                     }
-                }
+                    ps.clear();
+                    ps.resize(lanes * stride, 0.0);
+                    // Part 0 is the common keys for every lane, read off the
+                    // first row's runs; part `1 + r` row `r`'s own keys for
+                    // its lanes: `(first lane, lanes, cache row, keys)`.
+                    let part = |p: usize| match p {
+                        0 => (0, lanes, rows[c0], 0..common),
+                        _ => ((p - 1) * rl, rl, rows[c0 + p - 1], common..ctx(p - 1)),
+                    };
 
-                // (2) `softmax_base2` along each lane's row.
-                softmax_lanes(&mut ps, ctx, lanes, seen);
+                    // (1) S[lane][j] = (0 + Σ_d q·k)·scale, one tile call
+                    // per panel piece of each run.
+                    for (l0, m, row, keys) in (0..=n_rows).map(part) {
+                        for (j0, run) in cache.row_runs_in(layer, row, keys) {
+                            for (p, n, kt) in run.kt_panels() {
+                                let (q_l, s_l) = (&qs[l0 * d_head..], &mut ps[l0 * stride + j0 + p..]);
+                                let kt_g = &kt[g * d_head * KT_PANEL..];
+                                ops::gemm_strided(q_l, d_head, m, d_head, kt_g, KT_PANEL, n, s_l, stride, Some(scale));
+                            }
+                        }
+                    }
 
-                // (3) O[lane] += Σ_j p·v, one tile call per run.
-                for (j0, run) in runs().take_while(|r| r.0 < ctx) {
-                    let (p_j, n) = (&ps[j0..], run.keys().min(ctx - j0));
-                    ops::gemm_strided(p_j, ctx, lanes, n, &run.v()[g * d_head..], kw, d_head, &mut os, d_head, None);
-                }
-                for (l, o) in os.chunks_exact(d_head).enumerate() {
-                    out[at(l)..][..d_head].copy_from_slice(o);
+                    // (2) `softmax_base2` along each lane's row.
+                    for r in 0..n_rows {
+                        softmax_lanes(&mut ps[r * rl * stride..], stride, ctx(r), rl, |l| seen(r, l));
+                    }
+
+                    // (3) O[lane] += Σ_j p·v, one tile call per run.
+                    for (l0, m, row, keys) in (0..=n_rows).map(part) {
+                        for (j0, run) in cache.row_runs_in(layer, row, keys) {
+                            let (p_l, o_l) = (&ps[l0 * stride + j0..], &mut os[l0 * d_head..]);
+                            let v_g = &run.v()[g * d_head..];
+                            ops::gemm_strided(p_l, stride, m, run.keys(), v_g, kw, d_head, o_l, d_head, None);
+                        }
+                    }
+                    for (i, o) in os.chunks_exact(d_head).enumerate() {
+                        out[at(i / rl, i % rl)..][..d_head].copy_from_slice(o);
+                    }
                 }
             }
         }
+        b0 = b1;
     }
 }
 
-/// Step (2) over `[lane, ctx]` scores, in place: each lane's keys from
-/// `seen(lane)` on are masked to `-inf`, then `p_j = e_j / Σe` with `e_j =
-/// exp2((s_j − max)·log2 e)`. `max`, the exponents and the divide run
-/// along the row; each `Σe` is one serial chain in ascending `j`, run
-/// `SUM_LANES` lanes abreast. A group of lanes is finished before the next
-/// is begun, so its rows are still in cache for the sum and the divide.
-fn softmax_lanes(ps: &mut [f32], ctx: usize, lanes: usize, seen: impl Fn(usize) -> usize) {
+/// Step (2) over the first `lanes` rows of `[lane, stride]` scores, in
+/// place, each lane's first `ctx` keys: its keys from `seen(lane)` on are
+/// masked to `-inf`, then `p_j = e_j / Σe` with `e_j = exp2((s_j −
+/// max)·log2 e)`. `max`, the exponents and the divide run along the row;
+/// each `Σe` is one serial chain in ascending `j`, run `SUM_LANES` lanes
+/// abreast. A group of lanes is finished before the next is begun, so its
+/// rows are still in cache for the sum and the divide.
+fn softmax_lanes(ps: &mut [f32], stride: usize, ctx: usize, lanes: usize, seen: impl Fn(usize) -> usize) {
     for l0 in (0..lanes).step_by(SUM_LANES) {
-        let group = &mut ps[l0 * ctx..(lanes.min(l0 + SUM_LANES)) * ctx];
-        for (l, row) in group.chunks_exact_mut(ctx).enumerate() {
+        let n = SUM_LANES.min(lanes - l0);
+        let group = &mut ps[l0 * stride..][..(n - 1) * stride + ctx];
+        for l in 0..n {
+            let row = &mut group[l * stride..][..ctx];
             row[seen(l0 + l)..].fill(f32::NEG_INFINITY);
             let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
             exp_row(row, max);
         }
-        let last = group.len() / ctx - 1;
-        let sums = lane_sums(std::array::from_fn(|t| &group[t.min(last) * ctx..][..ctx]));
-        for (row, sum) in group.chunks_exact_mut(ctx).zip(sums) {
-            row.iter_mut().for_each(|x| *x /= sum);
+        let sums = lane_sums(std::array::from_fn(|t| &group[t.min(n - 1) * stride..][..ctx]));
+        for (l, sum) in sums.into_iter().take(n).enumerate() {
+            group[l * stride..][..ctx].iter_mut().for_each(|x| *x /= sum);
         }
     }
 }
@@ -425,10 +464,10 @@ fn lane_sums(rows: [&[f32]; SUM_LANES]) -> [f32; SUM_LANES] {
     // Whole chunks of `J` keys (one bounds check per row and chunk), then
     // the rest.
     let chunks = rows.map(|r| r.as_chunks::<J>().0);
-    for block in (0..chunks[0].len()).map(|c| chunks.map(|ch| &ch[c])) {
+    for c in 0..chunks[0].len() {
         for j in 0..J {
-            for (s, b) in sums.iter_mut().zip(&block) {
-                *s += b[j];
+            for (s, ch) in sums.iter_mut().zip(&chunks) {
+                *s += ch[c][j];
             }
         }
     }
@@ -568,6 +607,58 @@ mod tests {
                         b.to_bits(),
                         "Hq={hq} Hkv={hkv} dh={dh} l_q={l_q} page={page} element {i}: {a} vs {b}"
                     );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fused_attention_scores_rows_sharing_pages_as_each_alone() {
+        // Rows 0-2 repeat one 300-position context (`repeat_batch`), rows 3
+        // and 4 admit one 140-token prompt (`insert_row_shared`); each then
+        // writes an own tail of its own length (copying a shared tail page
+        // out) and the step's `l_q` positions. A step over all five rows
+        // scores each group's common pages once for all its lanes; every row
+        // must come out bit for bit as the same row attended alone, in the
+        // cache's row order and reversed.
+        let tails = [0, 7, 3, 0, 21];
+        for ((hq, hkv), page, dh, l_q) in [(8, 1), (6, 2), (4, 4)].into_iter().flat_map(|h| {
+            [1, 3, 16, 40, 128]
+                .into_iter()
+                .flat_map(move |p| [8, 32].into_iter().flat_map(move |dh| [1, 5, 17].map(|l_q| (h, p, dh, l_q))))
+        }) {
+            let kw = hkv * dh;
+            let mut cache = KvCache::paged(2, page);
+            for li in 0..2 {
+                let kv = |seed| noise(vec![1, 300, kw], seed + li);
+                cache.append_rows(li, &[0], 3, &kv(1), &kv(3));
+            }
+            cache.repeat_batch(3, 1);
+            let prompt: Vec<(Tensor, Tensor)> =
+                (0..2).map(|li| (noise(vec![140, kw], 5 + li), noise(vec![140, kw], 7 + li))).collect();
+            let tokens: Vec<usize> = (0..140).collect();
+            cache.insert_row_shared(3, 5, &prompt, &tokens);
+            cache.insert_row_shared(4, 5, &prompt, &tokens);
+            for li in 0..2 {
+                for (row, &n) in tails.iter().enumerate().filter(|t| *t.1 > 0) {
+                    let kv = |seed| noise(vec![1, n, kw], seed + 10 * row + li);
+                    cache.append_rows(li, &[row], 5, &kv(20), &kv(70));
+                }
+                cache.append(li, &noise(vec![5, l_q, kw], 9 + li), &noise(vec![5, l_q, kw], 11 + li));
+            }
+            let ctx = format!("Hq={hq} Hkv={hkv} dh={dh} l_q={l_q} page={page}");
+            let whole = |n: usize| n / page * page;
+            assert_eq!(cache.shared_prefix(1, &[0, 1, 2]), whole(300), "{ctx}");
+            assert_eq!(cache.shared_prefix(1, &[3, 4]), whole(140), "{ctx}");
+            let q = noise(vec![5, l_q, hq * dh], 13);
+            for map in [[0, 1, 2, 3, 4], [4, 3, 2, 1, 0]] {
+                let picked: Vec<Tensor> = map.iter().map(|&r| q.slice(0, r, 1)).collect();
+                let picked = Tensor::concat(&picked.iter().collect::<Vec<_>>(), 0);
+                let together = attention_over_rows(&picked, &cache, &map, 1, dh);
+                for (bi, &row) in map.iter().enumerate() {
+                    let alone = attention_over_rows(&q.slice(0, row, 1), &cache, &[row], 1, dh);
+                    let bits = |t: &Tensor| t.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(&together.slice(0, bi, 1)), bits(&alone), "{ctx} map {map:?} row {row}");
                 }
             }
         }
