@@ -75,6 +75,18 @@ for sym in 'esti_model::reference::attention_over_rows_into' 'esti_tensor::simd:
   fi
 done
 
+echo "== collectives that copy once: deposits moved in and handed back, parts read in place =="
+# A collective's deposit holds its input itself where the caller hands it
+# over (moved in and lent until the member's next rendezvous on the group),
+# a weight gather shares the stored shard, and a parts or weight read hands
+# out views of the deposits: no copy of a deposit, of a part or of a shard
+# comes back into the mailbox code.
+if grep -nF -e '.dense().clone()' -e '.packed().clone()' -e 'Payload::Dense(input.clone())' \
+    -e 'Payload::Dense(shard.clone())' -e 'Payload::Packed(shard.clone())' crates/collectives/src/group.rs; then
+  echo "FAIL: a collective copies a deposit, a part or a weight shard again" >&2
+  exit 1
+fi
+
 echo "== one level of parallelism: the chip executors are the engine's only threads =="
 # Each simulated chip's kernels run serially on the executor that steps it:
 # the per-chip worker pools, their thread knob (engine setter and
@@ -324,6 +336,9 @@ if grep -rnE "per_chip_program|ChipOp" crates \
   echo "FAIL: a second derivation of the per-chip program is back beside esti_core::schedule::ChipProgram" >&2
   exit 1
 fi
+# alloc also pins the collectives that copy once (a ws2d prefill allocates
+# none of the deposits its inputs move into, a ws1d decode step's
+# collectives no large block), so it runs under both tile settings.
 cargo test -q --release -p esti-runtime --test alloc
 cargo test -q --release -p esti-runtime --lib -- a_pass_after_a_larger_one
 cargo test -q --release -p esti-verify --test buffer_plan -- the_buffer_plan

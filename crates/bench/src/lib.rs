@@ -15,21 +15,15 @@ use esti_core::{Layout, Machine};
 use esti_hal::DType;
 use esti_model::ModelConfig;
 
-/// Where experiment CSVs are written (`results/` at the workspace root,
-/// falling back to the current directory).
+/// Where experiment CSVs are written: `results/` at the workspace root (a
+/// directory holding `Cargo.toml` and `crates/`) if that is the current
+/// directory or one of its two nearest ancestors, as from a crate
+/// directory; otherwise `results/` in the current directory.
 #[must_use]
 pub fn results_dir() -> PathBuf {
-    let mut dir = std::env::current_dir().unwrap_or_else(|_| PathBuf::from("."));
-    // Walk up to the workspace root if invoked from a crate directory.
-    for _ in 0..3 {
-        if dir.join("Cargo.toml").exists() && dir.join("crates").exists() {
-            break;
-        }
-        if let Some(parent) = dir.parent() {
-            dir = parent.to_path_buf();
-        }
-    }
-    dir.join("results")
+    let cwd = std::env::current_dir().unwrap_or_else(|_| PathBuf::from("."));
+    let root = cwd.ancestors().take(3).find(|d| d.join("Cargo.toml").exists() && d.join("crates").exists());
+    root.unwrap_or(&cwd).join("results")
 }
 
 /// Writes a CSV with a header row; errors are reported but non-fatal so

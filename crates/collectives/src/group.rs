@@ -5,23 +5,37 @@
 //! *generation parity* (a member's calls alternate between two mailboxes)
 //! and arrives at the group's barrier, without waiting for anyone.
 //! [`CommGroup::complete`] awaits the barrier generation, reads every
-//! peer's deposit of that parity by reference — a dense result straight
-//! into the caller's buffer, no peer's deposit sliced or copied first —
-//! and counts the member done;
-//! the last member to finish reading a generation empties that parity's
-//! mailboxes. The blocking collectives ([`CommGroup::all_reduce`] and the
-//! rest) are post, then complete.
+//! peer's deposit of that parity in place — a dense result straight into
+//! the caller's buffer, a parts gather as [`Part`]s, views of the deposits
+//! themselves, no peer's deposit sliced or copied first — and counts the
+//! member done; the last member to finish reading a generation empties
+//! that parity's mailboxes. The blocking collectives
+//! ([`CommGroup::all_reduce`] and the rest) are post, then complete.
+//!
+//! Each byte moves at most once on the host. [`Call`] takes a dense input
+//! as a [`Cow`]: a borrowed one is copied into the deposit once, and an
+//! owned one — an input the caller no longer needs — is moved in and
+//! *lent*: the member keeps a reference to the deposit, and its next
+//! completion on the group hands the buffer back to the caller, unless a
+//! reader still holds a [`Part`] of it (the deposit is then freed with the
+//! last part). A weight gather deposits the shard the chip stores, by
+//! [`Arc`]. [`CommGroup::drain`] drops what a member lent last and never
+//! had back.
 //!
 //! The split lets one thread run several members of a group in lockstep:
 //! it posts for all of them, then completes each. A thread that completed
 //! one member before posting another would wait on itself.
 //!
-//! No second barrier is needed to keep a fast member from overwriting a
-//! mailbox a slow one still reads: the next deposit into the same parity
-//! belongs to generation g + 2, which a member posts only after completing
-//! g + 1 — and every member arrives there only once it has finished
-//! reading generation g.
+//! No second barrier is needed, neither to keep a fast member from
+//! overwriting a mailbox a slow one still reads nor to know when a lent
+//! deposit is free: the next deposit into the same parity belongs to
+//! generation g + 2, which a member posts only after completing g + 1 —
+//! and every member arrives at g + 1 only once it has finished reading
+//! generation g, the last of them after emptying g's mailboxes. So when a
+//! member's completion of g + 1 is released, its deposit of g is held by
+//! nothing but its own reference and the parts its readers keep.
 
+use std::borrow::Cow;
 use std::cell::{Cell, RefCell};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -33,14 +47,14 @@ use crate::stats::{CollectiveOp, CommTimes, TrafficStats, ACT_BYTES};
 use crate::sync::{Arrival, Barrier, BarrierFate, Mutex, PoisonError};
 
 /// What one mailbox slot carries: a dense activation tensor, or a weight
-/// shard moved in its stored, panel-packed form (f32, or int8 values +
-/// per-column f32 scales). Keeping the stored form first-class in the
-/// mailbox is what lets weight-gathered layouts move int8 bytes instead of
-/// a dequantized f32 view, and hand every rank's part to the GEMM tile
-/// without repacking it.
+/// shard in its stored, panel-packed form (f32, or int8 values +
+/// per-column f32 scales), shared with the chip that stores it. Keeping the
+/// stored form first-class in the mailbox is what lets weight-gathered
+/// layouts move int8 bytes instead of a dequantized f32 view, and hand
+/// every rank's part to the GEMM tile without repacking or copying it.
 enum Payload {
     Dense(Tensor),
-    Packed(PackedMatrix),
+    Packed(Arc<PackedMatrix>),
 }
 
 /// One member's deposit for one collective: its payload and, in debug
@@ -59,7 +73,7 @@ impl Deposit {
         }
     }
 
-    fn packed(&self) -> &PackedMatrix {
+    fn packed(&self) -> &Arc<PackedMatrix> {
         match &self.payload {
             Payload::Dense(_) => panic!("expected a packed weight in mailbox slot"),
             Payload::Packed(p) => p,
@@ -99,7 +113,8 @@ struct CallMeta {
 
 /// A mailbox: empty, or one member's deposit of the generation in flight.
 /// The deposit sits behind an `Arc` so readers hold the lock only to take a
-/// reference, never while they fold or copy.
+/// reference, never while they fold or copy, a parts read hands the
+/// reference on, and a member keeps one to what it lent.
 type Mailbox = Mutex<Option<Arc<Deposit>>>;
 
 struct Shared {
@@ -113,33 +128,50 @@ struct Shared {
 }
 
 /// One collective call as a member [`post`](CommGroup::post)s it: each
-/// variant carries one blocking collective's arguments.
-#[derive(Clone, Copy)]
+/// variant carries one blocking collective's arguments. A dense input is
+/// deposited as it comes: an owned one is moved into the deposit, a
+/// borrowed one copied once.
 pub enum Call<'a> {
     /// [`CommGroup::all_gather`] of `shard` along `dim`.
-    AllGather { shard: &'a Tensor, dim: usize },
+    AllGather { shard: Cow<'a, Tensor>, dim: usize },
     /// [`CommGroup::all_gather`] of `shard` without the concatenation:
     /// every rank's shard, in rank order, for a caller that contracts each
     /// source rank's shard separately. `dim` is the logical concatenation
     /// dimension; it only takes part in the SPMD agreement check. Charged
     /// as the dense all-gather's output bytes.
-    AllGatherParts { shard: &'a Tensor, dim: usize },
+    AllGatherParts { shard: Cow<'a, Tensor>, dim: usize },
     /// A weight all-gather: every rank's packed `shard`, in rank order, as
-    /// stored (an int8 shard's scales kept with its values). `dim` is the
-    /// logical concatenation dimension (0 = row shards, 1 = column shards);
-    /// it only takes part in the SPMD agreement check. An int8 shard is
+    /// stored (an int8 shard's scales kept with its values) and shared, not
+    /// copied. `dim` is the logical concatenation dimension (0 = row
+    /// shards, 1 = column shards); it only takes part in the SPMD agreement
+    /// check. An int8 shard is
     /// charged at its true quantized volume, `size() ×
     /// shard.storage_bytes()` (1 byte per value + 4 per scale); an f32 one
     /// as the dense gather's output elements × [`ACT_BYTES`], the wire
     /// format the ledger models for dense weights.
-    AllGatherPacked { shard: &'a PackedMatrix, dim: usize },
+    AllGatherPacked { shard: Arc<PackedMatrix>, dim: usize },
     /// [`CommGroup::reduce_scatter`] of `input` along `dim`.
-    ReduceScatter { input: &'a Tensor, dim: usize },
+    ReduceScatter { input: Cow<'a, Tensor>, dim: usize },
     /// [`CommGroup::all_reduce`] of `input`.
-    AllReduce { input: &'a Tensor },
+    AllReduce { input: Cow<'a, Tensor> },
     /// [`CommGroup::all_to_all`] of `input`, split along `split` and
     /// concatenated along `concat`.
-    AllToAll { input: &'a Tensor, split: usize, concat: usize },
+    AllToAll { input: Cow<'a, Tensor>, split: usize, concat: usize },
+}
+
+impl Call<'_> {
+    /// Whether the call hands over its dense input, to be moved into the
+    /// deposit and lent.
+    fn lends(&self) -> bool {
+        match self {
+            Call::AllGather { shard: t, .. }
+            | Call::AllGatherParts { shard: t, .. }
+            | Call::ReduceScatter { input: t, .. }
+            | Call::AllReduce { input: t }
+            | Call::AllToAll { input: t, .. } => matches!(t, Cow::Owned(_)),
+            Call::AllGatherPacked { .. } => false,
+        }
+    }
 }
 
 /// What a [`complete`](CommGroup::complete)d call hands back.
@@ -147,10 +179,26 @@ pub enum Received {
     /// A gather's concatenation, a reduction's sum or slice of it, or an
     /// all-to-all's result.
     Tensor(Tensor),
-    /// [`Call::AllGatherParts`]: every rank's shard, in rank order.
-    Parts(Vec<Tensor>),
-    /// [`Call::AllGatherPacked`]: every rank's packed shard, in rank order.
-    Packed(Vec<PackedMatrix>),
+    /// [`Call::AllGatherParts`]: every rank's shard, in rank order, read in
+    /// place.
+    Parts(Vec<Part>),
+    /// [`Call::AllGatherPacked`]: every rank's packed shard, in rank order,
+    /// shared with the rank that stores it.
+    Packed(Vec<Arc<PackedMatrix>>),
+}
+
+/// One rank's shard of a parts gather ([`Call::AllGatherParts`]), read in
+/// place: a view of the rank's deposit, not a copy. The deposit's buffer
+/// goes back to its poster only once no part of it is held, so a reader
+/// drops its parts before its next rendezvous on the group.
+pub struct Part(Arc<Deposit>);
+
+impl std::ops::Deref for Part {
+    type Target = Tensor;
+
+    fn deref(&self) -> &Tensor {
+        self.0.dense()
+    }
 }
 
 impl Received {
@@ -168,14 +216,15 @@ impl Received {
 pub struct Posted {
     op: CollectiveOp,
     read: Read,
+    parity: usize,
     flight: Flight,
 }
 
 enum Flight {
     /// A group of one: its own deposit, read on completion.
     Solo(Arc<Deposit>),
-    /// Deposited at `parity` and arrived at the barrier.
-    Arrived { parity: usize, arrival: Arrival },
+    /// Deposited and arrived at the barrier.
+    Arrived(Arrival),
 }
 
 /// How a member reads the rank-ordered deposits of a released generation.
@@ -204,8 +253,8 @@ impl Read {
         let mut out = buf;
         out.clear();
         Received::Tensor(match self {
-            Read::Parts => return Received::Parts(all.iter().map(|d| d.dense().clone()).collect()),
-            Read::Packed => return Received::Packed(all.iter().map(|d| d.packed().clone()).collect()),
+            Read::Parts => return Received::Parts(all.iter().map(|d| Part(Arc::clone(d))).collect()),
+            Read::Packed => return Received::Packed(all.iter().map(|d| Arc::clone(d.packed())).collect()),
             Read::Concat(dim) => Tensor::concat_into(&all.iter().map(|d| d.dense()).collect::<Vec<_>>(), dim, out),
             Read::Slice { dim, part } => {
                 let mut sum = all[0].dense().slice_into(dim, rank * part, part, out);
@@ -291,6 +340,9 @@ pub struct CommGroup {
     /// Number of collectives this member has issued: its next call's
     /// generation, whose parity picks the mailbox.
     calls: Cell<u64>,
+    /// Per parity, the deposit this member lent (moved an input into) and
+    /// has not yet had back.
+    lent: RefCell<[Option<Arc<Deposit>>; 2]>,
 }
 
 struct FaultArm {
@@ -343,6 +395,7 @@ impl CommGroup {
                 deadline: Cell::new(None),
                 fault: RefCell::new(None),
                 calls: Cell::new(0),
+                lent: RefCell::new([None, None]),
             })
             .collect()
     }
@@ -453,6 +506,11 @@ impl CommGroup {
     /// peer. The member must [`complete`](Self::complete) the call before
     /// it posts again.
     ///
+    /// The deposit holds the input itself where the caller hands it over:
+    /// an owned dense input is moved in and lent until the member's next
+    /// completion on the group, a borrowed one copied once, and a weight
+    /// shard shared.
+    ///
     /// A thread running several members of one group posts for every one
     /// of them before it completes any: each completion waits until all of
     /// the group has posted.
@@ -474,11 +532,15 @@ impl CommGroup {
             );
             t.dim(dim) / k
         };
+        let lends = call.lends();
         let (op, dims, read, payload) = match call {
-            Call::AllGather { shard, dim } | Call::AllGatherParts { shard, dim } => {
+            Call::AllGather { shard, dim } => {
                 self.record(CollectiveOp::AllGather, shard.numel() * k);
-                let read = if matches!(call, Call::AllGather { .. }) { Read::Concat(dim) } else { Read::Parts };
-                (CollectiveOp::AllGather, [dim, dim], read, Payload::Dense(shard.clone()))
+                (CollectiveOp::AllGather, [dim, dim], Read::Concat(dim), Payload::Dense(shard.into_owned()))
+            }
+            Call::AllGatherParts { shard, dim } => {
+                self.record(CollectiveOp::AllGather, shard.numel() * k);
+                (CollectiveOp::AllGather, [dim, dim], Read::Parts, Payload::Dense(shard.into_owned()))
             }
             Call::AllGatherPacked { shard, dim } => {
                 let (rows, cols) = (shard.rows(), shard.cols());
@@ -487,22 +549,22 @@ impl CommGroup {
                 } else {
                     self.record(CollectiveOp::AllGather, rows * cols * k);
                 }
-                (CollectiveOp::AllGather, [dim, dim], Read::Packed, Payload::Packed(shard.clone()))
+                (CollectiveOp::AllGather, [dim, dim], Read::Packed, Payload::Packed(shard))
             }
             Call::ReduceScatter { input, dim } => {
                 self.record(CollectiveOp::ReduceScatter, input.numel());
-                let part = divide(input, dim, "reduce-scatter");
-                (CollectiveOp::ReduceScatter, [dim, dim], Read::Slice { dim, part }, Payload::Dense(input.clone()))
+                let part = divide(&input, dim, "reduce-scatter");
+                (CollectiveOp::ReduceScatter, [dim, dim], Read::Slice { dim, part }, Payload::Dense(input.into_owned()))
             }
             Call::AllReduce { input } => {
                 self.record(CollectiveOp::AllReduce, input.numel() * 2);
-                (CollectiveOp::AllReduce, [0, 0], Read::Sum, Payload::Dense(input.clone()))
+                (CollectiveOp::AllReduce, [0, 0], Read::Sum, Payload::Dense(input.into_owned()))
             }
             Call::AllToAll { input, split, concat } => {
                 self.record(CollectiveOp::AllToAll, input.numel());
-                let part = divide(input, split, "all-to-all split");
+                let part = divide(&input, split, "all-to-all split");
                 let read = Read::Transpose { split, concat, part };
-                (CollectiveOp::AllToAll, [split, concat], read, Payload::Dense(input.clone()))
+                (CollectiveOp::AllToAll, [split, concat], read, Payload::Dense(input.into_owned()))
             }
         };
         let generation = self.calls.get();
@@ -525,31 +587,44 @@ impl CommGroup {
             #[cfg(all(debug_assertions, not(loom)))]
             meta,
         });
+        let parity = usize::from(generation % 2 == 1);
+        if lends {
+            self.lent.borrow_mut()[parity] = Some(Arc::clone(&mine));
+        }
         if k == 1 {
             // A group of one has no peer to wait for.
-            return Posted { op, read, flight: Flight::Solo(mine) };
+            return Posted { op, read, parity, flight: Flight::Solo(mine) };
         }
-        let parity = usize::from(generation % 2 == 1);
         *self.shared.slots[parity][self.rank].lock().unwrap_or_else(PoisonError::into_inner) = Some(mine);
         match self.shared.barrier.arrive(self.deadline.get()) {
-            Ok(arrival) => Posted { op, read, flight: Flight::Arrived { parity, arrival } },
+            Ok(arrival) => Posted { op, read, parity, flight: Flight::Arrived(arrival) },
             Err(err) => std::panic::panic_any(err),
         }
     }
 
     /// Completes a call this member [`post`](Self::post)ed: awaits the
     /// barrier generation it joined (the only time charged to
-    /// [`times`](Self::times)), checks in debug builds that every deposit
-    /// describes the same call, reads the deposits in rank order, by
-    /// reference, and counts this member done reading. The last member to
-    /// finish reading empties the parity's mailboxes, so no payload outlives
-    /// its collective.
+    /// [`times`](Self::times)), takes back the deposit this member lent at
+    /// its previous call on the group, checks in debug builds that every
+    /// deposit describes the same call, reads the deposits in rank order,
+    /// in place, and counts this member done reading. The last member to
+    /// finish reading empties the parity's mailboxes, so no deposit stays
+    /// in a mailbox past its collective.
     ///
     /// A dense result (a gather's concatenation, a reduction's sum or this
     /// member's slice of it, an all-to-all's share) is written into `buf`,
     /// grown if short, straight from the deposits: a caller that keeps its
     /// buffers across calls reads without allocating. A parts read leaves
-    /// `buf` unused.
+    /// `buf` unused and hands back [`Part`]s, views of the deposits; a
+    /// weight gather, the shards the peers store.
+    ///
+    /// The second value is the buffer this member moved into its deposit at
+    /// its previous call on the group, which every member finished reading
+    /// before it arrived at this call (see the module doc): `None` if that
+    /// call copied or shared its input, or if a reader still holds a
+    /// [`Part`] of the deposit, which is then freed with the last part. A
+    /// buffer this call lends comes back at the member's next completion on
+    /// the group, or is dropped by [`drain`](Self::drain).
     ///
     /// # Panics
     ///
@@ -563,17 +638,18 @@ impl CommGroup {
     // a runtime fault. Faults surface as the await's error.
     #[allow(clippy::expect_used)]
     #[must_use]
-    pub fn complete(&self, posted: Posted, buf: Vec<f32>) -> Received {
-        let Posted { op, read, flight } = posted;
-        let (parity, arrival) = match flight {
-            Flight::Solo(mine) => return read.apply(&[mine], self.rank, buf),
-            Flight::Arrived { parity, arrival } => (parity, arrival),
+    pub fn complete(&self, posted: Posted, buf: Vec<f32>) -> (Received, Option<Vec<f32>>) {
+        let Posted { op, read, parity, flight } = posted;
+        let arrival = match flight {
+            Flight::Solo(mine) => return (read.apply(&[mine], self.rank, buf), self.take_back(1 - parity)),
+            Flight::Arrived(arrival) => arrival,
         };
         let t0 = Instant::now();
         if let Err(err) = self.shared.barrier.await_generation(arrival) {
             std::panic::panic_any(err);
         }
         self.note_time(op, t0);
+        let back = self.take_back(1 - parity);
         let all: Vec<Arc<Deposit>> = self.shared.slots[parity]
             .iter()
             .map(|s| {
@@ -585,18 +661,19 @@ impl CommGroup {
         let out = read.apply(&all, self.rank, buf);
         drop(all);
         self.release(parity);
-        out
+        (out, back)
     }
 
     /// One blocking collective: [`post`](Self::post), then
     /// [`complete`](Self::complete) into a new buffer.
     fn call(&self, call: Call<'_>) -> Received {
-        self.complete(self.post(call), Vec::new())
+        self.complete(self.post(call), Vec::new()).0
     }
 
     /// Counts this member done reading the generation in flight at
     /// `parity`. The last reader empties that parity's mailboxes: every
-    /// peer has dropped its references by then, so the payloads free here.
+    /// peer has dropped its references by then, so a deposit nobody lent or
+    /// holds a part of frees here.
     fn release(&self, parity: usize) {
         let mut done = self.shared.readers[parity].lock().unwrap_or_else(PoisonError::into_inner);
         *done += 1;
@@ -608,6 +685,27 @@ impl CommGroup {
         for s in &self.shared.slots[parity] {
             *s.lock().unwrap_or_else(PoisonError::into_inner) = None;
         }
+    }
+
+    /// The buffer of the deposit this member lent at `parity`, if no one
+    /// else holds the deposit any more; either way the member lets go of it.
+    /// Every member has finished reading it once the member's next
+    /// completion on the group is released.
+    fn take_back(&self, parity: usize) -> Option<Vec<f32>> {
+        let mine = self.lent.borrow_mut()[parity].take()?;
+        match Arc::try_unwrap(mine).ok()?.payload {
+            Payload::Dense(t) => Some(t.into_vec()),
+            Payload::Packed(_) => None,
+        }
+    }
+
+    /// Lets go of what this member lent and has not had back: its last
+    /// moved input on the group, which no later completion takes back. A
+    /// caller that lends runs this between runs of its program, so no
+    /// buffer is kept from one to the next; the deposit frees once its
+    /// readers are done with it.
+    pub fn drain(&self) {
+        *self.lent.borrow_mut() = [None, None];
     }
 
     /// Debug-build SPMD conformance check, run on one rendezvous's deposits
@@ -705,7 +803,7 @@ impl CommGroup {
     /// Panics if members pass incompatible shapes.
     #[must_use]
     pub fn all_gather(&self, shard: &Tensor, dim: usize) -> Tensor {
-        self.call(Call::AllGather { shard, dim }).tensor()
+        self.call(Call::AllGather { shard: Cow::Borrowed(shard), dim }).tensor()
     }
 
     /// reduce-scatter(`dim`): sums every member's `input` element-wise, then
@@ -718,7 +816,7 @@ impl CommGroup {
     /// Panics if `dim` is not divisible by the group size or shapes differ.
     #[must_use]
     pub fn reduce_scatter(&self, input: &Tensor, dim: usize) -> Tensor {
-        self.call(Call::ReduceScatter { input, dim }).tensor()
+        self.call(Call::ReduceScatter { input: Cow::Borrowed(input), dim }).tensor()
     }
 
     /// all-reduce: sums every member's `input` element-wise, replicating the
@@ -726,7 +824,7 @@ impl CommGroup {
     /// (Section 3.1) and charged as both in the traffic ledger.
     #[must_use]
     pub fn all_reduce(&self, input: &Tensor) -> Tensor {
-        self.call(Call::AllReduce { input }).tensor()
+        self.call(Call::AllReduce { input: Cow::Borrowed(input) }).tensor()
     }
 
     /// all-to-all: splits every member's `input` into `size()` slices along
@@ -743,7 +841,7 @@ impl CommGroup {
     /// Panics if `split_dim` is not divisible by the group size.
     #[must_use]
     pub fn all_to_all(&self, input: &Tensor, split_dim: usize, concat_dim: usize) -> Tensor {
-        self.call(Call::AllToAll { input, split: split_dim, concat: concat_dim }).tensor()
+        self.call(Call::AllToAll { input: Cow::Borrowed(input), split: split_dim, concat: concat_dim }).tensor()
     }
 }
 
@@ -939,6 +1037,85 @@ mod tests {
         }
     }
 
+    /// Posts member `g`'s call and completes it.
+    fn run_call(g: &CommGroup, call: Call<'_>) -> (Received, Option<Vec<f32>>) {
+        g.complete(g.post(call), Vec::new())
+    }
+
+    #[test]
+    fn parts_and_packed_reads_point_at_the_posters_deposit() {
+        // A parts gather hands every rank a view of each poster's deposit,
+        // which holds the very buffer the poster moved in; a weight gather
+        // hands it the shard the poster stores. Nothing is copied.
+        let inputs: Vec<Tensor> = (0..3).map(|r| Tensor::full(vec![2, 4], r as f32)).collect();
+        let ptrs: Vec<usize> = inputs.iter().map(|t| t.data().as_ptr() as usize).collect();
+        let shards: Vec<Arc<PackedMatrix>> = inputs.iter().map(|t| Arc::new(PackedMatrix::quantize(t))).collect();
+        let inputs = std::sync::Mutex::new(inputs.into_iter().map(Some).collect::<Vec<_>>());
+        let outs = run_group(3, |r, g| {
+            let mine = inputs.lock().expect("inputs")[r].take().expect("one input per rank");
+            let (Received::Parts(parts), _) = run_call(g, Call::AllGatherParts { shard: Cow::Owned(mine), dim: 1 }) else {
+                unreachable!("a parts gather reads parts")
+            };
+            let (Received::Packed(weights), _) = run_call(g, Call::AllGatherPacked { shard: Arc::clone(&shards[r]), dim: 0 })
+            else {
+                unreachable!("a weight gather reads packed parts")
+            };
+            (parts.iter().map(|p| p.data().as_ptr() as usize).collect::<Vec<_>>(), weights)
+        });
+        for (parts, weights) in outs {
+            assert_eq!(parts, ptrs, "a part is the poster's own buffer");
+            for (w, s) in weights.iter().zip(&shards) {
+                assert!(Arc::ptr_eq(w, s), "a gathered weight is the poster's stored shard");
+            }
+        }
+    }
+
+    #[test]
+    fn the_next_rendezvous_hands_back_the_previous_deposit() {
+        // Each member moves its input into the deposit; its next completion
+        // on the group hands back that very allocation, with the buffer's
+        // capacity intact, and a group of one does the same.
+        for size in [1usize, 2, 3] {
+            let backs = run_group(size, |r, g| {
+                let mut buf = Vec::with_capacity(64);
+                buf.extend((0..8).map(|i| (r * 8 + i) as f32));
+                let x = Tensor::from_vec(vec![8], buf);
+                let ptr = x.data().as_ptr() as usize;
+                let (_, first) = run_call(g, Call::AllReduce { input: Cow::Owned(x) });
+                let (_, back) = run_call(g, Call::AllReduce { input: Cow::Owned(Tensor::ones(vec![8])) });
+                let back = back.expect("every member finished reading the first deposit");
+                (first.is_none(), ptr, back.as_ptr() as usize, back.capacity())
+            });
+            for (r, (first, ptr, back, cap)) in backs.into_iter().enumerate() {
+                assert!(first, "rank {r}: nothing was deposited before the first call");
+                assert_eq!(back, ptr, "rank {r}: the allocation moved in is the one handed back");
+                assert!(cap >= 64, "rank {r}: the buffer comes back whole");
+            }
+        }
+    }
+
+    #[test]
+    fn a_reader_holding_a_part_makes_the_take_back_fall_back() {
+        // Member 1 holds rank 0's part of the first gather until its third
+        // call, after member 0's second completion has tried to take its
+        // deposit back: that take-back hands nothing back, the deposit lives
+        // on in the part, and the part still reads member 0's values.
+        let outs = run_group(2, |r, g| {
+            let x = Tensor::full(vec![2, 2], r as f32 + 1.0);
+            let (Received::Parts(parts), _) = run_call(g, Call::AllGatherParts { shard: Cow::Owned(x), dim: 1 }) else {
+                unreachable!("a parts gather reads parts")
+            };
+            // Member 1 keeps rank 0's part only, and drops its own.
+            let kept = parts.into_iter().next().filter(|_| r == 1);
+            let (_, back) = run_call(g, Call::AllReduce { input: Cow::Owned(Tensor::ones(vec![2])) });
+            let _ = g.all_reduce(&Tensor::ones(vec![2]));
+            let first = kept.map(|part| part.data().to_vec());
+            (back.is_some(), first)
+        });
+        assert_eq!(outs[0], (false, None), "rank 0's deposit is still held by rank 1's part");
+        assert_eq!(outs[1], (true, Some(vec![1.0; 4])), "rank 1's deposit was read by value only");
+    }
+
     #[test]
     fn traffic_stats_recorded_once_per_call() {
         let stats = TrafficStats::new();
@@ -1018,11 +1195,12 @@ mod tests {
             };
             let outs = run_group(size, |r, g| {
                 let q = PackedMatrix::quantize(&shard(r));
-                let Received::Parts(parts) = g.call(Call::AllGatherParts { shard: &shard(r), dim: 0 }) else {
+                let Received::Parts(parts) = g.call(Call::AllGatherParts { shard: Cow::Owned(shard(r)), dim: 0 }) else {
                     unreachable!("a parts gather reads parts")
                 };
+                let parts: Vec<Tensor> = parts.iter().map(|p| (**p).clone()).collect();
                 let gathered = g.all_gather(&shard(r), 0);
-                let Received::Packed(quant) = g.call(Call::AllGatherPacked { shard: &q, dim: 0 }) else {
+                let Received::Packed(quant) = g.call(Call::AllGatherPacked { shard: Arc::new(q), dim: 0 }) else {
                     unreachable!("a quantized gather reads int8 parts")
                 };
                 (parts, gathered, quant)
@@ -1034,7 +1212,7 @@ mod tests {
                 assert_eq!(Tensor::concat(&refs, 0), gathered);
                 for r in 0..size {
                     assert_eq!(parts[r], shard(r));
-                    assert_eq!(quant[r], PackedMatrix::quantize(&shard(r)));
+                    assert_eq!(*quant[r], PackedMatrix::quantize(&shard(r)));
                 }
             }
         }
@@ -1053,9 +1231,9 @@ mod tests {
                 s.spawn(move || {
                     let t = Tensor::ones(vec![8, 6]);
                     let _ = m.all_gather(&t, 1);
-                    let _ = m.call(Call::AllGatherParts { shard: &t, dim: 1 });
-                    let _ = m.call(Call::AllGatherPacked { shard: &PackedMatrix::pack(&t), dim: 1 });
-                    let _ = m.call(Call::AllGatherPacked { shard: &PackedMatrix::quantize(&t), dim: 1 });
+                    let _ = m.call(Call::AllGatherParts { shard: Cow::Borrowed(&t), dim: 1 });
+                    let _ = m.call(Call::AllGatherPacked { shard: Arc::new(PackedMatrix::pack(&t)), dim: 1 });
+                    let _ = m.call(Call::AllGatherPacked { shard: Arc::new(PackedMatrix::quantize(&t)), dim: 1 });
                 });
             }
         });

@@ -57,7 +57,7 @@ pub mod stats;
 pub mod sync;
 
 pub use fault::{CollectiveError, FaultKind, FaultPlan, FaultState, InjectedCrash, Trigger};
-pub use group::{Call, CommGroup, Posted, Received};
+pub use group::{Call, CommGroup, Part, Posted, Received};
 pub use protocol::{ProtocolEdge, ProtocolModel};
 pub use stats::{quant_wire_bytes, CollectiveOp, CommTimes, TrafficStats, ACT_BYTES};
 pub use sync::BarrierFate;

@@ -2,7 +2,9 @@
 //! one deposit into a generation-parity mailbox, one barrier, reads by
 //! reference, and a last-reader release per collective. Most models run the
 //! blocking collectives (post, then complete); the two executor models post
-//! for several members on one thread before completing any.
+//! for several members on one thread before completing any; the lending
+//! models move inputs into their deposits and check what the next
+//! completion on the group hands back.
 //!
 //! Compiled only under `RUSTFLAGS="--cfg loom"`, which swaps the sync
 //! primitives in `esti_collectives::sync` for the `esti-loom` bounded-DFS
@@ -18,6 +20,7 @@
 
 #![cfg(loom)]
 
+use std::borrow::Cow;
 use std::time::Duration;
 
 use esti_collectives::sync::Barrier;
@@ -142,7 +145,7 @@ fn missing_member_is_detected_as_deadlock() {
 
 /// Posts member `g`'s all-reduce of its rank + 1.
 fn post_rank(g: &CommGroup) -> Posted {
-    g.post(Call::AllReduce { input: &Tensor::full(vec![1], g.rank() as f32 + 1.0) })
+    g.post(Call::AllReduce { input: Cow::Owned(Tensor::full(vec![1], g.rank() as f32 + 1.0)) })
 }
 
 /// The one-element sum a completed all-reduce hands back.
@@ -164,9 +167,9 @@ fn one_thread_posts_for_two_members_then_completes() {
         let g2 = members.remove(2);
         let g1 = members.remove(1);
         let g0 = members.remove(0);
-        let h = loom::thread::spawn(move || sum(g2.complete(post_rank(&g2), Vec::new())));
+        let h = loom::thread::spawn(move || sum(g2.complete(post_rank(&g2), Vec::new()).0));
         let (p0, p1) = (post_rank(&g0), post_rank(&g1));
-        let (s0, s1) = (sum(g0.complete(p0, Vec::new())), sum(g1.complete(p1, Vec::new())));
+        let (s0, s1) = (sum(g0.complete(p0, Vec::new()).0), sum(g1.complete(p1, Vec::new()).0));
         for out in [s0, s1, h.join().expect("member 2")] {
             assert_eq!(out, [6.0]);
         }
@@ -184,9 +187,9 @@ fn completing_a_member_before_posting_its_executor_mate_deadlocks() {
         let g2 = members.remove(2);
         let g1 = members.remove(1);
         let g0 = members.remove(0);
-        let _h = loom::thread::spawn(move || sum(g2.complete(post_rank(&g2), Vec::new())));
-        let s0 = sum(g0.complete(post_rank(&g0), Vec::new()));
-        let s1 = sum(g1.complete(post_rank(&g1), Vec::new()));
+        let _h = loom::thread::spawn(move || sum(g2.complete(post_rank(&g2), Vec::new()).0));
+        let s0 = sum(g0.complete(post_rank(&g0), Vec::new()).0);
+        let s1 = sum(g1.complete(post_rank(&g1), Vec::new()).0);
         assert_eq!((s0, s1), (vec![6.0], vec![6.0]));
     });
 }
@@ -242,5 +245,63 @@ fn cancel_wakes_blocked_waiter_with_peer_crashed() {
         let res = h.join().expect("waiter thread returns, not hangs");
         assert_eq!(res, Err(CollectiveError::PeerCrashed { rank: 7 }));
         assert_eq!(b.wait_deadline(None), Err(CollectiveError::PeerCrashed { rank: 7 }));
+    });
+}
+
+/// Member `g`'s all-reduce of an owned `[2]` input, moved into its deposit:
+/// the sum, what the completion handed back, and the input's address.
+fn lend_rank(g: &CommGroup, value: f32) -> (Vec<f32>, Option<usize>, usize) {
+    let x = Tensor::full(vec![2], value);
+    let at = x.data().as_ptr() as usize;
+    let (received, back) = g.complete(g.post(Call::AllReduce { input: Cow::Owned(x) }), Vec::new());
+    (sum(received), back.map(|b| b.as_ptr() as usize), at)
+}
+
+#[test]
+fn the_next_rendezvous_hands_back_the_lent_buffer() {
+    // Both members move their inputs into two all-reduces in a row. Under
+    // every interleaving the second completion hands each member back the
+    // very allocation it lent the first — every peer finished reading it
+    // before arriving at the second — and the sums are right. Taking a
+    // deposit back at its own generation's completion, while a slow peer
+    // may still be reading it, fails this model.
+    loom::model(|| {
+        let (g0, g1) = pair();
+        let run = |g: CommGroup| {
+            let r = g.rank() as f32;
+            let (first, none, lent) = lend_rank(&g, r + 1.0);
+            let (second, back, _) = lend_rank(&g, 10.0 * (r + 1.0));
+            assert_eq!(none, None, "rank {r}: nothing was lent before the first call");
+            assert_eq!(back, Some(lent), "rank {r}: the next rendezvous hands back the first input's buffer");
+            (first, second)
+        };
+        let h = loom::thread::spawn(move || run(g1));
+        for (first, second) in [run(g0), h.join().expect("member 1")] {
+            assert_eq!(first, [3.0, 3.0]);
+            assert_eq!(second, [30.0, 30.0]);
+        }
+    });
+}
+
+#[test]
+fn a_held_part_makes_the_take_back_fall_back() {
+    // Member 1 keeps member 0's part of a parts gather across the next
+    // collective, dropping it only after a third: under every interleaving
+    // member 0's second completion hands nothing back and neither panics
+    // nor races, and the part still reads member 0's values.
+    loom::model(|| {
+        let (g0, g1) = pair();
+        let run = |g: CommGroup| {
+            let shard = Cow::Owned(Tensor::full(vec![1], g.rank() as f32 + 1.0));
+            let (received, _) = g.complete(g.post(Call::AllGatherParts { shard, dim: 0 }), Vec::new());
+            let Received::Parts(parts) = received else { panic!("a parts gather reads parts") };
+            let kept = parts.into_iter().next().filter(|_| g.rank() == 1);
+            let (_, back, _) = lend_rank(&g, 1.0);
+            let _ = g.all_reduce(&Tensor::full(vec![1], 1.0));
+            (back.is_some(), kept.map(|part| part.data().to_vec()))
+        };
+        let h = loom::thread::spawn(move || run(g1));
+        assert_eq!(run(g0), (false, None));
+        assert_eq!(h.join().expect("member 1"), (true, Some(vec![1.0])));
     });
 }

@@ -771,6 +771,13 @@ impl Schedule {
 /// per-token width: every value's size scales with the pass's `B·L` alike,
 /// so one plan by size serves every pass. Steps are numbered
 /// [`Schedule::layer`] then [`Schedule::final_steps`].
+///
+/// A collective moves an input that dies there into its deposit (`moves`)
+/// instead of copying it, and lends it the buffer: the chip's next
+/// rendezvous on the same group takes the buffer back (the next collective
+/// over the same axes; a layer's last one on a group is taken back by the
+/// next layer's first), into the value's slot (`back`), which stays
+/// reserved until then, so the peak counts the lent buffer.
 #[derive(Debug, Clone)]
 pub struct BufferPlan {
     /// Whether each step is an all-gather handing an einsum rank-ordered parts.
@@ -796,6 +803,12 @@ pub struct BufferPlan {
     /// The slots each step uses last, whose buffers are freed once the step
     /// has run for the last time in a pass.
     pub frees: Vec<Vec<usize>>,
+    /// Each collective that moves its input, a step value dying there, into
+    /// its deposit, lending the input's buffer.
+    pub moves: Vec<bool>,
+    /// Each collective's slot for the buffer its completion takes back: the
+    /// one the previous collective on its group moved in.
+    pub back: Vec<Option<usize>>,
     peak: usize,
 }
 
@@ -821,9 +834,10 @@ impl BufferPlan {
         }
 
         // Each buffer a pass needs is an item live over steps `[first,
-        // last]`: a step value (joined by the value a SwiGLU or add writes
-        // over it in place, where it dies there and is shaped like the
-        // output), or attention's roped `q` / `k`.
+        // last]`, and in a layer also `[0, wrap]` (lent to a deposit and
+        // taken back in the next layer): a step value (joined by the value a
+        // SwiGLU or add writes over it in place, where it dies there and is
+        // shaped like the output), or attention's roped `q` / `k`.
         let (mut items, mut scratch_items) = (Vec::new(), Vec::new());
         let (mut item_of, mut in_place): (Vec<Option<usize>>, _) = (vec![None; n], vec![None; n]);
         for (k, step) in steps.iter().enumerate() {
@@ -832,7 +846,7 @@ impl BufferPlan {
                 if *op == LocalOp::Attention && cfg.position == PositionKind::Rope {
                     for &r in &inputs[..2] {
                         scratch_items.push((k, items.len()));
-                        items.push((k, k, size(tensor(r))));
+                        items.push((k, k, size(tensor(r)), None));
                     }
                 }
                 let dies_here = |r: &Operand| {
@@ -851,12 +865,49 @@ impl BufferPlan {
                 continue;
             }
             let it = over.unwrap_or_else(|| {
-                items.push((k, k, 0));
+                items.push((k, k, 0, None));
                 items.len() - 1
             });
             items[it].1 = last_read[k];
             items[it].2 = items[it].2.max(size(step.output()));
             item_of[k] = Some(it);
+        }
+        // A collective copies its input into a deposit that the last member
+        // to read it frees, unless the chip moves in an input dying there
+        // and lends its buffer: the chip's next rendezvous on the group (`m`,
+        // at or before `k` when it wraps round the layer) takes it back, into
+        // the value's slot, which stays reserved until then. A parts
+        // gather's buffer comes back whole only if every einsum reading its
+        // parts has run by `m`, one wrapping round the layer only if the
+        // next layer's value takes the slot after `m`; such inputs are
+        // copied. A layer's deposit taken back in the next layer outlives
+        // the last layer, to the final steps' first rendezvous on its group
+        // or the pass's end (a tail).
+        let axes = |k: usize| match steps[k] {
+            Step::Collective { axes, .. } => Some(*axes),
+            _ => None,
+        };
+        let (mut moves, mut back_item, mut tails) = (vec![false; n], vec![None; n], Vec::new());
+        for (k, step) in steps.iter().enumerate() {
+            let Step::Collective { input: Operand::Step(j), axes: a, .. } = step else { continue };
+            let Some(it) = item_of[*j].filter(|_| last_read[*j] == k) else { continue };
+            let same = |m: &usize| axes(*m) == Some(*a);
+            let m = if k < split { (k + 1..split).find(same).or_else(|| (0..split).find(same)) } else { (k + 1..n).find(same) };
+            match m {
+                Some(m) if m > k && parts[k] && last_read[k] >= m => continue,
+                Some(m) if m > k => items[it].1 = items[it].1.max(m),
+                Some(m) if m < items[it].0 => {
+                    items[it].1 = split - 1;
+                    items[it].3 = Some(m);
+                    tails.push((it, (split..n).find(same).unwrap_or(n - 1)));
+                }
+                Some(_) => continue,
+                None => items[it].1 = n - 1,
+            }
+            moves[k] = true;
+            if let Some(m) = m {
+                back_item[m] = Some(it);
+            }
         }
         // Largest first, each item takes the first slot it overlaps nothing
         // in, else a new one. The layer steps and the final steps keep to
@@ -869,18 +920,22 @@ impl BufferPlan {
         order.sort_by_key(|&it| (std::cmp::Reverse(items[it].2), items[it].0));
         let mut slot_of = vec![0; items.len()];
         for it in order {
-            let (first, last, size) = items[it];
+            let (first, last, size, wrap) = items[it];
+            let spans: Vec<(usize, usize)> = std::iter::once((first, last)).chain(wrap.map(|m| (0, m))).collect();
             let free = |iv: &Vec<(usize, usize)>| {
-                iv.iter().all(|&(a, b)| (last < a || b < first) && (a < split) == (first < split))
+                spans.iter().all(|&(first, last)| {
+                    iv.iter().all(|&(a, b)| (last < a || b < first) && (a < split) == (first < split))
+                })
             };
             let slot = (2..held.len()).find(|&s| free(&held[s])).unwrap_or_else(|| {
                 sizes.push(size);
                 held.push(Vec::new());
                 held.len() - 1
             });
-            held[slot].push((first, last));
+            held[slot].extend(spans);
             slot_of[it] = slot;
         }
+        let back = back_item.iter().map(|it| it.map(|it| slot_of[it])).collect();
         let value = item_of.iter().map(|it| it.map(|it| slot_of[it])).collect();
         let mut scratch = vec![Vec::new(); n];
         for &(k, it) in &scratch_items {
@@ -895,7 +950,8 @@ impl BufferPlan {
         // A slot's buffer is freed after its items' last step. Over a pass,
         // a lane holds it from its first use until then in the last layer (a
         // layer slot) or the final steps; slot 0 holds the residual stream on
-        // through the final steps. The peak falls where a buffer is taken.
+        // through the final steps, and a tail its lent buffer from the final
+        // steps' start. The peak falls where a buffer is taken.
         let (mut frees, mut spans) = (vec![Vec::new(); n], Vec::new());
         let shift = cfg.n_layers.saturating_sub(1) * split;
         for (slot, iv) in held.iter().enumerate() {
@@ -903,9 +959,10 @@ impl BufferPlan {
             frees[b].push(slot);
             spans.push((if a < split { a } else { shift + a }, shift + if slot == 0 { n - 1 } else { b }, sizes[slot]));
         }
+        spans.extend(tails.iter().map(|&(it, tail)| (shift + split, shift + tail, sizes[slot_of[it]])));
         let held_at = |t: usize| spans.iter().filter(|&&(a, b, _)| a <= t && t <= b).map(|v| v.2).sum();
         let peak = spans.iter().map(|v| held_at(v.0)).max().unwrap_or(0);
-        BufferPlan { parts, in_place, value, scratch, resid: [0, 1], sizes, dies, frees, peak }
+        BufferPlan { parts, in_place, value, scratch, resid: [0, 1], sizes, dies, frees, moves, back, peak }
     }
 
     /// The most slot elements one chip's lane holds at once over a pass at

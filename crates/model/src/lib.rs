@@ -41,5 +41,5 @@ pub mod weights;
 
 pub use config::{AttentionKind, BlockKind, MlpKind, ModelConfig, PositionKind};
 pub use kvcache::{KvCache, KvRun, PageStats, DEFAULT_KV_PAGE_SIZE};
-pub use reference::{attention_over_cache, attention_over_rows, ReferenceModel};
+pub use reference::{attention_over_cache, attention_over_rows, AttentionScratch, ReferenceModel};
 pub use weights::{LayerWeights, Weights};

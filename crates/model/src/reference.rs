@@ -312,12 +312,25 @@ pub fn attention_over_rows(
     d_head: usize,
 ) -> Tensor {
     let mut out = Tensor::zeros(q.shape().to_vec());
-    attention_over_rows_into(q, cache, rows, layer, d_head, &mut out);
+    attention_over_rows_into(q, cache, rows, layer, d_head, &mut out, &mut AttentionScratch::default());
     out
 }
 
+/// The attention kernel's working buffers — a block's queries and outputs
+/// lane-major `[lane, d_head]`, its scores then probabilities `[lane,
+/// stride]` — kept by the caller from call to call. They grow to the
+/// largest call and no further, so a caller that keeps one (the engine
+/// keeps one per chip through a decode step's layers) calls the kernel
+/// without allocating.
+#[derive(Debug, Default)]
+pub struct AttentionScratch {
+    qs: Vec<f32>,
+    os: Vec<f32>,
+    ps: Vec<f32>,
+}
+
 /// [`attention_over_rows`] accumulated into `out` (shaped like `q`), which
-/// the caller zeroes first.
+/// the caller zeroes first, working in `scratch`.
 ///
 /// # Panics
 ///
@@ -329,6 +342,7 @@ pub fn attention_over_rows_into(
     layer: usize,
     d_head: usize,
     out: &mut Tensor,
+    scratch: &mut AttentionScratch,
 ) {
     let (b, l_q, qw) = (q.dim(0), q.dim(1), q.dim(2));
     let lens = cache.row_lens(layer);
@@ -342,9 +356,7 @@ pub fn attention_over_rows_into(
     let (hq, hkv) = (qw / d_head, kw / d_head);
     let scale = 1.0 / (d_head as f32).sqrt();
     let out = out.data_mut();
-    // Lane-major scratch: queries and outputs `[lane, d_head]`, scores then
-    // probabilities `[lane, stride]`.
-    let (mut qs, mut os, mut ps) = (Vec::new(), Vec::new(), Vec::new());
+    let AttentionScratch { qs, os, ps } = scratch;
     let mut b0 = 0;
     while b0 < b {
         // The group: step rows `b0..b1` that read their first `first` keys

@@ -4,7 +4,7 @@
 // decode shapes, over a cache built and left cold the way the engine's is.
 //
 //   cargo test --release -p esti-model --test attention_speed -- --ignored --nocapture
-use esti_model::reference::attention_over_rows_into;
+use esti_model::reference::{attention_over_rows_into, AttentionScratch};
 use esti_model::KvCache;
 use esti_tensor::Tensor;
 use std::time::Instant;
@@ -72,6 +72,7 @@ fn thread_cpu_ns() -> Option<u64> {
 fn median_us(cache: &KvCache, q: &Tensor, reps: usize, mut clobber: Option<&mut Vec<u8>>) -> (f64, f64) {
     let row_map: Vec<usize> = (0..q.dim(0)).collect();
     let mut out = Tensor::zeros(q.shape().to_vec());
+    let mut scratch = AttentionScratch::default();
     let median = |mut xs: Vec<f64>| {
         xs.sort_by(f64::total_cmp);
         xs[xs.len() / 2]
@@ -89,7 +90,7 @@ fn median_us(cache: &KvCache, q: &Tensor, reps: usize, mut clobber: Option<&mut 
             let c0 = thread_cpu_ns().and(thread_cpu_ns());
             let (layer, out) = (rep % cache.n_layers(), std::hint::black_box(&mut out));
             let t = Instant::now();
-            attention_over_rows_into(q, cache, &row_map, layer, D_HEAD, out);
+            attention_over_rows_into(q, cache, &row_map, layer, D_HEAD, out, &mut scratch);
             let wall = t.elapsed().as_secs_f64() * 1e6;
             (wall, cpu_us(c0, thread_cpu_ns()).map_or(wall, |c| (c - floor).max(0.0)))
         })

@@ -50,7 +50,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use esti_collectives::{
-    Call, CollectiveError, CommGroup, CommTimes, FaultPlan, FaultState, InjectedCrash, Posted, Received,
+    Call, CollectiveError, CommGroup, CommTimes, FaultPlan, FaultState, InjectedCrash, Part, Posted, Received,
     TrafficStats,
 };
 use esti_core::layout::Layout;
@@ -59,7 +59,7 @@ use esti_core::schedule::{
     Role, Schedule, Step, SymTensor, WireFormat,
 };
 use esti_hal::DType;
-use esti_model::reference::{attention_over_rows_into, gelu_into};
+use esti_model::reference::{attention_over_rows_into, gelu_into, AttentionScratch};
 use esti_model::{KvCache, ModelConfig, PageStats, PositionKind, ReferenceModel, Weights};
 use esti_tensor::{ops, PackedMatrix, Tensor};
 use esti_topology::{AxisSet, ChipCoord};
@@ -136,14 +136,15 @@ struct ChipState {
 }
 
 /// A chip's cut of what one pass reads — a layer, or the final steps: each
-/// stored weight, in `Schedule.weights` order, and each layernorm gain.
+/// stored weight, in `Schedule.weights` order, shared with the weight
+/// gathers that deposit it, and each layernorm gain.
 struct Stored {
-    weights: Vec<(Role, PackedMatrix)>,
+    weights: Vec<(Role, Arc<PackedMatrix>)>,
     gains: Vec<(Gain, Tensor)>,
 }
 
 impl Stored {
-    fn weight(&self, role: Role) -> &PackedMatrix {
+    fn weight(&self, role: Role) -> &Arc<PackedMatrix> {
         &self.weights.iter().find(|w| w.0 == role).expect("a pass stores every weight it reads").1
     }
 
@@ -1100,11 +1101,12 @@ fn rows_per_span(spans: &[(usize, usize)], slots: &[usize]) -> usize {
 
 /// A chip's KV cache as one forward pass sees it: step row `r` of the
 /// chip's share appends to, and attends over, cache row `rows[r]` of the
-/// `batch` rows the cache holds.
+/// `batch` rows the cache holds, working in the lane's attention scratch.
 struct StepCache<'a> {
     cache: &'a mut KvCache,
     rows: &'a [usize],
     batch: usize,
+    scratch: &'a mut AttentionScratch,
 }
 
 impl StepCache<'_> {
@@ -1113,9 +1115,14 @@ impl StepCache<'_> {
     }
 
     /// Attention of `q` over the step's rows into `out`, which the caller
-    /// zeroed.
-    fn attend_into(&self, q: &Tensor, layer: usize, d_head: usize, out: &mut Tensor) {
-        attention_over_rows_into(q, self.cache, self.rows, layer, d_head, out);
+    /// zeroed. A decode step keeps the scratch for the next layer's call; a
+    /// prefill's, as large as a decode step's but next to the MLP's far
+    /// larger buffers where a prefill peaks, is freed after each call.
+    fn attend_into(&mut self, q: &Tensor, layer: usize, d_head: usize, out: &mut Tensor) {
+        attention_over_rows_into(q, self.cache, self.rows, layer, d_head, out, self.scratch);
+        if q.dim(1) > 1 {
+            *self.scratch = AttentionScratch::default();
+        }
     }
 }
 
@@ -1206,12 +1213,12 @@ fn classify_panic(rank: usize, payload: &ChipPanic) -> (u8, EngineError) {
 // ---------------------------------------------------------------------------
 
 /// What a schedule step hands on: an activation, or an all-gather's
-/// rank-ordered parts — packed weight shards, or `[B, L, ·]` activation
-/// blocks — which only an einsum reads.
+/// rank-ordered parts — the peers' stored weight shards, or views of their
+/// `[B, L, ·]` activation deposits — which only an einsum reads.
 enum Val {
     Act(Tensor),
-    Weights(Vec<PackedMatrix>),
-    Parts(Vec<Tensor>),
+    Weights(Vec<Arc<PackedMatrix>>),
+    Parts(Vec<Part>),
 }
 
 /// The block of `w`, the stored `[rows, cols]` matrix of weight `t`, that
@@ -1255,7 +1262,7 @@ fn store(
         .filter(|(role, _)| steps.iter().flat_map(Step::operands).any(|r| r == Operand::Weight(*role)))
         .map(|stored @ &(role, ref t)| {
             let block = cut(matrix(w, embed_t, li, role), t, &p.cut(stored, coord));
-            (role, if role == Role::EmbedT { PackedMatrix::pack(&block) } else { fmt.apply(&block) })
+            (role, Arc::new(if role == Role::EmbedT { PackedMatrix::pack(&block) } else { fmt.apply(&block) }))
         })
         .collect();
     let gains = steps
@@ -1420,6 +1427,9 @@ struct Lane<'a> {
     slots: Vec<Vec<f32>>,
     /// A fold's later-rank accumulator, one block of `FOLD_ROWS` rows.
     fold: Vec<f32>,
+    /// The attention kernel's working buffers: a decode step's, grown to
+    /// its largest call and freed with the lane, like the slots.
+    attn: AttentionScratch,
     /// The collective of the step in flight, posted and not yet completed.
     posted: Option<Posted>,
     /// Whether this chip returns the logits: rank 0 of the group they are
@@ -1440,7 +1450,8 @@ impl<'a> Lane<'a> {
         let vals = p.instrs.iter().map(|_| None).collect();
         let slots = vec![Vec::new(); p.plan.sizes.len()];
         let x = Cow::Borrowed(input);
-        Lane { chip, kv, x, bases, vals, slots, fold: Vec::new(), posted: None, emits: false, failed: None }
+        let (fold, attn) = (Vec::new(), AttentionScratch::default());
+        Lane { chip, kv, x, bases, vals, slots, fold, attn, posted: None, emits: false, failed: None }
     }
 
     /// Runs `f` on this chip, under its own `catch_unwind`, unless the chip
@@ -1522,13 +1533,13 @@ impl<'a> Lane<'a> {
             self.settle(p, li, k, Val::Act(y));
             return;
         }
-        let Lane { chip, kv: (rows, batch), x, bases, vals, slots, fold, .. } = self;
+        let Lane { chip, kv: (rows, batch), x, bases, vals, slots, fold, attn, .. } = self;
         let ChipState { coord, stored, cache, .. } = &mut **chip;
-        let cache = &mut StepCache { cache, rows, batch: *batch };
+        let cache = &mut StepCache { cache, rows, batch: *batch, scratch: attn };
         let (cfg, stored) = (&p.cfg, &stored[li]);
         let act = |r: Operand| act(x, vals, r);
         let mat = |r: Operand| match r {
-            Operand::Weight(role) => stored.weight(role),
+            Operand::Weight(role) => &**stored.weight(role),
             _ => panic!("{r:?} is not a stored weight"),
         };
         let val = |r: Operand| match r {
@@ -1570,7 +1581,7 @@ impl<'a> Lane<'a> {
                         let kc = a.dim(2) / ws.len();
                         let mut y = take_slot(slots, slot, like(a), true);
                         let ranks: Vec<RankPart<'_>> =
-                            ws.iter().enumerate().map(|(r, w)| (a, r * kc, w, 0, kc)).collect();
+                            ws.iter().enumerate().map(|(r, w)| (a, r * kc, &**w, 0, kc)).collect();
                         fold_ranks(&mut y, fold, &ranks, true);
                         y
                     }
@@ -1578,7 +1589,7 @@ impl<'a> Lane<'a> {
                         let (xs, w) = (parts(*a), mat(*w));
                         let mut y = take_slot(slots, slot, like(&xs[0]), true);
                         let ranks: Vec<RankPart<'_>> =
-                            xs.iter().enumerate().map(|(r, x)| (x, 0, w, r * x.dim(2), x.dim(2))).collect();
+                            xs.iter().enumerate().map(|(r, x)| (&**x, 0, w, r * x.dim(2), x.dim(2))).collect();
                         fold_ranks(&mut y, fold, &ranks, false);
                         w.apply_scales(&mut y);
                         y
@@ -1655,38 +1666,52 @@ impl<'a> Lane<'a> {
 
     /// Posts step `k`'s collective on the chip's group over the step's
     /// axes. An all-gather an einsum reads moves rank-ordered parts: a
-    /// stored weight in its wire format, or `[B, L, ·]` activation blocks.
+    /// stored weight in its wire format, shared, or `[B, L, ·]` activation
+    /// blocks. An input the plan moves (one dying here) goes into the
+    /// deposit with its buffer; any other is copied once.
     fn post(&mut self, p: &ChipProgram, li: usize, k: usize) {
         let Instr::Collective(c) = &p.instrs[k] else { unreachable!("step {k} is a collective") };
-        let input = &c.input;
-        let act = |r: Operand| act(&self.x, &self.vals, r);
-        let call = match c.send {
-            Exchange::Weight { role, dim, wire } => {
+        let input = match (c.input, p.plan.moves[k]) {
+            (Operand::Step(j), true) => match self.vals[j].take() {
+                Some(Val::Act(t)) => Some(Cow::Owned(t)),
+                _ => unreachable!("a moved value lives until its collective"),
+            },
+            (Operand::Weight(_), _) => None,
+            (r, _) => Some(Cow::Borrowed(act(&self.x, &self.vals, r))),
+        };
+        let call = match (c.send, input) {
+            (Exchange::Weight { role, dim, wire }, _) => {
                 let shard = self.chip.stored[li].weight(role);
                 let int8 = wire == WireFormat::Int8;
                 assert_eq!(shard.scales().is_some(), int8, "a weight's wire format follows its storage");
-                Call::AllGatherPacked { shard, dim }
+                Call::AllGatherPacked { shard: Arc::clone(shard), dim }
             }
-            Exchange::Parts => {
-                let t = act(*input);
-                Call::AllGatherParts { shard: t, dim: t.rank() - 1 }
+            (_, None) => unreachable!("only a weight gather posts a stored weight"),
+            (Exchange::Parts, Some(t)) => {
+                let dim = t.rank() - 1;
+                Call::AllGatherParts { shard: t, dim }
             }
-            Exchange::Gather(dim) => Call::AllGather { shard: act(*input), dim },
-            Exchange::AllReduce => Call::AllReduce { input: act(*input) },
-            Exchange::ReduceScatter(dim) => Call::ReduceScatter { input: act(*input), dim },
-            Exchange::AllToAll { split, concat } => Call::AllToAll { input: act(*input), split, concat },
+            (Exchange::Gather(dim), Some(t)) => Call::AllGather { shard: t, dim },
+            (Exchange::AllReduce, Some(t)) => Call::AllReduce { input: t },
+            (Exchange::ReduceScatter(dim), Some(t)) => Call::ReduceScatter { input: t, dim },
+            (Exchange::AllToAll { split, concat }, Some(t)) => Call::AllToAll { input: t, split, concat },
         };
         let posted = self.chip.groups[c.group].post(call);
         self.posted = Some(posted);
     }
 
     /// Completes the collective step `k` posted, a dense result read into
-    /// the step's slot.
+    /// the step's slot, and puts the buffer of the chip's previous deposit
+    /// on the group, handed back, into the slot the plan kept for it.
     fn complete(&mut self, p: &ChipProgram, li: usize, k: usize) {
         let Instr::Collective(c) = &p.instrs[k] else { unreachable!("step {k} is a collective") };
         let posted = self.posted.take().expect("the step posted its collective");
         let buf = p.out_slot(li, k).map_or_else(Vec::new, |s| std::mem::take(&mut self.slots[s]));
-        let val = match self.chip.groups[c.group].complete(posted, buf) {
+        let (received, back) = self.chip.groups[c.group].complete(posted, buf);
+        if let (Some(back), Some(s)) = (back, p.plan.back[k]) {
+            self.slots[s] = back;
+        }
+        let val = match received {
             Received::Tensor(t) => Val::Act(t),
             Received::Parts(parts) => Val::Parts(parts),
             Received::Packed(parts) => Val::Weights(parts),
@@ -1695,8 +1720,13 @@ impl<'a> Lane<'a> {
     }
 
     /// The chip's result: the logits where it emits them, or its unwind.
-    /// Every other buffer of the pass is freed with the lane.
+    /// Every other buffer of the pass is freed with the lane, and the chip
+    /// lets go of the inputs it lent its groups' last collectives, so
+    /// nothing is kept from one pass to the next.
     fn finish(mut self) -> Result<Option<Tensor>, ChipPanic> {
+        for g in &self.chip.groups {
+            g.drain();
+        }
         match (self.failed, self.vals.pop().flatten()) {
             (Some(payload), _) => Err(payload),
             (None, Some(Val::Act(logits))) if self.emits => Ok(Some(logits)),

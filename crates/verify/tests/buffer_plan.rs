@@ -4,7 +4,9 @@
 //!   models, and on every schedule esti-lint accepts (the built-in
 //!   scenarios × their sweep layouts, at each scenario's batch), no two
 //!   values live at one step share a slot, checked against an independent
-//!   walk of the steps' operands.
+//!   walk of the steps' operands; nor does a value take the slot of one a
+//!   collective moved into its deposit before the chip's next rendezvous
+//!   on that group hands the buffer back.
 //! * **memfit**: on every combination esti-lint passes, the activation
 //!   bytes memfit charges are the plan's peak in bf16 — the larger of the
 //!   two programs' peaks on a weight-gathered layout that decodes on a
@@ -94,6 +96,26 @@ fn the_buffer_plan_never_gives_two_live_values_one_slot() {
                 assert!(p.sizes[slot] >= size, "{what}: step {j}'s slot holds it");
             }
         }
+        // Each moved collective's value and the step its buffer comes back
+        // at: the next collective over the same axes in its segment, or in
+        // a layer the next layer's first.
+        let axes = |k: usize| match steps[k] {
+            Step::Collective { axes, .. } => Some(*axes),
+            _ => None,
+        };
+        let mut lent: Vec<(usize, usize, Option<usize>)> = Vec::new();
+        for (c, step) in steps.iter().enumerate().filter(|&(c, _)| p.moves[c]) {
+            let Step::Collective { input: Operand::Step(j), .. } = step else {
+                panic!("{what}: step {c} moves a value it does not post")
+            };
+            assert_eq!(last[*j], c, "{what}: step {c} moves a value read after it");
+            let same = |m: &usize| axes(*m) == axes(c);
+            let back = if c < split { (c + 1..split).find(same).or_else(|| (0..split).find(same)) } else { (c + 1..steps.len()).find(same) };
+            if let Some(m) = back {
+                assert_eq!(p.back[m], p.value[*j], "{what}: step {m} hands step {c}'s buffer back to its slot");
+            }
+            lent.push((c, *j, back));
+        }
         for (k, step) in steps.iter().enumerate() {
             // An op in place overwrites the operand it reads last.
             let overwritten = match (step, p.in_place[k]) {
@@ -106,7 +128,15 @@ fn the_buffer_plan_never_gives_two_live_values_one_slot() {
             }
             let dead = |j: usize| last[j] < k || overwritten == Some(Operand::Step(j));
             let live = (0..=k).filter(|&j| !dead(j)).filter_map(|j| p.value[j]);
-            let mut held: Vec<usize> = live.chain(p.scratch[k].iter().copied()).collect();
+            // A lent buffer's slot stays reserved from its collective to
+            // the step that hands it back, in this layer or from the last.
+            let out = |&&(c, _, back): &&(usize, usize, Option<usize>)| match back {
+                Some(m) if m > c => c < k && k <= m,
+                Some(m) => (c < k && k < split) || k <= m,
+                None => c < k,
+            };
+            let lent = lent.iter().filter(out).filter_map(|&(_, j, _)| p.value[j]);
+            let mut held: Vec<usize> = live.chain(lent).chain(p.scratch[k].iter().copied()).collect();
             held.extend(p.resid);
             let n = held.len();
             held.sort_unstable();
