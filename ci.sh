@@ -132,8 +132,8 @@ cargo test -q --release -p esti-runtime --test serving
 # The live-row decode step: a step over any subset of the slots gives each
 # stepped row the all-slots step's bits (logits and KV, every decode layout,
 # multiquery / multihead, f32 / int8, both GEMM tiers — small steps run the
-# streaming f32 schedule), leaves every other slot untouched and returns its
-# padding slots empty; try_prefill / expand_batch / try_decode_step equal
+# streaming f32 schedule), leaves every other slot untouched, filler rows
+# included; try_prefill / expand_batch / try_decode_step equal
 # the row calls over every slot, and an expanded batch takes row calls and
 # gives back every page; DecodeWork counts repeat exactly.
 cargo test -q --release -p esti-runtime --test live_rows
@@ -177,10 +177,28 @@ echo "== prefix-prefill conformance: seeded and packed prefill rows bit-identica
 # only its suffix, next to other requests' rows, against a full batch-1
 # prefill (logits and KV to_bits, every decode layout, both GEMM tiers),
 # streams against isolated generate under preemption / decode crash /
-# prefill fault, a span padded from its scratch row, and the work counts on
-# ServingOutcome.
+# prefill fault, a span with no empty slot filled by an untouched live one,
+# and the work counts on ServingOutcome.
 cargo test -q --release -p esti-runtime --test prefix_prefill
 ESTI_DISABLE_SIMD=1 cargo test -q --release -p esti-runtime --test prefix_prefill
+
+echo "== padding is invisible: ragged and filler rows bit-identical to each row alone =="
+# A pass carries rows of unequal length and fills spans with filler rows of
+# length 0: every row's valid-position logits, KV and age equal the row run
+# alone (to_bits; ws1d x head, ws2d x batch, paired WG XYZ x batch; f32 and
+# int8), and a filler slot keeps its KV and takes no page.
+cargo test -q --release -p esti-runtime --test padding
+ESTI_DISABLE_SIMD=1 cargo test -q --release -p esti-runtime --test padding
+# Padding is never embedded or computed, so the batcher's learned-position
+# call split, its padding tokens and the engine's equal-length
+# assertion stay gone.
+padding=$( { grep -nE 'max_positions|\.get\(p\)\.copied\(\)\.unwrap_or\(0\)' crates/runtime/src/serving.rs \
+  ; grep -n 'ragged batch: all sequences must have equal length' crates/runtime/src/engine.rs; } || true)
+if [ -n "$padding" ]; then
+  echo "$padding"
+  echo "FAIL: padding is embedded again (a call split for it, a padding token, or equal-length rows)" >&2
+  exit 1
+fi
 # One prefill path: everything the scheduler prefills goes through
 # prefill_group -> prefill_call, the only try_prefill_rows call in serving.rs.
 if grep -n "try_prefill_padded" crates/runtime/src/serving.rs; then

@@ -159,7 +159,7 @@ fn main() {
         let values = Tensor::from_vec(vec![n, n], values);
         let scalar = time_best(5, || {
             let mut out = ops::matmul_naive(&a, &values);
-            w.apply_scales(&mut out);
+            w.apply_scales(out.data_mut());
         });
         ops::set_matmul_kernel(MatmulKernel::Blocked);
         let blocked = time_best(5, || {

@@ -37,6 +37,7 @@
 
 use std::borrow::Cow;
 use std::cell::{Cell, RefCell};
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -248,9 +249,16 @@ enum Read {
 impl Read {
     /// The result of reading `all`, a dense one written into `buf` straight
     /// from the deposits: concatenated, folded in ascending rank order, or
-    /// cut, with no peer's deposit sliced or copied first.
-    fn apply(self, all: &[Arc<Deposit>], rank: usize, buf: Vec<f32>) -> Received {
-        let mut out = buf;
+    /// cut, with no peer's deposit sliced or copied first. Given `rows`, a
+    /// read that keeps rows reads only those ([`Read::apply_rows`]).
+    fn apply(self, all: &[Arc<Deposit>], rank: usize, buf: Vec<f32>, rows: Option<&[Range<usize>]>) -> Received {
+        let mut out = match rows {
+            Some(rows) => match self.apply_rows(all, rank, buf, rows) {
+                Ok(t) => return Received::Tensor(t),
+                Err(buf) => buf,
+            },
+            None => buf,
+        };
         out.clear();
         Received::Tensor(match self {
             Read::Parts => return Received::Parts(all.iter().map(|d| Part(Arc::clone(d))).collect()),
@@ -300,6 +308,45 @@ impl Read {
                 Tensor::from_vec(piece, out)
             }
         })
+    }
+
+    /// A read that keeps its deposits' rows (their leading dims flattened)
+    /// — the sum, or a concatenation or this member's slice along the last
+    /// dim — over only the rows `rows` of the result, into `buf`: each of
+    /// them is its deposits' rows, side by side or folded in ascending rank
+    /// order exactly as the whole read folds them, and every other row is
+    /// zero. Any other read hands `buf` back.
+    fn apply_rows(self, all: &[Arc<Deposit>], rank: usize, buf: Vec<f32>, rows: &[Range<usize>]) -> Result<Tensor, Vec<f32>> {
+        let first = match self {
+            Read::Sum | Read::Slice { .. } | Read::Concat(_) => all[0].dense(),
+            _ => return Err(buf),
+        };
+        let (last, w) = (first.rank() - 1, first.dim(first.rank() - 1));
+        // The result's width, and the columns of each deposit's row it reads.
+        let (width, cols) = match self {
+            Read::Sum => (w, 0..w),
+            Read::Slice { dim, part } if dim == last => (part, rank * part..(rank + 1) * part),
+            Read::Concat(dim) if dim == last => (w * all.len(), 0..w),
+            _ => return Err(buf),
+        };
+        let mut shape = first.shape().to_vec();
+        shape[last] = width;
+        let n = shape.iter().product();
+        let mut out = buf;
+        out.clear();
+        out.resize(n, 0.0);
+        for t in rows.iter().cloned().flatten() {
+            let dst = &mut out[t * width..(t + 1) * width];
+            for (r, d) in all.iter().enumerate() {
+                let src = &d.dense().data()[t * w + cols.start..t * w + cols.end];
+                match (self, r) {
+                    (Read::Concat(_), _) => dst[r * w..(r + 1) * w].copy_from_slice(src),
+                    (_, 0) => dst.copy_from_slice(src),
+                    _ => dst.iter_mut().zip(src).for_each(|(o, &s)| *o += s),
+                }
+            }
+        }
+        Ok(Tensor::from_vec(shape, out))
     }
 }
 
@@ -632,16 +679,36 @@ impl CommGroup {
     /// the group is cancelled or the deadline expires first, so the
     /// tensor-returning API stays unchanged; the engine's per-chip
     /// `catch_unwind` harvests it into an `EngineError`.
+    #[must_use]
+    pub fn complete(&self, posted: Posted, buf: Vec<f32>) -> (Received, Option<Vec<f32>>) {
+        self.complete_rows(posted, buf, None)
+    }
+
+    /// [`complete`](Self::complete), reading only the rows `rows` of a
+    /// result that keeps its deposits' rows (their leading dims flattened):
+    /// an all-reduce's sum, or a gather or reduce-scatter along the last
+    /// dim. Every other row of such a result is zero; any other read reads
+    /// every row. `None` reads every row. What the call moves, and what the
+    /// ledger counts, does not change.
+    ///
+    /// # Panics
+    ///
+    /// As [`complete`](Self::complete).
     // Vetted: "peer deposited" is a protocol invariant (every member deposits
     // before it arrives, and a parity's mailboxes are emptied only after
     // every member has read them); its violation is a bug in this file, not
     // a runtime fault. Faults surface as the await's error.
     #[allow(clippy::expect_used)]
     #[must_use]
-    pub fn complete(&self, posted: Posted, buf: Vec<f32>) -> (Received, Option<Vec<f32>>) {
+    pub fn complete_rows(
+        &self,
+        posted: Posted,
+        buf: Vec<f32>,
+        rows: Option<&[Range<usize>]>,
+    ) -> (Received, Option<Vec<f32>>) {
         let Posted { op, read, parity, flight } = posted;
         let arrival = match flight {
-            Flight::Solo(mine) => return (read.apply(&[mine], self.rank, buf), self.take_back(1 - parity)),
+            Flight::Solo(mine) => return (read.apply(&[mine], self.rank, buf, rows), self.take_back(1 - parity)),
             Flight::Arrived(arrival) => arrival,
         };
         let t0 = Instant::now();
@@ -658,7 +725,7 @@ impl CommGroup {
             })
             .collect();
         self.debug_check_agreement(&all);
-        let out = read.apply(&all, self.rank, buf);
+        let out = read.apply(&all, self.rank, buf, rows);
         drop(all);
         self.release(parity);
         (out, back)
@@ -1040,6 +1107,45 @@ mod tests {
     /// Posts member `g`'s call and completes it.
     fn run_call(g: &CommGroup, call: Call<'_>) -> (Received, Option<Vec<f32>>) {
         g.complete(g.post(call), Vec::new())
+    }
+
+    #[test]
+    fn a_read_of_some_rows_is_the_whole_read_there_and_zero_elsewhere() {
+        // Three members, `[2, 3, 6]` inputs (six token rows of six): a
+        // row-keeping read of rows {1, 3, 4} gives those rows the whole
+        // read's bits and zeros elsewhere, into a stale buffer; a read that
+        // moves rows between dims reads them all.
+        fn call<'t>(name: &str, t: Cow<'t, Tensor>) -> Call<'t> {
+            match name {
+                "all-reduce" => Call::AllReduce { input: t },
+                "reduce-scatter" => Call::ReduceScatter { input: t, dim: 2 },
+                "gather" => Call::AllGather { shard: t, dim: 2 },
+                _ => Call::AllToAll { input: t, split: 2, concat: 0 },
+            }
+        }
+        let rows = [1..2, 3..5];
+        for name in ["all-reduce", "reduce-scatter", "gather", "all-to-all"] {
+            let outs = run_group(3, |r, g| {
+                let input: Vec<f32> = (0..36).map(|i| ((i * 7 + r * 13) % 17) as f32 * 0.37 - 2.9).collect();
+                let input = Tensor::from_vec(vec![2, 3, 6], input);
+                let whole = g.complete(g.post(call(name, Cow::Borrowed(&input))), Vec::new()).0;
+                let some = g.complete_rows(g.post(call(name, Cow::Borrowed(&input))), vec![9.0; 64], Some(&rows)).0;
+                let dense = |x: Received| match x {
+                    Received::Tensor(t) => t,
+                    _ => unreachable!("a dense read"),
+                };
+                (dense(whole), dense(some))
+            });
+            for (r, (whole, some)) in outs.into_iter().enumerate() {
+                assert_eq!(whole.shape(), some.shape(), "{name} rank {r}");
+                let w = whole.dim(2);
+                for (t, (a, b)) in whole.data().chunks(w).zip(some.data().chunks(w)).enumerate() {
+                    let kept = name == "all-to-all" || rows.iter().any(|rr| rr.contains(&t));
+                    let want: Vec<u32> = if kept { a.iter().map(|v| v.to_bits()).collect() } else { vec![0; w] };
+                    assert_eq!(b.iter().map(|v| v.to_bits()).collect::<Vec<_>>(), want, "{name} rank {r} row {t}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -1024,13 +1024,18 @@ pub struct Collective {
     pub group: usize,
     /// The input's chip-local shape.
     pub shape: Vec<usize>,
+    /// The batch axes the output's `B` splits over, whose groups pick the
+    /// chip's rows of the pass.
+    pub rows: AxisSet,
 }
 
 /// One compiled step.
 #[derive(Debug, Clone)]
 pub enum Instr {
-    /// An einsum `x · w`, read as `mm`, writing `[B, L, width]`.
-    Einsum { x: Operand, w: Operand, mm: Mm, width: usize },
+    /// An einsum `x · w`, read as `mm`, writing `[B, L, width]`; `rows` is
+    /// the batch axes `x`'s `B` splits over, whose groups pick the chip's
+    /// rows of the pass.
+    Einsum { x: Operand, w: Operand, mm: Mm, width: usize, rows: AxisSet },
     /// A local op; `gained` is the batch axes its output gains over its
     /// input (over the boundary, for attention's positions), whose groups
     /// pick the chip's rows.
@@ -1152,14 +1157,15 @@ impl ChipProgram {
                     let local = output.local_shape(s.torus).map_err(at)?;
                     let dims = output.spec.dims().iter().zip(local);
                     let width = dims.filter(|(d, _)| !matches!(d.name, 'B' | 'L')).map(|(_, w)| w).product();
-                    Instr::Einsum { x: *x, w: *w, mm, width }
+                    let rows = b_axes(s.tensor(*x).map_err(at)?);
+                    Instr::Einsum { x: *x, w: *w, mm, width, rows }
                 }
                 Step::Local { op, inputs, output, .. } => {
                     let from = if *op == LocalOp::Attention { &s.boundary } else { s.tensor(inputs[0]).map_err(at)? };
                     let gained = b_axes(output).without(b_axes(from));
                     Instr::Local { op: *op, inputs: inputs.clone(), gained }
                 }
-                Step::Collective { label, op, axes, input, wire, .. } => {
+                Step::Collective { label, op, axes, input, wire, output } => {
                     let t = s.tensor(*input).map_err(at)?;
                     let dim = |c: char| t.dim_index(c).ok_or_else(|| at(format!("{t} has no dim {c}")));
                     let send = match (*op, *input) {
@@ -1181,7 +1187,8 @@ impl ChipProgram {
                         )));
                     }
                     let shape = t.local_shape(s.torus).map_err(at)?;
-                    Instr::Collective(Collective { label, send, input: *input, group: group(*axes), shape })
+                    let rows = b_axes(output);
+                    Instr::Collective(Collective { label, send, input: *input, group: group(*axes), shape, rows })
                 }
             };
             instrs.push(instr);

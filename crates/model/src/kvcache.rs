@@ -537,17 +537,34 @@ impl KvCache {
     /// Panics if `layer` is out of range, `rows` is not one row below `batch`
     /// per tensor row, or batch/feature dims disagree with existing contents.
     pub fn append_rows(&mut self, layer: usize, rows: &[usize], batch: usize, k: &Tensor, v: &Tensor) {
+        self.append_ragged(layer, rows, &vec![k.dim(1); rows.len()], batch, k, v);
+    }
+
+    /// [`KvCache::append_rows`] of only the first `lens[r]` positions of
+    /// tensor row `r`: cache row `rows[r]` grows by `lens[r]`, and a row
+    /// given no positions is not touched (no page is taken for it).
+    ///
+    /// # Panics
+    ///
+    /// As [`KvCache::append_rows`], or if `lens` does not give each tensor
+    /// row at most `L_new` positions.
+    pub fn append_ragged(&mut self, layer: usize, rows: &[usize], lens: &[usize], batch: usize, k: &Tensor, v: &Tensor) {
         assert_eq!(k.shape(), v.shape(), "K and V must have matching shapes");
         assert_eq!(k.rank(), 3, "KV tensors must be [B, L, Hkv*dh]");
         let (l, d) = (k.dim(1), k.dim(2));
         assert_eq!(rows.len(), k.dim(0), "one cache row per KV tensor row");
+        assert_eq!(lens.len(), rows.len(), "one length per KV tensor row");
         self.ensure_shape(batch, d);
-        for (src, &r) in rows.iter().enumerate() {
+        for (src, (&r, &n)) in rows.iter().zip(lens).enumerate() {
             assert!(r < batch, "row {r} out of range for batch {batch}");
+            assert!(n <= l, "row {r} given {n} of {l} positions");
+            if n == 0 {
+                continue;
+            }
             let at = self.lens[layer][r];
-            let src = src * l * d..(src + 1) * l * d;
+            let src = src * l * d..(src * l + n) * d;
             self.write_span(layer, r, at, &k.data()[src.clone()], &v.data()[src]);
-            self.lens[layer][r] = at + l;
+            self.lens[layer][r] = at + n;
         }
     }
 
@@ -608,9 +625,8 @@ impl KvCache {
         }
     }
 
-    /// Settles a prefilled row in place: cuts row `row` to `tokens.len()`
-    /// positions in every layer (releasing its pages past them), then keys
-    /// each of its prompt pages by the token prefix it caches, as
+    /// Settles a prefilled row in place: keys each of row `row`'s pages by
+    /// the token prefix of `tokens` it caches, as
     /// [`KvCache::insert_row_shared`] would have keyed a copy of them. A
     /// page whose key is already registered to another page is dropped and
     /// that page mapped instead; a page shared with another row is copied
@@ -618,16 +634,12 @@ impl KvCache {
     ///
     /// # Panics
     ///
-    /// Panics if `row` is out of range or holds fewer than `tokens.len()`
-    /// positions in some layer.
+    /// Panics if `row` is out of range or does not hold exactly
+    /// `tokens.len()` positions in every layer.
     pub fn register_row(&mut self, row: usize, tokens: &[usize]) {
         let l = tokens.len();
-        for lens in &mut self.lens {
-            assert!(lens[row] >= l, "row {row} holds {} positions, not {l}", lens[row]);
-            lens[row] = l;
-        }
-        for pid in self.tables[row].split_off(l.div_ceil(self.page_size)) {
-            self.unref_page(pid);
+        for lens in &self.lens {
+            assert_eq!(lens[row], l, "row {row} holds {} positions, not its {l} tokens", lens[row]);
         }
         for pi in 0..self.tables[row].len() {
             let key = &tokens[..((pi + 1) * self.page_size).min(l)];
@@ -1552,9 +1564,9 @@ mod tests {
 
     #[test]
     fn register_row_keys_a_prefilled_row_in_place() {
-        // A row prefilled past its prompt (right padding), settled in place,
-        // reads and counts as the same row copied out and inserted with its
-        // prompt would: pages past the prompt released, prompt pages keyed
+        // A row prefilled from a right-padded pass, its padding never
+        // appended, settled in place, reads and counts as the same row
+        // copied out and inserted with its prompt would: prompt pages keyed
         // for the next sharer, and a page whose key another page already
         // holds swapped for that page.
         let (s, d, l) = (4, 2, 10);
@@ -1565,15 +1577,15 @@ mod tests {
             let kv = layer_kv(2, 1.0, l, d);
             let head: Vec<(Tensor, Tensor)> = kv.iter().map(|(k, v)| (k.slice(0, 0, 8), v.slice(0, 0, 8))).collect();
             c.insert_row_shared(0, 3, &head, &tokens[..8]);
-            // Row 1 is prefilled privately with the prompt plus 3 padding
-            // positions.
+            // Row 1 is prefilled privately from the prompt plus 3 padding
+            // positions, of which it appends the prompt's.
             for (li, (k, v)) in kv.iter().enumerate() {
                 let pad = Tensor::full(vec![3, d], 99.0);
                 let k = Tensor::concat(&[k, &pad], 0).into_reshape(vec![1, l + 3, d]);
                 let v = Tensor::concat(&[v, &pad], 0).into_reshape(vec![1, l + 3, d]);
-                c.append_rows(li, &[1], 3, &k, &v);
+                c.append_ragged(li, &[1], &[l], 3, &k, &v);
             }
-            assert_eq!(c.page_stats().pages_live, 2 + 4);
+            assert_eq!(c.page_stats().pages_live, 2 + 3);
             if settle_in_place {
                 c.register_row(1, &tokens);
             } else {

@@ -312,7 +312,8 @@ pub fn attention_over_rows(
     d_head: usize,
 ) -> Tensor {
     let mut out = Tensor::zeros(q.shape().to_vec());
-    attention_over_rows_into(q, cache, rows, layer, d_head, &mut out, &mut AttentionScratch::default());
+    let valid = vec![q.dim(1); rows.len()];
+    attention_over_rows_into(q, cache, rows, &valid, layer, d_head, &mut out, &mut AttentionScratch::default());
     out
 }
 
@@ -327,18 +328,29 @@ pub struct AttentionScratch {
     qs: Vec<f32>,
     os: Vec<f32>,
     ps: Vec<f32>,
+    /// The step rows with at least one valid query.
+    live: Vec<usize>,
 }
 
 /// [`attention_over_rows`] accumulated into `out` (shaped like `q`), which
-/// the caller zeroes first, working in `scratch`.
+/// the caller zeroes first, working in `scratch`, over only the first
+/// `valid[bi]` query positions of each row `bi`: those are the row's last
+/// `valid[bi]` cached positions, and the rest of its queries — right
+/// padding — are not scored and leave `out` as it is. A row with no valid
+/// query reads no key. Each valid lane scores exactly the keys, in exactly
+/// the order, it would with its row's padding cut off.
 ///
 /// # Panics
 ///
-/// As [`attention_over_rows`], or if `out` is not shaped like `q`.
+/// As [`attention_over_rows`], if `out` is not shaped like `q`, or if
+/// `valid` does not give each row at most `Lq` queries, no more than the
+/// row holds.
+#[allow(clippy::too_many_arguments)]
 pub fn attention_over_rows_into(
     q: &Tensor,
     cache: &KvCache,
     rows: &[usize],
+    valid: &[usize],
     layer: usize,
     d_head: usize,
     out: &mut Tensor,
@@ -347,46 +359,64 @@ pub fn attention_over_rows_into(
     let (b, l_q, qw) = (q.dim(0), q.dim(1), q.dim(2));
     let lens = cache.row_lens(layer);
     assert_eq!(rows.len(), b, "one cache row per batch row");
+    assert_eq!(valid.len(), b, "one valid query count per batch row");
     assert_eq!(out.shape(), q.shape(), "attention output shape mismatch");
     let kw = cache.width();
     assert!(qw.is_multiple_of(d_head) && kw.is_multiple_of(d_head), "head width mismatch");
-    for &row in rows {
-        assert!(lens[row] >= l_q, "row {row} length {} shorter than query length {l_q}", lens[row]);
+    for (&row, &n) in rows.iter().zip(valid) {
+        assert!(n <= l_q, "row {row} given {n} valid queries of {l_q}");
+        assert!(lens[row] >= n, "row {row} length {} shorter than its {n} queries", lens[row]);
     }
     let (hq, hkv) = (qw / d_head, kw / d_head);
     let scale = 1.0 / (d_head as f32).sqrt();
     let out = out.data_mut();
-    let AttentionScratch { qs, os, ps } = scratch;
-    let mut b0 = 0;
-    while b0 < b {
-        // The group: step rows `b0..b1` that read their first `first` keys
-        // from the same pages (none, if `b0`'s next row shares no page).
-        let shared = |b1: usize| cache.shared_prefix(layer, &[rows[b0], rows[b1]]);
-        let first = if b0 + 1 < b { shared(b0 + 1) } else { 0 };
-        let b1 = (b0 + 1..b).find(|&b1| first == 0 || shared(b1) < first).unwrap_or(b);
+    let AttentionScratch { qs, os, ps, live } = scratch;
+    live.clear();
+    live.extend((0..b).filter(|&bi| valid[bi] > 0));
+    let mut g0 = 0;
+    while g0 < live.len() {
+        // The group: live rows `g0..g1` that read their first `first` keys
+        // from the same pages (none, if `g0`'s next live row shares no
+        // page).
+        let shared = |g1: usize| cache.shared_prefix(layer, &[rows[live[g0]], rows[live[g1]]]);
+        let first = if g0 + 1 < live.len() { shared(g0 + 1) } else { 0 };
+        let g1 = (g0 + 1..live.len()).find(|&g1| first == 0 || shared(g1) < first).unwrap_or(live.len());
+        let group = &live[g0..g1];
+        let most = group.iter().map(|&bi| valid[bi]).max().unwrap_or(0);
         for g in 0..hkv.min(hq) {
             let n_h = (hq - g).div_ceil(hkv); // query heads g, g + Hkv, … share KV head g
-            for i0 in (0..l_q).step_by(QB) {
-                // The group's rows in chunks of at most `QB` queries' lanes,
-                // the scratch of one row's whole block. Lane `r·rl + l` is
-                // head `g + (l % n_h)·Hkv` of query `i0 + l / n_h` of the
-                // chunk's row `r`: it sees `seen(r, l)` keys and lives at
+            for i0 in (0..most).step_by(QB) {
+                // The group's rows with queries in the block, in chunks of
+                // at most `QB / qn` rows, the scratch of one row's whole
+                // block. Chunk row `r` is step row `bi[r]` with `nq(r)` of
+                // the block's queries; its lanes are `off[r]..off[r + 1]`,
+                // lane `off[r] + l` being head `g + (l % n_h)·Hkv` of query
+                // `i0 + l / n_h`: it sees `seen(r, l)` keys and lives at
                 // `at(r, l)` in `q` and `out`; row `r` scores `ctx(r)` keys,
                 // the first `common` of them shared by the whole chunk.
-                let qn = QB.min(l_q - i0);
-                let rl = qn * n_h;
-                for c0 in (b0..b1).step_by(QB / qn) {
-                    let n_rows = (b1 - c0).min(QB / qn);
-                    let lanes = n_rows * rl;
-                    let ctx = |r: usize| lens[rows[c0 + r]] - l_q + i0 + qn;
-                    let seen = |r: usize, l: usize| ctx(r) - qn + l / n_h + 1;
-                    let at = |r: usize, l: usize| (((c0 + r) * l_q + i0 + l / n_h) * hq + g + (l % n_h) * hkv) * d_head;
+                let qn = QB.min(most - i0);
+                let mut members = group.iter().copied().filter(|&bi| valid[bi] > i0);
+                let mut bi = [0; QB];
+                loop {
+                    let n_rows = members.by_ref().take(QB / qn).zip(&mut bi).map(|(m, slot)| *slot = m).count();
+                    if n_rows == 0 {
+                        break;
+                    }
+                    let nq = |r: usize| (valid[bi[r]] - i0).min(qn);
+                    let mut off = [0; QB + 1];
+                    for r in 0..n_rows {
+                        off[r + 1] = off[r] + nq(r) * n_h;
+                    }
+                    let lanes = off[n_rows];
+                    let ctx = |r: usize| lens[rows[bi[r]]] - valid[bi[r]] + i0 + nq(r);
+                    let seen = |r: usize, l: usize| ctx(r) - nq(r) + l / n_h + 1;
+                    let at = |r: usize, l: usize| ((bi[r] * l_q + i0 + l / n_h) * hq + g + (l % n_h) * hkv) * d_head;
                     let (mut stride, mut common) = (0, first);
                     qs.clear();
                     os.clear();
                     for r in 0..n_rows {
                         (stride, common) = (stride.max(ctx(r)), common.min(ctx(r)));
-                        for l in 0..rl {
+                        for l in 0..off[r + 1] - off[r] {
                             qs.extend_from_slice(&q.data()[at(r, l)..][..d_head]);
                             os.extend_from_slice(&out[at(r, l)..][..d_head]);
                         }
@@ -397,8 +427,8 @@ pub fn attention_over_rows_into(
                     // first row's runs; part `1 + r` row `r`'s own keys for
                     // its lanes: `(first lane, lanes, cache row, keys)`.
                     let part = |p: usize| match p {
-                        0 => (0, lanes, rows[c0], 0..common),
-                        _ => ((p - 1) * rl, rl, rows[c0 + p - 1], common..ctx(p - 1)),
+                        0 => (0, lanes, rows[bi[0]], 0..common),
+                        _ => (off[p - 1], off[p] - off[p - 1], rows[bi[p - 1]], common..ctx(p - 1)),
                     };
 
                     // (1) S[lane][j] = (0 + Σ_d q·k)·scale, one tile call
@@ -415,7 +445,8 @@ pub fn attention_over_rows_into(
 
                     // (2) `softmax_base2` along each lane's row.
                     for r in 0..n_rows {
-                        softmax_lanes(&mut ps[r * rl * stride..], stride, ctx(r), rl, |l| seen(r, l));
+                        let lanes_r = off[r + 1] - off[r];
+                        softmax_lanes(&mut ps[off[r] * stride..], stride, ctx(r), lanes_r, |l| seen(r, l));
                     }
 
                     // (3) O[lane] += Σ_j p·v, one tile call per run.
@@ -426,13 +457,15 @@ pub fn attention_over_rows_into(
                             ops::gemm_strided(p_l, stride, m, run.keys(), v_g, kw, d_head, o_l, d_head, None);
                         }
                     }
-                    for (i, o) in os.chunks_exact(d_head).enumerate() {
-                        out[at(i / rl, i % rl)..][..d_head].copy_from_slice(o);
+                    for r in 0..n_rows {
+                        for l in 0..off[r + 1] - off[r] {
+                            out[at(r, l)..][..d_head].copy_from_slice(&os[(off[r] + l) * d_head..][..d_head]);
+                        }
                     }
                 }
             }
         }
-        b0 = b1;
+        g0 = g1;
     }
 }
 
@@ -671,6 +704,43 @@ mod tests {
                     let alone = attention_over_rows(&q.slice(0, row, 1), &cache, &[row], 1, dh);
                     let bits = |t: &Tensor| t.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
                     assert_eq!(bits(&together.slice(0, bi, 1)), bits(&alone), "{ctx} map {map:?} row {row}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fused_attention_scores_only_valid_queries_as_each_row_alone() {
+        // Rows 0-2 share a 40-position context, rows 3-4 own theirs; each
+        // then appends only its `valid` positions of a step padded to `l_q`
+        // (`append_ragged`). A step over all five rows with those valid
+        // counts must score each row's valid queries bit for bit as the row
+        // attended alone with its padding cut off (both outputs starting
+        // from the same value), leave every padded query's output as it
+        // was, and read nothing for a row with none.
+        for (page, dh, valid) in [(4, 8, [3, 0, 5, 1, 5]), (3, 32, [17, 9, 0, 1, 16]), (16, 8, [0, 0, 2, 0, 0])] {
+            let (hq, hkv, l_q) = (8, 1, valid.iter().copied().max().unwrap_or(0));
+            let kw = hkv * dh;
+            let mut cache = KvCache::paged(1, page);
+            cache.append_rows(0, &[0], 3, &noise(vec![1, 40, kw], 1), &noise(vec![1, 40, kw], 2));
+            cache.repeat_batch(3, 1);
+            cache.append_rows(0, &[3, 4], 5, &noise(vec![2, 11, kw], 3), &noise(vec![2, 11, kw], 4));
+            cache.append_ragged(0, &[0, 1, 2, 3, 4], &valid, 5, &noise(vec![5, l_q, kw], 5), &noise(vec![5, l_q, kw], 6));
+            let ctx = format!("dh={dh} page={page} valid={valid:?}");
+            let q = noise(vec![5, l_q, hq * dh], 7);
+            let mut together = Tensor::full(vec![5, l_q, hq * dh], 0.5);
+            let rows = [0, 1, 2, 3, 4];
+            attention_over_rows_into(&q, &cache, &rows, &valid, 0, dh, &mut together, &mut AttentionScratch::default());
+            let bits = |t: &[f32]| t.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            for (row, &n) in valid.iter().enumerate() {
+                let row_out = together.slice(0, row, 1);
+                let (own, pad) = row_out.data().split_at(n * hq * dh);
+                assert!(pad.iter().all(|&x| x == 0.5), "{ctx} row {row}: a padded query is not scored");
+                if n > 0 {
+                    let mut alone = Tensor::full(vec![1, n, hq * dh], 0.5);
+                    let q_row = q.slice(0, row, 1).slice(1, 0, n);
+                    attention_over_rows_into(&q_row, &cache, &[row], &[n], 0, dh, &mut alone, &mut AttentionScratch::default());
+                    assert_eq!(bits(own), bits(alone.data()), "{ctx} row {row}");
                 }
             }
         }

@@ -71,6 +71,7 @@ fn thread_cpu_ns() -> Option<u64> {
 /// read it repeats the wall time.
 fn median_us(cache: &KvCache, q: &Tensor, reps: usize, mut clobber: Option<&mut Vec<u8>>) -> (f64, f64) {
     let row_map: Vec<usize> = (0..q.dim(0)).collect();
+    let valid = vec![q.dim(1); q.dim(0)];
     let mut out = Tensor::zeros(q.shape().to_vec());
     let mut scratch = AttentionScratch::default();
     let median = |mut xs: Vec<f64>| {
@@ -90,7 +91,7 @@ fn median_us(cache: &KvCache, q: &Tensor, reps: usize, mut clobber: Option<&mut 
             let c0 = thread_cpu_ns().and(thread_cpu_ns());
             let (layer, out) = (rep % cache.n_layers(), std::hint::black_box(&mut out));
             let t = Instant::now();
-            attention_over_rows_into(q, cache, &row_map, layer, D_HEAD, out, &mut scratch);
+            attention_over_rows_into(q, cache, &row_map, &valid, layer, D_HEAD, out, &mut scratch);
             let wall = t.elapsed().as_secs_f64() * 1e6;
             (wall, cpu_us(c0, thread_cpu_ns()).map_or(wall, |c| (c - floor).max(0.0)))
         })

@@ -45,6 +45,7 @@
 #![allow(clippy::expect_used, clippy::unwrap_used)]
 
 use std::borrow::Cow;
+use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Duration;
@@ -61,6 +62,7 @@ use esti_core::schedule::{
 use esti_hal::DType;
 use esti_model::reference::{attention_over_rows_into, gelu_into, AttentionScratch};
 use esti_model::{KvCache, ModelConfig, PageStats, PositionKind, ReferenceModel, Weights};
+use esti_tensor::packed::TILE_ROWS;
 use esti_tensor::{ops, PackedMatrix, Tensor};
 use esti_topology::{AxisSet, ChipCoord};
 
@@ -545,9 +547,7 @@ impl PartitionedEngine {
     /// one-token call [`PartitionedEngine::try_decode_rows`]): every op
     /// treats batch rows independently, so which other rows share a pass
     /// changes no bit of a row's logits, and a slot left out neither ages
-    /// nor allocates. Each chip's cache also holds one *scratch row* past
-    /// its slots, which only ever pads a pass and is empty between calls.
-    /// (A decode step runs the engine's decode program, which on a paired
+    /// nor allocates. (A decode step runs the engine's decode program, which on a paired
     /// weight-gathered engine is not the prefill program; see
     /// [`PartitionedEngine::try_decode_rows`].)
     ///
@@ -594,22 +594,16 @@ impl PartitionedEngine {
         spans.iter().position(|&(r0, rc)| (r0..r0 + rc).contains(&slot)).expect("slot out of range")
     }
 
-    /// Cache rows `chip` holds for a batch of `b`: its span, plus the
-    /// scratch row past it.
+    /// Cache rows `chip` holds for a batch of `b`: its span.
     fn cache_rows(&self, chip: &ChipState, b: usize) -> usize {
-        self.program.kv_rows(chip.coord, b).len() + 1
+        self.program.kv_rows(chip.coord, b).len()
     }
 
-    /// Row of `chip`'s cache that batch row `row` of `b` lives in, if the
-    /// chip holds it: a slot of its span, or — for `b + r0`, the scratch row
-    /// of the span starting at `r0` — the row past the span.
+    /// Row of `chip`'s cache that slot `row` of `b` lives in, if the chip's
+    /// span holds it.
     fn local_row(&self, chip: &ChipState, b: usize, row: usize) -> Option<usize> {
         let rows = self.program.kv_rows(chip.coord, b);
-        if rows.contains(&row) {
-            Some(row - rows.start)
-        } else {
-            (row == b + rows.start).then_some(rows.len())
-        }
+        rows.contains(&row).then(|| row - rows.start)
     }
 
     /// Extracts slot `row`'s KV cache in canonical form, assembling head
@@ -693,17 +687,17 @@ impl PartitionedEngine {
         self.ages[slot] = kv.len;
     }
 
-    /// Settles slot `slot` in place after a prefill: cuts it to
-    /// `tokens.len()` positions (the prompt that produced them, right
-    /// padding dropped) and keys its prompt pages for later sharers on
-    /// every chip holding it ([`KvCache::register_row`]), leaving the KV
-    /// exactly as [`PartitionedEngine::insert_kv_shared`] of the slot's own
-    /// extracted, truncated KV would, without copying it.
+    /// Settles slot `slot` in place after a prefill of `tokens` (a pass
+    /// appends only a row's own tokens, so the slot holds exactly them):
+    /// keys its prompt pages for later sharers on every chip holding it
+    /// ([`KvCache::register_row`]), leaving the KV exactly as
+    /// [`PartitionedEngine::insert_kv_shared`] of the slot's own extracted
+    /// KV would, without copying it.
     ///
     /// # Panics
     ///
-    /// Panics if `slot` is out of range or holds fewer than `tokens.len()`
-    /// positions.
+    /// Panics if `slot` is out of range or does not hold exactly
+    /// `tokens.len()` positions.
     pub fn register_slot(&mut self, slot: usize, tokens: &[usize]) {
         let b = self.ages.len();
         assert!(slot < b, "slot {slot} out of range for batch {b}");
@@ -716,10 +710,9 @@ impl PartitionedEngine {
     }
 
     /// Evicts slot `slot`: its pages lose this slot's reference and its age
-    /// resets to zero. An empty slot costs a pass nothing — passes run the
-    /// slots they are given — except where it pads its span for one pass
-    /// ([`PartitionedEngine::try_prefill_rows`]), and the engine evicts it
-    /// again itself.
+    /// resets to zero. An empty slot costs a pass nothing: passes run the
+    /// slots they are given, and a slot that only fills its span's share of
+    /// a pass is not touched ([`PartitionedEngine::try_prefill_rows`]).
     ///
     /// # Panics
     ///
@@ -727,21 +720,12 @@ impl PartitionedEngine {
     pub fn evict_slot(&mut self, slot: usize) {
         let b = self.ages.len();
         assert!(slot < b, "slot {slot} out of range for batch {b}");
-        self.empty_row(slot);
-    }
-
-    /// Empties batch row `row` — a slot, or a span's scratch row — on every
-    /// chip holding it, and resets a slot's age.
-    fn empty_row(&mut self, row: usize) {
-        let b = self.ages.len();
         for ci in 0..self.chips.len() {
-            if let Some(local) = self.local_row(&self.chips[ci], b, row) {
+            if let Some(local) = self.local_row(&self.chips[ci], b, slot) {
                 self.chips[ci].cache.clear_slot(local);
             }
         }
-        if let Some(age) = self.ages.get_mut(row) {
-            *age = 0;
-        }
+        self.ages[slot] = 0;
     }
 
     /// Prefill over a chunk of tokens (`[B][L]`), one row per slot in slot
@@ -760,7 +744,7 @@ impl PartitionedEngine {
     ///
     /// # Panics
     ///
-    /// Panics on ragged batches, out-of-vocabulary tokens, a batch size
+    /// Panics on an empty row, out-of-vocabulary tokens, a batch size
     /// change mid-conversation, or a batch that does not divide evenly for
     /// the batch-sharded paths.
     pub fn try_prefill(&mut self, tokens: &[Vec<usize>]) -> Result<Tensor, EngineError> {
@@ -772,23 +756,27 @@ impl PartitionedEngine {
         self.try_prefill_rows(&rows)
     }
 
-    /// One pass over the `(slot, tokens)` rows given and no others, every
-    /// row carrying the same `L ≥ 1` tokens, returning logits
-    /// `[rows.len(), L, V]` in the order given. Any non-empty set of
-    /// distinct slots is a pass: each appends its tokens at its own age and
-    /// ages by `L`; a slot left out is not touched. Rows are independent, so
-    /// a row's logits and KV do not depend on which other rows share its
-    /// pass.
+    /// One pass over the `(slot, tokens)` rows given and no others, row `i`
+    /// carrying `lᵢ ≥ 1` tokens (lengths may differ), returning logits
+    /// `[rows.len(), L, V]` in the order given, `L = max lᵢ`: row `i`'s
+    /// first `lᵢ` positions are its tokens' logits and the rest are zero.
+    /// Any non-empty set of distinct slots is a pass: each appends its
+    /// tokens at its own age and ages by its own `lᵢ`; a slot left out is
+    /// not touched. Rows are independent, so a row's logits and KV do not
+    /// depend on which other rows share its pass, nor on how long they are.
     ///
-    /// Where every chip sees every row (head-sharded 1D / 2D) the pass
-    /// carries exactly the rows given. Where chips own spans of the rows
-    /// (batch-sharded attention, weight-gathered layouts) every span must
-    /// carry equally many for the collectives to stay regular, so each span
-    /// is padded up to the largest count any span was given
-    /// ([`PartitionedEngine::decode_rows_carried`]): with *empty* slots of
-    /// its own first, then with its scratch row. A padding row carries
-    /// token 0 from position 0 and is emptied again before the call
-    /// returns.
+    /// The pass is `[B, L, ·]` throughout, so every collective keeps its
+    /// shape, but padding costs no arithmetic: each einsum runs over the
+    /// runs of valid token rows only (rounded out to the GEMM tile's
+    /// rows), attention scores only valid queries, and only valid
+    /// positions are appended. Where every chip sees every row (head-sharded
+    /// 1D / 2D) the pass carries exactly the rows given. Where chips own
+    /// spans of the rows (batch-sharded attention, weight-gathered layouts)
+    /// every span must carry equally many for the collectives to stay
+    /// regular, so each span is filled up to the largest count any span was
+    /// given ([`PartitionedEngine::decode_rows_carried`]) with filler rows:
+    /// slots of its own not in the pass, each of length 0 — carried through
+    /// the collectives, never computed, appended to or aged.
     ///
     /// # Errors
     ///
@@ -796,27 +784,30 @@ impl PartitionedEngine {
     ///
     /// # Panics
     ///
-    /// Panics on an empty pass, rows of unequal or zero length, a slot out
-    /// of range or given twice, an out-of-vocabulary token, or a span short
-    /// of more padding rows than its empty slots and one scratch row.
+    /// Panics on an empty pass, a row of no tokens, a slot out of range or
+    /// given twice, or an out-of-vocabulary token.
     pub fn try_prefill_rows(&mut self, rows: &[(usize, &[usize])]) -> Result<Tensor, EngineError> {
         self.try_rows(rows, false)
     }
 
     /// The pass over `rows` of [`PartitionedEngine::try_prefill_rows`], run
-    /// by the decode program if `decode`, else by the prefill program.
+    /// by the decode program if `decode`, else by the prefill program: the
+    /// rows and their spans' filler rows laid out
+    /// ([`PartitionedEngine::lay_out_step`]), each row's own tokens
+    /// embedded at its own positions, and every other position — a short
+    /// row's right padding, a filler row — left zero and given length 0.
     fn try_rows(&mut self, rows: &[(usize, &[usize])], decode: bool) -> Result<Tensor, EngineError> {
         if self.poisoned {
             return Err(EngineError::Poisoned);
         }
         assert!(!rows.is_empty(), "empty batch");
-        let l = rows[0].1.len();
-        assert!(l > 0, "empty sequence");
-        assert!(rows.iter().all(|r| r.1.len() == l), "ragged batch: all sequences must have equal length");
+        assert!(rows.iter().all(|r| !r.1.is_empty()), "empty sequence");
+        let l = rows.iter().map(|r| r.1.len()).max().unwrap_or(0);
         let slots: Vec<usize> = rows.iter().map(|r| r.0).collect();
         let step = self.lay_out_step(&slots);
         let (b, e, v) = (step.rows.len(), self.cfg.d_model, self.cfg.vocab);
-        // Padding rows carry token 0 at every position.
+        // Filler rows carry no token; a row's positions past its own tokens
+        // stay zero.
         let mut tokens: Vec<&[usize]> = vec![&[]; b];
         for (&at, row) in step.at.iter().zip(rows) {
             tokens[at] = row.1;
@@ -824,14 +815,12 @@ impl PartitionedEngine {
         let bases = self.row_bases(&step.rows);
         let mut x = Tensor::zeros(vec![b, l, e]);
         for ((seq, &base), out) in tokens.iter().zip(&bases).zip(x.data_mut().chunks_mut(l * e)) {
-            for (p, row) in out.chunks_mut(e).enumerate() {
-                self.embed_token(seq.get(p).copied().unwrap_or(0), base + p, row);
+            for ((p, &tok), row) in seq.iter().enumerate().zip(out.chunks_mut(e)) {
+                self.embed_token(tok, base + p, row);
             }
         }
-        let logits = self.try_forward(x, &step.rows, decode)?;
-        for &row in &step.padding {
-            self.empty_row(row);
-        }
+        let lens: Vec<usize> = tokens.iter().map(|t| t.len()).collect();
+        let logits = self.try_forward(x, &step.rows, &lens, decode)?;
         if step.at.iter().copied().eq(0..b) {
             return Ok(logits);
         }
@@ -863,8 +852,8 @@ impl PartitionedEngine {
 
     /// One decode step over the `(slot, token)` rows given and no others,
     /// returning logits `[rows.len(), V]` in the order given: the one-token
-    /// pass of [`PartitionedEngine::try_prefill_rows`], slots and padding
-    /// alike, run by the engine's decode program. On a weight-gathered layout
+    /// pass of [`PartitionedEngine::try_prefill_rows`], slots and filler
+    /// rows alike, run by the engine's decode program. On a weight-gathered layout
     /// with a decode partner ([`PartitionedEngine::new`]) that is the
     /// partner, which rounds differently from the layout's own program: a
     /// decode step is then not the one-token `try_prefill_rows`. The program
@@ -883,10 +872,11 @@ impl PartitionedEngine {
         Ok(self.try_rows(&rows, true)?.into_reshape(vec![rows.len(), self.cfg.vocab]))
     }
 
-    /// Batch rows one pass over `rows`' slots carries through the model:
-    /// `rows.len()` where every chip sees every row, more where spans of
-    /// rows are padded to a common count (see
-    /// [`PartitionedEngine::try_prefill_rows`]) — never more than the slot
+    /// Batch rows one pass over `rows`' slots carries through the model's
+    /// collectives: `rows.len()` where every chip sees every row, more where
+    /// spans of rows are filled to a common count with filler rows of
+    /// length 0 (see [`PartitionedEngine::try_prefill_rows`]), which no
+    /// einsum, attention or append computes — never more than the slot
     /// count.
     #[must_use]
     pub fn decode_rows_carried(&self, rows: &[(usize, usize)]) -> usize {
@@ -909,8 +899,9 @@ impl PartitionedEngine {
     /// Places the requested slots in a pass batch whose row spans
     /// (`kv_rows` of the *pass's* batch size) line up with the slot spans
     /// the chips' caches hold: span by span, the span's requested slots in
-    /// request order, then padding up to the largest requested count over
-    /// spans — empty slots of that span, then its scratch row `b + r0`.
+    /// request order, then filler rows up to the largest requested count
+    /// over spans — the span's first slots not requested, which the pass
+    /// gives no position and so never touches.
     fn lay_out_step(&self, slots: &[usize]) -> StepLayout {
         let b = self.ages.len();
         let mut given = vec![false; b];
@@ -920,11 +911,7 @@ impl PartitionedEngine {
         }
         let spans = self.row_spans(b);
         let per_span = rows_per_span(&spans, slots);
-        let mut step = StepLayout {
-            rows: Vec::with_capacity(spans.len() * per_span),
-            at: vec![0; slots.len()],
-            padding: Vec::new(),
-        };
+        let mut step = StepLayout { rows: Vec::with_capacity(spans.len() * per_span), at: vec![0; slots.len()] };
         for &(r0, rc) in &spans {
             let span = r0..r0 + rc;
             let end = step.rows.len() + per_span;
@@ -934,16 +921,10 @@ impl PartitionedEngine {
                     step.rows.push(slot);
                 }
             }
-            let empty = span.clone().filter(|&s| !given[s] && self.ages[s] == 0);
-            for row in empty.chain([b + r0]).take(end - step.rows.len()) {
-                step.padding.push(row);
-                step.rows.push(row);
-            }
-            assert_eq!(
-                step.rows.len(),
-                end,
-                "slots {span:?} hold too few empty slots (and one scratch row) to pad their share of the pass to {per_span} rows"
-            );
+            // No span is given more than `per_span ≤ rc` slots, so each has
+            // enough others to fill its share.
+            let filler = span.filter(|&s| !given[s]).take(end - step.rows.len());
+            step.rows.extend(filler);
         }
         step
     }
@@ -962,10 +943,10 @@ impl PartitionedEngine {
         }
     }
 
-    /// Absolute position of the next token of each of `rows` (batch rows):
-    /// a slot's age; a scratch row (past the slots) is always empty.
+    /// Absolute position of the next token of each of the slots `rows`:
+    /// its age.
     fn row_bases(&self, rows: &[usize]) -> Vec<usize> {
-        rows.iter().map(|&r| self.ages.get(r).copied().unwrap_or(0)).collect()
+        rows.iter().map(|&r| self.ages[r]).collect()
     }
 
     fn validate_batch(&self, b: usize) {
@@ -974,12 +955,12 @@ impl PartitionedEngine {
     }
 
     /// Runs the partitioned forward pass over embedded inputs `[B, L, E]`,
-    /// row `r` of which is batch row `rows[r]` — a slot, or a span's
-    /// scratch row, as [`PartitionedEngine::lay_out_step`] placed them —
-    /// returning logits `[B, L, V]`, or, when any chip unwinds, the
-    /// classified root-cause [`EngineError`] after releasing every peer.
-    /// Only `rows` append to their caches, and only slots age. A decode step
-    /// runs the decode program, anything else the prefill program.
+    /// row `r` of which is slot `rows[r]` with `lens[r]` valid positions, as
+    /// [`PartitionedEngine::lay_out_step`] placed them, returning logits
+    /// `[B, L, V]`, or, when any chip unwinds, the classified root-cause
+    /// [`EngineError`] after releasing every peer. Row `r` appends its
+    /// `lens[r]` positions and ages by them. A decode step runs the decode
+    /// program, anything else the prefill program.
     ///
     /// The chips split into one contiguous block of ranks per executor, and
     /// the pass hands the engine's executor pool one task per block; the
@@ -995,7 +976,7 @@ impl PartitionedEngine {
     /// cancellation through their own groups in turn. The chip then sits out
     /// the rest of the pass while its executor-mates step on. No deadline is
     /// needed for a crash to propagate; deadlines cover silent stalls.
-    fn try_forward(&mut self, x: Tensor, rows: &[usize], decode: bool) -> Result<Tensor, EngineError> {
+    fn try_forward(&mut self, x: Tensor, rows: &[usize], lens: &[usize], decode: bool) -> Result<Tensor, EngineError> {
         if self.poisoned {
             return Err(EngineError::Poisoned);
         }
@@ -1003,22 +984,25 @@ impl PartitionedEngine {
         let (b, l) = (x.dim(0), x.dim(1));
         let bases = self.row_bases(rows);
         // Each chip's share of the pass (`kv_rows` of the pass's batch) as
-        // rows of its own cache (`kv_rows` of the engine's).
+        // rows of its own cache (`kv_rows` of the engine's), with their
+        // lengths.
         let batch = self.ages.len();
-        let kv_rows: Vec<(Vec<usize>, usize)> = self
+        let kv_rows: Vec<(Vec<usize>, usize, &[usize])> = self
             .chips
             .iter()
             .map(|chip| {
-                let local = rows[self.program.kv_rows(chip.coord, b)].iter().map(|&row| {
+                let share = self.program.kv_rows(chip.coord, b);
+                let local = rows[share.clone()].iter().map(|&row| {
                     let local = self.local_row(chip, batch, row);
                     local.unwrap_or_else(|| panic!("row {row} placed outside chip {}'s rows", chip.rank))
                 });
-                (local.collect(), self.cache_rows(chip, batch))
+                (local.collect(), self.cache_rows(chip, batch), &lens[share])
             })
             .collect();
         let mut results: Vec<Result<Option<Tensor>, ChipPanic>> = (0..n).map(|_| Ok(None)).collect();
         let program = if decode { self.decode.as_ref().unwrap_or(&self.program) } else { &self.program };
-        let (x, bases) = (&x, &bases);
+        let (x, bases, kv_rows) = (&x, &bases, &kv_rows);
+        let padded = lens.iter().any(|&n| n < l).then_some((lens, l));
         let t = self.executors.workers();
         let (mut chips, mut out) = (self.chips.as_mut_slice(), results.as_mut_slice());
         let mut tasks: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::with_capacity(t);
@@ -1033,7 +1017,7 @@ impl PartitionedEngine {
                 let mut lanes: Vec<Lane<'_>> = block
                     .iter_mut()
                     .zip(kv)
-                    .map(|(chip, (rows, batch))| Lane::new(program, chip, (rows, *batch), x, bases))
+                    .map(|(chip, (rows, batch, valid))| Lane::new(program, chip, (rows, *batch, valid), x, bases, padded))
                     .collect();
                 run_schedule(program, &mut lanes);
                 for (lane, done) in lanes.into_iter().zip(done) {
@@ -1066,10 +1050,8 @@ impl PartitionedEngine {
             return Err(err);
         }
 
-        for &row in rows {
-            if let Some(age) = self.ages.get_mut(row) {
-                *age += l;
-            }
+        for (&row, &l) in rows.iter().zip(lens) {
+            self.ages[row] += l;
         }
         // The chips holding distinct logits slices return them, in rank
         // (= batch) order.
@@ -1083,13 +1065,10 @@ impl PartitionedEngine {
 
 /// One pass's batch, laid out by [`PartitionedEngine::lay_out_step`].
 struct StepLayout {
-    /// Batch row each pass row runs: a slot, or a span's scratch row.
+    /// The slot each pass row runs: a requested slot, or a filler row.
     rows: Vec<usize>,
     /// Pass row of each requested slot, in request order.
     at: Vec<usize>,
-    /// Rows that only pad their span: empty before the pass, emptied again
-    /// after it.
-    padding: Vec<usize>,
 }
 
 /// Rows each of `spans` carries in a pass over `slots`: the most requested
@@ -1100,18 +1079,20 @@ fn rows_per_span(spans: &[(usize, usize)], slots: &[usize]) -> usize {
 }
 
 /// A chip's KV cache as one forward pass sees it: step row `r` of the
-/// chip's share appends to, and attends over, cache row `rows[r]` of the
-/// `batch` rows the cache holds, working in the lane's attention scratch.
+/// chip's share appends its first `lens[r]` positions to, and attends them
+/// over, cache row `rows[r]` of the `batch` rows the cache holds, working in
+/// the lane's attention scratch.
 struct StepCache<'a> {
     cache: &'a mut KvCache,
     rows: &'a [usize],
+    lens: &'a [usize],
     batch: usize,
     scratch: &'a mut AttentionScratch,
 }
 
 impl StepCache<'_> {
     fn append(&mut self, layer: usize, k: &Tensor, v: &Tensor) {
-        self.cache.append_rows(layer, self.rows, self.batch, k, v);
+        self.cache.append_ragged(layer, self.rows, self.lens, self.batch, k, v);
     }
 
     /// Attention of `q` over the step's rows into `out`, which the caller
@@ -1119,7 +1100,7 @@ impl StepCache<'_> {
     /// prefill's, as large as a decode step's but next to the MLP's far
     /// larger buffers where a prefill peaks, is freed after each call.
     fn attend_into(&mut self, q: &Tensor, layer: usize, d_head: usize, out: &mut Tensor) {
-        attention_over_rows_into(q, self.cache, self.rows, layer, d_head, out, self.scratch);
+        attention_over_rows_into(q, self.cache, self.rows, self.lens, layer, d_head, out, self.scratch);
         if q.dim(1) > 1 {
             *self.scratch = AttentionScratch::default();
         }
@@ -1338,35 +1319,48 @@ const FOLD_ROWS: usize = 128;
 /// One source rank's part of a fold: `x[.., c0..c0+kc] × w[r0..r0+kc, :]`.
 type RankPart<'t> = (&'t Tensor, usize, &'t PackedMatrix, usize, usize);
 
-/// Rule 2 above: each source rank's part (an int8 `w` unscaled unless
-/// `scale`) — rank 0's straight into `out`, which the caller zeroed, and
-/// each later rank's, `FOLD_ROWS` rows at a time, into the zeroed `block`,
-/// then added to `out`: every element folds the ranks in ascending order,
-/// as the collectives do.
-fn fold_ranks(out: &mut Tensor, block: &mut Vec<f32>, ranks: &[RankPart<'_>], scale: bool) {
+/// Rule 2 above over token rows `rows` of `out`: each source rank's part
+/// (an int8 `w` unscaled unless `scale`) — rank 0's straight into `out`,
+/// which the caller zeroed, and each later rank's, `FOLD_ROWS` rows at a
+/// time, into the zeroed `block`, then added to `out`: every element folds
+/// the ranks in ascending order, as the collectives do.
+fn fold_ranks(out: &mut Tensor, block: &mut Vec<f32>, ranks: &[RankPart<'_>], scale: bool, rows: Range<usize>) {
     let n = out.dim(out.rank() - 1);
-    let m = out.numel().checked_div(n).unwrap_or(0);
-    let acc = |&(x, c0, w, r0, kc): &RankPart<'_>, rows: std::ops::Range<usize>, into: &mut Tensor| {
-        w.matmul_acc_window(x, rows, c0, r0, kc, into.data_mut());
+    let acc = |&(x, c0, w, r0, kc): &RankPart<'_>, rows: Range<usize>, into: &mut [f32]| {
+        w.matmul_acc_window(x, rows, c0, r0, kc, into);
         if scale {
             w.apply_scales(into);
         }
     };
     let Some((first, rest)) = ranks.split_first() else { return };
-    acc(first, 0..m, out);
-    for b0 in (0..m).step_by(FOLD_ROWS) {
-        let rows = b0..(b0 + FOLD_ROWS).min(m);
+    acc(first, rows.clone(), &mut out.data_mut()[rows.start * n..rows.end * n]);
+    for b0 in rows.clone().step_by(FOLD_ROWS) {
+        let rows = b0..(b0 + FOLD_ROWS).min(rows.end);
         let span = rows.start * n..rows.end * n;
         for part in rest {
-            let mut buf = std::mem::take(block);
-            buf.clear();
-            buf.resize(span.len(), 0.0);
-            let mut acc_r = Tensor::from_vec(vec![rows.len(), n], buf);
-            acc(part, rows.clone(), &mut acc_r);
-            for (o, &v) in out.data_mut()[span.clone()].iter_mut().zip(acc_r.data()) {
+            block.clear();
+            block.resize(span.len(), 0.0);
+            acc(part, rows.clone(), block);
+            for (o, &v) in out.data_mut()[span.clone()].iter_mut().zip(block.iter()) {
                 *o += v;
             }
-            *block = acc_r.into_vec();
+        }
+    }
+}
+
+/// The token rows of a `[lens.len(), l, ·]` activation that hold a valid
+/// position — row `b`'s first `lens[b]` — as ascending runs into `runs`:
+/// each row's rounded out to whole blocks of `block` rows (cut at the last
+/// row), and runs that meet merged, so a run never splits a block.
+fn token_runs(lens: &[usize], l: usize, block: usize, runs: &mut Vec<Range<usize>>) {
+    runs.clear();
+    let m = lens.len() * l;
+    for (b, &n) in lens.iter().enumerate().filter(|&(_, &n)| n > 0) {
+        let start = b * l / block * block;
+        let end = ((b * l + n).div_ceil(block) * block).min(m);
+        match runs.last_mut() {
+            Some(last) if last.end >= start => last.end = last.end.max(end),
+            _ => runs.push(start..end),
         }
     }
 }
@@ -1414,13 +1408,22 @@ fn act<'v>(x: &'v Tensor, vals: &'v [Option<Val>], r: Operand) -> &'v Tensor {
 /// stream, and the step values it still holds.
 struct Lane<'a> {
     chip: &'a mut ChipState,
-    /// The chip's cache rows of the pass's rows, of the rows it holds.
-    kv: (&'a [usize], usize),
+    /// The chip's cache rows of the pass's rows, of the rows it holds, and
+    /// their valid positions.
+    kv: (&'a [usize], usize, &'a [usize]),
     /// The residual stream: the pass input, or the chip's block of it, then
     /// each layer's output, in a residual slot's buffer.
     x: Cow<'a, Tensor>,
     /// The next-token positions of the chip's rows.
     bases: &'a [usize],
+    /// If any row of the pass holds padding, every row's valid positions (0
+    /// for a filler row) and the pass's `L`: an einsum then runs only over
+    /// its rows' valid tokens, and a collective reads only theirs where it
+    /// can. A pass with no padding runs every op over every row.
+    padded: Option<(&'a [usize], usize)>,
+    /// An einsum's or a collective's runs of valid token rows
+    /// ([`token_runs`]).
+    runs: Vec<Range<usize>>,
     vals: Vec<Option<Val>>,
     /// One buffer per slot of the program's buffer plan, each allocated at
     /// its first use in the pass and freed after its last.
@@ -1443,15 +1446,16 @@ impl<'a> Lane<'a> {
     fn new(
         p: &ChipProgram,
         chip: &'a mut ChipState,
-        kv: (&'a [usize], usize),
+        kv: (&'a [usize], usize, &'a [usize]),
         input: &'a Tensor,
         bases: &'a [usize],
+        padded: Option<(&'a [usize], usize)>,
     ) -> Self {
         let vals = p.instrs.iter().map(|_| None).collect();
         let slots = vec![Vec::new(); p.plan.sizes.len()];
         let x = Cow::Borrowed(input);
-        let (fold, attn) = (Vec::new(), AttentionScratch::default());
-        Lane { chip, kv, x, bases, vals, slots, fold, attn, posted: None, emits: false, failed: None }
+        let (fold, attn, runs) = (Vec::new(), AttentionScratch::default(), Vec::new());
+        Lane { chip, kv, x, bases, padded, runs, vals, slots, fold, attn, posted: None, emits: false, failed: None }
     }
 
     /// Runs `f` on this chip, under its own `catch_unwind`, unless the chip
@@ -1517,9 +1521,9 @@ impl<'a> Lane<'a> {
     }
 
     /// Runs step `k` of pass `li`, an einsum or a local op, into its slot:
-    /// [`PackedMatrix::matmul_into`] or, over an all-gather's parts, one column
-    /// block or accumulator per source rank; a local op its write-into
-    /// kernel.
+    /// [`PackedMatrix::matmul_into_cols`] or, over an all-gather's parts, one
+    /// column block or accumulator per source rank, over the runs of valid
+    /// token rows ([`token_runs`]); a local op its write-into kernel.
     fn compute(&mut self, p: &ChipProgram, li: usize, k: usize) {
         if let (Instr::Local { op, inputs, .. }, Some(i)) = (&p.instrs[k], p.plan.in_place[k]) {
             let Operand::Step(j) = inputs[i] else { unreachable!("an op in place overwrites a step value") };
@@ -1533,9 +1537,9 @@ impl<'a> Lane<'a> {
             self.settle(p, li, k, Val::Act(y));
             return;
         }
-        let Lane { chip, kv: (rows, batch), x, bases, vals, slots, fold, attn, .. } = self;
+        let Lane { chip, kv: (rows, batch, valid), x, bases, padded, runs, vals, slots, fold, attn, .. } = self;
         let ChipState { coord, stored, cache, .. } = &mut **chip;
-        let cache = &mut StepCache { cache, rows, batch: *batch, scratch: attn };
+        let cache = &mut StepCache { cache, rows, lens: valid, batch: *batch, scratch: attn };
         let (cfg, stored) = (&p.cfg, &stored[li]);
         let act = |r: Operand| act(x, vals, r);
         let mat = |r: Operand| match r {
@@ -1557,44 +1561,54 @@ impl<'a> Lane<'a> {
         let slot = p.out_slot(li, k).expect("an einsum or a local op writes a slot");
         let scratch = &p.plan.scratch[k];
         let out = match &p.instrs[k] {
-            Instr::Einsum { x: a, w, mm, width } => {
-                // `[B, L, ·]` in, `[B, L, width]` out.
-                let like = |t: &Tensor| vec![t.dim(0), t.dim(1), *width];
+            Instr::Einsum { x: a, w, mm, width, rows: split } => {
+                // `[B, L, ·]` in, `[B, L, width]` out, computed over the
+                // runs of valid token rows and zero elsewhere.
+                let src = if *mm == Mm::FoldX { &*parts(*a)[0] } else { act(*a) };
+                runs.clear();
+                runs.push(0..src.dim(0) * src.dim(1));
+                if let Some((lens, l)) = *padded {
+                    let lens = &lens[p.share(*coord, lens.len(), *split)];
+                    assert_eq!((lens.len(), l), (src.dim(0), src.dim(1)), "one length per row of the einsum's input");
+                    token_runs(lens, l, TILE_ROWS, runs);
+                }
+                let mut y = take_slot(slots, slot, vec![src.dim(0), src.dim(1), *width], true);
                 match mm {
                     Mm::Whole => {
-                        let a = act(*a);
-                        let mut y = take_slot(slots, slot, like(a), false);
-                        mat(*w).matmul_into(a, &mut y);
-                        y
+                        let w = mat(*w);
+                        for r in runs.iter() {
+                            w.matmul_into_cols(src, r.clone(), &mut y, 0);
+                        }
                     }
                     Mm::Cols => {
-                        let (a, ws) = (act(*a), weights(*w));
-                        let mut y = take_slot(slots, slot, like(a), true);
+                        let ws = weights(*w);
                         let c = ws[0].cols();
-                        for (r, part) in ws.iter().enumerate() {
-                            part.matmul_into_cols(a, &mut y, r * c);
+                        for r in runs.iter() {
+                            for (i, part) in ws.iter().enumerate() {
+                                part.matmul_into_cols(src, r.clone(), &mut y, i * c);
+                            }
                         }
-                        y
                     }
                     Mm::FoldW => {
-                        let (a, ws) = (act(*a), weights(*w));
-                        let kc = a.dim(2) / ws.len();
-                        let mut y = take_slot(slots, slot, like(a), true);
+                        let ws = weights(*w);
+                        let kc = src.dim(2) / ws.len();
                         let ranks: Vec<RankPart<'_>> =
-                            ws.iter().enumerate().map(|(r, w)| (a, r * kc, &**w, 0, kc)).collect();
-                        fold_ranks(&mut y, fold, &ranks, true);
-                        y
+                            ws.iter().enumerate().map(|(r, w)| (src, r * kc, &**w, 0, kc)).collect();
+                        for r in runs.iter() {
+                            fold_ranks(&mut y, fold, &ranks, true, r.clone());
+                        }
                     }
                     Mm::FoldX => {
                         let (xs, w) = (parts(*a), mat(*w));
-                        let mut y = take_slot(slots, slot, like(&xs[0]), true);
                         let ranks: Vec<RankPart<'_>> =
                             xs.iter().enumerate().map(|(r, x)| (&**x, 0, w, r * x.dim(2), x.dim(2))).collect();
-                        fold_ranks(&mut y, fold, &ranks, false);
-                        w.apply_scales(&mut y);
-                        y
+                        for r in runs.iter() {
+                            fold_ranks(&mut y, fold, &ranks, false, r.clone());
+                        }
+                        w.apply_scales(y.data_mut());
                     }
                 }
+                y
             }
             Instr::Local { op, inputs, gained, .. } => {
                 let a = act(inputs[0]);
@@ -1622,11 +1636,11 @@ impl<'a> Lane<'a> {
                         if cfg.position == PositionKind::Rope {
                             let (sq, sk) = (scratch[0], scratch[1]);
                             let mut k_r = take_slot(slots, sk, kn.shape().to_vec(), false);
-                            ops::rope_rows_into(kn, dh, bases, &mut k_r);
+                            ops::rope_rows_into(kn, dh, bases, cache.lens, &mut k_r);
                             cache.append(li, &k_r, v);
                             slots[sk] = k_r.into_vec();
                             let mut q_r = take_slot(slots, sq, shape.clone(), false);
-                            ops::rope_rows_into(a, dh, bases, &mut q_r);
+                            ops::rope_rows_into(a, dh, bases, cache.lens, &mut q_r);
                             let mut y = take_slot(slots, slot, shape, true);
                             cache.attend_into(&q_r, li, dh, &mut y);
                             slots[sq] = q_r.into_vec();
@@ -1701,13 +1715,19 @@ impl<'a> Lane<'a> {
     }
 
     /// Completes the collective step `k` posted, a dense result read into
-    /// the step's slot, and puts the buffer of the chip's previous deposit
-    /// on the group, handed back, into the slot the plan kept for it.
+    /// the step's slot (over a pass with padding, only its valid token rows
+    /// where the read keeps rows, the rest zero), and puts the buffer of
+    /// the chip's previous deposit on the group, handed back, into the slot
+    /// the plan kept for it.
     fn complete(&mut self, p: &ChipProgram, li: usize, k: usize) {
         let Instr::Collective(c) = &p.instrs[k] else { unreachable!("step {k} is a collective") };
         let posted = self.posted.take().expect("the step posted its collective");
         let buf = p.out_slot(li, k).map_or_else(Vec::new, |s| std::mem::take(&mut self.slots[s]));
-        let (received, back) = self.chip.groups[c.group].complete(posted, buf);
+        let rows = self.padded.map(|(lens, l)| {
+            token_runs(&lens[p.share(self.chip.coord, lens.len(), c.rows)], l, 1, &mut self.runs);
+            self.runs.as_slice()
+        });
+        let (received, back) = self.chip.groups[c.group].complete_rows(posted, buf, rows);
         if let (Some(back), Some(s)) = (back, p.plan.back[k]) {
             self.slots[s] = back;
         }

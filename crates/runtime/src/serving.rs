@@ -265,15 +265,17 @@ pub struct PrefillWork {
     /// into).
     pub calls: usize,
     /// Prompt tokens computed: each admitted prompt's unseeded suffix.
-    /// Padding tokens and filler rows are not counted.
+    /// Filler rows and a short row's padding compute nothing and are not
+    /// counted.
     pub tokens_computed: usize,
-    /// Prompt tokens whose KV was copied from a donor instead of computed.
+    /// Prompt tokens whose KV was seeded from a donor instead of computed.
     pub tokens_reused: usize,
     /// Batch rows over all calls (each call is a minimum batch of rows, one
     /// per span of slots).
     pub rows: usize,
-    /// Of [`PrefillWork::rows`], rows that carried no request: dummy tokens
-    /// padding a span no request of the call sits in.
+    /// Of [`PrefillWork::rows`], rows that carried no request: filler rows
+    /// of length 0 in a span no request of the call sits in — carried, not
+    /// computed.
     pub filler_rows: usize,
 }
 
@@ -288,9 +290,10 @@ pub struct DecodeWork {
     /// Rows that carried a request's token, over all steps — the sum of
     /// [`ServingOutcome::step_log`]'s live counts.
     pub rows_live: usize,
-    /// Rows that carried nothing: empty slots padding a span of the batch up
-    /// to the fullest span's live count, on layouts whose chips each own a
-    /// span of the rows (batch-sharded attention, weight-gathered). Always
+    /// Rows that carried nothing: filler rows of length 0 (carried, not
+    /// computed) filling a span of the batch up to the fullest span's live
+    /// count, on layouts whose chips each own a span of the rows
+    /// (batch-sharded attention, weight-gathered). Always
     /// `0` where every chip sees every row (head-sharded 1D / 2D), and a
     /// step's live and filler rows together never exceed the slot count.
     pub filler_rows: usize,
@@ -358,6 +361,9 @@ struct PrefillRow<'a> {
     hit: usize,
     /// The live slot the seed is copied from (meaningless when `hit` is 0).
     donor: usize,
+    /// The earlier row of the group the row is seeded from, once that
+    /// row's call has run (`donor` is then its slot).
+    leader: Option<usize>,
 }
 
 /// Leading tokens of `prompt` a prefill can skip given a cache that already
@@ -366,6 +372,13 @@ struct PrefillRow<'a> {
 fn prefix_hit(prompt: &[usize], cached: &[usize], page: usize) -> usize {
     let common = prompt.iter().zip(cached).take_while(|(a, b)| a == b).count();
     common.min(prompt.len() - 1) / page * page
+}
+
+/// The longest [`prefix_hit`] of `prompt` against `donors` (`(id,
+/// cached)`), lowest id among equals, as `(hit, id)`: `(0, 0)` if none.
+fn best_hit<'a>(prompt: &[usize], donors: impl Iterator<Item = (usize, &'a [usize])>, page: usize) -> (usize, usize) {
+    let hits = donors.map(|(id, cached)| (prefix_hit(prompt, cached, page), id));
+    hits.max_by_key(|&(hit, id)| (hit, std::cmp::Reverse(id))).unwrap_or((0, 0))
 }
 
 /// The occupied slots and the prompts whose KV they hold — the donors a
@@ -916,16 +929,17 @@ impl ContinuousBatcher {
     /// Rows of one call are independent and a seeded position holds the
     /// bits the row would have computed itself (the invariant prefix
     /// sharing already rests on), so logits and KV equal a full batch-1
-    /// prefill's bit for bit. Shorter suffixes are right-padded with a dummy
-    /// token — causal attention keeps padding from reaching the positions
-    /// before it, and each row's KV is cut back to its prompt afterwards —
-    /// and spans no row of a call sits in carry padding rows only.
+    /// prefill's bit for bit, whatever the other rows' lengths: a call's
+    /// rows carry only their own suffixes, and padding them costs nothing.
     ///
-    /// A call carries at most one row per span of slots, so a group whose
-    /// slots share a span splits into calls, taken in admission order; so
-    /// does one where, under learned positions, padding a short row to the
-    /// longest suffix would run past the position table (that prompt starts
-    /// the next call). A failed call charges its prompts to
+    /// A call carries at most one row per span of slots, taken in
+    /// admission order. The leader rule: a row whose whole-page prefix hit
+    /// against an earlier row of the group that keeps its slot (its
+    /// *leader*, the longest such hit, earliest among equals) beats its
+    /// best live donor by at least a page waits for a call after its
+    /// leader's, and is seeded from the leader's slot. So a cold prefix the
+    /// group shares is computed once, by the leader, and its followers run
+    /// only their own tails. A failed call charges its prompts to
     /// [`RecoveryStats::prefill_tokens_replayed`]; the caller recovers.
     fn prefill_group(
         &mut self,
@@ -935,39 +949,28 @@ impl ContinuousBatcher {
         recovery: &mut RecoveryStats,
     ) -> Result<Vec<Vec<f32>>, EngineError> {
         let page = self.engine.kv_page_size();
-        let cfg = self.engine.config();
-        let max_positions =
-            if cfg.position == PositionKind::Learned { cfg.max_seq } else { usize::MAX };
-        let rows: Vec<PrefillRow> = group
-            .iter()
-            .map(|a| {
-                let prompt = requests[a.idx].prompt.as_slice();
-                let (hit, donor) = live
-                    .iter()
-                    .map(|&(slot, cached)| (prefix_hit(prompt, cached, page), slot))
-                    .max_by_key(|&(hit, slot)| (hit, std::cmp::Reverse(slot)))
-                    .unwrap_or((0, 0));
-                let span = self.engine.slot_span(a.slot);
-                PrefillRow { prompt, slot: a.slot, span, holds: a.holds, hit, donor }
-            })
-            .collect();
+        let mut rows: Vec<PrefillRow> = Vec::with_capacity(group.len());
+        for a in group {
+            let prompt = requests[a.idx].prompt.as_slice();
+            let (hit, donor) = best_hit(prompt, live.iter().copied(), page);
+            let placed = rows.iter().enumerate().filter(|(_, r)| r.holds).map(|(j, r)| (j, r.prompt));
+            let (lead, j) = best_hit(prompt, placed, page);
+            let (hit, donor, leader) =
+                if lead >= hit + page { (lead, rows[j].slot, Some(j)) } else { (hit, donor, None) };
+            let span = self.engine.slot_span(a.slot);
+            rows.push(PrefillRow { prompt, slot: a.slot, span, holds: a.holds, hit, donor, leader });
+        }
         let mut last: Vec<Vec<f32>> = vec![Vec::new(); rows.len()];
         let mut pending: Vec<usize> = (0..rows.len()).collect();
+        // The first pending row's leader is always done, so every call
+        // carries a row.
         while !pending.is_empty() {
             let mut call: Vec<usize> = Vec::new();
-            let mut longest = 0usize;
             for &i in &pending {
-                let row = &rows[i];
-                if call.iter().any(|&c| rows[c].span == row.span) {
-                    continue;
+                let ready = rows[i].leader.is_none_or(|j| !pending.contains(&j));
+                if ready && call.iter().all(|&c| rows[c].span != rows[i].span) {
+                    call.push(i);
                 }
-                let padded = longest.max(row.prompt.len() - row.hit);
-                let fits = call.iter().chain([&i]).all(|&c| rows[c].hit + padded <= max_positions);
-                if !fits && !call.is_empty() {
-                    break;
-                }
-                longest = padded;
-                call.push(i);
             }
             pending.retain(|i| !call.contains(i));
             let call_rows: Vec<&PrefillRow> = call.iter().map(|&i| &rows[i]).collect();
@@ -987,13 +990,13 @@ impl ContinuousBatcher {
         Ok(last)
     }
 
-    /// One engine call over `rows` (at most one per span; padding fills the
-    /// rest), honoring the chunked-prefill option: every row is seeded into
-    /// its slot and runs its suffix right-padded to the longest. Returns
-    /// each row's logits at its own last prompt position, after settling
-    /// the row: a request keeping its slot holds its prompt's KV there
-    /// (right padding cut off, prompt pages registered for sharing), a
-    /// request ending at its first token leaves the slot empty again.
+    /// One engine call over `rows` (at most one per span; filler rows fill
+    /// the rest), honoring the chunked-prefill option: every row is seeded
+    /// into its slot and runs its own suffix, chunk by chunk, in the calls
+    /// its suffix reaches. Returns each row's logits at its own last prompt
+    /// position, after settling the row: a request keeping its slot holds
+    /// exactly its prompt's KV there (prompt pages registered for sharing),
+    /// a request ending at its first token leaves the slot empty again.
     fn prefill_call(&mut self, rows: &[&PrefillRow]) -> Result<Vec<Vec<f32>>, EngineError> {
         let v = self.engine.config().vocab;
         for row in rows {
@@ -1006,31 +1009,24 @@ impl ContinuousBatcher {
         // Admission rejects empty prompts and a hit stops short of the last
         // token, so every suffix is non-empty and `last` is set for every
         // row on the Ok path.
-        let longest = rows.iter().map(|r| r.prompt.len() - r.hit).max().unwrap_or(0);
+        let suffixes: Vec<&[usize]> = rows.iter().map(|r| &r.prompt[r.hit..]).collect();
+        let longest = suffixes.iter().map(|s| s.len()).max().unwrap_or(0);
         let chunk = self.opts.prefill_chunk.unwrap_or(longest).max(1);
         let mut last: Vec<Vec<f32>> = vec![Vec::new(); rows.len()];
-        let mut start = 0;
-        while start < longest {
-            let l = chunk.min(longest - start);
-            let tokens: Vec<Vec<usize>> = rows
-                .iter()
-                .map(|row| {
-                    let suffix = &row.prompt[row.hit..];
-                    (start..start + l).map(|p| suffix.get(p).copied().unwrap_or(0)).collect()
-                })
-                .collect();
-            let pass: Vec<(usize, &[usize])> =
-                rows.iter().zip(&tokens).map(|(row, t)| (row.slot, t.as_slice())).collect();
-            let logits = self.engine.try_prefill_rows(&pass)?; // [rows, l, V]
+        for start in (0..longest).step_by(chunk) {
+            let (at, pass): (Vec<usize>, Vec<(usize, &[usize])>) = (0..rows.len())
+                .filter(|&r| suffixes[r].len() > start)
+                .map(|r| (r, (rows[r].slot, &suffixes[r][start..suffixes[r].len().min(start + chunk)])))
+                .unzip();
+            let logits = self.engine.try_prefill_rows(&pass)?; // [pass.len(), l, V]
             self.work.calls += 1;
-            for (r, row) in rows.iter().enumerate() {
-                let end = row.prompt.len() - row.hit - 1;
-                if (start..start + l).contains(&end) {
-                    let at = (r * l + end - start) * v;
+            let l = logits.dim(1);
+            for (p, (&r, (_, tokens))) in at.iter().zip(&pass).enumerate() {
+                if start + tokens.len() == suffixes[r].len() {
+                    let at = (p * l + tokens.len() - 1) * v;
                     last[r] = logits.data()[at..at + v].to_vec();
                 }
             }
-            start += l;
         }
         for row in rows {
             if row.holds {
@@ -1043,7 +1039,7 @@ impl ContinuousBatcher {
         self.work.rows += pad;
         self.work.filler_rows += pad - rows.len();
         self.work.tokens_reused += rows.iter().map(|r| r.hit).sum::<usize>();
-        self.work.tokens_computed += rows.iter().map(|r| r.prompt.len() - r.hit).sum::<usize>();
+        self.work.tokens_computed += suffixes.iter().map(|s| s.len()).sum::<usize>();
         Ok(last)
     }
 }

@@ -295,8 +295,9 @@ fn a_hit_survives_the_eviction_of_its_donor() {
 #[test]
 fn a_decode_crash_replays_through_seeded_groups() {
     // Eight slots on a four-row prefill tier: two groups at admission (the
-    // second seeded from the first) and, after the crash at step 2 with all
-    // eight still live, the same two groups again on the rebuilt tier.
+    // first's three followers seeded from its leader, the second seeded
+    // from the first) and, after the crash at step 2 with all eight still
+    // live, the same two groups again on the rebuilt tier.
     let model = ReferenceModel::init_random(ModelConfig::tiny(), 34);
     let tails = [3, 1, 2, 5, 4, 1, 6, 2];
     let requests = shared_prefix_workload(model.config().vocab, 2 * PAGE, &tails, 5);
@@ -305,7 +306,7 @@ fn a_decode_crash_replays_through_seeded_groups() {
     });
     assert_eq!(outcome.report.recovery.faults, 1);
     assert_eq!(outcome.report.recovery.requests_replayed, 8);
-    assert_eq!(outcome.prefill.tokens_reused, 2 * 4 * 2 * PAGE, "{:?}", outcome.prefill);
+    assert_eq!(outcome.prefill.tokens_reused, 2 * (3 + 4) * 2 * PAGE, "{:?}", outcome.prefill);
     assert_eq!(
         outcome.prefill.tokens_computed + outcome.prefill.tokens_reused,
         2 * total_prompt_tokens(&requests)
@@ -342,7 +343,9 @@ fn padding_never_runs_a_row_past_the_position_table() {
     // Learned positions, max_seq 64. The second group holds a 60-token
     // prompt seeded with 56 positions next to a cold 20-token prompt:
     // padding the seeded row's 4-token suffix to 20 would address position
-    // 76. The group must run as two calls instead.
+    // 76. Padding is never embedded, so the group runs as one call, and
+    // every row addresses only its own positions: the engine embeds each
+    // position through the learned table, which panics past `max_seq`.
     let model = ReferenceModel::init_random(ModelConfig::tiny_multihead(), 36);
     let cfg = model.config();
     let (vocab, max_seq) = (cfg.vocab, cfg.max_seq);
@@ -362,10 +365,11 @@ fn padding_never_runs_a_row_past_the_position_table() {
         long.extend([1, 2, 3, 4]);
         requests.push(ServingRequest::immediate(long, 2));
         requests.push(ServingRequest::immediate((0..20).map(|t| (7 + 2 * t) % vocab).collect(), 2));
+        assert!(requests.iter().all(|r| r.prompt.len() + r.max_new_tokens <= max_seq));
         let outcome = serve_and_check(&model, layout, paged_opts(2 * pad, None), &requests, |_| {});
         assert_eq!(outcome.prefill.tokens_reused, 56, "{}", layout.describe());
         let calls = outcome.prefill.calls;
-        assert_eq!(calls, 3, "{}: first group, then one call each", layout.describe());
+        assert_eq!(calls, 2, "{}: one call per group", layout.describe());
     }
 }
 
@@ -444,13 +448,15 @@ fn only_the_first_group_behind_a_prefix_computes_it() {
     assert_eq!(one.tokens_computed, p + suffixes, "not {}", n * p + suffixes);
     assert_eq!(one.tokens_reused, (n - 1) * p);
     assert_eq!((one.calls, one.rows, one.filler_rows), (n, n, 0));
-    // Four rows per group: the first four are, and the last group of two
-    // is filled up with two rows of padding.
+    // Four rows per group: the first group's leader computes the prefix
+    // beside three filler rows, its three followers are seeded from it in
+    // the next call (one filler row), and the last group of two carries two
+    // filler rows.
     let four =
         serve_and_check(&model, ws2d_batch(), paged_opts(12, None), &requests, |_| {}).prefill;
-    assert_eq!(four.tokens_computed, 4 * p + suffixes);
-    assert_eq!(four.tokens_reused, (n - 4) * p);
-    assert_eq!((four.calls, four.rows, four.filler_rows), (3, 12, 2));
+    assert_eq!(four.tokens_computed, p + suffixes);
+    assert_eq!(four.tokens_reused, (n - 1) * p);
+    assert_eq!((four.calls, four.rows, four.filler_rows), (4, 16, 6));
 }
 
 #[test]

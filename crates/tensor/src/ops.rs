@@ -505,22 +505,26 @@ pub fn rope(t: &Tensor, d_head: usize, base_pos: usize) -> Tensor {
 #[must_use]
 pub fn rope_rows(t: &Tensor, d_head: usize, bases: &[usize]) -> Tensor {
     let mut out = Tensor::zeros(t.shape().to_vec());
-    rope_rows_into(t, d_head, bases, &mut out);
+    rope_rows_into(t, d_head, bases, &vec![t.dim(1); bases.len()], &mut out);
     out
 }
 
-/// [`rope_rows`] into `out` (shaped like `t`), overwriting every element.
+/// [`rope_rows`] of the first `lens[bi]` positions of each batch row `bi`
+/// into `out` (shaped like `t`); the positions past them are written as
+/// zeros, and no rotation is computed for them.
 ///
 /// # Panics
 ///
-/// As [`rope_rows`], or if `out` is not shaped like `t`.
-pub fn rope_rows_into(t: &Tensor, d_head: usize, bases: &[usize], out: &mut Tensor) {
+/// As [`rope_rows`], if `out` is not shaped like `t`, or if `lens` does not
+/// give each batch row at most `L` positions.
+pub fn rope_rows_into(t: &Tensor, d_head: usize, bases: &[usize], lens: &[usize], out: &mut Tensor) {
     assert_eq!(t.rank(), 3, "rope expects [B, L, H*d_head]");
     assert!(d_head.is_multiple_of(2), "rope requires an even d_head");
     let (l, hd) = (t.dim(1), t.dim(2));
     assert!(hd % d_head == 0, "last dimension must be a multiple of d_head");
     assert_eq!(bases.len(), t.dim(0), "one position base per batch row");
     assert_eq!(out.shape(), t.shape(), "rope output shape mismatch");
+    assert_eq!(lens.len(), t.dim(0), "one length per batch row");
     let heads = hd / d_head;
     let half = d_head / 2;
     // Inverse frequencies once; sin/cos once per (position, i).
@@ -528,8 +532,10 @@ pub fn rope_rows_into(t: &Tensor, d_head: usize, bases: &[usize], out: &mut Tens
         .map(|i| 1.0 / 10000f32.powf(2.0 * i as f32 / d_head as f32))
         .collect();
     let (src, dst) = (t.data(), out.data_mut());
-    for (bi, &base) in bases.iter().enumerate() {
-        for li in 0..l {
+    for (bi, (&base, &n)) in bases.iter().zip(lens).enumerate() {
+        assert!(n <= l, "row {bi} has {n} positions, more than {l}");
+        dst[(bi * l + n) * hd..(bi + 1) * l * hd].fill(0.0);
+        for li in 0..n {
             let p = (base + li) as f32;
             for (i, &f) in inv_freq.iter().enumerate() {
                 let (sin, cos) = (p * f).sin_cos();

@@ -25,6 +25,10 @@ use crate::ops;
 use crate::simd::{self, Elem, MR, NR};
 use crate::Tensor;
 
+/// Rows the GEMM tile computes at a time: a product over fewer rows still
+/// costs a whole pass over the weight.
+pub const TILE_ROWS: usize = MR;
+
 /// A weight matrix stored in panel order: f32 values, or int8 values with
 /// one f32 scale per column (see [`PackedMatrix::quantize`]).
 ///
@@ -149,40 +153,34 @@ impl PackedMatrix {
     pub fn matmul(&self, x: &Tensor) -> Tensor {
         assert_eq!(x.rank(), 2, "matmul lhs must be rank-2");
         let mut out = Tensor::zeros(vec![x.dim(0), self.cols]);
-        self.matmul_into_cols(x, &mut out, 0);
+        self.matmul_into_cols(x, 0..x.dim(0), &mut out, 0);
         out
     }
 
-    /// [`Self::matmul`] into `out`, overwriting it; leading dims flatten:
-    /// `x [.., rows] → out [.., cols]`.
+    /// The product `x × self` over rows `rows` of `x` and `out` (their
+    /// leading dims flattened), int8 columns scaled, into columns `[c0, c0 +
+    /// cols)` of a wider `out`, which must hold zeros there (the product
+    /// accumulates onto them); every other row of `out` is left as it is.
+    /// Lets an all-gathered weight's parts assemble the output column block
+    /// by column block, and a pass skip rows that hold padding: a row's
+    /// product does not depend on which rows share the call.
     ///
     /// # Panics
     ///
-    /// Panics on shape mismatch between `x`, `self` and `out`.
-    pub fn matmul_into(&self, x: &Tensor, out: &mut Tensor) {
-        out.data_mut().fill(0.0);
-        self.matmul_into_cols(x, out, 0);
-    }
-
-    /// The product `x × self`, int8 columns scaled, into columns
-    /// `[c0, c0 + cols)` of a wider `out`, which must hold zeros there (the
-    /// product accumulates onto them). `x`'s and `out`'s leading dims
-    /// flatten. Lets an all-gathered weight's parts assemble the output
-    /// column block by column block.
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatch or if the column range exceeds `out`.
-    pub fn matmul_into_cols(&self, x: &Tensor, out: &mut Tensor, c0: usize) {
+    /// Panics on shape mismatch, or if the column range exceeds `out` or
+    /// the row range `x`.
+    pub fn matmul_into_cols(&self, x: &Tensor, rows: Range<usize>, out: &mut Tensor, c0: usize) {
         let (m, k) = rows_of(x);
         assert_eq!(k, self.rows, "matmul inner dimension mismatch: {k} vs {}", self.rows);
         let (m_out, n_out) = rows_of(out);
         assert_eq!(m_out, m, "matmul output row count mismatch");
         assert!(c0 + self.cols <= n_out, "column range {c0}+{} exceeds {n_out}", self.cols);
-        if m == 0 {
+        assert!(rows.start <= rows.end && rows.end <= m, "row block {rows:?} exceeds {m}");
+        if rows.is_empty() {
             return;
         }
-        self.gemm(x.data(), k, m, 0..k, &mut out.data_mut()[c0..], n_out, true);
+        let (a, o) = (&x.data()[rows.start * k..], &mut out.data_mut()[rows.start * n_out + c0..]);
+        self.gemm(a, k, rows.len(), 0..k, o, n_out, true);
     }
 
     /// Accumulates the **unscaled** partial product `x[rows, c0..c0+kc] ×
@@ -209,17 +207,17 @@ impl PackedMatrix {
         self.gemm(a, k, rows.len(), r0..r0 + kc, out, self.cols, false);
     }
 
-    /// Multiplies each column `j` of a `[.., cols]` tensor by an int8
+    /// Multiplies each column `j` of rows of `cols` values by an int8
     /// matrix's `scales[j]`, in place: the one deferred scale paired with
     /// [`Self::matmul_acc_window`]. A no-op for f32.
     ///
     /// # Panics
     ///
-    /// Panics if the trailing dimension of `out` is not `cols`.
-    pub fn apply_scales(&self, out: &mut Tensor) {
-        assert_eq!(out.dim(out.rank() - 1), self.cols, "apply_scales trailing dim mismatch");
+    /// Panics if `out` is not whole rows of `cols`.
+    pub fn apply_scales(&self, out: &mut [f32]) {
+        assert!(out.len().is_multiple_of(self.cols.max(1)), "apply_scales row width mismatch");
         let Some(scales) = self.scales() else { return };
-        for row in out.data_mut().chunks_exact_mut(self.cols) {
+        for row in out.chunks_exact_mut(self.cols) {
             for (o, &s) in row.iter_mut().zip(scales) {
                 *o *= s;
             }
@@ -338,9 +336,15 @@ mod tests {
         let full = matmul_naive(&a, &b);
         let mut out = Tensor::zeros(vec![4, 10]);
         for c0 in [6, 0, 3] {
-            PackedMatrix::pack(&b.slice(1, c0, 3)).matmul_into_cols(&a, &mut out, c0);
+            PackedMatrix::pack(&b.slice(1, c0, 3)).matmul_into_cols(&a, 0..4, &mut out, c0);
         }
-        PackedMatrix::pack(&b.slice(1, 9, 1)).matmul_into_cols(&a, &mut out, 9);
+        PackedMatrix::pack(&b.slice(1, 9, 1)).matmul_into_cols(&a, 0..4, &mut out, 9);
         assert_eq!(out.max_abs_diff(&full), 0.0);
+        // A row window computes those rows alone and leaves the rest.
+        let mut window = Tensor::full(vec![4, 10], 0.0);
+        window.data_mut()[..10].fill(5.0);
+        PackedMatrix::pack(&b).matmul_into_cols(&a, 1..3, &mut window, 0);
+        assert_eq!(&window.data()[10..30], &full.data()[10..30]);
+        assert!(window.data()[..10].iter().all(|&v| v == 5.0) && window.data()[30..].iter().all(|&v| v == 0.0));
     }
 }

@@ -160,18 +160,6 @@ mod tests {
     }
 
     #[test]
-    fn matmul_into_matches_matmul_and_overwrites() {
-        let mut rng = StdRng::seed_from_u64(22);
-        let w = Tensor::randn(&mut rng, vec![40, 24], 0.5);
-        let x = Tensor::randn(&mut rng, vec![3, 40], 1.0);
-        let q = QuantizedMatrix::quantize(&w);
-        let expect = q.matmul(&x);
-        let mut out = Tensor::from_vec(vec![3, 24], vec![7.0; 3 * 24]); // stale garbage
-        q.matmul_into(&x, &mut out);
-        assert_eq!(out.data(), expect.data());
-    }
-
-    #[test]
     fn matmul_into_cols_assembles_full_product() {
         let mut rng = StdRng::seed_from_u64(25);
         let wa = Tensor::randn(&mut rng, vec![16, 33], 0.5);
@@ -179,8 +167,8 @@ mod tests {
         let x = Tensor::randn(&mut rng, vec![4, 16], 1.0);
         let (qa, qb) = (QuantizedMatrix::quantize(&wa), QuantizedMatrix::quantize(&wb));
         let mut out = Tensor::zeros(vec![4, 64]);
-        qa.matmul_into_cols(&x, &mut out, 0);
-        qb.matmul_into_cols(&x, &mut out, 33);
+        qa.matmul_into_cols(&x, 0..4, &mut out, 0);
+        qb.matmul_into_cols(&x, 0..4, &mut out, 33);
         let expect = Tensor::concat(&[&qa.matmul(&x), &qb.matmul(&x)], 1);
         assert_eq!(out.data(), expect.data());
     }
@@ -201,7 +189,7 @@ mod tests {
             for c in 0..chunks {
                 q.matmul_acc_window(&x, 0..3, c * step, c * step, step, acc.data_mut());
             }
-            q.apply_scales(&mut acc);
+            q.apply_scales(acc.data_mut());
             assert_eq!(acc.data(), mono.data(), "chunks={chunks}");
         }
     }

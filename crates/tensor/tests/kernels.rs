@@ -76,14 +76,14 @@ fn entry_points(w: &PackedMatrix, x: &Tensor) -> Vec<Vec<u32>> {
     let mut got = vec![bits(w.matmul(x).data())];
     for c0 in [3, 35] {
         let mut wide = Tensor::zeros(vec![m, n + 40]);
-        w.matmul_into_cols(x, &mut wide, c0);
+        w.matmul_into_cols(x, 0..m, &mut wide, c0);
         got.push(bits(wide.data()));
     }
     for split in 0..=k {
         let mut acc = Tensor::zeros(vec![m, n]);
         w.matmul_acc_window(x, 0..m, 0, 0, split, acc.data_mut());
         w.matmul_acc_window(x, 0..m, split, split, k - split, acc.data_mut());
-        w.apply_scales(&mut acc);
+        w.apply_scales(acc.data_mut());
         got.push(bits(acc.data()));
     }
     // A block of rows, each alone, into its own accumulator.
@@ -91,7 +91,7 @@ fn entry_points(w: &PackedMatrix, x: &Tensor) -> Vec<Vec<u32>> {
         let mut acc = vec![0.0; n];
         w.matmul_acc_window(x, r..r + 1, 0, 0, k, &mut acc);
         let mut acc = Tensor::from_vec(vec![1, n], acc);
-        w.apply_scales(&mut acc);
+        w.apply_scales(acc.data_mut());
         got.push(bits(acc.data()));
     }
     got
@@ -213,7 +213,7 @@ fn decode_shapes_equal_naive_oracle_through_every_entry_point() {
             assert_eq!(acc.data(), oracle.data(), "matmul_acc_window {ctx}");
             // A column block of a wider target, its neighbours untouched.
             let mut wide = Tensor::zeros(vec![m, n + 5]);
-            packed.matmul_into_cols(&a, &mut wide, 3);
+            packed.matmul_into_cols(&a, 0..m, &mut wide, 3);
             for r in 0..m {
                 let row = &wide.data()[r * (n + 5)..(r + 1) * (n + 5)];
                 assert_eq!(&row[3..3 + n], &oracle.data()[r * n..(r + 1) * n], "into_cols {ctx}");

@@ -229,7 +229,8 @@ mod tests {
         p.instrs = (0..calls.len())
             .map(|group| {
                 let (label, send, _) = calls[group];
-                Instr::Collective(Collective { label, send, input: Operand::Boundary, group, shape: vec![2, 2] })
+                let (input, shape, rows) = (Operand::Boundary, vec![2, 2], AxisSet::empty());
+                Instr::Collective(Collective { label, send, input, group, shape, rows })
             })
             .collect();
         p.split = p.instrs.len();

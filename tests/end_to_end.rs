@@ -232,11 +232,14 @@ fn expanded_samples_each_follow_their_prompt() {
 #[test]
 fn shared_prefix_requests_prefill_only_their_suffixes() {
     // Six requests behind a 20-token prefix on ws2d × batch (four rows per
-    // prefill call): the first group of four is cold, the last two are
-    // seeded with the prefix's whole pages from a live slot and run only the
-    // rest — to the single chip's tokens at every page size: one position,
-    // the default 16, and 64 ≥ the longest sequence (33), where each row is
-    // one dense run and no whole page fits under a prompt.
+    // prefill call): the first group of four is cold, so its first request
+    // (the leader) computes the prefix and the other three are seeded with
+    // its whole pages in the next call; the last two are seeded from a live
+    // slot. Every seeded row runs only the rest — to the single chip's
+    // tokens at every page size: one position, the default 16, and 64 ≥ the
+    // longest sequence (33), where each row is one dense run and no whole
+    // page fits under a prompt (nobody waits for a leader: three calls of
+    // four rows become two).
     let model = ReferenceModel::init_random(ModelConfig::tiny(), 103);
     let layout = Layout {
         ffn: FfnLayout::WeightStationary2D,
@@ -264,8 +267,9 @@ fn shared_prefix_requests_prefill_only_their_suffixes() {
         let outcome = batcher.try_serve(&requests).expect("serves");
         assert_eq!(outcome.outputs, expect, "page {page}");
         let work = outcome.prefill;
-        assert_eq!(work.tokens_reused, 2 * (20 / page * page), "page {page}: {work:?}");
-        assert_eq!((work.rows, work.filler_rows), (8, 2), "page {page}");
+        assert_eq!(work.tokens_reused, 5 * (20 / page * page), "page {page}: {work:?}");
+        let calls = if page <= 20 { 3 } else { 2 };
+        assert_eq!((work.rows, work.filler_rows), (4 * calls, 4 * calls - 6), "page {page}");
     }
 }
 
