@@ -20,11 +20,14 @@ echo "== kernel conformance: SIMD paths bit-identical to the scalar oracles =="
 # explicit AVX2 kernels (f32, then int8), the strided f32 tiles and their
 # int8 copies, the per-call int8 panel kernel, the second SIMD switch, the
 # enum of dense and int8 shards and its quantized-only gather, the GEMM
-# entry points nothing called, the unfused AVX-512 step and the attention
+# entry points nothing called, the unfused AVX-512 step, the attention
 # kernel's own register tiles (its contractions run the one tile through
-# ops::gemm_strided) stay gone.
-if grep -rnE "fn mm_f32|f32_tile|set_simd_enabled|qmm_tile_full|qmm_tile_edge|mm_i8|i8_tile|qmm_kernel|mm_tile_full|mm_tile_edge|ShardMat|AllGatherQuant|_mm512_add_ps\(v\[|qk_tile|pv_tile|fn (batched_matmul|quantized_matmul|matmul3|concat_cols|matmul_acc_rows)\b" crates src tests examples; then
-  echo "FAIL: a second GEMM tier, a strided or per-call int8 tile, a Dense/Int8 shard dispatch, an uncalled GEMM entry point, an unfused AVX-512 step or a second attention tile is back" >&2
+# ops::gemm_strided), the Blocked kernel setting (ESTI_DISABLE_SIMD is the
+# one switch to the safe-Rust tile) and the runtime bench's JSON snapshot
+# (its gates moved into the test suites) stay gone. The bracketed letters
+# keep this script itself out of a search for those names.
+if grep -rnE "fn mm_f32|f32_tile|set_simd_enabled|qmm_tile_full|qmm_tile_edge|mm_i8|i8_tile|qmm_kernel|mm_tile_full|mm_tile_edge|ShardMat|AllGatherQuant|_mm512_add_ps\(v\[|qk_tile|pv_tile|fn (batched_matmul|quantized_matmul|matmul3|concat_cols|matmul_acc_rows)\b|MatmulKernel::Bl[o]cked|BENCH_r[u]ntime" crates src tests examples; then
+  echo "FAIL: a second GEMM tier, a strided or per-call int8 tile, a Dense/Int8 shard dispatch, an uncalled GEMM entry point, an unfused AVX-512 step, a second attention tile, the Blocked setting or the bench snapshot is back" >&2
   exit 1
 fi
 # One accumulation contract: every GEMM and attention chain is one fused
@@ -36,6 +39,9 @@ if grep -rnE '\+= *[a-z_]+ \* [a-z_]+(\[[a-z_]+\]|\.into\(\))?;' crates/tensor/s
 fi
 cargo test -q --release -p esti-tensor --test kernels
 ESTI_DISABLE_SIMD=1 cargo test -q --release -p esti-tensor --test kernels
+# quant.rs's tests compare the shipped setting to the scalar oracle, so this
+# run holds the safe-Rust int8 tile to it.
+ESTI_DISABLE_SIMD=1 cargo test -q --release -p esti-tensor --lib quant::
 taskset -c 0 cargo test -q --release -p esti-tensor --test kernels
 # The fused chains against f64 beside an unfused one (GEMM k = 64 / 256 /
 # 1024, f32 and int8; attention scores and P.V).
@@ -473,44 +479,6 @@ if echo "$lint_out" | grep -q "skip planner"; then
   exit 1
 fi
 echo "esti-lint JSON report: results/esti_lint.json ($(wc -c < results/esti_lint.json) bytes)"
-
-echo "== bench report: no untracked regressions =="
-# Every flagged row — a decode row that lost to its naive-kernel baseline
-# ("regression": true, i.e. speedup < 1.0), and the int8 wire row if its
-# step time regressed — must carry a "tracking" reference (issue link or
-# note); silent regressions fail CI. A row that flags regression without computing it from its own
-# ratios would also be caught here: the flag is cross-checked against the
-# published numbers.
-python3 - <<'EOF'
-import json, sys
-report = json.load(open("BENCH_runtime.json"))
-rows = report.get("decode", [])
-bad = [r["layout"] for r in rows if r.get("regression") and not r.get("tracking")]
-for r in rows:
-    slow = r.get("speedup", 1.0) < 1.0
-    if slow and not r.get("regression"):
-        bad.append(f"{r['layout']} (unflagged slowdown)")
-wire = report.get("int8_wire", {})
-if wire.get("regression") and not wire.get("tracking"):
-    bad.append("int8_wire")
-if wire.get("step_ratio", 0.0) > 1.0 and not wire.get("regression"):
-    bad.append("int8_wire (unflagged step-time slowdown)")
-over = report.get("overload", {})
-if over.get("goodput_ratio", 1.0) < 0.7:
-    bad.append("overload (goodput below 0.7x capacity ceiling)")
-if over.get("high_p99_ttft_s", 0.0) > 1.0:
-    bad.append("overload (high-class p99 TTFT above SLO)")
-if over.get("shed", 1) == 0:
-    bad.append("overload (bursty 2x trace shed nothing)")
-router = report.get("router_failover", {})
-if router.get("lost", 0) != 0:
-    bad.append("router_failover (lost requests)")
-if not router.get("streams_identical", True):
-    bad.append("router_failover (streams diverged)")
-if bad:
-    sys.exit(f"FAIL: untracked regression(s) in BENCH_runtime.json: {bad}")
-print(f"decode rows: {len(rows)}, untracked regressions: 0")
-EOF
 
 echo "== model-checked collectives (bounded-DFS interleavings) =="
 RUSTFLAGS="--cfg loom" cargo test -q -p esti-collectives --test loom --release

@@ -1372,6 +1372,11 @@ mod tests {
         let r = simulate_trace(&model, &cfg, &trace, &policy);
         assert_eq!(r.completed.len() + r.shed.len(), 100_000);
         assert!(r.completed.len() > 10_000, "overload must not starve everyone");
-        assert!(r.goodput_ratio() > 0.3, "goodput ratio {}", r.goodput_ratio());
+        assert!(!r.shed.is_empty(), "a 2x overload trace must shed via typed errors");
+        // Overload degrades the low class, never the whole system: goodput
+        // holds near the capacity ceiling and the high class keeps its SLO.
+        assert!(r.goodput_ratio() >= 0.7, "goodput ratio {}", r.goodput_ratio());
+        let high_p99 = r.class_ttft_percentile(Priority::High, 99.0);
+        assert!(high_p99 <= 1.0, "high-class p99 TTFT {high_p99} s");
     }
 }

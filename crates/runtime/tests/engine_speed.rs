@@ -1,0 +1,231 @@
+//! Release-mode timings of the partitioned engine against its baselines,
+//! each asserting its bound (ignored by default; CI does not run them):
+//!
+//! * a decode step under the shipped GEMM tile is at least 1.2× faster
+//!   than under the `Naive` setting on ws1d (8 chips), and no slower on
+//!   ws2d and the paired WG XYZ engine;
+//! * an int8 weight-gathered one-token prefill pass takes no longer than
+//!   the f32 one;
+//! * continuous batching serves at least 1.1× the tokens per second of
+//!   serial (batch-1) decode;
+//! * a decode step with the default collective deadline armed costs at
+//!   most 1.05× one with the blocking barrier.
+//!
+//! Every probe times its sides with one helper, [`stepped_in_turn`], and
+//! holds one lock, so no probe times another's work.
+//!
+//!   cargo test --release -p esti-runtime --test engine_speed -- --ignored --nocapture
+
+use std::sync::{Mutex, PoisonError};
+use std::time::Instant;
+
+use esti_core::layout::{AttnSharding, FfnLayout, GatherExtent, Layout, MeshFactors};
+use esti_core::serving::Priority;
+use esti_model::{ModelConfig, ReferenceModel};
+use esti_runtime::{
+    ContinuousBatcher, PartitionedEngine, ServingOptions, ServingRequest, WeightFormat,
+    DEFAULT_COLLECTIVE_DEADLINE,
+};
+use esti_tensor::ops::{self, MatmulKernel};
+
+/// Held by every probe: the probes time wall clock and flip the
+/// process-wide kernel knob (a failed probe leaves it usable).
+static PROBE: Mutex<()> = Mutex::new(());
+
+/// Rounds of [`stepped_in_turn`], and steps per round and side.
+const ROUNDS: usize = 8;
+const STEPS: usize = 16;
+/// Rows of every engine pass, and prompt length.
+const BATCH: usize = 64;
+const PROMPT: usize = 16;
+
+/// `ModelConfig::tiny()`'s structure at `d_model` 256: matmuls big enough
+/// to time.
+fn tiny8x() -> ReferenceModel {
+    let cfg = ModelConfig {
+        name: "tiny8x".to_owned(),
+        d_model: 256,
+        d_ff: 1024,
+        n_heads: 8,
+        d_head: 32,
+        vocab: 128,
+        ..ModelConfig::tiny()
+    };
+    ReferenceModel::init_random(cfg, 11)
+}
+
+fn layout(ffn: FfnLayout, attn: AttnSharding, mesh: (usize, usize, usize)) -> Layout {
+    Layout { ffn, attn, mesh: MeshFactors::new(mesh.0, mesh.1, mesh.2) }
+}
+
+fn prompts(vocab: usize) -> Vec<Vec<usize>> {
+    (0..BATCH).map(|b| (0..PROMPT).map(|t| (b * 7 + t * 3 + 1) % vocab).collect()).collect()
+}
+
+/// Seconds per step of each side. Each of [`ROUNDS`] rounds `reset`s every
+/// side, then runs [`STEPS`] `step`s on each, the sides taking single steps
+/// in turn (which goes first rotating), so slow drift in machine load hits
+/// all alike. Step `s` does the same work in every round; its time is its
+/// minimum over the rounds, and a side's time is the mean of its steps'
+/// minima, so no one fast or slow sample sets it.
+fn stepped_in_turn<T, const N: usize>(
+    sides: &mut [T; N],
+    reset: impl Fn(&mut T),
+    step: impl Fn(&mut T),
+) -> [f64; N] {
+    let mut best = [[f64::INFINITY; N]; STEPS];
+    for round in 0..ROUNDS {
+        sides.iter_mut().for_each(&reset);
+        for (s, best) in best.iter_mut().enumerate() {
+            for i in (0..N).map(|i| (i + round + s) % N) {
+                let t = Instant::now();
+                step(&mut sides[i]);
+                best[i] = best[i].min(t.elapsed().as_secs_f64());
+            }
+        }
+    }
+    std::array::from_fn(|i| best.iter().map(|b| b[i]).sum::<f64>() / STEPS as f64)
+}
+
+/// A decode step under the shipped tile against the same step under the
+/// `Naive` setting, on each decode layout. The `Naive` engine's GEMMs run
+/// the packed scalar oracle, which walks each panel 32 columns at a time,
+/// ~1.8× slower than a row-major scalar loop, so this bound is looser than
+/// it reads.
+#[test]
+#[ignore]
+fn decode_beats_the_naive_kernel() {
+    let _probe = PROBE.lock().unwrap_or_else(PoisonError::into_inner);
+    let model = tiny8x();
+    let vocab = model.config().vocab;
+    let next: Vec<usize> = (0..BATCH).map(|b| b % vocab).collect();
+    let rows = [
+        ("ws1d 1x8x1", layout(FfnLayout::WeightStationary1D, AttnSharding::Batch, (1, 8, 1)), 1.2),
+        ("ws2d 2x2x2", layout(FfnLayout::WeightStationary2D, AttnSharding::Batch, (2, 2, 2)), 1.0),
+        (
+            "wg xyz 8x1x1 (paired)",
+            layout(FfnLayout::WeightGathered(GatherExtent::Xyz), AttnSharding::Batch, (8, 1, 1)),
+            1.0,
+        ),
+    ];
+    for (name, layout, bound) in rows {
+        let engine = || PartitionedEngine::new(&model, layout, WeightFormat::Exact);
+        let mut sides = [(engine(), MatmulKernel::Naive), (engine(), MatmulKernel::Simd)];
+        let [naive, shipped] = stepped_in_turn(
+            &mut sides,
+            |(engine, _)| {
+                // Both settings give the same bits, so both sides prefill
+                // under the tile.
+                ops::set_matmul_kernel(MatmulKernel::Simd);
+                engine.reset();
+                engine.try_prefill(&prompts(vocab)).unwrap();
+            },
+            |(engine, kernel)| {
+                ops::set_matmul_kernel(*kernel);
+                engine.try_decode_step(&next).unwrap();
+            },
+        );
+        ops::set_matmul_kernel(MatmulKernel::Simd);
+        let speedup = naive / shipped;
+        eprintln!(
+            "{name}: naive {:.0} us, shipped {:.0} us, {speedup:.2}x (bound >= {bound:.1}x)",
+            naive * 1e6,
+            shipped * 1e6
+        );
+        assert!(speedup >= bound, "{name}: decode {speedup:.2}x over the naive kernel, bound {bound:.1}x");
+    }
+}
+
+/// A one-token prefill pass on the fully weight-gathered layout, the pass
+/// that gathers every weight, with int8 shards against f32 ones: moving
+/// half the bytes must not cost step time.
+#[test]
+#[ignore]
+fn int8_weight_gathered_prefill_is_no_slower_than_f32() {
+    let _probe = PROBE.lock().unwrap_or_else(PoisonError::into_inner);
+    let model = tiny8x();
+    let vocab = model.config().vocab;
+    let wg = layout(FfnLayout::WeightGathered(GatherExtent::Xyz), AttnSharding::Batch, (8, 1, 1));
+    let next: Vec<Vec<usize>> = (0..BATCH).map(|b| vec![b % vocab]).collect();
+    let mut sides = [WeightFormat::Exact, WeightFormat::Int8].map(|f| PartitionedEngine::new(&model, wg, f));
+    let [f32_pass, int8_pass] = stepped_in_turn(
+        &mut sides,
+        |engine| {
+            engine.reset();
+            engine.try_prefill(&prompts(vocab)).unwrap();
+        },
+        |engine| drop(engine.try_prefill(&next).unwrap()),
+    );
+    let ratio = int8_pass / f32_pass;
+    eprintln!(
+        "wg xyz one-token prefill: f32 {:.0} us, int8 {:.0} us, ratio {ratio:.3} (bound <= 1.0)",
+        f32_pass * 1e6,
+        int8_pass * 1e6
+    );
+    assert!(ratio <= 1.0, "int8/f32 one-token prefill time {ratio:.3}, bound 1.0");
+}
+
+/// Section 4.4 end to end: 12 requests (12 prompt + 8 generated tokens)
+/// served with a decode batch of 8 against batch-1 decode.
+#[test]
+#[ignore]
+fn continuous_batching_beats_serial_decode() {
+    let _probe = PROBE.lock().unwrap_or_else(PoisonError::into_inner);
+    let model = tiny8x();
+    let vocab = model.config().vocab;
+    let ws1d = layout(FfnLayout::WeightStationary1D, AttnSharding::Head, (1, 8, 1));
+    let requests: Vec<ServingRequest> = (0..12)
+        .map(|i| ServingRequest {
+            prompt: (0..12).map(|t| (i * 7 + t * 3 + 1) % vocab).collect(),
+            max_new_tokens: 8,
+            seed: i as u64,
+            arrival: 0.0,
+            priority: Priority::Normal,
+        })
+        .collect();
+    let batcher = |cap| {
+        let opts = ServingOptions { max_decode_batch: cap, ..ServingOptions::default() };
+        ContinuousBatcher::new(&model, ws1d, WeightFormat::Exact, opts)
+    };
+    let mut sides = [batcher(8), batcher(1)];
+    let [batched, serial] = stepped_in_turn(&mut sides, |_| {}, |b| drop(b.try_serve(&requests).unwrap()));
+    let speedup = serial / batched;
+    eprintln!(
+        "12 requests: batched (cap 8) {:.1} ms, serial {:.1} ms, {speedup:.2}x (bound >= 1.1x)",
+        batched * 1e3,
+        serial * 1e3
+    );
+    assert!(speedup >= 1.1, "continuous batching {speedup:.2}x over serial, bound 1.1x");
+}
+
+/// The deadline-based collective wait (a dead or stalled chip surfaces as
+/// a typed error, not a hang) is about free on the healthy path.
+#[test]
+#[ignore]
+fn deadline_barrier_costs_at_most_five_percent() {
+    let _probe = PROBE.lock().unwrap_or_else(PoisonError::into_inner);
+    let model = tiny8x();
+    let vocab = model.config().vocab;
+    let ws1d = layout(FfnLayout::WeightStationary1D, AttnSharding::Batch, (1, 8, 1));
+    let next: Vec<usize> = (0..BATCH).map(|b| b % vocab).collect();
+    let mut sides = [None, Some(DEFAULT_COLLECTIVE_DEADLINE)].map(|deadline| {
+        let mut engine = PartitionedEngine::new(&model, ws1d, WeightFormat::Exact);
+        engine.set_collective_deadline(deadline);
+        engine
+    });
+    let [blocking, deadline] = stepped_in_turn(
+        &mut sides,
+        |engine| {
+            engine.reset();
+            engine.try_prefill(&prompts(vocab)).unwrap();
+        },
+        |engine| drop(engine.try_decode_step(&next).unwrap()),
+    );
+    let ratio = deadline / blocking;
+    eprintln!(
+        "ws1d decode step: blocking {:.0} us, deadline {:.0} us, ratio {ratio:.3} (bound <= 1.05)",
+        blocking * 1e6,
+        deadline * 1e6
+    );
+    assert!(ratio <= 1.05, "deadline/blocking decode step {ratio:.3}, bound 1.05");
+}

@@ -265,12 +265,13 @@ fn batch1(engine: &mut PartitionedEngine, p: &[usize]) -> (Vec<f32>, RequestKv) 
 #[test]
 fn a_prefill_pass_beside_a_full_span_pads_it_with_the_scratch_row() {
     // Span 0's slots all hold parked requests and sit the pass out, so the
-    // span has no empty slot to pad with. Pass 1 runs a cold 5-token prompt
-    // at the first slot of every other span; pass 2 the next slot of each,
-    // seeded with a page of its own prompt and running the 5 tokens after
-    // it. Every row's logits at every position, and its KV, must be the
-    // batch-1 prefill's, `to_bits`; the parked slots keep their bytes and
-    // the scratch row gives its pages back.
+    // span has no empty slot. Pass 1 runs a cold 5-token prompt at the
+    // first slot of every other span; pass 2 the next slot of each, seeded
+    // with a page of its own prompt and running the 5 tokens after it.
+    // Every row's logits at every position, and its KV, must be the batch-1
+    // prefill's, `to_bits`; the parked slots keep their bytes: a filler row
+    // is a slot of the span that is not in the pass, and it is never
+    // touched.
     const L: usize = 5;
     for (model, layout, fmt) in combos() {
         let vocab = model.config().vocab;
@@ -390,10 +391,10 @@ fn an_expanded_batch_takes_a_row_pass_and_gives_back_every_page() {
     // On ws1d × batch (longctx_decode's layout) and WG-XYZ, a classic
     // prefill expanded to two samples per prompt; then one sample is
     // evicted and its slot prefilled alone with a new prompt. Every other
-    // span is full, so each pads from its scratch row. The new row must be
-    // the batch-1 prefill's, `to_bits`; every other slot keeps its bytes;
-    // with every slot evicted, the pool holds what a never-served engine's
-    // holds.
+    // span is full, so its filler rows are slots not in the pass, and they
+    // are never touched. The new row must be the batch-1 prefill's,
+    // `to_bits`; every other slot keeps its bytes; with every slot evicted,
+    // the pool holds what a never-served engine's holds.
     let model = ReferenceModel::init_random(ModelConfig::tiny(), 45);
     let vocab = model.config().vocab;
     let prompts = prompts4(vocab);

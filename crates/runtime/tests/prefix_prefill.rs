@@ -533,7 +533,8 @@ fn a_span_with_no_empty_slot_pads_from_its_scratch_row() {
     // fill every slot; the long requests 0 and 4 land in span 0 (slots 0
     // and 1), the rest finish after one step. The third group's three
     // requests then take one slot in each of spans 1–3, and span 0 — full,
-    // and not in the call — pads with its chips' scratch row.
+    // and not in the call — gives the pass filler rows: slots of the span
+    // that are not in the pass, which it never touches.
     let model = ReferenceModel::init_random(ModelConfig::tiny(), 41);
     let vocab = model.config().vocab;
     let requests: Vec<ServingRequest> = (0..11)

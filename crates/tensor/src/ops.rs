@@ -14,7 +14,7 @@
 //! the tile over operands read in place at their row strides (the
 //! attention kernel's two contractions). [`matmul_naive`] is the oracle.
 
-use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;
 
 use crate::packed::rows_of;
@@ -25,8 +25,8 @@ use crate::{PackedMatrix, Tensor};
 ///
 /// There is one tile, written twice: `Simd`, the default, runs its explicit
 /// AVX-512F form when the host supports it and `ESTI_DISABLE_SIMD` is unset,
-/// and its safe-Rust form otherwise; `Blocked` always runs the safe-Rust
-/// form, for f32 and int8 alike. `Naive` runs the scalar oracles. Every
+/// and its safe-Rust form otherwise, for f32 and int8 alike (the variable is
+/// the one switch to the safe-Rust form). `Naive` runs the scalar oracles. Every
 /// tier accumulates every output element by one serial chain of fused
 /// multiply-adds, `acc = a.mul_add(b, acc)`, in strictly ascending `k`
 /// order, so all of them produce bit-identical results, except that the row-major f32 oracle
@@ -35,17 +35,16 @@ use crate::{PackedMatrix, Tensor};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MatmulKernel {
     /// The shipped setting: the AVX-512F tile with runtime feature
-    /// detection, falling back to `Blocked` on hosts without AVX-512F.
+    /// detection, falling back to the safe-Rust tile on hosts without
+    /// AVX-512F or under `ESTI_DISABLE_SIMD`.
     Simd,
-    /// The safe-Rust tile (the reference the AVX-512F tile is checked
-    /// against).
-    Blocked,
     /// Scalar i-k-j kernels (row-major f32 with the historical `av == 0.0`
     /// skip).
     Naive,
 }
 
-static MATMUL_KERNEL: AtomicU8 = AtomicU8::new(0);
+/// True while the `Naive` setting is selected.
+static NAIVE: AtomicBool = AtomicBool::new(false);
 
 /// Serializes tests (here, in `quant`, and the kernel conformance suite)
 /// that flip the process-wide kernel knob, so concurrently running tests
@@ -56,21 +55,16 @@ pub(crate) static KNOB_TEST_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new((
 /// Selects the kernel the GEMM entry points use, process-wide.
 /// All kernels are correct; this is a benchmarking and oracle escape hatch.
 pub fn set_matmul_kernel(kernel: MatmulKernel) {
-    let v = match kernel {
-        MatmulKernel::Simd => 0,
-        MatmulKernel::Blocked => 1,
-        MatmulKernel::Naive => 2,
-    };
-    MATMUL_KERNEL.store(v, Ordering::Relaxed);
+    NAIVE.store(kernel == MatmulKernel::Naive, Ordering::Relaxed);
 }
 
 /// The currently selected matmul kernel.
 #[must_use]
 pub fn matmul_kernel() -> MatmulKernel {
-    match MATMUL_KERNEL.load(Ordering::Relaxed) {
-        0 => MatmulKernel::Simd,
-        1 => MatmulKernel::Blocked,
-        _ => MatmulKernel::Naive,
+    if NAIVE.load(Ordering::Relaxed) {
+        MatmulKernel::Naive
+    } else {
+        MatmulKernel::Simd
     }
 }
 
@@ -87,7 +81,6 @@ fn simd_enabled() -> bool {
 pub(crate) fn tile() -> Option<Tile> {
     match matmul_kernel() {
         MatmulKernel::Naive => None,
-        MatmulKernel::Blocked => Some(Tile::Portable),
         MatmulKernel::Simd if simd_enabled() && simd::supported() => Some(Tile::Avx512),
         MatmulKernel::Simd => Some(Tile::Portable),
     }
@@ -867,19 +860,12 @@ mod tests {
     fn kernel_knob_roundtrips() {
         let _guard = KNOB_TEST_LOCK.lock().unwrap();
         assert_eq!(matmul_kernel(), MatmulKernel::Simd, "Simd is the default tier");
-        for kernel in [MatmulKernel::Blocked, MatmulKernel::Naive, MatmulKernel::Simd] {
+        for kernel in [MatmulKernel::Naive, MatmulKernel::Simd] {
             set_matmul_kernel(kernel);
             assert_eq!(matmul_kernel(), kernel);
+            let avx512 = kernel == MatmulKernel::Simd && simd_enabled() && crate::simd::supported();
+            assert_eq!(simd_active(), avx512, "{kernel:?}");
         }
-    }
-
-    #[test]
-    fn blocked_knob_forces_the_blocked_fallback() {
-        let _guard = KNOB_TEST_LOCK.lock().unwrap();
-        set_matmul_kernel(MatmulKernel::Blocked);
-        assert!(!simd_active(), "the Blocked setting must not run the AVX-512 tile");
-        set_matmul_kernel(MatmulKernel::Simd);
-        assert_eq!(simd_active(), simd_enabled() && crate::simd::supported());
     }
 
     proptest! {

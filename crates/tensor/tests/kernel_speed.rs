@@ -1,11 +1,13 @@
-// Release-mode timings of the GEMM tile and its oracles (ignored by default). The gated
-// numbers are `bench_runtime`'s (crates/bench/src/bin/bench_runtime.rs,
-// written to BENCH_runtime.json at the workspace root); these are for
-// deciding what ships.
+// Release-mode timings of the GEMM tile and its oracles (ignored by default).
+// `speed_check` and `int8_speed_check` assert the tile's bounds at 256³; the
+// rest print tables for deciding what ships. Run once as is and once with
+// `ESTI_DISABLE_SIMD=1` to time the safe-Rust form of the tile; each run
+// prints `simd_active` to say which form it timed.
 //
 //   cargo test --release -p esti-tensor --test kernel_speed -- --ignored --nocapture
 use esti_tensor::ops::{self, matmul, matmul_naive, MatmulKernel};
 use esti_tensor::{PackedMatrix, Tensor};
+use std::hint::black_box;
 use std::time::Instant;
 
 fn fill(n: usize, scale: f32) -> Tensor {
@@ -13,28 +15,54 @@ fn fill(n: usize, scale: f32) -> Tensor {
     Tensor::from_vec(vec![n, n], data)
 }
 
+/// The f32 tile over a weight packed once (its stored form) is at least
+/// 1.8× faster than the row-major scalar oracle at 256³.
 #[test]
 #[ignore]
 fn speed_check() {
     let n = 256;
-    let a = fill(n, 0.1);
-    let b = fill(n, 0.05);
-    let _ = matmul(&a, &b);
-    let _ = matmul_naive(&a, &b);
-    let t0 = Instant::now();
-    for _ in 0..10 {
-        std::hint::black_box(matmul(std::hint::black_box(&a), std::hint::black_box(&b)));
-    }
-    let blocked = t0.elapsed();
-    let t1 = Instant::now();
-    for _ in 0..10 {
-        std::hint::black_box(matmul_naive(std::hint::black_box(&a), std::hint::black_box(&b)));
-    }
-    let naive = t1.elapsed();
+    let (a, b) = (fill(n, 0.1), fill(n, 0.05));
+    let packed = PackedMatrix::pack(&b);
+    let naive = best_of(5, || drop(black_box(matmul_naive(black_box(&a), &b))));
+    let tile = best_of(5, || drop(black_box(packed.matmul(black_box(&a)))));
+    let speedup = naive / tile;
     eprintln!(
-        "blocked {blocked:?} naive {naive:?} speedup {:.2}",
-        naive.as_secs_f64() / blocked.as_secs_f64()
+        "simd_active={} f32 256³: naive {:.0} us, tile {:.0} us, {speedup:.2}x (bound >= 1.8x)",
+        ops::simd_active(),
+        naive * 1e6,
+        tile * 1e6
     );
+    assert!(speedup >= 1.8, "f32 tile {speedup:.2}x over the naive kernel, bound 1.8x");
+}
+
+/// The int8 tile is at least 2.1× faster at 256³ than the row-major scalar
+/// oracle over the weight's integer values followed by its column scales:
+/// the int8 GEMM's arithmetic, read front to back. (Not the packed scalar
+/// oracle: it walks panels 32 columns at a time, ~1.8× slower, and would
+/// flatter the tile.)
+#[test]
+#[ignore]
+fn int8_speed_check() {
+    let n = 256;
+    let a = fill(n, 0.1);
+    let w = PackedMatrix::quantize(&fill(n, 0.05));
+    let scales = w.scales().expect("a quantized matrix");
+    let values = w.unpack().data().iter().enumerate().map(|(i, &x)| (x / scales[i % n]).round()).collect();
+    let values = Tensor::from_vec(vec![n, n], values);
+    let scalar = best_of(5, || {
+        let mut out = matmul_naive(black_box(&a), &values);
+        w.apply_scales(out.data_mut());
+        black_box(out);
+    });
+    let tile = best_of(5, || drop(black_box(w.matmul(black_box(&a)))));
+    let speedup = scalar / tile;
+    eprintln!(
+        "simd_active={} int8 256³: scalar {:.0} us, tile {:.0} us, {speedup:.2}x (bound >= 2.1x)",
+        ops::simd_active(),
+        scalar * 1e6,
+        tile * 1e6
+    );
+    assert!(speedup >= 2.1, "int8 tile {speedup:.2}x over the scalar oracle, bound 2.1x");
 }
 
 /// Decode-shaped GEMMs are weight-bandwidth problems: `[m, k] × [k, n]` with
@@ -68,7 +96,7 @@ fn decode_shape_weight_bandwidth() {
             for _ in 0..5 {
                 let t = Instant::now();
                 for w in weights.iter().cycle().take(calls) {
-                    std::hint::black_box(matmul(std::hint::black_box(&a), std::hint::black_box(w)));
+                    black_box(matmul(black_box(&a), black_box(w)));
                 }
                 best = best.min(t.elapsed().as_secs_f64() / calls as f64);
             }
@@ -111,18 +139,16 @@ fn weight(k: usize, n: usize, c: usize) -> Tensor {
 /// **Hot:** its projections over 1024 and 4096 prompt tokens, one 256-token
 /// prompt and small batches, each weight reused call after call. Columns:
 /// the f32 naive oracle, row-major `ops::matmul` (which packs `b` per call
-/// from 16 rows and streams below), f32 packed once (the stored form) under
-/// the safe-Rust tile and under the shipped setting, and int8 under the
-/// same two. Best of 15 runs each.
+/// from 8 rows and streams below), f32 packed once (the stored form) and
+/// int8. Best of 15 runs each.
 ///
 /// **Cold:** the decode shapes (1, 4, 8 and 16 rows at the five weight
 /// shapes), each call reading the next of enough distinct weights to fill
 /// 16 MB, as a decode step walks distinct layers, so the weights come from
 /// memory: row-major `ops::matmul` against the packed f32 and int8 forms.
 ///
-/// `simd_active` says whether the shipped setting ran the AVX-512 tile;
-/// with `ESTI_DISABLE_SIMD=1` both columns of a pair are the safe-Rust
-/// tile. A `blk/simd` ratio above 1 means the AVX-512 tile is faster.
+/// Each tile column is the form of the tile the run chose (`simd_active`);
+/// compare a default run with an `ESTI_DISABLE_SIMD=1` run.
 #[test]
 #[ignore]
 fn tiers_at_workload_shapes() {
@@ -134,10 +160,7 @@ fn tiers_at_workload_shapes() {
     };
     eprintln!("simd_active={}", ops::simd_active());
     eprintln!("hot weights:");
-    eprintln!(
-        "{:>18} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9} {:>8} {:>8}",
-        "(M, K, N)", "naive us", "rowmaj us", "f32 blk", "f32 simd", "i8 blk", "i8 simd", "f32 b/s", "i8 b/s"
-    );
+    eprintln!("{:>18} {:>9} {:>9} {:>9} {:>9}", "(M, K, N)", "naive us", "rowmaj us", "f32 us", "i8 us");
     let hot = [
         (1024, 256, 1024),
         (1024, 1024, 256),
@@ -153,34 +176,23 @@ fn tiers_at_workload_shapes() {
     for (m, k, n) in hot {
         let (a, b) = (activations(m, k), weight(k, n, 0));
         let (p, q) = (PackedMatrix::pack(&b), PackedMatrix::quantize(&b));
-        let mut row_major = || drop(std::hint::black_box(matmul(std::hint::black_box(&a), &b)));
+        let mut row_major = || drop(black_box(matmul(black_box(&a), &b)));
         let naive = time(MatmulKernel::Naive, &mut row_major);
         let rowmaj = time(MatmulKernel::Simd, &mut row_major);
-        let mut f32_packed = || drop(std::hint::black_box(p.matmul(std::hint::black_box(&a))));
-        let f32_blk = time(MatmulKernel::Blocked, &mut f32_packed);
-        let f32_simd = time(MatmulKernel::Simd, &mut f32_packed);
-        let mut i8_packed = || drop(std::hint::black_box(q.matmul(std::hint::black_box(&a))));
-        let i8_blk = time(MatmulKernel::Blocked, &mut i8_packed);
-        let i8_simd = time(MatmulKernel::Simd, &mut i8_packed);
+        let packed_f32 = best_of(REPS, || drop(black_box(p.matmul(black_box(&a)))));
+        let packed_i8 = best_of(REPS, || drop(black_box(q.matmul(black_box(&a)))));
         eprintln!(
-            "{:>18} {:>9.1} {:>9.1} {:>9.1} {:>9.1} {:>9.1} {:>9.1} {:>8.2} {:>8.2}",
+            "{:>18} {:>9.1} {:>9.1} {:>9.1} {:>9.1}",
             format!("({m}, {k}, {n})"),
             naive * 1e6,
             rowmaj * 1e6,
-            f32_blk * 1e6,
-            f32_simd * 1e6,
-            i8_blk * 1e6,
-            i8_simd * 1e6,
-            f32_blk / f32_simd,
-            i8_blk / i8_simd
+            packed_f32 * 1e6,
+            packed_i8 * 1e6
         );
     }
     const WORKING_SET: usize = 16 << 20;
     eprintln!("cold weights (a {} MB working set of distinct matrices):", WORKING_SET >> 20);
-    eprintln!(
-        "{:>18} {:>9} {:>9} {:>9} {:>9} {:>9} {:>8} {:>8}",
-        "(M, K, N)", "rowmaj us", "f32 blk", "f32 simd", "i8 blk", "i8 simd", "f32 r/s", "i8 b/s"
-    );
+    eprintln!("{:>18} {:>9} {:>9} {:>9} {:>8}", "(M, K, N)", "rowmaj us", "f32 us", "i8 us", "f32 r/t");
     for (k, n) in [(256, 1024), (1024, 256), (256, 256), (256, 64), (64, 256)] {
         let copies = WORKING_SET.div_ceil(k * n * 4);
         let dense: Vec<Tensor> = (0..copies).map(|c| weight(k, n, c)).collect();
@@ -188,25 +200,17 @@ fn tiers_at_workload_shapes() {
         let quant: Vec<PackedMatrix> = dense.iter().map(PackedMatrix::quantize).collect();
         for m in [1, 4, 8, 16] {
             let a = activations(m, k);
-            let cold = |kernel, f: &dyn Fn(usize)| {
-                ops::set_matmul_kernel(kernel);
-                best_of(5, || (0..2 * copies).for_each(f)) / (2 * copies) as f64
-            };
-            let rowmaj = cold(MatmulKernel::Simd, &|c| drop(std::hint::black_box(matmul(&a, &dense[c % copies]))));
-            let f32_blk = cold(MatmulKernel::Blocked, &|c| drop(std::hint::black_box(packed[c % copies].matmul(&a))));
-            let f32_simd = cold(MatmulKernel::Simd, &|c| drop(std::hint::black_box(packed[c % copies].matmul(&a))));
-            let i8_blk = cold(MatmulKernel::Blocked, &|c| drop(std::hint::black_box(quant[c % copies].matmul(&a))));
-            let i8_simd = cold(MatmulKernel::Simd, &|c| drop(std::hint::black_box(quant[c % copies].matmul(&a))));
+            let cold = |f: &dyn Fn(usize)| best_of(5, || (0..2 * copies).for_each(f)) / (2 * copies) as f64;
+            let rowmaj = cold(&|c| drop(black_box(matmul(&a, &dense[c % copies]))));
+            let packed_f32 = cold(&|c| drop(black_box(packed[c % copies].matmul(&a))));
+            let packed_i8 = cold(&|c| drop(black_box(quant[c % copies].matmul(&a))));
             eprintln!(
-                "{:>18} {:>9.1} {:>9.1} {:>9.1} {:>9.1} {:>9.1} {:>8.2} {:>8.2}",
+                "{:>18} {:>9.1} {:>9.1} {:>9.1} {:>8.2}",
                 format!("({m}, {k}, {n})"),
                 rowmaj * 1e6,
-                f32_blk * 1e6,
-                f32_simd * 1e6,
-                i8_blk * 1e6,
-                i8_simd * 1e6,
-                rowmaj / f32_simd,
-                i8_blk / i8_simd
+                packed_f32 * 1e6,
+                packed_i8 * 1e6,
+                rowmaj / packed_f32
             );
         }
     }

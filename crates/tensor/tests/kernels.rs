@@ -222,24 +222,3 @@ fn decode_shapes_equal_naive_oracle_through_every_entry_point() {
         }
     }
 }
-
-/// The `Blocked` setting (what `ESTI_DISABLE_SIMD=1` or a host without
-/// AVX-512F leaves the default at) runs the safe-Rust tile and produces
-/// the default setting's bits, f32 and int8.
-#[test]
-fn forced_blocked_fallback_is_bit_identical() {
-    let _guard = knob_lock().lock().unwrap();
-    let a = tensor(19, 29, 7);
-    let b = tensor(29, 45, 13);
-    let (p, q) = (PackedMatrix::pack(&b), PackedMatrix::quantize(&b));
-    let run = || (ops::matmul(&a, &b), p.matmul(&a), q.matmul(&a), q.matmul(&a.slice(0, 0, 3)));
-    let shipped = run();
-    let fallback = with_kernel(MatmulKernel::Blocked, || {
-        assert!(!ops::simd_active(), "the Blocked setting must not run the AVX-512 tile");
-        run()
-    });
-    assert_eq!(shipped.0.data(), fallback.0.data());
-    assert_eq!(shipped.1.data(), fallback.1.data());
-    assert_eq!(shipped.2.data(), fallback.2.data());
-    assert_eq!(shipped.3.data(), fallback.3.data());
-}
