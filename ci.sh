@@ -93,6 +93,18 @@ if grep -nF -e '.dense().clone()' -e '.packed().clone()' -e 'Payload::Dense(inpu
   exit 1
 fi
 
+echo "== outputs written once: no zero-fill before the tile, no logits gather =="
+# Every einsum output is written by the GEMM tile's write mode (each chain
+# starts from +0.0 in a register), so its slot is not zeroed first; and a
+# weight-gathered layout's chips each return their own rows' logits rather
+# than all-gathering them. The escapes keep this script out of a search for
+# either string.
+if grep -rnE 'take_slot\(slots, slot, vec!\[src\.dim\(0\), src\.dim\(1\), \*width\], true\)|"logits batch all-gath[e]r"' \
+    crates src tests examples; then
+  echo "FAIL: an einsum output is zero-filled before the tile writes it, or the final logits all-gather is back" >&2
+  exit 1
+fi
+
 echo "== one level of parallelism: the chip executors are the engine's only threads =="
 # Each simulated chip's kernels run serially on the executor that steps it:
 # the per-chip worker pools, their thread knob (engine setter and

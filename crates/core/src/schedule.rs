@@ -1647,15 +1647,13 @@ fn build_1d(
         p.local("residual add", LocalOp::Add, &[x, full], None)?;
     }
 
-    // ---- Final layernorm + logits (then, fully gathered, the batch shards) ----
+    // ---- Final layernorm + logits ----
+    // Each chip's logits are those of its own rows, where the batch is
+    // split: the chips that hold distinct rows each return theirs.
     p.finals = true;
     let embed_t = p.weight(Role::EmbedT, SymTensor::new("EV", &[cfg.d_model, cfg.vocab]))?;
     let xn = p.local("final layernorm", LocalOp::LayerNorm(Gain::Final), &[x], None)?;
-    let logits = p.einsum("logits einsum", xn, embed_t, &['E'], "BLV")?;
-    if local.is_empty() {
-        let op = SymOp::AllGather { dim: 'B' };
-        p.collective("logits batch all-gather", op, gather, logits)?;
-    }
+    p.einsum("logits einsum", xn, embed_t, &['E'], "BLV")?;
     Ok(p.s)
 }
 

@@ -235,6 +235,10 @@ const QB: usize = 8;
 /// Lanes whose `Σe` chains the softmax runs abreast (independent chains,
 /// each still one serial sum).
 const SUM_LANES: usize = 8;
+/// Keys of a group of `SUM_LANES` lanes the softmax exponentiates and then
+/// sums before it moves on: 16 KiB of scores, which stay in L1 from the
+/// exponent to the sum.
+const KEY_CHUNK: usize = 512;
 
 /// [`attention_over_rows`] with every cache row in the step: row `bi` of `q`
 /// attends cache row `bi`.
@@ -272,7 +276,9 @@ pub fn attention_over_cache(q: &Tensor, cache: &KvCache, layer: usize, d_head: u
 /// into a reused `[lane, key]` scratch, (2) turns each lane's row into
 /// probabilities, (3) sums each run's V rows under those probabilities with
 /// one more tile call per run (head dims on the vector lanes, `k` the run's
-/// keys), into the lanes' outputs.
+/// keys), into the lanes' outputs. Every score and each lane's first run
+/// are written by the tile's write mode, so neither the scratch nor the
+/// outputs are zeroed first.
 ///
 /// Rows that share pages are read once: consecutive step rows whose block
 /// tables begin with the same pages ([`KvCache::shared_prefix`]; the
@@ -332,13 +338,13 @@ pub struct AttentionScratch {
     live: Vec<usize>,
 }
 
-/// [`attention_over_rows`] accumulated into `out` (shaped like `q`), which
-/// the caller zeroes first, working in `scratch`, over only the first
-/// `valid[bi]` query positions of each row `bi`: those are the row's last
-/// `valid[bi]` cached positions, and the rest of its queries — right
-/// padding — are not scored and leave `out` as it is. A row with no valid
-/// query reads no key. Each valid lane scores exactly the keys, in exactly
-/// the order, it would with its row's padding cut off.
+/// [`attention_over_rows`] written into `out` (shaped like `q`), working in
+/// `scratch`, over only the first `valid[bi]` query positions of each row
+/// `bi`: those are the row's last `valid[bi]` cached positions, and the
+/// rest of its queries — right padding — are not scored and leave `out` as
+/// it is (a caller that pads zeroes them). A row with no valid query reads
+/// no key. Each valid lane scores exactly the keys, in exactly the order,
+/// it would with its row's padding cut off.
 ///
 /// # Panics
 ///
@@ -368,7 +374,7 @@ pub fn attention_over_rows_into(
         assert!(lens[row] >= n, "row {row} length {} shorter than its {n} queries", lens[row]);
     }
     let (hq, hkv) = (qw / d_head, kw / d_head);
-    let scale = 1.0 / (d_head as f32).sqrt();
+    let scale = Some(1.0 / (d_head as f32).sqrt());
     let out = out.data_mut();
     let AttentionScratch { qs, os, ps, live } = scratch;
     live.clear();
@@ -413,15 +419,15 @@ pub fn attention_over_rows_into(
                     let at = |r: usize, l: usize| ((bi[r] * l_q + i0 + l / n_h) * hq + g + (l % n_h) * hkv) * d_head;
                     let (mut stride, mut common) = (0, first);
                     qs.clear();
-                    os.clear();
                     for r in 0..n_rows {
                         (stride, common) = (stride.max(ctx(r)), common.min(ctx(r)));
                         for l in 0..off[r + 1] - off[r] {
                             qs.extend_from_slice(&q.data()[at(r, l)..][..d_head]);
-                            os.extend_from_slice(&out[at(r, l)..][..d_head]);
                         }
                     }
-                    ps.clear();
+                    // The tile writes every score and output a lane reads
+                    // before it is read, so the buffers are only grown.
+                    os.resize(lanes * d_head, 0.0);
                     ps.resize(lanes * stride, 0.0);
                     // Part 0 is the common keys for every lane, read off the
                     // first row's runs; part `1 + r` row `r`'s own keys for
@@ -432,13 +438,13 @@ pub fn attention_over_rows_into(
                     };
 
                     // (1) S[lane][j] = (0 + Σ_d q·k)·scale, one tile call
-                    // per panel piece of each run.
+                    // per panel piece of each run, written.
                     for (l0, m, row, keys) in (0..=n_rows).map(part) {
                         for (j0, run) in cache.row_runs_in(layer, row, keys) {
                             for (p, n, kt) in run.kt_panels() {
                                 let (q_l, s_l) = (&qs[l0 * d_head..], &mut ps[l0 * stride + j0 + p..]);
                                 let kt_g = &kt[g * d_head * KT_PANEL..];
-                                ops::gemm_strided(q_l, d_head, m, d_head, kt_g, KT_PANEL, n, s_l, stride, Some(scale));
+                                ops::gemm_strided_write(q_l, d_head, m, d_head, kt_g, KT_PANEL, n, s_l, stride, scale);
                             }
                         }
                     }
@@ -449,12 +455,18 @@ pub fn attention_over_rows_into(
                         softmax_lanes(&mut ps[off[r] * stride..], stride, ctx(r), lanes_r, |l| seen(r, l));
                     }
 
-                    // (3) O[lane] += Σ_j p·v, one tile call per run.
-                    for (l0, m, row, keys) in (0..=n_rows).map(part) {
+                    // (3) O[lane] = Σ_j p·v, one tile call per run: a
+                    // lane's first run writes its output, the later ones
+                    // add to it. Once part 0 has run, every lane has begun.
+                    let mut begun = false;
+                    for (i, (l0, m, row, keys)) in (0..=n_rows).map(part).enumerate() {
+                        let mut write = !begun;
                         for (j0, run) in cache.row_runs_in(layer, row, keys) {
                             let (p_l, o_l) = (&ps[l0 * stride + j0..], &mut os[l0 * d_head..]);
                             let v_g = &run.v()[g * d_head..];
-                            ops::gemm_strided(p_l, stride, m, run.keys(), v_g, kw, d_head, o_l, d_head, None);
+                            let gemm = if write { ops::gemm_strided_write } else { ops::gemm_strided };
+                            gemm(p_l, stride, m, run.keys(), v_g, kw, d_head, o_l, d_head, None);
+                            (write, begun) = (false, begun || i == 0);
                         }
                     }
                     for r in 0..n_rows {
@@ -472,21 +484,30 @@ pub fn attention_over_rows_into(
 /// Step (2) over the first `lanes` rows of `[lane, stride]` scores, in
 /// place, each lane's first `ctx` keys: its keys from `seen(lane)` on are
 /// masked to `-inf`, then `p_j = e_j / Σe` with `e_j = exp2((s_j −
-/// max)·log2 e)`. `max`, the exponents and the divide run along the row;
-/// each `Σe` is one serial chain in ascending `j`, run `SUM_LANES` lanes
-/// abreast. A group of lanes is finished before the next is begun, so its
-/// rows are still in cache for the sum and the divide.
+/// max)·log2 e)`. `max` and the divide run along the row; each `Σe` is one
+/// serial chain in ascending `j`, run `SUM_LANES` lanes abreast, and the
+/// exponents are taken `KEY_CHUNK` keys at a time just before those keys
+/// are summed, the chains carried from chunk to chunk. A group of lanes is
+/// finished before the next is begun, so its rows are still in cache for
+/// the divide.
 fn softmax_lanes(ps: &mut [f32], stride: usize, ctx: usize, lanes: usize, seen: impl Fn(usize) -> usize) {
     for l0 in (0..lanes).step_by(SUM_LANES) {
         let n = SUM_LANES.min(lanes - l0);
         let group = &mut ps[l0 * stride..][..(n - 1) * stride + ctx];
-        for l in 0..n {
+        let mut max = [f32::NEG_INFINITY; SUM_LANES];
+        for (l, max) in max.iter_mut().enumerate().take(n) {
             let row = &mut group[l * stride..][..ctx];
             row[seen(l0 + l)..].fill(f32::NEG_INFINITY);
-            let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-            exp_row(row, max);
+            *max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
         }
-        let sums = lane_sums(std::array::from_fn(|t| &group[t.min(n - 1) * stride..][..ctx]));
+        let mut sums = [0.0; SUM_LANES];
+        for j0 in (0..ctx).step_by(KEY_CHUNK) {
+            let keys = j0..(j0 + KEY_CHUNK).min(ctx);
+            for (l, &max) in max.iter().enumerate().take(n) {
+                exp_row(&mut group[l * stride..][keys.clone()], max);
+            }
+            lane_sums(&mut sums, std::array::from_fn(|t| &group[t.min(n - 1) * stride..][keys.clone()]));
+        }
         for (l, sum) in sums.into_iter().take(n).enumerate() {
             group[l * stride..][..ctx].iter_mut().for_each(|x| *x /= sum);
         }
@@ -500,12 +521,11 @@ fn exp_row(row: &mut [f32], max: f32) {
     }
 }
 
-/// `Σ_j rows[t][j]` from `0` in ascending `j` for each of `SUM_LANES` rows
-/// of one length, the chains side by side. (Missing lanes alias the last
-/// one: summed and dropped.)
-fn lane_sums(rows: [&[f32]; SUM_LANES]) -> [f32; SUM_LANES] {
+/// `sums[t] += rows[t][j]` in ascending `j` for each of `SUM_LANES` rows of
+/// one length, the chains side by side. (Missing lanes alias the last one:
+/// summed and dropped.)
+fn lane_sums(sums: &mut [f32; SUM_LANES], rows: [&[f32]; SUM_LANES]) {
     const J: usize = 8;
-    let mut sums = [0.0f32; SUM_LANES];
     // Whole chunks of `J` keys (one bounds check per row and chunk), then
     // the rest.
     let chunks = rows.map(|r| r.as_chunks::<J>().0);
@@ -521,7 +541,6 @@ fn lane_sums(rows: [&[f32]; SUM_LANES]) -> [f32; SUM_LANES] {
             *s += r[j];
         }
     }
-    sums
 }
 
 /// Layernorm over the last dim of a rank-3 tensor.
@@ -653,6 +672,31 @@ mod tests {
                         "Hq={hq} Hkv={hkv} dh={dh} l_q={l_q} page={page} element {i}: {a} vs {b}"
                     );
                 }
+            }
+        }
+    }
+
+    /// Rows longer than the softmax's `KEY_CHUNK`: each lane's `Σe` chain
+    /// is carried across the chunks its exponents are taken in, and the
+    /// probabilities keep the unfused composition's bits, whether a row
+    /// ends on a chunk boundary or inside a chunk.
+    #[test]
+    fn fused_attention_over_rows_longer_than_a_key_chunk_is_bitwise_the_unfused_composition() {
+        for ((hq, hkv), page, l_q) in [((8, 1), 16, 1), ((8, 1), 64, 9), ((4, 4), 32, 3), ((6, 2), 40, 1)] {
+            let dh = 16;
+            let kw = hkv * dh;
+            let mut cache = KvCache::paged(1, page);
+            for (row, n) in [2 * KEY_CHUNK - l_q, KEY_CHUNK + 77, 2 * KEY_CHUNK + 300].into_iter().enumerate() {
+                let kv = vec![(noise(vec![n, kw], 60 + row), noise(vec![n, kw], 70 + row))];
+                cache.insert_row_shared(row, 3, &kv, &(1000 * row..1000 * row + n).collect::<Vec<_>>());
+            }
+            cache.append(0, &noise(vec![3, l_q, kw], 80), &noise(vec![3, l_q, kw], 81));
+            assert_eq!(cache.row_lens(0), &[2 * KEY_CHUNK, KEY_CHUNK + 77 + l_q, 2 * KEY_CHUNK + 300 + l_q]);
+            let q = noise(vec![3, l_q, hq * dh], 82);
+            let fused = attention_over_cache(&q, &cache, 0, dh);
+            let oracle = attention_unfused(&q, &cache, 0, dh);
+            for (i, (a, b)) in fused.data().iter().zip(oracle.data()).enumerate() {
+                assert_eq!(a.to_bits(), b.to_bits(), "Hq={hq} Hkv={hkv} l_q={l_q} page={page} element {i}: {a} vs {b}");
             }
         }
     }

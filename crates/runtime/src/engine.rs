@@ -63,7 +63,8 @@ use esti_hal::DType;
 use esti_model::reference::{attention_over_rows_into, gelu_into, AttentionScratch};
 use esti_model::{KvCache, ModelConfig, PageStats, PositionKind, ReferenceModel, Weights};
 use esti_tensor::packed::TILE_ROWS;
-use esti_tensor::{ops, PackedMatrix, Tensor};
+use esti_tensor::ops::{self, RopeTable};
+use esti_tensor::{PackedMatrix, Tensor};
 use esti_topology::{AxisSet, ChipCoord};
 
 use crate::executors::ChipPool;
@@ -182,6 +183,9 @@ pub struct PartitionedEngine {
     embed: Tensor,
     /// Learned position table, for models that have one.
     pos_embed: Option<Tensor>,
+    /// RoPE's `(sin, cos)` angles, for models that rotate: grown before a
+    /// pass to its last position and lent read-only to every chip.
+    rope: Option<RopeTable>,
     /// Cached positions per slot: slot `s`'s next token occupies absolute
     /// position `ages[s]`. The slot count is the batch (cache sharding
     /// depends on it); empty until the first prefill or
@@ -318,6 +322,7 @@ impl PartitionedEngine {
         let mut engine = PartitionedEngine {
             embed: weights.embed.clone(),
             pos_embed: weights.pos_embed.clone(),
+            rope: (cfg.position == PositionKind::Rope).then(|| RopeTable::new(cfg.d_head)),
             cfg,
             layout,
             program,
@@ -983,6 +988,9 @@ impl PartitionedEngine {
         let n = self.chips.len();
         let (b, l) = (x.dim(0), x.dim(1));
         let bases = self.row_bases(rows);
+        if let Some(table) = &mut self.rope {
+            table.grow(bases.iter().zip(lens).map(|(&base, &n)| base + n).max().unwrap_or(0));
+        }
         // Each chip's share of the pass (`kv_rows` of the pass's batch) as
         // rows of its own cache (`kv_rows` of the engine's), with their
         // lengths.
@@ -1001,7 +1009,7 @@ impl PartitionedEngine {
             .collect();
         let mut results: Vec<Result<Option<Tensor>, ChipPanic>> = (0..n).map(|_| Ok(None)).collect();
         let program = if decode { self.decode.as_ref().unwrap_or(&self.program) } else { &self.program };
-        let (x, bases, kv_rows) = (&x, &bases, &kv_rows);
+        let (x, bases, kv_rows, rope) = (&x, &bases, &kv_rows, self.rope.as_ref());
         let padded = lens.iter().any(|&n| n < l).then_some((lens, l));
         let t = self.executors.workers();
         let (mut chips, mut out) = (self.chips.as_mut_slice(), results.as_mut_slice());
@@ -1017,7 +1025,9 @@ impl PartitionedEngine {
                 let mut lanes: Vec<Lane<'_>> = block
                     .iter_mut()
                     .zip(kv)
-                    .map(|(chip, (rows, batch, valid))| Lane::new(program, chip, (rows, *batch, valid), x, bases, padded))
+                    .map(|(chip, (rows, batch, valid))| {
+                        Lane::new(program, chip, (rows, *batch, valid), x, bases, rope, padded)
+                    })
                     .collect();
                 run_schedule(program, &mut lanes);
                 for (lane, done) in lanes.into_iter().zip(done) {
@@ -1095,8 +1105,9 @@ impl StepCache<'_> {
         self.cache.append_ragged(layer, self.rows, self.lens, self.batch, k, v);
     }
 
-    /// Attention of `q` over the step's rows into `out`, which the caller
-    /// zeroed. A decode step keeps the scratch for the next layer's call; a
+    /// Attention of `q` over the step's rows, written into `out` at every
+    /// valid position (the caller zeroes the rest). A decode step keeps the
+    /// scratch for the next layer's call; a
     /// prefill's, as large as a decode step's but next to the MLP's far
     /// larger buffers where a prefill peaks, is freed after each call.
     fn attend_into(&mut self, q: &Tensor, layer: usize, d_head: usize, out: &mut Tensor) {
@@ -1189,8 +1200,11 @@ fn classify_panic(rank: usize, payload: &ChipPanic) -> (u8, EngineError) {
 // One rule fixes where every value lives, the buffer plan: each value is
 // written into a slot's buffer, and the slot is free again once the value's
 // last reader has run. A step never reads the stale contents an earlier
-// occupant left: a kernel that overwrites every element takes the slot as
-// it is, one that accumulates zeroes it first.
+// occupant left: every kernel writes its elements without reading them
+// first — the GEMM tile in write mode starts each chain from `+0.0` in a
+// register — so a step takes the slot as it is. Only the elements a step
+// does not compute are zeroed: the token rows outside a padded pass's valid
+// runs.
 // ---------------------------------------------------------------------------
 
 /// What a schedule step hands on: an activation, or an all-gather's
@@ -1312,6 +1326,19 @@ fn take_slot(slots: &mut [Vec<f32>], s: usize, shape: Vec<usize>, zero: bool) ->
     Tensor::from_vec(shape, buf)
 }
 
+/// Zeroes the token rows of `y` (its leading dims flattened) outside
+/// `runs`, which are ascending and disjoint: the rows an einsum over a
+/// padded pass does not compute.
+fn zero_outside(y: &mut Tensor, runs: &[Range<usize>]) {
+    let n = y.dim(y.rank() - 1);
+    let rows = y.numel() / n.max(1);
+    let mut at = 0;
+    for r in runs.iter().chain([&(rows..rows)]) {
+        y.data_mut()[at * n..r.start * n].fill(0.0);
+        at = r.end;
+    }
+}
+
 /// Rows a fold's later ranks accumulate at a time: their accumulator is a
 /// block of the output, not all of it.
 const FOLD_ROWS: usize = 128;
@@ -1320,27 +1347,26 @@ const FOLD_ROWS: usize = 128;
 type RankPart<'t> = (&'t Tensor, usize, &'t PackedMatrix, usize, usize);
 
 /// Rule 2 above over token rows `rows` of `out`: each source rank's part
-/// (an int8 `w` unscaled unless `scale`) — rank 0's straight into `out`,
-/// which the caller zeroed, and each later rank's, `FOLD_ROWS` rows at a
-/// time, into the zeroed `block`, then added to `out`: every element folds
-/// the ranks in ascending order, as the collectives do.
+/// (an int8 `w` unscaled unless `scale`) — rank 0's written straight into
+/// `out`, and each later rank's, `FOLD_ROWS` rows at a time, written into
+/// `block`, then added to `out`: every element folds the ranks in ascending
+/// order, as the collectives do.
 fn fold_ranks(out: &mut Tensor, block: &mut Vec<f32>, ranks: &[RankPart<'_>], scale: bool, rows: Range<usize>) {
     let n = out.dim(out.rank() - 1);
-    let acc = |&(x, c0, w, r0, kc): &RankPart<'_>, rows: Range<usize>, into: &mut [f32]| {
-        w.matmul_acc_window(x, rows, c0, r0, kc, into);
+    let part = |&(x, c0, w, r0, kc): &RankPart<'_>, rows: Range<usize>, into: &mut [f32]| {
+        w.matmul_window(x, rows, c0, r0, kc, into);
         if scale {
             w.apply_scales(into);
         }
     };
     let Some((first, rest)) = ranks.split_first() else { return };
-    acc(first, rows.clone(), &mut out.data_mut()[rows.start * n..rows.end * n]);
+    part(first, rows.clone(), &mut out.data_mut()[rows.start * n..rows.end * n]);
     for b0 in rows.clone().step_by(FOLD_ROWS) {
         let rows = b0..(b0 + FOLD_ROWS).min(rows.end);
         let span = rows.start * n..rows.end * n;
-        for part in rest {
-            block.clear();
+        for rank in rest {
             block.resize(span.len(), 0.0);
-            acc(part, rows.clone(), block);
+            part(rank, rows.clone(), block);
             for (o, &v) in out.data_mut()[span.clone()].iter_mut().zip(block.iter()) {
                 *o += v;
             }
@@ -1416,6 +1442,8 @@ struct Lane<'a> {
     x: Cow<'a, Tensor>,
     /// The next-token positions of the chip's rows.
     bases: &'a [usize],
+    /// The engine's RoPE angles, grown for the pass, if the model rotates.
+    rope: Option<&'a RopeTable>,
     /// If any row of the pass holds padding, every row's valid positions (0
     /// for a filler row) and the pass's `L`: an einsum then runs only over
     /// its rows' valid tokens, and a collective reads only theirs where it
@@ -1449,13 +1477,15 @@ impl<'a> Lane<'a> {
         kv: (&'a [usize], usize, &'a [usize]),
         input: &'a Tensor,
         bases: &'a [usize],
+        rope: Option<&'a RopeTable>,
         padded: Option<(&'a [usize], usize)>,
     ) -> Self {
         let vals = p.instrs.iter().map(|_| None).collect();
         let slots = vec![Vec::new(); p.plan.sizes.len()];
         let x = Cow::Borrowed(input);
         let (fold, attn, runs) = (Vec::new(), AttentionScratch::default(), Vec::new());
-        Lane { chip, kv, x, bases, padded, runs, vals, slots, fold, attn, posted: None, emits: false, failed: None }
+        let (posted, emits, failed) = (None, false, None);
+        Lane { chip, kv, x, bases, rope, padded, runs, vals, slots, fold, attn, posted, emits, failed }
     }
 
     /// Runs `f` on this chip, under its own `catch_unwind`, unless the chip
@@ -1537,7 +1567,7 @@ impl<'a> Lane<'a> {
             self.settle(p, li, k, Val::Act(y));
             return;
         }
-        let Lane { chip, kv: (rows, batch, valid), x, bases, padded, runs, vals, slots, fold, attn, .. } = self;
+        let Lane { chip, kv: (rows, batch, valid), x, bases, rope, padded, runs, vals, slots, fold, attn, .. } = self;
         let ChipState { coord, stored, cache, .. } = &mut **chip;
         let cache = &mut StepCache { cache, rows, lens: valid, batch: *batch, scratch: attn };
         let (cfg, stored) = (&p.cfg, &stored[li]);
@@ -1562,8 +1592,8 @@ impl<'a> Lane<'a> {
         let scratch = &p.plan.scratch[k];
         let out = match &p.instrs[k] {
             Instr::Einsum { x: a, w, mm, width, rows: split } => {
-                // `[B, L, ·]` in, `[B, L, width]` out, computed over the
-                // runs of valid token rows and zero elsewhere.
+                // `[B, L, ·]` in, `[B, L, width]` out, written over the
+                // runs of valid token rows and zeroed elsewhere.
                 let src = if *mm == Mm::FoldX { &*parts(*a)[0] } else { act(*a) };
                 runs.clear();
                 runs.push(0..src.dim(0) * src.dim(1));
@@ -1572,7 +1602,8 @@ impl<'a> Lane<'a> {
                     assert_eq!((lens.len(), l), (src.dim(0), src.dim(1)), "one length per row of the einsum's input");
                     token_runs(lens, l, TILE_ROWS, runs);
                 }
-                let mut y = take_slot(slots, slot, vec![src.dim(0), src.dim(1), *width], true);
+                let mut y = take_slot(slots, slot, vec![src.dim(0), src.dim(1), *width], false);
+                zero_outside(&mut y, runs);
                 match mm {
                     Mm::Whole => {
                         let w = mat(*w);
@@ -1633,21 +1664,24 @@ impl<'a> Lane<'a> {
                     LocalOp::Attention => {
                         let (kn, v, dh) = (act(inputs[1]), act(inputs[2]), cfg.d_head);
                         let bases = &bases[p.share(*coord, bases.len(), *gained)];
-                        if cfg.position == PositionKind::Rope {
+                        // The kernel writes every valid position; a padded
+                        // pass zeroes the output first for the rest.
+                        let zero = padded.is_some();
+                        if let Some(table) = rope {
                             let (sq, sk) = (scratch[0], scratch[1]);
                             let mut k_r = take_slot(slots, sk, kn.shape().to_vec(), false);
-                            ops::rope_rows_into(kn, dh, bases, cache.lens, &mut k_r);
+                            table.rope_rows_into(kn, bases, cache.lens, &mut k_r);
                             cache.append(li, &k_r, v);
                             slots[sk] = k_r.into_vec();
                             let mut q_r = take_slot(slots, sq, shape.clone(), false);
-                            ops::rope_rows_into(a, dh, bases, cache.lens, &mut q_r);
-                            let mut y = take_slot(slots, slot, shape, true);
+                            table.rope_rows_into(a, bases, cache.lens, &mut q_r);
+                            let mut y = take_slot(slots, slot, shape, zero);
                             cache.attend_into(&q_r, li, dh, &mut y);
                             slots[sq] = q_r.into_vec();
                             y
                         } else {
                             cache.append(li, kn, v);
-                            let mut y = take_slot(slots, slot, shape, true);
+                            let mut y = take_slot(slots, slot, shape, zero);
                             cache.attend_into(a, li, dh, &mut y);
                             y
                         }

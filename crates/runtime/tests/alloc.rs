@@ -205,6 +205,27 @@ fn a_ws1d_decode_steps_collectives_allocate_no_large_block() {
     );
 }
 
+/// A steady WG-XYZ × batch prefill (`prefill_bytes(2)`: int8, 8 rows × 256
+/// tokens on a 2×2×1 mesh) returns each chip's own rows' logits and
+/// gathers none. At the commit that still all-gathered the logits onto
+/// every chip, the pass allocated `PARENT` = 24 117 248 bytes in large
+/// blocks, three `[8, 256, 64]` f32 gather outputs (`DROPPED`, 524 288
+/// bytes each) of them on chips that then dropped theirs. Pinned at
+/// `PINNED` = 22 544 384 bytes, what this commit measured: `PARENT` less
+/// `DROPPED`.
+#[test]
+fn a_weight_gathered_prefill_gathers_no_logits() {
+    const PARENT: usize = 24_117_248;
+    const DROPPED: usize = 3 * 8 * 256 * 64 * 4;
+    const PINNED: usize = 22_544_384;
+    const { assert!(PINNED + DROPPED <= PARENT) };
+    let bytes = alone(|| prefill_bytes(2));
+    assert!(
+        bytes <= PINNED,
+        "a steady WG-XYZ prefill allocated {bytes} bytes in blocks of at least {LARGE} bytes: more than {PINNED}"
+    );
+}
+
 #[test]
 fn a_prefill_allocates_its_buffers_once_for_every_layer() {
     let (two, eight) = alone(|| (prefill_bytes(2), prefill_bytes(8)));

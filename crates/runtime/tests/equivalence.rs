@@ -376,8 +376,8 @@ fn hybrid_weight_gathered_multihead_serial() {
 
 #[test]
 fn hybrid_gathers_less_weight_traffic_than_full_wg() {
-    // The point of the hybrid (Figure 3): gathering over N < n chips moves
-    // N/n of the weight bytes per layer.
+    // The point of the hybrid (Figure 3): gathering over N < n chips, a
+    // chip receives N/n of the weight bytes per layer.
     let model = ReferenceModel::init_random(ModelConfig::tiny(), 57);
     let tokens: Vec<Vec<usize>> = (0..4).map(|b| vec![b + 1, b + 2]).collect();
     let mesh = MeshFactors::new(2, 2, 1);
@@ -398,9 +398,20 @@ fn hybrid_gathers_less_weight_traffic_than_full_wg() {
     let _ = hybrid.try_prefill(&tokens).unwrap();
     let _ = full.try_prefill(&tokens).unwrap();
     use esti_collectives::CollectiveOp;
-    let h = hybrid.traffic().bytes(CollectiveOp::AllGather);
-    let f = full.traffic().bytes(CollectiveOp::AllGather);
-    assert!(h < f, "hybrid gathered {h} bytes vs full WG {f}");
+    let (hybrid, full) = (hybrid.traffic(), full.traffic());
+    // The ledger charges each group's gather once, at its gathered volume,
+    // so a chip receives its group's share: the hybrid's two X groups of 2
+    // chips each make every call full WG's one group of 4 makes.
+    assert_eq!(hybrid.calls(CollectiveOp::AllGather), 2 * full.calls(CollectiveOp::AllGather));
+    let cfg = model.config();
+    let per_chip_layer = |bytes: u64, groups: u64| bytes / groups / cfg.n_layers as u64;
+    let h = per_chip_layer(hybrid.bytes(CollectiveOp::AllGather), 2);
+    let f = per_chip_layer(full.bytes(CollectiveOp::AllGather), 1);
+    // wq, wo, w_in, w_gate and w_out at 2 bytes an element (MQ K/V are
+    // replicated).
+    let weights = ((cfg.attn_dim() * cfg.d_model * 2 + cfg.d_model * cfg.d_ff * 3) * 2) as u64;
+    assert_eq!(f, weights, "a full-WG chip receives every gathered weight of a layer");
+    assert_eq!(2 * h, f, "a hybrid chip gathering over N = 2 of n = 4 chips receives N/n of full WG's {f} bytes");
 }
 
 #[test]

@@ -34,9 +34,8 @@ fn int8_weight_gathered_traffic_is_quantized_volume() {
     // f32 scales: one per column for column gathers, one per (rank,
     // column) for row gathers.
     let scales_per_layer = (attn + ff * 2) * 4 + 2 * (k * e) * 4;
-    let logit_bytes = b * l * cfg.vocab * 2; // final f32 gather, bf16 accounting
-    let expected =
-        ((values_per_layer + scales_per_layer) * cfg.n_layers + logit_bytes) as u64;
+    // Each chip returns its own rows' logits: no gather after the layers.
+    let expected = ((values_per_layer + scales_per_layer) * cfg.n_layers) as u64;
 
     let mut engine = PartitionedEngine::new(&model, layout, WeightFormat::Int8);
     let _ = engine.try_prefill(&prompts(b, l)).unwrap();
@@ -45,7 +44,7 @@ fn int8_weight_gathered_traffic_is_quantized_volume() {
         expected,
         "int8 WG bytes must equal quantized wire volume"
     );
-    assert_eq!(engine.traffic().calls(CollectiveOp::AllGather) as usize, 5 * cfg.n_layers + 1);
+    assert_eq!(engine.traffic().calls(CollectiveOp::AllGather) as usize, 5 * cfg.n_layers);
 
     // Cross-check against the analytic model, which charges the gathered
     // weights at 1 byte/element for int8 storage. It counts the replicated

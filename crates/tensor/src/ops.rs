@@ -10,9 +10,10 @@
 //! weight stored in panel order ([`crate::PackedMatrix`]). A row-major
 //! [`matmul`] of at least `STREAM_BELOW` (8) rows packs its right operand
 //! for the call and runs that tile; one of fewer rows goes to `mm_stream`,
-//! which reads each weight row once, front to back. [`gemm_strided`] runs
-//! the tile over operands read in place at their row strides (the
-//! attention kernel's two contractions). [`matmul_naive`] is the oracle.
+//! which reads each weight row once, front to back. [`gemm_strided`] and
+//! [`gemm_strided_write`] run the tile over operands read in place at their
+//! row strides (the attention kernel's two contractions), onto the output
+//! or over it. [`matmul_naive`] is the oracle.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;
@@ -181,7 +182,7 @@ pub fn matmul_into(a: &Tensor, b: &Tensor, out: &mut Tensor) {
     match tile() {
         None => mm_naive_kernel(a.data(), b.data(), out.data_mut(), m, k, n),
         Some(_) if m < STREAM_BELOW => mm_stream(a.data(), b.data(), out.data_mut(), m, k, n),
-        Some(_) => PackedMatrix::pack(b).gemm(a.data(), k, m, 0..k, out.data_mut(), n, false),
+        Some(_) => PackedMatrix::pack(b).gemm(a.data(), k, m, 0..k, out.data_mut(), n, false, false),
     }
 }
 
@@ -213,6 +214,50 @@ pub fn gemm_strided(
     o_stride: usize,
     scale: Option<f32>,
 ) {
+    strided(a, a_stride, m, k, b, b_stride, n, out, o_stride, scale, false);
+}
+
+/// [`gemm_strided`] written over `out` rather than added to it: `out[i][j]
+/// = (Σ_kk a[i][kk]·b[kk][j])·scale`, each chain started from `+0.0` in a
+/// register (the tile's write mode), so the result is the bits
+/// `gemm_strided` leaves in a zeroed `out`, and the `m × n` block of `out`
+/// is written without being read. The attention kernel scores into its
+/// scratch this way, and starts each lane's output with it.
+///
+/// # Panics
+///
+/// As [`gemm_strided`].
+#[allow(clippy::too_many_arguments)]
+pub fn gemm_strided_write(
+    a: &[f32],
+    a_stride: usize,
+    m: usize,
+    k: usize,
+    b: &[f32],
+    b_stride: usize,
+    n: usize,
+    out: &mut [f32],
+    o_stride: usize,
+    scale: Option<f32>,
+) {
+    strided(a, a_stride, m, k, b, b_stride, n, out, o_stride, scale, true);
+}
+
+/// The strided GEMM body, onto `out` or, with `write`, over it.
+#[allow(clippy::too_many_arguments)]
+fn strided(
+    a: &[f32],
+    a_stride: usize,
+    m: usize,
+    k: usize,
+    b: &[f32],
+    b_stride: usize,
+    n: usize,
+    out: &mut [f32],
+    o_stride: usize,
+    scale: Option<f32>,
+    write: bool,
+) {
     if m == 0 || n == 0 {
         return;
     }
@@ -224,8 +269,8 @@ pub fn gemm_strided(
         let w = NR.min(n - j0);
         let (b, out, sc) = (&b[j0..], &mut out[j0..], scales.as_ref().map(|s| &s[..]));
         match tile {
-            Some(t) => simd::run(t, a, a_stride, m, k, b, b_stride, out, o_stride, w, sc),
-            None => simd::scalar(a, a_stride, m, k, b, b_stride, out, o_stride, w, sc),
+            Some(t) => simd::run(t, a, a_stride, m, k, b, b_stride, out, o_stride, w, sc, write),
+            None => simd::scalar(a, a_stride, m, k, b, b_stride, out, o_stride, w, sc, write),
         }
     }
 }
@@ -511,27 +556,42 @@ pub fn rope_rows(t: &Tensor, d_head: usize, bases: &[usize]) -> Tensor {
 /// As [`rope_rows`], if `out` is not shaped like `t`, or if `lens` does not
 /// give each batch row at most `L` positions.
 pub fn rope_rows_into(t: &Tensor, d_head: usize, bases: &[usize], lens: &[usize], out: &mut Tensor) {
-    assert_eq!(t.rank(), 3, "rope expects [B, L, H*d_head]");
     assert!(d_head.is_multiple_of(2), "rope requires an even d_head");
+    let inv_freq = inv_freq(d_head);
+    rotate_rows(t, d_head, bases, lens, out, |p, i| (p as f32 * inv_freq[i]).sin_cos());
+}
+
+/// RoPE's inverse frequencies for `d_head`: `1 / 10000^(2i/d_head)` for
+/// each pair `i < d_head / 2`.
+fn inv_freq(d_head: usize) -> Vec<f32> {
+    (0..d_head / 2).map(|i| 1.0 / 10000f32.powf(2.0 * i as f32 / d_head as f32)).collect()
+}
+
+/// [`rope_rows_into`]'s body with the angles from `angle(p, i)`, the
+/// `(sin, cos)` of position `p` and pair `i`, asked once per (row,
+/// position, pair).
+fn rotate_rows(
+    t: &Tensor,
+    d_head: usize,
+    bases: &[usize],
+    lens: &[usize],
+    out: &mut Tensor,
+    angle: impl Fn(usize, usize) -> (f32, f32),
+) {
+    assert_eq!(t.rank(), 3, "rope expects [B, L, H*d_head]");
     let (l, hd) = (t.dim(1), t.dim(2));
     assert!(hd % d_head == 0, "last dimension must be a multiple of d_head");
     assert_eq!(bases.len(), t.dim(0), "one position base per batch row");
     assert_eq!(out.shape(), t.shape(), "rope output shape mismatch");
     assert_eq!(lens.len(), t.dim(0), "one length per batch row");
     let heads = hd / d_head;
-    let half = d_head / 2;
-    // Inverse frequencies once; sin/cos once per (position, i).
-    let inv_freq: Vec<f32> = (0..half)
-        .map(|i| 1.0 / 10000f32.powf(2.0 * i as f32 / d_head as f32))
-        .collect();
     let (src, dst) = (t.data(), out.data_mut());
     for (bi, (&base, &n)) in bases.iter().zip(lens).enumerate() {
         assert!(n <= l, "row {bi} has {n} positions, more than {l}");
         dst[(bi * l + n) * hd..(bi + 1) * l * hd].fill(0.0);
         for li in 0..n {
-            let p = (base + li) as f32;
-            for (i, &f) in inv_freq.iter().enumerate() {
-                let (sin, cos) = (p * f).sin_cos();
+            for i in 0..d_head / 2 {
+                let (sin, cos) = angle(base + li, i);
                 for h in 0..heads {
                     let off = ((bi * l + li) * hd) + h * d_head + 2 * i;
                     let (x0, x1) = (src[off], src[off + 1]);
@@ -540,6 +600,60 @@ pub fn rope_rows_into(t: &Tensor, d_head: usize, bases: &[usize], lens: &[usize]
                 }
             }
         }
+    }
+}
+
+/// The `(sin, cos)` of every angle RoPE turns a head's pairs by, at the
+/// positions it has grown to: entry `(p, i)` is `(p·f_i).sin_cos()`, `f_i`
+/// pair `i`'s inverse frequency — the values [`rope_rows_into`] computes
+/// for every (row, position, pair), each computed once. It starts empty
+/// and grows on demand ([`RopeTable::grow`]); a pass that grows it first
+/// can then lend it, read-only, to every chip that rotates.
+#[derive(Debug, Clone)]
+pub struct RopeTable {
+    d_head: usize,
+    inv_freq: Vec<f32>,
+    /// `(sin, cos)` row-major `[position, d_head / 2]`.
+    angles: Vec<(f32, f32)>,
+}
+
+impl RopeTable {
+    /// An empty table for heads of `d_head` dims.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `d_head` is odd.
+    #[must_use]
+    pub fn new(d_head: usize) -> Self {
+        assert!(d_head.is_multiple_of(2), "rope requires an even d_head");
+        RopeTable { d_head, inv_freq: inv_freq(d_head), angles: Vec::new() }
+    }
+
+    /// The positions the table holds, `0..positions()`.
+    fn positions(&self) -> usize {
+        self.angles.len().checked_div(self.inv_freq.len()).unwrap_or(0)
+    }
+
+    /// Extends the table to hold every position below `end`; a no-op if it
+    /// already does.
+    pub fn grow(&mut self, end: usize) {
+        for p in self.positions()..end {
+            self.angles.extend(self.inv_freq.iter().map(|&f| (p as f32 * f).sin_cos()));
+        }
+    }
+
+    /// [`rope_rows_into`] at the table's `d_head`, each angle read from the
+    /// table: the same bits.
+    ///
+    /// # Panics
+    ///
+    /// As [`rope_rows_into`], or if a row's last rotated position is past
+    /// the table (not grown to it).
+    pub fn rope_rows_into(&self, t: &Tensor, bases: &[usize], lens: &[usize], out: &mut Tensor) {
+        let end = bases.iter().zip(lens).filter(|&(_, &n)| n > 0).map(|(&b, &n)| b + n).max().unwrap_or(0);
+        assert!(end <= self.positions(), "position {end} past the table's {}", self.positions());
+        let half = self.d_head / 2;
+        rotate_rows(t, self.d_head, bases, lens, out, |p, i| self.angles[p * half + i]);
     }
 }
 
@@ -773,6 +887,38 @@ mod tests {
             let d0 = dot(&rope(&q, 8, 5), &rope(&k, 8, 2));
             let d1 = dot(&rope(&q, 8, 5 + shift), &rope(&k, 8, 2 + shift));
             prop_assert!((d0 - d1).abs() < 1e-3, "{d0} vs {d1}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The table path rotates by the same bits as `rope_rows` (every
+        /// row's positions) and `rope_rows_into` (ragged valid lengths),
+        /// for ragged bases up to a `max_seq` of 2048, over a table grown in
+        /// two steps.
+        #[test]
+        fn prop_rope_table_equals_rope_rows_bitwise(
+            seed in 0u64..1000,
+            bases in proptest::collection::vec(0usize..2040, 1..5),
+            cut in 0usize..8,
+            pairs in 1usize..5,
+        ) {
+            let (l, d_head) = (8, 4 * pairs);
+            let mut rng = StdRng::seed_from_u64(seed);
+            let t = Tensor::randn(&mut rng, vec![bases.len(), l, 2 * d_head], 1.0);
+            let lens: Vec<usize> = bases.iter().map(|&b| (b + cut) % (l + 1)).collect();
+            let mut table = RopeTable::new(d_head);
+            table.grow(bases.iter().max().unwrap() / 2);
+            table.grow(bases.iter().max().unwrap() + l);
+            let bits = |x: &Tensor| x.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            let mut got = Tensor::zeros(t.shape().to_vec());
+            table.rope_rows_into(&t, &bases, &vec![l; bases.len()], &mut got);
+            prop_assert_eq!(bits(&got), bits(&rope_rows(&t, d_head, &bases)));
+            let mut want = Tensor::zeros(t.shape().to_vec());
+            rope_rows_into(&t, d_head, &bases, &lens, &mut want);
+            table.rope_rows_into(&t, &bases, &lens, &mut got);
+            prop_assert_eq!(bits(&got), bits(&want));
         }
     }
 

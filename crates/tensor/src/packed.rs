@@ -158,12 +158,13 @@ impl PackedMatrix {
     }
 
     /// The product `x × self` over rows `rows` of `x` and `out` (their
-    /// leading dims flattened), int8 columns scaled, into columns `[c0, c0 +
-    /// cols)` of a wider `out`, which must hold zeros there (the product
-    /// accumulates onto them); every other row of `out` is left as it is.
-    /// Lets an all-gathered weight's parts assemble the output column block
-    /// by column block, and a pass skip rows that hold padding: a row's
-    /// product does not depend on which rows share the call.
+    /// leading dims flattened), int8 columns scaled, written into columns
+    /// `[c0, c0 + cols)` of a wider `out`: what was there is overwritten,
+    /// never read (the tile's write mode), and every other row and column
+    /// of `out` is left as it is. Lets an all-gathered weight's parts
+    /// assemble the output column block by column block, and a pass skip
+    /// rows that hold padding: a row's product does not depend on which
+    /// rows share the call.
     ///
     /// # Panics
     ///
@@ -180,7 +181,7 @@ impl PackedMatrix {
             return;
         }
         let (a, o) = (&x.data()[rows.start * k..], &mut out.data_mut()[rows.start * n_out + c0..]);
-        self.gemm(a, k, rows.len(), 0..k, o, n_out, true);
+        self.gemm(a, k, rows.len(), 0..k, o, n_out, true, true);
     }
 
     /// Accumulates the **unscaled** partial product `x[rows, c0..c0+kc] ×
@@ -195,16 +196,36 @@ impl PackedMatrix {
     ///
     /// Panics on shape mismatch or if a window exceeds its operand.
     pub fn matmul_acc_window(&self, x: &Tensor, rows: Range<usize>, c0: usize, r0: usize, kc: usize, out: &mut [f32]) {
+        self.window(x, rows, c0, r0, kc, out, false);
+    }
+
+    /// [`Self::matmul_acc_window`] written into `out` rather than added to
+    /// it: each element's chain starts from `+0.0`, so the result is the
+    /// bits `matmul_acc_window` leaves in a zeroed `out`, and `out`'s old
+    /// contents are never read. A contraction chunked this way starts with
+    /// this call and accumulates the rest.
+    ///
+    /// # Panics
+    ///
+    /// As [`Self::matmul_acc_window`].
+    pub fn matmul_window(&self, x: &Tensor, rows: Range<usize>, c0: usize, r0: usize, kc: usize, out: &mut [f32]) {
+        self.window(x, rows, c0, r0, kc, out, true);
+    }
+
+    /// The unscaled window product of [`Self::matmul_acc_window`], added to
+    /// `out` or, with `write`, written into it.
+    #[allow(clippy::too_many_arguments)]
+    fn window(&self, x: &Tensor, rows: Range<usize>, c0: usize, r0: usize, kc: usize, out: &mut [f32], write: bool) {
         let (m, k) = rows_of(x);
         assert!(rows.start <= rows.end && rows.end <= m, "row block {rows:?} exceeds {m}");
         assert!(c0 + kc <= k, "column window {c0}+{kc} exceeds {k}");
         assert!(r0 + kc <= self.rows, "row range {r0}+{kc} exceeds {}", self.rows);
-        assert_eq!(out.len(), rows.len() * self.cols, "matmul_acc_window output shape mismatch");
+        assert_eq!(out.len(), rows.len() * self.cols, "matmul window output shape mismatch");
         if rows.is_empty() {
             return;
         }
         let a = &x.data()[rows.start * k + c0..];
-        self.gemm(a, k, rows.len(), r0..r0 + kc, out, self.cols, false);
+        self.gemm(a, k, rows.len(), r0..r0 + kc, out, self.cols, false, write);
     }
 
     /// Multiplies each column `j` of rows of `cols` values by an int8
@@ -225,9 +246,10 @@ impl PackedMatrix {
     }
 
     /// The one GEMM body: `out[i][j] += Σ a[i][kk] · self[ks.start + kk][j]`
-    /// for the `m` rows of `a` (stride `a_stride`) and `out` (stride
-    /// `o_stride`), `kk` ascending over `ks`, then each element times its
-    /// column's scale if `scale` and the matrix is int8.
+    /// (`=` with `write`: the tile's write mode) for the `m` rows of `a`
+    /// (stride `a_stride`) and `out` (stride `o_stride`), `kk` ascending over
+    /// `ks`, then each element times its column's scale if `scale` and the
+    /// matrix is int8.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn gemm(
         &self,
@@ -238,13 +260,14 @@ impl PackedMatrix {
         out: &mut [f32],
         o_stride: usize,
         scale: bool,
+        write: bool,
     ) {
         let scales = if scale { self.scales() } else { None };
         let (rows, cols) = (self.rows, self.cols);
         let Some(tile) = ops::tile() else {
             return match &self.values {
-                Values::F32(v) => oracle(v, rows, cols, a, a_stride, m, ks, out, o_stride, scales),
-                Values::I8 { values, .. } => oracle(values, rows, cols, a, a_stride, m, ks, out, o_stride, scales),
+                Values::F32(v) => oracle(v, rows, cols, a, a_stride, m, ks, out, o_stride, scales, write),
+                Values::I8 { values, .. } => oracle(values, rows, cols, a, a_stride, m, ks, out, o_stride, scales, write),
             };
         };
         let kc = ks.len();
@@ -256,14 +279,14 @@ impl PackedMatrix {
             let window = j0 * rows + ks.start * w..j0 * rows + ks.end * w;
             let (out, sc) = (&mut out[j0..], scales.map(|s| &s[j0..]));
             match &self.values {
-                Values::F32(v) => simd::run(tile, a, a_stride, m, kc, &v[window], w, out, o_stride, w, sc),
+                Values::F32(v) => simd::run(tile, a, a_stride, m, kc, &v[window], w, out, o_stride, w, sc, write),
                 Values::I8 { values, .. } if w == NR && m < WIDEN_FROM => {
-                    simd::run(tile, a, a_stride, m, kc, &values[window], w, out, o_stride, w, sc);
+                    simd::run(tile, a, a_stride, m, kc, &values[window], w, out, o_stride, w, sc, write);
                 }
                 Values::I8 { values, .. } => {
                     scratch.clear();
                     scratch.extend(values[window].iter().map(|&q| f32::from(q)));
-                    simd::run(tile, a, a_stride, m, kc, &scratch, w, out, o_stride, w, sc);
+                    simd::run(tile, a, a_stride, m, kc, &scratch, w, out, o_stride, w, sc, write);
                 }
             }
         }
@@ -285,12 +308,13 @@ fn oracle<T: Elem>(
     out: &mut [f32],
     o_stride: usize,
     scales: Option<&[f32]>,
+    write: bool,
 ) {
     for j0 in (0..cols).step_by(NR) {
         let w = NR.min(cols - j0);
         let panel = &values[j0 * rows + ks.start * w..];
         let (out, sc) = (&mut out[j0..], scales.map(|s| &s[j0..]));
-        simd::scalar(a, a_stride, m, ks.len(), panel, w, out, o_stride, w, sc);
+        simd::scalar(a, a_stride, m, ks.len(), panel, w, out, o_stride, w, sc, write);
     }
 }
 

@@ -12,11 +12,16 @@
 //! # Bit-identity by construction
 //!
 //! The tile vectorises across output **columns**: each lane owns one output
-//! element, which starts from the value already in `out` and takes one
-//! serial chain of fused multiply-adds `acc = fma(a, b, acc)` in strictly
-//! ascending `k`: the product is not rounded before it is added, and the
-//! one rounding per step is the same on every tier, because every tier
-//! (this tile in both forms, [`scalar`], `mm_stream`) runs the same chain.
+//! element, which starts from the value already in `out` (accumulate mode)
+//! or from `+0.0` in a register (write mode, where `out` is only stored to)
+//! and takes one serial chain of fused multiply-adds `acc = fma(a, b, acc)`
+//! in strictly ascending `k`: the product is not rounded before it is
+//! added, and the one rounding per step is the same on every tier, because
+//! every tier (this tile in both forms, [`scalar`], `mm_stream`) runs the
+//! same chain. A chain started from `+0.0` in a register is the chain
+//! started from a stored `+0.0`, so write mode gives the bits accumulate
+//! mode gives over a zeroed `out`, without the caller's zero-fill or the
+//! tile's load of it.
 //! An int8 panel is widened to f32 as it is read, which is exact (every
 //! `i8` is an f32), and a per-column scale, when given, multiplies each
 //! element once, at store, after its whole chain. A lane therefore does the
@@ -130,8 +135,9 @@ macro_rules! with_rows {
 /// sum one fused multiply-add per `kk`, for the `m` rows of `a` (row stride
 /// `a_stride`) and `out` (row stride `o_stride`), `kk` ascending over
 /// `0..k` and `j` over the `w ≤ NR` columns of the panel, whose rows start
-/// `p_stride` apart; unscaled when `scales` is `None`. Rows go `MR` at a
-/// time, the last tile holding what is left.
+/// `p_stride` apart; unscaled when `scales` is `None`. With `write`, each
+/// sum starts from `+0.0` instead of `out[i][j]`, which is then only
+/// written. Rows go `MR` at a time, the last tile holding what is left.
 ///
 /// # Panics
 ///
@@ -151,6 +157,7 @@ pub(crate) fn run<T: Elem>(
     o_stride: usize,
     w: usize,
     scales: Option<&[f32]>,
+    write: bool,
 ) {
     if m == 0 || w == 0 {
         return;
@@ -167,7 +174,7 @@ pub(crate) fn run<T: Elem>(
         let r = MR.min(m - i);
         let (a, out) = (&a[i * a_stride..], &mut out[i * o_stride..]);
         with_rows!(r, R => match tile {
-            Tile::Portable => portable::<R, T>(a, a_stride, k, panel, p_stride, out, o_stride, w, scales),
+            Tile::Portable => portable::<R, T>(a, a_stride, k, panel, p_stride, out, o_stride, w, scales, write),
             #[cfg(target_arch = "x86_64")]
             // SAFETY: the asserts above establish the module's contract:
             // AVX-512F and FMA are present, `a` / `out` hold the `R ≤ m - i`
@@ -175,12 +182,12 @@ pub(crate) fn run<T: Elem>(
             // (`NR` wide if int8), and `scales` `w` columns. `V` is the
             // vector count the contract ties to `w`.
             Tile::Avx512 if w > HALF => unsafe {
-                avx512::tile::<R, 2, T>(a, a_stride, k, panel, p_stride, out, o_stride, w, scales);
+                avx512::tile::<R, 2, T>(a, a_stride, k, panel, p_stride, out, o_stride, w, scales, write);
             },
             #[cfg(target_arch = "x86_64")]
             // SAFETY: as above, with `w ≤ 16`: one vector per row.
             Tile::Avx512 => unsafe {
-                avx512::tile::<R, 1, T>(a, a_stride, k, panel, p_stride, out, o_stride, w, scales);
+                avx512::tile::<R, 1, T>(a, a_stride, k, panel, p_stride, out, o_stride, w, scales, write);
             },
             #[cfg(not(target_arch = "x86_64"))]
             Tile::Avx512 => unreachable!("supported() is false off x86_64"),
@@ -191,8 +198,9 @@ pub(crate) fn run<T: Elem>(
 
 /// The scalar chain: [`run`]'s product, one element at a time (`i`, then
 /// `kk`, then `j`), each element one fused multiply-add per ascending `kk`
-/// and then its scale. The oracle every form of the tile is held to, and
-/// what the `Naive` setting runs. `w` is unbounded here.
+/// (from `+0.0` with `write`) and then its scale. The oracle every form of
+/// the tile is held to, and what the `Naive` setting runs. `w` is unbounded
+/// here.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn scalar<T: Elem>(
     a: &[f32],
@@ -205,9 +213,13 @@ pub(crate) fn scalar<T: Elem>(
     o_stride: usize,
     w: usize,
     scales: Option<&[f32]>,
+    write: bool,
 ) {
     for i in 0..m {
         let orow = &mut out[i * o_stride..][..w];
+        if write {
+            orow.fill(0.0);
+        }
         for kk in 0..k {
             let av = a[i * a_stride + kk];
             for (o, &b) in orow.iter_mut().zip(&panel[kk * p_stride..][..w]) {
@@ -235,6 +247,7 @@ fn portable<const R: usize, T: Elem>(
     o_stride: usize,
     w: usize,
     scales: Option<&[f32]>,
+    write: bool,
 ) {
     let a_rows: [&[f32]; R] = std::array::from_fn(|r| &a[r * a_stride..][..k]);
     for c0 in [0, HALF] {
@@ -244,7 +257,7 @@ fn portable<const R: usize, T: Elem>(
         let wc = HALF.min(w - c0);
         let acc = std::array::from_fn(|r| {
             let o = &out[r * o_stride + c0..][..wc];
-            std::array::from_fn(|j| if j < wc { o[j] } else { 0.0 })
+            std::array::from_fn(|j| if j < wc && !write { o[j] } else { 0.0 })
         });
         let row = |kk: usize| &panel[kk * p_stride + c0..];
         let acc = if wc == HALF {
@@ -334,7 +347,8 @@ mod avx512 {
     }
 
     /// The AVX-512F tile: `R` rows of `run`'s product over one panel, its
-    /// `w` columns in `V` vectors.
+    /// `w` columns in `V` vectors, each accumulator loaded from `out` or,
+    /// with `write`, zeroed in its register.
     ///
     /// # Safety
     ///
@@ -355,6 +369,7 @@ mod avx512 {
         o_stride: usize,
         w: usize,
         scales: Option<&[f32]>,
+        write: bool,
     ) {
         let mut masks = [0; V];
         for (v, mk) in masks.iter_mut().enumerate() {
@@ -368,10 +383,12 @@ mod avx512 {
         // when `w > 16`. `a` row r holds `k` values.
         unsafe {
             let mut acc = [[_mm512_setzero_ps(); V]; R];
-            for (r, row) in acc.iter_mut().enumerate() {
-                let o = op.add(r * o_stride);
-                for (v, (x, &mk)) in row.iter_mut().zip(&masks).enumerate() {
-                    *x = _mm512_maskz_loadu_ps(mk, o.add(v * HALF));
+            if !write {
+                for (r, row) in acc.iter_mut().enumerate() {
+                    let o = op.add(r * o_stride);
+                    for (v, (x, &mk)) in row.iter_mut().zip(&masks).enumerate() {
+                        *x = _mm512_maskz_loadu_ps(mk, o.add(v * HALF));
+                    }
                 }
             }
             for kk in 0..k {

@@ -151,6 +151,62 @@ proptest! {
         prop_assert_eq!(got, oracle);
     }
 
+    /// Write mode — each chain started from `+0.0` in a register, the
+    /// target never read — equals accumulating onto zeros, bit for bit,
+    /// under both settings: `matmul_window` against `matmul_acc_window`
+    /// (unscaled), `matmul_into_cols` against the window then its deferred
+    /// scale (int8 scaled in the tile), and `gemm_strided_write` against
+    /// `gemm_strided`, scaled and unscaled. Targets in write mode start
+    /// full of NaN, so a read of one shows. Panels are 1–16 columns wide
+    /// (the one-vector path), 32, or a full one and a narrow one; `m`
+    /// covers every remainder of `MR` = 8, and the int8 scratch-widened
+    /// panels from 64 rows.
+    #[test]
+    fn write_mode_equals_accumulating_onto_zeros_bitwise(
+        m in 1usize..21,
+        tall in 0usize..2,
+        k in 1usize..70,
+        width in 0usize..18,
+        int8 in 0usize..2,
+        scaled in 0usize..2,
+        seed in 0u64..1000,
+    ) {
+        let _guard = knob_lock().lock().unwrap();
+        let m = m + 60 * tall;
+        let n = match width {
+            0..16 => width + 1,
+            16 => 32,
+            _ => 45,
+        };
+        let x = tensor(m, k, seed);
+        let w = stored(&tensor(k, n, seed ^ 0xFACE), 2 * int8);
+        let b = tensor(k, n, seed ^ 0xBEEF);
+        let scale = (scaled == 1).then_some(0.375);
+        let nan = |len: usize| vec![f32::NAN; len];
+        for kernel in [MatmulKernel::Simd, MatmulKernel::Naive] {
+            let (written, accumulated) = with_kernel(kernel, || {
+                let mut window = nan(m * n);
+                w.matmul_window(&x, 0..m, 0, 0, k, &mut window);
+                let mut acc = vec![0.0; m * n];
+                w.matmul_acc_window(&x, 0..m, 0, 0, k, &mut acc);
+                let mut cols = Tensor::from_vec(vec![m, n + 7], nan(m * (n + 7)));
+                w.matmul_into_cols(&x, 0..m, &mut cols, 5);
+                let cols: Vec<f32> = cols.data().chunks(n + 7).flat_map(|r| r[5..5 + n].to_vec()).collect();
+                let mut scaled_acc = acc.clone();
+                w.apply_scales(&mut scaled_acc);
+                let mut strided = nan(m * n);
+                ops::gemm_strided_write(x.data(), k, m, k, b.data(), n, n, &mut strided, n, scale);
+                let mut strided_acc = vec![0.0; m * n];
+                ops::gemm_strided(x.data(), k, m, k, b.data(), n, n, &mut strided_acc, n, scale);
+                (
+                    [bits(&window), bits(&cols), bits(&strided)],
+                    [bits(&acc), bits(&scaled_acc), bits(&strided_acc)],
+                )
+            });
+            prop_assert_eq!(written, accumulated, "{:?}", kernel);
+        }
+    }
+
     /// Row-major `matmul` under the default setting equals the naive oracle
     /// bitwise on both sides of the row count from which it packs `b` for
     /// the call (8).
