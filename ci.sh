@@ -105,6 +105,22 @@ if grep -rnE 'take_slot\(slots, slot, vec!\[src\.dim\(0\), src\.dim\(1\), \*widt
   exit 1
 fi
 
+echo "== a collective counts, it does not time: what nothing read stays gone =="
+# A collective counts bytes and calls and keeps no clock. The benchmark
+# times the program from outside, and per-instruction spans (ROADMAP item 5)
+# are the one place time is to come back inside, so the per-chip blocked-time
+# cells, their ledger column and the engine's readers stay gone. So do the
+# Table 2 grid fit (its checks on the shipped constants are core::perf's
+# tests), the KV JSON dump (kv_page_stats returns the same fields), the
+# one-line weight-bytes wrapper and the public functions nothing called. The
+# bracketed letters keep this script itself out of a search for those names.
+if grep -rnE "CommTim[e]s|comm_tim[e](s|_summary)|record_nan[o]s|total_nan[o]s|reset_tim[e]s|kv_cache_js[o]n|\bcalibrat[e]\b|grid_sea[r]ch|weight_bytes_per_ch[i]p|class_tpot_percent[i]le|decode_po[i]nt|layout_c[e]ll|transfer_co[u]nt|deps_[o]f|palm_540b_8lay[e]r" crates src tests examples \
+  || grep -rnE "fn (nan[o]s|tim[e]s)\b" crates/collectives/src \
+  || grep -nE "fn opti[o]ns\b" crates/runtime/src/router.rs; then
+  echo "FAIL: a clock inside the collectives, the grid fit, the KV JSON dump or an uncalled function is back" >&2
+  exit 1
+fi
+
 echo "== one level of parallelism: the chip executors are the engine's only threads =="
 # Each simulated chip's kernels run serially on the executor that steps it:
 # the per-chip worker pools, their thread knob (engine setter and

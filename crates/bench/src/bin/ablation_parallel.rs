@@ -4,7 +4,7 @@
 //! paper; the gap shrinks during prefill under weight-gathered layouts.
 //!
 //! Also included: the int8-vs-bf16 ablation (Section 3.6 / 4.4) and the
-//! collective bandwidth-derate sensitivity of the calibrated model.
+//! analytical model's sensitivity to the collective bandwidth derate.
 
 use esti_bench::{banner, write_csv};
 use esti_core::layout::{AttnSharding, FfnLayout, GatherExtent, Layout};

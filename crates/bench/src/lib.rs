@@ -79,26 +79,6 @@ pub fn e2e_point(
     (p, g, total, mfu)
 }
 
-/// Decode estimate at the paper's standard setting (used by several
-/// figures): 2D weight-stationary, batch-sharded attention when available.
-#[must_use]
-pub fn decode_point(
-    model: &ModelConfig,
-    machine: &Machine,
-    batch: usize,
-    context: usize,
-    dtype: DType,
-) -> Estimate {
-    let layout = esti_core::planner::decode_layout_for_batch(model, machine, batch);
-    estimate(machine, model, &layout, &PhaseSpec::decode(batch, context), dtype)
-}
-
-/// Formats a [`Layout`] compactly for table cells.
-#[must_use]
-pub fn layout_cell(layout: &Layout) -> String {
-    format!("{}/{}", layout.ffn.name(), layout.attn.name())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

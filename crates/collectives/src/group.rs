@@ -44,7 +44,7 @@ use std::time::{Duration, Instant};
 use esti_tensor::{ops, PackedMatrix, Tensor};
 
 use crate::fault::{FaultKind, FaultState, InjectedCrash};
-use crate::stats::{CollectiveOp, CommTimes, TrafficStats, ACT_BYTES};
+use crate::stats::{CollectiveOp, TrafficStats, ACT_BYTES};
 use crate::sync::{Arrival, Barrier, BarrierFate, Mutex, PoisonError};
 
 /// What one mailbox slot carries: a dense activation tensor, or a weight
@@ -215,7 +215,6 @@ impl Received {
 /// released deposits into the result.
 #[must_use = "a posted collective must be completed"]
 pub struct Posted {
-    op: CollectiveOp,
     read: Read,
     parity: usize,
     flight: Flight,
@@ -372,8 +371,6 @@ impl Read {
 pub struct CommGroup {
     shared: Arc<Shared>,
     rank: usize,
-    /// Per-member wall-clock nanoseconds blocked in each collective kind.
-    times: [Cell<u64>; 4],
     /// Deadline applied to every barrier wait this member performs. `None`
     /// (the default for raw groups) blocks forever like the pre-fault
     /// protocol; the engine arms a finite deadline so a stalled peer
@@ -438,7 +435,6 @@ impl CommGroup {
             .map(|rank| CommGroup {
                 shared: Arc::clone(&shared),
                 rank,
-                times: Default::default(),
                 deadline: Cell::new(None),
                 fault: RefCell::new(None),
                 calls: Cell::new(0),
@@ -628,7 +624,7 @@ impl CommGroup {
             },
         };
         #[cfg(not(all(debug_assertions, not(loom))))]
-        let _ = dims;
+        let _ = (op, dims);
         let mine = Arc::new(Deposit {
             payload,
             #[cfg(all(debug_assertions, not(loom)))]
@@ -640,19 +636,18 @@ impl CommGroup {
         }
         if k == 1 {
             // A group of one has no peer to wait for.
-            return Posted { op, read, parity, flight: Flight::Solo(mine) };
+            return Posted { read, parity, flight: Flight::Solo(mine) };
         }
         *self.shared.slots[parity][self.rank].lock().unwrap_or_else(PoisonError::into_inner) = Some(mine);
         match self.shared.barrier.arrive(self.deadline.get()) {
-            Ok(arrival) => Posted { op, read, parity, flight: Flight::Arrived(arrival) },
+            Ok(arrival) => Posted { read, parity, flight: Flight::Arrived(arrival) },
             Err(err) => std::panic::panic_any(err),
         }
     }
 
     /// Completes a call this member [`post`](Self::post)ed: awaits the
-    /// barrier generation it joined (the only time charged to
-    /// [`times`](Self::times)), takes back the deposit this member lent at
-    /// its previous call on the group, checks in debug builds that every
+    /// barrier generation it joined, takes back the deposit this member lent
+    /// at its previous call on the group, checks in debug builds that every
     /// deposit describes the same call, reads the deposits in rank order,
     /// in place, and counts this member done reading. The last member to
     /// finish reading empties the parity's mailboxes, so no deposit stays
@@ -706,16 +701,14 @@ impl CommGroup {
         buf: Vec<f32>,
         rows: Option<&[Range<usize>]>,
     ) -> (Received, Option<Vec<f32>>) {
-        let Posted { op, read, parity, flight } = posted;
+        let Posted { read, parity, flight } = posted;
         let arrival = match flight {
             Flight::Solo(mine) => return (read.apply(&[mine], self.rank, buf, rows), self.take_back(1 - parity)),
             Flight::Arrived(arrival) => arrival,
         };
-        let t0 = Instant::now();
         if let Err(err) = self.shared.barrier.await_generation(arrival) {
             std::panic::panic_any(err);
         }
-        self.note_time(op, t0);
         let back = self.take_back(1 - parity);
         let all: Vec<Arc<Deposit>> = self.shared.slots[parity]
             .iter()
@@ -823,40 +816,6 @@ impl CommGroup {
             if let Some(stats) = &self.shared.stats {
                 stats.record(op, bytes);
             }
-        }
-    }
-
-    /// Accumulates wall-clock time blocked in a collective (a completion's
-    /// await, measured from `start`): always into this member's
-    /// [`times`](CommGroup::times), and on rank 0 into the shared
-    /// [`TrafficStats`] ledger.
-    fn note_time(&self, op: CollectiveOp, start: Instant) {
-        let d = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        let cell = &self.times[op.slot()];
-        cell.set(cell.get().wrapping_add(d));
-        if self.rank == 0 {
-            if let Some(stats) = &self.shared.stats {
-                stats.record_nanos(op, d);
-            }
-        }
-    }
-
-    /// This member's accumulated wall-clock time blocked per collective
-    /// kind: its completions' awaits only (see [`CommTimes`]).
-    #[must_use]
-    pub fn times(&self) -> CommTimes {
-        CommTimes::from_nanos([
-            self.times[0].get(),
-            self.times[1].get(),
-            self.times[2].get(),
-            self.times[3].get(),
-        ])
-    }
-
-    /// Clears this member's accumulated collective times.
-    pub fn reset_times(&self) {
-        for t in &self.times {
-            t.set(0);
         }
     }
 
@@ -1347,43 +1306,6 @@ mod tests {
         let quant = 4 * (8 * 6 + 6 * 4);
         assert_eq!(stats.bytes(CollectiveOp::AllGather), 3 * dense + quant);
         assert_eq!(stats.calls(CollectiveOp::AllGather), 4);
-    }
-
-    #[test]
-    fn collective_times_accumulate_blocking_time() {
-        let stats = TrafficStats::new();
-        let members = CommGroup::create_with_stats(2, Arc::clone(&stats));
-        let times = std::thread::scope(|s| {
-            let handles: Vec<_> = members
-                .into_iter()
-                .enumerate()
-                .map(|(r, m)| {
-                    s.spawn(move || {
-                        if r == 0 {
-                            // Make rank 1 demonstrably block in the barrier.
-                            std::thread::sleep(std::time::Duration::from_millis(2));
-                        }
-                        let _ = m.all_reduce(&Tensor::ones(vec![4]));
-                        m.times()
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("member")).collect::<Vec<_>>()
-        });
-        assert!(
-            times[1].nanos(CollectiveOp::AllReduce) >= 1_000_000,
-            "rank 1 blocked {} ns, expected >= 1ms",
-            times[1].nanos(CollectiveOp::AllReduce)
-        );
-        assert_eq!(times[1].nanos(CollectiveOp::AllGather), 0);
-        assert!(stats.nanos(CollectiveOp::AllReduce) > 0);
-        assert_eq!(times[1].total_nanos(), times[1].nanos(CollectiveOp::AllReduce));
-        let mut merged = times[0];
-        merged.merge(&times[1]);
-        assert_eq!(
-            merged.total_nanos(),
-            times[0].total_nanos() + times[1].total_nanos()
-        );
     }
 
     #[test]

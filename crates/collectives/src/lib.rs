@@ -59,5 +59,5 @@ pub mod sync;
 pub use fault::{CollectiveError, FaultKind, FaultPlan, FaultState, InjectedCrash, Trigger};
 pub use group::{Call, CommGroup, Part, Posted, Received};
 pub use protocol::{ProtocolEdge, ProtocolModel};
-pub use stats::{quant_wire_bytes, CollectiveOp, CommTimes, TrafficStats, ACT_BYTES};
+pub use stats::{quant_wire_bytes, CollectiveOp, TrafficStats, ACT_BYTES};
 pub use sync::BarrierFate;

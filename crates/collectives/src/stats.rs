@@ -86,7 +86,6 @@ pub const fn quant_wire_bytes(group_size: usize, rows: usize, cols: usize) -> us
 pub struct TrafficStats {
     bytes: [AtomicU64; 4],
     calls: [AtomicU64; 4],
-    nanos: [AtomicU64; 4],
 }
 
 impl TrafficStats {
@@ -120,71 +119,11 @@ impl TrafficStats {
         CollectiveOp::ALL.iter().map(|&op| self.bytes(op)).sum()
     }
 
-    /// Adds `nanos` of wall-clock time blocked in a collective of kind `op`.
-    /// Like byte volumes, time is recorded once per call (on rank 0), so the
-    /// ledger reports one representative chip's blocking time.
-    pub fn record_nanos(&self, op: CollectiveOp, nanos: u64) {
-        self.nanos[op.slot()].fetch_add(nanos, Ordering::Relaxed);
-    }
-
-    /// Total rank-0 wall-clock nanoseconds blocked in collectives of `op`.
-    #[must_use]
-    pub fn nanos(&self, op: CollectiveOp) -> u64 {
-        self.nanos[op.slot()].load(Ordering::Relaxed)
-    }
-
-    /// Total rank-0 wall-clock nanoseconds across all collective kinds.
-    #[must_use]
-    pub fn total_nanos(&self) -> u64 {
-        CollectiveOp::ALL.iter().map(|&op| self.nanos(op)).sum()
-    }
-
     /// Resets all counters to zero.
     pub fn reset(&self) {
         for i in 0..4 {
             self.bytes[i].store(0, Ordering::Relaxed);
             self.calls[i].store(0, Ordering::Relaxed);
-            self.nanos[i].store(0, Ordering::Relaxed);
-        }
-    }
-}
-
-/// One member's wall-clock time blocked in each collective kind, snapshot
-/// from [`CommGroup::times`](crate::CommGroup::times): the time its
-/// [`complete`](crate::CommGroup::complete)s spent awaiting peers, and
-/// nothing else — not the post, not the read, and not the work a thread
-/// running several members does for the others in between. Unlike
-/// [`TrafficStats`] (one shared ledger, recorded once per call), this is
-/// per-chip: the engine collects one `CommTimes` from every chip and can
-/// dump a per-chip summary of where each chip waited.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct CommTimes {
-    nanos: [u64; 4],
-}
-
-impl CommTimes {
-    pub(crate) const fn from_nanos(nanos: [u64; 4]) -> Self {
-        CommTimes { nanos }
-    }
-
-    /// Nanoseconds this member spent blocked in collectives of kind `op`.
-    #[must_use]
-    pub fn nanos(&self, op: CollectiveOp) -> u64 {
-        self.nanos[op.slot()]
-    }
-
-    /// Nanoseconds blocked across all collective kinds.
-    #[must_use]
-    pub fn total_nanos(&self) -> u64 {
-        self.nanos.iter().sum()
-    }
-
-    /// Accumulates another snapshot into this one (for summing groups: a
-    /// chip that belongs to several [`CommGroup`](crate::CommGroup)s merges
-    /// the per-group snapshots).
-    pub fn merge(&mut self, other: &CommTimes) {
-        for (a, b) in self.nanos.iter_mut().zip(&other.nanos) {
-            *a += b;
         }
     }
 }

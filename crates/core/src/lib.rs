@@ -51,7 +51,6 @@
 //! assert!(est.step_time > 0.015 && est.step_time < 0.045);
 //! ```
 
-pub mod calibrate;
 pub mod claims;
 pub mod ft;
 pub mod layout;

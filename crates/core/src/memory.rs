@@ -36,14 +36,9 @@ pub fn kv_bytes_per_chip(
     (2 * model.n_layers * seqs * context * heads * model.d_head) as f64 * dtype.bytes_f()
 }
 
-/// Weight bytes per chip (weights are always fully sharded over all chips).
-#[must_use]
-pub fn weight_bytes_per_chip(model: &ModelConfig, n_chips: usize, dtype: DType) -> f64 {
-    model.weight_bytes(dtype) / n_chips as f64
-}
-
-/// Whether a configuration fits in HBM: weight shard + KV cache + four live
-/// `[batch, d_model]` bf16 buffers must not exceed per-chip capacity. That
+/// Whether a configuration fits in HBM: weight shard (weights are fully
+/// sharded over all chips) + KV cache + four live `[batch, d_model]` bf16
+/// buffers must not exceed per-chip capacity. That
 /// allowance is the analytic model's, which `perf` and Figure 8 read;
 /// `esti-verify`'s memfit charges the schedule's buffer plan instead.
 #[must_use]
@@ -57,7 +52,7 @@ pub fn fits_in_memory(
     kv_dtype: DType,
 ) -> bool {
     let n = machine.n_chips();
-    let weights = weight_bytes_per_chip(model, n, weight_dtype);
+    let weights = model.weight_bytes(weight_dtype) / n as f64;
     let kv = kv_bytes_per_chip(model, sharding, n, batch, context, kv_dtype);
     let acts = 4.0 * batch as f64 * model.d_model as f64 * 2.0;
     weights + kv + acts <= machine.chip.hbm_capacity * 0.95
@@ -149,14 +144,6 @@ mod tests {
         assert_eq!(kv_units(&mq, AttnSharding::Batch, 64, 512), 8.0);
         assert_eq!(kv_units(&mq, AttnSharding::Batch, 64, 32), 1.0); // partial
         assert_eq!(kv_units(&mq, AttnSharding::Head, 64, 512), 512.0);
-    }
-
-    #[test]
-    fn weight_shard_scales_inverse_with_chips() {
-        let model = ModelConfig::palm_62b();
-        let w8 = weight_bytes_per_chip(&model, 8, DType::Bf16);
-        let w64 = weight_bytes_per_chip(&model, 64, DType::Bf16);
-        assert!((w8 / w64 - 8.0).abs() < 1e-9);
     }
 
     #[test]

@@ -742,25 +742,6 @@ impl OverloadReport {
             .collect();
         percentile(ttfts, p)
     }
-
-    /// Nearest-rank TPOT percentile over one class's completed requests
-    /// that generated at least two tokens.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the class has no such requests or `p` is out of range.
-    #[must_use]
-    pub fn class_tpot_percentile(&self, class: Priority, p: f64) -> Seconds {
-        let tpots: Vec<f64> = self
-            .report
-            .requests
-            .iter()
-            .zip(&self.priorities)
-            .filter(|&(_, &c)| c == class)
-            .filter_map(|(r, _)| r.tpot())
-            .collect();
-        percentile(tpots, p)
-    }
 }
 
 /// Analytic phase costs of the overload simulator.

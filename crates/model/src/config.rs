@@ -132,15 +132,6 @@ impl ModelConfig {
         m
     }
 
-    /// The 8-layer PaLM 540B variant used in Figure 8.
-    #[must_use]
-    pub fn palm_540b_8layer() -> Self {
-        let mut m = ModelConfig::palm_540b_padded();
-        m.name = "PaLM 540B (8 layers)".to_owned();
-        m.n_layers = 8;
-        m
-    }
-
     /// PaLM 62B: 64 layers, `d_model` 8192, 32 heads of 256.
     #[must_use]
     pub fn palm_62b() -> Self {

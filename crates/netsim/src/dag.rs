@@ -24,7 +24,6 @@ pub struct TransferId(pub usize);
 struct Transfer {
     link: LinkId,
     bytes: f64,
-    deps: Vec<TransferId>,
     unmet: usize,
     ready: Seconds,
     finish: Option<Seconds>,
@@ -116,7 +115,6 @@ impl DagSim {
         self.transfers.push(Transfer {
             link,
             bytes,
-            deps: deps.to_vec(),
             unmet: deps.len(),
             ready: 0.0,
             finish: None,
@@ -126,12 +124,6 @@ impl DagSim {
             self.transfers[d.0].dependents.push(id);
         }
         id
-    }
-
-    /// Number of transfers registered.
-    #[must_use]
-    pub fn transfer_count(&self) -> usize {
-        self.transfers.len()
     }
 
     /// Runs the simulation to completion and returns the makespan (the
@@ -179,12 +171,6 @@ impl DagSim {
     #[must_use]
     pub fn finish_time(&self, id: TransferId) -> Option<Seconds> {
         self.transfers.get(id.0).and_then(|t| t.finish)
-    }
-
-    /// The registered dependency list of a transfer (for tests/debugging).
-    #[must_use]
-    pub fn deps_of(&self, id: TransferId) -> &[TransferId] {
-        &self.transfers[id.0].deps
     }
 }
 

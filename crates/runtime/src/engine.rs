@@ -51,7 +51,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use esti_collectives::{
-    Call, CollectiveError, CommGroup, CommTimes, FaultPlan, FaultState, InjectedCrash, Part, Posted, Received,
+    Call, CollectiveError, CommGroup, FaultPlan, FaultState, InjectedCrash, Part, Posted, Received,
     TrafficStats,
 };
 use esti_core::layout::Layout;
@@ -390,6 +390,20 @@ impl PartitionedEngine {
     /// block-table structure, so any chip is representative; under batch
     /// sharding chips hold disjoint row sets and the max is the binding
     /// one. Always `Some` (an engine has at least one chip).
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use esti_core::{planner::decode_layout, Machine};
+    /// use esti_model::{ModelConfig, ReferenceModel};
+    /// use esti_runtime::{PartitionedEngine, WeightFormat};
+    ///
+    /// let model = ReferenceModel::init_random(ModelConfig::tiny(), 0);
+    /// let layout = decode_layout(model.config(), &Machine::tpu_v4_slice(4).unwrap());
+    /// let mut engine = PartitionedEngine::new(&model, layout, WeightFormat::Exact);
+    /// engine.set_kv_page_size(8);
+    /// assert_eq!(engine.kv_page_stats().unwrap().page_size, 8);
+    /// ```
     #[must_use]
     pub fn kv_page_stats(&self) -> Option<PageStats> {
         self.chips
@@ -445,51 +459,6 @@ impl PartitionedEngine {
     #[must_use]
     pub fn traffic(&self) -> &TrafficStats {
         &self.stats
-    }
-
-    /// Per-chip wall-clock time blocked in collectives, merged across each
-    /// chip's groups, in rank order: only the time each chip's completions
-    /// spent awaiting their peers, not the time its executor spent posting
-    /// and reading for the other chips it runs.
-    #[must_use]
-    pub fn comm_times(&self) -> Vec<CommTimes> {
-        self.chips
-            .iter()
-            .map(|c| {
-                let mut t = CommTimes::default();
-                for g in &c.groups {
-                    t.merge(&g.times());
-                }
-                t
-            })
-            .collect()
-    }
-
-    /// Human-readable per-chip summary of [`PartitionedEngine::comm_times`]
-    /// (microseconds blocked per collective kind), for benchmark dumps.
-    #[must_use]
-    pub fn comm_time_summary(&self) -> String {
-        use std::fmt::Write;
-        let mut s = String::new();
-        for (rank, t) in self.comm_times().iter().enumerate() {
-            let us = |op| t.nanos(op) as f64 / 1e3;
-            let _ = writeln!(
-                s,
-                "chip {rank}: blocked {:.1}us (ag {:.1} rs {:.1} ar {:.1} a2a {:.1})",
-                t.total_nanos() as f64 / 1e3,
-                us(esti_collectives::CollectiveOp::AllGather),
-                us(esti_collectives::CollectiveOp::ReduceScatter),
-                us(esti_collectives::CollectiveOp::AllReduce),
-                us(esti_collectives::CollectiveOp::AllToAll),
-            );
-        }
-        s
-    }
-
-    /// Clears every chip's per-group collective-time counters (the shared
-    /// [`TrafficStats`] ledger has its own [`TrafficStats::reset`]).
-    pub fn reset_comm_times(&self) {
-        self.for_each_group(CommGroup::reset_times);
     }
 
     /// Tokens cached by the oldest slot — every slot's, after passes over

@@ -58,7 +58,6 @@
 pub mod engine;
 mod executors;
 pub mod generate;
-pub mod introspect;
 pub mod router;
 pub mod serving;
 pub mod shard;
@@ -68,7 +67,6 @@ pub use engine::{
 };
 pub use esti_model::DEFAULT_KV_PAGE_SIZE;
 pub use generate::GenerateOptions;
-pub use introspect::kv_cache_json;
 pub use router::{ReplicaRouter, RouterError, RouterOutcome};
 pub use serving::{
     BatcherSpec, ContinuousBatcher, DecodeWork, OverloadShed, PrefillWork, ServeError, ServingOptions,

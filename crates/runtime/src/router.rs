@@ -126,7 +126,6 @@ struct Replica {
 /// ```
 pub struct ReplicaRouter {
     replicas: Vec<Replica>,
-    opts: ServingOptions,
 }
 
 impl ReplicaRouter {
@@ -151,7 +150,7 @@ impl ReplicaRouter {
                 healthy: true,
             })
             .collect();
-        ReplicaRouter { replicas, opts }
+        ReplicaRouter { replicas }
     }
 
     /// Total replicas, healthy or not.
@@ -341,12 +340,6 @@ impl ReplicaRouter {
             .filter(|(_, rep)| rep.healthy)
             .min_by_key(|&(i, _)| (load[i], i))
             .map(|(i, _)| i)
-    }
-
-    /// The shared scheduler options every replica runs under.
-    #[must_use]
-    pub fn options(&self) -> &ServingOptions {
-        &self.opts
     }
 }
 
