@@ -282,18 +282,18 @@ cargo test -q --release -p esti-runtime --test overload
 
 echo "== one scheduler core: the live batcher, the trace simulator and the verifier run one policy =="
 # esti_core::scheduler is the one definition of admission, preemption,
-# shedding and KV page charging. ContinuousBatcher::try_serve,
-# simulate_trace and verify::lifecycle::run_trace only drive it: the FIFO
-# simulate is gone, the page ledger is defined once, in the core, and no
-# driver holds class queues, a victim choice, a page pool or a shed loop of
-# its own.
+# shedding and KV page charging; try_serve, simulate_trace and run_trace
+# only drive it: no FIFO simulate, one page ledger (the core's), and no
+# driver with class queues, a victim choice, a page pool, a shed loop or a
+# replay path of its own (recovery re-admits; the chunk knob is gone).
 sim_trace=$(awk '/^pub fn simulate_trace\(/,/^}/' crates/core/src/serving.rs)
 if [ -z "$sim_trace" ] \
   || grep -rn "fn simulate(" crates \
   || [ "$(grep -rl 'struct PageLedger' crates)" != "crates/core/src/scheduler.rs" ] \
   || grep -nE "min_by_key|waiting\[|ttft_deadline\[|> limit" crates/runtime/src/serving.rs \
   || grep -nE "min_by_key|waiting\[|ttft_deadline\[|> limit" <<<"$sim_trace" \
-  || grep -nE "struct Pool|struct Slot|fn plan\(|min_by_key|Priority::ALL" crates/verify/src/lifecycle.rs; then
+  || grep -nE "struct Pool|struct Slot|fn plan\(|min_by_key|Priority::ALL" crates/verify/src/lifecycle.rs \
+  || grep -rnE "fn restart\b|\.restart\(\)|prefill_chunk" crates src tests examples; then
   echo "FAIL: a second copy of the serving policy is back beside esti_core::scheduler" >&2
   exit 1
 fi
@@ -339,8 +339,8 @@ echo "== fault conformance: crash any rank, recovered streams bit-identical =="
 # a hang — and (b) post-recovery token streams bit-identical to a
 # fault-free run, with the replay cost matching esti-netsim's model.
 cargo test -q --release -p esti-runtime --test faults
-# A failed prefill call recovers through the one rebuild-and-replay path,
-# live requests bit-identical, under both GEMM tiers.
+# A failed prefill call recovers like a failed step: engine rebuilt, live
+# requests re-admitted bit-identical, under both GEMM tiers.
 ESTI_DISABLE_SIMD=1 cargo test -q --release -p esti-runtime --test faults a_prefill_fault
 
 echo "== lockstep executors: min(CPUs, chips) executors, the caller among them, step the chips =="

@@ -13,13 +13,18 @@
 //!
 //! The rules: shed every waiting request whose TTFT exceeds its class
 //! deadline, then the newest of the lowest class while the queue is over its
-//! limit — never a preempted victim, which has emitted tokens and always
-//! completes. Admit the highest class first, FIFO within it, into the lowest
+//! limit — never a requeued request that has emitted tokens (a preempted
+//! victim or a recovered one), which always completes. Admit the highest class first, FIFO within it, into the lowest
 //! free slot of a span the open prefill group has not used, else the lowest
 //! free slot; with none free, preempt the lowest class strictly below
 //! (least progress, then lowest slot) to the front of its queue. With a
 //! [`PageLedger`], admit a request that keeps its slot only if its pages
 //! plus one per still-empty slot fit the budget.
+//!
+//! A slot is filled one way only, by admission. A request whose prefill
+//! call failed, or whose slot's engine was lost ([`Scheduler::requeue`]),
+//! goes back to the front of its queue like a victim, without counting as a
+//! preemption, and after its next prefill replays what it had emitted.
 
 use std::collections::{HashMap, VecDeque};
 
@@ -96,7 +101,8 @@ struct Occupant {
 }
 
 /// The policy's state: class queues, slot table, spans, page ledger and
-/// every request's progress (see the module docs for the rules).
+/// every request's progress (see the module docs for the rules). Every
+/// request in a slot got there through [`Scheduler::admit`].
 #[derive(Debug, Clone)]
 pub struct Scheduler<'a> {
     jobs: Vec<Job<'a>>,
@@ -230,20 +236,20 @@ impl<'a> Scheduler<'a> {
     }
 
     /// Records that `a`'s prefill ran and whether it was the request's
-    /// first: that emits its first token; a re-admitted victim's re-derives
-    /// it, and the decode steps replay the rest.
+    /// first: that emits its first token; a re-admitted request's
+    /// re-derives it, and the decode steps replay the rest.
     pub fn start(&mut self, a: &Admission) -> bool {
         let emitted = &mut self.emitted[a.idx];
         let first = *emitted == 0;
         if first {
             *emitted = self.jobs[a.idx].max_new.min(1);
-        } else {
-            self.replayed += *emitted - 1;
         }
         first
     }
 
-    /// Puts `a`, whose prefill failed, back at the front of its queue.
+    /// Puts `a` back at the front of its queue: its prefill failed, or the
+    /// engine holding its slot was lost. It is re-admitted like a victim,
+    /// but not counted as a preemption.
     pub fn requeue(&mut self, a: &Admission) {
         if a.holds {
             self.vacate(a.slot);
@@ -258,6 +264,7 @@ impl<'a> Scheduler<'a> {
         self.vacate(slot);
         self.waiting[self.jobs[idx].class.index()].push_front(idx);
         self.preemptions += 1;
+        self.replayed += self.emitted[idx].saturating_sub(1);
         Some(idx)
     }
 
@@ -279,27 +286,6 @@ impl<'a> Scheduler<'a> {
         }
         self.vacate(slot);
         Advance::Finished
-    }
-
-    /// The engine was rebuilt empty: the ledger restarts (keeping its
-    /// peaks) and re-charges every occupant in slot order; each occupant
-    /// replays from token 1.
-    pub fn restart(&mut self) {
-        if let Some(pages) = &mut self.pages {
-            *pages = PageLedger {
-                peak_used: pages.peak_used,
-                peak_shared: pages.peak_shared,
-                ..PageLedger::new(pages.page_size, pages.budget)
-            };
-        }
-        for (slot, o) in self.slots.iter_mut().enumerate() {
-            let Some(o) = o else { continue };
-            o.consumed = 1;
-            if let Some(pages) = &mut self.pages {
-                let job = self.jobs[o.idx];
-                pages.commit(slot, job.prompt, job.max_new);
-            }
-        }
     }
 
     fn vacate(&mut self, slot: usize) {
@@ -333,7 +319,7 @@ impl<'a> Scheduler<'a> {
         self.preemptions
     }
 
-    /// Emitted tokens re-admitted victims re-derive.
+    /// Emitted tokens preemption victims re-derive on re-admission.
     #[must_use]
     pub fn replayed_tokens(&self) -> usize {
         self.replayed
@@ -606,9 +592,17 @@ mod tests {
         let a = admit(&mut core, &[]);
         assert_eq!(core.admit(&[]), Decision::Wait);
         assert_eq!(core.advance(a.slot), Advance::Emitted);
-        core.restart();
+        // The engine is lost: the request goes back to the front of its
+        // queue, refunding its pages, and is re-admitted ahead of request 1
+        // to replay its recording. Recovery is not a preemption.
+        core.requeue(&a);
+        assert_eq!(core.pages().map(PageLedger::used), Some(0));
+        let a = admit(&mut core, &[]);
+        assert_eq!(a.idx, 0);
         let steps: Vec<Advance> = (0..3).map(|_| core.advance(a.slot)).collect();
         assert_eq!(steps, [Advance::Replayed(1), Advance::Emitted, Advance::Finished]);
+        assert_eq!((core.preemptions(), core.replayed_tokens()), (0, 0));
+        assert_eq!(core.pages().map(PageLedger::used), Some(0));
         assert_eq!(admit(&mut core, &[]).idx, 1);
 
         // Alone in a too-small pool a request never fits.

@@ -149,9 +149,9 @@ pub struct RecoveryStats {
     pub prefill_tokens_replayed: usize,
     /// Already-emitted decode tokens re-derived during replay.
     pub decode_tokens_replayed: usize,
-    /// Wall-clock seconds spent in recovery proper (engine rebuild +
-    /// re-prefill); the replayed decode steps overlap new work and are
-    /// accounted by `steps_lost` instead.
+    /// Wall-clock seconds spent rebuilding engines. Re-prefilling the
+    /// recovered requests is ordinary admission work, and their replayed
+    /// decode steps overlap new work and are accounted by `steps_lost`.
     pub recovery_seconds: f64,
     /// Replica-level failovers: replicas a router drained after their
     /// recovery budget was exhausted (or they poisoned), with their live

@@ -27,8 +27,9 @@
 //! multiquery attention, whose all-to-alls (Figure 5b) divide the KV cache
 //! `n_chips` ways.
 //!
-//! The engine also provides the serving loop: chunked (incremental)
-//! prefill, autoregressive decode with sampling, int8 weight quantization,
+//! The engine also provides the serving loop: prefill (whole prompts, or
+//! incremental on top of cached positions), autoregressive decode with
+//! sampling, int8 weight quantization,
 //! and a [`esti_collectives::TrafficStats`] ledger that tests compare
 //! against the analytical communication volumes.
 //!

@@ -5,9 +5,9 @@
 //! fixed number of decode slots ([`PartitionedEngine::begin_slots`]). It is
 //! the live caller of [`esti_core::scheduler`], which decides what is shed,
 //! admitted and preempted (the trace simulator drives the same policy): this
-//! module prefills each admission straight into its slot (optionally
-//! chunked), runs decode steps over the occupied slots (see [`DecodeWork`])
-//! and evicts on completion.
+//! module prefills each admission straight into its slot, each row's suffix
+//! in one pass, runs decode steps over the occupied slots (see
+//! [`DecodeWork`]) and evicts on completion.
 //!
 //! Prefill does only the work that is needed. Up to a minimum batch of
 //! consecutive admissions share one *group* prefill, each in its own slot,
@@ -27,18 +27,20 @@
 //!
 //! The same two properties make the scheduler recoverable. When a step or
 //! a prefill call fails (a chip died or a collective timed out — see
-//! [`EngineError`]), the batcher rebuilds the engine and *replays*
-//! every in-flight request from durable state it already holds: the prompt
-//! (re-prefilled with the original chunking), the per-request RNG seed
+//! [`EngineError`]), the batcher rebuilds the engine and hands every
+//! in-flight request back to the scheduler, which re-admits it exactly as it
+//! re-admits a preemption victim: from the front of its class queue. A
+//! failed prefill call's group goes back the same way. A re-admitted request
+//! replays from durable state the batcher already holds: the prompt
+//! (re-prefilled through the ordinary group path), the per-request RNG seed
 //! (re-seeded, so the sampling stream restarts from draw zero), and the
 //! recorded emitted tokens (fed back through real decode steps, each
 //! replayed sample asserted equal to its recording). Because batch rows are
 //! independent and the replayed computation is the original computation,
 //! post-recovery token streams are **bit-identical** to a fault-free run —
 //! the chaos conformance tests in `tests/faults.rs` assert exactly that for
-//! every decode layout. A failed prefill call's group goes back to the
-//! front of its class queues and is admitted again. The price paid is
-//! accounted in [`ServingReport::recovery`] and cross-checked against
+//! every decode layout. The price paid is accounted in
+//! [`ServingReport::recovery`] and cross-checked against
 //! `esti_netsim::crash_recovery_cost`.
 
 use std::time::{Duration, Instant};
@@ -104,9 +106,6 @@ pub struct ServingOptions {
     pub max_decode_batch: usize,
     /// Sampling method applied to every request.
     pub sampling: Sampling,
-    /// Chunked (incremental) prefill size; `None` prefills each prompt in
-    /// one pass.
-    pub prefill_chunk: Option<usize>,
     /// KV-cache page size applied to the engine (and every engine rebuilt
     /// during fault recovery). `None` keeps the engine default
     /// ([`crate::DEFAULT_KV_PAGE_SIZE`]). The page size never changes
@@ -141,7 +140,6 @@ impl Default for ServingOptions {
         ServingOptions {
             max_decode_batch: 4,
             sampling: Sampling::Greedy,
-            prefill_chunk: None,
             kv_page_size: None,
             kv_position_budget: None,
             queue_limit: None,
@@ -261,8 +259,7 @@ impl std::error::Error for ServeError {
 /// and no injected fault these counts repeat exactly from run to run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PrefillWork {
-    /// Engine prefill calls (one per chunk of each call a group splits
-    /// into).
+    /// Engine prefill calls (a group splits into one or more).
     pub calls: usize,
     /// Prompt tokens computed: each admitted prompt's unseeded suffix.
     /// Filler rows and a short row's padding compute nothing and are not
@@ -558,8 +555,8 @@ impl ContinuousBatcher {
     /// Arms `plan` into the engine right away (chaos testing): its call
     /// indices count collectives from the next engine call, which at the
     /// start of a serve call is its first prefill. A failed prefill call
-    /// recovers like a failed step — the engine is rebuilt fault-free, the
-    /// live slots replay — and its group is admitted again.
+    /// recovers like a failed step — the engine is rebuilt fault-free and
+    /// the live slots are re-admitted — and its group is admitted again.
     pub fn inject_prefill_fault(&mut self, plan: FaultPlan) {
         self.engine.inject_faults(plan);
     }
@@ -588,9 +585,9 @@ impl ContinuousBatcher {
     /// cover. Each decode step runs the occupied slots only
     /// ([`PartitionedEngine::try_decode_rows`]; on layouts whose chips own
     /// spans of the rows the engine pads each span to the fullest one, see
-    /// [`DecodeWork`]). A preempted victim, like every request after a
-    /// failed step or prefill call (see the module docs), replays to a
-    /// bit-identical stream; recovery absorbs up to
+    /// [`DecodeWork`]). A preempted victim, like every request re-admitted
+    /// after a failed step or prefill call (see the module docs), replays to
+    /// a bit-identical stream; recovery absorbs up to
     /// [`ContinuousBatcher::set_max_recoveries`] faults.
     ///
     /// # Errors
@@ -646,9 +643,7 @@ impl ContinuousBatcher {
         let mut forced = std::mem::take(&mut self.preempt_plan);
         let mut active: Vec<Option<Active>> = (0..cap).map(|_| None).collect();
         let mut step_log: Vec<(usize, f64)> = Vec::new();
-        let mut occupancy_sum = 0usize;
         let mut recovery = RecoveryStats::default();
-        let mut steps_done = 0usize;
         let mut peak_live = 0usize;
         let mut decode_work = DecodeWork::default();
 
@@ -662,7 +657,7 @@ impl ContinuousBatcher {
             // shot each; empty slots are no-ops).
             for i in (0..forced.len()).rev() {
                 let (after_step, slot) = forced[i];
-                if after_step != steps_done {
+                if after_step != decode_work.steps {
                     continue;
                 }
                 forced.swap_remove(i);
@@ -712,8 +707,8 @@ impl ContinuousBatcher {
                     Err(err) => {
                         // The call took the engine down: the group goes back
                         // to the front of its class queues, in admission
-                        // order, the live slots replay on a rebuilt engine,
-                        // and admission starts over.
+                        // order, the live slots go back ahead of it, and
+                        // admission starts over on a rebuilt engine.
                         for a in group.drain(..).rev() {
                             core.requeue(&a);
                         }
@@ -735,9 +730,10 @@ impl ContinuousBatcher {
                     }
                     // The first generated token comes from the prefill
                     // logits — its sampling time is the TTFT recorded
-                    // above. On a post-preemption re-admission the
-                    // re-derived token is asserted against the recording
-                    // instead (the decode steps then replay the rest).
+                    // above. On a re-admission (after a preemption or a
+                    // recovery) the re-derived token is asserted against
+                    // the recording instead (the decode steps then replay
+                    // the rest).
                     let tok = sample_row(&mut rng, &last_logits, self.opts.sampling);
                     if replaying {
                         assert_eq!(tok, outputs[idx][0], "request {idx} diverged at replayed token 0");
@@ -770,7 +766,7 @@ impl ContinuousBatcher {
             }
 
             // Scheduled chaos: arm the one-shot fault plan at its step.
-            if matches!(self.decode_fault, Some((at, _)) if at == steps_done) {
+            if matches!(self.decode_fault, Some((at, _)) if at == decode_work.steps) {
                 if let Some((_, plan)) = self.decode_fault.take() {
                     self.engine.inject_faults(plan);
                 }
@@ -792,9 +788,7 @@ impl ContinuousBatcher {
                     continue;
                 }
             };
-            steps_done += 1;
             step_log.push((live, t_step.elapsed().as_secs_f64()));
-            occupancy_sum += live;
             decode_work.steps += 1;
             decode_work.rows_live += live;
             decode_work.filler_rows += carried - live;
@@ -837,7 +831,7 @@ impl ContinuousBatcher {
             .collect();
         let total_generated = outputs.iter().map(Vec::len).sum();
         let Some(pages) = core.pages() else { unreachable!("the live scheduler charges pages") };
-        let report = ServingReport::new(stats, step_log.len(), occupancy_sum)
+        let report = ServingReport::new(stats, decode_work.steps, decode_work.rows_live)
             .with_recovery(recovery)
             .with_peak_batch(peak_live)
             .with_kv_pages(pages.min_free(), pages.peak_shared());
@@ -854,15 +848,15 @@ impl ContinuousBatcher {
         })
     }
 
-    /// Rebuilds the engine after a failed step or prefill call and replays
-    /// every in-flight request up to its recorded stream: prompt
-    /// re-prefilled into its own slot (original chunking, through the same
-    /// group path admissions take), RNG re-seeded, first token re-derived
-    /// from the prefill logits. The emitted decode suffix is then re-derived
-    /// by the ordinary step loop, which asserts each replayed sample equals
-    /// its recording — so a successful recovery is bit-identical by
-    /// construction, not by luck. A replay call that fails counts as one
-    /// more fault and starts the rebuild over.
+    /// Counts the fault against the recovery budget, rebuilds the engine
+    /// after a failed step or prefill call, and hands every live slot back
+    /// to the scheduler, last slot first so each class queue keeps slot
+    /// order. The ordinary loop then re-admits and re-prefills each request
+    /// and its steps replay the recording, asserting every re-derived token
+    /// (so a successful recovery is bit-identical by construction); a
+    /// re-prefill that fails is one more failed prefill call. The replay is
+    /// charged to `recovery` here, in `esti_netsim::crash_recovery_cost`'s
+    /// terms.
     fn recover(
         &mut self,
         requests: &[ServingRequest],
@@ -870,57 +864,35 @@ impl ContinuousBatcher {
         active: &mut [Option<Active>],
         core: &mut Scheduler,
         recovery: &mut RecoveryStats,
-        mut err: EngineError,
+        err: EngineError,
     ) -> Result<(), ServeError> {
-        let t = Instant::now();
-        core.restart();
-        // Slots come back in slot order, a group at a time; a slot is a
-        // donor again once its KV is back in the rebuilt engine.
-        let replay: Vec<Admission> = active
-            .iter_mut()
-            .enumerate()
-            .filter_map(|(slot, entry)| entry.take().map(|a| Admission { idx: a.idx, slot, holds: true }))
-            .collect();
-        recovery.steps_lost += replay.iter().map(|a| outputs[a.idx].len() - 1).max().unwrap_or(0);
-        'rebuild: loop {
-            recovery.faults += 1;
-            if recovery.faults > self.max_recoveries {
-                return Err(ServeError::RecoveryLimit { faults: recovery.faults, last: err });
-            }
-            self.engine = build_engine(&self.model, self.layout, self.fmt, &self.opts, self.deadline);
-            self.engine.begin_slots(self.opts.max_decode_batch, 0);
-            active.iter_mut().for_each(|a| *a = None);
-            for group in replay.chunks(self.engine.min_batch()) {
-                let donors = live_prompts(active, requests);
-                let prefilled = match self.prefill_group(requests, group, &donors, recovery) {
-                    Ok(prefilled) => prefilled,
-                    Err(e) => {
-                        err = e;
-                        continue 'rebuild;
-                    }
-                };
-                for (&Admission { idx, slot, .. }, last_logits) in group.iter().zip(prefilled) {
-                    let req = &requests[idx];
-                    let emitted = &outputs[idx];
-                    let mut rng = StdRng::seed_from_u64(req.seed);
-                    let tok0 = sample_row(&mut rng, &last_logits, self.opts.sampling);
-                    assert_eq!(tok0, emitted[0], "request {idx} diverged at replayed token 0");
-                    active[slot] = Some(Active { idx, rng, next_tok: tok0 });
-                    recovery.requests_replayed += 1;
-                    recovery.prefill_tokens_replayed += req.prompt.len();
-                    recovery.decode_tokens_replayed += emitted.len() - 1;
-                }
-            }
-            recovery.recovery_seconds += t.elapsed().as_secs_f64();
-            return Ok(());
+        recovery.faults += 1;
+        if recovery.faults > self.max_recoveries {
+            return Err(ServeError::RecoveryLimit { faults: recovery.faults, last: err });
         }
+        let t = Instant::now();
+        self.engine = build_engine(&self.model, self.layout, self.fmt, &self.opts, self.deadline);
+        self.engine.begin_slots(self.opts.max_decode_batch, 0);
+        recovery.recovery_seconds += t.elapsed().as_secs_f64();
+        let mut steps_lost = 0;
+        for slot in (0..active.len()).rev() {
+            let Some(Active { idx, .. }) = active[slot].take() else { continue };
+            core.requeue(&Admission { idx, slot, holds: true });
+            let decoded = outputs[idx].len() - 1;
+            recovery.requests_replayed += 1;
+            recovery.prefill_tokens_replayed += requests[idx].prompt.len();
+            recovery.decode_tokens_replayed += decoded;
+            steps_lost = steps_lost.max(decoded);
+        }
+        recovery.steps_lost += steps_lost;
+        Ok(())
     }
 
     /// Prefills `group` — up to a minimum batch of consecutive admissions,
     /// in admission order — straight into the slots admission chose, and
     /// returns each one's last-position logits. This is the only way the
-    /// scheduler runs prefill: admissions, preemption replays and fault
-    /// replays all come through here.
+    /// scheduler runs prefill: every admission comes through here, first or
+    /// re-admitted after a preemption or a recovery.
     ///
     /// A row starts from its *donor*: the slot of `live` (occupied slots,
     /// by the prompt whose KV they hold) sharing the longest whole-page
@@ -991,9 +963,8 @@ impl ContinuousBatcher {
     }
 
     /// One engine call over `rows` (at most one per span; filler rows fill
-    /// the rest), honoring the chunked-prefill option: every row is seeded
-    /// into its slot and runs its own suffix, chunk by chunk, in the calls
-    /// its suffix reaches. Returns each row's logits at its own last prompt
+    /// the rest): every row is seeded into its slot and runs its own suffix
+    /// in one pass. Returns each row's logits at its own last prompt
     /// position, after settling the row: a request keeping its slot holds
     /// exactly its prompt's KV there (prompt pages registered for sharing),
     /// a request ending at its first token leaves the slot empty again.
@@ -1007,27 +978,19 @@ impl ContinuousBatcher {
             }
         }
         // Admission rejects empty prompts and a hit stops short of the last
-        // token, so every suffix is non-empty and `last` is set for every
-        // row on the Ok path.
-        let suffixes: Vec<&[usize]> = rows.iter().map(|r| &r.prompt[r.hit..]).collect();
-        let longest = suffixes.iter().map(|s| s.len()).max().unwrap_or(0);
-        let chunk = self.opts.prefill_chunk.unwrap_or(longest).max(1);
-        let mut last: Vec<Vec<f32>> = vec![Vec::new(); rows.len()];
-        for start in (0..longest).step_by(chunk) {
-            let (at, pass): (Vec<usize>, Vec<(usize, &[usize])>) = (0..rows.len())
-                .filter(|&r| suffixes[r].len() > start)
-                .map(|r| (r, (rows[r].slot, &suffixes[r][start..suffixes[r].len().min(start + chunk)])))
-                .unzip();
-            let logits = self.engine.try_prefill_rows(&pass)?; // [pass.len(), l, V]
-            self.work.calls += 1;
-            let l = logits.dim(1);
-            for (p, (&r, (_, tokens))) in at.iter().zip(&pass).enumerate() {
-                if start + tokens.len() == suffixes[r].len() {
-                    let at = (p * l + tokens.len() - 1) * v;
-                    last[r] = logits.data()[at..at + v].to_vec();
-                }
-            }
-        }
+        // token, so every suffix is non-empty.
+        let pass: Vec<(usize, &[usize])> = rows.iter().map(|r| (r.slot, &r.prompt[r.hit..])).collect();
+        let logits = self.engine.try_prefill_rows(&pass)?; // [rows, l, V]
+        self.work.calls += 1;
+        let l = logits.dim(1);
+        let last: Vec<Vec<f32>> = pass
+            .iter()
+            .enumerate()
+            .map(|(r, (_, suffix))| {
+                let at = (r * l + suffix.len() - 1) * v;
+                logits.data()[at..at + v].to_vec()
+            })
+            .collect();
         for row in rows {
             if row.holds {
                 self.engine.register_slot(row.slot, row.prompt);
@@ -1039,7 +1002,7 @@ impl ContinuousBatcher {
         self.work.rows += pad;
         self.work.filler_rows += pad - rows.len();
         self.work.tokens_reused += rows.iter().map(|r| r.hit).sum::<usize>();
-        self.work.tokens_computed += suffixes.iter().map(|s| s.len()).sum::<usize>();
+        self.work.tokens_computed += pass.iter().map(|(_, s)| s.len()).sum::<usize>();
         Ok(last)
     }
 }

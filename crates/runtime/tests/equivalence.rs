@@ -236,28 +236,6 @@ fn generation_matches_reference_greedy() {
 }
 
 #[test]
-fn chunked_prefill_generation_matches_unchunked() {
-    use esti_runtime::GenerateOptions;
-    let model = ReferenceModel::init_random(ModelConfig::tiny(), 50);
-    let prompts: Vec<Vec<usize>> = (0..2).map(|b| vec![b + 1, b + 2, b + 3, b + 4, b + 5]).collect();
-    let layout = Layout {
-        ffn: FfnLayout::WeightStationary1D,
-        attn: AttnSharding::Batch,
-        mesh: MeshFactors::new(1, 2, 1),
-    };
-    let mut engine = PartitionedEngine::new(&model, layout, WeightFormat::Exact);
-    let whole = engine.generate(
-        &prompts,
-        &GenerateOptions { max_new_tokens: 4, ..GenerateOptions::default() },
-    );
-    let chunked = engine.generate(
-        &prompts,
-        &GenerateOptions { max_new_tokens: 4, prefill_chunk: Some(2), ..GenerateOptions::default() },
-    );
-    assert_eq!(whole, chunked);
-}
-
-#[test]
 #[should_panic(expected = "requires multiquery")]
 fn batch_sharding_rejected_for_multihead() {
     let model = ReferenceModel::init_random(ModelConfig::tiny_multihead(), 51);
@@ -452,7 +430,6 @@ fn n_samples_generation_diversifies_and_stays_consistent() {
             n_samples: 4,
             sampling: Sampling::TopK(8),
             seed: 11,
-            ..GenerateOptions::default()
         },
     );
     let first_prompt: Vec<_> = sampled[0..4].to_vec();

@@ -70,7 +70,6 @@ fn chip_executors_live_exactly_as_long_as_their_engine() {
     let opts = ServingOptions {
         max_decode_batch: 4,
         sampling: Sampling::Greedy,
-        prefill_chunk: None,
         ..ServingOptions::default()
     };
     let mut batcher = ContinuousBatcher::new(&model, layout, WeightFormat::Exact, opts);

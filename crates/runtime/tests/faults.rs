@@ -16,39 +16,19 @@
 use std::time::{Duration, Instant};
 
 use esti_collectives::FaultPlan;
-use esti_core::layout::{AttnSharding, FfnLayout, GatherExtent, Layout, MeshFactors};
+use esti_core::layout::{AttnSharding, FfnLayout, Layout, MeshFactors};
 use esti_core::serving::Priority;
 use esti_model::{ModelConfig, ReferenceModel};
 use esti_netsim::{crash_recovery_cost, LiveRequest, RecoveryModel};
 use esti_runtime::{
-    ContinuousBatcher, EngineError, PartitionedEngine, ServeError, ServingOptions,
+    ContinuousBatcher, EngineError, GenerateOptions, PartitionedEngine, ServeError, ServingOptions,
     ServingRequest, WeightFormat, DEFAULT_COLLECTIVE_DEADLINE,
 };
 use esti_tensor::sample::Sampling;
 use proptest::prelude::*;
 
-/// Every decode layout shape the runtime implements, on four chips.
-fn decode_layouts(attn: AttnSharding) -> Vec<Layout> {
-    vec![
-        Layout { ffn: FfnLayout::WeightStationary1D, attn, mesh: MeshFactors::new(1, 4, 1) },
-        Layout { ffn: FfnLayout::WeightStationary2D, attn, mesh: MeshFactors::new(2, 2, 1) },
-        Layout {
-            ffn: FfnLayout::WeightGathered(GatherExtent::Xyz),
-            attn,
-            mesh: MeshFactors::new(4, 1, 1),
-        },
-        Layout {
-            ffn: FfnLayout::WeightGathered(GatherExtent::X),
-            attn,
-            mesh: MeshFactors::new(2, 2, 1),
-        },
-        Layout {
-            ffn: FfnLayout::WeightGathered(GatherExtent::Xy),
-            attn,
-            mesh: MeshFactors::new(2, 2, 1),
-        },
-    ]
-}
+mod common;
+use common::decode_layouts;
 
 /// A deterministic variable-length workload (same shape as the fault-free
 /// conformance suite in `tests/serving.rs`).
@@ -69,7 +49,6 @@ fn batcher(model: &ReferenceModel, layout: Layout, cap: usize) -> ContinuousBatc
         ServingOptions {
         max_decode_batch: cap,
         sampling: Sampling::Greedy,
-        prefill_chunk: None,
         ..ServingOptions::default()
     };
     ContinuousBatcher::new(model, layout, WeightFormat::Exact, opts)
@@ -417,6 +396,67 @@ fn recovery_accounting_matches_the_netsim_model_exactly() {
     assert_eq!(rec.faults, 1);
     // Every request still completes in full.
     assert!(outcome.outputs.iter().all(|o| o.len() == 6));
+}
+
+#[test]
+fn a_crash_while_a_high_request_waits_admits_it_ahead_of_the_recovered_ones() {
+    // Two Normal requests hold both slots, preemption is off, and a High
+    // request due 20 µs in waits for a slot when the fourth decode step
+    // crashes. Recovery hands the two live requests back to the Normal
+    // queue, so the High one is admitted first, before either finishes.
+    // (Should it arrive in time for the first boundary instead, the High
+    // request itself is one of the two live ones: same prompt length, same
+    // progress, so every assertion below still holds.)
+    let model = ReferenceModel::init_random(ModelConfig::tiny(), 7);
+    let layout = decode_layouts(AttnSharding::Head)[0];
+    let vocab = model.config().vocab;
+    let request = |i: usize, arrival: f64, priority: Priority| ServingRequest {
+        prompt: (0..3).map(|t| (2 + 5 * i + 7 * t) % vocab).collect(),
+        max_new_tokens: 12,
+        seed: 70 + i as u64,
+        arrival,
+        priority,
+    };
+    let requests = vec![
+        request(0, 0.0, Priority::Normal),
+        request(1, 0.0, Priority::Normal),
+        request(2, 20e-6, Priority::High),
+    ];
+    let opts = ServingOptions { max_decode_batch: 2, preemption: false, ..ServingOptions::default() };
+    let serve = |fault: Option<usize>| {
+        let mut b = ContinuousBatcher::new(&model, layout, WeightFormat::Exact, opts);
+        if let Some(at) = fault {
+            b.schedule_decode_fault(at, FaultPlan::new().crash(1, 0));
+        }
+        b.try_serve(&requests).unwrap()
+    };
+    let baseline = serve(None);
+    let outcome = serve(Some(3));
+
+    let mut isolated = PartitionedEngine::new(&model, layout, WeightFormat::Exact);
+    for (i, req) in requests.iter().enumerate() {
+        let opts = GenerateOptions { max_new_tokens: req.max_new_tokens, seed: req.seed, ..GenerateOptions::default() };
+        let expect = isolated.generate(std::slice::from_ref(&req.prompt), &opts).swap_remove(0);
+        assert_eq!(outcome.outputs[i], expect, "request {i} diverged from its isolated run");
+    }
+    let at = |i: usize| &outcome.report.requests[i];
+    assert!(at(2).prefilled < at(0).finished.min(at(1).finished), "the High request waited out a Normal one");
+
+    // Both live requests had emitted 1 + 3 tokens of 3-token prompts.
+    let live = [LiveRequest { prompt_len: 3, emitted: 4 }; 2];
+    let model = RecoveryModel { detection_s: 0.0, rebuild_s: 0.05, prefill_tokens_per_s: 1e4, step_s: 1e-3 };
+    let cost = crash_recovery_cost(&live, &model);
+    let rec = outcome.report.recovery;
+    assert_eq!(rec.faults, 1);
+    assert_eq!(
+        (rec.requests_replayed, rec.prefill_tokens_replayed, rec.decode_tokens_replayed, rec.steps_lost),
+        (cost.requests_replayed, cost.prefill_tokens_replayed, cost.decode_tokens_replayed, cost.steps_lost)
+    );
+    // A recovered request is re-admitted, not preempted.
+    assert_eq!(
+        (outcome.preemptions, outcome.preempted_tokens_replayed),
+        (baseline.preemptions, baseline.preempted_tokens_replayed)
+    );
 }
 
 proptest! {

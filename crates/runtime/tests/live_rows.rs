@@ -16,32 +16,12 @@ use esti_runtime::{
 };
 use proptest::prelude::*;
 
+mod common;
+use common::decode_layouts;
+
 const SLOTS: usize = 8;
 /// Small pages, so one step takes some rows across a page boundary.
 const PAGE: usize = 4;
-
-/// Every decode layout shape the runtime implements, on four chips.
-fn decode_layouts(attn: AttnSharding) -> Vec<Layout> {
-    vec![
-        Layout { ffn: FfnLayout::WeightStationary1D, attn, mesh: MeshFactors::new(1, 4, 1) },
-        Layout { ffn: FfnLayout::WeightStationary2D, attn, mesh: MeshFactors::new(2, 2, 1) },
-        Layout {
-            ffn: FfnLayout::WeightGathered(GatherExtent::Xyz),
-            attn,
-            mesh: MeshFactors::new(4, 1, 1),
-        },
-        Layout {
-            ffn: FfnLayout::WeightGathered(GatherExtent::X),
-            attn,
-            mesh: MeshFactors::new(2, 2, 1),
-        },
-        Layout {
-            ffn: FfnLayout::WeightGathered(GatherExtent::Xy),
-            attn,
-            mesh: MeshFactors::new(2, 2, 1),
-        },
-    ]
-}
 
 /// Layout × model × weight format: the five layouts under multiquery
 /// head-sharded, multiquery batch-sharded and multihead (serial block,

@@ -36,7 +36,6 @@ fn opts(cap: usize) -> ServingOptions {
     ServingOptions {
         max_decode_batch: cap,
         sampling: Sampling::Greedy,
-        prefill_chunk: None,
         ..ServingOptions::default()
     }
 }

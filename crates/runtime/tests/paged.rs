@@ -7,7 +7,7 @@
 //! page-granular admission fits strictly more concurrent requests into a KV
 //! position budget than a dense reservation per slot would.
 
-use esti_core::layout::{AttnSharding, FfnLayout, GatherExtent, Layout, MeshFactors};
+use esti_core::layout::{AttnSharding, FfnLayout, Layout, MeshFactors};
 use esti_core::serving::Priority;
 use esti_model::{ModelConfig, ReferenceModel};
 use esti_runtime::{
@@ -17,28 +17,8 @@ use esti_runtime::{
 use esti_tensor::sample::Sampling;
 use proptest::prelude::*;
 
-/// Every decode layout shape the runtime implements, on four chips.
-fn decode_layouts(attn: AttnSharding) -> Vec<Layout> {
-    vec![
-        Layout { ffn: FfnLayout::WeightStationary1D, attn, mesh: MeshFactors::new(1, 4, 1) },
-        Layout { ffn: FfnLayout::WeightStationary2D, attn, mesh: MeshFactors::new(2, 2, 1) },
-        Layout {
-            ffn: FfnLayout::WeightGathered(GatherExtent::Xyz),
-            attn,
-            mesh: MeshFactors::new(4, 1, 1),
-        },
-        Layout {
-            ffn: FfnLayout::WeightGathered(GatherExtent::X),
-            attn,
-            mesh: MeshFactors::new(2, 2, 1),
-        },
-        Layout {
-            ffn: FfnLayout::WeightGathered(GatherExtent::Xy),
-            attn,
-            mesh: MeshFactors::new(2, 2, 1),
-        },
-    ]
-}
+mod common;
+use common::decode_layouts;
 
 /// A shared-prefix fleet: every prompt opens with the same `shared`-token
 /// prefix (a system prompt) followed by a per-request unique tail.

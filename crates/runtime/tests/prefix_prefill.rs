@@ -7,7 +7,7 @@
 //! reports having done.
 
 use esti_collectives::FaultPlan;
-use esti_core::layout::{AttnSharding, FfnLayout, GatherExtent, Layout, MeshFactors};
+use esti_core::layout::{AttnSharding, Layout};
 use esti_model::{ModelConfig, ReferenceModel};
 use esti_runtime::{
     ContinuousBatcher, GenerateOptions, PartitionedEngine, RequestKv, ServingOptions,
@@ -15,32 +15,12 @@ use esti_runtime::{
 };
 use proptest::prelude::*;
 
+mod common;
+use common::decode_layouts;
+
 /// Positions per KV page in these tests: small enough that the tiny models'
 /// prompts span several whole pages.
 const PAGE: usize = 4;
-
-/// Every decode layout shape the runtime implements, on four chips.
-fn decode_layouts(attn: AttnSharding) -> Vec<Layout> {
-    vec![
-        Layout { ffn: FfnLayout::WeightStationary1D, attn, mesh: MeshFactors::new(1, 4, 1) },
-        Layout { ffn: FfnLayout::WeightStationary2D, attn, mesh: MeshFactors::new(2, 2, 1) },
-        Layout {
-            ffn: FfnLayout::WeightGathered(GatherExtent::Xyz),
-            attn,
-            mesh: MeshFactors::new(4, 1, 1),
-        },
-        Layout {
-            ffn: FfnLayout::WeightGathered(GatherExtent::X),
-            attn,
-            mesh: MeshFactors::new(2, 2, 1),
-        },
-        Layout {
-            ffn: FfnLayout::WeightGathered(GatherExtent::Xy),
-            attn,
-            mesh: MeshFactors::new(2, 2, 1),
-        },
-    ]
-}
 
 /// The three model × attention-sharding variants every layout is run under:
 /// multiquery head-sharded, multiquery batch-sharded, and multihead (serial
@@ -81,10 +61,9 @@ fn shared_prefix_workload(
         .collect()
 }
 
-fn paged_opts(cap: usize, prefill_chunk: Option<usize>) -> ServingOptions {
+fn paged_opts(cap: usize) -> ServingOptions {
     ServingOptions {
         max_decode_batch: cap,
-        prefill_chunk,
         kv_page_size: Some(PAGE),
         ..ServingOptions::default()
     }
@@ -96,7 +75,6 @@ fn isolated_streams(
     model: &ReferenceModel,
     layout: Layout,
     requests: &[ServingRequest],
-    prefill_chunk: Option<usize>,
 ) -> Vec<Vec<usize>> {
     let mut engine = PartitionedEngine::new(model, layout, WeightFormat::Exact);
     let pad = engine.min_batch();
@@ -106,7 +84,6 @@ fn isolated_streams(
             let opts = GenerateOptions {
                 max_new_tokens: req.max_new_tokens,
                 seed: req.seed,
-                prefill_chunk,
                 ..GenerateOptions::default()
             };
             engine.generate(&vec![req.prompt.clone(); pad], &opts).swap_remove(0)
@@ -266,7 +243,7 @@ fn serve_and_check(
     let mut batcher = ContinuousBatcher::new(model, layout, WeightFormat::Exact, opts);
     arm(&mut batcher);
     let outcome = batcher.try_serve(requests).unwrap();
-    let expect = isolated_streams(model, layout, requests, opts.prefill_chunk);
+    let expect = isolated_streams(model, layout, requests);
     for (i, (got, want)) in outcome.outputs.iter().zip(&expect).enumerate() {
         assert_eq!(got, want, "{} request {i} diverged from its isolated run", layout.describe());
     }
@@ -281,7 +258,7 @@ fn a_hit_survives_the_eviction_of_its_donor() {
     // replayed request 0 — the donor it had is gone, the hit is not.
     let model = ReferenceModel::init_random(ModelConfig::tiny(), 33);
     let requests = shared_prefix_workload(model.config().vocab, 2 * PAGE, &[3, 1, 2, 5], 6);
-    let outcome = serve_and_check(&model, ws1d_head(), paged_opts(2, None), &requests, |b| {
+    let outcome = serve_and_check(&model, ws1d_head(), paged_opts(2), &requests, |b| {
         b.schedule_preemptions(&[(1, 0), (1, 1)]);
     });
     assert_eq!(outcome.preemptions, 2);
@@ -297,11 +274,12 @@ fn a_decode_crash_replays_through_seeded_groups() {
     // Eight slots on a four-row prefill tier: two groups at admission (the
     // first's three followers seeded from its leader, the second seeded
     // from the first) and, after the crash at step 2 with all eight still
-    // live, the same two groups again on the rebuilt tier.
+    // live, all eight re-admitted in slot order as two such groups again on
+    // the rebuilt tier.
     let model = ReferenceModel::init_random(ModelConfig::tiny(), 34);
     let tails = [3, 1, 2, 5, 4, 1, 6, 2];
     let requests = shared_prefix_workload(model.config().vocab, 2 * PAGE, &tails, 5);
-    let outcome = serve_and_check(&model, ws2d_batch(), paged_opts(8, Some(3)), &requests, |b| {
+    let outcome = serve_and_check(&model, ws2d_batch(), paged_opts(8), &requests, |b| {
         b.schedule_decode_fault(2, FaultPlan::new().crash(1, 0));
     });
     assert_eq!(outcome.report.recovery.faults, 1);
@@ -317,12 +295,13 @@ fn a_decode_crash_replays_through_seeded_groups() {
 fn a_prefill_fault_on_a_seeded_group_reseeds_and_retries() {
     // ws1d × head runs one all-reduce per layer, so chip 0's collective #2
     // is the first of the second prefill call: request 1's seeded group.
-    // Request 0 is live in its slot by then, so the rebuilt engine replays
-    // it before request 1 is admitted (and seeded from it) again.
+    // Request 0 is live in its slot by then, so it goes back to the queue
+    // ahead of request 1 and is re-admitted first; request 1 is seeded from
+    // it again.
     let model = ReferenceModel::init_random(ModelConfig::tiny(), 35);
     assert_eq!(model.config().n_layers, 2);
     let requests = shared_prefix_workload(model.config().vocab, 2 * PAGE, &[3, 1, 2], 4);
-    let opts = paged_opts(4, None);
+    let opts = paged_opts(4);
     let baseline = serve_and_check(&model, ws1d_head(), opts, &requests, |_| {});
     let outcome = serve_and_check(&model, ws1d_head(), opts, &requests, |b| {
         b.inject_prefill_fault(FaultPlan::new().crash(0, 2));
@@ -366,7 +345,7 @@ fn padding_never_runs_a_row_past_the_position_table() {
         requests.push(ServingRequest::immediate(long, 2));
         requests.push(ServingRequest::immediate((0..20).map(|t| (7 + 2 * t) % vocab).collect(), 2));
         assert!(requests.iter().all(|r| r.prompt.len() + r.max_new_tokens <= max_seq));
-        let outcome = serve_and_check(&model, layout, paged_opts(2 * pad, None), &requests, |_| {});
+        let outcome = serve_and_check(&model, layout, paged_opts(2 * pad), &requests, |_| {});
         assert_eq!(outcome.prefill.tokens_reused, 56, "{}", layout.describe());
         let calls = outcome.prefill.calls;
         assert_eq!(calls, 2, "{}: one call per group", layout.describe());
@@ -377,7 +356,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Ragged shared-prefix workloads on any layout, page-aligned prefix or
-    /// not, chunked or not: streams equal isolated `generate` with no chaos,
+    /// not: streams equal isolated `generate` with no chaos,
     /// with the lowest slot (every later prompt's donor) preempted between
     /// admissions, with a decode-tier crash, and with a prefill-tier crash
     /// wherever the seed lands it.
@@ -386,7 +365,6 @@ proptest! {
         variant in 0usize..3,
         layout_idx in 0usize..5,
         shared in 0usize..14,
-        chunk_code in 0usize..3,
         chaos in 0usize..4,
         seed in 0u64..500,
         // Each code packs a (unique-tail length, max_new) pair.
@@ -408,8 +386,7 @@ proptest! {
             .collect();
         let pad = PartitionedEngine::new(&model, layout, WeightFormat::Exact).min_batch();
         let cap = pad.max(2);
-        let chunk = (chunk_code > 0).then_some(1 + chunk_code);
-        let outcome = serve_and_check(&model, layout, paged_opts(cap, chunk), &requests, |b| {
+        let outcome = serve_and_check(&model, layout, paged_opts(cap), &requests, |b| {
             match chaos {
                 1 => b.schedule_preemptions(&[(1, 0), (2, seed as usize % cap), (3, 0)]),
                 2 => {
@@ -444,7 +421,7 @@ fn only_the_first_group_behind_a_prefix_computes_it() {
     let (n, p, suffixes) = (tails.len(), 3 * PAGE, tails.iter().sum::<usize>());
     let requests = shared_prefix_workload(model.config().vocab, p, &tails, 3);
     // One row per group: the first request is the cold group.
-    let one = serve_and_check(&model, ws1d_head(), paged_opts(12, None), &requests, |_| {}).prefill;
+    let one = serve_and_check(&model, ws1d_head(), paged_opts(12), &requests, |_| {}).prefill;
     assert_eq!(one.tokens_computed, p + suffixes, "not {}", n * p + suffixes);
     assert_eq!(one.tokens_reused, (n - 1) * p);
     assert_eq!((one.calls, one.rows, one.filler_rows), (n, n, 0));
@@ -453,7 +430,7 @@ fn only_the_first_group_behind_a_prefix_computes_it() {
     // the next call (one filler row), and the last group of two carries two
     // filler rows.
     let four =
-        serve_and_check(&model, ws2d_batch(), paged_opts(12, None), &requests, |_| {}).prefill;
+        serve_and_check(&model, ws2d_batch(), paged_opts(12), &requests, |_| {}).prefill;
     assert_eq!(four.tokens_computed, p + suffixes);
     assert_eq!(four.tokens_reused, (n - 1) * p);
     assert_eq!((four.calls, four.rows, four.filler_rows), (4, 16, 6));
@@ -462,7 +439,7 @@ fn only_the_first_group_behind_a_prefix_computes_it() {
 #[test]
 fn unshared_prompts_run_exactly_the_parents_calls() {
     // No two prompts share a page, one row per group: every admission runs
-    // its whole prompt in `ceil(len / chunk)` calls, as it always did.
+    // its whole prompt in one call, as it always did.
     let model = ReferenceModel::init_random(ModelConfig::tiny(), 38);
     let vocab = model.config().vocab;
     let requests: Vec<ServingRequest> = (0..6)
@@ -471,15 +448,10 @@ fn unshared_prompts_run_exactly_the_parents_calls() {
             ServingRequest::immediate(prompt, 3)
         })
         .collect();
-    for chunk in [None, Some(4)] {
-        let work =
-            serve_and_check(&model, ws1d_head(), paged_opts(3, chunk), &requests, |_| {}).prefill;
-        let calls: usize =
-            requests.iter().map(|r| r.prompt.len().div_ceil(chunk.unwrap_or(usize::MAX))).sum();
-        assert_eq!(work.calls, calls);
-        assert_eq!(work.tokens_computed, total_prompt_tokens(&requests));
-        assert_eq!((work.tokens_reused, work.rows, work.filler_rows), (0, 6, 0));
-    }
+    let work = serve_and_check(&model, ws1d_head(), paged_opts(3), &requests, |_| {}).prefill;
+    assert_eq!(work.calls, requests.len());
+    assert_eq!(work.tokens_computed, total_prompt_tokens(&requests));
+    assert_eq!((work.tokens_reused, work.rows, work.filler_rows), (0, 6, 0));
 }
 
 #[test]
@@ -501,7 +473,7 @@ fn the_one_pool_reuses_freed_pages() {
     };
     let pages = |b: &ContinuousBatcher| b.engine().kv_page_stats().expect("one pool");
     let mut batcher =
-        ContinuousBatcher::new(&model, ws1d_head(), WeightFormat::Exact, paged_opts(2, None));
+        ContinuousBatcher::new(&model, ws1d_head(), WeightFormat::Exact, paged_opts(2));
     batcher.try_serve(&cold(1)).unwrap();
     let one = pages(&batcher).pages_allocated;
     assert_eq!(one, 10usize.div_ceil(PAGE));
@@ -523,7 +495,7 @@ fn a_full_backlog_on_ws2d_batch_runs_four_calls_of_four_rows() {
             ServingRequest { seed: 500 + i as u64, ..ServingRequest::immediate(prompt, 3) }
         })
         .collect();
-    let work = serve_and_check(&model, ws2d_batch(), paged_opts(16, None), &requests, |_| {}).prefill;
+    let work = serve_and_check(&model, ws2d_batch(), paged_opts(16), &requests, |_| {}).prefill;
     assert_eq!((work.calls, work.rows, work.filler_rows, work.tokens_reused), (4, 16, 0, 0), "{work:?}");
 }
 
@@ -544,19 +516,14 @@ fn a_span_with_no_empty_slot_pads_from_its_scratch_row() {
             ServingRequest { seed: 600 + i as u64, ..ServingRequest::immediate(prompt, max_new) }
         })
         .collect();
-    for chunk in [None, Some(2)] {
-        let opts = paged_opts(8, chunk);
-        let mut batcher = ContinuousBatcher::new(&model, ws2d_batch(), WeightFormat::Exact, opts);
-        let outcome = batcher.try_serve(&requests).unwrap();
-        assert_eq!(outcome.outputs, isolated_streams(&model, ws2d_batch(), &requests, chunk), "chunk {chunk:?}");
-        // Three calls of four rows; the one filler row is span 0's scratch.
-        let work = outcome.prefill;
-        assert_eq!((work.rows, work.filler_rows), (12, 1), "chunk {chunk:?}: {work:?}");
-        if chunk.is_none() {
-            assert_eq!(work.calls, 3);
-        }
-        let twin = ContinuousBatcher::new(&model, ws2d_batch(), WeightFormat::Exact, opts);
-        let live = |b: &ContinuousBatcher| b.engine().kv_page_stats().expect("one pool").pages_live;
-        assert_eq!(live(&batcher), live(&twin), "chunk {chunk:?}: the pool is back where it started");
-    }
+    let opts = paged_opts(8);
+    let mut batcher = ContinuousBatcher::new(&model, ws2d_batch(), WeightFormat::Exact, opts);
+    let outcome = batcher.try_serve(&requests).unwrap();
+    assert_eq!(outcome.outputs, isolated_streams(&model, ws2d_batch(), &requests));
+    // Three calls of four rows; the one filler row is span 0's scratch.
+    let work = outcome.prefill;
+    assert_eq!((work.rows, work.filler_rows, work.calls), (12, 1, 3), "{work:?}");
+    let twin = ContinuousBatcher::new(&model, ws2d_batch(), WeightFormat::Exact, opts);
+    let live = |b: &ContinuousBatcher| b.engine().kv_page_stats().expect("one pool").pages_live;
+    assert_eq!(live(&batcher), live(&twin), "the pool is back where it started");
 }

@@ -7,7 +7,7 @@
 //! falsifiable: batching requests together changes *when* tokens appear,
 //! never *which* tokens appear.
 
-use esti_core::layout::{AttnSharding, FfnLayout, GatherExtent, Layout, MeshFactors};
+use esti_core::layout::{AttnSharding, FfnLayout, Layout, MeshFactors};
 use esti_core::serving::{
     simulate_trace, ArrivalProcess, ArrivalTrace, LengthDist, OverloadPolicy, Priority, ServingConfig,
     TraceSpec,
@@ -22,28 +22,8 @@ use esti_runtime::{
 use esti_tensor::sample::Sampling;
 use proptest::prelude::*;
 
-/// Every decode layout shape the runtime implements, on four chips.
-fn decode_layouts(attn: AttnSharding) -> Vec<Layout> {
-    vec![
-        Layout { ffn: FfnLayout::WeightStationary1D, attn, mesh: MeshFactors::new(1, 4, 1) },
-        Layout { ffn: FfnLayout::WeightStationary2D, attn, mesh: MeshFactors::new(2, 2, 1) },
-        Layout {
-            ffn: FfnLayout::WeightGathered(GatherExtent::Xyz),
-            attn,
-            mesh: MeshFactors::new(4, 1, 1),
-        },
-        Layout {
-            ffn: FfnLayout::WeightGathered(GatherExtent::X),
-            attn,
-            mesh: MeshFactors::new(2, 2, 1),
-        },
-        Layout {
-            ffn: FfnLayout::WeightGathered(GatherExtent::Xy),
-            attn,
-            mesh: MeshFactors::new(2, 2, 1),
-        },
-    ]
-}
+mod common;
+use common::decode_layouts;
 
 /// A deterministic variable-length workload: more requests than the cap can
 /// hold, staggered generation lengths, so late requests are admitted
@@ -66,14 +46,12 @@ fn isolated_tokens(
     engine: &mut PartitionedEngine,
     req: &ServingRequest,
     sampling: Sampling,
-    prefill_chunk: Option<usize>,
 ) -> Vec<usize> {
     let pad = engine.min_batch();
     let opts = GenerateOptions {
         max_new_tokens: req.max_new_tokens,
         sampling,
         seed: req.seed,
-        prefill_chunk,
         n_samples: 1,
     };
     let prompts = vec![req.prompt.clone(); pad];
@@ -82,21 +60,20 @@ fn isolated_tokens(
 
 /// The conformance check: serve a workload through the scheduler, then
 /// replay each request in isolation and demand identical token streams.
-fn check_conformance(model: &ReferenceModel, layout: Layout, prefill_chunk: Option<usize>) {
+fn check_conformance(model: &ReferenceModel, layout: Layout) {
     let mut isolated = PartitionedEngine::new(model, layout, WeightFormat::Exact);
     let cap = isolated.min_batch().max(2);
     let requests = workload(cap + 2, model.config().vocab);
     let opts = ServingOptions {
         max_decode_batch: cap,
         sampling: Sampling::Greedy,
-        prefill_chunk,
         ..ServingOptions::default()
     };
     let mut batcher = ContinuousBatcher::new(model, layout, WeightFormat::Exact, opts);
     let outcome = batcher.try_serve(&requests).unwrap();
     assert_eq!(outcome.outputs.len(), requests.len());
     for (i, req) in requests.iter().enumerate() {
-        let expect = isolated_tokens(&mut isolated, req, Sampling::Greedy, prefill_chunk);
+        let expect = isolated_tokens(&mut isolated, req, Sampling::Greedy);
         assert_eq!(
             outcome.outputs[i],
             expect,
@@ -113,7 +90,7 @@ fn scheduler_matches_isolated_generate_multiquery() {
     let model = ReferenceModel::init_random(ModelConfig::tiny(), 7);
     for attn in [AttnSharding::Head, AttnSharding::Batch] {
         for layout in decode_layouts(attn) {
-            check_conformance(&model, layout, None);
+            check_conformance(&model, layout);
         }
     }
 }
@@ -124,29 +101,7 @@ fn scheduler_matches_isolated_generate_multihead() {
     // head-sharded attention, as in the equivalence suite.
     let model = ReferenceModel::init_random(ModelConfig::tiny_multihead(), 8);
     for layout in decode_layouts(AttnSharding::Head) {
-        check_conformance(&model, layout, None);
-    }
-}
-
-#[test]
-fn scheduler_conformance_survives_chunked_prefill() {
-    // Incremental prefill (Section 4.2's latency knob) must not change any
-    // request's tokens — on a layout that pads prefill batches, too.
-    let model = ReferenceModel::init_random(ModelConfig::tiny(), 9);
-    let layouts = [
-        Layout {
-            ffn: FfnLayout::WeightStationary1D,
-            attn: AttnSharding::Head,
-            mesh: MeshFactors::new(1, 4, 1),
-        },
-        Layout {
-            ffn: FfnLayout::WeightGathered(GatherExtent::Xyz),
-            attn: AttnSharding::Batch,
-            mesh: MeshFactors::new(4, 1, 1),
-        },
-    ];
-    for layout in layouts {
-        check_conformance(&model, layout, Some(2));
+        check_conformance(&model, layout);
     }
 }
 
@@ -166,7 +121,6 @@ fn stochastic_streams_match_isolated_batch1() {
     let opts = ServingOptions {
         max_decode_batch: 3,
         sampling,
-        prefill_chunk: None,
         ..ServingOptions::default()
     };
     let mut batcher = ContinuousBatcher::new(&model, layout, WeightFormat::Exact, opts);
@@ -174,7 +128,7 @@ fn stochastic_streams_match_isolated_batch1() {
     let mut isolated = PartitionedEngine::new(&model, layout, WeightFormat::Exact);
     assert_eq!(isolated.min_batch(), 1, "stochastic conformance needs a batch-1 isolated run");
     for (i, req) in requests.iter().enumerate() {
-        let expect = isolated_tokens(&mut isolated, req, sampling, None);
+        let expect = isolated_tokens(&mut isolated, req, sampling);
         assert_eq!(outcome.outputs[i], expect, "stochastic request {i} diverged");
     }
 }
@@ -202,7 +156,7 @@ fn zero_and_one_token_requests_are_served() {
     assert_eq!(outcome.outputs[1].len(), 1);
     assert_eq!(outcome.outputs[2].len(), 3);
     for (i, req) in requests.iter().enumerate().skip(1) {
-        let expect = isolated_tokens(&mut isolated, req, Sampling::Greedy, None);
+        let expect = isolated_tokens(&mut isolated, req, Sampling::Greedy);
         assert_eq!(outcome.outputs[i], expect);
     }
     let r = &outcome.report.requests[0];
@@ -233,7 +187,7 @@ fn arrivals_gate_admission() {
     // And gating never changes tokens.
     let mut isolated = PartitionedEngine::new(&model, layout, WeightFormat::Exact);
     for (i, req) in requests.iter().enumerate() {
-        let expect = isolated_tokens(&mut isolated, req, Sampling::Greedy, None);
+        let expect = isolated_tokens(&mut isolated, req, Sampling::Greedy);
         assert_eq!(outcome.outputs[i], expect);
     }
 }
@@ -345,14 +299,13 @@ proptest! {
         let opts = ServingOptions {
             max_decode_batch: cap,
             sampling: Sampling::Greedy,
-            prefill_chunk: None,
             ..ServingOptions::default()
         };
         let mut batcher = ContinuousBatcher::new(&model, layout, WeightFormat::Exact, opts);
         let outcome = batcher.try_serve(&requests).unwrap();
         let mut isolated = PartitionedEngine::new(&model, layout, WeightFormat::Exact);
         for (i, req) in requests.iter().enumerate() {
-            let expect = isolated_tokens(&mut isolated, req, Sampling::Greedy, None);
+            let expect = isolated_tokens(&mut isolated, req, Sampling::Greedy);
             prop_assert_eq!(&outcome.outputs[i], &expect, "request {} diverged", i);
         }
     }

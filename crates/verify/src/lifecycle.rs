@@ -28,7 +28,7 @@
 use std::collections::VecDeque;
 use std::fmt;
 
-use esti_core::scheduler::{Advance, Decision, Job, PageLedger, Scheduler};
+use esti_core::scheduler::{Admission, Advance, Decision, Job, PageLedger, Scheduler};
 use esti_core::serving::{OverloadPolicy, Priority};
 use esti_runtime::BatcherSpec;
 
@@ -97,7 +97,7 @@ pub struct Trace {
     pub faults_at: Vec<usize>,
     /// Successful-step counts at which a boundary's prefill call fails (the
     /// first boundary with an admission at or after it): its group is
-    /// requeued and the live slots replay, as in `ContinuousBatcher`.
+    /// requeued, then every live slot ahead of it, as in `ContinuousBatcher`.
     pub prefill_faults_at: Vec<usize>,
     /// Successful-step counts at which the serving replica drains: every
     /// in-flight request is re-queued (recording intact) for re-dispatch,
@@ -115,8 +115,8 @@ pub enum Defect {
     /// The last-but-one `Emitted` becomes `Finished`: the slot frees one
     /// token early.
     EvictIncomplete,
-    /// The first `Replayed(1)` after a restart becomes `Replayed(0)`: the
-    /// replay rewinds onto the prefill-produced token 0.
+    /// The first `Replayed(1)` after a recovery's re-admission becomes
+    /// `Replayed(0)`: the replay rewinds onto the prefill-produced token 0.
     ReplayRewind,
     /// Recovery proceeds past [`BatcherSpec::max_recoveries`].
     IgnoreBudget,
@@ -303,7 +303,8 @@ struct Held {
     /// Stream position the slot's next decode step produces: 1 after any
     /// prefill (which derives token 0), then one more per step.
     pos: usize,
-    /// A preempted or drained request re-admitted, before its first step.
+    /// A preempted, drained or recovered request re-admitted, before its
+    /// first step.
     resumed: bool,
 }
 
@@ -500,7 +501,9 @@ pub fn run_trace(
         }
 
         // A failed prefill or decode call: the engine rebuilds and every
-        // live slot replays from position 1.
+        // live slot goes back to the front of its queue, last slot first so
+        // the queue keeps slot order, to be re-admitted and replayed like a
+        // drained one (but not counted as a preemption).
         faults_used += 1;
         if faults_used > spec.max_recoveries {
             if defect == Some(Defect::IgnoreBudget) {
@@ -510,10 +513,11 @@ pub fn run_trace(
             return Ok(TraceOutcome::RecoveryLimit { faults: faults_used });
         }
         recoveries += 1;
-        core.restart();
         rewind = true;
-        for h in held.iter_mut().flatten() {
-            h.pos = 1;
+        for slot in (0..spec.slots).rev() {
+            if let Some(h) = held[slot].take() {
+                core.requeue(&Admission { idx: h.idx, slot, holds: true });
+            }
         }
     }
 
@@ -611,6 +615,9 @@ fn builtin_traces(spec: &BatcherSpec) -> Vec<Trace> {
         reqs.push(AbstractRequest::new(3).with_priority(Priority::High).arriving_at(1));
         traces.push(trace(reqs, faults, vec![]));
     }
+    // Faults while a high request waits: the rebuilt engine admits it
+    // ahead of the recovered low fleet.
+    traces.push(high_waits_at_a_fault(spec));
     // Three classes with staggered arrivals: the late high jumps the late
     // low in the queue.
     let mut mixed = vec![AbstractRequest::new(4); s];
@@ -646,6 +653,17 @@ fn builtin_traces(spec: &BatcherSpec) -> Vec<Trace> {
     pooled_preempt.push(fleet(&[3])[0].with_priority(Priority::High).arriving_at(1));
     traces.push(trace(pooled_preempt, vec![], vec![]));
     traces
+}
+
+/// A low fleet filling every slot, a high request arriving after one step,
+/// a failed prefill call at that boundary (the high one's, once it has
+/// preempted a victim) and a failed decode step after the next (while,
+/// without preemption, it still waits).
+fn high_waits_at_a_fault(spec: &BatcherSpec) -> Trace {
+    let mut requests: Vec<AbstractRequest> =
+        (0..spec.slots).map(|_| AbstractRequest::new(6).with_priority(Priority::Low)).collect();
+    requests.push(AbstractRequest::new(3).with_priority(Priority::High).arriving_at(1));
+    Trace { requests, faults_at: vec![2], prefill_faults_at: vec![1], ..Trace::default() }
 }
 
 /// Drive the scheduler core configured by `spec` over the builtin bounded
@@ -739,6 +757,22 @@ mod tests {
         match run_trace(&spec(), &t, None).unwrap() {
             TraceOutcome::Completed { recoveries, .. } => assert_eq!(recoveries, 1),
             other => panic!("expected completion, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_high_request_waiting_at_a_fault_completes_with_the_recovered_fleet() {
+        // With preemption the high request's failed prefill requeues it
+        // behind one victim; without, it waits out the failed step. Either
+        // way both faults recover and recovery preempts nobody.
+        for (preemption, victims) in [(true, 1), (false, 0)] {
+            let s = BatcherSpec { preemption, ..spec() };
+            match run_trace(&s, &high_waits_at_a_fault(&s), None).unwrap() {
+                TraceOutcome::Completed { recoveries, preemptions, .. } => {
+                    assert_eq!((recoveries, preemptions), (2, victims), "preemption {preemption}");
+                }
+                other => panic!("expected completion, got {other:?}"),
+            }
         }
     }
 

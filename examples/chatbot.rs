@@ -61,8 +61,8 @@ fn main() {
     let layout = decode_layout_for_batch(tiny.config(), &machine4, 4);
     let mut engine = PartitionedEngine::new(&tiny, layout, WeightFormat::Int8);
 
-    // A "conversation": history tokens prefilled in chunks (incremental
-    // prefill), then the reply decoded token by token.
+    // A "conversation": history tokens prefilled in one pass, then the
+    // reply decoded token by token.
     let conversation: Vec<Vec<usize>> = (0..4)
         .map(|b| (0..12).map(|t| (b * 12 + t) % 40).collect())
         .collect();
@@ -72,7 +72,6 @@ fn main() {
             max_new_tokens: 5,
             sampling: Sampling::TopK(4),
             seed: 7,
-            prefill_chunk: Some(4), // three incremental prefill chunks
             ..GenerateOptions::default()
         },
     );
