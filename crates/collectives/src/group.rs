@@ -475,11 +475,6 @@ impl CommGroup {
         *self.fault.borrow_mut() = Some(FaultArm { state, chip });
     }
 
-    /// Disarms any fault plan on this handle.
-    pub fn clear_faults(&self) {
-        *self.fault.borrow_mut() = None;
-    }
-
     /// Marks the group dead because global chip `chip` crashed and wakes
     /// every member blocked in a collective; they surface
     /// [`CollectiveError::PeerCrashed`](crate::CollectiveError::PeerCrashed).

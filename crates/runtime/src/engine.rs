@@ -338,19 +338,14 @@ impl PartitionedEngine {
         engine
     }
 
-    /// Calls `f` on every group handle of every chip.
-    fn for_each_group(&self, f: impl Fn(&CommGroup)) {
-        for g in self.chips.iter().flat_map(|c| &c.groups) {
-            f(g);
-        }
-    }
-
     /// Sets the deadline every collective waits under (`None` blocks
     /// forever, the pre-fault-model behavior). A fresh engine starts at
     /// [`DEFAULT_COLLECTIVE_DEADLINE`].
     pub fn set_collective_deadline(&mut self, deadline: Option<Duration>) {
         self.deadline = deadline;
-        self.for_each_group(|g| g.set_deadline(deadline));
+        for g in self.chips.iter().flat_map(|c| &c.groups) {
+            g.set_deadline(deadline);
+        }
     }
 
     /// The deadline collectives currently wait under.
@@ -425,11 +420,6 @@ impl PartitionedEngine {
         }
     }
 
-    /// Disarms any injected fault plan.
-    pub fn clear_faults(&mut self) {
-        self.for_each_group(CommGroup::clear_faults);
-    }
-
     /// True once a step has failed: the engine's distributed state is
     /// unrecoverable and it must be rebuilt (see [`EngineError::Poisoned`]).
     #[must_use]
@@ -441,12 +431,6 @@ impl PartitionedEngine {
     #[must_use]
     pub fn config(&self) -> &ModelConfig {
         &self.cfg
-    }
-
-    /// The layout this engine executes.
-    #[must_use]
-    pub fn layout(&self) -> Layout {
-        self.layout
     }
 
     /// Number of simulated chips.
@@ -1845,7 +1829,7 @@ mod tests {
         }
     }
 
-    /// Every built-in ffn layout.
+    /// Every built-in FFN layout.
     const FFNS: [FfnLayout; 5] = [
         FfnLayout::WeightStationary1D,
         FfnLayout::WeightStationary2D,

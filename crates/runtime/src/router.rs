@@ -16,13 +16,13 @@
 //! function of its own seed — proven batch-composition-independent by the
 //! conformance suites — so replaying a share on a different replica
 //! reproduces exactly the streams the dead replica would have produced.
-//! The failover is accounted in [`RecoveryStats::failovers`] /
-//! [`RecoveryStats::requests_rerouted`] on the merged report.
+//! The failover is accounted in `RecoveryStats::failovers` /
+//! `RecoveryStats::requests_rerouted` on the merged report.
 
 use std::collections::VecDeque;
 
 use esti_core::layout::Layout;
-use esti_core::serving::{RecoveryStats, RequestStats, ServingReport};
+use esti_core::serving::{RequestStats, ServingReport};
 use esti_model::ReferenceModel;
 
 use crate::engine::WeightFormat;
@@ -94,6 +94,49 @@ pub struct RouterOutcome {
     pub served_per_replica: Vec<usize>,
     /// Priority preemptions summed across the fleet.
     pub preemptions: usize,
+}
+
+impl RouterOutcome {
+    /// Folds replica `r`'s outcome over `share` into this one, re-indexing
+    /// from share-local to submission order: outputs, sheds and the
+    /// replica's count of requests it did not shed here, each served
+    /// request's stats into `stats`. The report sums steps and recovery and
+    /// keeps the peak batch, the fewest free KV pages and the most shared.
+    /// Returns the replica's occupancy (mean batch times steps), which the
+    /// caller sums for the merged mean.
+    fn absorb(&mut self, r: usize, share: &[usize], outcome: ServingOutcome, stats: &mut [Option<RequestStats>]) -> usize {
+        let mut shed_local = vec![false; share.len()];
+        for e in outcome.shed {
+            let ServeError::Overloaded { index, reason } = e else {
+                unreachable!("shed entries are always Overloaded");
+            };
+            shed_local[index] = true;
+            self.shed.push(ServeError::Overloaded { index: share[index], reason });
+        }
+        // The replica's report lists stats for its non-shed requests in
+        // share order; walk both in lockstep.
+        let report = outcome.report;
+        let mut it = report.requests.iter();
+        for (&global, _) in share.iter().zip(&shed_local).filter(|(_, &shed)| !shed) {
+            let Some(&s) = it.next() else {
+                unreachable!("replica report is missing a non-shed request");
+            };
+            stats[global] = Some(s);
+            self.served_per_replica[r] += 1;
+        }
+        for (local, out) in outcome.outputs.into_iter().enumerate() {
+            self.outputs[share[local]] = out;
+        }
+        let merged = &mut self.report;
+        merged.recovery.absorb(&report.recovery);
+        merged.decode_steps += report.decode_steps;
+        merged.peak_decode_batch = merged.peak_decode_batch.max(report.peak_decode_batch);
+        merged.kv_pages_free = merged.kv_pages_free.min(report.kv_pages_free);
+        merged.kv_pages_shared = merged.kv_pages_shared.max(report.kv_pages_shared);
+        self.total_generated += outcome.total_generated;
+        self.preemptions += outcome.preemptions;
+        (report.mean_decode_batch * report.decode_steps as f64).round() as usize
+    }
 }
 
 /// One engine replica plus its health state.
@@ -206,8 +249,8 @@ impl ReplicaRouter {
     /// the failed call committed nothing, and re-serving the share
     /// elsewhere reproduces bit-identical streams (per-request seeded
     /// sampling is independent of batch composition). Each drain adds one
-    /// to [`RecoveryStats::failovers`] and the share size to
-    /// [`RecoveryStats::requests_rerouted`] on the merged report.
+    /// to `RecoveryStats::failovers` and the share size to
+    /// `RecoveryStats::requests_rerouted` on the merged report.
     ///
     /// # Errors
     ///
@@ -236,19 +279,23 @@ impl ReplicaRouter {
                 return Err(RouterError::NoReplicas);
             };
             shares[r].push(idx);
-            load[r] += req.prompt.len() + req.max_new_tokens;
+            load[r] += cost(req);
         }
 
-        let mut outputs: Vec<Vec<usize>> = vec![Vec::new(); n];
+        // Every replica that serves lowers `kv_pages_free` to its own, and an
+        // `Ok` below means at least one did.
+        let mut merged = RouterOutcome {
+            outputs: vec![Vec::new(); n],
+            report: ServingReport::new(Vec::new(), 0, 0).with_kv_pages(usize::MAX, 0),
+            shed: Vec::new(),
+            total_generated: 0,
+            served_per_replica: vec![0; n_rep],
+            preemptions: 0,
+        };
+        // Per-request stats land by submission index, and the occupancy
+        // sum gives the mean once every replica is in.
         let mut stats: Vec<Option<RequestStats>> = vec![None; n];
-        let mut shed: Vec<ServeError> = Vec::new();
-        let mut recovery = RecoveryStats::default();
-        let mut decode_steps = 0usize;
         let mut occupancy_sum = 0usize;
-        let mut peak_batch = 0usize;
-        let mut total_generated = 0usize;
-        let mut preemptions = 0usize;
-        let mut served_per_replica = vec![0usize; n_rep];
 
         let mut queue: VecDeque<usize> =
             (0..n_rep).filter(|&r| !shares[r].is_empty()).collect();
@@ -264,29 +311,14 @@ impl ReplicaRouter {
             let local: Vec<ServingRequest> =
                 share.iter().map(|&i| requests[i].clone()).collect();
             match self.replicas[r].batcher.try_serve(&local) {
-                Ok(outcome) => {
-                    served_per_replica[r] += share.len();
-                    merge_outcome(
-                        &share,
-                        outcome,
-                        &mut outputs,
-                        &mut stats,
-                        &mut shed,
-                        &mut recovery,
-                        &mut decode_steps,
-                        &mut occupancy_sum,
-                        &mut peak_batch,
-                        &mut total_generated,
-                        &mut preemptions,
-                    );
-                }
+                Ok(outcome) => occupancy_sum += merged.absorb(r, &share, outcome, &mut stats),
                 Err(err @ ServeError::RecoveryLimit { .. }) => {
                     // The replica is gone: drain it and re-route its whole
                     // share. try_serve committed nothing, so the share
                     // replays losslessly wherever it lands.
                     self.replicas[r].healthy = false;
-                    recovery.failovers += 1;
-                    recovery.requests_rerouted += share.len();
+                    merged.report.recovery.failovers += 1;
+                    merged.report.recovery.requests_rerouted += share.len();
                     let mut reload: Vec<usize> = (0..n_rep)
                         .map(|i| shares[i].iter().map(|&x| cost(&requests[x])).sum())
                         .collect();
@@ -314,21 +346,12 @@ impl ReplicaRouter {
             }
         }
 
-        let report = ServingReport::new(
-            stats.into_iter().flatten().collect(),
-            decode_steps,
-            occupancy_sum,
-        )
-        .with_recovery(recovery)
-        .with_peak_batch(peak_batch);
-        Ok(RouterOutcome {
-            outputs,
-            report,
-            shed,
-            total_generated,
-            served_per_replica,
-            preemptions,
-        })
+        let folded = &merged.report;
+        merged.report = ServingReport::new(stats.into_iter().flatten().collect(), folded.decode_steps, occupancy_sum)
+            .with_recovery(folded.recovery)
+            .with_peak_batch(folded.peak_decode_batch)
+            .with_kv_pages(folded.kv_pages_free, folded.kv_pages_shared);
+        Ok(merged)
     }
 
     /// The healthy replica with the least assigned work (ties to the
@@ -346,54 +369,6 @@ impl ReplicaRouter {
 /// Dispatch weight of one request: the tokens it will occupy a slot for.
 fn cost(req: &ServingRequest) -> usize {
     req.prompt.len() + req.max_new_tokens
-}
-
-/// Folds one replica's outcome into the fleet accumulators, re-indexing
-/// from share-local to submission order.
-#[allow(clippy::too_many_arguments)] // private: the serve loop's accumulators.
-fn merge_outcome(
-    share: &[usize],
-    outcome: ServingOutcome,
-    outputs: &mut [Vec<usize>],
-    stats: &mut [Option<RequestStats>],
-    shed: &mut Vec<ServeError>,
-    recovery: &mut RecoveryStats,
-    decode_steps: &mut usize,
-    occupancy_sum: &mut usize,
-    peak_batch: &mut usize,
-    total_generated: &mut usize,
-    preemptions: &mut usize,
-) {
-    let mut shed_local = vec![false; share.len()];
-    for e in outcome.shed {
-        let ServeError::Overloaded { index, reason } = e else {
-            unreachable!("shed entries are always Overloaded");
-        };
-        shed_local[index] = true;
-        shed.push(ServeError::Overloaded { index: share[index], reason });
-    }
-    // The replica's report lists stats for its non-shed requests in
-    // share order; walk both in lockstep.
-    let mut it = outcome.report.requests.iter();
-    for (local, &global) in share.iter().enumerate() {
-        if shed_local[local] {
-            continue;
-        }
-        let Some(&s) = it.next() else {
-            unreachable!("replica report is missing a non-shed request");
-        };
-        stats[global] = Some(s);
-    }
-    for (local, out) in outcome.outputs.into_iter().enumerate() {
-        outputs[share[local]] = out;
-    }
-    recovery.absorb(&outcome.report.recovery);
-    *decode_steps += outcome.report.decode_steps;
-    let occ = outcome.report.mean_decode_batch * outcome.report.decode_steps as f64;
-    *occupancy_sum += occ.round() as usize;
-    *peak_batch = (*peak_batch).max(outcome.report.peak_decode_batch);
-    *total_generated += outcome.total_generated;
-    *preemptions += outcome.preemptions;
 }
 
 /// Maps a share-local [`ServeError`] index back to submission order.

@@ -89,13 +89,6 @@ impl ServingRequest {
             priority: Priority::Normal,
         }
     }
-
-    /// The same request in the given scheduling class.
-    #[must_use]
-    pub fn with_priority(mut self, priority: Priority) -> Self {
-        self.priority = priority;
-        self
-    }
 }
 
 /// Scheduler policy knobs.

@@ -1,9 +1,6 @@
 //! Release-mode timings of the partitioned engine against its baselines,
 //! each asserting its bound (ignored by default; CI does not run them):
 //!
-//! * a decode step under the shipped GEMM tile is at least 1.2× faster
-//!   than under the `Naive` setting on ws1d (8 chips), and no slower on
-//!   ws2d and the paired WG XYZ engine;
 //! * an int8 weight-gathered one-token prefill pass takes no longer than
 //!   the f32 one;
 //! * continuous batching serves at least 1.1× the tokens per second of
@@ -26,10 +23,9 @@ use esti_runtime::{
     ContinuousBatcher, PartitionedEngine, ServingOptions, ServingRequest, WeightFormat,
     DEFAULT_COLLECTIVE_DEADLINE,
 };
-use esti_tensor::ops::{self, MatmulKernel};
 
-/// Held by every probe: the probes time wall clock and flip the
-/// process-wide kernel knob (a failed probe leaves it usable).
+/// Held by every probe: the probes time wall clock (a failed probe leaves
+/// it usable).
 static PROBE: Mutex<()> = Mutex::new(());
 
 /// Rounds of [`stepped_in_turn`], and steps per round and side.
@@ -85,55 +81,6 @@ fn stepped_in_turn<T, const N: usize>(
         }
     }
     std::array::from_fn(|i| best.iter().map(|b| b[i]).sum::<f64>() / STEPS as f64)
-}
-
-/// A decode step under the shipped tile against the same step under the
-/// `Naive` setting, on each decode layout. The `Naive` engine's GEMMs run
-/// the packed scalar oracle, which walks each panel 32 columns at a time,
-/// ~1.8× slower than a row-major scalar loop, so this bound is looser than
-/// it reads.
-#[test]
-#[ignore]
-fn decode_beats_the_naive_kernel() {
-    let _probe = PROBE.lock().unwrap_or_else(PoisonError::into_inner);
-    let model = tiny8x();
-    let vocab = model.config().vocab;
-    let next: Vec<usize> = (0..BATCH).map(|b| b % vocab).collect();
-    let rows = [
-        ("ws1d 1x8x1", layout(FfnLayout::WeightStationary1D, AttnSharding::Batch, (1, 8, 1)), 1.2),
-        ("ws2d 2x2x2", layout(FfnLayout::WeightStationary2D, AttnSharding::Batch, (2, 2, 2)), 1.0),
-        (
-            "wg xyz 8x1x1 (paired)",
-            layout(FfnLayout::WeightGathered(GatherExtent::Xyz), AttnSharding::Batch, (8, 1, 1)),
-            1.0,
-        ),
-    ];
-    for (name, layout, bound) in rows {
-        let engine = || PartitionedEngine::new(&model, layout, WeightFormat::Exact);
-        let mut sides = [(engine(), MatmulKernel::Naive), (engine(), MatmulKernel::Simd)];
-        let [naive, shipped] = stepped_in_turn(
-            &mut sides,
-            |(engine, _)| {
-                // Both settings give the same bits, so both sides prefill
-                // under the tile.
-                ops::set_matmul_kernel(MatmulKernel::Simd);
-                engine.reset();
-                engine.try_prefill(&prompts(vocab)).unwrap();
-            },
-            |(engine, kernel)| {
-                ops::set_matmul_kernel(*kernel);
-                engine.try_decode_step(&next).unwrap();
-            },
-        );
-        ops::set_matmul_kernel(MatmulKernel::Simd);
-        let speedup = naive / shipped;
-        eprintln!(
-            "{name}: naive {:.0} us, shipped {:.0} us, {speedup:.2}x (bound >= {bound:.1}x)",
-            naive * 1e6,
-            shipped * 1e6
-        );
-        assert!(speedup >= bound, "{name}: decode {speedup:.2}x over the naive kernel, bound {bound:.1}x");
-    }
 }
 
 /// A one-token prefill pass on the fully weight-gathered layout, the pass

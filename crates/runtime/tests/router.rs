@@ -171,6 +171,36 @@ fn shed_indices_survive_per_replica_reindexing() {
     shed_idx.sort_unstable();
     assert_eq!(shed_idx, vec![0, 1, 2, 3]);
     assert!(outcome.outputs.iter().all(Vec::is_empty));
+    // A shed request was not served: no replica completed any.
+    assert_eq!(outcome.served_per_replica, vec![0, 0]);
+}
+
+#[test]
+fn one_replica_reports_the_kv_pages_of_a_bare_batcher() {
+    // Five requests behind one 8-token prefix (two 4-token pages), under a
+    // budget that holds all of them with pages to spare: the merged report
+    // carries the replica's page headroom and shared pages.
+    let model = ReferenceModel::init_random(ModelConfig::tiny(), 9);
+    let vocab = model.config().vocab;
+    let requests: Vec<ServingRequest> = (0..5)
+        .map(|i| ServingRequest {
+            prompt: (0..8).map(|t| (11 + 13 * t) % vocab).chain([(3 + 5 * i) % vocab]).collect(),
+            max_new_tokens: 3,
+            seed: 3000 + i as u64,
+            arrival: 0.0,
+            priority: Priority::Normal,
+        })
+        .collect();
+    let o = ServingOptions { kv_page_size: Some(4), kv_position_budget: Some(64), ..opts(4) };
+    let bare = ContinuousBatcher::new(&model, layout(), WeightFormat::Exact, o).try_serve(&requests).unwrap();
+    assert!(bare.report.kv_pages_free > 0 && bare.report.kv_pages_shared > 0, "{:?}", bare.report);
+    let mut router = ReplicaRouter::new(&model, layout(), WeightFormat::Exact, o, 1);
+    let routed = router.try_serve(&requests).unwrap();
+    assert_eq!(routed.outputs, bare.outputs);
+    assert_eq!(
+        (routed.report.kv_pages_free, routed.report.kv_pages_shared),
+        (bare.report.kv_pages_free, bare.report.kv_pages_shared)
+    );
 }
 
 #[test]

@@ -13,13 +13,13 @@
 //! Everything is dependency-light and portable. Weights are stored once,
 //! in panel order ([`PackedMatrix`], f32 or int8), and every GEMM runs one
 //! `MR × NR` register tile over such a panel: explicit AVX-512F with
-//! runtime feature detection, or the same tile in safe Rust (scalar kernels
-//! remain as bitwise oracles — see [`ops::set_matmul_kernel`]); every path
-//! is bit-identical to the serial scalar kernels. [`ops::gemm_strided`]
+//! runtime feature detection, or the same tile in safe Rust under
+//! `ESTI_DISABLE_SIMD` or on other hosts. Either form is bit-identical to
+//! the one serial scalar chain, [`ops::matmul_naive`]. [`ops::gemm_strided`]
 //! runs the same tile over panels read in place at any row stride, which
-//! is how `esti-model`'s attention kernel scores and sums its KV pages. The crate starts no
-//! threads: each simulated chip's kernels run on the runtime's executor
-//! that steps it.
+//! is how `esti-model`'s attention kernel scores and sums its KV pages. The
+//! crate starts no threads: each simulated chip's kernels run on the
+//! runtime's executor that steps it.
 //!
 //! # Examples
 //!

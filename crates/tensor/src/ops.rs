@@ -13,61 +13,14 @@
 //! which reads each weight row once, front to back. [`gemm_strided`] and
 //! [`gemm_strided_write`] run the tile over operands read in place at their
 //! row strides (the attention kernel's two contractions), onto the output
-//! or over it. [`matmul_naive`] is the oracle.
+//! or over it. Each entry point is held to the one scalar chain,
+//! [`matmul_naive`].
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;
 
 use crate::packed::rows_of;
 use crate::simd::{self, Tile, MR, NR};
 use crate::{PackedMatrix, Tensor};
-
-/// Which inner kernel the GEMM entry points dispatch to.
-///
-/// There is one tile, written twice: `Simd`, the default, runs its explicit
-/// AVX-512F form when the host supports it and `ESTI_DISABLE_SIMD` is unset,
-/// and its safe-Rust form otherwise, for f32 and int8 alike (the variable is
-/// the one switch to the safe-Rust form). `Naive` runs the scalar oracles. Every
-/// tier accumulates every output element by one serial chain of fused
-/// multiply-adds, `acc = a.mul_add(b, acc)`, in strictly ascending `k`
-/// order, so all of them produce bit-identical results, except that the row-major f32 oracle
-/// [`matmul_naive`] skips exact-zero activations (`av == 0.0`), which can
-/// turn a `-0.0` into `+0.0`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MatmulKernel {
-    /// The shipped setting: the AVX-512F tile with runtime feature
-    /// detection, falling back to the safe-Rust tile on hosts without
-    /// AVX-512F or under `ESTI_DISABLE_SIMD`.
-    Simd,
-    /// Scalar i-k-j kernels (row-major f32 with the historical `av == 0.0`
-    /// skip).
-    Naive,
-}
-
-/// True while the `Naive` setting is selected.
-static NAIVE: AtomicBool = AtomicBool::new(false);
-
-/// Serializes tests (here, in `quant`, and the kernel conformance suite)
-/// that flip the process-wide kernel knob, so concurrently running tests
-/// never observe a mid-test setting.
-#[cfg(test)]
-pub(crate) static KNOB_TEST_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-/// Selects the kernel the GEMM entry points use, process-wide.
-/// All kernels are correct; this is a benchmarking and oracle escape hatch.
-pub fn set_matmul_kernel(kernel: MatmulKernel) {
-    NAIVE.store(kernel == MatmulKernel::Naive, Ordering::Relaxed);
-}
-
-/// The currently selected matmul kernel.
-#[must_use]
-pub fn matmul_kernel() -> MatmulKernel {
-    if NAIVE.load(Ordering::Relaxed) {
-        MatmulKernel::Naive
-    } else {
-        MatmulKernel::Simd
-    }
-}
 
 /// True unless `ESTI_DISABLE_SIMD` is set (to anything but `0`), read once.
 fn simd_enabled() -> bool {
@@ -77,22 +30,21 @@ fn simd_enabled() -> bool {
     })
 }
 
-/// The tile the GEMMs run under the current setting, or `None` for the
-/// scalar oracles.
-pub(crate) fn tile() -> Option<Tile> {
-    match matmul_kernel() {
-        MatmulKernel::Naive => None,
-        MatmulKernel::Simd if simd_enabled() && simd::supported() => Some(Tile::Avx512),
-        MatmulKernel::Simd => Some(Tile::Portable),
+/// The form of the tile every GEMM runs: AVX-512F when the host supports
+/// it and `ESTI_DISABLE_SIMD` is unset, the safe-Rust tile otherwise.
+pub(crate) fn tile() -> Tile {
+    if simd_enabled() && simd::supported() {
+        Tile::Avx512
+    } else {
+        Tile::Portable
     }
 }
 
-/// True when the GEMM entry points will actually run the AVX-512F tile:
-/// the `Simd` setting is selected, `ESTI_DISABLE_SIMD` is unset, and the
-/// host supports AVX-512F.
+/// True when the GEMM entry points run the AVX-512F tile:
+/// `ESTI_DISABLE_SIMD` is unset and the host supports AVX-512F.
 #[must_use]
 pub fn simd_active() -> bool {
-    tile() == Some(Tile::Avx512)
+    tile() == Tile::Avx512
 }
 
 /// Row count from which a row-major [`matmul`] packs its right operand and
@@ -119,29 +71,12 @@ fn mm_stream(ad: &[f32], bd: &[f32], out: &mut [f32], m: usize, k: usize, n: usi
     }
 }
 
-/// The historical scalar kernel (i-k-j with a zero-skip), on raw slices.
-fn mm_naive_kernel(ad: &[f32], bd: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-    for i in 0..m {
-        let arow = &ad[i * k..(i + 1) * k];
-        let orow = &mut out[i * n..(i + 1) * n];
-        for (kk, &av) in arow.iter().enumerate() {
-            if av == 0.0 {
-                continue;
-            }
-            let brow = &bd[kk * n..(kk + 1) * n];
-            for (o, &bv) in orow.iter_mut().zip(brow) {
-                *o = av.mul_add(bv, *o);
-            }
-        }
-    }
-}
-
 /// Matrix product of rank-2 tensors: `[m, k] × [k, n] → [m, n]`.
 ///
 /// Runs the register tile over `b` packed for the call, or the streamed
-/// schedule for fewer than `STREAM_BELOW` rows (see [`set_matmul_kernel`]
-/// for the escape hatch back to the naive oracle). Every output element is
-/// accumulated in strictly ascending `k` order.
+/// schedule for fewer than `STREAM_BELOW` rows. Every output element is
+/// accumulated in strictly ascending `k` order, so the result is
+/// [`matmul_naive`]'s bit for bit.
 ///
 /// # Panics
 ///
@@ -179,10 +114,10 @@ pub fn matmul_into(a: &Tensor, b: &Tensor, out: &mut Tensor) {
     let (k2, n) = (b.dim(0), b.dim(1));
     assert_eq!(k, k2, "matmul inner dimension mismatch: {k} vs {k2}");
     assert_eq!(rows_of(out), (m, n), "matmul output shape mismatch");
-    match tile() {
-        None => mm_naive_kernel(a.data(), b.data(), out.data_mut(), m, k, n),
-        Some(_) if m < STREAM_BELOW => mm_stream(a.data(), b.data(), out.data_mut(), m, k, n),
-        Some(_) => PackedMatrix::pack(b).gemm(a.data(), k, m, 0..k, out.data_mut(), n, false, false),
+    if m < STREAM_BELOW {
+        mm_stream(a.data(), b.data(), out.data_mut(), m, k, n);
+    } else {
+        PackedMatrix::pack(b).gemm(a.data(), k, m, 0..k, out.data_mut(), n, false, false);
     }
 }
 
@@ -191,10 +126,9 @@ pub fn matmul_into(a: &Tensor, b: &Tensor, out: &mut Tensor) {
 /// each), the `k` rows of `b` (row stride `b_stride`, `n` values each) and
 /// the `m` rows of `out` (row stride `o_stride`, `n` values each), the sum
 /// one fused multiply-add per ascending `kk` onto the value already in
-/// `out`, then one multiply by `scale` if given. Dispatches like every GEMM
-/// ([`set_matmul_kernel`]): the register tile over `b`'s columns 32 at a
-/// time, AVX-512F or safe Rust, or under `Naive` the scalar chain; all
-/// three give the same bits. The attention kernel's two contractions run
+/// `out`, then one multiply by `scale` if given: the register tile over
+/// `b`'s columns 32 at a time, AVX-512F or safe Rust, each giving
+/// [`matmul_naive`]'s chain. The attention kernel's two contractions run
 /// here: scores over a KV page's stored `Kᵀ` (`b_stride` = the page size)
 /// and outputs over its V rows.
 ///
@@ -268,16 +202,17 @@ fn strided(
     for j0 in (0..n).step_by(NR) {
         let w = NR.min(n - j0);
         let (b, out, sc) = (&b[j0..], &mut out[j0..], scales.as_ref().map(|s| &s[..]));
-        match tile {
-            Some(t) => simd::run(t, a, a_stride, m, k, b, b_stride, out, o_stride, w, sc, write),
-            None => simd::scalar(a, a_stride, m, k, b, b_stride, out, o_stride, w, sc, write),
-        }
+        simd::run(tile, a, a_stride, m, k, b, b_stride, out, o_stride, w, sc, write);
     }
 }
 
-/// The pre-optimization scalar matmul, kept as a correctness oracle: i-k-j
-/// loop order with an `av == 0.0` skip. Bit-identical to [`matmul`] for
-/// inputs without exact zeros (both accumulate in ascending `k` order).
+/// The scalar chain every GEMM entry point is held to: i-k-j loop order,
+/// each output element one fused multiply-add `acc = a.mul_add(b, acc)` per
+/// ascending `k` from `+0.0`, skipping exact-zero activations
+/// (`av == 0.0`). The tile runs the same chain without the skip, so the two
+/// agree bit for bit unless a chain holds `-0.0` (a product that underflows)
+/// when a zero activation comes, which the skip leaves and a fused step
+/// can turn into `+0.0`.
 ///
 /// # Panics
 ///
@@ -289,8 +224,21 @@ pub fn matmul_naive(a: &Tensor, b: &Tensor) -> Tensor {
     let (m, k) = (a.dim(0), a.dim(1));
     let (k2, n) = (b.dim(0), b.dim(1));
     assert_eq!(k, k2, "matmul inner dimension mismatch: {k} vs {k2}");
+    let (ad, bd) = (a.data(), b.data());
     let mut out = vec![0.0f32; m * n];
-    mm_naive_kernel(a.data(), b.data(), &mut out, m, k, n);
+    for i in 0..m {
+        let arow = &ad[i * k..(i + 1) * k];
+        let orow = &mut out[i * n..(i + 1) * n];
+        for (kk, &av) in arow.iter().enumerate() {
+            if av == 0.0 {
+                continue;
+            }
+            let brow = &bd[kk * n..(kk + 1) * n];
+            for (o, &bv) in orow.iter_mut().zip(brow) {
+                *o = av.mul_add(bv, *o);
+            }
+        }
+    }
     Tensor::from_vec(vec![m, n], out)
 }
 
@@ -999,18 +947,6 @@ mod tests {
             let blocked = matmul(&a, &b);
             let naive = matmul_naive(&a, &b);
             assert_eq!(blocked.max_abs_diff(&naive), 0.0, "({m},{k},{n})");
-        }
-    }
-
-    #[test]
-    fn kernel_knob_roundtrips() {
-        let _guard = KNOB_TEST_LOCK.lock().unwrap();
-        assert_eq!(matmul_kernel(), MatmulKernel::Simd, "Simd is the default tier");
-        for kernel in [MatmulKernel::Naive, MatmulKernel::Simd] {
-            set_matmul_kernel(kernel);
-            assert_eq!(matmul_kernel(), kernel);
-            let avx512 = kernel == MatmulKernel::Simd && simd_enabled() && crate::simd::supported();
-            assert_eq!(simd_active(), avx512, "{kernel:?}");
         }
     }
 

@@ -16,13 +16,13 @@
 //! rows, and once into an f32 scratch panel when there are at least `8·MR`
 //! (or the panel is narrow); widening is exact, so both read the same
 //! values. The scale of an int8 column is applied once, after the column's
-//! whole contraction. The [`crate::ops::MatmulKernel::Naive`] setting runs
-//! the scalar chain instead, one i-k-j chain per element in the same order.
+//! whole contraction. Each element is the chain of
+//! [`crate::ops::matmul_naive`] over the stored values, then its scale.
 
 use std::ops::Range;
 
 use crate::ops;
-use crate::simd::{self, Elem, MR, NR};
+use crate::simd::{self, MR, NR};
 use crate::Tensor;
 
 /// Rows the GEMM tile computes at a time: a product over fewer rows still
@@ -263,14 +263,7 @@ impl PackedMatrix {
         write: bool,
     ) {
         let scales = if scale { self.scales() } else { None };
-        let (rows, cols) = (self.rows, self.cols);
-        let Some(tile) = ops::tile() else {
-            return match &self.values {
-                Values::F32(v) => oracle(v, rows, cols, a, a_stride, m, ks, out, o_stride, scales, write),
-                Values::I8 { values, .. } => oracle(values, rows, cols, a, a_stride, m, ks, out, o_stride, scales, write),
-            };
-        };
-        let kc = ks.len();
+        let (rows, cols, tile, kc) = (self.rows, self.cols, ops::tile(), ks.len());
         let mut scratch = Vec::new();
         for j0 in (0..cols).step_by(NR) {
             let w = NR.min(cols - j0);
@@ -290,31 +283,6 @@ impl PackedMatrix {
                 }
             }
         }
-    }
-}
-
-/// The scalar oracle for [`PackedMatrix::gemm`] over `values`, a `rows ×
-/// cols` matrix in panel order: per panel, the scalar chain
-/// ([`simd::scalar`]) over its rows `ks`.
-#[allow(clippy::too_many_arguments)]
-fn oracle<T: Elem>(
-    values: &[T],
-    rows: usize,
-    cols: usize,
-    a: &[f32],
-    a_stride: usize,
-    m: usize,
-    ks: Range<usize>,
-    out: &mut [f32],
-    o_stride: usize,
-    scales: Option<&[f32]>,
-    write: bool,
-) {
-    for j0 in (0..cols).step_by(NR) {
-        let w = NR.min(cols - j0);
-        let panel = &values[j0 * rows + ks.start * w..];
-        let (out, sc) = (&mut out[j0..], scales.map(|s| &s[j0..]));
-        simd::scalar(a, a_stride, m, ks.len(), panel, w, out, o_stride, w, sc, write);
     }
 }
 

@@ -75,6 +75,17 @@ mod tests {
         q.scales().expect("an int8 matrix")[j] * 0.5
     }
 
+    /// The scalar chain for `x × q`: [`ops::matmul_naive`] over the stored
+    /// integers, recovered as `round(unpack() / scale)`, then the column
+    /// scales.
+    fn naive(q: &PackedMatrix, x: &Tensor) -> Tensor {
+        let scales = q.scales().expect("an int8 matrix");
+        let ints = q.unpack().data().iter().enumerate().map(|(i, &v)| (v / scales[i % q.cols()]).round()).collect();
+        let mut out = ops::matmul_naive(x, &Tensor::from_vec(vec![q.rows(), q.cols()], ints));
+        q.apply_scales(out.data_mut());
+        out
+    }
+
     #[test]
     fn roundtrip_error_bounded_per_column() {
         let mut rng = StdRng::seed_from_u64(11);
@@ -125,36 +136,27 @@ mod tests {
 
     #[test]
     fn blocked_matches_scalar_oracle_bitwise() {
-        // The shipped setting's tile (the safe-Rust one under
-        // `ESTI_DISABLE_SIMD`) against the scalar oracle. Odd sizes exercise
-        // the narrow panel and both int8 widenings.
-        let _guard = ops::KNOB_TEST_LOCK.lock().unwrap();
+        // The host's tile (the safe-Rust one under `ESTI_DISABLE_SIMD`)
+        // against the scalar chain. Odd sizes exercise the narrow panel and
+        // both int8 widenings.
         let mut rng = StdRng::seed_from_u64(21);
         for (m, k, n) in [(1, 64, 96), (7, 33, 67), (4, 128, 32), (13, 5, 130), (17, 40, 70)] {
             let w = Tensor::randn(&mut rng, vec![k, n], 0.7);
             let x = Tensor::randn(&mut rng, vec![m, k], 1.0);
             let q = QuantizedMatrix::quantize(&w);
-            ops::set_matmul_kernel(ops::MatmulKernel::Naive);
-            let oracle = q.matmul(&x);
-            ops::set_matmul_kernel(ops::MatmulKernel::Simd);
-            let shipped = q.matmul(&x);
-            assert_eq!(shipped.data(), oracle.data(), "kernel divergence at {m}x{k}x{n}");
+            assert_eq!(q.matmul(&x).data(), naive(&q, &x).data(), "kernel divergence at {m}x{k}x{n}");
         }
     }
 
     #[test]
     fn matmul_handles_exact_zero_activations() {
-        let _guard = ops::KNOB_TEST_LOCK.lock().unwrap();
         let w = Tensor::from_vec(vec![2, 2], vec![1.0, -2.0, 3.0, 4.0]);
         let x = Tensor::from_vec(vec![1, 2], vec![0.0, 2.0]);
         let q = QuantizedMatrix::quantize(&w);
         let full = ops::matmul(&x, &q.unpack());
-        ops::set_matmul_kernel(ops::MatmulKernel::Naive);
-        let oracle = q.matmul(&x);
-        ops::set_matmul_kernel(ops::MatmulKernel::Simd);
         let shipped = q.matmul(&x);
-        assert!(oracle.approx_eq(&full, 1e-6));
-        assert_eq!(oracle.data(), shipped.data());
+        assert!(shipped.approx_eq(&full, 1e-6));
+        assert_eq!(shipped.data(), naive(&q, &x).data());
     }
 
     #[test]
@@ -219,15 +221,11 @@ mod tests {
 
         #[test]
         fn prop_blocked_equals_oracle(seed in 0u64..60, m in 1usize..20, k in 1usize..70, n in 1usize..70) {
-            let _guard = ops::KNOB_TEST_LOCK.lock().unwrap();
             let mut rng = StdRng::seed_from_u64(seed);
             let w = Tensor::randn(&mut rng, vec![k, n], 0.8);
             let x = Tensor::randn(&mut rng, vec![m, k], 1.0);
             let q = QuantizedMatrix::quantize(&w);
-            ops::set_matmul_kernel(ops::MatmulKernel::Naive);
-            let oracle = q.matmul(&x);
-            ops::set_matmul_kernel(ops::MatmulKernel::Simd);
-            prop_assert_eq!(q.matmul(&x).data(), oracle.data());
+            prop_assert_eq!(q.matmul(&x).data(), naive(&q, &x).data());
         }
     }
 }

@@ -16,12 +16,12 @@
 //! or from `+0.0` in a register (write mode, where `out` is only stored to)
 //! and takes one serial chain of fused multiply-adds `acc = fma(a, b, acc)`
 //! in strictly ascending `k`: the product is not rounded before it is
-//! added, and the one rounding per step is the same on every tier, because
-//! every tier (this tile in both forms, [`scalar`], `mm_stream`) runs the
-//! same chain. A chain started from `+0.0` in a register is the chain
-//! started from a stored `+0.0`, so write mode gives the bits accumulate
-//! mode gives over a zeroed `out`, without the caller's zero-fill or the
-//! tile's load of it.
+//! added, and the one rounding per step is the same everywhere, because
+//! this tile in both forms, `mm_stream` and [`crate::ops::matmul_naive`],
+//! the scalar chain every entry point is held to, all run it. A chain
+//! started from `+0.0` in a register is the chain started from a stored
+//! `+0.0`, so write mode gives the bits accumulate mode gives over a zeroed
+//! `out`, without the caller's zero-fill or the tile's load of it.
 //! An int8 panel is widened to f32 as it is read, which is exact (every
 //! `i8` is an f32), and a per-column scale, when given, multiplies each
 //! element once, at store, after its whole chain. A lane therefore does the
@@ -32,8 +32,8 @@
 //! The tile is written twice with that arithmetic: explicit AVX-512F
 //! (`_mm512_fmadd_ps`, masked loads and stores on a panel's columns),
 //! selected at run time, and safe Rust (`f32::mul_add`), which runs when
-//! `ESTI_DISABLE_SIMD` is set or the host lacks AVX-512F or FMA (see
-//! [`crate::ops::set_matmul_kernel`]). LLVM keeps the safe tile in 256-bit
+//! `ESTI_DISABLE_SIMD` is set or the host lacks AVX-512F or FMA (the one
+//! switch, read in `ops`). LLVM keeps the safe tile in 256-bit
 //! registers under `target-cpu=native` on hosts that prefer them, which is
 //! why the 512-bit one is written out; the safe tile walks its panel one
 //! 16-column half at a time, so a half's `MR × 16` accumulators stay in
@@ -193,44 +193,6 @@ pub(crate) fn run<T: Elem>(
             Tile::Avx512 => unreachable!("supported() is false off x86_64"),
         });
         i += r;
-    }
-}
-
-/// The scalar chain: [`run`]'s product, one element at a time (`i`, then
-/// `kk`, then `j`), each element one fused multiply-add per ascending `kk`
-/// (from `+0.0` with `write`) and then its scale. The oracle every form of
-/// the tile is held to, and what the `Naive` setting runs. `w` is unbounded
-/// here.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn scalar<T: Elem>(
-    a: &[f32],
-    a_stride: usize,
-    m: usize,
-    k: usize,
-    panel: &[T],
-    p_stride: usize,
-    out: &mut [f32],
-    o_stride: usize,
-    w: usize,
-    scales: Option<&[f32]>,
-    write: bool,
-) {
-    for i in 0..m {
-        let orow = &mut out[i * o_stride..][..w];
-        if write {
-            orow.fill(0.0);
-        }
-        for kk in 0..k {
-            let av = a[i * a_stride + kk];
-            for (o, &b) in orow.iter_mut().zip(&panel[kk * p_stride..][..w]) {
-                *o = av.mul_add(b.into(), *o);
-            }
-        }
-        if let Some(s) = scales {
-            for (o, &sv) in orow.iter_mut().zip(s) {
-                *o *= sv;
-            }
-        }
     }
 }
 

@@ -1,11 +1,11 @@
-// Release-mode timings of the GEMM tile and its oracles (ignored by default).
+// Release-mode timings of the GEMM tile and scalar baselines (ignored by default).
 // `speed_check` and `int8_speed_check` assert the tile's bounds at 256³; the
 // rest print tables for deciding what ships. Run once as is and once with
 // `ESTI_DISABLE_SIMD=1` to time the safe-Rust form of the tile; each run
 // prints `simd_active` to say which form it timed.
 //
 //   cargo test --release -p esti-tensor --test kernel_speed -- --ignored --nocapture
-use esti_tensor::ops::{self, matmul, matmul_naive, MatmulKernel};
+use esti_tensor::ops::{self, matmul, matmul_naive};
 use esti_tensor::{PackedMatrix, Tensor};
 use std::hint::black_box;
 use std::time::Instant;
@@ -16,7 +16,7 @@ fn fill(n: usize, scale: f32) -> Tensor {
 }
 
 /// The f32 tile over a weight packed once (its stored form) is at least
-/// 1.8× faster than the row-major scalar oracle at 256³.
+/// 1.8× faster than the row-major scalar chain, `matmul_naive`, at 256³.
 #[test]
 #[ignore]
 fn speed_check() {
@@ -35,11 +35,9 @@ fn speed_check() {
     assert!(speedup >= 1.8, "f32 tile {speedup:.2}x over the naive kernel, bound 1.8x");
 }
 
-/// The int8 tile is at least 2.1× faster at 256³ than the row-major scalar
-/// oracle over the weight's integer values followed by its column scales:
-/// the int8 GEMM's arithmetic, read front to back. (Not the packed scalar
-/// oracle: it walks panels 32 columns at a time, ~1.8× slower, and would
-/// flatter the tile.)
+/// The int8 tile is at least 2.1× faster at 256³ than `matmul_naive` over
+/// the weight's integer values followed by its column scales: the int8
+/// GEMM's arithmetic, read front to back.
 #[test]
 #[ignore]
 fn int8_speed_check() {
@@ -62,7 +60,7 @@ fn int8_speed_check() {
         scalar * 1e6,
         tile * 1e6
     );
-    assert!(speedup >= 2.1, "int8 tile {speedup:.2}x over the scalar oracle, bound 2.1x");
+    assert!(speedup >= 2.1, "int8 tile {speedup:.2}x over the scalar chain, bound 2.1x");
 }
 
 /// Decode-shaped GEMMs are weight-bandwidth problems: `[m, k] × [k, n]` with
@@ -138,7 +136,7 @@ fn weight(k: usize, n: usize, c: usize) -> Tensor {
 ///
 /// **Hot:** its projections over 1024 and 4096 prompt tokens, one 256-token
 /// prompt and small batches, each weight reused call after call. Columns:
-/// the f32 naive oracle, row-major `ops::matmul` (which packs `b` per call
+/// `matmul_naive`, row-major `ops::matmul` (which packs `b` per call
 /// from 8 rows and streams below), f32 packed once (the stored form) and
 /// int8. Best of 15 runs each.
 ///
@@ -153,11 +151,6 @@ fn weight(k: usize, n: usize, c: usize) -> Tensor {
 #[ignore]
 fn tiers_at_workload_shapes() {
     const REPS: usize = 15;
-    let restore = ops::matmul_kernel();
-    let time = |kernel, f: &mut dyn FnMut()| {
-        ops::set_matmul_kernel(kernel);
-        best_of(REPS, f)
-    };
     eprintln!("simd_active={}", ops::simd_active());
     eprintln!("hot weights:");
     eprintln!("{:>18} {:>9} {:>9} {:>9} {:>9}", "(M, K, N)", "naive us", "rowmaj us", "f32 us", "i8 us");
@@ -176,9 +169,8 @@ fn tiers_at_workload_shapes() {
     for (m, k, n) in hot {
         let (a, b) = (activations(m, k), weight(k, n, 0));
         let (p, q) = (PackedMatrix::pack(&b), PackedMatrix::quantize(&b));
-        let mut row_major = || drop(black_box(matmul(black_box(&a), &b)));
-        let naive = time(MatmulKernel::Naive, &mut row_major);
-        let rowmaj = time(MatmulKernel::Simd, &mut row_major);
+        let naive = best_of(REPS, || drop(black_box(matmul_naive(black_box(&a), &b))));
+        let rowmaj = best_of(REPS, || drop(black_box(matmul(black_box(&a), &b))));
         let packed_f32 = best_of(REPS, || drop(black_box(p.matmul(black_box(&a)))));
         let packed_i8 = best_of(REPS, || drop(black_box(q.matmul(black_box(&a)))));
         eprintln!(
@@ -214,5 +206,4 @@ fn tiers_at_workload_shapes() {
             );
         }
     }
-    ops::set_matmul_kernel(restore);
 }
