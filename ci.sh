@@ -156,6 +156,8 @@ if grep -rnE "fn (forward_1d|layer_1d|attn_ctx_1d|mlp_hidden_1d|forward_wg_hybri
   echo "FAIL: a hand-written forward, fused-gather helper or stream table is back beside the schedule interpreter" >&2
   exit 1
 fi
+# int8 also holds the data path's wire volume: the ledger charges quantized
+# (not dense f32) bytes on every weight gather.
 cargo test -q --release -p esti-runtime --test equivalence --test int8 --test traffic
 ESTI_DISABLE_SIMD=1 cargo test -q --release -p esti-runtime --test equivalence --test int8 --test traffic
 
@@ -171,11 +173,6 @@ cargo test -q --release -p esti-runtime --test serving
 # gives back every page; DecodeWork counts repeat exactly.
 cargo test -q --release -p esti-runtime --test live_rows
 ESTI_DISABLE_SIMD=1 cargo test -q --release -p esti-runtime --test live_rows
-
-echo "== int8 conformance: quantized wire volume =="
-# The int8 data path: the ledger charges quantized (not dense f32) bytes
-# on every weight gather.
-cargo test -q --release -p esti-runtime --test int8
 
 echo "== paged-KV conformance: streams identical to isolated generate at every page size, capacity gated =="
 # The paged KV cache: token streams bit-identical to isolated generate on
@@ -253,11 +250,13 @@ if [ "$copies" -ne 1 ]; then
 fi
 # One engine per batcher: prefill writes straight into the decode slots, so
 # serving.rs builds one PartitionedEngine, holds one, and neither keeps a
-# prefill tier nor copies KV into one.
+# prefill tier nor copies KV into one. Recovery resets it in place, so no
+# batcher or router replica keeps a model copy to rebuild an engine from.
 built=$(grep -c "PartitionedEngine::new(" crates/runtime/src/serving.rs)
 held=$(grep -cE "^\s+[a-z_]+: PartitionedEngine,$" crates/runtime/src/serving.rs)
-if [ "$built" -ne 1 ] || [ "$held" -ne 1 ]; then
-  echo "FAIL: serving.rs builds $built and holds $held engines; the batcher has one" >&2
+if [ "$built" -ne 1 ] || [ "$held" -ne 1 ] \
+  || grep -nE "model: ReferenceModel|model\.clone\(\)|fn build_engine" crates/runtime/src/serving.rs crates/runtime/src/router.rs; then
+  echo "FAIL: serving.rs builds $built and holds $held engines, or keeps a model to rebuild one from; the batcher has one, reset in place" >&2
   exit 1
 fi
 if grep -nE "prefill_engine|\.insert_kv\(" crates/runtime/src/serving.rs; then
@@ -297,8 +296,8 @@ if [ -z "$sim_trace" ] \
   exit 1
 fi
 cargo test -q --release -p esti-core --lib -- serving scheduler
-cargo test -q --release -p esti-runtime --test serving --test overload --test prefix_prefill \
-  --test paged --test router --test faults --test stress
+# The live driver's other suites run in their own sections.
+cargo test -q --release -p esti-runtime --test stress
 cargo test -q --release -p esti-verify lifecycle
 cargo run -q --release -p esti-bench --bin serving > /dev/null
 cargo run -q --release --example serving_tier > /dev/null
@@ -338,7 +337,7 @@ echo "== fault conformance: crash any rank, recovered streams bit-identical =="
 # a hang — and (b) post-recovery token streams bit-identical to a
 # fault-free run, with the replay cost matching esti-netsim's model.
 cargo test -q --release -p esti-runtime --test faults
-# A failed prefill call recovers like a failed step: engine rebuilt, live
+# A failed prefill call recovers like a failed step: engine reset, live
 # requests re-admitted bit-identical, under both GEMM tiers.
 ESTI_DISABLE_SIMD=1 cargo test -q --release -p esti-runtime --test faults a_prefill_fault
 
@@ -347,7 +346,7 @@ echo "== lockstep executors: min(CPUs, chips) executors, the caller among them, 
 # resident executors, the calling thread running the first, each stepping a
 # contiguous block of chips through the schedule in lockstep, so no pass
 # spawns a thread. executors checks the process thread count (idle + T - 1)
-# across 200 steps, on drop and after a fault-forced rebuild; equivalence
+# across 200 steps, on drop and after a fault-forced reset; equivalence
 # and faults hold the executors to the bits and to the unwind protocol. The
 # suites run again pinned to one CPU (T = 1: the whole mesh on the caller)
 # and to two (T = 2), so a host with four or more CPUs still exercises
@@ -356,7 +355,7 @@ if grep -rn "thread::scope" crates/runtime/src; then
   echo "FAIL: a forward pass spawns chip threads again (thread::scope in crates/runtime/src)" >&2
   exit 1
 fi
-cargo test -q --release -p esti-runtime --test executors --test faults
+cargo test -q --release -p esti-runtime --test executors
 for cpus in 0 0,1; do
   taskset -c "$cpus" cargo test -q --release -p esti-runtime \
     --test equivalence --test faults --test executors
@@ -425,7 +424,8 @@ echo "== shards cut from the schedule: every weight, gain and KV row from the sc
 # tiny-mh, parallel and serial): each weight's cuts tile it, a weight
 # gather's parts concatenate to the next cut, gains are E/n in 2D and whole
 # elsewhere, and the KV rows x heads cover every pair. end_to_end reads each
-# slot's KV back against the single chip's. Both GEMM tiers.
+# slot's KV back against the single chip's. Both GEMM tiers (equivalence,
+# live_rows and prefix_prefill hold the cuts to the bits above).
 if grep -rn "Dataflow" crates/runtime \
   || grep -rnE "fn shard_1d|fn shard_2d|fn shard_wg|fn unshard_1d|megatron_trick_check|LayerShard|fn chip_kv_heads|fn chip_rows|fn parts\(" crates/runtime; then
   echo "FAIL: a per-layout shard builder or a Dataflow match is back in the runtime" >&2
@@ -433,10 +433,8 @@ if grep -rn "Dataflow" crates/runtime \
 fi
 cargo test -q --release -p esti-runtime --lib -- shards_cut_from_the_schedule
 cargo test -q --release --test end_to_end
-cargo test -q --release -p esti-runtime --test equivalence --test live_rows --test prefix_prefill
 ESTI_DISABLE_SIMD=1 cargo test -q --release -p esti-runtime --lib -- shards_cut_from_the_schedule
 ESTI_DISABLE_SIMD=1 cargo test -q --release --test end_to_end
-ESTI_DISABLE_SIMD=1 cargo test -q --release -p esti-runtime --test equivalence --test live_rows --test prefix_prefill
 
 echo "== frozen benchmark: builds against the workspace crates, oracle passes =="
 # benchmark/ is its own [workspace], so nothing above compiles it: a pub its

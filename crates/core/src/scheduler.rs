@@ -19,7 +19,7 @@
 //! free slot; with none free, preempt the lowest class strictly below
 //! (least progress, then lowest slot) to the front of its queue. With a
 //! [`PageLedger`], admit a request that keeps its slot only if its pages
-//! plus one per still-empty slot fit the budget.
+//! fit the budget.
 //!
 //! A slot is filled one way only, by admission. A request whose prefill
 //! call failed, or whose slot's engine was lost ([`Scheduler::requeue`]),
@@ -218,12 +218,9 @@ impl<'a> Scheduler<'a> {
         if holds {
             if let Some(pages) = &mut self.pages {
                 let (charge, _) = pages.charge(job.prompt, job.max_new);
-                let live = self.slots.iter().flatten().count();
-                let idle_after = self.slots.len() - (live + 1);
-                if pages.budget.is_some_and(|b| pages.used + charge + idle_after > b) {
-                    if live == 0 {
-                        let pages = pages.used + charge + idle_after;
-                        return Decision::NeverFits { idx, pages };
+                if pages.budget.is_some_and(|b| pages.used + charge > b) {
+                    if self.slots.iter().all(Option::is_none) {
+                        return Decision::NeverFits { idx, pages: pages.used + charge };
                     }
                     return Decision::Wait; // until an eviction frees pages
                 }
@@ -585,8 +582,8 @@ mod tests {
         (0..4).for_each(|_| group.push(admit(&mut core, &group)));
         assert_eq!(group.iter().map(|a| a.slot).collect::<Vec<_>>(), [0, 2, 1, 3]);
 
-        // 5 pages plus one for the idle second slot fit a budget of 6; the
-        // second request, sharing both prompt pages, still needs 3 more.
+        // 5 pages fit a budget of 6; the second request, sharing both prompt
+        // pages, still needs 3 more.
         let mut core = Scheduler::new(vec![job; 2], vec![0, 0], OverloadPolicy::default(), Some(PageLedger::new(2, Some(6))));
         (0..2).for_each(|i| core.arrive(i));
         let a = admit(&mut core, &[]);

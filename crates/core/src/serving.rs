@@ -149,7 +149,8 @@ pub struct RecoveryStats {
     pub prefill_tokens_replayed: usize,
     /// Already-emitted decode tokens re-derived during replay.
     pub decode_tokens_replayed: usize,
-    /// Wall-clock seconds spent rebuilding engines. Re-prefilling the
+    /// Wall-clock seconds spent resetting the poisoned engine in place
+    /// (fresh collective groups, cleared caches). Re-prefilling the
     /// recovered requests is ordinary admission work, and their replayed
     /// decode steps overlap new work and are accounted by `steps_lost`.
     pub recovery_seconds: f64,

@@ -1,7 +1,7 @@
 //! Analytic model of chip-crash recovery cost.
 //!
-//! The serving runtime recovers from a dead chip by rebuilding the engine
-//! and replaying every in-flight request: re-prefill its prompt, then
+//! The serving runtime recovers from a dead chip by resetting the engine in
+//! place and replaying every in-flight request: re-prefill its prompt, then
 //! re-derive its already-emitted decode tokens step by step (the slot-mode
 //! decode tier steps all live requests together, so the number of replayed
 //! steps is the *longest* emitted suffix, not the sum). This module prices
@@ -27,7 +27,8 @@ pub struct RecoveryModel {
     /// Time to detect the failure: the collective deadline in the worst
     /// case (a stall), ~0 for a crash (cancellation is immediate).
     pub detection_s: f64,
-    /// Time to tear down and rebuild the partitioned engine.
+    /// Time to reset the poisoned partitioned engine in place (fresh
+    /// collective groups, cleared caches; the weight shards stay).
     pub rebuild_s: f64,
     /// Prefill throughput, tokens/second (prompt replay).
     pub prefill_tokens_per_s: f64,
@@ -48,7 +49,7 @@ pub struct RecoveryCost {
     /// Decode steps spent re-deriving known tokens: the longest emitted
     /// decode suffix among live requests (slots replay in lockstep).
     pub steps_lost: usize,
-    /// End-to-end recovery time: detection + rebuild + re-prefill of every
+    /// End-to-end recovery time: detection + reset + re-prefill of every
     /// live prompt + the replayed decode steps.
     pub seconds: f64,
 }

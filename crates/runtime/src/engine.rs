@@ -102,7 +102,9 @@ pub enum EngineError {
         deadline: Duration,
     },
     /// The engine already failed a step; its distributed state (KV caches,
-    /// in-flight barriers) is unrecoverable and the engine must be rebuilt.
+    /// in-flight barriers) cannot be trusted until
+    /// [`PartitionedEngine::reset`] (or [`PartitionedEngine::begin_slots`])
+    /// clears it.
     Poisoned,
 }
 
@@ -116,7 +118,7 @@ impl std::fmt::Display for EngineError {
                 write!(f, "collective exceeded the {deadline:?} deadline")
             }
             EngineError::Poisoned => {
-                write!(f, "engine is poisoned by an earlier failure; rebuild it")
+                write!(f, "engine is poisoned by an earlier failure; reset it")
             }
         }
     }
@@ -199,7 +201,7 @@ pub struct PartitionedEngine {
     executors: ChipPool,
     /// Set the first time a step fails: the distributed KV state is no
     /// longer trustworthy and every further `try_*` call reports
-    /// [`EngineError::Poisoned`] until the engine is rebuilt.
+    /// [`EngineError::Poisoned`] until [`PartitionedEngine::reset`].
     poisoned: bool,
 }
 
@@ -293,20 +295,9 @@ impl PartitionedEngine {
             decode
         });
 
-        // One group per axis set the programs' collectives name, plus all
-        // chips; members rank in chip order.
         let stats = TrafficStats::new();
+        let groups = build_groups(&program, &stats);
         let torus = schedule.torus;
-        let mut groups: Vec<Vec<CommGroup>> = (0..n).map(|_| Vec::new()).collect();
-        for &a in &program.group_axes {
-            for members in torus.groups(a) {
-                let handles = CommGroup::create_with_stats(members.len(), Arc::clone(&stats));
-                for (c, g) in members.into_iter().zip(handles) {
-                    groups[torus.chip_id(c)].push(g);
-                }
-            }
-        }
-
         let weights = model.weights();
         let embed_t = weights.embed.transpose();
         let chips = groups
@@ -420,8 +411,9 @@ impl PartitionedEngine {
         }
     }
 
-    /// True once a step has failed: the engine's distributed state is
-    /// unrecoverable and it must be rebuilt (see [`EngineError::Poisoned`]).
+    /// True once a step has failed, until [`PartitionedEngine::reset`]: the
+    /// engine's distributed state cannot be trusted (see
+    /// [`EngineError::Poisoned`]).
     #[must_use]
     pub fn is_poisoned(&self) -> bool {
         self.poisoned
@@ -489,8 +481,18 @@ impl PartitionedEngine {
     }
 
     /// Clears all KV caches and drops every slot, so a new batch can be
-    /// served.
+    /// served: the one way to a clean engine. A poisoned engine also gets
+    /// fresh collective groups over the same [`TrafficStats`] ledger, under
+    /// its collective deadline and with no fault plan armed; a healthy one
+    /// keeps its groups, and any plan armed into them. The stored weight
+    /// shards, the RoPE table and the executors stay either way.
     pub fn reset(&mut self) {
+        if std::mem::take(&mut self.poisoned) {
+            for (chip, groups) in self.chips.iter_mut().zip(build_groups(&self.program, &self.stats)) {
+                chip.groups = groups;
+            }
+            self.set_collective_deadline(self.deadline);
+        }
         for c in &mut self.chips {
             c.cache.clear();
         }
@@ -498,7 +500,8 @@ impl PartitionedEngine {
     }
 
     /// Replaces the engine's slots with `slots` empty ones, each an
-    /// independent sequence of its own age; caches are cleared. `reserve`
+    /// independent sequence of its own age, on an engine
+    /// [`PartitionedEngine::reset`] leaves clean. `reserve`
     /// is ignored (pages allocate on demand) and stays only because the
     /// frozen benchmark passes it. A pass then runs the slots it is given
     /// and no others ([`PartitionedEngine::try_prefill_rows`], and its
@@ -516,9 +519,7 @@ impl PartitionedEngine {
     pub fn begin_slots(&mut self, slots: usize, _reserve: usize) {
         assert!(slots > 0, "slot count must be positive");
         self.validate_batch(slots);
-        for c in &mut self.chips {
-            c.cache.clear();
-        }
+        self.reset();
         self.ages = vec![0; slots];
     }
 
@@ -698,7 +699,8 @@ impl PartitionedEngine {
     ///
     /// # Errors
     ///
-    /// See [`EngineError`]. After any error the engine is poisoned.
+    /// See [`EngineError`]. After any error the engine is poisoned until
+    /// [`PartitionedEngine::reset`] / [`PartitionedEngine::begin_slots`].
     ///
     /// # Panics
     ///
@@ -738,7 +740,8 @@ impl PartitionedEngine {
     ///
     /// # Errors
     ///
-    /// See [`EngineError`]. After any error the engine is poisoned.
+    /// See [`EngineError`]. After any error the engine is poisoned until
+    /// [`PartitionedEngine::reset`] / [`PartitionedEngine::begin_slots`].
     ///
     /// # Panics
     ///
@@ -796,7 +799,8 @@ impl PartitionedEngine {
     ///
     /// # Errors
     ///
-    /// See [`EngineError`]. After any error the engine is poisoned.
+    /// See [`EngineError`]. After any error the engine is poisoned until
+    /// [`PartitionedEngine::reset`] / [`PartitionedEngine::begin_slots`].
     ///
     /// # Panics
     ///
@@ -820,7 +824,8 @@ impl PartitionedEngine {
     ///
     /// # Errors
     ///
-    /// See [`EngineError`]. After any error the engine is poisoned.
+    /// See [`EngineError`]. After any error the engine is poisoned until
+    /// [`PartitionedEngine::reset`] / [`PartitionedEngine::begin_slots`].
     ///
     /// # Panics
     ///
@@ -935,9 +940,6 @@ impl PartitionedEngine {
     /// the rest of the pass while its executor-mates step on. No deadline is
     /// needed for a crash to propagate; deadlines cover silent stalls.
     fn try_forward(&mut self, x: Tensor, rows: &[usize], lens: &[usize], decode: bool) -> Result<Tensor, EngineError> {
-        if self.poisoned {
-            return Err(EngineError::Poisoned);
-        }
         let n = self.chips.len();
         let (b, l) = (x.dim(0), x.dim(1));
         let bases = self.row_bases(rows);
@@ -1230,6 +1232,23 @@ fn store(
         })
         .collect();
     Stored { weights, gains }
+}
+
+/// Every chip's groups, indexed by chip id: one group per axis set
+/// `program`'s collectives name (its `group_axes`, the decode partner's
+/// merged in), each charging `stats`; members rank in chip order.
+fn build_groups(program: &ChipProgram, stats: &Arc<TrafficStats>) -> Vec<Vec<CommGroup>> {
+    let torus = program.torus;
+    let mut groups: Vec<Vec<CommGroup>> = (0..torus.chip_count()).map(|_| Vec::new()).collect();
+    for &a in &program.group_axes {
+        for members in torus.groups(a) {
+            let handles = CommGroup::create_with_stats(members.len(), Arc::clone(stats));
+            for (c, g) in members.into_iter().zip(handles) {
+                groups[torus.chip_id(c)].push(g);
+            }
+        }
+    }
+    groups
 }
 
 /// Re-indexes `p`'s groups into `axes`, appending the axis sets `axes`

@@ -1,8 +1,9 @@
 //! Fault-aware routing over N independent engine replicas.
 //!
 //! One [`ContinuousBatcher`] already self-heals:
-//! a failed decode step rebuilds the tier and replays in-flight requests
-//! to bit-identical streams, up to its recovery budget. This module turns
+//! a failed decode step or prefill call resets its one engine in place and
+//! replays in-flight requests to bit-identical streams, up to its recovery
+//! budget. This module turns
 //! that into a *fleet-level* property. A [`ReplicaRouter`] owns N replicas
 //! of the same model, dispatches each request to the least-loaded healthy
 //! replica, and treats a replica whose serve call fails outright —
@@ -220,8 +221,9 @@ impl ReplicaRouter {
         self.replicas[i].healthy = false;
     }
 
-    /// Returns a drained replica to dispatch (it was rebuilt or replaced
-    /// out of band).
+    /// Returns a drained replica to dispatch. Its next serve call starts on
+    /// a reset engine ([`crate::PartitionedEngine::begin_slots`]), so a
+    /// replica drained by a fault serves again as it stands.
     pub fn restore(&mut self, i: usize) {
         self.replicas[i].healthy = true;
     }

@@ -27,7 +27,9 @@
 //!
 //! The same two properties make the scheduler recoverable. When a step or
 //! a prefill call fails (a chip died or a collective timed out — see
-//! [`EngineError`]), the batcher rebuilds the engine and hands every
+//! [`EngineError`]), the batcher resets its one engine in place
+//! ([`PartitionedEngine::begin_slots`]: fresh collective groups, cleared
+//! caches; the stored weight shards and the executors stay) and hands every
 //! in-flight request back to the scheduler, which re-admits it exactly as it
 //! re-admits a preemption victim: from the front of its class queue. A
 //! failed prefill call's group goes back the same way. A re-admitted request
@@ -55,7 +57,7 @@ use esti_core::serving::{OverloadPolicy, Priority, RecoveryStats, RequestStats, 
 use esti_model::{PositionKind, ReferenceModel};
 use esti_tensor::sample::{sample_row, Sampling};
 
-use crate::engine::{EngineError, PartitionedEngine, WeightFormat, DEFAULT_COLLECTIVE_DEADLINE};
+use crate::engine::{EngineError, PartitionedEngine, WeightFormat};
 
 /// One queued generation request.
 #[derive(Debug, Clone)]
@@ -99,8 +101,8 @@ pub struct ServingOptions {
     pub max_decode_batch: usize,
     /// Sampling method applied to every request.
     pub sampling: Sampling,
-    /// KV-cache page size applied to the engine (and every engine rebuilt
-    /// during fault recovery). `None` keeps the engine default
+    /// KV-cache page size applied to the engine, which keeps it across the
+    /// resets of fault recovery. `None` keeps the engine default
     /// ([`crate::DEFAULT_KV_PAGE_SIZE`]). The page size never changes
     /// results — token streams are bit-identical at every size, down to a
     /// page longer than any sequence (one dense run per row).
@@ -436,12 +438,6 @@ pub struct BatcherSpec {
 pub struct ContinuousBatcher {
     engine: PartitionedEngine,
     opts: ServingOptions,
-    /// Everything needed to rebuild the engine after a fault.
-    model: ReferenceModel,
-    layout: Layout,
-    fmt: WeightFormat,
-    /// Deadline re-applied to rebuilt engines.
-    deadline: Option<Duration>,
     /// A fault plan armed into the engine just before the given
     /// successful-step count is reached (one-shot).
     decode_fault: Option<(usize, FaultPlan)>,
@@ -454,26 +450,10 @@ pub struct ContinuousBatcher {
     work: PrefillWork,
 }
 
-/// Builds the scheduler's engine — at `opts`' KV page size, left at the
-/// engine default when unset — with its collectives under `deadline`.
-fn build_engine(
-    model: &ReferenceModel,
-    layout: Layout,
-    fmt: WeightFormat,
-    opts: &ServingOptions,
-    deadline: Option<Duration>,
-) -> PartitionedEngine {
-    let mut engine = PartitionedEngine::new(model, layout, fmt);
-    if let Some(page_size) = opts.kv_page_size {
-        engine.set_kv_page_size(page_size);
-    }
-    engine.set_collective_deadline(deadline);
-    engine
-}
-
 impl ContinuousBatcher {
     /// Builds the one engine prefill and decode both run on, from `model`
-    /// sharded by `layout`.
+    /// sharded by `layout`, at `opts`' KV page size (the engine default when
+    /// unset).
     ///
     /// # Panics
     ///
@@ -488,14 +468,13 @@ impl ContinuousBatcher {
         opts: ServingOptions,
     ) -> Self {
         assert!(opts.max_decode_batch > 0, "decode batch cap must be positive");
-        let deadline = Some(DEFAULT_COLLECTIVE_DEADLINE);
+        let mut engine = PartitionedEngine::new(model, layout, fmt);
+        if let Some(page_size) = opts.kv_page_size {
+            engine.set_kv_page_size(page_size);
+        }
         ContinuousBatcher {
-            engine: build_engine(model, layout, fmt, &opts, deadline),
+            engine,
             opts,
-            model: model.clone(),
-            layout,
-            fmt,
-            deadline,
             decode_fault: None,
             preempt_plan: Vec::new(),
             max_recoveries: 3,
@@ -503,7 +482,7 @@ impl ContinuousBatcher {
         }
     }
 
-    /// The engine (for inspecting its page pool, traffic or comm times).
+    /// The engine (for inspecting its page pool or traffic).
     #[must_use]
     pub fn engine(&self) -> &PartitionedEngine {
         &self.engine
@@ -523,10 +502,9 @@ impl ContinuousBatcher {
         }
     }
 
-    /// Sets the collective deadline the engine (and any rebuilt engine)
-    /// runs under; `None` waits forever.
+    /// Sets the collective deadline the engine runs under, and keeps
+    /// across every reset; `None` waits forever.
     pub fn set_collective_deadline(&mut self, deadline: Option<Duration>) {
-        self.deadline = deadline;
         self.engine.set_collective_deadline(deadline);
     }
 
@@ -539,17 +517,18 @@ impl ContinuousBatcher {
     /// Arms `plan` into the engine immediately before its `at_step`-th
     /// successful decode step (chaos testing): the plan's call indices then
     /// count collectives from the start of that step (a later index may
-    /// land in a prefill call after it). One-shot — a rebuilt engine comes
-    /// up fault-free.
+    /// land in a prefill call after it). One-shot — the reset after the
+    /// fault it causes leaves the engine fault-free.
     pub fn schedule_decode_fault(&mut self, at_step: usize, plan: FaultPlan) {
         self.decode_fault = Some((at_step, plan));
     }
 
     /// Arms `plan` into the engine right away (chaos testing): its call
     /// indices count collectives from the next engine call, which at the
-    /// start of a serve call is its first prefill. A failed prefill call
-    /// recovers like a failed step — the engine is rebuilt fault-free and
-    /// the live slots are re-admitted — and its group is admitted again.
+    /// start of a serve call is its first prefill (a healthy engine's reset
+    /// keeps the plan). A failed prefill call recovers like a failed step —
+    /// the engine is reset fault-free and the live slots are re-admitted —
+    /// and its group is admitted again.
     pub fn inject_prefill_fault(&mut self, plan: FaultPlan) {
         self.engine.inject_faults(plan);
     }
@@ -701,7 +680,7 @@ impl ContinuousBatcher {
                         // The call took the engine down: the group goes back
                         // to the front of its class queues, in admission
                         // order, the live slots go back ahead of it, and
-                        // admission starts over on a rebuilt engine.
+                        // admission starts over on the reset engine.
                         for a in group.drain(..).rev() {
                             core.requeue(&a);
                         }
@@ -841,7 +820,7 @@ impl ContinuousBatcher {
         })
     }
 
-    /// Counts the fault against the recovery budget, rebuilds the engine
+    /// Counts the fault against the recovery budget, resets the engine
     /// after a failed step or prefill call, and hands every live slot back
     /// to the scheduler, last slot first so each class queue keeps slot
     /// order. The ordinary loop then re-admits and re-prefills each request
@@ -864,7 +843,6 @@ impl ContinuousBatcher {
             return Err(ServeError::RecoveryLimit { faults: recovery.faults, last: err });
         }
         let t = Instant::now();
-        self.engine = build_engine(&self.model, self.layout, self.fmt, &self.opts, self.deadline);
         self.engine.begin_slots(self.opts.max_decode_batch, 0);
         recovery.recovery_seconds += t.elapsed().as_secs_f64();
         let mut steps_lost = 0;

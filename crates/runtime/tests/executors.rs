@@ -1,8 +1,8 @@
 //! The engine's chip executors are resident: `T = min(available
 //! parallelism, chips)` of them, the calling thread among them, so an engine
 //! starts `T − 1` threads with itself, reuses them on every pass, joins them
-//! when it drops, and replaces — not leaks — them when the batcher rebuilds
-//! a faulted engine.
+//! when it drops, and keeps them — neither replaced nor leaked — when the
+//! batcher resets a faulted engine.
 //!
 //! This file holds a single test so that no other test's threads come and
 //! go in `/proc/self/task` while it counts.
@@ -65,8 +65,8 @@ fn chip_executors_live_exactly_as_long_as_their_engine() {
     drop(engine);
     assert_eq!(settled(idle), idle, "a dropped engine joins its executors");
 
-    // A crash mid-serve makes the batcher drop the poisoned engine and build
-    // a fresh one: afterwards exactly one engine's executors run.
+    // A crash mid-serve makes the batcher reset the poisoned engine in
+    // place: afterwards the same one engine's executors run.
     let opts = ServingOptions {
         max_decode_batch: 4,
         sampling: Sampling::Greedy,
@@ -84,8 +84,8 @@ fn chip_executors_live_exactly_as_long_as_their_engine() {
         })
         .collect();
     let outcome = batcher.try_serve(&requests).expect("the batcher recovers");
-    assert_eq!(outcome.report.recovery.faults, 1, "the crash forced one rebuild");
-    assert_eq!(settled(idle + spawned), idle + spawned, "a rebuilt engine leaks no executors");
+    assert_eq!(outcome.report.recovery.faults, 1, "the crash forced one reset");
+    assert_eq!(settled(idle + spawned), idle + spawned, "a reset engine leaks no executors");
     drop(batcher);
     assert_eq!(settled(idle), idle, "a dropped batcher joins its engine's executors");
 }

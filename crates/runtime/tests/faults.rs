@@ -129,6 +129,29 @@ fn a_crash_inside_a_live_subset_step_recovers_bit_identically() {
     }
     assert!(engine.is_poisoned());
     assert_eq!(engine.try_decode_rows(&[(5, 2)]).unwrap_err(), EngineError::Poisoned);
+
+    // begin_slots resets the poisoned engine in place: its next subset step
+    // is a fresh engine's bit for bit, and the traffic ledger keeps counting.
+    let bits = |t: &esti_tensor::Tensor| t.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let layout = decode_layouts(AttnSharding::Batch)[1];
+    let mut fresh = PartitionedEngine::new(&model, layout, WeightFormat::Exact);
+    fresh.begin_slots(8, 0);
+    let want = fresh.try_decode_rows(&[(5, 1)]).unwrap();
+    let moved = engine.traffic().total_bytes();
+    engine.begin_slots(8, 0);
+    assert!(!engine.is_poisoned());
+    let got = engine.try_decode_rows(&[(5, 1)]).expect("the reset engine steps");
+    assert_eq!(bits(&got), bits(&want), "a reset engine computes a fresh engine's bits");
+    assert!(engine.traffic().total_bytes() > moved, "the reset keeps the ledger and adds to it");
+
+    // A plan armed before the failure goes with the poisoned groups: the
+    // crash at chip 2's call 3 leaves its counter at 4, where a second
+    // trigger waits for the next step's first collective and never fires.
+    engine.inject_faults(FaultPlan::new().crash(2, 3).crash(2, 4));
+    assert!(matches!(engine.try_decode_rows(&[(5, 2), (0, 3)]), Err(EngineError::ChipCrashed { rank: 2, .. })));
+    engine.begin_slots(8, 0);
+    let got = engine.try_decode_rows(&[(5, 1)]).expect("the armed crash no longer fires");
+    assert_eq!(bits(&got), bits(&want));
 }
 
 #[test]

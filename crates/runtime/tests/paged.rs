@@ -247,6 +247,23 @@ fn oversized_request_is_rejected_not_livelocked() {
     }
 }
 
+#[test]
+fn an_exact_fit_request_is_served_alone() {
+    // One 16-token prompt with 16 new tokens in a 4-slot batcher: two
+    // 16-position pages, exactly the 32-position budget. The three empty
+    // slots take no page, so the request is admitted, not rejected.
+    let model = ReferenceModel::init_random(ModelConfig::tiny(), 26);
+    let layout = Layout {
+        ffn: FfnLayout::WeightStationary1D,
+        attn: AttnSharding::Head,
+        mesh: MeshFactors::new(1, 4, 1),
+    };
+    let requests = shared_prefix_workload(1, model.config().vocab, 0, 16, 16);
+    let outcome = serve_with(&model, layout, 16, Some(32), 4, &requests);
+    assert_eq!(outcome.outputs, isolated_streams(&model, layout, &requests));
+    assert_eq!(outcome.report.kv_pages_free, 0, "the request fills the budget exactly");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 

@@ -735,8 +735,8 @@ mod tests {
 
     #[test]
     fn budgeted_spec_is_clean_too() {
-        // 12 pages of 4 hold any builtin request alone beside the three
-        // pages kept for idle slots, and defer some admissions.
+        // 12 pages of 4 hold any builtin request alone, and defer some
+        // admissions.
         let paged = BatcherSpec { page_size: 4, ..spec() };
         let budgeted = BatcherSpec { pool_pages: Some(12), ..paged };
         let free = check_lifecycle(&paged).unwrap();
@@ -935,11 +935,10 @@ mod tests {
     #[test]
     fn pool_budget_defers_admission_until_pages_free() {
         // page_size 4, private 8-token prompts, 3 new tokens: each request
-        // charges 2 prompt pages + 1 growth page, and admission keeps one
-        // page in hand per still-empty slot of the 4. The first fits in
-        // 3 + 3, the second in 6 + 2 = 8; the third needs 6 + 3 + 1 = 10
-        // and must wait for both to finish. Deferral serializes: ≥ 4 steps
-        // instead of the 2 a parallel run would take.
+        // charges 2 prompt pages + 1 growth page. The first two fit in
+        // 3 + 3 = 6 of the 8; the third needs 6 + 3 = 9 and must wait for
+        // both to finish. Deferral serializes: ≥ 4 steps instead of the 2 a
+        // parallel run would take.
         let s = BatcherSpec { page_size: 4, pool_pages: Some(8), ..spec() };
         let reqs = vec![AbstractRequest::with_prompt(3, 8, 0); 3];
         let t = Trace { requests: reqs, ..Trace::default() };
